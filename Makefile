@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-json fleet docker clean
+.PHONY: all build test race lint fuzz bench bench-json fleet docker clean
 
 all: build lint test
 
@@ -23,12 +23,21 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ceresvet ./...
 
+# Native fuzzing, long budget (CI runs the same target for 10s). The
+# extract-request reader must agree with encoding/json on every body:
+# accept/reject, every decoded value, no panic (DESIGN.md §7). A failing
+# input is written under cmd/ceres-serve/testdata/fuzz/ — commit it.
+FUZZTIME ?= 5m
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
+
 # Headline benchmarks, human-readable. -short skips the 10k-model
 # RegistryBoot/scale case, which only full bench-json runs pay for.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='BatchHarvest' -benchtime=1x -benchmem ./batch
 	$(GO) test -run='^$$' -bench='PagestoreScan' -benchtime=1x -benchmem ./pagestore
+	$(GO) test -run='^$$' -bench='HandleExtract' -benchtime=20x -benchmem ./cmd/ceres-serve
 
 # Machine-readable results for the serving and batch-harvest headliners
 # (pages/s, ns/op, B/op, allocs/op). BENCH_N.json files at the repo root

@@ -74,6 +74,11 @@ type PageSource struct {
 	HTML string
 }
 
+// PageBytes is one raw page held as bytes: the byte-native PageSource,
+// for callers (a daemon's request buffer, decoded store records) that
+// never had the page as a string. See Service.ExtractBytes.
+type PageBytes = core.PageBytes
+
 // Triple is one extracted fact.
 type Triple struct {
 	// Subject is the text of the page's topic-name node.

@@ -50,11 +50,7 @@ func publishSite(t *testing.T, client *http.Client, base, site string, model []b
 
 func extractBody(t *testing.T, pages ...ceres.PageSource) []byte {
 	t.Helper()
-	req := extractRequestJSON{}
-	for _, p := range pages {
-		req.Pages = append(req.Pages, pageJSON{ID: p.ID, HTML: p.HTML})
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(extractRequestJSON{Pages: wirePages(pages)})
 	if err != nil {
 		t.Fatal(err)
 	}

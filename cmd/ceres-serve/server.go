@@ -71,6 +71,8 @@ type server struct {
 	log     *slog.Logger
 	mux     *http.ServeMux
 	limiter *rateLimiter // nil: no rate limiting
+	// requests recycles extract-request buffers (request.go).
+	requests requestPool
 
 	// draining flips once at shutdown: /readyz goes 503 so load
 	// balancers stop routing here, new extract/publish requests are
@@ -124,6 +126,7 @@ func newServer(cfg serverConfig) *server {
 		tracer:   tracer,
 		log:      cfg.logger,
 		limiter:  newRateLimiter(cfg.rateLimit, cfg.rateBurst),
+		requests: newRequestPool(),
 		idPrefix: hex.EncodeToString(prefix[:]),
 	}
 	cfg.reg.Instrument(cfg.metrics)
@@ -160,12 +163,28 @@ func newServer(cfg serverConfig) *server {
 // process exit.
 func (s *server) StartDrain() { s.draining.Store(true) }
 
-// requestIDKey carries the request ID through a request's context.
-type requestIDKey struct{}
+// requestInfo is what one request's context carries: its ID, and the
+// sizes a handler fills in for the access log.
+type requestInfo struct {
+	id string
+	// reqBytes is the request body's size: the bytes an extract request
+	// actually read, Content-Length (when declared) otherwise.
+	reqBytes int64
+	pages    int // pages of an extract request
+}
+
+type requestInfoKey struct{}
+
+func infoOf(ctx context.Context) *requestInfo {
+	info, _ := ctx.Value(requestInfoKey{}).(*requestInfo)
+	return info
+}
 
 func requestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
+	if info := infoOf(ctx); info != nil {
+		return info.id
+	}
+	return ""
 }
 
 // nextID mints a process-unique request ID.
@@ -176,7 +195,8 @@ func (s *server) nextID() string {
 // ServeHTTP is the outermost handler: assign (or adopt) the request ID,
 // dispatch, then emit one structured access-log line and count the
 // response. Every response — success or error — carries X-Request-ID,
-// so a fleet's logs are correlatable from either side.
+// so a fleet's logs are correlatable from either side; the line's
+// req_bytes and pages make a slow request attributable to its size.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.Header.Get("X-Request-ID")
@@ -185,7 +205,8 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-ID", id)
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-	r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
+	info := &requestInfo{id: id, reqBytes: max(r.ContentLength, 0)}
+	r = r.WithContext(context.WithValue(r.Context(), requestInfoKey{}, info))
 	s.mux.ServeHTTP(sw, r)
 	s.httpResponses.With(strconv.Itoa(sw.status)).Inc()
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
@@ -194,6 +215,8 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		slog.String("path", r.URL.Path),
 		slog.Int("status", sw.status),
 		slog.Int64("bytes", sw.bytes),
+		slog.Int64("req_bytes", info.reqBytes),
+		slog.Int("pages", info.pages),
 		slog.Duration("elapsed", time.Since(start)),
 		slog.String("remote", r.RemoteAddr),
 	)
@@ -219,19 +242,8 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // wire types ------------------------------------------------------------
 
-type pageJSON struct {
-	ID   string `json:"id"`
-	HTML string `json:"html"`
-}
-
-type extractRequestJSON struct {
-	Pages []pageJSON `json:"pages"`
-	// Threshold overrides the model's confidence cutoff for this request
-	// (absent = model threshold; an explicit 0 keeps everything).
-	Threshold *float64 `json:"threshold,omitempty"`
-	// Workers bounds the request's page parallelism (absent = default).
-	Workers int `json:"workers,omitempty"`
-}
+// The extract request has no wire struct: request.go reads it straight
+// from the body's bytes.
 
 type tripleJSON struct {
 	Subject    string  `json:"subject"`
@@ -293,8 +305,18 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusTooManyRequests, fmt.Errorf("site %q over its request rate", site))
 		return
 	}
-	var req extractRequestJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxExtractBytes)).Decode(&req); err != nil {
+	// The pages alias the pooled request buffer, so the request goes back
+	// to the pool only when the handler returns: after the service call,
+	// whose triples own their strings, and after the response is written.
+	req := s.requests.get()
+	defer s.requests.put(req)
+	err := req.readFrom(http.MaxBytesReader(w, r.Body, maxExtractBytes), r.ContentLength)
+	info := infoOf(r.Context())
+	info.reqBytes = int64(len(req.buf))
+	if err == nil {
+		err = req.parse()
+	}
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -303,17 +325,10 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, status, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	pages := make([]ceres.PageSource, len(req.Pages))
-	for i, p := range req.Pages {
-		pages[i] = ceres.PageSource{ID: p.ID, HTML: p.HTML}
-	}
-	resp, err := s.svc.Extract(r.Context(), ceres.ExtractRequest{
-		Site:  site,
-		Pages: pages,
-		Options: ceres.RequestOptions{
-			Threshold: req.Threshold,
-			Workers:   req.Workers,
-		},
+	info.pages = len(req.pages)
+	resp, err := s.svc.ExtractBytes(r.Context(), site, req.pages, ceres.RequestOptions{
+		Threshold: req.threshold,
+		Workers:   req.workers,
 	})
 	if err != nil {
 		s.fail(w, r, statusOf(err), err)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -212,7 +213,7 @@ func TestServeErrorPaths(t *testing.T) {
 	modelBytes, unseen := trainedModelBytes(t)
 	var pub publishResponseJSON
 	if code := doJSON(t, client, "PUT", ts.URL+"/v1/sites/mem.example/model", modelBytes, &pub); code != 200 || pub.Version != 1 {
-		t.Fatalf("registry-only publish = %d %+v", 0, pub)
+		t.Fatalf("registry-only publish = %d %+v", code, pub)
 	}
 	// An empty page set — and a page with an empty ID — are the client's
 	// fault, never a 5xx.
@@ -314,4 +315,80 @@ func TestServeObservabilityEndpoints(t *testing.T) {
 			t.Errorf("default daemon %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
+}
+
+// TestServeConcurrentRequestBuffers drives 8 concurrent clients across
+// two sites with distinct thresholds through the real HTTP stack. Page
+// HTML aliases a recycled request buffer, so a buffer handed to the next
+// request before its own response was written would corrupt pages
+// mid-extraction: every response must match its own in-process oracle.
+// Run under -race this also checks the workers' shared read of one
+// request buffer.
+func TestServeConcurrentRequestBuffers(t *testing.T) {
+	ctx := context.Background()
+	reg := ceres.NewRegistry()
+	type target struct {
+		site      string
+		threshold float64
+		bodies    [][]byte
+		want      [][]ceres.Triple
+		triples   int
+	}
+	targets := []*target{{site: "imdb-films", threshold: 0.5}, {site: "imdb-people", threshold: 0.9}}
+	for _, tg := range targets {
+		m, serve := chromeSite(t, tg.site, 7, 30, 12, 8<<10)
+		reg.PublishNext(tg.site, m)
+		oracle := ceres.NewService(reg)
+		for lo := 0; lo < len(serve); lo += 4 {
+			pages := serve[lo : lo+4]
+			body, err := json.Marshal(extractRequestJSON{Pages: wirePages(pages), Threshold: &tg.threshold})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := oracle.Extract(ctx, ceres.ExtractRequest{Site: tg.site, Pages: pages, Options: ceres.RequestOptions{Threshold: &tg.threshold}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tg.bodies, tg.want = append(tg.bodies, body), append(tg.want, resp.Triples)
+			tg.triples += len(resp.Triples)
+		}
+		if tg.triples == 0 {
+			t.Fatalf("%s: the oracle extracts nothing; the test would compare empty responses", tg.site)
+		}
+	}
+	ts := httptest.NewServer(newServer(serverConfig{reg: reg}))
+	defer ts.Close()
+
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tg := targets[c%2]
+			for round := 0; round < 12; round++ {
+				i := (c + round) % len(tg.bodies)
+				resp, err := ts.Client().Post(ts.URL+"/v1/sites/"+tg.site+"/extract", "application/json", bytes.NewReader(tg.bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got extractResponseJSON
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || got.Threshold != tg.threshold {
+					t.Errorf("client %d %s request %d: status %d threshold %v: %v", c, tg.site, i, resp.StatusCode, got.Threshold, err)
+					return
+				}
+				var triples []ceres.Triple
+				for _, tr := range got.Triples {
+					triples = append(triples, ceres.Triple{Subject: tr.Subject, Predicate: tr.Predicate, Object: tr.Object, Confidence: tr.Confidence, Page: tr.Page, Path: tr.Path})
+				}
+				if !reflect.DeepEqual(triples, tg.want[i]) {
+					t.Errorf("client %d %s request %d: %d triples, oracle has %d, or contents differ", c, tg.site, i, len(triples), len(tg.want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -275,16 +275,59 @@ func (sm *SiteModel) ExtractSources(ctx context.Context, sources []PageSource) (
 }
 
 // ExtractSourcesOpts is ExtractSources with per-call overrides and serve
-// statistics — the request-scoped entry point the Service layer builds on.
+// statistics: the string adapter over the parallel serve loop. Each page
+// is copied once into its worker's reusable buffer (extractOne) to reach
+// the byte-level streaming pass; callers that already hold bytes use
+// ExtractBytesOpts and skip the copy.
 func (sm *SiteModel) ExtractSourcesOpts(ctx context.Context, sources []PageSource, opts ServeOptions) ([]Extraction, *ServeStats, error) {
-	if err := sm.serveable(sources); err != nil {
+	return sm.extractParallel(ctx, len(sources), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
+		return sm.extractOne(sources[i], sc, opts.Stages)
+	})
+}
+
+// PageBytes is one page delivered as raw bytes, the byte-native
+// counterpart of PageSource. HTML is only read during the serve call and
+// never retained — extractions carry their own strings — so it may alias
+// a buffer the caller reuses afterwards.
+type PageBytes struct {
+	ID   string
+	HTML []byte
+}
+
+// ExtractBytesOpts is the parallel bytes entry: pages fan out over the
+// call's workers and stream straight from the caller's bytes — no string,
+// no per-worker copy. Statistics, output order, the Workers clamp and the
+// error contract are ExtractSourcesOpts'. A model that cannot stream
+// serves through the DOM path, paying a string copy per page.
+func (sm *SiteModel) ExtractBytesOpts(ctx context.Context, pages []PageBytes, opts ServeOptions) ([]Extraction, *ServeStats, error) {
+	return sm.extractParallel(ctx, len(pages), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
+		return sm.extractOneBytes(pages[i].ID, pages[i].HTML, sc, opts.Stages)
+	})
+}
+
+// extractOneBytes is extractOne for a page held as bytes: streamed in
+// place when the model can stream, else through the DOM path at the
+// price of a string copy.
+func (sm *SiteModel) extractOneBytes(id string, html []byte, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
+	if ok, maxText := sm.streamable(); ok {
+		return sm.extractBytes(id, html, sc, maxText, st)
+	}
+	return sm.extractOne(PageSource{ID: id, HTML: string(html)}, sc, st)
+}
+
+// extractParallel is the one parallel serve loop: n pages fan out over
+// the call's workers, each worker owning one pooled scratch, and page(i,
+// scratch) returns page i's route and extractions. Extractions are
+// pooled in input page order.
+func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptions, page func(i int, sc *ServeScratch) (int, []Extraction)) ([]Extraction, *ServeStats, error) {
+	if err := sm.serveable(n); err != nil {
 		return nil, nil, err
 	}
 	workers := sm.workersFor(opts)
 	// Clamp before sizing the scratch pool: opts.Workers may come from an
 	// untrusted request, and more workers than pages is useless anyway.
-	if workers > len(sources) {
-		workers = len(sources)
+	if workers > n {
+		workers = n
 	}
 	scratch := make([]*ServeScratch, workers)
 	for i := range scratch {
@@ -295,15 +338,15 @@ func (sm *SiteModel) ExtractSourcesOpts(ctx context.Context, sources []PageSourc
 			serveScratchPool.Put(sc)
 		}
 	}()
-	perPage := make([][]Extraction, len(sources))
-	routes := make([]int, len(sources))
-	err := parallelForWorker(ctx, len(sources), workers, func(w, i int) {
-		routes[i], perPage[i] = sm.extractOne(sources[i], scratch[w], opts.Stages)
+	perPage := make([][]Extraction, n)
+	routes := make([]int, n)
+	err := parallelForWorker(ctx, n, workers, func(w, i int) {
+		routes[i], perPage[i] = page(i, scratch[w])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &ServeStats{Pages: len(sources), ClusterPages: make([]int, len(sm.Clusters))}
+	stats := &ServeStats{Pages: n, ClusterPages: make([]int, len(sm.Clusters))}
 	total := 0
 	for _, exts := range perPage {
 		total += len(exts)
@@ -340,7 +383,7 @@ func (sm *SiteModel) StreamSources(ctx context.Context, sources []PageSource, em
 // StreamSourcesOpts is StreamSources with per-call overrides; it reports
 // serve statistics once the stream drains (nil when it failed).
 func (sm *SiteModel) StreamSourcesOpts(ctx context.Context, sources []PageSource, opts ServeOptions, emit func(Extraction) error) (*ServeStats, error) {
-	if err := sm.serveable(sources); err != nil {
+	if err := sm.serveable(len(sources)); err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -407,11 +450,11 @@ feed:
 
 // serveable validates a serve call: a model must exist and have at least
 // one trained cluster, and there must be pages to serve.
-func (sm *SiteModel) serveable(sources []PageSource) error {
+func (sm *SiteModel) serveable(pages int) error {
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return ErrNotTrained
 	}
-	if len(sources) == 0 {
+	if pages == 0 {
 		return ErrNoPages
 	}
 	return nil
@@ -423,14 +466,12 @@ func (sm *SiteModel) serveable(sources []PageSource) error {
 // legacy (string-hashing) path remains as fallback for models whose
 // dictionary cannot compile.
 func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
-	if !sm.DisableStreaming {
-		if ok, maxText := sm.streamInfo(); ok {
-			// One copy into the worker's reusable buffer buys the
-			// zero-DOM pass; byte-native callers use extractBytes
-			// directly and skip even that.
-			sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
-			return sm.extractBytes(src.ID, sc.htmlBuf, sc, maxText, st)
-		}
+	if ok, maxText := sm.streamable(); ok {
+		// One copy into the worker's reusable buffer buys the zero-DOM
+		// pass; byte-native callers enter through ExtractBytesOpts
+		// (parallel) or ExtractScanOpts (sequential) and skip even that.
+		sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
+		return sm.extractBytes(src.ID, sc.htmlBuf, sc, maxText, st)
 	}
 	ck := startStageClock(st)
 	p := PrepareServePage(src.ID, src.HTML)

@@ -421,8 +421,16 @@ func (sm *SiteModel) streamInfo() (bool, int) {
 	return sm.streamOK, sm.streamMaxText
 }
 
+// streamable reports whether serve calls take the streaming path —
+// every trained cluster compiled and DisableStreaming is off — and the
+// text bound streams must capture.
+func (sm *SiteModel) streamable() (bool, int) {
+	ok, maxText := sm.streamInfo()
+	return ok && !sm.DisableStreaming, maxText
+}
+
 // extractBytes streams, routes and extracts one page from raw bytes. The
-// caller must have checked streamInfo. Routing: single-cluster sites
+// caller must have checked streamable. Routing: single-cluster sites
 // short-circuit like Route; otherwise the signature accumulated during
 // the pass is matched against the exemplars — on the first
 // SignatureWatermark keys when configured (falling back to the full page
@@ -473,15 +481,13 @@ func (sm *SiteModel) ExtractScan(ctx context.Context, scan func(yield func(id st
 	return sm.ExtractScanOpts(ctx, ServeOptions{}, scan)
 }
 
-// ExtractScanOpts is ExtractScan with per-call overrides (the scan loop
-// is sequential, so Workers is ignored; Stages is honored).
+// ExtractScanOpts is ExtractScan with per-call overrides. The scan loop
+// is sequential — a yielded slice is only valid during its yield — so
+// Workers is ignored here; callers holding all their pages at once get
+// page parallelism from ExtractBytesOpts. Stages is honored.
 func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return nil, nil, ErrNotTrained
-	}
-	streamOK, maxText := sm.streamInfo()
-	if sm.DisableStreaming {
-		streamOK = false
 	}
 	sc := serveScratchPool.Get().(*ServeScratch)
 	defer serveScratchPool.Put(sc)
@@ -491,15 +497,7 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var (
-			route int
-			exts  []Extraction
-		)
-		if streamOK {
-			route, exts = sm.extractBytes(id, html, sc, maxText, opts.Stages)
-		} else {
-			route, exts = sm.extractOne(PageSource{ID: id, HTML: string(html)}, sc, opts.Stages)
-		}
+		route, exts := sm.extractOneBytes(id, html, sc, opts.Stages)
 		stats.Pages++
 		stats.addRoute(route)
 		stats.observePage(sm.routeMiss(route), len(exts))

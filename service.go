@@ -255,32 +255,42 @@ func (s *Service) release() {
 	}
 }
 
-// resolve looks up the request's model and effective threshold.
-func (s *Service) resolve(req ExtractRequest) (RegisteredModel, float64, error) {
-	e, ok := s.reg.Lookup(req.Site)
+// resolve looks up a site's model and the request's effective threshold.
+func (s *Service) resolve(site string, opts RequestOptions) (RegisteredModel, float64, error) {
+	e, ok := s.reg.Lookup(site)
 	if !ok {
-		return RegisteredModel{}, 0, fmt.Errorf("%w: %q", ErrUnknownSite, req.Site)
+		return RegisteredModel{}, 0, fmt.Errorf("%w: %q", ErrUnknownSite, site)
 	}
 	threshold := e.Model.Threshold()
-	if req.Options.Threshold != nil {
-		threshold = *req.Options.Threshold
+	if opts.Threshold != nil {
+		threshold = *opts.Threshold
 	}
 	return e, threshold, nil
 }
 
-// Extract serves one extraction request: route every page of the request
-// to its template cluster, extract, threshold at the request's (or the
-// model's) cutoff, and report serve-side statistics.
-//
-// Extract returns ErrUnknownSite for a site the registry is not serving,
-// ErrNoPages for an empty page set, ErrNotTrained when the registered
-// model has no trained extractor, and ctx.Err() when cancelled.
-func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResponse, error) {
+// modelCall is what serve hands an Extract* method's model call: the
+// resolved model, the request's serve options and — for a streaming call
+// only — the per-extraction callback.
+type modelCall struct {
+	sm   *core.SiteModel
+	opts core.ServeOptions
+	each func(core.Extraction) error
+}
+
+// serve is the one request path behind every Extract* method: root span,
+// admission, model lookup, then run — the model call, under the extract
+// span — and the stats/metrics epilogue. A buffered call (emit nil)
+// returns its extractions from run; they feed the confidence histogram
+// and are thresholded into the response under the fuse span. A streaming
+// call passes emit and run forwards every extraction to modelCall.each,
+// which observes, thresholds and emits; its response carries no triples.
+func (s *Service) serve(ctx context.Context, span, site string, opts RequestOptions, emit func(Triple) error,
+	run func(modelCall) ([]core.Extraction, *core.ServeStats, error)) (*ExtractResponse, error) {
 	// The root span is ended exactly once, by the deferred End; error
 	// paths record their error with SetErr and let the defer close it.
-	sp := s.tracer.StartRoot("service.extract")
+	sp := s.tracer.StartRoot(span)
 	defer sp.End()
-	sp.SetStr("site", req.Site)
+	sp.SetStr("site", site)
 	asp := sp.StartChild("admission")
 	if err := s.acquire(ctx); err != nil {
 		asp.EndErr(err)
@@ -291,7 +301,7 @@ func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResp
 	defer s.release()
 	start := time.Now()
 	lsp := sp.StartChild("lookup")
-	e, threshold, err := s.resolve(req)
+	e, threshold, err := s.resolve(site, opts)
 	lsp.EndErr(err)
 	if err != nil {
 		sp.SetErr(err)
@@ -299,15 +309,23 @@ func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResp
 		return nil, err
 	}
 	sp.SetInt("version", int64(e.Version))
-	src, err := toSources(req.Pages)
-	if err != nil {
-		sp.SetErr(err)
-		s.metrics.requestFailed(e.Site)
-		return nil, err
+	st := s.stageTimes(sp, opts)
+	resp := &ExtractResponse{Site: e.Site, Version: e.Version, Threshold: threshold}
+	call := modelCall{sm: e.Model.sm, opts: core.ServeOptions{Workers: opts.Workers, Stages: st}}
+	emitted := 0
+	if emit != nil {
+		confH := s.metrics.confidenceFor(e.Site)
+		call.each = func(ex core.Extraction) error {
+			confH.Observe(ex.Confidence)
+			if ex.Confidence < threshold {
+				return nil
+			}
+			emitted++
+			return emit(toTriple(ex))
+		}
 	}
-	st := s.stageTimes(sp, req.Options)
 	esp := sp.StartChild("extract")
-	exts, stats, err := e.Model.sm.ExtractSourcesOpts(ctx, src, core.ServeOptions{Workers: req.Options.Workers, Stages: st})
+	exts, stats, err := run(call)
 	if err != nil {
 		esp.EndErr(err)
 		sp.SetErr(err)
@@ -316,18 +334,16 @@ func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResp
 	}
 	stageSpans(esp, st)
 	esp.End()
-	s.observeConfidences(e.Site, exts)
-	fsp := sp.StartChild("fuse")
-	resp := &ExtractResponse{
-		Site:      e.Site,
-		Version:   e.Version,
-		Threshold: threshold,
-		Triples:   tripleize(exts, threshold),
+	if emit == nil {
+		s.observeConfidences(e.Site, exts)
+		fsp := sp.StartChild("fuse")
+		resp.Triples = tripleize(exts, threshold)
+		fsp.End()
+		emitted = len(resp.Triples)
 	}
-	fsp.End()
 	resp.Stats = ServeStats{
 		Pages:          stats.Pages,
-		Triples:        len(resp.Triples),
+		Triples:        emitted,
 		RoutedClusters: stats.RoutedClusters(),
 		EmptyPages:     stats.EmptyPages,
 		RoutingMisses:  stats.RoutingMisses,
@@ -338,6 +354,44 @@ func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResp
 	sp.SetInt("triples", int64(resp.Stats.Triples))
 	s.metrics.requestServed(e.Site, resp.Stats)
 	return resp, nil
+}
+
+// Extract serves one extraction request: route every page of the request
+// to its template cluster, extract, threshold at the request's (or the
+// model's) cutoff, and report serve-side statistics.
+//
+// Extract returns ErrUnknownSite for a site the registry is not serving,
+// ErrNoPages for an empty page set, ErrInvalidPage for a page with an
+// empty ID, ErrNotTrained when the registered model has no trained
+// extractor, and ctx.Err() when cancelled.
+func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResponse, error) {
+	return s.serve(ctx, "service.extract", req.Site, req.Options, nil,
+		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+			src, err := toSources(req.Pages)
+			if err != nil {
+				return nil, nil, err
+			}
+			return c.sm.ExtractSourcesOpts(ctx, src, c.opts)
+		})
+}
+
+// ExtractBytes is Extract for callers that hold their pages as bytes — a
+// daemon's request buffer, decoded records — with pages fanned out over
+// Options.Workers and streamed in place: no string conversion and no
+// copy of any page. The page slices are only read during the call and
+// never retained (triples own their strings), so they may alias a buffer
+// the caller recycles once ExtractBytes returns. Spans, metrics,
+// statistics, output order and the error contract are Extract's.
+func (s *Service) ExtractBytes(ctx context.Context, site string, pages []PageBytes, opts RequestOptions) (*ExtractResponse, error) {
+	return s.serve(ctx, "service.extract", site, opts, nil,
+		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+			for i := range pages {
+				if pages[i].ID == "" {
+					return nil, nil, fmt.Errorf("%w: page %d has an empty ID", ErrInvalidPage, i)
+				}
+			}
+			return c.sm.ExtractBytesOpts(ctx, pages, c.opts)
+		})
 }
 
 // stageTimes returns a stage-time collector when the request is traced
@@ -370,65 +424,16 @@ func (s *Service) observeConfidences(site string, exts []core.Extraction) {
 // page. Pages are processed sequentially in yield order; the html slice
 // is only read during its yield call and may be reused by the caller
 // afterwards. Options.Workers is ignored — callers wanting parallelism
-// run concurrent scans (the model is safe for concurrent serving).
+// run concurrent scans (the model is safe for concurrent serving) or,
+// holding all pages at once, call ExtractBytes.
 //
 // The error contract matches Extract: ErrUnknownSite, ErrNotTrained,
 // ErrNoPages (zero pages yielded), and ctx.Err() on cancellation.
 func (s *Service) ExtractScan(ctx context.Context, site string, opts RequestOptions, scan func(yield func(id string, html []byte) error) error) (*ExtractResponse, error) {
-	sp := s.tracer.StartRoot("service.extract_scan")
-	defer sp.End()
-	sp.SetStr("site", site)
-	asp := sp.StartChild("admission")
-	if err := s.acquire(ctx); err != nil {
-		asp.EndErr(err)
-		sp.SetErr(err)
-		return nil, err
-	}
-	asp.End()
-	defer s.release()
-	start := time.Now()
-	lsp := sp.StartChild("lookup")
-	e, threshold, err := s.resolve(ExtractRequest{Site: site, Options: opts})
-	lsp.EndErr(err)
-	if err != nil {
-		sp.SetErr(err)
-		s.metrics.requestFailed("")
-		return nil, err
-	}
-	sp.SetInt("version", int64(e.Version))
-	st := s.stageTimes(sp, opts)
-	esp := sp.StartChild("extract")
-	exts, stats, err := e.Model.sm.ExtractScanOpts(ctx, core.ServeOptions{Stages: st}, scan)
-	if err != nil {
-		esp.EndErr(err)
-		sp.SetErr(err)
-		s.metrics.requestFailed(e.Site)
-		return nil, err
-	}
-	stageSpans(esp, st)
-	esp.End()
-	s.observeConfidences(e.Site, exts)
-	fsp := sp.StartChild("fuse")
-	resp := &ExtractResponse{
-		Site:      e.Site,
-		Version:   e.Version,
-		Threshold: threshold,
-		Triples:   tripleize(exts, threshold),
-	}
-	fsp.End()
-	resp.Stats = ServeStats{
-		Pages:          stats.Pages,
-		Triples:        len(resp.Triples),
-		RoutedClusters: stats.RoutedClusters(),
-		EmptyPages:     stats.EmptyPages,
-		RoutingMisses:  stats.RoutingMisses,
-		Latency:        time.Since(start),
-		Stages:         breakdownOf(st),
-	}
-	sp.SetInt("pages", int64(resp.Stats.Pages))
-	sp.SetInt("triples", int64(resp.Stats.Triples))
-	s.metrics.requestServed(e.Site, resp.Stats)
-	return resp, nil
+	return s.serve(ctx, "service.extract_scan", site, opts, nil,
+		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+			return c.sm.ExtractScanOpts(ctx, c.opts, scan)
+		})
 }
 
 // ExtractStream serves one request with bounded memory, calling emit for
@@ -437,65 +442,13 @@ func (s *Service) ExtractScan(ctx context.Context, site string, opts RequestOpti
 // concurrently). A non-nil error from emit stops the stream and is
 // returned. The response carries the serve statistics but no triples.
 func (s *Service) ExtractStream(ctx context.Context, req ExtractRequest, emit func(Triple) error) (*ExtractResponse, error) {
-	sp := s.tracer.StartRoot("service.extract_stream")
-	defer sp.End()
-	sp.SetStr("site", req.Site)
-	asp := sp.StartChild("admission")
-	if err := s.acquire(ctx); err != nil {
-		asp.EndErr(err)
-		sp.SetErr(err)
-		return nil, err
-	}
-	asp.End()
-	defer s.release()
-	start := time.Now()
-	lsp := sp.StartChild("lookup")
-	e, threshold, err := s.resolve(req)
-	lsp.EndErr(err)
-	if err != nil {
-		sp.SetErr(err)
-		s.metrics.requestFailed("")
-		return nil, err
-	}
-	sp.SetInt("version", int64(e.Version))
-	src, err := toSources(req.Pages)
-	if err != nil {
-		sp.SetErr(err)
-		s.metrics.requestFailed(e.Site)
-		return nil, err
-	}
-	st := s.stageTimes(sp, req.Options)
-	confH := s.metrics.confidenceFor(e.Site)
-	emitted := 0
-	esp := sp.StartChild("extract")
-	stats, err := e.Model.sm.StreamSourcesOpts(ctx, src, core.ServeOptions{Workers: req.Options.Workers, Stages: st}, func(ex core.Extraction) error {
-		confH.Observe(ex.Confidence)
-		if ex.Confidence < threshold {
-			return nil
-		}
-		emitted++
-		return emit(toTriple(ex))
-	})
-	if err != nil {
-		esp.EndErr(err)
-		sp.SetErr(err)
-		s.metrics.requestFailed(e.Site)
-		return nil, err
-	}
-	stageSpans(esp, st)
-	esp.End()
-	resp := &ExtractResponse{Site: e.Site, Version: e.Version, Threshold: threshold}
-	resp.Stats = ServeStats{
-		Pages:          stats.Pages,
-		Triples:        emitted,
-		RoutedClusters: stats.RoutedClusters(),
-		EmptyPages:     stats.EmptyPages,
-		RoutingMisses:  stats.RoutingMisses,
-		Latency:        time.Since(start),
-		Stages:         breakdownOf(st),
-	}
-	sp.SetInt("pages", int64(resp.Stats.Pages))
-	sp.SetInt("triples", int64(resp.Stats.Triples))
-	s.metrics.requestServed(e.Site, resp.Stats)
-	return resp, nil
+	return s.serve(ctx, "service.extract_stream", req.Site, req.Options, emit,
+		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+			src, err := toSources(req.Pages)
+			if err != nil {
+				return nil, nil, err
+			}
+			stats, err := c.sm.StreamSourcesOpts(ctx, src, c.opts, c.each)
+			return nil, stats, err
+		})
 }
