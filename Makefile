@@ -33,18 +33,23 @@ fuzz:
 
 # Headline benchmarks, human-readable. -short skips the 10k-model
 # RegistryBoot/scale case, which only full bench-json runs pay for.
+# StageTrain, EndToEndSite and mlr's Fit are the training side: one
+# site's example-building plus fit, the whole train-then-extract
+# pipeline, and one L-BFGS fit at the shape measured on the crawl.
 bench:
-	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
 	$(GO) test -run='^$$' -bench='BatchHarvest' -benchtime=1x -benchmem ./batch
 	$(GO) test -run='^$$' -bench='PagestoreScan' -benchtime=1x -benchmem ./pagestore
 	$(GO) test -run='^$$' -bench='HandleExtract' -benchtime=20x -benchmem ./cmd/ceres-serve
 
-# Machine-readable results for the serving and batch-harvest headliners
-# (pages/s, ns/op, B/op, allocs/op). BENCH_N.json files at the repo root
+# Machine-readable results for the serving, training and batch-harvest
+# headliners (pages/s, ns/op, B/op, allocs/op). BENCH_N.json files at the repo root
 # record one PR's numbers each.
 BENCH_OUT ?= BENCH.json
 bench-json:
-	{ $(GO) test -run='^$$' -bench='ServiceExtract|StreamServe|RegistryBoot' -benchmem . ; \
+	{ $(GO) test -run='^$$' -bench='ServiceExtract|StreamServe|RegistryBoot|StageTrain|EndToEndSite' -benchmem . ; \
+	  $(GO) test -run='^$$' -bench='Fit' -benchmem ./internal/mlr ; \
 	  $(GO) test -run='^$$' -bench='BatchHarvest' -benchmem ./batch ; \
 	  $(GO) test -run='^$$' -bench='PagestoreScan' -benchmem ./pagestore ; } \
 	| $(GO) run ./cmd/ceres-benchjson -out $(BENCH_OUT)

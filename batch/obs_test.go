@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -105,6 +106,7 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		t.Fatalf("%d shard traces for %d attempted shards", len(roots), planned-rep.Resumed)
 	}
 	committed, trained := 0, 0
+	var fitSpans []ceres.FitStats
 	for _, root := range roots {
 		if root.Name() != "batch.shard" || !root.Ended() {
 			t.Fatalf("root %q ended=%v", root.Name(), root.Ended())
@@ -124,6 +126,17 @@ func TestRunnerTraceAndStages(t *testing.T) {
 				if tsp.Child("parse") == nil || tsp.Child("cluster") == nil {
 					t.Errorf("train span lost the pipeline's spans: %+v", tsp.JSON())
 				}
+				for _, c := range tsp.Children() {
+					if c.Name() != "fit" {
+						continue
+					}
+					n := map[string]int{}
+					for _, a := range c.JSON().Attrs {
+						n[a.Key] = int(a.Num)
+					}
+					fitSpans = append(fitSpans, ceres.FitStats{Examples: n["examples"], Rows: n["rows"],
+						Iters: n["iters"], Evals: n["evals"], Converged: n["converged"] == 1})
+				}
 			}
 		}
 	}
@@ -132,6 +145,20 @@ func TestRunnerTraceAndStages(t *testing.T) {
 	}
 	if trained != 2 {
 		t.Errorf("%d train subtrees, want one per site (both sites resolve, one fails)", trained)
+	}
+	// The fit counters are the same on the fit spans and in the report,
+	// and a fit's rows are the distinct ones among its examples.
+	var fits []ceres.FitStats
+	for _, sr := range rep.Sites {
+		fits = append(fits, sr.Fits...)
+	}
+	if len(fits) == 0 || !slices.Equal(fits, fitSpans) {
+		t.Errorf("report fits %+v, fit spans %+v", fits, fitSpans)
+	}
+	for _, f := range fits {
+		if f.Rows == 0 || f.Rows >= f.Examples || f.Iters == 0 || f.Evals <= f.Iters {
+			t.Errorf("implausible fit %+v", f)
+		}
 	}
 	if s := tr.Stats(); s.Started != s.Ended || s.DoubleEnds != 0 {
 		t.Errorf("span lifecycle imbalance: %+v", s)

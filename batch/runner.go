@@ -208,8 +208,9 @@ type siteState struct {
 	once       sync.Once
 	version    int
 	trained    bool
-	skipReason string // non-empty: site cannot be harvested
-	infraErr   error  // non-nil: abort the run
+	fits       []ceres.FitStats // of the model this run trained
+	skipReason string           // non-empty: site cannot be harvested
+	infraErr   error            // non-nil: abort the run
 }
 
 // siteTally accumulates one site's run counters under the runner mutex.
@@ -232,6 +233,10 @@ type SiteReport struct {
 	// whether this run trained it.
 	Version int
 	Trained bool
+	// Fits reports the classifier fits behind a model this run trained,
+	// one per trained template cluster; a fit with Converged false
+	// stopped at its iteration cap.
+	Fits []ceres.FitStats
 	// Skipped marks a site recorded as unharvestable (Err holds the
 	// reason, e.g. no seed-KB alignment).
 	Skipped bool
@@ -379,6 +384,7 @@ feed:
 			Triples: tally.triples,
 			Version: st.version,
 			Trained: st.trained,
+			Fits:    st.fits,
 			Err:     tally.err,
 		}
 		if reason, ok := ck.skippedSite(sp.Site); ok {
@@ -653,6 +659,7 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	}
 	st.version = version
 	st.trained = true
+	st.fits = m.Fits()
 	if err := ck.setModelVersion(site, version); err != nil {
 		st.infraErr = err
 	}

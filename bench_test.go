@@ -171,7 +171,7 @@ func BenchmarkStageTrain(b *testing.B) {
 		fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
 		ds, classes := core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
 		fz.Freeze()
-		if _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{}); err != nil {
+		if _, _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -184,7 +184,7 @@ func BenchmarkStageExtract(b *testing.B) {
 	fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
 	ds, classes := core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
 	fz.Freeze()
-	model, err := core.TrainModel(ds, classes, fz, core.TrainOptions{})
+	model, _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

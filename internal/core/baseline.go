@@ -171,7 +171,7 @@ func TrainBaseline(pages []*Page, K *kb.KB, opts BaselineOptions) (*BaselineMode
 	}
 	pf.fz.Freeze()
 	pf.dict.Freeze()
-	lr, err := mlr.Train(ds, opts.Model)
+	lr, _, err := mlr.Train(ds, opts.Model)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ func trainTestModel(t *testing.T, classifier string) (*Model, []*Page) {
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, ann, fz, TrainOptions{Seed: 1})
 	fz.Freeze()
-	m, err := TrainModel(ds, classes, fz, TrainOptions{Classifier: classifier})
+	m, _, err := TrainModel(ds, classes, fz, TrainOptions{Classifier: classifier})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"ceres/internal/cluster"
 	"ceres/internal/kb"
+	"ceres/internal/mlr"
 	"ceres/internal/obs/trace"
 )
 
@@ -87,6 +88,9 @@ type ClusterResult struct {
 	Model *Model
 	// Trained reports whether extraction ran for this cluster.
 	Trained bool
+	// Fit reports how the classifier fit went (zero when untrained); the
+	// same counters ride on the trace's fit span.
+	Fit mlr.FitStats
 }
 
 // Result is the full pipeline output for one site.
@@ -267,13 +271,23 @@ func runCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg C
 		return cr, nil
 	}
 	fz.Freeze()
-	model, err := TrainModel(ds, classes, fz, cfg.Train)
+	model, fit, err := TrainModel(ds, classes, fz, cfg.Train)
+	fsp.SetInt("examples", int64(fit.Examples))
+	fsp.SetInt("rows", int64(fit.Rows))
+	fsp.SetInt("iters", int64(fit.Iters))
+	fsp.SetInt("evals", int64(fit.Evals))
+	if fit.Converged {
+		fsp.SetInt("converged", 1)
+	} else {
+		fsp.SetInt("converged", 0)
+	}
 	fsp.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
 	cr.Model = model
 	cr.Trained = true
+	cr.Fit = fit
 	return cr, nil
 }
 

@@ -211,18 +211,19 @@ func listSiblingExclusions(p *Page, anns []Annotation) map[int]bool {
 	return excluded
 }
 
-// TrainModel fits the classifier on the training set.
-func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*Model, error) {
+// TrainModel fits the classifier on the training set and reports how the
+// fit went (naive Bayes counts in closed form: only Examples is set).
+func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*Model, mlr.FitStats, error) {
 	opts = opts.withDefaults()
 	m := &Model{Classes: classes, Featurizer: fz}
 	if opts.Classifier == "nb" {
 		m.NB = mlr.TrainNaiveBayes(ds)
-		return m, nil
+		return m, mlr.FitStats{Examples: ds.Len(), Converged: true}, nil
 	}
-	lr, err := mlr.Train(ds, opts.Model)
+	lr, fit, err := mlr.Train(ds, opts.Model)
 	if err != nil {
-		return nil, err
+		return nil, fit, err
 	}
 	m.LR = lr
-	return m, nil
+	return m, fit, nil
 }

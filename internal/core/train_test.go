@@ -144,14 +144,14 @@ func TestTrainModelClassifiers(t *testing.T) {
 	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, res, fz, TrainOptions{Seed: 1})
-	lr, err := TrainModel(ds, classes, fz, TrainOptions{})
+	lr, _, err := TrainModel(ds, classes, fz, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lr.LR == nil || lr.NB != nil {
 		t.Errorf("default classifier should be LR")
 	}
-	nb, err := TrainModel(ds, classes, fz, TrainOptions{Classifier: "nb"})
+	nb, _, err := TrainModel(ds, classes, fz, TrainOptions{Classifier: "nb"})
 	if err != nil {
 		t.Fatal(err)
 	}

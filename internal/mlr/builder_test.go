@@ -67,7 +67,7 @@ func TestProbaIntoMatchesProba(t *testing.T) {
 		v := append(Vector(nil), b.Build()...)
 		ds.Add(v, rng.Intn(3))
 	}
-	lr, err := Train(ds, TrainOptions{})
+	lr, _, err := Train(ds, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,241 @@
+package mlr
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// templatedDataset generates what a templated site trains on: `distinct`
+// random rows of nnz non-zeros over D features with a label in [0, K),
+// repeated in random order until there are n examples. One value in four
+// is not 1. Every row and every class appears at least once.
+func templatedDataset(rng *rand.Rand, n, distinct, K, D, nnz int) *Dataset {
+	xs := make([]Vector, distinct)
+	ys := make([]int, distinct)
+	for i := range xs {
+		feats := make([]Feature, 0, nnz)
+		for _, j := range rng.Perm(D)[:nnz] {
+			v := 1.0
+			if rng.Intn(4) == 0 {
+				v = rng.Float64()*4 - 2
+			}
+			feats = append(feats, Feature{Index: j, Value: v})
+		}
+		xs[i] = NewVector(feats)
+		ys[i] = i % K
+	}
+	ds := &Dataset{NumClasses: K}
+	for i := 0; i < n; i++ {
+		at := i
+		if i >= distinct {
+			at = rng.Intn(distinct)
+		}
+		ds.Add(xs[at], ys[at])
+	}
+	return ds
+}
+
+// featureMajor rearranges a class-major [W | B] parameter vector (the
+// Model layout, which naiveLossGrad works in) into the feature-major
+// layout of rows.lossGrad, or a gradient back when inverse is set.
+func featureMajor(v []float64, K, D int, inverse bool) []float64 {
+	out := make([]float64, len(v))
+	for k := 0; k < K; k++ {
+		for j := 0; j < D; j++ {
+			if inverse {
+				out[k*D+j] = v[j*K+k]
+			} else {
+				out[j*K+k] = v[k*D+j]
+			}
+		}
+	}
+	copy(out[K*D:], v[K*D:])
+	return out
+}
+
+func randomTheta(rng *rand.Rand, n int) []float64 {
+	theta := make([]float64, n)
+	for i := range theta {
+		theta[i] = rng.Float64() - 0.5
+	}
+	return theta
+}
+
+// TestWeightedObjectiveMatchesNaive is the exactness claim: over rows
+// duplicated 1–50×, the objective on collapsed rows with counts equals the
+// per-example objective, loss and every gradient component, to rounding.
+func TestWeightedObjectiveMatchesNaive(t *testing.T) {
+	for _, K := range []int{2, 5, 8} {
+		for _, dup := range []int{1, 3, 50} {
+			rng := rand.New(rand.NewSource(int64(100*K + dup)))
+			const distinct, D, nnz = 40, 30, 6
+			ds := templatedDataset(rng, distinct*dup, distinct, K, D, nnz)
+			D2 := ds.NumFeatures()
+			n := K*D2 + K
+			theta := randomTheta(rng, n)
+			want := make([]float64, n)
+			wantLoss := naiveLossGrad(ds, D2, theta, want, 0.7)
+
+			r := collapse(ds)
+			if dup > 1 && len(r.x) >= ds.Len() {
+				t.Fatalf("K=%d dup=%d: %d rows from %d examples, nothing collapsed", K, dup, len(r.x), ds.Len())
+			}
+			grad := make([]float64, n)
+			gotLoss := r.lossGrad(featureMajor(theta, K, D2, false), grad, 0.7)
+			got := featureMajor(grad, K, D2, true)
+
+			if math.Abs(gotLoss-wantLoss) > 1e-12*(1+math.Abs(wantLoss)) {
+				t.Errorf("K=%d dup=%d: loss %v, naive %v", K, dup, gotLoss, wantLoss)
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
+					t.Errorf("K=%d dup=%d: grad[%d] = %v, naive %v", K, dup, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestGradientMatchesNumeric verifies the analytic gradient of the
+// regularized NLL against central differences on a tiny problem whose
+// rows carry counts above 1.
+func TestGradientMatchesNumeric(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := collapse(templatedDataset(rng, 40, 12, 3, 4, 2))
+	heavy := false
+	for _, c := range r.count {
+		heavy = heavy || c > 1
+	}
+	if !heavy {
+		t.Fatal("fixture has no row with a count above 1")
+	}
+	n := r.features*r.classes + r.classes
+	theta := randomTheta(rng, n)
+	grad := make([]float64, n)
+	r.lossGrad(theta, grad, 0.7)
+
+	const h = 1e-6
+	scratch := make([]float64, n)
+	for i := 0; i < n; i++ {
+		orig := theta[i]
+		theta[i] = orig + h
+		lp := r.lossGrad(theta, scratch, 0.7)
+		theta[i] = orig - h
+		lm := r.lossGrad(theta, scratch, 0.7)
+		theta[i] = orig
+		numeric := (lp - lm) / (2 * h)
+		if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
+			t.Errorf("grad[%d] = %v, numeric %v", i, grad[i], numeric)
+		}
+	}
+}
+
+func TestCollapse(t *testing.T) {
+	a := NewVector([]Feature{{0, 1}, {3, 1}})
+	aValue := NewVector([]Feature{{0, 1}, {3, 1.5}}) // differs from a in one value
+	b := NewVector([]Feature{{1, 1}})
+	ds := &Dataset{NumClasses: 3}
+	for _, e := range []struct {
+		x Vector
+		y int
+	}{{b, 2}, {a, 0}, {b, 2}, {a, 1}, {aValue, 0}, {a, 0}, {b, 2}, {nil, 1}, {nil, 1}} {
+		ds.Add(e.x, e.y)
+	}
+	r := collapse(ds)
+	wantX := []Vector{b, a, a, aValue, nil}
+	wantY := []int{2, 0, 1, 0, 1}
+	wantCount := []float64{3, 2, 1, 1, 2}
+	if len(r.x) != len(wantX) {
+		t.Fatalf("%d rows, want %d", len(r.x), len(wantX))
+	}
+	var total float64
+	for i := range wantX {
+		if !slices.Equal(r.x[i], wantX[i]) || r.y[i] != wantY[i] || r.count[i] != wantCount[i] {
+			t.Errorf("row %d = (%v, %d) ×%v, want (%v, %d) ×%v", i, r.x[i], r.y[i], r.count[i], wantX[i], wantY[i], wantCount[i])
+		}
+		total += r.count[i]
+	}
+	if int(total) != ds.Len() {
+		t.Errorf("counts sum to %v, want %d", total, ds.Len())
+	}
+}
+
+// TestConvergedFitAgrees fits the same small problem to convergence from
+// the duplicated example list and from its collapsed rows. The two land on
+// the same weights, so whatever difference an unconverged fit shows
+// between them is the optimizer's path, not the objective.
+func TestConvergedFitAgrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const K = 3
+	ds := templatedDataset(rng, 300, 25, K, 12, 4)
+	D := ds.NumFeatures()
+	naive := func(x, grad []float64) float64 { return naiveLossGrad(ds, D, x, grad, 1) }
+	want := Minimize(naive, make([]float64, K*D+K), LBFGSOptions{MaxIter: 5000, Tol: 1e-10})
+
+	m, fit, err := Train(ds, TrainOptions{MaxIter: 5000, Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Converged || !fit.Converged {
+		t.Fatalf("converged: duplicated %v, collapsed %v", want.Converged, fit.Converged)
+	}
+	if fit.Examples != 300 || fit.Rows != 25 || fit.Iters == 0 || fit.Evals <= fit.Iters {
+		t.Errorf("fit stats %+v", fit)
+	}
+	for i, w := range append(append([]float64(nil), m.W...), m.B...) {
+		if math.Abs(w-want.X[i]) > 1e-6 {
+			t.Errorf("theta[%d] = %v from rows, %v from examples", i, w, want.X[i])
+		}
+	}
+}
+
+// fitAllocs counts the allocations of one fit of ds capped at maxIter
+// iterations, and the iterations it took.
+func fitAllocs(tb testing.TB, ds *Dataset, maxIter int) (allocs float64, iters int) {
+	allocs = testing.AllocsPerRun(3, func() {
+		_, fit, err := Train(ds, TrainOptions{MaxIter: maxIter})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		iters = fit.Iters
+	})
+	return allocs, iters
+}
+
+// TestFitAllocsFlatInIterations: everything a fit allocates is allocated
+// before the first step, so a longer fit allocates no more.
+func TestFitAllocsFlatInIterations(t *testing.T) {
+	ds := templatedDataset(rand.New(rand.NewSource(3)), 600, 60, 5, 40, 8)
+	short, shortIters := fitAllocs(t, ds, 1)
+	long, longIters := fitAllocs(t, ds, 40)
+	if longIters <= shortIters {
+		t.Fatalf("fixture too easy: %d and %d iterations", shortIters, longIters)
+	}
+	if long != short {
+		t.Errorf("%v allocs over %d iterations, %v over %d", long, longIters, short, shortIters)
+	}
+}
+
+// BenchmarkFit is one L-BFGS fit at the shape measured on the benchmark
+// crawl's largest sites: 6,000 examples that are 400 distinct rows of 27
+// non-zeros over 320 features, 8 classes. allocs/iter is what each
+// iteration after the first adds to allocs/op.
+func BenchmarkFit(b *testing.B) {
+	ds := templatedDataset(rand.New(rand.NewSource(1)), 6000, 400, 8, 320, 27)
+	one, _ := fitAllocs(b, ds, 1)
+	all, iters := fitAllocs(b, ds, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var fit FitStats
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, fit, err = Train(ds, TrainOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fit.Rows), "rows/op")
+	b.ReportMetric(float64(fit.Evals), "evals/op")
+	b.ReportMetric((all-one)/float64(iters-1), "allocs/iter")
+}

@@ -15,10 +15,14 @@ type LBFGSOptions struct {
 
 // LBFGSResult reports the outcome of Minimize.
 type LBFGSResult struct {
-	X          []float64
-	Loss       float64
+	X    []float64
+	Loss float64
+	// Iterations counts the steps taken.
 	Iterations int
-	Converged  bool
+	// Evals counts calls of the objective: one up front, then one per
+	// line-search trial.
+	Evals     int
+	Converged bool
 }
 
 // Minimize runs limited-memory BFGS with Armijo backtracking line search on
@@ -40,42 +44,45 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 	x := make([]float64, n)
 	copy(x, x0)
 	grad := make([]float64, n)
+	res := LBFGSResult{X: x, Evals: 1}
 	loss := f(x, grad)
 
-	type pair struct {
-		s, y []float64
-		rho  float64
-	}
-	var hist []pair
+	// The correction pairs live in a ring allocated once: up to Memory
+	// live pairs, oldest at head, plus the free slot the next pair is
+	// computed into before its curvature decides whether it is kept.
+	slots := opts.Memory + 1
+	ring := make([]float64, 2*slots*n)
+	rho := make([]float64, slots)
+	sOf := func(slot int) []float64 { return ring[2*slot*n : (2*slot+1)*n] }
+	yOf := func(slot int) []float64 { return ring[(2*slot+1)*n : (2*slot+2)*n] }
+	head, pairs := 0, 0
 
 	dir := make([]float64, n)
 	xNew := make([]float64, n)
 	gradNew := make([]float64, n)
 	alphaBuf := make([]float64, opts.Memory)
 
-	res := LBFGSResult{X: x, Loss: loss}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		res.Iterations = iter
 		if infNorm(grad) < opts.Tol {
 			res.Converged = true
 			break
 		}
 		// Two-loop recursion: dir = -H·grad.
 		copy(dir, grad)
-		for i := len(hist) - 1; i >= 0; i-- {
-			h := hist[i]
-			alphaBuf[i] = h.rho * dot(h.s, dir)
-			axpy(dir, -alphaBuf[i], h.y)
+		for i := pairs - 1; i >= 0; i-- {
+			slot := (head + i) % slots
+			alphaBuf[i] = rho[slot] * dot(sOf(slot), dir)
+			axpy(dir, -alphaBuf[i], yOf(slot))
 		}
-		if len(hist) > 0 {
-			last := hist[len(hist)-1]
-			gamma := dot(last.s, last.y) / dot(last.y, last.y)
+		if pairs > 0 {
+			last := (head + pairs - 1) % slots
+			gamma := dot(sOf(last), yOf(last)) / dot(yOf(last), yOf(last))
 			scale(dir, gamma)
 		}
-		for i := 0; i < len(hist); i++ {
-			h := hist[i]
-			beta := h.rho * dot(h.y, dir)
-			axpy(dir, alphaBuf[i]-beta, h.s)
+		for i := 0; i < pairs; i++ {
+			slot := (head + i) % slots
+			beta := rho[slot] * dot(yOf(slot), dir)
+			axpy(dir, alphaBuf[i]-beta, sOf(slot))
 		}
 		neg(dir)
 
@@ -87,12 +94,12 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 			copy(dir, grad)
 			neg(dir)
 			g0 = -dot(grad, grad)
-			hist = hist[:0]
+			pairs = 0
 		}
 
 		// Armijo backtracking line search.
 		step := 1.0
-		if len(hist) == 0 {
+		if pairs == 0 {
 			// First step: scale to keep the initial move modest.
 			if gn := math.Sqrt(-g0); gn > 1 {
 				step = 1 / gn
@@ -106,6 +113,7 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 				xNew[i] = x[i] + step*dir[i]
 			}
 			lossNew = f(xNew, gradNew)
+			res.Evals++
 			if lossNew <= loss+c1*step*g0 {
 				ok = true
 				break
@@ -118,21 +126,25 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 			break
 		}
 
-		// Update history with the new curvature pair.
-		s := make([]float64, n)
-		y := make([]float64, n)
+		// Update history with the new curvature pair, dropping the
+		// oldest once Memory pairs are live.
+		free := (head + pairs) % slots
+		s, y := sOf(free), yOf(free)
 		for i := range x {
 			s[i] = xNew[i] - x[i]
 			y[i] = gradNew[i] - grad[i]
 		}
 		if sy := dot(s, y); sy > 1e-12 {
-			hist = append(hist, pair{s: s, y: y, rho: 1 / sy})
-			if len(hist) > opts.Memory {
-				hist = hist[1:]
+			rho[free] = 1 / sy
+			if pairs < opts.Memory {
+				pairs++
+			} else {
+				head = (head + 1) % slots
 			}
 		}
 		copy(x, xNew)
 		copy(grad, gradNew)
+		res.Iterations = iter + 1
 		// Relative-progress stop: loss plateaued.
 		if math.Abs(loss-lossNew) <= 1e-12*(1+math.Abs(loss)) {
 			loss = lossNew

@@ -175,23 +175,6 @@ func softmaxInPlace(s []float64) {
 	}
 }
 
-// logSumExp returns log Σ exp(s_i), stably.
-//
-//ceres:allocfree
-func logSumExp(s []float64) float64 {
-	max := s[0]
-	for _, v := range s[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	var sum float64
-	for _, v := range s {
-		sum += math.Exp(v - max)
-	}
-	return max + math.Log(sum)
-}
-
 // TrainOptions configures Train.
 type TrainOptions struct {
 	// L2 is the regularization strength λ applied to weights (not
@@ -234,18 +217,19 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	return o
 }
 
-// Train fits a multinomial logistic-regression model on ds.
-func Train(ds *Dataset, opts TrainOptions) (*Model, error) {
+// Train fits a multinomial logistic-regression model on ds and reports
+// how the fit went.
+func Train(ds *Dataset, opts TrainOptions) (*Model, FitStats, error) {
 	opts = opts.withDefaults()
 	if ds.Len() == 0 {
-		return nil, fmt.Errorf("mlr: empty dataset")
+		return nil, FitStats{}, fmt.Errorf("mlr: empty dataset")
 	}
 	if ds.NumClasses < 2 {
-		return nil, fmt.Errorf("mlr: need at least 2 classes, have %d", ds.NumClasses)
+		return nil, FitStats{}, fmt.Errorf("mlr: need at least 2 classes, have %d", ds.NumClasses)
 	}
 	for i, y := range ds.Y {
 		if y < 0 || y >= ds.NumClasses {
-			return nil, fmt.Errorf("mlr: label %d of example %d out of range", y, i)
+			return nil, FitStats{}, fmt.Errorf("mlr: label %d of example %d out of range", y, i)
 		}
 	}
 	m := &Model{
@@ -254,71 +238,17 @@ func Train(ds *Dataset, opts TrainOptions) (*Model, error) {
 	}
 	m.W = make([]float64, m.NumClasses*m.NumFeatures)
 	m.B = make([]float64, m.NumClasses)
+	var fit FitStats
 	switch opts.Optimizer {
 	case "lbfgs":
-		trainLBFGS(m, ds, opts)
+		fit = trainLBFGS(m, ds, opts)
 	case "sgd":
 		trainSGD(m, ds, opts)
+		fit = FitStats{Examples: ds.Len(), Rows: ds.Len(), Iters: opts.Epochs, Converged: true}
 	default:
-		return nil, fmt.Errorf("mlr: unknown optimizer %q", opts.Optimizer)
+		return nil, FitStats{}, fmt.Errorf("mlr: unknown optimizer %q", opts.Optimizer)
 	}
-	return m, nil
-}
-
-// lossGrad computes the regularized negative log-likelihood of the dataset
-// under parameters theta = [W | B] and writes the gradient into grad.
-func lossGrad(ds *Dataset, numFeatures int, theta, grad []float64, l2 float64) float64 {
-	K := ds.NumClasses
-	D := numFeatures
-	W := theta[:K*D]
-	B := theta[K*D:]
-	for i := range grad {
-		grad[i] = 0
-	}
-	gW := grad[:K*D]
-	gB := grad[K*D:]
-
-	var loss float64
-	scores := make([]float64, K)
-	for i, x := range ds.X {
-		for k := 0; k < K; k++ {
-			scores[k] = B[k] + x.Dot(W[k*D:(k+1)*D])
-		}
-		lse := logSumExp(scores)
-		loss += lse - scores[ds.Y[i]]
-		for k := 0; k < K; k++ {
-			p := math.Exp(scores[k] - lse)
-			coeff := p
-			if k == ds.Y[i] {
-				coeff -= 1
-			}
-			if coeff == 0 {
-				continue
-			}
-			gB[k] += coeff
-			row := gW[k*D : (k+1)*D]
-			for _, f := range x {
-				row[f.Index] += coeff * f.Value
-			}
-		}
-	}
-	// L2 on weights only, matching scikit-learn's unpenalized intercept.
-	for j, w := range W {
-		loss += 0.5 * l2 * w * w
-		gW[j] += l2 * w
-	}
-	return loss
-}
-
-func trainLBFGS(m *Model, ds *Dataset, opts TrainOptions) {
-	K, D := m.NumClasses, m.NumFeatures
-	theta := make([]float64, K*D+K)
-	f := func(x, grad []float64) float64 {
-		return lossGrad(ds, D, x, grad, opts.L2)
-	}
-	res := Minimize(f, theta, LBFGSOptions{MaxIter: opts.MaxIter, Tol: opts.Tol, Memory: 10})
-	copy(m.W, res.X[:K*D])
-	copy(m.B, res.X[K*D:])
+	return m, fit, nil
 }
 
 // Accuracy returns the fraction of examples the model labels correctly.

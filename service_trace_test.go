@@ -197,7 +197,10 @@ func TestServiceSampledOutAllocParity(t *testing.T) {
 	run(traced)()
 	baseAllocs := testing.AllocsPerRun(5, run(base))
 	tracedAllocs := testing.AllocsPerRun(5, run(traced))
-	if baseAllocs != tracedAllocs {
+	// Under the race detector sync.Pool drops entries at random, so the
+	// two counts differ by pool refills that have nothing to do with
+	// tracing; the runs above still exercise both paths.
+	if baseAllocs != tracedAllocs && !raceEnabled {
 		t.Fatalf("sampling-off traced Extract allocates %.1f/op, untraced %.1f/op; must be identical", tracedAllocs, baseAllocs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -45,6 +46,39 @@ func getTrainServeFixture(t *testing.T) *trainServeFixture {
 	}
 	tsFixture = f
 	return f
+}
+
+// TestTrainDeterministic: training the same pages yields the same model
+// bytes, run over run and whatever the scheduler's parallelism. Batch
+// harvests depend on it — a cold pass must fuse to the same fused.jsonl
+// as the one before it — and the fit is where it could break: the L-BFGS
+// objective sums over collapsed rows, whose order must never come from a
+// map.
+func TestTrainDeterministic(t *testing.T) {
+	f := getTrainServeFixture(t)
+	train := func() []byte {
+		m, err := NewPipeline(f.corpus.KB).Train(context.Background(), f.train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Fits()) != m.TrainedClusters() {
+			t.Fatalf("%d fits reported for %d trained clusters", len(m.Fits()), m.TrainedClusters())
+		}
+		var buf bytes.Buffer
+		if _, err := m.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	want := train()
+	if !bytes.Equal(train(), want) {
+		t.Error("two Train calls on the same pages wrote different model bytes")
+	}
+	runtime.GOMAXPROCS(1)
+	if !bytes.Equal(train(), want) {
+		t.Error("Train under GOMAXPROCS=1 wrote different model bytes than under NumCPU")
+	}
 }
 
 // sortTriplesFull orders triples by every field so multisets compare
