@@ -23,23 +23,32 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ceresvet ./...
 
-# Native fuzzing, long budget (CI runs the same target for 10s). The
-# extract-request reader must agree with encoding/json on every body:
-# accept/reject, every decoded value, no panic (DESIGN.md §7). A failing
-# input is written under cmd/ceres-serve/testdata/fuzz/ — commit it.
+# Native fuzzing, long budget per target (CI runs the same targets for
+# 10s each). Each holds hand-written JSON code to encoding/json: the
+# extract-request reader on every body (accept/reject, every decoded
+# value, no panic — DESIGN.md §7), the triple line decoder on every line
+# and the triple/fact encoder on every string and float bit pattern
+# (DESIGN.md §8). A failing input is written under the package's
+# testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
+	$(GO) test -run='^$$' -fuzz=FuzzTripleLine -fuzztime=$(FUZZTIME) ./internal/jsonl
+	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 
 # Headline benchmarks, human-readable. -short skips the 10k-model
 # RegistryBoot/scale case, which only full bench-json runs pay for.
 # StageTrain, EndToEndSite and mlr's Fit are the training side: one
 # site's example-building plus fit, the whole train-then-extract
 # pipeline, and one L-BFGS fit at the shape measured on the crawl.
+# BatchHarvest/JSONL and ReplayFuse are the durable harvest path
+# ceres-batch runs (JSONL shards, checkpoint, replay into fusion);
+# AppendTriple/DecodeTriple the codec under it.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
-	$(GO) test -run='^$$' -bench='BatchHarvest' -benchtime=1x -benchmem ./batch
+	$(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchtime=1x -benchmem ./batch
+	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchtime=100x -benchmem ./internal/jsonl
 	$(GO) test -run='^$$' -bench='PagestoreScan' -benchtime=1x -benchmem ./pagestore
 	$(GO) test -run='^$$' -bench='HandleExtract' -benchtime=20x -benchmem ./cmd/ceres-serve
 
@@ -50,7 +59,8 @@ BENCH_OUT ?= BENCH.json
 bench-json:
 	{ $(GO) test -run='^$$' -bench='ServiceExtract|StreamServe|RegistryBoot|StageTrain|EndToEndSite' -benchmem . ; \
 	  $(GO) test -run='^$$' -bench='Fit' -benchmem ./internal/mlr ; \
-	  $(GO) test -run='^$$' -bench='BatchHarvest' -benchmem ./batch ; \
+	  $(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchmem ./batch ; \
+	  $(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchmem ./internal/jsonl ; \
 	  $(GO) test -run='^$$' -bench='PagestoreScan' -benchmem ./pagestore ; } \
 	| $(GO) run ./cmd/ceres-benchjson -out $(BENCH_OUT)
 	@echo wrote $(BENCH_OUT)

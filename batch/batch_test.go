@@ -286,14 +286,25 @@ func TestRunnerWithoutModelOrPipeline(t *testing.T) {
 	}
 }
 
+// TestRunnerFuseNeedsReplayer proves a job that fuses over a sink that
+// cannot replay is refused before any of it runs: no page read, no model
+// trained, no shard committed.
 func TestRunnerFuseNeedsReplayer(t *testing.T) {
 	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com"})
-	r, err := NewRunner(Config{Provider: f.store, Sink: NewCountingSink(), Pipeline: f.pipeline})
+	bp := &boundedProvider{PageProvider: f.store, maxRange: map[string]int{}}
+	sink := NewCountingSink()
+	r, err := NewRunner(Config{Provider: bp, Sink: sink, Pipeline: f.pipeline})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Run(context.Background(), Job{Fuse: true}); !errors.Is(err, ErrSinkNotReplayable) {
 		t.Fatalf("err = %v, want ErrSinkNotReplayable", err)
+	}
+	if reads, triples := bp.max(), sink.Counts().Triples; reads != 0 || triples != 0 {
+		t.Fatalf("the refused job read up to %d pages at once and committed %d triples", reads, triples)
+	}
+	if _, ok := r.Registry().Lookup("blaxploitation.com"); ok {
+		t.Fatal("the refused job trained a model")
 	}
 }
 

@@ -2,18 +2,27 @@ package batch
 
 import (
 	"context"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ceres"
 )
 
+// benchSites are the trainable long-tail sites the harvest benchmarks
+// run over.
+var benchSites = []string{"blaxploitation.com", "kinobox.cz", "laborfilms.com"}
+
 // BenchmarkBatchHarvest measures batch extraction throughput (pages/sec)
 // over a scaled websim crawl: pagestore streaming, shard planning,
 // Service extraction, sink commits and the streaming fusion stage.
 // Models are trained once outside the timed loop — the steady-state cost
-// of a harvest is serving, not training.
+// of a harvest is serving, not training. Collect keeps the triples in
+// memory; JSONL is the path ceres-batch runs — JSONL encode, shard
+// fsync and rename, the checkpoint manifest, and fusion replaying the
+// shard files — into a fresh directory each pass, as after -reset.
 func BenchmarkBatchHarvest(b *testing.B) {
-	f := newCrawlFixture(b, b.TempDir(), []string{"blaxploitation.com", "kinobox.cz", "laborfilms.com"})
+	f := newCrawlFixture(b, b.TempDir(), benchSites)
 	job := Job{ShardPages: 16, Workers: 4, Fuse: true}
 
 	// Warm-up run trains and publishes every trainable site into the
@@ -26,38 +35,120 @@ func BenchmarkBatchHarvest(b *testing.B) {
 	if _, err := warm.Run(context.Background(), Job{ShardPages: 16, Workers: 4}); err != nil {
 		b.Fatal(err)
 	}
-	// One throwaway run of the exact timed configuration (collect sink,
-	// fusion stage) so the measurement starts at steady state: scratch
-	// pools populated, segment files in page cache, fusion path resident.
-	{
-		r, err := NewRunner(Config{Provider: f.store, Sink: NewCollectSink(), Registry: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(context.Background(), job); err != nil {
-			b.Fatal(err)
+
+	for _, bc := range []struct {
+		name   string
+		config func(b *testing.B) Config
+	}{
+		{"Collect", func(*testing.B) Config {
+			return Config{Provider: f.store, Sink: NewCollectSink(), Registry: reg}
+		}},
+		{"JSONL", func(b *testing.B) Config {
+			dir := b.TempDir()
+			sink, err := NewJSONLSink(filepath.Join(dir, "triples"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return Config{Provider: f.store, Sink: sink, Registry: reg, CheckpointPath: filepath.Join(dir, "checkpoint.json")}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pass := func() *Report {
+				r, err := NewRunner(bc.config(b))
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := r.Run(context.Background(), job)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Triples == 0 || len(rep.Facts) == 0 {
+					b.Fatal("harvest extracted nothing")
+				}
+				return rep
+			}
+			// One throwaway pass of the exact timed configuration so the
+			// measurement starts at steady state: scratch pools populated,
+			// segment files in page cache, fusion path resident.
+			pass()
+			pages := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pages += pass().Pages
+			}
+			b.StopTimer()
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(pages)/secs, "pages/s")
+			}
+		})
+	}
+}
+
+// BenchmarkReplayFuse measures the fusion stage on its own: shard files
+// already on disk → JSONLSink.Replay → Fuser, the serial tail of every
+// ceres-batch pass. It reports triples/s and allocs/triple next to B/op.
+func BenchmarkReplayFuse(b *testing.B) {
+	f := newCrawlFixture(b, b.TempDir(), benchSites)
+	sink, err := NewJSONLSink(filepath.Join(b.TempDir(), "triples"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	job := Job{ShardPages: 16, Workers: 4}
+	r, err := NewRunner(Config{Provider: f.store, Sink: sink, Pipeline: f.pipeline})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), job)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := PlanJob(job, f.store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	harvested := map[string]bool{}
+	for _, sr := range rep.Sites {
+		harvested[sr.Site] = sr.Done == sr.Shards && !sr.Skipped
+	}
+	var shards []Shard
+	for _, sh := range plan.Shards {
+		if harvested[sh.Site] {
+			shards = append(shards, sh)
 		}
 	}
 
-	pages := 0
+	pass := func() int {
+		fuser := ceres.NewFuser(ceres.FusionOptions{})
+		triples := 0
+		if err := sink.Replay(shards, func(site string, t ceres.Triple) error {
+			fuser.ObserveTriple(site, t)
+			triples++
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if len(fuser.Facts()) == 0 {
+			b.Fatal("fusion produced no facts")
+		}
+		fuser.Release()
+		return triples
+	}
+	if pass() != rep.Triples {
+		b.Fatalf("replayed a different number of triples than the %d harvested", rep.Triples)
+	}
+	triples := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewRunner(Config{Provider: f.store, Sink: NewCollectSink(), Registry: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := r.Run(context.Background(), job)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Triples == 0 {
-			b.Fatal("harvest extracted nothing")
-		}
-		pages += rep.Pages
+		triples += pass()
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(pages)/secs, "pages/s")
+		b.ReportMetric(float64(triples)/secs, "triples/s")
 	}
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(triples), "allocs/triple")
 }

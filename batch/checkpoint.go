@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"ceres/internal/fsatomic"
@@ -27,8 +27,8 @@ const manifestFormat = "ceres.batch/1"
 // crashes after any atomic manifest write restarts exactly after the last
 // committed shard.
 type manifest struct {
-	Format     string            `json:"format"`
-	ShardPages int               `json:"shard_pages"`
+	Format     string `json:"format"`
+	ShardPages int    `json:"shard_pages"`
 	// Sites records each planned site's page count, pinning the plan the
 	// checkpoint belongs to.
 	Sites map[string]int `json:"sites"`
@@ -107,6 +107,9 @@ func loadCheckpoint(path string, plan *Plan) (*checkpoint, error) {
 	if m.Done == nil {
 		m.Done = map[string][]int{}
 	}
+	for _, done := range m.Done {
+		slices.Sort(done) // lookups search; a hand-edited manifest may not be in order
+	}
 	ck.m = &m
 	return ck, nil
 }
@@ -134,27 +137,21 @@ func (ck *checkpoint) save() error {
 func (ck *checkpoint) isDone(site string, index int) bool {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	for _, i := range ck.m.Done[site] {
-		if i == index {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearch(ck.m.Done[site], index)
+	return found
 }
 
-// markDone records a committed shard and persists the manifest.
+// markDone records a committed shard — at its place in the site's sorted
+// list — and persists the manifest.
 func (ck *checkpoint) markDone(site string, index int) error {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	done := ck.m.Done[site]
-	for _, i := range done {
-		if i == index {
-			return nil
-		}
+	i, found := slices.BinarySearch(done, index)
+	if found {
+		return nil
 	}
-	done = append(done, index)
-	sort.Ints(done)
-	ck.m.Done[site] = done
+	ck.m.Done[site] = slices.Insert(done, i, index)
 	return ck.save()
 }
 

@@ -164,3 +164,65 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		t.Errorf("span lifecycle imbalance: %+v", s)
 	}
 }
+
+// TestRunnerFuseTrace checks the fusion stage's span tree — a batch.fuse
+// root with replay and facts children carrying what was read back and
+// what came out — and the two clocks around it: Elapsed stops before
+// fusion, Stages.Fuse is the fusion stage's wall time.
+func TestRunnerFuseTrace(t *testing.T) {
+	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "kinobox.cz"})
+	sink, err := NewJSONLSink(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ceres.NewTracer(ceres.TracerOptions{SampleEvery: 1, Capacity: 64})
+	r, err := NewRunner(Config{Provider: f.store, Sink: sink, Pipeline: f.pipeline, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	rep, err := r.Run(context.Background(), Job{Sites: f.sites, ShardPages: 10, Workers: 4, Fuse: true})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fuse *ceres.Span
+	for _, root := range tr.Roots() {
+		if root.Name() == "batch.fuse" {
+			if fuse != nil {
+				t.Fatal("two batch.fuse roots for one run")
+			}
+			fuse = root
+		}
+	}
+	if fuse == nil || !fuse.Ended() {
+		t.Fatalf("no ended batch.fuse root among %d roots", len(tr.Roots()))
+	}
+	attrs := func(sp *ceres.Span) map[string]int64 {
+		out := map[string]int64{}
+		if sp != nil {
+			for _, a := range sp.JSON().Attrs {
+				out[a.Key] = int64(a.Num)
+			}
+		}
+		return out
+	}
+	var fileBytes int64
+	for _, b := range dirContents(t, sink.Dir()) {
+		fileBytes += int64(len(b))
+	}
+	replay := attrs(fuse.Child("replay"))
+	if replay["shards"] != int64(rep.Shards) || replay["triples"] != int64(rep.Triples) || replay["bytes"] != fileBytes || fileBytes == 0 {
+		t.Errorf("replay span %v, want %d shards, %d triples, %d bytes", replay, rep.Shards, rep.Triples, fileBytes)
+	}
+	if facts := attrs(fuse.Child("facts")); facts["facts"] != int64(len(rep.Facts)) || len(rep.Facts) == 0 {
+		t.Errorf("facts span %v, want %d facts", facts, len(rep.Facts))
+	}
+	if rep.Stages.Fuse < fuse.Duration() || rep.Elapsed+rep.Stages.Fuse > wall {
+		t.Errorf("Elapsed %v + Stages.Fuse %v should cover the fuse span %v and fit in the run's wall %v",
+			rep.Elapsed, rep.Stages.Fuse, fuse.Duration(), wall)
+	}
+	if s := tr.Stats(); s.Started != s.Ended || s.DoubleEnds != 0 {
+		t.Errorf("span lifecycle imbalance: %+v", s)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
@@ -32,6 +33,12 @@ func (k *killSink) OpenShard(s Shard) (ShardWriter, error) {
 		return nil, err
 	}
 	return &killShard{sink: k, ShardWriter: w}, nil
+}
+
+// Replay forwards to the wrapped sink, so a killSink over a replayable
+// sink can fuse.
+func (k *killSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
+	return k.inner.(Replayer).Replay(shards, fn)
 }
 
 type killShard struct {
@@ -251,6 +258,69 @@ func mustPlan(t *testing.T, job Job, f *crawlFixture) *Plan {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// TestCheckpointDoneAtScale marks a 5,000-shard site done in an order no
+// run would — shuffled, every shard reported twice — and checks lookups
+// along the way and that the manifest written at the end is, byte for
+// byte, the sorted one.
+func TestCheckpointDoneAtScale(t *testing.T) {
+	const site, n = "big.example", 5000
+	plan := &Plan{ShardPages: 8, Sites: []SitePlan{{Site: site, Pages: 8 * n, Shards: n}, {Site: "small.example", Pages: 3, Shards: 1}}}
+	ck, err := loadCheckpoint("", plan) // in memory: the 10,000 marks below write nothing
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for k, i := range order {
+		if ck.isDone(site, i) {
+			t.Fatalf("shard %d done before it was marked", i)
+		}
+		if err := ck.markDone(site, i); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.markDone(site, order[k/2]); err != nil { // an earlier one again
+			t.Fatal(err)
+		}
+		if !ck.isDone(site, i) || ck.doneCount(site) != k+1 {
+			t.Fatalf("after marking %d shards: isDone(%d)=%v, doneCount=%d", k+1, i, ck.isDone(site, i), ck.doneCount(site))
+		}
+	}
+	if ck.isDone(site, n) || ck.isDone(site, -1) || ck.isDone("small.example", 0) {
+		t.Fatal("a shard never marked reads as done")
+	}
+	if err := ck.markDone("small.example", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	ck.path = filepath.Join(t.TempDir(), "checkpoint.json")
+	if err := ck.save(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ck.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newManifest(plan)
+	for i := 0; i < n; i++ {
+		want.Done[site] = append(want.Done[site], i)
+	}
+	want.Done["small.example"] = []int{0}
+	wantBytes, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, append(wantBytes, '\n')) {
+		t.Fatalf("manifest differs from the sorted one (%d vs %d bytes)", len(got), len(wantBytes)+1)
+	}
+	// A reloaded manifest answers the same lookups.
+	again, err := loadCheckpoint(ck.path, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.isDone(site, n-1) || !again.isDone(site, 0) || again.isDone(site, n) || again.doneCount(site) != n {
+		t.Fatal("reloaded manifest lost shards")
+	}
 }
 
 // TestCheckpointMismatch proves a manifest from a different plan refuses

@@ -48,8 +48,10 @@ type Config struct {
 	// Tracer samples per-shard span trees (DESIGN.md §13): a batch.shard
 	// root with resolve (train nested under it, with the pipeline's
 	// parse/cluster/annotate/fit children), extract (with its
-	// parse/route/score stage spans), sink and checkpoint children. Nil
-	// traces nothing and costs nothing.
+	// parse/route/score stage spans), sink and checkpoint children — and,
+	// for a job that fuses, one batch.fuse root with replay (shards,
+	// triples, bytes read back) and facts children. Nil traces nothing
+	// and costs nothing.
 	Tracer *ceres.Tracer
 }
 
@@ -96,6 +98,10 @@ func (a *stageAcc) reset() {
 // parallelism. Train is nested inside Resolve (a site's first shard
 // resolves its model, training it when nothing is published);
 // Parse/Route/Score are the serve-side stages nested inside Extract.
+// Fuse is the exception to the summing: the fusion stage runs once, after
+// the workers have stopped, and Fuse is its wall time from the first
+// shard replayed to the last fact resolved — the replay's read-ahead
+// goroutine works inside that interval and is not added on top.
 type StageDurations struct {
 	Resolve    time.Duration `json:"resolve"`
 	Train      time.Duration `json:"train"`
@@ -254,9 +260,11 @@ type Report struct {
 	// Facts is the fused output (Job.Fuse), aggregated by streaming every
 	// committed shard through a ceres.Fuser in plan order.
 	Facts []ceres.FusedFact
-	// Elapsed is the run's wall-clock time; Stages breaks the work down
-	// per pipeline stage (summed across workers, so stage totals can
-	// exceed Elapsed).
+	// Elapsed is the wall-clock time of the harvest proper: from the start
+	// of Run until the last shard worker has stopped. It does not include
+	// the fusion stage, which runs after that — a run's whole length is
+	// Elapsed + Stages.Fuse. Stages breaks the work down per pipeline
+	// stage (summed across workers, so stage totals can exceed Elapsed).
 	Elapsed time.Duration
 	Stages  StageDurations
 }
@@ -271,6 +279,11 @@ type Report struct {
 // crawl) do not fail the run; they are reported per site.
 func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	start := time.Now()
+	// Refuse a job the sink cannot finish before harvesting for it.
+	replayer, replayable := r.cfg.Sink.(Replayer)
+	if job.Fuse && !replayable {
+		return nil, fmt.Errorf("%w (%T)", ErrSinkNotReplayable, r.cfg.Sink)
+	}
 	r.runStart.Store(start.UnixNano())
 	r.runPages.Store(0)
 	r.stages.reset()
@@ -345,10 +358,7 @@ feed:
 	fuseTally := map[string]int{}
 	if job.Fuse {
 		fuseStart := time.Now()
-		replayer, ok := r.cfg.Sink.(Replayer)
-		if !ok {
-			return nil, fmt.Errorf("%w (%T)", ErrSinkNotReplayable, r.cfg.Sink)
-		}
+		fsp := r.cfg.Tracer.StartRoot("batch.fuse")
 		// Replay only committed shards, in plan order: the order is what
 		// makes fused beliefs bit-reproducible run over run, interrupted
 		// or not.
@@ -359,16 +369,30 @@ feed:
 			}
 		}
 		fuser := ceres.NewFuser(job.Fusion)
+		rsp := fsp.StartChild("replay")
+		triples := 0
 		err := replayer.Replay(done, func(site string, t ceres.Triple) error {
 			fuser.ObserveTriple(site, t)
 			fuseTally[site]++
+			triples++
 			return nil
 		})
+		rsp.SetInt("shards", int64(len(done)))
+		rsp.SetInt("triples", int64(triples))
+		if m, ok := replayer.(interface{ replayedBytes() int64 }); ok {
+			rsp.SetInt("bytes", m.replayedBytes())
+		}
+		rsp.EndErr(err)
 		if err != nil {
+			fsp.EndErr(err)
 			return nil, err
 		}
+		csp := fsp.StartChild("facts")
 		rep.Facts = fuser.Facts()
 		fuser.Release()
+		csp.SetInt("facts", int64(len(rep.Facts)))
+		csp.End()
+		fsp.End()
 		r.stages.fuse.Add(int64(time.Since(fuseStart)))
 	}
 	rep.Stages = r.stages.snapshot()

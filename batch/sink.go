@@ -1,9 +1,7 @@
 package batch
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
+	"bytes"
 	"fmt"
 	"io"
 	"net/url"
@@ -12,9 +10,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ceres"
 	"ceres/internal/fsatomic"
+	"ceres/internal/jsonl"
 )
 
 // TripleSink receives a harvest's extracted triples, one writer per
@@ -55,9 +55,15 @@ func shardFileName(s Shard) string {
 // (<escaped-site>.<index>.jsonl) in a directory, written to a temp file
 // and renamed into place on Commit — the durable sink of a crawl-scale
 // harvest, and a Replayer, so fusion and resumed runs can stream every
-// committed triple back without holding them in memory.
+// committed triple back without holding them in memory. The lines are
+// encoding/json's encoding of ceres.Triple, byte for byte, written and
+// read by internal/jsonl (DESIGN.md §8).
 type JSONLSink struct {
 	dir string
+	// bufs recycles shard write buffers (*[]byte) between shards.
+	bufs sync.Pool
+	// replayed is the size of the shard files the last Replay read.
+	replayed atomic.Int64
 }
 
 // NewJSONLSink opens (creating if needed) a sharded JSONL sink rooted at
@@ -82,37 +88,67 @@ func NewJSONLSink(dir string) (*JSONLSink, error) {
 // Dir returns the sink's root directory.
 func (s *JSONLSink) Dir() string { return s.dir }
 
+// shardFlushBytes is how much encoded output a shard writer gathers
+// before it writes it to the temp file.
+const shardFlushBytes = 64 << 10
+
 // OpenShard implements TripleSink.
 func (s *JSONLSink) OpenShard(sh Shard) (ShardWriter, error) {
 	tmp, err := os.CreateTemp(s.dir, ".shard-*")
 	if err != nil {
 		return nil, fmt.Errorf("batch: opening shard output: %w", err)
 	}
-	bw := bufio.NewWriterSize(tmp, 64<<10)
+	bufp, _ := s.bufs.Get().(*[]byte)
+	if bufp == nil {
+		bufp = new([]byte)
+		*bufp = make([]byte, 0, shardFlushBytes+4<<10)
+	}
+	*bufp = (*bufp)[:0]
 	return &jsonlShard{
+		sink:  s,
 		f:     tmp,
-		bw:    bw,
-		enc:   json.NewEncoder(bw),
+		bufp:  bufp,
 		final: filepath.Join(s.dir, shardFileName(sh)),
 	}, nil
 }
 
 type jsonlShard struct {
+	sink  *JSONLSink
 	f     *os.File
-	bw    *bufio.Writer
-	enc   *json.Encoder
+	bufp  *[]byte // encoded lines not yet written; back to sink.bufs at Commit or Abort
 	final string
 }
 
 func (w *jsonlShard) Write(t ceres.Triple) error {
-	if err := w.enc.Encode(t); err != nil {
+	buf, err := jsonl.AppendTriple(*w.bufp, &t)
+	if err != nil {
 		return fmt.Errorf("batch: writing shard output: %w", err)
+	}
+	*w.bufp = buf
+	if len(buf) >= shardFlushBytes {
+		if err := w.flush(); err != nil {
+			return fmt.Errorf("batch: writing shard output: %w", err)
+		}
 	}
 	return nil
 }
 
+func (w *jsonlShard) flush() error {
+	_, err := w.f.Write(*w.bufp)
+	*w.bufp = (*w.bufp)[:0]
+	return err
+}
+
+// release ends the writer's use of its buffer.
+func (w *jsonlShard) release() {
+	w.sink.bufs.Put(w.bufp)
+	w.bufp = nil
+}
+
 func (w *jsonlShard) Commit() error {
-	if err := w.bw.Flush(); err != nil {
+	err := w.flush()
+	w.release()
+	if err != nil {
 		w.f.Close()
 		os.Remove(w.f.Name())
 		return fmt.Errorf("batch: committing shard output: %w", err)
@@ -124,38 +160,150 @@ func (w *jsonlShard) Commit() error {
 }
 
 func (w *jsonlShard) Abort() error {
+	w.release()
 	w.f.Close()
 	return os.Remove(w.f.Name())
 }
 
+// shardBatch is one shard read back: its decoded triples, or why it
+// could not be read.
+type shardBatch struct {
+	triples []ceres.Triple
+	bytes   int64
+	err     error
+}
+
 // Replay implements Replayer: stream the committed files of the given
-// shards, in order.
+// shards, in order. It reads ahead by one shard: while fn consumes the
+// triples of one shard, a second goroutine reads and decodes the next
+// into the other of two recycled batches, so at most two decoded shards
+// exist at any time however long the crawl. Each file is read whole into
+// one reused buffer and decoded line by line (blank lines skipped); a
+// line encoding/json would refuse is an error naming the shard and line.
 func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
-	for _, sh := range shards {
-		f, err := os.Open(filepath.Join(s.dir, shardFileName(sh)))
-		if err != nil {
-			return fmt.Errorf("batch: replaying shard %s/%d: %w", sh.Site, sh.Index, err)
-		}
-		dec := json.NewDecoder(bufio.NewReaderSize(f, 64<<10))
-		for {
-			var t ceres.Triple
-			if err := dec.Decode(&t); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
+	var (
+		dec   jsonl.TripleDecoder
+		file  []byte
+		total int64
+	)
+	err := readAhead(len(shards),
+		func(i int, b *shardBatch) {
+			sh := shards[i]
+			b.triples, b.err = b.triples[:0], nil
+			if file, b.err = readFileInto(file, filepath.Join(s.dir, shardFileName(sh))); b.err == nil {
+				b.bytes = int64(len(file))
+				b.triples, b.err = decodeShard(&dec, file, b.triples)
+			}
+			if b.err != nil {
+				b.err = fmt.Errorf("batch: replaying shard %s/%d: %w", sh.Site, sh.Index, b.err)
+			}
+		},
+		func(i int, b *shardBatch) error {
+			if b.err != nil {
+				return b.err
+			}
+			total += b.bytes
+			for j := range b.triples {
+				if err := fn(shards[i].Site, b.triples[j]); err != nil {
+					return err
 				}
-				f.Close()
-				return fmt.Errorf("batch: replaying shard %s/%d: %w", sh.Site, sh.Index, err)
 			}
-			if err := fn(sh.Site, t); err != nil {
-				f.Close()
-				return err
+			return nil
+		})
+	s.replayed.Store(total)
+	return err
+}
+
+// replayedBytes reports how many bytes of shard files the last Replay
+// consumed (the runner's replay span carries it).
+func (s *JSONLSink) replayedBytes() int64 { return s.replayed.Load() }
+
+// readAhead runs load(i) for i in [0, n) on a goroutine of its own, one
+// step ahead of consume(i) on the caller's: load(i+1) overlaps
+// consume(i), and load(i+2) does not start until consume(i) has returned,
+// because the two batches they are handed alternate. consume runs in
+// index order and its first error ends the run; the loading goroutine
+// has exited by the time readAhead returns.
+func readAhead(n int, load func(i int, b *shardBatch), consume func(i int, b *shardBatch) error) error {
+	if n == 0 {
+		return nil
+	}
+	loaded := make(chan *shardBatch)
+	free := make(chan *shardBatch, 2) // both batches fit, so giving one back never blocks
+	free <- new(shardBatch)
+	free <- new(shardBatch)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			var b *shardBatch
+			select {
+			case b = <-free:
+			case <-stop:
+				return
+			}
+			load(i, b)
+			select {
+			case loaded <- b:
+			case <-stop:
+				return
 			}
 		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("batch: replaying shard %s/%d: %w", sh.Site, sh.Index, err)
+	}()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		b := <-loaded
+		err = consume(i, b)
+		free <- b
+	}
+	close(stop)
+	<-done
+	return err
+}
+
+// readFileInto reads the named file — a committed shard, which nobody
+// writes to any more — into buf's storage, growing it when the file is
+// larger, and returns the bytes read.
+func readFileInto(buf []byte, name string) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return buf[:0], err
+	}
+	if st.Size() > int64(cap(buf)) {
+		buf = make([]byte, st.Size())
+	}
+	buf = buf[:st.Size()]
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return buf[:0], err
+	}
+	return buf, nil
+}
+
+// decodeShard appends the triples of a shard file's lines to triples.
+// Decoding unescapes inside file, so its content is spent afterwards.
+func decodeShard(dec *jsonl.TripleDecoder, file []byte, triples []ceres.Triple) ([]ceres.Triple, error) {
+	for line := 1; len(file) > 0; line++ {
+		text := file
+		if nl := bytes.IndexByte(file, '\n'); nl >= 0 {
+			text, file = file[:nl], file[nl+1:]
+		} else {
+			file = nil
+		}
+		if jsonl.SkipSpace(text, 0) == len(text) {
+			continue
+		}
+		triples = append(triples, ceres.Triple{})
+		if err := dec.Decode(text, &triples[len(triples)-1]); err != nil {
+			return triples[:len(triples)-1], fmt.Errorf("line %d: %w", line, err)
 		}
 	}
-	return nil
+	return triples, nil
 }
 
 // CountingSink tallies committed triples without keeping them — the

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -37,6 +38,7 @@ import (
 	"ceres"
 	"ceres/batch"
 	"ceres/internal/fsatomic"
+	"ceres/internal/jsonl"
 	"ceres/internal/websim"
 	"ceres/pagestore"
 )
@@ -225,18 +227,31 @@ func generateCrawl(store *pagestore.Store, kbPath string, seed int64, scale floa
 	return nil
 }
 
+// writeFused writes the fused facts as JSON lines — encoding/json's
+// encoding of ceres.FusedFact, byte for byte, through the harvest's own
+// encoder — atomically.
 func writeFused(path string, facts []ceres.FusedFact) error {
 	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	for _, fact := range facts {
-		if err := enc.Encode(fact); err != nil {
-			f.Close()
-			os.Remove(f.Name())
-			return err
+	w := bufio.NewWriterSize(f, 64<<10)
+	var line []byte
+	for i := range facts {
+		if line, err = jsonl.AppendFact(line[:0], &facts[i]); err != nil {
+			break
 		}
+		if _, err = w.Write(line); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return err
 	}
 	return fsatomic.Commit(f, path)
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,8 +86,25 @@ func TestGenerateAndHarvest(t *testing.T) {
 	if err := writeFused(fusedPath, rep.Facts); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(fusedPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("fused output missing: %v", err)
+	// fused.jsonl is, byte for byte, what a json.Encoder loop over the
+	// facts writes — the format it has always had.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, fact := range rep.Facts {
+		if err := enc.Encode(fact); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := os.ReadFile(fusedPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("fused.jsonl (%d bytes, %v) differs from encoding/json's encoding of the facts (%d bytes)", len(got), err, want.Len())
+	}
+	// A fact with no JSON form fails the write and leaves nothing behind.
+	badPath := filepath.Join(dir, "bad.jsonl")
+	if err := writeFused(badPath, []ceres.FusedFact{{Subject: "s", Belief: math.NaN()}}); err == nil {
+		t.Fatal("a NaN belief was written")
+	}
+	if ents, _ := filepath.Glob(filepath.Join(dir, "*bad.jsonl*")); len(ents) != 0 {
+		t.Fatalf("a refused write left %v", ents)
 	}
 
 	// The stats report carries the Table-8 numbers plus the per-stage

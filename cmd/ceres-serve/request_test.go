@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ceres"
+	"ceres/internal/jsonl"
 )
 
 // pageJSON and extractRequestJSON are the extract request as
@@ -229,10 +230,10 @@ var parityCases = []struct {
 	{"unknown unclosed", `{"x":[[1]`, false},
 	{"duplicate keys", `{"pages":[{"id":"a","html":"x","id":"b"}],"workers":1,"pages":[{"id":"c"}],"WORKERS":2}`, true},
 	{"duplicate after a bad value", `{"workers":"x","workers":1}`, false},
-	{"depth at the limit, top level", `{"x":` + nested("[", "]", maxJSONDepth-1) + `}`, true},
-	{"depth over the limit, top level", `{"x":` + nested("[", "]", maxJSONDepth) + `}`, false},
-	{"depth at the limit, in a page", `{"pages":[{"x":` + strings.Repeat(`{"k":`, maxJSONDepth-4) + `[]` + strings.Repeat("}", maxJSONDepth-4) + `}]}`, true},
-	{"depth over the limit, in a page", `{"pages":[{"x":` + strings.Repeat(`{"k":`, maxJSONDepth-3) + `[]` + strings.Repeat("}", maxJSONDepth-3) + `}]}`, false},
+	{"depth at the limit, top level", `{"x":` + nested("[", "]", jsonl.MaxDepth-1) + `}`, true},
+	{"depth over the limit, top level", `{"x":` + nested("[", "]", jsonl.MaxDepth) + `}`, false},
+	{"depth at the limit, in a page", `{"pages":[{"x":` + strings.Repeat(`{"k":`, jsonl.MaxDepth-4) + `[]` + strings.Repeat("}", jsonl.MaxDepth-4) + `}]}`, true},
+	{"depth over the limit, in a page", `{"pages":[{"x":` + strings.Repeat(`{"k":`, jsonl.MaxDepth-3) + `[]` + strings.Repeat("}", jsonl.MaxDepth-3) + `}]}`, false},
 	{"1e5 deep arrays", `{"x":` + nested("[", "]", 100000) + `,"pages":[]}`, false},
 	{"1e5 deep objects, unclosed", `{"pages":[{"x":` + strings.Repeat(`{"k":`, 100000), false},
 }
