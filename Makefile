@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz bench bench-json fleet docker clean
+.PHONY: all build test race lint fuzz crash-sweep bench bench-json fleet docker clean
 
 all: build lint test
 
@@ -17,8 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # lint = the stock vet suite plus ceresvet, the repo-invariant analyzers
-# (atomic writes, context flow, map determinism, lock safety, allocfree
-# contracts — see DESIGN.md §9). Any diagnostic fails the build.
+# (atomic writes through the fsatomic seam, context flow, map determinism,
+# lock safety, allocfree contracts — see DESIGN.md §9). Any diagnostic
+# fails the build.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/ceresvet ./...
@@ -36,14 +37,26 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTripleLine -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 
+# The durable path's proofs, under the race detector: the crash-point
+# sweep (every filesystem operation of a warm harvest and every models/
+# operation of a cold one is a power cut the next invocation must recover
+# from byte-identically — `go test -short` takes every fifth), the
+# operation-order check and the commit stage's kill, error and bound
+# tests (DESIGN.md §8).
+crash-sweep:
+	$(GO) test -race -count=1 -run 'TestCrashSweep|TestHarvestSweepsOwnTemps' ./cmd/ceres-batch
+	$(GO) test -race -count=1 -run 'TestDurableBeforeNamed|TestCheckpointResumeByteIdentical|TestCommit|TestCheckpointReaders' ./batch
+	$(GO) test -race -count=1 ./internal/fsatomic/...
+
 # Headline benchmarks, human-readable. -short skips the 10k-model
 # RegistryBoot/scale case, which only full bench-json runs pay for.
 # StageTrain, EndToEndSite and mlr's Fit are the training side: one
 # site's example-building plus fit, the whole train-then-extract
 # pipeline, and one L-BFGS fit at the shape measured on the crawl.
 # BatchHarvest/JSONL and ReplayFuse are the durable harvest path
-# ceres-batch runs (JSONL shards, checkpoint, replay into fusion);
-# AppendTriple/DecodeTriple the codec under it.
+# ceres-batch runs (JSONL shards, commit stage, replay into fusion; JSONL
+# also prints manifest-writes/op and fsyncs/op, which must stay well under
+# one and four per shard); AppendTriple/DecodeTriple the codec under it.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr

@@ -14,15 +14,18 @@
 //     first (once, whatever the worker count) and published — through the
 //     configured ceres.ModelStore when one is set, so a crash never loses
 //     a trained model.
-//   - Each shard's triples go to a TripleSink; committed shards are
-//     recorded in an atomically written checkpoint manifest, so a killed
-//     run resumes exactly where it stopped with no duplicate output.
+//   - Each shard's triples are encoded into a TripleSink writer and handed
+//     to the commit stage — one goroutine that makes shard output durable
+//     in batches and then records each batch in an atomically written
+//     checkpoint manifest, so a killed run resumes exactly where it
+//     stopped with no duplicate output, and no worker waits for a disk.
 //   - After the last shard, a streaming fusion stage replays the sink in
 //     plan order through a ceres.Fuser — observations are never
 //     materialized as one list.
 //
 // Memory stays bounded throughout: a worker holds one shard of pages and
-// its triples at a time, never a whole site.
+// its triples at a time, never a whole site, and at most two encoded
+// shards per worker wait for the commit stage.
 package batch
 
 import (

@@ -4,9 +4,11 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ceres"
+	"ceres/internal/fsatomic"
 )
 
 // benchSites are the trainable long-tail sites the harvest benchmarks
@@ -18,9 +20,13 @@ var benchSites = []string{"blaxploitation.com", "kinobox.cz", "laborfilms.com"}
 // Service extraction, sink commits and the streaming fusion stage.
 // Models are trained once outside the timed loop — the steady-state cost
 // of a harvest is serving, not training. Collect keeps the triples in
-// memory; JSONL is the path ceres-batch runs — JSONL encode, shard
-// fsync and rename, the checkpoint manifest, and fusion replaying the
-// shard files — into a fresh directory each pass, as after -reset.
+// memory; JSONL is the path ceres-batch runs — JSONL encode, the commit
+// stage's shard fsyncs and renames, directory flushes and checkpoint
+// manifests, and fusion replaying the shard files — into a fresh
+// directory each pass, as after -reset. JSONL also reports, counted at
+// the filesystem seam, how many manifests and how many fsyncs (file and
+// directory) a pass costs: a change that goes back to one manifest write
+// per shard shows there before it shows in pages/s.
 func BenchmarkBatchHarvest(b *testing.B) {
 	f := newCrawlFixture(b, b.TempDir(), benchSites)
 	job := Job{ShardPages: 16, Workers: 4, Fuse: true}
@@ -71,6 +77,16 @@ func BenchmarkBatchHarvest(b *testing.B) {
 			// measurement starts at steady state: scratch pools populated,
 			// segment files in page cache, fusion path resident.
 			pass()
+			var manifests, fsyncs atomic.Int64
+			defer fsatomic.SetHook(func(op fsatomic.Op) (int, error) {
+				switch {
+				case op.Kind == fsatomic.OpSync || op.Kind == fsatomic.OpSyncDir:
+					fsyncs.Add(1)
+				case op.Kind == fsatomic.OpRename && filepath.Base(op.To) == "checkpoint.json":
+					manifests.Add(1)
+				}
+				return 0, nil
+			})()
 			pages := 0
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -80,6 +96,10 @@ func BenchmarkBatchHarvest(b *testing.B) {
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(pages)/secs, "pages/s")
+			}
+			if n := fsyncs.Load(); n > 0 {
+				b.ReportMetric(float64(manifests.Load())/float64(b.N), "manifest-writes/op")
+				b.ReportMetric(float64(n)/float64(b.N), "fsyncs/op")
 			}
 		})
 	}

@@ -25,7 +25,7 @@ const manifestFormat = "ceres.batch/1"
 // output, which model version serves each site, and which sites were
 // skipped (with the reason). It is the resume contract — a run that
 // crashes after any atomic manifest write restarts exactly after the last
-// committed shard.
+// shard that write names, every one of which is durably in the sink.
 type manifest struct {
 	Format     string `json:"format"`
 	ShardPages int    `json:"shard_pages"`
@@ -38,7 +38,8 @@ type manifest struct {
 	Models map[string]int `json:"models,omitempty"`
 	// Skipped records sites that could not be harvested (e.g. training
 	// found no seed-KB alignment), by reason; a resume skips them without
-	// retraining.
+	// retraining. (Across -reset passes the ModelStore's verdict does
+	// that; this is the record of what the run did.)
 	Skipped map[string]string `json:"skipped,omitempty"`
 	// Done records committed shard indices per site, sorted.
 	Done map[string][]int `json:"done,omitempty"`
@@ -59,12 +60,20 @@ func newManifest(plan *Plan) *manifest {
 	return m
 }
 
-// checkpoint wraps a manifest with its path and write lock. A checkpoint
-// with an empty path is in-memory only (checkpointing disabled).
+// checkpoint wraps a manifest with its path. ck.mu guards the manifest in
+// memory and nothing else: every mutation is a map or slice update, and
+// the one goroutine that persists (the runner's commit stage) encodes a
+// snapshot under the lock and writes it with the lock released, so no
+// reader ever waits for I/O. A checkpoint with an empty path is in-memory
+// only (checkpointing disabled).
 type checkpoint struct {
 	path string
 	mu   sync.Mutex
 	m    *manifest
+	// dirty: the manifest in memory has something the file does not.
+	dirty bool
+	// writes counts the manifest files written (save's caller only).
+	writes int
 }
 
 // loadCheckpoint opens (or initializes) the manifest at path and verifies
@@ -114,13 +123,19 @@ func loadCheckpoint(path string, plan *Plan) (*checkpoint, error) {
 	return ck, nil
 }
 
-// save writes the manifest atomically (temp file, fsync, rename).
-// Callers hold ck.mu.
+// save writes the manifest as it is now — atomically and durably: temp
+// file, fsync, rename, directory fsync — unless the file already says the
+// same. It must only ever run on one goroutine at a time; during a Run
+// that is the commit stage.
 func (ck *checkpoint) save() error {
-	if ck.path == "" {
+	ck.mu.Lock()
+	if ck.path == "" || !ck.dirty {
+		ck.mu.Unlock()
 		return nil
 	}
 	b, err := json.MarshalIndent(ck.m, "", "  ")
+	ck.dirty = false
+	ck.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("batch: writing checkpoint: %w", err)
 	}
@@ -130,6 +145,7 @@ func (ck *checkpoint) save() error {
 	if err := fsatomic.WriteFile(ck.path, append(b, '\n')); err != nil {
 		return fmt.Errorf("batch: writing checkpoint: %w", err)
 	}
+	ck.writes++
 	return nil
 }
 
@@ -141,18 +157,19 @@ func (ck *checkpoint) isDone(site string, index int) bool {
 	return found
 }
 
-// markDone records a committed shard — at its place in the site's sorted
-// list — and persists the manifest.
-func (ck *checkpoint) markDone(site string, index int) error {
+// markDone records committed shards, each at its place in its site's
+// sorted list. Like every mutation it touches memory only: the next save
+// carries it.
+func (ck *checkpoint) markDone(shards ...Shard) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	done := ck.m.Done[site]
-	i, found := slices.BinarySearch(done, index)
-	if found {
-		return nil
+	for _, sh := range shards {
+		done := ck.m.Done[sh.Site]
+		if i, found := slices.BinarySearch(done, sh.Index); !found {
+			ck.m.Done[sh.Site] = slices.Insert(done, i, sh.Index)
+			ck.dirty = true
+		}
 	}
-	ck.m.Done[site] = slices.Insert(done, i, index)
-	return ck.save()
 }
 
 // doneCount returns how many of a site's shards have committed.
@@ -170,13 +187,16 @@ func (ck *checkpoint) modelVersion(site string) (int, bool) {
 	return v, ok
 }
 
-// setModelVersion pins the model version serving a site and persists the
-// manifest.
-func (ck *checkpoint) setModelVersion(site string, v int) error {
+// setModelVersion pins the model version serving a site. A site is pinned
+// before its first shard is extracted, so the save that records any of
+// its shards carries the pin.
+func (ck *checkpoint) setModelVersion(site string, v int) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.m.Models[site] = v
-	return ck.save()
+	if old, ok := ck.m.Models[site]; !ok || old != v {
+		ck.m.Models[site] = v
+		ck.dirty = true
+	}
 }
 
 // skippedSite returns the recorded skip reason of a site, if any.
@@ -187,10 +207,12 @@ func (ck *checkpoint) skippedSite(site string) (string, bool) {
 	return r, ok
 }
 
-// setSkipped records a site as unharvestable and persists the manifest.
-func (ck *checkpoint) setSkipped(site, reason string) error {
+// setSkipped records a site as unharvestable.
+func (ck *checkpoint) setSkipped(site, reason string) {
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
-	ck.m.Skipped[site] = reason
-	return ck.save()
+	if old, ok := ck.m.Skipped[site]; !ok || old != reason {
+		ck.m.Skipped[site] = reason
+		ck.dirty = true
+	}
 }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -52,9 +53,10 @@ func TestRunnerMetrics(t *testing.T) {
 }
 
 // TestRunnerTraceAndStages runs a traced harvest and checks both views
-// of the same work: the per-shard span trees (batch.shard →
-// resolve[→train→parse/cluster]/extract[→parse/route/score]/sink/
-// checkpoint) and the report's aggregated stage breakdown.
+// of the same work: the span trees — per shard batch.shard →
+// resolve[→train→parse/cluster]/extract[→parse/route/score]/sink, per
+// commit-stage batch batch.commit → writers/sync/checkpoint — and the
+// report's aggregated stage breakdown.
 func TestRunnerTraceAndStages(t *testing.T) {
 	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "kinobox.cz"})
 	tr := ceres.NewTracer(ceres.TracerOptions{SampleEvery: 1, Capacity: 64})
@@ -79,8 +81,8 @@ func TestRunnerTraceAndStages(t *testing.T) {
 	if sub := st.Parse + st.Route + st.Score; sub > st.Extract {
 		t.Errorf("serve stages %v exceed extract wall %v", sub, st.Extract)
 	}
-	if st.Sink <= 0 || st.Checkpoint < 0 {
-		t.Errorf("sink/checkpoint stage times missing: %+v", st)
+	if st.Sink <= 0 || st.Checkpoint <= 0 || st.Commit <= 0 {
+		t.Errorf("sink/checkpoint/commit stage times missing: %+v", st)
 	}
 	var names []string
 	var total time.Duration
@@ -88,35 +90,59 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		names = append(names, name)
 		total += d
 	})
-	if len(names) != 9 || names[0] != "resolve" || names[8] != "fuse" || total <= 0 {
+	if len(names) != 10 || names[0] != "resolve" || names[8] != "commit" || names[9] != "fuse" || total <= 0 {
 		t.Errorf("Each visited %v (total %v)", names, total)
 	}
 
-	// Span trees: one batch.shard root per attempted shard — committed
-	// ones carry the full extract/sink/checkpoint chain, shards of a
-	// skipped site stop after resolve. The first shard of each site
-	// carries the resolve→train subtree with the training pipeline's own
-	// spans hanging off it (a failed training run is traced too).
+	// Span trees: one batch.shard root per attempted shard — extracted
+	// ones carry the extract/sink chain and nothing of the commit stage,
+	// shards of a skipped site stop after resolve. The first shard of each
+	// site carries the resolve→train subtree with the training pipeline's
+	// own spans hanging off it (a failed training run is traced too). One
+	// batch.commit root per batch the commit stage recorded, each saying
+	// how many shards it made durable.
 	planned := 0
 	for _, sr := range rep.Sites {
 		planned += sr.Shards
 	}
-	roots := tr.Roots()
+	var roots []*ceres.Span
+	batches, batched := 0, 0
+	for _, root := range tr.Roots() {
+		if !root.Ended() {
+			t.Fatalf("root %q not ended", root.Name())
+		}
+		if root.Name() != "batch.commit" {
+			roots = append(roots, root)
+			continue
+		}
+		batches++
+		if root.Child("writers") == nil || root.Child("sync") == nil || root.Child("checkpoint") == nil {
+			t.Fatalf("commit trace missing writers/sync/checkpoint: %v", root.JSON())
+		}
+		for _, a := range root.JSON().Attrs {
+			if a.Key == "shards" {
+				batched += int(a.Num)
+			}
+		}
+	}
+	if batches == 0 || batches != rep.CommitBatches || batched != rep.Shards {
+		t.Errorf("%d batch.commit roots over %d shards, report says %d batches, %d shards", batches, batched, rep.CommitBatches, rep.Shards)
+	}
 	if len(roots) != planned-rep.Resumed {
 		t.Fatalf("%d shard traces for %d attempted shards", len(roots), planned-rep.Resumed)
 	}
 	committed, trained := 0, 0
 	var fitSpans []ceres.FitStats
 	for _, root := range roots {
-		if root.Name() != "batch.shard" || !root.Ended() {
-			t.Fatalf("root %q ended=%v", root.Name(), root.Ended())
+		if root.Name() != "batch.shard" {
+			t.Fatalf("unexpected root %q", root.Name())
 		}
 		if ex := root.Child("extract"); ex != nil {
 			if ex.Child("score") == nil || ex.Child("parse") == nil || ex.Child("route") == nil {
 				t.Fatalf("extract span lost its stage children")
 			}
-			if root.Child("sink") == nil || root.Child("checkpoint") == nil {
-				t.Fatalf("committed shard trace missing sink/checkpoint: %v", root.JSON())
+			if root.Child("sink") == nil || root.Child("checkpoint") != nil {
+				t.Fatalf("extracted shard trace should end with sink: %v", root.JSON())
 			}
 			committed++
 		}
@@ -162,6 +188,37 @@ func TestRunnerTraceAndStages(t *testing.T) {
 	}
 	if s := tr.Stats(); s.Started != s.Ended || s.DoubleEnds != 0 {
 		t.Errorf("span lifecycle imbalance: %+v", s)
+	}
+}
+
+// TestStagesAddUpAtOneWorker: with one worker the stages a run is made of
+// are consecutive intervals of its wall clock — the worker's resolve,
+// extract and sink, then Run's own wait for the commit stage, then fusion
+// — so their sum can never exceed Elapsed + Fuse, however busy the commit
+// stage was beside them. (The benchmark's batch.unaccounted_pct is what is
+// left of that difference.)
+func TestStagesAddUpAtOneWorker(t *testing.T) {
+	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "kinobox.cz"})
+	dir := t.TempDir()
+	sink, err := NewJSONLSink(filepath.Join(dir, "triples"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(Config{Provider: f.store, Sink: sink, Pipeline: f.pipeline, CheckpointPath: filepath.Join(dir, "checkpoint.json")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), Job{ShardPages: 4, Workers: 1, Fuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Stages
+	sum := st.Resolve + st.Extract + st.Sink + st.Checkpoint + st.Fuse
+	if whole := rep.Elapsed + st.Fuse; sum > whole || sum < whole/2 {
+		t.Errorf("stages sum to %v of a %v run: %+v", sum, whole, st)
+	}
+	if st.Commit <= 0 || rep.ManifestWrites == 0 || rep.ManifestWrites > rep.Shards/2+2 {
+		t.Errorf("commit stage: %v busy, %d manifest writes for %d shards", st.Commit, rep.ManifestWrites, rep.Shards)
 	}
 }
 

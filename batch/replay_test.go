@@ -196,6 +196,8 @@ func (s teeSink) OpenShard(sh Shard) (ShardWriter, error) {
 	return teeShard{wa, wb}, nil
 }
 
+func (s teeSink) Sync() error { return errors.Join(s.a.Sync(), s.b.Sync()) }
+
 func (s teeSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
 	return s.a.(Replayer).Replay(shards, fn)
 }

@@ -35,6 +35,8 @@ func (k *killSink) OpenShard(s Shard) (ShardWriter, error) {
 	return &killShard{sink: k, ShardWriter: w}, nil
 }
 
+func (k *killSink) Sync() error { return k.inner.Sync() }
+
 // Replay forwards to the wrapped sink, so a killSink over a replayable
 // sink can fuse.
 func (k *killSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
@@ -142,16 +144,18 @@ func dirContents(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestCheckpointResumeByteIdentical is the subsystem's acceptance test:
-// kill a batch run mid-shard, resume it in a "fresh process", and the
-// fused output — and every committed shard file — is byte-identical to an
-// uninterrupted run, at any worker count. Runs under -race in CI.
+// kill a batch run — after every possible number of shard commits, while
+// other shards are mid-extraction, encoded or queued for the commit stage
+// — resume it in a "fresh process", and the fused output and every
+// committed shard file are byte-identical to an uninterrupted run, at any
+// worker count. Runs under -race in CI.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	job := Job{
-		ShardPages: 4,
+		ShardPages: 1,
 		Fuse:       true,
 		Fusion:     ceres.FusionOptions{Functional: map[string]bool{"releaseYear": true}},
 	}
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			base := t.TempDir()
 			f := newCrawlFixture(t, base, fixtureSites)
@@ -168,84 +172,105 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 				t.Fatalf("uninterrupted run extracted nothing: %+v", wantRep)
 			}
 			want := factsJSON(t, wantRep)
-
-			// Killed run: cancelled after the first shard commit, while
-			// (at workers > 1) other shards are mid-extraction.
-			res := newHarvestDirs(t, base, "resumed")
-			_, err = runHarvest(t, f, res, job, 1)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("killed run returned %v, want context.Canceled", err)
-			}
-			ck, err := os.ReadFile(res.checkpoint)
-			if err != nil {
-				t.Fatalf("killed run left no checkpoint: %v", err)
-			}
-			var m manifest
-			if err := json.Unmarshal(ck, &m); err != nil {
-				t.Fatal(err)
-			}
-			partial := 0
-			for _, d := range m.Done {
-				partial += len(d)
-			}
-			totalShards := 0
-			for _, sp := range mustPlan(t, job, f).Sites {
-				totalShards += sp.Shards
-			}
-			if partial == 0 || partial >= totalShards {
-				t.Fatalf("kill left %d/%d shards done; need a genuine partial run", partial, totalShards)
-			}
-
-			// The kill/resume cycle must run on binary model artifacts:
-			// DirStore publishes ceres.sitemodel/3 by default, and resume
-			// reloads the checkpointed version from those bytes.
-			binModels := 0
-			filepath.WalkDir(res.models, func(path string, d os.DirEntry, err error) error {
-				if err == nil && !d.IsDir() && filepath.Ext(path) == ".bin" {
-					binModels++
-				}
-				return nil
-			})
-			if binModels == 0 {
-				t.Fatal("killed run published no .bin models; resume would not exercise the binary codec")
-			}
-
-			// Resume in a fresh "process": new runner, reopened stores.
-			gotRep, err := runHarvest(t, f, res, job, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotRep.Resumed == 0 {
-				t.Fatal("resume re-ran every shard; checkpoint was ignored")
-			}
-			if got := factsJSON(t, gotRep); !bytes.Equal(got, want) {
-				t.Fatalf("fused output diverged after resume:\n got %s\nwant %s", got, want)
-			}
-
-			// Every committed shard file matches too — no duplicates, no
-			// gaps, identical bytes.
 			wantFiles := dirContents(t, full.triples)
-			gotFiles := dirContents(t, res.triples)
-			if len(wantFiles) != len(gotFiles) {
-				t.Fatalf("shard files differ: %d vs %d", len(gotFiles), len(wantFiles))
-			}
-			for name, wb := range wantFiles {
-				if !bytes.Equal(gotFiles[name], wb) {
-					t.Fatalf("shard file %s differs after resume", name)
-				}
-			}
+			totalShards := wantRep.Shards
 
-			// A third run is pure resume: nothing executes, fusion replays
-			// the same bytes.
-			again, err := runHarvest(t, f, res, job, 0)
-			if err != nil {
-				t.Fatal(err)
+			// Every kill point at workers 1 and 4; at 8 the first, where the
+			// most shards are in flight.
+			kills := totalShards
+			if workers == 8 {
+				kills = 1
 			}
-			if again.Shards != 0 || again.Pages != 0 {
-				t.Fatalf("idempotent re-run executed work: %+v", again)
-			}
-			if got := factsJSON(t, again); !bytes.Equal(got, want) {
-				t.Fatal("pure-replay run diverged")
+			for kill := 1; kill <= kills; kill++ {
+				res := newHarvestDirs(t, base, fmt.Sprintf("killed-%d", kill))
+				if kill > 1 {
+					// Only the first kill pays for training (and proves a
+					// killed run's own models resume); the others start
+					// from the reference run's models and verdicts.
+					if err := os.CopyFS(res.models, os.DirFS(full.models)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err = runHarvest(t, f, res, job, kill)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("kill %d: run returned %v, want context.Canceled", kill, err)
+				}
+				ck, err := os.ReadFile(res.checkpoint)
+				if err != nil {
+					t.Fatalf("kill %d: no checkpoint left: %v", kill, err)
+				}
+				var m manifest
+				if err := json.Unmarshal(ck, &m); err != nil {
+					t.Fatal(err)
+				}
+				partial := 0
+				for _, d := range m.Done {
+					partial += len(d)
+				}
+				// Everything handed to the commit stage before the kill is
+				// recorded; the first kill must leave real work undone.
+				if partial < kill || partial > totalShards || (kill == 1 && partial == totalShards) {
+					t.Fatalf("kill %d left %d/%d shards done", kill, partial, totalShards)
+				}
+				noShardTemps(t, res.triples)
+
+				if kill == 1 {
+					// The kill/resume cycle must run on binary model
+					// artifacts: DirStore publishes ceres.sitemodel/3 by
+					// default, and resume reloads the checkpointed version
+					// from those bytes.
+					binModels := 0
+					filepath.WalkDir(res.models, func(path string, d os.DirEntry, err error) error {
+						if err == nil && !d.IsDir() && filepath.Ext(path) == ".bin" {
+							binModels++
+						}
+						return nil
+					})
+					if binModels == 0 {
+						t.Fatal("killed run published no .bin models; resume would not exercise the binary codec")
+					}
+				}
+
+				// Resume in a fresh "process": new runner, reopened stores.
+				gotRep, err := runHarvest(t, f, res, job, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gotRep.Resumed != partial || gotRep.Shards != totalShards-partial {
+					t.Fatalf("kill %d: resume took %d shards from the checkpoint and executed %d; %d of %d were recorded",
+						kill, gotRep.Resumed, gotRep.Shards, partial, totalShards)
+				}
+				if got := factsJSON(t, gotRep); !bytes.Equal(got, want) {
+					t.Fatalf("kill %d: fused output diverged after resume:\n got %s\nwant %s", kill, got, want)
+				}
+
+				// Every committed shard file matches too — no duplicates,
+				// no gaps, identical bytes.
+				gotFiles := dirContents(t, res.triples)
+				if len(wantFiles) != len(gotFiles) {
+					t.Fatalf("kill %d: shard files differ: %d vs %d", kill, len(gotFiles), len(wantFiles))
+				}
+				for name, wb := range wantFiles {
+					if !bytes.Equal(gotFiles[name], wb) {
+						t.Fatalf("kill %d: shard file %s differs after resume", kill, name)
+					}
+				}
+
+				if kill > 1 {
+					continue
+				}
+				// A third run is pure resume: nothing executes, fusion
+				// replays the same bytes.
+				again, err := runHarvest(t, f, res, job, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again.Shards != 0 || again.Pages != 0 || again.ManifestWrites != 0 {
+					t.Fatalf("idempotent re-run executed work: %+v", again)
+				}
+				if got := factsJSON(t, again); !bytes.Equal(got, want) {
+					t.Fatal("pure-replay run diverged")
+				}
 			}
 		})
 	}
@@ -276,12 +301,9 @@ func TestCheckpointDoneAtScale(t *testing.T) {
 		if ck.isDone(site, i) {
 			t.Fatalf("shard %d done before it was marked", i)
 		}
-		if err := ck.markDone(site, i); err != nil {
-			t.Fatal(err)
-		}
-		if err := ck.markDone(site, order[k/2]); err != nil { // an earlier one again
-			t.Fatal(err)
-		}
+		// Batch marking, as the commit stage does it: this shard and an
+		// earlier one again.
+		ck.markDone(Shard{Site: site, Index: i}, Shard{Site: site, Index: order[k/2]})
 		if !ck.isDone(site, i) || ck.doneCount(site) != k+1 {
 			t.Fatalf("after marking %d shards: isDone(%d)=%v, doneCount=%d", k+1, i, ck.isDone(site, i), ck.doneCount(site))
 		}
@@ -289,9 +311,7 @@ func TestCheckpointDoneAtScale(t *testing.T) {
 	if ck.isDone(site, n) || ck.isDone(site, -1) || ck.isDone("small.example", 0) {
 		t.Fatal("a shard never marked reads as done")
 	}
-	if err := ck.markDone("small.example", 0); err != nil {
-		t.Fatal(err)
-	}
+	ck.markDone(Shard{Site: "small.example", Index: 0})
 
 	ck.path = filepath.Join(t.TempDir(), "checkpoint.json")
 	if err := ck.save(); err != nil {

@@ -45,13 +45,15 @@ type Config struct {
 	// a live pages-per-second gauge, DESIGN.md §12); nil leaves it
 	// uninstrumented.
 	Metrics *ceres.Metrics
-	// Tracer samples per-shard span trees (DESIGN.md §13): a batch.shard
-	// root with resolve (train nested under it, with the pipeline's
-	// parse/cluster/annotate/fit children), extract (with its
-	// parse/route/score stage spans), sink and checkpoint children — and,
-	// for a job that fuses, one batch.fuse root with replay (shards,
-	// triples, bytes read back) and facts children. Nil traces nothing
-	// and costs nothing.
+	// Tracer samples the run's span trees (DESIGN.md §13): per shard a
+	// batch.shard root with resolve (train nested under it, with the
+	// pipeline's parse/cluster/annotate/fit children; a site skipped on a
+	// stored verdict carries skipped and verdict=stored instead), extract
+	// (with its parse/route/score stage spans) and sink children; per
+	// batch of the commit stage a batch.commit root (shards, bytes) with
+	// writers, sync and checkpoint children; and, for a job that fuses, one
+	// batch.fuse root with replay (shards, triples, bytes read back) and
+	// facts children. Nil traces nothing and costs nothing.
 	Tracer *ceres.Tracer
 }
 
@@ -83,11 +85,11 @@ type Runner struct {
 
 // stageAcc sums stage wall time across shard workers.
 type stageAcc struct {
-	resolve, train, extract, parse, route, score, sink, checkpoint, fuse atomic.Int64
+	resolve, train, extract, parse, route, score, sink, checkpoint, commit, fuse atomic.Int64
 }
 
 func (a *stageAcc) reset() {
-	for _, v := range []*atomic.Int64{&a.resolve, &a.train, &a.extract, &a.parse, &a.route, &a.score, &a.sink, &a.checkpoint, &a.fuse} {
+	for _, v := range []*atomic.Int64{&a.resolve, &a.train, &a.extract, &a.parse, &a.route, &a.score, &a.sink, &a.checkpoint, &a.commit, &a.fuse} {
 		v.Store(0)
 	}
 }
@@ -98,10 +100,19 @@ func (a *stageAcc) reset() {
 // parallelism. Train is nested inside Resolve (a site's first shard
 // resolves its model, training it when nothing is published);
 // Parse/Route/Score are the serve-side stages nested inside Extract.
-// Fuse is the exception to the summing: the fusion stage runs once, after
-// the workers have stopped, and Fuse is its wall time from the first
-// shard replayed to the last fact resolved — the replay's read-ahead
-// goroutine works inside that interval and is not added on top.
+// Sink is the workers' side of the durable path: encoding a shard into
+// its temp file, and any time a worker was blocked because the commit
+// stage had its bound of writers still to commit. Three stages are not
+// worker sums. Checkpoint is how long Run itself waited, after the last
+// worker stopped, for the commit stage to drain. Fuse is the fusion
+// stage's wall time from the first shard replayed to the last fact
+// resolved — it runs once, after everything else, and the replay's
+// read-ahead goroutine works inside that interval and is not added on
+// top. Commit is the commit stage's own busy time (fsyncs, renames,
+// manifest writes): it overlaps the workers, so it stands beside the
+// others, not in their sum — at Workers 1, Resolve + Extract + Sink +
+// Checkpoint + Fuse never exceeds Elapsed + Fuse, and what is missing
+// from it is the run's unaccounted time.
 type StageDurations struct {
 	Resolve    time.Duration `json:"resolve"`
 	Train      time.Duration `json:"train"`
@@ -111,6 +122,7 @@ type StageDurations struct {
 	Score      time.Duration `json:"score"`
 	Sink       time.Duration `json:"sink"`
 	Checkpoint time.Duration `json:"checkpoint"`
+	Commit     time.Duration `json:"commit"`
 	Fuse       time.Duration `json:"fuse"`
 }
 
@@ -124,6 +136,7 @@ func (s StageDurations) Each(f func(name string, d time.Duration)) {
 	f("score", s.Score)
 	f("sink", s.Sink)
 	f("checkpoint", s.Checkpoint)
+	f("commit", s.Commit)
 	f("fuse", s.Fuse)
 }
 
@@ -137,6 +150,7 @@ func (a *stageAcc) snapshot() StageDurations {
 		Score:      time.Duration(a.score.Load()),
 		Sink:       time.Duration(a.sink.Load()),
 		Checkpoint: time.Duration(a.checkpoint.Load()),
+		Commit:     time.Duration(a.commit.Load()),
 		Fuse:       time.Duration(a.fuse.Load()),
 	}
 }
@@ -211,12 +225,14 @@ func (r *Runner) Service() *ceres.Service { return r.svc }
 // siteState is the once-per-site model resolution shared by a site's
 // shard workers.
 type siteState struct {
-	once       sync.Once
-	version    int
-	trained    bool
-	fits       []ceres.FitStats // of the model this run trained
-	skipReason string           // non-empty: site cannot be harvested
-	infraErr   error            // non-nil: abort the run
+	pages         int // of the site, from the plan
+	once          sync.Once
+	version       int
+	trained       bool
+	fits          []ceres.FitStats // of the model this run trained
+	skipReason    string           // non-empty: site cannot be harvested
+	storedVerdict bool             // skipReason came from the store, not from training
+	infraErr      error            // non-nil: abort the run
 }
 
 // siteTally accumulates one site's run counters under the runner mutex.
@@ -244,9 +260,12 @@ type SiteReport struct {
 	// stopped at its iteration cap.
 	Fits []ceres.FitStats
 	// Skipped marks a site recorded as unharvestable (Err holds the
-	// reason, e.g. no seed-KB alignment).
-	Skipped bool
-	Err     string
+	// reason, e.g. no seed-KB alignment). StoredVerdict reports that this
+	// run did not find that out by training: the store held the verdict
+	// of an earlier run over the same KB, configuration and page range.
+	Skipped       bool
+	StoredVerdict bool
+	Err           string
 }
 
 // Report is the outcome of one Run.
@@ -260,23 +279,31 @@ type Report struct {
 	// Facts is the fused output (Job.Fuse), aggregated by streaming every
 	// committed shard through a ceres.Fuser in plan order.
 	Facts []ceres.FusedFact
+	// CommitBatches counts the batches the commit stage made durable and
+	// ManifestWrites the checkpoint files it wrote: one per batch, plus a
+	// last one when pins or skips were still unwritten at the end.
+	CommitBatches, ManifestWrites int
 	// Elapsed is the wall-clock time of the harvest proper: from the start
-	// of Run until the last shard worker has stopped. It does not include
-	// the fusion stage, which runs after that — a run's whole length is
-	// Elapsed + Stages.Fuse. Stages breaks the work down per pipeline
-	// stage (summed across workers, so stage totals can exceed Elapsed).
+	// of Run until the last shard worker has stopped and the commit stage
+	// has drained. It does not include the fusion stage, which runs after
+	// that — a run's whole length is Elapsed + Stages.Fuse. Stages breaks
+	// the work down per pipeline stage (summed across workers, so stage
+	// totals can exceed Elapsed).
 	Elapsed time.Duration
 	Stages  StageDurations
 }
 
 // Run executes one job to completion: plan, resume from the checkpoint,
-// execute remaining shards on Workers goroutines, and (with Job.Fuse)
-// stream the committed output through fusion. It returns ctx.Err() when
-// cancelled — the checkpoint then holds every shard committed before the
-// cancellation, and a later Run of the same job resumes there — and a
-// non-nil error for infrastructure failures (sink, checkpoint, store or
-// provider I/O). Per-site failures (untrainable sites of a long-tail
-// crawl) do not fail the run; they are reported per site.
+// extract remaining shards on Workers goroutines while the commit stage
+// (commit.go) makes their output durable and records it, and (with
+// Job.Fuse) stream the committed output through fusion. It returns
+// ctx.Err() when cancelled — the checkpoint then holds every shard handed
+// to the commit stage before the cancellation, and a later Run of the
+// same job resumes there — and a non-nil error for infrastructure
+// failures (sink, checkpoint, store or provider I/O). Either way every
+// goroutine it started has exited and no shard writer is left open.
+// Per-site failures (untrainable sites of a long-tail crawl) do not fail
+// the run; they are reported per site.
 func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	start := time.Now()
 	// Refuse a job the sink cannot finish before harvesting for it.
@@ -299,24 +326,13 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	states := make(map[string]*siteState, len(plan.Sites))
 	tallies := make(map[string]*siteTally, len(plan.Sites))
 	for _, sp := range plan.Sites {
-		states[sp.Site] = &siteState{}
+		states[sp.Site] = &siteState{pages: sp.Pages}
 		tallies[sp.Site] = &siteTally{}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var (
-		mu       sync.Mutex
-		infraErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if infraErr == nil {
-			infraErr = err
-			cancel()
-		}
-		mu.Unlock()
-	}
+	run := &runState{cancel: cancel}
 
 	workers := job.workers()
 	if workers > len(plan.Shards) {
@@ -325,6 +341,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
+	cm := r.startCommitter(ck, run, workers)
 	shardCh := make(chan Shard)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -332,7 +349,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		go func() {
 			defer wg.Done()
 			for shard := range shardCh {
-				r.runShard(runCtx, job, ck, states[shard.Site], tallies[shard.Site], &mu, fail, shard)
+				r.runShard(runCtx, job, ck, cm, states[shard.Site], tallies[shard.Site], shard)
 			}
 		}()
 	}
@@ -346,15 +363,20 @@ feed:
 	}
 	close(shardCh)
 	wg.Wait()
+	// Whatever ended the workers, the commit stage finishes what they
+	// handed over (or aborts it, after an error) before Run goes on.
+	drainStart := time.Now()
+	cm.drain()
+	r.stages.checkpoint.Add(int64(time.Since(drainStart)))
 
-	if infraErr != nil {
-		return nil, infraErr
+	if err := run.failure(); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	rep := &Report{Elapsed: time.Since(start)}
+	rep := &Report{Elapsed: time.Since(start), CommitBatches: cm.batches, ManifestWrites: ck.writes}
 	fuseTally := map[string]int{}
 	if job.Fuse {
 		fuseStart := time.Now()
@@ -413,6 +435,7 @@ feed:
 		}
 		if reason, ok := ck.skippedSite(sp.Site); ok {
 			sr.Skipped = true
+			sr.StoredVerdict = st.storedVerdict
 			sr.Err = reason
 		}
 		if v, ok := ck.modelVersion(sp.Site); ok && sr.Version == 0 {
@@ -430,24 +453,34 @@ feed:
 	return rep, nil
 }
 
-// runShard executes one shard end to end: resolve the site's model (the
+// runShard is a worker's part of one shard: resolve the site's model (the
 // first worker to reach a site trains or loads it), stream the shard's
-// pages from the provider, extract through the Service, commit the
-// triples to the sink and record the shard in the checkpoint.
-func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, st *siteState, tally *siteTally, mu *sync.Mutex, fail func(error), shard Shard) {
+// pages from the provider, extract through the Service, encode the
+// triples into a shard writer and hand that to the commit stage.
+func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, cm *committer, st *siteState, tally *siteTally, shard Shard) {
 	if ctx.Err() != nil {
 		return
 	}
+	run := cm.run
 	if ck.isDone(shard.Site, shard.Index) {
-		mu.Lock()
+		run.mu.Lock()
 		tally.resumed++
-		mu.Unlock()
+		run.mu.Unlock()
 		return
 	}
 	sp := r.cfg.Tracer.StartRoot("batch.shard")
 	defer sp.End()
 	sp.SetStr("site", shard.Site)
 	sp.SetInt("shard", int64(shard.Index))
+	// An error a cancelled context explains is the cancellation, not a
+	// failure of the run: the commit stage aborts what it holds after a
+	// failure, and must go on committing after a cancellation.
+	fail := func(err error) {
+		sp.SetErr(err)
+		if ctx.Err() == nil {
+			run.fail(err)
+		}
+	}
 	st.once.Do(func() {
 		rsp := sp.StartChild("resolve")
 		t0 := time.Now()
@@ -456,7 +489,6 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, st *site
 		rsp.EndErr(st.infraErr)
 	})
 	if st.infraErr != nil {
-		sp.SetErr(st.infraErr)
 		fail(st.infraErr)
 		return
 	}
@@ -489,7 +521,6 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, st *site
 		pages, err = readPages(ctx, r.cfg.Provider, shard.Site, shard.Start, shard.Pages, (*bufp)[:0])
 		if err != nil {
 			esp.EndErr(err)
-			sp.SetErr(err)
 			fail(err)
 			return
 		}
@@ -510,9 +541,9 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, st *site
 		if ctx.Err() != nil {
 			return // cancelled mid-shard: nothing committed, resume re-runs it
 		}
-		mu.Lock()
+		run.mu.Lock()
 		tally.err = err.Error()
-		mu.Unlock()
+		run.mu.Unlock()
 		return
 	}
 	esp.AddTimed("parse", resp.Stats.Stages.Parse)
@@ -522,61 +553,29 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, st *site
 	r.stages.parse.Add(int64(resp.Stats.Stages.Parse))
 	r.stages.route.Add(int64(resp.Stats.Stages.Route))
 	r.stages.score.Add(int64(resp.Stats.Stages.Score))
-	ssp := sp.StartChild("sink")
-	sinkStart := time.Now()
-	w, err := r.cfg.Sink.OpenShard(shard)
-	if err != nil {
-		ssp.EndErr(err)
-		sp.SetErr(err)
-		fail(err)
-		return
-	}
-	for _, t := range resp.Triples {
-		if err := w.Write(t); err != nil {
-			w.Abort()
-			ssp.EndErr(err)
-			sp.SetErr(err)
-			fail(err)
-			return
-		}
-	}
-	if err := w.Commit(); err != nil {
-		ssp.EndErr(err)
-		sp.SetErr(err)
-		fail(err)
-		return
-	}
-	ssp.End()
-	r.stages.sink.Add(int64(time.Since(sinkStart)))
-	csp := sp.StartChild("checkpoint")
-	ckStart := time.Now()
-	if err := ck.markDone(shard.Site, shard.Index); err != nil {
-		csp.EndErr(err)
-		sp.SetErr(err)
-		fail(err)
-		return
-	}
-	csp.End()
-	r.stages.checkpoint.Add(int64(time.Since(ckStart)))
 	sp.SetInt("pages", int64(resp.Stats.Pages))
 	sp.SetInt("triples", int64(len(resp.Triples)))
-	mu.Lock()
-	tally.pages += resp.Stats.Pages
-	tally.triples += len(resp.Triples)
-	tally.done++
-	mu.Unlock()
-	r.runPages.Add(int64(resp.Stats.Pages))
-	r.metrics.shardDone(resp.Stats.Pages, len(resp.Triples))
+	ssp := sp.StartChild("sink")
+	sinkStart := time.Now()
+	err = cm.handOver(ctx, pendingShard{shard: shard, tally: tally, pages: resp.Stats.Pages, triples: len(resp.Triples)}, resp.Triples)
+	r.stages.sink.Add(int64(time.Since(sinkStart)))
+	ssp.EndErr(err)
+	if err != nil {
+		fail(err)
+	}
 }
 
 // ensureModel resolves the model serving a site, in precedence order: the
 // checkpointed version (reloaded from the store so a resume extracts with
 // the exact artifact), the shared registry's current entry, the store's
-// latest version, and finally training through the pipeline — publishing
-// the new model to the store (durable version number) and the shared
-// registry. Whatever wins lands in the run-scoped table the shards
-// extract through; the shared registry only ever receives newly trained
-// models, never a pinned rollback.
+// latest version, and finally training through the pipeline — unless the
+// store holds the verdict that training these pages with this pipeline
+// fails — publishing the new model to the store (durable version number)
+// and the shared registry, or the new verdict to the store. Whatever wins
+// lands in the run-scoped table the shards extract through; the shared
+// registry only ever receives newly trained models, never a pinned
+// rollback. Pins and skips are recorded in the checkpoint in memory; the
+// commit stage writes them.
 func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *siteState, site string) {
 	if reason, ok := ck.skippedSite(site); ok {
 		st.skipReason = reason
@@ -598,18 +597,14 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	}
 	if e, ok := r.reg.Lookup(site); ok {
 		st.version = e.Version
-		if err := ck.setModelVersion(site, e.Version); err != nil {
-			st.infraErr = err
-		}
+		ck.setModelVersion(site, e.Version)
 		return
 	}
 	if r.shared != nil {
 		if e, ok := r.shared.Lookup(site); ok {
 			r.reg.Publish(site, e.Version, e.Model)
 			st.version = e.Version
-			if err := ck.setModelVersion(site, e.Version); err != nil {
-				st.infraErr = err
-			}
+			ck.setModelVersion(site, e.Version)
 			return
 		}
 	}
@@ -618,9 +613,7 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 		if err == nil {
 			r.reg.Publish(site, v, m)
 			st.version = v
-			if err := ck.setModelVersion(site, v); err != nil {
-				st.infraErr = err
-			}
+			ck.setModelVersion(site, v)
 			return
 		}
 		if !errors.Is(err, ceres.ErrModelNotFound) {
@@ -630,14 +623,35 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	}
 	if r.cfg.Pipeline == nil {
 		st.skipReason = ceres.ErrNotTrained.Error()
-		if err := ck.setSkipped(site, st.skipReason); err != nil {
-			st.infraErr = err
-		}
+		ck.setSkipped(site, st.skipReason)
 		return
 	}
 	n := job.TrainPages
 	if n <= 0 {
 		n = -1
+	}
+	// A training failure is a property of the pipeline (seed KB and
+	// options) and of the leading pages it is given; that is the key a
+	// verdict is stored and looked up under.
+	trainOn := st.pages
+	if n > 0 && n < trainOn {
+		trainOn = n
+	}
+	verdictKey := fmt.Sprintf("%s/%d", r.cfg.Pipeline.TrainingKey(), trainOn)
+	if r.cfg.Store != nil {
+		reason, ok, err := r.cfg.Store.Untrainable(site, verdictKey)
+		if err != nil {
+			st.infraErr = err
+			return
+		}
+		if ok {
+			rsp := ceres.SpanFromContext(ctx)
+			rsp.SetStr("skipped", reason)
+			rsp.SetStr("verdict", "stored")
+			st.skipReason, st.storedVerdict = reason, true
+			ck.setSkipped(site, reason)
+			return
+		}
 	}
 	pages, err := readPages(ctx, r.cfg.Provider, site, 0, n, nil)
 	if err != nil {
@@ -658,11 +672,13 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 			return
 		}
 		// Training failures are deterministic properties of the site and
-		// seed KB (e.g. ErrNoAnnotations on a long-tail site): persist the
-		// skip so resumes don't pay for retraining.
+		// seed KB (e.g. ErrNoAnnotations on a long-tail site): the
+		// checkpoint records the skip for this job's resumes, the store
+		// the verdict for every later run with the same inputs.
 		st.skipReason = err.Error()
-		if err := ck.setSkipped(site, st.skipReason); err != nil {
-			st.infraErr = err
+		ck.setSkipped(site, st.skipReason)
+		if r.cfg.Store != nil {
+			st.infraErr = r.cfg.Store.MarkUntrainable(site, verdictKey, st.skipReason)
 		}
 		return
 	}
@@ -684,7 +700,5 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	st.version = version
 	st.trained = true
 	st.fits = m.Fits()
-	if err := ck.setModelVersion(site, version); err != nil {
-		st.infraErr = err
-	}
+	ck.setModelVersion(site, version)
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +24,17 @@ import (
 // resume.
 type TripleSink interface {
 	OpenShard(s Shard) (ShardWriter, error)
+	// Sync makes every Commit that has returned survive a power loss. The
+	// runner calls it once per batch of commits, before the checkpoint
+	// names any shard of the batch; a sink with nothing to flush returns
+	// nil.
+	Sync() error
 }
 
 // ShardWriter accumulates one shard's triples. Exactly one of Commit or
-// Abort terminates it; Write is never called concurrently on one writer.
+// Abort terminates it; Write is never called concurrently on one writer,
+// and Commit or Abort may come from another goroutine than the Writes
+// did (the runner's commit stage).
 type ShardWriter interface {
 	Write(t ceres.Triple) error
 	// Commit publishes the shard's triples atomically (replacing the
@@ -52,10 +58,11 @@ func shardFileName(s Shard) string {
 }
 
 // JSONLSink persists each shard as one JSON-lines file
-// (<escaped-site>.<index>.jsonl) in a directory, written to a temp file
-// and renamed into place on Commit — the durable sink of a crawl-scale
-// harvest, and a Replayer, so fusion and resumed runs can stream every
-// committed triple back without holding them in memory. The lines are
+// (<escaped-site>.<index>.jsonl) in a directory, written to a temp file,
+// fsynced and renamed into place on Commit, the renames made durable by
+// Sync — the durable sink of a crawl-scale harvest, and a Replayer, so
+// fusion and resumed runs can stream every committed triple back without
+// holding them in memory. The lines are
 // encoding/json's encoding of ceres.Triple, byte for byte, written and
 // read by internal/jsonl (DESIGN.md §8).
 type JSONLSink struct {
@@ -75,13 +82,7 @@ func NewJSONLSink(dir string) (*JSONLSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("batch: opening sink: %w", err)
 	}
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasPrefix(e.Name(), ".shard-") {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
+	fsatomic.RemoveTemps(dir, ".shard-")
 	return &JSONLSink{dir: dir}, nil
 }
 
@@ -94,7 +95,7 @@ const shardFlushBytes = 64 << 10
 
 // OpenShard implements TripleSink.
 func (s *JSONLSink) OpenShard(sh Shard) (ShardWriter, error) {
-	tmp, err := os.CreateTemp(s.dir, ".shard-*")
+	tmp, err := fsatomic.CreateTemp(s.dir, ".shard-*")
 	if err != nil {
 		return nil, fmt.Errorf("batch: opening shard output: %w", err)
 	}
@@ -112,11 +113,21 @@ func (s *JSONLSink) OpenShard(sh Shard) (ShardWriter, error) {
 	}, nil
 }
 
+// Sync implements TripleSink: one directory flush makes every shard
+// rename since the last one durable.
+func (s *JSONLSink) Sync() error {
+	if err := fsatomic.SyncDir(s.dir); err != nil {
+		return fmt.Errorf("batch: flushing sink directory: %w", err)
+	}
+	return nil
+}
+
 type jsonlShard struct {
-	sink  *JSONLSink
-	f     *os.File
-	bufp  *[]byte // encoded lines not yet written; back to sink.bufs at Commit or Abort
-	final string
+	sink    *JSONLSink
+	f       *fsatomic.File
+	bufp    *[]byte // encoded lines not yet written; back to sink.bufs at Commit or Abort
+	final   string
+	written int64 // bytes handed to f
 }
 
 func (w *jsonlShard) Write(t ceres.Triple) error {
@@ -134,10 +145,15 @@ func (w *jsonlShard) Write(t ceres.Triple) error {
 }
 
 func (w *jsonlShard) flush() error {
-	_, err := w.f.Write(*w.bufp)
+	n, err := w.f.Write(*w.bufp)
+	w.written += int64(n)
 	*w.bufp = (*w.bufp)[:0]
 	return err
 }
+
+// writtenBytes reports the size of the shard file (the runner's commit
+// span carries it).
+func (w *jsonlShard) writtenBytes() int64 { return w.written }
 
 // release ends the writer's use of its buffer.
 func (w *jsonlShard) release() {
@@ -149,11 +165,10 @@ func (w *jsonlShard) Commit() error {
 	err := w.flush()
 	w.release()
 	if err != nil {
-		w.f.Close()
-		os.Remove(w.f.Name())
+		w.f.Abort()
 		return fmt.Errorf("batch: committing shard output: %w", err)
 	}
-	if err := fsatomic.Commit(w.f, w.final); err != nil {
+	if err := w.f.Commit(w.final); err != nil {
 		return fmt.Errorf("batch: committing shard output: %w", err)
 	}
 	return nil
@@ -161,8 +176,7 @@ func (w *jsonlShard) Commit() error {
 
 func (w *jsonlShard) Abort() error {
 	w.release()
-	w.f.Close()
-	return os.Remove(w.f.Name())
+	return w.f.Abort()
 }
 
 // shardBatch is one shard read back: its decoded triples, or why it
@@ -375,6 +389,9 @@ func (w *countingShard) Commit() error {
 
 func (w *countingShard) Abort() error { return nil }
 
+// Sync implements TripleSink; there is nothing to flush.
+func (s *CountingSink) Sync() error { return nil }
+
 // CollectSink keeps committed triples in memory, per shard — the sink
 // for in-process harvests whose results are consumed directly (CLI
 // output, tests). It implements Replayer. Being in-memory, it cannot
@@ -414,6 +431,9 @@ func (w *collectShard) Commit() error {
 }
 
 func (w *collectShard) Abort() error { return nil }
+
+// Sync implements TripleSink; there is nothing to flush.
+func (s *CollectSink) Sync() error { return nil }
 
 // Replay implements Replayer over the in-memory shards.
 func (s *CollectSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {

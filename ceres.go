@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -219,6 +221,21 @@ func (p *Pipeline) Train(ctx context.Context, pages []PageSource) (*SiteModel, e
 		}
 	}
 	return m, nil
+}
+
+// TrainingKey identifies every input of Train other than the pages and
+// the worker count: the seed KB's contents (KB.Digest) and the pipeline's
+// whole configuration, hashed. Two pipelines with equal keys train the
+// same model from the same pages, or fail on them the same way — which is
+// what lets a ModelStore remember a site as untrainable across runs
+// (ModelStore.Untrainable) without ever outliving a KB that has grown or
+// an option that has changed.
+func (p *Pipeline) TrainingKey() string {
+	cfg := p.cfg
+	cfg.Workers = 0
+	h := sha256.New()
+	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", p.kb.Digest(), p.threshold, cfg)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ExtractPages runs annotation, training and extraction over the pages of

@@ -171,3 +171,38 @@ func TestKBFacade(t *testing.T) {
 		t.Errorf("EntityObject key")
 	}
 }
+
+// TestTrainingKey: the key follows every input of Train but the pages and
+// the worker count — one more KB triple or any option is another key.
+func TestTrainingKey(t *testing.T) {
+	c, err := DemoCorpus("movies", 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := NewPipeline(c.KB).TrainingKey()
+	if base != NewPipeline(c.KB).TrainingKey() || base != NewPipeline(c.KB, WithWorkers(3)).TrainingKey() {
+		t.Error("equal training inputs gave different keys")
+	}
+	for name, opt := range map[string]Option{
+		"WithMinAnnotations": WithMinAnnotations(5),
+		"WithMode":           WithMode(ModeTopicOnly),
+		"WithSeed":           WithSeed(2),
+		"WithThreshold":      WithThreshold(0.75),
+	} {
+		if NewPipeline(c.KB, opt).TrainingKey() == base {
+			t.Errorf("%s left the training key unchanged", name)
+		}
+	}
+	film := c.KB.EntityIDs()[0]
+	if err := c.KB.AddEntity(Entity{ID: "added-entity", Type: "person", Name: "Added Person"}); err != nil {
+		t.Fatal(err)
+	}
+	grownEntity := NewPipeline(c.KB).TrainingKey()
+	pred := c.KB.Ontology().Names()[0]
+	if err := c.KB.AddTriple(KBTriple{Subject: film, Predicate: pred, Object: LiteralObject("added literal")}); err != nil {
+		t.Fatal(err)
+	}
+	if grown := NewPipeline(c.KB).TrainingKey(); grown == base || grown == grownEntity || grownEntity == base {
+		t.Error("a grown KB kept its training key")
+	}
+}

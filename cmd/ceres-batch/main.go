@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -43,104 +44,42 @@ import (
 	"ceres/pagestore"
 )
 
+// options are the command's flags.
+type options struct {
+	dir          string
+	gen          bool
+	seed         int64
+	scale        float64
+	maxSitePages int
+	sites        string
+	shardPages   int
+	workers      int
+	trainPages   int
+	threshold    float64
+	fuse         bool
+	reset        bool
+}
+
 func main() {
-	dir := flag.String("dir", "harvest", "harvest directory (pages, models, triples, checkpoint, fused output)")
-	gen := flag.Bool("gen", false, "generate the 33-site websim crawl into the page store if it is empty")
-	seed := flag.Int64("seed", 1, "crawl generator seed (-gen)")
-	scale := flag.Float64("scale", 0, "crawl scale factor over the paper's page counts (-gen; 0 = websim default 1/75)")
-	maxSitePages := flag.Int("max-site-pages", 0, "per-site page cap (-gen; 0 = websim default 400)")
-	sitesFlag := flag.String("sites", "", "comma-separated site subset (default: every stored site)")
-	shardPages := flag.Int("shard-pages", 64, "pages per shard — the unit of parallelism, checkpointing and memory")
-	workers := flag.Int("workers", 4, "shards extracted concurrently")
-	trainPages := flag.Int("train-pages", 200, "leading pages used to train a site with no published model (0 = all)")
-	threshold := flag.Float64("threshold", 0.5, "extraction confidence threshold for newly trained models")
-	fuse := flag.Bool("fuse", true, "run the streaming fusion stage and write fused.jsonl")
-	reset := flag.Bool("reset", false, "discard checkpoint and shard output before running")
+	var o options
+	flag.StringVar(&o.dir, "dir", "harvest", "harvest directory (pages, models, triples, checkpoint, fused output)")
+	flag.BoolVar(&o.gen, "gen", false, "generate the 33-site websim crawl into the page store if it is empty")
+	flag.Int64Var(&o.seed, "seed", 1, "crawl generator seed (-gen)")
+	flag.Float64Var(&o.scale, "scale", 0, "crawl scale factor over the paper's page counts (-gen; 0 = websim default 1/75)")
+	flag.IntVar(&o.maxSitePages, "max-site-pages", 0, "per-site page cap (-gen; 0 = websim default 400)")
+	flag.StringVar(&o.sites, "sites", "", "comma-separated site subset (default: every stored site)")
+	flag.IntVar(&o.shardPages, "shard-pages", 64, "pages per shard — the unit of parallelism, checkpointing and memory")
+	flag.IntVar(&o.workers, "workers", 4, "shards extracted concurrently")
+	flag.IntVar(&o.trainPages, "train-pages", 200, "leading pages used to train a site with no published model (0 = all)")
+	flag.Float64Var(&o.threshold, "threshold", 0.5, "extraction confidence threshold for newly trained models")
+	flag.BoolVar(&o.fuse, "fuse", true, "run the streaming fusion stage and write fused.jsonl")
+	flag.BoolVar(&o.reset, "reset", false, "discard checkpoint and shard output before running (models and training verdicts stay)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	store, err := pagestore.Open(filepath.Join(*dir, "pages"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	kbPath := filepath.Join(*dir, "kb.tsv")
-	if *gen {
-		if err := generateCrawl(store, kbPath, *seed, *scale, *maxSitePages); err != nil {
-			log.Fatal(err)
-		}
-	}
-	sites, err := store.Sites()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(sites) == 0 {
-		log.Fatalf("page store %s holds no sites (run with -gen, or ingest a crawl first)", store.Root())
-	}
-
-	if *reset {
-		if err := os.Remove(filepath.Join(*dir, "checkpoint.json")); err != nil && !os.IsNotExist(err) {
-			log.Fatal(err)
-		}
-		if err := os.RemoveAll(filepath.Join(*dir, "triples")); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var pipeline *ceres.Pipeline
-	if kbFile, err := os.Open(kbPath); err == nil {
-		kb, kerr := ceres.ReadKB(kbFile)
-		kbFile.Close()
-		if kerr != nil {
-			log.Fatalf("reading seed KB %s: %v", kbPath, kerr)
-		}
-		pipeline = ceres.NewPipeline(kb, ceres.WithThreshold(*threshold))
-	} else if !os.IsNotExist(err) {
-		log.Fatal(err)
-	} else {
-		fmt.Fprintf(os.Stderr, "no seed KB at %s: serving stored models only, new sites are skipped\n", kbPath)
-	}
-
-	modelStore, err := ceres.NewDirStore(filepath.Join(*dir, "models"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	registry, err := ceres.OpenRegistry(ctx, modelStore)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sink, err := batch.NewJSONLSink(filepath.Join(*dir, "triples"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	runner, err := batch.NewRunner(batch.Config{
-		Provider:       store,
-		Sink:           sink,
-		Registry:       registry,
-		Store:          modelStore,
-		Pipeline:       pipeline,
-		CheckpointPath: filepath.Join(*dir, "checkpoint.json"),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	job := batch.Job{
-		ShardPages: *shardPages,
-		Workers:    *workers,
-		TrainPages: *trainPages,
-		Fuse:       *fuse,
-	}
-	if *sitesFlag != "" {
-		for _, s := range strings.Split(*sitesFlag, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				job.Sites = append(job.Sites, s)
-			}
-		}
-	}
-
-	report, err := runner.Run(ctx, job)
+	report, err := harvest(ctx, o)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted: checkpoint saved, re-run to resume")
@@ -148,16 +87,7 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-
-	if *fuse {
-		if err := writeFused(filepath.Join(*dir, "fused.jsonl"), report.Facts); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := writeStats(filepath.Join(*dir, "stats.json"), report); err != nil {
-		log.Fatal(err)
-	}
-	printReport(report, *fuse)
+	printReport(report, o.fuse)
 
 	// Skipped long-tail sites are an expected harvest outcome; extraction
 	// errors are not — surface them in the exit code so pipelines notice
@@ -168,6 +98,111 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// ownTemps are the temp-file prefixes of what this command publishes into
+// the harvest directory itself. A kill between create and rename leaves
+// one behind; the next invocation owns the directory (one process at a
+// time, as the checkpoint protocol assumes) and sweeps them. The sink
+// sweeps triples/ the same way; models/ is not swept — a DirStore is
+// shared with live daemons.
+var ownTemps = []string{".checkpoint.json-", ".fused.jsonl-", ".stats.json-", ".kb.tsv-"}
+
+// harvest is one invocation's work on the harvest directory: open the
+// page store (generating the crawl with -gen), run the batch job, and
+// write fused.jsonl and stats.json.
+func harvest(ctx context.Context, o options) (*batch.Report, error) {
+	store, err := pagestore.Open(filepath.Join(o.dir, "pages"))
+	if err != nil {
+		return nil, err
+	}
+	fsatomic.RemoveTemps(o.dir, ownTemps...)
+	kbPath := filepath.Join(o.dir, "kb.tsv")
+	if o.gen {
+		if err := generateCrawl(store, kbPath, o.seed, o.scale, o.maxSitePages); err != nil {
+			return nil, err
+		}
+	}
+	sites, err := store.Sites()
+	if err != nil {
+		return nil, err
+	}
+	if len(sites) == 0 {
+		return nil, fmt.Errorf("page store %s holds no sites (run with -gen, or ingest a crawl first)", store.Root())
+	}
+
+	if o.reset {
+		if err := os.Remove(filepath.Join(o.dir, "checkpoint.json")); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		if err := os.RemoveAll(filepath.Join(o.dir, "triples")); err != nil {
+			return nil, err
+		}
+	}
+
+	var pipeline *ceres.Pipeline
+	if kbFile, err := os.Open(kbPath); err == nil {
+		kb, kerr := ceres.ReadKB(kbFile)
+		kbFile.Close()
+		if kerr != nil {
+			return nil, fmt.Errorf("reading seed KB %s: %v", kbPath, kerr)
+		}
+		pipeline = ceres.NewPipeline(kb, ceres.WithThreshold(o.threshold))
+	} else if !os.IsNotExist(err) {
+		return nil, err
+	} else {
+		fmt.Fprintf(os.Stderr, "no seed KB at %s: serving stored models only, new sites are skipped\n", kbPath)
+	}
+
+	modelStore, err := ceres.NewDirStore(filepath.Join(o.dir, "models"))
+	if err != nil {
+		return nil, err
+	}
+	registry, err := ceres.OpenRegistry(ctx, modelStore)
+	if err != nil {
+		return nil, err
+	}
+	sink, err := batch.NewJSONLSink(filepath.Join(o.dir, "triples"))
+	if err != nil {
+		return nil, err
+	}
+	runner, err := batch.NewRunner(batch.Config{
+		Provider:       store,
+		Sink:           sink,
+		Registry:       registry,
+		Store:          modelStore,
+		Pipeline:       pipeline,
+		CheckpointPath: filepath.Join(o.dir, "checkpoint.json"),
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	job := batch.Job{
+		ShardPages: o.shardPages,
+		Workers:    o.workers,
+		TrainPages: o.trainPages,
+		Fuse:       o.fuse,
+	}
+	for _, s := range strings.Split(o.sites, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			job.Sites = append(job.Sites, s)
+		}
+	}
+
+	report, err := runner.Run(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	if o.fuse {
+		if err := writeFused(filepath.Join(o.dir, "fused.jsonl"), report.Facts); err != nil {
+			return nil, err
+		}
+	}
+	if err := writeStats(filepath.Join(o.dir, "stats.json"), report); err != nil {
+		return nil, err
+	}
+	return report, nil
 }
 
 // generateCrawl materializes the websim long-tail crawl into an empty
@@ -203,16 +238,7 @@ func generateCrawl(store *pagestore.Store, kbPath string, seed int64, scale floa
 		}
 		total += len(site.Pages)
 	}
-	kbFile, err := os.CreateTemp(filepath.Dir(kbPath), "."+filepath.Base(kbPath)+"-*")
-	if err != nil {
-		return err
-	}
-	if err := crawl.SeedKB.Write(kbFile); err != nil {
-		kbFile.Close()
-		os.Remove(kbFile.Name())
-		return err
-	}
-	if err := fsatomic.Commit(kbFile, kbPath); err != nil {
+	if err := publish(kbPath, crawl.SeedKB.Write); err != nil {
 		return err
 	}
 	mb, err := json.Marshal(map[string]any{"seed": seed, "scale": scale, "sites": len(crawl.Sites), "pages": total})
@@ -227,33 +253,35 @@ func generateCrawl(store *pagestore.Store, kbPath string, seed int64, scale floa
 	return nil
 }
 
+// publish puts what write produces in path's place, atomically and
+// durably, through a buffer of the size the shard files are written with.
+func publish(path string, write func(io.Writer) error) error {
+	return fsatomic.WriteStream(path, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 64<<10)
+		if err := write(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
+}
+
 // writeFused writes the fused facts as JSON lines — encoding/json's
 // encoding of ceres.FusedFact, byte for byte, through the harvest's own
 // encoder — atomically.
 func writeFused(path string, facts []ceres.FusedFact) error {
-	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 64<<10)
-	var line []byte
-	for i := range facts {
-		if line, err = jsonl.AppendFact(line[:0], &facts[i]); err != nil {
-			break
+	return publish(path, func(w io.Writer) error {
+		var line []byte
+		for i := range facts {
+			var err error
+			if line, err = jsonl.AppendFact(line[:0], &facts[i]); err != nil {
+				return err
+			}
+			if _, err = w.Write(line); err != nil {
+				return err
+			}
 		}
-		if _, err = w.Write(line); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	return fsatomic.Commit(f, path)
+		return nil
+	})
 }
 
 // writeStats writes the machine-readable run report — the Table-8
@@ -263,20 +291,25 @@ func writeStats(path string, rep *batch.Report) error {
 	type stage struct {
 		Stage string `json:"stage"`
 		Ns    int64  `json:"ns"`
+		// Overlapped marks the commit stage: its time runs beside the
+		// workers' and is not part of what the other stages add up to.
+		Overlapped bool `json:"overlapped,omitempty"`
 	}
 	var stages []stage
 	rep.Stages.Each(func(name string, d time.Duration) {
-		stages = append(stages, stage{Stage: name, Ns: d.Nanoseconds()})
+		stages = append(stages, stage{Stage: name, Ns: d.Nanoseconds(), Overlapped: name == overlappedStage})
 	})
 	doc := map[string]any{
-		"sites":     rep.Sites,
-		"pages":     rep.Pages,
-		"triples":   rep.Triples,
-		"shards":    rep.Shards,
-		"resumed":   rep.Resumed,
-		"facts":     len(rep.Facts),
-		"elapsedNs": rep.Elapsed.Nanoseconds(),
-		"stages":    stages,
+		"sites":          rep.Sites,
+		"pages":          rep.Pages,
+		"triples":        rep.Triples,
+		"shards":         rep.Shards,
+		"resumed":        rep.Resumed,
+		"facts":          len(rep.Facts),
+		"elapsedNs":      rep.Elapsed.Nanoseconds(),
+		"stages":         stages,
+		"commitBatches":  rep.CommitBatches,
+		"manifestWrites": rep.ManifestWrites,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -285,9 +318,14 @@ func writeStats(path string, rep *batch.Report) error {
 	return fsatomic.WriteFile(path, append(b, '\n'))
 }
 
+// overlappedStage is the one batch.StageDurations entry that runs beside
+// the others instead of adding to them.
+const overlappedStage = "commit"
+
 // printReport writes the per-site harvest summary — the CLI's analogue of
 // the paper's Table 8 — followed by the run's per-stage wall-time
-// breakdown (worker-summed, so stages can exceed elapsed).
+// breakdown (worker-summed, so stages can exceed elapsed) and what the
+// commit stage and the training verdicts did.
 func printReport(rep *batch.Report, fused bool) {
 	fmt.Printf("%-32s %7s %7s %7s %8s %8s %3s  %s\n",
 		"site", "pages", "shards", "done", "resumed", "triples", "v", "status")
@@ -308,8 +346,12 @@ func printReport(rep *batch.Report, fused bool) {
 		rep.Pages, rep.Triples, rep.Shards, rep.Resumed, rep.Elapsed.Round(1e6))
 	fmt.Printf("stages (worker-summed):")
 	rep.Stages.Each(func(name string, d time.Duration) {
-		if d > 0 {
-			fmt.Printf(" %s %s", name, d.Round(1e5))
+		if d <= 0 {
+			return
+		}
+		fmt.Printf(" %s %s", name, d.Round(1e5))
+		if name == overlappedStage {
+			fmt.Print(" (overlapped)")
 		}
 	})
 	fmt.Println()
@@ -317,9 +359,27 @@ func printReport(rep *batch.Report, fused bool) {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
 	fmt.Println(fitSummary(rep))
+	fmt.Printf("commits: %d batches, %d manifest writes\n", rep.CommitBatches, rep.ManifestWrites)
+	fmt.Println(skipSummary(rep))
 }
 
-// fitSummary is the report's last line: how many classifiers this run
+// skipSummary is the report's last line: how many sites were skipped as
+// unharvestable, and for how many of them that was read from the model
+// store's verdict instead of found out by training again.
+func skipSummary(rep *batch.Report) string {
+	var skipped, stored int
+	for _, sr := range rep.Sites {
+		if sr.Skipped {
+			skipped++
+		}
+		if sr.StoredVerdict {
+			stored++
+		}
+	}
+	return fmt.Sprintf("skipped: %d sites (%d from stored verdicts)", skipped, stored)
+}
+
+// fitSummary is a line of the report: how many classifiers this run
 // fitted, how many of those stopped at the iteration cap short of their
 // tolerance, and how far the training examples collapsed into distinct
 // rows. An unconverged fit is usable but sensitive to float summation

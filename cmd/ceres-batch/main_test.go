@@ -124,15 +124,31 @@ func TestGenerateAndHarvest(t *testing.T) {
 			Fits    []ceres.FitStats
 		} `json:"sites"`
 		Stages []struct {
-			Stage string `json:"stage"`
-			Ns    int64  `json:"ns"`
+			Stage      string `json:"stage"`
+			Ns         int64  `json:"ns"`
+			Overlapped bool   `json:"overlapped"`
 		} `json:"stages"`
+		CommitBatches  int `json:"commitBatches"`
+		ManifestWrites int `json:"manifestWrites"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("stats.json malformed: %v", err)
 	}
-	if doc.Triples != rep.Triples || len(doc.Stages) != 9 {
+	if doc.Triples != rep.Triples || len(doc.Stages) != 10 {
 		t.Fatalf("stats.json content wrong: %+v", doc)
+	}
+	// The commit stage's time runs beside the other stages' and says so;
+	// its batches and manifest writes are counted, and fewer than shards.
+	for _, s := range doc.Stages {
+		if s.Overlapped != (s.Stage == "commit") {
+			t.Errorf("stats.json stage %q overlapped=%v", s.Stage, s.Overlapped)
+		}
+	}
+	if doc.CommitBatches == 0 || doc.CommitBatches != rep.CommitBatches || doc.ManifestWrites < doc.CommitBatches || doc.ManifestWrites > rep.Shards {
+		t.Errorf("stats.json reports %d batches, %d manifest writes for %d shards", doc.CommitBatches, doc.ManifestWrites, rep.Shards)
+	}
+	if got, want := skipSummary(rep), "skipped: 2 sites (0 from stored verdicts)"; got != want {
+		t.Errorf("skipSummary = %q, want %q", got, want)
 	}
 	// Every site trained this run reports its fits, and the printed
 	// summary totals them.

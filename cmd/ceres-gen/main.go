@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -42,16 +43,11 @@ func main() {
 		}
 	}
 	kbPath := filepath.Join(*out, "kb.tsv")
-	kbFile, err := os.CreateTemp(*out, ".kb.tsv-*")
-	if err != nil {
+	var kb bytes.Buffer
+	if err := c.KB.Write(&kb); err != nil {
 		log.Fatal(err)
 	}
-	if err := c.KB.Write(kbFile); err != nil {
-		kbFile.Close()
-		os.Remove(kbFile.Name())
-		log.Fatal(err)
-	}
-	if err := fsatomic.Commit(kbFile, kbPath); err != nil {
+	if err := fsatomic.WriteFile(kbPath, kb.Bytes()); err != nil {
 		log.Fatal(err)
 	}
 	var gold strings.Builder

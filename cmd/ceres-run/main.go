@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -148,20 +149,14 @@ func main() {
 		log.Fatal("no model after run")
 	}
 	if *saveModel != "" {
-		f, err := os.CreateTemp(filepath.Dir(*saveModel), "."+filepath.Base(*saveModel)+"-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		n, err := model.Model.WriteTo(f)
-		if err != nil {
-			f.Close()
-			os.Remove(f.Name())
+		var buf bytes.Buffer
+		if _, err := model.Model.WriteTo(&buf); err != nil {
 			log.Fatalf("saving model: %v", err)
 		}
-		if err := fsatomic.Commit(f, *saveModel); err != nil {
+		if err := fsatomic.WriteFile(*saveModel, buf.Bytes()); err != nil {
 			log.Fatalf("saving model: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *saveModel, n)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *saveModel, buf.Len())
 	}
 
 	if !*stream {
@@ -191,6 +186,7 @@ type printSink struct {
 }
 
 func (s *printSink) OpenShard(batch.Shard) (batch.ShardWriter, error) { return s, nil }
+func (s *printSink) Sync() error                                      { return nil }
 func (s *printSink) Write(t ceres.Triple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

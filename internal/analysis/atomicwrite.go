@@ -6,26 +6,28 @@ import (
 )
 
 // AtomicWriteAnalyzer enforces the repo's crash-safety invariant: every
-// file publication goes through internal/fsatomic (Commit / WriteFile),
-// so readers — and crash-restarted processes — observe either the old
-// file or the complete new one, never a torn write, and failed writes
-// leave no temp droppings.
+// file publication goes through internal/fsatomic (CreateTemp + Commit,
+// or WriteFile), so readers — and crash-restarted processes — observe
+// either the old file or the complete new one, never a torn write, failed
+// writes leave no temp droppings, and every durable-path operation passes
+// the package's fault seam, where the crash-point tests see it.
 //
-// Flagged: calls to os.Create, os.WriteFile, os.Rename and
-// io/ioutil.WriteFile. Allowed: os.CreateTemp (the blessed pattern is
-// CreateTemp → stream → fsatomic.Commit), os.OpenFile (append-only
-// segment files are legitimately non-atomic), anything inside the
-// fsatomic package itself (the one place the rename dance may live) and
-// _test.go files (tests write fixtures freely).
+// Flagged: calls to os.Create, os.CreateTemp, os.WriteFile, os.Rename,
+// os.Link and io/ioutil.WriteFile, and calls to fsatomic.SetHook — the
+// seam is for tests; no production path may install a hook. Allowed:
+// os.OpenFile (append-only segment files are legitimately non-atomic),
+// anything inside the fsatomic package itself (the one place the rename
+// dance may live) and its test driver fsatomictest, and _test.go files
+// (tests write fixtures freely).
 var AtomicWriteAnalyzer = &Analyzer{
 	Name: "atomicwrite",
-	Doc:  "raw os.Create/os.WriteFile/os.Rename outside internal/fsatomic",
+	Doc:  "raw os.Create/CreateTemp/WriteFile/Rename/Link outside internal/fsatomic, or fsatomic.SetHook outside tests",
 	Run:  runAtomicWrite,
 }
 
 func runAtomicWrite(pass *Pass) {
 	pkg := pass.Pkg
-	if pkg.Path == "ceres/internal/fsatomic" || strings.HasSuffix(pkg.Path, "/fsatomic") {
+	if strings.HasSuffix(pkg.Path, "/fsatomic") || strings.HasSuffix(pkg.Path, "/fsatomictest") {
 		return
 	}
 	for i, f := range pkg.Files {
@@ -42,10 +44,12 @@ func runAtomicWrite(pass *Pass) {
 				return true
 			}
 			switch {
-			case path == "os" && (name == "Create" || name == "WriteFile" || name == "Rename"):
-				pass.Reportf(call.Pos(), "raw os.%s: publish files through internal/fsatomic (WriteFile, or CreateTemp+Commit for streams) so readers never observe torn writes", name)
+			case path == "os" && (name == "Create" || name == "CreateTemp" || name == "WriteFile" || name == "Rename" || name == "Link"):
+				pass.Reportf(call.Pos(), "raw os.%s: publish files through internal/fsatomic (WriteFile, or CreateTemp+Commit for streams) so readers never observe torn writes and the crash-point tests see the operation", name)
 			case path == "io/ioutil" && name == "WriteFile":
 				pass.Reportf(call.Pos(), "raw ioutil.WriteFile: publish files through internal/fsatomic so readers never observe torn writes")
+			case strings.HasSuffix(path, "/fsatomic") && name == "SetHook":
+				pass.Reportf(call.Pos(), "fsatomic.SetHook outside a test: the fault seam must never be installed by production code")
 			}
 			return true
 		})

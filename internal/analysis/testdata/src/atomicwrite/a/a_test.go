@@ -1,9 +1,15 @@
 package a
 
-import "os"
+import (
+	"os"
 
-// Test files write fixtures freely: no diagnostics here.
+	"ceres/internal/fsatomic"
+)
+
+// Test files write fixtures freely and may install the fault seam: no
+// diagnostics here.
 func helperForTests(dir string) error {
+	defer fsatomic.SetHook(nil)()
 	if err := os.WriteFile(dir+"/fixture", nil, 0o644); err != nil {
 		return err
 	}

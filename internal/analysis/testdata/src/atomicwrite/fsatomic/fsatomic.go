@@ -12,3 +12,7 @@ func Commit(tmp, final string) error {
 func WriteFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
+
+func CreateTemp(dir, pattern string) (*os.File, error) {
+	return os.CreateTemp(dir, pattern)
+}

@@ -2,6 +2,8 @@ package kb
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"strings"
@@ -19,26 +21,50 @@ import (
 // Write serializes the KB (ontology, entities, triples) to w.
 func (k *KB) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	line := func(fields ...string) {
+		for i, f := range fields {
+			if i > 0 {
+				bw.WriteByte('\t')
+			}
+			bw.WriteString(f)
+		}
+		bw.WriteByte('\n')
+	}
 	for _, name := range k.ontology.Names() {
 		p, _ := k.ontology.Predicate(name)
 		card := "single"
 		if p.MultiValued {
 			card = "multi"
 		}
-		fmt.Fprintf(bw, "P\t%s\t%s\t%s\t%s\n", p.Name, p.Domain, p.Range, card)
+		line("P", p.Name, p.Domain, p.Range, card)
 	}
 	for _, id := range k.EntityIDs() {
 		e := k.entities[id]
-		fmt.Fprintf(bw, "E\t%s\t%s\t%s\t%s\n", e.ID, e.Type, escapeField(e.Name), escapeField(strings.Join(e.Aliases, "|")))
+		line("E", e.ID, e.Type, escapeField(e.Name), escapeField(strings.Join(e.Aliases, "|")))
 	}
 	for _, t := range k.triples {
-		obj := "l:" + escapeField(t.Object.Literal)
 		if t.Object.IsEntity() {
-			obj = "e:" + t.Object.EntityID
+			line("T", t.Subject, t.Predicate, "e:"+t.Object.EntityID)
+		} else {
+			line("T", t.Subject, t.Predicate, "l:"+escapeField(t.Object.Literal))
 		}
-		fmt.Fprintf(bw, "T\t%s\t%s\t%s\n", t.Subject, t.Predicate, obj)
 	}
 	return bw.Flush()
+}
+
+// Digest identifies the KB's contents: the SHA-256, in hex, of the bytes
+// Write produces. It is computed on first use and cached until the next
+// AddEntity/AddTriple, exactly as BuildIndex's index is, and is safe to
+// call concurrently under the same rules.
+func (k *KB) Digest() string {
+	k.idxMu.Lock()
+	defer k.idxMu.Unlock()
+	if k.digest == "" {
+		h := sha256.New()
+		k.Write(h) // a hash.Hash never fails a write
+		k.digest = hex.EncodeToString(h.Sum(nil))
+	}
+	return k.digest
 }
 
 // Read parses the serialization produced by Write into a fresh KB.

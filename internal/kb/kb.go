@@ -74,10 +74,12 @@ type KB struct {
 	// the frequent-object filter of §3.1.1.
 	objectCount map[string]int
 
-	// idx caches the frozen annotation index (see index.go); any mutation
-	// invalidates it. idxMu makes concurrent BuildIndex calls safe.
-	idxMu sync.Mutex
-	idx   *Index
+	// idx caches the frozen annotation index (see index.go) and digest the
+	// content digest (see Digest); any mutation invalidates both. idxMu
+	// makes concurrent BuildIndex and Digest calls safe.
+	idxMu  sync.Mutex
+	idx    *Index
+	digest string
 }
 
 // New creates an empty KB over the given ontology.
@@ -119,6 +121,7 @@ func (k *KB) AddEntity(e Entity) error {
 func (k *KB) invalidateIndex() {
 	k.idxMu.Lock()
 	k.idx = nil
+	k.digest = ""
 	k.idxMu.Unlock()
 }
 

@@ -1,6 +1,8 @@
 package kb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -198,6 +200,66 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if sb.String() != sb2.String() {
 		t.Errorf("serialization not stable")
+	}
+}
+
+// TestWriteGolden pins the serialization byte for byte — escapes, empty
+// fields, record order — to what it has always been: Digest, and through
+// it every stored training verdict, is a hash of these bytes.
+func TestWriteGolden(t *testing.T) {
+	k := sampleKB(t)
+	if err := k.AddEntity(Entity{ID: "p9", Type: "person", Name: "Tab\tName", Aliases: []string{"back\\slash", "new\nline"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.AddTriple(Triple{Subject: "f2", Predicate: "hasGenre", Object: LiteralObject("a\tb")}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "P\tdirectedBy\tfilm\tperson\tsingle\nP\thasCastMember\tfilm\tperson\tmulti\nP\thasGenre\tfilm\t\tmulti\nP\treleaseYear\tfilm\t\tsingle\nP\tactedIn\tperson\tfilm\tmulti\n" +
+		"E\tf1\tfilm\tDo the Right Thing\t\nE\tf2\tfilm\tCrooklyn\t\nE\tp1\tperson\tSpike Lee\tLee, Spike\nE\tp2\tperson\tDanny Aiello\t\nE\tp9\tperson\tTab\\tName\tback\\\\slash|new\\nline\n" +
+		"T\tf1\tdirectedBy\te:p1\nT\tf1\thasCastMember\te:p1\nT\tf1\thasCastMember\te:p2\nT\tf1\thasGenre\tl:Comedy\nT\tf1\thasGenre\tl:Drama\nT\tf1\treleaseYear\tl:1989\n" +
+		"T\tf2\tdirectedBy\te:p1\nT\tf2\thasGenre\tl:Comedy\nT\tp1\tactedIn\te:f1\nT\tf2\thasGenre\tl:a\\tb\n"
+	var sb strings.Builder
+	if err := k.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() != want {
+		t.Fatalf("Write produced\n%q\nwant\n%q", sb.String(), want)
+	}
+}
+
+// TestDigest holds the digest to the SHA-256 of the Write form, checks a
+// KB read back from that form has the same one, and that it follows
+// every mutation the way BuildIndex's cache does.
+func TestDigest(t *testing.T) {
+	k := sampleKB(t)
+	var sb strings.Builder
+	if err := k.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256([]byte(sb.String()))
+	d := k.Digest()
+	if d != hex.EncodeToString(sum[:]) || d != k.Digest() {
+		t.Fatalf("Digest = %s, want the SHA-256 of the Write form %x", d, sum)
+	}
+	k2, err := Read(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k2.Digest() != d {
+		t.Error("a KB read back from its Write form has another digest")
+	}
+	if err := k.AddTriple(Triple{Subject: "f2", Predicate: "releaseYear", Object: LiteralObject("1994")}); err != nil {
+		t.Fatal(err)
+	}
+	d2 := k.Digest()
+	if d2 == d {
+		t.Error("adding a triple left the digest unchanged")
+	}
+	if err := k.AddEntity(Entity{ID: "p3", Type: "person", Name: "Ossie Davis"}); err != nil {
+		t.Fatal(err)
+	}
+	if k.Digest() == d2 {
+		t.Error("adding an entity left the digest unchanged")
 	}
 }
 

@@ -1,6 +1,7 @@
 package ceres
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/url"
@@ -11,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"ceres/internal/fsatomic"
 )
 
 // ErrModelNotFound reports a site or version absent from a ModelStore.
@@ -55,6 +58,16 @@ type ModelStore interface {
 	// List enumerates the stored sites and their versions, sorted by site
 	// (versions ascending).
 	List() ([]StoreEntry, error)
+	// Untrainable returns the verdict MarkUntrainable recorded for the
+	// site — the reason training failed — provided it was recorded under
+	// the same key; a verdict under any other key is no verdict. A site
+	// with a verdict and no model is in no listing.
+	Untrainable(site, key string) (reason string, ok bool, err error)
+	// MarkUntrainable records that training the site failed with reason,
+	// replacing any earlier verdict. key names the inputs the failure is a
+	// property of (Pipeline.TrainingKey plus the page range); Publish
+	// clears the verdict.
+	MarkUntrainable(site, key, reason string) error
 }
 
 // StoreEntry is one site of a ModelStore listing.
@@ -75,7 +88,9 @@ type StoreEntry struct {
 // exists. Version numbers are recovered from the directory listing, so a
 // DirStore survives restarts and can be shared by several processes:
 // concurrent publishers of the same site each get their own version (a
-// collision re-assigns the number and retries the link).
+// collision re-assigns the number and retries the link). A training
+// verdict (MarkUntrainable) is one more atomically written file of the
+// site's directory, verdictFile, which no listing counts as a version.
 type DirStore struct {
 	root        string
 	publishJSON bool
@@ -123,6 +138,29 @@ const (
 
 func versionFile(v int, ext string) string { return fmt.Sprintf("v%06d%s", v, ext) }
 
+// verdictFile holds a site's training verdict; parseVersion does not
+// take it for a version.
+const verdictFile = "untrainable.json"
+
+// verdict is verdictFile's content.
+type verdict struct {
+	Key    string `json:"key"`
+	Reason string `json:"reason"`
+}
+
+// ensureSiteDir creates the site's directory if it is missing, flushing
+// the root so that what is then published inside it cannot outlive it.
+func (s *DirStore) ensureSiteDir(site string) (string, error) {
+	dir := s.siteDir(site)
+	if _, err := os.Stat(dir); err == nil {
+		return dir, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	return dir, fsatomic.SyncDir(s.root)
+}
+
 // parseVersion extracts N from a "vNNNNNN.bin" or "vNNNNNN.json" file
 // name, -1 otherwise.
 func parseVersion(name string) int {
@@ -167,10 +205,11 @@ func (s *DirStore) versions(site string) ([]int, error) {
 }
 
 // Publish implements ModelStore: serialize m, write it to a temp file in
-// the site's directory, fsync, and link it into place as the next version
-// number. Linking (not renaming) makes the final step fail instead of
-// clobber when another process published the same version concurrently;
-// on that collision the version is re-assigned and the link retried, so
+// the site's directory, fsync, link it into place as the next version
+// number, flush the directory, and drop the site's training verdict.
+// Linking (not renaming) makes that step fail instead of clobber when
+// another process published the same version concurrently; on that
+// collision the version is re-assigned and the link retried, so
 // concurrent publishers each keep their own complete model.
 func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	if err := CheckSiteName(site); err != nil {
@@ -178,8 +217,8 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir := s.siteDir(site)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	dir, err := s.ensureSiteDir(site)
+	if err != nil {
 		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
 	vs, err := s.versions(site)
@@ -190,11 +229,11 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	if len(vs) > 0 {
 		version = vs[len(vs)-1] + 1
 	}
-	tmp, err := os.CreateTemp(dir, ".publish-*")
+	tmp, err := fsatomic.CreateTemp(dir, ".publish-*")
 	if err != nil {
 		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // the published file is a separate link
+	defer tmp.Abort() // the published file is a separate link
 	ext := extBinary
 	if s.publishJSON {
 		ext = extJSON
@@ -202,20 +241,12 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	} else {
 		_, err = m.WriteBinary(tmp)
 	}
+	if err == nil {
+		// Published versions are world-readable so other processes
+		// sharing the store can serve them.
+		err = tmp.Seal()
+	}
 	if err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("ceres: publishing model: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("ceres: publishing model: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("ceres: publishing model: %w", err)
-	}
-	// CreateTemp makes files 0600; published versions are world-readable
-	// so other processes sharing the store can serve them.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
 		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
 	for {
@@ -225,7 +256,7 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 			version++
 			continue
 		}
-		err := os.Link(tmp.Name(), filepath.Join(dir, versionFile(version, ext)))
+		err := tmp.Link(filepath.Join(dir, versionFile(version, ext)))
 		if err == nil {
 			break
 		}
@@ -237,14 +268,55 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	// The version is only durable once its directory entry is flushed;
 	// without this a crash could resurrect the number for a different
 	// model.
-	if d, err := os.Open(dir); err == nil {
-		syncErr := d.Sync()
-		d.Close()
-		if syncErr != nil {
-			return 0, fmt.Errorf("ceres: publishing model: %w", syncErr)
-		}
+	if err := fsatomic.SyncDir(dir); err != nil {
+		return 0, fmt.Errorf("ceres: publishing model: %w", err)
+	}
+	// A model outranks a verdict wherever both are consulted, so a crash
+	// before this line leaves a stale file, not a wrong answer.
+	if err := fsatomic.Remove(filepath.Join(dir, verdictFile)); err != nil && !os.IsNotExist(err) {
+		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
 	return version, nil
+}
+
+// Untrainable implements ModelStore. A verdict file that does not parse
+// is treated like one under another key: ignored, and overwritten by the
+// next MarkUntrainable.
+func (s *DirStore) Untrainable(site, key string) (string, bool, error) {
+	if err := CheckSiteName(site); err != nil {
+		return "", false, fmt.Errorf("ceres: reading training verdict: %w", err)
+	}
+	data, err := os.ReadFile(filepath.Join(s.siteDir(site), verdictFile))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return "", false, nil
+		}
+		return "", false, fmt.Errorf("ceres: reading training verdict: %w", err)
+	}
+	var v verdict
+	if json.Unmarshal(data, &v) != nil || v.Key != key {
+		return "", false, nil
+	}
+	return v.Reason, true, nil
+}
+
+// MarkUntrainable implements ModelStore.
+func (s *DirStore) MarkUntrainable(site, key, reason string) error {
+	if err := CheckSiteName(site); err != nil {
+		return fmt.Errorf("ceres: writing training verdict: %w", err)
+	}
+	data, err := json.Marshal(verdict{Key: key, Reason: reason})
+	if err != nil {
+		return fmt.Errorf("ceres: writing training verdict: %w", err)
+	}
+	dir, err := s.ensureSiteDir(site)
+	if err == nil {
+		err = fsatomic.WriteFile(filepath.Join(dir, verdictFile), append(data, '\n'))
+	}
+	if err != nil {
+		return fmt.Errorf("ceres: writing training verdict: %w", err)
+	}
+	return nil
 }
 
 func otherExt(ext string) string {

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"ceres/internal/fsatomic"
 )
 
 func TestDirStorePublishOpenLatestList(t *testing.T) {
@@ -299,5 +301,138 @@ func TestCheckSiteName(t *testing.T) {
 		if err := CheckSiteName(ok); err != nil {
 			t.Errorf("CheckSiteName(%q) = %v, want nil", ok, err)
 		}
+	}
+}
+
+// TestDirStoreVerdict covers the training verdict a DirStore keeps beside
+// a site's versions: it answers only under the key it was written with,
+// is replaced by the next one, never makes a site appear in a listing (so
+// a registry boot and a watcher poll see nothing), and a Publish drops it.
+func TestDirStoreVerdict(t *testing.T) {
+	f := getTrainServeFixture(t)
+	root := filepath.Join(t.TempDir(), "models")
+	store, err := NewDirStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const site = "charts.example/a"
+	verdict := func(key string) (string, bool) {
+		t.Helper()
+		reason, ok, err := store.Untrainable(site, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reason, ok
+	}
+	if _, ok := verdict("k1"); ok {
+		t.Fatal("an empty store holds a verdict")
+	}
+	if err := store.MarkUntrainable(site, "k1", "no annotations"); err != nil {
+		t.Fatal(err)
+	}
+	if reason, ok := verdict("k1"); !ok || reason != "no annotations" {
+		t.Fatalf("verdict under its own key = %q, %v", reason, ok)
+	}
+	if _, ok := verdict("k2"); ok {
+		t.Fatal("a verdict answered under another key")
+	}
+	if err := store.MarkUntrainable(site, "k2", "still none"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := verdict("k1"); ok {
+		t.Fatal("the overwritten verdict still answers")
+	}
+	if reason, ok := verdict("k2"); !ok || reason != "still none" {
+		t.Fatalf("verdict after overwrite = %q, %v", reason, ok)
+	}
+
+	// A verdict-only site directory is no site: not to List, not to a
+	// registry booting from the store, not to a watcher, not to Latest.
+	if ents, err := store.List(); err != nil || len(ents) != 0 {
+		t.Fatalf("List() = %+v, %v; want nothing", ents, err)
+	}
+	reg, err := OpenRegistry(context.Background(), store)
+	if err != nil || reg.Len() != 0 {
+		t.Fatalf("OpenRegistry over a verdict-only store: %d sites, %v", reg.Len(), err)
+	}
+	if n, err := NewModelWatcher(store, reg, WatcherOptions{}).Poll(context.Background()); n != 0 || err != nil {
+		t.Fatalf("watcher poll over a verdict-only store = %d swaps, %v", n, err)
+	}
+	if _, _, err := store.Latest(site); !errors.Is(err, ErrModelNotFound) {
+		t.Fatalf("Latest over a verdict-only site = %v, want ErrModelNotFound", err)
+	}
+	if ents, _ := os.ReadDir(filepath.Join(root, "charts.example%2Fa")); len(ents) != 1 {
+		t.Fatalf("site directory holds %v, want the verdict file alone", ents)
+	}
+
+	// A malformed verdict file is no verdict, and is simply replaced.
+	if err := os.WriteFile(filepath.Join(root, "charts.example%2Fa", verdictFile), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := verdict("k2"); ok {
+		t.Fatal("a malformed verdict file answered")
+	}
+	if err := store.MarkUntrainable(site, "k2", "still none"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Publishing the site clears it.
+	if _, err := store.Publish(site, f.model); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := verdict("k2"); ok {
+		t.Fatal("Publish left the verdict in place")
+	}
+	if ents, err := store.List(); err != nil || len(ents) != 1 || !reflect.DeepEqual(ents[0].Versions, []int{1}) {
+		t.Fatalf("List() after publish = %+v, %v", ents, err)
+	}
+
+	if _, _, err := store.Untrainable("..", "k"); !errors.Is(err, ErrInvalidSiteName) {
+		t.Errorf("Untrainable(..) = %v, want ErrInvalidSiteName", err)
+	}
+	if err := store.MarkUntrainable("", "k", "r"); !errors.Is(err, ErrInvalidSiteName) {
+		t.Errorf("MarkUntrainable(\"\") = %v, want ErrInvalidSiteName", err)
+	}
+}
+
+// TestDirStorePublishOrder holds a publish to the order a power loss
+// needs, on the operations the filesystem seam records: a new site's
+// directory is flushed into the root before anything is put in it, the
+// model's bytes are fsynced before the version is linked, and the site's
+// directory is flushed after the link — only then is the version number
+// taken for good.
+func TestDirStorePublishOrder(t *testing.T) {
+	f := getTrainServeFixture(t)
+	root := filepath.Join(t.TempDir(), "models")
+	store, err := NewDirStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	restore := fsatomic.SetHook(func(op fsatomic.Op) (int, error) {
+		rel, _ := filepath.Rel(root, op.Path)
+		if op.Kind == fsatomic.OpCreate || op.Kind == fsatomic.OpWrite || op.Kind == fsatomic.OpSync || op.Kind == fsatomic.OpLink {
+			rel = filepath.Dir(rel) // temp names are random
+		}
+		ops = append(ops, op.Kind.String()+" "+rel)
+		return 0, nil
+	})
+	defer restore()
+	for range 2 {
+		if _, err := store.Publish("a.example", f.model); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restore()
+	publish := []string{"create a.example", "write a.example", "sync a.example", "link a.example", "syncdir a.example", "remove a.example/untrainable.json"}
+	want := append(append([]string{"syncdir ."}, publish...), publish...)
+	var got []string
+	for _, op := range ops {
+		if !strings.HasPrefix(op, "remove a.example/.publish-") { // the temp name's removal, deferred
+			got = append(got, op)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || len(ops) != len(want)+2 {
+		t.Fatalf("two publishes performed\n%v\nwant (plus one temp removal each)\n%v", ops, want)
 	}
 }

@@ -105,6 +105,10 @@ func (s *fakeStore) Open(site string, version int) (*SiteModel, error) {
 func (s *fakeStore) Latest(site string) (*SiteModel, int, error) {
 	return nil, 0, ErrModelNotFound
 }
+func (s *fakeStore) Untrainable(string, string) (string, bool, error) { return "", false, nil }
+func (s *fakeStore) MarkUntrainable(string, string, string) error {
+	return errors.New("fakeStore: read-only")
+}
 
 // TestWatcherRollback: when the store's latest is below the registry's
 // serving version (operator deleted a bad artifact), the watcher
