@@ -56,7 +56,10 @@ crash-sweep:
 # BatchHarvest/JSONL and ReplayFuse are the durable harvest path
 # ceres-batch runs (JSONL shards, commit stage, replay into fusion; JSONL
 # also prints manifest-writes/op and fsyncs/op, which must stay well under
-# one and four per shard); AppendTriple/DecodeTriple the codec under it.
+# one and four per shard); BatchHarvest/Cold is the same path with every
+# site trained in the pass, at two workers (peak-sites-training/op must
+# read at least 2 and peak-sites-holding-pages/op exactly 1);
+# AppendTriple/DecodeTriple the codec under it.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr

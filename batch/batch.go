@@ -11,7 +11,8 @@
 //   - PlanJob shards every site's pages into fixed-size ranges.
 //   - A Runner executes shards on a worker pool through the serving
 //     stack's Registry/Service; sites with no published model are trained
-//     first (once, whatever the worker count) and published — through the
+//     first (once each; several at a time when there are workers for it,
+//     one of them holding parsed pages) and published — through the
 //     configured ceres.ModelStore when one is set, so a crash never loses
 //     a trained model.
 //   - Each shard's triples are encoded into a TripleSink writer and handed
@@ -23,9 +24,10 @@
 //     plan order through a ceres.Fuser — observations are never
 //     materialized as one list.
 //
-// Memory stays bounded throughout: a worker holds one shard of pages and
-// its triples at a time, never a whole site, and at most two encoded
-// shards per worker wait for the commit stage.
+// Memory stays bounded throughout: an extracting worker holds one shard of
+// pages and its triples at a time, never a whole site, at most two encoded
+// shards per worker wait for the commit stage, and of the sites in
+// training one at a time holds its parsed TrainPages pages.
 package batch
 
 import (

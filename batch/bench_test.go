@@ -18,15 +18,21 @@ var benchSites = []string{"blaxploitation.com", "kinobox.cz", "laborfilms.com"}
 // BenchmarkBatchHarvest measures batch extraction throughput (pages/sec)
 // over a scaled websim crawl: pagestore streaming, shard planning,
 // Service extraction, sink commits and the streaming fusion stage.
-// Models are trained once outside the timed loop — the steady-state cost
-// of a harvest is serving, not training. Collect keeps the triples in
-// memory; JSONL is the path ceres-batch runs — JSONL encode, the commit
-// stage's shard fsyncs and renames, directory flushes and checkpoint
-// manifests, and fusion replaying the shard files — into a fresh
-// directory each pass, as after -reset. JSONL also reports, counted at
-// the filesystem seam, how many manifests and how many fsyncs (file and
+// Collect and JSONL run with models trained once outside the timed loop —
+// the steady-state cost of a harvest is serving, not training. Collect
+// keeps the triples in memory; JSONL is the path ceres-batch runs — JSONL
+// encode, the commit stage's shard fsyncs and renames, directory flushes
+// and checkpoint manifests, and fusion replaying the shard files — into a
+// fresh directory each pass, as after -reset. JSONL also reports, counted
+// at the filesystem seam, how many manifests and how many fsyncs (file and
 // directory) a pass costs: a change that goes back to one manifest write
-// per shard shows there before it shows in pages/s.
+// per shard shows there before it shows in pages/s. Cold is the JSONL path
+// with nothing published: every pass trains every site through a fresh
+// pipeline at two workers, and reports how many sites were in training at
+// once (at least 2: the dispatcher never parks a worker behind a site
+// another one is training) and how many of those held their parsed pages
+// (1: the pipeline's prepare gate) — the two numbers a cold harvest's wall
+// clock and its peak memory come from.
 func BenchmarkBatchHarvest(b *testing.B) {
 	f := newCrawlFixture(b, b.TempDir(), benchSites)
 	job := Job{ShardPages: 16, Workers: 4, Fuse: true}
@@ -41,21 +47,32 @@ func BenchmarkBatchHarvest(b *testing.B) {
 	if _, err := warm.Run(context.Background(), Job{ShardPages: 16, Workers: 4}); err != nil {
 		b.Fatal(err)
 	}
+	jsonlInto := func(b *testing.B) Config {
+		dir := b.TempDir()
+		sink, err := NewJSONLSink(filepath.Join(dir, "triples"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return Config{Provider: f.store, Sink: sink, CheckpointPath: filepath.Join(dir, "checkpoint.json")}
+	}
 
 	for _, bc := range []struct {
 		name   string
+		job    Job
 		config func(b *testing.B) Config
 	}{
-		{"Collect", func(*testing.B) Config {
+		{"Collect", job, func(*testing.B) Config {
 			return Config{Provider: f.store, Sink: NewCollectSink(), Registry: reg}
 		}},
-		{"JSONL", func(b *testing.B) Config {
-			dir := b.TempDir()
-			sink, err := NewJSONLSink(filepath.Join(dir, "triples"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			return Config{Provider: f.store, Sink: sink, Registry: reg, CheckpointPath: filepath.Join(dir, "checkpoint.json")}
+		{"JSONL", job, func(b *testing.B) Config {
+			cfg := jsonlInto(b)
+			cfg.Registry = reg
+			return cfg
+		}},
+		{"Cold", Job{ShardPages: 16, Workers: 2, Fuse: true}, func(b *testing.B) Config {
+			cfg := jsonlInto(b)
+			cfg.Pipeline = ceres.NewPipeline(f.kb, ceres.WithThreshold(0.5))
+			return cfg
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -64,7 +81,7 @@ func BenchmarkBatchHarvest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				rep, err := r.Run(context.Background(), job)
+				rep, err := r.Run(context.Background(), bc.job)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,11 +104,15 @@ func BenchmarkBatchHarvest(b *testing.B) {
 				}
 				return 0, nil
 			})()
-			pages := 0
+			pages, trained, peakTraining, peakHolding := 0, 0, 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pages += pass().Pages
+				rep := pass()
+				pages += rep.Pages
+				trained += rep.Training.Sites
+				peakTraining += rep.Training.PeakTraining
+				peakHolding += rep.Training.PeakHolding
 			}
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
@@ -100,6 +121,10 @@ func BenchmarkBatchHarvest(b *testing.B) {
 			if n := fsyncs.Load(); n > 0 {
 				b.ReportMetric(float64(manifests.Load())/float64(b.N), "manifest-writes/op")
 				b.ReportMetric(float64(n)/float64(b.N), "fsyncs/op")
+			}
+			if trained > 0 {
+				b.ReportMetric(float64(peakTraining)/float64(b.N), "peak-sites-training/op")
+				b.ReportMetric(float64(peakHolding)/float64(b.N), "peak-sites-holding-pages/op")
 			}
 		})
 	}

@@ -53,10 +53,11 @@ func TestRunnerMetrics(t *testing.T) {
 }
 
 // TestRunnerTraceAndStages runs a traced harvest and checks both views
-// of the same work: the span trees — per shard batch.shard →
-// resolve[→train→parse/cluster]/extract[→parse/route/score]/sink, per
-// commit-stage batch batch.commit → writers/sync/checkpoint — and the
-// report's aggregated stage breakdown.
+// of the same work: the span trees — per resolved site batch.site →
+// resolve[→train→wait/parse/cluster/annotate/fit], per extracted shard
+// batch.shard → extract[→parse/route/score]/sink, per commit-stage batch
+// batch.commit → writers/sync/checkpoint — and the report's aggregated
+// stage breakdown.
 func TestRunnerTraceAndStages(t *testing.T) {
 	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "kinobox.cz"})
 	tr := ceres.NewTracer(ceres.TracerOptions{SampleEvery: 1, Capacity: 64})
@@ -72,8 +73,8 @@ func TestRunnerTraceAndStages(t *testing.T) {
 	// Aggregated stage breakdown: every executed stage accumulated time,
 	// and the serve-side stages are a subset of extract.
 	st := rep.Stages
-	if st.Train <= 0 || st.Resolve < st.Train {
-		t.Errorf("train %v should be nonzero and nested in resolve %v", st.Train, st.Resolve)
+	if st.Train <= 0 || st.Resolve < st.Train || st.Train < st.TrainWait {
+		t.Errorf("train %v should be nonzero and nested in resolve %v, train-wait %v in train", st.Train, st.Resolve, st.TrainWait)
 	}
 	if st.Extract <= 0 || st.Score <= 0 || st.Parse <= 0 {
 		t.Errorf("extract stage times missing: %+v", st)
@@ -90,21 +91,18 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		names = append(names, name)
 		total += d
 	})
-	if len(names) != 10 || names[0] != "resolve" || names[8] != "commit" || names[9] != "fuse" || total <= 0 {
+	if len(names) != 11 || names[0] != "resolve" || names[2] != "train-wait" || names[9] != "commit" || names[10] != "fuse" || total <= 0 {
 		t.Errorf("Each visited %v (total %v)", names, total)
 	}
 
-	// Span trees: one batch.shard root per attempted shard — extracted
-	// ones carry the extract/sink chain and nothing of the commit stage,
-	// shards of a skipped site stop after resolve. The first shard of each
-	// site carries the resolve→train subtree with the training pipeline's
-	// own spans hanging off it (a failed training run is traced too). One
-	// batch.commit root per batch the commit stage recorded, each saying
-	// how many shards it made durable.
-	planned := 0
-	for _, sr := range rep.Sites {
-		planned += sr.Shards
-	}
+	// Span trees: one batch.site root per site the run resolved, carrying
+	// the resolve→train subtree with the training pipeline's own spans
+	// hanging off it (a failed training run is traced too, and its root
+	// says why the site is skipped); one batch.shard root per extracted
+	// shard, with the extract/sink chain and nothing of the commit stage —
+	// a skipped site's shards are never handed out; one batch.commit root
+	// per batch the commit stage recorded, each saying how many shards it
+	// made durable.
 	var roots []*ceres.Span
 	batches, batched := 0, 0
 	for _, root := range tr.Roots() {
@@ -128,49 +126,64 @@ func TestRunnerTraceAndStages(t *testing.T) {
 	if batches == 0 || batches != rep.CommitBatches || batched != rep.Shards {
 		t.Errorf("%d batch.commit roots over %d shards, report says %d batches, %d shards", batches, batched, rep.CommitBatches, rep.Shards)
 	}
-	if len(roots) != planned-rep.Resumed {
-		t.Fatalf("%d shard traces for %d attempted shards", len(roots), planned-rep.Resumed)
-	}
-	committed, trained := 0, 0
+	committed, trained, skipped := 0, 0, 0
 	var fitSpans []ceres.FitStats
 	for _, root := range roots {
-		if root.Name() != "batch.shard" {
-			t.Fatalf("unexpected root %q", root.Name())
-		}
-		if ex := root.Child("extract"); ex != nil {
-			if ex.Child("score") == nil || ex.Child("parse") == nil || ex.Child("route") == nil {
-				t.Fatalf("extract span lost its stage children")
+		switch root.Name() {
+		case "batch.shard":
+			ex := root.Child("extract")
+			if ex == nil || ex.Child("score") == nil || ex.Child("parse") == nil || ex.Child("route") == nil {
+				t.Fatalf("shard trace without extract and its stage children: %v", root.JSON())
 			}
-			if root.Child("sink") == nil || root.Child("checkpoint") != nil {
-				t.Fatalf("extracted shard trace should end with sink: %v", root.JSON())
+			if root.Child("sink") == nil || root.Child("checkpoint") != nil || root.Child("resolve") != nil {
+				t.Fatalf("shard trace should be extract, then sink: %v", root.JSON())
 			}
 			committed++
-		}
-		if rsp := root.Child("resolve"); rsp != nil {
-			if tsp := rsp.Child("train"); tsp != nil {
-				trained++
-				if tsp.Child("parse") == nil || tsp.Child("cluster") == nil {
-					t.Errorf("train span lost the pipeline's spans: %+v", tsp.JSON())
+		case "batch.site":
+			rsp := root.Child("resolve")
+			if rsp == nil || len(root.Children()) != 1 {
+				t.Fatalf("site trace should hold one resolve span: %v", root.JSON())
+			}
+			if strAttr(root, "site") == "" {
+				t.Errorf("site trace does not say which site: %v", root.JSON())
+			}
+			if strAttr(root, "skipped") != "" {
+				skipped++
+			}
+			tsp := rsp.Child("train")
+			if tsp == nil {
+				continue
+			}
+			trained++
+			if tsp.Child("wait") == nil || tsp.Child("parse") == nil || tsp.Child("cluster") == nil || tsp.Child("annotate") == nil {
+				t.Errorf("train span lost the gate's or the pipeline's spans: %+v", tsp.JSON())
+			}
+			if numAttr(tsp, "held_ns") <= 0 {
+				t.Errorf("train span does not say how long it held its pages: %+v", tsp.JSON())
+			}
+			for _, c := range tsp.Children() {
+				if c.Name() != "fit" {
+					continue
 				}
-				for _, c := range tsp.Children() {
-					if c.Name() != "fit" {
-						continue
-					}
-					n := map[string]int{}
-					for _, a := range c.JSON().Attrs {
-						n[a.Key] = int(a.Num)
-					}
-					fitSpans = append(fitSpans, ceres.FitStats{Examples: n["examples"], Rows: n["rows"],
-						Iters: n["iters"], Evals: n["evals"], Converged: n["converged"] == 1})
+				n := func(key string) int { return int(numAttr(c, key)) }
+				fitSpans = append(fitSpans, ceres.FitStats{Examples: n("examples"), Rows: n("rows"),
+					Iters: n("iters"), Evals: n("evals"), Converged: n("converged") == 1})
+				if c.Duration() <= 0 || c.Duration() > tsp.Duration() {
+					t.Errorf("fit span of %v inside a %v training", c.Duration(), tsp.Duration())
 				}
 			}
+		default:
+			t.Fatalf("unexpected root %q", root.Name())
 		}
 	}
 	if committed != rep.Shards {
 		t.Errorf("%d full shard traces, want %d committed shards", committed, rep.Shards)
 	}
-	if trained != 2 {
-		t.Errorf("%d train subtrees, want one per site (both sites resolve, one fails)", trained)
+	if trained != 2 || skipped != 1 {
+		t.Errorf("%d train subtrees, %d skipped sites, want one training per site (both sites resolve, one fails)", trained, skipped)
+	}
+	if got := rep.Training; got.Sites != 2 || got.PeakTraining < 1 || got.PeakHolding != 1 || got.Wait != st.TrainWait {
+		t.Errorf("report counts training as %+v", got)
 	}
 	// The fit counters are the same on the fit spans and in the report,
 	// and a fit's rows are the distinct ones among its examples.

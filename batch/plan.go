@@ -17,8 +17,9 @@ type Job struct {
 	// parallelism, checkpointing and memory (default 64). A worker holds
 	// at most one shard's pages and triples.
 	ShardPages int
-	// Workers bounds how many shards run at once (default 4). Page
-	// parallelism inside a shard is tuned per site via Options.
+	// Workers bounds how many shards run, or sites resolve, at once
+	// (default 4). Page parallelism inside a shard is tuned per site via
+	// Options.
 	Workers int
 	// TrainPages caps how many of a site's leading pages feed training
 	// when the site has no published model (0 = all of the site's pages).

@@ -45,15 +45,18 @@ type Config struct {
 	// a live pages-per-second gauge, DESIGN.md §12); nil leaves it
 	// uninstrumented.
 	Metrics *ceres.Metrics
-	// Tracer samples the run's span trees (DESIGN.md §13): per shard a
-	// batch.shard root with resolve (train nested under it, with the
+	// Tracer samples the run's span trees (DESIGN.md §13): per site the run
+	// resolves a batch.site root (site) with a resolve child — train nested
+	// under it, with a wait child (queueing for the pipeline's prepare
+	// gate), held_ns (how long the site then held its parsed pages) and the
 	// pipeline's parse/cluster/annotate/fit children; a site skipped on a
-	// stored verdict carries skipped and verdict=stored instead), extract
-	// (with its parse/route/score stage spans) and sink children; per
-	// batch of the commit stage a batch.commit root (shards, bytes) with
-	// writers, sync and checkpoint children; and, for a job that fuses, one
-	// batch.fuse root with replay (shards, triples, bytes read back) and
-	// facts children. Nil traces nothing and costs nothing.
+	// stored verdict carries skipped and verdict=stored instead; per
+	// extracted shard a batch.shard root with extract (with its
+	// parse/route/score stage spans) and sink children; per batch of the
+	// commit stage a batch.commit root (shards, bytes) with writers, sync
+	// and checkpoint children; and, for a job that fuses, one batch.fuse
+	// root with replay (shards, triples, bytes read back) and facts
+	// children. Nil traces nothing and costs nothing.
 	Tracer *ceres.Tracer
 }
 
@@ -95,11 +98,13 @@ func (a *stageAcc) reset() {
 }
 
 // StageDurations is a run's per-stage wall-time breakdown, summed across
-// shard workers — so a stage's total may exceed the run's elapsed wall
-// clock, and the ratio between the two is the stage's effective
-// parallelism. Train is nested inside Resolve (a site's first shard
-// resolves its model, training it when nothing is published);
-// Parse/Route/Score are the serve-side stages nested inside Extract.
+// workers — so a stage's total may exceed the run's elapsed wall clock,
+// and the ratio between the two is the stage's effective parallelism.
+// Train is nested inside Resolve (resolving a site trains it when nothing
+// is published) and TrainWait inside Train: the time Train calls queued
+// for the pipeline's one-site prepare gate, which is waiting, not training
+// — zero at one worker. Parse/Route/Score are the serve-side stages nested
+// inside Extract.
 // Sink is the workers' side of the durable path: encoding a shard into
 // its temp file, and any time a worker was blocked because the commit
 // stage had its bound of writers still to commit. Three stages are not
@@ -116,6 +121,7 @@ func (a *stageAcc) reset() {
 type StageDurations struct {
 	Resolve    time.Duration `json:"resolve"`
 	Train      time.Duration `json:"train"`
+	TrainWait  time.Duration `json:"trainWait"`
 	Extract    time.Duration `json:"extract"`
 	Parse      time.Duration `json:"parse"`
 	Route      time.Duration `json:"route"`
@@ -130,6 +136,7 @@ type StageDurations struct {
 func (s StageDurations) Each(f func(name string, d time.Duration)) {
 	f("resolve", s.Resolve)
 	f("train", s.Train)
+	f("train-wait", s.TrainWait)
 	f("extract", s.Extract)
 	f("parse", s.Parse)
 	f("route", s.Route)
@@ -222,11 +229,23 @@ func (r *Runner) Registry() *ceres.Registry {
 // the runner is serving with.
 func (r *Runner) Service() *ceres.Service { return r.svc }
 
-// siteState is the once-per-site model resolution shared by a site's
-// shard workers.
+// siteState is one site of a run: where the dispatcher has it, and how its
+// model resolved.
 type siteState struct {
-	pages         int // of the site, from the plan
-	once          sync.Once
+	site  string
+	index int // in plan order
+	pages int // of the site, from the plan
+	tally siteTally
+
+	// The dispatcher's, touched only by Run's own goroutine: a site is
+	// unresolved until a worker is given it, resolving until that worker
+	// reports back, and resolved from then on. pending is the shards no
+	// earlier run committed, in plan order, consumed from the front.
+	resolved bool
+	pending  []Shard
+
+	// The resolution's, written by the one worker that resolves the site
+	// and read only after the dispatcher has been told it finished.
 	version       int
 	trained       bool
 	fits          []ceres.FitStats // of the model this run trained
@@ -279,6 +298,11 @@ type Report struct {
 	// Facts is the fused output (Job.Fuse), aggregated by streaming every
 	// committed shard through a ceres.Fuser in plan order.
 	Facts []ceres.FusedFact
+	// Training is what the run's Pipeline.Train calls did: Sites counts
+	// them and Wait (also Stages.TrainWait) sums their queueing for the
+	// prepare gate; the two peaks — calls in flight at once, and of those
+	// holding parsed pages — are the pipeline's high-water marks.
+	Training ceres.TrainStats
 	// CommitBatches counts the batches the commit stage made durable and
 	// ManifestWrites the checkpoint files it wrote: one per batch, plus a
 	// last one when pins or skips were still unwritten at the end.
@@ -294,10 +318,10 @@ type Report struct {
 }
 
 // Run executes one job to completion: plan, resume from the checkpoint,
-// extract remaining shards on Workers goroutines while the commit stage
-// (commit.go) makes their output durable and records it, and (with
-// Job.Fuse) stream the committed output through fusion. It returns
-// ctx.Err() when cancelled — the checkpoint then holds every shard handed
+// resolve each site's model and extract its remaining shards on Workers
+// goroutines (dispatch, below) while the commit stage (commit.go) makes
+// their output durable and records it, and (with Job.Fuse) stream the
+// committed output through fusion. It returns ctx.Err() when cancelled — the checkpoint then holds every shard handed
 // to the commit stage before the cancellation, and a later Run of the
 // same job resumes there — and a non-nil error for infrastructure
 // failures (sink, checkpoint, store or provider I/O). Either way every
@@ -323,12 +347,22 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		return nil, err
 	}
 
-	states := make(map[string]*siteState, len(plan.Sites))
-	tallies := make(map[string]*siteTally, len(plan.Sites))
-	for _, sp := range plan.Sites {
-		states[sp.Site] = &siteState{pages: sp.Pages}
-		tallies[sp.Site] = &siteTally{}
+	// A plan lists each site's shards together, in site order.
+	sites := make([]*siteState, len(plan.Sites))
+	next := 0
+	for i, sp := range plan.Sites {
+		st := &siteState{site: sp.Site, index: i, pages: sp.Pages}
+		for _, shard := range plan.Shards[next : next+sp.Shards] {
+			if ck.isDone(shard.Site, shard.Index) {
+				st.tally.resumed++
+			} else {
+				st.pending = append(st.pending, shard)
+			}
+		}
+		next += sp.Shards
+		sites[i] = st
 	}
+	trainedBefore := r.cfg.Pipeline.TrainStats()
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -342,27 +376,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		workers = 1
 	}
 	cm := r.startCommitter(ck, run, workers)
-	shardCh := make(chan Shard)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for shard := range shardCh {
-				r.runShard(runCtx, job, ck, cm, states[shard.Site], tallies[shard.Site], shard)
-			}
-		}()
-	}
-feed:
-	for _, shard := range plan.Shards {
-		select {
-		case shardCh <- shard:
-		case <-runCtx.Done():
-			break feed
-		}
-	}
-	close(shardCh)
-	wg.Wait()
+	r.dispatch(runCtx, job, ck, cm, sites, workers)
 	// Whatever ended the workers, the commit stage finishes what they
 	// handed over (or aborts it, after an error) before Run goes on.
 	drainStart := time.Now()
@@ -376,7 +390,9 @@ feed:
 		return nil, err
 	}
 
-	rep := &Report{Elapsed: time.Since(start), CommitBatches: cm.batches, ManifestWrites: ck.writes}
+	rep := &Report{Elapsed: time.Since(start), CommitBatches: cm.batches, ManifestWrites: ck.writes, Training: r.cfg.Pipeline.TrainStats()}
+	rep.Training.Sites -= trainedBefore.Sites
+	rep.Training.Wait -= trainedBefore.Wait
 	fuseTally := map[string]int{}
 	if job.Fuse {
 		fuseStart := time.Now()
@@ -418,9 +434,10 @@ feed:
 		r.stages.fuse.Add(int64(time.Since(fuseStart)))
 	}
 	rep.Stages = r.stages.snapshot()
+	rep.Stages.TrainWait = rep.Training.Wait
 
-	for _, sp := range plan.Sites {
-		st, tally := states[sp.Site], tallies[sp.Site]
+	for i, sp := range plan.Sites {
+		st, tally := sites[i], &sites[i].tally
 		sr := SiteReport{
 			Site:    sp.Site,
 			Pages:   sp.Pages,
@@ -453,21 +470,144 @@ feed:
 	return rep, nil
 }
 
-// runShard is a worker's part of one shard: resolve the site's model (the
-// first worker to reach a site trains or loads it), stream the shard's
-// pages from the provider, extract through the Service, encode the
+// task is one unit of a worker's time: resolve a site's model, or extract
+// one shard of a site whose model is resolved.
+type task struct {
+	st      *siteState
+	resolve bool
+	shard   Shard // when !resolve
+}
+
+// dispatch runs the job's sites to completion on workers goroutines. Run's
+// goroutine is the dispatcher: it alone owns every site's phase and
+// pending shards, hands tasks to whichever worker is free over an
+// unbuffered channel, and hears of each finished resolution over another.
+// The policy is resolution first, in plan order: a free worker is given
+// the next site no worker has started; only when every site has been
+// started is it given the next pending shard, in plan order, of a site
+// that is resolved; and when there is neither while a resolution is in
+// flight, the dispatcher waits for that to finish. Resolving is the long
+// pole of a cold run — a training is up to half a second, most of it a
+// fit that cannot be split, against a few milliseconds for a shard — and
+// the shards, many and uniform, fill whatever tail the last fit leaves:
+// longest task first. A worker therefore never waits for a site another
+// worker is resolving, and concurrent trainings are bounded in memory by
+// the pipeline's prepare gate, not here. Three invariants: a shard runs
+// only after its site resolved; the resolution has pinned the site's
+// model version in the checkpoint before that, so the manifest write that
+// records the site's first shard carries its pin; and a site with no
+// pending shard is never resolved. None of this can change the output:
+// shard files are named by (site, index) and fusion replays plan order.
+// (Tasks are handed over by a goroutine, not pulled by the workers from a
+// locked queue, on a measurement: workers that never park between shards
+// leave the commit stage without a P until its queue bound blocks them —
+// 5% of a warm pass; ROADMAP, "Measured".)
+func (r *Runner) dispatch(ctx context.Context, job Job, ck *checkpoint, cm *committer, sites []*siteState, workers int) {
+	tasks := make(chan task)
+	done := make(chan *siteState) // resolutions that finished
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				if !t.resolve {
+					r.runShard(ctx, job, cm, t.st, t.shard)
+					continue
+				}
+				r.resolveSite(ctx, job, ck, cm.run, t.st)
+				select {
+				case done <- t.st:
+				case <-ctx.Done():
+				}
+			}
+		}()
+	}
+	// Two cursors make a pick O(1) amortised: toResolve is the first site
+	// not yet started, toExtract the first that may still have a shard to
+	// hand out. A resolution that finishes behind toExtract pulls it back.
+	toResolve, toExtract, resolving := 0, 0, 0
+	pick := func() (task, bool) {
+		for ; toResolve < len(sites); toResolve++ {
+			if st := sites[toResolve]; len(st.pending) > 0 {
+				return task{st: st, resolve: true}, true
+			}
+		}
+		for ; toExtract < len(sites); toExtract++ {
+			if st := sites[toExtract]; st.resolved && len(st.pending) > 0 {
+				return task{st: st, shard: st.pending[0]}, true
+			}
+		}
+		return task{}, false
+	}
+feed:
+	for {
+		t, ok := pick()
+		if !ok && resolving == 0 {
+			break
+		}
+		out := tasks
+		if !ok {
+			out = nil // nothing to hand out until a resolution finishes
+		}
+		select {
+		case out <- t:
+			if t.resolve {
+				toResolve++
+				resolving++
+			} else {
+				t.st.pending = t.st.pending[1:]
+			}
+		case st := <-done:
+			resolving--
+			st.resolved = true
+			if st.skipReason != "" || st.infraErr != nil {
+				st.pending = nil
+			}
+			toExtract = min(toExtract, st.index)
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(tasks)
+	wg.Wait()
+}
+
+// resolveSite is a worker's part of one site: settle which model serves it
+// (ensureModel), before any of its shards is extracted.
+func (r *Runner) resolveSite(ctx context.Context, job Job, ck *checkpoint, run *runState, st *siteState) {
+	if ctx.Err() != nil {
+		st.skipReason = "run cancelled"
+		return
+	}
+	sp := r.cfg.Tracer.StartRoot("batch.site")
+	defer sp.End()
+	sp.SetStr("site", st.site)
+	rsp := sp.StartChild("resolve")
+	t0 := time.Now()
+	r.ensureModel(ceres.ContextWithSpan(ctx, rsp), job, ck, st)
+	r.stages.resolve.Add(int64(time.Since(t0)))
+	rsp.EndErr(st.infraErr)
+	switch {
+	case st.infraErr != nil:
+		// An error a cancelled context explains is the cancellation, not
+		// a failure of the run.
+		if ctx.Err() == nil {
+			run.fail(st.infraErr)
+		}
+	case st.skipReason != "":
+		sp.SetStr("skipped", st.skipReason)
+	}
+}
+
+// runShard is a worker's part of one shard of a resolved site: stream the
+// shard's pages from the provider, extract through the Service, encode the
 // triples into a shard writer and hand that to the commit stage.
-func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, cm *committer, st *siteState, tally *siteTally, shard Shard) {
+func (r *Runner) runShard(ctx context.Context, job Job, cm *committer, st *siteState, shard Shard) {
 	if ctx.Err() != nil {
 		return
 	}
-	run := cm.run
-	if ck.isDone(shard.Site, shard.Index) {
-		run.mu.Lock()
-		tally.resumed++
-		run.mu.Unlock()
-		return
-	}
+	run, tally := cm.run, &st.tally
 	sp := r.cfg.Tracer.StartRoot("batch.shard")
 	defer sp.End()
 	sp.SetStr("site", shard.Site)
@@ -480,21 +620,6 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, cm *comm
 		if ctx.Err() == nil {
 			run.fail(err)
 		}
-	}
-	st.once.Do(func() {
-		rsp := sp.StartChild("resolve")
-		t0 := time.Now()
-		r.ensureModel(ceres.ContextWithSpan(ctx, rsp), job, ck, st, shard.Site)
-		r.stages.resolve.Add(int64(time.Since(t0)))
-		rsp.EndErr(st.infraErr)
-	})
-	if st.infraErr != nil {
-		fail(st.infraErr)
-		return
-	}
-	if st.skipReason != "" {
-		sp.SetStr("skipped", st.skipReason)
-		return
 	}
 	// Batch runs always collect the per-stage serve breakdown: the stage
 	// report is part of the run's output, not a sampling decision.
@@ -575,8 +700,12 @@ func (r *Runner) runShard(ctx context.Context, job Job, ck *checkpoint, cm *comm
 // lands in the run-scoped table the shards extract through; the shared
 // registry only ever receives newly trained models, never a pinned
 // rollback. Pins and skips are recorded in the checkpoint in memory; the
-// commit stage writes them.
-func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *siteState, site string) {
+// commit stage writes them. It runs on the one worker the dispatcher gave
+// the site to, beside other sites' resolutions and shards; a training it
+// starts takes its turn at the pipeline's prepare gate, and the time it
+// queues there is in the train stage (and reported as train-wait).
+func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *siteState) {
+	site := st.site
 	if reason, ok := ck.skippedSite(site); ok {
 		st.skipReason = reason
 		return

@@ -13,12 +13,15 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"ceres/internal/binmodel"
 	"ceres/internal/core"
 	"ceres/internal/kb"
 	"ceres/internal/mlr"
+	"ceres/internal/obs/trace"
 )
 
 // Re-exported knowledge-base types. The implementation lives in
@@ -173,12 +176,29 @@ func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.cfg.Workers = n }
 }
 
-// Pipeline is a configured CERES trainer bound to a seed KB.
+// Pipeline is a configured CERES trainer bound to a seed KB. It is safe
+// for concurrent use: any number of Train calls may run at once.
 type Pipeline struct {
 	kb        *KB
 	cfg       core.Config
 	threshold float64
+	// gate admits one Train call at a time into its page-holding half
+	// (see Train). It belongs to the Pipeline, not to a caller, so every
+	// way of training concurrently — a batch.Runner's workers, a
+	// Harvester's sites, plain goroutines — gets the same memory bound.
+	gate chan struct{}
+
+	mu                sync.Mutex // guards the fields below
+	training, holding int        // Train calls in flight; of those, past the gate and still holding pages
+	stats             TrainStats
 }
+
+// prepareWidth is how many sites may hold parsed pages at once. A site's
+// DOMs, fields and XPaths are the peak of training memory (some 20 MB for
+// 200 pages) and preparing is already page-parallel inside, so a second
+// site in that phase adds memory and no speed; what is worth overlapping
+// is the fit, which is serial and holds next to nothing.
+const prepareWidth = 1
 
 // NewPipeline builds a pipeline over the seed KB.
 func NewPipeline(k *KB, opts ...Option) *Pipeline {
@@ -186,11 +206,35 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 		kb:        k,
 		cfg:       core.Config{Train: core.TrainOptions{Seed: 1}},
 		threshold: 0.5,
+		gate:      make(chan struct{}, prepareWidth),
 	}
 	for _, o := range opts {
 		o(p)
 	}
 	return p
+}
+
+// TrainStats counts what a Pipeline's Train calls did since it was built.
+type TrainStats struct {
+	// Sites counts the calls admitted to prepare their site; Wait sums the
+	// time they queued for that admission.
+	Sites int
+	Wait  time.Duration
+	// PeakTraining is the most calls that were in flight at one instant,
+	// PeakHolding the most of them that held parsed pages: the width of
+	// the prepare gate, 1, whatever the callers' concurrency.
+	PeakTraining, PeakHolding int
+}
+
+// TrainStats returns the pipeline's training counters; a nil pipeline
+// has trained nothing.
+func (p *Pipeline) TrainStats() TrainStats {
+	if p == nil {
+		return TrainStats{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
 // Train runs the training phase — parse, template-cluster, annotate
@@ -199,28 +243,81 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 // CERES learns one extractor per site template). The returned SiteModel
 // extracts from any number of further pages without retraining.
 //
+// Training has two halves. Preparing reads the pages and ends with the
+// distinct training rows of every trainable cluster; fitting runs the
+// optimizer over those rows and needs neither the parsed pages nor the
+// ones passed in. Concurrent calls prepare one at a time — a call waits
+// its turn, and gives up waiting when ctx is cancelled — and fit
+// concurrently, so training many sites at once costs the memory of one
+// site's pages, not of all of them.
+//
 // Train returns ErrNoPages for an empty page set, ErrNoAnnotations when
 // the seed KB aligned with too few pages to train any cluster, and
 // ctx.Err() when cancelled.
 func (p *Pipeline) Train(ctx context.Context, pages []PageSource) (*SiteModel, error) {
+	p.mu.Lock()
+	p.training++
+	p.stats.PeakTraining = max(p.stats.PeakTraining, p.training)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.training--
+		p.mu.Unlock()
+	}()
+	// When prepare returns, its frame — the core sources and the training
+	// trace with every parsed page — is gone, and pages is not used below:
+	// nothing the fits run beside keeps this site's pages reachable.
+	prep, err := p.prepare(ctx, pages)
+	if err != nil {
+		return nil, err
+	}
+	if len(prep.Fits) == 0 {
+		return nil, ErrNoAnnotations
+	}
+	if err := prep.Fit(ctx); err != nil {
+		return nil, err
+	}
+	m := newSiteModel(prep.Site, p.threshold)
+	for _, f := range prep.Fits {
+		m.fits = append(m.fits, f.Stats)
+	}
+	return m, nil
+}
+
+// prepare is Train's page-holding half, run inside the gate. On ctx's span
+// it leaves a "wait" child (queueing for the gate) and held_ns (gate
+// acquired to gate released).
+func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepared, error) {
 	src, err := toSources(pages)
 	if err != nil {
 		return nil, err
 	}
-	sm, res, err := core.TrainSite(ctx, src, p.kb, p.cfg)
-	if err != nil {
-		return nil, err
+	tsp := trace.FromContext(ctx)
+	wsp := tsp.StartChild("wait")
+	queued := time.Now()
+	select {
+	case p.gate <- struct{}{}:
+	case <-ctx.Done():
+		wsp.EndErr(ctx.Err())
+		return nil, ctx.Err()
 	}
-	if sm.TrainedClusters() == 0 {
-		return nil, ErrNoAnnotations
-	}
-	m := newSiteModel(sm, p.threshold)
-	for _, cr := range res.Clusters {
-		if cr.Trained {
-			m.fits = append(m.fits, cr.Fit)
-		}
-	}
-	return m, nil
+	wsp.End()
+	acquired := time.Now()
+	p.mu.Lock()
+	p.holding++
+	p.stats.Sites++
+	p.stats.Wait += acquired.Sub(queued)
+	p.stats.PeakHolding = max(p.stats.PeakHolding, p.holding)
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.holding--
+		p.mu.Unlock()
+		tsp.SetInt("held_ns", int64(time.Since(acquired)))
+		<-p.gate
+	}()
+	prep, _, err := core.PrepareSite(ctx, src, p.kb, p.cfg)
+	return prep, err
 }
 
 // TrainingKey identifies every input of Train other than the pages and

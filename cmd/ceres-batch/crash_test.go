@@ -186,7 +186,10 @@ func (f *sweepFixture) outputs(t *testing.T, dir string) []byte {
 // directory readable (sweepFixture.outputs). Every n of a warm pass —
 // models and verdicts published, the shape of a -reset re-harvest — and,
 // of a cold pass, every operation inside models/: the publishes and the
-// verdict. -short takes every fifth crash point.
+// verdict. Sites train side by side and publish in whatever order their
+// fits finish, so a crash point is a count — the n-th models/ operation of
+// that run, whichever site's it is — never a replayed sequence. -short
+// takes every fifth crash point.
 func TestCrashSweep(t *testing.T) {
 	f := newSweepFixture(t)
 	stride := 1

@@ -308,6 +308,7 @@ func writeStats(path string, rep *batch.Report) error {
 		"facts":          len(rep.Facts),
 		"elapsedNs":      rep.Elapsed.Nanoseconds(),
 		"stages":         stages,
+		"training":       rep.Training,
 		"commitBatches":  rep.CommitBatches,
 		"manifestWrites": rep.ManifestWrites,
 	}
@@ -325,7 +326,7 @@ const overlappedStage = "commit"
 // printReport writes the per-site harvest summary — the CLI's analogue of
 // the paper's Table 8 — followed by the run's per-stage wall-time
 // breakdown (worker-summed, so stages can exceed elapsed) and what the
-// commit stage and the training verdicts did.
+// fits, the trainings, the commit stage and the training verdicts did.
 func printReport(rep *batch.Report, fused bool) {
 	fmt.Printf("%-32s %7s %7s %7s %8s %8s %3s  %s\n",
 		"site", "pages", "shards", "done", "resumed", "triples", "v", "status")
@@ -359,6 +360,9 @@ func printReport(rep *batch.Report, fused bool) {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
 	fmt.Println(fitSummary(rep))
+	if rep.Training.Sites > 0 {
+		fmt.Println(trainingSummary(rep))
+	}
 	fmt.Printf("commits: %d batches, %d manifest writes\n", rep.CommitBatches, rep.ManifestWrites)
 	fmt.Println(skipSummary(rep))
 }
@@ -377,6 +381,15 @@ func skipSummary(rep *batch.Report) string {
 		}
 	}
 	return fmt.Sprintf("skipped: %d sites (%d from stored verdicts)", skipped, stored)
+}
+
+// trainingSummary is a line of the report of a run that trained: how many
+// sites, how many of them were in training at the same moment, and how
+// many of those held their parsed pages — one, whatever -workers is; that
+// is the bound on training memory.
+func trainingSummary(rep *batch.Report) string {
+	t := rep.Training
+	return fmt.Sprintf("training: %d sites, peak %d at once, %d holding pages", t.Sites, t.PeakTraining, t.PeakHolding)
 }
 
 // fitSummary is a line of the report: how many classifiers this run

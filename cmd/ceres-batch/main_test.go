@@ -134,7 +134,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("stats.json malformed: %v", err)
 	}
-	if doc.Triples != rep.Triples || len(doc.Stages) != 10 {
+	if doc.Triples != rep.Triples || len(doc.Stages) != 11 {
 		t.Fatalf("stats.json content wrong: %+v", doc)
 	}
 	// The commit stage's time runs beside the other stages' and says so;
@@ -146,6 +146,11 @@ func TestGenerateAndHarvest(t *testing.T) {
 	}
 	if doc.CommitBatches == 0 || doc.CommitBatches != rep.CommitBatches || doc.ManifestWrites < doc.CommitBatches || doc.ManifestWrites > rep.Shards {
 		t.Errorf("stats.json reports %d batches, %d manifest writes for %d shards", doc.CommitBatches, doc.ManifestWrites, rep.Shards)
+	}
+	// All three sites went through training, never two of them holding
+	// their pages at once.
+	if got, want := trainingSummary(rep), fmt.Sprintf("training: 3 sites, peak %d at once, 1 holding pages", rep.Training.PeakTraining); got != want || rep.Training.PeakTraining < 1 {
+		t.Errorf("trainingSummary = %q, want %q", got, want)
 	}
 	if got, want := skipSummary(rep), "skipped: 2 sites (0 from stored verdicts)"; got != want {
 		t.Errorf("skipSummary = %q, want %q", got, want)

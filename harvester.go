@@ -34,9 +34,11 @@ func (e *DuplicateSiteError) Error() string {
 // HarvesterOption configures a Harvester.
 type HarvesterOption func(*Harvester)
 
-// WithSiteConcurrency bounds how many sites train/serve at once
-// (default 4). Per-site page parallelism is still governed by the
-// pipeline's WithWorkers.
+// WithSiteConcurrency bounds how many sites are in flight at once
+// (default 4): that many fit and serve concurrently, while the page-holding
+// half of training is one site at a time per Pipeline (see Pipeline.Train),
+// so the bound on memory is one site's parsed pages, not n. Per-site page
+// parallelism is still governed by the pipeline's WithWorkers.
 func WithSiteConcurrency(n int) HarvesterOption {
 	return func(h *Harvester) {
 		if n > 0 {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sort"
+	"strings"
 
 	"ceres/internal/dom"
 )
@@ -38,6 +39,11 @@ func signatureKey(n *dom.Node) (string, bool) {
 		if gp := p.Parent; gp != nil && gp.Type == dom.ElementNode {
 			path = gp.Tag + "/" + path
 		}
+	} else {
+		// A root element's key is its bare tag, which the parser cut out
+		// of the page's HTML: copy it, or a signature kept as a cluster
+		// exemplar keeps its whole page reachable.
+		path = strings.Clone(path)
 	}
 	if c, ok := n.Attr("class"); ok && c != "" {
 		path += "." + c

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"strconv"
+	"strings"
 
 	"ceres/internal/dom"
 	"ceres/internal/mlr"
@@ -164,10 +165,14 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 	if min < 2 {
 		min = 2
 	}
+	// A field's text is usually a substring of its page's HTML (the dom
+	// package's entity and whitespace fast paths copy nothing), so a key
+	// kept as it is would pin a whole training page for as long as the
+	// model lives. The lexicon is a few dozen short strings: copy them.
 	out := map[string]bool{}
 	for s, n := range pageCount {
 		if n >= min {
-			out[s] = true
+			out[strings.Clone(s)] = true
 		}
 	}
 	return out

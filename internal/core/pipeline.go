@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"time"
 
 	"ceres/internal/cluster"
 	"ceres/internal/kb"
@@ -124,9 +125,9 @@ func (r *Result) NumAnnotatedPages() int {
 }
 
 // Run executes the CERES pipeline on one site: parse, cluster templates,
-// annotate, train, extract (Figure 3's architecture). It is Train followed
-// by extraction over the same pages, with each page served by the cluster
-// it was assigned to during training.
+// annotate, train, extract (Figure 3's architecture). It is TrainSite
+// followed by extraction over the same pages, with each page served by the
+// cluster it was assigned to during training.
 func Run(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	sm, res, err := TrainSite(ctx, sources, K, cfg)
@@ -147,8 +148,54 @@ func Run(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Resu
 // — and returns both the serving artifact (the SiteModel) and the full
 // training trace (parsed pages, per-cluster annotations). Untrainable
 // clusters still appear in the SiteModel so serve-time routing can send
-// their pages somewhere deterministic.
+// their pages somewhere deterministic. It is PrepareSite and Prepared.Fit
+// back to back with everything kept; a caller that wants only the model
+// drops the Result between the two (ceres.Pipeline.Train).
 func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*SiteModel, *Result, error) {
+	prep, res, err := PrepareSite(ctx, sources, K, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := prep.Fit(ctx); err != nil {
+		return nil, nil, err
+	}
+	for _, f := range prep.Fits {
+		cr := res.Clusters[f.Cluster]
+		cr.Model, cr.Trained, cr.Fit = prep.Site.Clusters[f.Cluster].Model, true, f.Stats
+	}
+	return prep.Site, res, nil
+}
+
+// Prepared is a site between the two halves of training. Everything that
+// reads pages is done: Site has every cluster's exemplar and statistics,
+// and Fits has, per trainable cluster, what its optimizer still has to
+// run over. Nothing reachable from a Prepared references a *Page, a
+// *dom.Node or an mlr.Dataset, so a caller that drops the Result — the
+// parsed pages, by far the largest thing training builds — before Fit
+// fits in the memory of the distinct training rows.
+type Prepared struct {
+	Site *SiteModel
+	// Fits lists the trainable clusters in cluster order.
+	Fits []*ClusterFit
+}
+
+// ClusterFit is one trainable cluster's pending fit.
+type ClusterFit struct {
+	// Cluster indexes Prepared.Site.Clusters (and Result.Clusters).
+	Cluster int
+	// Stats reports how the fit went, once Prepared.Fit has run it.
+	Stats mlr.FitStats
+
+	pending *PendingModel
+	build   time.Duration // featurizer and example building, in PrepareSite
+}
+
+// PrepareSite is the page-holding half of training: parse, cluster, and
+// per cluster annotate, build the featurizer and the examples and collapse
+// them to the rows the classifier is fitted on. The Result is the training
+// trace; its clusters' Model, Trained and Fit are not filled in (TrainSite
+// does that after fitting).
+func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Prepared, *Result, error) {
 	cfg = cfg.withDefaults()
 	if len(sources) == 0 {
 		return nil, nil, ErrNoPages
@@ -188,36 +235,67 @@ func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) 
 	csp.SetInt("clusters", int64(len(groups)))
 	csp.End()
 
-	sm := &SiteModel{
+	prep := &Prepared{Site: &SiteModel{
 		Extract:    cfg.Extract,
 		Workers:    cfg.Workers,
 		TrainPages: len(pages),
-	}
+	}}
 	res := &Result{Pages: pages}
-	for _, group := range groups {
+	for ci, group := range groups {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		cr, err := runCluster(ctx, pages, group, K, cfg)
+		cr, fit, err := prepareCluster(ctx, pages, group, K, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.Clusters = append(res.Clusters, cr)
-		cm := &ClusterModel{
+		prep.Site.Clusters = append(prep.Site.Clusters, &ClusterModel{
 			// ClusterPages founds each cluster on its first member, so
 			// that page's signature is the cluster exemplar.
-			Exemplar: sigs[group[0]],
-			Model:    cr.Model,
-			Trained:  cr.Trained,
-			Pages:    len(group),
+			Exemplar:       sigs[group[0]],
+			Pages:          len(group),
+			AnnotatedPages: cr.Annotation.NumAnnotatedPages(),
+			Annotations:    len(cr.Annotation.Annotations),
+		})
+		if fit != nil {
+			fit.Cluster = ci
+			prep.Fits = append(prep.Fits, fit)
 		}
-		if cr.Annotation != nil {
-			cm.AnnotatedPages = cr.Annotation.NumAnnotatedPages()
-			cm.Annotations = len(cr.Annotation.Annotations)
-		}
-		sm.Clusters = append(sm.Clusters, cm)
 	}
-	return sm, res, nil
+	probeTraining("prepared")
+	return prep, res, nil
+}
+
+// Fit is the page-free half of training: it runs the pending fits in
+// cluster order and gives each trainable cluster of Site its model. Only
+// a cancelled ctx makes it fail — everything a fit can reject was checked
+// when it was prepared. Each fit is traced as a "fit" child of ctx's span
+// whose duration is the cluster's example building plus its optimizer run,
+// wherever in the training the two happened.
+func (p *Prepared) Fit(ctx context.Context) error {
+	tsp := trace.FromContext(ctx)
+	for _, f := range p.Fits {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		start := time.Now()
+		model, stats := f.pending.Fit()
+		f.Stats, f.pending = stats, nil
+		cm := p.Site.Clusters[f.Cluster]
+		cm.Model, cm.Trained = model, true
+		fsp := tsp.AddTimed("fit", f.build+time.Since(start))
+		fsp.SetInt("examples", int64(stats.Examples))
+		fsp.SetInt("rows", int64(stats.Rows))
+		fsp.SetInt("iters", int64(stats.Iters))
+		fsp.SetInt("evals", int64(stats.Evals))
+		if stats.Converged {
+			fsp.SetInt("converged", 1)
+		} else {
+			fsp.SetInt("converged", 0)
+		}
+	}
+	return nil
 }
 
 // ParsePages parses page sources concurrently, preserving order. It is
@@ -240,7 +318,10 @@ func parsePagesCtx(ctx context.Context, sources []PageSource, workers int) ([]*P
 	return pages, nil
 }
 
-func runCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg Config) (*ClusterResult, error) {
+// prepareCluster annotates one template cluster and, when enough of its
+// pages were annotated to train on, builds what its fit needs. A nil fit
+// with a nil error is an untrainable cluster.
+func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg Config) (*ClusterResult, *ClusterFit, error) {
 	sub := make([]*Page, len(group))
 	for i, pi := range group {
 		sub[i] = pages[pi]
@@ -255,40 +336,28 @@ func runCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg C
 		ann, err = AnnotateCtx(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
 		if err != nil {
 			asp.EndErr(err)
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	asp.End()
 	cr := &ClusterResult{PageIdxs: group, Annotation: ann}
 	if ann.NumAnnotatedPages() < cfg.MinAnnotatedPages {
-		return cr, nil
+		return cr, nil, nil
 	}
-	fsp := trace.FromContext(ctx).StartChild("fit")
+	start := time.Now()
 	fz := NewFeaturizer(sub, cfg.Features)
 	ds, classes := BuildExamples(sub, ann, fz, cfg.Train)
 	if classes.Len() < 2 || ds.Len() == 0 {
-		fsp.End()
-		return cr, nil
+		trace.FromContext(ctx).AddTimed("fit", time.Since(start))
+		return cr, nil, nil
 	}
 	fz.Freeze()
-	model, fit, err := TrainModel(ds, classes, fz, cfg.Train)
-	fsp.SetInt("examples", int64(fit.Examples))
-	fsp.SetInt("rows", int64(fit.Rows))
-	fsp.SetInt("iters", int64(fit.Iters))
-	fsp.SetInt("evals", int64(fit.Evals))
-	if fit.Converged {
-		fsp.SetInt("converged", 1)
-	} else {
-		fsp.SetInt("converged", 0)
-	}
-	fsp.EndErr(err)
+	pending, err := PrepareModel(ds, classes, fz, cfg.Train)
 	if err != nil {
-		return nil, err
+		trace.FromContext(ctx).AddTimed("fit", time.Since(start)).SetErr(err)
+		return nil, nil, err
 	}
-	cr.Model = model
-	cr.Trained = true
-	cr.Fit = fit
-	return cr, nil
+	return cr, &ClusterFit{pending: pending, build: time.Since(start)}, nil
 }
 
 // extractGroup applies one cluster's model to the listed pages, pooling

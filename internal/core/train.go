@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 
 	"ceres/internal/mlr"
 	"ceres/internal/xpath"
@@ -211,19 +212,75 @@ func listSiblingExclusions(p *Page, anns []Annotation) map[int]bool {
 	return excluded
 }
 
-// TrainModel fits the classifier on the training set and reports how the
-// fit went (naive Bayes counts in closed form: only Examples is set).
-func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*Model, mlr.FitStats, error) {
+// PendingModel is a cluster classifier between the two halves of
+// TrainModel: it holds the class space, the frozen featurizer and the
+// training rows, and nothing of the dataset or the pages they came from.
+type PendingModel struct {
+	model *Model   // Classes and Featurizer set; naive Bayes already counted
+	lr    *mlr.Fit // nil for naive Bayes
+	stats mlr.FitStats
+}
+
+// PrepareModel does everything of TrainModel that reads the dataset and
+// can fail; fz must be frozen. Naive Bayes counts in closed form, so its
+// whole fit happens here (only FitStats.Examples is set).
+func PrepareModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*PendingModel, error) {
 	opts = opts.withDefaults()
-	m := &Model{Classes: classes, Featurizer: fz}
+	p := &PendingModel{model: &Model{Classes: classes, Featurizer: fz}}
 	if opts.Classifier == "nb" {
-		m.NB = mlr.TrainNaiveBayes(ds)
-		return m, mlr.FitStats{Examples: ds.Len(), Converged: true}, nil
+		p.model.NB = mlr.TrainNaiveBayes(ds)
+		p.stats = mlr.FitStats{Examples: ds.Len(), Converged: true}
+		return p, nil
 	}
-	lr, fit, err := mlr.Train(ds, opts.Model)
+	lr, err := mlr.Prepare(ds, opts.Model)
 	if err != nil {
-		return nil, fit, err
+		return nil, err
 	}
-	m.LR = lr
+	p.lr = lr
+	return p, nil
+}
+
+// Fit runs the optimizer over the prepared rows and reports how it went.
+func (p *PendingModel) Fit() (*Model, mlr.FitStats) {
+	if p.lr != nil {
+		probeTraining("fit")
+		p.model.LR, p.stats = p.lr.Run()
+		p.lr = nil
+	}
+	return p.model, p.stats
+}
+
+// TrainModel fits the classifier on the training set and reports how the
+// fit went: PrepareModel and Fit back to back.
+func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*Model, mlr.FitStats, error) {
+	p, err := PrepareModel(ds, classes, fz, opts)
+	if err != nil {
+		return nil, mlr.FitStats{}, err
+	}
+	m, fit := p.Fit()
 	return m, fit, nil
+}
+
+// trainingProbe is the package's test seam: when set, it is told where a
+// training is — "prepared" at the end of PrepareSite, with the parsed
+// pages still reachable from its Result, and "fit" before each optimizer's
+// first objective evaluation. Production code never installs one.
+var trainingProbe atomic.Pointer[func(phase string)]
+
+// SetTrainingProbe installs f (nil removes it) for every training of the
+// process and returns the function that puts the previous probe back. It
+// exists for tests that measure what each half of training keeps alive.
+func SetTrainingProbe(f func(phase string)) (restore func()) {
+	var p *func(string)
+	if f != nil {
+		p = &f
+	}
+	prev := trainingProbe.Swap(p)
+	return func() { trainingProbe.Store(prev) }
+}
+
+func probeTraining(phase string) {
+	if f := trainingProbe.Load(); f != nil {
+		(*f)(phase)
+	}
 }

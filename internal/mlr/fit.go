@@ -123,9 +123,8 @@ func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 	return loss
 }
 
-func trainLBFGS(m *Model, ds *Dataset, opts TrainOptions) FitStats {
+func trainLBFGS(m *Model, r *rows, examples int, opts TrainOptions) FitStats {
 	K, D := m.NumClasses, m.NumFeatures
-	r := collapse(ds)
 	f := func(x, grad []float64) float64 {
 		return r.lossGrad(x, grad, opts.L2)
 	}
@@ -136,5 +135,5 @@ func trainLBFGS(m *Model, ds *Dataset, opts TrainOptions) FitStats {
 		}
 	}
 	copy(m.B, res.X[D*K:])
-	return FitStats{Examples: ds.Len(), Rows: len(r.x), Iters: res.Iterations, Evals: res.Evals, Converged: res.Converged}
+	return FitStats{Examples: examples, Rows: len(r.x), Iters: res.Iterations, Evals: res.Evals, Converged: res.Converged}
 }

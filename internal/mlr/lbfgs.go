@@ -53,6 +53,10 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 	slots := opts.Memory + 1
 	ring := make([]float64, 2*slots*n)
 	rho := make([]float64, slots)
+	// gamma[slot] is sᵀy/yᵀy of the slot's pair, the initial Hessian scale
+	// while that pair is the newest; both dots are fixed once the pair is
+	// accepted, so they are taken there and not again every iteration.
+	gamma := make([]float64, slots)
 	sOf := func(slot int) []float64 { return ring[2*slot*n : (2*slot+1)*n] }
 	yOf := func(slot int) []float64 { return ring[(2*slot+1)*n : (2*slot+2)*n] }
 	head, pairs := 0, 0
@@ -75,9 +79,7 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 			axpy(dir, -alphaBuf[i], yOf(slot))
 		}
 		if pairs > 0 {
-			last := (head + pairs - 1) % slots
-			gamma := dot(sOf(last), yOf(last)) / dot(yOf(last), yOf(last))
-			scale(dir, gamma)
+			scale(dir, gamma[(head+pairs-1)%slots])
 		}
 		for i := 0; i < pairs; i++ {
 			slot := (head + i) % slots
@@ -130,12 +132,16 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 		// oldest once Memory pairs are live.
 		free := (head + pairs) % slots
 		s, y := sOf(free), yOf(free)
+		var sy, yy float64
 		for i := range x {
 			s[i] = xNew[i] - x[i]
 			y[i] = gradNew[i] - grad[i]
+			sy += s[i] * y[i]
+			yy += y[i] * y[i]
 		}
-		if sy := dot(s, y); sy > 1e-12 {
+		if sy > 1e-12 {
 			rho[free] = 1 / sy
+			gamma[free] = sy / yy
 			if pairs < opts.Memory {
 				pairs++
 			} else {

@@ -217,37 +217,68 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	return o
 }
 
-// Train fits a multinomial logistic-regression model on ds and reports
-// how the fit went.
-func Train(ds *Dataset, opts TrainOptions) (*Model, FitStats, error) {
+// Fit is a training set between the two halves of Train: validated, and —
+// for L-BFGS — already collapsed to its distinct rows, so it no longer
+// references the Dataset it came from (the rows share the vectors of the
+// first example of each kind; every duplicate is garbage once the caller
+// drops the dataset). What is left for Run is the optimizer.
+type Fit struct {
+	opts                        TrainOptions
+	classes, features, examples int
+	rows                        *rows    // "lbfgs"
+	ds                          *Dataset // "sgd" walks the examples themselves
+}
+
+// Prepare validates ds and opts and does everything of Train that needs
+// the dataset.
+func Prepare(ds *Dataset, opts TrainOptions) (*Fit, error) {
 	opts = opts.withDefaults()
 	if ds.Len() == 0 {
-		return nil, FitStats{}, fmt.Errorf("mlr: empty dataset")
+		return nil, fmt.Errorf("mlr: empty dataset")
 	}
 	if ds.NumClasses < 2 {
-		return nil, FitStats{}, fmt.Errorf("mlr: need at least 2 classes, have %d", ds.NumClasses)
+		return nil, fmt.Errorf("mlr: need at least 2 classes, have %d", ds.NumClasses)
 	}
 	for i, y := range ds.Y {
 		if y < 0 || y >= ds.NumClasses {
-			return nil, FitStats{}, fmt.Errorf("mlr: label %d of example %d out of range", y, i)
+			return nil, fmt.Errorf("mlr: label %d of example %d out of range", y, i)
 		}
 	}
+	f := &Fit{opts: opts, classes: ds.NumClasses, features: ds.NumFeatures(), examples: ds.Len()}
+	switch opts.Optimizer {
+	case "lbfgs":
+		f.rows = collapse(ds)
+	case "sgd":
+		f.ds = ds
+	default:
+		return nil, fmt.Errorf("mlr: unknown optimizer %q", opts.Optimizer)
+	}
+	return f, nil
+}
+
+// Run runs the optimizer and reports how the fit went.
+func (f *Fit) Run() (*Model, FitStats) {
 	m := &Model{
-		NumClasses:  ds.NumClasses,
-		NumFeatures: ds.NumFeatures(),
+		NumClasses:  f.classes,
+		NumFeatures: f.features,
 	}
 	m.W = make([]float64, m.NumClasses*m.NumFeatures)
 	m.B = make([]float64, m.NumClasses)
-	var fit FitStats
-	switch opts.Optimizer {
-	case "lbfgs":
-		fit = trainLBFGS(m, ds, opts)
-	case "sgd":
-		trainSGD(m, ds, opts)
-		fit = FitStats{Examples: ds.Len(), Rows: ds.Len(), Iters: opts.Epochs, Converged: true}
-	default:
-		return nil, FitStats{}, fmt.Errorf("mlr: unknown optimizer %q", opts.Optimizer)
+	if f.rows != nil {
+		return m, trainLBFGS(m, f.rows, f.examples, f.opts)
 	}
+	trainSGD(m, f.ds, f.opts)
+	return m, FitStats{Examples: f.examples, Rows: f.examples, Iters: f.opts.Epochs, Converged: true}
+}
+
+// Train fits a multinomial logistic-regression model on ds and reports
+// how the fit went: Prepare and Run back to back.
+func Train(ds *Dataset, opts TrainOptions) (*Model, FitStats, error) {
+	f, err := Prepare(ds, opts)
+	if err != nil {
+		return nil, FitStats{}, err
+	}
+	m, fit := f.Run()
 	return m, fit, nil
 }
 

@@ -296,14 +296,16 @@ func (s *Span) endWith(d time.Duration) {
 // aggregate per-stage timings (e.g. parse/route/score summed across a
 // request's worker pool). The child shares the parent's start time, and
 // because the duration is summed across workers it may legitimately
-// exceed the parent's wall time.
-func (s *Span) AddTimed(name string, d time.Duration) {
+// exceed the parent's wall time. The child is returned, ended, for the
+// caller to attach attributes to; nil when nothing was attached.
+func (s *Span) AddTimed(name string, d time.Duration) *Span {
 	if s == nil || d < 0 {
-		return
+		return nil
 	}
 	c := s.tracer.newChild(s, name)
 	c.start = s.start
 	c.endWith(d)
+	return c
 }
 
 // Name returns the span's name.

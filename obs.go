@@ -36,7 +36,8 @@ type Span = trace.Span
 func NewTracer(o TracerOptions) *Tracer { return trace.New(o) }
 
 // ContextWithSpan returns ctx carrying s as the active span, unchanged
-// when s is nil. Training runs observe it: core.TrainSite hangs
+// when s is nil. Training runs observe it: Pipeline.Train hangs a wait
+// child (queueing for the prepare gate) and the pipeline's
 // parse/cluster/annotate/fit child spans off the context's active span.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	return trace.ContextWith(ctx, s)
