@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fuzz crash-sweep bench bench-json fleet docker clean
+.PHONY: all build test race lint fmt-check fuzz crash-sweep bench bench-json fleet docker clean
 
 all: build lint test
 
@@ -16,13 +16,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint = the stock vet suite plus ceresvet, the repo-invariant analyzers
-# (atomic writes through the fsatomic seam, context flow, map determinism,
-# lock safety, allocfree contracts — see DESIGN.md §9). Any diagnostic
-# fails the build.
-lint:
+# lint = gofmt, the stock vet suite plus ceresvet, the repo-invariant
+# analyzers (atomic writes through the fsatomic seam, context flow, map
+# determinism, lock safety, allocfree contracts — see DESIGN.md §9). Any
+# diagnostic fails the build.
+lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/ceresvet ./...
+
+# Every .go file must be gofmt-clean; the analyzers' testdata fixtures
+# are exempt (their comment layout is what they test).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Native fuzzing, long budget per target (CI runs the same targets for
 # 10s each). Each holds hand-written JSON code to encoding/json: the

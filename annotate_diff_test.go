@@ -8,12 +8,10 @@ package ceres
 // annotated-page flags, across every DemoCorpus kind (including the
 // sparse-KB longtail and paper-coverage corpora), every relation-option
 // ablation, and at any worker count. This is the same bit-identical
-// discipline compiled_diff_test.go established for the serve path.
+// discipline serve_diff_test.go holds the serve path to.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -110,40 +108,6 @@ func TestIndexedTopicsMatchLegacy(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %+v: topics diverge\nindexed: %+v\nlegacy:  %+v", kind, opts, got, want)
-			}
-		}
-	}
-}
-
-// TestIndexedAnnotationTrainsIdenticalSiteModel proves the equivalence
-// end-to-end through the pipeline: training with Config.LegacyAnnotation
-// on and off must serialize byte-identical SiteModels, with and without
-// template clustering.
-func TestIndexedAnnotationTrainsIdenticalSiteModel(t *testing.T) {
-	for _, kind := range []string{"movies", "imdb-films"} {
-		src, c := corpusSources(t, kind, 7, 30)
-		for _, noCluster := range []bool{false, true} {
-			base := core.Config{Train: core.TrainOptions{Seed: 1}, DisablePageClustering: noCluster}
-			legacyCfg := base
-			legacyCfg.LegacyAnnotation = true
-			smIndexed, _, err := core.TrainSite(context.Background(), src, c.KB, base)
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			smLegacy, _, err := core.TrainSite(context.Background(), src, c.KB, legacyCfg)
-			if err != nil {
-				t.Fatalf("%s: %v", kind, err)
-			}
-			a, err := json.Marshal(smIndexed.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(smLegacy.State())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("%s (noCluster=%v): indexed and legacy annotation trained different SiteModels", kind, noCluster)
 			}
 		}
 	}

@@ -4,8 +4,8 @@ package ceres
 // paper's evaluation section (run them with `go test -bench=.`), plus
 // micro-benchmarks of the pipeline's hot stages. The table/figure
 // benchmarks run at the reduced "quick" scale so the whole suite finishes
-// in minutes; `cmd/ceres-bench` regenerates the full-scale numbers that
-// EXPERIMENTS.md records.
+// in minutes; `go run ./cmd/ceres-bench` regenerates the full-scale
+// numbers.
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 
 	"ceres/internal/bench"
 	"ceres/internal/core"
-	"ceres/internal/mlr"
 	"ceres/internal/websim"
 )
 
@@ -195,10 +194,9 @@ func BenchmarkStageExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkFeaturize contrasts the training-time featurizer (string
-// concatenation + dictionary hashing, fresh sorted slice per field) with
-// the compiled serve-path featurizer (integer tables + reusable
-// VectorBuilder) over every field of a page.
+// BenchmarkFeaturize measures the training-time featurizer (string
+// concatenation + dictionary hashing, fresh sorted slice per field) over
+// every field of a page.
 func BenchmarkFeaturize(b *testing.B) {
 	f := getFixture(b)
 	ann := core.Annotate(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
@@ -206,35 +204,15 @@ func BenchmarkFeaturize(b *testing.B) {
 	core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
 	fz.Freeze()
 	page := f.pages[0]
-
-	b.Run("Legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, fld := range page.Fields {
-				if v := fz.Features(fld); len(v) == 0 {
-					b.Fatal("no features")
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, fld := range page.Fields {
+			if v := fz.Features(fld); len(v) == 0 {
+				b.Fatal("no features")
 			}
 		}
-	})
-	b.Run("Compiled", func(b *testing.B) {
-		cf, err := fz.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var vb mlr.VectorBuilder
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, fld := range page.Fields {
-				vb.Reset()
-				cf.AppendFeatures(&vb, fld)
-				if v := vb.Build(); len(v) == 0 {
-					b.Fatal("no features")
-				}
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkEndToEndSite measures the full pipeline on the 60-page site.
@@ -248,10 +226,9 @@ func BenchmarkEndToEndSite(b *testing.B) {
 	}
 }
 
-// BenchmarkServeExtract contrasts the one-shot path (ExtractPages
-// retrains on every call) with the train-once/extract-forever path the
-// serving API enables. The "OneShot" numbers pay parse+cluster+annotate+
-// train per call; "TrainOnce" pays only parse+route+classify.
+// BenchmarkServeExtract measures the train-once/extract-forever path of
+// the public API, buffered and streaming: each iteration pays only
+// parse+route+classify over the fixture's pages.
 func BenchmarkServeExtract(b *testing.B) {
 	f := getFixture(b)
 	pages := make([]PageSource, len(f.sources))
@@ -260,14 +237,6 @@ func BenchmarkServeExtract(b *testing.B) {
 	}
 	p := NewPipeline(f.kb)
 
-	b.Run("OneShot", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.ExtractPages(context.Background(), pages); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("TrainOnce", func(b *testing.B) {
 		model, err := p.Train(context.Background(), pages)
 		if err != nil {
@@ -305,10 +274,8 @@ func BenchmarkServeExtract(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamServe contrasts the zero-DOM streaming serve path with
-// the DOM (tree-building) serve path over one trained site model — the
-// serve-side half of the BENCH_8.json throughput story. Both variants
-// serve the same 60 pages; only the path differs.
+// BenchmarkStreamServe measures the serve engine alone — the stream pass
+// over one trained site model's 60 pages, below the public API.
 func BenchmarkStreamServe(b *testing.B) {
 	f := getFixture(b)
 	sm, _, err := core.TrainSite(context.Background(), f.sources, f.kb,
@@ -316,27 +283,18 @@ func BenchmarkStreamServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{{"Stream", false}, {"DOM", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			sm.DisableStreaming = bc.disable
-			defer func() { sm.DisableStreaming = false }()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				exts, err := sm.ExtractSources(context.Background(), f.sources)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(exts) == 0 {
-					b.Fatal("no extractions")
-				}
-			}
-			b.ReportMetric(float64(len(f.sources))*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exts, err := sm.ExtractSources(context.Background(), f.sources)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(exts) == 0 {
+			b.Fatal("no extractions")
+		}
 	}
+	b.ReportMetric(float64(len(f.sources))*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 }
 
 // BenchmarkServiceExtract measures the request-scoped serving stack —

@@ -335,33 +335,6 @@ func (p *Pipeline) TrainingKey() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ExtractPages runs annotation, training and extraction over the pages of
-// one website — Train plus Extract on the same pages, with each page
-// served by the template cluster it was assigned to during training. It is
-// cancellable through ctx like the rest of the lifecycle.
-//
-// Deprecated: use Train once, then SiteModel.Extract (or ExtractStream)
-// for every batch of pages. ExtractPages retrains from scratch on every
-// call and cannot serve pages outside the training set.
-func (p *Pipeline) ExtractPages(ctx context.Context, pages []PageSource) (*Result, error) {
-	src, err := toSources(pages)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Run(ctx, src, p.kb, p.cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{
-		AnnotatedPages:   res.NumAnnotatedPages(),
-		Annotations:      res.NumAnnotations(),
-		TemplateClusters: len(res.Clusters),
-		Pages:            len(pages),
-	}
-	out.Triples = tripleize(res.Extractions, p.threshold)
-	return out, nil
-}
-
 // SiteModel is a trained, self-contained extractor for one website: the
 // per-template-cluster classifiers, featurizers and cluster signatures
 // learned by Pipeline.Train. It serves pages that were never part of

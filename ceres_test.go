@@ -6,13 +6,22 @@ import (
 	"testing"
 )
 
+// trainExtract trains on pages and extracts from the same pages.
+func trainExtract(p *Pipeline, pages []PageSource) (*Result, error) {
+	m, err := p.Train(context.Background(), pages)
+	if err != nil {
+		return nil, err
+	}
+	return m.Extract(context.Background(), pages)
+}
+
 func TestPipelineOnDemoCorpus(t *testing.T) {
 	c, err := DemoCorpus("movies", 7, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewPipeline(c.KB)
-	res, err := p.ExtractPages(context.Background(), c.Pages)
+	res, err := trainExtract(p, c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +59,11 @@ func TestPipelineThresholdOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := NewPipeline(c.KB, WithThreshold(0.5)).ExtractPages(context.Background(), c.Pages)
+	loose, err := trainExtract(NewPipeline(c.KB, WithThreshold(0.5)), c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := NewPipeline(c.KB, WithThreshold(0.9)).ExtractPages(context.Background(), c.Pages)
+	tight, err := trainExtract(NewPipeline(c.KB, WithThreshold(0.9)), c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +83,11 @@ func TestPipelineModeOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := NewPipeline(c.KB, WithMode(ModeFull)).ExtractPages(context.Background(), c.Pages)
+	full, err := trainExtract(NewPipeline(c.KB, WithMode(ModeFull)), c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
-	topic, err := NewPipeline(c.KB, WithMode(ModeTopicOnly)).ExtractPages(context.Background(), c.Pages)
+	topic, err := trainExtract(NewPipeline(c.KB, WithMode(ModeTopicOnly)), c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,7 @@ func TestPipelineNewEntityDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPipeline(c.KB).ExtractPages(context.Background(), c.Pages)
+	res, err := trainExtract(NewPipeline(c.KB), c.Pages)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +121,10 @@ func TestPipelineNewEntityDiscovery(t *testing.T) {
 func TestPipelineErrors(t *testing.T) {
 	c, _ := DemoCorpus("movies", 7, 10)
 	p := NewPipeline(c.KB)
-	if _, err := p.ExtractPages(context.Background(), nil); err == nil {
+	if _, err := trainExtract(p, nil); err == nil {
 		t.Errorf("empty input should fail")
 	}
-	if _, err := p.ExtractPages(context.Background(), []PageSource{{ID: "", HTML: "<html></html>"}}); err == nil {
+	if _, err := trainExtract(p, []PageSource{{ID: "", HTML: "<html></html>"}}); err == nil {
 		t.Errorf("empty page ID should fail")
 	}
 	if _, err := DemoCorpus("nope", 1, 10); err == nil {

@@ -1,6 +1,6 @@
 // Command ceres-bench regenerates the tables and figures of the paper's
 // evaluation section over the synthetic corpora (see DESIGN.md §1 for the
-// data substitutions and EXPERIMENTS.md for recorded results).
+// data substitutions).
 //
 // Usage:
 //

@@ -54,21 +54,21 @@
 // into its Registry, and feeds the fused multi-site view directly
 // (Harvester.Fuse).
 //
-// # The streaming serve path
+// # The serve path
 //
-// Serving does not build a DOM. When every trained cluster of a
-// SiteModel has compiled, Extract and its siblings run each page through
-// a single forward pass of the HTML tokenizer that maintains only the
-// open-element stack, routes the page by its template signature, and
-// classifies text fields as they are seen — no node tree, no per-field
-// re-walk. The output is bit-identical to the tree-building path (same
-// triples, confidences, order and XPaths, enforced by differential
-// tests); SiteModel.DisableStreaming forces the DOM path for debugging.
-// Service.ExtractScan is the raw-bytes entry point batch harvests use to
-// feed pagestore records straight into the tokenizer without a
-// per-page string copy. The field-emission contract, the
-// SignatureWatermark routing semantics, and the cases that still
-// require the DOM path are specified in DESIGN.md §11.
+// Serving does not build a DOM. On a SiteModel's first serve call its
+// trained clusters compile into integer lookup tables; from then on
+// Extract and its siblings run each page through a single forward pass
+// of the HTML tokenizer that maintains only the open-element stack,
+// route the page by its template signature, and classify text fields
+// from the pass's flat records — no node tree, no per-field re-walk. A
+// model that cannot compile fails every Extract call with the same
+// error. The output is bit-identical to the paper-literal extractor over
+// the parsed tree (same triples, confidences, order and XPaths, enforced
+// by differential tests). Service.ExtractScan is the raw-bytes entry
+// point batch harvests use to feed pagestore records straight into the
+// tokenizer without a per-page string copy. DESIGN.md §5 specifies the
+// path.
 //
 // # Batch harvests
 //
@@ -87,7 +87,7 @@
 // length-prefixed binary format (ceres.sitemodel/3) that cold registry
 // boots decode several times faster. ReadSiteModel sniffs the first
 // bytes and accepts every version ever published; DirStore publishes
-// binary by default (WithJSONPublish restores JSON artifacts). The wire
+// binary and reads both. The wire
 // layout, version-negotiation matrix and the pagestore readahead
 // ordering guarantee are specified in DESIGN.md §10.
 //
@@ -147,6 +147,6 @@
 //
 // See examples/ for runnable end-to-end programs, DESIGN.md for the system
 // inventory, serialization format, the serving-stack wire protocol and the
-// batch-harvest architecture (§8), and EXPERIMENTS.md for the reproduction
-// of every table and figure in the paper.
+// batch-harvest architecture (§8); `go run ./cmd/ceres-bench` reproduces
+// every table and figure in the paper.
 package ceres

@@ -34,7 +34,7 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-line description `ceresvet -list` prints.
 	Doc string
-	Run  func(*Pass)
+	Run func(*Pass)
 }
 
 // Pass carries one (analyzer, package) unit of work.

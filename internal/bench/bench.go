@@ -2,7 +2,7 @@
 // evaluation section (§5) over the synthetic corpora of
 // ceres/internal/websim. Each experiment is a function returning a
 // Report; cmd/ceres-bench prints them and bench_test.go wraps them in
-// testing.B benchmarks. EXPERIMENTS.md records measured-vs-paper numbers.
+// testing.B benchmarks.
 package bench
 
 import (
@@ -33,7 +33,7 @@ type Config struct {
 	CrawlMaxSite int
 }
 
-// DefaultConfig is the scale EXPERIMENTS.md reports (roughly 1:10 SWDE,
+// DefaultConfig is the scale cmd/ceres-bench runs at (roughly 1:10 SWDE,
 // 1:20 IMDb, 1:75 CommonCrawl).
 func DefaultConfig() Config {
 	return Config{

@@ -9,17 +9,17 @@ import (
 	"ceres/internal/mlr"
 )
 
-// This file implements the compiled serve path (DESIGN.md §5). Training
-// builds features by concatenating string names and hashing them through
-// the feature dictionary; that is fine once per site, but serving applies
-// the model to every DOM node of every page, so the string building and
-// map probes dominate extraction cost. Compile() runs once per model and
-// inverts the dictionary into per-(level, offset, attribute) lookup
-// tables keyed directly by tag / attribute value / sibling text, so
-// serve-time featurization emits integer feature IDs with no string
-// assembly and no allocation. The compiled path is output-identical to
-// Featurizer.Features + Model.Proba — the differential tests assert
-// deep-equality over the whole DemoCorpus.
+// This file compiles a trained model into its serving form (DESIGN.md §5).
+// Training builds features by concatenating string names and hashing them
+// through the feature dictionary; that is fine once per site, but serving
+// applies the model to every text field of every page, so the string
+// building and map probes would dominate extraction cost. Compile() runs
+// once per model and inverts the dictionary into per-(level, offset,
+// attribute) lookup tables keyed directly by tag / attribute value /
+// sibling text, so the stream pass (streamserve.go) emits integer feature
+// IDs with no string assembly and no allocation. Its output is identical
+// to Featurizer.Features + Model.Proba — the differential tests hold it to
+// the paper-literal ExtractPage over the whole DemoCorpus.
 
 // CompiledFeaturizer is the frozen, serve-only form of a Featurizer. It
 // is immutable after Compile and safe for concurrent use; the per-call
@@ -33,8 +33,8 @@ type CompiledFeaturizer struct {
 	// ancestor's own text, off k>0 the k-th preceding element sibling.
 	text [][]map[string]int32
 	// maxText is the longest key across the text tables. Sibling subtree
-	// text longer than this can never match, so serve-time probes walk a
-	// sibling's subtree only up to maxText bytes before giving up.
+	// text longer than this can never match, so the stream pass captures
+	// at most maxText bytes of it.
 	maxText int
 }
 
@@ -45,39 +45,14 @@ type structTable struct {
 	tag map[string]int32
 	// tagBySym mirrors tag, indexed by the process-wide dom.TagSym of the
 	// key: tagBySym[sym] is the feature ID, or -1 for no feature. Built by
-	// Compile so the per-visit tag lookup on Parse-built nodes is an array
-	// index instead of a string hash; the map stays as the fallback for
-	// unsymbolized nodes (hand-built trees, exhausted symbol space).
+	// Compile so the per-visit tag lookup is an array index instead of a
+	// string hash; the map stays as the fallback for tags the stream could
+	// not symbolize (exhausted symbol space).
 	tagBySym []int32
 	// attr is parallel to structuralAttrs: attr[i] maps attribute values
 	// of structuralAttrs[i] to feature IDs. Allocated lazily to
 	// len(structuralAttrs) when the first attribute feature is indexed.
 	attr []map[string]int32
-}
-
-// emit appends the IDs of n's structural features at this position.
-//
-//ceres:allocfree
-func (t *structTable) emit(n *dom.Node, vb *mlr.VectorBuilder) {
-	if s := n.TagSymbol(); s > 0 {
-		if int(s) < len(t.tagBySym) {
-			if id := t.tagBySym[s]; id >= 0 {
-				vb.AddID(int(id))
-			}
-		}
-	} else if id, ok := t.tag[n.Tag]; ok {
-		vb.AddID(int(id))
-	}
-	for i, m := range t.attr {
-		if m == nil {
-			continue
-		}
-		if v, ok := n.Attr(structuralAttrs[i]); ok && v != "" {
-			if id, ok := m[v]; ok {
-				vb.AddID(int(id))
-			}
-		}
-	}
 }
 
 // Compile inverts the frozen feature dictionary into integer lookup
@@ -119,8 +94,8 @@ func (fz *Featurizer) Compile() (*CompiledFeaturizer, error) {
 
 // buildSymIndex inverts the tag map into the symbol-indexed array the
 // serve path reads. Keys intern through dom.TagSym — the same symbols
-// Parse assigns — so a key that cannot intern (exhausted symbol space)
-// just stays map-only.
+// the stream pass assigns — so a key that cannot intern (exhausted symbol
+// space) just stays map-only.
 func (t *structTable) buildSymIndex() {
 	maxSym := int32(0)
 	for k := range t.tag {
@@ -145,7 +120,7 @@ func (t *structTable) buildSymIndex() {
 // index parses one dictionary feature name into the tables. Names that do
 // not match the grammar the trainer emits ("s|lvl|off|attr|value",
 // "t|lvl|off|text") or whose positions fall outside the configured
-// windows are skipped: the legacy path can never look such names up, so
+// windows are skipped: Featurizer.Features can never look such names up, so
 // ignoring them preserves output equivalence.
 func (cf *CompiledFeaturizer) index(name string, id int32) {
 	rest, structural := strings.CutPrefix(name, "s|")
@@ -214,84 +189,6 @@ func cutInt(s string) (int, string, bool) {
 	return v, s[i+1:], true
 }
 
-// AppendFeatures emits the feature IDs of a field into vb — the compiled
-// counterpart of Featurizer.Features. It walks the same context the
-// trainer walked (the containing element, its ancestors, their sibling
-// windows) but reads the parse-time structural caches and resolves
-// features through the integer tables, with no tree re-walks and no
-// string building. Frequent-string probes are bounded by the longest
-// lexicon key, so a huge sibling container costs O(maxText), and its text
-// is cached on the page after the first probe. Serve workers call the
-// scratch-threading appendFeatures instead, which reuses one probe buffer
-// across fields.
-func (cf *CompiledFeaturizer) AppendFeatures(vb *mlr.VectorBuilder, f *Field) {
-	var buf [64]byte
-	cf.appendFeatures(vb, f, buf[:0])
-}
-
-// appendFeatures is AppendFeatures with a caller-owned scratch buffer for
-// the bounded sibling-text probes; it returns the (possibly grown) buffer
-// for reuse.
-func (cf *CompiledFeaturizer) appendFeatures(vb *mlr.VectorBuilder, f *Field, buf []byte) []byte {
-	elem := f.Node.Parent
-	if elem == nil {
-		return buf
-	}
-	if !cf.opts.DisableStructural {
-		w := cf.opts.SiblingWindow
-		node := elem
-		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= cf.opts.MaxAncestors; lvl++ {
-			tables := cf.structural[lvl]
-			tables[w].emit(node, vb)
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
-			for off := 1; off <= w; off++ {
-				if pos-off >= 0 {
-					tables[w-off].emit(sibs[pos-off], vb)
-				}
-				if pos+off < len(sibs) {
-					tables[w+off].emit(sibs[pos+off], vb)
-				}
-			}
-			node = node.Parent
-		}
-	}
-	if !cf.opts.DisableText {
-		node := elem
-		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= cf.opts.TextAncestors; lvl++ {
-			tables := cf.text[lvl]
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
-			for off := 1; off <= cf.opts.SiblingWindow; off++ {
-				if pos-off < 0 {
-					break
-				}
-				tbl := tables[off]
-				if len(tbl) == 0 {
-					continue // no key can match; skip the text walk
-				}
-				var ok bool
-				if buf, ok = sibs[pos-off].TextWithin(buf[:0], cf.maxText); ok {
-					if id, hit := tbl[string(buf)]; hit {
-						vb.AddID(int(id))
-					}
-				}
-			}
-			if lvl > 0 {
-				if tbl := tables[0]; len(tbl) > 0 {
-					if own := node.OwnText(); own != "" {
-						if id, ok := tbl[own]; ok {
-							vb.AddID(int(id))
-						}
-					}
-				}
-			}
-			node = node.Parent
-		}
-	}
-	return buf
-}
-
 // CompiledModel bundles a compiled featurizer with its classifier behind
 // the allocation-free mlr.Scorer contract. Immutable and safe for
 // concurrent use; each worker passes its own ServeScratch.
@@ -331,11 +228,9 @@ func (m *Model) Compile() (*CompiledModel, error) {
 // probability matrix. Each serve worker owns exactly one; a ServeScratch
 // must never be shared between concurrent goroutines.
 type ServeScratch struct {
-	vb      mlr.VectorBuilder
-	proba   []float64
-	textBuf []byte // bounded sibling-text probe buffer (frequent strings)
+	vb    mlr.VectorBuilder
+	proba []float64
 
-	// Streaming serve path state (streamserve.go).
 	stream   *dom.StreamScratch
 	htmlBuf  []byte   // page bytes when the source arrives as a string
 	sig      [][]byte // sorted routing-signature views
@@ -349,11 +244,11 @@ type ServeScratch struct {
 	// table row share their whole ancestor chain, rows share everything
 	// from the table up. Validity is epoch-marked, so a new page costs an
 	// increment, not a clear.
-	upEpoch    []int32 // (lvl-1)*upStride+node → epoch the span was recorded in
-	upOff      []int32 // parallel span starts into upperIDs
-	upEnd      []int32 // parallel span ends
-	upStride   int     // element count of the page the memo is keyed for
-	upEpochCur int32   // current page's epoch
+	upEpoch    []int32           // (lvl-1)*upStride+node → epoch the span was recorded in
+	upOff      []int32           // parallel span starts into upperIDs
+	upEnd      []int32           // parallel span ends
+	upStride   int               // element count of the page the memo is keyed for
+	upEpochCur int32             // current page's epoch
 	upVB       mlr.VectorBuilder // transient per-level emission buffer
 	upperIDs   []int32           // recorded upper-walk feature IDs, page-local arena
 
@@ -377,72 +272,4 @@ type probCache struct {
 // largest page the worker sees and are then reused.
 func NewServeScratch() *ServeScratch {
 	return &ServeScratch{}
-}
-
-// ExtractPage applies the compiled model to every field of a page — the
-// compiled counterpart of the package-level ExtractPage, with identical
-// output (same extractions, same confidences, same order) and no
-// per-field allocation.
-func (cm *CompiledModel) ExtractPage(p *Page, opts ExtractOptions, sc *ServeScratch) []Extraction {
-	opts = opts.withDefaults()
-	if cm.nameClass == OtherClass {
-		return nil // no name class was learned; no subjects identifiable
-	}
-	K := cm.scorer.ClassCount()
-	need := len(p.Fields) * K
-	if cap(sc.proba) < need {
-		sc.proba = make([]float64, need)
-	}
-	proba := sc.proba[:need]
-	bestName, bestNameP := -1, 0.0
-	for fi, f := range p.Fields {
-		sc.vb.Reset()
-		sc.textBuf = cm.fz.appendFeatures(&sc.vb, f, sc.textBuf[:0])
-		pr := proba[fi*K : (fi+1)*K]
-		cm.scorer.ProbaInto(sc.vb.Build(), pr)
-		if pr[cm.nameClass] > bestNameP {
-			bestName, bestNameP = fi, pr[cm.nameClass]
-		}
-	}
-	if bestName < 0 || bestNameP < opts.NameThreshold {
-		return nil // §4.3: extraction requires an identified name node
-	}
-	subject := p.Fields[bestName].Text
-	subjectPath := p.Fields[bestName].XPath()
-
-	// Two passes over the cached probabilities: count survivors, then emit
-	// into an exactly sized slice. argmax over K classes is cheap next to
-	// the slice-growth copying a blind append pays.
-	n := 0
-	for fi := range p.Fields {
-		if fi == bestName {
-			continue
-		}
-		if cls, _ := argmax(proba[fi*K : (fi+1)*K]); cls != OtherClass && cls != cm.nameClass {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Extraction, 0, n)
-	for fi := range p.Fields {
-		if fi == bestName {
-			continue
-		}
-		cls, prob := argmax(proba[fi*K : (fi+1)*K])
-		if cls == OtherClass || cls == cm.nameClass {
-			continue
-		}
-		out = append(out, Extraction{
-			PageID:      p.ID,
-			Subject:     subject,
-			Predicate:   cm.classes.Name(cls),
-			Value:       p.Fields[fi].Text,
-			Confidence:  prob,
-			Path:        p.Fields[fi].XPath(),
-			SubjectPath: subjectPath,
-		})
-	}
-	return out
 }

@@ -1,17 +1,21 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
+	"ceres/internal/dom"
 	"ceres/internal/mlr"
+	"ceres/internal/websim"
 )
 
 // trainTestModel fits a model on a small movie site and returns it with
-// the training pages.
-func trainTestModel(t *testing.T, classifier string) (*Model, []*Page) {
+// the training pages, parsed and as generated (for their HTML).
+func trainTestModel(t *testing.T, classifier string) (*Model, []*Page, []*websim.Page) {
 	t.Helper()
-	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
+	pages, K, _, src := buildMovieSite(t, 20, defaultStyle())
 	ann := Annotate(pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, ann, fz, TrainOptions{Seed: 1})
@@ -20,27 +24,43 @@ func trainTestModel(t *testing.T, classifier string) (*Model, []*Page) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, pages
+	return m, pages, src
 }
 
-// TestCompiledFeaturesMatchLegacy asserts the compiled featurizer emits
+// streamFor runs the stream pass the way extractBytes does for a
+// single-cluster site served by cm.
+func streamFor(sc *ServeScratch, cm *CompiledModel, html string) *dom.StreamPage {
+	if sc.stream == nil {
+		sc.stream = dom.NewStreamScratch()
+	}
+	return sc.stream.Stream([]byte(html), dom.StreamOptions{MaxText: cm.fz.maxText, Attrs: structuralAttrs})
+}
+
+// TestCompiledFeaturesMatchLegacy asserts the stream featurizer emits
 // exactly the vector the string-hashing featurizer builds, for every
-// field of every page.
+// field of every page. Extraction equality alone cannot see a mismatched
+// feature whose weight is zero.
 func TestCompiledFeaturesMatchLegacy(t *testing.T) {
-	m, pages := trainTestModel(t, "")
+	m, pages, src := trainTestModel(t, "")
 	fz := m.Featurizer
-	cf, err := fz.Compile()
+	cm, err := m.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := NewServeScratch()
 	var vb mlr.VectorBuilder
 	fields, diffs := 0, 0
-	for _, p := range pages {
-		for _, f := range p.Fields {
+	for pi, p := range pages {
+		sp := streamFor(sc, cm, src[pi].HTML)
+		sc.beginPage(sp, cm)
+		if sp.Fields() != len(p.Fields) {
+			t.Fatalf("page %s: stream %d fields, dom %d", p.ID, sp.Fields(), len(p.Fields))
+		}
+		for fi, f := range p.Fields {
 			fields++
 			want := fz.Features(f)
 			vb.Reset()
-			cf.AppendFeatures(&vb, f)
+			cm.fz.appendStreamFeatures(&vb, sp, sp.FieldParent(fi), sc)
 			got := vb.Build()
 			if len(want) == 0 && len(got) == 0 {
 				continue
@@ -61,21 +81,21 @@ func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestCompiledExtractPageMatchesLegacy asserts compiled extraction is
-// deep-equal (triples, confidences, order) to the legacy path, for both
-// classifiers.
+// TestCompiledExtractPageMatchesLegacy asserts the stream pass is
+// deep-equal (triples, confidences, order, paths) to the paper-literal
+// ExtractPage, for both classifiers.
 func TestCompiledExtractPageMatchesLegacy(t *testing.T) {
 	for _, classifier := range []string{"", "nb"} {
-		m, pages := trainTestModel(t, classifier)
+		m, pages, src := trainTestModel(t, classifier)
 		cm, err := m.Compile()
 		if err != nil {
 			t.Fatalf("classifier %q: %v", classifier, err)
 		}
 		sc := NewServeScratch()
 		total := 0
-		for _, p := range pages {
+		for pi, p := range pages {
 			want := ExtractPage(p, m, ExtractOptions{})
-			got := cm.ExtractPage(p, ExtractOptions{}, sc)
+			got := cm.ExtractStreamPage(streamFor(sc, cm, src[pi].HTML), p.ID, ExtractOptions{}, sc)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("classifier %q page %s: compiled %d extractions != legacy %d\ncompiled: %v\nlegacy: %v",
 					classifier, p.ID, len(got), len(want), got, want)
@@ -84,6 +104,57 @@ func TestCompiledExtractPageMatchesLegacy(t *testing.T) {
 		}
 		if total == 0 {
 			t.Fatalf("classifier %q extracted nothing; differential vacuous", classifier)
+		}
+	}
+}
+
+// TestUncompilableModelFailsEveryEntry: a trained cluster whose model
+// cannot compile makes every serve entry return the same error, on every
+// call — there is no slower engine to fall back to.
+func TestUncompilableModelFailsEveryEntry(t *testing.T) {
+	m, pages, src := trainTestModel(t, "")
+	unfrozen := NewFeaturizer(pages, FeatureOptions{})
+	sm := &SiteModel{Clusters: []*ClusterModel{{
+		Model:   &Model{Classes: m.Classes, Featurizer: unfrozen, LR: m.LR},
+		Trained: true,
+	}}}
+	ctx := context.Background()
+	sources := []PageSource{{ID: src[0].ID, HTML: src[0].HTML}}
+	entries := []struct {
+		name string
+		call func() error
+	}{
+		{"ExtractSources", func() error {
+			_, err := sm.ExtractSources(ctx, sources)
+			return err
+		}},
+		{"ExtractBytesOpts", func() error {
+			_, _, err := sm.ExtractBytesOpts(ctx, []PageBytes{{ID: src[0].ID, HTML: []byte(src[0].HTML)}}, ServeOptions{})
+			return err
+		}},
+		{"ExtractScan", func() error {
+			_, _, err := sm.ExtractScan(ctx, func(yield func(id string, html []byte) error) error {
+				return yield(src[0].ID, []byte(src[0].HTML))
+			})
+			return err
+		}},
+		{"StreamSources", func() error {
+			return sm.StreamSources(ctx, sources, func(Extraction) error { return nil })
+		}},
+	}
+	var first error
+	for round := 0; round < 2; round++ {
+		for _, e := range entries {
+			err := e.call()
+			if err == nil || errors.Is(err, ErrNotTrained) || errors.Is(err, ErrNoPages) {
+				t.Fatalf("%s (call %d): err = %v, want the compile error", e.name, round+1, err)
+			}
+			if first == nil {
+				first = err
+			}
+			if !errors.Is(err, first) {
+				t.Fatalf("%s (call %d): err = %v, want %v", e.name, round+1, err, first)
+			}
 		}
 	}
 }

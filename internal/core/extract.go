@@ -1,5 +1,15 @@
 package core
 
+import "ceres/internal/cluster"
+
+// ExtractPage and SiteModel.Route below are §4.3 as written — the trained
+// model applied, through the training featurizer, to every text field of
+// a parsed page, and a page routed by the signature of its tree.
+// ExtractPage is live in core.Run and internal/bench (cmd/ceres-bench: the
+// paper's tables); together they are the reference every differential
+// test compares the production engine (streamserve.go) with. Serving
+// never comes here.
+
 // Extraction is one extracted triple (§4.3): the page's topic name is the
 // subject, the classified node's text the object.
 type Extraction struct {
@@ -80,7 +90,7 @@ func ExtractPage(p *Page, m *Model, opts ExtractOptions) []Extraction {
 		return nil // §4.3: extraction requires an identified name node
 	}
 	subject := p.Fields[bestName].Text
-	subjectPath := p.Fields[bestName].XPath()
+	subjectPath := p.Fields[bestName].PathString
 
 	var out []Extraction
 	for _, s := range all {
@@ -97,11 +107,23 @@ func ExtractPage(p *Page, m *Model, opts ExtractOptions) []Extraction {
 			Predicate:   m.Classes.Name(cls),
 			Value:       p.Fields[s.fieldIdx].Text,
 			Confidence:  prob,
-			Path:        p.Fields[s.fieldIdx].XPath(),
+			Path:        p.Fields[s.fieldIdx].PathString,
 			SubjectPath: subjectPath,
 		})
 	}
 	return out
+}
+
+// Route returns the index of the cluster whose exemplar signature is most
+// similar to the page, or -1 for a model with no clusters. The page's
+// signature is matched against the pre-sorted exemplar slices with a
+// linear merge instead of per-page map intersections.
+func (sm *SiteModel) Route(p *Page) int {
+	if len(sm.Clusters) == 1 {
+		return 0
+	}
+	i, _ := cluster.RouteSorted(cluster.SortedSignatureOf(p.Doc), sm.exemplars())
+	return i
 }
 
 func argmax(p []float64) (int, float64) {

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"sync"
-
 	"ceres/internal/dom"
 	"ceres/internal/strmatch"
 	"ceres/internal/xpath"
@@ -22,30 +20,12 @@ type Field struct {
 	Node *dom.Node
 	// Text is the collapsed text content.
 	Text string
-	// Path is the absolute XPath of the text node. Serve-prepared pages
-	// leave it nil; annotation-time consumers always go through
-	// PreparePage, which fills it.
+	// Path is the absolute XPath of the text node.
 	Path xpath.Path
-	// PathString caches Path.String(); empty on serve-prepared pages
-	// until XPath computes it on demand.
+	// PathString caches Path.String().
 	PathString string
-	// Norm caches the normalized text (annotation-time only; empty on
-	// serve-prepared pages, which never match against a KB).
+	// Norm caches the normalized text KB matching compares.
 	Norm string
-}
-
-// XPath returns the absolute XPath string of the field's text node,
-// computing and caching it on first use for serve-prepared pages. Not
-// safe for concurrent use on the same page — a page is owned by one serve
-// worker at a time.
-func (f *Field) XPath() string {
-	if f.PathString == "" {
-		// Node.XPath renders the same canonical form xpath.Path.String
-		// would — going through the parsed Path here would build the
-		// string, parse it, and build it again.
-		f.PathString = f.Node.XPath()
-	}
-	return f.PathString
 }
 
 // Page is a parsed page prepared for the pipeline.
@@ -55,81 +35,25 @@ type Page struct {
 	Doc *dom.Node
 	// Fields lists the non-empty text fields in document order.
 	Fields []*Field
-	// slab is the recyclable storage behind Fields; set by
-	// PrepareServePage, reclaimed by Release.
-	slab *pageSlab
 }
 
-// pageSlab is the recyclable field storage behind a serve-prepared page.
-// Slabs re-enter the pool fully zeroed (see Page.Release), so a pooled
-// slab never pins a released page's nodes or strings and acquisition
-// needs no clearing.
-type pageSlab struct {
-	fields []Field
-	ptrs   []*Field
-}
-
-var pageSlabPool sync.Pool // of *pageSlab, elements zeroed
-
-// Release recycles the page's DOM node storage and field slab for future
-// parses. The caller must be the page's sole owner and must not touch the
-// page — its Doc, Fields, or any node reached through them — afterwards.
-// Strings already copied out (extraction subjects, values, XPaths) stay
-// valid. Release is an optimization, never an obligation: an unreleased
-// page is ordinary garbage.
-func (p *Page) Release() {
-	p.Doc.Release()
-	if sl := p.slab; sl != nil {
-		p.slab = nil
-		p.Fields = nil
-		clear(sl.fields) // drop node and string references before pooling
-		sl.fields = sl.fields[:0]
-		clear(sl.ptrs)
-		sl.ptrs = sl.ptrs[:0]
-		pageSlabPool.Put(sl)
-	}
-}
-
-// PreparePage parses HTML and enumerates its text fields with the full
-// annotation-time context: XPath and normalized text per field. Training
-// uses this; the serve path uses PrepareServePage.
+// PreparePage parses HTML and enumerates its text fields with the context
+// annotation and the reference extractor read: XPath and normalized text
+// per field. Training (and internal/bench) prepare pages; serving never
+// builds a tree.
 func PreparePage(id, html string) *Page {
-	p := PrepareServePage(id, html)
-	for _, f := range p.Fields {
-		f.Path = xpath.FromNode(f.Node)
-		f.PathString = f.Path.String()
-		f.Norm = strmatch.Normalize(f.Text)
-	}
-	return p
-}
-
-// PrepareServePage parses HTML and enumerates its text fields, deferring
-// the per-field context extraction rarely needs (XPaths are computed
-// lazily for extracted nodes only; normalized text is annotation-only).
-// This is the serve-path entry: classification reads only Node and Text.
-func PrepareServePage(id, html string) *Page {
 	doc := dom.Parse(html)
 	nodes := dom.TextFields(doc)
-	n := len(nodes)
-	sl, _ := pageSlabPool.Get().(*pageSlab)
-	if sl == nil {
-		sl = new(pageSlab)
-	}
-	if cap(sl.fields) < n {
-		sl.fields = make([]Field, n)
-	} else {
-		sl.fields = sl.fields[:n] // zeroed on release; see pageSlabPool
-	}
-	if cap(sl.ptrs) < n {
-		sl.ptrs = make([]*Field, n)
-	} else {
-		sl.ptrs = sl.ptrs[:n]
-	}
+	fields := make([]Field, len(nodes))
+	p := &Page{ID: id, Doc: doc, Fields: make([]*Field, len(nodes))}
 	for i, node := range nodes {
-		f := &sl.fields[i]
+		f := &fields[i]
 		f.Node = node
-		f.Text = node.Text() // cached collapsed text from dom.Finalize
-		sl.ptrs[i] = f
+		f.Text = node.Text()
+		f.Path = xpath.FromNode(node)
+		f.PathString = f.Path.String()
+		f.Norm = strmatch.Normalize(f.Text)
+		p.Fields[i] = f
 	}
-	return &Page{ID: id, Doc: doc, Fields: sl.ptrs, slab: sl}
+	return p
 }

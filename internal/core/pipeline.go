@@ -50,11 +50,6 @@ type Config struct {
 	// Workers bounds parsing/annotation/extraction parallelism (default:
 	// NumCPU, capped at 8).
 	Workers int
-	// LegacyAnnotation routes distant supervision through the original
-	// string-keyed sequential path (AnnotateLegacy) instead of the
-	// kb.Index one — the fallback and differential-testing switch. Output
-	// is identical either way.
-	LegacyAnnotation bool
 }
 
 func (c Config) withDefaults() Config {
@@ -326,20 +321,13 @@ func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, c
 	for i, pi := range group {
 		sub[i] = pages[pi]
 	}
-	var ann *AnnotationResult
 	actx, asp := trace.StartSpan(ctx, "annotate")
 	asp.SetInt("pages", int64(len(sub)))
-	if cfg.LegacyAnnotation {
-		ann = AnnotateLegacy(sub, K, cfg.Topic, cfg.Relation)
-	} else {
-		var err error
-		ann, err = AnnotateCtx(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
-		if err != nil {
-			asp.EndErr(err)
-			return nil, nil, err
-		}
+	ann, err := AnnotateCtx(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
+	asp.EndErr(err)
+	if err != nil {
+		return nil, nil, err
 	}
-	asp.End()
 	cr := &ClusterResult{PageIdxs: group, Annotation: ann}
 	if ann.NumAnnotatedPages() < cfg.MinAnnotatedPages {
 		return cr, nil, nil

@@ -102,9 +102,8 @@ func Annotate(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions
 
 // AnnotateLegacy is the original string-keyed annotation stage: object
 // keys as "e:"/"lit:" strings, per-call normalization in MatchesObject,
-// sequential pages. It is retained as the reference implementation for
-// differential testing and as the fallback Config.LegacyAnnotation
-// selects.
+// sequential pages. It is the reference implementation the indexed path
+// is differentially tested against; the pipeline never calls it.
 func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
 	ropts = ropts.withDefaults()
 	topics := IdentifyTopicsLegacy(pages, K, topts)

@@ -26,26 +26,18 @@ type SiteModel struct {
 	Workers int
 	// TrainPages is the number of pages the model was trained on.
 	TrainPages int
-	// DisableStreaming forces serve calls down the DOM (tree-building)
-	// path even when every cluster compiled — the differential-testing
-	// and debugging escape hatch.
-	DisableStreaming bool
-	// SignatureWatermark, when > 0, routes streamed pages on the first N
-	// signature keys in document order, falling back to the full-page
-	// signature when the prefix match is inconclusive (see DESIGN.md
-	// §11). 0 routes on the full page, bit-identical to the DOM path.
-	SignatureWatermark int
 
 	// exOnce/ex cache the pre-sorted exemplar signatures for the per-page
 	// routing hot path; Clusters is immutable after training/restore.
 	exOnce sync.Once
 	ex     []cluster.SortedSignature
 
-	// streamOnce caches whether the site can serve through the streaming
-	// path and the text bound streams must capture (streamserve.go).
-	streamOnce    sync.Once
-	streamOK      bool
-	streamMaxText int
+	// compileOnce builds the serving form of every trained cluster on the
+	// site's first serve call (see compile).
+	compileOnce sync.Once
+	compiled    []*CompiledModel // aligned with Clusters; nil where untrained
+	maxText     int              // longest lexicon key of any cluster: the text bound streams capture
+	compileErr  error
 }
 
 // ClusterModel is the serving-side artifact of one template cluster.
@@ -60,26 +52,6 @@ type ClusterModel struct {
 	Pages          int
 	AnnotatedPages int
 	Annotations    int
-
-	// compileOnce/compiled lazily build the compiled serving form of
-	// Model on first extraction.
-	compileOnce sync.Once
-	compiled    *CompiledModel
-}
-
-// Compiled returns the cluster's compiled serving model, building it on
-// first use. A nil result (untrained cluster, or a dictionary the
-// compiler cannot invert) sends extraction down the legacy path.
-func (c *ClusterModel) Compiled() *CompiledModel {
-	c.compileOnce.Do(func() {
-		if c.Model == nil {
-			return
-		}
-		if cm, err := c.Model.Compile(); err == nil {
-			c.compiled = cm
-		}
-	})
-	return c.compiled
 }
 
 // TrainedClusters counts clusters with a usable extractor.
@@ -128,16 +100,30 @@ func (sm *SiteModel) exemplars() []cluster.SortedSignature {
 	return sm.ex
 }
 
-// Route returns the index of the cluster whose exemplar signature is most
-// similar to the page, or -1 for a model with no clusters. The page's
-// signature is matched against the pre-sorted exemplar slices with a
-// linear merge instead of per-page map intersections.
-func (sm *SiteModel) Route(p *Page) int {
-	if len(sm.Clusters) == 1 {
-		return 0
-	}
-	i, _ := cluster.RouteSorted(cluster.SortedSignatureOf(p.Doc), sm.exemplars())
-	return i
+// compile builds the serving form of every trained cluster, once. It
+// runs on the site's first serve call rather than at training or load
+// time: a registry boots thousands of models and serves few of them. A
+// cluster that cannot compile makes the whole model unserveable — every
+// serve call returns the same error.
+func (sm *SiteModel) compile() error {
+	sm.compileOnce.Do(func() {
+		sm.compiled = make([]*CompiledModel, len(sm.Clusters))
+		for i, c := range sm.Clusters {
+			if !c.Trained {
+				continue
+			}
+			cm, err := c.Model.Compile()
+			if err != nil {
+				sm.compileErr = fmt.Errorf("core: cluster %d: %w", i, err)
+				return
+			}
+			sm.compiled[i] = cm
+			if cm.fz.maxText > sm.maxText {
+				sm.maxText = cm.fz.maxText
+			}
+		}
+	})
+	return sm.compileErr
 }
 
 // ServeOptions are per-call serving overrides. They apply to exactly one
@@ -159,8 +145,7 @@ type ServeOptions struct {
 // are atomic because a serve call's workers add concurrently; totals
 // are summed across workers, so they may exceed the call's wall time.
 type StageTimes struct {
-	// Parse is tokenization: the streaming pass's capture or the DOM
-	// path's tree build.
+	// Parse is tokenization: the stream pass's capture.
 	Parse atomic.Int64
 	// Route is cluster routing by template-signature similarity.
 	Route atomic.Int64
@@ -297,22 +282,11 @@ type PageBytes struct {
 // ExtractBytesOpts is the parallel bytes entry: pages fan out over the
 // call's workers and stream straight from the caller's bytes — no string,
 // no per-worker copy. Statistics, output order, the Workers clamp and the
-// error contract are ExtractSourcesOpts'. A model that cannot stream
-// serves through the DOM path, paying a string copy per page.
+// error contract are ExtractSourcesOpts'.
 func (sm *SiteModel) ExtractBytesOpts(ctx context.Context, pages []PageBytes, opts ServeOptions) ([]Extraction, *ServeStats, error) {
 	return sm.extractParallel(ctx, len(pages), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
-		return sm.extractOneBytes(pages[i].ID, pages[i].HTML, sc, opts.Stages)
+		return sm.extractBytes(pages[i].ID, pages[i].HTML, sc, opts.Stages)
 	})
-}
-
-// extractOneBytes is extractOne for a page held as bytes: streamed in
-// place when the model can stream, else through the DOM path at the
-// price of a string copy.
-func (sm *SiteModel) extractOneBytes(id string, html []byte, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
-	if ok, maxText := sm.streamable(); ok {
-		return sm.extractBytes(id, html, sc, maxText, st)
-	}
-	return sm.extractOne(PageSource{ID: id, HTML: string(html)}, sc, st)
 }
 
 // extractParallel is the one parallel serve loop: n pages fan out over
@@ -366,7 +340,7 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 
 // serveScratchPool recycles per-worker serve scratch across calls, so a
 // steady-state serving process stops re-growing vector builders,
-// probability matrices and text-probe buffers on every request. Scratch
+// probability matrices and stream arenas on every request. Scratch
 // never escapes a call: extraction output is freshly allocated.
 var serveScratchPool = sync.Pool{New: func() any { return NewServeScratch() }}
 
@@ -448,8 +422,8 @@ feed:
 	return stats, nil
 }
 
-// serveable validates a serve call: a model must exist and have at least
-// one trained cluster, and there must be pages to serve.
+// serveable validates a serve call: a model must exist, have at least
+// one trained cluster and compile, and there must be pages to serve.
 func (sm *SiteModel) serveable(pages int) error {
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return ErrNotTrained
@@ -457,42 +431,16 @@ func (sm *SiteModel) serveable(pages int) error {
 	if pages == 0 {
 		return ErrNoPages
 	}
-	return nil
+	return sm.compile()
 }
 
-// extractOne parses, routes and extracts a single page through the
-// compiled pipeline, writing intermediates into the worker's scratch. It
-// returns the cluster the page routed to alongside the extractions. The
-// legacy (string-hashing) path remains as fallback for models whose
-// dictionary cannot compile.
+// extractOne is extractBytes for a page held as a string: one copy into
+// the worker's reusable buffer buys the stream pass. Byte-native callers
+// enter through ExtractBytesOpts (parallel) or ExtractScanOpts
+// (sequential) and skip even that.
 func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
-	if ok, maxText := sm.streamable(); ok {
-		// One copy into the worker's reusable buffer buys the zero-DOM
-		// pass; byte-native callers enter through ExtractBytesOpts
-		// (parallel) or ExtractScanOpts (sequential) and skip even that.
-		sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
-		return sm.extractBytes(src.ID, sc.htmlBuf, sc, maxText, st)
-	}
-	ck := startStageClock(st)
-	p := PrepareServePage(src.ID, src.HTML)
-	// The page dies with this call — extractions carry their own strings,
-	// never node pointers — so its node slabs recycle into the parse pool.
-	defer p.Release()
-	ck.tick(stageParse)
-	ci := sm.Route(p)
-	ck.tick(stageRoute)
-	if ci < 0 || !sm.Clusters[ci].Trained {
-		return ci, nil
-	}
-	c := sm.Clusters[ci]
-	if cm := c.Compiled(); cm != nil {
-		exts := cm.ExtractPage(p, sm.Extract, sc)
-		ck.tick(stageScore)
-		return ci, exts
-	}
-	exts := ExtractPage(p, c.Model, sm.Extract)
-	ck.tick(stageScore)
-	return ci, exts
+	sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
+	return sm.extractBytes(src.ID, sc.htmlBuf, sc, st)
 }
 
 // ---------------------------------------------------------------- state

@@ -8,15 +8,15 @@ import (
 	"ceres/internal/mlr"
 )
 
-// This file implements the streaming serve path (DESIGN.md §11): pages
-// are extracted from raw bytes in a single tokenizer pass, with routing
+// This file is the production extraction engine (DESIGN.md §5): pages are
+// extracted from raw bytes in a single tokenizer pass, with routing
 // signature, featurization context and text fields all captured by
-// dom.StreamScratch — no dom.Node is ever allocated. Output is
-// bit-identical to the DOM serve path (same extractions, confidences,
-// order and XPath strings); the root-package differential tests assert it
-// over every DemoCorpus kind. Training and annotation keep the
-// materialized tree: they need random access, node identity and render
-// support that a single forward pass cannot give.
+// dom.StreamScratch — no DOM tree is ever built. Output is bit-identical
+// to the paper-literal ExtractPage (same extractions, confidences, order
+// and XPath strings); the root-package differential tests assert it over
+// every DemoCorpus kind. Training and annotation keep the materialized
+// tree: they need random access, node identity and render support that a
+// single forward pass cannot give.
 
 // probeStr probes a compiled lookup table with a byte key. The
 // []byte→string conversion is allocation-free under the map-probe special
@@ -27,8 +27,8 @@ func probeStr(m map[string]int32, key []byte) (int32, bool) {
 	return id, ok
 }
 
-// emitStream is structTable.emit over streaming records, branch for
-// branch: symbol array first, tag-map fallback only for unsymbolized
+// emitStream appends the IDs of element e's structural features at this
+// position: symbol array first, tag-map fallback only for unsymbolized
 // tags, then the attribute tables in structuralAttrs order (the stream is
 // always built with Attrs = structuralAttrs, so table index i and stream
 // attribute index i name the same key).
@@ -56,11 +56,12 @@ func (t *structTable) emitStream(sp *dom.StreamPage, e int32, vb *mlr.VectorBuil
 	}
 }
 
-// appendStreamFeatures is appendFeatures over streaming records: the same
+// appendStreamFeatures emits the feature IDs of a field whose containing
+// element is elem — Featurizer.Features over streaming records: the same
 // context walk (containing element, ancestors, sibling windows, bounded
-// sibling-text probes) emitting the same feature-ID multiset. elem 0 — a
-// field directly under the document — emits nothing, matching the DOM
-// walk's immediate stop on a non-element parent.
+// sibling-text probes) resolving the same features through the integer
+// tables. elem 0 — a field directly under the document — emits nothing,
+// matching the training walk's immediate stop on a non-element parent.
 //
 // The walk splits at level 0: everything above the containing element
 // depends only on (ancestor, level) pairs, which upperSpan memoizes per
@@ -201,8 +202,8 @@ func (cf *CompiledFeaturizer) emitUpperLevel(vb *mlr.VectorBuilder, sp *dom.Stre
 		}
 		if tbl := tables[0]; len(tbl) > 0 {
 			// !probeable means the own text is non-empty but longer
-			// than any lexicon key: the DOM path's probe would miss,
-			// so skipping it is equivalent.
+			// than any lexicon key: a probe would miss, so skipping it
+			// is equivalent.
 			if own, probeable := sp.OwnText(node); probeable && len(own) != 0 {
 				if id, ok := probeStr(tbl, own); ok {
 					vb.AddID(int(id))
@@ -308,26 +309,20 @@ func appendFeatureSeqKey(dst []byte, feats []mlr.Feature) ([]byte, bool) {
 	return dst, true
 }
 
-// ExtractStreamPage applies the compiled model to a streamed page —
-// CompiledModel.ExtractPage without the tree, with identical output.
-// Subject, value and path strings materialize only for emitted
-// extractions; a page that yields nothing allocates nothing.
-func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, opts ExtractOptions, sc *ServeScratch) []Extraction {
-	opts = opts.withDefaults()
-	if cm.nameClass == OtherClass {
-		return nil // no name class was learned; no subjects identifiable
-	}
+// beginPage sizes the scratch for one streamed page under cm and starts a
+// new upper-walk memo epoch. It returns the page's fields×classes
+// probability matrix and the per-element first-scored-field memo, reset.
+func (sc *ServeScratch) beginPage(sp *dom.StreamPage, cm *CompiledModel) (proba []float64, memo []int32) {
 	K := cm.scorer.ClassCount()
 	nf := sp.Fields()
 	if need := nf * K; cap(sc.proba) < need {
 		sc.proba = make([]float64, need)
 	}
-	proba := sc.proba[:nf*K]
 	ne := sp.Elems()
 	if cap(sc.memoRow) < ne {
 		sc.memoRow = make([]int32, ne)
 	}
-	memo := sc.memoRow[:ne]
+	memo = sc.memoRow[:ne]
 	for i := range memo {
 		memo[i] = -1
 	}
@@ -344,12 +339,28 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 	sc.upStride = ne
 	sc.upEpochCur++
 	sc.upperIDs = sc.upperIDs[:0]
+	return sc.proba[:nf*K], memo
+}
+
+// ExtractStreamPage applies the compiled model to a streamed page, with
+// the output of the paper-literal ExtractPage over the parsed page.
+// Subject, value and path strings materialize only for emitted
+// extractions; a page that yields nothing allocates nothing.
+func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, opts ExtractOptions, sc *ServeScratch) []Extraction {
+	opts = opts.withDefaults()
+	if cm.nameClass == OtherClass {
+		return nil // no name class was learned; no subjects identifiable
+	}
+	K := cm.scorer.ClassCount()
+	nf := sp.Fields()
+	proba, memo := sc.beginPage(sp, cm)
 	bestName, bestNameP := cm.scoreStreamFields(sp, proba, memo, sc)
 	if bestName < 0 || bestNameP < opts.NameThreshold {
 		return nil // §4.3: extraction requires an identified name node
 	}
 	// Two passes over the cached probabilities: count survivors, then emit
-	// into an exactly sized slice (see ExtractPage).
+	// into an exactly sized slice. argmax over K classes is cheap next to
+	// the slice-growth copying a blind append pays.
 	n := 0
 	for fi := 0; fi < nf; fi++ {
 		if fi == bestName {
@@ -388,86 +399,32 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 	return out
 }
 
-// watermarkFallbackSim is the similarity floor for watermark routing: a
-// prefix-signature match below it is considered inconclusive and routing
-// falls back to the full-page signature.
-const watermarkFallbackSim = 0.5
-
-// streamInfo reports whether every trained cluster compiled (the
-// streaming path has no legacy fallback per cluster — one holdout sends
-// the whole site down the DOM path) and the cross-cluster text bound
-// streams must capture. Clusters are immutable after training/restore, so
-// the answer is computed once.
-func (sm *SiteModel) streamInfo() (bool, int) {
-	sm.streamOnce.Do(func() {
-		ok := true
-		maxText := 0
-		for _, c := range sm.Clusters {
-			if !c.Trained {
-				continue
-			}
-			cm := c.Compiled()
-			if cm == nil {
-				ok = false
-				break
-			}
-			if cm.fz.maxText > maxText {
-				maxText = cm.fz.maxText
-			}
-		}
-		sm.streamOK = ok
-		sm.streamMaxText = maxText
-	})
-	return sm.streamOK, sm.streamMaxText
-}
-
-// streamable reports whether serve calls take the streaming path —
-// every trained cluster compiled and DisableStreaming is off — and the
-// text bound streams must capture.
-func (sm *SiteModel) streamable() (bool, int) {
-	ok, maxText := sm.streamInfo()
-	return ok && !sm.DisableStreaming, maxText
-}
-
-// extractBytes streams, routes and extracts one page from raw bytes. The
-// caller must have checked streamable. Routing: single-cluster sites
-// short-circuit like Route; otherwise the signature accumulated during
-// the pass is matched against the exemplars — on the first
-// SignatureWatermark keys when configured (falling back to the full page
-// below watermarkFallbackSim), or the full page by default, which is
-// bit-identical to DOM routing.
-func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, maxText int, st *StageTimes) (int, []Extraction) {
+// extractBytes streams, routes and extracts one page from raw bytes; the
+// caller must have passed serveable. Single-cluster sites skip routing,
+// like Route; otherwise the signature accumulated during the pass is
+// matched against the exemplars.
+func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
 	if sc.stream == nil {
 		sc.stream = dom.NewStreamScratch()
 	}
 	ck := startStageClock(st)
 	multi := len(sm.Clusters) > 1
 	sp := sc.stream.Stream(html, dom.StreamOptions{
-		MaxText:   maxText,
+		MaxText:   sm.maxText,
 		Attrs:     structuralAttrs,
 		Signature: multi,
 	})
 	ck.tick(stageParse)
 	ci := 0
 	if multi {
-		ex := sm.exemplars()
-		routed := false
-		if w := sm.SignatureWatermark; w > 0 && w < sp.SignatureKeys() {
-			sc.sig = sp.AppendSignature(sc.sig[:0], w)
-			if best, sim := cluster.RouteSortedBytes(sc.sig, ex); sim >= watermarkFallbackSim {
-				ci, routed = best, true
-			}
-		}
-		if !routed {
-			sc.sig = sp.AppendSignature(sc.sig[:0], 0)
-			ci, _ = cluster.RouteSortedBytes(sc.sig, ex)
-		}
+		sc.sig = sp.AppendSignature(sc.sig[:0])
+		ci, _ = cluster.RouteSortedBytes(sc.sig, sm.exemplars())
 	}
 	ck.tick(stageRoute)
 	if ci < 0 || !sm.Clusters[ci].Trained {
 		return ci, nil
 	}
-	exts := sm.Clusters[ci].Compiled().ExtractStreamPage(sp, id, sm.Extract, sc)
+	exts := sm.compiled[ci].ExtractStreamPage(sp, id, sm.Extract, sc)
 	ck.tick(stageScore)
 	return ci, exts
 }
@@ -475,8 +432,7 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, maxT
 // ExtractScan extracts pages delivered as raw bytes by a scan function —
 // the zero-copy entry point for pagestore-backed serving. scan must call
 // yield once per page and stop on its error; id and html are only read
-// during the yield. Pages flow through the streaming path when the model
-// supports it, else through the DOM path (paying a string copy).
+// during the yield.
 func (sm *SiteModel) ExtractScan(ctx context.Context, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
 	return sm.ExtractScanOpts(ctx, ServeOptions{}, scan)
 }
@@ -489,6 +445,9 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return nil, nil, ErrNotTrained
 	}
+	if err := sm.compile(); err != nil {
+		return nil, nil, err
+	}
 	sc := serveScratchPool.Get().(*ServeScratch)
 	defer serveScratchPool.Put(sc)
 	stats := &ServeStats{ClusterPages: make([]int, len(sm.Clusters))}
@@ -497,7 +456,7 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		route, exts := sm.extractOneBytes(id, html, sc, opts.Stages)
+		route, exts := sm.extractBytes(id, html, sc, opts.Stages)
 		stats.Pages++
 		stats.addRoute(route)
 		stats.observePage(sm.routeMiss(route), len(exts))

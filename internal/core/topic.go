@@ -135,9 +135,9 @@ func IdentifyTopicsCtx(ctx context.Context, pages []*Page, K *kb.KB, opts TopicO
 }
 
 // IdentifyTopicsLegacy is the original string-keyed Algorithm 1: per-call
-// normalization, map page-sets, lazily scored candidates. It is retained
-// as the reference implementation the indexed path is differentially
-// tested against, and as the fallback Config.LegacyAnnotation selects.
+// normalization, map page-sets, lazily scored candidates. It is the
+// reference implementation the indexed path is differentially tested
+// against; the pipeline never calls it.
 func IdentifyTopicsLegacy(pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
 	opts = opts.withDefaults()
 	frequent := K.FrequentObjectKeys(opts.frequentFrac(K.NumTriples()))

@@ -56,11 +56,6 @@ type Node struct {
 	ownCached     bool   // cachedOwnText is valid
 	cachedText    string // collapsed subtree text
 	cachedOwnText string // collapsed direct-child text
-	textMin       int32  // known lower bound on len(Text()), from bounded walks
-
-	// sym is the interned tag symbol (TagSym), set by Parse on element
-	// nodes; 0 elsewhere. See Node.TagSymbol.
-	sym int32
 
 	// arena backs Release: set only on the DocumentNode Parse returns, so
 	// the page's owner can recycle the tree's node slabs when done.
@@ -100,13 +95,9 @@ func (n *Node) AppendChild(c *Node) {
 		n.ownCached = false
 		n.cachedOwnText = ""
 	}
-	// Subtree-text caches can be filled at any level independently (a
-	// bounded probe caches a node without touching its children), so
-	// every ancestor must be cleared, cached or not.
 	for p := n; p != nil; p = p.Parent {
 		p.textCached = false
 		p.cachedText = ""
-		p.textMin = 0
 	}
 }
 
@@ -290,70 +281,6 @@ func (n *Node) Text() string {
 	}
 	n.textCached = true
 	return n.cachedText
-}
-
-// TextWithin appends n's collapsed subtree text — exactly Text() — to buf
-// when it fits within max bytes, reporting whether it fit. A subtree whose
-// text exceeds the bound is abandoned as soon as the bound is crossed, so
-// probing a huge container for a short string costs O(max), not
-// O(subtree); the overflow is remembered, making repeat probes O(1). buf
-// is the caller's scratch; the appended bytes alias it.
-func (n *Node) TextWithin(buf []byte, max int) ([]byte, bool) {
-	if int(n.textMin) > max {
-		return buf, false
-	}
-	base := len(buf)
-	out, ok := n.appendTextBounded(buf, base, base+max)
-	if !ok {
-		if lo := int32(max + 1); lo > n.textMin {
-			n.textMin = lo
-		}
-		return buf, false
-	}
-	if !n.textCached {
-		// The walk produced the full collapsed text; keep it so later
-		// reads — bounded or not — are cache hits.
-		n.cachedText = string(out[base:])
-		n.textCached = true
-	}
-	return out, true
-}
-
-// appendTextBounded appends the subtree text of n to buf, joining pieces
-// with single spaces (a piece appended after base gets a leading space),
-// failing as soon as the result would pass limit.
-func (n *Node) appendTextBounded(buf []byte, base, limit int) ([]byte, bool) {
-	var t string
-	switch {
-	case n.textCached:
-		t = n.cachedText
-	case n.Type == TextNode:
-		t = n.Text() // collapse once; cached for every later probe
-	case n.Type == CommentNode:
-		return buf, true
-	default:
-		for _, c := range n.Children {
-			var ok bool
-			if buf, ok = c.appendTextBounded(buf, base, limit); !ok {
-				return buf, false
-			}
-		}
-		return buf, true
-	}
-	if t == "" {
-		return buf, true
-	}
-	need := len(t)
-	if len(buf) > base {
-		need++
-	}
-	if len(buf)+need > limit {
-		return buf, false
-	}
-	if len(buf) > base {
-		buf = append(buf, ' ')
-	}
-	return append(buf, t...), true
 }
 
 // OwnText returns the whitespace-collapsed concatenation of the direct text

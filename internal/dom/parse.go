@@ -112,7 +112,7 @@ func (a *nodeArena) ptrs(n int) []*Node {
 		a.ptrUsed = 0
 		a.ptrSlabs = append(a.ptrSlabs, sp)
 	}
-	s := a.ptrSlab[a.ptrUsed:a.ptrUsed:a.ptrUsed+n]
+	s := a.ptrSlab[a.ptrUsed : a.ptrUsed : a.ptrUsed+n]
 	a.ptrUsed += n
 	return s
 }
@@ -240,7 +240,6 @@ func Parse(src string) *Node {
 		case tokSelfClosing:
 			el := arena.node(ElementNode)
 			el.Tag, el.Attrs = t.tag, arena.attrs(t.attrs)
-			el.sym = TagSym(t.tag)
 			arena.appendChild(top(), el)
 		case tokStartTag:
 			if closers, ok := autoClose[t.tag]; ok {
@@ -255,7 +254,6 @@ func Parse(src string) *Node {
 			}
 			el := arena.node(ElementNode)
 			el.Tag, el.Attrs = t.tag, arena.attrs(t.attrs)
-			el.sym = TagSym(t.tag)
 			arena.appendChild(top(), el)
 			if voidTags[t.tag] {
 				continue
@@ -285,8 +283,8 @@ func Parse(src string) *Node {
 			}
 		}
 	}
-	// Precompute the structural/text context extraction reads per node, so
-	// the serve hot path never re-walks the tree (see Node.Finalize).
+	// Precompute the structural context featurization reads per node, so
+	// it never re-walks the tree (see Node.Finalize).
 	doc.Finalize()
 	return doc
 }

@@ -8,7 +8,7 @@ import (
 	"sync"
 )
 
-// This file implements the streaming zero-DOM serve path (DESIGN.md §11).
+// This file implements the stream pass of the serve path (DESIGN.md §5).
 // Stream tokenizes a page once, maintaining only the open-element stack,
 // and records per element exactly the structural context serve-time
 // featurization consumes — interned tag symbol, parent link, element index,
@@ -29,7 +29,7 @@ type StreamOptions struct {
 	// MaxText bounds the captured own/subtree text per element — the
 	// serve path passes the longest frequent-string key, since longer
 	// text can never match the lexicon. Text beyond the bound is marked
-	// overflowed and fails probes, exactly like Node.TextWithin.
+	// overflowed and fails probes.
 	MaxText int
 	// Attrs lists the lowercase attribute keys to capture per element
 	// (first occurrence wins, like Node.Attr). At most streamMaxAttrs.
@@ -349,7 +349,7 @@ func (p *StreamPage) propagate(piece []byte, over bool, direct bool) {
 
 // appendJoinBounded joins piece onto dst with a single space — the
 // joinChildText rule — failing once the joined length would exceed max
-// (Node.TextWithin's bound: the full text must fit).
+// (the full text must fit).
 //
 //ceres:allocfree
 func appendJoinBounded(dst []byte, piece []byte, pieceOver bool, max int) ([]byte, bool) {
@@ -810,8 +810,8 @@ func (p *StreamPage) ElemIndex(e int32) int32 { return p.elems[e].elemIndex }
 //ceres:allocfree
 func (p *StreamPage) Ordinal(e int32) int32 { return p.elems[e].ordinal }
 
-// SubText returns e's full collapsed subtree text when it fits within max
-// bytes — Node.TextWithin over records.
+// SubText returns e's full collapsed subtree text — Node.Text over
+// records — when it fits within max bytes.
 //
 //ceres:allocfree
 func (p *StreamPage) SubText(e int32, max int) ([]byte, bool) {
@@ -856,22 +856,13 @@ func (p *StreamPage) AppendFieldXPath(dst []byte, i int) []byte {
 	return append(dst, ']')
 }
 
-// SignatureKeys returns how many signature keys the pass collected (one
-// per element, in document order, before sorting).
-func (p *StreamPage) SignatureKeys() int { return len(p.sigOff) }
-
 // AppendSignature appends the page's routing signature — sorted,
 // duplicate-free key views into the page arena, the exact key set
-// cluster.SortedSignatureOf produces. k > 0 restricts to the first k keys
-// in document order (the routing watermark); k <= 0 uses every key.
-func (p *StreamPage) AppendSignature(dst [][]byte, k int) [][]byte {
-	n := len(p.sigOff)
-	if k > 0 && k < n {
-		n = k
-	}
+// cluster.SortedSignatureOf produces.
+func (p *StreamPage) AppendSignature(dst [][]byte) [][]byte {
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, p.sigArena[p.sigOff[i]:p.sigOff[i]+p.sigLen[i]])
+	for i, off := range p.sigOff {
+		dst = append(dst, p.sigArena[off:off+p.sigLen[i]])
 	}
 	keys := dst[base:]
 	sort.Slice(keys, func(a, b int) bool { return bytes.Compare(keys[a], keys[b]) < 0 })

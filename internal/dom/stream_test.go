@@ -1,7 +1,6 @@
 package dom_test
 
 import (
-	"fmt"
 	"testing"
 
 	"ceres/internal/cluster"
@@ -50,7 +49,7 @@ func diffStream(t *testing.T, html string, maxText int) {
 		if got, want := p.Tag(e), n.Tag; got != want {
 			t.Fatalf("elem %d tag: stream %q, dom %q", i, got, want)
 		}
-		if got, want := p.TagSymOf(e), n.TagSymbol(); got != want {
+		if got, want := p.TagSymOf(e), dom.TagSym(n.Tag); got != want {
 			t.Fatalf("elem %d (%s) sym: stream %d, dom %d", i, n.Tag, got, want)
 		}
 		if got, want := p.Parent(e), rec[n.Parent]; got != want {
@@ -79,9 +78,14 @@ func diffStream(t *testing.T, html string, maxText int) {
 				t.Fatalf("elem %d (%s) attr %s: stream %q/%v, dom %q/%v", i, n.Tag, key, gv, gok, wv, wok)
 			}
 		}
-		wantSub, wantOK := n.TextWithin(nil, maxText)
+		// A subtree's text is probeable exactly when all of it fits.
+		wantSub := n.Text()
+		wantOK := len(wantSub) <= maxText
+		if !wantOK {
+			wantSub = ""
+		}
 		gotSub, gotOK := p.SubText(e, maxText)
-		if gotOK != wantOK || string(gotSub) != string(wantSub) {
+		if gotOK != wantOK || string(gotSub) != wantSub {
 			t.Fatalf("elem %d (%s) subtext(max %d): stream %q/%v, dom %q/%v",
 				i, n.Tag, maxText, gotSub, gotOK, wantSub, wantOK)
 		}
@@ -115,7 +119,7 @@ func diffStream(t *testing.T, html string, maxText int) {
 
 	// Routing signature.
 	want := cluster.SortedSignatureOf(doc)
-	got := p.AppendSignature(nil, 0)
+	got := p.AppendSignature(nil)
 	if len(got) != len(want) {
 		t.Fatalf("signature: stream %d keys, dom %d", len(got), len(want))
 	}
@@ -241,30 +245,4 @@ func TestStreamScratchReuse(t *testing.T) {
 			doc.Release()
 		}
 	}
-}
-
-func TestStreamSignatureWatermark(t *testing.T) {
-	html := `<html><body><div class="a">x</div><div class="b">y</div><div class="a">z</div></body></html>`
-	sc := dom.NewStreamScratch()
-	p := sc.Stream([]byte(html), dom.StreamOptions{Attrs: []string{"class"}, Signature: true})
-	if p.SignatureKeys() != 5 {
-		t.Fatalf("signature keys = %d, want 5", p.SignatureKeys())
-	}
-	full := p.AppendSignature(nil, 0)
-	prefix := p.AppendSignature(nil, 2) // html, body only
-	if len(prefix) >= len(full) {
-		t.Fatalf("prefix signature (%d keys) not smaller than full (%d)", len(prefix), len(full))
-	}
-	// The prefix is the sorted dedup of the first two document-order keys.
-	if fmt.Sprint(bytesToStrings(prefix)) != fmt.Sprint([]string{"html", "html/body"}) {
-		t.Fatalf("prefix signature = %q", bytesToStrings(prefix))
-	}
-}
-
-func bytesToStrings(bs [][]byte) []string {
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = string(b)
-	}
-	return out
 }

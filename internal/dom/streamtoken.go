@@ -162,9 +162,8 @@ func appendCollapse(dst, src []byte) []byte {
 
 // appendCollapseBounded is appendCollapse under a length bound: it stops
 // and reports overflow as soon as the collapsed output would exceed max
-// bytes, mirroring Node.TextWithin's bound semantics (the full collapsed
-// text must fit). On overflow dst holds a truncated prefix the caller must
-// treat as unusable.
+// bytes (the full collapsed text must fit). On overflow dst holds a
+// truncated prefix the caller must treat as unusable.
 //
 //ceres:allocfree
 func appendCollapseBounded(dst, src []byte, max int) ([]byte, bool) {

@@ -51,8 +51,3 @@ func TagSym(tag string) int32 {
 	tagSymTab.Store(&m)
 	return s
 }
-
-// TagSymbol returns the node's interned tag symbol, or 0 for non-element
-// nodes and trees built outside Parse (hand-constructed test trees carry
-// no symbols; consumers must fall back to Tag).
-func (n *Node) TagSymbol() int32 { return n.sym }

@@ -1,26 +1,29 @@
 package ceres
 
-// Differential tests for the compiled serve path (DESIGN.md §5): serving
-// through SiteModel — which featurizes via compiled integer tables and
-// scores through the allocation-free Scorer fast path — must be
-// output-identical to the legacy string-hashing path (PreparePage +
-// Route + core.ExtractPage), triple for triple, confidence bit for bit,
-// across every DemoCorpus site, both classifiers, and untrained-cluster
-// routing. Serialization must be unaffected by compilation.
+// Differential tests for the serve engine (DESIGN.md §5): serving
+// through SiteModel — one stream pass over the page bytes, compiled
+// integer feature tables, the allocation-free Scorer — must be
+// output-identical to the paper-literal engine (PreparePage + Route +
+// core.ExtractPage), triple for triple, confidence bit for bit, XPath for
+// XPath, across every DemoCorpus site, both classifiers, untrained-cluster
+// routing and malformed markup, and under concurrent use of one model.
+// Serialization must be unaffected by compilation.
 
 import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"ceres/internal/core"
 )
 
-// legacyExtract reproduces the pre-compilation serve path with exported
-// core pieces: full page preparation, routing, string-hashed features,
-// allocating scorer.
-func legacyExtract(sm *core.SiteModel, sources []core.PageSource) []core.Extraction {
+// referenceExtract is §4.3 as written, from exported core pieces: full
+// page preparation, routing on the parsed tree, string-hashed features,
+// allocating scorer. Every differential below compares the engine with it.
+func referenceExtract(sm *core.SiteModel, sources []core.PageSource) []core.Extraction {
 	var out []core.Extraction
 	for _, src := range sources {
 		p := core.PreparePage(src.ID, src.HTML)
@@ -46,9 +49,12 @@ func corpusSources(t *testing.T, kind string, seed int64, pages int) ([]core.Pag
 	return src, c
 }
 
-func diffServe(t *testing.T, name string, sm *core.SiteModel, serve []core.PageSource) int {
+// diffStreamServe serves pages through the engine and requires the
+// reference's output. It returns the extraction count so callers can
+// assert the comparison was not vacuous.
+func diffStreamServe(t *testing.T, name string, sm *core.SiteModel, serve []core.PageSource) int {
 	t.Helper()
-	want := legacyExtract(sm, serve)
+	want := referenceExtract(sm, serve)
 	got, err := sm.ExtractSources(context.Background(), serve)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -60,35 +66,41 @@ func diffServe(t *testing.T, name string, sm *core.SiteModel, serve []core.PageS
 		}
 		for i := 0; i < max; i++ {
 			if got[i] != want[i] {
-				t.Fatalf("%s: extraction %d diverges\ncompiled: %+v\nlegacy:   %+v", name, i, got[i], want[i])
+				t.Fatalf("%s: extraction %d diverges\nengine:    %+v\nreference: %+v", name, i, got[i], want[i])
 			}
 		}
-		t.Fatalf("%s: compiled path %d extractions, legacy %d", name, len(got), len(want))
+		t.Fatalf("%s: engine %d extractions, reference %d", name, len(got), len(want))
 	}
 	return len(want)
 }
 
+func trainHalf(t *testing.T, kind string, seed int64, pages int) (*core.SiteModel, []core.PageSource) {
+	t.Helper()
+	src, c := corpusSources(t, kind, seed, pages)
+	var train, serve []core.PageSource
+	for i, s := range src {
+		if i%2 == 0 {
+			train = append(train, s)
+		} else {
+			serve = append(serve, s)
+		}
+	}
+	sm, _, err := core.TrainSite(context.Background(), train, c.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
+	if err != nil {
+		t.Fatalf("%s: %v", kind, err)
+	}
+	return sm, serve
+}
+
 // TestCompiledServeMatchesLegacyAllCorpora trains on half of every demo
-// corpus and serves the other (unseen) half down both paths.
+// corpus and serves the other (unseen) half.
 func TestCompiledServeMatchesLegacyAllCorpora(t *testing.T) {
 	kinds := []string{"movies", "movies-longtail", "imdb-films", "imdb-people", "crawl-czech"}
 	total := 0
 	for _, kind := range kinds {
-		src, c := corpusSources(t, kind, 7, 40)
-		var train, serve []core.PageSource
-		for i, s := range src {
-			if i%2 == 0 {
-				train = append(train, s)
-			} else {
-				serve = append(serve, s)
-			}
-		}
-		sm, _, err := core.TrainSite(context.Background(), train, c.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		n := diffServe(t, kind, sm, serve)
-		t.Logf("%s: %d extractions identical on both paths", kind, n)
+		sm, serve := trainHalf(t, kind, 7, 40)
+		n := diffStreamServe(t, kind, sm, serve)
+		t.Logf("%s: %d extractions identical to the reference", kind, n)
 		total += n
 	}
 	if total == 0 {
@@ -105,15 +117,14 @@ func TestCompiledServeMatchesLegacyNaiveBayes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := diffServe(t, "movies/nb", sm, src[20:]); n == 0 {
+	if n := diffStreamServe(t, "movies/nb", sm, src[20:]); n == 0 {
 		t.Fatal("naive Bayes extracted nothing; differential vacuous")
 	}
 }
 
 // TestCompiledServeUntrainedClusterRouting mixes two template families
 // with a KB covering only one, so the other's cluster exists but is
-// untrained: pages routed there must yield nothing, identically on both
-// paths.
+// untrained: pages routed there must yield nothing, as in the reference.
 func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	movieSrc, movieCorpus := corpusSources(t, "movies", 7, 30)
 	imdbSrc, _ := corpusSources(t, "imdb-films", 3, 20)
@@ -132,7 +143,7 @@ func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	// The serve set must actually exercise untrained-cluster routing.
 	untrainedHits := 0
 	for _, s := range serve {
-		ci := sm.Route(core.PrepareServePage(s.ID, s.HTML))
+		ci := sm.Route(core.PreparePage(s.ID, s.HTML))
 		if ci >= 0 && !sm.Clusters[ci].Trained {
 			untrainedHits++
 		}
@@ -140,8 +151,105 @@ func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	if untrainedHits == 0 {
 		t.Fatal("no serve page routed to an untrained cluster; test vacuous")
 	}
-	if n := diffServe(t, "mixed", sm, serve); n == 0 {
+	if n := diffStreamServe(t, "mixed", sm, serve); n == 0 {
 		t.Fatal("trained cluster extracted nothing; differential vacuous")
+	}
+}
+
+// TestStreamServeMatchesDOMMalformed mutates served pages with the
+// malformed constructs the parser tolerates — unclosed tags, raw-text
+// elements, comments inside tables, stray end tags, truncation — and
+// requires the engine to agree with the reference on every mutant.
+func TestStreamServeMatchesDOMMalformed(t *testing.T) {
+	sm, serve := trainHalf(t, "movies", 7, 30)
+	mutate := []struct {
+		name string
+		fn   func(html string) string
+	}{
+		{"unclosed divs", func(h string) string {
+			return strings.Replace(h, "<body", "<div><div class=\"open\"><body", 1)
+		}},
+		{"comment in table", func(h string) string {
+			return strings.ReplaceAll(h, "<tr>", "<!-- row --><tr>")
+		}},
+		{"raw text", func(h string) string {
+			return strings.Replace(h, "</body>", "<script>if (a<b) { x(\"</div>\"); }</script><style>p>a{}</style></body>", 1)
+		}},
+		{"stray end tags", func(h string) string {
+			return strings.ReplaceAll(h, "<td>", "</span></p><td>")
+		}},
+		{"truncated", func(h string) string {
+			return h[:len(h)*3/4]
+		}},
+		{"unclosed raw", func(h string) string {
+			return h + "<script>never closed"
+		}},
+	}
+	for _, m := range mutate {
+		mutated := make([]core.PageSource, len(serve))
+		for i, s := range serve {
+			mutated[i] = core.PageSource{ID: s.ID, HTML: m.fn(s.HTML)}
+		}
+		diffStreamServe(t, m.name, sm, mutated)
+	}
+}
+
+// TestStreamServeSharedModelRace drives 8 goroutines through one freshly
+// trained model simultaneously, so its first-serve compile is contended
+// too; run with -race it proves the per-worker scratch discipline. Every
+// worker must also produce the sequential output.
+func TestStreamServeSharedModelRace(t *testing.T) {
+	sm, serve := trainHalf(t, "movies", 7, 24)
+	const workers = 8
+	results := make([][]core.Extraction, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			results[w], errs[w] = sm.ExtractSources(context.Background(), serve)
+		}()
+	}
+	wg.Wait()
+	want, err := sm.ExtractSources(context.Background(), serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(results[w], want) {
+			t.Fatalf("worker %d diverged from sequential output", w)
+		}
+	}
+}
+
+// TestStreamExtractScanMatches feeds pages through the byte-scan entry
+// point and requires the same extractions as the string-source path.
+func TestStreamExtractScanMatches(t *testing.T) {
+	sm, serve := trainHalf(t, "imdb-films", 7, 24)
+	want, err := sm.ExtractSources(context.Background(), serve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := sm.ExtractScan(context.Background(), func(yield func(id string, html []byte) error) error {
+		for _, s := range serve {
+			if err := yield(s.ID, []byte(s.HTML)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pages != len(serve) {
+		t.Fatalf("stats.Pages = %d, want %d", stats.Pages, len(serve))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan path %d extractions, source path %d", len(got), len(want))
 	}
 }
 

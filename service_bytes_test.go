@@ -64,17 +64,6 @@ func TestServiceExtractBytesMatchesExtract(t *testing.T) {
 					}
 				}
 			}
-			// A model that cannot stream serves bytes through the DOM path.
-			model.sm.DisableStreaming = true
-			defer func() { model.sm.DisableStreaming = false }()
-			want, err := model.Extract(ctx, serve)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := svc.ExtractBytes(ctx, kind, pages, RequestOptions{})
-			if err != nil || !reflect.DeepEqual(got.Triples, want.Triples) {
-				t.Fatalf("DOM fallback: %d triples (%v), SiteModel.Extract %d", len(got.Triples), err, len(want.Triples))
-			}
 		})
 	}
 }

@@ -290,30 +290,6 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-func TestExtractPagesMatchesTrainPlusExtract(t *testing.T) {
-	f := getTrainServeFixture(t)
-	p := NewPipeline(f.corpus.KB)
-	oneShot, err := p.ExtractPages(context.Background(), f.train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.model.Extract(context.Background(), f.train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := append([]Triple(nil), oneShot.Triples...)
-	b := append([]Triple(nil), res.Triples...)
-	sortTriplesFull(a)
-	sortTriplesFull(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("ExtractPages produced %d triples, Train+Extract %d, or contents differ", len(a), len(b))
-	}
-	if oneShot.AnnotatedPages != res.AnnotatedPages || oneShot.Annotations != res.Annotations {
-		t.Errorf("annotation stats diverge: %d/%d vs %d/%d",
-			oneShot.AnnotatedPages, oneShot.Annotations, res.AnnotatedPages, res.Annotations)
-	}
-}
-
 func TestHarvesterMultiSite(t *testing.T) {
 	ctx := context.Background()
 	cA, err := DemoCorpus("movies", 1, 30)

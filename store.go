@@ -77,11 +77,10 @@ type StoreEntry struct {
 }
 
 // DirStore is a filesystem ModelStore: one directory per site (its name
-// URL-path-escaped), one `v%06d.bin` (binary `ceres.sitemodel/3`
-// WriteBinary format, the publish default) or `v%06d.json` (JSON WriteTo
-// format, behind WithJSONPublish) file per version. Reads sniff the file
-// contents, so a store freely mixes formats and JSON versions published
-// by older builds remain readable forever. Publish writes to a temporary
+// URL-path-escaped), one `v%06d.bin` file (binary `ceres.sitemodel/3`,
+// the WriteBinary format) per published version. Reads also accept
+// `v%06d.json` and sniff the file contents, so the JSON versions older
+// builds published remain readable forever. Publish writes to a temporary
 // file in the same directory, then links it into place atomically, so
 // readers — including other processes watching the directory — never
 // observe a torn model, and a version file is never overwritten once it
@@ -92,34 +91,17 @@ type StoreEntry struct {
 // verdict (MarkUntrainable) is one more atomically written file of the
 // site's directory, verdictFile, which no listing counts as a version.
 type DirStore struct {
-	root        string
-	publishJSON bool
-	mu          sync.Mutex // serializes in-process version assignment
-}
-
-// StoreOption configures a DirStore.
-type StoreOption func(*DirStore)
-
-// WithJSONPublish makes the store publish new versions in the JSON
-// `ceres.sitemodel/2` format instead of the binary default — e.g. for a
-// store that older builds, or humans with text tools, still read.
-// Loading always sniffs the file contents, so the option never affects
-// which versions a store can open.
-func WithJSONPublish() StoreOption {
-	return func(s *DirStore) { s.publishJSON = true }
+	root string
+	mu   sync.Mutex // serializes in-process version assignment
 }
 
 // NewDirStore opens (creating if needed) a filesystem model store rooted
 // at dir.
-func NewDirStore(dir string, opts ...StoreOption) (*DirStore, error) {
+func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ceres: opening model store: %w", err)
 	}
-	s := &DirStore{root: dir}
-	for _, o := range opts {
-		o(s)
-	}
-	return s, nil
+	return &DirStore{root: dir}, nil
 }
 
 // Root returns the store's root directory.
@@ -129,8 +111,8 @@ func (s *DirStore) siteDir(site string) string {
 	return filepath.Join(s.root, url.PathEscape(site))
 }
 
-// Version file extensions: binary is the publish default, JSON the
-// compatibility format. parseVersion accepts both.
+// Version file extensions: binary is what Publish writes, JSON what
+// older builds wrote. parseVersion accepts both.
 const (
 	extBinary = ".bin"
 	extJSON   = ".json"
@@ -234,13 +216,7 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
 	defer tmp.Abort() // the published file is a separate link
-	ext := extBinary
-	if s.publishJSON {
-		ext = extJSON
-		_, err = m.WriteTo(tmp)
-	} else {
-		_, err = m.WriteBinary(tmp)
-	}
+	_, err = m.WriteBinary(tmp)
 	if err == nil {
 		// Published versions are world-readable so other processes
 		// sharing the store can serve them.
@@ -251,12 +227,12 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 	}
 	for {
 		// A version number is taken if either format's file exists — a
-		// concurrent publisher may run with the other format option.
-		if _, err := os.Lstat(filepath.Join(dir, versionFile(version, otherExt(ext)))); err == nil {
+		// concurrent publisher may be an older build writing JSON.
+		if _, err := os.Lstat(filepath.Join(dir, versionFile(version, extJSON))); err == nil {
 			version++
 			continue
 		}
-		err := tmp.Link(filepath.Join(dir, versionFile(version, ext)))
+		err := tmp.Link(filepath.Join(dir, versionFile(version, extBinary)))
 		if err == nil {
 			break
 		}
@@ -317,13 +293,6 @@ func (s *DirStore) MarkUntrainable(site, key, reason string) error {
 		return fmt.Errorf("ceres: writing training verdict: %w", err)
 	}
 	return nil
-}
-
-func otherExt(ext string) string {
-	if ext == extBinary {
-		return extJSON
-	}
-	return extBinary
 }
 
 // Open implements ModelStore. The version's file is located by trying

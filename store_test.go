@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"ceres/internal/binmodel"
 	"ceres/internal/fsatomic"
 )
 
@@ -121,9 +122,7 @@ func TestDirStoreReadsV1Envelope(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// WithJSONPublish keeps the republish below in the JSON format this
-	// test asserts on; binary-default publishing has its own tests.
-	store, err := NewDirStore(t.TempDir(), WithJSONPublish())
+	store, err := NewDirStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestDirStoreReadsV1Envelope(t *testing.T) {
 		t.Fatal("v1 model loaded through the store extracts differently")
 	}
 
-	// Republish: the store writes the current format as version 2, and it
+	// Republish: the store writes the binary format as version 2, and it
 	// still extracts identically.
 	if v, err = store.Publish("legacy.example", m); err != nil || v != 2 {
 		t.Fatalf("republish = %d, %v, want version 2", v, err)
@@ -163,12 +162,12 @@ func TestDirStoreReadsV1Envelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, err := os.ReadFile(filepath.Join(dir, "v000002.json"))
+	upgraded, err := os.ReadFile(filepath.Join(dir, "v000002.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(upgraded), `"format":"ceres.sitemodel/2"`) {
-		t.Error("republished model is not in the current format")
+	if !binmodel.IsBinary(upgraded) {
+		t.Error("republished model is not in the binary format")
 	}
 	got2, err := reloaded.Extract(context.Background(), f.serve)
 	if err != nil {
