@@ -31,17 +31,20 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Native fuzzing, long budget per target (CI runs the same targets for
-# 10s each). Each holds hand-written JSON code to encoding/json: the
+# 10s each). Three hold hand-written JSON code to encoding/json: the
 # extract-request reader on every body (accept/reject, every decoded
 # value, no panic — DESIGN.md §7), the triple line decoder on every line
 # and the triple/fact encoder on every string and float bit pattern
-# (DESIGN.md §8). A failing input is written under the package's
+# (DESIGN.md §8). The fourth holds the HTML lexer's two consumers to each
+# other: the stream pass's records against Parse's tree on every page
+# (DESIGN.md §5). A failing input is written under the package's
 # testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
 	$(GO) test -run='^$$' -fuzz=FuzzTripleLine -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
+	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/
@@ -65,9 +68,12 @@ crash-sweep:
 # one and four per shard); BatchHarvest/Cold is the same path with every
 # site trained in the pass, at two workers (peak-sites-training/op must
 # read at least 2 and peak-sites-holding-pages/op exactly 1);
-# AppendTriple/DecodeTriple the codec under it.
+# AppendTriple/DecodeTriple the codec under it. ParseDetailPage and
+# StreamDetailPage are the HTML lexer under each of its two consumers
+# (the stream pass must read 0 allocs/op).
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -run='^$$' -bench='DetailPage' -benchtime=100x -benchmem ./internal/dom
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
 	$(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchtime=1x -benchmem ./batch
 	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchtime=100x -benchmem ./internal/jsonl

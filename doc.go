@@ -59,16 +59,16 @@
 // Serving does not build a DOM. On a SiteModel's first serve call its
 // trained clusters compile into integer lookup tables; from then on
 // Extract and its siblings run each page through a single forward pass
-// of the HTML tokenizer that maintains only the open-element stack,
-// route the page by its template signature, and classify text fields
-// from the pass's flat records — no node tree, no per-field re-walk. A
-// model that cannot compile fails every Extract call with the same
-// error. The output is bit-identical to the paper-literal extractor over
-// the parsed tree (same triples, confidences, order and XPaths, enforced
-// by differential tests). Service.ExtractScan is the raw-bytes entry
-// point batch harvests use to feed pagestore records straight into the
-// tokenizer without a per-page string copy. DESIGN.md §5 specifies the
-// path.
+// over the HTML lexer's tokens — the same lexer the training-time DOM is
+// built from — that maintains only the open-element stack, route the
+// page by its template signature, and classify text fields from the
+// pass's flat records — no node tree, no per-field re-walk. A model that
+// cannot compile fails every Extract call with the same error. The
+// output is bit-identical to the paper-literal extractor over the parsed
+// tree (same triples, confidences, order and XPaths, enforced by
+// differential tests). Service.ExtractScan is the raw-bytes entry point
+// batch harvests use to feed pagestore records straight into that pass
+// without a per-page string copy. DESIGN.md §5 specifies the path.
 //
 // # Batch harvests
 //

@@ -1,9 +1,10 @@
-// Package dom implements the HTML document model CERES operates over: a
-// from-scratch HTML tokenizer and tree builder (the repository is
-// stdlib-only, so golang.org/x/net/html is unavailable), absolute-XPath
-// generation for every node, and the text-field enumeration that defines
-// the unit of annotation and extraction (paper §2.1: "a node in the tree
-// can be uniquely defined by an absolute XPath").
+// Package dom implements the HTML document model CERES operates over: one
+// from-scratch HTML lexer (the repository is stdlib-only, so
+// golang.org/x/net/html is unavailable) under two consumers — the tree
+// builder training parses pages with and the stream pass serving reads
+// them with — absolute-XPath generation for every node, and the text-field
+// enumeration that defines the unit of annotation and extraction (paper
+// §2.1: "a node in the tree can be uniquely defined by an absolute XPath").
 package dom
 
 import "strings"
@@ -418,7 +419,7 @@ func CollapseSpace(s string) string {
 }
 
 // isASCIISpace matches the ASCII whitespace strings.Fields splits on
-// (unlike the tokenizer's isSpaceByte, it includes '\v').
+// (unlike the lexer's isSpaceByte, it includes '\v').
 func isASCIISpace(b byte) bool {
 	switch b {
 	case ' ', '\t', '\n', '\v', '\f', '\r':

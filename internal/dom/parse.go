@@ -1,6 +1,15 @@
 package dom
 
-import "sync"
+import (
+	"bytes"
+	"strings"
+	"sync"
+)
+
+// rawTextTags are elements whose content is not lexed as markup.
+var rawTextTags = map[string]bool{
+	"script": true, "style": true, "textarea": true, "title": true,
+}
 
 // voidTags are elements that never have children or end tags.
 var voidTags = map[string]bool{
@@ -117,18 +126,15 @@ func (a *nodeArena) ptrs(n int) []*Node {
 	return s
 }
 
-// attrs copies src — a tokenizer scratch buffer, valid only until the
-// next token — into stable storage carved from the arena's attribute
-// slabs. Oversized attribute lists fall back to the heap.
-func (a *nodeArena) attrs(src []Attr) []Attr {
-	n := len(src)
+// attrs returns zeroed storage for an element's n attributes, carved from
+// the arena's attribute slabs (nil for none). Oversized attribute lists
+// fall back to the heap.
+func (a *nodeArena) attrs(n int) []Attr {
 	if n == 0 {
 		return nil
 	}
 	if n > attrSlabSize {
-		out := make([]Attr, n)
-		copy(out, src)
-		return out
+		return make([]Attr, n)
 	}
 	if a.attrSlab == nil || attrSlabSize-a.attrUsed < n {
 		sp, _ := attrSlabPool.Get().(*[]Attr)
@@ -142,7 +148,6 @@ func (a *nodeArena) attrs(src []Attr) []Attr {
 	}
 	s := a.attrSlab[a.attrUsed : a.attrUsed+n : a.attrUsed+n]
 	a.attrUsed += n
-	copy(s, src)
 	return s
 }
 
@@ -198,95 +203,151 @@ func (n *Node) Release() {
 	}
 }
 
+// treeBuilder is Parse's state. The lexer runs over a private copy of the
+// page and reports offsets; every string a node keeps is sliced out of src
+// by them, so node strings stay substrings of the page.
+type treeBuilder struct {
+	src   string
+	lx    lexer
+	arena *nodeArena
+	stack []*Node
+	// The open text run: adjacent text tokens under one parent (a lone
+	// '<', a doctype or a stray end tag splits a run into several) are one
+	// node, as in browsers, which keeps Parse∘Render∘Parse an identity on
+	// text nodes. run is that node, nil when no run is open; a split run
+	// collects its pieces in buf and sets Data once, when it ends.
+	run   *Node
+	split bool
+	buf   []byte // also text's decode buffer
+}
+
+// text returns src[lo:hi] with character references resolved: the page's
+// own substring when it holds none.
+func (b *treeBuilder) text(lo, hi int) string {
+	raw := b.lx.src[lo:hi]
+	if bytes.IndexByte(raw, '&') < 0 {
+		return b.src[lo:hi]
+	}
+	b.buf = appendDecodeEntities(b.buf[:0], raw)
+	return string(b.buf)
+}
+
+// addText appends the text token src[lo:hi] to the open run, opening one
+// if need be. A run of one piece keeps that piece, decoded.
+func (b *treeBuilder) addText(lo, hi int) {
+	if b.run == nil {
+		b.run = b.arena.node(TextNode)
+		b.run.Data = b.text(lo, hi)
+		b.arena.appendChild(b.top(), b.run)
+		return
+	}
+	if !b.split {
+		b.buf = append(b.buf[:0], b.run.Data...)
+		b.split = true
+	}
+	b.buf = appendDecodeEntities(b.buf, b.lx.src[lo:hi])
+}
+
+// endRun closes the open text run, if any: a child is about to follow it
+// or the stack to pop.
+func (b *treeBuilder) endRun() {
+	if b.split {
+		b.run.Data = string(b.buf)
+		b.split = false
+	}
+	b.run = nil
+}
+
+func (b *treeBuilder) top() *Node { return b.stack[len(b.stack)-1] }
+
+func (b *treeBuilder) pop() { b.stack = b.stack[:len(b.stack)-1] }
+
 // Parse builds a DOM tree from HTML source. It never fails: malformed
 // markup degrades to a best-effort tree, mirroring browser behaviour, which
 // is what a web-extraction system must tolerate. The returned node is a
 // DocumentNode.
 func Parse(src string) *Node {
-	arena := new(nodeArena)
-	doc := arena.node(DocumentNode)
-	doc.arena = arena
-	z := &tokenizer{src: src}
-	stack := []*Node{doc}
-	top := func() *Node { return stack[len(stack)-1] }
-
+	// A stack this deep holds a template page without growing.
+	b := treeBuilder{src: src, arena: new(nodeArena), stack: make([]*Node, 1, 32)}
+	doc := b.arena.node(DocumentNode)
+	doc.arena = b.arena
+	b.stack[0] = doc
+	b.lx.reset([]byte(src))
 	for {
-		t, ok := z.next()
-		if !ok {
-			break
-		}
-		switch t.typ {
-		case tokText:
-			if t.data == "" {
-				continue
-			}
-			// Merge adjacent text (a lone '<' tokenizes separately):
-			// browsers normalize the same way, and it keeps
-			// Parse∘Render∘Parse an identity on text nodes.
-			parent := top()
-			if n := len(parent.Children); n > 0 && parent.Children[n-1].Type == TextNode {
-				parent.Children[n-1].Data += t.data
-				continue
-			}
-			tn := arena.node(TextNode)
-			tn.Data = t.data
-			arena.appendChild(parent, tn)
-		case tokComment:
-			cn := arena.node(CommentNode)
-			cn.Data = t.data
-			arena.appendChild(top(), cn)
-		case tokDoctype:
-			// Dropped: the tree starts at <html>.
-		case tokSelfClosing:
-			el := arena.node(ElementNode)
-			el.Tag, el.Attrs = t.tag, arena.attrs(t.attrs)
-			arena.appendChild(top(), el)
-		case tokStartTag:
-			if closers, ok := autoClose[t.tag]; ok {
-				for len(stack) > 1 && closers[top().Tag] {
-					stack = stack[:len(stack)-1]
-				}
-			}
-			if blockTags[t.tag] {
-				if len(stack) > 1 && top().Tag == "p" {
-					stack = stack[:len(stack)-1]
-				}
-			}
-			el := arena.node(ElementNode)
-			el.Tag, el.Attrs = t.tag, arena.attrs(t.attrs)
-			arena.appendChild(top(), el)
-			if voidTags[t.tag] {
-				continue
-			}
-			if rawTextTags[t.tag] {
-				raw := z.readRawText(t.tag)
-				if raw != "" {
-					data := raw
-					if t.tag == "title" || t.tag == "textarea" {
-						data = DecodeEntities(raw)
-					}
-					tn := arena.node(TextNode)
-					tn.Data = data
-					arena.appendChild(el, tn)
-				}
-				continue
-			}
-			stack = append(stack, el)
-		case tokEndTag:
+		switch kind, lo, hi := b.lx.next(); kind {
+		case lexEOF:
+			b.endRun()
+			// Precompute the structural context featurization reads per
+			// node, so it never re-walks the tree (see Node.Finalize).
+			doc.Finalize()
+			return doc
+		case lexText:
+			b.addText(lo, hi)
+		case lexComment:
+			b.endRun()
+			cn := b.arena.node(CommentNode)
+			cn.Data = src[lo:hi]
+			b.arena.appendChild(b.top(), cn)
+		case lexDoctype:
+			// Dropped: the tree starts at <html>, and an open text run
+			// stays open.
+		case lexStartTag:
+			b.endRun()
+			b.startTag(strings.ToLower(src[lo:hi]))
+		case lexEndTag:
 			// Pop to the matching open element if one exists; otherwise
-			// ignore the stray end tag.
-			for i := len(stack) - 1; i >= 1; i-- {
-				if stack[i].Tag == t.tag {
-					stack = stack[:i]
+			// ignore the stray end tag, which leaves an open text run open.
+			name := strings.ToLower(strings.TrimSpace(src[lo:hi]))
+			for i := len(b.stack) - 1; i >= 1; i-- {
+				if b.stack[i].Tag == name {
+					b.endRun()
+					b.stack = b.stack[:i]
 					break
 				}
 			}
 		}
 	}
-	// Precompute the structural context featurization reads per node, so
-	// it never re-walks the tree (see Node.Finalize).
-	doc.Finalize()
-	return doc
+}
+
+// startTag appends the element of the start tag the lexer just returned,
+// after the end tags it implies, and pushes it unless it is self-closing,
+// void or raw text.
+func (b *treeBuilder) startTag(tag string) {
+	selfClosing := b.lx.selfClosing
+	if !selfClosing {
+		if closers, ok := autoClose[tag]; ok {
+			for len(b.stack) > 1 && closers[b.top().Tag] {
+				b.pop()
+			}
+		}
+		if blockTags[tag] && len(b.stack) > 1 && b.top().Tag == "p" {
+			b.pop()
+		}
+	}
+	el := b.arena.node(ElementNode)
+	el.Tag, el.Attrs = tag, b.arena.attrs(len(b.lx.attrs))
+	for i, a := range b.lx.attrs {
+		el.Attrs[i] = Attr{Key: strings.ToLower(b.src[a.keyLo:a.keyHi]), Val: b.text(a.valLo, a.valHi)}
+	}
+	b.arena.appendChild(b.top(), el)
+	switch {
+	case selfClosing || voidTags[tag]:
+		// Appended only: no children, no raw-text scan.
+	case rawTextTags[tag]:
+		lo, hi := b.lx.rawText(tag)
+		if lo == hi {
+			return
+		}
+		tn := b.arena.node(TextNode)
+		if tag == "title" || tag == "textarea" {
+			tn.Data = b.text(lo, hi)
+		} else {
+			tn.Data = b.src[lo:hi]
+		}
+		b.arena.appendChild(el, tn)
+	default:
+		b.stack = append(b.stack, el)
+	}
 }
 
 // TextFields returns every text node in the document whose collapsed

@@ -158,6 +158,9 @@ func TestEntityDecoding(t *testing.T) {
 		{"&#0; bad", "&#0; bad"},
 		{"& lone amp", "& lone amp"},
 		{"100&nbsp;min", "100 min"},
+		// A reference is at most 32 bytes before its ';'.
+		{"&#" + strings.Repeat("0", 28) + "65;", "A"},
+		{"&#" + strings.Repeat("0", 29) + "65;", "&#" + strings.Repeat("0", 29) + "65;"},
 	}
 	for _, c := range cases {
 		if got := DecodeEntities(c.in); got != c.want {

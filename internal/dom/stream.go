@@ -3,13 +3,14 @@ package dom
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
 )
 
 // This file implements the stream pass of the serve path (DESIGN.md §5).
-// Stream tokenizes a page once, maintaining only the open-element stack,
+// Stream lexes a page once, maintaining only the open-element stack,
 // and records per element exactly the structural context serve-time
 // featurization consumes — interned tag symbol, parent link, element index,
 // same-tag XPath ordinal, the configured attribute values, and bounded
@@ -72,7 +73,9 @@ type streamField struct {
 
 // nameInfo is the per-tag intern record: the canonical lowercase name, its
 // process-wide symbol, and the parse-rule flags the main loop consults, so
-// the hot path never probes the rule maps with freshly built strings.
+// the hot path never probes the rule maps with freshly built strings. open
+// counts the frames of this name on the current page's stack, so an end
+// tag that names nothing open is dropped without scanning the stack.
 type nameInfo struct {
 	name    string
 	sym     int32
@@ -80,6 +83,7 @@ type nameInfo struct {
 	raw     bool
 	block   bool
 	closers map[string]bool
+	open    int32
 }
 
 // streamFrame is one open element on the stack. own/sub accumulate the
@@ -114,11 +118,17 @@ func NewStreamScratch() *StreamScratch {
 	return sc
 }
 
+// lookup returns the scratch-local ID of a lowercase tag name seen before:
+// a single map probe with no copy.
+func (sc *StreamScratch) lookup(b []byte) (int32, bool) {
+	id, ok := sc.nameIDs[string(b)]
+	return id, ok
+}
+
 // intern resolves a lowercase tag name to its scratch-local ID, assigning
-// one (and the process-wide symbol) on first sight. The hit path is a
-// single map probe with no copy.
+// one (and the process-wide symbol) on first sight.
 func (sc *StreamScratch) intern(b []byte) int32 {
-	if id, ok := sc.nameIDs[string(b)]; ok {
+	if id, ok := sc.lookup(b); ok {
 		return id
 	}
 	s := string(b)
@@ -154,6 +164,7 @@ type StreamPage struct {
 	childList  []int32
 	childPos   []int32
 
+	lx         lexer
 	frames     []streamFrame
 	pending    []byte
 	pendingOn  bool
@@ -173,7 +184,7 @@ type StreamPage struct {
 
 var pTagBytes = []byte("p")
 
-// Stream tokenizes src in a single pass and returns the page's streaming
+// Stream lexes src in a single pass and returns the page's streaming
 // records. The returned page aliases the scratch and src; both must stay
 // untouched while the page is in use.
 func (sc *StreamScratch) Stream(src []byte, opts StreamOptions) *StreamPage {
@@ -204,6 +215,9 @@ func (p *StreamPage) reset(opts StreamOptions) {
 	p.sigOff = p.sigOff[:0]
 	p.sigLen = p.sigLen[:0]
 	p.frames = p.frames[:0]
+	for i := range p.sc.names {
+		p.sc.names[i].open = 0
+	}
 	p.pendingOn = false
 	p.pID = p.sc.intern(pTagBytes)
 	// Record 0 is the synthetic document; its frame never accumulates
@@ -214,63 +228,35 @@ func (p *StreamPage) reset(opts StreamOptions) {
 	p.frames[0].ownOver, p.frames[0].subOver = true, true
 }
 
-var commentClose = []byte("-->")
-
-// run is the single forward pass: the byte-level twin of tokenizer.next +
-// Parse's tree-building loop, with stack pops, implied end tags and text
-// merging mirrored exactly.
+// run is the single forward pass: it pulls the page's tokens from the
+// lexer and applies Parse's tree actions — stack pops, implied end tags,
+// text merging — to records instead of nodes.
 //
 //ceres:allocfree
 func (p *StreamPage) run(src []byte) {
-	pos := 0
-	for pos < len(src) {
-		if src[pos] != '<' {
-			start := pos
-			for pos < len(src) && src[pos] != '<' {
-				pos++
+	p.lx.reset(src)
+	for {
+		switch kind, lo, hi := p.lx.next(); kind {
+		case lexEOF:
+			p.finalizePending()
+			for len(p.frames) > 1 {
+				p.closeFrame()
 			}
-			p.textAppend(src[start:pos])
-			continue
-		}
-		rest := src[pos:]
-		switch {
-		case hasPrefixBytes(rest, "<!--"):
-			pos += 4
-			if end := bytes.Index(src[pos:], commentClose); end < 0 {
-				pos = len(src)
-			} else {
-				pos += end + 3
-			}
+			p.index()
+			return
+		case lexText:
+			p.textAppend(src[lo:hi])
+		case lexComment:
 			// A comment node is appended, ending any open text run.
 			p.finalizePending()
-		case hasPrefixBytes(rest, "<!"):
-			pos += 2
-			if end := bytes.IndexByte(src[pos:], '>'); end < 0 {
-				pos = len(src)
-			} else {
-				pos += end + 1
-			}
+		case lexDoctype:
 			// Doctype appends nothing: an open text run stays open.
-		case hasPrefixBytes(rest, "</"):
-			pos = p.endTag(src, pos+2)
-		case len(rest) > 1 && isTagNameStart(rest[1]):
-			pos = p.startTag(src, pos)
-		default:
-			// A lone '<' that does not open a tag is literal text.
-			p.textAppendByte('<')
-			pos++
+		case lexEndTag:
+			p.endTag(src[lo:hi])
+		case lexStartTag:
+			p.startTag(src, src[lo:hi])
 		}
 	}
-	p.finalizePending()
-	for len(p.frames) > 1 {
-		p.closeFrame()
-	}
-	p.index()
-}
-
-//ceres:allocfree
-func hasPrefixBytes(b []byte, s string) bool {
-	return len(b) >= len(s) && eqBytesString(b[:len(s)], s)
 }
 
 // textAppend starts a text run if none is open — claiming the run's
@@ -285,14 +271,6 @@ func (p *StreamPage) textAppend(raw []byte) {
 		p.startPending()
 	}
 	p.pending = appendDecodeEntities(p.pending, raw)
-}
-
-//ceres:allocfree
-func (p *StreamPage) textAppendByte(c byte) {
-	if !p.pendingOn {
-		p.startPending()
-	}
-	p.pending = append(p.pending, c)
 }
 
 //ceres:allocfree
@@ -316,7 +294,7 @@ func (p *StreamPage) finalizePending() {
 	}
 	p.pendingOn = false
 	off := int32(len(p.textArena))
-	p.textArena = appendCollapse(p.textArena, p.pending)
+	p.textArena, _ = appendCollapse(p.textArena, p.pending, math.MaxInt)
 	n := int32(len(p.textArena)) - off
 	if n == 0 {
 		return
@@ -381,6 +359,9 @@ func (p *StreamPage) push(rec, nameID int32) {
 	} else {
 		p.frames = append(p.frames, streamFrame{})
 	}
+	if nameID >= 0 {
+		p.sc.names[nameID].open++
+	}
 	f := &p.frames[len(p.frames)-1]
 	f.rec, f.nameID = rec, nameID
 	f.textCount, f.elemKids = 0, 0
@@ -409,67 +390,45 @@ func (p *StreamPage) closeFrame() {
 	if f.subOver {
 		e.flags |= elemSubOverflow
 	}
+	p.sc.names[f.nameID].open--
 	p.frames = p.frames[:len(p.frames)-1]
 }
 
-// endTag handles "</...": pop to the nearest matching open element, or
+// endTag handles "</raw>": pop to the nearest matching open element, or
 // ignore the stray end tag — in which case an open text run stays open,
 // since Parse appends nothing for it.
 //
 //ceres:allocfree
-func (p *StreamPage) endTag(src []byte, pos int) int {
-	start := pos
-	for pos < len(src) && src[pos] != '>' {
-		pos++
-	}
-	raw := src[start:pos]
-	if pos < len(src) {
-		pos++ // consume '>'
-	}
+func (p *StreamPage) endTag(raw []byte) {
 	// Fast path: a well-formed lowercase end tag matching the open
 	// element — the overwhelming majority — needs no trim, no case fold
 	// and no stack scan.
 	if top := len(p.frames) - 1; top >= 1 && eqBytesString(raw, p.sc.names[p.frames[top].nameID].name) {
 		p.finalizePending()
 		p.closeFrame()
-		return pos
+		return
 	}
 	p.tagBuf = appendLowerFold(p.tagBuf[:0], bytes.TrimSpace(raw))
-	for i := len(p.frames) - 1; i >= 1; i-- {
-		if eqBytesString(p.tagBuf, p.sc.names[p.frames[i].nameID].name) {
-			p.finalizePending()
-			for len(p.frames) > i {
-				p.closeFrame()
-			}
-			break
-		}
+	id, ok := p.sc.lookup(p.tagBuf)
+	if !ok || p.sc.names[id].open == 0 {
+		// Stray: a page of these must not scan the whole stack once each.
+		return
 	}
-	return pos
+	i := len(p.frames) - 1 // open > 0: some frame above the document carries id
+	for p.frames[i].nameID != id {
+		i--
+	}
+	p.finalizePending()
+	for len(p.frames) > i {
+		p.closeFrame()
+	}
 }
 
-//ceres:allocfree
-func skipSpaceBytes(src []byte, pos int) int {
-	for pos < len(src) {
-		switch src[pos] {
-		case ' ', '\t', '\n', '\r', '\f':
-			pos++
-		default:
-			return pos
-		}
-	}
-	return pos
-}
-
-// startTag scans one start tag — name, attributes, self-closing syntax —
-// then applies Parse's tree actions: implied end tags, the element
-// record, and void/raw-text/push handling.
-func (p *StreamPage) startTag(src []byte, pos int) int {
-	pos++ // consume '<'
-	start := pos
-	for pos < len(src) && isNameByte(src[pos]) {
-		pos++
-	}
-	p.tagBuf = appendLowerFold(p.tagBuf[:0], src[start:pos])
+// startTag applies Parse's tree actions to the start tag the lexer just
+// returned: the configured attributes' values, implied end tags, the
+// element record, and void/raw-text/push handling.
+func (p *StreamPage) startTag(src, name []byte) {
+	p.tagBuf = appendLowerFold(p.tagBuf[:0], name)
 	nameID := p.sc.intern(p.tagBuf)
 	info := &p.sc.names[nameID]
 
@@ -477,72 +436,20 @@ func (p *StreamPage) startTag(src []byte, pos int) int {
 	for i := range aOff {
 		aOff[i] = -1
 	}
-	selfClosing := false
-loop:
-	for {
-		pos = skipSpaceBytes(src, pos)
-		if pos >= len(src) {
-			break
-		}
-		switch src[pos] {
-		case '>':
-			pos++
-			break loop
-		case '/':
-			pos++
-			pos = skipSpaceBytes(src, pos)
-			if pos < len(src) && src[pos] == '>' {
-				pos++
-			}
-			selfClosing = true
-			break loop
-		default:
-			kstart := pos
-			for pos < len(src) && isNameByte(src[pos]) {
-				pos++
-			}
-			if pos == kstart {
-				pos++ // malformed byte; skip it to guarantee progress
+	for _, at := range p.lx.attrs {
+		key := src[at.keyLo:at.keyHi]
+		for i, a := range p.opts.Attrs {
+			if aOff[i] >= 0 || !foldEqASCII(key, a) {
 				continue
 			}
-			key := src[kstart:pos]
-			pos = skipSpaceBytes(src, pos)
-			var rawVal []byte
-			if pos < len(src) && src[pos] == '=' {
-				pos++
-				pos = skipSpaceBytes(src, pos)
-				if pos < len(src) {
-					if q := src[pos]; q == '"' || q == '\'' {
-						pos++
-						vstart := pos
-						for pos < len(src) && src[pos] != q {
-							pos++
-						}
-						rawVal = src[vstart:pos]
-						if pos < len(src) {
-							pos++ // closing quote
-						}
-					} else {
-						vstart := pos
-						for pos < len(src) && !isSpaceByte(src[pos]) && src[pos] != '>' {
-							pos++
-						}
-						rawVal = src[vstart:pos]
-					}
-				}
-			}
-			for i, a := range p.opts.Attrs {
-				if aOff[i] >= 0 || !foldEqBytesASCII(key, a) {
-					continue
-				}
-				off := int32(len(p.attrArena))
-				p.attrArena = appendDecodeEntities(p.attrArena, rawVal)
-				aOff[i] = off
-				aLen[i] = int32(len(p.attrArena)) - off
-				break
-			}
+			off := int32(len(p.attrArena))
+			p.attrArena = appendDecodeEntities(p.attrArena, src[at.valLo:at.valHi])
+			aOff[i] = off
+			aLen[i] = int32(len(p.attrArena)) - off
+			break
 		}
 	}
+	selfClosing := p.lx.selfClosing
 
 	// The element (or the pops it implies) is appended, ending any open
 	// text run.
@@ -584,11 +491,11 @@ loop:
 	case info.void:
 		// Void elements never push.
 	case info.raw:
-		pos = p.rawText(src, pos, rec, info)
+		lo, hi := p.lx.rawText(info.name)
+		p.rawText(src[lo:hi], rec, info)
 	default:
 		p.push(rec, nameID)
 	}
-	return pos
 }
 
 // signatureKey appends the element's cluster-routing key: the last three
@@ -618,28 +525,13 @@ func (p *StreamPage) signatureKey(rec int32) {
 	p.sigLen = append(p.sigLen, int32(len(p.sigArena))-off)
 }
 
-// rawText consumes a raw-text element's content. The element was recorded
+// rawText records a raw-text element's content. The element was recorded
 // but never pushed; its single text child contributes to ancestors' text
 // context, and — for <title> only — yields a field (TextFields excludes
 // script, style and textarea subtrees, not title).
-func (p *StreamPage) rawText(src []byte, pos int, rec int32, info *nameInfo) int {
-	var raw []byte
-	end := indexClosingTagBytes(src[pos:], info.name)
-	if end < 0 {
-		raw = src[pos:]
-		pos = len(src)
-	} else {
-		raw = src[pos : pos+end]
-		pos += end
-		// Consume "</tag" then skip to '>' inclusive.
-		if gt := bytes.IndexByte(src[pos:], '>'); gt >= 0 {
-			pos += gt + 1
-		} else {
-			pos = len(src)
-		}
-	}
+func (p *StreamPage) rawText(raw []byte, rec int32, info *nameInfo) {
 	if len(raw) == 0 {
-		return pos
+		return
 	}
 	data := raw
 	if info.name == "title" || info.name == "textarea" {
@@ -650,10 +542,10 @@ func (p *StreamPage) rawText(src []byte, pos int, rec int32, info *nameInfo) int
 	if info.name == "title" {
 		// A field needs the full collapsed text, not the bounded form.
 		off := int32(len(p.textArena))
-		p.textArena = appendCollapse(p.textArena, data)
+		p.textArena, _ = appendCollapse(p.textArena, data, math.MaxInt)
 		n := int32(len(p.textArena)) - off
 		if n == 0 {
-			return pos
+			return
 		}
 		p.fields = append(p.fields, streamField{parent: rec, ordinal: 1, off: off, len: n})
 		e.ownOff, e.ownLen = off, n
@@ -663,12 +555,12 @@ func (p *StreamPage) rawText(src []byte, pos int, rec int32, info *nameInfo) int
 			e.flags |= elemOwnOverflow | elemSubOverflow
 		}
 		p.propagate(p.textArena[off:off+n], over, false)
-		return pos
+		return
 	}
-	piece, over := appendCollapseBounded(p.pieceBuf[:0], data, p.maxText)
+	piece, over := appendCollapse(p.pieceBuf[:0], data, p.maxText)
 	p.pieceBuf = piece
 	if len(piece) == 0 && !over {
-		return pos
+		return
 	}
 	if n := int32(len(piece)); n > 0 {
 		e.ownOff, e.ownLen = int32(len(p.textArena)), n
@@ -679,7 +571,6 @@ func (p *StreamPage) rawText(src []byte, pos int, rec int32, info *nameInfo) int
 		e.flags |= elemOwnOverflow | elemSubOverflow
 	}
 	p.propagate(piece, over, false)
-	return pos
 }
 
 // index builds the post-pass structures: per-parent element-children
@@ -903,7 +794,7 @@ func (f *StreamField) Page() *StreamPage { return f.p }
 
 var streamScratchPool = sync.Pool{New: func() any { return NewStreamScratch() }}
 
-// StreamFields tokenizes html in a single pass and invokes fn for every
+// StreamFields lexes html in a single pass and invokes fn for every
 // non-empty text field in document order, without materializing a DOM
 // tree. The field (and the page reachable through it) is valid only
 // during the callback. Serve paths that need custom options hold a

@@ -1,7 +1,9 @@
 package dom_test
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"ceres/internal/cluster"
 	"ceres/internal/dom"
@@ -153,6 +155,7 @@ var edgeCases = []struct {
 	{"lone lt", `<div>1 < 2 and 3<4</div>`},
 	{"entities", `<p>&copy; 2024 &mdash; caf&eacute; &#233; &#xE9; &#x2014; &bogus; &amp</p>`},
 	{"entity numeric signs", `<p>&#+65; &#-5; &#0; &#x110000; &#9999999999;</p>`},
+	{"entity length bound", `<p>&#000000000000000000000000000065; &#0000000000000000000000000000065;</p>`},
 	{"self closing", `<div><br/><img src=x/><span/>text</span></div>`},
 	{"self closing raw", `<div><script/>not raw</div>`},
 	{"void tags", `<div>a<br>b<hr>c<img src="i.png">d</div>`},
@@ -173,11 +176,81 @@ var edgeCases = []struct {
 	{"mixed case raw", `<SCRIPT>x</ScRiPt><p>after</p>`},
 }
 
+// edgeMaxTexts are the text bounds every edge case is streamed under: none,
+// shorter than most fields, around a field's length, the serve path's
+// usual bound, and no bound in practice.
+var edgeMaxTexts = []int{0, 3, 12, 40, 1 << 20}
+
 func TestStreamMatchesDOMEdgeCases(t *testing.T) {
 	for _, tc := range edgeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, maxText := range []int{0, 3, 12, 40, 1 << 20} {
+			for _, maxText := range edgeMaxTexts {
 				diffStream(t, tc.html, maxText)
+			}
+		})
+	}
+}
+
+// FuzzStreamMatchesDOM holds the lexer's two consumers to each other on
+// arbitrary bytes: neither panics, and every record, field, XPath and
+// signature key of the stream pass equals Parse + the tree accessors. The
+// committed corpus (testdata/fuzz) adds one websim page under each of the
+// root package's six malformed-HTML mutators and the hostile pages below
+// at 1 KB.
+func FuzzStreamMatchesDOM(f *testing.F) {
+	for _, tc := range edgeCases {
+		for _, maxText := range edgeMaxTexts {
+			f.Add(tc.html, maxText)
+		}
+	}
+	f.Fuzz(func(t *testing.T, html string, maxText int) {
+		diffStream(t, html, maxText)
+	})
+}
+
+// hostilePages are inputs that cost quadratic time before the text run was
+// collected in one buffer (the first two, in Parse), before end tags were
+// counted per name (the third, in the stream pass) and before the entity
+// decoder stopped looking for ';' after 32 bytes (the fourth, in both).
+// Parse still scans its whole stack for each stray end tag, so the third
+// is compared at diffSize and bounded on the stream pass only.
+var hostilePages = []struct {
+	name       string
+	page       func(size int) string
+	size       int // bytes, for the wall bounds
+	diffSize   int // bytes, for diffStream
+	boundParse bool
+}{
+	{"lone lt splits a text run", func(n int) string { return strings.Repeat("< ", n/2) }, 400 << 10, 400 << 10, true},
+	{"stray end tags split a text run", func(n int) string { return strings.Repeat("a</x>", n/5) }, 500 << 10, 500 << 10, true},
+	{"stray end tags under a deep stack", func(n int) string {
+		return strings.Repeat("<a>", n/7) + strings.Repeat("</b>", n/7)
+	}, 280 << 10, 35 << 10, false},
+	{"bare ampersands", func(n int) string { return strings.Repeat("&", n) }, 1 << 20, 1 << 20, true},
+}
+
+// hostileBound is ten times what the slowest of them takes with the race
+// detector on (3–70 ms without it, 0.18 s with) and under what the fastest
+// took before (2.6 s without it).
+const hostileBound = 2 * time.Second
+
+func TestHostilePages(t *testing.T) {
+	for _, tc := range hostilePages {
+		t.Run(tc.name, func(t *testing.T) {
+			diffStream(t, tc.page(tc.diffSize), 40)
+			html := tc.page(tc.size)
+			start := time.Now()
+			dom.NewStreamScratch().Stream([]byte(html), dom.StreamOptions{MaxText: 40, Attrs: streamAttrs, Signature: true})
+			if d := time.Since(start); d > hostileBound {
+				t.Errorf("Stream of %d bytes took %v, bound %v", len(html), d, hostileBound)
+			}
+			if !tc.boundParse {
+				return
+			}
+			start = time.Now()
+			dom.Parse(html).Release()
+			if d := time.Since(start); d > hostileBound {
+				t.Errorf("Parse of %d bytes took %v, bound %v", len(html), d, hostileBound)
 			}
 		})
 	}

@@ -2,19 +2,45 @@ package dom
 
 import (
 	"bytes"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
 
-// This file holds the byte-level lexical helpers behind the streaming
-// serve path (stream.go): entity decoding, whitespace collapsing, tag-name
-// folding and raw-text scanning that operate on []byte without converting
-// to string. Each helper mirrors a string-path counterpart in token.go /
-// node.go byte-for-byte — the streaming differential tests assert the two
-// paths agree on every output — so behavioural changes must land in both.
+// This file holds the text helpers under the lexer's two consumers:
+// entity decoding, whitespace collapsing and case folding over []byte,
+// without converting to string. Parse and the stream pass must agree on
+// every output, so each job has exactly one implementation here.
+
+// namedEntities is the subset of HTML named character references that
+// template-generated pages commonly emit.
+var namedEntities = map[string]rune{
+	"amp": '&', "lt": '<', "gt": '>', "quot": '"', "apos": '\'',
+	"nbsp": ' ', "copy": '©', "reg": '®', "trade": '™',
+	"mdash": '—', "ndash": '–', "hellip": '…', "middot": '·', "bull": '•',
+	"lsquo": '‘', "rsquo": '’', "ldquo": '“', "rdquo": '”',
+	"laquo": '«', "raquo": '»', "deg": '°', "plusmn": '±', "frac12": '½',
+	"eacute": 'é', "egrave": 'è', "ecirc": 'ê', "agrave": 'à', "acirc": 'â',
+	"aacute": 'á', "auml": 'ä', "ouml": 'ö', "uuml": 'ü', "aring": 'å',
+	"oslash": 'ø', "aelig": 'æ', "ccedil": 'ç', "ntilde": 'ñ', "iacute": 'í',
+	"oacute": 'ó', "uacute": 'ú', "yacute": 'ý', "thorn": 'þ', "eth": 'ð',
+	"szlig": 'ß', "times": '×', "divide": '÷', "sect": '§', "para": '¶',
+	"star": '★', "starf": '★',
+}
+
+// DecodeEntities resolves named and numeric character references in s.
+// Unknown references are preserved literally.
+func DecodeEntities(s string) string {
+	if strings.IndexByte(s, '&') < 0 {
+		return s
+	}
+	// A reference is never shorter than the rune it names, so the decoded
+	// text fits len(s).
+	return string(appendDecodeEntities(make([]byte, 0, len(s)), []byte(s)))
+}
 
 // appendDecodeEntities appends s with named and numeric character
-// references resolved — the []byte counterpart of DecodeEntities.
+// references resolved; unknown references are preserved literally.
 //
 //ceres:allocfree
 func appendDecodeEntities(dst, s []byte) []byte {
@@ -25,7 +51,7 @@ func appendDecodeEntities(dst, s []byte) []byte {
 		}
 		dst = append(dst, s[:amp]...)
 		s = s[amp:]
-		r, n := decodeOneEntityBytes(s)
+		r, n := decodeOneEntity(s)
 		if n == 0 {
 			dst = append(dst, '&')
 			s = s[1:]
@@ -36,13 +62,14 @@ func appendDecodeEntities(dst, s []byte) []byte {
 	}
 }
 
-// decodeOneEntityBytes is decodeOneEntity over bytes: it decodes the
-// character reference at the start of s (s[0] == '&'), returning the rune
-// and the number of bytes consumed, or (0,0) if s does not start a valid
-// reference.
-func decodeOneEntityBytes(s []byte) (rune, int) {
-	semi := bytes.IndexByte(s, ';')
-	if semi < 0 || semi == 1 || semi > 32 {
+// decodeOneEntity decodes the character reference at the start of s
+// (s[0] == '&'), returning the rune and the number of bytes consumed, or
+// (0,0) if s does not start a valid reference.
+func decodeOneEntity(s []byte) (rune, int) {
+	// No reference is longer than 32 bytes; looking no further keeps a page
+	// of bare '&'s from scanning to its end once for each.
+	semi := bytes.IndexByte(s[:min(len(s), 33)], ';')
+	if semi < 0 || semi == 1 {
 		return 0, 0
 	}
 	body := s[1:semi]
@@ -66,9 +93,9 @@ func decodeOneEntityBytes(s []byte) (rune, int) {
 }
 
 // parseEntityNum parses a numeric character reference body the way
-// decodeOneEntity's strconv.ParseInt call does: an optional sign, then
-// base-10 or base-16 digits, bounded to 32 bits. Negative references are
-// rejected outright — the caller rejects v <= 0 anyway.
+// strconv.ParseInt(s, base, 32) does: an optional sign, then base-10 or
+// base-16 digits, bounded to 32 bits. Negative references are rejected
+// outright — the caller rejects v <= 0 anyway.
 //
 //ceres:allocfree
 func parseEntityNum(s []byte, hex bool) (int64, bool) {
@@ -111,62 +138,14 @@ func parseEntityNum(s []byte, hex bool) (int64, bool) {
 
 // appendCollapse appends src to dst with whitespace collapsed exactly as
 // CollapseSpace collapses a string: leading/trailing whitespace dropped,
-// internal runs (including Unicode spaces) replaced by single spaces.
+// internal runs (including Unicode spaces) replaced by single spaces. It
+// stops and reports overflow as soon as the collapsed output would exceed
+// max bytes (the full collapsed text must fit; math.MaxInt for no bound).
+// On overflow dst holds a truncated prefix the caller must treat as
+// unusable.
 //
 //ceres:allocfree
-func appendCollapse(dst, src []byte) []byte {
-	base := len(dst)
-	i := 0
-	for i < len(src) {
-		for i < len(src) {
-			c := src[i]
-			if c < utf8.RuneSelf {
-				if !isASCIISpace(c) {
-					break
-				}
-				i++
-			} else {
-				r, n := utf8.DecodeRune(src[i:])
-				if !unicode.IsSpace(r) {
-					break
-				}
-				i += n
-			}
-		}
-		if i >= len(src) {
-			break
-		}
-		start := i
-		for i < len(src) {
-			c := src[i]
-			if c < utf8.RuneSelf {
-				if isASCIISpace(c) {
-					break
-				}
-				i++
-			} else {
-				r, n := utf8.DecodeRune(src[i:])
-				if unicode.IsSpace(r) {
-					break
-				}
-				i += n
-			}
-		}
-		if len(dst) > base {
-			dst = append(dst, ' ')
-		}
-		dst = append(dst, src[start:i]...)
-	}
-	return dst
-}
-
-// appendCollapseBounded is appendCollapse under a length bound: it stops
-// and reports overflow as soon as the collapsed output would exceed max
-// bytes (the full collapsed text must fit). On overflow dst holds a
-// truncated prefix the caller must treat as unusable.
-//
-//ceres:allocfree
-func appendCollapseBounded(dst, src []byte, max int) ([]byte, bool) {
+func appendCollapse(dst, src []byte, max int) ([]byte, bool) {
 	base := len(dst)
 	i := 0
 	for i < len(src) {
@@ -242,11 +221,11 @@ func appendLowerFold(dst, s []byte) []byte {
 	return dst
 }
 
-// foldEqBytesASCII reports whether s equals lower under ASCII case
-// folding; lower must already be lowercase ASCII.
+// foldEqASCII reports whether s equals lower under ASCII case folding;
+// lower must already be lowercase ASCII.
 //
 //ceres:allocfree
-func foldEqBytesASCII(s []byte, lower string) bool {
+func foldEqASCII(s []byte, lower string) bool {
 	if len(s) != len(lower) {
 		return false
 	}
@@ -275,25 +254,4 @@ func eqBytesString(b []byte, s string) bool {
 		}
 	}
 	return true
-}
-
-// indexClosingTagBytes is indexClosingTag over bytes: the offset of the
-// first "</tag" in s (tag already lowercase), or -1.
-//
-//ceres:allocfree
-func indexClosingTagBytes(s []byte, tag string) int {
-	for i := 0; ; {
-		j := bytes.IndexByte(s[i:], '<')
-		if j < 0 {
-			return -1
-		}
-		i += j
-		if len(s)-i < 2+len(tag) {
-			return -1
-		}
-		if s[i+1] == '/' && foldEqBytesASCII(s[i+2:i+2+len(tag)], tag) {
-			return i
-		}
-		i++
-	}
 }

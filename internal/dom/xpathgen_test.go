@@ -96,9 +96,26 @@ func TestCollapseSpace(t *testing.T) {
 	}
 }
 
+// BenchmarkParseDetailPage and BenchmarkStreamDetailPage time the lexer
+// under each of its two consumers on the same page.
 func BenchmarkParseDetailPage(b *testing.B) {
+	b.SetBytes(int64(len(samplePage)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Parse(samplePage)
+	}
+}
+
+// The stream pass over a warm scratch must read 0 allocs/op.
+func BenchmarkStreamDetailPage(b *testing.B) {
+	src := []byte(samplePage)
+	opts := StreamOptions{MaxText: 40, Attrs: []string{"class", "id", "itemprop", "itemtype", "property"}, Signature: true}
+	sc := NewStreamScratch()
+	sc.Stream(src, opts)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Stream(src, opts)
 	}
 }
