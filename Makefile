@@ -37,14 +37,17 @@ fmt-check:
 # and the triple/fact encoder on every string and float bit pattern
 # (DESIGN.md §8). The fourth holds the HTML lexer's two consumers to each
 # other: the stream pass's records against Parse's tree on every page
-# (DESIGN.md §5). A failing input is written under the package's
-# testdata/fuzz/ — commit it.
+# (DESIGN.md §5). The fifth holds the serve engine's context cache to
+# having no say in the output: a page through a scratch that has served the
+# site and through a fresh one scores and extracts alike (DESIGN.md §5). A
+# failing input is written under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
 	$(GO) test -run='^$$' -fuzz=FuzzTripleLine -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
+	$(GO) test -run='^$$' -fuzz=FuzzExtractWarmCold -fuzztime=$(FUZZTIME) ./internal/core
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/
@@ -70,10 +73,14 @@ crash-sweep:
 # read at least 2 and peak-sites-holding-pages/op exactly 1);
 # AppendTriple/DecodeTriple the codec under it. ParseDetailPage and
 # StreamDetailPage are the HTML lexer under each of its two consumers
-# (the stream pass must read 0 allocs/op).
+# (the stream pass must read 0 allocs/op). ScoreFields is what the serve
+# engine does per field after the stream pass, in ns/field: hit with every
+# context in the cache (the daemon's steady state; must read 0 allocs/op),
+# miss with the cache emptied before every page.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage' -benchtime=100x -benchmem ./internal/dom
+	$(GO) test -run='^$$' -bench='ScoreFields' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
 	$(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchtime=1x -benchmem ./batch
 	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchtime=100x -benchmem ./internal/jsonl

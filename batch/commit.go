@@ -40,6 +40,9 @@ type runState struct {
 	cancel context.CancelFunc
 	mu     sync.Mutex
 	err    error
+	// contexts sums what the shards' extract calls report about the serve
+	// engine's context cache.
+	contexts ContextStats
 }
 
 // fail records the run's first infrastructure error and cancels it.

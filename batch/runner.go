@@ -86,6 +86,19 @@ type Runner struct {
 	stages stageAcc
 }
 
+// ContextStats is what the serve engine's context cache did over a run's
+// extracted shards (ceres.ServeStats has the definitions): of Fields
+// scored, Misses ran the feature walk and the classifier and the rest
+// copied a remembered row; Uncached of the misses could not be
+// remembered, and Evictions counts the models a worker forgot to make
+// room for another.
+type ContextStats struct {
+	Fields    int64 `json:"fields"`
+	Misses    int64 `json:"misses"`
+	Uncached  int64 `json:"uncached"`
+	Evictions int64 `json:"evictions"`
+}
+
 // stageAcc sums stage wall time across shard workers.
 type stageAcc struct {
 	resolve, train, extract, parse, route, score, sink, checkpoint, commit, fuse atomic.Int64
@@ -315,6 +328,8 @@ type Report struct {
 	// totals can exceed Elapsed).
 	Elapsed time.Duration
 	Stages  StageDurations
+	// Contexts is the serve engine's context-cache tally over the run.
+	Contexts ContextStats
 }
 
 // Run executes one job to completion: plan, resume from the checkpoint,
@@ -435,6 +450,9 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	}
 	rep.Stages = r.stages.snapshot()
 	rep.Stages.TrainWait = rep.Training.Wait
+	run.mu.Lock()
+	rep.Contexts = run.contexts
+	run.mu.Unlock()
 
 	for i, sp := range plan.Sites {
 		st, tally := sites[i], &sites[i].tally
@@ -678,6 +696,12 @@ func (r *Runner) runShard(ctx context.Context, job Job, cm *committer, st *siteS
 	r.stages.parse.Add(int64(resp.Stats.Stages.Parse))
 	r.stages.route.Add(int64(resp.Stats.Stages.Route))
 	r.stages.score.Add(int64(resp.Stats.Stages.Score))
+	run.mu.Lock()
+	run.contexts.Fields += int64(resp.Stats.Fields)
+	run.contexts.Misses += int64(resp.Stats.ContextMisses)
+	run.contexts.Uncached += int64(resp.Stats.ContextUncached)
+	run.contexts.Evictions += int64(resp.Stats.CacheEvictions)
+	run.mu.Unlock()
 	sp.SetInt("pages", int64(resp.Stats.Pages))
 	sp.SetInt("triples", int64(len(resp.Triples)))
 	ssp := sp.StartChild("sink")

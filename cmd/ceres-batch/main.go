@@ -23,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -32,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -58,6 +60,7 @@ type options struct {
 	threshold    float64
 	fuse         bool
 	reset        bool
+	cpuProfile   string
 }
 
 func main() {
@@ -74,17 +77,25 @@ func main() {
 	flag.Float64Var(&o.threshold, "threshold", 0.5, "extraction confidence threshold for newly trained models")
 	flag.BoolVar(&o.fuse, "fuse", true, "run the streaming fusion stage and write fused.jsonl")
 	flag.BoolVar(&o.reset, "reset", false, "discard checkpoint and shard output before running (models and training verdicts stay)")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (diagnostic; written on a clean exit)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	stopProfile, err := startCPUProfile(o.cpuProfile)
+	if err != nil {
+		log.Fatal(err)
+	}
 	report, err := harvest(ctx, o)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted: checkpoint saved, re-run to resume")
 			os.Exit(130)
 		}
+		log.Fatal(err)
+	}
+	if err := stopProfile(); err != nil {
 		log.Fatal(err)
 	}
 	printReport(report, o.fuse)
@@ -98,6 +109,22 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// startCPUProfile starts a CPU profile, kept in memory, and returns what
+// stops it and publishes it as path; with no path both do nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return fsatomic.WriteFile(path, buf.Bytes())
+	}, nil
 }
 
 // ownTemps are the temp-file prefixes of what this command publishes into
@@ -311,6 +338,7 @@ func writeStats(path string, rep *batch.Report) error {
 		"training":       rep.Training,
 		"commitBatches":  rep.CommitBatches,
 		"manifestWrites": rep.ManifestWrites,
+		"contexts":       rep.Contexts,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -326,7 +354,8 @@ const overlappedStage = "commit"
 // printReport writes the per-site harvest summary — the CLI's analogue of
 // the paper's Table 8 — followed by the run's per-stage wall-time
 // breakdown (worker-summed, so stages can exceed elapsed) and what the
-// fits, the trainings, the commit stage and the training verdicts did.
+// context cache, the fits, the trainings, the commit stage and the
+// training verdicts did.
 func printReport(rep *batch.Report, fused bool) {
 	fmt.Printf("%-32s %7s %7s %7s %8s %8s %3s  %s\n",
 		"site", "pages", "shards", "done", "resumed", "triples", "v", "status")
@@ -359,12 +388,28 @@ func printReport(rep *batch.Report, fused bool) {
 	if fused {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
+	fmt.Println(contextSummary(rep))
 	fmt.Println(fitSummary(rep))
 	if rep.Training.Sites > 0 {
 		fmt.Println(trainingSummary(rep))
 	}
 	fmt.Printf("commits: %d batches, %d manifest writes\n", rep.CommitBatches, rep.ManifestWrites)
 	fmt.Println(skipSummary(rep))
+}
+
+// contextSummary is a line of the report: how many text fields the run
+// scored, what share of them found their structural context in a worker's
+// cache (and copied its probabilities), how many did not and ran the
+// feature walk and the classifier, how many of those a full cache could
+// not remember, and how many models' caches were dropped for another's.
+func contextSummary(rep *batch.Report) string {
+	c := rep.Contexts
+	hit := 0.0
+	if c.Fields > 0 {
+		hit = 100 * float64(c.Fields-c.Misses) / float64(c.Fields)
+	}
+	return fmt.Sprintf("contexts: %d fields, %.1f%% hits, %d misses, %d uncached, %d evictions",
+		c.Fields, hit, c.Misses, c.Uncached, c.Evictions)
 }
 
 // skipSummary is the report's last line: how many sites were skipped as

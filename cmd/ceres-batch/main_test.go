@@ -128,8 +128,9 @@ func TestGenerateAndHarvest(t *testing.T) {
 			Ns         int64  `json:"ns"`
 			Overlapped bool   `json:"overlapped"`
 		} `json:"stages"`
-		CommitBatches  int `json:"commitBatches"`
-		ManifestWrites int `json:"manifestWrites"`
+		CommitBatches  int                `json:"commitBatches"`
+		ManifestWrites int                `json:"manifestWrites"`
+		Contexts       batch.ContextStats `json:"contexts"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("stats.json malformed: %v", err)
@@ -151,6 +152,16 @@ func TestGenerateAndHarvest(t *testing.T) {
 	// their pages at once.
 	if got, want := trainingSummary(rep), fmt.Sprintf("training: 3 sites, peak %d at once, 1 holding pages", rep.Training.PeakTraining); got != want || rep.Training.PeakTraining < 1 {
 		t.Errorf("trainingSummary = %q, want %q", got, want)
+	}
+	// The context cache is counted: templated sites mostly hit, no site of
+	// this size fills a cache, and the printed line says the same.
+	c := rep.Contexts
+	if c != doc.Contexts || c.Fields == 0 || c.Misses == 0 || c.Misses*2 > c.Fields || c.Uncached != 0 {
+		t.Errorf("contexts %+v (stats.json %+v): want fields, fewer than half of them misses, none uncached", c, doc.Contexts)
+	}
+	if got, want := contextSummary(rep), fmt.Sprintf("contexts: %d fields, %.1f%% hits, %d misses, 0 uncached, %d evictions",
+		c.Fields, 100*float64(c.Fields-c.Misses)/float64(c.Fields), c.Misses, c.Evictions); got != want {
+		t.Errorf("contextSummary = %q, want %q", got, want)
 	}
 	if got, want := skipSummary(rep), "skipped: 2 sites (0 from stored verdicts)"; got != want {
 		t.Errorf("skipSummary = %q, want %q", got, want)

@@ -315,7 +315,7 @@ func run(serveBin string, replicaN, clients int, loadFor, watch time.Duration) e
 			if samples[`ceres_extraction_confidence_count{site="`+s.name+`"}`] <= 0 {
 				return fmt.Errorf("replica %d recorded no extraction confidences for %s", r.index, s.name)
 			}
-			for _, family := range []string{"ceres_empty_pages_total", "ceres_routing_miss_total"} {
+			for _, family := range []string{"ceres_empty_pages_total", "ceres_routing_miss_total", "ceres_fields_total", "ceres_context_misses_total"} {
 				if _, ok := samples[family+`{site="`+s.name+`"}`]; !ok {
 					return fmt.Errorf("replica %d missing drift family %s for %s", r.index, family, s.name)
 				}

@@ -62,13 +62,18 @@
 // over the HTML lexer's tokens — the same lexer the training-time DOM is
 // built from — that maintains only the open-element stack, route the
 // page by its template signature, and classify text fields from the
-// pass's flat records — no node tree, no per-field re-walk. A model that
-// cannot compile fails every Extract call with the same error. The
-// output is bit-identical to the paper-literal extractor over the parsed
-// tree (same triples, confidences, order and XPaths, enforced by
-// differential tests). Service.ExtractScan is the raw-bytes entry point
-// batch harvests use to feed pagestore records straight into that pass
-// without a per-page string copy. DESIGN.md §5 specifies the path.
+// pass's flat records — no node tree, no per-field re-walk. A field is
+// scored by what its structural context is: contexts are interned to
+// integers through the model's vocabulary, and a context a worker has met
+// before — a template repeats them on every page — copies its remembered
+// probabilities instead of re-deriving features (ServeStats counts
+// fields and misses). A model that cannot compile fails every Extract
+// call with the same error. The output is bit-identical to the
+// paper-literal extractor over the parsed tree (same triples,
+// confidences, order and XPaths, enforced by differential tests).
+// Service.ExtractScan is the raw-bytes entry point batch harvests use to
+// feed pagestore records straight into that pass without a per-page
+// string copy. DESIGN.md §5 specifies the path.
 //
 // # Batch harvests
 //
@@ -126,9 +131,11 @@
 //
 // Extraction-quality drift is tracked per site: every extraction's
 // pre-threshold confidence (ceres_extraction_confidence), pages that
-// extracted nothing (ceres_empty_pages_total) and pages routed to no
-// trained cluster (ceres_routing_miss_total). Service.SiteStats — the
-// daemon's GET /v1/sites/{site}/stats — snapshots the same counters
+// extracted nothing (ceres_empty_pages_total), pages routed to no
+// trained cluster (ceres_routing_miss_total) and, one level down, fields
+// whose structural context was new to the worker
+// (ceres_context_misses_total over ceres_fields_total). Service.SiteStats
+// — the daemon's GET /v1/sites/{site}/stats — snapshots the first three
 // into rates a continuous-harvest loop can threshold to decide a model
 // has gone stale. RequestOptions.CollectStages gathers the per-stage
 // serve-time breakdown into ServeStats.Stages without tracing; batch

@@ -14,45 +14,97 @@ import (
 // through the feature dictionary; that is fine once per site, but serving
 // applies the model to every text field of every page, so the string
 // building and map probes would dominate extraction cost. Compile() runs
-// once per model and inverts the dictionary into per-(level, offset,
-// attribute) lookup tables keyed directly by tag / attribute value /
-// sibling text, so the stream pass (streamserve.go) emits integer feature
-// IDs with no string assembly and no allocation. Its output is identical
-// to Featurizer.Features + Model.Proba — the differential tests hold it to
+// once per model and inverts the dictionary twice over: into a vocabulary
+// that numbers every tag, attribute value and lexicon string the model
+// knows, and into per-(level, offset) tables indexed by those numbers. The
+// stream pass (streamserve.go) resolves an element's strings to vocabulary
+// IDs once per page; everything after that — the context key and, for a
+// context never seen before, the features — is integer work with no string
+// assembly and no allocation. Its output is identical to
+// Featurizer.Features + Model.Proba — the differential tests hold it to
 // the paper-literal ExtractPage over the whole DemoCorpus.
 
 // CompiledFeaturizer is the frozen, serve-only form of a Featurizer. It
 // is immutable after Compile and safe for concurrent use; the per-call
-// scratch lives in the caller's VectorBuilder.
+// scratch lives in the caller's ServeScratch.
 type CompiledFeaturizer struct {
-	opts FeatureOptions
+	opts  FeatureOptions
+	vocab vocabulary
 	// structural[lvl][off+SiblingWindow] resolves the 4-tuple features of
 	// one context position.
 	structural [][]structTable
-	// text[lvl][off] resolves frequent-string features: off 0 is the
-	// ancestor's own text, off k>0 the k-th preceding element sibling.
-	text [][]map[string]int32
-	// maxText is the longest key across the text tables. Sibling subtree
-	// text longer than this can never match, so the stream pass captures
-	// at most maxText bytes of it.
+	// text[lvl][off][lexicon ID] is the frequent-string feature of one
+	// position, -1 for none: off 0 is the ancestor's own text, off k>0 the
+	// k-th preceding element sibling.
+	text [][][]int32
+	// maxText is the longest lexicon string. Sibling subtree text longer
+	// than this can never match, so the stream pass captures at most
+	// maxText bytes of it.
 	maxText int
+	// levels is the deepest ancestor level either walk visits.
+	levels int
 }
 
-// structTable resolves the structural features of one (level, offset)
-// context position. Nil maps (and a nil attr slice) are valid and simply
-// never match.
-type structTable struct {
+// vocabulary is the union of what the model's tables can tell apart:
+// every tag, every value of each structural attribute and every lexicon
+// string that is a feature at any (level, offset) position, numbered from
+// 1 in dictionary order. ID 0 is "not in the model": such a value emits no
+// feature anywhere, so two elements that differ only in it featurize
+// alike — which is what keeps a page-unique id="tt0123" from making the
+// contexts around it unique.
+type vocabulary struct {
 	tag map[string]int32
 	// tagBySym mirrors tag, indexed by the process-wide dom.TagSym of the
-	// key: tagBySym[sym] is the feature ID, or -1 for no feature. Built by
-	// Compile so the per-visit tag lookup is an array index instead of a
+	// key, so the per-element tag lookup is an array index instead of a
 	// string hash; the map stays as the fallback for tags the stream could
 	// not symbolize (exhausted symbol space).
 	tagBySym []int32
-	// attr is parallel to structuralAttrs: attr[i] maps attribute values
-	// of structuralAttrs[i] to feature IDs. Allocated lazily to
-	// len(structuralAttrs) when the first attribute feature is indexed.
-	attr []map[string]int32
+	attr     [len(structuralAttrs)]map[string]int32
+	text     map[string]int32
+}
+
+// kindWidth is the number of vocabulary IDs that describe one element to
+// the structural tables: its tag and the structuralAttrs, in that order.
+const kindWidth = 1 + len(structuralAttrs)
+
+// structTable resolves the structural features of one (level, offset)
+// context position: vocabulary ID → feature ID, -1 (or past the end) for
+// none.
+type structTable struct {
+	tag  []int32
+	attr [len(structuralAttrs)][]int32
+}
+
+// vocabID returns s's ID in one of the vocabulary's maps, assigning the
+// next one on first sight.
+func vocabID(m map[string]int32, s string) int32 {
+	id, ok := m[s]
+	if !ok {
+		id = int32(len(m)) + 1
+		m[s] = id
+	}
+	return id
+}
+
+// setFeat records feat under vocabulary ID key, growing the table with
+// "no feature" entries as needed.
+func setFeat(tbl []int32, key, feat int32) []int32 {
+	for int(key) >= len(tbl) {
+		tbl = append(tbl, -1)
+	}
+	tbl[key] = feat
+	return tbl
+}
+
+// featAt returns the feature a position's table holds for vocabulary ID
+// key, -1 for none.
+//
+//ceres:allocfree
+func featAt(tbl []int32, key int32) int32 {
+	if int(key) < len(tbl) {
+		return tbl[key]
+	}
+	return -1
 }
 
 // Compile inverts the frozen feature dictionary into integer lookup
@@ -64,64 +116,51 @@ func (fz *Featurizer) Compile() (*CompiledFeaturizer, error) {
 	}
 	o := fz.opts
 	cf := &CompiledFeaturizer{opts: o}
+	cf.vocab.tag = make(map[string]int32)
+	for i := range cf.vocab.attr {
+		cf.vocab.attr[i] = make(map[string]int32)
+	}
+	cf.vocab.text = make(map[string]int32)
 	cf.structural = make([][]structTable, o.MaxAncestors+1)
 	for i := range cf.structural {
 		cf.structural[i] = make([]structTable, 2*o.SiblingWindow+1)
 	}
-	cf.text = make([][]map[string]int32, o.TextAncestors+1)
+	cf.text = make([][][]int32, o.TextAncestors+1)
 	for i := range cf.text {
-		cf.text[i] = make([]map[string]int32, o.SiblingWindow+1)
+		cf.text[i] = make([][]int32, o.SiblingWindow+1)
+	}
+	if !o.DisableStructural {
+		cf.levels = o.MaxAncestors
+	}
+	if !o.DisableText && o.TextAncestors > cf.levels {
+		cf.levels = o.TextAncestors
 	}
 	for id := 0; id < fz.dict.Len(); id++ {
 		cf.index(fz.dict.Name(id), int32(id))
 	}
-	for _, tables := range cf.text {
-		for _, tbl := range tables {
-			for k := range tbl {
-				if len(k) > cf.maxText {
-					cf.maxText = len(k)
-				}
-			}
+	// Tags intern through dom.TagSym — the symbols the stream pass assigns;
+	// one that cannot (exhausted symbol space) stays map-only.
+	maxSym := int32(0)
+	for k := range cf.vocab.tag {
+		maxSym = max(maxSym, dom.TagSym(k))
+	}
+	cf.vocab.tagBySym = make([]int32, maxSym+1)
+	for k, id := range cf.vocab.tag {
+		if s := dom.TagSym(k); s > 0 {
+			cf.vocab.tagBySym[s] = id
 		}
 	}
-	for i := range cf.structural {
-		for j := range cf.structural[i] {
-			cf.structural[i][j].buildSymIndex()
-		}
+	for k := range cf.vocab.text {
+		cf.maxText = max(cf.maxText, len(k))
 	}
 	return cf, nil
 }
 
-// buildSymIndex inverts the tag map into the symbol-indexed array the
-// serve path reads. Keys intern through dom.TagSym — the same symbols
-// the stream pass assigns — so a key that cannot intern (exhausted symbol
-// space) just stays map-only.
-func (t *structTable) buildSymIndex() {
-	maxSym := int32(0)
-	for k := range t.tag {
-		if s := dom.TagSym(k); s > maxSym {
-			maxSym = s
-		}
-	}
-	if maxSym == 0 {
-		return
-	}
-	t.tagBySym = make([]int32, maxSym+1)
-	for i := range t.tagBySym {
-		t.tagBySym[i] = -1
-	}
-	for k, id := range t.tag {
-		if s := dom.TagSym(k); s > 0 {
-			t.tagBySym[s] = id
-		}
-	}
-}
-
-// index parses one dictionary feature name into the tables. Names that do
-// not match the grammar the trainer emits ("s|lvl|off|attr|value",
-// "t|lvl|off|text") or whose positions fall outside the configured
-// windows are skipped: Featurizer.Features can never look such names up, so
-// ignoring them preserves output equivalence.
+// index parses one dictionary feature name into the vocabulary and the
+// tables. Names that do not match the grammar the trainer emits
+// ("s|lvl|off|attr|value", "t|lvl|off|text") or whose positions fall
+// outside the configured windows are skipped: Featurizer.Features can never
+// look such names up, so ignoring them preserves output equivalence.
 func (cf *CompiledFeaturizer) index(name string, id int32) {
 	rest, structural := strings.CutPrefix(name, "s|")
 	if !structural {
@@ -145,21 +184,12 @@ func (cf *CompiledFeaturizer) index(name string, id int32) {
 		}
 		t := &cf.structural[lvl][off+cf.opts.SiblingWindow]
 		if v, ok := strings.CutPrefix(rest, "tag|"); ok {
-			if t.tag == nil {
-				t.tag = make(map[string]int32)
-			}
-			t.tag[v] = id
+			t.tag = setFeat(t.tag, vocabID(cf.vocab.tag, v), id)
 			return
 		}
 		for i, attr := range structuralAttrs {
 			if v, ok := strings.CutPrefix(rest, attr+"|"); ok {
-				if t.attr == nil {
-					t.attr = make([]map[string]int32, len(structuralAttrs))
-				}
-				if t.attr[i] == nil {
-					t.attr[i] = make(map[string]int32)
-				}
-				t.attr[i][v] = id
+				t.attr[i] = setFeat(t.attr[i], vocabID(cf.vocab.attr[i], v), id)
 				return
 			}
 		}
@@ -170,10 +200,7 @@ func (cf *CompiledFeaturizer) index(name string, id int32) {
 	if lvl >= len(cf.text) || off > 0 || -off > cf.opts.SiblingWindow {
 		return
 	}
-	if cf.text[lvl][-off] == nil {
-		cf.text[lvl][-off] = make(map[string]int32)
-	}
-	cf.text[lvl][-off][rest] = id
+	cf.text[lvl][-off] = setFeat(cf.text[lvl][-off], vocabID(cf.vocab.text, rest), id)
 }
 
 // cutInt splits "123|rest" into (123, "rest").
@@ -224,48 +251,43 @@ func (m *Model) Compile() (*CompiledModel, error) {
 }
 
 // ServeScratch is the per-worker scratch space a compiled extraction
-// writes into: the reusable vector builder and a flat fields×classes
-// probability matrix. Each serve worker owns exactly one; a ServeScratch
-// must never be shared between concurrent goroutines.
+// writes into. Each serve worker owns exactly one; a ServeScratch must
+// never be shared between concurrent goroutines.
 type ServeScratch struct {
 	vb    mlr.VectorBuilder
-	proba []float64
+	proba []float64 // the page's fields×classes probability matrix
 
 	stream   *dom.StreamScratch
 	htmlBuf  []byte   // page bytes when the source arrives as a string
 	sig      [][]byte // sorted routing-signature views
-	memoRow  []int32  // per-element first-scored-field memo
 	xpathBuf []byte   // lazily rendered XPath scratch
 
-	// Per-page memo of the ancestor half of the feature walk: the
-	// features a walk emits for an element at ancestor level L (and
-	// everything above it) depend only on that (element, L) pair, so the
-	// walk records each pair's ID run once and replays it — cells of one
-	// table row share their whole ancestor chain, rows share everything
-	// from the table up. Validity is epoch-marked, so a new page costs an
-	// increment, not a clear.
-	upEpoch    []int32           // (lvl-1)*upStride+node → epoch the span was recorded in
-	upOff      []int32           // parallel span starts into upperIDs
-	upEnd      []int32           // parallel span ends
-	upStride   int               // element count of the page the memo is keyed for
-	upEpochCur int32             // current page's epoch
-	upVB       mlr.VectorBuilder // transient per-level emission buffer
-	upperIDs   []int32           // recorded upper-walk feature IDs, page-local arena
+	// What the current page's elements are to the current model
+	// (streamserve.go), indexed by element record and rebuilt per page.
+	elemIDs []int32 // kindWidth vocabulary IDs per element: tag, then structuralAttrs
+	kind    []int32 // elemIDs interned to one number; -1 when the cache is full
+	subText []int32 // lexicon ID of the subtree text; -1 until first asked for
+	ownText []int32 // lexicon ID of the direct text; -1 until first asked for
+	ctxMemo []int32 // lvl*elements+element → context ID; 0 until first asked for
+	ctxKey  []int32 // the context tuple under construction
 
-	// Cross-page probability caches (streamserve.go): template pages
-	// repeat structural contexts, and an identical raw feature sequence
-	// deterministically yields identical class probabilities, so repeat
-	// contexts skip sort/coalesce and the scorer entirely. One cache per
-	// compiled model — the pooled scratch serves many sites over its
-	// lifetime, and a harvest interleaves their shards.
-	cacheKey []byte // encoded feature sequence of the current probe
-	caches   map[*CompiledModel]*probCache
+	// One context cache per compiled model, least recently used first out
+	// — the pooled scratch serves many sites over its lifetime, and a
+	// harvest interleaves their shards. cache is the current page's.
+	caches []*contextCache
+	cache  *contextCache
+	tick   uint64
+	counts contextCounts
 }
 
-// probCache is one model's cached probability rows inside a ServeScratch.
-type probCache struct {
-	idx   map[string]int32 // feature-sequence key → row in probs
-	probs []float64        // cached rows, ClassCount floats each
+// contextCounts is what the context caches of one scratch did since the
+// scratch was checked out: plain ints, summed into ServeStats when the
+// serve call ends.
+type contextCounts struct {
+	fields    int // fields scored
+	misses    int // of those, scored by the feature walk: the context was new
+	uncached  int // of the misses, not remembered: the model's cache is full
+	evictions int // caches dropped to make room for another model's
 }
 
 // NewServeScratch allocates an empty scratch; its buffers grow to the

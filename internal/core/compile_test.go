@@ -33,7 +33,7 @@ func streamFor(sc *ServeScratch, cm *CompiledModel, html string) *dom.StreamPage
 	if sc.stream == nil {
 		sc.stream = dom.NewStreamScratch()
 	}
-	return sc.stream.Stream([]byte(html), dom.StreamOptions{MaxText: cm.fz.maxText, Attrs: structuralAttrs})
+	return sc.stream.Stream([]byte(html), dom.StreamOptions{MaxText: cm.fz.maxText, Attrs: structuralAttrs[:]})
 }
 
 // TestCompiledFeaturesMatchLegacy asserts the stream featurizer emits
@@ -60,7 +60,7 @@ func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 			fields++
 			want := fz.Features(f)
 			vb.Reset()
-			cm.fz.appendStreamFeatures(&vb, sp, sp.FieldParent(fi), sc)
+			cm.fz.appendStreamFeatures(&vb, sp, sc, sp.FieldParent(fi))
 			got := vb.Build()
 			if len(want) == 0 && len(got) == 0 {
 				continue
@@ -191,10 +191,13 @@ func TestCompileSkipsForeignDictNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cf.structural[0][fz.opts.SiblingWindow].tag["div"]; got != 4 {
+	if got := featAt(cf.structural[0][fz.opts.SiblingWindow].tag, cf.vocab.tag["div"]); got != 4 {
 		t.Errorf("valid structural feature mis-indexed: got id %d, want 4", got)
 	}
-	if got := cf.text[1][1]["Director"]; got != 5 {
+	if got := featAt(cf.text[1][1], cf.vocab.text["Director"]); got != 5 {
 		t.Errorf("valid text feature mis-indexed: got id %d, want 5", got)
+	}
+	if len(cf.vocab.tag) != 1 || len(cf.vocab.text) != 1 {
+		t.Errorf("vocabulary holds %d tags and %d strings, want the 1 and 1 the grammar admits", len(cf.vocab.tag), len(cf.vocab.text))
 	}
 }

@@ -114,7 +114,7 @@ func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
 
 // structuralAttrs are the HTML attributes Vertex-style features read
 // (§4.2: "tag, class, ID, itemprop, itemtype, and property").
-var structuralAttrs = []string{"class", "id", "itemprop", "itemtype", "property"}
+var structuralAttrs = [...]string{"class", "id", "itemprop", "itemtype", "property"}
 
 // Featurizer converts fields to sparse vectors over a shared dictionary.
 type Featurizer struct {

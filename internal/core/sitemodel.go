@@ -208,6 +208,18 @@ type ServeStats struct {
 	// ClusterPages counts the pages routed to each cluster, aligned with
 	// SiteModel.Clusters. Pages no cluster claimed (route -1) are omitted.
 	ClusterPages []int
+	// Fields counts the text fields scored. ContextMisses counts those
+	// whose structural context the worker's cache had not seen, so the
+	// feature walk and the classifier ran for them — every other field
+	// copied a remembered row. A template repeats its contexts, so a
+	// rising miss share is the empty-page drift signal one level down.
+	// ContextUncached counts the misses that were not remembered because
+	// the model's cache had reached its size bound, and CacheEvictions the
+	// caches dropped because a worker met more models than it keeps.
+	Fields          int
+	ContextMisses   int
+	ContextUncached int
+	CacheEvictions  int
 }
 
 // RoutedClusters counts distinct clusters that received at least one page.
@@ -236,6 +248,15 @@ func (s *ServeStats) observePage(miss bool, extractions int) {
 	if extractions == 0 {
 		s.EmptyPages++
 	}
+}
+
+// addContexts folds in what a scratch's context caches did during the
+// call.
+func (s *ServeStats) addContexts(sc *ServeScratch) {
+	s.Fields += sc.counts.fields
+	s.ContextMisses += sc.counts.misses
+	s.ContextUncached += sc.counts.uncached
+	s.CacheEvictions += sc.counts.evictions
 }
 
 // routeMiss reports whether a routing outcome is a miss: no cluster
@@ -305,7 +326,7 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 	}
 	scratch := make([]*ServeScratch, workers)
 	for i := range scratch {
-		scratch[i] = serveScratchPool.Get().(*ServeScratch)
+		scratch[i] = getServeScratch()
 	}
 	defer func() {
 		for _, sc := range scratch {
@@ -321,6 +342,9 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 		return nil, nil, err
 	}
 	stats := &ServeStats{Pages: n, ClusterPages: make([]int, len(sm.Clusters))}
+	for _, sc := range scratch {
+		stats.addContexts(sc)
+	}
 	total := 0
 	for _, exts := range perPage {
 		total += len(exts)
@@ -341,8 +365,17 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 // serveScratchPool recycles per-worker serve scratch across calls, so a
 // steady-state serving process stops re-growing vector builders,
 // probability matrices and stream arenas on every request. Scratch
-// never escapes a call: extraction output is freshly allocated.
+// never escapes a call: extraction output is freshly allocated. What it
+// carries from call to call on purpose is its context caches.
 var serveScratchPool = sync.Pool{New: func() any { return NewServeScratch() }}
+
+// getServeScratch checks a scratch out of the pool with its counters at
+// zero, so what a call reads from them is the call's own.
+func getServeScratch() *ServeScratch {
+	sc := serveScratchPool.Get().(*ServeScratch)
+	sc.counts = contextCounts{}
+	return sc
+}
 
 // StreamSources extracts pages with bounded memory, invoking emit for each
 // extraction as its page finishes (pages complete in whatever order the
@@ -378,8 +411,13 @@ func (sm *SiteModel) StreamSourcesOpts(ctx context.Context, sources []PageSource
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			sc := serveScratchPool.Get().(*ServeScratch) // per-worker scratch, never shared
-			defer serveScratchPool.Put(sc)
+			sc := getServeScratch() // per-worker scratch, never shared
+			defer func() {
+				mu.Lock()
+				stats.addContexts(sc)
+				mu.Unlock()
+				serveScratchPool.Put(sc)
+			}()
 			for i := range next {
 				if ctx.Err() != nil {
 					return
@@ -441,6 +479,18 @@ func (sm *SiteModel) serveable(pages int) error {
 func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
 	sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
 	return sm.extractBytes(src.ID, sc.htmlBuf, sc, st)
+}
+
+// ExtractWith extracts one page through a scratch the caller owns, where
+// every other entry borrows one from the pool: what a differential test
+// needs to compare a scratch that has served the site before with one that
+// has not. The scratch's counters are left running.
+func (sm *SiteModel) ExtractWith(sc *ServeScratch, id string, html []byte) ([]Extraction, error) {
+	if err := sm.serveable(1); err != nil {
+		return nil, err
+	}
+	_, exts := sm.extractBytes(id, html, sc, nil)
+	return exts, nil
 }
 
 // ---------------------------------------------------------------- state

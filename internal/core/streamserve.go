@@ -27,215 +27,257 @@ func probeStr(m map[string]int32, key []byte) (int32, bool) {
 	return id, ok
 }
 
-// emitStream appends the IDs of element e's structural features at this
-// position: symbol array first, tag-map fallback only for unsymbolized
-// tags, then the attribute tables in structuralAttrs order (the stream is
-// always built with Attrs = structuralAttrs, so table index i and stream
-// attribute index i name the same key).
+// emit appends the features an element with vocabulary IDs ids (tag, then
+// structuralAttrs) has at this position.
 //
 //ceres:allocfree
-func (t *structTable) emitStream(sp *dom.StreamPage, e int32, vb *mlr.VectorBuilder) {
-	if s := sp.TagSymOf(e); s > 0 {
-		if int(s) < len(t.tagBySym) {
-			if id := t.tagBySym[s]; id >= 0 {
-				vb.AddID(int(id))
-			}
-		}
-	} else if id, ok := t.tag[sp.Tag(e)]; ok {
-		vb.AddID(int(id))
+func (t *structTable) emit(vb *mlr.VectorBuilder, ids []int32) {
+	if f := featAt(t.tag, ids[0]); f >= 0 {
+		vb.AddID(int(f))
 	}
-	for i, m := range t.attr {
-		if m == nil {
-			continue
-		}
-		if v, ok := sp.AttrValue(e, i); ok && len(v) != 0 {
-			if id, ok := probeStr(m, v); ok {
-				vb.AddID(int(id))
+	for i := range t.attr {
+		if v := ids[1+i]; v != 0 {
+			if f := featAt(t.attr[i], v); f >= 0 {
+				vb.AddID(int(f))
 			}
 		}
 	}
+}
+
+// resolveKinds resolves every element of the page through the model's
+// vocabulary, once: its tag and structural attribute values to vocabulary
+// IDs (sc.elemIDs; absent, empty and unknown values alike are 0), and
+// those to one number, the element's kind (sc.kind). An element the model
+// knows only by tag is its tag ID; one with a known attribute value is
+// interned in the current cache. These are the only string probes the
+// structural half of scoring makes.
+//
+//ceres:allocfree
+func (cf *CompiledFeaturizer) resolveKinds(sp *dom.StreamPage, sc *ServeScratch) {
+	v := &cf.vocab
+	clear(sc.elemIDs[:kindWidth]) // record 0, the document, is nothing
+	sc.kind[0] = 0
+	for e, n := int32(1), int32(sp.Elems()); e < n; e++ {
+		ids := sc.elemIDs[int(e)*kindWidth : (int(e)+1)*kindWidth]
+		ids[0] = 0
+		if s := sp.TagSymOf(e); s > 0 {
+			if int(s) < len(v.tagBySym) {
+				ids[0] = v.tagBySym[s]
+			}
+		} else {
+			ids[0] = v.tag[sp.Tag(e)]
+		}
+		tagOnly := true
+		for i := range v.attr {
+			ids[1+i] = 0
+			if len(v.attr[i]) == 0 {
+				continue
+			}
+			if val, ok := sp.AttrValue(e, i); ok && len(val) != 0 {
+				if id, ok := probeStr(v.attr[i], val); ok {
+					ids[1+i] = id
+					tagOnly = false
+				}
+			}
+		}
+		if tagOnly {
+			sc.kind[e] = ids[0]
+		} else {
+			sc.kind[e] = sc.cache.kindOf(ids)
+		}
+	}
+}
+
+// subTextID returns the lexicon ID of e's subtree text, 0 when it is not a
+// lexicon string, resolving it on the page's first request.
+//
+//ceres:allocfree
+func (cf *CompiledFeaturizer) subTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
+	id := sc.subText[e]
+	if id < 0 {
+		id = 0
+		// The stream bounds captured text by the site-wide maxText; the
+		// bound check against this cluster's makes the probe exact.
+		if txt, ok := sp.SubText(e, cf.maxText); ok && len(txt) != 0 {
+			id, _ = probeStr(cf.vocab.text, txt)
+		}
+		sc.subText[e] = id
+	}
+	return id
+}
+
+// ownTextID is subTextID for e's direct text.
+//
+//ceres:allocfree
+func (cf *CompiledFeaturizer) ownTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
+	id := sc.ownText[e]
+	if id < 0 {
+		id = 0
+		// !probeable means the own text is non-empty but longer than any
+		// lexicon key: a probe would miss.
+		if own, probeable := sp.OwnText(e); probeable && len(own) != 0 {
+			id, _ = probeStr(cf.vocab.text, own)
+		}
+		sc.ownText[e] = id
+	}
+	return id
+}
+
+func (cf *CompiledFeaturizer) structuralAt(lvl int32) bool {
+	return !cf.opts.DisableStructural && int(lvl) <= cf.opts.MaxAncestors
+}
+
+func (cf *CompiledFeaturizer) textAt(lvl int32) bool {
+	return !cf.opts.DisableText && int(lvl) <= cf.opts.TextAncestors
+}
+
+// contextWidth is the most words a context tuple takes.
+func (cf *CompiledFeaturizer) contextWidth() int { return 3*cf.opts.SiblingWindow + 5 }
+
+// contextOf returns the ID of node's context at ancestor level lvl:
+// everything the feature walk reads from that level upwards, interned. Two
+// (node, level) pairs with the same ID — on one page or on two — emit the
+// same features from that level up, because the tuple holds every
+// vocabulary ID the walk looks at there and the context of the parent one
+// level further up:
+//
+//	level, parent's context, lexicon ID of the own text (levels > 0),
+//	number of preceding siblings inside the window,
+//	kind of each sibling inside the window (the node's own among them),
+//	lexicon ID of each of those preceding siblings' text, nearest first
+//
+// The kinds are there only at a level the structural walk reaches and the
+// text IDs only at one the text walk reaches — the level says which — and
+// a text position where the model has no string to match is left 0. A
+// field directly under the document (node 0) has a context of its own,
+// which emits nothing. IDs are memoized per page — the cells of a table
+// row share their whole ancestor chain, and fields of one element share
+// everything — and -1 means the cache is full and the context is not in
+// it.
+//
+//ceres:allocfree
+func (cf *CompiledFeaturizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, node, lvl int32) int32 {
+	memo := int(lvl)*sp.Elems() + int(node)
+	if id := sc.ctxMemo[memo]; id != 0 {
+		return id
+	}
+	// The parent first: it builds its own tuple in the same buffer.
+	parent := int32(0)
+	if node != 0 && int(lvl) < cf.levels {
+		if p := sp.Parent(node); p != 0 {
+			if parent = cf.contextOf(sp, sc, p, lvl+1); parent < 0 {
+				sc.ctxMemo[memo] = -1
+				return -1
+			}
+		}
+	}
+	key := sc.ctxKey[:4]
+	key[0], key[1], key[2], key[3] = lvl, parent, 0, 0
+	if node != 0 {
+		w := cf.opts.SiblingWindow
+		sibs := sp.ElemSiblings(node)
+		pos := int(sp.ElemIndex(node))
+		lo := max(pos-w, 0)
+		key[3] = int32(pos - lo)
+		if cf.structuralAt(lvl) {
+			for _, e := range sibs[lo:min(pos+w+1, len(sibs))] {
+				k := sc.kind[e]
+				if k < 0 {
+					sc.ctxMemo[memo] = -1
+					return -1
+				}
+				key = append(key, k)
+			}
+		}
+		if cf.textAt(lvl) {
+			tables := cf.text[lvl]
+			if lvl > 0 && len(tables[0]) != 0 {
+				key[2] = cf.ownTextID(sp, sc, node)
+			}
+			for off := 1; off <= pos-lo; off++ {
+				id := int32(0)
+				if len(tables[off]) != 0 {
+					id = cf.subTextID(sp, sc, sibs[pos-off])
+				}
+				key = append(key, id)
+			}
+		}
+	}
+	id := sc.cache.intern(&sc.cache.contexts, key, -1) // no row yet
+	sc.ctxMemo[memo] = id
+	return id
 }
 
 // appendStreamFeatures emits the feature IDs of a field whose containing
 // element is elem — Featurizer.Features over streaming records: the same
 // context walk (containing element, ancestors, sibling windows, bounded
 // sibling-text probes) resolving the same features through the integer
-// tables. elem 0 — a field directly under the document — emits nothing,
-// matching the training walk's immediate stop on a non-element parent.
-//
-// The walk splits at level 0: everything above the containing element
-// depends only on (ancestor, level) pairs, which upperSpan memoizes per
-// page and replays — cells of one table row share their entire ancestor
-// walk, and rows share everything from the table up. Replay changes
-// only the emission ORDER relative to the one-loop walk; the multiset
-// is identical, and scoring coalesces over the sorted vector, so output
-// is unchanged.
+// tables, in a different order, which the sorted vector does not keep.
+// elem 0 — a field directly under the document — emits nothing, matching
+// the training walk's immediate stop on a non-element parent. Only a
+// context the cache has not seen pays for it.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) appendStreamFeatures(vb *mlr.VectorBuilder, sp *dom.StreamPage, elem int32, sc *ServeScratch) {
-	if elem == 0 {
-		return
-	}
+func (cf *CompiledFeaturizer) appendStreamFeatures(vb *mlr.VectorBuilder, sp *dom.StreamPage, sc *ServeScratch, elem int32) {
 	w := cf.opts.SiblingWindow
-	if !cf.opts.DisableStructural {
-		tables := cf.structural[0]
-		tables[w].emitStream(sp, elem, vb)
-		sibs := sp.ElemSiblings(elem)
-		pos := int(sp.ElemIndex(elem))
-		for off := 1; off <= w; off++ {
-			if pos-off >= 0 {
-				tables[w-off].emitStream(sp, sibs[pos-off], vb)
-			}
-			if pos+off < len(sibs) {
-				tables[w+off].emitStream(sp, sibs[pos+off], vb)
-			}
-		}
-	}
-	if !cf.opts.DisableText && cf.opts.TextAncestors >= 0 {
-		tables := cf.text[0]
-		sibs := sp.ElemSiblings(elem)
-		pos := int(sp.ElemIndex(elem))
-		for off := 1; off <= w; off++ {
-			if pos-off < 0 {
-				break
-			}
-			tbl := tables[off]
-			if len(tbl) == 0 {
-				continue // no key can match; skip the text read
-			}
-			// The stream bounds captured text by the global (cross-
-			// cluster) maxText; the per-cluster bound check on the
-			// stored length makes the probe exact.
-			if txt, ok := sp.SubText(sibs[pos-off], cf.maxText); ok {
-				if id, hit := probeStr(tbl, txt); hit {
-					vb.AddID(int(id))
-				}
-			}
-		}
-	}
-	off, end := cf.upperSpan(sp, sc, sp.Parent(elem), 1)
-	for _, id := range sc.upperIDs[off:end] {
-		vb.AddID(int(id))
-	}
-}
-
-// upperMax is the deepest ancestor level either walk visits.
-func (cf *CompiledFeaturizer) upperMax() int {
-	m := 0
-	if !cf.opts.DisableStructural {
-		m = cf.opts.MaxAncestors
-	}
-	if !cf.opts.DisableText && cf.opts.TextAncestors > m {
-		m = cf.opts.TextAncestors
-	}
-	return m
-}
-
-// upperSpan returns the arena span of feature IDs the walk emits for
-// node at ancestor level lvl plus everything above it, memoized per
-// (node, lvl) for the page. The span is its own level's emissions
-// followed by a copy of the parent span, so replay is a single run.
-// Every feature is a binary AddID, which replay relies on.
-//
-//ceres:allocfree
-func (cf *CompiledFeaturizer) upperSpan(sp *dom.StreamPage, sc *ServeScratch, node, lvl int32) (int32, int32) {
-	if node == 0 || int(lvl) > cf.upperMax() {
-		return 0, 0
-	}
-	k := (int(lvl)-1)*sc.upStride + int(node)
-	if sc.upEpoch[k] == sc.upEpochCur {
-		return sc.upOff[k], sc.upEnd[k]
-	}
-	po, pe := cf.upperSpan(sp, sc, sp.Parent(node), lvl+1)
-	sc.upVB.Reset()
-	cf.emitUpperLevel(&sc.upVB, sp, node, lvl)
-	off := int32(len(sc.upperIDs))
-	for _, f := range sc.upVB.Raw() {
-		sc.upperIDs = append(sc.upperIDs, int32(f.Index))
-	}
-	sc.upperIDs = append(sc.upperIDs, sc.upperIDs[po:pe]...)
-	end := int32(len(sc.upperIDs))
-	sc.upEpoch[k] = sc.upEpochCur
-	sc.upOff[k] = off
-	sc.upEnd[k] = end
-	return off, end
-}
-
-// emitUpperLevel emits one ancestor level of both walks for node: the
-// structural tables of the level over node and its sibling window, then
-// the level's text probes (preceding-sibling text and own text).
-//
-//ceres:allocfree
-func (cf *CompiledFeaturizer) emitUpperLevel(vb *mlr.VectorBuilder, sp *dom.StreamPage, node, lvl int32) {
-	w := cf.opts.SiblingWindow
-	if !cf.opts.DisableStructural && int(lvl) <= cf.opts.MaxAncestors {
-		tables := cf.structural[lvl]
-		tables[w].emitStream(sp, node, vb)
+	node := elem
+	for lvl := int32(0); node != 0 && int(lvl) <= cf.levels; lvl++ {
 		sibs := sp.ElemSiblings(node)
 		pos := int(sp.ElemIndex(node))
-		for off := 1; off <= w; off++ {
-			if pos-off >= 0 {
-				tables[w-off].emitStream(sp, sibs[pos-off], vb)
-			}
-			if pos+off < len(sibs) {
-				tables[w+off].emitStream(sp, sibs[pos+off], vb)
+		if cf.structuralAt(lvl) {
+			tables := cf.structural[lvl]
+			for j, hi := max(pos-w, 0), min(pos+w, len(sibs)-1); j <= hi; j++ {
+				e := int(sibs[j])
+				tables[w+j-pos].emit(vb, sc.elemIDs[e*kindWidth:(e+1)*kindWidth])
 			}
 		}
-	}
-	if !cf.opts.DisableText && int(lvl) <= cf.opts.TextAncestors {
-		tables := cf.text[lvl]
-		sibs := sp.ElemSiblings(node)
-		pos := int(sp.ElemIndex(node))
-		for off := 1; off <= w; off++ {
-			if pos-off < 0 {
-				break
+		if cf.textAt(lvl) {
+			tables := cf.text[lvl]
+			for off := 1; off <= w && pos-off >= 0; off++ {
+				if len(tables[off]) == 0 {
+					continue // no string is a feature here; skip the text read
+				}
+				if f := featAt(tables[off], cf.subTextID(sp, sc, sibs[pos-off])); f >= 0 {
+					vb.AddID(int(f))
+				}
 			}
-			tbl := tables[off]
-			if len(tbl) == 0 {
-				continue
-			}
-			if txt, ok := sp.SubText(sibs[pos-off], cf.maxText); ok {
-				if id, hit := probeStr(tbl, txt); hit {
-					vb.AddID(int(id))
+			if lvl > 0 && len(tables[0]) != 0 {
+				if f := featAt(tables[0], cf.ownTextID(sp, sc, node)); f >= 0 {
+					vb.AddID(int(f))
 				}
 			}
 		}
-		if tbl := tables[0]; len(tbl) > 0 {
-			// !probeable means the own text is non-empty but longer
-			// than any lexicon key: a probe would miss, so skipping it
-			// is equivalent.
-			if own, probeable := sp.OwnText(node); probeable && len(own) != 0 {
-				if id, ok := probeStr(tbl, own); ok {
-					vb.AddID(int(id))
-				}
-			}
-		}
+		node = sp.Parent(node)
 	}
 }
 
 // scoreStreamFields scores every field of a streamed page into the flat
 // proba matrix, returning the best name candidate — ExtractPage's scoring
-// loop over records, plus a per-parent memo: fields sharing a containing
-// element have identical feature vectors (features depend only on the
-// element context), so repeat parents copy the cached row instead of
-// re-featurizing. memo maps element record → first scored field, -1 for
-// none.
+// loop over records. A field whose context has a row in the cache copies
+// it; any other runs the feature walk and the scorer, and the cache
+// remembers the row if it has room. Rows are what the scorer produced for
+// the context's first field, so output is bit-identical to always scoring.
 //
 //ceres:allocfree
-func (cm *CompiledModel) scoreStreamFields(sp *dom.StreamPage, proba []float64, memo []int32, sc *ServeScratch) (int, float64) {
+func (cm *CompiledModel) scoreStreamFields(sp *dom.StreamPage, proba []float64, sc *ServeScratch) (int, float64) {
 	K := cm.scorer.ClassCount()
 	bestName, bestNameP := -1, 0.0
 	nf := sp.Fields()
+	sc.counts.fields += nf
 	for fi := 0; fi < nf; fi++ {
-		parent := sp.FieldParent(fi)
+		elem := sp.FieldParent(fi)
 		pr := proba[fi*K : (fi+1)*K]
-		if m := memo[parent]; m >= 0 {
-			copy(pr, proba[int(m)*K:(int(m)+1)*K])
+		ctx := cm.fz.contextOf(sp, sc, elem, 0)
+		if row := sc.cache.row(ctx, K); row != nil {
+			copy(pr, row)
 		} else {
 			sc.vb.Reset()
-			cm.fz.appendStreamFeatures(&sc.vb, sp, parent, sc)
-			cm.probaCacheScore(sc, pr)
-			memo[parent] = int32(fi)
+			cm.fz.appendStreamFeatures(&sc.vb, sp, sc, elem)
+			cm.scorer.ProbaInto(sc.vb.Build(), pr)
+			sc.counts.misses++
+			if !sc.cache.store(ctx, pr) {
+				sc.counts.uncached++
+			}
 		}
 		if pr[cm.nameClass] > bestNameP {
 			bestName, bestNameP = fi, pr[cm.nameClass]
@@ -244,102 +286,37 @@ func (cm *CompiledModel) scoreStreamFields(sp *dom.StreamPage, proba []float64, 
 	return bestName, bestNameP
 }
 
-// probCacheLimit bounds the distinct structural contexts one scratch
-// caches per model, and probCacheModels bounds how many models a scratch
-// holds caches for. Template sites repeat a few hundred contexts across
-// every page; the caps only exist so a pathological site (or a process
-// cycling through many model versions) cannot grow the pooled scratch
-// without bound.
-const (
-	probCacheLimit  = 1 << 13
-	probCacheModels = 8
-)
-
-// probaCacheScore computes the class probabilities of the builder's
-// accumulated features into pr, consulting the scratch's cross-page
-// cache first. The cache key is the raw emission sequence: the feature
-// walk is deterministic per structural context, so an identical sequence
-// implies an identical coalesced vector and — the scorer being a pure
-// function — identical probabilities. Repeat contexts (template pages
-// share almost all of them) skip the sort/coalesce and the scorer; a
-// miss scores normally and caches the row. Output is bit-identical to
-// always scoring.
-func (cm *CompiledModel) probaCacheScore(sc *ServeScratch, pr []float64) {
-	c := sc.caches[cm]
-	if c == nil {
-		if sc.caches == nil || len(sc.caches) >= probCacheModels {
-			// A scratch cycling through more models than the cap is
-			// either a model-churn workload (stale entries would leak)
-			// or pathological; restart with just the current one.
-			sc.caches = make(map[*CompiledModel]*probCache, probCacheModels)
-		}
-		c = &probCache{idx: make(map[string]int32, 256)}
-		sc.caches[cm] = c
+// sizedInt32 returns s with length n, reallocating only to grow.
+func sizedInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-	key, ok := appendFeatureSeqKey(sc.cacheKey[:0], sc.vb.Raw())
-	sc.cacheKey = key
-	if !ok {
-		cm.scorer.ProbaInto(sc.vb.Build(), pr)
-		return
-	}
-	if row, hit := c.idx[string(key)]; hit {
-		K := len(pr)
-		copy(pr, c.probs[int(row)*K:(int(row)+1)*K])
-		return
-	}
-	cm.scorer.ProbaInto(sc.vb.Build(), pr)
-	if len(c.idx) < probCacheLimit {
-		c.idx[string(key)] = int32(len(c.probs) / len(pr))
-		c.probs = append(c.probs, pr...)
-	}
+	return s[:n]
 }
 
-// appendFeatureSeqKey encodes a raw feature sequence as a cache key:
-// four little-endian bytes per binary feature. Sequences with non-unit
-// values or out-of-range indices are not keyable (no serve featurizer
-// emits them) and report false.
-func appendFeatureSeqKey(dst []byte, feats []mlr.Feature) ([]byte, bool) {
-	for _, f := range feats {
-		idx := uint64(f.Index)
-		if f.Value != 1 || idx > 1<<31-1 {
-			return dst[:0], false
-		}
-		dst = append(dst, byte(idx), byte(idx>>8), byte(idx>>16), byte(idx>>24))
-	}
-	return dst, true
-}
-
-// beginPage sizes the scratch for one streamed page under cm and starts a
-// new upper-walk memo epoch. It returns the page's fields×classes
-// probability matrix and the per-element first-scored-field memo, reset.
-func (sc *ServeScratch) beginPage(sp *dom.StreamPage, cm *CompiledModel) (proba []float64, memo []int32) {
-	K := cm.scorer.ClassCount()
-	nf := sp.Fields()
-	if need := nf * K; cap(sc.proba) < need {
+// beginPage readies the scratch for one streamed page under cm: the
+// model's context cache, the per-element arrays (kinds resolved, text IDs
+// and context memo blank) and the page's fields×classes probability
+// matrix, which it returns.
+func (sc *ServeScratch) beginPage(sp *dom.StreamPage, cm *CompiledModel) []float64 {
+	need := sp.Fields() * cm.scorer.ClassCount()
+	if cap(sc.proba) < need {
 		sc.proba = make([]float64, need)
 	}
+	sc.cache = sc.cacheFor(cm)
 	ne := sp.Elems()
-	if cap(sc.memoRow) < ne {
-		sc.memoRow = make([]int32, ne)
+	sc.elemIDs = sizedInt32(sc.elemIDs, ne*kindWidth)
+	sc.kind = sizedInt32(sc.kind, ne)
+	sc.subText = sizedInt32(sc.subText, ne)
+	sc.ownText = sizedInt32(sc.ownText, ne)
+	for i := range sc.subText {
+		sc.subText[i], sc.ownText[i] = -1, -1
 	}
-	memo = sc.memoRow[:ne]
-	for i := range memo {
-		memo[i] = -1
-	}
-	if need := cm.fz.upperMax() * ne; cap(sc.upEpoch) < need {
-		sc.upEpoch = make([]int32, need)
-		sc.upOff = make([]int32, need)
-		sc.upEnd = make([]int32, need)
-		sc.upEpochCur = 0
-	} else {
-		sc.upEpoch = sc.upEpoch[:need]
-		sc.upOff = sc.upOff[:need]
-		sc.upEnd = sc.upEnd[:need]
-	}
-	sc.upStride = ne
-	sc.upEpochCur++
-	sc.upperIDs = sc.upperIDs[:0]
-	return sc.proba[:nf*K], memo
+	sc.ctxMemo = sizedInt32(sc.ctxMemo, (cm.fz.levels+1)*ne)
+	clear(sc.ctxMemo)
+	sc.ctxKey = sizedInt32(sc.ctxKey, cm.fz.contextWidth())[:0]
+	cm.fz.resolveKinds(sp, sc)
+	return sc.proba[:need]
 }
 
 // ExtractStreamPage applies the compiled model to a streamed page, with
@@ -353,8 +330,8 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 	}
 	K := cm.scorer.ClassCount()
 	nf := sp.Fields()
-	proba, memo := sc.beginPage(sp, cm)
-	bestName, bestNameP := cm.scoreStreamFields(sp, proba, memo, sc)
+	proba := sc.beginPage(sp, cm)
+	bestName, bestNameP := cm.scoreStreamFields(sp, proba, sc)
 	if bestName < 0 || bestNameP < opts.NameThreshold {
 		return nil // §4.3: extraction requires an identified name node
 	}
@@ -411,7 +388,7 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, st *
 	multi := len(sm.Clusters) > 1
 	sp := sc.stream.Stream(html, dom.StreamOptions{
 		MaxText:   sm.maxText,
-		Attrs:     structuralAttrs,
+		Attrs:     structuralAttrs[:],
 		Signature: multi,
 	})
 	ck.tick(stageParse)
@@ -448,7 +425,7 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 	if err := sm.compile(); err != nil {
 		return nil, nil, err
 	}
-	sc := serveScratchPool.Get().(*ServeScratch)
+	sc := getServeScratch()
 	defer serveScratchPool.Put(sc)
 	stats := &ServeStats{ClusterPages: make([]int, len(sm.Clusters))}
 	var out []Extraction
@@ -470,5 +447,6 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 	if stats.Pages == 0 {
 		return nil, nil, ErrNoPages
 	}
+	stats.addContexts(sc)
 	return out, stats, nil
 }

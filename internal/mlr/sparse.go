@@ -70,14 +70,6 @@ func (b *VectorBuilder) Reset() { b.feats = b.feats[:0] }
 // Len returns the number of accumulated (pre-coalesce) entries.
 func (b *VectorBuilder) Len() int { return len(b.feats) }
 
-// Raw returns the accumulated entries in insertion order, before any
-// sorting or coalescing. The slice aliases the builder — valid until the
-// next Add or Reset. Callers use it to key caches on the emission
-// sequence: an identical sequence implies an identical built Vector.
-//
-//ceres:allocfree
-func (b *VectorBuilder) Raw() []Feature { return b.feats }
-
 // Add appends one (index, value) pair.
 //
 //ceres:allocfree

@@ -70,6 +70,8 @@ type serviceMetrics struct {
 	confidence    *obs.HistogramVec // ceres_extraction_confidence{site}
 	emptyPages    *obs.CounterVec   // ceres_empty_pages_total{site}
 	routingMisses *obs.CounterVec   // ceres_routing_miss_total{site}
+	fields        *obs.CounterVec   // ceres_fields_total{site}
+	contextMisses *obs.CounterVec   // ceres_context_misses_total{site}
 }
 
 // unknownSiteLabel is the site label recorded for requests that failed
@@ -103,6 +105,10 @@ func newServiceMetrics(m *Metrics) *serviceMetrics {
 			"Served pages that produced no extraction at all, by site.", "site"),
 		routingMisses: m.CounterVec("ceres_routing_miss_total",
 			"Served pages routed to no cluster or an untrained one, by site.", "site"),
+		fields: m.CounterVec("ceres_fields_total",
+			"Text fields scored, by site.", "site"),
+		contextMisses: m.CounterVec("ceres_context_misses_total",
+			"Scored fields whose structural context the serving worker had not met before, by site.", "site"),
 	}
 }
 
@@ -161,6 +167,8 @@ func (sm *serviceMetrics) requestServed(site string, stats ServeStats) {
 	sm.latency.With(site).Observe(stats.Latency.Seconds())
 	sm.emptyPages.With(site).Add(int64(stats.EmptyPages))
 	sm.routingMisses.With(site).Add(int64(stats.RoutingMisses))
+	sm.fields.With(site).Add(int64(stats.Fields))
+	sm.contextMisses.With(site).Add(int64(stats.ContextMisses))
 }
 
 // SiteDriftStats is the per-site extraction-quality snapshot served by

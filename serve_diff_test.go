@@ -156,41 +156,95 @@ func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	}
 }
 
-// TestStreamServeMatchesDOMMalformed mutates served pages with the
-// malformed constructs the parser tolerates — unclosed tags, raw-text
-// elements, comments inside tables, stray end tags, truncation — and
-// requires the engine to agree with the reference on every mutant.
+// malformedMutators rewrite a page into the malformed constructs the
+// parser tolerates: unclosed tags, raw-text elements, comments inside
+// tables, stray end tags, truncation.
+var malformedMutators = []struct {
+	name string
+	fn   func(html string) string
+}{
+	{"unclosed divs", func(h string) string {
+		return strings.Replace(h, "<body", "<div><div class=\"open\"><body", 1)
+	}},
+	{"comment in table", func(h string) string {
+		return strings.ReplaceAll(h, "<tr>", "<!-- row --><tr>")
+	}},
+	{"raw text", func(h string) string {
+		return strings.Replace(h, "</body>", "<script>if (a<b) { x(\"</div>\"); }</script><style>p>a{}</style></body>", 1)
+	}},
+	{"stray end tags", func(h string) string {
+		return strings.ReplaceAll(h, "<td>", "</span></p><td>")
+	}},
+	{"truncated", func(h string) string {
+		return h[:len(h)*3/4]
+	}},
+	{"unclosed raw", func(h string) string {
+		return h + "<script>never closed"
+	}},
+}
+
+// TestStreamServeMatchesDOMMalformed mutates served pages with every
+// malformedMutators entry and requires the engine to agree with the
+// reference on every mutant.
 func TestStreamServeMatchesDOMMalformed(t *testing.T) {
 	sm, serve := trainHalf(t, "movies", 7, 30)
-	mutate := []struct {
-		name string
-		fn   func(html string) string
-	}{
-		{"unclosed divs", func(h string) string {
-			return strings.Replace(h, "<body", "<div><div class=\"open\"><body", 1)
-		}},
-		{"comment in table", func(h string) string {
-			return strings.ReplaceAll(h, "<tr>", "<!-- row --><tr>")
-		}},
-		{"raw text", func(h string) string {
-			return strings.Replace(h, "</body>", "<script>if (a<b) { x(\"</div>\"); }</script><style>p>a{}</style></body>", 1)
-		}},
-		{"stray end tags", func(h string) string {
-			return strings.ReplaceAll(h, "<td>", "</span></p><td>")
-		}},
-		{"truncated", func(h string) string {
-			return h[:len(h)*3/4]
-		}},
-		{"unclosed raw", func(h string) string {
-			return h + "<script>never closed"
-		}},
-	}
-	for _, m := range mutate {
+	for _, m := range malformedMutators {
 		mutated := make([]core.PageSource, len(serve))
 		for i, s := range serve {
 			mutated[i] = core.PageSource{ID: s.ID, HTML: m.fn(s.HTML)}
 		}
 		diffStreamServe(t, m.name, sm, mutated)
+	}
+}
+
+// TestServeIndependentOfScratchHistory: what a page extracts to must not
+// depend on what its worker's scratch served before — the context cache
+// may only ever return what scoring would have. Every unseen page of the
+// five corpora, as generated and under each malformed mutator, is
+// extracted through a scratch that has never served anything and through
+// one that serves them all, first in order and then in reverse (so each
+// page is met both before and after every other one). The differential
+// suites above cannot see this: they run one order through pooled
+// scratches.
+func TestServeIndependentOfScratchHistory(t *testing.T) {
+	total := 0
+	for _, kind := range []string{"movies", "movies-longtail", "imdb-films", "imdb-people", "crawl-czech"} {
+		sm, serve := trainHalf(t, kind, 7, 40)
+		pages := append([]core.PageSource{}, serve...)
+		for _, m := range malformedMutators {
+			for _, s := range serve {
+				pages = append(pages, core.PageSource{ID: s.ID + "/" + m.name, HTML: m.fn(s.HTML)})
+			}
+		}
+		cold := make([][]core.Extraction, len(pages))
+		for i, p := range pages {
+			exts, err := sm.ExtractWith(core.NewServeScratch(), p.ID, []byte(p.HTML))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			cold[i] = exts
+			total += len(exts)
+		}
+		warm := core.NewServeScratch()
+		check := func(order string, i int) {
+			exts, err := sm.ExtractWith(warm, pages[i].ID, []byte(pages[i].HTML))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if !reflect.DeepEqual(exts, cold[i]) {
+				t.Fatalf("%s page %s, %s through a used scratch: %d extractions differ from the %d of a fresh one",
+					kind, pages[i].ID, order, len(exts), len(cold[i]))
+			}
+		}
+		for i := range pages {
+			check("forward", i)
+		}
+		for i := len(pages) - 1; i >= 0; i-- {
+			check("in reverse", i)
+		}
+	}
+	if total == 0 {
+		t.Fatal("nothing extracted; comparison vacuous")
 	}
 }
 

@@ -69,6 +69,19 @@ type ServeStats struct {
 	// one; rising values mean traffic has drifted off the trained
 	// templates.
 	RoutingMisses int
+	// Fields counts the text fields scored. ContextMisses counts those
+	// whose structural context the serving worker had not met before, so
+	// the feature walk and the classifier ran for them; every other field
+	// copied a remembered row. A template repeats its contexts, so a
+	// rising miss share is the EmptyPages signal one level down.
+	// ContextUncached counts the misses that could not be remembered (the
+	// site has more distinct contexts than a worker keeps for one model)
+	// and CacheEvictions the models whose contexts a worker forgot to
+	// make room for another's.
+	Fields          int
+	ContextMisses   int
+	ContextUncached int
+	CacheEvictions  int
 	// Latency is the request's wall-clock serving time.
 	Latency time.Duration
 	// Stages is the per-stage serve-time breakdown, populated when the
@@ -342,13 +355,17 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 		emitted = len(resp.Triples)
 	}
 	resp.Stats = ServeStats{
-		Pages:          stats.Pages,
-		Triples:        emitted,
-		RoutedClusters: stats.RoutedClusters(),
-		EmptyPages:     stats.EmptyPages,
-		RoutingMisses:  stats.RoutingMisses,
-		Latency:        time.Since(start),
-		Stages:         breakdownOf(st),
+		Pages:           stats.Pages,
+		Triples:         emitted,
+		RoutedClusters:  stats.RoutedClusters(),
+		EmptyPages:      stats.EmptyPages,
+		RoutingMisses:   stats.RoutingMisses,
+		Fields:          stats.Fields,
+		ContextMisses:   stats.ContextMisses,
+		ContextUncached: stats.ContextUncached,
+		CacheEvictions:  stats.CacheEvictions,
+		Latency:         time.Since(start),
+		Stages:          breakdownOf(st),
 	}
 	sp.SetInt("pages", int64(resp.Stats.Pages))
 	sp.SetInt("triples", int64(resp.Stats.Triples))

@@ -220,6 +220,9 @@ func TestServiceSiteStatsDriftSnapshot(t *testing.T) {
 	if resp.Stats.EmptyPages == 0 {
 		t.Fatalf("blank page not counted empty: %+v", resp.Stats)
 	}
+	if s := resp.Stats; s.Fields == 0 || s.ContextMisses > s.Fields || s.ContextUncached > s.ContextMisses {
+		t.Fatalf("context counters: %d fields, %d misses, %d uncached", s.Fields, s.ContextMisses, s.ContextUncached)
+	}
 
 	st, ok := svc.SiteStats("demo")
 	if !ok {
@@ -251,6 +254,8 @@ func TestServiceSiteStatsDriftSnapshot(t *testing.T) {
 		`ceres_extraction_confidence_count{site="demo"} ` + itoa(int(st.Confidence.Count)),
 		`ceres_empty_pages_total{site="demo"} ` + itoa(int(st.EmptyPages)),
 		`ceres_routing_miss_total{site="demo"} ` + itoa(int(st.RoutingMisses)),
+		`ceres_fields_total{site="demo"} ` + itoa(resp.Stats.Fields),
+		`ceres_context_misses_total{site="demo"} ` + itoa(resp.Stats.ContextMisses),
 		"ceres_trace_roots_sampled_total 1",
 	} {
 		if !strings.Contains(text, want) {
