@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt-check fuzz crash-sweep bench bench-json fleet docker clean
+.PHONY: all build test race lint fmt-check examples fuzz crash-sweep bench bench-json fleet docker clean
 
 all: build lint test
 
@@ -30,6 +30,11 @@ fmt-check:
 	@out=$$(find . -name '*.go' -not -path '*/testdata/*' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
+# Every program under examples/ must run to completion: they are the
+# public API's only callers outside cmd/, and nothing else executes them.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
+
 # Native fuzzing, long budget per target (CI runs the same targets for
 # 10s each). Three hold hand-written JSON code to encoding/json: the
 # extract-request reader on every body (accept/reject, every decoded
@@ -39,8 +44,12 @@ fmt-check:
 # other: the stream pass's records against Parse's tree on every page
 # (DESIGN.md §5). The fifth holds the serve engine's context cache to
 # having no say in the output: a page through a scratch that has served the
-# site and through a fresh one scores and extracts alike (DESIGN.md §5). A
-# failing input is written under the package's testdata/fuzz/ — commit it.
+# site and through a fresh one scores and extracts alike (DESIGN.md §5).
+# The sixth is the model file, the bytes PUT /v1/sites/{site}/model takes
+# from the network: no input panics, an accepted one re-encodes to an
+# equal state, serves or refuses without panicking, and decodes to no more
+# than a fixed multiple of its size (DESIGN.md §10). A failing input is
+# written under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -48,6 +57,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run='^$$' -fuzz=FuzzExtractWarmCold -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) .
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

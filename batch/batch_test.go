@@ -364,3 +364,74 @@ func TestJSONLSinkReplay(t *testing.T) {
 		t.Fatal("aborted shard left output")
 	}
 }
+
+// CountingSink tallies committed triples without keeping them — the
+// cheapest sink, for tests that measure the runner or need a sink that is
+// no Replayer. Counts reflect only shards executed by this process
+// (resumed shards are not re-counted).
+type CountingSink struct {
+	mu          sync.Mutex
+	triples     int
+	bySite      map[string]int
+	byPredicate map[string]int
+}
+
+// SinkCounts is a CountingSink snapshot.
+type SinkCounts struct {
+	Triples     int
+	BySite      map[string]int
+	ByPredicate map[string]int
+}
+
+// NewCountingSink builds an empty counting sink.
+func NewCountingSink() *CountingSink {
+	return &CountingSink{bySite: map[string]int{}, byPredicate: map[string]int{}}
+}
+
+// Counts snapshots the committed tallies.
+func (s *CountingSink) Counts() SinkCounts {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := SinkCounts{Triples: s.triples, BySite: map[string]int{}, ByPredicate: map[string]int{}}
+	for k, v := range s.bySite {
+		out.BySite[k] = v
+	}
+	for k, v := range s.byPredicate {
+		out.ByPredicate[k] = v
+	}
+	return out
+}
+
+// OpenShard implements TripleSink.
+func (s *CountingSink) OpenShard(sh Shard) (ShardWriter, error) {
+	return &countingShard{sink: s, site: sh.Site, byPredicate: map[string]int{}}, nil
+}
+
+type countingShard struct {
+	sink        *CountingSink
+	site        string
+	triples     int
+	byPredicate map[string]int
+}
+
+func (w *countingShard) Write(t ceres.Triple) error {
+	w.triples++
+	w.byPredicate[t.Predicate]++
+	return nil
+}
+
+func (w *countingShard) Commit() error {
+	w.sink.mu.Lock()
+	defer w.sink.mu.Unlock()
+	w.sink.triples += w.triples
+	w.sink.bySite[w.site] += w.triples
+	for p, n := range w.byPredicate {
+		w.sink.byPredicate[p] += n
+	}
+	return nil
+}
+
+func (w *countingShard) Abort() error { return nil }
+
+// Sync implements TripleSink; there is nothing to flush.
+func (s *CountingSink) Sync() error { return nil }

@@ -320,78 +320,6 @@ func decodeShard(dec *jsonl.TripleDecoder, file []byte, triples []ceres.Triple) 
 	return triples, nil
 }
 
-// CountingSink tallies committed triples without keeping them — the
-// cheapest sink for dry runs and throughput measurement. It does not
-// implement Replayer, so it cannot feed the fusion stage, and counts
-// reflect only shards executed by this process (resumed shards are not
-// re-counted).
-type CountingSink struct {
-	mu          sync.Mutex
-	triples     int
-	bySite      map[string]int
-	byPredicate map[string]int
-}
-
-// SinkCounts is a CountingSink snapshot.
-type SinkCounts struct {
-	Triples     int
-	BySite      map[string]int
-	ByPredicate map[string]int
-}
-
-// NewCountingSink builds an empty counting sink.
-func NewCountingSink() *CountingSink {
-	return &CountingSink{bySite: map[string]int{}, byPredicate: map[string]int{}}
-}
-
-// Counts snapshots the committed tallies.
-func (s *CountingSink) Counts() SinkCounts {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := SinkCounts{Triples: s.triples, BySite: map[string]int{}, ByPredicate: map[string]int{}}
-	for k, v := range s.bySite {
-		out.BySite[k] = v
-	}
-	for k, v := range s.byPredicate {
-		out.ByPredicate[k] = v
-	}
-	return out
-}
-
-// OpenShard implements TripleSink.
-func (s *CountingSink) OpenShard(sh Shard) (ShardWriter, error) {
-	return &countingShard{sink: s, site: sh.Site, byPredicate: map[string]int{}}, nil
-}
-
-type countingShard struct {
-	sink        *CountingSink
-	site        string
-	triples     int
-	byPredicate map[string]int
-}
-
-func (w *countingShard) Write(t ceres.Triple) error {
-	w.triples++
-	w.byPredicate[t.Predicate]++
-	return nil
-}
-
-func (w *countingShard) Commit() error {
-	w.sink.mu.Lock()
-	defer w.sink.mu.Unlock()
-	w.sink.triples += w.triples
-	w.sink.bySite[w.site] += w.triples
-	for p, n := range w.byPredicate {
-		w.sink.byPredicate[p] += n
-	}
-	return nil
-}
-
-func (w *countingShard) Abort() error { return nil }
-
-// Sync implements TripleSink; there is nothing to flush.
-func (s *CountingSink) Sync() error { return nil }
-
 // CollectSink keeps committed triples in memory, per shard — the sink
 // for in-process harvests whose results are consumed directly (CLI
 // output, tests). It implements Replayer. Being in-memory, it cannot

@@ -227,8 +227,8 @@ func BenchmarkEndToEndSite(b *testing.B) {
 }
 
 // BenchmarkServeExtract measures the train-once/extract-forever path of
-// the public API, buffered and streaming: each iteration pays only
-// parse+route+classify over the fixture's pages.
+// the public API: each iteration pays only parse+route+classify over the
+// fixture's pages.
 func BenchmarkServeExtract(b *testing.B) {
 	f := getFixture(b)
 	pages := make([]PageSource, len(f.sources))
@@ -247,27 +247,6 @@ func BenchmarkServeExtract(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := model.Extract(context.Background(), pages); err != nil {
 				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(pages))*float64(b.N)/b.Elapsed().Seconds(), "pages/s")
-	})
-	b.Run("TrainOnceStream", func(b *testing.B) {
-		model, err := p.Train(context.Background(), pages)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			if err := model.ExtractStream(context.Background(), pages, func(Triple) error {
-				n++
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			if n == 0 {
-				b.Fatal("stream produced no triples")
 			}
 		}
 		b.ReportMetric(float64(len(pages))*float64(b.N)/b.Elapsed().Seconds(), "pages/s")

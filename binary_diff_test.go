@@ -5,18 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ceres/internal/binmodel"
 )
 
 // TestBinaryCodecDifferential is the codec's acceptance test: for every
-// DemoCorpus kind, a trained model written in the binary
-// ceres.sitemodel/3 format, loaded back, and re-serialized with WriteTo
-// is byte-identical to the JSON envelope written directly — the binary
-// path loses nothing the JSON path keeps, down to the last bit of every
-// weight. Serving through both loaded models then yields identical
-// triples.
+// DemoCorpus kind, a trained model's state survives the
+// ceres.sitemodel/3 format whole — the loaded model's state deep-equals
+// the trained one's, Append(Decode(b)) is b again (so every weight keeps
+// its last bit), and so is the loaded model's own WriteBinary. Serving
+// through the loaded model then yields identical triples.
 func TestBinaryCodecDifferential(t *testing.T) {
 	for _, kind := range []string{"movies", "movies-longtail", "imdb-films", "imdb-people", "crawl-czech"} {
 		t.Run(kind, func(t *testing.T) {
@@ -29,32 +29,39 @@ func TestBinaryCodecDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var asJSON, asBinary bytes.Buffer
-			if _, err := model.WriteTo(&asJSON); err != nil {
+			var written bytes.Buffer
+			if _, err := model.WriteBinary(&written); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := model.WriteBinary(&asBinary); err != nil {
-				t.Fatal(err)
+			enc := written.Bytes()
+			threshold, decoded, err := binmodel.Decode(enc)
+			if err != nil {
+				t.Fatalf("decoding: %v", err)
 			}
-			if bytes.Equal(asJSON.Bytes(), asBinary.Bytes()) {
-				t.Fatal("binary and JSON encodings are identical; binary writer not engaged")
+			if again := binmodel.Append(nil, threshold, decoded); !bytes.Equal(again, enc) {
+				t.Fatalf("Append(Decode(b)) differs from b (%d vs %d bytes)", len(again), len(enc))
 			}
 
-			loaded, err := ReadSiteModel(bytes.NewReader(asBinary.Bytes()))
+			// Compared as restored models' states: the file stores options
+			// resolved and carries no "resolved" mark, which restoring sets.
+			loaded, err := ReadSiteModel(bytes.NewReader(enc))
 			if err != nil {
-				t.Fatalf("loading binary model: %v", err)
+				t.Fatalf("loading model: %v", err)
+			}
+			if got, want := loaded.sm.State(), model.sm.State(); loaded.Threshold() != model.Threshold() || !reflect.DeepEqual(got, want) {
+				t.Fatalf("loaded state differs from the trained one:\n got %+v\nwant %+v", got, want)
 			}
 			var roundTripped bytes.Buffer
-			if _, err := loaded.WriteTo(&roundTripped); err != nil {
+			if _, err := loaded.WriteBinary(&roundTripped); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(roundTripped.Bytes(), asJSON.Bytes()) {
-				t.Fatalf("binary round trip altered the model: WriteTo differs (%d vs %d bytes)",
-					roundTripped.Len(), asJSON.Len())
+			if !bytes.Equal(roundTripped.Bytes(), enc) {
+				t.Fatalf("round trip altered the model: WriteBinary differs (%d vs %d bytes)",
+					roundTripped.Len(), len(enc))
 			}
 
-			// Extraction through the binary-loaded model matches the
-			// original, triple for triple.
+			// Extraction through the loaded model matches the original,
+			// triple for triple.
 			want, err := model.Extract(context.Background(), c.Pages[20:])
 			if err != nil {
 				t.Fatal(err)
@@ -64,7 +71,7 @@ func TestBinaryCodecDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			if wj, gj := fmt.Sprintf("%+v", want.Triples), fmt.Sprintf("%+v", got.Triples); wj != gj {
-				t.Fatalf("binary-loaded model extracts differently:\n got %s\nwant %s", gj, wj)
+				t.Fatalf("loaded model extracts differently:\n got %s\nwant %s", gj, wj)
 			}
 		})
 	}

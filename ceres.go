@@ -1,12 +1,9 @@
 package ceres
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -152,18 +149,6 @@ func WithSeed(seed int64) Option {
 	return func(p *Pipeline) { p.cfg.Train.Seed = seed }
 }
 
-// WithNegativeRatio sets r, the negatives sampled per positive label
-// (default 3, per §4.1).
-func WithNegativeRatio(r int) Option {
-	return func(p *Pipeline) { p.cfg.Train.NegativeRatio = r }
-}
-
-// WithoutTemplateClustering treats the whole site as one template instead
-// of clustering pages first.
-func WithoutTemplateClustering() Option {
-	return func(p *Pipeline) { p.cfg.DisablePageClustering = true }
-}
-
 // WithMinAnnotations sets the informativeness filter: pages producing
 // fewer relation annotations are discarded (default 3, per §3.1.2).
 func WithMinAnnotations(n int) Option {
@@ -184,8 +169,8 @@ type Pipeline struct {
 	threshold float64
 	// gate admits one Train call at a time into its page-holding half
 	// (see Train). It belongs to the Pipeline, not to a caller, so every
-	// way of training concurrently — a batch.Runner's workers, a
-	// Harvester's sites, plain goroutines — gets the same memory bound.
+	// way of training concurrently — a batch.Runner's workers, plain
+	// goroutines — gets the same memory bound.
 	gate chan struct{}
 
 	mu                sync.Mutex // guards the fields below
@@ -339,7 +324,7 @@ func (p *Pipeline) TrainingKey() string {
 // per-template-cluster classifiers, featurizers and cluster signatures
 // learned by Pipeline.Train. It serves pages that were never part of
 // training by routing each to the most similar cluster. A SiteModel is
-// safe for concurrent use and persists across processes via WriteTo /
+// safe for concurrent use and persists across processes via WriteBinary /
 // ReadSiteModel.
 type SiteModel struct {
 	sm *core.SiteModel
@@ -426,69 +411,10 @@ func (m *SiteModel) Extract(ctx context.Context, pages []PageSource) (*Result, e
 	return out, nil
 }
 
-// ExtractStream extracts with bounded memory, calling emit for every
-// triple at or above the model threshold as its page finishes. Pages
-// complete in worker order, not input order; emit is never called
-// concurrently. A non-nil error from emit stops the stream and is
-// returned; cancellation of ctx stops it with ctx.Err(). Only about
-// WithWorkers pages are in memory at any moment, so a site of millions of
-// pages streams in constant space.
-func (m *SiteModel) ExtractStream(ctx context.Context, pages []PageSource, emit func(Triple) error) error {
-	src, err := toSources(pages)
-	if err != nil {
-		return err
-	}
-	return m.sm.StreamSources(ctx, src, func(e core.Extraction) error {
-		if e.Confidence < m.Threshold() {
-			return nil
-		}
-		return emit(toTriple(e))
-	})
-}
-
-// sitemodelFormat versions the WriteTo serialization. Version 2 stores
-// extraction options fully resolved (an explicit zero is literal);
-// version 1 files, whose zero options meant "apply the default", are
-// still read with their original semantics. Version 3 — written by
-// WriteBinary, implemented in internal/binmodel — is the binary
-// field-tagged encoding (DESIGN.md §10); ReadSiteModel sniffs its magic
-// and loads all three.
-const (
-	sitemodelFormat   = "ceres.sitemodel/2"
-	sitemodelFormatV1 = "ceres.sitemodel/1"
-)
-
-// siteModelFile is the on-disk envelope of a SiteModel.
-type siteModelFile struct {
-	Format    string               `json:"format"`
-	Threshold float64              `json:"threshold"`
-	Model     *core.SiteModelState `json:"model"`
-}
-
-// WriteTo serializes the trained model so it can be reloaded in another
-// process with ReadSiteModel (implements io.WriterTo). The format is
-// versioned JSON; see DESIGN.md for the layout. For the binary format a
-// cold boot decodes several times faster, use WriteBinary.
-func (m *SiteModel) WriteTo(w io.Writer) (int64, error) {
-	if m.sm == nil {
-		return 0, ErrNotTrained
-	}
-	cw := &countingWriter{w: w}
-	enc := json.NewEncoder(cw)
-	err := enc.Encode(siteModelFile{
-		Format:    sitemodelFormat,
-		Threshold: m.Threshold(),
-		Model:     m.sm.State(),
-	})
-	return cw.n, err
-}
-
-// WriteBinary serializes the trained model in the binary
-// `ceres.sitemodel/3` format (DESIGN.md §10): the same state WriteTo
-// stores, framed as field-tagged binary that decodes without reflection
-// or text parsing. ReadSiteModel loads either format transparently;
-// reloading a binary model and re-serializing it with WriteTo yields
-// bytes identical to the JSON path's.
+// WriteBinary serializes the trained model so it can be reloaded in
+// another process with ReadSiteModel: the `ceres.sitemodel/3` format of
+// internal/binmodel (DESIGN.md §10), field-tagged binary that decodes
+// without reflection or text parsing.
 func (m *SiteModel) WriteBinary(w io.Writer) (int64, error) {
 	if m.sm == nil {
 		return 0, ErrNotTrained
@@ -496,47 +422,18 @@ func (m *SiteModel) WriteBinary(w io.Writer) (int64, error) {
 	return binmodel.Write(w, m.Threshold(), m.sm.State())
 }
 
-// ReadSiteModel deserializes a model written by SiteModel.WriteTo or
-// SiteModel.WriteBinary. The format is sniffed from the first bytes: the
-// binary magic routes to the internal/binmodel decoder, anything else is
-// parsed as versioned JSON (v1 and v2 files load forever).
+// ReadSiteModel deserializes a model written by SiteModel.WriteBinary.
 func ReadSiteModel(r io.Reader) (*SiteModel, error) {
-	br := bufio.NewReader(r)
-	prefix, err := br.Peek(len(binmodel.Magic()))
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("ceres: reading site model: %w", err)
-	}
-	if binmodel.IsBinary(prefix) {
-		data, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("ceres: reading site model: %w", err)
-		}
-		return readBinarySiteModel(data)
-	}
-	var f siteModelFile
-	if err := json.NewDecoder(br).Decode(&f); err != nil {
-		return nil, fmt.Errorf("ceres: reading site model: %w", err)
-	}
-	if f.Format != sitemodelFormat && f.Format != sitemodelFormatV1 {
-		return nil, fmt.Errorf("ceres: unknown site model format %q", f.Format)
-	}
-	if f.Model == nil {
-		return nil, fmt.Errorf("ceres: site model file has no model")
-	}
-	if f.Format == sitemodelFormatV1 {
-		// v1 stored unresolved options: zero meant "default at serve
-		// time". Resolve before the literal-valued restore below.
-		f.Model.Extract = f.Model.Extract.Resolve()
-	}
-	sm, err := core.RestoreSiteModel(f.Model)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("ceres: reading site model: %w", err)
 	}
-	return newSiteModel(sm, f.Threshold), nil
+	return readSiteModelBytes(data)
 }
 
-// readBinarySiteModel decodes one whole binary model file.
-func readBinarySiteModel(data []byte) (*SiteModel, error) {
+// readSiteModelBytes is ReadSiteModel over an in-memory file — the
+// DirStore read path, which slurps version files whole.
+func readSiteModelBytes(data []byte) (*SiteModel, error) {
 	threshold, st, err := binmodel.Decode(data)
 	if err != nil {
 		return nil, fmt.Errorf("ceres: reading site model: %w", err)
@@ -546,28 +443,6 @@ func readBinarySiteModel(data []byte) (*SiteModel, error) {
 		return nil, fmt.Errorf("ceres: reading site model: %w", err)
 	}
 	return newSiteModel(sm, threshold), nil
-}
-
-// readSiteModelBytes is ReadSiteModel over an in-memory file — the
-// DirStore read path, which slurps version files whole (one syscall
-// instead of a buffered read loop; a cold boot of a large fleet is
-// syscall-bound).
-func readSiteModelBytes(data []byte) (*SiteModel, error) {
-	if binmodel.IsBinary(data) {
-		return readBinarySiteModel(data)
-	}
-	return ReadSiteModel(bytes.NewReader(data))
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
 }
 
 // toSources validates public pages into core sources.

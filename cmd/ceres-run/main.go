@@ -150,7 +150,7 @@ func main() {
 	}
 	if *saveModel != "" {
 		var buf bytes.Buffer
-		if _, err := model.Model.WriteTo(&buf); err != nil {
+		if _, err := model.Model.WriteBinary(&buf); err != nil {
 			log.Fatalf("saving model: %v", err)
 		}
 		if err := fsatomic.WriteFile(*saveModel, buf.Bytes()); err != nil {

@@ -365,9 +365,6 @@ func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusServiceUnavailable, errors.New("draining"))
 		return
 	}
-	// ReadSiteModel sniffs the payload, so a PUT body may be either the
-	// binary ceres.sitemodel/3 format (DirStore's publish default) or a
-	// v1/v2 JSON envelope.
 	m, err := ceres.ReadSiteModel(http.MaxBytesReader(w, r.Body, maxModelBytes))
 	if err != nil {
 		status := http.StatusBadRequest

@@ -16,7 +16,7 @@ import (
 )
 
 // trainedModelBytes trains a tiny fixed-template film site and returns the
-// model serialized in the WriteTo wire format, plus an unseen page.
+// model serialized in the WriteBinary wire format, plus an unseen page.
 func trainedModelBytes(t *testing.T) ([]byte, ceres.PageSource) {
 	t.Helper()
 	page := func(title, director, year string) string {
@@ -51,7 +51,7 @@ func trainedModelBytes(t *testing.T) ([]byte, ceres.PageSource) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := model.WriteTo(&buf); err != nil {
+	if _, err := model.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	unseen := ceres.PageSource{ID: "m9", HTML: page("Glass Meridian", "Ada Dahl", "2021")}
@@ -202,11 +202,15 @@ func TestServeErrorPaths(t *testing.T) {
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sites/nope/extract", []byte("{"), &errResp); code != http.StatusBadRequest {
 		t.Errorf("bad JSON = %d, want 400", code)
 	}
-	if code := doJSON(t, client, "PUT", ts.URL+"/v1/sites/nope/model", []byte("not a model"), &errResp); code != http.StatusBadRequest {
-		t.Errorf("bad model = %d, want 400", code)
-	}
-	if !strings.Contains(errResp.Error, "site model") {
-		t.Errorf("bad-model error %q does not mention the model", errResp.Error)
+	// A model is the binary format or nothing: a JSON body is as foreign
+	// as any other.
+	for _, bad := range []string{"not a model", `{"format":"ceres.sitemodel/2","threshold":0.5,"model":{}}`} {
+		if code := doJSON(t, client, "PUT", ts.URL+"/v1/sites/nope/model", []byte(bad), &errResp); code != http.StatusBadRequest {
+			t.Errorf("PUT %q = %d, want 400", bad, code)
+		}
+		if !strings.Contains(errResp.Error, "site model") || !strings.Contains(errResp.Error, "bad magic") {
+			t.Errorf("PUT %q: error %q does not name the model and its magic", bad, errResp.Error)
+		}
 	}
 
 	// A registry-only daemon assigns versions itself.

@@ -21,9 +21,9 @@
 //	model, err := p.Train(ctx, trainPages)        // parse→cluster→annotate→train
 //	result, err := model.Extract(ctx, newPages)   // serve any pages, no retraining
 //
-// A SiteModel persists across processes (WriteTo / ReadSiteModel), streams
-// extractions with bounded memory (ExtractStream), and routes pages it has
-// never seen to the nearest template cluster learned at training time.
+// A SiteModel persists across processes (WriteBinary / ReadSiteModel) and
+// routes pages it has never seen to the nearest template cluster learned
+// at training time.
 //
 // # Serving a fleet of sites
 //
@@ -48,11 +48,7 @@
 //	})
 //	// resp.Triples, resp.Version, resp.Stats (pages, triples, latency)
 //
-// The cmd/ceres-serve daemon wraps exactly this stack in an HTTP API. A
-// Harvester is the training front-end of the same stack: it trains and
-// serves many sites concurrently against one seed KB, publishes each model
-// into its Registry, and feeds the fused multi-site view directly
-// (Harvester.Fuse).
+// The cmd/ceres-serve daemon wraps exactly this stack in an HTTP API.
 //
 // # The serve path
 //
@@ -81,20 +77,17 @@
 // site-partitioned crawl on disk, and ceres/batch runs a sharded,
 // checkpointed train→publish→extract→fuse job over it through the same
 // Registry/Service stack — killed runs resume exactly where they stopped,
-// and the streaming fusion side (Fuser, FuseStream) aggregates the output
-// without materializing the observations. cmd/ceres-batch drives the loop
-// from the command line.
+// and a Fuser aggregates the output one triple at a time, without
+// materializing the observations. cmd/ceres-batch drives the loop from the
+// command line.
 //
 // # Model serialization
 //
-// Trained models persist in two interchangeable forms: WriteTo emits the
-// versioned JSON envelope (ceres.sitemodel/2), WriteBinary the
-// length-prefixed binary format (ceres.sitemodel/3) that cold registry
-// boots decode several times faster. ReadSiteModel sniffs the first
-// bytes and accepts every version ever published; DirStore publishes
-// binary and reads both. The wire
-// layout, version-negotiation matrix and the pagestore readahead
-// ordering guarantee are specified in DESIGN.md §10.
+// A trained model persists in one format: WriteBinary emits
+// ceres.sitemodel/3, a field-tagged binary file behind an 8-byte magic,
+// and ReadSiteModel and DirStore read nothing else. The wire layout and
+// the pagestore readahead ordering guarantee are specified in DESIGN.md
+// §10.
 //
 // # Operations
 //
@@ -153,7 +146,7 @@
 // safety and the //ceres:allocfree hot-path contract (DESIGN.md §9).
 //
 // See examples/ for runnable end-to-end programs, DESIGN.md for the system
-// inventory, serialization format, the serving-stack wire protocol and the
+// inventory, the serving-stack wire protocol and the
 // batch-harvest architecture (§8); `go run ./cmd/ceres-bench` reproduces
 // every table and figure in the paper.
 package ceres

@@ -77,9 +77,9 @@ func ExamplePipeline_Train() {
 	// (Glass Meridian, releaseYear, 2021)
 }
 
-// ExampleSiteModel_WriteTo persists a trained extractor and reloads it the
-// way a separate serving process would: no KB, no retraining.
-func ExampleSiteModel_WriteTo() {
+// ExampleSiteModel_WriteBinary persists a trained extractor and reloads it
+// the way a separate serving process would: no KB, no retraining.
+func ExampleSiteModel_WriteBinary() {
 	ctx := context.Background()
 	model, err := ceres.NewPipeline(demoKB(), ceres.WithMinAnnotations(2)).Train(ctx, demoSite())
 	if err != nil {
@@ -87,7 +87,7 @@ func ExampleSiteModel_WriteTo() {
 	}
 
 	var buf bytes.Buffer
-	if _, err := model.WriteTo(&buf); err != nil {
+	if _, err := model.WriteBinary(&buf); err != nil {
 		log.Fatal(err)
 	}
 	loaded, err := ceres.ReadSiteModel(&buf)
@@ -138,25 +138,4 @@ func ExampleService() {
 	// served v1: 1 pages, 2 triples
 	// (Glass Meridian, directedBy, Ada Dahl)
 	// (Glass Meridian, releaseYear, 2021)
-}
-
-// ExampleSiteModel_ExtractStream streams triples with bounded memory —
-// the serving mode for sites too large to hold in one Result.
-func ExampleSiteModel_ExtractStream() {
-	ctx := context.Background()
-	model, err := ceres.NewPipeline(demoKB(), ceres.WithMinAnnotations(2)).Train(ctx, demoSite())
-	if err != nil {
-		log.Fatal(err)
-	}
-	count := 0
-	err = model.ExtractStream(ctx, demoSite(), func(t ceres.Triple) error {
-		count++ // triples arrive as each page finishes
-		return nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(count > 0)
-	// Output:
-	// true
 }

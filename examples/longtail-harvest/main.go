@@ -12,8 +12,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,16 +71,16 @@ func main() {
 	}
 
 	// The published artifact is what a separate serving fleet would load.
-	served, version, err := store.Latest("kinobox.cz")
+	served, _, err := store.Latest("kinobox.cz")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fi, err := os.Stat(filepath.Join(store.Root(), url.PathEscape("kinobox.cz"), fmt.Sprintf("v%06d.json", version)))
+	size, err := served.WriteBinary(io.Discard)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("site model: %d bytes on disk, %d template clusters (%d trained)\n",
-		fi.Size(), served.TemplateClusters(), served.TrainedClusters())
+	fmt.Printf("site model: %d bytes serialized, %d template clusters (%d trained)\n",
+		size, served.TemplateClusters(), served.TrainedClusters())
 	fmt.Printf("harvest: %d shards, %d pages extracted through model v%d\n",
 		site.Shards, report.Pages, site.Version)
 

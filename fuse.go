@@ -1,18 +1,9 @@
 package ceres
 
-import (
-	"iter"
-	"sort"
-
-	"ceres/internal/fusion"
-)
+import "ceres/internal/fusion"
 
 // FusedFact is a triple aggregated across sites with combined belief.
 type FusedFact = fusion.Fact
-
-// FusionObservation is one extracted triple credited to a source site —
-// the unit streaming fusion consumes.
-type FusionObservation = fusion.Observation
 
 // FusionOptions tunes cross-site aggregation. SourcePriors assigns
 // per-site reliability (default 0.7); Functional marks single-valued
@@ -35,9 +26,6 @@ type Fuser struct {
 func NewFuser(opts FusionOptions) *Fuser {
 	return &Fuser{acc: fusion.NewAccumulator(opts)}
 }
-
-// Observe folds one observation into the running aggregates.
-func (f *Fuser) Observe(o FusionObservation) { f.acc.Add(o) }
 
 // ObserveTriple folds one extracted triple, credited to site, into the
 // running aggregates.
@@ -68,45 +56,4 @@ func (f *Fuser) Release() {
 		f.acc.Release()
 		f.acc = nil
 	}
-}
-
-// FuseStream aggregates a stream of observations into fused facts without
-// materializing the observation list — the bounded-memory form of Fuse for
-// batch harvests. Observations are folded in stream order.
-func FuseStream(obs iter.Seq[FusionObservation], opts FusionOptions) []FusedFact {
-	f := NewFuser(opts)
-	for o := range obs {
-		f.Observe(o)
-	}
-	facts := f.Facts()
-	f.Release()
-	return facts
-}
-
-// Fuse aggregates extraction results from multiple sites into fused facts
-// — the knowledge-fusion post-processing step the paper points to for
-// cleaning a multi-site harvest (§5.5.1). results maps a site identifier
-// to that site's extraction Result.
-func Fuse(results map[string]*Result, opts FusionOptions) []FusedFact {
-	// Iterate sites in sorted order: map order is random, and observation
-	// order feeds any order-sensitive tie-breaking downstream, so sorting
-	// keeps fusion output deterministic run to run.
-	sites := make([]string, 0, len(results))
-	for site := range results {
-		sites = append(sites, site)
-	}
-	sort.Strings(sites)
-	f := NewFuser(opts)
-	for _, site := range sites {
-		res := results[site]
-		if res == nil {
-			continue
-		}
-		for _, t := range res.Triples {
-			f.ObserveTriple(site, t)
-		}
-	}
-	facts := f.Facts()
-	f.Release()
-	return facts
 }

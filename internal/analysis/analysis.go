@@ -8,7 +8,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -57,16 +56,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FileOf returns the *ast.File containing pos and its filename.
-func (p *Pass) FileOf(pos token.Pos) (*ast.File, string) {
-	for i, f := range p.Pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f, p.Pkg.Filenames[i]
-		}
-	}
-	return nil, ""
-}
-
 // Analyzers returns the full suite in reporting order. The annotations
 // analyzer validates the directive grammar itself and therefore always
 // runs first.
@@ -79,16 +68,6 @@ func Analyzers() []*Analyzer {
 		LockSafetyAnalyzer,
 		AllocFreeAnalyzer,
 	}
-}
-
-// ByName resolves an analyzer by its directive name.
-func ByName(name string) (*Analyzer, bool) {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
 }
 
 // analyzerNames lists the registered analyzers without referring to

@@ -160,23 +160,6 @@ func LoadModule(dir string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir loads a single directory as one package under the given import
-// path — the entry point golden tests use for seeded-violation packages
-// in testdata/. Unlike LoadModule it includes _test.go files, so
-// filename-based exemptions are testable.
-func LoadDir(dir, path string) (*Package, error) {
-	fset := token.NewFileSet()
-	pkg, _, err := parseDir(fset, dir, path, true)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	check(pkg, newLoader(fset, path, dir))
-	return pkg, nil
-}
-
 func check(pkg *Package, imp types.ImporterFrom) {
 	conf := types.Config{
 		Importer:                 imp,

@@ -8,7 +8,7 @@ import (
 )
 
 // MapDeterminismAnalyzer guards the byte-identical-output invariant
-// (kill/resume of a batch run, WriteTo of a SiteModel, fused triple
+// (kill/resume of a batch run, WriteBinary of a SiteModel, fused triple
 // files): Go randomizes map iteration order, so a `range` over a map
 // must not feed order-sensitive output. Flagged inside a map-range
 // body:

@@ -49,15 +49,6 @@ func IDs() []string {
 	return out
 }
 
-// RunAll executes every experiment and returns the reports in order.
-func RunAll(ctx context.Context, cfg Config) []Report {
-	out := make([]Report, 0, len(Experiments))
-	for _, e := range Experiments {
-		out = append(out, e.Run(ctx, cfg))
-	}
-	return out
-}
-
 // FormatReport renders a report with its banner.
 func FormatReport(r Report) string {
 	return fmt.Sprintf("### %s\n\n%s\n", r.Name, r.Text)

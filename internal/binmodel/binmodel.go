@@ -1,15 +1,12 @@
-// Package binmodel implements the binary SiteModel codec behind the
-// public `ceres.sitemodel/3` format: an explicit field-tagged,
-// varint-framed encoding of core.SiteModelState that a cold registry
-// boot can decode at memory speed, where the JSON formats (v1/v2) spend
-// their time in reflective field lookup and float text parsing.
+// Package binmodel implements the SiteModel codec, the
+// `ceres.sitemodel/3` format: an explicit field-tagged, varint-framed
+// encoding of core.SiteModelState that a cold registry boot decodes at
+// memory speed.
 //
 // Layout (DESIGN.md §10):
 //
 //	magic[8] | uvarint version | uvarint bodyLen | body
 //
-// The magic's first byte (0xC9) can never begin a JSON document, so
-// ceres.ReadSiteModel sniffs one prefix and routes to the right decoder.
 // The body is a message: a sequence of (key, value) fields where
 // key = uvarint(tag<<3 | wire) and wire is one of varint(0), fixed64(1)
 // or bytes(2). Nested messages and packed float slices ride in bytes
@@ -40,22 +37,9 @@ import (
 // other versions with ErrUnsupportedVersion.
 const Version = 3
 
-// magic identifies a binary site-model file. The first byte is outside
-// ASCII so no JSON (or other text) stream can collide with it.
+// magic identifies a site-model file. The first byte is outside ASCII so
+// no text stream can collide with it.
 var magic = [8]byte{0xC9, 'C', 'R', 'S', 'M', 'D', 'L', '3'}
-
-// Magic returns the 8-byte file magic; callers sniff len(Magic()) bytes.
-func Magic() []byte { return magic[:] }
-
-// IsBinary reports whether prefix begins a binary site-model file.
-// Prefixes shorter than the magic match only if they are a prefix of it
-// and non-empty.
-func IsBinary(prefix []byte) bool {
-	if len(prefix) >= len(magic) {
-		return bytes.Equal(prefix[:len(magic)], magic[:])
-	}
-	return len(prefix) > 0 && bytes.Equal(prefix, magic[:len(prefix)])
-}
 
 // Typed decode errors; test with errors.Is.
 var (
@@ -457,7 +441,7 @@ func appendFloatsField(buf []byte, tag int, fs []float64) []byte {
 // ErrUnsupportedVersion for a future format.
 func Decode(data []byte) (float64, *core.SiteModelState, error) {
 	if !bytes.HasPrefix(data, magic[:]) {
-		if len(data) < len(magic) && IsBinary(data) {
+		if len(data) > 0 && bytes.HasPrefix(magic[:], data) {
 			return 0, nil, fmt.Errorf("%w: %d-byte input shorter than the magic", ErrTruncated, len(data))
 		}
 		return 0, nil, ErrBadMagic

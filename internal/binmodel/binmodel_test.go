@@ -138,24 +138,9 @@ func TestWriteMatchesAppend(t *testing.T) {
 	}
 }
 
-func TestIsBinary(t *testing.T) {
-	enc := Append(nil, 0.5, &core.SiteModelState{})
-	if !IsBinary(enc) {
-		t.Fatal("IsBinary(encoded) = false")
-	}
-	if !IsBinary(enc[:3]) {
-		t.Fatal("IsBinary(short prefix of magic) = false")
-	}
-	if IsBinary(nil) {
-		t.Fatal("IsBinary(nil) = true")
-	}
-	if IsBinary([]byte(`{"format":"ceres.sitemodel/2"}`)) {
-		t.Fatal("IsBinary(JSON) = true")
-	}
-}
-
 func TestDecodeBadMagic(t *testing.T) {
 	for _, data := range [][]byte{
+		nil,
 		[]byte(`{"format":"ceres.sitemodel/2","model":{}}`),
 		[]byte("garbage"),
 		{0xC9, 'X', 'X', 'X', 'X', 'X', 'X', 'X'},
@@ -170,7 +155,7 @@ func TestDecodeTruncated(t *testing.T) {
 	enc := Append(nil, 0.9, fullState())
 	// Cut at three structurally distinct points: inside the magic,
 	// inside the header varints, and inside the body.
-	cuts := []int{3, len(Magic()) + 1, len(enc) / 2, len(enc) - 1}
+	cuts := []int{3, len(magic) + 1, len(enc) / 2, len(enc) - 1}
 	for _, cut := range cuts {
 		_, _, err := Decode(enc[:cut])
 		if !errors.Is(err, ErrTruncated) {
@@ -189,7 +174,7 @@ func TestDecodeTrailingGarbage(t *testing.T) {
 
 func TestDecodeUnsupportedVersion(t *testing.T) {
 	var buf []byte
-	buf = append(buf, Magic()...)
+	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, Version+1)
 	buf = binary.AppendUvarint(buf, 0)
 	if _, _, err := Decode(buf); !errors.Is(err, ErrUnsupportedVersion) {
@@ -204,7 +189,7 @@ func TestDecodeCorruptWireType(t *testing.T) {
 	body = appendKey(body, tagFileThreshold, wireVarint)
 	body = binary.AppendUvarint(body, 7)
 	var buf []byte
-	buf = append(buf, Magic()...)
+	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, Version)
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = append(buf, body...)
@@ -217,7 +202,7 @@ func TestDecodeMissingModel(t *testing.T) {
 	var body []byte
 	body = appendFixed64Field(body, tagFileThreshold, math.Float64bits(0.5))
 	var buf []byte
-	buf = append(buf, Magic()...)
+	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, Version)
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = append(buf, body...)
@@ -249,7 +234,7 @@ func TestDecodeOddFloatPayload(t *testing.T) {
 	body = binary.AppendUvarint(body, uint64(len(site)))
 	body = append(body, site...)
 	var buf []byte
-	buf = append(buf, Magic()...)
+	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, Version)
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = append(buf, body...)
@@ -281,7 +266,7 @@ func TestDecodeSkipsUnknownFields(t *testing.T) {
 	body = append(body, site...)
 
 	var buf []byte
-	buf = append(buf, Magic()...)
+	buf = append(buf, magic[:]...)
 	buf = binary.AppendUvarint(buf, Version)
 	buf = binary.AppendUvarint(buf, uint64(len(body)))
 	buf = append(buf, body...)

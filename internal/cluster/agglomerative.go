@@ -8,24 +8,15 @@ package cluster
 
 import "math"
 
-// Agglomerative clusters n items into k clusters by repeatedly merging the
-// closest pair under average linkage (the scikit-learn default behaviour
-// the paper relies on), with inter-cluster distances maintained via the
-// Lance–Williams update. dist(i,j) supplies the distance between items i
-// and j; it is consulted once per pair. The result assigns each item a
-// cluster id in [0, k'), where k' = min(k, n). k <= 0 is treated as 1.
-func Agglomerative(n, k int, dist func(i, j int) float64) []int {
-	sizes := make([]int, n)
-	for i := range sizes {
-		sizes[i] = 1
-	}
-	return AgglomerativeWeighted(n, k, sizes, dist)
-}
-
-// AgglomerativeWeighted is Agglomerative where item i stands for sizes[i]
-// identical points. CERES clusters deduplicated XPaths weighted by their
-// mention counts, which is equivalent to clustering every mention but far
-// cheaper.
+// AgglomerativeWeighted clusters n items into k clusters by repeatedly
+// merging the closest pair under average linkage (the scikit-learn default
+// behaviour the paper relies on), with inter-cluster distances maintained
+// via the Lance–Williams update. Item i stands for sizes[i] identical
+// points: CERES clusters deduplicated XPaths weighted by their mention
+// counts, which is equivalent to clustering every mention but far cheaper.
+// dist(i,j) supplies the distance between items i and j; it is consulted
+// once per pair. The result assigns each item a cluster id in [0, k'),
+// where k' = min(k, n). k <= 0 is treated as 1.
 func AgglomerativeWeighted(n, k int, sizes []int, dist func(i, j int) float64) []int {
 	if n == 0 {
 		return nil
@@ -109,13 +100,4 @@ func AgglomerativeWeighted(n, k int, sizes []int, dist func(i, j int) float64) [
 		labels[i] = l
 	}
 	return labels
-}
-
-// Sizes tallies the number of items per cluster label.
-func Sizes(labels []int) map[int]int {
-	out := map[int]int{}
-	for _, l := range labels {
-		out[l]++
-	}
-	return out
 }

@@ -8,11 +8,29 @@ import (
 	"ceres/internal/strmatch"
 )
 
+// agglomerative clusters n single points.
+func agglomerative(n, k int, dist func(i, j int) float64) []int {
+	ones := make([]int, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return AgglomerativeWeighted(n, k, ones, dist)
+}
+
+// sizes tallies the number of items per cluster label.
+func sizes(labels []int) map[int]int {
+	out := map[int]int{}
+	for _, l := range labels {
+		out[l]++
+	}
+	return out
+}
+
 func TestAgglomerativeTwoBlobs(t *testing.T) {
 	// 1-D points: two well-separated blobs.
 	pts := []float64{0, 0.1, 0.2, 10, 10.1, 10.2}
 	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	labels := Agglomerative(len(pts), 2, dist)
+	labels := agglomerative(len(pts), 2, dist)
 	if labels[0] != labels[1] || labels[1] != labels[2] {
 		t.Errorf("first blob split: %v", labels)
 	}
@@ -32,8 +50,8 @@ func TestAgglomerativeKRespected(t *testing.T) {
 	}
 	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
 	for _, k := range []int{1, 2, 5, 17, 40, 60, 0, -3} {
-		labels := Agglomerative(len(pts), k, dist)
-		got := len(Sizes(labels))
+		labels := agglomerative(len(pts), k, dist)
+		got := len(sizes(labels))
 		want := k
 		if want <= 0 {
 			want = 1
@@ -54,11 +72,11 @@ func TestAgglomerativeKRespected(t *testing.T) {
 }
 
 func TestAgglomerativeEmptyAndSingle(t *testing.T) {
-	if got := Agglomerative(0, 3, nil); got != nil {
+	if got := agglomerative(0, 3, nil); got != nil {
 		t.Errorf("empty input: %v", got)
 	}
 	dist := func(i, j int) float64 { return 1 }
-	got := Agglomerative(1, 3, dist)
+	got := agglomerative(1, 3, dist)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("single item: %v", got)
 	}
@@ -85,9 +103,8 @@ func TestAgglomerativeWeighted(t *testing.T) {
 	if labels[0] == labels[1] {
 		t.Errorf("distant path should stay alone: %v", labels)
 	}
-	sizes := Sizes(labels)
-	if len(sizes) != 2 {
-		t.Errorf("want 2 clusters, got %v", sizes)
+	if got := sizes(labels); len(got) != 2 {
+		t.Errorf("want 2 clusters, got %v", got)
 	}
 }
 
@@ -99,8 +116,8 @@ func TestAgglomerativeDeterministic(t *testing.T) {
 		pts[i] = rng.Float64()
 	}
 	dist := func(i, j int) float64 { return math.Abs(pts[i] - pts[j]) }
-	a := Agglomerative(len(pts), 4, dist)
-	b := Agglomerative(len(pts), 4, dist)
+	a := agglomerative(len(pts), 4, dist)
+	b := agglomerative(len(pts), 4, dist)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic labels at %d", i)

@@ -138,9 +138,6 @@ func TestUncompilableModelFailsEveryEntry(t *testing.T) {
 			})
 			return err
 		}},
-		{"StreamSources", func() error {
-			return sm.StreamSources(ctx, sources, func(Extraction) error { return nil })
-		}},
 	}
 	var first error
 	for round := 0; round < 2; round++ {

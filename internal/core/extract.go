@@ -43,13 +43,6 @@ func (o ExtractOptions) Explicit() ExtractOptions {
 	return o
 }
 
-// Resolve substitutes defaults for unset zero fields and marks the
-// options resolved — the exported form of withDefaults, used when loading
-// legacy serialized states whose zeros mean "default".
-func (o ExtractOptions) Resolve() ExtractOptions {
-	return o.withDefaults()
-}
-
 func (o ExtractOptions) withDefaults() ExtractOptions {
 	if o.applied {
 		return o

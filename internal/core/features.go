@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -91,9 +92,22 @@ func (fz *Featurizer) State() FeaturizerState {
 	return st
 }
 
+// maxFeatureReach bounds the ancestor levels and the sibling window a
+// restored featurizer may ask for (the paper's, and the defaults, are 5
+// and 5). Compile allocates (levels+1)×(2·window+1) tables and a served
+// page one memo word per element and level, and a state comes off the
+// network (PUT /v1/sites/{site}/model): a negative value would panic
+// there and a huge one buy gigabytes for a few bytes of file.
+const maxFeatureReach = 64
+
 // RestoreFeaturizer rebuilds a featurizer from its state. The restored
 // dictionary keeps its frozen flag, so a trained featurizer stays frozen.
 func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
+	for _, v := range []int{st.Opts.MaxAncestors, st.Opts.SiblingWindow, st.Opts.TextAncestors} {
+		if v < 0 || v > maxFeatureReach {
+			return nil, fmt.Errorf("core: feature options %+v reach outside [0, %d]", st.Opts, maxFeatureReach)
+		}
+	}
 	dict, err := mlr.RestoreDict(st.Dict)
 	if err != nil {
 		return nil, err

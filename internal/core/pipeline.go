@@ -61,7 +61,7 @@ func (c Config) withDefaults() Config {
 	}
 	// Resolve extraction options up front so the SiteModel stores — and
 	// serializes — resolved values, the same convention the featurizer
-	// follows. This is what lets an Explicit() zero survive a WriteTo/
+	// follows. This is what lets an Explicit() zero survive a WriteBinary/
 	// RestoreSiteModel round trip.
 	c.Extract = c.Extract.withDefaults()
 	return c

@@ -127,9 +127,8 @@ func (sm *SiteModel) compile() error {
 }
 
 // ServeOptions are per-call serving overrides. They apply to exactly one
-// ExtractSourcesOpts / StreamSourcesOpts call, without mutating or copying
-// the model, so concurrent calls with different options never observe each
-// other's settings.
+// Extract*Opts call, without mutating or copying the model, so concurrent
+// calls with different options never observe each other's settings.
 type ServeOptions struct {
 	// Workers bounds this call's page parallelism; 0 uses the model's
 	// Workers (which itself defaults to NumCPU capped at 8).
@@ -375,89 +374,6 @@ func getServeScratch() *ServeScratch {
 	sc := serveScratchPool.Get().(*ServeScratch)
 	sc.counts = contextCounts{}
 	return sc
-}
-
-// StreamSources extracts pages with bounded memory, invoking emit for each
-// extraction as its page finishes (pages complete in whatever order the
-// workers finish them; emit is never called concurrently). A non-nil error
-// from emit stops the stream and is returned. Only ~Workers pages are held
-// in memory at once.
-func (sm *SiteModel) StreamSources(ctx context.Context, sources []PageSource, emit func(Extraction) error) error {
-	_, err := sm.StreamSourcesOpts(ctx, sources, ServeOptions{}, emit)
-	return err
-}
-
-// StreamSourcesOpts is StreamSources with per-call overrides; it reports
-// serve statistics once the stream drains (nil when it failed).
-func (sm *SiteModel) StreamSourcesOpts(ctx context.Context, sources []PageSource, opts ServeOptions, emit func(Extraction) error) (*ServeStats, error) {
-	if err := sm.serveable(len(sources)); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := sm.workersFor(opts)
-	if workers > len(sources) {
-		workers = len(sources)
-	}
-	stats := &ServeStats{Pages: len(sources), ClusterPages: make([]int, len(sm.Clusters))}
-	var (
-		mu      sync.Mutex // guards emit, emitErr and stats
-		emitErr error
-		wg      sync.WaitGroup
-	)
-	next := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			sc := getServeScratch() // per-worker scratch, never shared
-			defer func() {
-				mu.Lock()
-				stats.addContexts(sc)
-				mu.Unlock()
-				serveScratchPool.Put(sc)
-			}()
-			for i := range next {
-				if ctx.Err() != nil {
-					return
-				}
-				route, exts := sm.extractOne(sources[i], sc, opts.Stages)
-				mu.Lock()
-				stats.addRoute(route)
-				stats.observePage(sm.routeMiss(route), len(exts))
-				stats.Extractions += len(exts)
-				for _, e := range exts {
-					if emitErr != nil || ctx.Err() != nil {
-						break
-					}
-					if err := emit(e); err != nil {
-						emitErr = err
-						cancel()
-						break
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range sources {
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(next)
-	wg.Wait()
-	if emitErr != nil {
-		return nil, emitErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return stats, nil
 }
 
 // serveable validates a serve call: a model must exist, have at least

@@ -298,19 +298,6 @@ func (n *Node) OwnText() string {
 	return n.cachedOwnText
 }
 
-// FindAll returns all descendant elements (including n itself) with the
-// given tag, in document order.
-func (n *Node) FindAll(tag string) []*Node {
-	var out []*Node
-	n.Walk(func(m *Node) bool {
-		if m.Type == ElementNode && m.Tag == tag {
-			out = append(out, m)
-		}
-		return true
-	})
-	return out
-}
-
 // Root returns the topmost ancestor of n (the DocumentNode for parsed
 // pages).
 func (n *Node) Root() *Node {
@@ -318,15 +305,6 @@ func (n *Node) Root() *Node {
 		n = n.Parent
 	}
 	return n
-}
-
-// Depth returns the number of ancestors between n and the root.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
 }
 
 // SiblingIndex returns the 1-based position of n among its parent's
@@ -359,15 +337,6 @@ func sameKind(a, b *Node) bool {
 		return a.Tag == b.Tag
 	}
 	return true
-}
-
-// Ancestor returns the ancestor k levels above n (k=0 is n itself), or nil
-// if the tree is not that deep.
-func (n *Node) Ancestor(k int) *Node {
-	for ; k > 0 && n != nil; k-- {
-		n = n.Parent
-	}
-	return n
 }
 
 // Contains reports whether m lies in the subtree rooted at n (inclusive).

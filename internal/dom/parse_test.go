@@ -34,6 +34,39 @@ const samplePage = `<!DOCTYPE html>
 </body>
 </html>`
 
+// Tree helpers the tests of this package navigate fixtures with.
+
+// FindAll returns all descendant elements (including n itself) with the
+// given tag, in document order.
+func (n *Node) FindAll(tag string) []*Node {
+	var out []*Node
+	n.Walk(func(m *Node) bool {
+		if m.Type == ElementNode && m.Tag == tag {
+			out = append(out, m)
+		}
+		return true
+	})
+	return out
+}
+
+// Depth returns the number of ancestors between n and the root.
+func (n *Node) Depth() int {
+	d := 0
+	for p := n.Parent; p != nil; p = p.Parent {
+		d++
+	}
+	return d
+}
+
+// Ancestor returns the ancestor k levels above n (k=0 is n itself), or nil
+// if the tree is not that deep.
+func (n *Node) Ancestor(k int) *Node {
+	for ; k > 0 && n != nil; k-- {
+		n = n.Parent
+	}
+	return n
+}
+
 func TestParseBasicStructure(t *testing.T) {
 	doc := Parse(samplePage)
 	htmls := doc.FindAll("html")
@@ -163,8 +196,8 @@ func TestEntityDecoding(t *testing.T) {
 		{"&#" + strings.Repeat("0", 29) + "65;", "&#" + strings.Repeat("0", 29) + "65;"},
 	}
 	for _, c := range cases {
-		if got := DecodeEntities(c.in); got != c.want {
-			t.Errorf("DecodeEntities(%q) = %q, want %q", c.in, got, c.want)
+		if got := string(appendDecodeEntities(nil, []byte(c.in))); got != c.want {
+			t.Errorf("appendDecodeEntities(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package dom
 
 import (
 	"bytes"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -26,17 +25,6 @@ var namedEntities = map[string]rune{
 	"oacute": 'ó', "uacute": 'ú', "yacute": 'ý', "thorn": 'þ', "eth": 'ð',
 	"szlig": 'ß', "times": '×', "divide": '÷', "sect": '§', "para": '¶',
 	"star": '★', "starf": '★',
-}
-
-// DecodeEntities resolves named and numeric character references in s.
-// Unknown references are preserved literally.
-func DecodeEntities(s string) string {
-	if strings.IndexByte(s, '&') < 0 {
-		return s
-	}
-	// A reference is never shorter than the rune it names, so the decoded
-	// text fits len(s).
-	return string(appendDecodeEntities(make([]byte, 0, len(s)), []byte(s)))
 }
 
 // appendDecodeEntities appends s with named and numeric character

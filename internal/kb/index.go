@@ -32,22 +32,6 @@ type FieldKey struct {
 	Runes    []rune
 }
 
-// NewFieldKey precomputes the matching form of one text field. Hot paths
-// build FieldKeys through reusable scratch buffers instead; this
-// constructor is the convenient form for tests and one-off lookups.
-func NewFieldKey(text string) FieldKey {
-	norm := strmatch.Normalize(text)
-	key := FieldKey{
-		Norm:     norm,
-		TokenKey: strmatch.TokenSetKeyNormalized(norm),
-		RuneLen:  utf8.RuneCountInString(norm),
-	}
-	if key.RuneLen >= 8 {
-		key.Runes = []rune(norm)
-	}
-	return key
-}
-
 // Index is the frozen annotation-side compilation of a KB (the training
 // counterpart of the compiled serve path, DESIGN.md §6). It interns every
 // matchable item into a dense ItemID, precomputes normalized alias match

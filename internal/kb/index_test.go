@@ -5,7 +5,25 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"unicode/utf8"
+
+	"ceres/internal/strmatch"
 )
+
+// newFieldKey precomputes the matching form of one text field, as core's
+// annotator does through its scratch buffers.
+func newFieldKey(text string) FieldKey {
+	norm := strmatch.Normalize(text)
+	key := FieldKey{
+		Norm:     norm,
+		TokenKey: strmatch.TokenSetKeyNormalized(norm),
+		RuneLen:  utf8.RuneCountInString(norm),
+	}
+	if key.RuneLen >= 8 {
+		key.Runes = []rune(norm)
+	}
+	return key
+}
 
 // TestIndexItemOrder: ItemID order must coincide with Object.Key() string
 // order — entities sorted by ID first, then literals sorted by norm — so
@@ -40,7 +58,7 @@ func TestIndexCandidatesMatchLegacyMatchItems(t *testing.T) {
 	for _, text := range texts {
 		want := k.MatchItems(text)
 		var got []string
-		for _, it := range ix.AppendCandidates(nil, NewFieldKey(text)) {
+		for _, it := range ix.AppendCandidates(nil, newFieldKey(text)) {
 			got = append(got, ix.Key(it))
 		}
 		// MatchItems emits entities sorted then the literal; candidate
@@ -91,7 +109,7 @@ func TestIndexMatchesAgreesWithMatchesObject(t *testing.T) {
 		LiteralObject("Prison Drama"), LiteralObject("1989"),
 	}
 	for _, text := range texts {
-		key := NewFieldKey(text)
+		key := newFieldKey(text)
 		for _, o := range objects {
 			it, ok := ix.objectItem(o)
 			if !ok {
@@ -199,7 +217,7 @@ func TestIndexEmptyKB(t *testing.T) {
 	if ix.NumItems() != 0 || ix.NumTriples() != 0 {
 		t.Fatalf("empty KB: %d items, %d triples", ix.NumItems(), ix.NumTriples())
 	}
-	if got := ix.AppendCandidates(nil, NewFieldKey("anything")); len(got) != 0 {
+	if got := ix.AppendCandidates(nil, newFieldKey("anything")); len(got) != 0 {
 		t.Fatalf("candidates on empty KB: %v", got)
 	}
 }
@@ -264,7 +282,7 @@ func TestLookupEntitiesMultiHit(t *testing.T) {
 // into a pre-grown buffer.
 func TestAppendCandidatesAllocs(t *testing.T) {
 	ix := sampleKB(t).BuildIndex()
-	key := NewFieldKey("Spike Lee")
+	key := newFieldKey("Spike Lee")
 	buf := make([]ItemID, 0, 16)
 	allocs := testing.AllocsPerRun(200, func() {
 		buf = ix.AppendCandidates(buf[:0], key)
@@ -283,7 +301,7 @@ func ExampleIndex() {
 	k.AddEntity(Entity{ID: "p1", Type: "person", Name: "Spike Lee", Aliases: []string{"Lee, Spike"}})
 	k.AddTriple(Triple{Subject: "f1", Predicate: "directedBy", Object: EntityObject("p1")})
 	ix := k.BuildIndex()
-	key := NewFieldKey("LEE, Spike")
+	key := newFieldKey("LEE, Spike")
 	for _, it := range ix.AppendCandidates(nil, key) {
 		fmt.Println(ix.Key(it))
 	}

@@ -237,15 +237,6 @@ func (k *KB) ObjectKeys(subject string) map[string]bool {
 	return out
 }
 
-// ObjectFrequency returns the fraction of triples whose object has the
-// given key.
-func (k *KB) ObjectFrequency(key string) float64 {
-	if len(k.triples) == 0 {
-		return 0
-	}
-	return float64(k.objectCount[key]) / float64(len(k.triples))
-}
-
 // FrequentObjectKeys returns the object keys that appear in at least frac
 // of all triples (§3.1.1: "we compile a list of strings appearing in a
 // large percentage (e.g., 0.01%) of triples and do not consider them as

@@ -6,10 +6,7 @@
 // uniqueness filter.
 package kb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Predicate describes one relation of the ontology.
 type Predicate struct {
@@ -71,19 +68,6 @@ func (o *Ontology) Names() []string {
 
 // Len returns the number of predicates.
 func (o *Ontology) Len() int { return len(o.order) }
-
-// PredicatesForDomain returns the names of predicates whose Domain is the
-// given entity type, sorted.
-func (o *Ontology) PredicatesForDomain(entityType string) []string {
-	var out []string
-	for name, p := range o.preds {
-		if p.Domain == entityType {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Validate checks a triple's predicate against the ontology, returning an
 // error for unknown predicates.

@@ -127,13 +127,6 @@ func (t *TransposedModel) ProbaInto(x Vector, out []float64) {
 
 var _ Scorer = (*TransposedModel)(nil)
 
-// Scores returns the raw linear scores (logits) for each class.
-func (m *Model) Scores(x Vector) []float64 {
-	out := make([]float64, m.NumClasses)
-	m.ScoresInto(x, out)
-	return out
-}
-
 // Proba returns the posterior distribution over classes.
 func (m *Model) Proba(x Vector) []float64 {
 	s := make([]float64, m.NumClasses)
@@ -280,18 +273,4 @@ func Train(ds *Dataset, opts TrainOptions) (*Model, FitStats, error) {
 	}
 	m, fit := f.Run()
 	return m, fit, nil
-}
-
-// Accuracy returns the fraction of examples the model labels correctly.
-func Accuracy(m *Model, ds *Dataset) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	correct := 0
-	for i, x := range ds.X {
-		if c, _ := m.Predict(x); c == ds.Y[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len())
 }

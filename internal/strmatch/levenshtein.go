@@ -71,17 +71,3 @@ func LevenshteinBoundedRunes(ra, rb []rune, max int) (int, bool) {
 	}
 	return d, true
 }
-
-// Similarity returns 1 - Levenshtein(a,b)/max(len(a),len(b)) in [0,1].
-// Two empty strings have similarity 1.
-func Similarity(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	n := len(ra)
-	if len(rb) > n {
-		n = len(rb)
-	}
-	if n == 0 {
-		return 1
-	}
-	return 1 - float64(LevenshteinRunes(ra, rb))/float64(n)
-}

@@ -104,21 +104,6 @@ func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 	}
 }
 
-func TestSimilarity(t *testing.T) {
-	if got := Similarity("", ""); got != 1 {
-		t.Errorf("empty similarity = %v, want 1", got)
-	}
-	if got := Similarity("abc", "abc"); got != 1 {
-		t.Errorf("equal similarity = %v, want 1", got)
-	}
-	if got := Similarity("abc", "xyz"); got != 0 {
-		t.Errorf("disjoint similarity = %v, want 0", got)
-	}
-	if got := Similarity("abcd", "abce"); got != 0.75 {
-		t.Errorf("got %v, want 0.75", got)
-	}
-}
-
 func BenchmarkLevenshteinXPathLength(b *testing.B) {
 	// Representative XPath strings (paper Figure 2 scale).
 	x1 := "/html[1]/body[1]/div[3]/div[2]/div[1]/div[2]/div[4]/div[8]/div[2]/b[1]/a[1]"

@@ -201,27 +201,3 @@ func AppendTokenSetKey(dst []byte, n string) []byte {
 	}
 	return dst
 }
-
-// TokenJaccard returns the Jaccard similarity of the token sets of a and b
-// after normalization. Empty inputs yield 0.
-func TokenJaccard(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	set := make(map[string]uint8, len(ta)+len(tb))
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
-	var inter, union int
-	for _, v := range set {
-		union++
-		if v == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(union)
-}

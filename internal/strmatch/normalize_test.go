@@ -153,27 +153,3 @@ func TestAppendTokenSetKey(t *testing.T) {
 		t.Errorf("AppendTokenSetKey should append: got %q", got)
 	}
 }
-
-func TestTokenJaccard(t *testing.T) {
-	if got := TokenJaccard("a b c", "a b c"); got != 1 {
-		t.Errorf("identical sets: got %v", got)
-	}
-	if got := TokenJaccard("a b", "c d"); got != 0 {
-		t.Errorf("disjoint sets: got %v", got)
-	}
-	if got := TokenJaccard("a b c d", "c d e f"); got != 1.0/3.0 {
-		t.Errorf("got %v, want 1/3", got)
-	}
-	if got := TokenJaccard("", "a"); got != 0 {
-		t.Errorf("empty input: got %v", got)
-	}
-}
-
-func TestTokenJaccardSymmetric(t *testing.T) {
-	f := func(a, b string) bool {
-		return TokenJaccard(a, b) == TokenJaccard(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

@@ -101,17 +101,3 @@ func (p Path) SameShape(q Path) bool {
 	}
 	return true
 }
-
-// DiffIndices returns the step positions at which p and q have the same tag
-// but different indices. It returns ok=false if the paths differ in shape.
-func (p Path) DiffIndices(q Path) (diffs []int, ok bool) {
-	if !p.SameShape(q) {
-		return nil, false
-	}
-	for i := range p {
-		if p[i].Index != q[i].Index {
-			diffs = append(diffs, i)
-		}
-	}
-	return diffs, true
-}

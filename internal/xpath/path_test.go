@@ -2,7 +2,6 @@ package xpath
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -61,76 +60,14 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestSameShapeAndDiff: paths that differ only in indices share a shape;
+// a differing tag does not.
 func TestSameShapeAndDiff(t *testing.T) {
 	a := MustParse("/html[1]/body[1]/div[2]/a[3]")
 	b := MustParse("/html[1]/body[1]/div[2]/a[7]")
 	c := MustParse("/html[1]/body[1]/span[2]/a[3]")
 	if !a.SameShape(b) || a.SameShape(c) {
 		t.Fatalf("SameShape misbehaving")
-	}
-	diffs, ok := a.DiffIndices(b)
-	if !ok || !reflect.DeepEqual(diffs, []int{3}) {
-		t.Errorf("DiffIndices = %v, %v", diffs, ok)
-	}
-	if _, ok := a.DiffIndices(c); ok {
-		t.Errorf("DiffIndices should fail across shapes")
-	}
-	if diffs, ok := a.DiffIndices(a); !ok || diffs != nil {
-		t.Errorf("self diff = %v, %v", diffs, ok)
-	}
-}
-
-func TestStringDistanceFigure2(t *testing.T) {
-	// The two IMDb acted-in paths from the paper's Figure 2 differ at two
-	// node indices; their string distance must be small and positive, and
-	// far smaller than the distance to an unrelated path.
-	winfrey := MustParse("/html[1]/body[1]/div[3]/div[2]/div[1]/div[2]/div[4]/div[9]/div[2]/b[1]/a[1]")
-	mckellen := MustParse("/html[1]/body[1]/div[3]/div[2]/div[1]/div[2]/div[4]/div[8]/div[2]/b[1]/a[1]")
-	other := MustParse("/html[1]/body[1]/div[1]/span[2]/a[1]")
-	near := StringDistance(winfrey, mckellen)
-	far := StringDistance(winfrey, other)
-	if near == 0 || near > 4 {
-		t.Errorf("near distance = %d, want small positive", near)
-	}
-	if far <= near {
-		t.Errorf("far (%d) should exceed near (%d)", far, near)
-	}
-	if StringDistance(winfrey, winfrey) != 0 {
-		t.Errorf("self distance nonzero")
-	}
-}
-
-func TestStepDistance(t *testing.T) {
-	a := MustParse("/html[1]/body[1]/div[2]/a[3]")
-	b := MustParse("/html[1]/body[1]/div[2]/a[7]")
-	c := MustParse("/html[1]/body[1]/div[2]")
-	if d := StepDistance(a, b); d != 1 {
-		t.Errorf("one substituted step: got %d", d)
-	}
-	if d := StepDistance(a, c); d != 1 {
-		t.Errorf("one deleted step: got %d", d)
-	}
-	if d := StepDistance(a, a); d != 0 {
-		t.Errorf("self: got %d", d)
-	}
-	if d := StepDistance(Path{}, a); d != 4 {
-		t.Errorf("empty vs 4 steps: got %d", d)
-	}
-}
-
-func TestStepDistanceMetricProperties(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 300; i++ {
-		a, b, c := genPath(r), genPath(r), genPath(r)
-		if StepDistance(a, b) != StepDistance(b, a) {
-			t.Fatalf("asymmetric: %v %v", a, b)
-		}
-		if StepDistance(a, c) > StepDistance(a, b)+StepDistance(b, c) {
-			t.Fatalf("triangle violated: %v %v %v", a, b, c)
-		}
-		if StepDistance(a, a) != 0 {
-			t.Fatalf("identity violated: %v", a)
-		}
 	}
 }
 

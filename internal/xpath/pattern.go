@@ -85,22 +85,6 @@ func (pat Pattern) String() string {
 	return b.String()
 }
 
-// ParsePattern parses the String form of a pattern ([*] for wildcards).
-func ParsePattern(s string) (Pattern, error) {
-	starFree := strings.ReplaceAll(s, "[*]", "[1000000001]")
-	p, err := Parse(starFree)
-	if err != nil {
-		return nil, err
-	}
-	pat := Pattern(p)
-	for i := range pat {
-		if pat[i].Index == 1000000001 {
-			pat[i].Index = Wildcard
-		}
-	}
-	return pat, nil
-}
-
 // Wildcards returns the step positions that are wildcards.
 func (pat Pattern) Wildcards() []int {
 	var out []int

@@ -1,7 +1,6 @@
 package xpath
 
 import (
-	"math/rand"
 	"testing"
 
 	"ceres/internal/dom"
@@ -54,24 +53,14 @@ func TestGeneralizeShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestPatternStringParseRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		p := genPath(r)
-		pat := PatternOf(p)
-		for j := range pat {
-			if r.Intn(3) == 0 {
-				pat[j].Index = Wildcard
-			}
-		}
-		back, err := ParsePattern(pat.String())
-		if err != nil {
-			t.Fatalf("ParsePattern(%q): %v", pat.String(), err)
-		}
-		if back.String() != pat.String() {
-			t.Fatalf("roundtrip %q -> %q", pat.String(), back.String())
-		}
+// wild is the pattern of a concrete path with the given steps' indices
+// made wildcards.
+func wild(path string, steps ...int) Pattern {
+	pat := PatternOf(MustParse(path))
+	for _, i := range steps {
+		pat[i].Index = Wildcard
 	}
+	return pat
 }
 
 func TestPatternApply(t *testing.T) {
@@ -79,11 +68,7 @@ func TestPatternApply(t *testing.T) {
 		<ul><li><a>one</a></li><li><a>two</a></li><li><a>three</a></li></ul>
 		<div><a>not in list</a></div>
 	</body></html>`)
-	pat, err := ParsePattern("/html[1]/body[1]/ul[1]/li[*]/a[1]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := pat.Apply(doc)
+	nodes := wild("/html[1]/body[1]/ul[1]/li[1]/a[1]", 3).Apply(doc)
 	if len(nodes) != 3 {
 		t.Fatalf("Apply found %d nodes, want 3", len(nodes))
 	}
@@ -94,13 +79,11 @@ func TestPatternApply(t *testing.T) {
 		}
 	}
 	// Exact pattern finds exactly one.
-	exact, _ := ParsePattern("/html[1]/body[1]/ul[1]/li[2]/a[1]")
-	if got := exact.Apply(doc); len(got) != 1 || got[0].Text() != "two" {
+	if got := wild("/html[1]/body[1]/ul[1]/li[2]/a[1]").Apply(doc); len(got) != 1 || got[0].Text() != "two" {
 		t.Errorf("exact apply = %v", got)
 	}
 	// Text node steps.
-	tpat, _ := ParsePattern("/html[1]/body[1]/ul[1]/li[*]/a[1]/text()[1]")
-	if got := tpat.Apply(doc); len(got) != 3 || got[0].Type != dom.TextNode {
+	if got := wild("/html[1]/body[1]/ul[1]/li[1]/a[1]/text()[1]", 3).Apply(doc); len(got) != 3 || got[0].Type != dom.TextNode {
 		t.Errorf("text apply found %d", len(got))
 	}
 }

@@ -31,18 +31,13 @@ func TestServiceShedsWithErrOverloaded(t *testing.T) {
 
 	block := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		svc.ExtractStream(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve}, func(Triple) error {
-			once.Do(func() { close(block) })
-			<-release
-			return nil
-		})
+		holdSlot(svc, f.serve[0], block, release)
 	}()
-	<-block // the only slot is held mid-stream
+	<-block // the only slot is held mid-request
 
 	// Shed happens immediately (admission wait 0) with the typed
 	// sentinel, not a context error and not an internal error.
@@ -79,14 +74,7 @@ func TestServiceAdmissionWaitAdmitsWhenSlotFrees(t *testing.T) {
 
 	block := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
-	go func() {
-		svc.ExtractStream(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve}, func(Triple) error {
-			once.Do(func() { close(block) })
-			<-release
-			return nil
-		})
-	}()
+	go holdSlot(svc, f.serve[0], block, release)
 	<-block
 	done := make(chan error, 1)
 	go func() {

@@ -325,19 +325,6 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Ingest appends a whole page set to a site partition and seals it — the
-// convenience path for loading a generated crawl or an in-memory site.
-func (s *Store) Ingest(site string, pages []ceres.PageSource) error {
-	w, err := s.Writer(site)
-	if err != nil {
-		return err
-	}
-	if err := w.AppendAll(pages); err != nil {
-		return err
-	}
-	return w.Close()
-}
-
 // maxReadahead caps how many segments a multi-segment scan decompresses
 // concurrently (and therefore how many inflated segments can be in
 // memory at once); GOMAXPROCS bounds it further on small machines.

@@ -13,6 +13,18 @@ import (
 	"ceres"
 )
 
+// Ingest appends a whole page set to a site partition and seals it.
+func (s *Store) Ingest(site string, pages []ceres.PageSource) error {
+	w, err := s.Writer(site)
+	if err != nil {
+		return err
+	}
+	if err := w.AppendAll(pages); err != nil {
+		return err
+	}
+	return w.Close()
+}
+
 func genPages(prefix string, n int) []ceres.PageSource {
 	out := make([]ceres.PageSource, n)
 	for i := range out {

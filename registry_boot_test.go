@@ -1,6 +1,7 @@
 package ceres
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -60,13 +61,14 @@ func TestOpenRegistryCancelled(t *testing.T) {
 }
 
 // BenchmarkRegistryBoot measures a serving fleet's cold boot —
-// OpenRegistry over a store of 1000 single-version models — for the
-// binary `ceres.sitemodel/3` format against the JSON baseline. The store
-// is laid out once per sub-benchmark (the same trained model under 1000
-// site names, written directly rather than through Publish, which would
-// fsync 1000 times); each iteration then boots a fresh registry from it.
+// OpenRegistry over a store of single-version models. The store is laid
+// out once per sub-benchmark (the same trained model under every site
+// name, written directly rather than through Publish, which would fsync
+// each one); each iteration then boots a fresh registry from it. scale
+// tracks the ROADMAP "10k models under a second" target; laying out and
+// booting 10k model files is too slow for the -short smoke runs, so it
+// only executes in full bench mode.
 func BenchmarkRegistryBoot(b *testing.B) {
-	const sites = 1000
 	c, err := DemoCorpus("movies", 7, 60)
 	if err != nil {
 		b.Fatal(err)
@@ -81,29 +83,30 @@ func BenchmarkRegistryBoot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var jsonBuf, binBuf strings.Builder
-	if _, err := model.WriteTo(&jsonBuf); err != nil {
+	var buf bytes.Buffer
+	if _, err := model.WriteBinary(&buf); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := model.WriteBinary(&binBuf); err != nil {
-		b.Fatal(err)
-	}
+	data := buf.Bytes()
 
 	for _, bc := range []struct {
-		name, file string
-		data       string
+		name  string
+		sites int
 	}{
-		{"binary", "v000001.bin", binBuf.String()},
-		{"json", "v000001.json", jsonBuf.String()},
+		{"binary", 1000},
+		{"scale", 10000},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			if bc.sites > 1000 && testing.Short() {
+				b.Skip("skipping 10k-model boot in -short mode")
+			}
 			root := b.TempDir()
-			for i := 0; i < sites; i++ {
-				dir := filepath.Join(root, fmt.Sprintf("site-%04d.example", i))
+			for i := 0; i < bc.sites; i++ {
+				dir := filepath.Join(root, fmt.Sprintf("site-%05d.example", i))
 				if err := os.Mkdir(dir, 0o755); err != nil {
 					b.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(dir, bc.file), []byte(bc.data), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, "v000001.bin"), data, 0o644); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -111,53 +114,17 @@ func BenchmarkRegistryBoot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(sites * len(bc.data)))
+			b.SetBytes(int64(bc.sites * len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				reg, err := OpenRegistry(context.Background(), store)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if reg.Len() != sites {
-					b.Fatalf("booted %d sites, want %d", reg.Len(), sites)
+				if reg.Len() != bc.sites {
+					b.Fatalf("booted %d sites, want %d", reg.Len(), bc.sites)
 				}
 			}
 		})
 	}
-
-	// scale tracks the ROADMAP "10k models under a second" target over the
-	// binary format. Laying out and booting 10k model files is too slow
-	// for the -short smoke runs, so it only executes in full bench mode.
-	b.Run("scale", func(b *testing.B) {
-		if testing.Short() {
-			b.Skip("skipping 10k-model boot in -short mode")
-		}
-		const scaleSites = 10000
-		data := binBuf.String()
-		root := b.TempDir()
-		for i := 0; i < scaleSites; i++ {
-			dir := filepath.Join(root, fmt.Sprintf("site-%05d.example", i))
-			if err := os.Mkdir(dir, 0o755); err != nil {
-				b.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, "v000001.bin"), []byte(data), 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-		store, err := NewDirStore(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(scaleSites * len(data)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			reg, err := OpenRegistry(context.Background(), store)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if reg.Len() != scaleSites {
-				b.Fatalf("booted %d sites, want %d", reg.Len(), scaleSites)
-			}
-		}
-	})
 }

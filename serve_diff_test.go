@@ -308,7 +308,7 @@ func TestStreamExtractScanMatches(t *testing.T) {
 }
 
 // TestCompiledServeLeavesSerializationUnchanged: compiling and serving
-// must not mutate the model; WriteTo is byte-identical before and after,
+// must not mutate the model; WriteBinary is byte-identical before and after,
 // and a reloaded model re-serializes identically (the on-disk format has
 // no compiled artifacts).
 func TestCompiledServeLeavesSerializationUnchanged(t *testing.T) {
@@ -321,14 +321,14 @@ func TestCompiledServeLeavesSerializationUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var before bytes.Buffer
-	if _, err := model.WriteTo(&before); err != nil {
+	if _, err := model.WriteBinary(&before); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := model.Extract(context.Background(), c.Pages[15:]); err != nil {
 		t.Fatal(err)
 	}
 	var after bytes.Buffer
-	if _, err := model.WriteTo(&after); err != nil {
+	if _, err := model.WriteBinary(&after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
@@ -342,61 +342,10 @@ func TestCompiledServeLeavesSerializationUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reloaded bytes.Buffer
-	if _, err := loaded.WriteTo(&reloaded); err != nil {
+	if _, err := loaded.WriteBinary(&reloaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), reloaded.Bytes()) {
 		t.Fatal("reload + compiled serve changed the serialized bytes")
-	}
-}
-
-// TestReadSiteModelV1ZeroMeansDefault: version-1 files stored unresolved
-// extraction options (zero meant "default"); loading one must keep the
-// old semantics instead of taking the zero literally.
-func TestReadSiteModelV1ZeroMeansDefault(t *testing.T) {
-	c, err := DemoCorpus("movies", 7, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := NewPipeline(c.KB).Train(context.Background(), c.Pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := model.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Replace(buf.Bytes(), []byte(`"format":"ceres.sitemodel/2"`), []byte(`"format":"ceres.sitemodel/1"`), 1)
-	v1 = bytes.Replace(v1, []byte(`"Extract":{"NameThreshold":0.5}`), []byte(`"Extract":{"NameThreshold":0}`), 1)
-	if bytes.Equal(v1, buf.Bytes()) {
-		t.Fatal("fixture rewrite failed; format or Extract layout changed")
-	}
-	loaded, err := ReadSiteModel(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// v1 semantics: the stored zero resolves to the 0.5 default.
-	if got := loaded.sm.Extract.Resolve().NameThreshold; got != 0.5 {
-		t.Fatalf("v1 zero NameThreshold restored as %v, want default 0.5", got)
-	}
-
-	// v2 semantics: a stored zero is literal (it can only have been put
-	// there by an Explicit zero at training time).
-	v2zero := bytes.Replace(buf.Bytes(), []byte(`"Extract":{"NameThreshold":0.5}`), []byte(`"Extract":{"NameThreshold":0}`), 1)
-	loaded2, err := ReadSiteModel(bytes.NewReader(v2zero))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := loaded2.sm.Extract.Resolve().NameThreshold; got != 0 {
-		t.Fatalf("v2 explicit-zero NameThreshold restored as %v, want literal 0", got)
-	}
-
-	// And loading a v1 file still serves.
-	res, err := loaded.Extract(context.Background(), c.Pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Triples) == 0 {
-		t.Fatal("v1 model served no triples")
 	}
 }

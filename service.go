@@ -129,8 +129,7 @@ type ExtractResponse struct {
 	// Threshold is the confidence cutoff the request was served under.
 	Threshold float64
 	// Triples holds the extractions, sorted by descending confidence then
-	// page, predicate, object, subject. Empty for ExtractStream, whose
-	// triples go to the emit callback.
+	// page, predicate, object, subject.
 	Triples []Triple
 	// Stats reports what serving this request did.
 	Stats ServeStats
@@ -281,24 +280,13 @@ func (s *Service) resolve(site string, opts RequestOptions) (RegisteredModel, fl
 	return e, threshold, nil
 }
 
-// modelCall is what serve hands an Extract* method's model call: the
-// resolved model, the request's serve options and — for a streaming call
-// only — the per-extraction callback.
-type modelCall struct {
-	sm   *core.SiteModel
-	opts core.ServeOptions
-	each func(core.Extraction) error
-}
-
 // serve is the one request path behind every Extract* method: root span,
 // admission, model lookup, then run — the model call, under the extract
-// span — and the stats/metrics epilogue. A buffered call (emit nil)
-// returns its extractions from run; they feed the confidence histogram
-// and are thresholded into the response under the fuse span. A streaming
-// call passes emit and run forwards every extraction to modelCall.each,
-// which observes, thresholds and emits; its response carries no triples.
-func (s *Service) serve(ctx context.Context, span, site string, opts RequestOptions, emit func(Triple) error,
-	run func(modelCall) ([]core.Extraction, *core.ServeStats, error)) (*ExtractResponse, error) {
+// span — and the stats/metrics epilogue. run's extractions feed the
+// confidence histogram and are thresholded into the response under the
+// fuse span.
+func (s *Service) serve(ctx context.Context, span, site string, opts RequestOptions,
+	run func(*core.SiteModel, core.ServeOptions) ([]core.Extraction, *core.ServeStats, error)) (*ExtractResponse, error) {
 	// The root span is ended exactly once, by the deferred End; error
 	// paths record their error with SetErr and let the defer close it.
 	sp := s.tracer.StartRoot(span)
@@ -323,22 +311,8 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 	}
 	sp.SetInt("version", int64(e.Version))
 	st := s.stageTimes(sp, opts)
-	resp := &ExtractResponse{Site: e.Site, Version: e.Version, Threshold: threshold}
-	call := modelCall{sm: e.Model.sm, opts: core.ServeOptions{Workers: opts.Workers, Stages: st}}
-	emitted := 0
-	if emit != nil {
-		confH := s.metrics.confidenceFor(e.Site)
-		call.each = func(ex core.Extraction) error {
-			confH.Observe(ex.Confidence)
-			if ex.Confidence < threshold {
-				return nil
-			}
-			emitted++
-			return emit(toTriple(ex))
-		}
-	}
 	esp := sp.StartChild("extract")
-	exts, stats, err := run(call)
+	exts, stats, err := run(e.Model.sm, core.ServeOptions{Workers: opts.Workers, Stages: st})
 	if err != nil {
 		esp.EndErr(err)
 		sp.SetErr(err)
@@ -347,25 +321,25 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 	}
 	stageSpans(esp, st)
 	esp.End()
-	if emit == nil {
-		s.observeConfidences(e.Site, exts)
-		fsp := sp.StartChild("fuse")
-		resp.Triples = tripleize(exts, threshold)
-		fsp.End()
-		emitted = len(resp.Triples)
-	}
-	resp.Stats = ServeStats{
-		Pages:           stats.Pages,
-		Triples:         emitted,
-		RoutedClusters:  stats.RoutedClusters(),
-		EmptyPages:      stats.EmptyPages,
-		RoutingMisses:   stats.RoutingMisses,
-		Fields:          stats.Fields,
-		ContextMisses:   stats.ContextMisses,
-		ContextUncached: stats.ContextUncached,
-		CacheEvictions:  stats.CacheEvictions,
-		Latency:         time.Since(start),
-		Stages:          breakdownOf(st),
+	s.observeConfidences(e.Site, exts)
+	fsp := sp.StartChild("fuse")
+	triples := tripleize(exts, threshold)
+	fsp.End()
+	resp := &ExtractResponse{
+		Site: e.Site, Version: e.Version, Threshold: threshold, Triples: triples,
+		Stats: ServeStats{
+			Pages:           stats.Pages,
+			Triples:         len(triples),
+			RoutedClusters:  stats.RoutedClusters(),
+			EmptyPages:      stats.EmptyPages,
+			RoutingMisses:   stats.RoutingMisses,
+			Fields:          stats.Fields,
+			ContextMisses:   stats.ContextMisses,
+			ContextUncached: stats.ContextUncached,
+			CacheEvictions:  stats.CacheEvictions,
+			Latency:         time.Since(start),
+			Stages:          breakdownOf(st),
+		},
 	}
 	sp.SetInt("pages", int64(resp.Stats.Pages))
 	sp.SetInt("triples", int64(resp.Stats.Triples))
@@ -382,13 +356,13 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 // empty ID, ErrNotTrained when the registered model has no trained
 // extractor, and ctx.Err() when cancelled.
 func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract", req.Site, req.Options, nil,
-		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+	return s.serve(ctx, "service.extract", req.Site, req.Options,
+		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
 			src, err := toSources(req.Pages)
 			if err != nil {
 				return nil, nil, err
 			}
-			return c.sm.ExtractSourcesOpts(ctx, src, c.opts)
+			return sm.ExtractSourcesOpts(ctx, src, opts)
 		})
 }
 
@@ -400,14 +374,14 @@ func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResp
 // the caller recycles once ExtractBytes returns. Spans, metrics,
 // statistics, output order and the error contract are Extract's.
 func (s *Service) ExtractBytes(ctx context.Context, site string, pages []PageBytes, opts RequestOptions) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract", site, opts, nil,
-		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
+	return s.serve(ctx, "service.extract", site, opts,
+		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
 			for i := range pages {
 				if pages[i].ID == "" {
 					return nil, nil, fmt.Errorf("%w: page %d has an empty ID", ErrInvalidPage, i)
 				}
 			}
-			return c.sm.ExtractBytesOpts(ctx, pages, c.opts)
+			return sm.ExtractBytesOpts(ctx, pages, opts)
 		})
 }
 
@@ -447,25 +421,8 @@ func (s *Service) observeConfidences(site string, exts []core.Extraction) {
 // The error contract matches Extract: ErrUnknownSite, ErrNotTrained,
 // ErrNoPages (zero pages yielded), and ctx.Err() on cancellation.
 func (s *Service) ExtractScan(ctx context.Context, site string, opts RequestOptions, scan func(yield func(id string, html []byte) error) error) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract_scan", site, opts, nil,
-		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
-			return c.sm.ExtractScanOpts(ctx, c.opts, scan)
-		})
-}
-
-// ExtractStream serves one request with bounded memory, calling emit for
-// every triple at or above the request's effective threshold as its page
-// finishes (pages complete in worker order; emit is never called
-// concurrently). A non-nil error from emit stops the stream and is
-// returned. The response carries the serve statistics but no triples.
-func (s *Service) ExtractStream(ctx context.Context, req ExtractRequest, emit func(Triple) error) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract_stream", req.Site, req.Options, emit,
-		func(c modelCall) ([]core.Extraction, *core.ServeStats, error) {
-			src, err := toSources(req.Pages)
-			if err != nil {
-				return nil, nil, err
-			}
-			stats, err := c.sm.StreamSourcesOpts(ctx, src, c.opts, c.each)
-			return nil, stats, err
+	return s.serve(ctx, "service.extract_scan", site, opts,
+		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
+			return sm.ExtractScanOpts(ctx, opts, scan)
 		})
 }

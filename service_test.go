@@ -186,37 +186,6 @@ func TestServiceWorkersOverrideDeterministic(t *testing.T) {
 	}
 }
 
-func TestServiceStreamMatchesExtract(t *testing.T) {
-	f, svc := serviceFixture(t)
-	ctx := context.Background()
-	th := 0.6
-	req := ExtractRequest{Site: "demo", Pages: f.serve, Options: RequestOptions{Threshold: &th}}
-	want, err := svc.Extract(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Triple
-	resp, err := svc.ExtractStream(ctx, req, func(tr Triple) error {
-		got = append(got, tr)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSorted := append([]Triple(nil), want.Triples...)
-	sortTriplesFull(wantSorted)
-	sortTriplesFull(got)
-	if !reflect.DeepEqual(wantSorted, got) {
-		t.Fatalf("stream emitted %d triples, Extract returned %d, or contents differ", len(got), len(wantSorted))
-	}
-	if resp.Stats.Triples != len(got) || resp.Stats.Pages != len(f.serve) {
-		t.Errorf("stream stats %+v inconsistent with %d emitted triples", resp.Stats, len(got))
-	}
-	if len(resp.Triples) != 0 {
-		t.Errorf("stream response carries %d inline triples, want none", len(resp.Triples))
-	}
-}
-
 func TestServiceErrors(t *testing.T) {
 	f, svc := serviceFixture(t)
 	ctx := context.Background()
@@ -233,6 +202,17 @@ func TestServiceErrors(t *testing.T) {
 	}
 }
 
+// holdSlot serves one page through ExtractScan and parks inside the scan
+// — admitted, holding its inflight slot — from closing block until release
+// is closed.
+func holdSlot(svc *Service, page PageSource, block, release chan struct{}) {
+	svc.ExtractScan(context.Background(), "demo", RequestOptions{}, func(yield func(string, []byte) error) error {
+		close(block)
+		<-release
+		return yield(page.ID, []byte(page.HTML))
+	})
+}
+
 // TestServiceMaxInflight saturates a single-slot service and checks that a
 // queued request honours its context instead of waiting forever.
 func TestServiceMaxInflight(t *testing.T) {
@@ -243,15 +223,8 @@ func TestServiceMaxInflight(t *testing.T) {
 
 	block := make(chan struct{})
 	release := make(chan struct{})
-	var once sync.Once
-	go func() {
-		svc.ExtractStream(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve}, func(Triple) error {
-			once.Do(func() { close(block) })
-			<-release
-			return nil
-		})
-	}()
-	<-block // the only slot is now held mid-stream
+	go holdSlot(svc, f.serve[0], block, release)
+	<-block // the only slot is now held mid-request
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := svc.Extract(ctx, ExtractRequest{Site: "demo", Pages: f.serve}); !errors.Is(err, context.Canceled) {

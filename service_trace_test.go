@@ -91,8 +91,8 @@ func TestServiceExtractSpanTree(t *testing.T) {
 }
 
 // TestServiceTraceCancelClosesSpansOnce cancels requests at different
-// points (pre-admission, mid-stream via emit) and asserts every span
-// still closes exactly once.
+// points (pre-admission, mid-request from inside the scan) and asserts
+// every span still closes exactly once.
 func TestServiceTraceCancelClosesSpansOnce(t *testing.T) {
 	f, svc, tr, _ := tracedFixture(t, TracerOptions{SampleEvery: 1})
 
@@ -104,17 +104,22 @@ func TestServiceTraceCancelClosesSpansOnce(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	emitted := 0
-	_, err := svc.ExtractStream(ctx, ExtractRequest{Site: "demo", Pages: f.serve}, func(Triple) error {
-		emitted++
-		cancel() // mid-request cancellation from inside the emit path
+	served := 0
+	_, err := svc.ExtractScan(ctx, "demo", RequestOptions{}, func(yield func(string, []byte) error) error {
+		for _, p := range f.serve {
+			if err := yield(p.ID, []byte(p.HTML)); err != nil {
+				return err
+			}
+			served++
+			cancel() // mid-request cancellation, a page already extracted
+		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-stream cancel = %v, want context.Canceled", err)
+		t.Fatalf("mid-scan cancel = %v, want context.Canceled", err)
 	}
-	if emitted == 0 {
-		t.Fatal("stream cancelled before emitting anything; test proves nothing")
+	if served == 0 {
+		t.Fatal("scan cancelled before serving anything; test proves nothing")
 	}
 
 	st := tr.Stats()
@@ -213,7 +218,10 @@ func TestServiceSiteStatsDriftSnapshot(t *testing.T) {
 	ctx := context.Background()
 	pages := append(append([]PageSource(nil), f.serve[:6]...),
 		PageSource{ID: "blank", HTML: "<html><body><p>nothing here</p></body></html>"})
-	resp, err := svc.Extract(ctx, ExtractRequest{Site: "demo", Pages: pages})
+	// A strict threshold drops most triples; confidences are observed
+	// before it.
+	th := 0.99
+	resp, err := svc.Extract(ctx, ExtractRequest{Site: "demo", Pages: pages, Options: RequestOptions{Threshold: &th}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +247,9 @@ func TestServiceSiteStatsDriftSnapshot(t *testing.T) {
 	}
 	if st.Confidence.Count == 0 || st.MeanConfidence <= 0 || st.MeanConfidence > 1 {
 		t.Fatalf("confidence distribution empty or out of range: %+v", st)
+	}
+	if st.Triples >= st.Confidence.Count {
+		t.Errorf("thresholded triples (%d) should undercount observed confidences (%d)", st.Triples, st.Confidence.Count)
 	}
 	var bucketSum int64
 	for _, c := range st.Confidence.Counts {
@@ -271,26 +282,5 @@ func TestServiceSiteStatsDriftSnapshot(t *testing.T) {
 	bare := NewService(bareReg)
 	if _, ok := bare.SiteStats("demo"); ok {
 		t.Error("SiteStats on an uninstrumented service reported ok")
-	}
-}
-
-// TestServiceStreamDriftSignals: the streaming path feeds the same
-// drift counters, pre-threshold.
-func TestServiceStreamDriftSignals(t *testing.T) {
-	f, svc, _, _ := tracedFixture(t, TracerOptions{})
-	ctx := context.Background()
-	th := 0.99 // strict: most extractions fall below, but confidence is observed pre-threshold
-	_, err := svc.ExtractStream(ctx, ExtractRequest{
-		Site: "demo", Pages: f.serve[:6], Options: RequestOptions{Threshold: &th},
-	}, func(Triple) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := svc.SiteStats("demo")
-	if !ok || st.Confidence.Count == 0 {
-		t.Fatalf("stream path observed no confidences: ok=%v %+v", ok, st)
-	}
-	if st.Triples >= st.Confidence.Count {
-		t.Errorf("thresholded triples (%d) should undercount observed confidences (%d)", st.Triples, st.Confidence.Count)
 	}
 }

@@ -3,13 +3,15 @@ package ceres
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+
+	"ceres/internal/binmodel"
+	"ceres/internal/core"
 )
 
 // trainServeFixture splits a demo corpus into a training half and a
@@ -81,24 +83,6 @@ func TestTrainDeterministic(t *testing.T) {
 	}
 }
 
-// sortTriplesFull orders triples by every field so multisets compare
-// regardless of arrival order.
-func sortTriplesFull(ts []Triple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.Page != b.Page {
-			return a.Page < b.Page
-		}
-		if a.Predicate != b.Predicate {
-			return a.Predicate < b.Predicate
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Path < b.Path
-	})
-}
-
 func TestTrainThenExtractUnseenPages(t *testing.T) {
 	f := getTrainServeFixture(t)
 	res, err := f.model.Extract(context.Background(), f.serve)
@@ -121,12 +105,12 @@ func TestTrainThenExtractUnseenPages(t *testing.T) {
 func TestSiteModelSerializationRoundTrip(t *testing.T) {
 	f := getTrainServeFixture(t)
 	var buf bytes.Buffer
-	n, err := f.model.WriteTo(&buf)
+	n, err := f.model.WriteBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Errorf("WriteBinary reported %d bytes, wrote %d", n, buf.Len())
 	}
 	loaded, err := ReadSiteModel(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -157,7 +141,7 @@ func TestSiteModelSerializationRoundTrip(t *testing.T) {
 	// A second serialization of the reloaded model is byte-identical:
 	// the format is fully deterministic.
 	var buf2 bytes.Buffer
-	if _, err := loaded.WriteTo(&buf2); err != nil {
+	if _, err := loaded.WriteBinary(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -166,77 +150,37 @@ func TestSiteModelSerializationRoundTrip(t *testing.T) {
 }
 
 func TestReadSiteModelRejectsGarbage(t *testing.T) {
-	if _, err := ReadSiteModel(strings.NewReader("not json")); err == nil {
-		t.Errorf("garbage input should fail")
-	}
-	if _, err := ReadSiteModel(strings.NewReader(`{"format":"bogus/9"}`)); err == nil {
-		t.Errorf("unknown format should fail")
-	}
-	if _, err := ReadSiteModel(strings.NewReader(`{"format":"ceres.sitemodel/1"}`)); err == nil {
-		t.Errorf("missing model payload should fail")
-	}
-
-	// A structurally valid file whose feature dictionary was truncated
-	// below the classifier's feature count must fail at load, not
-	// mis-score at serve time.
-	f := getTrainServeFixture(t)
-	var buf bytes.Buffer
-	if _, err := f.model.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	dict := doc["model"].(map[string]any)["Clusters"].([]any)[0].(map[string]any)["Model"].(map[string]any)["Featurizer"].(map[string]any)["Dict"].(map[string]any)
-	dict["Names"] = dict["Names"].([]any)[:1]
-	corrupted, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSiteModel(bytes.NewReader(corrupted)); err == nil {
-		t.Errorf("truncated feature dictionary should fail at load")
-	}
-}
-
-func TestExtractStreamMatchesExtract(t *testing.T) {
-	f := getTrainServeFixture(t)
-	want, err := f.model.Extract(context.Background(), f.serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Triple
-	err = f.model.ExtractStream(context.Background(), f.serve, func(tr Triple) error {
-		got = append(got, tr)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSorted := append([]Triple(nil), want.Triples...)
-	sortTriplesFull(wantSorted)
-	sortTriplesFull(got)
-	if !reflect.DeepEqual(wantSorted, got) {
-		t.Fatalf("stream emitted %d triples, Extract returned %d, or contents differ", len(got), len(wantSorted))
-	}
-}
-
-func TestExtractStreamEmitErrorStopsStream(t *testing.T) {
-	f := getTrainServeFixture(t)
-	boom := errors.New("boom")
-	calls := 0
-	err := f.model.ExtractStream(context.Background(), f.serve, func(Triple) error {
-		calls++
-		if calls == 3 {
-			return boom
+	for _, in := range []string{"", "not a model", `{"format":"ceres.sitemodel/2","threshold":0.5,"model":{}}`} {
+		if _, err := ReadSiteModel(strings.NewReader(in)); !errors.Is(err, binmodel.ErrBadMagic) {
+			t.Errorf("ReadSiteModel(%q) = %v, want ErrBadMagic", in, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("stream error = %v, want boom", err)
 	}
-	if calls != 3 {
-		t.Errorf("emit called %d times after error, want exactly 3", calls)
+
+	// A structurally valid file whose parts disagree must fail at load,
+	// not mis-score — or panic — at serve time: a dictionary cut below the
+	// classifier's feature count, a weight matrix one feature wider than
+	// the dictionary, and feature windows no walk could have trained with.
+	f := getTrainServeFixture(t)
+	lies := map[string]func(*core.ModelState){
+		"truncated dictionary": func(ms *core.ModelState) {
+			ms.Featurizer.Dict.Names = ms.Featurizer.Dict.Names[:1]
+		},
+		"LR one feature past the dictionary": func(ms *core.ModelState) {
+			lr := *ms.LR // the state shares the live model's classifier
+			lr.NumFeatures = len(ms.Featurizer.Dict.Names) + 1
+			lr.W = make([]float64, lr.NumClasses*lr.NumFeatures)
+			ms.LR = &lr
+		},
+		"negative sibling window":   func(ms *core.ModelState) { ms.Featurizer.Opts.SiblingWindow = -1 },
+		"a billion ancestor levels": func(ms *core.ModelState) { ms.Featurizer.Opts.MaxAncestors = 1 << 30 },
+	}
+	for name, lie := range lies {
+		st := f.model.sm.State()
+		lie(st.Clusters[0].Model)
+		data := binmodel.Append(nil, 0.5, st)
+		if _, err := ReadSiteModel(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
 	}
 }
 
@@ -250,14 +194,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if _, err := f.model.Extract(ctx, f.serve); !errors.Is(err, context.Canceled) {
 		t.Errorf("Extract on cancelled ctx = %v, want context.Canceled", err)
-	}
-	err := f.model.ExtractStream(ctx, f.serve, func(Triple) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("ExtractStream on cancelled ctx = %v, want context.Canceled", err)
-	}
-	h := NewHarvester(NewPipeline(f.corpus.KB))
-	if _, err := h.Harvest(ctx, []SiteInput{{Site: "s", Pages: f.train}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("Harvest on cancelled ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -276,9 +212,6 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := untrained.Extract(ctx, f.serve); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("zero SiteModel Extract = %v, want ErrNotTrained", err)
 	}
-	if err := untrained.ExtractStream(ctx, f.serve, func(Triple) error { return nil }); !errors.Is(err, ErrNotTrained) {
-		t.Errorf("zero SiteModel ExtractStream = %v, want ErrNotTrained", err)
-	}
 
 	// A KB from a disjoint world aligns nothing.
 	other, err := DemoCorpus("movies", 99, 20)
@@ -290,112 +223,35 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
-func TestHarvesterMultiSite(t *testing.T) {
-	ctx := context.Background()
-	cA, err := DemoCorpus("movies", 1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cB, err := DemoCorpus("imdb-films", 1, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHarvester(NewPipeline(cA.KB), WithSiteConcurrency(2))
-	results, err := h.Harvest(ctx, []SiteInput{
-		{Site: "a", Pages: cA.Pages},
-		{Site: "b", Pages: cB.Pages, Pipeline: NewPipeline(cB.KB)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, site := range []string{"a", "b"} {
-		if res := results[site]; res == nil || len(res.Triples) == 0 {
-			t.Fatalf("site %q produced no result", site)
-		}
-	}
-	if got := h.Sites(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Sites() = %v", got)
-	}
-	fused := h.Fuse(FusionOptions{})
-	if len(fused) == 0 {
-		t.Fatal("harvester fusion produced nothing")
-	}
-	// Serving an unregistered site fails with the sentinel.
-	if _, err := h.Extract(ctx, "nope", cA.Pages); !errors.Is(err, ErrNotTrained) {
-		t.Errorf("Extract on unregistered site = %v, want ErrNotTrained", err)
-	}
-}
-
-// TestHarvestRejectsDuplicateSites: two inputs naming the same site used
-// to race, the later one silently overwriting the earlier result and model
-// mid-flight; now the harvest refuses up front with a typed error.
-func TestHarvestRejectsDuplicateSites(t *testing.T) {
-	f := getTrainServeFixture(t)
-	h := NewHarvester(NewPipeline(f.corpus.KB))
-	_, err := h.Harvest(context.Background(), []SiteInput{
-		{Site: "a", Pages: f.train},
-		{Site: "b", Pages: f.train},
-		{Site: "a", Pages: f.serve},
-	})
-	var dup *DuplicateSiteError
-	if !errors.As(err, &dup) {
-		t.Fatalf("duplicate-site harvest = %v, want DuplicateSiteError", err)
-	}
-	if dup.Site != "a" {
-		t.Errorf("duplicate site = %q, want %q", dup.Site, "a")
-	}
-	// Nothing ran: the error precedes any training.
-	if got := h.Sites(); len(got) != 0 {
-		t.Errorf("failed harvest still produced results for %v", got)
-	}
-}
-
-// TestHarvesterPublishesIntoRegistry: the harvester is a training
-// front-end over the serving registry — trained models are immediately
-// servable through its Service.
-func TestHarvesterPublishesIntoRegistry(t *testing.T) {
-	f := getTrainServeFixture(t)
-	reg := NewRegistry()
-	h := NewHarvester(NewPipeline(f.corpus.KB), WithHarvesterRegistry(reg))
-	if _, err := h.Train(context.Background(), "demo", f.train); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := reg.Lookup("demo")
-	if !ok || e.Version != 1 {
-		t.Fatalf("trained site not in shared registry: %+v, %v", e, ok)
-	}
-	resp, err := h.Service().Extract(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := h.Extract(context.Background(), "demo", f.serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(resp.Triples, want.Triples) {
-		t.Fatal("service and harvester extract differently from the same registry")
-	}
-}
-
+// TestFuseDeterministic: fusing the same triples in the same order gives
+// exactly the same facts run after run — through Release, which hands
+// each run the previous one's tables — and a fact lists its sources
+// sorted whatever order they were observed in.
 func TestFuseDeterministic(t *testing.T) {
 	f := getTrainServeFixture(t)
-	resA, err := f.model.Extract(context.Background(), f.serve)
+	res, err := f.model.Extract(context.Background(), f.serve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Several site names around the same result exercise map-order
-	// sensitivity; repeated runs must agree exactly.
-	results := map[string]*Result{
-		"zeta": resA, "alpha": resA, "mid": resA, "nil-site": nil,
+	fuse := func() []FusedFact {
+		fz := NewFuser(FusionOptions{})
+		defer fz.Release()
+		for _, site := range []string{"zeta", "alpha", "mid"} {
+			for _, tr := range res.Triples {
+				fz.ObserveTriple(site, tr)
+			}
+		}
+		return fz.Facts()
 	}
-	first := Fuse(results, FusionOptions{})
+	first := fuse()
+	if len(first) == 0 {
+		t.Fatal("fusion produced nothing")
+	}
 	for i := 0; i < 5; i++ {
-		again := Fuse(results, FusionOptions{})
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("Fuse output differs across runs (run %d)", i)
+		if again := fuse(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("fused facts differ across runs (run %d)", i)
 		}
 	}
-	// Sources inside each fact are reported in sorted site order.
 	for _, fact := range first {
 		if !sort.StringsAreSorted(fact.Sources) {
 			t.Fatalf("fact sources not sorted: %v", fact.Sources)

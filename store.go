@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,10 +76,8 @@ type StoreEntry struct {
 }
 
 // DirStore is a filesystem ModelStore: one directory per site (its name
-// URL-path-escaped), one `v%06d.bin` file (binary `ceres.sitemodel/3`,
-// the WriteBinary format) per published version. Reads also accept
-// `v%06d.json` and sniff the file contents, so the JSON versions older
-// builds published remain readable forever. Publish writes to a temporary
+// URL-path-escaped), one `v%06d.bin` file (`ceres.sitemodel/3`, the
+// WriteBinary format) per published version. Publish writes to a temporary
 // file in the same directory, then links it into place atomically, so
 // readers — including other processes watching the directory — never
 // observe a torn model, and a version file is never overwritten once it
@@ -111,14 +108,10 @@ func (s *DirStore) siteDir(site string) string {
 	return filepath.Join(s.root, url.PathEscape(site))
 }
 
-// Version file extensions: binary is what Publish writes, JSON what
-// older builds wrote. parseVersion accepts both.
-const (
-	extBinary = ".bin"
-	extJSON   = ".json"
-)
+// extBinary is the extension of a version file.
+const extBinary = ".bin"
 
-func versionFile(v int, ext string) string { return fmt.Sprintf("v%06d%s", v, ext) }
+func versionFile(v int) string { return fmt.Sprintf("v%06d%s", v, extBinary) }
 
 // verdictFile holds a site's training verdict; parseVersion does not
 // take it for a version.
@@ -143,21 +136,13 @@ func (s *DirStore) ensureSiteDir(site string) (string, error) {
 	return dir, fsatomic.SyncDir(s.root)
 }
 
-// parseVersion extracts N from a "vNNNNNN.bin" or "vNNNNNN.json" file
-// name, -1 otherwise.
+// parseVersion extracts N from a "vNNNNNN.bin" file name, -1 otherwise.
 func parseVersion(name string) int {
-	if !strings.HasPrefix(name, "v") {
+	digits, ok := strings.CutSuffix(name, extBinary)
+	if !ok || !strings.HasPrefix(digits, "v") {
 		return -1
 	}
-	switch {
-	case strings.HasSuffix(name, extBinary):
-		name = strings.TrimSuffix(name, extBinary)
-	case strings.HasSuffix(name, extJSON):
-		name = strings.TrimSuffix(name, extJSON)
-	default:
-		return -1
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(name, "v"))
+	n, err := strconv.Atoi(digits[1:])
 	if err != nil || n < 1 {
 		return -1
 	}
@@ -165,8 +150,7 @@ func parseVersion(name string) int {
 }
 
 // versions lists a site's stored versions, ascending; empty when the site
-// has none. A version present in both formats (possible when publishers
-// with different format options race across processes) lists once.
+// has none.
 func (s *DirStore) versions(site string) ([]int, error) {
 	ents, err := os.ReadDir(s.siteDir(site))
 	if err != nil {
@@ -182,7 +166,6 @@ func (s *DirStore) versions(site string) ([]int, error) {
 		}
 	}
 	sort.Ints(out)
-	out = slices.Compact(out)
 	return out, nil
 }
 
@@ -226,13 +209,7 @@ func (s *DirStore) Publish(site string, m *SiteModel) (int, error) {
 		return 0, fmt.Errorf("ceres: publishing model: %w", err)
 	}
 	for {
-		// A version number is taken if either format's file exists — a
-		// concurrent publisher may be an older build writing JSON.
-		if _, err := os.Lstat(filepath.Join(dir, versionFile(version, extJSON))); err == nil {
-			version++
-			continue
-		}
-		err := tmp.Link(filepath.Join(dir, versionFile(version, extBinary)))
+		err := tmp.Link(filepath.Join(dir, versionFile(version)))
 		if err == nil {
 			break
 		}
@@ -295,24 +272,19 @@ func (s *DirStore) MarkUntrainable(site, key, reason string) error {
 	return nil
 }
 
-// Open implements ModelStore. The version's file is located by trying
-// the binary extension first, then JSON; the contents are sniffed by
-// ReadSiteModel regardless, so either file may hold either format.
+// Open implements ModelStore.
 func (s *DirStore) Open(site string, version int) (*SiteModel, error) {
 	if err := CheckSiteName(site); err != nil {
 		return nil, fmt.Errorf("ceres: opening model: %w", err)
 	}
-	for _, ext := range []string{extBinary, extJSON} {
-		data, err := os.ReadFile(filepath.Join(s.siteDir(site), versionFile(version, ext)))
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return nil, fmt.Errorf("ceres: opening model: %w", err)
+	data, err := os.ReadFile(filepath.Join(s.siteDir(site), versionFile(version)))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, fmt.Errorf("%w: site %q version %d", ErrModelNotFound, site, version)
 		}
-		return readSiteModelBytes(data)
+		return nil, fmt.Errorf("ceres: opening model: %w", err)
 	}
-	return nil, fmt.Errorf("%w: site %q version %d", ErrModelNotFound, site, version)
+	return readSiteModelBytes(data)
 }
 
 // Latest implements ModelStore.

@@ -3,7 +3,6 @@ package ceres
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"ceres/internal/binmodel"
 	"ceres/internal/fsatomic"
 )
 
@@ -35,6 +33,15 @@ func TestDirStorePublishOpenLatestList(t *testing.T) {
 	if _, err := store.Publish("other.example", f.model); err != nil {
 		t.Fatal(err)
 	}
+	// Only vNNNNNN.bin is a version: a site directory holding anything
+	// else is no site, and takes no version number.
+	stray := filepath.Join(store.Root(), "stray.example")
+	if err := os.MkdirAll(stray, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stray, "v000001.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	ents, err := store.List()
 	if err != nil {
@@ -46,6 +53,12 @@ func TestDirStorePublishOpenLatestList(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ents, want) {
 		t.Fatalf("List() = %+v, want %+v", ents, want)
+	}
+	if v, err := store.Publish("stray.example", f.model); err != nil || v != 1 {
+		t.Fatalf("publish beside a stray file = version %d, %v, want 1", v, err)
+	}
+	if _, err := os.Stat(filepath.Join(stray, "v000001.bin")); err != nil {
+		t.Fatal(err)
 	}
 
 	// Latest and Open agree, and the loaded model serves identically.
@@ -98,93 +111,13 @@ func TestDirStorePublishOpenLatestList(t *testing.T) {
 	}
 }
 
-// TestDirStoreReadsV1Envelope plants a legacy v1-format model file in the
-// store directory (as a pre-upgrade process would have left it) and checks
-// the round trip: Latest reads it with v1 zero-means-default semantics,
-// and republishing it through the store upgrades it to the current format
-// with identical extractions.
-func TestDirStoreReadsV1Envelope(t *testing.T) {
-	f := getTrainServeFixture(t)
-	var buf bytes.Buffer
-	if _, err := f.model.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["format"] = "ceres.sitemodel/1"
-	// v1 never serialized resolved options; a zero NameThreshold meant
-	// "default" there.
-	doc["model"].(map[string]any)["Extract"] = map[string]any{"NameThreshold": 0.0}
-	v1bytes, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store, err := NewDirStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(store.Root(), "legacy.example")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "v000001.json"), v1bytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m, v, err := store.Latest("legacy.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 1 {
-		t.Fatalf("legacy version = %d, want 1", v)
-	}
-	want, err := f.model.Extract(context.Background(), f.serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Extract(context.Background(), f.serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Triples, got.Triples) {
-		t.Fatal("v1 model loaded through the store extracts differently")
-	}
-
-	// Republish: the store writes the binary format as version 2, and it
-	// still extracts identically.
-	if v, err = store.Publish("legacy.example", m); err != nil || v != 2 {
-		t.Fatalf("republish = %d, %v, want version 2", v, err)
-	}
-	reloaded, _, err := store.Latest("legacy.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := os.ReadFile(filepath.Join(dir, "v000002.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !binmodel.IsBinary(upgraded) {
-		t.Error("republished model is not in the binary format")
-	}
-	got2, err := reloaded.Extract(context.Background(), f.serve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want.Triples, got2.Triples) {
-		t.Fatal("upgraded model extracts differently")
-	}
-}
-
 // TestReadSiteModelTruncated checks that a model file cut off mid-stream —
 // the torn write the DirStore's write-then-rename publish exists to
 // prevent — fails loudly at read time at any truncation point.
 func TestReadSiteModelTruncated(t *testing.T) {
 	f := getTrainServeFixture(t)
 	var buf bytes.Buffer
-	if _, err := f.model.WriteTo(&buf); err != nil {
+	if _, err := f.model.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -192,26 +125,6 @@ func TestReadSiteModelTruncated(t *testing.T) {
 		cut := int(float64(len(full)) * frac)
 		if _, err := ReadSiteModel(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("model truncated to %d/%d bytes read without error", cut, len(full))
-		}
-	}
-	// Wrong format strings — including a prefix of the real one — fail.
-	for _, format := range []string{"", "ceres.sitemodel", "ceres.sitemodel/3", "bogus"} {
-		doc := append([]byte(nil), full...)
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(doc, &m); err != nil {
-			t.Fatal(err)
-		}
-		fm, err := json.Marshal(format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m["format"] = fm
-		bad, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadSiteModel(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "format") {
-			t.Errorf("format %q: error = %v, want format error", format, err)
 		}
 	}
 }
