@@ -36,23 +36,26 @@ examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 # Native fuzzing, long budget per target (CI runs the same targets for
-# 10s each). Three hold hand-written JSON code to encoding/json: the
+# 10s each). Four hold hand-written JSON code to encoding/json: the
 # extract-request reader on every body (accept/reject, every decoded
-# value, no panic — DESIGN.md §7), the triple line decoder on every line
-# and the triple/fact encoder on every string and float bit pattern
-# (DESIGN.md §8). The fourth holds the HTML lexer's two consumers to each
-# other: the stream pass's records against Parse's tree on every page
-# (DESIGN.md §5). The fifth holds the serve engine's context cache to
-# having no say in the output: a page through a scratch that has served the
-# site and through a fresh one scores and extracts alike (DESIGN.md §5).
-# The sixth is the model file, the bytes PUT /v1/sites/{site}/model takes
-# from the network: no input panics, an accepted one re-encodes to an
-# equal state, serves or refuses without panicking, and decodes to no more
-# than a fixed multiple of its size (DESIGN.md §10). A failing input is
-# written under the package's testdata/fuzz/ — commit it.
+# value, no panic — DESIGN.md §7), the extract-response encoder on every
+# string, float and int (the same bytes, an error iff it has one — §7),
+# the triple line decoder on every line and the triple/fact encoder on
+# every string and float bit pattern (DESIGN.md §8). The fifth holds the
+# HTML lexer's two consumers to each other: the stream pass's records
+# against Parse's tree on every page (DESIGN.md §5). The sixth holds the
+# serve engine's context cache to having no say in the output: a page
+# through a scratch that has served the site and through a fresh one scores
+# and extracts alike (DESIGN.md §5). The seventh is the model file, the
+# bytes PUT /v1/sites/{site}/model takes from the network: no input
+# panics, an accepted one re-encodes to an equal state, serves or refuses
+# without panicking, and decodes to no more than a fixed multiple of its
+# size (DESIGN.md §10). A failing input is written under the package's
+# testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
+	$(GO) test -run='^$$' -fuzz=FuzzExtractResponse -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
 	$(GO) test -run='^$$' -fuzz=FuzzTripleLine -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
@@ -81,19 +84,23 @@ crash-sweep:
 # one and four per shard); BatchHarvest/Cold is the same path with every
 # site trained in the pass, at two workers (peak-sites-training/op must
 # read at least 2 and peak-sites-holding-pages/op exactly 1);
-# AppendTriple/DecodeTriple the codec under it. ParseDetailPage and
-# StreamDetailPage are the HTML lexer under each of its two consumers
-# (the stream pass must read 0 allocs/op). ScoreFields is what the serve
+# AppendTriple/DecodeTriple the codec under it and String the in-place
+# unescape under both the codec and the daemon's request reader (a
+# serve-bulk-shaped body and one shard line; 0 allocs/op). ParseDetailPage
+# and StreamDetailPage are the HTML lexer under each of its two consumers
+# and StreamChromePage the stream pass over a page that is mostly
+# stylesheet, script and one unbroken data island (the stream pass must
+# read 0 allocs/op). ScoreFields is what the serve
 # engine does per field after the stream pass, in ns/field: hit with every
 # context in the cache (the daemon's steady state; must read 0 allocs/op),
 # miss with the cache emptied before every page.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
-	$(GO) test -run='^$$' -bench='DetailPage' -benchtime=100x -benchmem ./internal/dom
+	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
 	$(GO) test -run='^$$' -bench='ScoreFields' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
 	$(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchtime=1x -benchmem ./batch
-	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchtime=100x -benchmem ./internal/jsonl
+	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple|String' -benchtime=100x -benchmem ./internal/jsonl
 	$(GO) test -run='^$$' -bench='PagestoreScan' -benchtime=1x -benchmem ./pagestore
 	$(GO) test -run='^$$' -bench='HandleExtract' -benchtime=20x -benchmem ./cmd/ceres-serve
 

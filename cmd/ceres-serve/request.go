@@ -37,10 +37,10 @@ import (
 // previous one element by element.
 
 const (
-	// maxPooledRequestBytes caps the request buffers the pool retains (and
-	// the buffer space reserved up front on a Content-Length's word):
-	// larger bodies are served from a one-off buffer that is dropped, so a
-	// burst of huge requests cannot pin its peak in the pool.
+	// maxPooledRequestBytes caps the request and response buffers the pool
+	// retains (and the buffer space reserved up front on a Content-Length's
+	// word): larger bodies are served from a one-off buffer that is
+	// dropped, so a burst of huge requests cannot pin its peak in the pool.
 	maxPooledRequestBytes = 4 << 20
 	// maxPooledRequestPages caps the retained page slice the same way.
 	maxPooledRequestPages = 1024
@@ -52,6 +52,7 @@ const (
 // no longer.
 type extractRequest struct {
 	buf       []byte
+	out       []byte // the response body, built here once the pages are served
 	pages     []ceres.PageBytes
 	threshold *float64 // nil: absent or null
 	workers   int
@@ -82,6 +83,9 @@ func (rp requestPool) get() *extractRequest {
 func (rp requestPool) put(q *extractRequest) {
 	if cap(q.buf) > maxPooledRequestBytes {
 		q.buf = nil
+	}
+	if cap(q.out) > maxPooledRequestBytes {
+		q.out = nil
 	}
 	if cap(q.pages) > maxPooledRequestPages {
 		q.pages = nil

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ceres"
+	"ceres/internal/jsonl"
 	"ceres/internal/obs"
 )
 
@@ -242,32 +243,9 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 // wire types ------------------------------------------------------------
 
-// The extract request has no wire struct: request.go reads it straight
-// from the body's bytes.
-
-type tripleJSON struct {
-	Subject    string  `json:"subject"`
-	Predicate  string  `json:"predicate"`
-	Object     string  `json:"object"`
-	Confidence float64 `json:"confidence"`
-	Page       string  `json:"page"`
-	Path       string  `json:"path"`
-}
-
-type statsJSON struct {
-	Pages          int     `json:"pages"`
-	Triples        int     `json:"triples"`
-	RoutedClusters int     `json:"routedClusters"`
-	LatencyMs      float64 `json:"latencyMs"`
-}
-
-type extractResponseJSON struct {
-	Site      string       `json:"site"`
-	Version   int          `json:"version"`
-	Threshold float64      `json:"threshold"`
-	Triples   []tripleJSON `json:"triples"`
-	Stats     statsJSON    `json:"stats"`
-}
+// The extract request and its 200 response have no wire struct: request.go
+// reads the one straight from the body's bytes and appendExtractResponse
+// writes the other straight from the service's triples.
 
 type publishResponseJSON struct {
 	Site             string `json:"site"`
@@ -305,9 +283,10 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusTooManyRequests, fmt.Errorf("site %q over its request rate", site))
 		return
 	}
-	// The pages alias the pooled request buffer, so the request goes back
-	// to the pool only when the handler returns: after the service call,
-	// whose triples own their strings, and after the response is written.
+	// The pages alias the pooled request buffer and the response body is
+	// built in the request's other one, so the request goes back to the
+	// pool only when the handler returns: after the service call, whose
+	// triples own their strings, and after the response is written.
 	req := s.requests.get()
 	defer s.requests.put(req)
 	err := req.readFrom(http.MaxBytesReader(w, r.Body, maxExtractBytes), r.ContentLength)
@@ -334,25 +313,78 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, statusOf(err), err)
 		return
 	}
-	out := extractResponseJSON{
-		Site:      resp.Site,
-		Version:   resp.Version,
-		Threshold: resp.Threshold,
-		Triples:   make([]tripleJSON, len(resp.Triples)),
-		Stats: statsJSON{
-			Pages:          resp.Stats.Pages,
-			Triples:        resp.Stats.Triples,
-			RoutedClusters: resp.Stats.RoutedClusters,
-			LatencyMs:      float64(resp.Stats.Latency.Microseconds()) / 1000,
-		},
+	// The body is built whole before any of it is sent, so a value with no
+	// JSON form is a 500, not a 200 cut short.
+	if req.out, err = appendExtractResponse(req.out[:0], resp); err != nil {
+		s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
 	}
-	for i, t := range resp.Triples {
-		out.Triples[i] = tripleJSON{
-			Subject: t.Subject, Predicate: t.Predicate, Object: t.Object,
-			Confidence: t.Confidence, Page: t.Page, Path: t.Path,
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(req.out)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(req.out); err != nil {
+		s.log.LogAttrs(r.Context(), slog.LevelWarn, "writing response",
+			slog.String("error", err.Error()))
+	}
+}
+
+// appendExtractResponse appends the extract endpoint's 200 body:
+//
+//	{"site","version","threshold","triples":[{subject,predicate,object,confidence,page,path}…],
+//	 "stats":{pages,triples,routedClusters,latencyMs}}
+//
+// The bytes are exactly json.NewEncoder(w).Encode's for a struct of that
+// shape, trailing newline included, with "triples" always an array and
+// never null (FuzzExtractResponse holds the two together; clients and the
+// repository benchmark compare bodies byte for byte). A NaN or infinite
+// float has no JSON form: that is an error with encoding/json's message,
+// and dst comes back as it was.
+//
+//ceres:allocfree
+func appendExtractResponse(dst []byte, resp *ceres.ExtractResponse) ([]byte, error) {
+	mark := len(dst)
+	dst = append(dst, `{"site":`...)
+	dst = jsonl.AppendString(dst, resp.Site)
+	dst = append(dst, `,"version":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Version), 10)
+	dst = append(dst, `,"threshold":`...)
+	dst, err := jsonl.AppendFloat(dst, resp.Threshold)
+	if err != nil {
+		return dst[:mark], err
+	}
+	dst = append(dst, `,"triples":[`...)
+	for i := range resp.Triples {
+		t := &resp.Triples[i]
+		if i > 0 {
+			dst = append(dst, ',')
 		}
+		dst = append(dst, `{"subject":`...)
+		dst = jsonl.AppendString(dst, t.Subject)
+		dst = append(dst, `,"predicate":`...)
+		dst = jsonl.AppendString(dst, t.Predicate)
+		dst = append(dst, `,"object":`...)
+		dst = jsonl.AppendString(dst, t.Object)
+		dst = append(dst, `,"confidence":`...)
+		if dst, err = jsonl.AppendFloat(dst, t.Confidence); err != nil {
+			return dst[:mark], err
+		}
+		dst = append(dst, `,"page":`...)
+		dst = jsonl.AppendString(dst, t.Page)
+		dst = append(dst, `,"path":`...)
+		dst = jsonl.AppendString(dst, t.Path)
+		dst = append(dst, '}')
 	}
-	s.reply(w, http.StatusOK, out)
+	dst = append(dst, `],"stats":{"pages":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.Pages), 10)
+	dst = append(dst, `,"triples":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.Triples), 10)
+	dst = append(dst, `,"routedClusters":`...)
+	dst = strconv.AppendInt(dst, int64(resp.Stats.RoutedClusters), 10)
+	dst = append(dst, `,"latencyMs":`...)
+	if dst, err = jsonl.AppendFloat(dst, float64(resp.Stats.Latency.Microseconds())/1000); err != nil {
+		return dst[:mark], err
+	}
+	return append(dst, '}', '}', '\n'), nil
 }
 
 func (s *server) handlePublish(w http.ResponseWriter, r *http.Request) {

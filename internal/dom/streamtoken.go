@@ -128,7 +128,9 @@ func parseEntityNum(s []byte, hex bool) (int64, bool) {
 // CollapseSpace collapses a string: leading/trailing whitespace dropped,
 // internal runs (including Unicode spaces) replaced by single spaces. It
 // stops and reports overflow as soon as the collapsed output would exceed
-// max bytes (the full collapsed text must fit; math.MaxInt for no bound).
+// max bytes (the full collapsed text must fit; math.MaxInt for no bound),
+// without reading further: a word is walked only one byte past the room
+// the output has left, so an over-long body costs the bound, not its size.
 // On overflow dst holds a truncated prefix the caller must treat as
 // unusable.
 //
@@ -155,8 +157,17 @@ func appendCollapse(dst, src []byte, max int) ([]byte, bool) {
 		if i >= len(src) {
 			break
 		}
-		start := i
-		for i < len(src) {
+		// room is what the word at src[i] may measure and still fit, after
+		// the space that joins it to the words before it.
+		room := max - (len(dst) - base)
+		if len(dst) > base {
+			room--
+		}
+		start, limit := i, len(src)
+		if room < limit-start {
+			limit = start + room + 1
+		}
+		for i < limit {
 			c := src[i]
 			if c < utf8.RuneSelf {
 				if isASCIISpace(c) {
@@ -171,11 +182,7 @@ func appendCollapse(dst, src []byte, max int) ([]byte, bool) {
 				i += n
 			}
 		}
-		need := i - start
-		if len(dst) > base {
-			need++
-		}
-		if len(dst)-base+need > max {
+		if i-start > room {
 			return dst, true
 		}
 		if len(dst) > base {

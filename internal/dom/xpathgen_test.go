@@ -1,6 +1,11 @@
 package dom
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+)
 
 func TestXPathGeneration(t *testing.T) {
 	doc := Parse(`<html><body><div><a>one</a></div><div><a>two</a><a>three</a></div></body></html>`)
@@ -96,6 +101,37 @@ func TestCollapseSpace(t *testing.T) {
 	}
 }
 
+// TestAppendCollapseBound holds the bounded collapse to CollapseSpace at
+// every bound from 0 to past the collapsed length: over exactly when the
+// whole text does not fit, and when it fits, the same bytes. The inputs
+// put words of 2-, 3- and 4-byte runes across the bound and Unicode
+// spaces exactly at the cut, where a scan that stops early could mistake
+// a word's end.
+func TestAppendCollapseBound(t *testing.T) {
+	for _, in := range []string{
+		"", " \t\n", "x", "abc def", "  lead and trail  ",
+		"éééé éé", "☃☃☃ ☃☃", "😀😀 😀😀😀",
+		"ab\u2028cd\u2029ef", "é\u00a0☃\u3000😀", "abc\u2028", "\u2028abc", "ab\u0085cd",
+		"one\xfftwo \xe2\x82 three", "a\xc2", "\xe2\x80 x",
+		strings.Repeat("x", 100), strings.Repeat("é", 50) + " " + strings.Repeat("😀", 30),
+		`{"rows":[{"id":1,"tag":"t1"},{"id":2,"tag":"t2"}]}`,
+	} {
+		want := CollapseSpace(in)
+		for max := 0; max <= len(want)+2; max++ {
+			got, over := appendCollapse([]byte("kept:"), []byte(in), max)
+			if over != (len(want) > max) {
+				t.Errorf("appendCollapse(%q, %d): over = %v, collapsed length %d", in, max, over, len(want))
+			}
+			if !over && string(got) != "kept:"+want {
+				t.Errorf("appendCollapse(%q, %d) = %q, want %q", in, max, got[len("kept:"):], want)
+			}
+		}
+		if got, over := appendCollapse(nil, []byte(in), math.MaxInt); over || string(got) != want {
+			t.Errorf("appendCollapse(%q, unbounded) = %q, %v; want %q", in, got, over, want)
+		}
+	}
+}
+
 // BenchmarkParseDetailPage and BenchmarkStreamDetailPage time the lexer
 // under each of its two consumers on the same page.
 func BenchmarkParseDetailPage(b *testing.B) {
@@ -107,8 +143,34 @@ func BenchmarkParseDetailPage(b *testing.B) {
 }
 
 // The stream pass over a warm scratch must read 0 allocs/op.
-func BenchmarkStreamDetailPage(b *testing.B) {
-	src := []byte(samplePage)
+func BenchmarkStreamDetailPage(b *testing.B) { benchStream(b, []byte(samplePage)) }
+
+// BenchmarkStreamChromePage is the stream pass over the same page wrapped
+// as serve-bulk wraps its pages: 10 KB of stylesheet, 9 KB of script and a
+// 6 KB JSON data island without one space, so raw-text bodies the
+// extractor never reads are most of the bytes.
+func BenchmarkStreamChromePage(b *testing.B) {
+	var style, script, island strings.Builder
+	for i := 0; style.Len() < 10<<10; i++ {
+		fmt.Fprintf(&style, ".c%d{margin:%dpx;color:#%06x;font:%dpx/1.4 \"Helvetica Neue\",sans-serif}\n", i, i%32, i*7919%(1<<24), 10+i%8)
+	}
+	for i := 0; script.Len() < 9<<10; i++ {
+		fmt.Fprintf(&script, "function f%d(a,b){if(a<b&&b>%d){return \"<div>\"+a+\"</div>\";}return a*%d+b;}\n", i, i%100, i%1000)
+	}
+	island.WriteString(`{"rows":[`)
+	for i := 0; island.Len() < 6<<10; i++ {
+		fmt.Fprintf(&island, `{"id":%d,"score":%d.%d,"tag":"t%d"},`, i*7919%(1<<20), i%10, i%100, i%500)
+	}
+	island.WriteString("{}]}")
+	page := strings.Replace(samplePage, "</head>", "<style>"+style.String()+"</style><script>"+script.String()+"</script></head>", 1)
+	page = strings.Replace(page, "</body>", `<script type="application/json">`+island.String()+"</script></body>", 1)
+	if len(page) < len(samplePage)+25<<10 {
+		b.Fatalf("chrome page is %d bytes: samplePage has no </head> or </body> to wrap", len(page))
+	}
+	benchStream(b, []byte(page))
+}
+
+func benchStream(b *testing.B, src []byte) {
 	opts := StreamOptions{MaxText: 40, Attrs: []string{"class", "id", "itemprop", "itemtype", "property"}, Signature: true}
 	sc := NewStreamScratch()
 	sc.Stream(src, opts)

@@ -18,7 +18,9 @@ package jsonl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -37,89 +39,174 @@ var plain = func() (t [256]bool) {
 	return t
 }()
 
-// replacement is U+FFFD as encoding/json writes it for bytes that are
-// not UTF-8.
-const replacement = string(unicode.ReplacementChar)
-
-// String decodes the string whose opening quote is b[p], unescaping it in
-// place: the result is a sub-slice of b starting right after the quote.
-// Unescaping only ever shrinks a string, with one exception — an invalid
-// UTF-8 byte becomes the three bytes of U+FFFD — so when the write cursor
-// would overtake the read cursor the string spills into an allocation of
-// its own.
-func String(b []byte, p int) (val []byte, next int, err error) {
-	start := p + 1
-	p = plainRun(b, start)
-	dst, inPlace := b[start:p], true
-	for p < len(b) {
-		switch c := b[p]; {
-		case plain[c]:
-			run := p
-			p = plainRun(b, p)
-			dst = append(dst, b[run:p]...)
-		case c == '"':
-			return dst, p + 1, nil
-		case c == '\\':
-			var r rune
-			switch ByteAt(b, p+1) {
-			case '"', '\\', '/':
-				r = rune(b[p+1])
-			case 'b':
-				r = '\b'
-			case 'f':
-				r = '\f'
-			case 'n':
-				r = '\n'
-			case 'r':
-				r = '\r'
-			case 't':
-				r = '\t'
-			case 'u':
-				if r = hex4(b, p+2); r < 0 {
-					return nil, 0, SyntaxError(p, "invalid \\u escape")
-				}
-				p += 4
-				if utf16.IsSurrogate(r) {
-					// A high surrogate takes a directly following \u low
-					// surrogate with it; any other surrogate is U+FFFD and
-					// what follows is decoded on its own.
-					r2 := rune(-1)
-					if ByteAt(b, p+2) == '\\' && ByteAt(b, p+3) == 'u' {
-						r2 = hex4(b, p+4)
-					}
-					if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-						p += 6
-					}
-				}
-			default:
-				return nil, 0, SyntaxError(p, "invalid escape")
-			}
-			p += 2
-			dst = utf8.AppendRune(dst, r)
-		case c < ' ':
-			return nil, 0, SyntaxError(p, "control character in string")
-		default:
-			r, size := utf8.DecodeRune(b[p:])
-			if r == utf8.RuneError && size == 1 {
-				if inPlace && start+len(dst)+len(replacement) > p+1 {
-					dst, inPlace = append(make([]byte, 0, 2*len(dst)+64), dst...), false
-				}
-				dst = append(dst, replacement...)
-			} else {
-				dst = append(dst, b[p:p+size]...)
-			}
-			p += size
-		}
-	}
-	return nil, 0, SyntaxError(p, "unterminated string")
+// unescaped maps the byte after a backslash to the byte a one-byte escape
+// stands for, 0 for every other byte (no escape decodes to NUL).
+var unescaped = [256]byte{
+	'"': '"', '\\': '\\', '/': '/',
+	'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t',
 }
 
-// plainRun returns the end of the run of plain bytes that starts at b[p].
+const (
+	lows  = 0x0101010101010101 // 0x01 in every byte of a word
+	highs = 0x8080808080808080 // 0x80 in every byte of a word
+)
+
+// nonPlain flags, in the high bit of each byte of x, the bytes that are
+// not plain: below 0x20, '"', '\\', or 0x80 and up. Flipping bit 1 swaps
+// '"' (0x22) with the space and keeps the control bytes below it, so one
+// subtraction finds both; a second finds the backslash. They borrow
+// across byte lanes, so a byte above a flagged one may be flagged wrongly
+// — but a borrow only ever comes out of a byte that is itself flagged, so
+// zero means all eight are plain and the lowest flag is exact.
+//
+//ceres:allocfree
+func nonPlain(x uint64) uint64 {
+	return (((x ^ lows*0x02) - lows*0x21) | ((x ^ lows*'\\') - lows) | x) & highs
+}
+
+// plainRun returns the end of the run of plain bytes that starts at b[p]:
+// the one "first non-plain byte" primitive, a word at a time while a word
+// is left.
+//
+//ceres:allocfree
 func plainRun(b []byte, p int) int {
+	for ; p+8 <= len(b); p += 8 {
+		if m := nonPlain(binary.LittleEndian.Uint64(b[p:])); m != 0 {
+			return p + bits.TrailingZeros64(m)>>3
+		}
+	}
 	for p < len(b) && plain[b[p]] {
 		p++
 	}
 	return p
+}
+
+// String decodes the string whose opening quote is b[p], unescaping it in
+// place: the result is a sub-slice of b starting right after the quote,
+// and b is untouched from the closing quote on. A read cursor r and a
+// write cursor w walk the string, and w never passes r: unescaping only
+// ever shrinks a string, with one exception — an invalid UTF-8 byte
+// becomes the three bytes of U+FFFD — so when w would overtake r the
+// string spills into an allocation of its own.
+//
+// The loop alternates between the one thing at b[r] that is not plain and
+// the plain run behind it. The one-byte escapes — all a client needs for
+// HTML, one every 16 bytes of a chrome-heavy page — are a table lookup;
+// the run moves a word at a time; everything else is decodeSpecial's.
+//
+//ceres:allocfree
+func String(b []byte, p int) (val []byte, next int, err error) {
+	start := p + 1
+	r := plainRun(b, start) // nothing moves before the first escape
+	w := r
+	for r < len(b) {
+		switch c := b[r]; {
+		case c == '"':
+			return b[start:w], r + 1, nil
+		case c == '\\' && unescaped[ByteAt(b, r+1)] != 0:
+			b[w] = unescaped[b[r+1]]
+			r, w = r+2, w+1
+		case plain[c]: // in the last bytes of b, fewer than a word
+			b[w] = c
+			r, w = r+1, w+1
+		default:
+			c, n, err := decodeSpecial(b, r)
+			if err != nil {
+				return nil, 0, err
+			}
+			if w+utf8.RuneLen(c) > r+n {
+				return spillString(b, start, w, r)
+			}
+			w += utf8.EncodeRune(b[w:], c)
+			r += n
+		}
+		for r+8 <= len(b) {
+			x := binary.LittleEndian.Uint64(b[r:])
+			m := nonPlain(x)
+			if m == 0 {
+				// All eight bytes are read, so the store may overlap them.
+				binary.LittleEndian.PutUint64(b[w:], x)
+				r, w = r+8, w+8
+				continue
+			}
+			// Only the k bytes below the first flag are consumed. Storing
+			// the whole word is still right once the cursors are 8 apart;
+			// closer, its upper bytes would land on source not yet read.
+			k := bits.TrailingZeros64(m) >> 3
+			if r-w >= 8 {
+				binary.LittleEndian.PutUint64(b[w:], x)
+			} else {
+				for i := 0; i < k; i++ {
+					b[w+i] = b[r+i]
+				}
+			}
+			r, w = r+k, w+k
+			break
+		}
+	}
+	return nil, 0, SyntaxError(r, "unterminated string")
+}
+
+// spillString finishes String for a string that has outgrown its source:
+// b[start:w] is decoded, b[r:] is still to read, and the value moves to
+// an allocation of its own.
+func spillString(b []byte, start, w, r int) (val []byte, next int, err error) {
+	val = append(make([]byte, 0, 2*(w-start)+64), b[start:w]...)
+	for r < len(b) {
+		if b[r] == '"' {
+			return val, r + 1, nil
+		}
+		if run := plainRun(b, r); run > r {
+			val = append(val, b[r:run]...)
+			r = run
+			continue
+		}
+		c, n, err := decodeSpecial(b, r)
+		if err != nil {
+			return nil, 0, err
+		}
+		val = utf8.AppendRune(val, c)
+		r += n
+	}
+	return nil, 0, SyntaxError(r, "unterminated string")
+}
+
+// decodeSpecial decodes what stands at b[p] inside a string when that is
+// neither a plain byte nor the closing quote, and returns the rune it
+// stands for and the bytes it takes up: an escape, or a multi-byte rune —
+// where a byte that is not UTF-8 stands for U+FFFD, as in encoding/json.
+// A raw control byte or a malformed escape is an error.
+func decodeSpecial(b []byte, p int) (r rune, n int, err error) {
+	switch c := b[p]; {
+	case c >= utf8.RuneSelf:
+		r, n = utf8.DecodeRune(b[p:])
+		return r, n, nil
+	case c != '\\':
+		return 0, 0, SyntaxError(p, "control character in string")
+	}
+	switch c := ByteAt(b, p+1); {
+	case unescaped[c] != 0:
+		return rune(unescaped[c]), 2, nil
+	case c != 'u':
+		return 0, 0, SyntaxError(p, "invalid escape")
+	}
+	if r = hex4(b, p+2); r < 0 {
+		return 0, 0, SyntaxError(p, "invalid \\u escape")
+	}
+	if !utf16.IsSurrogate(r) {
+		return r, 6, nil
+	}
+	// A high surrogate takes a directly following \u low surrogate with
+	// it; any other surrogate is U+FFFD and what follows is decoded on its
+	// own.
+	r2 := rune(-1)
+	if ByteAt(b, p+6) == '\\' && ByteAt(b, p+7) == 'u' {
+		r2 = hex4(b, p+8)
+	}
+	if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
+		return r, 12, nil
+	}
+	return r, 6, nil
 }
 
 // hex4 decodes the four hex digits at b[p:], -1 if they are not there.
@@ -146,26 +233,18 @@ func hex4(b []byte, p int) rune {
 
 // ScanString validates the string whose opening quote is b[p] without
 // decoding it and returns the position after its closing quote.
+//
+//ceres:allocfree
 func ScanString(b []byte, p int) (int, error) {
-	for p++; p < len(b); p++ {
-		switch c := b[p]; {
-		case c == '"':
+	for p = plainRun(b, p+1); p < len(b); p = plainRun(b, p) {
+		if b[p] == '"' {
 			return p + 1, nil
-		case c == '\\':
-			switch ByteAt(b, p+1) {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				p++
-			case 'u':
-				if hex4(b, p+2) < 0 {
-					return 0, SyntaxError(p, "invalid \\u escape")
-				}
-				p += 5
-			default:
-				return 0, SyntaxError(p, "invalid escape")
-			}
-		case c < ' ':
-			return 0, SyntaxError(p, "control character in string")
 		}
+		_, n, err := decodeSpecial(b, p)
+		if err != nil {
+			return 0, err
+		}
+		p += n
 	}
 	return 0, SyntaxError(p, "unterminated string")
 }
