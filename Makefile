@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt-check examples fuzz crash-sweep bench bench-json fleet docker clean
+.PHONY: all build test race lint fmt-check examples fuzz crash-sweep bench fleet docker clean
 
 all: build lint test
 
@@ -73,27 +73,42 @@ crash-sweep:
 	$(GO) test -race -count=1 -run 'TestDurableBeforeNamed|TestCheckpointResumeByteIdentical|TestCommit|TestCheckpointReaders' ./batch
 	$(GO) test -race -count=1 ./internal/fsatomic/...
 
-# Headline benchmarks, human-readable. -short skips the 10k-model
-# RegistryBoot/scale case, which only full bench-json runs pay for.
-# StageTrain, EndToEndSite and mlr's Fit are the training side: one
-# site's example-building plus fit, the whole train-then-extract
-# pipeline, and one L-BFGS fit at the shape measured on the crawl.
-# BatchHarvest/JSONL and ReplayFuse are the durable harvest path
-# ceres-batch runs (JSONL shards, commit stage, replay into fusion; JSONL
-# also prints manifest-writes/op and fsyncs/op, which must stay well under
-# one and four per shard); BatchHarvest/Cold is the same path with every
-# site trained in the pass, at two workers (peak-sites-training/op must
-# read at least 2 and peak-sites-holding-pages/op exactly 1);
-# AppendTriple/DecodeTriple the codec under it and String the in-place
-# unescape under both the codec and the daemon's request reader (a
-# serve-bulk-shaped body and one shard line; 0 allocs/op). ParseDetailPage
-# and StreamDetailPage are the HTML lexer under each of its two consumers
-# and StreamChromePage the stream pass over a page that is mostly
-# stylesheet, script and one unbroken data island (the stream pass must
-# read 0 allocs/op). ScoreFields is what the serve
-# engine does per field after the stream pass, in ns/field: hit with every
-# context in the cache (the daemon's steady state; must read 0 allocs/op),
-# miss with the cache emptied before every page.
+# Headline benchmarks, human-readable, each once or a fixed few times:
+# a smoke run (CI's bench-smoke job is this target), so a change that
+# breaks one or makes its allocations explode shows in the output. -short
+# skips the 10k-model RegistryBoot/scale layout, too slow for that.
+# Root package: ServeExtract, ServiceExtract and StreamServe are the serve
+# engine — the stream pass over a trained site model (DESIGN.md §5) —
+# Featurize its featurizer, StageTopicIdentification and StageAnnotate
+# the indexed annotation path beside its legacy baseline (§6), StageTrain
+# and EndToEndSite (with mlr's Fit) the training side: one site's
+# example-building plus fit, the whole train-then-extract pipeline, and
+# one L-BFGS fit over collapsed rows at the shape measured on the crawl
+# (§3); RegistryBoot is the binary model codec's cold boot (§10).
+# internal/dom: ParseDetailPage and StreamDetailPage are the HTML lexer
+# under each of its two consumers, StreamChromePage the stream pass over
+# a page that is mostly stylesheet, script and one unbroken data island
+# (the stream pass must read 0 allocs/op). internal/core: ScoreFields is
+# what the serve engine does per field after the stream pass, in ns/field
+# — hit with every context in the cache (the daemon's steady state; must
+# read 0 allocs/op), miss with the cache emptied before every page.
+# batch: BatchHarvest is the sharded batch loop end to end (pages/s over a
+# scaled crawl, §8) — in memory (Collect), on the durable path ceres-batch
+# runs (JSONL: shard files, commit stage, replay; manifest-writes/op and
+# fsyncs/op must stay well under one and four per shard, so a change that
+# goes back to one manifest per shard shows) and cold (Cold: the same path
+# with every site trained in the pass at two workers;
+# peak-sites-training/op below 2 means workers queue behind a training
+# again, peak-sites-holding-pages/op above 1 means the prepare gate no
+# longer bounds training memory); ReplayFuse is the fusion stage alone.
+# internal/jsonl: AppendTriple/DecodeTriple are the codec under the shard
+# files (MB/s; encode must read 0 allocs/op), String the in-place unescape
+# under both the codec and the daemon's request reader (a
+# serve-bulk-shaped body and one shard line; 0 allocs/op). pagestore:
+# PagestoreScan is the concurrent segment read plane (§10).
+# cmd/ceres-serve: HandleExtract is the daemon's wire layer — request
+# read, Service, response encode — in request MB/s, B/op and allocs/op
+# (§7).
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
@@ -103,19 +118,6 @@ bench:
 	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple|String' -benchtime=100x -benchmem ./internal/jsonl
 	$(GO) test -run='^$$' -bench='PagestoreScan' -benchtime=1x -benchmem ./pagestore
 	$(GO) test -run='^$$' -bench='HandleExtract' -benchtime=20x -benchmem ./cmd/ceres-serve
-
-# Machine-readable results for the serving, training and batch-harvest
-# headliners (pages/s, ns/op, B/op, allocs/op). BENCH_N.json files at the repo root
-# record one PR's numbers each.
-BENCH_OUT ?= BENCH.json
-bench-json:
-	{ $(GO) test -run='^$$' -bench='ServiceExtract|StreamServe|RegistryBoot|StageTrain|EndToEndSite' -benchmem . ; \
-	  $(GO) test -run='^$$' -bench='Fit' -benchmem ./internal/mlr ; \
-	  $(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchmem ./batch ; \
-	  $(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple' -benchmem ./internal/jsonl ; \
-	  $(GO) test -run='^$$' -bench='PagestoreScan' -benchmem ./pagestore ; } \
-	| $(GO) run ./cmd/ceres-benchjson -out $(BENCH_OUT)
-	@echo wrote $(BENCH_OUT)
 
 # Fleet e2e: build the daemon, stand up REPLICAS of it behind the
 # round-robin harness, roll a model publish mid-load and require zero

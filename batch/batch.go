@@ -6,11 +6,13 @@
 //
 // The moving parts:
 //
-//   - A PageProvider supplies site-partitioned pages (pagestore.Store for
-//     an on-disk crawl, MemProvider for in-memory page sets).
+//   - A PageProvider supplies site-partitioned pages as bytes
+//     (pagestore.Store for an on-disk crawl, MemProvider for in-memory
+//     page sets).
 //   - PlanJob shards every site's pages into fixed-size ranges.
-//   - A Runner executes shards on a worker pool through the serving
-//     stack's Registry/Service; sites with no published model are trained
+//   - A Runner executes shards on a worker pool, each one a
+//     Service.ExtractScan over the provider's bytes, whatever the
+//     provider; sites with no published model are trained
 //     first (once each; several at a time when there are workers for it,
 //     one of them holding parsed pages) and published — through the
 //     configured ceres.ModelStore when one is set, so a crash never loses
@@ -38,36 +40,25 @@ import (
 	"ceres"
 )
 
-// PageProvider supplies the site-partitioned pages of a harvest.
-// pagestore.Store implements it for on-disk crawls. Implementations must
-// be safe for concurrent readers.
+// PageProvider supplies the site-partitioned pages of a harvest, as
+// bytes: the runner extracts every shard straight from what PagesBytes
+// delivers (Service.ExtractScan) and copies a site's training pages into
+// strings itself. pagestore.Store implements it for on-disk crawls.
+// Implementations must be safe for concurrent readers.
 type PageProvider interface {
 	// Sites lists the available sites, sorted.
 	Sites() ([]string, error)
 	// PageCount returns one site's total page count; it errors for a site
 	// the provider does not hold.
 	PageCount(site string) (int, error)
-	// Pages streams records [start, start+n) of a site in stable order
-	// through fn (n < 0 streams to the end). A non-nil error from fn stops
-	// the scan and is returned; cancelling ctx may stop it with ctx.Err()
+	// PagesBytes streams records [start, start+n) of a site in stable
+	// order through fn (n < 0 streams to the end). The id and html slices
+	// are valid only during the fn call — the provider may reuse their
+	// backing buffers afterwards. A non-nil error from fn stops the scan
+	// and is returned; cancelling ctx may stop it with ctx.Err()
 	// (providers that read ahead concurrently, like pagestore.Store, use
 	// it to abandon in-flight work). The delivery order must be identical
 	// on every call — shard planning and checkpoint resume depend on it.
-	Pages(ctx context.Context, site string, start, n int, fn func(ceres.PageSource) error) error
-}
-
-// RawPageProvider is optionally implemented by providers that can hand a
-// shard's records to the runner as raw bytes. When the configured
-// provider implements it, the runner serves shards through the streaming
-// byte path (Service.ExtractScan): decoded record bytes reach the
-// tokenizer directly, with no intermediate PageSource strings and no DOM.
-// pagestore.Store implements it.
-type RawPageProvider interface {
-	PageProvider
-	// PagesBytes streams records [start, start+n) in the same stable
-	// order as Pages (n < 0 streams to the end). The id and html slices
-	// are only valid during the fn call — the provider may reuse the
-	// backing buffers afterwards.
 	PagesBytes(ctx context.Context, site string, start, n int, fn func(id, html []byte) error) error
 }
 
@@ -108,9 +99,10 @@ func (m *MemProvider) PageCount(site string) (int, error) {
 	return len(pages), nil
 }
 
-// Pages implements PageProvider. The pages are already in memory, so ctx
-// is never consulted.
-func (m *MemProvider) Pages(_ context.Context, site string, start, n int, fn func(ceres.PageSource) error) error {
+// PagesBytes implements PageProvider. Each page is copied into a buffer
+// this call owns, so what fn receives is never shared with another call;
+// the pages are already in memory and ctx is never consulted.
+func (m *MemProvider) PagesBytes(_ context.Context, site string, start, n int, fn func(id, html []byte) error) error {
 	pages, ok := m.sites[site]
 	if !ok {
 		return fmt.Errorf("batch: unknown site %q", site)
@@ -125,32 +117,23 @@ func (m *MemProvider) Pages(_ context.Context, site string, start, n int, fn fun
 	if n >= 0 && start+n < end {
 		end = start + n
 	}
+	var buf []byte
 	for _, p := range pages[start:end] {
-		if err := fn(p); err != nil {
+		buf = append(append(buf[:0], p.ID...), p.HTML...)
+		k := len(p.ID)
+		if err := fn(buf[:k:k], buf[k:]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readPages materializes one bounded page range from a provider,
-// appending into buf (which may be nil; pass a pooled slice's [:0] to
-// reuse its capacity across shards). The slice is preallocated to the
-// range size — resolved through PageCount for read-to-end ranges — so
-// the append loop never regrows it.
-func readPages(ctx context.Context, p PageProvider, site string, start, n int, buf []ceres.PageSource) ([]ceres.PageSource, error) {
-	capHint := n
-	if n < 0 {
-		if total, err := p.PageCount(site); err == nil && total > start {
-			capHint = total - start
-		}
-	}
-	out := buf
-	if capHint > 0 && cap(out) < capHint {
-		out = make([]ceres.PageSource, 0, capHint)
-	}
-	err := p.Pages(ctx, site, start, n, func(pg ceres.PageSource) error {
-		out = append(out, pg)
+// readPages copies the leading n pages of a site into the strings
+// Pipeline.Train takes.
+func readPages(ctx context.Context, p PageProvider, site string, n int) ([]ceres.PageSource, error) {
+	out := make([]ceres.PageSource, 0, n)
+	err := p.PagesBytes(ctx, site, 0, n, func(id, html []byte) error {
+		out = append(out, ceres.PageSource{ID: string(id), HTML: string(html)})
 		return nil
 	})
 	if err != nil {

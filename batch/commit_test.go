@@ -215,8 +215,8 @@ func TestCommitErrorAbortsPending(t *testing.T) {
 		if open != 0 || opened != commits+aborts || commits != failAt {
 			t.Errorf("failAt=%d: %d writers opened, %d committed, %d aborted, %d left open", failAt, opened, commits, aborts, open)
 		}
-		noShardTemps(t, jsonl.Dir())
-		files := dirContents(t, jsonl.Dir())
+		noShardTemps(t, jsonl.dir)
+		files := dirContents(t, jsonl.dir)
 		if len(files) != failAt-1 {
 			t.Errorf("failAt=%d: %d shard files on disk, want the %d committed before the failure", failAt, len(files), failAt-1)
 		}
@@ -287,7 +287,7 @@ func TestCommitQueueBound(t *testing.T) {
 	if open != 0 || maxOpen != bound || commits != opened || aborts != 0 {
 		t.Errorf("after cancel: %d open (max %d), %d opened, %d committed, %d aborted", open, maxOpen, opened, commits, aborts)
 	}
-	noShardTemps(t, jsonl.Dir())
+	noShardTemps(t, jsonl.dir)
 
 	// The resumed run executes only what the cancelled one had not handed
 	// over, and the job ends complete.
@@ -306,7 +306,7 @@ func TestCommitQueueBound(t *testing.T) {
 			harvestable += sr.Shards
 		}
 	}
-	if rep.Resumed != commits || rep.Shards != harvestable-commits || rep.Shards == 0 || len(dirContents(t, jsonl.Dir())) != harvestable {
+	if rep.Resumed != commits || rep.Shards != harvestable-commits || rep.Shards == 0 || len(dirContents(t, jsonl.dir)) != harvestable {
 		t.Errorf("resume: %d resumed, %d executed of %d harvestable after %d commits", rep.Resumed, rep.Shards, harvestable, commits)
 	}
 }

@@ -278,7 +278,7 @@ func TestRunnerFuseTrace(t *testing.T) {
 		return out
 	}
 	var fileBytes int64
-	for _, b := range dirContents(t, sink.Dir()) {
+	for _, b := range dirContents(t, sink.dir) {
 		fileBytes += int64(len(b))
 	}
 	replay := attrs(fuse.Child("replay"))

@@ -18,15 +18,11 @@ type Job struct {
 	// at most one shard's pages and triples.
 	ShardPages int
 	// Workers bounds how many shards run, or sites resolve, at once
-	// (default 4). Page parallelism inside a shard is tuned per site via
-	// Options.
+	// (default 4); the pages of one shard are extracted in order.
 	Workers int
 	// TrainPages caps how many of a site's leading pages feed training
 	// when the site has no published model (0 = all of the site's pages).
 	TrainPages int
-	// Options carries per-site serving overrides, keyed by site; the ""
-	// key is the default for sites without their own entry.
-	Options map[string]ceres.RequestOptions
 	// Fuse enables the streaming fusion stage after the last shard; it
 	// requires the sink to implement Replayer.
 	Fuse bool
@@ -46,14 +42,6 @@ func (j Job) workers() int {
 		return j.Workers
 	}
 	return 4
-}
-
-// optionsFor resolves the request options of one site.
-func (j Job) optionsFor(site string) ceres.RequestOptions {
-	if o, ok := j.Options[site]; ok {
-		return o
-	}
-	return j.Options[""]
 }
 
 // Shard is one contiguous page range of one site — the unit of execution
@@ -82,15 +70,6 @@ type Plan struct {
 	ShardPages int
 	Sites      []SitePlan
 	Shards     []Shard
-}
-
-// TotalPages sums pages across the plan's sites.
-func (p *Plan) TotalPages() int {
-	n := 0
-	for _, sp := range p.Sites {
-		n += sp.Pages
-	}
-	return n
 }
 
 // PlanJob shards every site of the job over the provider. Duplicate

@@ -162,7 +162,7 @@ func TestJSONLSinkReplayOrderAndStop(t *testing.T) {
 	}
 
 	// A corrupt line: the error names site, shard index and line.
-	path := filepath.Join(sink.Dir(), shardFileName(shards[2]))
+	path := filepath.Join(sink.dir, shardFileName(shards[2]))
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestShardFilesGolden(t *testing.T) {
 	if len(mem.shards) < 4 || rep.Triples == 0 {
 		t.Fatalf("fixture too thin: %d shards, %d triples", len(mem.shards), rep.Triples)
 	}
-	files := dirContents(t, jsonl.Dir())
+	files := dirContents(t, jsonl.dir)
 	if len(files) != len(mem.shards) {
 		t.Fatalf("%d shard files for %d committed shards", len(files), len(mem.shards))
 	}
@@ -286,7 +286,7 @@ func TestReplayNonCanonicalShard(t *testing.T) {
 		`{"Subject":"last line, no newline","Confidence":1}`,
 	}
 	sh := Shard{Site: "hand.example", Index: 3}
-	if err := os.WriteFile(filepath.Join(sink.Dir(), shardFileName(sh)), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(sink.dir, shardFileName(sh)), []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var want []ceres.Triple

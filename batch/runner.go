@@ -65,17 +65,11 @@ type Config struct {
 // progress and a streaming fusion stage. A Runner is safe for one Run at
 // a time.
 type Runner struct {
-	cfg    Config
-	shared *ceres.Registry // cfg.Registry; may be nil
-	reg    *ceres.Registry // run-scoped serving table
-	svc    *ceres.Service
-	// shardBufs pools per-shard page slices (*[]ceres.PageSource):
-	// a worker borrows one per shard, so steady-state shard reads reuse
-	// capacity instead of growing a fresh slice per shard. The strings
-	// inside are owned by the extraction results, never by the slice, so
-	// reuse is safe.
-	shardBufs sync.Pool
-	metrics   *runnerMetrics // nil = uninstrumented
+	cfg     Config
+	shared  *ceres.Registry // cfg.Registry; may be nil
+	reg     *ceres.Registry // run-scoped serving table
+	svc     *ceres.Service
+	metrics *runnerMetrics // nil = uninstrumented
 	// runStart (unix nanos; 0 = no run yet) and runPages feed the live
 	// pages-per-second gauge, which is read from the metrics handler's
 	// goroutine while a run is in flight.
@@ -237,10 +231,6 @@ func (r *Runner) Registry() *ceres.Registry {
 	}
 	return r.reg
 }
-
-// Service returns a request-scoped extraction service over the models
-// the runner is serving with.
-func (r *Runner) Service() *ceres.Service { return r.svc }
 
 // siteState is one site of a run: where the dispatcher has it, and how its
 // model resolved.
@@ -530,7 +520,7 @@ func (r *Runner) dispatch(ctx context.Context, job Job, ck *checkpoint, cm *comm
 			defer wg.Done()
 			for t := range tasks {
 				if !t.resolve {
-					r.runShard(ctx, job, cm, t.st, t.shard)
+					r.runShard(ctx, cm, t.st, t.shard)
 					continue
 				}
 				r.resolveSite(ctx, job, ck, cm.run, t.st)
@@ -619,9 +609,9 @@ func (r *Runner) resolveSite(ctx context.Context, job Job, ck *checkpoint, run *
 }
 
 // runShard is a worker's part of one shard of a resolved site: stream the
-// shard's pages from the provider, extract through the Service, encode the
+// shard's page bytes from the provider through the Service, encode the
 // triples into a shard writer and hand that to the commit stage.
-func (r *Runner) runShard(ctx context.Context, job Job, cm *committer, st *siteState, shard Shard) {
+func (r *Runner) runShard(ctx context.Context, cm *committer, st *siteState, shard Shard) {
 	if ctx.Err() != nil {
 		return
 	}
@@ -639,44 +629,15 @@ func (r *Runner) runShard(ctx context.Context, job Job, cm *committer, st *siteS
 			run.fail(err)
 		}
 	}
-	// Batch runs always collect the per-stage serve breakdown: the stage
-	// report is part of the run's output, not a sampling decision.
-	opts := job.optionsFor(shard.Site)
-	opts.CollectStages = true
 	esp := sp.StartChild("extract")
 	extractStart := time.Now()
-	var resp *ceres.ExtractResponse
-	var err error
-	if rp, ok := r.cfg.Provider.(RawPageProvider); ok {
-		// Byte path: record bytes flow from the provider straight into
-		// the streaming serve path — no PageSource materialization.
-		resp, err = r.svc.ExtractScan(ctx, shard.Site, opts,
-			func(yield func(id string, html []byte) error) error {
-				return rp.PagesBytes(ctx, shard.Site, shard.Start, shard.Pages,
-					func(id, html []byte) error { return yield(string(id), html) })
-			})
-	} else {
-		bufp, _ := r.shardBufs.Get().(*[]ceres.PageSource)
-		if bufp == nil {
-			bufp = new([]ceres.PageSource)
-		}
-		var pages []ceres.PageSource
-		pages, err = readPages(ctx, r.cfg.Provider, shard.Site, shard.Start, shard.Pages, (*bufp)[:0])
-		if err != nil {
-			esp.EndErr(err)
-			fail(err)
-			return
-		}
-		resp, err = r.svc.Extract(ctx, ceres.ExtractRequest{
-			Site:    shard.Site,
-			Pages:   pages,
-			Options: opts,
+	// Batch runs always collect the per-stage serve breakdown: the stage
+	// report is part of the run's output, not a sampling decision.
+	resp, err := r.svc.ExtractScan(ctx, shard.Site, ceres.RequestOptions{CollectStages: true},
+		func(yield func(id string, html []byte) error) error {
+			return r.cfg.Provider.PagesBytes(ctx, shard.Site, shard.Start, shard.Pages,
+				func(id, html []byte) error { return yield(string(id), html) })
 		})
-		// The service has deep-copied nothing it still needs from pages —
-		// extraction results own their strings — so the shard slice recycles.
-		*bufp = pages
-		r.shardBufs.Put(bufp)
-	}
 	r.stages.extract.Add(int64(time.Since(extractStart)))
 	if err != nil {
 		esp.EndErr(err)
@@ -779,16 +740,12 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 		ck.setSkipped(site, st.skipReason)
 		return
 	}
-	n := job.TrainPages
-	if n <= 0 {
-		n = -1
-	}
 	// A training failure is a property of the pipeline (seed KB and
 	// options) and of the leading pages it is given; that is the key a
 	// verdict is stored and looked up under.
 	trainOn := st.pages
-	if n > 0 && n < trainOn {
-		trainOn = n
+	if job.TrainPages > 0 && job.TrainPages < trainOn {
+		trainOn = job.TrainPages
 	}
 	verdictKey := fmt.Sprintf("%s/%d", r.cfg.Pipeline.TrainingKey(), trainOn)
 	if r.cfg.Store != nil {
@@ -806,7 +763,7 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 			return
 		}
 	}
-	pages, err := readPages(ctx, r.cfg.Provider, site, 0, n, nil)
+	pages, err := readPages(ctx, r.cfg.Provider, site, trainOn)
 	if err != nil {
 		st.infraErr = err
 		return

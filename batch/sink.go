@@ -86,9 +86,6 @@ func NewJSONLSink(dir string) (*JSONLSink, error) {
 	return &JSONLSink{dir: dir}, nil
 }
 
-// Dir returns the sink's root directory.
-func (s *JSONLSink) Dir() string { return s.dir }
-
 // shardFlushBytes is how much encoded output a shard writer gathers
 // before it writes it to the temp file.
 const shardFlushBytes = 64 << 10

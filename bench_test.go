@@ -307,8 +307,8 @@ func BenchmarkServiceExtract(b *testing.B) {
 	})
 	// SequentialMetrics is Sequential with full instrumentation wired
 	// (WithMetrics: per-site counters, latency histogram, inflight
-	// gauge), so the benchjson trajectory records the observability tax —
-	// the acceptance bar is within 2% of the uninstrumented path.
+	// gauge): beside Sequential it reads the observability tax — the
+	// acceptance bar is within 2% of the uninstrumented path.
 	b.Run("SequentialMetrics", func(b *testing.B) {
 		msvc := NewService(reg, WithMetrics(NewMetrics()))
 		b.ReportAllocs()
@@ -323,8 +323,8 @@ func BenchmarkServiceExtract(b *testing.B) {
 	// SequentialTraced is Sequential with a tracer attached but sampling
 	// off — the fleet's default posture. The nil-span fast path must make
 	// this allocation-identical to Sequential (asserted exactly in
-	// TestServiceSampledOutAllocParity; the benchjson trajectory records
-	// the residual time tax, which must stay within noise).
+	// TestServiceSampledOutAllocParity; beside Sequential it reads the
+	// residual time tax, which must stay within noise).
 	b.Run("SequentialTraced", func(b *testing.B) {
 		tsvc := NewService(reg, WithTracer(NewTracer(TracerOptions{SampleEvery: 0})))
 		b.ReportAllocs()
@@ -355,8 +355,8 @@ func BenchmarkServiceExtract(b *testing.B) {
 			}
 		})
 		// Each iteration serves exactly one page, so the page rate is the
-		// iteration rate; reported so benchjson trajectories can compare
-		// the parallel path against Sequential across PRs.
+		// iteration rate; reported so the parallel path compares against
+		// Sequential in one unit.
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pages/s")
 	})
 }

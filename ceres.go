@@ -144,21 +144,10 @@ func WithMode(m Mode) Option {
 	return func(p *Pipeline) { p.cfg.Relation.AnnotateAllMentions = m == ModeTopicOnly }
 }
 
-// WithSeed fixes the random seed of negative sampling (default 1).
-func WithSeed(seed int64) Option {
-	return func(p *Pipeline) { p.cfg.Train.Seed = seed }
-}
-
 // WithMinAnnotations sets the informativeness filter: pages producing
 // fewer relation annotations are discarded (default 3, per §3.1.2).
 func WithMinAnnotations(n int) Option {
 	return func(p *Pipeline) { p.cfg.Relation.MinAnnotations = n }
-}
-
-// WithWorkers bounds parsing/extraction parallelism, at training and —
-// through the trained SiteModel — at serving time.
-func WithWorkers(n int) Option {
-	return func(p *Pipeline) { p.cfg.Workers = n }
 }
 
 // Pipeline is a configured CERES trainer bound to a seed KB. It is safe
@@ -305,18 +294,16 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 	return prep, err
 }
 
-// TrainingKey identifies every input of Train other than the pages and
-// the worker count: the seed KB's contents (KB.Digest) and the pipeline's
-// whole configuration, hashed. Two pipelines with equal keys train the
-// same model from the same pages, or fail on them the same way — which is
-// what lets a ModelStore remember a site as untrainable across runs
+// TrainingKey identifies every input of Train other than the pages: the
+// seed KB's contents (KB.Digest) and the pipeline's whole configuration,
+// hashed. Two pipelines with equal keys train the same model from the
+// same pages, or fail on them the same way — which is what lets a
+// ModelStore remember a site as untrainable across runs
 // (ModelStore.Untrainable) without ever outliving a KB that has grown or
 // an option that has changed.
 func (p *Pipeline) TrainingKey() string {
-	cfg := p.cfg
-	cfg.Workers = 0
 	h := sha256.New()
-	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", p.kb.Digest(), p.threshold, cfg)
+	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", p.kb.Digest(), p.threshold, p.cfg)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -39,9 +39,6 @@ func (f *Fuser) ObserveTriple(site string, t Triple) {
 	})
 }
 
-// Len returns how many distinct facts have been accumulated.
-func (f *Fuser) Len() int { return f.acc.Len() }
-
 // Facts resolves the aggregates into fused facts, sorted by descending
 // belief then subject/predicate/object.
 func (f *Fuser) Facts() []FusedFact { return f.acc.Facts() }

@@ -72,9 +72,10 @@ const (
 
 	// siteModel message (core.SiteModelState)
 	tagSiteNameThreshold = 1 // fixed64 (Extract.NameThreshold)
-	tagSiteWorkers       = 2 // varint (zigzag)
-	tagSiteTrainPages    = 3 // varint (zigzag)
-	tagSiteCluster       = 4 // bytes, repeated: cluster message
+	// 2 is reserved: files written before the serving host chose its own
+	// parallelism carry the trainer's worker count there; it is skipped.
+	tagSiteTrainPages = 3 // varint (zigzag)
+	tagSiteCluster    = 4 // bytes, repeated: cluster message
 
 	// cluster message (core.ClusterModelState)
 	tagClusterExemplar       = 1 // bytes, repeated
@@ -162,7 +163,6 @@ func appendFile(buf []byte, threshold float64, st *core.SiteModelState) []byte {
 
 func sizeSiteModel(st *core.SiteModelState) int {
 	n := fixed64FieldLen(tagSiteNameThreshold, math.Float64bits(st.Extract.NameThreshold))
-	n += intFieldLen(tagSiteWorkers, st.Workers)
 	n += intFieldLen(tagSiteTrainPages, st.TrainPages)
 	for i := range st.Clusters {
 		n += bytesFieldLen(tagSiteCluster, sizeCluster(&st.Clusters[i]))
@@ -172,7 +172,6 @@ func sizeSiteModel(st *core.SiteModelState) int {
 
 func appendSiteModel(buf []byte, st *core.SiteModelState) []byte {
 	buf = appendFixed64Field(buf, tagSiteNameThreshold, math.Float64bits(st.Extract.NameThreshold))
-	buf = appendIntField(buf, tagSiteWorkers, st.Workers)
 	buf = appendIntField(buf, tagSiteTrainPages, st.TrainPages)
 	for i := range st.Clusters {
 		buf = appendKey(buf, tagSiteCluster, wireBytes)
@@ -667,19 +666,15 @@ func parseSiteModel(b []byte) (*core.SiteModelState, error) {
 			}
 			st.Extract.NameThreshold = math.Float64frombits(bits)
 			return next, nil
-		case tagSiteWorkers, tagSiteTrainPages:
+		case tagSiteTrainPages:
 			if err := want(tag, wire, wireVarint); err != nil {
 				return off, err
 			}
 			v, next, ok := readVarintField(b, off)
 			if !ok {
-				return off, fmt.Errorf("%w: site model field %d", ErrTruncated, tag)
+				return off, fmt.Errorf("%w: train pages", ErrTruncated)
 			}
-			if tag == tagSiteWorkers {
-				st.Workers = unzigzag(v)
-			} else {
-				st.TrainPages = unzigzag(v)
-			}
+			st.TrainPages = unzigzag(v)
 			return next, nil
 		case tagSiteCluster:
 			if err := want(tag, wire, wireBytes); err != nil {

@@ -64,7 +64,6 @@ func fullState() *core.SiteModelState {
 			{}, // fully zero cluster
 		},
 		Extract:    core.ExtractOptions{NameThreshold: 0.65},
-		Workers:    8,
 		TrainPages: -1, // negative exercises zigzag
 	}
 }
@@ -245,7 +244,9 @@ func TestDecodeOddFloatPayload(t *testing.T) {
 
 // TestDecodeSkipsUnknownFields proves forward compatibility: a file
 // carrying tags this decoder has never heard of (one per wire type, at
-// both file and site-model level) still decodes to the known fields.
+// both file and site-model level) — or the reserved site-model tag 2,
+// the trainer's worker count in files written before the field was
+// dropped — still decodes to the known fields.
 func TestDecodeSkipsUnknownFields(t *testing.T) {
 	const unknownTag = 63
 	var site []byte
@@ -255,7 +256,8 @@ func TestDecodeSkipsUnknownFields(t *testing.T) {
 	site = appendKey(site, unknownTag+1, wireBytes)
 	site = binary.AppendUvarint(site, 4)
 	site = append(site, "beef"...)
-	site = appendIntField(site, tagSiteWorkers, 8)
+	site = appendIntField(site, 2, 8)
+	site = appendIntField(site, tagSiteTrainPages, 200)
 
 	var body []byte
 	body = appendKey(body, unknownTag, wireFixed64)
@@ -275,7 +277,7 @@ func TestDecodeSkipsUnknownFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode with unknown fields: %v", err)
 	}
-	if threshold != 0.9 || st.Extract.NameThreshold != 0.65 || st.Workers != 8 {
+	if threshold != 0.9 || st.Extract.NameThreshold != 0.65 || st.TrainPages != 200 {
 		t.Fatalf("decoded fields wrong: threshold=%v state=%+v", threshold, st)
 	}
 }

@@ -94,7 +94,7 @@ func TestAgglomerativeWeighted(t *testing.T) {
 	}
 	weights := []int{50, 3, 30}
 	dist := func(i, j int) float64 {
-		return float64(strmatch.Levenshtein(paths[i], paths[j]))
+		return float64(strmatch.LevenshteinRunes([]rune(paths[i]), []rune(paths[j])))
 	}
 	labels := AgglomerativeWeighted(len(paths), 2, weights, dist)
 	if labels[0] != labels[2] {

@@ -13,23 +13,6 @@ import (
 // ClusterPages: training fixes the cluster exemplars, routing only
 // compares against them.
 
-// Route returns the index of the exemplar most similar to sig, and the
-// similarity. With no exemplars it returns (-1, 0). Ties go to the
-// earliest exemplar, which ClusterPages orders largest-cluster-first, so
-// ambiguous pages fall into the dominant template.
-func Route(sig PageSignature, exemplars []PageSignature) (int, float64) {
-	best, bestSim := -1, -1.0
-	for i, ex := range exemplars {
-		if sim := Jaccard(sig, ex); sim > bestSim {
-			best, bestSim = i, sim
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, bestSim
-}
-
 // Keys returns the signature's entries sorted, for deterministic
 // serialization.
 func (s PageSignature) Keys() []string {
@@ -101,9 +84,10 @@ func JaccardSorted(a, b SortedSignature) float64 {
 	return float64(inter) / float64(union)
 }
 
-// RouteSorted is Route over pre-sorted signatures: the serve-path variant
-// that compares one page against every exemplar without rebuilding sets.
-// Ties break identically to Route (earliest exemplar wins).
+// RouteSorted returns the index of the exemplar most similar to sig, and
+// the similarity. With no exemplars it returns (-1, 0). Ties go to the
+// earliest exemplar, which ClusterPages orders largest-cluster-first, so
+// ambiguous pages fall into the dominant template.
 func RouteSorted(sig SortedSignature, exemplars []SortedSignature) (int, float64) {
 	best, bestSim := -1, -1.0
 	for i, ex := range exemplars {

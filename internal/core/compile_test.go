@@ -133,7 +133,7 @@ func TestUncompilableModelFailsEveryEntry(t *testing.T) {
 			return err
 		}},
 		{"ExtractScan", func() error {
-			_, _, err := sm.ExtractScan(ctx, func(yield func(id string, html []byte) error) error {
+			_, _, err := sm.ExtractScanOpts(ctx, ServeOptions{}, func(yield func(id string, html []byte) error) error {
 				return yield(src[0].ID, []byte(src[0].HTML))
 			})
 			return err

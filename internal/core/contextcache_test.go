@@ -86,7 +86,7 @@ func TestSecondIdenticalPageIsAllHits(t *testing.T) {
 	}
 	// Through a public entry the scratch comes from the pool, warm or
 	// not: the second copy of the page can still add no miss.
-	_, stats, err := sm.ExtractScan(context.Background(), func(yield func(id string, html []byte) error) error {
+	_, stats, err := sm.ExtractScanOpts(context.Background(), ServeOptions{}, func(yield func(id string, html []byte) error) error {
 		for i := 0; i < 2; i++ {
 			if err := yield(serve[0].ID, []byte(serve[0].HTML)); err != nil {
 				return err

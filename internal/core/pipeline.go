@@ -232,7 +232,6 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 
 	prep := &Prepared{Site: &SiteModel{
 		Extract:    cfg.Extract,
-		Workers:    cfg.Workers,
 		TrainPages: len(pages),
 	}}
 	res := &Result{Pages: pages}

@@ -378,15 +378,3 @@ func clusterPredPaths(paths map[string]int, k, maxPaths int) map[string]int {
 	}
 	return out
 }
-
-func isNumeric(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
-}

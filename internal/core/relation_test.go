@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"ceres/internal/websim"
@@ -174,18 +173,4 @@ func TestAnnotationsRespectTopicField(t *testing.T) {
 			t.Errorf("page %d has %d name annotations", pi, n)
 		}
 	}
-}
-
-func TestIsNumeric(t *testing.T) {
-	for _, s := range []string{"1989", "7", "0001"} {
-		if !isNumeric(s) {
-			t.Errorf("isNumeric(%q) = false", s)
-		}
-	}
-	for _, s := range []string{"", "19a9", "-3", "1.5", "year"} {
-		if isNumeric(s) {
-			t.Errorf("isNumeric(%q) = true", s)
-		}
-	}
-	_ = strings.TrimSpace("")
 }

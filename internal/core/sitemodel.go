@@ -22,8 +22,6 @@ type SiteModel struct {
 	Clusters []*ClusterModel
 	// Extract carries the extraction options the model was trained under.
 	Extract ExtractOptions
-	// Workers bounds serve-time parallelism (0 = default).
-	Workers int
 	// TrainPages is the number of pages the model was trained on.
 	TrainPages int
 
@@ -83,13 +81,6 @@ func (sm *SiteModel) Annotations() int {
 	return n
 }
 
-func (sm *SiteModel) workers() int {
-	if sm.Workers > 0 {
-		return sm.Workers
-	}
-	return defaultWorkers()
-}
-
 func (sm *SiteModel) exemplars() []cluster.SortedSignature {
 	sm.exOnce.Do(func() {
 		sm.ex = make([]cluster.SortedSignature, len(sm.Clusters))
@@ -130,8 +121,8 @@ func (sm *SiteModel) compile() error {
 // Extract*Opts call, without mutating or copying the model, so concurrent
 // calls with different options never observe each other's settings.
 type ServeOptions struct {
-	// Workers bounds this call's page parallelism; 0 uses the model's
-	// Workers (which itself defaults to NumCPU capped at 8).
+	// Workers bounds this call's page parallelism; 0 uses the serving
+	// process's default (NumCPU capped at 8).
 	Workers int
 	// Stages, when non-nil, accumulates per-stage serve time
 	// (parse/route/score) into the collector across the call's worker
@@ -264,11 +255,11 @@ func (sm *SiteModel) routeMiss(ci int) bool {
 	return ci < 0 || ci >= len(sm.Clusters) || !sm.Clusters[ci].Trained
 }
 
-func (sm *SiteModel) workersFor(opts ServeOptions) int {
+func workersFor(opts ServeOptions) int {
 	if opts.Workers > 0 {
 		return opts.Workers
 	}
-	return sm.workers()
+	return defaultWorkers()
 }
 
 // ExtractSources parses and extracts pages never seen at training time,
@@ -317,7 +308,7 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 	if err := sm.serveable(n); err != nil {
 		return nil, nil, err
 	}
-	workers := sm.workersFor(opts)
+	workers := workersFor(opts)
 	// Clamp before sizing the scratch pool: opts.Workers may come from an
 	// untrusted request, and more workers than pages is useless anyway.
 	if workers > n {
@@ -411,13 +402,11 @@ func (sm *SiteModel) ExtractWith(sc *ServeScratch, id string, html []byte) ([]Ex
 
 // ---------------------------------------------------------------- state
 
-// SiteModelState is the serializable form of a SiteModel. All fields are
-// plain data; the public package marshals it (JSON) behind a versioned
-// envelope.
+// SiteModelState is the serializable form of a SiteModel: plain data,
+// which internal/binmodel encodes.
 type SiteModelState struct {
 	Clusters   []ClusterModelState
 	Extract    ExtractOptions
-	Workers    int
 	TrainPages int
 }
 
@@ -446,7 +435,6 @@ type ModelState struct {
 func (sm *SiteModel) State() *SiteModelState {
 	st := &SiteModelState{
 		Extract:    sm.Extract,
-		Workers:    sm.Workers,
 		TrainPages: sm.TrainPages,
 	}
 	for _, c := range sm.Clusters {
@@ -482,7 +470,6 @@ func RestoreSiteModel(st *SiteModelState) (*SiteModel, error) {
 	// matching convention in RestoreFeaturizer.
 	sm := &SiteModel{
 		Extract:    st.Extract.Explicit(),
-		Workers:    st.Workers,
 		TrainPages: st.TrainPages,
 	}
 	for i, cs := range st.Clusters {

@@ -406,18 +406,13 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, st *
 	return ci, exts
 }
 
-// ExtractScan extracts pages delivered as raw bytes by a scan function —
-// the zero-copy entry point for pagestore-backed serving. scan must call
-// yield once per page and stop on its error; id and html are only read
-// during the yield.
-func (sm *SiteModel) ExtractScan(ctx context.Context, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
-	return sm.ExtractScanOpts(ctx, ServeOptions{}, scan)
-}
-
-// ExtractScanOpts is ExtractScan with per-call overrides. The scan loop
-// is sequential — a yielded slice is only valid during its yield — so
-// Workers is ignored here; callers holding all their pages at once get
-// page parallelism from ExtractBytesOpts. Stages is honored.
+// ExtractScanOpts extracts pages delivered as raw bytes by a scan
+// function — the zero-copy entry point for pagestore-backed serving. scan
+// must call yield once per page and stop on its error; id and html are
+// only read during the yield. The scan loop is sequential — a yielded
+// slice is only valid during its yield — so Workers is ignored here;
+// callers holding all their pages at once get page parallelism from
+// ExtractBytesOpts. Stages is honored.
 func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return nil, nil, ErrNotTrained

@@ -695,12 +695,6 @@ func (p *StreamPage) ElemSiblings(e int32) []int32 {
 //ceres:allocfree
 func (p *StreamPage) ElemIndex(e int32) int32 { return p.elems[e].elemIndex }
 
-// Ordinal returns e's 1-based position among same-tag siblings — the
-// XPath index, Node.SiblingIndex over records.
-//
-//ceres:allocfree
-func (p *StreamPage) Ordinal(e int32) int32 { return p.elems[e].ordinal }
-
 // SubText returns e's full collapsed subtree text — Node.Text over
 // records — when it fits within max bytes.
 //

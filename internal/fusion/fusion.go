@@ -69,20 +69,6 @@ func (o Options) prior(src string) float64 {
 	return o.SourcePrior
 }
 
-// Fuse aggregates observations into fused facts, sorted by descending
-// belief then subject/predicate/object. It is the one-shot form of
-// Accumulator: Fuse(obs, opts) equals feeding obs in order to an
-// Accumulator and calling Facts.
-func Fuse(obs []Observation, opts Options) []Fact {
-	a := NewAccumulator(opts)
-	for _, ob := range obs {
-		a.Add(ob)
-	}
-	facts := a.Facts()
-	a.Release()
-	return facts
-}
-
 // key identifies one fused fact: normalized subject/object, exact
 // predicate.
 type key struct{ s, p, o string }

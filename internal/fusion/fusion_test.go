@@ -6,13 +6,24 @@ import (
 	"testing/quick"
 )
 
+// fuse feeds obs in order to a fresh Accumulator and resolves its facts.
+func fuse(obs []Observation, opts Options) []Fact {
+	a := NewAccumulator(opts)
+	for _, ob := range obs {
+		a.Add(ob)
+	}
+	facts := a.Facts()
+	a.Release()
+	return facts
+}
+
 func TestFuseCorroboration(t *testing.T) {
 	obs := []Observation{
 		{Source: "a", Subject: "Film X", Predicate: "director", Object: "Jane Doe", Confidence: 0.8},
 		{Source: "b", Subject: "film x", Predicate: "director", Object: "Jane  Doe", Confidence: 0.8},
 		{Source: "c", Subject: "Other Film", Predicate: "director", Object: "Someone", Confidence: 0.8},
 	}
-	facts := Fuse(obs, Options{})
+	facts := fuse(obs, Options{})
 	if len(facts) != 2 {
 		t.Fatalf("want 2 fused facts, got %v", facts)
 	}
@@ -35,7 +46,7 @@ func TestFuseFunctionalPredicate(t *testing.T) {
 		{Source: "b", Subject: "X", Predicate: "birthYear", Object: "1960", Confidence: 0.9},
 		{Source: "c", Subject: "X", Predicate: "birthYear", Object: "1961", Confidence: 0.6},
 	}
-	facts := Fuse(obs, Options{Functional: map[string]bool{"birthYear": true}})
+	facts := fuse(obs, Options{Functional: map[string]bool{"birthYear": true}})
 	if len(facts) != 1 {
 		t.Fatalf("functional predicate must keep one object: %v", facts)
 	}
@@ -54,7 +65,7 @@ func TestFuseSourcePriors(t *testing.T) {
 		{Source: "trusted", Subject: "X", Predicate: "p", Object: "v1", Confidence: 0.9},
 		{Source: "spam", Subject: "X", Predicate: "p", Object: "v2", Confidence: 0.9},
 	}
-	facts := Fuse(obs, Options{SourcePriors: map[string]float64{"trusted": 0.95, "spam": 0.1}})
+	facts := fuse(obs, Options{SourcePriors: map[string]float64{"trusted": 0.95, "spam": 0.1}})
 	if facts[0].Object != "v1" {
 		t.Errorf("trusted source should win: %+v", facts)
 	}
@@ -66,7 +77,7 @@ func TestFuseIgnoresEmpty(t *testing.T) {
 		{Source: "a", Subject: "s", Predicate: "", Object: "v", Confidence: 1},
 		{Source: "a", Subject: "s", Predicate: "p", Object: "!!", Confidence: 1},
 	}
-	if got := Fuse(obs, Options{}); len(got) != 0 {
+	if got := fuse(obs, Options{}); len(got) != 0 {
 		t.Errorf("degenerate observations fused: %v", got)
 	}
 }
@@ -80,7 +91,7 @@ func TestFuseBeliefBounds(t *testing.T) {
 				Object: "o", Confidence: math.Mod(math.Abs(c), 1),
 			})
 		}
-		for _, fact := range Fuse(obs, Options{}) {
+		for _, fact := range fuse(obs, Options{}) {
 			if fact.Belief < 0 || fact.Belief >= 1.0000001 {
 				return false
 			}
@@ -94,9 +105,9 @@ func TestFuseBeliefBounds(t *testing.T) {
 
 func TestFuseMonotoneInSources(t *testing.T) {
 	base := []Observation{{Source: "a", Subject: "s", Predicate: "p", Object: "o", Confidence: 0.5}}
-	b1 := Fuse(base, Options{})[0].Belief
+	b1 := fuse(base, Options{})[0].Belief
 	more := append(base, Observation{Source: "b", Subject: "s", Predicate: "p", Object: "o", Confidence: 0.5})
-	b2 := Fuse(more, Options{})[0].Belief
+	b2 := fuse(more, Options{})[0].Belief
 	if b2 <= b1 {
 		t.Errorf("extra evidence must raise belief: %v -> %v", b1, b2)
 	}
@@ -108,8 +119,8 @@ func TestFuseDeterministicOrder(t *testing.T) {
 		{Source: "a", Subject: "s2", Predicate: "p", Object: "o2", Confidence: 0.5},
 		{Source: "a", Subject: "s0", Predicate: "p", Object: "o0", Confidence: 0.5},
 	}
-	a := Fuse(obs, Options{})
-	b := Fuse(obs, Options{})
+	a := fuse(obs, Options{})
+	b := fuse(obs, Options{})
 	for i := range a {
 		if a[i].Subject != b[i].Subject {
 			t.Fatalf("nondeterministic order")

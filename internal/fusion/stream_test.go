@@ -137,7 +137,7 @@ func TestFuseMatchesLegacy(t *testing.T) {
 		SourcePriors: map[string]float64{"alpha.example": 0.9, "delta.example": 0.4},
 		Functional:   map[string]bool{"releaseYear": true, "directedBy": true},
 	}
-	got := factBytes(t, Fuse(obs, opts))
+	got := factBytes(t, fuse(obs, opts))
 	want := factBytes(t, fuseLegacy(obs, opts))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("streaming Fuse diverged from legacy:\n got %s\nwant %s", got, want)
@@ -149,7 +149,7 @@ func TestFuseMatchesLegacy(t *testing.T) {
 func TestAccumulatorStreams(t *testing.T) {
 	obs := diffObservations()
 	opts := Options{Functional: map[string]bool{"releaseYear": true}}
-	want := factBytes(t, Fuse(obs, opts))
+	want := factBytes(t, fuse(obs, opts))
 
 	a := NewAccumulator(opts)
 	for i, ob := range obs {

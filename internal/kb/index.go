@@ -261,10 +261,6 @@ func appendNames(dst []string, e *Entity) []string {
 	return append(dst, e.Aliases...)
 }
 
-// NumItems returns the number of interned items (entities + distinct
-// literal norms).
-func (ix *Index) NumItems() int { return ix.numEntities + len(ix.litNorms) }
-
 // NumTriples returns the triple count at build time.
 func (ix *Index) NumTriples() int { return ix.numTriples }
 

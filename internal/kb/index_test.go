@@ -25,22 +25,26 @@ func newFieldKey(text string) FieldKey {
 	return key
 }
 
+// numItems is the number of interned items: entities plus distinct
+// literal norms.
+func numItems(ix *Index) int { return ix.numEntities + len(ix.litNorms) }
+
 // TestIndexItemOrder: ItemID order must coincide with Object.Key() string
 // order — entities sorted by ID first, then literals sorted by norm — so
 // the core package can substitute ItemID comparisons for key comparisons.
 func TestIndexItemOrder(t *testing.T) {
 	ix := sampleKB(t).BuildIndex()
 	var keys []string
-	for it := 0; it < ix.NumItems(); it++ {
+	for it := 0; it < numItems(ix); it++ {
 		keys = append(keys, ix.Key(ItemID(it)))
 	}
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("ItemID order does not follow key order: %v", keys)
 	}
-	if ix.NumItems() != 4+4 { // 4 entities + literals comedy/drama/1989 + f1-as-lit? no: comedy, drama, 1989
+	if numItems(ix) != 4+4 { // 4 entities + literals comedy/drama/1989 + f1-as-lit? no: comedy, drama, 1989
 		// 4 entities, 3 distinct literal norms.
-		if ix.NumItems() != 7 {
-			t.Fatalf("NumItems = %d, want 7", ix.NumItems())
+		if numItems(ix) != 7 {
+			t.Fatalf("items = %d, want 7", numItems(ix))
 		}
 	}
 }
@@ -214,8 +218,8 @@ func TestBuildIndexCachesAndInvalidates(t *testing.T) {
 // TestIndexEmptyKB: an empty KB indexes to zero items without panicking.
 func TestIndexEmptyKB(t *testing.T) {
 	ix := New(movieOntology()).BuildIndex()
-	if ix.NumItems() != 0 || ix.NumTriples() != 0 {
-		t.Fatalf("empty KB: %d items, %d triples", ix.NumItems(), ix.NumTriples())
+	if numItems(ix) != 0 || ix.NumTriples() != 0 {
+		t.Fatalf("empty KB: %d items, %d triples", numItems(ix), ix.NumTriples())
 	}
 	if got := ix.AppendCandidates(nil, newFieldKey("anything")); len(got) != 0 {
 		t.Fatalf("candidates on empty KB: %v", got)

@@ -134,18 +134,6 @@ func (m *Model) Proba(x Vector) []float64 {
 	return s
 }
 
-// Predict returns the argmax class and its probability.
-func (m *Model) Predict(x Vector) (class int, prob float64) {
-	p := m.Proba(x)
-	class = 0
-	for k, v := range p {
-		if v > p[class] {
-			class = k
-		}
-	}
-	return class, p[class]
-}
-
 // softmaxInPlace converts logits to probabilities with the max-subtraction
 // trick for numerical stability.
 //

@@ -82,15 +82,3 @@ func (nb *NaiveBayes) Proba(x Vector) []float64 {
 	nb.ProbaInto(x, s)
 	return s
 }
-
-// Predict returns the argmax class and its posterior probability.
-func (nb *NaiveBayes) Predict(x Vector) (int, float64) {
-	p := nb.Proba(x)
-	best := 0
-	for k, v := range p {
-		if v > p[best] {
-			best = k
-		}
-	}
-	return best, p[best]
-}

@@ -255,21 +255,6 @@ func (cv *CounterVec) With(label string) *Counter {
 	return cv.v.with(label)
 }
 
-// GaugeVec is a family of gauges keyed by one label.
-type GaugeVec struct {
-	v *vec[Gauge]
-}
-
-// With returns the gauge for a label value, creating it on first use.
-//
-//ceres:allocfree
-func (gv *GaugeVec) With(label string) *Gauge {
-	if gv == nil {
-		return nil
-	}
-	return gv.v.with(label)
-}
-
 // HistogramVec is a family of histograms keyed by one label, sharing one
 // set of bucket bounds.
 type HistogramVec struct {
@@ -297,9 +282,7 @@ type family struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	cvec    *CounterVec
-	gvec    *GaugeVec
 	hvec    *HistogramVec
 	fn      func() float64                           // CounterFunc / GaugeFunc
 	collect func(emit func(label string, v float64)) // GaugeVecFunc
@@ -316,12 +299,8 @@ func implOf(f *family) string {
 		return "counter"
 	case f.gauge != nil:
 		return "gauge"
-	case f.hist != nil:
-		return "histogram"
 	case f.cvec != nil:
 		return "countervec"
-	case f.gvec != nil:
-		return "gaugevec"
 	case f.hvec != nil:
 		return "histogramvec"
 	case f.fn != nil:
@@ -405,13 +384,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.gauge
 }
 
-// GaugeVec registers (or returns) a gauge family keyed by one label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	f := r.register(&family{name: name, help: help, typ: "gauge", label: label,
-		gvec: &GaugeVec{v: newVec(func() *Gauge { return &Gauge{} })}})
-	return f.gvec
-}
-
 // CounterFunc registers a counter whose value is read from fn at
 // exposition time — for components that already keep their own
 // monotonic count (e.g. a registry's swap counter).
@@ -429,13 +401,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // per label value (emission order need not be sorted; exposition sorts).
 func (r *Registry) GaugeVecFunc(name, help, label string, collect func(emit func(label string, v float64))) {
 	r.register(&family{name: name, help: help, typ: "gauge", label: label, collect: collect})
-}
-
-// Histogram registers (or returns) an unlabeled fixed-bucket histogram.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	f := r.register(&family{name: name, help: help, typ: "histogram", bounds: bounds,
-		hist: newHistogram(bounds)})
-	return f.hist
 }
 
 // HistogramVec registers (or returns) a histogram family keyed by one
@@ -495,15 +460,9 @@ func (f *family) expose(b *strings.Builder) {
 		sampleInt(b, f.name, "", "", f.gauge.Value())
 	case f.fn != nil:
 		sampleFloat(b, f.name, "", "", f.fn())
-	case f.hist != nil:
-		exposeHistogram(b, f.name, "", "", f.bounds, f.hist)
 	case f.cvec != nil:
 		for _, lv := range f.cvec.v.labels() {
 			sampleInt(b, f.name, f.label, lv, f.cvec.With(lv).Value())
-		}
-	case f.gvec != nil:
-		for _, lv := range f.gvec.v.labels() {
-			sampleInt(b, f.name, f.label, lv, f.gvec.With(lv).Value())
 		}
 	case f.hvec != nil:
 		for _, lv := range f.hvec.v.labels() {
@@ -524,7 +483,7 @@ func (f *family) expose(b *strings.Builder) {
 }
 
 // exposeHistogram writes the cumulative _bucket series plus _sum and
-// _count for one histogram (optionally carrying one label pair).
+// _count for one member of a histogram family.
 func exposeHistogram(b *strings.Builder, name, label, lv string, bounds []float64, h *Histogram) {
 	cum := int64(0)
 	for i, bound := range bounds {
@@ -540,10 +499,8 @@ func exposeHistogram(b *strings.Builder, name, label, lv string, bounds []float6
 func bucketSample(b *strings.Builder, name, label, lv, le string, v int64) {
 	b.WriteString(name)
 	b.WriteString("_bucket{")
-	if label != "" {
-		writeLabelPair(b, label, lv)
-		b.WriteByte(',')
-	}
+	writeLabelPair(b, label, lv)
+	b.WriteByte(',')
 	writeLabelPair(b, "le", le)
 	b.WriteString("} ")
 	b.WriteString(strconv.FormatInt(v, 10))

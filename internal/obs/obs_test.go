@@ -36,8 +36,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("test_seconds", "latency", []float64{0.1, 1, 10})
+	h := newHistogram([]float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
@@ -155,7 +154,7 @@ func TestWritePrometheus(t *testing.T) {
 		emit("b", 2)
 		emit("a", 1)
 	})
-	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
+	h := r.HistogramVec("lat_seconds", "latency", "site", []float64{0.1, 1}).With("a")
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -172,21 +171,21 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("families not sorted by name:\n%s", text)
 	}
 	for series, want := range map[string]float64{
-		"zz_total":                      7,
-		`aa_req_total{site="plain"}`:    1,
-		"mid_gauge":                     2.5,
-		`mid_versions{site="a"}`:        1,
-		`mid_versions{site="b"}`:        2,
-		`lat_seconds_bucket{le="0.1"}`:  1,
-		`lat_seconds_bucket{le="1"}`:    2,
-		`lat_seconds_bucket{le="+Inf"}`: 3,
-		"lat_seconds_count":             3,
+		"zz_total":                               7,
+		`aa_req_total{site="plain"}`:             1,
+		"mid_gauge":                              2.5,
+		`mid_versions{site="a"}`:                 1,
+		`mid_versions{site="b"}`:                 2,
+		`lat_seconds_bucket{site="a",le="0.1"}`:  1,
+		`lat_seconds_bucket{site="a",le="1"}`:    2,
+		`lat_seconds_bucket{site="a",le="+Inf"}`: 3,
+		`lat_seconds_count{site="a"}`:            3,
 	} {
 		if got, ok := samples[series]; !ok || got != want {
 			t.Errorf("series %s = %v (present=%v), want %v", series, got, ok, want)
 		}
 	}
-	if got := samples["lat_seconds_sum"]; math.Abs(got-5.55) > 1e-9 {
+	if got := samples[`lat_seconds_sum{site="a"}`]; math.Abs(got-5.55) > 1e-9 {
 		t.Errorf("lat_seconds_sum = %v, want 5.55", got)
 	}
 	// The escaped label value renders escaped.
@@ -194,12 +193,12 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("escaped label series missing from:\n%s", text)
 	}
 	// Histogram buckets are cumulative and monotonic.
-	if samples[`lat_seconds_bucket{le="0.1"}`] > samples[`lat_seconds_bucket{le="1"}`] ||
-		samples[`lat_seconds_bucket{le="1"}`] > samples[`lat_seconds_bucket{le="+Inf"}`] {
+	if samples[`lat_seconds_bucket{site="a",le="0.1"}`] > samples[`lat_seconds_bucket{site="a",le="1"}`] ||
+		samples[`lat_seconds_bucket{site="a",le="1"}`] > samples[`lat_seconds_bucket{site="a",le="+Inf"}`] {
 		t.Error("histogram buckets are not cumulative")
 	}
 	// +Inf bucket equals _count.
-	if samples[`lat_seconds_bucket{le="+Inf"}`] != samples["lat_seconds_count"] {
+	if samples[`lat_seconds_bucket{site="a",le="+Inf"}`] != samples[`lat_seconds_count{site="a"}`] {
 		t.Error("+Inf bucket != count")
 	}
 }

@@ -1,15 +1,10 @@
 package strmatch
 
-// Levenshtein returns the edit distance (unit-cost insertions, deletions and
-// substitutions) between a and b, computed over runes. The paper uses
+// LevenshteinRunes returns the edit distance (unit-cost insertions,
+// deletions and substitutions) between two rune slices, pre-split so that
+// one side compared against many others is decoded once. The paper uses
 // Levenshtein distance between XPath strings as the metric for its global
 // relation-mention clustering (§3.2.2, citing Levenshtein 1966).
-func Levenshtein(a, b string) int {
-	return LevenshteinRunes([]rune(a), []rune(b))
-}
-
-// LevenshteinRunes is Levenshtein over pre-split rune slices, avoiding
-// repeated UTF-8 decoding when one side is compared against many others.
 func LevenshteinRunes(ra, rb []rune) int {
 	if len(ra) == 0 {
 		return len(rb)

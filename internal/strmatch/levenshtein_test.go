@@ -5,6 +5,11 @@ import (
 	"testing/quick"
 )
 
+// levenshtein is LevenshteinRunes over strings.
+func levenshtein(a, b string) int {
+	return LevenshteinRunes([]rune(a), []rune(b))
+}
+
 func TestLevenshteinBasic(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -21,21 +26,21 @@ func TestLevenshteinBasic(t *testing.T) {
 		{"žluťoučký", "zlutoucky", 4},
 	}
 	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		if got := levenshtein(c.a, c.b); got != c.want {
+			t.Errorf("LevenshteinRunes(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestLevenshteinIdentity(t *testing.T) {
-	f := func(a string) bool { return Levenshtein(a, a) == 0 }
+	f := func(a string) bool { return levenshtein(a, a) == 0 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestLevenshteinSymmetry(t *testing.T) {
-	f := func(a, b string) bool { return Levenshtein(a, b) == Levenshtein(b, a) }
+	f := func(a, b string) bool { return levenshtein(a, b) == levenshtein(b, a) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -43,7 +48,7 @@ func TestLevenshteinSymmetry(t *testing.T) {
 
 func TestLevenshteinTriangle(t *testing.T) {
 	f := func(a, b, c string) bool {
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
+		return levenshtein(a, c) <= levenshtein(a, b)+levenshtein(b, c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -52,7 +57,7 @@ func TestLevenshteinTriangle(t *testing.T) {
 
 func TestLevenshteinBoundedByLengths(t *testing.T) {
 	f := func(a, b string) bool {
-		d := Levenshtein(a, b)
+		d := levenshtein(a, b)
 		la, lb := len([]rune(a)), len([]rune(b))
 		max := la
 		if lb > max {
@@ -70,7 +75,7 @@ func TestLevenshteinBoundedByLengths(t *testing.T) {
 }
 
 func TestLevenshteinUnitAppend(t *testing.T) {
-	f := func(a string) bool { return Levenshtein(a, a+"x") == 1 }
+	f := func(a string) bool { return levenshtein(a, a+"x") == 1 }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
@@ -92,7 +97,7 @@ func TestLevenshteinBounded(t *testing.T) {
 func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 	f := func(a, b string, max uint8) bool {
 		m := int(max % 8)
-		d := Levenshtein(a, b)
+		d := levenshtein(a, b)
 		bd, ok := LevenshteinBounded(a, b, m)
 		if d <= m {
 			return ok && bd == d
@@ -110,6 +115,6 @@ func BenchmarkLevenshteinXPathLength(b *testing.B) {
 	x2 := "/html[1]/body[1]/div[3]/div[2]/div[1]/div[2]/div[4]/div[9]/div[2]/b[1]/a[1]"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Levenshtein(x1, x2)
+		levenshtein(x1, x2)
 	}
 }

@@ -128,15 +128,6 @@ func NormalizeInto(dst []byte, s string) []byte {
 	return dst
 }
 
-// Tokens splits a normalized form of s into its word tokens.
-func Tokens(s string) []string {
-	n := Normalize(s)
-	if n == "" {
-		return nil
-	}
-	return strings.Split(n, " ")
-}
-
 // TokenSetKey returns a canonical key for token-order-insensitive matching:
 // the sorted, deduplicated tokens of the normalized string joined by spaces.
 // "Lee, Spike" and "Spike Lee" share a TokenSetKey.

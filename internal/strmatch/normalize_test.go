@@ -59,22 +59,6 @@ func TestNormalizeNoDoubleSpaces(t *testing.T) {
 	}
 }
 
-func TestTokens(t *testing.T) {
-	got := Tokens("Do the Right Thing (1989)")
-	want := []string{"do", "the", "right", "thing", "1989"}
-	if len(got) != len(want) {
-		t.Fatalf("Tokens = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Tokens = %v, want %v", got, want)
-		}
-	}
-	if Tokens("  !!  ") != nil {
-		t.Errorf("Tokens of punctuation should be nil")
-	}
-}
-
 func TestTokenSetKey(t *testing.T) {
 	if TokenSetKey("Lee, Spike") != TokenSetKey("Spike Lee") {
 		t.Errorf("token-set keys should match for reordered names")

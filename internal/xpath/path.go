@@ -74,19 +74,6 @@ func (p Path) String() string {
 	return b.String()
 }
 
-// Equal reports step-wise equality of two paths.
-func (p Path) Equal(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SameShape reports whether two paths have identical tag sequences,
 // ignoring indices — the precondition for the paths to belong to the same
 // value list (Figure 2).

@@ -2,6 +2,7 @@ package xpath
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -54,7 +55,7 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", p.String(), err)
 		}
-		if !p.Equal(q) {
+		if !slices.Equal(p, q) {
 			t.Fatalf("roundtrip mismatch: %v vs %v", p, q)
 		}
 	}
@@ -83,7 +84,7 @@ func TestQuickPathStringNeverPanics(t *testing.T) {
 			p[i] = Step{Tag: names[int(tags[i])%len(names)], Index: 1 + int(idxs[i])%5}
 		}
 		q, err := Parse(p.String())
-		return err == nil && q.Equal(p)
+		return err == nil && slices.Equal(q, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

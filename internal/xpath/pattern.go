@@ -1,11 +1,6 @@
 package xpath
 
-import (
-	"strconv"
-	"strings"
-
-	"ceres/internal/dom"
-)
+import "ceres/internal/dom"
 
 // Wildcard marks a pattern step whose index matches any position.
 const Wildcard = -1
@@ -62,27 +57,6 @@ func (pat Pattern) Matches(p Path) bool {
 		}
 	}
 	return true
-}
-
-// String renders the pattern with * for wildcard indices, e.g.
-// /html[1]/body[1]/li[*]/a[1].
-func (pat Pattern) String() string {
-	if len(pat) == 0 {
-		return "/"
-	}
-	var b strings.Builder
-	for _, st := range pat {
-		b.WriteByte('/')
-		b.WriteString(st.Tag)
-		b.WriteByte('[')
-		if st.Index == Wildcard {
-			b.WriteByte('*')
-		} else {
-			b.WriteString(strconv.Itoa(st.Index))
-		}
-		b.WriteByte(']')
-	}
-	return b.String()
 }
 
 // Wildcards returns the step positions that are wildcards.

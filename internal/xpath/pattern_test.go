@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"slices"
 	"testing"
 
 	"ceres/internal/dom"
@@ -16,8 +17,8 @@ func TestGeneralize(t *testing.T) {
 	if !ok {
 		t.Fatalf("Generalize failed")
 	}
-	if got := pat.String(); got != "/html[1]/body[1]/ul[1]/li[*]/a[1]" {
-		t.Errorf("pattern = %q", got)
+	if !slices.Equal(pat, wild("/html[1]/body[1]/ul[1]/li[1]/a[1]", 3)) {
+		t.Errorf("pattern = %v", pat)
 	}
 	for _, p := range paths {
 		if !pat.Matches(p) {
@@ -48,7 +49,7 @@ func TestGeneralizeShapeMismatch(t *testing.T) {
 	// Single path generalizes to itself.
 	p := MustParse("/html[1]/a[2]")
 	pat, ok := Generalize([]Path{p})
-	if !ok || pat.String() != "/html[1]/a[2]" {
+	if !ok || !slices.Equal(pat, PatternOf(p)) {
 		t.Errorf("single-path generalization = %v, %v", pat, ok)
 	}
 }

@@ -17,17 +17,17 @@
 // a crash mid-ingest leaves at worst orphan segments the index does not
 // reference (a later Writer numbers past them).
 //
-// Reading is segment-granular: Pages plans which segments a range
-// touches (whole segments before the range are never opened), inflates
-// each through a pooled gzip reader into a pooled buffer, and frames
-// records out of that buffer with an allocation-free cursor — skipped
-// records never materialize strings, delivered ones cost exactly the two
-// string allocations their ceres.PageSource needs. A range spanning
+// Reading is segment-granular and has one plane, PagesBytes: it plans
+// which segments a range touches (whole segments before the range are
+// never opened), inflates each through a pooled gzip reader into a pooled
+// buffer, and frames records out of that buffer with an allocation-free
+// cursor, handing the callback views valid for the call. A range spanning
 // several segments is read ahead by a bounded worker pool that
 // decompresses segments in parallel while the callback consumes them in
-// deterministic ingest order; memory stays bounded by the readahead
-// window (a few segments), never the site. A Store therefore serves as
-// the page provider of a batch harvest (ceres/batch.PageProvider).
+// ingest order; memory stays bounded by the read-ahead window (a few
+// segments), never the site. Pages is the same scan with each record
+// copied into a ceres.PageSource. A Store is the page provider of a batch
+// harvest (ceres/batch.PageProvider).
 package pagestore
 
 import (
@@ -253,16 +253,6 @@ func (w *Writer) Append(p ceres.PageSource) error {
 	return nil
 }
 
-// AppendAll appends a slice of pages.
-func (w *Writer) AppendAll(pages []ceres.PageSource) error {
-	for _, p := range pages {
-		if err := w.Append(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (w *Writer) openSegment() error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segmentFile(w.nextSeg)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -360,106 +350,6 @@ func planReads(info SiteInfo, start, n int) []segRead {
 	return reads
 }
 
-// Pages streams records [start, start+n) of a site in ingest order
-// through fn. n < 0 streams to the end. A non-nil error from fn stops
-// the scan and is returned; cancelling ctx stops it with ctx.Err().
-// Whole segments before start are never opened, and records skipped
-// within the first touched segment are framed but never decoded into
-// strings. When the range spans several segments they are decompressed
-// in parallel by a bounded worker pool while fn consumes them strictly
-// in order, so the callback sequence is byte-identical to a sequential
-// scan; memory is bounded by the readahead window, never the site.
-func (s *Store) Pages(ctx context.Context, site string, start, n int, fn func(ceres.PageSource) error) error {
-	if start < 0 {
-		return fmt.Errorf("pagestore: negative start %d", start)
-	}
-	info, err := s.Info(site)
-	if err != nil {
-		return err
-	}
-	if n < 0 {
-		n = info.Pages - start
-	}
-	reads := planReads(info, start, n)
-	if len(reads) == 0 {
-		return nil
-	}
-	if len(reads) == 1 {
-		pages, err := s.decodeSegment(site, reads[0])
-		if err != nil {
-			return err
-		}
-		for _, p := range pages {
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.readAhead(ctx, site, reads, fn)
-}
-
-// readAhead fans the planned segment reads out to a worker pool and
-// feeds fn in plan order. Workers may run ahead of the consumer by at
-// most the pool size (the semaphore doubles as the memory bound: one
-// slot per inflated segment until fn has consumed it).
-func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn func(ceres.PageSource) error) error {
-	workers := min(runtime.GOMAXPROCS(0), len(reads), maxReadahead)
-	type result struct {
-		pages []ceres.PageSource
-		err   error
-	}
-	results := make([]chan result, len(reads))
-	for i := range results {
-		results[i] = make(chan result, 1) // sends never block
-	}
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	// Deferred LIFO: done closes first, releasing the workers the Wait
-	// then joins — an early return never leaks a decompressing goroutine.
-	defer wg.Wait()
-	defer close(done)
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case sem <- struct{}{}: // a readahead slot; the consumer frees it
-				case <-done:
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(reads) || ctx.Err() != nil {
-					return
-				}
-				pages, err := s.decodeSegment(site, reads[i])
-				results[i] <- result{pages, err}
-			}
-		}()
-	}
-	for i := range reads {
-		var res result
-		select {
-		case res = <-results[i]:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		<-sem // the segment is ours; free its readahead slot
-		if res.err != nil {
-			return res.err
-		}
-		for _, p := range res.pages {
-			if err := fn(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Pools for the segment decode path: gzip readers (Reset-able, each
 // carries a ~32KiB window), the bufio readers in front of segment files,
 // and the inflated-segment buffers. All three grow to the working set of
@@ -476,13 +366,11 @@ type recSpan struct {
 	idLo, idHi, htmlLo, htmlHi int
 }
 
-// decodeSegmentRaw opens, inflates and frames one planned segment read,
+// decodeSegment opens, inflates and frames one planned segment read,
 // returning the pooled inflated buffer and the payload spans of the
 // delivered records. Ownership of the buffer transfers to the caller,
-// which must inflPool.Put it once the spans are no longer read — this is
-// what lets PagesBytes hand record bytes to the tokenizer with no
-// []byte→string copy.
-func (s *Store) decodeSegmentRaw(site string, sr segRead) (*[]byte, []recSpan, error) {
+// which must inflPool.Put it once the spans are no longer read.
+func (s *Store) decodeSegment(site string, sr segRead) (*[]byte, []recSpan, error) {
 	f, err := os.Open(filepath.Join(s.siteDir(site), sr.seg.File))
 	if err != nil {
 		return nil, nil, fmt.Errorf("pagestore: opening segment: %w", err)
@@ -534,32 +422,16 @@ func (s *Store) decodeSegmentRaw(site string, sr segRead) (*[]byte, []recSpan, e
 	return bufp, spans, nil
 }
 
-// decodeSegment is decodeSegmentRaw plus record materialization: each
-// delivered record costs exactly the two string allocations its
-// ceres.PageSource needs, and the inflated buffer returns to the pool
-// before decodeSegment does.
-func (s *Store) decodeSegment(site string, sr segRead) ([]ceres.PageSource, error) {
-	bufp, spans, err := s.decodeSegmentRaw(site, sr)
-	if err != nil {
-		return nil, err
-	}
-	defer inflPool.Put(bufp)
-	data := *bufp
-	pages := make([]ceres.PageSource, 0, len(spans))
-	for _, sp := range spans {
-		pages = append(pages, ceres.PageSource{
-			ID:   string(data[sp.idLo:sp.idHi]),
-			HTML: string(data[sp.htmlLo:sp.htmlHi]),
-		})
-	}
-	return pages, nil
-}
-
-// PagesBytes is Pages delivering raw record bytes: fn receives views into
-// the pooled inflated segment buffer, valid only during the call — the
-// zero-copy feed for the streaming serve path, which copies strings out
-// only for emitted extractions. Ordering, range semantics, parallel
-// readahead and error behaviour match Pages exactly.
+// PagesBytes streams records [start, start+n) of a site in ingest order
+// through fn; n < 0 streams to the end. fn receives views into the pooled
+// inflated segment buffer, valid only during the call. A non-nil error
+// from fn stops the scan and is returned; cancelling ctx stops it with
+// ctx.Err(). Whole segments before start are never opened and records
+// skipped inside the first touched one are framed, never delivered. A
+// range spanning several segments is inflated in parallel by a bounded
+// pool while fn consumes the records strictly in order, so the callback
+// sequence is that of a sequential scan and memory is bounded by the
+// read-ahead window, never the site.
 func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn func(id, html []byte) error) error {
 	if start < 0 {
 		return fmt.Errorf("pagestore: negative start %d", start)
@@ -576,14 +448,23 @@ func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn fu
 		return nil
 	}
 	if len(reads) == 1 {
-		bufp, spans, err := s.decodeSegmentRaw(site, reads[0])
+		bufp, spans, err := s.decodeSegment(site, reads[0])
 		if err != nil {
 			return err
 		}
 		defer inflPool.Put(bufp)
 		return deliverSpans(*bufp, spans, fn)
 	}
-	return s.readAheadBytes(ctx, site, reads, fn)
+	return s.readAhead(ctx, site, reads, fn)
+}
+
+// Pages is PagesBytes for callers that keep the pages (a training sample,
+// a test): each delivered record becomes the two strings of a
+// ceres.PageSource, made on the caller's goroutine.
+func (s *Store) Pages(ctx context.Context, site string, start, n int, fn func(ceres.PageSource) error) error {
+	return s.PagesBytes(ctx, site, start, n, func(id, html []byte) error {
+		return fn(ceres.PageSource{ID: string(id), HTML: string(html)})
+	})
 }
 
 // deliverSpans feeds each framed record to fn as buffer views.
@@ -596,12 +477,14 @@ func deliverSpans(data []byte, spans []recSpan, fn func(id, html []byte) error) 
 	return nil
 }
 
-// readAheadBytes is readAhead for the raw-bytes path: workers inflate
-// segments in parallel, the consumer delivers each segment's records in
-// plan order and returns its buffer to the pool only after the last
-// record was consumed. Buffers stranded in result channels by an early
-// return are simply garbage collected.
-func (s *Store) readAheadBytes(ctx context.Context, site string, reads []segRead, fn func(id, html []byte) error) error {
+// readAhead fans the planned segment reads out to a worker pool and
+// feeds fn in plan order. Workers may run ahead of the consumer by at
+// most the pool size (the semaphore doubles as the memory bound: one
+// slot per inflated segment until fn has consumed it), and a segment's
+// buffer returns to the pool only after its last record was consumed.
+// Buffers stranded in result channels by an early return are simply
+// garbage collected.
+func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn func(id, html []byte) error) error {
 	workers := min(runtime.GOMAXPROCS(0), len(reads), maxReadahead)
 	type result struct {
 		bufp  *[]byte
@@ -615,6 +498,8 @@ func (s *Store) readAheadBytes(ctx context.Context, site string, reads []segRead
 	sem := make(chan struct{}, workers)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
+	// Deferred LIFO: done closes first, releasing the workers the Wait
+	// then joins — an early return never leaks a decompressing goroutine.
 	defer wg.Wait()
 	defer close(done)
 	var next atomic.Int64
@@ -632,7 +517,7 @@ func (s *Store) readAheadBytes(ctx context.Context, site string, reads []segRead
 				if i >= len(reads) || ctx.Err() != nil {
 					return
 				}
-				bufp, spans, err := s.decodeSegmentRaw(site, reads[i])
+				bufp, spans, err := s.decodeSegment(site, reads[i])
 				results[i] <- result{bufp, spans, err}
 			}
 		}()
@@ -677,8 +562,8 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 
 // frameRecord parses the record frame at off — uvarint id length, id
 // bytes, uvarint HTML length, HTML bytes — returning the two payload
-// ranges and the offset after the record. It never allocates: callers
-// decide which payloads become strings, so skipping is free.
+// ranges and the offset after the record. It never allocates, so
+// skipping a record is free.
 //
 //ceres:allocfree
 func frameRecord(b []byte, off int) (idLo, idHi, htmlLo, htmlHi, next int, ok bool) {
@@ -701,26 +586,4 @@ func frameRecord(b []byte, off int) (idLo, idHi, htmlLo, htmlHi, next int, ok bo
 	}
 	htmlHi = htmlLo + int(htmlLen)
 	return idLo, idHi, htmlLo, htmlHi, htmlHi, true
-}
-
-// ReadAll materializes records [start, start+n) of a site (n < 0 reads to
-// the end) — the loading path for bounded page sets like a training
-// sample or one shard. Crawl-scale scans should stream with Pages
-// instead.
-func (s *Store) ReadAll(ctx context.Context, site string, start, n int) ([]ceres.PageSource, error) {
-	capHint := n
-	if n < 0 {
-		if total, err := s.PageCount(site); err == nil && total > start {
-			capHint = total - start
-		}
-	}
-	var out []ceres.PageSource
-	if capHint > 0 {
-		out = make([]ceres.PageSource, 0, capHint)
-	}
-	err := s.Pages(ctx, site, start, n, func(p ceres.PageSource) error {
-		out = append(out, p)
-		return nil
-	})
-	return out, err
 }

@@ -19,10 +19,22 @@ func (s *Store) Ingest(site string, pages []ceres.PageSource) error {
 	if err != nil {
 		return err
 	}
-	if err := w.AppendAll(pages); err != nil {
-		return err
+	for _, p := range pages {
+		if err := w.Append(p); err != nil {
+			return err
+		}
 	}
 	return w.Close()
+}
+
+// readAll materializes records [start, start+n) of a site through Pages.
+func (s *Store) readAll(site string, start, n int) ([]ceres.PageSource, error) {
+	var out []ceres.PageSource
+	err := s.Pages(context.Background(), site, start, n, func(p ceres.PageSource) error {
+		out = append(out, p)
+		return nil
+	})
+	return out, err
 }
 
 func genPages(prefix string, n int) []ceres.PageSource {
@@ -57,7 +69,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if want := []string{"alpha.example", "beta.example/films"}; !reflect.DeepEqual(sites, want) {
 		t.Fatalf("Sites() = %v, want %v", sites, want)
 	}
-	got, err := s.ReadAll(context.Background(), "alpha.example", 0, -1)
+	got, err := s.readAll("alpha.example", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,9 @@ func TestStoreRoundTrip(t *testing.T) {
 
 // TestSegmentRotationAndRanges proves multi-segment sites read back
 // correctly across every range alignment, including ranges spanning
-// segment boundaries.
+// segment boundaries, that Pages delivers exactly PagesBytes's records as
+// strings, and that an error from the callback on record k stops either
+// scan after k.
 func TestSegmentRotationAndRanges(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -86,8 +100,10 @@ func TestSegmentRotationAndRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.SegmentPages = 10
-	if err := w.AppendAll(pages); err != nil {
-		t.Fatal(err)
+	for _, p := range pages {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -107,12 +123,19 @@ func TestSegmentRotationAndRanges(t *testing.T) {
 	for _, r := range []struct{ start, n int }{
 		{0, -1}, {0, 47}, {0, 10}, {5, 10}, {9, 2}, {10, 1}, {17, 25}, {40, 7}, {40, -1}, {46, 1}, {47, 5}, {100, -1}, {12, 0},
 	} {
-		var got []ceres.PageSource
-		if err := s.Pages(context.Background(), "multi.example", r.start, r.n, func(p ceres.PageSource) error {
-			got = append(got, p)
+		got, err := s.readAll("multi.example", r.start, r.n)
+		if err != nil {
+			t.Fatalf("Pages(%d,%d): %v", r.start, r.n, err)
+		}
+		var raw []ceres.PageSource
+		if err := s.PagesBytes(context.Background(), "multi.example", r.start, r.n, func(id, html []byte) error {
+			raw = append(raw, ceres.PageSource{ID: string(id), HTML: string(html)})
 			return nil
 		}); err != nil {
-			t.Fatalf("Pages(%d,%d): %v", r.start, r.n, err)
+			t.Fatalf("PagesBytes(%d,%d): %v", r.start, r.n, err)
+		}
+		if !reflect.DeepEqual(got, raw) {
+			t.Fatalf("Pages(%d,%d) and PagesBytes disagree: %d and %d pages", r.start, r.n, len(got), len(raw))
 		}
 		end := len(pages)
 		if r.n >= 0 && r.start+r.n < end {
@@ -124,6 +147,24 @@ func TestSegmentRotationAndRanges(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("Pages(%d,%d) returned %d pages, want %d", r.start, r.n, len(got), len(want))
+		}
+	}
+
+	// One segment, across a boundary, to the end: the callback's error on
+	// its k-th record is what comes back, and no record follows it.
+	stop := errors.New("stop")
+	for _, r := range []struct{ start, n, k int }{{2, 6, 3}, {5, 10, 7}, {17, -1, 12}} {
+		count := func(seen *int) error {
+			if *seen++; *seen == r.k {
+				return stop
+			}
+			return nil
+		}
+		var seen, rawSeen int
+		err := s.Pages(context.Background(), "multi.example", r.start, r.n, func(ceres.PageSource) error { return count(&seen) })
+		rawErr := s.PagesBytes(context.Background(), "multi.example", r.start, r.n, func(_, _ []byte) error { return count(&rawSeen) })
+		if err != stop || rawErr != stop || seen != r.k || rawSeen != r.k {
+			t.Fatalf("stop at record %d of (%d,%d): Pages %v after %d, PagesBytes %v after %d", r.k, r.start, r.n, err, seen, rawErr, rawSeen)
 		}
 	}
 }
@@ -158,7 +199,7 @@ func TestWriterAppendsAcrossSessions(t *testing.T) {
 	if info2.Pages != 17 || len(info2.Segments) != len(info1.Segments)+1 {
 		t.Fatalf("append merged wrong: %+v", info2)
 	}
-	got, err := s2.ReadAll(context.Background(), "site.example", 0, -1)
+	got, err := s2.readAll("site.example", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +246,7 @@ func TestCrashOrphanInvisible(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadAll(context.Background(), "site.example", 0, -1)
+	got, err := s.readAll("site.example", 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

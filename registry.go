@@ -139,19 +139,6 @@ func (r *Registry) PublishNext(site string, m *SiteModel) int {
 	return version
 }
 
-// Drop removes a site from serving, reporting whether it was registered.
-func (r *Registry) Drop(site string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := (*r.snap.Load())[site]; !ok {
-		return false
-	}
-	next := r.clone()
-	delete(next, site)
-	r.snap.Store(&next)
-	return true
-}
-
 // Len returns the number of registered sites.
 func (r *Registry) Len() int { return len(*r.snap.Load()) }
 

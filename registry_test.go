@@ -39,18 +39,6 @@ func TestRegistrySemantics(t *testing.T) {
 	if !reflect.DeepEqual(sites, []string{"a", "b"}) {
 		t.Fatalf("Snapshot sites = %v", sites)
 	}
-
-	if !r.Drop("a") || r.Drop("a") {
-		t.Error("Drop should report the first removal only")
-	}
-	if _, ok := r.Lookup("a"); ok || r.Len() != 1 {
-		t.Error("dropped site still registered")
-	}
-	// A re-published dropped site starts a fresh version sequence; durable
-	// numbering is the ModelStore's job.
-	if v := r.PublishNext("a", f.model); v != 1 {
-		t.Errorf("PublishNext after Drop = %d, want 1", v)
-	}
 }
 
 func TestOpenRegistryLoadsLatest(t *testing.T) {

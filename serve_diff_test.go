@@ -288,7 +288,7 @@ func TestStreamExtractScanMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := sm.ExtractScan(context.Background(), func(yield func(id string, html []byte) error) error {
+	got, stats, err := sm.ExtractScanOpts(context.Background(), core.ServeOptions{}, func(yield func(id string, html []byte) error) error {
 		for _, s := range serve {
 			if err := yield(s.ID, []byte(s.HTML)); err != nil {
 				return err

@@ -28,8 +28,8 @@ type RequestOptions struct {
 	// Threshold overrides the model's confidence cutoff for this request
 	// only; nil applies the model's threshold.
 	Threshold *float64
-	// Workers bounds this request's page parallelism; 0 uses the model's
-	// serving default.
+	// Workers bounds this request's page parallelism; 0 uses the serving
+	// process's default.
 	Workers int
 	// CollectStages gathers the per-stage serve-time breakdown
 	// (parse/route/score) into ServeStats.Stages even when the request is
@@ -210,9 +210,6 @@ func NewService(reg *Registry, opts ...ServiceOption) *Service {
 	}
 	return s
 }
-
-// Registry returns the registry the service serves from.
-func (s *Service) Registry() *Registry { return s.reg }
 
 // acquire takes an inflight slot. It fails with ctx's error when the
 // caller gives up first, or — under bounded admission — with

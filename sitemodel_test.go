@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,15 +53,18 @@ func getTrainServeFixture(t *testing.T) *trainServeFixture {
 }
 
 // TestTrainDeterministic: training the same pages yields the same model
-// bytes, run over run and whatever the scheduler's parallelism. Batch
+// bytes, run over run and whatever the scheduler's parallelism or the
+// trainer's worker count (which follows the training host's cores). Batch
 // harvests depend on it — a cold pass must fuse to the same fused.jsonl
 // as the one before it — and the fit is where it could break: the L-BFGS
 // objective sums over collapsed rows, whose order must never come from a
 // map.
 func TestTrainDeterministic(t *testing.T) {
 	f := getTrainServeFixture(t)
-	train := func() []byte {
-		m, err := NewPipeline(f.corpus.KB).Train(context.Background(), f.train)
+	train := func(workers int) []byte {
+		p := NewPipeline(f.corpus.KB)
+		p.cfg.Workers = workers
+		m, err := p.Train(context.Background(), f.train)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +78,54 @@ func TestTrainDeterministic(t *testing.T) {
 		return buf.Bytes()
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
-	want := train()
-	if !bytes.Equal(train(), want) {
+	want := train(0)
+	if !bytes.Equal(train(0), want) {
 		t.Error("two Train calls on the same pages wrote different model bytes")
 	}
+	if !bytes.Equal(train(1), want) || !bytes.Equal(train(3), want) {
+		t.Error("Train with 1 or 3 workers wrote different model bytes than with the host's default")
+	}
 	runtime.GOMAXPROCS(1)
-	if !bytes.Equal(train(), want) {
+	if !bytes.Equal(train(0), want) {
 		t.Error("Train under GOMAXPROCS=1 wrote different model bytes than under NumCPU")
+	}
+}
+
+// TestReadsModelWrittenWithWorkers: a file from before the trainer's
+// worker count left the format (a committed fuzz seed: a model trained on
+// a two-core host, which carries the count as tag 2) still loads and
+// serves, and its re-encoding is that file without the field's two bytes.
+func TestReadsModelWrittenWithWorkers(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzReadSiteModel/trained-lr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(string(raw), "[]byte(")
+	s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(lit), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, field := []byte(s), []byte{2 << 3, 2 << 1} // key (tag 2, varint), zigzag(2)
+	if !bytes.Contains(old[:40], field) {
+		t.Fatal("the seed no longer carries tag 2 at the head of its site message")
+	}
+	m, err := ReadSiteModel(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("a model file with the worker count does not load: %v", err)
+	}
+	var enc bytes.Buffer
+	if _, err := m.WriteBinary(&enc); err != nil {
+		t.Fatal(err)
+	}
+	if enc.Len() != len(old)-len(field) {
+		t.Fatalf("re-encoded to %d bytes, want %d less the field's %d", enc.Len(), len(old), len(field))
+	}
+	c, err := DemoCorpus("movies", 7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.Extract(context.Background(), c.Pages); err != nil || res.Pages != len(c.Pages) {
+		t.Fatalf("the loaded model served %v, %v", res, err)
 	}
 }
 
