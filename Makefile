@@ -50,8 +50,11 @@ examples:
 # bytes PUT /v1/sites/{site}/model takes from the network: no input
 # panics, an accepted one re-encodes to an equal state, serves or refuses
 # without panicking, and decodes to no more than a fixed multiple of its
-# size (DESIGN.md §10). A failing input is written under the package's
-# testdata/fuzz/ — commit it.
+# size (DESIGN.md §10). The eighth is the page store's read plane over a
+# fuzzed site.json and segment: no panic, and a read either fails or
+# delivers exactly the records a reference framer parses (DESIGN.md §8).
+# A failing input is written under the package's testdata/fuzz/ — commit
+# it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -61,6 +64,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run='^$$' -fuzz=FuzzExtractWarmCold -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzPagestoreRead -fuzztime=$(FUZZTIME) ./pagestore
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

@@ -206,6 +206,68 @@ func TestRunnerBoundedReads(t *testing.T) {
 	}
 }
 
+// TestWarmPassInflatesOnce: a warm job at the default shard size over a
+// store ingested at the default segment size inflates exactly the record
+// bytes it delivers — each shard is one whole segment — while the same job
+// over a store written with 256-page segments, which still reads, inflates
+// each segment once for every shard inside it.
+func TestWarmPassInflatesOnce(t *testing.T) {
+	const site = "kinobox.cz"
+	crawl := websim.GenerateCrawl(websim.CrawlConfig{Seed: 1, Scale: 0.05, MaxSitePages: 150, Sites: []string{site}})
+	var pages []ceres.PageSource
+	for _, p := range crawl.Sites[0].Pages {
+		pages = append(pages, ceres.PageSource{ID: p.ID, HTML: p.HTML})
+	}
+	if len(pages) <= 2*pagestore.DefaultSegmentPages {
+		t.Fatalf("fixture too small: %d pages", len(pages))
+	}
+	// Publish the site's model once, from memory, so both passes are warm.
+	reg := ceres.NewRegistry()
+	mem := NewMemProvider()
+	mem.Add(site, pages)
+	cold, err := NewRunner(Config{Provider: mem, Sink: NewCountingSink(), Registry: reg, Pipeline: ceres.NewPipeline(crawl.SeedKB)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Run(context.Background(), Job{TrainPages: 64}); err != nil {
+		t.Fatal(err)
+	}
+	for _, segPages := range []int{0, 256} {
+		store, err := pagestore.Open(filepath.Join(t.TempDir(), "pages"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := store.Writer(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.SegmentPages = segPages
+		for _, p := range pages {
+			if err := w.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(Config{Provider: store, Sink: NewCountingSink(), Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Run(context.Background(), Job{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := store.ReadStats()
+		if rep.Pages != len(pages) || st.Delivered == 0 {
+			t.Fatalf("segments of %d: %d of %d pages extracted, %+v", segPages, rep.Pages, len(pages), st)
+		}
+		if whole := segPages == 0; whole != (st.Inflated == st.Delivered) || st.Inflated < st.Delivered {
+			t.Errorf("segments of %d pages: inflated %d bytes to deliver %d", segPages, st.Inflated, st.Delivered)
+		}
+	}
+}
+
 type boundedProvider struct {
 	PageProvider
 	mu       sync.Mutex

@@ -91,7 +91,7 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		names = append(names, name)
 		total += d
 	})
-	if len(names) != 11 || names[0] != "resolve" || names[2] != "train-wait" || names[9] != "commit" || names[10] != "fuse" || total <= 0 {
+	if len(names) != 12 || names[0] != "resolve" || names[2] != "train-wait" || names[4] != "read" || names[10] != "commit" || names[11] != "fuse" || total <= 0 {
 		t.Errorf("Each visited %v (total %v)", names, total)
 	}
 
@@ -209,7 +209,8 @@ func TestRunnerTraceAndStages(t *testing.T) {
 // extract and sink, then Run's own wait for the commit stage, then fusion
 // — so their sum can never exceed Elapsed + Fuse, however busy the commit
 // stage was beside them. (The benchmark's batch.unaccounted_pct is what is
-// left of that difference.)
+// left of that difference.) Inside extract, the provider's read and the
+// engine's parse, route and score are disjoint intervals of one worker.
 func TestStagesAddUpAtOneWorker(t *testing.T) {
 	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "kinobox.cz"})
 	dir := t.TempDir()
@@ -229,6 +230,9 @@ func TestStagesAddUpAtOneWorker(t *testing.T) {
 	sum := st.Resolve + st.Extract + st.Sink + st.Checkpoint + st.Fuse
 	if whole := rep.Elapsed + st.Fuse; sum > whole || sum < whole/2 {
 		t.Errorf("stages sum to %v of a %v run: %+v", sum, whole, st)
+	}
+	if sub := st.Read + st.Parse + st.Route + st.Score; st.Read <= 0 || sub > st.Extract {
+		t.Errorf("read %v + parse %v + route %v + score %v should fit in extract %v, read nonzero", st.Read, st.Parse, st.Route, st.Score, st.Extract)
 	}
 	if st.Commit <= 0 || rep.ManifestWrites == 0 || rep.ManifestWrites > rep.Shards/2+2 {
 		t.Errorf("commit stage: %v busy, %d manifest writes for %d shards", st.Commit, rep.ManifestWrites, rep.Shards)

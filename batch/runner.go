@@ -95,11 +95,11 @@ type ContextStats struct {
 
 // stageAcc sums stage wall time across shard workers.
 type stageAcc struct {
-	resolve, train, extract, parse, route, score, sink, checkpoint, commit, fuse atomic.Int64
+	resolve, train, extract, read, parse, route, score, sink, checkpoint, commit, fuse atomic.Int64
 }
 
 func (a *stageAcc) reset() {
-	for _, v := range []*atomic.Int64{&a.resolve, &a.train, &a.extract, &a.parse, &a.route, &a.score, &a.sink, &a.checkpoint, &a.commit, &a.fuse} {
+	for _, v := range []*atomic.Int64{&a.resolve, &a.train, &a.extract, &a.read, &a.parse, &a.route, &a.score, &a.sink, &a.checkpoint, &a.commit, &a.fuse} {
 		v.Store(0)
 	}
 }
@@ -110,8 +110,10 @@ func (a *stageAcc) reset() {
 // Train is nested inside Resolve (resolving a site trains it when nothing
 // is published) and TrainWait inside Train: the time Train calls queued
 // for the pipeline's one-site prepare gate, which is waiting, not training
-// — zero at one worker. Parse/Route/Score are the serve-side stages nested
-// inside Extract.
+// — zero at one worker. Read, Parse, Route and Score are nested inside
+// Extract: Read is the time a shard spent inside the provider between the
+// pages it yielded (finding, inflating and framing them), the other three
+// the serve-side stages.
 // Sink is the workers' side of the durable path: encoding a shard into
 // its temp file, and any time a worker was blocked because the commit
 // stage had its bound of writers still to commit. Three stages are not
@@ -130,6 +132,7 @@ type StageDurations struct {
 	Train      time.Duration `json:"train"`
 	TrainWait  time.Duration `json:"trainWait"`
 	Extract    time.Duration `json:"extract"`
+	Read       time.Duration `json:"read"`
 	Parse      time.Duration `json:"parse"`
 	Route      time.Duration `json:"route"`
 	Score      time.Duration `json:"score"`
@@ -145,6 +148,7 @@ func (s StageDurations) Each(f func(name string, d time.Duration)) {
 	f("train", s.Train)
 	f("train-wait", s.TrainWait)
 	f("extract", s.Extract)
+	f("read", s.Read)
 	f("parse", s.Parse)
 	f("route", s.Route)
 	f("score", s.Score)
@@ -159,6 +163,7 @@ func (a *stageAcc) snapshot() StageDurations {
 		Resolve:    time.Duration(a.resolve.Load()),
 		Train:      time.Duration(a.train.Load()),
 		Extract:    time.Duration(a.extract.Load()),
+		Read:       time.Duration(a.read.Load()),
 		Parse:      time.Duration(a.parse.Load()),
 		Route:      time.Duration(a.route.Load()),
 		Score:      time.Duration(a.score.Load()),
@@ -632,13 +637,24 @@ func (r *Runner) runShard(ctx context.Context, cm *committer, st *siteState, sha
 	esp := sp.StartChild("extract")
 	extractStart := time.Now()
 	// Batch runs always collect the per-stage serve breakdown: the stage
-	// report is part of the run's output, not a sampling decision.
+	// report is part of the run's output, not a sampling decision. The
+	// provider's own time is what passes between the engine's turns.
+	var read time.Duration
 	resp, err := r.svc.ExtractScan(ctx, shard.Site, ceres.RequestOptions{CollectStages: true},
 		func(yield func(id string, html []byte) error) error {
-			return r.cfg.Provider.PagesBytes(ctx, shard.Site, shard.Start, shard.Pages,
-				func(id, html []byte) error { return yield(string(id), html) })
+			t := time.Now()
+			err := r.cfg.Provider.PagesBytes(ctx, shard.Site, shard.Start, shard.Pages,
+				func(id, html []byte) error {
+					read += time.Since(t)
+					err := yield(string(id), html)
+					t = time.Now()
+					return err
+				})
+			read += time.Since(t)
+			return err
 		})
 	r.stages.extract.Add(int64(time.Since(extractStart)))
+	r.stages.read.Add(int64(read))
 	if err != nil {
 		esp.EndErr(err)
 		sp.SetErr(err)

@@ -61,7 +61,7 @@ func newSweepFixture(t *testing.T) *sweepFixture {
 	}
 
 	ref := f.newDir(t, "")
-	rep, err := harvest(context.Background(), f.in(ref))
+	rep, _, err := harvest(context.Background(), f.in(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestCrashSweep(t *testing.T) {
 		t.Run(pass.name, func(t *testing.T) {
 			// Count the crash points of an uninterrupted pass.
 			rec := fsatomictest.Start(0, nil)
-			_, err := harvest(context.Background(), f.in(f.newDir(t, pass.models)))
+			_, _, err := harvest(context.Background(), f.in(f.newDir(t, pass.models)))
 			rec.Stop()
 			if err != nil {
 				t.Fatal(err)
@@ -239,7 +239,7 @@ func TestCrashSweep(t *testing.T) {
 				if rec.Crashed() {
 					crashed++
 				}
-				if _, err := harvest(context.Background(), f.in(dir)); err != nil {
+				if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
 					t.Fatalf("crash point %d (%v): the next run failed: %v", n, lastOp(rec), err)
 				}
 				if fused := f.outputs(t, dir); !bytes.Equal(fused, f.fused) {
@@ -292,7 +292,7 @@ func TestHarvestSweepsOwnTemps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := harvest(context.Background(), f.in(dir)); err != nil {
+	if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range leaked {

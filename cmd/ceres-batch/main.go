@@ -63,21 +63,26 @@ type options struct {
 	cpuProfile   string
 }
 
+// register defines the command's flags on fs, setting o to their defaults.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.dir, "dir", "harvest", "harvest directory (pages, models, triples, checkpoint, fused output)")
+	fs.BoolVar(&o.gen, "gen", false, "generate the 33-site websim crawl into the page store if it is empty")
+	fs.Int64Var(&o.seed, "seed", 1, "crawl generator seed (-gen)")
+	fs.Float64Var(&o.scale, "scale", 0, "crawl scale factor over the paper's page counts (-gen; 0 = websim default 1/75)")
+	fs.IntVar(&o.maxSitePages, "max-site-pages", 0, "per-site page cap (-gen; 0 = websim default 400)")
+	fs.StringVar(&o.sites, "sites", "", "comma-separated site subset (default: every stored site)")
+	fs.IntVar(&o.shardPages, "shard-pages", 64, "pages per shard — the unit of parallelism, checkpointing and memory")
+	fs.IntVar(&o.workers, "workers", 4, "shards extracted concurrently")
+	fs.IntVar(&o.trainPages, "train-pages", 200, "leading pages used to train a site with no published model (0 = all)")
+	fs.Float64Var(&o.threshold, "threshold", 0.5, "extraction confidence threshold for newly trained models")
+	fs.BoolVar(&o.fuse, "fuse", true, "run the streaming fusion stage and write fused.jsonl")
+	fs.BoolVar(&o.reset, "reset", false, "discard checkpoint and shard output before running (models and training verdicts stay)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (diagnostic; written on a clean exit)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.dir, "dir", "harvest", "harvest directory (pages, models, triples, checkpoint, fused output)")
-	flag.BoolVar(&o.gen, "gen", false, "generate the 33-site websim crawl into the page store if it is empty")
-	flag.Int64Var(&o.seed, "seed", 1, "crawl generator seed (-gen)")
-	flag.Float64Var(&o.scale, "scale", 0, "crawl scale factor over the paper's page counts (-gen; 0 = websim default 1/75)")
-	flag.IntVar(&o.maxSitePages, "max-site-pages", 0, "per-site page cap (-gen; 0 = websim default 400)")
-	flag.StringVar(&o.sites, "sites", "", "comma-separated site subset (default: every stored site)")
-	flag.IntVar(&o.shardPages, "shard-pages", 64, "pages per shard — the unit of parallelism, checkpointing and memory")
-	flag.IntVar(&o.workers, "workers", 4, "shards extracted concurrently")
-	flag.IntVar(&o.trainPages, "train-pages", 200, "leading pages used to train a site with no published model (0 = all)")
-	flag.Float64Var(&o.threshold, "threshold", 0.5, "extraction confidence threshold for newly trained models")
-	flag.BoolVar(&o.fuse, "fuse", true, "run the streaming fusion stage and write fused.jsonl")
-	flag.BoolVar(&o.reset, "reset", false, "discard checkpoint and shard output before running (models and training verdicts stay)")
-	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (diagnostic; written on a clean exit)")
+	o.register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -87,7 +92,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := harvest(ctx, o)
+	report, reads, err := harvest(ctx, o)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted: checkpoint saved, re-run to resume")
@@ -98,7 +103,7 @@ func main() {
 	if err := stopProfile(); err != nil {
 		log.Fatal(err)
 	}
-	printReport(report, o.fuse)
+	printReport(report, reads, o.fuse)
 
 	// Skipped long-tail sites are an expected harvest outcome; extraction
 	// errors are not — surface them in the exit code so pipelines notice
@@ -137,33 +142,35 @@ var ownTemps = []string{".checkpoint.json-", ".fused.jsonl-", ".stats.json-", ".
 
 // harvest is one invocation's work on the harvest directory: open the
 // page store (generating the crawl with -gen), run the batch job, and
-// write fused.jsonl and stats.json.
-func harvest(ctx context.Context, o options) (*batch.Report, error) {
+// write fused.jsonl and stats.json. It returns the run's report and what
+// the page store's reads did.
+func harvest(ctx context.Context, o options) (*batch.Report, pagestore.ReadStats, error) {
+	var none pagestore.ReadStats
 	store, err := pagestore.Open(filepath.Join(o.dir, "pages"))
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	fsatomic.RemoveTemps(o.dir, ownTemps...)
 	kbPath := filepath.Join(o.dir, "kb.tsv")
 	if o.gen {
 		if err := generateCrawl(store, kbPath, o.seed, o.scale, o.maxSitePages); err != nil {
-			return nil, err
+			return nil, none, err
 		}
 	}
 	sites, err := store.Sites()
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if len(sites) == 0 {
-		return nil, fmt.Errorf("page store %s holds no sites (run with -gen, or ingest a crawl first)", store.Root())
+		return nil, none, fmt.Errorf("page store %s holds no sites (run with -gen, or ingest a crawl first)", store.Root())
 	}
 
 	if o.reset {
 		if err := os.Remove(filepath.Join(o.dir, "checkpoint.json")); err != nil && !os.IsNotExist(err) {
-			return nil, err
+			return nil, none, err
 		}
 		if err := os.RemoveAll(filepath.Join(o.dir, "triples")); err != nil {
-			return nil, err
+			return nil, none, err
 		}
 	}
 
@@ -172,26 +179,26 @@ func harvest(ctx context.Context, o options) (*batch.Report, error) {
 		kb, kerr := ceres.ReadKB(kbFile)
 		kbFile.Close()
 		if kerr != nil {
-			return nil, fmt.Errorf("reading seed KB %s: %v", kbPath, kerr)
+			return nil, none, fmt.Errorf("reading seed KB %s: %v", kbPath, kerr)
 		}
 		pipeline = ceres.NewPipeline(kb, ceres.WithThreshold(o.threshold))
 	} else if !os.IsNotExist(err) {
-		return nil, err
+		return nil, none, err
 	} else {
 		fmt.Fprintf(os.Stderr, "no seed KB at %s: serving stored models only, new sites are skipped\n", kbPath)
 	}
 
 	modelStore, err := ceres.NewDirStore(filepath.Join(o.dir, "models"))
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	registry, err := ceres.OpenRegistry(ctx, modelStore)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	sink, err := batch.NewJSONLSink(filepath.Join(o.dir, "triples"))
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	runner, err := batch.NewRunner(batch.Config{
 		Provider:       store,
@@ -202,7 +209,7 @@ func harvest(ctx context.Context, o options) (*batch.Report, error) {
 		CheckpointPath: filepath.Join(o.dir, "checkpoint.json"),
 	})
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 
 	job := batch.Job{
@@ -219,17 +226,18 @@ func harvest(ctx context.Context, o options) (*batch.Report, error) {
 
 	report, err := runner.Run(ctx, job)
 	if err != nil {
-		return nil, err
+		return nil, none, err
 	}
 	if o.fuse {
 		if err := writeFused(filepath.Join(o.dir, "fused.jsonl"), report.Facts); err != nil {
-			return nil, err
+			return nil, none, err
 		}
 	}
-	if err := writeStats(filepath.Join(o.dir, "stats.json"), report); err != nil {
-		return nil, err
+	reads := store.ReadStats()
+	if err := writeStats(filepath.Join(o.dir, "stats.json"), report, reads); err != nil {
+		return nil, none, err
 	}
-	return report, nil
+	return report, reads, nil
 }
 
 // generateCrawl materializes the websim long-tail crawl into an empty
@@ -312,9 +320,10 @@ func writeFused(path string, facts []ceres.FusedFact) error {
 }
 
 // writeStats writes the machine-readable run report — the Table-8
-// numbers plus the per-stage wall-time breakdown — next to the harvest
-// output, atomically so a reader never sees a half-written report.
-func writeStats(path string, rep *batch.Report) error {
+// numbers plus the per-stage wall-time breakdown and the page store's read
+// counters — next to the harvest output, atomically so a reader never sees
+// a half-written report.
+func writeStats(path string, rep *batch.Report, reads pagestore.ReadStats) error {
 	type stage struct {
 		Stage string `json:"stage"`
 		Ns    int64  `json:"ns"`
@@ -339,6 +348,7 @@ func writeStats(path string, rep *batch.Report) error {
 		"commitBatches":  rep.CommitBatches,
 		"manifestWrites": rep.ManifestWrites,
 		"contexts":       rep.Contexts,
+		"store":          reads,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -354,9 +364,9 @@ const overlappedStage = "commit"
 // printReport writes the per-site harvest summary — the CLI's analogue of
 // the paper's Table 8 — followed by the run's per-stage wall-time
 // breakdown (worker-summed, so stages can exceed elapsed) and what the
-// context cache, the fits, the trainings, the commit stage and the
-// training verdicts did.
-func printReport(rep *batch.Report, fused bool) {
+// context cache, the page store, the fits, the trainings, the commit stage
+// and the training verdicts did.
+func printReport(rep *batch.Report, reads pagestore.ReadStats, fused bool) {
 	fmt.Printf("%-32s %7s %7s %7s %8s %8s %3s  %s\n",
 		"site", "pages", "shards", "done", "resumed", "triples", "v", "status")
 	for _, sr := range rep.Sites {
@@ -389,6 +399,7 @@ func printReport(rep *batch.Report, fused bool) {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
 	fmt.Println(contextSummary(rep))
+	fmt.Println(storeSummary(reads))
 	fmt.Println(fitSummary(rep))
 	if rep.Training.Sites > 0 {
 		fmt.Println(trainingSummary(rep))
@@ -410,6 +421,18 @@ func contextSummary(rep *batch.Report) string {
 	}
 	return fmt.Sprintf("contexts: %d fields, %.1f%% hits, %d misses, %d uncached, %d evictions",
 		c.Fields, hit, c.Misses, c.Uncached, c.Evictions)
+}
+
+// storeSummary is a line of the report: the bytes the process gunzipped
+// out of the page store, the record bytes it handed on, and their ratio —
+// 1.00x when every read takes whole segments, as a warm pass at the
+// default shard and segment sizes does.
+func storeSummary(st pagestore.ReadStats) string {
+	ratio := 0.0
+	if st.Delivered > 0 {
+		ratio = float64(st.Inflated) / float64(st.Delivered)
+	}
+	return fmt.Sprintf("store: %.1f MB inflated, %.1f MB delivered, %.2fx", float64(st.Inflated)/1e6, float64(st.Delivered)/1e6, ratio)
 }
 
 // skipSummary is the report's last line: how many sites were skipped as

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -110,7 +111,8 @@ func TestGenerateAndHarvest(t *testing.T) {
 	// The stats report carries the Table-8 numbers plus the per-stage
 	// wall-time breakdown.
 	statsPath := filepath.Join(dir, "stats.json")
-	if err := writeStats(statsPath, rep); err != nil {
+	reads := store.ReadStats()
+	if err := writeStats(statsPath, rep, reads); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(statsPath)
@@ -128,14 +130,15 @@ func TestGenerateAndHarvest(t *testing.T) {
 			Ns         int64  `json:"ns"`
 			Overlapped bool   `json:"overlapped"`
 		} `json:"stages"`
-		CommitBatches  int                `json:"commitBatches"`
-		ManifestWrites int                `json:"manifestWrites"`
-		Contexts       batch.ContextStats `json:"contexts"`
+		CommitBatches  int                 `json:"commitBatches"`
+		ManifestWrites int                 `json:"manifestWrites"`
+		Contexts       batch.ContextStats  `json:"contexts"`
+		Store          pagestore.ReadStats `json:"store"`
 	}
 	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatalf("stats.json malformed: %v", err)
 	}
-	if doc.Triples != rep.Triples || len(doc.Stages) != 11 {
+	if doc.Triples != rep.Triples || len(doc.Stages) != 12 {
 		t.Fatalf("stats.json content wrong: %+v", doc)
 	}
 	// The commit stage's time runs beside the other stages' and says so;
@@ -162,6 +165,15 @@ func TestGenerateAndHarvest(t *testing.T) {
 	if got, want := contextSummary(rep), fmt.Sprintf("contexts: %d fields, %.1f%% hits, %d misses, 0 uncached, %d evictions",
 		c.Fields, 100*float64(c.Fields-c.Misses)/float64(c.Fields), c.Misses, c.Evictions); got != want {
 		t.Errorf("contextSummary = %q, want %q", got, want)
+	}
+	// The page store's reads are counted: 16-page shards of 64-page
+	// segments, and training's leading pages, inflate more than they use.
+	if doc.Store != reads || reads.Delivered == 0 || reads.Inflated <= reads.Delivered {
+		t.Errorf("store reads %+v (stats.json %+v): want more inflated than delivered", reads, doc.Store)
+	}
+	if got, want := storeSummary(reads), fmt.Sprintf("store: %.1f MB inflated, %.1f MB delivered, %.2fx",
+		float64(reads.Inflated)/1e6, float64(reads.Delivered)/1e6, float64(reads.Inflated)/float64(reads.Delivered)); got != want {
+		t.Errorf("storeSummary = %q, want %q", got, want)
 	}
 	if got, want := skipSummary(rep), "skipped: 2 sites (0 from stored verdicts)"; got != want {
 		t.Errorf("skipSummary = %q, want %q", got, want)
@@ -194,9 +206,24 @@ func TestGenerateAndHarvest(t *testing.T) {
 	for _, s := range doc.Stages {
 		byStage[s.Stage] = s.Ns
 	}
-	for _, stage := range []string{"train", "extract", "score", "fuse"} {
+	for _, stage := range []string{"train", "extract", "read", "score", "fuse"} {
 		if byStage[stage] <= 0 {
 			t.Errorf("stats.json stage %q recorded no time: %v", stage, byStage)
 		}
+	}
+}
+
+// TestShardIsOneSegment pins the three defaults that make a default shard
+// read exactly one whole segment: the page store's segment size, the batch
+// job's shard size and the -shard-pages flag.
+func TestShardIsOneSegment(t *testing.T) {
+	var o options
+	o.register(flag.NewFlagSet("ceres-batch", flag.ContinueOnError))
+	plan, err := batch.PlanJob(batch.Job{}, batch.NewMemProvider())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.shardPages != pagestore.DefaultSegmentPages || plan.ShardPages != pagestore.DefaultSegmentPages {
+		t.Fatalf("-shard-pages %d, batch default %d, segment %d: want all equal", o.shardPages, plan.ShardPages, pagestore.DefaultSegmentPages)
 	}
 }

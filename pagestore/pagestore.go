@@ -19,15 +19,18 @@
 //
 // Reading is segment-granular and has one plane, PagesBytes: it plans
 // which segments a range touches (whole segments before the range are
-// never opened), inflates each through a pooled gzip reader into a pooled
-// buffer, and frames records out of that buffer with an allocation-free
-// cursor, handing the callback views valid for the call. A range spanning
-// several segments is read ahead by a bounded worker pool that
-// decompresses segments in parallel while the callback consumes them in
-// ingest order; memory stays bounded by the read-ahead window (a few
-// segments), never the site. Pages is the same scan with each record
-// copied into a ceres.PageSource. A Store is the page provider of a batch
-// harvest (ceres/batch.PageProvider).
+// never opened), inflates each to gzip EOF — the trailer's CRC-32 and
+// length are what catch a damaged segment — through a pooled gzip reader
+// into a pooled buffer, and frames records out of that buffer with an
+// allocation-free cursor, handing the callback views valid for the call.
+// A segment holds as many pages as a default batch shard, so a shard
+// inflates one segment and nothing it does not deliver; ReadStats counts
+// both sides. A range spanning several segments is read ahead by a
+// bounded worker pool that decompresses segments in parallel while the
+// callback consumes them in ingest order; memory stays bounded by the
+// read-ahead window (a few segments), never the site. Pages is the same
+// scan with each record copied into a ceres.PageSource. A Store is the
+// page provider of a batch harvest (ceres/batch.PageProvider).
 package pagestore
 
 import (
@@ -44,6 +47,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -59,8 +64,11 @@ var ErrSiteNotFound = errors.New("pagestore: site not found")
 const indexFormat = "ceres.pagestore/1"
 
 // DefaultSegmentPages is how many pages a Writer packs into one segment
-// before rotating.
-const DefaultSegmentPages = 256
+// before rotating. It is a batch harvest's default shard size, so a
+// default shard reads exactly one segment and every stored byte is
+// inflated once per pass; a store written with larger segments reads the
+// same records at the cost of inflating what a shard skips.
+const DefaultSegmentPages = 64
 
 // SegmentInfo describes one sealed segment of a site partition.
 type SegmentInfo struct {
@@ -90,6 +98,23 @@ type SiteInfo struct {
 type Store struct {
 	root string
 	mu   sync.Mutex // serializes index rewrites per process
+
+	inflated, delivered atomic.Int64 // ReadStats
+}
+
+// ReadStats is what a Store's reads have done since Open: Inflated counts
+// the bytes gunzipped out of segment files, Delivered the record bytes,
+// framing included, handed to callbacks. Inflated over Delivered is how
+// many times over the reads paid for what they used — 1 when every read
+// takes whole segments.
+type ReadStats struct {
+	Inflated  int64 `json:"inflated"`
+	Delivered int64 `json:"delivered"`
+}
+
+// ReadStats returns the store's read counters.
+func (s *Store) ReadStats() ReadStats {
+	return ReadStats{Inflated: s.inflated.Load(), Delivered: s.delivered.Load()}
 }
 
 // Open opens (creating if needed) a page store rooted at dir.
@@ -134,7 +159,7 @@ func (s *Store) Sites() ([]string, error) {
 }
 
 // Info loads a site's index. It returns ErrSiteNotFound for a site the
-// store does not hold.
+// store does not hold, and refuses an index no Writer writes (checkIndex).
 func (s *Store) Info(site string) (SiteInfo, error) {
 	if err := ceres.CheckSiteName(site); err != nil {
 		return SiteInfo{}, fmt.Errorf("pagestore: %w", err)
@@ -153,7 +178,37 @@ func (s *Store) Info(site string) (SiteInfo, error) {
 	if info.Format != indexFormat {
 		return SiteInfo{}, fmt.Errorf("pagestore: unknown index format %q for site %q", info.Format, site)
 	}
+	if err := checkIndex(info); err != nil {
+		return SiteInfo{}, fmt.Errorf("pagestore: index of %q: %w", site, err)
+	}
 	return info, nil
+}
+
+// checkIndex refuses what a reader must not act on: a negative count (a
+// site that silently delivers nothing), segment pages that do not add up
+// to Pages, and a segment file name other than the one a Writer gives it
+// (the name is joined onto the site directory and opened).
+func checkIndex(info SiteInfo) error {
+	if info.Pages < 0 {
+		return fmt.Errorf("negative page count %d", info.Pages)
+	}
+	sum := 0
+	for i, seg := range info.Segments {
+		if seg.Pages < 0 || seg.Bytes < 0 {
+			return fmt.Errorf("segment %d: negative count", i)
+		}
+		if !isSegmentFile(seg.File) {
+			return fmt.Errorf("segment %d: %q is not a segment file name", i, seg.File)
+		}
+		if seg.Pages > info.Pages-sum {
+			return fmt.Errorf("segment pages add up to more than %d", info.Pages)
+		}
+		sum += seg.Pages
+	}
+	if sum != info.Pages {
+		return fmt.Errorf("segment pages add up to %d, not %d", sum, info.Pages)
+	}
+	return nil
 }
 
 // PageCount returns a site's total page count.
@@ -222,6 +277,12 @@ func (s *Store) Writer(site string) (*Writer, error) {
 }
 
 func segmentFile(n int) string { return fmt.Sprintf("seg-%06d.gz", n) }
+
+// isSegmentFile reports whether name is segmentFile(n) for some n ≥ 1.
+func isSegmentFile(name string) bool {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "seg-"), ".gz"))
+	return err == nil && n > 0 && segmentFile(n) == name
+}
 
 // Append adds one page record to the partition.
 func (w *Writer) Append(p ceres.PageSource) error {
@@ -366,14 +427,21 @@ type recSpan struct {
 	idLo, idHi, htmlLo, htmlHi int
 }
 
-// decodeSegment opens, inflates and frames one planned segment read,
-// returning the pooled inflated buffer and the payload spans of the
-// delivered records. Ownership of the buffer transfers to the caller,
-// which must inflPool.Put it once the spans are no longer read.
-func (s *Store) decodeSegment(site string, sr segRead) (*[]byte, []recSpan, error) {
+// segment is one decoded segment read: the pooled inflated buffer and the
+// spans of the records the read delivers, which lie back to back from lo.
+type segment struct {
+	bufp  *[]byte
+	lo    int
+	spans []recSpan
+}
+
+// decodeSegment opens, inflates and frames one planned segment read.
+// Ownership of the pooled buffer transfers to the caller, which hands it
+// back through deliver.
+func (s *Store) decodeSegment(site string, sr segRead) (segment, error) {
 	f, err := os.Open(filepath.Join(s.siteDir(site), sr.seg.File))
 	if err != nil {
-		return nil, nil, fmt.Errorf("pagestore: opening segment: %w", err)
+		return segment{}, fmt.Errorf("pagestore: opening segment: %w", err)
 	}
 	defer f.Close()
 	br := bufioPool.Get().(*bufio.Reader)
@@ -387,7 +455,7 @@ func (s *Store) decodeSegment(site string, sr segRead) (*[]byte, []recSpan, erro
 		gz, err = gzip.NewReader(br)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("pagestore: reading segment %s: %w", sr.seg.File, err)
+		return segment{}, fmt.Errorf("pagestore: reading segment %s: %w", sr.seg.File, err)
 	}
 	defer gzipPool.Put(gz)
 
@@ -397,42 +465,51 @@ func (s *Store) decodeSegment(site string, sr segRead) (*[]byte, []recSpan, erro
 	}
 	data, err := readAllInto((*bufp)[:0], gz)
 	*bufp = data // keep the grown capacity pooled even on error
+	s.inflated.Add(int64(len(data)))
+	if err == nil {
+		err = gz.Close()
+	}
 	if err != nil {
 		inflPool.Put(bufp)
-		return nil, nil, fmt.Errorf("pagestore: reading segment %s: %w", sr.seg.File, err)
-	}
-	if err := gz.Close(); err != nil {
-		inflPool.Put(bufp)
-		return nil, nil, fmt.Errorf("pagestore: reading segment %s: %w", sr.seg.File, err)
+		return segment{}, fmt.Errorf("pagestore: reading segment %s: %w", sr.seg.File, err)
 	}
 
-	spans := make([]recSpan, 0, sr.take)
+	// A record frames to at least two bytes, so what was inflated bounds
+	// the spans, whatever count the index claims.
+	seg := segment{bufp: bufp, spans: make([]recSpan, 0, min(sr.take, len(data)/2))}
 	off := 0
 	for i := 0; i < sr.skip+sr.take; i++ {
+		if i == sr.skip {
+			seg.lo = off
+		}
 		idLo, idHi, htmlLo, htmlHi, next, ok := frameRecord(data, off)
 		if !ok {
 			inflPool.Put(bufp)
-			return nil, nil, fmt.Errorf("pagestore: reading segment %s: truncated record %d", sr.seg.File, i)
+			return segment{}, fmt.Errorf("pagestore: reading segment %s: truncated record %d", sr.seg.File, i)
 		}
 		if i >= sr.skip { // skipped records never materialize
-			spans = append(spans, recSpan{idLo, idHi, htmlLo, htmlHi})
+			seg.spans = append(seg.spans, recSpan{idLo, idHi, htmlLo, htmlHi})
 		}
 		off = next
 	}
-	return bufp, spans, nil
+	return seg, nil
 }
 
 // PagesBytes streams records [start, start+n) of a site in ingest order
 // through fn; n < 0 streams to the end. fn receives views into the pooled
 // inflated segment buffer, valid only during the call. A non-nil error
-// from fn stops the scan and is returned; cancelling ctx stops it with
-// ctx.Err(). Whole segments before start are never opened and records
-// skipped inside the first touched one are framed, never delivered. A
-// range spanning several segments is inflated in parallel by a bounded
-// pool while fn consumes the records strictly in order, so the callback
-// sequence is that of a sequential scan and memory is bounded by the
-// read-ahead window, never the site.
+// from fn stops the scan and is returned; a cancelled ctx stops it with
+// ctx.Err(), checked before anything is read and between records. Whole
+// segments before start are never opened and records skipped inside the
+// first touched one are framed, never delivered. A range spanning several
+// segments is inflated in parallel by a bounded pool while fn consumes the
+// records strictly in order, so the callback sequence is that of a
+// sequential scan and memory is bounded by the read-ahead window, never
+// the site.
 func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn func(id, html []byte) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if start < 0 {
 		return fmt.Errorf("pagestore: negative start %d", start)
 	}
@@ -448,12 +525,11 @@ func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn fu
 		return nil
 	}
 	if len(reads) == 1 {
-		bufp, spans, err := s.decodeSegment(site, reads[0])
+		seg, err := s.decodeSegment(site, reads[0])
 		if err != nil {
 			return err
 		}
-		defer inflPool.Put(bufp)
-		return deliverSpans(*bufp, spans, fn)
+		return s.deliver(ctx, seg, fn)
 	}
 	return s.readAhead(ctx, site, reads, fn)
 }
@@ -467,14 +543,28 @@ func (s *Store) Pages(ctx context.Context, site string, start, n int, fn func(ce
 	})
 }
 
-// deliverSpans feeds each framed record to fn as buffer views.
-func deliverSpans(data []byte, spans []recSpan, fn func(id, html []byte) error) error {
-	for _, sp := range spans {
-		if err := fn(data[sp.idLo:sp.idHi], data[sp.htmlLo:sp.htmlHi]); err != nil {
-			return err
+// deliver feeds a decoded segment's records to fn as buffer views until fn
+// fails or ctx is cancelled, counts the record bytes fn was handed, and
+// returns the buffer to the pool.
+func (s *Store) deliver(ctx context.Context, seg segment, fn func(id, html []byte) error) error {
+	data, end := *seg.bufp, seg.lo
+	done := ctx.Done()
+	var err error
+	for _, sp := range seg.spans {
+		select {
+		case <-done:
+			err = ctx.Err()
+		default:
+			end = sp.htmlHi
+			err = fn(data[sp.idLo:sp.idHi], data[sp.htmlLo:sp.htmlHi])
+		}
+		if err != nil {
+			break
 		}
 	}
-	return nil
+	s.delivered.Add(int64(end - seg.lo))
+	inflPool.Put(seg.bufp)
+	return err
 }
 
 // readAhead fans the planned segment reads out to a worker pool and
@@ -487,9 +577,8 @@ func deliverSpans(data []byte, spans []recSpan, fn func(id, html []byte) error) 
 func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn func(id, html []byte) error) error {
 	workers := min(runtime.GOMAXPROCS(0), len(reads), maxReadahead)
 	type result struct {
-		bufp  *[]byte
-		spans []recSpan
-		err   error
+		seg segment
+		err error
 	}
 	results := make([]chan result, len(reads))
 	for i := range results {
@@ -517,8 +606,8 @@ func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn 
 				if i >= len(reads) || ctx.Err() != nil {
 					return
 				}
-				bufp, spans, err := s.decodeSegment(site, reads[i])
-				results[i] <- result{bufp, spans, err}
+				seg, err := s.decodeSegment(site, reads[i])
+				results[i] <- result{seg, err}
 			}
 		}()
 	}
@@ -533,9 +622,7 @@ func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn 
 		if res.err != nil {
 			return res.err
 		}
-		err := deliverSpans(*res.bufp, res.spans, fn)
-		inflPool.Put(res.bufp)
-		if err != nil {
+		if err := s.deliver(ctx, res.seg, fn); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -282,5 +283,154 @@ func TestStoreSiteNameValidation(t *testing.T) {
 	}
 	if err := s.Ingest("x", []ceres.PageSource{{ID: "", HTML: "y"}}); !errors.Is(err, ceres.ErrInvalidPage) {
 		t.Fatalf("empty page ID accepted: %v", err)
+	}
+}
+
+// TestDamagedIndex: an index no Writer writes is refused by Info, naming
+// the site, so PageCount fails instead of planning nothing and no name is
+// ever opened outside the partition; a segment whose bytes hold fewer
+// records than its count claims fails its read without allocating for the
+// claim (4e9 records was a fatal out-of-memory, which no recover contains).
+func TestDamagedIndex(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const site = "site.example"
+	if err := s.Ingest(site, genPages("p", 3)); err != nil {
+		t.Fatal(err)
+	}
+	index := func(pages int, segs string) string {
+		return fmt.Sprintf(`{"format":"ceres.pagestore/1","site":%q,"pages":%d,"segments":[%s]}`, site, pages, segs)
+	}
+	for _, c := range []struct {
+		name, index string
+		refused     bool // by Info; otherwise by the read
+	}{
+		{"count beyond the bytes", index(4000000000, `{"file":"seg-000001.gz","pages":4000000000}`), false},
+		{"negative site pages", index(-3, ``), true},
+		{"negative segment pages", index(0, `{"file":"seg-000001.gz","pages":-3},{"file":"seg-000001.gz","pages":3}`), true},
+		{"negative segment bytes", index(3, `{"file":"seg-000001.gz","pages":3,"bytes":-1}`), true},
+		{"pages do not add up", index(5, `{"file":"seg-000001.gz","pages":3}`), true},
+		{"segments exceed pages", index(3, `{"file":"seg-000001.gz","pages":3},{"file":"seg-000001.gz","pages":3}`), true},
+		{"path traversal", index(3, `{"file":"../../../etc/passwd","pages":3}`), true},
+		{"unpadded number", index(3, `{"file":"seg-1.gz","pages":3}`), true},
+		{"segment zero", index(3, `{"file":"seg-000000.gz","pages":3}`), true},
+		{"the index itself", index(3, `{"file":"site.json","pages":3}`), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(filepath.Join(s.siteDir(site), "site.json"), []byte(c.index), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, infoErr := s.Info(site)
+			if c.refused != (infoErr != nil) {
+				t.Fatalf("Info: %v, want refused=%v", infoErr, c.refused)
+			}
+			if c.refused {
+				if !strings.Contains(infoErr.Error(), `"`+site+`"`) {
+					t.Errorf("Info error %q does not name the site", infoErr)
+				}
+				if n, err := s.PageCount(site); err == nil {
+					t.Errorf("PageCount = %d of a refused index", n)
+				}
+			}
+			delivered := 0
+			err := s.PagesBytes(context.Background(), site, 0, -1, func(_, _ []byte) error {
+				delivered++
+				return nil
+			})
+			if err == nil || delivered != 0 {
+				t.Fatalf("PagesBytes delivered %d records, err %v; want an error and none", delivered, err)
+			}
+		})
+	}
+}
+
+// TestPagesBytesCancelled: a cancelled context stops a read with ctx.Err()
+// before any record when it is cancelled up front — on a one-segment range
+// as on a range spanning segments — and between records when it is
+// cancelled by the callback.
+func TestPagesBytesCancelled(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := s.Writer("site.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SegmentPages = 10
+	for _, p := range genPages("p", 30) {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range []struct{ start, n int }{{0, 10}, {3, 4}, {0, -1}, {5, 20}} {
+		calls := 0
+		err := s.PagesBytes(cancelled, "site.example", r.start, r.n, func(_, _ []byte) error {
+			calls++
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || calls != 0 {
+			t.Errorf("pre-cancelled PagesBytes(%d,%d) = %v after %d records; want context.Canceled and none", r.start, r.n, err, calls)
+		}
+	}
+	for _, r := range []struct{ start, n int }{{0, 10}, {0, -1}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		calls := 0
+		err := s.PagesBytes(ctx, "site.example", r.start, r.n, func(_, _ []byte) error {
+			if calls++; calls == 3 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) || calls != 3 {
+			t.Errorf("PagesBytes(%d,%d) cancelled at record 3 = %v after %d records", r.start, r.n, err, calls)
+		}
+	}
+}
+
+// TestReadStats: a read of whole default-sized segments inflates exactly
+// the record bytes it delivers, framing included; a read of part of a
+// segment still inflates all of it.
+func TestReadStats(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := genPages("p", 2*DefaultSegmentPages+5)
+	if err := s.Ingest("site.example", pages); err != nil {
+		t.Fatal(err)
+	}
+	recordBytes := func(ps []ceres.PageSource) int64 {
+		var n int64
+		for _, p := range ps {
+			n += int64(len(binary.AppendUvarint(nil, uint64(len(p.ID)))) + len(p.ID) +
+				len(binary.AppendUvarint(nil, uint64(len(p.HTML)))) + len(p.HTML))
+		}
+		return n
+	}
+	read := func(start, n int) ReadStats {
+		before := s.ReadStats()
+		if err := s.PagesBytes(context.Background(), "site.example", start, n, func(_, _ []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		after := s.ReadStats()
+		return ReadStats{Inflated: after.Inflated - before.Inflated, Delivered: after.Delivered - before.Delivered}
+	}
+	if got, all := read(0, -1), recordBytes(pages); got.Inflated != all || got.Delivered != all {
+		t.Errorf("full scan: %+v, want %d inflated and delivered", got, all)
+	}
+	if got, seg := read(DefaultSegmentPages, DefaultSegmentPages), recordBytes(pages[DefaultSegmentPages:2*DefaultSegmentPages]); got.Inflated != seg || got.Delivered != seg {
+		t.Errorf("one whole segment: %+v, want %d inflated and delivered", got, seg)
+	}
+	if got := read(10, 5); got.Inflated != recordBytes(pages[:DefaultSegmentPages]) || got.Delivered != recordBytes(pages[10:15]) {
+		t.Errorf("five records of the first segment: %+v", got)
 	}
 }
