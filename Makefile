@@ -35,26 +35,29 @@ fmt-check:
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
-# Native fuzzing, long budget per target (CI runs the same targets for
-# 10s each). Four hold hand-written JSON code to encoding/json: the
-# extract-request reader on every body (accept/reject, every decoded
-# value, no panic — DESIGN.md §7), the extract-response encoder on every
-# string, float and int (the same bytes, an error iff it has one — §7),
-# the triple line decoder on every line and the triple/fact encoder on
-# every string and float bit pattern (DESIGN.md §8). The fifth holds the
-# HTML lexer's two consumers to each other: the stream pass's records
-# against Parse's tree on every page (DESIGN.md §5). The sixth holds the
-# serve engine's context cache to having no say in the output: a page
-# through a scratch that has served the site and through a fresh one scores
-# and extracts alike (DESIGN.md §5). The seventh is the model file, the
-# bytes PUT /v1/sites/{site}/model takes from the network: no input
-# panics, an accepted one re-encodes to an equal state, serves or refuses
-# without panicking, and decodes to no more than a fixed multiple of its
-# size (DESIGN.md §10). The eighth is the page store's read plane over a
+# Native fuzzing, long budget per target; CI's fuzz job runs this target
+# at FUZZTIME=10s, so this is the one list. Four hold hand-written JSON
+# code to encoding/json: the extract-request reader on every body
+# (accept/reject, every decoded value, no panic — DESIGN.md §7), the
+# extract-response encoder on every string, float and int (the same
+# bytes, an error iff it has one — §7), the triple line decoder on every
+# line and the triple/fact encoder on every string and float bit pattern
+# (DESIGN.md §8). The fifth holds the HTML lexer's two consumers to each
+# other: the stream pass's records against Parse's tree on every page
+# (DESIGN.md §5). The sixth holds the serve engine's context cache to
+# having no say in the output: a page through a scratch that has served
+# the site and through a fresh one scores and extracts alike (DESIGN.md
+# §5). The seventh is the model file, the bytes PUT
+# /v1/sites/{site}/model takes from the network: no input panics, an
+# accepted one re-encodes to an equal state, serves or refuses without
+# panicking, and decodes to no more than a fixed multiple of its size
+# (DESIGN.md §10). The eighth is the page store's read plane over a
 # fuzzed site.json and segment: no panic, and a read either fails or
 # delivers exactly the records a reference framer parses (DESIGN.md §8).
-# A failing input is written under the package's testdata/fuzz/ — commit
-# it.
+# The ninth is the harvest's checkpoint.json: no panic, and an accepted
+# manifest never counts a site's shards done while one is not (DESIGN.md
+# §8). A failing input is written under the package's testdata/fuzz/ —
+# commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -65,6 +68,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractWarmCold -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzPagestoreRead -fuzztime=$(FUZZTIME) ./pagestore
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./batch
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

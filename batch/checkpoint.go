@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -78,7 +79,8 @@ type checkpoint struct {
 
 // loadCheckpoint opens (or initializes) the manifest at path and verifies
 // it matches the plan. Sites new to the plan are added; a site whose page
-// count or the shard size changed fails with ErrCheckpointMismatch.
+// count or the shard size changed, or a done list the plan cannot hold,
+// fails with ErrCheckpointMismatch.
 func loadCheckpoint(path string, plan *Plan) (*checkpoint, error) {
 	ck := &checkpoint{path: path, m: newManifest(plan)}
 	if path == "" {
@@ -101,6 +103,9 @@ func loadCheckpoint(path string, plan *Plan) (*checkpoint, error) {
 	if m.ShardPages != plan.ShardPages {
 		return nil, fmt.Errorf("%w: shard size %d, plan wants %d", ErrCheckpointMismatch, m.ShardPages, plan.ShardPages)
 	}
+	if m.Sites == nil {
+		m.Sites = map[string]int{}
+	}
 	for _, sp := range plan.Sites {
 		if pages, ok := m.Sites[sp.Site]; ok && pages != sp.Pages {
 			return nil, fmt.Errorf("%w: site %q has %d pages, checkpoint recorded %d", ErrCheckpointMismatch, sp.Site, sp.Pages, pages)
@@ -116,11 +121,38 @@ func loadCheckpoint(path string, plan *Plan) (*checkpoint, error) {
 	if m.Done == nil {
 		m.Done = map[string][]int{}
 	}
-	for _, done := range m.Done {
-		slices.Sort(done) // lookups search; a hand-edited manifest may not be in order
+	if err := m.checkDone(); err != nil {
+		return nil, fmt.Errorf("batch: checkpoint %s: %w", path, err)
 	}
 	ck.m = &m
 	return ck, nil
+}
+
+// checkDone sorts each site's Done list (lookups search it; a hand-edited
+// manifest may not be in order) and refuses one the recorded plan cannot
+// hold: shards of a site it does not record or records with a negative
+// page count, an index outside the site's shards, or a duplicate. Any of
+// them would let doneCount reach a site's shard count while a shard of it
+// is still undone.
+func (m *manifest) checkDone() error {
+	for _, site := range slices.Sorted(maps.Keys(m.Done)) {
+		done := m.Done[site]
+		slices.Sort(done)
+		pages, ok := m.Sites[site]
+		if !ok || pages < 0 {
+			return fmt.Errorf("%w: done shards of site %q, which has no page count", ErrCheckpointMismatch, site)
+		}
+		shards := (pages + m.ShardPages - 1) / m.ShardPages
+		for i, idx := range done {
+			if idx < 0 || idx >= shards {
+				return fmt.Errorf("%w: site %q has %d shards, checkpoint lists shard %d as done", ErrCheckpointMismatch, site, shards, idx)
+			}
+			if i > 0 && done[i-1] == idx {
+				return fmt.Errorf("%w: site %q lists shard %d as done twice", ErrCheckpointMismatch, site, idx)
+			}
+		}
+	}
+	return nil
 }
 
 // save writes the manifest as it is now — atomically and durably: temp

@@ -13,11 +13,13 @@
 // fields. Decoders skip unknown tags by wire type, so a v3 reader stays
 // forward-compatible with files that gain fields.
 //
-// There is no reflection anywhere: every message has a hand-written
-// size/append/parse triple, the encoder grows its output buffer exactly
-// once, and the framing primitives are //ceres:allocfree so the decode
-// hot path is machine-enforced allocation-free apart from the strings
-// and slices the decoded state itself owns.
+// There is no reflection anywhere. Each message lists its fields once in
+// an append function and once in a parse function. The encoder back-fills
+// every length prefix after writing what it frames; the decoder walks
+// each message with one field cursor, which owns framing, wire-type
+// checks and error classes. The framing primitives are //ceres:allocfree,
+// so the decode hot path is machine-enforced allocation-free apart from
+// the strings and slices the decoded state itself owns.
 package binmodel
 
 import (
@@ -125,21 +127,13 @@ const (
 
 // Append encodes threshold and st as one binary site-model file,
 // appending to buf (which may be nil) and returning the extended slice.
-// The output size is computed up front, so Append grows buf at most once
-// and a reused buffer with enough capacity never allocates. Encoding the
-// same state twice yields identical bytes.
+// Every length prefix is back-filled once what it frames is written, and
+// the buffer never holds more than the finished encoding, so a reused
+// buffer that held an encoding of the same state never allocates.
+// Encoding the same state twice yields identical bytes.
 func Append(buf []byte, threshold float64, st *core.SiteModelState) []byte {
-	body := sizeFile(threshold, st)
-	need := len(magic) + uvarintLen(Version) + uvarintLen(uint64(body)) + body
-	if cap(buf)-len(buf) < need {
-		grown := make([]byte, len(buf), len(buf)+need)
-		copy(grown, buf)
-		buf = grown
-	}
-	buf = append(buf, magic[:]...)
-	buf = binary.AppendUvarint(buf, Version)
-	buf = binary.AppendUvarint(buf, uint64(body))
-	return appendFile(buf, threshold, st)
+	body, at := openLen(binary.AppendUvarint(append(buf, magic[:]...), Version))
+	return closeLen(appendFile(body, threshold, st), at)
 }
 
 // Write encodes threshold and st to w as one binary site-model file.
@@ -148,52 +142,43 @@ func Write(w io.Writer, threshold float64, st *core.SiteModelState) (int64, erro
 	return int64(n), err
 }
 
-func sizeFile(threshold float64, st *core.SiteModelState) int {
-	n := fixed64FieldLen(tagFileThreshold, math.Float64bits(threshold))
-	n += bytesFieldLen(tagFileModel, sizeSiteModel(st))
-	return n
+// openLen appends a one-byte length placeholder and returns its offset,
+// for closeLen to fill in.
+func openLen(buf []byte) ([]byte, int) {
+	return append(buf, 0), len(buf)
+}
+
+// closeLen writes, at the placeholder openLen left at offset at, the
+// uvarint length of everything appended since. A length of 128 or more
+// needs a wider varint, so the payload first shifts right to make room.
+func closeLen(buf []byte, at int) []byte {
+	n := len(buf) - at - 1
+	if n < 0x80 {
+		buf[at] = byte(n)
+		return buf
+	}
+	var l [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(l[:], uint64(n))
+	buf = append(buf, l[1:w]...)
+	copy(buf[at+w:], buf[at+1:at+1+n])
+	copy(buf[at:], l[:w])
+	return buf
 }
 
 func appendFile(buf []byte, threshold float64, st *core.SiteModelState) []byte {
 	buf = appendFixed64Field(buf, tagFileThreshold, math.Float64bits(threshold))
-	buf = appendKey(buf, tagFileModel, wireBytes)
-	buf = binary.AppendUvarint(buf, uint64(sizeSiteModel(st)))
-	return appendSiteModel(buf, st)
-}
-
-func sizeSiteModel(st *core.SiteModelState) int {
-	n := fixed64FieldLen(tagSiteNameThreshold, math.Float64bits(st.Extract.NameThreshold))
-	n += intFieldLen(tagSiteTrainPages, st.TrainPages)
-	for i := range st.Clusters {
-		n += bytesFieldLen(tagSiteCluster, sizeCluster(&st.Clusters[i]))
-	}
-	return n
+	msg, at := openLen(appendKey(buf, tagFileModel, wireBytes))
+	return closeLen(appendSiteModel(msg, st), at)
 }
 
 func appendSiteModel(buf []byte, st *core.SiteModelState) []byte {
 	buf = appendFixed64Field(buf, tagSiteNameThreshold, math.Float64bits(st.Extract.NameThreshold))
 	buf = appendIntField(buf, tagSiteTrainPages, st.TrainPages)
 	for i := range st.Clusters {
-		buf = appendKey(buf, tagSiteCluster, wireBytes)
-		buf = binary.AppendUvarint(buf, uint64(sizeCluster(&st.Clusters[i])))
-		buf = appendCluster(buf, &st.Clusters[i])
+		msg, at := openLen(appendKey(buf, tagSiteCluster, wireBytes))
+		buf = closeLen(appendCluster(msg, &st.Clusters[i]), at)
 	}
 	return buf
-}
-
-func sizeCluster(cs *core.ClusterModelState) int {
-	n := 0
-	for _, k := range cs.Exemplar {
-		n += bytesFieldLen(tagClusterExemplar, len(k))
-	}
-	n += boolFieldLen(tagClusterTrained, cs.Trained)
-	n += intFieldLen(tagClusterPages, cs.Pages)
-	n += intFieldLen(tagClusterAnnotatedPages, cs.AnnotatedPages)
-	n += intFieldLen(tagClusterAnnotations, cs.Annotations)
-	if cs.Model != nil {
-		n += bytesFieldLen(tagClusterModel, sizeModel(cs.Model))
-	}
-	return n
 }
 
 func appendCluster(buf []byte, cs *core.ClusterModelState) []byte {
@@ -205,64 +190,50 @@ func appendCluster(buf []byte, cs *core.ClusterModelState) []byte {
 	buf = appendIntField(buf, tagClusterAnnotatedPages, cs.AnnotatedPages)
 	buf = appendIntField(buf, tagClusterAnnotations, cs.Annotations)
 	if cs.Model != nil {
-		buf = appendKey(buf, tagClusterModel, wireBytes)
-		buf = binary.AppendUvarint(buf, uint64(sizeModel(cs.Model)))
-		buf = appendModel(buf, cs.Model)
+		msg, at := openLen(appendKey(buf, tagClusterModel, wireBytes))
+		buf = closeLen(appendModel(msg, cs.Model), at)
 	}
 	return buf
-}
-
-func sizeModel(ms *core.ModelState) int {
-	n := 0
-	for _, c := range ms.Classes {
-		n += bytesFieldLen(tagModelClass, len(c))
-	}
-	n += bytesFieldLen(tagModelFeaturizer, sizeFeaturizer(&ms.Featurizer))
-	if ms.LR != nil {
-		n += bytesFieldLen(tagModelLR, sizeLR(ms.LR))
-	}
-	if ms.NB != nil {
-		n += bytesFieldLen(tagModelNB, sizeNB(ms.NB))
-	}
-	return n
 }
 
 func appendModel(buf []byte, ms *core.ModelState) []byte {
 	for _, c := range ms.Classes {
 		buf = appendStringField(buf, tagModelClass, c)
 	}
-	buf = appendKey(buf, tagModelFeaturizer, wireBytes)
-	buf = binary.AppendUvarint(buf, uint64(sizeFeaturizer(&ms.Featurizer)))
-	buf = appendFeaturizer(buf, &ms.Featurizer)
-	if ms.LR != nil {
-		buf = appendKey(buf, tagModelLR, wireBytes)
-		buf = binary.AppendUvarint(buf, uint64(sizeLR(ms.LR)))
-		buf = appendLR(buf, ms.LR)
+	msg, at := openLen(appendKey(buf, tagModelFeaturizer, wireBytes))
+	buf = closeLen(appendFeaturizer(msg, &ms.Featurizer), at)
+	if m := ms.LR; m != nil {
+		msg, at := openLen(appendKey(buf, tagModelLR, wireBytes))
+		msg = appendIntField(msg, tagLRNumClasses, m.NumClasses)
+		msg = appendIntField(msg, tagLRNumFeatures, m.NumFeatures)
+		msg = appendFloatsField(msg, tagLRW, m.W)
+		msg = appendFloatsField(msg, tagLRB, m.B)
+		buf = closeLen(msg, at)
 	}
-	if ms.NB != nil {
-		buf = appendKey(buf, tagModelNB, wireBytes)
-		buf = binary.AppendUvarint(buf, uint64(sizeNB(ms.NB)))
-		buf = appendNB(buf, ms.NB)
+	if nb := ms.NB; nb != nil {
+		msg, at := openLen(appendKey(buf, tagModelNB, wireBytes))
+		msg = appendIntField(msg, tagNBNumClasses, nb.NumClasses)
+		msg = appendIntField(msg, tagNBNumFeatures, nb.NumFeatures)
+		msg = appendFloatsField(msg, tagNBLogPrior, nb.LogPrior)
+		msg = appendFloatsField(msg, tagNBLogProb, nb.LogProb)
+		msg = appendFloatsField(msg, tagNBLogAbsent, nb.LogAbsent)
+		msg = appendFloatsField(msg, tagNBLogProbAbsent, nb.LogProbAbsent)
+		buf = closeLen(msg, at)
 	}
 	return buf
 }
 
-func sizeFeaturizer(fs *core.FeaturizerState) int {
-	n := bytesFieldLen(tagFzOpts, sizeFeatureOpts(&fs.Opts))
-	for _, name := range fs.Dict.Names {
-		n += bytesFieldLen(tagFzDictName, len(name))
-	}
-	n += boolFieldLen(tagFzFrozen, fs.Dict.Frozen)
-	for _, s := range fs.Frequent {
-		n += bytesFieldLen(tagFzFrequent, len(s))
-	}
-	return n
-}
-
 func appendFeaturizer(buf []byte, fs *core.FeaturizerState) []byte {
-	buf = appendKey(buf, tagFzOpts, wireBytes)
-	buf = binary.AppendUvarint(buf, uint64(sizeFeatureOpts(&fs.Opts)))
-	buf = appendFeatureOpts(buf, &fs.Opts)
+	fo := &fs.Opts
+	msg, at := openLen(appendKey(buf, tagFzOpts, wireBytes))
+	msg = appendIntField(msg, tagFoMaxAncestors, fo.MaxAncestors)
+	msg = appendIntField(msg, tagFoSiblingWindow, fo.SiblingWindow)
+	msg = appendIntField(msg, tagFoTextAncestors, fo.TextAncestors)
+	msg = appendFixed64Field(msg, tagFoFreqStringMinFrac, math.Float64bits(fo.FrequentStringMinFrac))
+	msg = appendIntField(msg, tagFoMaxFreqStringLen, fo.MaxFrequentStringLen)
+	msg = appendBoolField(msg, tagFoDisableStructural, fo.DisableStructural)
+	msg = appendBoolField(msg, tagFoDisableText, fo.DisableText)
+	buf = closeLen(msg, at)
 	for _, name := range fs.Dict.Names {
 		buf = appendStringField(buf, tagFzDictName, name)
 	}
@@ -270,64 +241,6 @@ func appendFeaturizer(buf []byte, fs *core.FeaturizerState) []byte {
 	for _, s := range fs.Frequent {
 		buf = appendStringField(buf, tagFzFrequent, s)
 	}
-	return buf
-}
-
-func sizeFeatureOpts(fo *core.FeatureOptions) int {
-	n := intFieldLen(tagFoMaxAncestors, fo.MaxAncestors)
-	n += intFieldLen(tagFoSiblingWindow, fo.SiblingWindow)
-	n += intFieldLen(tagFoTextAncestors, fo.TextAncestors)
-	n += fixed64FieldLen(tagFoFreqStringMinFrac, math.Float64bits(fo.FrequentStringMinFrac))
-	n += intFieldLen(tagFoMaxFreqStringLen, fo.MaxFrequentStringLen)
-	n += boolFieldLen(tagFoDisableStructural, fo.DisableStructural)
-	n += boolFieldLen(tagFoDisableText, fo.DisableText)
-	return n
-}
-
-func appendFeatureOpts(buf []byte, fo *core.FeatureOptions) []byte {
-	buf = appendIntField(buf, tagFoMaxAncestors, fo.MaxAncestors)
-	buf = appendIntField(buf, tagFoSiblingWindow, fo.SiblingWindow)
-	buf = appendIntField(buf, tagFoTextAncestors, fo.TextAncestors)
-	buf = appendFixed64Field(buf, tagFoFreqStringMinFrac, math.Float64bits(fo.FrequentStringMinFrac))
-	buf = appendIntField(buf, tagFoMaxFreqStringLen, fo.MaxFrequentStringLen)
-	buf = appendBoolField(buf, tagFoDisableStructural, fo.DisableStructural)
-	buf = appendBoolField(buf, tagFoDisableText, fo.DisableText)
-	return buf
-}
-
-func sizeLR(m *mlr.Model) int {
-	n := intFieldLen(tagLRNumClasses, m.NumClasses)
-	n += intFieldLen(tagLRNumFeatures, m.NumFeatures)
-	n += floatsFieldLen(tagLRW, m.W)
-	n += floatsFieldLen(tagLRB, m.B)
-	return n
-}
-
-func appendLR(buf []byte, m *mlr.Model) []byte {
-	buf = appendIntField(buf, tagLRNumClasses, m.NumClasses)
-	buf = appendIntField(buf, tagLRNumFeatures, m.NumFeatures)
-	buf = appendFloatsField(buf, tagLRW, m.W)
-	buf = appendFloatsField(buf, tagLRB, m.B)
-	return buf
-}
-
-func sizeNB(nb *mlr.NaiveBayesState) int {
-	n := intFieldLen(tagNBNumClasses, nb.NumClasses)
-	n += intFieldLen(tagNBNumFeatures, nb.NumFeatures)
-	n += floatsFieldLen(tagNBLogPrior, nb.LogPrior)
-	n += floatsFieldLen(tagNBLogProb, nb.LogProb)
-	n += floatsFieldLen(tagNBLogAbsent, nb.LogAbsent)
-	n += floatsFieldLen(tagNBLogProbAbsent, nb.LogProbAbsent)
-	return n
-}
-
-func appendNB(buf []byte, nb *mlr.NaiveBayesState) []byte {
-	buf = appendIntField(buf, tagNBNumClasses, nb.NumClasses)
-	buf = appendIntField(buf, tagNBNumFeatures, nb.NumFeatures)
-	buf = appendFloatsField(buf, tagNBLogPrior, nb.LogPrior)
-	buf = appendFloatsField(buf, tagNBLogProb, nb.LogProb)
-	buf = appendFloatsField(buf, tagNBLogAbsent, nb.LogAbsent)
-	buf = appendFloatsField(buf, tagNBLogProbAbsent, nb.LogProbAbsent)
 	return buf
 }
 
@@ -342,26 +255,8 @@ func appendNB(buf []byte, nb *mlr.NaiveBayesState) []byte {
 func zigzag(v int) uint64   { return uint64((int64(v) << 1) ^ (int64(v) >> 63)) }
 func unzigzag(u uint64) int { return int(int64(u>>1) ^ -int64(u&1)) }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func keyLen(tag int) int { return uvarintLen(uint64(tag) << 3) }
-
 func appendKey(buf []byte, tag, wire int) []byte {
 	return binary.AppendUvarint(buf, uint64(tag)<<3|uint64(wire))
-}
-
-func intFieldLen(tag, v int) int {
-	if v == 0 {
-		return 0
-	}
-	return keyLen(tag) + uvarintLen(zigzag(v))
 }
 
 func appendIntField(buf []byte, tag, v int) []byte {
@@ -372,26 +267,12 @@ func appendIntField(buf []byte, tag, v int) []byte {
 	return binary.AppendUvarint(buf, zigzag(v))
 }
 
-func boolFieldLen(tag int, v bool) int {
-	if !v {
-		return 0
-	}
-	return keyLen(tag) + 1
-}
-
 func appendBoolField(buf []byte, tag int, v bool) []byte {
 	if !v {
 		return buf
 	}
 	buf = appendKey(buf, tag, wireVarint)
 	return append(buf, 1)
-}
-
-func fixed64FieldLen(tag int, bits uint64) int {
-	if bits == 0 {
-		return 0
-	}
-	return keyLen(tag) + 8
 }
 
 func appendFixed64Field(buf []byte, tag int, bits uint64) []byte {
@@ -402,21 +283,10 @@ func appendFixed64Field(buf []byte, tag int, bits uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, bits)
 }
 
-func bytesFieldLen(tag, n int) int {
-	return keyLen(tag) + uvarintLen(uint64(n)) + n
-}
-
 func appendStringField(buf []byte, tag int, s string) []byte {
 	buf = appendKey(buf, tag, wireBytes)
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-func floatsFieldLen(tag int, fs []float64) int {
-	if len(fs) == 0 {
-		return 0
-	}
-	return bytesFieldLen(tag, 8*len(fs))
 }
 
 func appendFloatsField(buf []byte, tag int, fs []float64) []byte {
@@ -507,28 +377,6 @@ func readBytesField(b []byte, off int) (lo, hi int, ok bool) {
 	return lo, lo + int(ln), true
 }
 
-// readVarintField parses a varint field's value at off, returning the
-// value and the offset after it (next == off on failure).
-//
-//ceres:allocfree
-func readVarintField(b []byte, off int) (v uint64, next int, ok bool) {
-	v, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return 0, off, false
-	}
-	return v, off + n, true
-}
-
-// readFixed64Field parses a fixed64 field's bits at off.
-//
-//ceres:allocfree
-func readFixed64Field(b []byte, off int) (bits uint64, next int, ok bool) {
-	if len(b)-off < 8 {
-		return 0, off, false
-	}
-	return binary.LittleEndian.Uint64(b[off:]), off + 8, true
-}
-
 // skipField advances past one field's payload of the given wire type,
 // returning the new offset — the forward-compatibility primitive that
 // lets a v3 decoder read files with fields it has never heard of.
@@ -567,84 +415,156 @@ func fillFloats(dst []float64, b []byte) {
 	}
 }
 
-func parseFloats(b []byte, lo, hi int) ([]float64, error) {
-	if (hi-lo)%8 != 0 {
-		return nil, fmt.Errorf("%w: packed float field of %d bytes", ErrCorrupt, hi-lo)
-	}
-	fs := make([]float64, (hi-lo)/8)
-	fillFloats(fs, b[lo:hi])
-	return fs, nil
+// wireNone is the wire type of a cursor that has failed: no accessor
+// accepts it, so every read after the first error returns a zero value.
+const wireNone = -1
+
+// fields is the cursor over one message's fields. next frames the next
+// field and skips the previous one by its wire type if no accessor read
+// it, which is how unknown and reserved tags pass. The typed accessors
+// check the wire type and read the payload; enter and leave narrow the
+// cursor to a nested message and back. The first error sticks: after it
+// next returns false and the accessors return zero values.
+type fields struct {
+	b         []byte
+	off       int // start of the current field's payload, or past it once read
+	tag, wire int // the current field
+	unread    bool
+	err       error
 }
 
-// parseFields drives one message's field loop: it frames each field and
-// hands (tag, wire, payload offset) to field, which consumes the payload
-// with the read* helpers and returns the offset after it (or an error).
-// Unknown tags are skipped by wire type when field returns next == off.
-func parseFields(b []byte, field func(tag, wire, off int) (next int, err error)) error {
-	for off := 0; off < len(b); {
-		tag, wire, n := fieldKey(b, off)
-		if n <= 0 {
-			return frameErr(n)
-		}
-		off += n
-		next, err := field(tag, wire, off)
-		if err != nil {
-			return err
-		}
-		if next == off { // unknown tag: skip by wire type
-			skipped, ok := skipField(b, off, wire)
-			if !ok {
-				return fmt.Errorf("%w: cannot skip field %d (wire %d)", ErrTruncated, tag, wire)
-			}
-			next = skipped
-		}
-		off = next
+func (f *fields) next() bool {
+	if f.err != nil {
+		return false
 	}
+	if f.unread {
+		off, ok := skipField(f.b, f.off, f.wire)
+		if !ok {
+			f.fail(f.wire)
+			return false
+		}
+		f.off, f.unread = off, false
+	}
+	if f.off >= len(f.b) {
+		return false
+	}
+	tag, wire, n := fieldKey(f.b, f.off)
+	if n <= 0 {
+		f.err, f.wire = frameErr(n), wireNone
+		return false
+	}
+	f.off += n
+	f.tag, f.wire, f.unread = tag, wire, true
+	if wire > wireBytes {
+		f.fail(wire)
+		return false
+	}
+	return true
+}
+
+// fail records why the current field, wanted as wire type want, could
+// not be read: a wire type that is unknown or not the wanted one, or a
+// varint that overflows, is ErrCorrupt; anything else ran out of input,
+// ErrTruncated. Besides a key that does not frame and an odd packed-float
+// length, it is the cursor's one error path, kept out of line so the
+// accessors' fast paths stay small.
+func (f *fields) fail(want int) {
+	if f.err == nil {
+		_, n := binary.Uvarint(f.b[f.off:])
+		switch {
+		case f.wire > wireBytes:
+			f.err = fmt.Errorf("%w: field %d has unknown wire type %d", ErrCorrupt, f.tag, f.wire)
+		case f.wire != want:
+			f.err = fmt.Errorf("%w: field %d has wire type %d, want %d", ErrCorrupt, f.tag, f.wire, want)
+		case want != wireFixed64 && n < 0:
+			f.err = fmt.Errorf("%w: field %d: varint overflow", ErrCorrupt, f.tag)
+		default:
+			f.err = fmt.Errorf("%w: field %d (wire %d) cut short", ErrTruncated, f.tag, f.wire)
+		}
+	}
+	f.wire = wireNone
+}
+
+func (f *fields) varint() uint64 {
+	if f.wire == wireVarint {
+		if v, n := binary.Uvarint(f.b[f.off:]); n > 0 {
+			f.off += n
+			f.unread = false
+			return v
+		}
+	}
+	f.fail(wireVarint)
+	return 0
+}
+
+func (f *fields) int() int   { return unzigzag(f.varint()) }
+func (f *fields) bool() bool { return f.varint() != 0 }
+
+func (f *fields) float() float64 {
+	if f.wire == wireFixed64 && len(f.b)-f.off >= 8 {
+		bits := binary.LittleEndian.Uint64(f.b[f.off:])
+		f.off += 8
+		f.unread = false
+		return math.Float64frombits(bits)
+	}
+	f.fail(wireFixed64)
+	return 0
+}
+
+// bytes returns the current field's payload, aliasing the input; nil
+// means the read failed.
+func (f *fields) bytes() []byte {
+	if f.wire == wireBytes {
+		if lo, hi, ok := readBytesField(f.b, f.off); ok {
+			f.off = hi
+			f.unread = false
+			return f.b[lo:hi]
+		}
+	}
+	f.fail(wireBytes)
 	return nil
 }
 
-// want guards a known tag's wire type.
-func want(tag, wire, expect int) error {
-	if wire != expect {
-		return fmt.Errorf("%w: field %d has wire type %d, want %d", ErrCorrupt, tag, wire, expect)
+func (f *fields) floats() []float64 {
+	b := f.bytes()
+	if b == nil {
+		return nil
 	}
-	return nil
+	if len(b)%8 != 0 {
+		f.err, f.wire = fmt.Errorf("%w: packed float field %d of %d bytes", ErrCorrupt, f.tag, len(b)), wireNone
+		return nil
+	}
+	fs := make([]float64, len(b)/8)
+	fillFloats(fs, b)
+	return fs
 }
+
+// enter narrows the cursor to the current field's payload, a nested
+// message, and returns what leave restores once its fields are read.
+func (f *fields) enter() (outer []byte) {
+	outer = f.b
+	if msg := f.bytes(); msg != nil {
+		f.b, f.off = f.b[:f.off], f.off-len(msg)
+	}
+	return outer
+}
+
+func (f *fields) leave(outer []byte) { f.b = outer }
 
 func parseFile(b []byte) (float64, *core.SiteModelState, error) {
+	f := &fields{b: b}
 	var threshold float64
 	var st *core.SiteModelState
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
+	for f.next() {
+		switch f.tag {
 		case tagFileThreshold:
-			if err := want(tag, wire, wireFixed64); err != nil {
-				return off, err
-			}
-			bits, next, ok := readFixed64Field(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: threshold", ErrTruncated)
-			}
-			threshold = math.Float64frombits(bits)
-			return next, nil
+			threshold = f.float()
 		case tagFileModel:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: model message", ErrTruncated)
-			}
-			m, err := parseSiteModel(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			st = m
-			return hi, nil
+			st = parseSiteModel(f)
 		}
-		return off, nil
-	})
-	if err != nil {
-		return 0, nil, err
+	}
+	if f.err != nil {
+		return 0, nil, f.err
 	}
 	if st == nil {
 		return 0, nil, fmt.Errorf("%w: file has no model message", ErrCorrupt)
@@ -652,177 +572,66 @@ func parseFile(b []byte) (float64, *core.SiteModelState, error) {
 	return threshold, st, nil
 }
 
-func parseSiteModel(b []byte) (*core.SiteModelState, error) {
+func parseSiteModel(f *fields) *core.SiteModelState {
 	st := &core.SiteModelState{}
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
 		case tagSiteNameThreshold:
-			if err := want(tag, wire, wireFixed64); err != nil {
-				return off, err
-			}
-			bits, next, ok := readFixed64Field(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: name threshold", ErrTruncated)
-			}
-			st.Extract.NameThreshold = math.Float64frombits(bits)
-			return next, nil
+			st.Extract.NameThreshold = f.float()
 		case tagSiteTrainPages:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: train pages", ErrTruncated)
-			}
-			st.TrainPages = unzigzag(v)
-			return next, nil
+			st.TrainPages = f.int()
 		case tagSiteCluster:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: cluster message", ErrTruncated)
-			}
-			cs, err := parseCluster(b[lo:hi])
-			if err != nil {
-				return off, fmt.Errorf("cluster %d: %w", len(st.Clusters), err)
+			cs := parseCluster(f)
+			if f.err != nil {
+				f.err = fmt.Errorf("cluster %d: %w", len(st.Clusters), f.err)
 			}
 			st.Clusters = append(st.Clusters, cs)
-			return hi, nil
 		}
-		return off, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return st, nil
+	f.leave(outer)
+	return st
 }
 
-func parseCluster(b []byte) (core.ClusterModelState, error) {
-	var cs core.ClusterModelState
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
+func parseCluster(f *fields) (cs core.ClusterModelState) {
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
 		case tagClusterExemplar:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: exemplar key", ErrTruncated)
-			}
-			cs.Exemplar = append(cs.Exemplar, string(b[lo:hi]))
-			return hi, nil
+			cs.Exemplar = append(cs.Exemplar, string(f.bytes()))
 		case tagClusterTrained:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: trained flag", ErrTruncated)
-			}
-			cs.Trained = v != 0
-			return next, nil
-		case tagClusterPages, tagClusterAnnotatedPages, tagClusterAnnotations:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: cluster field %d", ErrTruncated, tag)
-			}
-			switch tag {
-			case tagClusterPages:
-				cs.Pages = unzigzag(v)
-			case tagClusterAnnotatedPages:
-				cs.AnnotatedPages = unzigzag(v)
-			case tagClusterAnnotations:
-				cs.Annotations = unzigzag(v)
-			}
-			return next, nil
+			cs.Trained = f.bool()
+		case tagClusterPages:
+			cs.Pages = f.int()
+		case tagClusterAnnotatedPages:
+			cs.AnnotatedPages = f.int()
+		case tagClusterAnnotations:
+			cs.Annotations = f.int()
 		case tagClusterModel:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: model message", ErrTruncated)
-			}
-			ms, err := parseModel(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			cs.Model = ms
-			return hi, nil
+			cs.Model = parseModel(f)
 		}
-		return off, nil
-	})
-	return cs, err
+	}
+	f.leave(outer)
+	return cs
 }
 
-func parseModel(b []byte) (*core.ModelState, error) {
+func parseModel(f *fields) *core.ModelState {
 	ms := &core.ModelState{}
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
 		case tagModelClass:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: class name", ErrTruncated)
-			}
-			ms.Classes = append(ms.Classes, string(b[lo:hi]))
-			return hi, nil
+			ms.Classes = append(ms.Classes, string(f.bytes()))
 		case tagModelFeaturizer:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: featurizer message", ErrTruncated)
-			}
-			fs, err := parseFeaturizer(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			ms.Featurizer = fs
-			return hi, nil
+			ms.Featurizer = parseFeaturizer(f)
 		case tagModelLR:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: lr message", ErrTruncated)
-			}
-			lr, err := parseLR(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			ms.LR = lr
-			return hi, nil
+			ms.LR = parseLR(f)
 		case tagModelNB:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: nb message", ErrTruncated)
-			}
-			nb, err := parseNB(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			ms.NB = nb
-			return hi, nil
+			ms.NB = parseNB(f)
 		}
-		return off, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return ms, nil
+	f.leave(outer)
+	return ms
 }
 
 // featurizerScratch is the pooled decode-side scratch for
@@ -842,68 +651,32 @@ type featurizerScratch struct {
 
 var featurizerScratchPool = sync.Pool{New: func() any { return new(featurizerScratch) }}
 
-func parseFeaturizer(b []byte) (core.FeaturizerState, error) {
-	var fs core.FeaturizerState
+func parseFeaturizer(f *fields) (fs core.FeaturizerState) {
 	sc := featurizerScratchPool.Get().(*featurizerScratch)
 	sc.arena = sc.arena[:0]
 	sc.names = sc.names[:0]
 	sc.freq = sc.freq[:0]
 	defer featurizerScratchPool.Put(sc)
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
 		case tagFzOpts:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: feature options", ErrTruncated)
-			}
-			fo, err := parseFeatureOpts(b[lo:hi])
-			if err != nil {
-				return off, err
-			}
-			fs.Opts = fo
-			return hi, nil
+			fs.Opts = parseFeatureOpts(f)
 		case tagFzDictName:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: dict name", ErrTruncated)
-			}
 			sc.names = append(sc.names, int32(len(sc.arena)))
-			sc.arena = append(sc.arena, b[lo:hi]...)
+			sc.arena = append(sc.arena, f.bytes()...)
 			sc.names = append(sc.names, int32(len(sc.arena)))
-			return hi, nil
 		case tagFzFrozen:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: frozen flag", ErrTruncated)
-			}
-			fs.Dict.Frozen = v != 0
-			return next, nil
+			fs.Dict.Frozen = f.bool()
 		case tagFzFrequent:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: frequent string", ErrTruncated)
-			}
 			sc.freq = append(sc.freq, int32(len(sc.arena)))
-			sc.arena = append(sc.arena, b[lo:hi]...)
+			sc.arena = append(sc.arena, f.bytes()...)
 			sc.freq = append(sc.freq, int32(len(sc.arena)))
-			return hi, nil
 		}
-		return off, nil
-	})
-	if err != nil {
-		return fs, err
+	}
+	f.leave(outer)
+	if f.err != nil {
+		return fs
 	}
 	// One bulk copy owns every string; the substrings alias it. The whole
 	// arena is live data (it is exactly the names and frequent strings),
@@ -921,153 +694,71 @@ func parseFeaturizer(b []byte) (core.FeaturizerState, error) {
 			fs.Frequent[i] = all[sc.freq[2*i]:sc.freq[2*i+1]]
 		}
 	}
-	return fs, nil
+	return fs
 }
 
-func parseFeatureOpts(b []byte) (core.FeatureOptions, error) {
-	var fo core.FeatureOptions
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
-		case tagFoMaxAncestors, tagFoSiblingWindow, tagFoTextAncestors, tagFoMaxFreqStringLen:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: feature option %d", ErrTruncated, tag)
-			}
-			switch tag {
-			case tagFoMaxAncestors:
-				fo.MaxAncestors = unzigzag(v)
-			case tagFoSiblingWindow:
-				fo.SiblingWindow = unzigzag(v)
-			case tagFoTextAncestors:
-				fo.TextAncestors = unzigzag(v)
-			case tagFoMaxFreqStringLen:
-				fo.MaxFrequentStringLen = unzigzag(v)
-			}
-			return next, nil
+func parseFeatureOpts(f *fields) (fo core.FeatureOptions) {
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
+		case tagFoMaxAncestors:
+			fo.MaxAncestors = f.int()
+		case tagFoSiblingWindow:
+			fo.SiblingWindow = f.int()
+		case tagFoTextAncestors:
+			fo.TextAncestors = f.int()
 		case tagFoFreqStringMinFrac:
-			if err := want(tag, wire, wireFixed64); err != nil {
-				return off, err
-			}
-			bits, next, ok := readFixed64Field(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: frequent-string fraction", ErrTruncated)
-			}
-			fo.FrequentStringMinFrac = math.Float64frombits(bits)
-			return next, nil
-		case tagFoDisableStructural, tagFoDisableText:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: feature flag %d", ErrTruncated, tag)
-			}
-			if tag == tagFoDisableStructural {
-				fo.DisableStructural = v != 0
-			} else {
-				fo.DisableText = v != 0
-			}
-			return next, nil
+			fo.FrequentStringMinFrac = f.float()
+		case tagFoMaxFreqStringLen:
+			fo.MaxFrequentStringLen = f.int()
+		case tagFoDisableStructural:
+			fo.DisableStructural = f.bool()
+		case tagFoDisableText:
+			fo.DisableText = f.bool()
 		}
-		return off, nil
-	})
-	return fo, err
+	}
+	f.leave(outer)
+	return fo
 }
 
-func parseLR(b []byte) (*mlr.Model, error) {
+func parseLR(f *fields) *mlr.Model {
 	m := &mlr.Model{}
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
-		case tagLRNumClasses, tagLRNumFeatures:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: lr field %d", ErrTruncated, tag)
-			}
-			if tag == tagLRNumClasses {
-				m.NumClasses = unzigzag(v)
-			} else {
-				m.NumFeatures = unzigzag(v)
-			}
-			return next, nil
-		case tagLRW, tagLRB:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: lr weights", ErrTruncated)
-			}
-			fs, err := parseFloats(b, lo, hi)
-			if err != nil {
-				return off, err
-			}
-			if tag == tagLRW {
-				m.W = fs
-			} else {
-				m.B = fs
-			}
-			return hi, nil
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
+		case tagLRNumClasses:
+			m.NumClasses = f.int()
+		case tagLRNumFeatures:
+			m.NumFeatures = f.int()
+		case tagLRW:
+			m.W = f.floats()
+		case tagLRB:
+			m.B = f.floats()
 		}
-		return off, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return m, nil
+	f.leave(outer)
+	return m
 }
 
-func parseNB(b []byte) (*mlr.NaiveBayesState, error) {
+func parseNB(f *fields) *mlr.NaiveBayesState {
 	nb := &mlr.NaiveBayesState{}
-	err := parseFields(b, func(tag, wire, off int) (int, error) {
-		switch tag {
-		case tagNBNumClasses, tagNBNumFeatures:
-			if err := want(tag, wire, wireVarint); err != nil {
-				return off, err
-			}
-			v, next, ok := readVarintField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: nb field %d", ErrTruncated, tag)
-			}
-			if tag == tagNBNumClasses {
-				nb.NumClasses = unzigzag(v)
-			} else {
-				nb.NumFeatures = unzigzag(v)
-			}
-			return next, nil
-		case tagNBLogPrior, tagNBLogProb, tagNBLogAbsent, tagNBLogProbAbsent:
-			if err := want(tag, wire, wireBytes); err != nil {
-				return off, err
-			}
-			lo, hi, ok := readBytesField(b, off)
-			if !ok {
-				return off, fmt.Errorf("%w: nb table %d", ErrTruncated, tag)
-			}
-			fs, err := parseFloats(b, lo, hi)
-			if err != nil {
-				return off, err
-			}
-			switch tag {
-			case tagNBLogPrior:
-				nb.LogPrior = fs
-			case tagNBLogProb:
-				nb.LogProb = fs
-			case tagNBLogAbsent:
-				nb.LogAbsent = fs
-			case tagNBLogProbAbsent:
-				nb.LogProbAbsent = fs
-			}
-			return hi, nil
+	outer := f.enter()
+	for f.next() {
+		switch f.tag {
+		case tagNBNumClasses:
+			nb.NumClasses = f.int()
+		case tagNBNumFeatures:
+			nb.NumFeatures = f.int()
+		case tagNBLogPrior:
+			nb.LogPrior = f.floats()
+		case tagNBLogProb:
+			nb.LogProb = f.floats()
+		case tagNBLogAbsent:
+			nb.LogAbsent = f.floats()
+		case tagNBLogProbAbsent:
+			nb.LogProbAbsent = f.floats()
 		}
-		return off, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return nb, nil
+	f.leave(outer)
+	return nb
 }

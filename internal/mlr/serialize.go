@@ -4,10 +4,10 @@ import "fmt"
 
 // This file provides the state types that let trained classifiers and
 // feature dictionaries persist across processes. States carry only
-// exported, plain-data fields so callers can marshal them with any
-// encoding; Restore* rebuilds the live object and validates shape
-// invariants so a corrupted or truncated state fails loudly instead of
-// mis-scoring.
+// exported, plain-data fields, which the site-model codec
+// (internal/binmodel) writes and reads; Restore* rebuilds the live
+// object and validates shape invariants so a corrupted or truncated
+// state fails loudly instead of mis-scoring.
 
 // DictState is the serializable form of a Dict.
 type DictState struct {
