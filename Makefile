@@ -56,8 +56,11 @@ examples:
 # delivers exactly the records a reference framer parses (DESIGN.md §8).
 # The ninth is the harvest's checkpoint.json: no panic, and an accepted
 # manifest never counts a site's shards done while one is not (DESIGN.md
-# §8). A failing input is written under the package's testdata/fuzz/ —
-# commit it.
+# §8). The tenth is a model store's training verdict, untrainable.json:
+# no bytes make Untrainable panic or fail, it answers only for the key the
+# bytes decode to, and a marked verdict reads back under its key alone
+# (DESIGN.md §7). A failing input is written under the package's
+# testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -69,6 +72,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzPagestoreRead -fuzztime=$(FUZZTIME) ./pagestore
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./batch
+	$(GO) test -run='^$$' -fuzz=FuzzUntrainable -fuzztime=$(FUZZTIME) .
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

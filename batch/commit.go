@@ -40,8 +40,10 @@ type runState struct {
 	cancel context.CancelFunc
 	mu     sync.Mutex
 	err    error
-	// contexts sums what the shards' extract calls report about the serve
+	// stages sums the workers' and the commit stage's time per stage, and
+	// contexts what the shards' extract calls report about the serve
 	// engine's context cache.
+	stages   StageDurations
 	contexts ContextStats
 }
 
@@ -140,7 +142,9 @@ func (c *committer) loop() {
 	flush := func() {
 		start := time.Now()
 		c.record(batch, bytes, busy)
-		c.r.stages.commit.Add(int64(busy + time.Since(start)))
+		c.run.mu.Lock()
+		c.run.stages.Commit += busy + time.Since(start)
+		c.run.mu.Unlock()
 		batch, bytes, busy = batch[:0], 0, 0
 	}
 	for p := range c.queue {

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -218,24 +219,47 @@ func TestStagesAddUpAtOneWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(Config{Provider: f.store, Sink: sink, Pipeline: f.pipeline, CheckpointPath: filepath.Join(dir, "checkpoint.json")})
+	// The store keeps the untrainable site's verdict once the checkpoint
+	// is gone.
+	store, err := ceres.NewDirStore(filepath.Join(dir, "models"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.Run(context.Background(), Job{ShardPages: 4, Workers: 1, Fuse: true})
+	checkpointPath := filepath.Join(dir, "checkpoint.json")
+	r, err := NewRunner(Config{Provider: f.store, Sink: sink, Store: store, Pipeline: f.pipeline, CheckpointPath: checkpointPath})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Stages
-	sum := st.Resolve + st.Extract + st.Sink + st.Checkpoint + st.Fuse
-	if whole := rep.Elapsed + st.Fuse; sum > whole || sum < whole/2 {
-		t.Errorf("stages sum to %v of a %v run: %+v", sum, whole, st)
+	run := func() StageDurations {
+		t.Helper()
+		rep, err := r.Run(context.Background(), Job{ShardPages: 4, Workers: 1, Fuse: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := rep.Stages
+		sum := st.Resolve + st.Extract + st.Sink + st.Checkpoint + st.Fuse
+		if whole := rep.Elapsed + st.Fuse; sum > whole || sum < whole/2 {
+			t.Errorf("stages sum to %v of a %v run: %+v", sum, whole, st)
+		}
+		if sub := st.Read + st.Parse + st.Route + st.Score; st.Read <= 0 || sub > st.Extract {
+			t.Errorf("read %v + parse %v + route %v + score %v should fit in extract %v, read nonzero", st.Read, st.Parse, st.Route, st.Score, st.Extract)
+		}
+		if st.Commit <= 0 || rep.ManifestWrites == 0 || rep.ManifestWrites > rep.Shards/2+2 {
+			t.Errorf("commit stage: %v busy, %d manifest writes for %d shards", st.Commit, rep.ManifestWrites, rep.Shards)
+		}
+		return st
 	}
-	if sub := st.Read + st.Parse + st.Route + st.Score; st.Read <= 0 || sub > st.Extract {
-		t.Errorf("read %v + parse %v + route %v + score %v should fit in extract %v, read nonzero", st.Read, st.Parse, st.Route, st.Score, st.Extract)
+	if st := run(); st.Train <= 0 {
+		t.Errorf("first run trained for %v", st.Train)
 	}
-	if st.Commit <= 0 || rep.ManifestWrites == 0 || rep.ManifestWrites > rep.Shards/2+2 {
-		t.Errorf("commit stage: %v busy, %d manifest writes for %d shards", st.Commit, rep.ManifestWrites, rep.Shards)
+	// The same Runner again, every shard to do over: the second run's
+	// stages are its own, and its models are already registered (the
+	// untrainable site's verdict stored).
+	if err := os.Remove(checkpointPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := run(); st.Train != 0 {
+		t.Errorf("second run of the runner trained for %v; its models were registered", st.Train)
 	}
 }
 

@@ -75,9 +75,6 @@ type Runner struct {
 	// goroutine while a run is in flight.
 	runStart atomic.Int64
 	runPages atomic.Int64
-	// stages accumulates the run's per-stage wall time across workers
-	// (nanosecond sums; reset per Run, snapshotted into Report.Stages).
-	stages stageAcc
 }
 
 // ContextStats is what the serve engine's context cache did over a run's
@@ -91,17 +88,6 @@ type ContextStats struct {
 	Misses    int64 `json:"misses"`
 	Uncached  int64 `json:"uncached"`
 	Evictions int64 `json:"evictions"`
-}
-
-// stageAcc sums stage wall time across shard workers.
-type stageAcc struct {
-	resolve, train, extract, read, parse, route, score, sink, checkpoint, commit, fuse atomic.Int64
-}
-
-func (a *stageAcc) reset() {
-	for _, v := range []*atomic.Int64{&a.resolve, &a.train, &a.extract, &a.read, &a.parse, &a.route, &a.score, &a.sink, &a.checkpoint, &a.commit, &a.fuse} {
-		v.Store(0)
-	}
 }
 
 // StageDurations is a run's per-stage wall-time breakdown, summed across
@@ -156,22 +142,6 @@ func (s StageDurations) Each(f func(name string, d time.Duration)) {
 	f("checkpoint", s.Checkpoint)
 	f("commit", s.Commit)
 	f("fuse", s.Fuse)
-}
-
-func (a *stageAcc) snapshot() StageDurations {
-	return StageDurations{
-		Resolve:    time.Duration(a.resolve.Load()),
-		Train:      time.Duration(a.train.Load()),
-		Extract:    time.Duration(a.extract.Load()),
-		Read:       time.Duration(a.read.Load()),
-		Parse:      time.Duration(a.parse.Load()),
-		Route:      time.Duration(a.route.Load()),
-		Score:      time.Duration(a.score.Load()),
-		Sink:       time.Duration(a.sink.Load()),
-		Checkpoint: time.Duration(a.checkpoint.Load()),
-		Commit:     time.Duration(a.commit.Load()),
-		Fuse:       time.Duration(a.fuse.Load()),
-	}
 }
 
 // runnerMetrics is the runner's instrument panel (all obs operations are
@@ -347,7 +317,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	}
 	r.runStart.Store(start.UnixNano())
 	r.runPages.Store(0)
-	r.stages.reset()
 	plan, err := PlanJob(job, r.cfg.Provider)
 	if err != nil {
 		return nil, err
@@ -391,7 +360,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	// handed over (or aborts it, after an error) before Run goes on.
 	drainStart := time.Now()
 	cm.drain()
-	r.stages.checkpoint.Add(int64(time.Since(drainStart)))
+	drained := time.Since(drainStart)
 
 	if err := run.failure(); err != nil {
 		return nil, err
@@ -403,6 +372,11 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	rep := &Report{Elapsed: time.Since(start), CommitBatches: cm.batches, ManifestWrites: ck.writes, Training: r.cfg.Pipeline.TrainStats()}
 	rep.Training.Sites -= trainedBefore.Sites
 	rep.Training.Wait -= trainedBefore.Wait
+	run.mu.Lock()
+	rep.Stages, rep.Contexts = run.stages, run.contexts
+	run.mu.Unlock()
+	rep.Stages.Checkpoint = drained
+	rep.Stages.TrainWait = rep.Training.Wait
 	fuseTally := map[string]int{}
 	if job.Fuse {
 		fuseStart := time.Now()
@@ -441,13 +415,8 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		csp.SetInt("facts", int64(len(rep.Facts)))
 		csp.End()
 		fsp.End()
-		r.stages.fuse.Add(int64(time.Since(fuseStart)))
+		rep.Stages.Fuse = time.Since(fuseStart)
 	}
-	rep.Stages = r.stages.snapshot()
-	rep.Stages.TrainWait = rep.Training.Wait
-	run.mu.Lock()
-	rep.Contexts = run.contexts
-	run.mu.Unlock()
 
 	for i, sp := range plan.Sites {
 		st, tally := sites[i], &sites[i].tally
@@ -598,8 +567,11 @@ func (r *Runner) resolveSite(ctx context.Context, job Job, ck *checkpoint, run *
 	sp.SetStr("site", st.site)
 	rsp := sp.StartChild("resolve")
 	t0 := time.Now()
-	r.ensureModel(ceres.ContextWithSpan(ctx, rsp), job, ck, st)
-	r.stages.resolve.Add(int64(time.Since(t0)))
+	train := r.ensureModel(ceres.ContextWithSpan(ctx, rsp), job, ck, st)
+	run.mu.Lock()
+	run.stages.Resolve += time.Since(t0)
+	run.stages.Train += train
+	run.mu.Unlock()
 	rsp.EndErr(st.infraErr)
 	switch {
 	case st.infraErr != nil:
@@ -636,11 +608,9 @@ func (r *Runner) runShard(ctx context.Context, cm *committer, st *siteState, sha
 	}
 	esp := sp.StartChild("extract")
 	extractStart := time.Now()
-	// Batch runs always collect the per-stage serve breakdown: the stage
-	// report is part of the run's output, not a sampling decision. The
-	// provider's own time is what passes between the engine's turns.
+	// The provider's own time is what passes between the engine's turns.
 	var read time.Duration
-	resp, err := r.svc.ExtractScan(ctx, shard.Site, ceres.RequestOptions{CollectStages: true},
+	resp, err := r.svc.ExtractScan(ctx, shard.Site, ceres.RequestOptions{},
 		func(yield func(id string, html []byte) error) error {
 			t := time.Now()
 			err := r.cfg.Provider.PagesBytes(ctx, shard.Site, shard.Start, shard.Pages,
@@ -653,38 +623,42 @@ func (r *Runner) runShard(ctx context.Context, cm *committer, st *siteState, sha
 			read += time.Since(t)
 			return err
 		})
-	r.stages.extract.Add(int64(time.Since(extractStart)))
-	r.stages.read.Add(int64(read))
+	run.mu.Lock()
+	run.stages.Extract += time.Since(extractStart)
+	run.stages.Read += read
+	switch {
+	case err == nil:
+		stats := &resp.Stats
+		run.stages.Parse += stats.Stages.Parse
+		run.stages.Route += stats.Stages.Route
+		run.stages.Score += stats.Stages.Score
+		run.contexts.Fields += int64(stats.Fields)
+		run.contexts.Misses += int64(stats.ContextMisses)
+		run.contexts.Uncached += int64(stats.ContextUncached)
+		run.contexts.Evictions += int64(stats.CacheEvictions)
+	case ctx.Err() == nil:
+		tally.err = err.Error()
+	}
+	run.mu.Unlock()
 	if err != nil {
+		// Cancelled mid-shard, nothing is committed and a resume re-runs
+		// it; otherwise the site's tally holds the error.
 		esp.EndErr(err)
 		sp.SetErr(err)
-		if ctx.Err() != nil {
-			return // cancelled mid-shard: nothing committed, resume re-runs it
-		}
-		run.mu.Lock()
-		tally.err = err.Error()
-		run.mu.Unlock()
 		return
 	}
 	esp.AddTimed("parse", resp.Stats.Stages.Parse)
 	esp.AddTimed("route", resp.Stats.Stages.Route)
 	esp.AddTimed("score", resp.Stats.Stages.Score)
 	esp.End()
-	r.stages.parse.Add(int64(resp.Stats.Stages.Parse))
-	r.stages.route.Add(int64(resp.Stats.Stages.Route))
-	r.stages.score.Add(int64(resp.Stats.Stages.Score))
-	run.mu.Lock()
-	run.contexts.Fields += int64(resp.Stats.Fields)
-	run.contexts.Misses += int64(resp.Stats.ContextMisses)
-	run.contexts.Uncached += int64(resp.Stats.ContextUncached)
-	run.contexts.Evictions += int64(resp.Stats.CacheEvictions)
-	run.mu.Unlock()
 	sp.SetInt("pages", int64(resp.Stats.Pages))
 	sp.SetInt("triples", int64(len(resp.Triples)))
 	ssp := sp.StartChild("sink")
 	sinkStart := time.Now()
 	err = cm.handOver(ctx, pendingShard{shard: shard, tally: tally, pages: resp.Stats.Pages, triples: len(resp.Triples)}, resp.Triples)
-	r.stages.sink.Add(int64(time.Since(sinkStart)))
+	run.mu.Lock()
+	run.stages.Sink += time.Since(sinkStart)
+	run.mu.Unlock()
 	ssp.EndErr(err)
 	if err != nil {
 		fail(err)
@@ -704,8 +678,9 @@ func (r *Runner) runShard(ctx context.Context, cm *committer, st *siteState, sha
 // commit stage writes them. It runs on the one worker the dispatcher gave
 // the site to, beside other sites' resolutions and shards; a training it
 // starts takes its turn at the pipeline's prepare gate, and the time it
-// queues there is in the train stage (and reported as train-wait).
-func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *siteState) {
+// queues there is in the train stage (and reported as train-wait), which
+// it returns.
+func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *siteState) (train time.Duration) {
 	site := st.site
 	if reason, ok := ck.skippedSite(site); ok {
 		st.skipReason = reason
@@ -788,7 +763,7 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	tsp.SetInt("pages", int64(len(pages)))
 	trainStart := time.Now()
 	m, err := r.cfg.Pipeline.Train(ceres.ContextWithSpan(ctx, tsp), pages)
-	r.stages.train.Add(int64(time.Since(trainStart)))
+	train = time.Since(trainStart)
 	tsp.EndErr(err)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -827,4 +802,5 @@ func (r *Runner) ensureModel(ctx context.Context, job Job, ck *checkpoint, st *s
 	st.trained = true
 	st.fits = m.Fits()
 	ck.setModelVersion(site, version)
+	return
 }

@@ -130,9 +130,9 @@
 // (ceres_context_misses_total over ceres_fields_total). Service.SiteStats
 // — the daemon's GET /v1/sites/{site}/stats — snapshots the first three
 // into rates a continuous-harvest loop can threshold to decide a model
-// has gone stale. RequestOptions.CollectStages gathers the per-stage
-// serve-time breakdown into ServeStats.Stages without tracing; batch
-// runs use it for their per-stage report (batch.Report.Stages). The
+// has gone stale. Every response carries its serve time by stage in
+// ServeStats.Stages, traced or not; batch runs sum it into their
+// per-stage report (batch.Report.Stages). The
 // daemon exposes Go runtime profiles under /debug/pprof only with
 // -pprof. DESIGN.md §13 specifies the span model, the sampling
 // contract and the drift-signal definitions.

@@ -278,6 +278,9 @@ type ServeScratch struct {
 	cache  *contextCache
 	tick   uint64
 	counts contextCounts
+	// stages is where this scratch's pages spent their time since it was
+	// checked out; summed into ServeStats beside counts.
+	stages StageTimes
 }
 
 // contextCounts is what the context caches of one scratch did since the

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ceres/internal/cluster"
@@ -124,62 +123,16 @@ type ServeOptions struct {
 	// Workers bounds this call's page parallelism; 0 uses the serving
 	// process's default (NumCPU capped at 8).
 	Workers int
-	// Stages, when non-nil, accumulates per-stage serve time
-	// (parse/route/score) into the collector across the call's worker
-	// pool. Off (nil) the hot path pays one pointer test per stage
-	// boundary; on, two monotonic clock reads per stage per page.
-	Stages *StageTimes
 }
 
-// StageTimes accumulates per-stage serve time in nanoseconds. Fields
-// are atomic because a serve call's workers add concurrently; totals
-// are summed across workers, so they may exceed the call's wall time.
+// StageTimes is a serve call's time by stage, summed across its workers —
+// so the stages may add up to more than the call's wall time.
 type StageTimes struct {
-	// Parse is tokenization: the stream pass's capture.
-	Parse atomic.Int64
-	// Route is cluster routing by template-signature similarity.
-	Route atomic.Int64
-	// Score is featurization plus classification plus extraction
-	// assembly (the stages interleave per field and are timed together).
-	Score atomic.Int64
-}
-
-// stageClock times stage boundaries inside one worker's page loop. With
-// no collector attached every tick is a single pointer test.
-type stageClock struct {
-	st   *StageTimes
-	last time.Time
-}
-
-const (
-	stageParse = iota
-	stageRoute
-	stageScore
-)
-
-func startStageClock(st *StageTimes) stageClock {
-	c := stageClock{st: st}
-	if st != nil {
-		c.last = time.Now()
-	}
-	return c
-}
-
-func (c *stageClock) tick(stage int) {
-	if c.st == nil {
-		return
-	}
-	now := time.Now()
-	d := int64(now.Sub(c.last))
-	c.last = now
-	switch stage {
-	case stageParse:
-		c.st.Parse.Add(d)
-	case stageRoute:
-		c.st.Route.Add(d)
-	case stageScore:
-		c.st.Score.Add(d)
-	}
+	// Parse is tokenization: the stream pass's capture. Route is
+	// template-cluster routing. Score is featurization, classification
+	// and extraction assembly (they interleave per field and are timed as
+	// one stage).
+	Parse, Route, Score time.Duration
 }
 
 // ServeStats reports what one serve call did.
@@ -210,6 +163,8 @@ type ServeStats struct {
 	ContextMisses   int
 	ContextUncached int
 	CacheEvictions  int
+	// Stages is the call's serve time by stage.
+	Stages StageTimes
 }
 
 // RoutedClusters counts distinct clusters that received at least one page.
@@ -241,12 +196,15 @@ func (s *ServeStats) observePage(miss bool, extractions int) {
 }
 
 // addContexts folds in what a scratch's context caches did during the
-// call.
+// call, and the time its pages spent in each stage.
 func (s *ServeStats) addContexts(sc *ServeScratch) {
 	s.Fields += sc.counts.fields
 	s.ContextMisses += sc.counts.misses
 	s.ContextUncached += sc.counts.uncached
 	s.CacheEvictions += sc.counts.evictions
+	s.Stages.Parse += sc.stages.Parse
+	s.Stages.Route += sc.stages.Route
+	s.Stages.Score += sc.stages.Score
 }
 
 // routeMiss reports whether a routing outcome is a miss: no cluster
@@ -277,7 +235,7 @@ func (sm *SiteModel) ExtractSources(ctx context.Context, sources []PageSource) (
 // ExtractBytesOpts and skip the copy.
 func (sm *SiteModel) ExtractSourcesOpts(ctx context.Context, sources []PageSource, opts ServeOptions) ([]Extraction, *ServeStats, error) {
 	return sm.extractParallel(ctx, len(sources), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
-		return sm.extractOne(sources[i], sc, opts.Stages)
+		return sm.extractOne(sources[i], sc)
 	})
 }
 
@@ -296,7 +254,7 @@ type PageBytes struct {
 // error contract are ExtractSourcesOpts'.
 func (sm *SiteModel) ExtractBytesOpts(ctx context.Context, pages []PageBytes, opts ServeOptions) ([]Extraction, *ServeStats, error) {
 	return sm.extractParallel(ctx, len(pages), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
-		return sm.extractBytes(pages[i].ID, pages[i].HTML, sc, opts.Stages)
+		return sm.extractBytes(pages[i].ID, pages[i].HTML, sc)
 	})
 }
 
@@ -359,11 +317,12 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 // carries from call to call on purpose is its context caches.
 var serveScratchPool = sync.Pool{New: func() any { return NewServeScratch() }}
 
-// getServeScratch checks a scratch out of the pool with its counters at
-// zero, so what a call reads from them is the call's own.
+// getServeScratch checks a scratch out of the pool with its counters and
+// stage times at zero, so what a call reads from them is the call's own.
 func getServeScratch() *ServeScratch {
 	sc := serveScratchPool.Get().(*ServeScratch)
 	sc.counts = contextCounts{}
+	sc.stages = StageTimes{}
 	return sc
 }
 
@@ -383,20 +342,20 @@ func (sm *SiteModel) serveable(pages int) error {
 // the worker's reusable buffer buys the stream pass. Byte-native callers
 // enter through ExtractBytesOpts (parallel) or ExtractScanOpts
 // (sequential) and skip even that.
-func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
+func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch) (int, []Extraction) {
 	sc.htmlBuf = append(sc.htmlBuf[:0], src.HTML...)
-	return sm.extractBytes(src.ID, sc.htmlBuf, sc, st)
+	return sm.extractBytes(src.ID, sc.htmlBuf, sc)
 }
 
 // ExtractWith extracts one page through a scratch the caller owns, where
 // every other entry borrows one from the pool: what a differential test
 // needs to compare a scratch that has served the site before with one that
-// has not. The scratch's counters are left running.
+// has not. The scratch's counters and stage times are left running.
 func (sm *SiteModel) ExtractWith(sc *ServeScratch, id string, html []byte) ([]Extraction, error) {
 	if err := sm.serveable(1); err != nil {
 		return nil, err
 	}
-	_, exts := sm.extractBytes(id, html, sc, nil)
+	_, exts := sm.extractBytes(id, html, sc)
 	return exts, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"ceres/internal/cluster"
 	"ceres/internal/dom"
@@ -379,30 +380,33 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 // extractBytes streams, routes and extracts one page from raw bytes; the
 // caller must have passed serveable. Single-cluster sites skip routing,
 // like Route; otherwise the signature accumulated during the pass is
-// matched against the exemplars.
-func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, st *StageTimes) (int, []Extraction) {
+// matched against the exemplars. Each stage's time is added to the
+// scratch's stage times.
+func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch) (int, []Extraction) {
 	if sc.stream == nil {
 		sc.stream = dom.NewStreamScratch()
 	}
-	ck := startStageClock(st)
+	start := time.Now()
 	multi := len(sm.Clusters) > 1
 	sp := sc.stream.Stream(html, dom.StreamOptions{
 		MaxText:   sm.maxText,
 		Attrs:     structuralAttrs[:],
 		Signature: multi,
 	})
-	ck.tick(stageParse)
+	parsed := time.Now()
+	sc.stages.Parse += parsed.Sub(start)
 	ci := 0
 	if multi {
 		sc.sig = sp.AppendSignature(sc.sig[:0])
 		ci, _ = cluster.RouteSortedBytes(sc.sig, sm.exemplars())
 	}
-	ck.tick(stageRoute)
+	routed := time.Now()
+	sc.stages.Route += routed.Sub(parsed)
 	if ci < 0 || !sm.Clusters[ci].Trained {
 		return ci, nil
 	}
 	exts := sm.compiled[ci].ExtractStreamPage(sp, id, sm.Extract, sc)
-	ck.tick(stageScore)
+	sc.stages.Score += time.Since(routed)
 	return ci, exts
 }
 
@@ -412,12 +416,11 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch, st *
 // only read during the yield. The scan loop is sequential — a yielded
 // slice is only valid during its yield — so Workers is ignored here;
 // callers holding all their pages at once get page parallelism from
-// ExtractBytesOpts. Stages is honored.
+// ExtractBytesOpts.
 func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
-	if sm == nil || sm.TrainedClusters() == 0 {
-		return nil, nil, ErrNotTrained
-	}
-	if err := sm.compile(); err != nil {
+	// The page count is not known before the scan; an empty one is
+	// ErrNoPages below.
+	if err := sm.serveable(1); err != nil {
 		return nil, nil, err
 	}
 	sc := getServeScratch()
@@ -428,7 +431,7 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		route, exts := sm.extractBytes(id, html, sc, opts.Stages)
+		route, exts := sm.extractBytes(id, html, sc)
 		stats.Pages++
 		stats.addRoute(route)
 		stats.observePage(sm.routeMiss(route), len(exts))

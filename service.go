@@ -31,12 +31,6 @@ type RequestOptions struct {
 	// Workers bounds this request's page parallelism; 0 uses the serving
 	// process's default.
 	Workers int
-	// CollectStages gathers the per-stage serve-time breakdown
-	// (parse/route/score) into ServeStats.Stages even when the request is
-	// not traced — what batch runs use for their stage report. Off, the
-	// serve path pays one pointer test per stage boundary; traced
-	// requests collect stages regardless.
-	CollectStages bool
 }
 
 // ExtractRequest asks a Service to extract triples from pages of one site.
@@ -84,41 +78,25 @@ type ServeStats struct {
 	CacheEvictions  int
 	// Latency is the request's wall-clock serving time.
 	Latency time.Duration
-	// Stages is the per-stage serve-time breakdown, populated when the
-	// request was traced or asked for it (RequestOptions.CollectStages).
+	// Stages is the request's serve time by stage.
 	Stages StageBreakdown
 }
 
-// StageBreakdown is one request's serve time by stage, summed across
-// the request's worker pool — so the stages may legitimately add up to
-// more than Latency.
-type StageBreakdown struct {
-	// Parse is tokenization (streaming capture or DOM build), Route is
-	// template-cluster routing, Score is featurize+classify+assemble
-	// (those interleave per field and are timed as one stage).
-	Parse, Route, Score time.Duration
-}
-
-func breakdownOf(st *core.StageTimes) StageBreakdown {
-	if st == nil {
-		return StageBreakdown{}
-	}
-	return StageBreakdown{
-		Parse: time.Duration(st.Parse.Load()),
-		Route: time.Duration(st.Route.Load()),
-		Score: time.Duration(st.Score.Load()),
-	}
-}
+// StageBreakdown is one request's serve time by stage — Parse
+// (tokenization), Route (template-cluster routing) and Score
+// (featurize+classify+assemble) — summed across the request's worker
+// pool, so the stages may legitimately add up to more than Latency.
+type StageBreakdown = core.StageTimes
 
 // stageSpans attaches the aggregate stage timings as pre-measured child
 // spans of a traced request's extract span.
-func stageSpans(esp *Span, st *core.StageTimes) {
-	if esp == nil || st == nil {
+func stageSpans(esp *Span, st StageBreakdown) {
+	if esp == nil {
 		return
 	}
-	esp.AddTimed("parse", time.Duration(st.Parse.Load()))
-	esp.AddTimed("route", time.Duration(st.Route.Load()))
-	esp.AddTimed("score", time.Duration(st.Score.Load()))
+	esp.AddTimed("parse", st.Parse)
+	esp.AddTimed("route", st.Route)
+	esp.AddTimed("score", st.Score)
 }
 
 // ExtractResponse is the outcome of one Service extraction request.
@@ -307,16 +285,15 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 		return nil, err
 	}
 	sp.SetInt("version", int64(e.Version))
-	st := s.stageTimes(sp, opts)
 	esp := sp.StartChild("extract")
-	exts, stats, err := run(e.Model.sm, core.ServeOptions{Workers: opts.Workers, Stages: st})
+	exts, stats, err := run(e.Model.sm, core.ServeOptions{Workers: opts.Workers})
 	if err != nil {
 		esp.EndErr(err)
 		sp.SetErr(err)
 		s.metrics.requestFailed(e.Site)
 		return nil, err
 	}
-	stageSpans(esp, st)
+	stageSpans(esp, stats.Stages)
 	esp.End()
 	s.observeConfidences(e.Site, exts)
 	fsp := sp.StartChild("fuse")
@@ -335,7 +312,7 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 			ContextUncached: stats.ContextUncached,
 			CacheEvictions:  stats.CacheEvictions,
 			Latency:         time.Since(start),
-			Stages:          breakdownOf(st),
+			Stages:          stats.Stages,
 		},
 	}
 	sp.SetInt("pages", int64(resp.Stats.Pages))
@@ -380,16 +357,6 @@ func (s *Service) ExtractBytes(ctx context.Context, site string, pages []PageByt
 			}
 			return sm.ExtractBytesOpts(ctx, pages, opts)
 		})
-}
-
-// stageTimes returns a stage-time collector when the request is traced
-// or explicitly asked for a breakdown, nil otherwise (the serve path
-// then pays one pointer test per stage boundary).
-func (s *Service) stageTimes(sp *Span, opts RequestOptions) *core.StageTimes {
-	if sp == nil && !opts.CollectStages {
-		return nil
-	}
-	return &core.StageTimes{}
 }
 
 // observeConfidences feeds every extraction's pre-threshold confidence

@@ -57,10 +57,11 @@ func TestServiceExtractBytesMatchesExtract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					// Latency and what the workers' context caches had
-					// seen before are the calls' own; Fields is not.
+					// Latency, stage times and what the workers' context
+					// caches had seen before are the calls' own; Fields is
+					// not.
 					for _, st := range []*ServeStats{&want.Stats, &got.Stats} {
-						st.Latency, st.ContextMisses, st.ContextUncached, st.CacheEvictions = 0, 0, 0, 0
+						st.Latency, st.Stages, st.ContextMisses, st.ContextUncached, st.CacheEvictions = 0, StageBreakdown{}, 0, 0, 0
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("workers %d threshold %.2f: ExtractBytes %d triples %+v, Extract %d triples %+v",

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // tracedFixture builds an instrumented, traced service over the shared
@@ -87,6 +88,68 @@ func TestServiceExtractSpanTree(t *testing.T) {
 	}
 	if st := tr.Stats(); st.Started != st.Ended || st.DoubleEnds != 0 {
 		t.Errorf("span lifecycle imbalance: %+v", st)
+	}
+}
+
+// TestServiceStagesOnEveryResponse: every entry reports its serve time by
+// stage whether or not the request is traced, and a traced request's
+// parse, route and score spans carry exactly the response's numbers.
+func TestServiceStagesOnEveryResponse(t *testing.T) {
+	f := getTrainServeFixture(t)
+	_, pages := packPages(f.serve)
+	scan := func(yield func(string, []byte) error) error {
+		for _, p := range pages {
+			if err := yield(p.ID, p.HTML); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	entries := []struct {
+		name string
+		call func(*Service) (*ExtractResponse, error)
+	}{
+		{"Extract", func(svc *Service) (*ExtractResponse, error) {
+			return svc.Extract(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve})
+		}},
+		{"ExtractBytes", func(svc *Service) (*ExtractResponse, error) {
+			return svc.ExtractBytes(context.Background(), "demo", pages, RequestOptions{Workers: 4})
+		}},
+		{"ExtractScan", func(svc *Service) (*ExtractResponse, error) {
+			return svc.ExtractScan(context.Background(), "demo", RequestOptions{}, scan)
+		}},
+	}
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			reg := NewRegistry()
+			reg.Publish("demo", 1, f.model)
+			resp, err := e.call(NewService(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := resp.Stats.Stages; st.Parse <= 0 || st.Score <= 0 {
+				t.Errorf("untraced stages = %+v, want parse and score time", st)
+			}
+
+			_, svc, tr, _ := tracedFixture(t, TracerOptions{SampleEvery: 1})
+			if resp, err = e.call(svc); err != nil {
+				t.Fatal(err)
+			}
+			roots := tr.Roots()
+			if len(roots) != 1 {
+				t.Fatalf("retained %d traces, want 1", len(roots))
+			}
+			ex := roots[0].Child("extract")
+			st := resp.Stats.Stages
+			for _, s := range []struct {
+				name string
+				want time.Duration
+			}{{"parse", st.Parse}, {"route", st.Route}, {"score", st.Score}} {
+				if got := ex.Child(s.name).Duration(); got != s.want {
+					t.Errorf("%s span %v, response %v", s.name, got, s.want)
+				}
+			}
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"ceres/internal/fsatomic"
 )
@@ -64,8 +65,8 @@ type ModelStore interface {
 	Untrainable(site, key string) (reason string, ok bool, err error)
 	// MarkUntrainable records that training the site failed with reason,
 	// replacing any earlier verdict. key names the inputs the failure is a
-	// property of (Pipeline.TrainingKey plus the page range); Publish
-	// clears the verdict.
+	// property of (Pipeline.TrainingKey plus the page range), valid UTF-8;
+	// Publish clears the verdict.
 	MarkUntrainable(site, key, reason string) error
 }
 
@@ -253,10 +254,16 @@ func (s *DirStore) Untrainable(site, key string) (string, bool, error) {
 	return v.Reason, true, nil
 }
 
-// MarkUntrainable implements ModelStore.
+// MarkUntrainable implements ModelStore. It refuses a key that is not
+// valid UTF-8: encoding/json would store it altered, under a key another
+// caller could ask for. An invalid reason is stored with U+FFFD in place
+// of its bad bytes.
 func (s *DirStore) MarkUntrainable(site, key, reason string) error {
 	if err := CheckSiteName(site); err != nil {
 		return fmt.Errorf("ceres: writing training verdict: %w", err)
+	}
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("ceres: writing training verdict: key %q is not valid UTF-8", key)
 	}
 	data, err := json.Marshal(verdict{Key: key, Reason: reason})
 	if err != nil {
