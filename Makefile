@@ -59,7 +59,10 @@ examples:
 # §8). The tenth is a model store's training verdict, untrainable.json:
 # no bytes make Untrainable panic or fail, it answers only for the key the
 # bytes decode to, and a marked verdict reads back under its key alone
-# (DESIGN.md §7). A failing input is written under the package's
+# (DESIGN.md §7). The eleventh is the fusion accumulator: on any
+# observation stream, at every Facts call, its facts are byte for byte
+# those of the string-keyed accumulator it replaced, frozen in its tests
+# (DESIGN.md §8). A failing input is written under the package's
 # testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
@@ -73,6 +76,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPagestoreRead -fuzztime=$(FUZZTIME) ./pagestore
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./batch
 	$(GO) test -run='^$$' -fuzz=FuzzUntrainable -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzAccumulator -fuzztime=$(FUZZTIME) ./internal/fusion
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

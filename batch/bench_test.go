@@ -176,7 +176,6 @@ func BenchmarkReplayFuse(b *testing.B) {
 		if len(fuser.Facts()) == 0 {
 			b.Fatal("fusion produced no facts")
 		}
-		fuser.Release()
 		return triples
 	}
 	if pass() != rep.Triples {

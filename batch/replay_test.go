@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,58 +19,74 @@ import (
 	"ceres"
 )
 
-// TestReadAheadBound holds the replay pipeline to its memory bound: a
-// batch is loaded for shard i+2 only after shard i has been consumed, so
-// never more than two are live — checked at every load while a slow
-// consumer gives the loader every chance to run ahead.
+// TestReadAheadBound holds the replay pipeline to its memory bound at one
+// loader per core: loader w loads the shards i ≡ w (mod loaders) into two
+// batches of its own, so it starts shard i only once shard i-2·loaders has
+// been consumed and never has more than two of its shards loaded and not
+// yet consumed — checked at every load while a slow consumer gives the
+// loaders every chance to run ahead. At GOMAXPROCS 1 and 4.
 func TestReadAheadBound(t *testing.T) {
-	const n = 40
-	var consumed atomic.Int64 // shards whose consume has returned
-	var loads atomic.Int64    // loads started
-	loadedUpTo := make(chan int, n)
-	var order []int
-	batches := map[*shardBatch]bool{}
-	err := readAhead(n,
-		func(i int, b *shardBatch) {
-			loads.Add(1)
-			if live := int64(i) + 1 - consumed.Load(); live > 2 {
-				t.Errorf("load of shard %d started with %d shards loaded and not yet consumed", i, live-1)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			loaders := runtime.GOMAXPROCS(0)
+			const n = 40
+			var consumed atomic.Int64        // shards whose consume has returned
+			var started, loaded atomic.Int64 // loads begun, loads finished
+			var order []int
+			batches := map[*shardBatch]bool{}
+			err := readAhead(n, loaders,
+				func(w, i int, b *shardBatch) {
+					started.Add(1)
+					if i%loaders != w {
+						t.Errorf("loader %d given shard %d", w, i)
+					}
+					live := 0 // this loader's shards loaded and not yet consumed, this one included
+					for j := int(consumed.Load()); j <= i; j++ {
+						if j%loaders == w {
+							live++
+						}
+					}
+					if live > 2 {
+						t.Errorf("loader %d started shard %d with %d of its shards loaded and not yet consumed", w, i, live-1)
+					}
+					b.triples = append(b.triples[:0], ceres.Triple{Page: fmt.Sprint(i)})
+					loaded.Add(1)
+				},
+				func(i int, b *shardBatch) error {
+					batches[b] = true
+					if len(b.triples) != 1 || b.triples[0].Page != fmt.Sprint(i) {
+						t.Errorf("consume(%d) got batch %+v", i, b.triples)
+					}
+					order = append(order, i)
+					// Hold this shard until every shard the loaders may load
+					// meanwhile — up to i+loaders — is loaded (they then have
+					// nothing left they may do), and a little longer.
+					reach := int64(min(n, i+loaders+1))
+					for loaded.Load() < reach {
+						runtime.Gosched()
+					}
+					for k := 0; k < 50; k++ {
+						runtime.Gosched()
+					}
+					if got := started.Load(); got > reach {
+						t.Errorf("%d loads started while shard %d was being consumed", got, i)
+					}
+					consumed.Add(1)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
 			}
-			b.triples = append(b.triples[:0], ceres.Triple{Page: fmt.Sprint(i)})
-			loadedUpTo <- i
-		},
-		func(i int, b *shardBatch) error {
-			batches[b] = true
-			if len(b.triples) != 1 || b.triples[0].Page != fmt.Sprint(i) {
-				t.Errorf("consume(%d) got batch %+v", i, b.triples)
-			}
-			order = append(order, i)
-			// Hold this shard until the next one is loaded (the loader has
-			// then nothing left it may do), and a little longer.
-			for i+1 < n {
-				if <-loadedUpTo >= i+1 {
-					break
+			for i, got := range order {
+				if got != i {
+					t.Fatalf("consumed in order %v", order)
 				}
 			}
-			for k := 0; k < 50; k++ {
-				runtime.Gosched()
+			if len(order) != n || len(batches) != 2*loaders {
+				t.Errorf("consumed %d shards through %d batches, want %d through %d", len(order), len(batches), n, 2*loaders)
 			}
-			if got := loads.Load(); got > int64(i)+2 {
-				t.Errorf("%d loads started while shard %d was being consumed", got, i)
-			}
-			consumed.Add(1)
-			return nil
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("consumed in order %v", order)
-		}
-	}
-	if len(order) != n || len(batches) != 2 {
-		t.Errorf("consumed %d shards through %d batches, want %d through 2", len(order), len(batches), n)
 	}
 }
 
@@ -110,11 +127,11 @@ func writeShards(t *testing.T, sink *JSONLSink, n, per int) []Shard {
 	return shards
 }
 
-// TestJSONLSinkReplayOrderAndStop checks the read-ahead replay from the
-// outside: triples arrive in shard order then file order; an error from
-// fn, a missing file and a corrupt line each end the replay with that
-// error after exactly the triples before it; and in every case the
-// reading goroutine is gone when Replay returns.
+// TestJSONLSinkReplayOrderAndStop checks the replay from the outside:
+// triples arrive in shard order then file order; an error from fn, a
+// missing file and a corrupt line each end the replay with that error
+// after exactly the triples before it; and in every case the loaders are
+// gone when Replay returns.
 func TestJSONLSinkReplayOrderAndStop(t *testing.T) {
 	sink, err := NewJSONLSink(filepath.Join(t.TempDir(), "triples"))
 	if err != nil {
@@ -175,6 +192,86 @@ func TestJSONLSinkReplayOrderAndStop(t *testing.T) {
 	seen, err = replay(shards, -1)
 	if err == nil || !strings.Contains(err.Error(), "shard a/b/2: line 4:") || seen != 2*per {
 		t.Errorf("corrupt line: delivered %d triples, error %v", seen, err)
+	}
+}
+
+// TestReplayErrorWaitsItsTurn holds a replay to its order when a later
+// shard fails while an earlier one is being consumed: fn sees every triple
+// before the failed shard, then the error naming it, and every loader has
+// exited when the replay returns. Through readAhead, the load of shard bad
+// fails exactly while shard bad-1 is being consumed. Through
+// JSONLSink.Replay, shard k's file is broken mid-replay, while shard
+// k-loaders-1 is being consumed: k's loader cannot open the file before it
+// has handed over shard k-loaders, which is taken only after that. At
+// GOMAXPROCS 1 and 4.
+func TestReplayErrorWaitsItsTurn(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			loaders := runtime.GOMAXPROCS(0)
+			base := runtime.NumGoroutine()
+
+			const n, bad = 12, 6
+			errBad := fmt.Errorf("shard %d: line 1: refused", bad)
+			consuming, failed := make(chan struct{}), make(chan struct{})
+			var consumed []int
+			err := readAhead(n, loaders,
+				func(w, i int, b *shardBatch) {
+					b.err = nil
+					if i == bad {
+						<-consuming
+						b.err = errBad
+						close(failed)
+					}
+				},
+				func(i int, b *shardBatch) error {
+					if b.err != nil {
+						return b.err
+					}
+					if i == bad-1 {
+						close(consuming)
+						<-failed
+					}
+					consumed = append(consumed, i)
+					return nil
+				})
+			waitGoroutines(t, base)
+			if !errors.Is(err, errBad) || !slices.Equal(consumed, []int{0, 1, 2, 3, 4, 5}) {
+				t.Fatalf("readAhead consumed %v, returned %v", consumed, err)
+			}
+
+			sink, err := NewJSONLSink(filepath.Join(t.TempDir(), "triples"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const per = 5
+			shards := writeShards(t, sink, n, per)
+			k := loaders + 2
+			path := filepath.Join(sink.dir, shardFileName(shards[k]))
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := bytes.SplitAfter(good, []byte("\n"))
+			corrupt := slices.Concat(lines[0], lines[1], []byte(`{"Subject":"s","Confidence":"high"}`+"\n"))
+			seen := 0
+			err = sink.Replay(shards, func(site string, tr ceres.Triple) error {
+				if seen == (k-loaders-1)*per {
+					if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+						return err
+					}
+				}
+				if tr.Page != fmt.Sprint(seen/per) || tr.Path != fmt.Sprint(seen%per) {
+					return fmt.Errorf("triple %d is %+v", seen, tr)
+				}
+				seen++
+				return nil
+			})
+			waitGoroutines(t, base)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("shard a/b/%d: line 3:", k)) || seen != k*per {
+				t.Fatalf("shard %d broken mid-replay: delivered %d triples, error %v", k, seen, err)
+			}
+		})
 	}
 }
 

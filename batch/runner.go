@@ -107,9 +107,9 @@ type ContextStats struct {
 // worker stopped, for the commit stage to drain. Fuse is the fusion
 // stage's wall time from the first shard replayed to the last fact
 // resolved — it runs once, after everything else, and the replay's
-// read-ahead goroutine works inside that interval and is not added on
-// top. Commit is the commit stage's own busy time (fsyncs, renames,
-// manifest writes): it overlaps the workers, so it stands beside the
+// loader goroutines work inside that interval and are not added on top.
+// Commit is the commit stage's own busy time (fsyncs, renames, manifest
+// writes): it overlaps the workers, so it stands beside the
 // others, not in their sum — at Workers 1, Resolve + Extract + Sink +
 // Checkpoint + Fuse never exceeds Elapsed + Fuse, and what is missing
 // from it is the run's unaccounted time.
@@ -411,7 +411,6 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		}
 		csp := fsp.StartChild("facts")
 		rep.Facts = fuser.Facts()
-		fuser.Release()
 		csp.SetInt("facts", int64(len(rep.Facts)))
 		csp.End()
 		fsp.End()

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,6 +70,8 @@ type JSONLSink struct {
 	dir string
 	// bufs recycles shard write buffers (*[]byte) between shards.
 	bufs sync.Pool
+	// loaders recycles replay loader state (*shardLoader) between Replays.
+	loaders sync.Pool
 	// replayed is the size of the shard files the last Replay read.
 	replayed atomic.Int64
 }
@@ -184,26 +187,41 @@ type shardBatch struct {
 	err     error
 }
 
+// shardLoader is one replay loader's own state: the decoder, whose string
+// table is worth keeping warm, and the buffer shard files are read into.
+type shardLoader struct {
+	dec  jsonl.TripleDecoder
+	file []byte
+}
+
 // Replay implements Replayer: stream the committed files of the given
-// shards, in order. It reads ahead by one shard: while fn consumes the
-// triples of one shard, a second goroutine reads and decodes the next
-// into the other of two recycled batches, so at most two decoded shards
-// exist at any time however long the crawl. Each file is read whole into
-// one reused buffer and decoded line by line (blank lines skipped); a
-// line encoding/json would refuse is an error naming the shard and line.
+// shards, in order. One loader goroutine per core (runtime.GOMAXPROCS)
+// reads and decodes: loader w takes the shards i ≡ w (mod loaders), each
+// into one of two recycled batches of its own, while fn consumes the
+// shards strictly in the given order on the caller's goroutine — so at
+// most two decoded shards per loader exist at any time, however long the
+// crawl. Each file is read whole into its loader's buffer and decoded line
+// by line (blank lines skipped) with its loader's decoder; both are reused
+// from one Replay to the next. A line encoding/json would refuse is an
+// error naming the shard and line, and like a missing file it ends the
+// replay when the shard's turn comes, after every triple before it.
 func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
-	var (
-		dec   jsonl.TripleDecoder
-		file  []byte
-		total int64
-	)
-	err := readAhead(len(shards),
-		func(i int, b *shardBatch) {
-			sh := shards[i]
+	loaders := make([]*shardLoader, min(runtime.GOMAXPROCS(0), len(shards)))
+	for w := range loaders {
+		l, _ := s.loaders.Get().(*shardLoader)
+		if l == nil {
+			l = new(shardLoader)
+		}
+		loaders[w] = l
+	}
+	var total int64
+	err := readAhead(len(shards), len(loaders),
+		func(w, i int, b *shardBatch) {
+			l, sh := loaders[w], shards[i]
 			b.triples, b.err = b.triples[:0], nil
-			if file, b.err = readFileInto(file, filepath.Join(s.dir, shardFileName(sh))); b.err == nil {
-				b.bytes = int64(len(file))
-				b.triples, b.err = decodeShard(&dec, file, b.triples)
+			if l.file, b.err = readFileInto(l.file, filepath.Join(s.dir, shardFileName(sh))); b.err == nil {
+				b.bytes = int64(len(l.file))
+				b.triples, b.err = decodeShard(&l.dec, l.file, b.triples)
 			}
 			if b.err != nil {
 				b.err = fmt.Errorf("batch: replaying shard %s/%d: %w", sh.Site, sh.Index, b.err)
@@ -221,6 +239,9 @@ func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) 
 			}
 			return nil
 		})
+	for _, l := range loaders {
+		s.loaders.Put(l)
+	}
 	s.replayed.Store(total)
 	return err
 }
@@ -229,48 +250,62 @@ func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) 
 // consumed (the runner's replay span carries it).
 func (s *JSONLSink) replayedBytes() int64 { return s.replayed.Load() }
 
-// readAhead runs load(i) for i in [0, n) on a goroutine of its own, one
-// step ahead of consume(i) on the caller's: load(i+1) overlaps
-// consume(i), and load(i+2) does not start until consume(i) has returned,
-// because the two batches they are handed alternate. consume runs in
-// index order and its first error ends the run; the loading goroutine
-// has exited by the time readAhead returns.
-func readAhead(n int, load func(i int, b *shardBatch), consume func(i int, b *shardBatch) error) error {
+// readAhead runs load(w, i) for i in [0, n) on loaders goroutines, 1 ≤
+// loaders ≤ n — loader w takes the shards i ≡ w (mod loaders), in index
+// order — and consume(i) on the caller's, in index order. Each loader
+// owns two batches and the two alternate: it loads shard i+loaders while
+// consume(i) holds the other, and cannot start shard i+2·loaders before
+// consume(i) has returned. consume's first error ends the run; every
+// loader has exited by the time readAhead returns.
+func readAhead(n, loaders int, load func(w, i int, b *shardBatch), consume func(i int, b *shardBatch) error) error {
 	if n == 0 {
 		return nil
 	}
-	loaded := make(chan *shardBatch)
-	free := make(chan *shardBatch, 2) // both batches fit, so giving one back never blocks
-	free <- new(shardBatch)
-	free <- new(shardBatch)
+	type lane struct{ loaded, free chan *shardBatch }
+	lanes := make([]lane, loaders)
 	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			var b *shardBatch
-			select {
-			case b = <-free:
-			case <-stop:
-				return
-			}
-			load(i, b)
-			select {
-			case loaded <- b:
-			case <-stop:
-				return
-			}
+	var wg sync.WaitGroup
+	// Deferred LIFO: stop closes first, releasing the loaders the Wait
+	// then joins.
+	defer wg.Wait()
+	defer close(stop)
+	for w := range lanes {
+		l := lane{
+			loaded: make(chan *shardBatch),
+			free:   make(chan *shardBatch, 2), // both batches fit, so giving one back never blocks
 		}
-	}()
-	var err error
-	for i := 0; i < n && err == nil; i++ {
-		b := <-loaded
-		err = consume(i, b)
-		free <- b
+		l.free <- new(shardBatch)
+		l.free <- new(shardBatch)
+		lanes[w] = l
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += loaders {
+				var b *shardBatch
+				select {
+				case b = <-l.free:
+				case <-stop:
+					return
+				}
+				load(w, i, b)
+				select {
+				case l.loaded <- b:
+				case <-stop:
+					return
+				}
+			}
+		}()
 	}
-	close(stop)
-	<-done
-	return err
+	for i := 0; i < n; i++ {
+		l := lanes[i%loaders]
+		b := <-l.loaded
+		err := consume(i, b)
+		l.free <- b
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readFileInto reads the named file — a committed shard, which nobody

@@ -12,12 +12,12 @@ type FusionOptions = fusion.Options
 
 // Fuser fuses observations one at a time, so a crawl-scale harvest can
 // stream millions of extractions through fusion without materializing
-// them: memory grows with the number of distinct facts, not with the
-// number of observations. Feed observations in a deterministic order when
-// bit-reproducible beliefs matter (belief is a floating-point product over
-// the observations of a fact). Facts may be called at any point and does
-// not consume the accumulated state. A Fuser is not safe for concurrent
-// use.
+// them: memory grows with the number of distinct facts and strings, not
+// with the number of observations. Feed observations in a deterministic
+// order when bit-reproducible beliefs matter (belief is a floating-point
+// product over the observations of a fact). Facts may be called at any
+// point and does not consume the accumulated state. A Fuser is not safe
+// for concurrent use; one no longer needed is ordinary garbage.
 type Fuser struct {
 	acc *fusion.Accumulator
 }
@@ -42,15 +42,3 @@ func (f *Fuser) ObserveTriple(site string, t Triple) {
 // Facts resolves the aggregates into fused facts, sorted by descending
 // belief then subject/predicate/object.
 func (f *Fuser) Facts() []FusedFact { return f.acc.Facts() }
-
-// Release recycles the fuser's internal storage for future fusers. Facts
-// already resolved remain valid, but the fuser must not be used
-// afterwards. Releasing is optional — an unreleased fuser is ordinary
-// garbage — but a harvest loop that fuses run after run avoids regrowing
-// the aggregate tables from empty by releasing each fuser when done.
-func (f *Fuser) Release() {
-	if f.acc != nil {
-		f.acc.Release()
-		f.acc = nil
-	}
-}

@@ -12,9 +12,7 @@ func fuse(obs []Observation, opts Options) []Fact {
 	for _, ob := range obs {
 		a.Add(ob)
 	}
-	facts := a.Facts()
-	a.Release()
-	return facts
+	return a.Facts()
 }
 
 func TestFuseCorroboration(t *testing.T) {

@@ -270,8 +270,7 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 // TestFuseDeterministic: fusing the same triples in the same order gives
-// exactly the same facts run after run — through Release, which hands
-// each run the previous one's tables — and a fact lists its sources
+// exactly the same facts run after run, and a fact lists its sources
 // sorted whatever order they were observed in.
 func TestFuseDeterministic(t *testing.T) {
 	f := getTrainServeFixture(t)
@@ -281,7 +280,6 @@ func TestFuseDeterministic(t *testing.T) {
 	}
 	fuse := func() []FusedFact {
 		fz := NewFuser(FusionOptions{})
-		defer fz.Release()
 		for _, site := range []string{"zeta", "alpha", "mid"} {
 			for _, tr := range res.Triples {
 				fz.ObserveTriple(site, tr)
