@@ -18,8 +18,8 @@ race:
 
 # lint = gofmt, the stock vet suite plus ceresvet, the repo-invariant
 # analyzers (atomic writes through the fsatomic seam, context flow, map
-# determinism, lock safety, allocfree contracts — see DESIGN.md §9). Any
-# diagnostic fails the build.
+# determinism, lock safety, allocfree contracts, goroutines only in
+# internal/par — see DESIGN.md §9). Any diagnostic fails the build.
 lint: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/ceresvet ./...

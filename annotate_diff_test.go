@@ -22,11 +22,21 @@ var annotateDiffKinds = []string{
 	"movies", "movies-longtail", "imdb-films", "imdb-people", "crawl-czech",
 }
 
+// parsePages parses sources on the caller's goroutine.
+func parsePages(tb testing.TB, src []core.PageSource) []*core.Page {
+	tb.Helper()
+	pages, err := core.ParsePages(context.Background(), src, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pages
+}
+
 func diffAnnotate(t *testing.T, name string, pages []*core.Page, c *Corpus, ropts core.RelationOptions) int {
 	t.Helper()
 	want := core.AnnotateLegacy(pages, c.KB, core.TopicOptions{}, ropts)
 	for _, workers := range []int{1, 8} {
-		got, err := core.AnnotateCtx(context.Background(), pages, c.KB, core.TopicOptions{}, ropts, workers)
+		got, err := core.Annotate(context.Background(), pages, c.KB, core.TopicOptions{}, ropts, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -63,7 +73,7 @@ func TestIndexedAnnotationMatchesLegacyAllCorpora(t *testing.T) {
 	total := 0
 	for _, kind := range annotateDiffKinds {
 		src, c := corpusSources(t, kind, 7, 40)
-		pages := core.ParsePages(src, 0)
+		pages := parsePages(t, src)
 		n := diffAnnotate(t, kind, pages, c, core.RelationOptions{})
 		t.Logf("%s: %d annotations identical on both paths", kind, n)
 		total += n
@@ -80,7 +90,7 @@ func TestIndexedAnnotationMatchesLegacyAllCorpora(t *testing.T) {
 func TestIndexedAnnotationMatchesLegacyAblations(t *testing.T) {
 	for _, kind := range []string{"movies", "movies-longtail", "imdb-films"} {
 		src, c := corpusSources(t, kind, 11, 30)
-		pages := core.ParsePages(src, 0)
+		pages := parsePages(t, src)
 		for _, tc := range []struct {
 			name  string
 			ropts core.RelationOptions
@@ -99,10 +109,10 @@ func TestIndexedAnnotationMatchesLegacyAblations(t *testing.T) {
 func TestIndexedTopicsMatchLegacy(t *testing.T) {
 	for _, kind := range annotateDiffKinds {
 		src, c := corpusSources(t, kind, 3, 24)
-		pages := core.ParsePages(src, 0)
+		pages := parsePages(t, src)
 		for _, opts := range []core.TopicOptions{{}, {MaxTopicPages: 2}, {FrequentObjectFrac: 0.02, FrequentObjectMinCount: 1}} {
 			want := core.IdentifyTopicsLegacy(pages, c.KB, opts)
-			got, err := core.IdentifyTopicsCtx(context.Background(), pages, c.KB, opts, 4)
+			got, err := core.IdentifyTopics(context.Background(), pages, c.KB, opts, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -138,7 +138,7 @@ func TestRunnerMatchesDirectServe(t *testing.T) {
 		}
 	}
 	got := map[string][]ceres.Triple{}
-	if err := sink.Replay(done, func(site string, tr ceres.Triple) error {
+	if err := sink.Replay(context.Background(), done, func(site string, tr ceres.Triple) error {
 		got[site] = append(got[site], tr)
 		return nil
 	}); err != nil {
@@ -450,7 +450,7 @@ func TestJSONLSinkReplay(t *testing.T) {
 		}
 	}
 	var got []ceres.Triple
-	if err := sink.Replay(shards, func(site string, tr ceres.Triple) error {
+	if err := sink.Replay(context.Background(), shards, func(site string, tr ceres.Triple) error {
 		if site != "a/b" {
 			t.Fatalf("site = %q", site)
 		}
@@ -463,7 +463,7 @@ func TestJSONLSinkReplay(t *testing.T) {
 		t.Fatalf("replay = %+v, want %+v", got, want[0])
 	}
 	// A missing shard errors instead of silently under-replaying.
-	if err := sink.Replay([]Shard{{Site: "a/b", Index: 7}}, func(string, ceres.Triple) error { return nil }); err == nil {
+	if err := sink.Replay(context.Background(), []Shard{{Site: "a/b", Index: 7}}, func(string, ceres.Triple) error { return nil }); err == nil {
 		t.Fatal("missing shard replayed silently")
 	}
 	// Aborted shards leave nothing behind.
@@ -477,7 +477,7 @@ func TestJSONLSinkReplay(t *testing.T) {
 	if err := w.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.Replay([]Shard{{Site: "a/b", Index: 3}}, func(string, ceres.Triple) error { return nil }); err == nil {
+	if err := sink.Replay(context.Background(), []Shard{{Site: "a/b", Index: 3}}, func(string, ceres.Triple) error { return nil }); err == nil {
 		t.Fatal("aborted shard left output")
 	}
 }

@@ -166,7 +166,7 @@ func BenchmarkReplayFuse(b *testing.B) {
 	pass := func() int {
 		fuser := ceres.NewFuser(ceres.FusionOptions{})
 		triples := 0
-		if err := sink.Replay(shards, func(site string, t ceres.Triple) error {
+		if err := sink.Replay(context.Background(), shards, func(site string, t ceres.Triple) error {
 			fuser.ObserveTriple(site, t)
 			triples++
 			return nil

@@ -93,6 +93,7 @@ func (r *Runner) startCommitter(ck *checkpoint, run *runState, workers int) *com
 		queue: make(chan pendingShard, bound),
 		done:  make(chan struct{}),
 	}
+	//ceresvet:ignore goroutines the commit stage runs beside the workers for the whole run; drain joins it
 	go c.loop()
 	return c
 }

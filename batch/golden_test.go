@@ -2,6 +2,8 @@ package batch
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,6 +20,27 @@ var update = flag.Bool("update", false, "rewrite the committed golden files from
 // jsonl.AppendFact line per fact: what ceres-batch writes as fused.jsonl.
 const fusedGolden = "testdata/fused-fixture.jsonl"
 
+// goldenJob is the job whose fused output fusedGolden holds.
+var goldenJob = Job{
+	ShardPages: 4,
+	Workers:    2,
+	Fuse:       true,
+	Fusion:     ceres.FusionOptions{Functional: map[string]bool{"releaseYear": true}},
+}
+
+// fusedBytes is a report's fused output as ceres-batch writes it.
+func fusedBytes(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	var b []byte
+	for i := range rep.Facts {
+		var err error
+		if b, err = jsonl.AppendFact(b, &rep.Facts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
 // TestFusedGolden pins the bytes of a harvest's fused output. The crawl
 // fixture, with releaseYear functional, goes through JSONLSink and the
 // Runner twice: a cold pass that trains and publishes every site, then a
@@ -27,12 +50,7 @@ const fusedGolden = "testdata/fused-fixture.jsonl"
 // replay's loader count nor the fuser's internals may show in the output.
 // go test -run TestFusedGolden ./batch -update rewrites the golden.
 func TestFusedGolden(t *testing.T) {
-	job := Job{
-		ShardPages: 4,
-		Workers:    2,
-		Fuse:       true,
-		Fusion:     ceres.FusionOptions{Functional: map[string]bool{"releaseYear": true}},
-	}
+	job := goldenJob
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -61,12 +79,7 @@ func TestFusedGolden(t *testing.T) {
 				if (pass == "cold") != (trained > 0) || len(rep.Facts) == 0 {
 					t.Fatalf("%s pass trained %d sites and fused %d facts", pass, trained, len(rep.Facts))
 				}
-				var got []byte
-				for i := range rep.Facts {
-					if got, err = jsonl.AppendFact(got, &rep.Facts[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
+				got := fusedBytes(t, rep)
 				if *update && procs == 1 && pass == "cold" {
 					if err := os.WriteFile(fusedGolden, got, 0o644); err != nil {
 						t.Fatal(err)
@@ -79,6 +92,86 @@ func TestFusedGolden(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("%s pass: fused output differs from %s:\n%s", pass, fusedGolden, firstLineDiff(got, want))
 				}
+			}
+		})
+	}
+}
+
+// cancelReplaySink cancels the run's context from inside fusion's
+// replay, once a fixed number of triples has been replayed.
+type cancelReplaySink struct {
+	TripleSink
+	cancel context.CancelFunc
+	after  int
+}
+
+func (s cancelReplaySink) Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error {
+	n := 0
+	return s.TripleSink.(Replayer).Replay(ctx, shards, func(site string, t ceres.Triple) error {
+		if n++; n == s.after {
+			s.cancel()
+		}
+		return fn(site, t)
+	})
+}
+
+// TestFuseHonoursCancellation cancels a run from inside its fusion stage,
+// partway through the replay: Run returns context.Canceled with every
+// goroutine it started — replay loaders included — exited, and the next
+// Run of the job executes no shard (the checkpoint already holds them
+// all) and fuses the golden's bytes. At GOMAXPROCS 1 and 4.
+func TestFuseHonoursCancellation(t *testing.T) {
+	const after = 100
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := t.TempDir()
+			f := newCrawlFixture(t, base, fixtureSites)
+			dirs := newHarvestDirs(t, base, "run")
+			store, err := ceres.NewDirStore(dirs.models)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, err := NewJSONLSink(dirs.triples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			r, err := NewRunner(Config{
+				Provider:       f.store,
+				Sink:           cancelReplaySink{TripleSink: sink, cancel: cancel, after: after},
+				Registry:       ceres.NewRegistry(),
+				Store:          store,
+				Pipeline:       f.pipeline,
+				CheckpointPath: dirs.checkpoint,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			goroutines := runtime.NumGoroutine()
+			if rep, err := r.Run(ctx, goldenJob); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled during fusion: Run returned %v (report %v)", err, rep != nil)
+			}
+			waitGoroutines(t, goroutines)
+
+			rep, err := runHarvest(t, f, dirs, goldenJob, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			triples := 0
+			for _, sr := range rep.Sites {
+				triples += sr.Triples
+			}
+			if rep.Shards != 0 || rep.Resumed == 0 || triples <= after {
+				t.Fatalf("next run executed %d shards, resumed %d, fused %d triples", rep.Shards, rep.Resumed, triples)
+			}
+			want, err := os.ReadFile(fusedGolden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fusedBytes(t, rep); !bytes.Equal(got, want) {
+				t.Fatalf("fused output after a cancelled fusion differs from %s:\n%s", fusedGolden, firstLineDiff(got, want))
 			}
 		})
 	}

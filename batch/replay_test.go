@@ -12,83 +12,11 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"ceres"
 )
-
-// TestReadAheadBound holds the replay pipeline to its memory bound at one
-// loader per core: loader w loads the shards i ≡ w (mod loaders) into two
-// batches of its own, so it starts shard i only once shard i-2·loaders has
-// been consumed and never has more than two of its shards loaded and not
-// yet consumed — checked at every load while a slow consumer gives the
-// loaders every chance to run ahead. At GOMAXPROCS 1 and 4.
-func TestReadAheadBound(t *testing.T) {
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			loaders := runtime.GOMAXPROCS(0)
-			const n = 40
-			var consumed atomic.Int64        // shards whose consume has returned
-			var started, loaded atomic.Int64 // loads begun, loads finished
-			var order []int
-			batches := map[*shardBatch]bool{}
-			err := readAhead(n, loaders,
-				func(w, i int, b *shardBatch) {
-					started.Add(1)
-					if i%loaders != w {
-						t.Errorf("loader %d given shard %d", w, i)
-					}
-					live := 0 // this loader's shards loaded and not yet consumed, this one included
-					for j := int(consumed.Load()); j <= i; j++ {
-						if j%loaders == w {
-							live++
-						}
-					}
-					if live > 2 {
-						t.Errorf("loader %d started shard %d with %d of its shards loaded and not yet consumed", w, i, live-1)
-					}
-					b.triples = append(b.triples[:0], ceres.Triple{Page: fmt.Sprint(i)})
-					loaded.Add(1)
-				},
-				func(i int, b *shardBatch) error {
-					batches[b] = true
-					if len(b.triples) != 1 || b.triples[0].Page != fmt.Sprint(i) {
-						t.Errorf("consume(%d) got batch %+v", i, b.triples)
-					}
-					order = append(order, i)
-					// Hold this shard until every shard the loaders may load
-					// meanwhile — up to i+loaders — is loaded (they then have
-					// nothing left they may do), and a little longer.
-					reach := int64(min(n, i+loaders+1))
-					for loaded.Load() < reach {
-						runtime.Gosched()
-					}
-					for k := 0; k < 50; k++ {
-						runtime.Gosched()
-					}
-					if got := started.Load(); got > reach {
-						t.Errorf("%d loads started while shard %d was being consumed", got, i)
-					}
-					consumed.Add(1)
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, got := range order {
-				if got != i {
-					t.Fatalf("consumed in order %v", order)
-				}
-			}
-			if len(order) != n || len(batches) != 2*loaders {
-				t.Errorf("consumed %d shards through %d batches, want %d through %d", len(order), len(batches), n, 2*loaders)
-			}
-		})
-	}
-}
 
 // waitGoroutines waits for the goroutine count to come back to base.
 func waitGoroutines(t *testing.T, base int) {
@@ -143,7 +71,7 @@ func TestJSONLSinkReplayOrderAndStop(t *testing.T) {
 
 	replay := func(shards []Shard, failAt int) (int, error) {
 		seen := 0
-		err := sink.Replay(shards, func(site string, tr ceres.Triple) error {
+		err := sink.Replay(context.Background(), shards, func(site string, tr ceres.Triple) error {
 			if site != "a/b" || tr.Page != fmt.Sprint(seen/per) || tr.Path != fmt.Sprint(seen%per) {
 				t.Fatalf("triple %d is %q %+v", seen, site, tr)
 			}
@@ -198,12 +126,11 @@ func TestJSONLSinkReplayOrderAndStop(t *testing.T) {
 // TestReplayErrorWaitsItsTurn holds a replay to its order when a later
 // shard fails while an earlier one is being consumed: fn sees every triple
 // before the failed shard, then the error naming it, and every loader has
-// exited when the replay returns. Through readAhead, the load of shard bad
-// fails exactly while shard bad-1 is being consumed. Through
-// JSONLSink.Replay, shard k's file is broken mid-replay, while shard
-// k-loaders-1 is being consumed: k's loader cannot open the file before it
-// has handed over shard k-loaders, which is taken only after that. At
-// GOMAXPROCS 1 and 4.
+// exited when the replay returns. Shard k's file is broken mid-replay,
+// while shard k-loaders-1 is being consumed: k's loader cannot open the
+// file before it has handed over shard k-loaders, which is taken only
+// after that. At GOMAXPROCS 1 and 4. (par's TestOrderedErrorWaitsItsTurn
+// holds par.Ordered itself to the same order.)
 func TestReplayErrorWaitsItsTurn(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -211,40 +138,11 @@ func TestReplayErrorWaitsItsTurn(t *testing.T) {
 			loaders := runtime.GOMAXPROCS(0)
 			base := runtime.NumGoroutine()
 
-			const n, bad = 12, 6
-			errBad := fmt.Errorf("shard %d: line 1: refused", bad)
-			consuming, failed := make(chan struct{}), make(chan struct{})
-			var consumed []int
-			err := readAhead(n, loaders,
-				func(w, i int, b *shardBatch) {
-					b.err = nil
-					if i == bad {
-						<-consuming
-						b.err = errBad
-						close(failed)
-					}
-				},
-				func(i int, b *shardBatch) error {
-					if b.err != nil {
-						return b.err
-					}
-					if i == bad-1 {
-						close(consuming)
-						<-failed
-					}
-					consumed = append(consumed, i)
-					return nil
-				})
-			waitGoroutines(t, base)
-			if !errors.Is(err, errBad) || !slices.Equal(consumed, []int{0, 1, 2, 3, 4, 5}) {
-				t.Fatalf("readAhead consumed %v, returned %v", consumed, err)
-			}
-
 			sink, err := NewJSONLSink(filepath.Join(t.TempDir(), "triples"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			const per = 5
+			const n, per = 12, 5
 			shards := writeShards(t, sink, n, per)
 			k := loaders + 2
 			path := filepath.Join(sink.dir, shardFileName(shards[k]))
@@ -255,7 +153,7 @@ func TestReplayErrorWaitsItsTurn(t *testing.T) {
 			lines := bytes.SplitAfter(good, []byte("\n"))
 			corrupt := slices.Concat(lines[0], lines[1], []byte(`{"Subject":"s","Confidence":"high"}`+"\n"))
 			seen := 0
-			err = sink.Replay(shards, func(site string, tr ceres.Triple) error {
+			err = sink.Replay(context.Background(), shards, func(site string, tr ceres.Triple) error {
 				if seen == (k-loaders-1)*per {
 					if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 						return err
@@ -295,8 +193,8 @@ func (s teeSink) OpenShard(sh Shard) (ShardWriter, error) {
 
 func (s teeSink) Sync() error { return errors.Join(s.a.Sync(), s.b.Sync()) }
 
-func (s teeSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
-	return s.a.(Replayer).Replay(shards, fn)
+func (s teeSink) Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error {
+	return s.a.(Replayer).Replay(ctx, shards, fn)
 }
 
 type teeShard struct{ a, b ShardWriter }
@@ -353,7 +251,7 @@ func TestShardFilesGolden(t *testing.T) {
 		}
 	}
 	fuser := ceres.NewFuser(job.Fusion)
-	if err := mem.Replay(done, func(site string, tr ceres.Triple) error {
+	if err := mem.Replay(context.Background(), done, func(site string, tr ceres.Triple) error {
 		fuser.ObserveTriple(site, tr)
 		return nil
 	}); err != nil {
@@ -398,7 +296,7 @@ func TestReplayNonCanonicalShard(t *testing.T) {
 		want = append(want, tr)
 	}
 	var got []ceres.Triple
-	if err := sink.Replay([]Shard{sh}, func(site string, tr ceres.Triple) error {
+	if err := sink.Replay(context.Background(), []Shard{sh}, func(site string, tr ceres.Triple) error {
 		got = append(got, tr)
 		return nil
 	}); err != nil {

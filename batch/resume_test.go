@@ -39,8 +39,8 @@ func (k *killSink) Sync() error { return k.inner.Sync() }
 
 // Replay forwards to the wrapped sink, so a killSink over a replayable
 // sink can fuse.
-func (k *killSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
-	return k.inner.(Replayer).Replay(shards, fn)
+func (k *killSink) Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error {
+	return k.inner.(Replayer).Replay(ctx, shards, fn)
 }
 
 type killShard struct {

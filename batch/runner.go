@@ -393,7 +393,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		fuser := ceres.NewFuser(job.Fusion)
 		rsp := fsp.StartChild("replay")
 		triples := 0
-		err := replayer.Replay(done, func(site string, t ceres.Triple) error {
+		err := replayer.Replay(ctx, done, func(site string, t ceres.Triple) error {
 			fuser.ObserveTriple(site, t)
 			fuseTally[site]++
 			triples++
@@ -489,6 +489,7 @@ func (r *Runner) dispatch(ctx context.Context, job Job, ck *checkpoint, cm *comm
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
+		//ceresvet:ignore goroutines tasks arrive as sites resolve, not as an index range par.For could split; dispatch joins the workers before it returns
 		go func() {
 			defer wg.Done()
 			for t := range tasks {

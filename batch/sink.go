@@ -2,6 +2,7 @@ package batch
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/url"
@@ -15,6 +16,7 @@ import (
 	"ceres"
 	"ceres/internal/fsatomic"
 	"ceres/internal/jsonl"
+	"ceres/internal/par"
 )
 
 // TripleSink receives a harvest's extracted triples, one writer per
@@ -47,10 +49,11 @@ type ShardWriter interface {
 
 // Replayer is implemented by sinks that can stream committed triples
 // back, shard by shard — what the fusion stage and resumed runs consume.
-// Replay must stream in the given shard order and error on a shard whose
-// output is missing.
+// Replay must stream in the given shard order, error on a shard whose
+// output is missing, and stop with ctx.Err() between shards once ctx is
+// cancelled.
 type Replayer interface {
-	Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error
+	Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error
 }
 
 // shardFileName is the committed output file of one shard.
@@ -195,17 +198,18 @@ type shardLoader struct {
 }
 
 // Replay implements Replayer: stream the committed files of the given
-// shards, in order. One loader goroutine per core (runtime.GOMAXPROCS)
+// shards, in order. One par.Ordered loader per core (runtime.GOMAXPROCS)
 // reads and decodes: loader w takes the shards i ≡ w (mod loaders), each
 // into one of two recycled batches of its own, while fn consumes the
 // shards strictly in the given order on the caller's goroutine — so at
 // most two decoded shards per loader exist at any time, however long the
-// crawl. Each file is read whole into its loader's buffer and decoded line
+// crawl. A cancelled ctx ends the replay with ctx.Err() before the next
+// shard. Each file is read whole into its loader's buffer and decoded line
 // by line (blank lines skipped) with its loader's decoder; both are reused
 // from one Replay to the next. A line encoding/json would refuse is an
 // error naming the shard and line, and like a missing file it ends the
 // replay when the shard's turn comes, after every triple before it.
-func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
+func (s *JSONLSink) Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error {
 	loaders := make([]*shardLoader, min(runtime.GOMAXPROCS(0), len(shards)))
 	for w := range loaders {
 		l, _ := s.loaders.Get().(*shardLoader)
@@ -215,7 +219,7 @@ func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) 
 		loaders[w] = l
 	}
 	var total int64
-	err := readAhead(len(shards), len(loaders),
+	err := par.Ordered(ctx, len(shards), len(loaders),
 		func(w, i int, b *shardBatch) {
 			l, sh := loaders[w], shards[i]
 			b.triples, b.err = b.triples[:0], nil
@@ -249,64 +253,6 @@ func (s *JSONLSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) 
 // replayedBytes reports how many bytes of shard files the last Replay
 // consumed (the runner's replay span carries it).
 func (s *JSONLSink) replayedBytes() int64 { return s.replayed.Load() }
-
-// readAhead runs load(w, i) for i in [0, n) on loaders goroutines, 1 ≤
-// loaders ≤ n — loader w takes the shards i ≡ w (mod loaders), in index
-// order — and consume(i) on the caller's, in index order. Each loader
-// owns two batches and the two alternate: it loads shard i+loaders while
-// consume(i) holds the other, and cannot start shard i+2·loaders before
-// consume(i) has returned. consume's first error ends the run; every
-// loader has exited by the time readAhead returns.
-func readAhead(n, loaders int, load func(w, i int, b *shardBatch), consume func(i int, b *shardBatch) error) error {
-	if n == 0 {
-		return nil
-	}
-	type lane struct{ loaded, free chan *shardBatch }
-	lanes := make([]lane, loaders)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Deferred LIFO: stop closes first, releasing the loaders the Wait
-	// then joins.
-	defer wg.Wait()
-	defer close(stop)
-	for w := range lanes {
-		l := lane{
-			loaded: make(chan *shardBatch),
-			free:   make(chan *shardBatch, 2), // both batches fit, so giving one back never blocks
-		}
-		l.free <- new(shardBatch)
-		l.free <- new(shardBatch)
-		lanes[w] = l
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < n; i += loaders {
-				var b *shardBatch
-				select {
-				case b = <-l.free:
-				case <-stop:
-					return
-				}
-				load(w, i, b)
-				select {
-				case l.loaded <- b:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		l := lanes[i%loaders]
-		b := <-l.loaded
-		err := consume(i, b)
-		l.free <- b
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // readFileInto reads the named file — a committed shard, which nobody
 // writes to any more — into buf's storage, growing it when the file is
@@ -396,10 +342,13 @@ func (w *collectShard) Abort() error { return nil }
 func (s *CollectSink) Sync() error { return nil }
 
 // Replay implements Replayer over the in-memory shards.
-func (s *CollectSink) Replay(shards []Shard, fn func(site string, t ceres.Triple) error) error {
+func (s *CollectSink) Replay(ctx context.Context, shards []Shard, fn func(site string, t ceres.Triple) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sh := range shards {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		triples, ok := s.shards[sh]
 		if !ok {
 			return fmt.Errorf("batch: replaying shard %s/%d: not collected", sh.Site, sh.Index)

@@ -72,9 +72,19 @@ func getFixture(b *testing.B) *pipelineFixture {
 	for _, p := range site.Pages {
 		f.sources = append(f.sources, core.PageSource{ID: p.ID, HTML: p.HTML})
 	}
-	f.pages = core.ParsePages(f.sources, 0)
+	f.pages = parsePages(b, f.sources)
 	fixture = f
 	return f
+}
+
+// annotate runs the annotation stage over the fixture's pages.
+func (f *pipelineFixture) annotate(b *testing.B) *core.AnnotationResult {
+	b.Helper()
+	ann, err := core.Annotate(context.Background(), f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ann
 }
 
 // BenchmarkStageParse measures HTML parsing + text-field enumeration.
@@ -96,7 +106,9 @@ func BenchmarkStageTopicIdentification(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.IdentifyTopics(f.pages, f.kb, core.TopicOptions{})
+		if _, err := core.IdentifyTopics(context.Background(), f.pages, f.kb, core.TopicOptions{}, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -118,7 +130,9 @@ func BenchmarkStageAnnotate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Annotate(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
+		if _, err := core.Annotate(context.Background(), f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{}, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -130,7 +144,7 @@ func BenchmarkStageAnnotateSingleWorker(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.AnnotateCtx(context.Background(), f.pages, f.kb,
+		if _, err := core.Annotate(context.Background(), f.pages, f.kb,
 			core.TopicOptions{}, core.RelationOptions{}, 1); err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +177,7 @@ func BenchmarkKBBuildIndex(b *testing.B) {
 // BenchmarkStageTrain measures feature extraction + L-BFGS training.
 func BenchmarkStageTrain(b *testing.B) {
 	f := getFixture(b)
-	ann := core.Annotate(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
+	ann := f.annotate(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -179,7 +193,7 @@ func BenchmarkStageTrain(b *testing.B) {
 // BenchmarkStageExtract measures per-page classification throughput.
 func BenchmarkStageExtract(b *testing.B) {
 	f := getFixture(b)
-	ann := core.Annotate(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
+	ann := f.annotate(b)
 	fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
 	ds, classes := core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
 	fz.Freeze()
@@ -199,7 +213,7 @@ func BenchmarkStageExtract(b *testing.B) {
 // every field of a page.
 func BenchmarkFeaturize(b *testing.B) {
 	f := getFixture(b)
-	ann := core.Annotate(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
+	ann := f.annotate(b)
 	fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
 	core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
 	fz.Freeze()

@@ -1,10 +1,11 @@
 // Command ceresvet is the repo's invariant gate: a stdlib-only static
 // analyzer suite that loads every package of the module and enforces
-// the five load-bearing conventions the differential tests assume —
+// the six load-bearing conventions the differential tests assume —
 // atomic file publication (atomicwrite), threaded cancellation
 // (ctxflow), deterministic map iteration (mapdeterminism), no copied
-// locks or leaked internal maps (locksafety) and the //ceres:allocfree
-// hot-path contract (allocfree) — plus the grammar of its own
+// locks or leaked internal maps (locksafety), the //ceres:allocfree
+// hot-path contract (allocfree) and goroutines started only by
+// internal/par (goroutines) — plus the grammar of its own
 // annotations (annotations). DESIGN.md §9 documents each analyzer;
 // `make lint` and the CI lint job run `go vet` and ceresvet together.
 //

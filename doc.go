@@ -85,9 +85,10 @@
 //
 // A trained model persists in one format: WriteBinary emits
 // ceres.sitemodel/3, a field-tagged binary file behind an 8-byte magic,
-// and ReadSiteModel and DirStore read nothing else. The wire layout and
-// the pagestore readahead ordering guarantee are specified in DESIGN.md
-// §10.
+// and ReadSiteModel and DirStore read nothing else. The wire layout, the
+// parallel registry boot and the page store's ordered read-ahead (one
+// internal/par.Ordered call: records in index order, at most two inflated
+// segments per loader) are specified in DESIGN.md §10.
 //
 // # Operations
 //

@@ -1,8 +1,8 @@
 // Package analysis is ceresvet's engine: a stdlib-only (go/parser,
 // go/ast, go/types) multi-analyzer suite that enforces the repo's
 // load-bearing invariants — atomic file publication, context flow,
-// deterministic map iteration, lock-copy safety and the //ceres:allocfree
-// hot-path contract. DESIGN.md §9 documents each analyzer and how to add
+// deterministic map iteration, lock-copy safety, the //ceres:allocfree
+// hot-path contract and goroutine start sites. DESIGN.md §9 documents each analyzer and how to add
 // a new one; cmd/ceresvet is the CLI.
 package analysis
 
@@ -67,13 +67,14 @@ func Analyzers() []*Analyzer {
 		MapDeterminismAnalyzer,
 		LockSafetyAnalyzer,
 		AllocFreeAnalyzer,
+		GoroutinesAnalyzer,
 	}
 }
 
 // analyzerNames lists the registered analyzers without referring to
 // their vars, so directive parsing (which the analyzers' Run funcs
 // reach) does not create an initialization cycle.
-var analyzerNames = []string{annotationsName, "atomicwrite", "ctxflow", "mapdeterminism", "locksafety", "allocfree"}
+var analyzerNames = []string{annotationsName, "atomicwrite", "ctxflow", "mapdeterminism", "locksafety", "allocfree", "goroutines"}
 
 // knownAnalyzer reports whether name is a registered analyzer —
 // the validity condition for //ceresvet:ignore targets.

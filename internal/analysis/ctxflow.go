@@ -2,16 +2,17 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
 // CtxFlowAnalyzer enforces the context-cancellation invariant: library
 // code never manufactures its own root context, and any exported
-// function that fans work out to goroutines (a `go` statement or a
-// parallelFor-style worker pool) must accept a context.Context and
-// actually thread it, so callers can cancel the fan-out. Entry-point
-// packages (package main) are exempt: main() is where root contexts are
-// legitimately created.
+// function that fans work out to goroutines (a `go` statement, a call
+// into ceres/internal/par or a parallelFor-style worker pool) must
+// accept a context.Context and actually thread it, so callers can cancel
+// the fan-out. Entry-point packages (package main) are exempt: main() is
+// where root contexts are legitimately created.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "context.Background/TODO in library code; exported fan-out without a threaded context.Context",
@@ -49,7 +50,7 @@ func checkExportedFanout(pass *Pass, fn *ast.FuncDecl) {
 	if fn.Body == nil || !fn.Name.IsExported() {
 		return
 	}
-	if !spawnsWork(fn.Body) {
+	if !spawnsWork(pass.Pkg.Info, fn.Body) {
 		return
 	}
 	ctxParams := contextParams(pass, fn)
@@ -68,9 +69,13 @@ func checkExportedFanout(pass *Pass, fn *ast.FuncDecl) {
 	}
 }
 
-// spawnsWork reports whether the body contains a go statement or a call
-// to a parallelFor-style pool helper.
-func spawnsWork(body *ast.BlockStmt) bool {
+// parPkg is the library's fan-out package: any call into it spawns work.
+const parPkg = "ceres/internal/par"
+
+// spawnsWork reports whether the body contains a go statement, a call
+// into parPkg (resolved through go/types, so an import alias is seen
+// through) or a call to a parallelFor-style pool helper.
+func spawnsWork(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -85,6 +90,9 @@ func spawnsWork(body *ast.BlockStmt) bool {
 				name = fun.Sel.Name
 			}
 			if strings.HasPrefix(name, "parallelFor") || strings.HasPrefix(name, "ParallelFor") {
+				found = true
+			}
+			if path, _, ok := pkgCall(info, x); ok && path == parPkg {
 				found = true
 			}
 		}

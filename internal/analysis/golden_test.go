@@ -144,6 +144,7 @@ func TestMapDeterminismGolden(t *testing.T) { runGolden(t, "mapdeterminism") }
 func TestLockSafetyGolden(t *testing.T)     { runGolden(t, "locksafety") }
 func TestAllocFreeGolden(t *testing.T)      { runGolden(t, "allocfree") }
 func TestAnnotationsGolden(t *testing.T)    { runGolden(t, "annotations") }
+func TestGoroutinesGolden(t *testing.T)     { runGolden(t, "goroutines") }
 
 // TestRepoIsCeresvetClean is the acceptance gate in test form: the full
 // suite over the real module must report nothing. It is what
@@ -172,7 +173,7 @@ func TestRepoIsCeresvetClean(t *testing.T) {
 // TestAnalyzerRegistry pins the suite composition: names are the
 // //ceresvet:ignore vocabulary, so renames are breaking changes.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"annotations", "atomicwrite", "ctxflow", "mapdeterminism", "locksafety", "allocfree"}
+	want := []string{"annotations", "atomicwrite", "ctxflow", "mapdeterminism", "locksafety", "allocfree", "goroutines"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(got), len(want))

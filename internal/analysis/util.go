@@ -9,11 +9,19 @@ import (
 // pkgCall resolves a call of the form pkg.Fn where pkg is an imported
 // package name, returning the package's import path and the function
 // name. ok is false for method calls, locally-shadowed names and
-// non-selector calls. Resolution goes through go/types PkgName objects,
+// non-selector calls; an explicitly instantiated generic, pkg.Fn[T],
+// resolves like pkg.Fn. Resolution goes through go/types PkgName objects,
 // so an `import foo "os"` alias and a local variable named os are both
 // handled correctly.
 func pkgCall(info *types.Info, call *ast.CallExpr) (path, name string, ok bool) {
-	sel, okSel := call.Fun.(*ast.SelectorExpr)
+	fun := call.Fun
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	sel, okSel := fun.(*ast.SelectorExpr)
 	if !okSel {
 		return "", "", false
 	}

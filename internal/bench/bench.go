@@ -151,7 +151,10 @@ func runTrainExtract(ctx context.Context, train, evalSet []*websim.Page, K *kb.K
 	if err != nil {
 		return nil, nil, err
 	}
-	evalPages := core.ParsePages(sourcesOf(evalSet), 0)
+	evalPages, err := core.ParsePages(ctx, sourcesOf(evalSet), 0)
+	if err != nil {
+		return nil, nil, err
+	}
 	var facts []eval.ScoredFact
 	// Reuse each trained cluster model on the evaluation pages whose
 	// template matches; with single-template sites all models apply — we

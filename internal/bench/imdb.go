@@ -44,8 +44,14 @@ func runIMDBDomain(ctx context.Context, domain string, site *websim.Site, K *kb.
 	out := &imdbDomainResult{domain: domain}
 
 	// --- Topic identification accuracy (Table 7), on the training half.
-	trainPages := core.ParsePages(sourcesOf(train), 0)
-	topics := core.IdentifyTopics(trainPages, K, core.TopicOptions{})
+	trainPages, err := core.ParsePages(ctx, sourcesOf(train), 0)
+	if err != nil {
+		return out
+	}
+	topics, err := core.IdentifyTopics(ctx, trainPages, K, core.TopicOptions{}, 0)
+	if err != nil {
+		return out
+	}
 	var tp, fp, fn int
 	for i, tr := range topics {
 		goldID := train[i].TopicID
@@ -72,7 +78,10 @@ func runIMDBDomain(ctx context.Context, domain string, site *websim.Site, K *kb.
 		if mode == "topic" {
 			c.Relation.AnnotateAllMentions = true
 		}
-		annRes := core.Annotate(trainPages, K, c.Topic, c.Relation)
+		annRes, err := core.Annotate(ctx, trainPages, K, c.Topic, c.Relation, 0)
+		if err != nil {
+			return out
+		}
 		annScores := scoreAnnotations(trainPages, train, annRes, K)
 
 		facts, _, err := runTrainExtract(ctx, train, evalSet, K, c)

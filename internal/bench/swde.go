@@ -93,7 +93,7 @@ func Table3(ctx context.Context, cfg Config) Report {
 
 			// CERES-Baseline (pairwise DS).
 			perSystem["CERES-Baseline"] = append(perSystem["CERES-Baseline"],
-				baselineF1(train, evalSet, K, evalPreds, gold, cfg))
+				baselineF1(ctx, train, evalSet, K, evalPreds, gold, cfg))
 		}
 		for sys, f1s := range perSystem {
 			results[sys][vname] = mean(f1s)
@@ -176,8 +176,11 @@ func vertexFacts(train, evalSet []*websim.Page, k int) []eval.ScoredFact {
 	return out
 }
 
-func baselineF1(train, evalSet []*websim.Page, K *kb.KB, evalPreds []string, gold []eval.Fact, cfg Config) float64 {
-	pages := core.ParsePages(sourcesOf(train), 0)
+func baselineF1(ctx context.Context, train, evalSet []*websim.Page, K *kb.KB, evalPreds []string, gold []eval.Fact, cfg Config) float64 {
+	pages, err := core.ParsePages(ctx, sourcesOf(train), 0)
+	if err != nil {
+		return 0
+	}
 	m, err := core.TrainBaseline(pages, K, core.BaselineOptions{Seed: cfg.Seed})
 	if err != nil || m == nil {
 		return 0
@@ -329,10 +332,20 @@ func Figure5(ctx context.Context, cfg Config) Report {
 	evalPreds := ceresEvalPredicates("Movie", K)
 	site := v.Sites[0]
 	train, evalSet := splitHalves(site.Pages)
-	trainPages := core.ParsePages(sourcesOf(train), 0)
-	ann := core.Annotate(trainPages, K, core.TopicOptions{}, core.RelationOptions{})
+	const name = "Figure 5: Movie-vertical F1 vs annotated-page budget (log x)"
+	trainPages, err := core.ParsePages(ctx, sourcesOf(train), 0)
+	var ann *core.AnnotationResult
+	if err == nil {
+		ann, err = core.Annotate(ctx, trainPages, K, core.TopicOptions{}, core.RelationOptions{}, 0)
+	}
+	var evalPages []*core.Page
+	if err == nil {
+		evalPages, err = core.ParsePages(ctx, sourcesOf(evalSet), 0)
+	}
+	if err != nil {
+		return Report{Name: name, Text: err.Error() + "\n"}
+	}
 	gold := goldFactsOf(evalSet, evalPreds)
-	evalPages := core.ParsePages(sourcesOf(evalSet), 0)
 
 	budgets := []int{1, 2, 5, 10, 25, 50, 100}
 	t := &table{header: []string{"#Annotated pages used", "F1"}}
@@ -367,7 +380,7 @@ func Figure5(ctx context.Context, cfg Config) Report {
 		f1 := eval.PageHitScore(filterFacts(top, evalPreds), gold).F1
 		t.add(fmt.Sprint(budget), f3(f1))
 	}
-	return Report{Name: "Figure 5: Movie-vertical F1 vs annotated-page budget (log x)", Text: t.String()}
+	return Report{Name: name, Text: t.String()}
 }
 
 // capAnnotatedPages keeps annotations from only the first n annotated

@@ -8,6 +8,7 @@ import (
 
 	"ceres/internal/kb"
 	"ceres/internal/obs/trace"
+	"ceres/internal/par"
 	"ceres/internal/strmatch"
 )
 
@@ -21,7 +22,7 @@ import (
 // kb.ItemID once per KB (kb.Index), each field's normalized form / token
 // key / rune decomposition is computed once per page into a kb.FieldKey,
 // page sets become sorted ItemID slices merged in linear time, and both
-// page-index construction and per-page annotation run on the parallelFor
+// page-index construction and per-page annotation run on the par.For
 // worker pool with per-worker scratch. Output is bit-identical to the
 // legacy path — same topics, same scores, same annotations in the same
 // order — which the differential tests assert over every DemoCorpus kind.
@@ -144,7 +145,7 @@ func jaccardSorted(a, b []kb.ItemID) float64 {
 const noItem = kb.ItemID(-1)
 
 // identifyTopicsIndexed runs Algorithm 1 on the indexed path and returns
-// both the topic assignments and the per-page indexes so AnnotateCtx can
+// both the topic assignments and the per-page indexes so Annotate can
 // reuse them for Algorithm 2.
 func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opts TopicOptions, workers int) ([]TopicResult, []*ipageIndex, error) {
 	opts = opts.withDefaults()
@@ -161,7 +162,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 
 	scratches := newScratches(workers)
 	pidx := make([]*ipageIndex, len(pages))
-	if err := parallelForWorker(ctx, len(pages), workers, func(w, i int) {
+	if err := par.For(ctx, len(pages), workers, func(w, i int) {
 		pidx[i] = buildPageIndexIndexed(pages[i], ix, scratches[w])
 	}); err != nil {
 		return nil, nil, err
@@ -170,7 +171,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 	// Step 1: local best candidate per page, scoring every non-frequent
 	// entity of the page set against its object set (Equation 1).
 	localBest := make([]kb.ItemID, len(pages))
-	if err := parallelFor(ctx, len(pages), workers, func(pi int) {
+	if err := par.For(ctx, len(pages), workers, func(_, pi int) {
 		idx := pidx[pi]
 		idx.scores = make([]float64, len(idx.pageSet))
 		best, bestScore := noItem, 0.0
@@ -228,7 +229,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 	// Step 4: per page, take the highest-ranked path that exists on the
 	// page and pick the best-scoring entity mentioned in that field.
 	out := make([]TopicResult, len(pages))
-	if err := parallelForWorker(ctx, len(pages), workers, func(w, pi int) {
+	if err := par.For(ctx, len(pages), workers, func(w, pi int) {
 		out[pi] = TopicResult{FieldIdx: -1}
 		p, idx, s := pages[pi], pidx[pi], scratches[w]
 		if s.paths == nil {
@@ -275,12 +276,17 @@ type iobjGroup struct {
 	fields []int
 }
 
-// AnnotateCtx is Annotate with context cancellation and an explicit worker
-// count (0 means the pipeline default): Algorithm 1 and the per-page
-// phases of Algorithm 2 run on the worker pool; the cross-page aggregation
-// between them stays sequential in page order, so output is deterministic
-// and identical at any worker count.
-func AnnotateCtx(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions, workers int) (*AnnotationResult, error) {
+// Annotate runs the full annotation stage over a template cluster — topic
+// identification (Algorithm 1), then relation annotation (Algorithm 2)
+// with agglomerative XPath clustering as the global tie-breaker — through
+// the indexed path: interned kb.ItemIDs, precomputed match keys, and the
+// worker pool. workers is the pool's size (0 means the pipeline default):
+// Algorithm 1 and the per-page phases of Algorithm 2 run on it; the
+// cross-page aggregation between them stays sequential in page order, so
+// output is deterministic, identical at any worker count and identical
+// to AnnotateLegacy (the differential tests assert it over every demo
+// corpus). A cancelled ctx stops it with ctx.Err().
+func Annotate(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions, workers int) (*AnnotationResult, error) {
 	ropts = ropts.withDefaults()
 	if workers <= 0 {
 		workers = defaultWorkers()
@@ -301,7 +307,7 @@ func AnnotateCtx(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOption
 	// runs through the precomputed alias keys.
 	pageGroups := make([][]iobjGroup, len(pages))
 	hasTopic := make([]bool, len(pages))
-	if err := parallelFor(ctx, len(pages), workers, func(pi int) {
+	if err := par.For(ctx, len(pages), workers, func(_, pi int) {
 		if topics[pi].EntityID == "" {
 			return
 		}
@@ -379,7 +385,7 @@ func AnnotateCtx(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOption
 	// order equals object-key string order, so the emission order matches
 	// the legacy sortedKeys iteration exactly.
 	perPage := make([][]Annotation, len(pages))
-	if err := parallelFor(ctx, len(pages), workers, func(pi int) {
+	if err := par.For(ctx, len(pages), workers, func(_, pi int) {
 		groups := pageGroups[pi]
 		if len(groups) == 0 {
 			return

@@ -16,7 +16,7 @@ import (
 func trainTestModel(t *testing.T, classifier string) (*Model, []*Page, []*websim.Page) {
 	t.Helper()
 	pages, K, _, src := buildMovieSite(t, 20, defaultStyle())
-	ann := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	ann := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, ann, fz, TrainOptions{Seed: 1})
 	fz.Freeze()

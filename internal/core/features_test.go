@@ -41,7 +41,7 @@ func TestFeaturizerBasics(t *testing.T) {
 
 func TestFeaturesDistinguishFieldRoles(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	// Collect the feature sets of director vs genre annotations; they
 	// must differ (different table rows, different label text nearby).

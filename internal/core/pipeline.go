@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"time"
 
 	"ceres/internal/cluster"
 	"ceres/internal/kb"
 	"ceres/internal/mlr"
 	"ceres/internal/obs/trace"
+	"ceres/internal/par"
 )
 
 // Sentinel errors of the training/serving lifecycle. The public ceres
@@ -200,7 +200,7 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 	// for each pipeline stage; an untraced context costs one Value read.
 	tsp := trace.FromContext(ctx)
 	psp := tsp.StartChild("parse")
-	pages, err := parsePagesCtx(ctx, sources, cfg.Workers)
+	pages, err := ParsePages(ctx, sources, cfg.Workers)
 	psp.EndErr(err)
 	if err != nil {
 		return nil, nil, err
@@ -219,7 +219,7 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 		sigs = []cluster.PageSignature{cluster.Signature(pages[0].Doc)}
 	} else {
 		sigs = make([]cluster.PageSignature, len(pages))
-		if err := parallelFor(ctx, len(pages), cfg.Workers, func(i int) {
+		if err := par.For(ctx, len(pages), cfg.Workers, func(_, i int) {
 			sigs[i] = cluster.Signature(pages[i].Doc)
 		}); err != nil {
 			csp.EndErr(err)
@@ -292,18 +292,12 @@ func (p *Prepared) Fit(ctx context.Context) error {
 	return nil
 }
 
-// ParsePages parses page sources concurrently, preserving order. It is
-// the uncancellable convenience form; new call sites should prefer
-// threading a context through parsePagesCtx-backed entry points.
-func ParsePages(sources []PageSource, workers int) []*Page {
-	//ceresvet:ignore ctxflow compatibility wrapper; the root context is deliberate here
-	pages, _ := parsePagesCtx(context.Background(), sources, workers)
-	return pages
-}
-
-func parsePagesCtx(ctx context.Context, sources []PageSource, workers int) ([]*Page, error) {
+// ParsePages parses page sources on up to workers goroutines (0 or 1: on
+// the caller's), preserving order. A cancelled ctx stops it with
+// ctx.Err().
+func ParsePages(ctx context.Context, sources []PageSource, workers int) ([]*Page, error) {
 	pages := make([]*Page, len(sources))
-	err := parallelFor(ctx, len(sources), workers, func(i int) {
+	err := par.For(ctx, len(sources), workers, func(_, i int) {
 		pages[i] = PreparePage(sources[i].ID, sources[i].HTML)
 	})
 	if err != nil {
@@ -322,7 +316,7 @@ func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, c
 	}
 	actx, asp := trace.StartSpan(ctx, "annotate")
 	asp.SetInt("pages", int64(len(sub)))
-	ann, err := AnnotateCtx(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
+	ann, err := Annotate(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
 	asp.EndErr(err)
 	if err != nil {
 		return nil, nil, err
@@ -354,7 +348,7 @@ func extractGroup(ctx context.Context, pages []*Page, group []int, m *Model, opt
 		return nil, nil
 	}
 	perPage := make([][]Extraction, len(group))
-	if err := parallelFor(ctx, len(group), workers, func(i int) {
+	if err := par.For(ctx, len(group), workers, func(_, i int) {
 		perPage[i] = ExtractPage(pages[group[i]], m, opts)
 	}); err != nil {
 		return nil, err
@@ -364,52 +358,4 @@ func extractGroup(ctx context.Context, pages []*Page, group []int, m *Model, opt
 		out = append(out, exts...)
 	}
 	return out, nil
-}
-
-// parallelFor runs fn(i) for i in [0,n) on up to `workers` goroutines,
-// stopping early (between items) when ctx is cancelled. Items already
-// started still finish; the ctx error is returned once workers drain.
-func parallelFor(ctx context.Context, n, workers int, fn func(int)) error {
-	return parallelForWorker(ctx, n, workers, func(_, i int) { fn(i) })
-}
-
-// parallelForWorker is parallelFor with the executing worker's index
-// (0..workers-1) passed to fn, so callers can hand each worker its own
-// scratch state without synchronization.
-func parallelForWorker(ctx context.Context, n, workers int, fn func(worker, i int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(0, i)
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return ctx.Err()
 }

@@ -186,23 +186,3 @@ func TestPipelineNoAnnotatablePages(t *testing.T) {
 		t.Errorf("disjoint KB should yield no extractions, got %d", len(res.Extractions))
 	}
 }
-
-func TestParallelForMatchesSerial(t *testing.T) {
-	n := 100
-	serial := make([]int, n)
-	parallel := make([]int, n)
-	for i := 0; i < n; i++ {
-		serial[i] = i * i
-	}
-	if err := parallelFor(context.Background(), n, 7, func(i int) { parallel[i] = i * i }); err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("parallelFor diverged at %d", i)
-		}
-	}
-	// Degenerate worker counts.
-	parallelFor(context.Background(), 3, 0, func(i int) {})
-	parallelFor(context.Background(), 0, 5, func(i int) { t.Fatal("should not run") })
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"ceres/internal/cluster"
@@ -86,18 +85,6 @@ func (r *AnnotationResult) NumAnnotatedPages() int {
 // predicate on one page.
 type objGroup struct {
 	fields []int
-}
-
-// Annotate runs the full annotation stage over a template cluster — topic
-// identification (Algorithm 1), then relation annotation (Algorithm 2)
-// with agglomerative XPath clustering as the global tie-breaker — through
-// the indexed path: interned kb.ItemIDs, precomputed match keys, and the
-// worker pool. Output is identical to AnnotateLegacy (the differential
-// tests assert it over every demo corpus).
-func Annotate(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
-	//ceresvet:ignore ctxflow compatibility wrapper; AnnotateCtx is the cancellable form
-	res, _ := AnnotateCtx(context.Background(), pages, K, topts, ropts, 0)
-	return res
 }
 
 // AnnotateLegacy is the original string-keyed annotation stage: object

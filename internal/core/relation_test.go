@@ -8,7 +8,7 @@ import (
 
 func TestAnnotateMovieSite(t *testing.T) {
 	pages, K, _, gold := buildMovieSite(t, 30, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	if res.NumAnnotatedPages() < 25 {
 		t.Fatalf("annotated only %d/30 pages", res.NumAnnotatedPages())
 	}
@@ -39,7 +39,7 @@ func TestAnnotateMovieSite(t *testing.T) {
 // annotates at most one mention of each (predicate, object) per page.
 func TestAnnotateAtMostOneMentionPerObject(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	type key struct {
 		page int
 		pred string
@@ -65,7 +65,7 @@ func TestAnnotateAtMostOneMentionPerObject(t *testing.T) {
 func TestGenreDuplicationTrap(t *testing.T) {
 	style := defaultStyle() // Recommendations: true
 	pages, K, _, gold := buildMovieSite(t, 40, style)
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	var genreAnns, correct int
 	for _, a := range res.Annotations {
 		if a.Predicate != websim.PredGenre {
@@ -89,8 +89,8 @@ func TestGenreDuplicationTrap(t *testing.T) {
 // equal node-level precision — the Table 6 relationship.
 func TestCeresTopicAnnotatesMoreNoisily(t *testing.T) {
 	pages, K, _, gold := buildMovieSite(t, 40, defaultStyle())
-	full := Annotate(pages, K, TopicOptions{}, RelationOptions{})
-	topic := Annotate(pages, K, TopicOptions{}, RelationOptions{AnnotateAllMentions: true})
+	full := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
+	topic := annotate(t, pages, K, TopicOptions{}, RelationOptions{AnnotateAllMentions: true})
 	if len(topic.Annotations) < len(full.Annotations) {
 		t.Errorf("CERES-Topic produced fewer annotations (%d) than CERES-Full (%d)",
 			len(topic.Annotations), len(full.Annotations))
@@ -119,11 +119,11 @@ func TestCeresTopicAnnotatesMoreNoisily(t *testing.T) {
 
 func TestInformativenessFilter(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 15, defaultStyle())
-	strict := Annotate(pages, K, TopicOptions{}, RelationOptions{MinAnnotations: 50})
+	strict := annotate(t, pages, K, TopicOptions{}, RelationOptions{MinAnnotations: 50})
 	if strict.NumAnnotatedPages() != 0 {
 		t.Errorf("MinAnnotations=50 should reject every page, got %d", strict.NumAnnotatedPages())
 	}
-	loose := Annotate(pages, K, TopicOptions{}, RelationOptions{MinAnnotations: 1})
+	loose := annotate(t, pages, K, TopicOptions{}, RelationOptions{MinAnnotations: 1})
 	if loose.NumAnnotatedPages() == 0 {
 		t.Errorf("MinAnnotations=1 should keep pages")
 	}
@@ -158,7 +158,7 @@ func TestClusterPredPaths(t *testing.T) {
 
 func TestAnnotationsRespectTopicField(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	nameCount := map[int]int{}
 	for _, a := range res.Annotations {
 		if a.Predicate == NameClass {

@@ -8,6 +8,7 @@ import (
 
 	"ceres/internal/cluster"
 	"ceres/internal/mlr"
+	"ceres/internal/par"
 )
 
 // SiteModel is the serving artifact of one trained site: everything
@@ -283,7 +284,7 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 	}()
 	perPage := make([][]Extraction, n)
 	routes := make([]int, n)
-	err := parallelForWorker(ctx, n, workers, func(w, i int) {
+	err := par.For(ctx, n, workers, func(w, i int) {
 		routes[i], perPage[i] = page(i, scratch[w])
 	})
 	if err != nil {

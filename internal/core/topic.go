@@ -116,20 +116,13 @@ func jaccardScore(pageSet map[string]bool, entitySet map[string]bool) float64 {
 }
 
 // IdentifyTopics runs Algorithm 1 over a cluster of pages through the
-// indexed annotation path (kb.Index interning, sorted-slice page sets).
-// Output is identical to IdentifyTopicsLegacy; the differential tests
-// assert it over every demo corpus.
-func IdentifyTopics(pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
-	//ceresvet:ignore ctxflow compatibility wrapper; IdentifyTopicsCtx is the cancellable form
-	out, _ := IdentifyTopicsCtx(context.Background(), pages, K, opts, 0)
-	return out
-}
-
-// IdentifyTopicsCtx is IdentifyTopics with context cancellation and an
-// explicit worker count (0 means the pipeline default). Page-index
-// construction and per-page candidate scoring run on the worker pool with
-// per-worker scratch.
-func IdentifyTopicsCtx(ctx context.Context, pages []*Page, K *kb.KB, opts TopicOptions, workers int) ([]TopicResult, error) {
+// indexed annotation path (kb.Index interning, sorted-slice page sets),
+// with context cancellation and an explicit worker count (0 means the
+// pipeline default). Page-index construction and per-page candidate
+// scoring run on the worker pool with per-worker scratch. Output is
+// identical to IdentifyTopicsLegacy; the differential tests assert it
+// over every demo corpus.
+func IdentifyTopics(ctx context.Context, pages []*Page, K *kb.KB, opts TopicOptions, workers int) ([]TopicResult, error) {
 	topics, _, err := identifyTopicsIndexed(ctx, pages, K.BuildIndex(), opts, workers)
 	return topics, err
 }

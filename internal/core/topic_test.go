@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ceres/internal/kb"
@@ -17,7 +18,31 @@ func buildMovieSite(t *testing.T, nPages int, style websim.MovieSiteStyle) ([]*P
 	for _, wp := range site.Pages {
 		sources = append(sources, PageSource{ID: wp.ID, HTML: wp.HTML})
 	}
-	return ParsePages(sources, 4), K, w, site.Pages
+	pages, err := ParsePages(context.Background(), sources, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages, K, w, site.Pages
+}
+
+// identifyTopics is IdentifyTopics at the pipeline's default worker count.
+func identifyTopics(t *testing.T, pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
+	t.Helper()
+	topics, err := IdentifyTopics(context.Background(), pages, K, opts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topics
+}
+
+// annotate is Annotate at the pipeline's default worker count.
+func annotate(t *testing.T, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
+	t.Helper()
+	res, err := Annotate(context.Background(), pages, K, topts, ropts, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func defaultStyle() websim.MovieSiteStyle {
@@ -26,7 +51,7 @@ func defaultStyle() websim.MovieSiteStyle {
 
 func TestIdentifyTopicsOnMovieSite(t *testing.T) {
 	pages, K, _, gold := buildMovieSite(t, 30, defaultStyle())
-	topics := IdentifyTopics(pages, K, TopicOptions{})
+	topics := identifyTopics(t, pages, K, TopicOptions{})
 	correct, withTopic := 0, 0
 	for i, tr := range topics {
 		if tr.EntityID == "" {
@@ -67,7 +92,7 @@ func TestTopicUniquenessFilter(t *testing.T) {
 			Object: kb.EntityObject(w.People[i].ID),
 		}))
 	}
-	topics := IdentifyTopics(pages, K, TopicOptions{MaxTopicPages: 5})
+	topics := identifyTopics(t, pages, K, TopicOptions{MaxTopicPages: 5})
 	trapCount := 0
 	for _, tr := range topics {
 		if tr.EntityID == "trap" {
@@ -81,11 +106,11 @@ func TestTopicUniquenessFilter(t *testing.T) {
 
 func TestTopicEmptyInputs(t *testing.T) {
 	K := websim.BuildKB(websim.NewWorld(websim.WorldConfig{Films: 5, People: 10, Seed: 1}), websim.FullCoverage(), 1)
-	if got := IdentifyTopics(nil, K, TopicOptions{}); len(got) != 0 {
+	if got := identifyTopics(t, nil, K, TopicOptions{}); len(got) != 0 {
 		t.Errorf("no pages: %v", got)
 	}
 	p := PreparePage("empty", "<html><body></body></html>")
-	topics := IdentifyTopics([]*Page{p}, K, TopicOptions{})
+	topics := identifyTopics(t, []*Page{p}, K, TopicOptions{})
 	if topics[0].EntityID != "" {
 		t.Errorf("empty page should have no topic")
 	}

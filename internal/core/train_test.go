@@ -39,7 +39,7 @@ func TestNewClasses(t *testing.T) {
 
 func TestBuildExamplesShape(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, res, fz, TrainOptions{Seed: 1})
 	if ds.Len() == 0 {
@@ -83,7 +83,7 @@ func TestListExclusionKeepsListSiblingsOutOfNegatives(t *testing.T) {
 		pages = append(pages, PreparePage(wp.ID, wp.HTML))
 		gold = append(gold, wp)
 	}
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 
 	countBadNegatives := func(opts TrainOptions) int {
 		// Rebuild examples and count negatives that are actually gold
@@ -141,7 +141,7 @@ func TestListExclusionKeepsListSiblingsOutOfNegatives(t *testing.T) {
 
 func TestTrainModelClassifiers(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
-	res := Annotate(pages, K, TopicOptions{}, RelationOptions{})
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{})
 	fz := NewFeaturizer(pages, FeatureOptions{})
 	ds, classes := BuildExamples(pages, res, fz, TrainOptions{Seed: 1})
 	lr, _, err := TrainModel(ds, classes, fz, TrainOptions{})

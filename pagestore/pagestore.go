@@ -25,12 +25,12 @@
 // allocation-free cursor, handing the callback views valid for the call.
 // A segment holds as many pages as a default batch shard, so a shard
 // inflates one segment and nothing it does not deliver; ReadStats counts
-// both sides. A range spanning several segments is read ahead by a
-// bounded worker pool that decompresses segments in parallel while the
+// both sides. A range spanning several segments is read ahead by
+// par.Ordered, whose loaders decompress segments in parallel while the
 // callback consumes them in ingest order; memory stays bounded by the
-// read-ahead window (a few segments), never the site. Pages is the same
-// scan with each record copied into a ceres.PageSource. A Store is the
-// page provider of a batch harvest (ceres/batch.PageProvider).
+// read-ahead window (two segments per loader), never the site. Pages is
+// the same scan with each record copied into a ceres.PageSource. A Store
+// is the page provider of a batch harvest (ceres/batch.PageProvider).
 package pagestore
 
 import (
@@ -54,6 +54,7 @@ import (
 
 	"ceres"
 	"ceres/internal/fsatomic"
+	"ceres/internal/par"
 )
 
 // ErrSiteNotFound reports a site absent from the store; test with
@@ -376,9 +377,10 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// maxReadahead caps how many segments a multi-segment scan decompresses
-// concurrently (and therefore how many inflated segments can be in
-// memory at once); GOMAXPROCS bounds it further on small machines.
+// maxReadahead caps the loaders of a multi-segment scan, which
+// GOMAXPROCS bounds further on small machines. Each loader holds at most
+// two inflated segments (par.Ordered), so a scan has at most
+// 2·min(GOMAXPROCS, maxReadahead) in memory at once.
 const maxReadahead = 8
 
 // segRead is one planned segment read: skip records at the front of the
@@ -502,10 +504,12 @@ func (s *Store) decodeSegment(site string, sr segRead) (segment, error) {
 // ctx.Err(), checked before anything is read and between records. Whole
 // segments before start are never opened and records skipped inside the
 // first touched one are framed, never delivered. A range spanning several
-// segments is inflated in parallel by a bounded pool while fn consumes the
-// records strictly in order, so the callback sequence is that of a
-// sequential scan and memory is bounded by the read-ahead window, never
-// the site.
+// segments is inflated in parallel by par.Ordered's loaders while fn
+// consumes the records strictly in order, so the callback sequence is that
+// of a sequential scan and memory is bounded by the read-ahead window
+// (maxReadahead), never the site; a range inside one segment — a default
+// shard — is read on the caller's goroutine. Every loader has exited when
+// PagesBytes returns, however it returns.
 func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn func(id, html []byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -521,17 +525,18 @@ func (s *Store) PagesBytes(ctx context.Context, site string, start, n int, fn fu
 		n = info.Pages - start
 	}
 	reads := planReads(info, start, n)
-	if len(reads) == 0 {
-		return nil
+	type batch struct {
+		seg segment
+		err error
 	}
-	if len(reads) == 1 {
-		seg, err := s.decodeSegment(site, reads[0])
-		if err != nil {
-			return err
-		}
-		return s.deliver(ctx, seg, fn)
-	}
-	return s.readAhead(ctx, site, reads, fn)
+	return par.Ordered(ctx, len(reads), min(runtime.GOMAXPROCS(0), maxReadahead),
+		func(_, i int, b *batch) { b.seg, b.err = s.decodeSegment(site, reads[i]) },
+		func(_ int, b *batch) error {
+			if b.err != nil {
+				return b.err
+			}
+			return s.deliver(ctx, b.seg, fn)
+		})
 }
 
 // Pages is PagesBytes for callers that keep the pages (a training sample,
@@ -565,68 +570,6 @@ func (s *Store) deliver(ctx context.Context, seg segment, fn func(id, html []byt
 	s.delivered.Add(int64(end - seg.lo))
 	inflPool.Put(seg.bufp)
 	return err
-}
-
-// readAhead fans the planned segment reads out to a worker pool and
-// feeds fn in plan order. Workers may run ahead of the consumer by at
-// most the pool size (the semaphore doubles as the memory bound: one
-// slot per inflated segment until fn has consumed it), and a segment's
-// buffer returns to the pool only after its last record was consumed.
-// Buffers stranded in result channels by an early return are simply
-// garbage collected.
-func (s *Store) readAhead(ctx context.Context, site string, reads []segRead, fn func(id, html []byte) error) error {
-	workers := min(runtime.GOMAXPROCS(0), len(reads), maxReadahead)
-	type result struct {
-		seg segment
-		err error
-	}
-	results := make([]chan result, len(reads))
-	for i := range results {
-		results[i] = make(chan result, 1) // sends never block
-	}
-	sem := make(chan struct{}, workers)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	// Deferred LIFO: done closes first, releasing the workers the Wait
-	// then joins — an early return never leaks a decompressing goroutine.
-	defer wg.Wait()
-	defer close(done)
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case sem <- struct{}{}: // a readahead slot; the consumer frees it
-				case <-done:
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(reads) || ctx.Err() != nil {
-					return
-				}
-				seg, err := s.decodeSegment(site, reads[i])
-				results[i] <- result{seg, err}
-			}
-		}()
-	}
-	for i := range reads {
-		var res result
-		select {
-		case res = <-results[i]:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		<-sem // the segment is ours; free its readahead slot
-		if res.err != nil {
-			return res.err
-		}
-		if err := s.deliver(ctx, res.seg, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readAllInto reads r to EOF appending to buf (reusing its capacity),

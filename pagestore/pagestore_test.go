@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"ceres"
 )
@@ -393,6 +395,81 @@ func TestPagesBytesCancelled(t *testing.T) {
 		if !errors.Is(err, context.Canceled) || calls != 3 {
 			t.Errorf("PagesBytes(%d,%d) cancelled at record 3 = %v after %d records", r.start, r.n, err, calls)
 		}
+	}
+}
+
+// TestPagesBytesEarlyExitLeaksNothing stops a multi-segment scan at every
+// record, once by fn failing there and once by fn cancelling ctx there:
+// PagesBytes returns that error (none when the cancelling record was the
+// last) after exactly the records before it, in order, never calls fn
+// again, and leaves no loader running — the
+// goroutine count returns to its base. At GOMAXPROCS 1 and 4.
+func TestPagesBytesEarlyExitLeaksNothing(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := s.Writer("site.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SegmentPages = 10
+	pages := genPages("p", 40)
+	for _, p := range pages {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("stop here")
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := runtime.NumGoroutine()
+			for _, cancelled := range []bool{false, true} {
+				for k := range pages {
+					ctx, cancel := context.WithCancel(context.Background())
+					var got []string
+					calls := 0
+					err := s.PagesBytes(ctx, "site.example", 0, -1, func(id, _ []byte) error {
+						if calls++; calls <= k {
+							got = append(got, string(id))
+							return nil
+						}
+						if cancelled {
+							cancel()
+							return nil
+						}
+						return errStop
+					})
+					cancel()
+					want := errStop
+					switch {
+					case cancelled && k == len(pages)-1: // nothing was left to skip
+						want = nil
+					case cancelled:
+						want = context.Canceled
+					}
+					if !errors.Is(err, want) || calls != k+1 || len(got) != k {
+						t.Fatalf("cancelled=%v, stop at record %d: %v after %d calls", cancelled, k, err, calls)
+					}
+					for i, id := range got {
+						if id != pages[i].ID {
+							t.Fatalf("cancelled=%v, stop at record %d: record %d is %q", cancelled, k, i, id)
+						}
+					}
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > base {
+						if time.Now().After(deadline) {
+							t.Fatalf("cancelled=%v, stop at record %d: %d goroutines, %d before", cancelled, k, runtime.NumGoroutine(), base)
+						}
+						runtime.Gosched()
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"ceres/internal/par"
 )
 
 // RegisteredModel pairs a site's serving model with the version it was
@@ -66,26 +68,11 @@ func OpenRegistry(ctx context.Context, store ModelStore) (*Registry, error) {
 		// List sorts versions ascending; the last is the latest.
 		jobs = append(jobs, job{e.Site, e.Versions[len(e.Versions)-1]})
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	models := make([]*SiteModel, len(jobs))
 	errs := make([]error, len(jobs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				models[i], errs[i] = store.Open(jobs[i].site, jobs[i].version)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := par.For(ctx, len(jobs), runtime.GOMAXPROCS(0), func(_, i int) {
+		models[i], errs[i] = store.Open(jobs[i].site, jobs[i].version)
+	}); err != nil {
 		return nil, err
 	}
 	for i, err := range errs {
