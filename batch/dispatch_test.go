@@ -187,10 +187,10 @@ func TestCancelWhileQueuedForGate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	restore := core.SetTrainingProbe(func(phase string) {
-		// The first site to finish preparing still holds the gate here.
+		// The first site to parse its pages still holds the gate here.
 		// Wait until the other worker's Train call is in flight — it can
 		// only be queued — then cancel the run.
-		if phase != "prepared" || ctx.Err() != nil {
+		if phase != "parsed" || ctx.Err() != nil {
 			return
 		}
 		for f.pipeline.TrainStats().PeakTraining < 2 {

@@ -229,12 +229,17 @@ func BenchmarkFeaturize(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndSite measures the full pipeline on the 60-page site.
+// BenchmarkEndToEndSite measures the full pipeline on the 60-page site:
+// train a site model, then extract the same pages through it.
 func BenchmarkEndToEndSite(b *testing.B) {
 	f := getFixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(context.Background(), f.sources, f.kb, core.Config{}); err != nil {
+		sm, err := core.TrainSite(context.Background(), f.sources, f.kb, core.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sm.ExtractSources(context.Background(), f.sources); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +276,7 @@ func BenchmarkServeExtract(b *testing.B) {
 // over one trained site model's 60 pages, below the public API.
 func BenchmarkStreamServe(b *testing.B) {
 	f := getFixture(b)
-	sm, _, err := core.TrainSite(context.Background(), f.sources, f.kb,
+	sm, err := core.TrainSite(context.Background(), f.sources, f.kb,
 		core.Config{Train: core.TrainOptions{Seed: 1}})
 	if err != nil {
 		b.Fatal(err)

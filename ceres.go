@@ -238,9 +238,9 @@ func (p *Pipeline) Train(ctx context.Context, pages []PageSource) (*SiteModel, e
 		p.training--
 		p.mu.Unlock()
 	}()
-	// When prepare returns, its frame — the core sources and the training
-	// trace with every parsed page — is gone, and pages is not used below:
-	// nothing the fits run beside keeps this site's pages reachable.
+	// When prepare returns, its frame — the core sources and every parsed
+	// page — is gone, and pages is not used below: nothing the fits run
+	// beside keeps this site's pages reachable.
 	prep, err := p.prepare(ctx, pages)
 	if err != nil {
 		return nil, err
@@ -290,8 +290,7 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 		tsp.SetInt("held_ns", int64(time.Since(acquired)))
 		<-p.gate
 	}()
-	prep, _, err := core.PrepareSite(ctx, src, p.kb, p.cfg)
-	return prep, err
+	return core.PrepareSite(ctx, src, p.kb, p.cfg)
 }
 
 // TrainingKey identifies every input of Train other than the pages: the

@@ -42,7 +42,7 @@ func Ablate(ctx context.Context, cfg Config) Report {
 	for _, va := range variants {
 		c := ceresConfig(cfg)
 		va.mod(&c)
-		facts, _, err := runTrainExtract(ctx, train, evalSet, K, c)
+		facts, err := runTrainExtract(ctx, train, evalSet, K, c)
 		if err != nil {
 			t.add(va.name, "err", "err", "err", "0")
 			continue

@@ -144,43 +144,47 @@ func sourcesOf(pages []*websim.Page) []core.PageSource {
 }
 
 // runTrainExtract trains on the training half and extracts from the
-// evaluation half, returning scored extraction facts (including the name
-// pseudo-fact per page with an identified subject).
-func runTrainExtract(ctx context.Context, train, evalSet []*websim.Page, K *kb.KB, cfg core.Config) ([]eval.ScoredFact, *core.Result, error) {
-	res, err := core.Run(ctx, sourcesOf(train), K, cfg)
+// evaluation half through the serve engine, returning scored extraction
+// facts plus, after each page's extractions, the page's name pseudo-fact
+// (its identified subject). A site with no trainable cluster yields none.
+func runTrainExtract(ctx context.Context, train, evalSet []*websim.Page, K *kb.KB, cfg core.Config) ([]eval.ScoredFact, error) {
+	sm, err := core.TrainSite(ctx, sourcesOf(train), K, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	evalPages, err := core.ParsePages(ctx, sourcesOf(evalSet), 0)
+	exts, err := serve(ctx, sm, evalSet)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var facts []eval.ScoredFact
-	// Reuse each trained cluster model on the evaluation pages whose
-	// template matches; with single-template sites all models apply — we
-	// run every model and keep the best-confidence duplicate.
-	for _, cl := range res.Clusters {
-		if !cl.Trained {
-			continue
-		}
-		for _, p := range evalPages {
-			exts := core.ExtractPage(p, cl.Model, cfg.Extract)
-			for _, e := range exts {
-				facts = append(facts, eval.ScoredFact{
-					Fact:       eval.Fact{Page: e.PageID, Predicate: e.Predicate, Value: e.Value},
-					Confidence: e.Confidence,
-				})
-			}
-			// Name pseudo-fact from the identified subject.
-			if len(exts) > 0 {
-				facts = append(facts, eval.ScoredFact{
-					Fact:       eval.Fact{Page: p.ID, Predicate: core.NameClass, Value: exts[0].Subject},
-					Confidence: 1,
-				})
-			}
+	for i, e := range exts {
+		facts = append(facts, scoredOf(e))
+		// Extractions come in page order: the last of a page's run closes it.
+		if i == len(exts)-1 || exts[i+1].PageID != e.PageID {
+			facts = append(facts, eval.ScoredFact{
+				Fact:       eval.Fact{Page: e.PageID, Predicate: core.NameClass, Value: e.Subject},
+				Confidence: 1,
+			})
 		}
 	}
-	return facts, res, nil
+	return facts, nil
+}
+
+// serve extracts pages through a trained model's serve engine, routing
+// each to its nearest template cluster, in page order and unthresholded.
+// A model with no trained cluster yields nothing.
+func serve(ctx context.Context, sm *core.SiteModel, pages []*websim.Page) ([]core.Extraction, error) {
+	if sm.TrainedClusters() == 0 || len(pages) == 0 {
+		return nil, nil
+	}
+	return sm.ExtractSources(ctx, sourcesOf(pages))
+}
+
+func scoredOf(e core.Extraction) eval.ScoredFact {
+	return eval.ScoredFact{
+		Fact:       eval.Fact{Page: e.PageID, Predicate: e.Predicate, Value: e.Value},
+		Confidence: e.Confidence,
+	}
 }
 
 // goldFactsOf converts generated gold into eval facts, keeping only the

@@ -120,23 +120,6 @@ func TestShortPred(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsRun executes the cheap experiments end-to-end and
-// sanity-checks the report structure. The expensive ones are covered by
-// the root-level benchmarks.
-func TestQuickExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus generation in -short mode")
-	}
-	cfg := QuickConfig()
-	for _, id := range []string{"table1", "table2", "table7", "figure5"} {
-		e, _ := Lookup(id)
-		r := e.Run(context.Background(), cfg)
-		if r.Name == "" || !strings.Contains(r.Text, "--") {
-			t.Errorf("%s: malformed report:\n%s", id, r.Text)
-		}
-	}
-}
-
 // TestFigure6MonotonePrecision verifies the headline property of the
 // confidence sweep on a small crawl: precision must not decrease as the
 // threshold rises.

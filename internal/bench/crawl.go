@@ -57,11 +57,16 @@ func runCrawl(ctx context.Context, cfg Config) *crawlRun {
 			topicByPage[p.ID] = p.TopicName
 			topicIDByPage[p.ID] = p.TopicID
 		}
-		res, err := core.Run(ctx, sourcesOf(site.Pages), c.SeedKB, ceresConfig(cfg))
+		// Train on the site, then serve the site's own pages.
+		sm, err := core.TrainSite(ctx, sourcesOf(site.Pages), c.SeedKB, ceresConfig(cfg))
+		var exts []core.Extraction
 		if err == nil {
-			sr.annotatedPages = res.NumAnnotatedPages()
-			sr.annotations = res.NumAnnotations()
-			for _, e := range res.Extractions {
+			sr.annotatedPages = sm.AnnotatedPages()
+			sr.annotations = sm.Annotations()
+			exts, err = serve(ctx, sm, site.Pages)
+		}
+		if err == nil {
+			for _, e := range exts {
 				gold := goldByPage[e.PageID]
 				topicOK := strmatch.Normalize(e.Subject) == strmatch.Normalize(topicByPage[e.PageID])
 				correct := topicOK && gold[e.Predicate+"\x00"+strmatch.Normalize(e.Value)]

@@ -11,7 +11,8 @@ import (
 // Regression tests for the cancellation plumbing: experiments used to
 // manufacture context.Background() internally, so ceres-bench runs
 // could not be interrupted. The context now threads from Experiment.Run
-// down to core.Run's worker pools.
+// through core.TrainSite and SiteModel.ExtractSources to their worker
+// pools.
 
 func TestRunTrainExtractCancelled(t *testing.T) {
 	if testing.Short() {
@@ -24,7 +25,7 @@ func TestRunTrainExtractCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := runTrainExtract(ctx, train, evalSet, s.SeedKBs["Movie"], ceresConfig(cfg))
+	_, err := runTrainExtract(ctx, train, evalSet, s.SeedKBs["Movie"], ceresConfig(cfg))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runTrainExtract under a cancelled context: want context.Canceled, got %v", err)
 	}

@@ -84,7 +84,7 @@ func runIMDBDomain(ctx context.Context, domain string, site *websim.Site, K *kb.
 		}
 		annScores := scoreAnnotations(trainPages, train, annRes, K)
 
-		facts, _, err := runTrainExtract(ctx, train, evalSet, K, c)
+		facts, err := runTrainExtract(ctx, train, evalSet, K, c)
 		extScores := map[string]eval.PRF{}
 		if err == nil {
 			pred := eval.Threshold(facts, cfg.Threshold)

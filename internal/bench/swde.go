@@ -82,7 +82,7 @@ func Table3(ctx context.Context, cfg Config) Report {
 				if mode == "CERES-Topic" {
 					c.Relation.AnnotateAllMentions = true
 				}
-				facts, _, err := runTrainExtract(ctx, train, evalSet, K, c)
+				facts, err := runTrainExtract(ctx, train, evalSet, K, c)
 				if err != nil {
 					continue
 				}
@@ -159,16 +159,13 @@ func vertexFacts(train, evalSet []*websim.Page, k int) []eval.ScoredFact {
 	ex := vertex.Learn(tps, vertex.Options{})
 	var out []eval.ScoredFact
 	for _, wp := range evalSet {
-		p := core.PreparePage(wp.ID, wp.HTML)
-		for _, e := range ex.Extract(p) {
-			out = append(out, eval.ScoredFact{
-				Fact:       eval.Fact{Page: e.PageID, Predicate: e.Predicate, Value: e.Value},
-				Confidence: e.Confidence,
-			})
+		exts := ex.Extract(core.PreparePage(wp.ID, wp.HTML))
+		for _, e := range exts {
+			out = append(out, scoredOf(e))
 		}
-		if exts := ex.Extract(p); len(exts) > 0 {
+		if len(exts) > 0 {
 			out = append(out, eval.ScoredFact{
-				Fact:       eval.Fact{Page: p.ID, Predicate: core.NameClass, Value: exts[0].Subject},
+				Fact:       eval.Fact{Page: wp.ID, Predicate: core.NameClass, Value: exts[0].Subject},
 				Confidence: 1,
 			})
 		}
@@ -226,7 +223,7 @@ func Table4(ctx context.Context, cfg Config) Report {
 			goldCeres = append(goldCeres, prefixPages(goldFactsOf(evalSet, evalPreds), site.Name)...)
 			vx := vertexFacts(train, evalSet, 2)
 			vxAll = append(vxAll, prefixPages(filterFacts(eval.Threshold(vx, 0), v.Predicates), site.Name)...)
-			facts, _, err := runTrainExtract(ctx, train, evalSet, K, ceresConfig(cfg))
+			facts, err := runTrainExtract(ctx, train, evalSet, K, ceresConfig(cfg))
 			if err != nil {
 				continue
 			}
@@ -307,7 +304,7 @@ func Figure4(ctx context.Context, cfg Config) Report {
 			}
 		}
 		train, evalSet := splitHalves(site.Pages)
-		facts, _, err := runTrainExtract(ctx, train, evalSet, K, ceresConfig(cfg))
+		facts, err := runTrainExtract(ctx, train, evalSet, K, ceresConfig(cfg))
 		f1 := 0.0
 		if err == nil {
 			top := eval.TopPrediction(thresholdScored(facts, cfg.Threshold))
@@ -338,10 +335,6 @@ func Figure5(ctx context.Context, cfg Config) Report {
 	if err == nil {
 		ann, err = core.Annotate(ctx, trainPages, K, core.TopicOptions{}, core.RelationOptions{}, 0)
 	}
-	var evalPages []*core.Page
-	if err == nil {
-		evalPages, err = core.ParsePages(ctx, sourcesOf(evalSet), 0)
-	}
 	if err != nil {
 		return Report{Name: name, Text: err.Error() + "\n"}
 	}
@@ -367,14 +360,15 @@ func Figure5(ctx context.Context, cfg Config) Report {
 			t.add(fmt.Sprint(budget), "err")
 			continue
 		}
+		sm := &core.SiteModel{Clusters: []*core.ClusterModel{{Model: model, Trained: true}}}
+		exts, err := serve(ctx, sm, evalSet)
+		if err != nil {
+			t.add(fmt.Sprint(budget), "err")
+			continue
+		}
 		var facts []eval.ScoredFact
-		for _, p := range evalPages {
-			for _, e := range core.ExtractPage(p, model, core.ExtractOptions{}) {
-				facts = append(facts, eval.ScoredFact{
-					Fact:       eval.Fact{Page: e.PageID, Predicate: e.Predicate, Value: e.Value},
-					Confidence: e.Confidence,
-				})
-			}
+		for _, e := range exts {
+			facts = append(facts, scoredOf(e))
 		}
 		top := eval.TopPrediction(thresholdScored(facts, cfg.Threshold))
 		f1 := eval.PageHitScore(filterFacts(top, evalPreds), gold).F1

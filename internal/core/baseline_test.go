@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"ceres/internal/eval"
@@ -35,11 +34,8 @@ func TestBaselineTrainsAndExtracts(t *testing.T) {
 	for i, g := range gold {
 		sources[i] = PageSource{ID: g.ID, HTML: g.HTML}
 	}
-	full, err := Run(context.Background(), sources, K, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullPRF := eval.Score(extractionFacts(full.Extractions, 0.5), goldFacts(gold))
+	_, full := trainExtract(t, sources, K)
+	fullPRF := eval.Score(extractionFacts(full, 0.5), goldFacts(gold))
 	if fullPRF.F1 <= prf.F1 {
 		t.Errorf("CERES-Full F1 %.3f should beat CERES-Baseline F1 %.3f", fullPRF.F1, prf.F1)
 	}

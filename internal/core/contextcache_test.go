@@ -30,7 +30,7 @@ func filmSite(tb testing.TB, train, serve int) (*SiteModel, []PageSource) {
 	if len(src) < train+serve {
 		tb.Fatalf("generated %d pages, want %d", len(src), train+serve)
 	}
-	sm, _, err := TrainSite(context.Background(), src[:train], websim.BuildKB(w, websim.PaperCoverage(), 9),
+	sm, err := TrainSite(context.Background(), src[:train], websim.BuildKB(w, websim.PaperCoverage(), 9),
 		Config{Train: TrainOptions{Seed: 1}})
 	if err != nil {
 		tb.Fatal(err)

@@ -5,10 +5,10 @@ import "ceres/internal/cluster"
 // ExtractPage and SiteModel.Route below are §4.3 as written — the trained
 // model applied, through the training featurizer, to every text field of
 // a parsed page, and a page routed by the signature of its tree.
-// ExtractPage is live in core.Run and internal/bench (cmd/ceres-bench: the
-// paper's tables); together they are the reference every differential
-// test compares the production engine (streamserve.go) with. Serving
-// never comes here.
+// Nothing outside tests calls either: they are the reference every
+// differential test compares the production engine (streamserve.go) with.
+// Serving, and the paper's tables in internal/bench, go through that
+// engine.
 
 // Extraction is one extracted triple (§4.3): the page's topic name is the
 // subject, the classified node's text the object.

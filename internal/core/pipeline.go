@@ -75,99 +75,30 @@ func defaultWorkers() int {
 	return w
 }
 
-// ClusterResult is the pipeline output for one template cluster.
-type ClusterResult struct {
-	// PageIdxs indexes into Result.Pages.
-	PageIdxs   []int
-	Annotation *AnnotationResult
-	// Model is nil when the cluster had too few annotated pages.
-	Model *Model
-	// Trained reports whether extraction ran for this cluster.
-	Trained bool
-	// Fit reports how the classifier fit went (zero when untrained); the
-	// same counters ride on the trace's fit span.
-	Fit mlr.FitStats
-}
-
-// Result is the full pipeline output for one site.
-type Result struct {
-	Pages    []*Page
-	Clusters []*ClusterResult
-	// Extractions pools all clusters' extractions, unthresholded.
-	Extractions []Extraction
-}
-
-// NumAnnotations counts positive labels across clusters.
-func (r *Result) NumAnnotations() int {
-	n := 0
-	for _, c := range r.Clusters {
-		if c.Annotation != nil {
-			n += len(c.Annotation.Annotations)
-		}
-	}
-	return n
-}
-
-// NumAnnotatedPages counts pages that produced annotations.
-func (r *Result) NumAnnotatedPages() int {
-	n := 0
-	for _, c := range r.Clusters {
-		if c.Annotation != nil {
-			n += c.Annotation.NumAnnotatedPages()
-		}
-	}
-	return n
-}
-
-// Run executes the CERES pipeline on one site: parse, cluster templates,
-// annotate, train, extract (Figure 3's architecture). It is TrainSite
-// followed by extraction over the same pages, with each page served by the
-// cluster it was assigned to during training.
-func Run(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	sm, res, err := TrainSite(ctx, sources, K, cfg)
+// TrainSite runs the training phase — parse, cluster, annotate, train —
+// and returns the serving artifact. Untrainable clusters still appear in
+// the SiteModel so serve-time routing can send their pages somewhere
+// deterministic; a site with none trainable returns a model with no
+// trained cluster and no error. It is PrepareSite and Prepared.Fit back to
+// back: ceres.Pipeline.Train without the one-site prepare gate.
+func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*SiteModel, error) {
+	prep, err := PrepareSite(ctx, sources, K, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for ci, cr := range res.Clusters {
-		exts, err := extractGroup(ctx, res.Pages, cr.PageIdxs, sm.Clusters[ci].Model, cfg.Extract, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		res.Extractions = append(res.Extractions, exts...)
-	}
-	return res, nil
-}
-
-// TrainSite runs the training phase only — parse, cluster, annotate, train
-// — and returns both the serving artifact (the SiteModel) and the full
-// training trace (parsed pages, per-cluster annotations). Untrainable
-// clusters still appear in the SiteModel so serve-time routing can send
-// their pages somewhere deterministic. It is PrepareSite and Prepared.Fit
-// back to back with everything kept; a caller that wants only the model
-// drops the Result between the two (ceres.Pipeline.Train).
-func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*SiteModel, *Result, error) {
-	prep, res, err := PrepareSite(ctx, sources, K, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
 	if err := prep.Fit(ctx); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for _, f := range prep.Fits {
-		cr := res.Clusters[f.Cluster]
-		cr.Model, cr.Trained, cr.Fit = prep.Site.Clusters[f.Cluster].Model, true, f.Stats
-	}
-	return prep.Site, res, nil
+	return prep.Site, nil
 }
 
 // Prepared is a site between the two halves of training. Everything that
 // reads pages is done: Site has every cluster's exemplar and statistics,
 // and Fits has, per trainable cluster, what its optimizer still has to
 // run over. Nothing reachable from a Prepared references a *Page, a
-// *dom.Node or an mlr.Dataset, so a caller that drops the Result — the
-// parsed pages, by far the largest thing training builds — before Fit
-// fits in the memory of the distinct training rows.
+// *dom.Node or an mlr.Dataset: the parsed pages, by far the largest thing
+// training builds, are garbage once PrepareSite returns, and Fit runs in
+// the memory of the distinct training rows.
 type Prepared struct {
 	Site *SiteModel
 	// Fits lists the trainable clusters in cluster order.
@@ -176,7 +107,7 @@ type Prepared struct {
 
 // ClusterFit is one trainable cluster's pending fit.
 type ClusterFit struct {
-	// Cluster indexes Prepared.Site.Clusters (and Result.Clusters).
+	// Cluster indexes Prepared.Site.Clusters.
 	Cluster int
 	// Stats reports how the fit went, once Prepared.Fit has run it.
 	Stats mlr.FitStats
@@ -187,13 +118,11 @@ type ClusterFit struct {
 
 // PrepareSite is the page-holding half of training: parse, cluster, and
 // per cluster annotate, build the featurizer and the examples and collapse
-// them to the rows the classifier is fitted on. The Result is the training
-// trace; its clusters' Model, Trained and Fit are not filled in (TrainSite
-// does that after fitting).
-func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Prepared, *Result, error) {
+// them to the rows the classifier is fitted on.
+func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if len(sources) == 0 {
-		return nil, nil, ErrNoPages
+		return nil, ErrNoPages
 	}
 	// Training is traced through the caller's context: a span installed
 	// there (batch model resolution, an instrumented CLI) gets children
@@ -203,7 +132,7 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 	pages, err := ParsePages(ctx, sources, cfg.Workers)
 	psp.EndErr(err)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	csp := tsp.StartChild("cluster")
@@ -223,42 +152,40 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 			sigs[i] = cluster.Signature(pages[i].Doc)
 		}); err != nil {
 			csp.EndErr(err)
-			return nil, nil, err
+			return nil, err
 		}
 		groups = cluster.ClusterPages(sigs, cfg.PageCluster)
 	}
 	csp.SetInt("clusters", int64(len(groups)))
 	csp.End()
+	probeTraining("parsed")
 
 	prep := &Prepared{Site: &SiteModel{
 		Extract:    cfg.Extract,
 		TrainPages: len(pages),
 	}}
-	res := &Result{Pages: pages}
 	for ci, group := range groups {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cr, fit, err := prepareCluster(ctx, pages, group, K, cfg)
+		ann, fit, err := prepareCluster(ctx, pages, group, K, cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res.Clusters = append(res.Clusters, cr)
 		prep.Site.Clusters = append(prep.Site.Clusters, &ClusterModel{
 			// ClusterPages founds each cluster on its first member, so
 			// that page's signature is the cluster exemplar.
 			Exemplar:       sigs[group[0]],
 			Pages:          len(group),
-			AnnotatedPages: cr.Annotation.NumAnnotatedPages(),
-			Annotations:    len(cr.Annotation.Annotations),
+			AnnotatedPages: ann.NumAnnotatedPages(),
+			Annotations:    len(ann.Annotations),
 		})
 		if fit != nil {
 			fit.Cluster = ci
 			prep.Fits = append(prep.Fits, fit)
 		}
 	}
-	probeTraining("prepared")
-	return prep, res, nil
+	return prep, nil
 }
 
 // Fit is the page-free half of training: it runs the pending fits in
@@ -309,7 +236,7 @@ func ParsePages(ctx context.Context, sources []PageSource, workers int) ([]*Page
 // prepareCluster annotates one template cluster and, when enough of its
 // pages were annotated to train on, builds what its fit needs. A nil fit
 // with a nil error is an untrainable cluster.
-func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg Config) (*ClusterResult, *ClusterFit, error) {
+func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg Config) (*AnnotationResult, *ClusterFit, error) {
 	sub := make([]*Page, len(group))
 	for i, pi := range group {
 		sub[i] = pages[pi]
@@ -321,16 +248,15 @@ func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, c
 	if err != nil {
 		return nil, nil, err
 	}
-	cr := &ClusterResult{PageIdxs: group, Annotation: ann}
 	if ann.NumAnnotatedPages() < cfg.MinAnnotatedPages {
-		return cr, nil, nil
+		return ann, nil, nil
 	}
 	start := time.Now()
 	fz := NewFeaturizer(sub, cfg.Features)
 	ds, classes := BuildExamples(sub, ann, fz, cfg.Train)
 	if classes.Len() < 2 || ds.Len() == 0 {
 		trace.FromContext(ctx).AddTimed("fit", time.Since(start))
-		return cr, nil, nil
+		return ann, nil, nil
 	}
 	fz.Freeze()
 	pending, err := PrepareModel(ds, classes, fz, cfg.Train)
@@ -338,24 +264,5 @@ func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, c
 		trace.FromContext(ctx).AddTimed("fit", time.Since(start)).SetErr(err)
 		return nil, nil, err
 	}
-	return cr, &ClusterFit{pending: pending, build: time.Since(start)}, nil
-}
-
-// extractGroup applies one cluster's model to the listed pages, pooling
-// extractions in page order. A nil model (untrained cluster) yields none.
-func extractGroup(ctx context.Context, pages []*Page, group []int, m *Model, opts ExtractOptions, workers int) ([]Extraction, error) {
-	if m == nil {
-		return nil, nil
-	}
-	perPage := make([][]Extraction, len(group))
-	if err := par.For(ctx, len(group), workers, func(_, i int) {
-		perPage[i] = ExtractPage(pages[group[i]], m, opts)
-	}); err != nil {
-		return nil, err
-	}
-	var out []Extraction
-	for _, exts := range perPage {
-		out = append(out, exts...)
-	}
-	return out, nil
+	return ann, &ClusterFit{pending: pending, build: time.Since(start)}, nil
 }

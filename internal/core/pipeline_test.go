@@ -5,8 +5,28 @@ import (
 	"testing"
 
 	"ceres/internal/eval"
+	"ceres/internal/kb"
 	"ceres/internal/websim"
 )
+
+// trainExtract trains a site model on sources and extracts the same pages
+// through its serve engine. A model with no trained cluster extracts
+// nothing.
+func trainExtract(t *testing.T, sources []PageSource, K *kb.KB) (*SiteModel, []Extraction) {
+	t.Helper()
+	sm, err := TrainSite(context.Background(), sources, K, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm.TrainedClusters() == 0 {
+		return sm, nil
+	}
+	exts, err := sm.ExtractSources(context.Background(), sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sm, exts
+}
 
 // goldFacts converts a generated page's ground truth into eval facts,
 // excluding the name predicate (extractions carry it as the subject).
@@ -41,17 +61,14 @@ func TestPipelineEndToEnd(t *testing.T) {
 		sources[i] = PageSource{ID: g.ID, HTML: g.HTML}
 	}
 	_ = pages
-	res, err := Run(context.Background(), sources, K, Config{})
-	if err != nil {
-		t.Fatal(err)
+	sm, exts := trainExtract(t, sources, K)
+	if sm.AnnotatedPages() < 45 {
+		t.Fatalf("annotated %d/60 pages", sm.AnnotatedPages())
 	}
-	if res.NumAnnotatedPages() < 45 {
-		t.Fatalf("annotated %d/60 pages", res.NumAnnotatedPages())
-	}
-	if len(res.Extractions) == 0 {
+	if len(exts) == 0 {
 		t.Fatal("no extractions")
 	}
-	prf := eval.Score(extractionFacts(res.Extractions, 0.5), goldFacts(gold))
+	prf := eval.Score(extractionFacts(exts, 0.5), goldFacts(gold))
 	t.Logf("end-to-end: P=%.3f R=%.3f F1=%.3f (tp=%d fp=%d fn=%d)",
 		prf.P, prf.R, prf.F1, prf.TP, prf.FP, prf.FN)
 	if prf.P < 0.85 {
@@ -66,12 +83,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 		byID[g.ID] = g
 	}
 	wrongSubject := 0
-	for _, e := range res.Extractions {
+	for _, e := range exts {
 		if e.Confidence >= 0.5 && byID[e.PageID] != nil && e.Subject != byID[e.PageID].TopicName {
 			wrongSubject++
 		}
 	}
-	if frac := float64(wrongSubject) / float64(len(res.Extractions)); frac > 0.05 {
+	if frac := float64(wrongSubject) / float64(len(exts)); frac > 0.05 {
 		t.Errorf("%.1f%% of extractions have a wrong subject", 100*frac)
 	}
 }
@@ -94,12 +111,9 @@ func TestPipelineDiscoversNewEntities(t *testing.T) {
 	for _, p := range site.Pages {
 		sources = append(sources, PageSource{ID: p.ID, HTML: p.HTML})
 	}
-	res, err := Run(context.Background(), sources, K, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, exts := trainExtract(t, sources, K)
 	newEntityExtractions := 0
-	for _, e := range res.Extractions {
+	for _, e := range exts {
 		if e.Confidence < 0.5 {
 			continue
 		}
@@ -117,7 +131,7 @@ func TestPipelineDiscoversNewEntities(t *testing.T) {
 	for _, p := range site.Pages {
 		byID[p.ID] = p
 	}
-	for _, e := range res.Extractions {
+	for _, e := range exts {
 		if e.Confidence < 0.5 || covered[e.PageID] {
 			continue
 		}
@@ -158,12 +172,9 @@ func TestPipelineClustersTemplates(t *testing.T) {
 		sources = append(sources, PageSource{ID: "p/" + p.ID, HTML: p.HTML})
 	}
 	K := websim.BuildKB(w, websim.FullCoverage(), 3)
-	res, err := Run(context.Background(), sources, K, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) < 2 {
-		t.Errorf("mixed-template site should split into >= 2 clusters, got %d", len(res.Clusters))
+	sm, _ := trainExtract(t, sources, K)
+	if len(sm.Clusters) < 2 {
+		t.Errorf("mixed-template site should split into >= 2 clusters, got %d", len(sm.Clusters))
 	}
 }
 
@@ -178,11 +189,7 @@ func TestPipelineNoAnnotatablePages(t *testing.T) {
 	for _, p := range site.Pages {
 		sources = append(sources, PageSource{ID: p.ID, HTML: p.HTML})
 	}
-	res, err := Run(context.Background(), sources, K, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Extractions) != 0 {
-		t.Errorf("disjoint KB should yield no extractions, got %d", len(res.Extractions))
+	if _, exts := trainExtract(t, sources, K); len(exts) != 0 {
+		t.Errorf("disjoint KB should yield no extractions, got %d", len(exts))
 	}
 }

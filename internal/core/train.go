@@ -262,8 +262,8 @@ func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOpt
 }
 
 // trainingProbe is the package's test seam: when set, it is told where a
-// training is — "prepared" at the end of PrepareSite, with the parsed
-// pages still reachable from its Result, and "fit" before each optimizer's
+// training is — "parsed" once PrepareSite has clustered the pages, with
+// every parsed page still reachable, and "fit" before each optimizer's
 // first objective evaluation. Production code never installs one.
 var trainingProbe atomic.Pointer[func(phase string)]
 

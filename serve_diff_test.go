@@ -85,7 +85,7 @@ func trainHalf(t *testing.T, kind string, seed int64, pages int) (*core.SiteMode
 			serve = append(serve, s)
 		}
 	}
-	sm, _, err := core.TrainSite(context.Background(), train, c.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
+	sm, err := core.TrainSite(context.Background(), train, c.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
 	if err != nil {
 		t.Fatalf("%s: %v", kind, err)
 	}
@@ -112,7 +112,7 @@ func TestCompiledServeMatchesLegacyAllCorpora(t *testing.T) {
 // the classifier ablation, which serves through the same Scorer contract.
 func TestCompiledServeMatchesLegacyNaiveBayes(t *testing.T) {
 	src, c := corpusSources(t, "movies", 7, 40)
-	sm, _, err := core.TrainSite(context.Background(), src[:20], c.KB,
+	sm, err := core.TrainSite(context.Background(), src[:20], c.KB,
 		core.Config{Train: core.TrainOptions{Seed: 1, Classifier: "nb"}})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	movieSrc, movieCorpus := corpusSources(t, "movies", 7, 30)
 	imdbSrc, _ := corpusSources(t, "imdb-films", 3, 20)
 	train := append(append([]core.PageSource{}, movieSrc[:15]...), imdbSrc[:10]...)
-	sm, _, err := core.TrainSite(context.Background(), train, movieCorpus.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
+	sm, err := core.TrainSite(context.Background(), train, movieCorpus.KB, core.Config{Train: core.TrainOptions{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
