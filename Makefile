@@ -62,7 +62,10 @@ examples:
 # (DESIGN.md §7). The eleventh is the fusion accumulator: on any
 # observation stream, at every Facts call, its facts are byte for byte
 # those of the string-keyed accumulator it replaced, frozen in its tests
-# (DESIGN.md §8). A failing input is written under the package's
+# (DESIGN.md §8). The twelfth is the fit's objective: on any collapsed
+# training set, K from 2 to 12, the two-pass lossGrad's loss and gradient
+# are bit for bit those of the row-major kernel it replaced, frozen in its
+# tests (DESIGN.md §3). A failing input is written under the package's
 # testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
@@ -77,6 +80,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./batch
 	$(GO) test -run='^$$' -fuzz=FuzzUntrainable -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzAccumulator -fuzztime=$(FUZZTIME) ./internal/fusion
+	$(GO) test -run='^$$' -fuzz=FuzzLossGrad -fuzztime=$(FUZZTIME) ./internal/mlr
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

@@ -196,33 +196,32 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 // (attribute name, attribute value, ancestor distance, sibling offset)
 // over the node, its ancestors and the ancestors' siblings, plus
 // frequent-string text features keyed by the relative tree position of the
-// string.
+// string. Each name is built in one reused byte buffer and looked up
+// without a string of its own; only a name the dictionary interns is
+// allocated.
 func (fz *Featurizer) Features(f *Field) mlr.Vector {
-	var feats []mlr.Feature
-	add := func(name string) {
-		if id := fz.dict.ID(name); id >= 0 {
-			feats = append(feats, mlr.Feature{Index: id, Value: 1})
-		}
-	}
+	var nameBuf [128]byte
+	var featBuf [64]mlr.Feature
+	fn := featureNames{dict: fz.dict, name: nameBuf[:0], feats: featBuf[:0]}
 	// Level 0 is the element containing the text node.
 	elem := f.Node.Parent
 	if elem == nil {
-		return mlr.NewVector(feats)
+		return nil
 	}
 	if !fz.opts.DisableStructural {
 		node := elem
 		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= fz.opts.MaxAncestors; lvl++ {
-			fz.structuralFor(node, lvl, 0, add)
+			fn = fn.structural(node, lvl, 0)
 			// Siblings of this ancestor within the window, at every level
 			// (§4.2: the node itself, its ancestors, and their siblings).
 			sibs := node.ElementSiblings()
 			pos := node.ElementIndex()
 			for off := 1; off <= fz.opts.SiblingWindow; off++ {
 				if pos-off >= 0 {
-					fz.structuralFor(sibs[pos-off], lvl, -off, add)
+					fn = fn.structural(sibs[pos-off], lvl, -off)
 				}
 				if pos+off < len(sibs) {
-					fz.structuralFor(sibs[pos+off], lvl, off, add)
+					fn = fn.structural(sibs[pos+off], lvl, off)
 				}
 			}
 			node = node.Parent
@@ -242,29 +241,71 @@ func (fz *Featurizer) Features(f *Field) mlr.Vector {
 				}
 				text := sibs[pos-off].Text()
 				if fz.frequent[text] {
-					add("t|" + strconv.Itoa(lvl) + "|-" + strconv.Itoa(off) + "|" + text)
+					fn = fn.text(lvl, -off, text)
 				}
 			}
 			// Direct text of the ancestor itself (e.g. heading text mixed
 			// with the value container).
 			if lvl > 0 {
 				if own := node.OwnText(); own != "" && fz.frequent[own] {
-					add("t|" + strconv.Itoa(lvl) + "|0|" + own)
+					fn = fn.text(lvl, 0, own)
 				}
 			}
 			node = node.Parent
 		}
 	}
-	return mlr.NewVector(feats)
+	// One allocation of the vector's own size; NewVector sorts it in place.
+	return mlr.NewVector(append([]mlr.Feature(nil), fn.feats...))
 }
 
-// structuralFor emits the 4-tuple features of one context node.
-func (fz *Featurizer) structuralFor(n *dom.Node, lvl, off int, add func(string)) {
-	prefix := "s|" + strconv.Itoa(lvl) + "|" + strconv.Itoa(off) + "|"
-	add(prefix + "tag|" + n.Tag)
+// featureNames collects one field's features: name holds the name being
+// built, feats the IDs found so far. Features keeps both in stack arrays;
+// the methods take and return it by value, which keeps them there.
+type featureNames struct {
+	dict  *mlr.Dict
+	name  []byte
+	feats []mlr.Feature
+}
+
+// add looks the built name up, interning it unless the dictionary is
+// frozen.
+func (fn featureNames) add() featureNames {
+	if id := fn.dict.IDBytes(fn.name); id >= 0 {
+		fn.feats = append(fn.feats, mlr.Feature{Index: id, Value: 1})
+	}
+	return fn
+}
+
+// prefix starts a name: kind|lvl|off|.
+func (fn featureNames) prefix(kind byte, lvl, off int) featureNames {
+	fn.name = append(fn.name[:0], kind, '|')
+	fn.name = strconv.AppendInt(fn.name, int64(lvl), 10)
+	fn.name = append(fn.name, '|')
+	fn.name = strconv.AppendInt(fn.name, int64(off), 10)
+	fn.name = append(fn.name, '|')
+	return fn
+}
+
+// structural emits the 4-tuple features of one context node:
+// s|lvl|off|tag|<tag>, then s|lvl|off|<attr>|<value> per structural
+// attribute the node carries.
+func (fn featureNames) structural(n *dom.Node, lvl, off int) featureNames {
+	fn = fn.prefix('s', lvl, off)
+	at := len(fn.name)
+	fn.name = append(append(fn.name, "tag|"...), n.Tag...)
+	fn = fn.add()
 	for _, attr := range structuralAttrs {
 		if v, ok := n.Attr(attr); ok && v != "" {
-			add(prefix + attr + "|" + v)
+			fn.name = append(append(append(fn.name[:at], attr...), '|'), v...)
+			fn = fn.add()
 		}
 	}
+	return fn
+}
+
+// text emits the frequent-string feature t|lvl|off|<text>.
+func (fn featureNames) text(lvl, off int, text string) featureNames {
+	fn = fn.prefix('t', lvl, off)
+	fn.name = append(fn.name, text...)
+	return fn.add()
 }

@@ -1,8 +1,11 @@
 package mlr
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -238,4 +241,53 @@ func BenchmarkFit(b *testing.B) {
 	b.ReportMetric(float64(fit.Rows), "rows/op")
 	b.ReportMetric(float64(fit.Evals), "evals/op")
 	b.ReportMetric((all-one)/float64(iters-1), "allocs/iter")
+}
+
+// fitFingerprint hashes every bit of a trained model and the iteration
+// and evaluation counts of its fit.
+func fitFingerprint(m *Model, fit FitStats) uint64 {
+	h := fnv.New64a()
+	put := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
+	for _, v := range m.W {
+		put(math.Float64bits(v))
+	}
+	for _, v := range m.B {
+		put(math.Float64bits(v))
+	}
+	put(uint64(fit.Iters))
+	put(uint64(fit.Evals))
+	return h.Sum64()
+}
+
+// TestFitBitsPinned pins Train to the bit at class counts that take every
+// path of the objective's register blocks: two (the scalar remainder
+// alone), five (a block of four, one left over), seven (four, three left
+// over), eight (one block of eight) and twelve (eight, then four). The
+// fingerprints were recorded from the single-pass objective that
+// scattered each row's gradient in place and the unfused two-loop
+// recursion; the kernels that replaced them perform the same arithmetic
+// in the same order.
+func TestFitBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("fingerprints recorded on amd64; architectures that fuse multiply-add round differently")
+	}
+	for _, c := range []struct {
+		K    int
+		want uint64
+	}{
+		{2, 0x96c94eb6eada9f23},
+		{5, 0x68ce9713a6cf47ed},
+		{7, 0xd267bbe30edd0c82},
+		{8, 0xe077a0a9c076f966},
+		{12, 0xa98b235766de0f1e},
+	} {
+		ds := templatedDataset(rand.New(rand.NewSource(int64(c.K))), 900, 120, c.K, 80, 9)
+		m, fit, err := Train(ds, TrainOptions{MaxIter: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fitFingerprint(m, fit); got != c.want {
+			t.Errorf("K=%d: fingerprint %#x, want %#x (%d iterations, %d evaluations)", c.K, got, c.want, fit.Iters, fit.Evals)
+		}
+	}
 }

@@ -1,0 +1,80 @@
+package mlr
+
+import (
+	"math"
+	"testing"
+)
+
+// fuzzBytes reads a fuzz input front to back; past its end every read
+// is zero, so any input decodes to a valid problem.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// fixed reads a value in [-scale, scale) from two bytes.
+func (b *fuzzBytes) fixed(scale float64) float64 {
+	u := int16(uint16(b.next()) | uint16(b.next())<<8)
+	return float64(u) / 32768 * scale
+}
+
+// FuzzLossGrad holds the two-pass objective to the row-major one it
+// replaced, frozen as rowMajorLossGrad, on any collapsed training set:
+// the loss and every gradient component are equal bit for bit. The input
+// decodes, byte by byte, to K in [2, 12], a feature count, and rows of
+// strictly increasing indices with values in [-8, 8) or exactly 1, each
+// with a label and repeated 1–16 times, then θ in [-4, 4) and l2 in
+// [0, 4). The gradient buffer starts as NaN, so a component the kernel
+// fails to write shows.
+func FuzzLossGrad(f *testing.F) {
+	f.Add([]byte{0, 5, 3, 2, 1, 0, 0, 1, 7, 3})
+	f.Add([]byte("\x06\x27\x1d\x09\x00\x02\x80\x11\x03\xff\x44\x12\x05\x00\x00\x30\x08"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		K := 2 + int(in.next()%11)
+		D := 1 + int(in.next()%48)
+		ds := &Dataset{NumClasses: K}
+		for n := 1 + int(in.next()%24); n > 0; n-- {
+			var x Vector
+			for j := int(in.next() % 4); j < D; j += 1 + int(in.next()%6) {
+				v := 1.0
+				if in.next()%3 != 0 {
+					v = in.fixed(8)
+				}
+				x = append(x, Feature{Index: j, Value: v})
+			}
+			y := int(in.next()) % K
+			for c := 1 + int(in.next()%16); c > 0; c-- {
+				ds.Add(x, y)
+			}
+		}
+		r := collapse(ds)
+		theta := make([]float64, r.features*K+K)
+		for i := range theta {
+			theta[i] = in.fixed(4)
+		}
+		l2 := float64(in.next()) / 64
+
+		want := make([]float64, len(theta))
+		wantLoss := rowMajorLossGrad(r, theta, want, l2)
+		got := make([]float64, len(theta))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		gotLoss := r.lossGrad(theta, got, l2)
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("K=%d, %d rows: loss %v, row-major %v", K, len(r.x), gotLoss, wantLoss)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("K=%d, %d rows: grad[%d] = %v, row-major %v", K, len(r.x), i, got[i], want[i])
+			}
+		}
+	})
+}

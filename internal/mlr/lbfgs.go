@@ -44,8 +44,9 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 	x := make([]float64, n)
 	copy(x, x0)
 	grad := make([]float64, n)
-	res := LBFGSResult{X: x, Evals: 1}
+	res := LBFGSResult{Evals: 1}
 	loss := f(x, grad)
+	gradNorm := infNorm(grad)
 
 	// The correction pairs live in a ring allocated once: up to Memory
 	// live pairs, oldest at head, plus the free slot the next pair is
@@ -67,34 +68,44 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 	alphaBuf := make([]float64, opts.Memory)
 
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		if infNorm(grad) < opts.Tol {
+		if gradNorm < opts.Tol {
 			res.Converged = true
 			break
 		}
-		// Two-loop recursion: dir = -H·grad.
-		copy(dir, grad)
-		for i := pairs - 1; i >= 0; i-- {
-			slot := (head + i) % slots
-			alphaBuf[i] = rho[slot] * dot(sOf(slot), dir)
-			axpy(dir, -alphaBuf[i], yOf(slot))
+		// Two-loop recursion: dir = -H·grad, and g0 = gradᵀdir. Each pass
+		// over dir also takes the dot product the next step needs, over
+		// the values it has just written, so the recursion makes one pass
+		// per pair and loop instead of two, and every product is summed
+		// in the order separate passes would sum it.
+		var g0 float64
+		if pairs == 0 {
+			g0 = scaleDot(dir, grad, -1, grad)
+		} else {
+			slot := func(i int) int { return (head + i) % slots }
+			newest := slot(pairs - 1)
+			d := scaleDot(dir, grad, 1, sOf(newest))
+			for i := pairs - 1; i > 0; i-- {
+				alphaBuf[i] = rho[slot(i)] * d
+				d = axpyScaleDot(dir, -alphaBuf[i], yOf(slot(i)), 1, sOf(slot(i-1)))
+			}
+			// The oldest pair's pass also applies the newest pair's
+			// initial Hessian scale.
+			alphaBuf[0] = rho[slot(0)] * d
+			d = axpyScaleDot(dir, -alphaBuf[0], yOf(slot(0)), gamma[newest], yOf(slot(0)))
+			for i := 0; i < pairs-1; i++ {
+				beta := float64(rho[slot(i)] * d)
+				d = axpyScaleDot(dir, alphaBuf[i]-beta, sOf(slot(i)), 1, yOf(slot(i+1)))
+			}
+			// The newest pair's pass negates dir and takes gradᵀdir.
+			beta := float64(rho[newest] * d)
+			g0 = axpyScaleDot(dir, alphaBuf[pairs-1]-beta, sOf(newest), -1, grad)
 		}
-		if pairs > 0 {
-			scale(dir, gamma[(head+pairs-1)%slots])
-		}
-		for i := 0; i < pairs; i++ {
-			slot := (head + i) % slots
-			beta := rho[slot] * dot(yOf(slot), dir)
-			axpy(dir, alphaBuf[i]-beta, sOf(slot))
-		}
-		neg(dir)
 
 		// The two-loop direction is a descent direction whenever the
 		// curvature pairs are valid; guard anyway and fall back to
 		// steepest descent.
-		g0 := dot(grad, dir)
 		if g0 >= 0 {
-			copy(dir, grad)
-			neg(dir)
+			scaleDot(dir, grad, -1, grad)
 			g0 = -dot(grad, grad)
 			pairs = 0
 		}
@@ -112,11 +123,11 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 		ok := false
 		for ls := 0; ls < 40; ls++ {
 			for i := range x {
-				xNew[i] = x[i] + step*dir[i]
+				xNew[i] = x[i] + float64(step*dir[i])
 			}
 			lossNew = f(xNew, gradNew)
 			res.Evals++
-			if lossNew <= loss+c1*step*g0 {
+			if lossNew <= loss+float64(c1*step*g0) {
 				ok = true
 				break
 			}
@@ -133,11 +144,13 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 		free := (head + pairs) % slots
 		s, y := sOf(free), yOf(free)
 		var sy, yy float64
+		gradNorm = 0
 		for i := range x {
 			s[i] = xNew[i] - x[i]
 			y[i] = gradNew[i] - grad[i]
-			sy += s[i] * y[i]
-			yy += y[i] * y[i]
+			sy += float64(s[i] * y[i])
+			yy += float64(y[i] * y[i])
+			gradNorm = maxAbs(gradNorm, gradNew[i])
 		}
 		if sy > 1e-12 {
 			rho[free] = 1 / sy
@@ -148,8 +161,8 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 				head = (head + 1) % slots
 			}
 		}
-		copy(x, xNew)
-		copy(grad, gradNew)
+		x, xNew = xNew, x
+		grad, gradNew = gradNew, grad
 		res.Iterations = iter + 1
 		// Relative-progress stop: loss plateaued.
 		if math.Abs(loss-lossNew) <= 1e-12*(1+math.Abs(loss)) {
@@ -159,46 +172,65 @@ func Minimize(f func(x, grad []float64) float64, x0 []float64, opts LBFGSOptions
 		}
 		loss = lossNew
 	}
+	res.X = x
 	res.Loss = loss
 	return res
 }
 
+//ceres:allocfree
 func dot(a, b []float64) float64 {
 	var s float64
+	b = b[:len(a)]
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
 
-// axpy computes a += alpha*b.
-func axpy(a []float64, alpha float64, b []float64) {
-	for i := range a {
-		a[i] += alpha * b[i]
+// scaleDot sets dst = scale·src and returns nextᵀdst.
+//
+//ceres:allocfree
+func scaleDot(dst, src []float64, scale float64, next []float64) float64 {
+	var d float64
+	src, next = src[:len(dst)], next[:len(dst)]
+	for i := range dst {
+		v := src[i] * scale
+		dst[i] = v
+		d += float64(next[i] * v)
 	}
+	return d
 }
 
-func scale(a []float64, alpha float64) {
+// axpyScaleDot sets a = (a + alpha·b)·scale and returns nextᵀa. A scale
+// of 1 or -1 is exact, so it also serves as a plain or negated axpy.
+//
+//ceres:allocfree
+func axpyScaleDot(a []float64, alpha float64, b []float64, scale float64, next []float64) float64 {
+	var d float64
+	b, next = b[:len(a)], next[:len(a)]
 	for i := range a {
-		a[i] *= alpha
+		v := (a[i] + float64(alpha*b[i])) * scale
+		a[i] = v
+		d += float64(next[i] * v)
 	}
-}
-
-func neg(a []float64) {
-	for i := range a {
-		a[i] = -a[i]
-	}
+	return d
 }
 
 func infNorm(a []float64) float64 {
 	var m float64
 	for _, v := range a {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
+		m = maxAbs(m, v)
+	}
+	return m
+}
+
+// maxAbs returns |v| if it exceeds m, else m; a NaN v leaves m as it is.
+func maxAbs(m, v float64) float64 {
+	if v < 0 {
+		v = -v
+	}
+	if v > m {
+		return v
 	}
 	return m
 }

@@ -7,7 +7,10 @@
 // classifiers").
 package mlr
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Feature is one (index, value) component of a sparse vector.
 type Feature struct {
@@ -19,15 +22,17 @@ type Feature struct {
 type Vector []Feature
 
 // NewVector builds a Vector from unordered (index,value) pairs, summing
-// duplicates and dropping zeros.
+// duplicates and dropping zeros. It sorts and compacts feats in place, so
+// the Vector shares feats' backing array: the caller hands the slice over.
+// slices.SortFunc is the pdqsort sort.Slice runs, generated from one
+// template, without its reflective swaps: equal indices end up in the
+// same relative order, so duplicates sum in the same order as ever.
 func NewVector(feats []Feature) Vector {
 	if len(feats) == 0 {
 		return nil
 	}
-	sorted := make([]Feature, len(feats))
-	copy(sorted, feats)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
-	return Vector(coalesceSorted(sorted))
+	slices.SortFunc(feats, func(a, b Feature) int { return cmp.Compare(a.Index, b.Index) })
+	return Vector(coalesceSorted(feats))
 }
 
 // coalesceSorted merges duplicate indices (summing their values) and drops
@@ -54,10 +59,10 @@ func coalesceSorted(sorted []Feature) []Feature {
 
 // VectorBuilder accumulates (index, value) pairs into a reusable backing
 // array and normalizes them into a Vector without allocating per build —
-// the serve-path replacement for NewVector's copy-and-sort. A builder is
-// owned by one goroutine (one serve worker); the Vector returned by Build
-// aliases the builder's backing array and is valid only until the next
-// Reset or Add.
+// the serve-path counterpart of NewVector, which takes a fresh slice per
+// vector. A builder is owned by one goroutine (one serve worker); the
+// Vector returned by Build aliases the builder's backing array and is
+// valid only until the next Reset or Add.
 type VectorBuilder struct {
 	feats []Feature
 }
@@ -198,6 +203,19 @@ func (d *Dict) ID(name string) int {
 	d.byName[name] = id
 	d.names = append(d.names, name)
 	return id
+}
+
+// IDBytes is ID for a name held in a byte slice. A name already in the
+// dictionary costs no allocation; only a name it interns is copied into
+// a string.
+func (d *Dict) IDBytes(name []byte) int {
+	if id, ok := d.byName[string(name)]; ok {
+		return id
+	}
+	if d.frozen {
+		return -1
+	}
+	return d.ID(string(name))
 }
 
 // Lookup returns the index for name without ever growing the dictionary.

@@ -1,6 +1,9 @@
 package mlr
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -110,5 +113,33 @@ func TestDatasetNumFeatures(t *testing.T) {
 	empty := &Dataset{}
 	if empty.NumFeatures() != 0 {
 		t.Errorf("empty NumFeatures = %d", empty.NumFeatures())
+	}
+}
+
+// TestNewVectorSumsDuplicatesAsSortSlice: NewVector sorts with
+// slices.SortFunc where it once sorted a copy with sort.Slice. Both are
+// the same generated pdqsort, so equal indices keep the same relative
+// order and duplicates sum in the same order — bit for bit, on values
+// whose sum depends on that order.
+func TestNewVectorSumsDuplicatesAsSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	values := []float64{1, 0.1, 1e16, -1e16, 3.3, -2.7e-8, 1.0 / 3}
+	for trial := 0; trial < 500; trial++ {
+		feats := make([]Feature, rng.Intn(300))
+		for i := range feats {
+			feats[i] = Feature{Index: rng.Intn(1 + len(feats)/4), Value: values[rng.Intn(len(values))]}
+		}
+		want := append([]Feature(nil), feats...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Index < want[j].Index })
+		want = coalesceSorted(want)
+		got := NewVector(feats)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d features, sort.Slice %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+				t.Fatalf("trial %d: feature %d = %v, sort.Slice %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
