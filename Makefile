@@ -63,9 +63,9 @@ examples:
 # observation stream, at every Facts call, its facts are byte for byte
 # those of the string-keyed accumulator it replaced, frozen in its tests
 # (DESIGN.md §8). The twelfth is the fit's objective: on any collapsed
-# training set, K from 2 to 12, the two-pass lossGrad's loss and gradient
-# are bit for bit those of the row-major kernel it replaced, frozen in its
-# tests (DESIGN.md §3). A failing input is written under the package's
+# training set, K from 2 to 12, the one-pass lossGrad's loss and gradient,
+# scored and scattered in register blocks, are bit for bit those of the
+# unblocked row-major kernel frozen in its tests (DESIGN.md §3). A failing input is written under the package's
 # testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:

@@ -105,15 +105,18 @@ type Prepared struct {
 	Fits []*ClusterFit
 }
 
-// ClusterFit is one trainable cluster's pending fit.
+// ClusterFit is one trainable cluster's pending fit: its class space, the
+// frozen featurizer and the training rows, and nothing of the dataset or
+// the pages they came from.
 type ClusterFit struct {
 	// Cluster indexes Prepared.Site.Clusters.
 	Cluster int
 	// Stats reports how the fit went, once Prepared.Fit has run it.
 	Stats mlr.FitStats
 
-	pending *PendingModel
-	build   time.Duration // featurizer and example building, in PrepareSite
+	model *Model        // Classes and Featurizer set; naive Bayes already counted
+	lr    *mlr.Fit      // nil for naive Bayes, and once the fit has run
+	build time.Duration // featurizer and example building, in PrepareSite
 }
 
 // PrepareSite is the page-holding half of training: parse, cluster, and
@@ -201,16 +204,14 @@ func (p *Prepared) Fit(ctx context.Context) error {
 			return err
 		}
 		start := time.Now()
-		model, stats := f.pending.Fit()
-		f.Stats, f.pending = stats, nil
 		cm := p.Site.Clusters[f.Cluster]
-		cm.Model, cm.Trained = model, true
+		cm.Model, cm.Trained = f.fit(), true
 		fsp := tsp.AddTimed("fit", f.build+time.Since(start))
-		fsp.SetInt("examples", int64(stats.Examples))
-		fsp.SetInt("rows", int64(stats.Rows))
-		fsp.SetInt("iters", int64(stats.Iters))
-		fsp.SetInt("evals", int64(stats.Evals))
-		if stats.Converged {
+		fsp.SetInt("examples", int64(f.Stats.Examples))
+		fsp.SetInt("rows", int64(f.Stats.Rows))
+		fsp.SetInt("iters", int64(f.Stats.Iters))
+		fsp.SetInt("evals", int64(f.Stats.Evals))
+		if f.Stats.Converged {
 			fsp.SetInt("converged", 1)
 		} else {
 			fsp.SetInt("converged", 0)
@@ -259,10 +260,11 @@ func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, c
 		return ann, nil, nil
 	}
 	fz.Freeze()
-	pending, err := PrepareModel(ds, classes, fz, cfg.Train)
+	fit, err := newClusterFit(ds, classes, fz, cfg.Train)
 	if err != nil {
 		trace.FromContext(ctx).AddTimed("fit", time.Since(start)).SetErr(err)
 		return nil, nil, err
 	}
-	return ann, &ClusterFit{pending: pending, build: time.Since(start)}, nil
+	fit.build = time.Since(start)
+	return ann, fit, nil
 }

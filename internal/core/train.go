@@ -212,53 +212,45 @@ func listSiblingExclusions(p *Page, anns []Annotation) map[int]bool {
 	return excluded
 }
 
-// PendingModel is a cluster classifier between the two halves of
-// TrainModel: it holds the class space, the frozen featurizer and the
-// training rows, and nothing of the dataset or the pages they came from.
-type PendingModel struct {
-	model *Model   // Classes and Featurizer set; naive Bayes already counted
-	lr    *mlr.Fit // nil for naive Bayes
-	stats mlr.FitStats
-}
-
-// PrepareModel does everything of TrainModel that reads the dataset and
+// newClusterFit does everything of TrainModel that reads the dataset and
 // can fail; fz must be frozen. Naive Bayes counts in closed form, so its
-// whole fit happens here (only FitStats.Examples is set).
-func PrepareModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*PendingModel, error) {
+// whole fit happens here (only Stats.Examples is set).
+func newClusterFit(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*ClusterFit, error) {
 	opts = opts.withDefaults()
-	p := &PendingModel{model: &Model{Classes: classes, Featurizer: fz}}
+	f := &ClusterFit{model: &Model{Classes: classes, Featurizer: fz}}
 	if opts.Classifier == "nb" {
-		p.model.NB = mlr.TrainNaiveBayes(ds)
-		p.stats = mlr.FitStats{Examples: ds.Len(), Converged: true}
-		return p, nil
+		f.model.NB = mlr.TrainNaiveBayes(ds)
+		f.Stats = mlr.FitStats{Examples: ds.Len(), Converged: true}
+		return f, nil
 	}
 	lr, err := mlr.Prepare(ds, opts.Model)
 	if err != nil {
 		return nil, err
 	}
-	p.lr = lr
-	return p, nil
+	f.lr = lr
+	return f, nil
 }
 
-// Fit runs the optimizer over the prepared rows and reports how it went.
-func (p *PendingModel) Fit() (*Model, mlr.FitStats) {
-	if p.lr != nil {
+// fit runs the optimizer over the prepared rows, sets Stats and returns
+// the cluster's model.
+func (f *ClusterFit) fit() *Model {
+	if f.lr != nil {
 		probeTraining("fit")
-		p.model.LR, p.stats = p.lr.Run()
-		p.lr = nil
+		f.model.LR, f.Stats = f.lr.Run()
+		f.lr = nil
 	}
-	return p.model, p.stats
+	return f.model
 }
 
 // TrainModel fits the classifier on the training set and reports how the
-// fit went: PrepareModel and Fit back to back.
+// fit went: a ClusterFit prepared and run back to back.
 func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOptions) (*Model, mlr.FitStats, error) {
-	p, err := PrepareModel(ds, classes, fz, opts)
+	f, err := newClusterFit(ds, classes, fz, opts)
 	if err != nil {
 		return nil, mlr.FitStats{}, err
 	}
-	m, fit := p.Fit()
-	return m, fit, nil
+	m := f.fit()
+	return m, f.Stats, nil
 }
 
 // trainingProbe is the package's test seam: when set, it is told where a

@@ -31,26 +31,15 @@ type rows struct {
 	// (feature j, class k at j*classes+k — one non-zero touches one
 	// contiguous column, as in TransposedModel), intercepts after them.
 	classes, features int
-	// The rows' non-zeros again, feature-major: feature j's are
-	// cols[colStart[j]:colStart[j+1]], in row order.
-	colStart []int
-	cols     []colEntry
-	// coef holds each row's gradient coefficients, row i's K at i*K;
-	// lossGrad's row pass writes it and its feature pass reads it.
-	coef []float64
+	// e is lossGrad's scratch: one row's scores, then its gradient
+	// coefficients.
+	e []float64
 }
 
-// colEntry is one non-zero of a feature's column: the offset of its row's
-// coefficients in coef, and its value.
-type colEntry struct {
-	at    int
-	value float64
-}
-
-// collapse groups ds into distinct rows in first-occurrence order and
-// indexes their non-zeros by feature. Rows are told apart by a byte key
-// over label, indices and value bits; the map only finds a row's index —
-// output order comes from the slices, so it is the same on every run.
+// collapse groups ds into distinct rows in first-occurrence order. Rows
+// are told apart by a byte key over label, indices and value bits; the
+// map only finds a row's index — output order comes from the slices, so
+// it is the same on every run.
 func collapse(ds *Dataset) *rows {
 	r := &rows{classes: ds.NumClasses, features: ds.NumFeatures()}
 	index := make(map[string]int)
@@ -70,55 +59,37 @@ func collapse(ds *Dataset) *rows {
 		r.y = append(r.y, ds.Y[i])
 		r.count = append(r.count, 1)
 	}
-	r.coef = make([]float64, len(r.x)*r.classes)
-	r.colStart = make([]int, r.features+1)
-	for _, x := range r.x {
-		for _, f := range x {
-			r.colStart[f.Index+1]++
-		}
-	}
-	for j := 1; j <= r.features; j++ {
-		r.colStart[j] += r.colStart[j-1]
-	}
-	r.cols = make([]colEntry, r.colStart[r.features])
-	next := append([]int(nil), r.colStart[:r.features]...)
-	for i, x := range r.x {
-		for _, f := range x {
-			r.cols[next[f.Index]] = colEntry{at: i * r.classes, value: f.Value}
-			next[f.Index]++
-		}
-	}
+	r.e = make([]float64, r.classes)
 	return r
 }
 
 // lossGrad computes the regularized negative log-likelihood under
-// parameters theta and writes its gradient into grad, in two passes.
+// parameters theta and writes its gradient into grad, in one pass over
+// the rows.
 //
-// The row pass scores each row once, its classes in register blocks of
-// eight, then four, then one; per class the sum starts at B[k] and adds
-// the row's features in order. It weighs the row in with its count c:
+// Each row is scored once, its classes in register blocks of eight, then
+// four, then one; per class the sum starts at B[k] and adds the row's
+// features in order. The row is weighed in with its count c:
 // loss += c·(lse − s_y), and the gradient coefficient of class k is
 // c·(p_k − 1[k = y]); exp(s_k − max) is taken once per class and serves
-// both lse and p_k. The coefficients go to gB and to coef.
-//
-// The feature pass walks the feature-major index: per feature, each
-// class's gradient is summed over the feature's rows in row order, in
-// registers, and written once with the L2 term added. Those are the
-// additions a scatter of each row into grad makes, in the same order and
-// from the same +0, so the result is bit for bit the single-pass one.
+// both lse and p_k. The coefficients go to gB and are scattered into the
+// row's feature columns of gW, in the same blocks. The L2 term follows,
+// over W in index order. Every gradient component so receives its
+// additions in row order from +0.
 //
 //ceres:allocfree
 func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 	K := r.classes
 	W, B := theta[:r.features*K], theta[r.features*K:][:K]
+	clear(grad)
 	gW, gB := grad[:r.features*K], grad[r.features*K:][:K]
-	clear(gB)
+	e := r.e
 
 	var loss float64
 	for i, x := range r.x {
-		e := r.coef[i*K:][:K]
 		k := 0
-		// theta[k:] and not W[k:]: W is empty when no row has a feature.
+		// theta[k:] and grad[k:], not W[k:] and gW[k:]: W is empty when no
+		// row has a feature.
 		for ; k+8 <= K; k += 8 {
 			scoreBlock8(e[k:k+8], B[k:k+8], theta[k:], K, x)
 		}
@@ -155,29 +126,24 @@ func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 		for k, g := range e {
 			gB[k] += g
 		}
-	}
-	// L2 on weights only, matching scikit-learn's unpenalized intercept.
-	for j := 0; j < r.features; j++ {
-		col := r.cols[r.colStart[j]:r.colStart[j+1]]
-		base := j * K
-		k := 0
+		k = 0
 		for ; k+8 <= K; k += 8 {
-			gradBlock8(gW[base+k:][:8], W[base+k:][:8], r.coef[k:], col, l2)
+			scatterBlock8(grad[k:], e[k:k+8], K, x)
 		}
 		for ; k+4 <= K; k += 4 {
-			gradBlock4(gW[base+k:][:4], W[base+k:][:4], r.coef[k:], col, l2)
+			scatterBlock4(grad[k:], e[k:k+4], K, x)
 		}
 		for ; k < K; k++ {
-			var g float64
-			for _, c := range col {
-				g += float64(r.coef[c.at+k] * c.value)
+			g := e[k]
+			for _, f := range x {
+				gW[f.Index*K+k] += float64(g * f.Value)
 			}
-			w := W[base+k]
-			gW[base+k] = g + float64(l2*w)
 		}
-		for _, w := range W[base : base+K] {
-			loss += float64(0.5 * l2 * w * w)
-		}
+	}
+	// L2 on weights only, matching scikit-learn's unpenalized intercept.
+	for j, w := range W {
+		loss += float64(0.5 * l2 * w * w)
+		gW[j] += float64(l2 * w)
 	}
 	return loss
 }
@@ -218,50 +184,38 @@ func scoreBlock4(e, b, w []float64, stride int, x Vector) {
 	e[0], e[1], e[2], e[3] = s0, s1, s2, s3
 }
 
-// gradBlock8 writes into g the gradient of eight consecutive classes'
-// weights for one feature: the coefficients coef[at:] of the feature's
-// rows times their values, summed in row order from +0, plus l2·w.
+// scatterBlock8 adds one row's gradient coefficients of eight consecutive
+// classes, held in registers, times each of the row's feature values to
+// that feature's columns g[j*stride:].
 //
 //ceres:allocfree
-func gradBlock8(g, w, coef []float64, col []colEntry, l2 float64) {
-	var g0, g1, g2, g3, g4, g5, g6, g7 float64
-	for _, c := range col {
-		v, e := c.value, coef[c.at:][:8]
-		g0 += float64(e[0] * v)
-		g1 += float64(e[1] * v)
-		g2 += float64(e[2] * v)
-		g3 += float64(e[3] * v)
-		g4 += float64(e[4] * v)
-		g5 += float64(e[5] * v)
-		g6 += float64(e[6] * v)
-		g7 += float64(e[7] * v)
+func scatterBlock8(g, e []float64, stride int, x Vector) {
+	e0, e1, e2, e3, e4, e5, e6, e7 := e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7]
+	for _, f := range x {
+		v, col := f.Value, g[f.Index*stride:][:8]
+		col[0] += float64(e0 * v)
+		col[1] += float64(e1 * v)
+		col[2] += float64(e2 * v)
+		col[3] += float64(e3 * v)
+		col[4] += float64(e4 * v)
+		col[5] += float64(e5 * v)
+		col[6] += float64(e6 * v)
+		col[7] += float64(e7 * v)
 	}
-	g[0] = g0 + float64(l2*w[0])
-	g[1] = g1 + float64(l2*w[1])
-	g[2] = g2 + float64(l2*w[2])
-	g[3] = g3 + float64(l2*w[3])
-	g[4] = g4 + float64(l2*w[4])
-	g[5] = g5 + float64(l2*w[5])
-	g[6] = g6 + float64(l2*w[6])
-	g[7] = g7 + float64(l2*w[7])
 }
 
-// gradBlock4 is gradBlock8 for four classes.
+// scatterBlock4 is scatterBlock8 for four classes.
 //
 //ceres:allocfree
-func gradBlock4(g, w, coef []float64, col []colEntry, l2 float64) {
-	var g0, g1, g2, g3 float64
-	for _, c := range col {
-		v, e := c.value, coef[c.at:][:4]
-		g0 += float64(e[0] * v)
-		g1 += float64(e[1] * v)
-		g2 += float64(e[2] * v)
-		g3 += float64(e[3] * v)
+func scatterBlock4(g, e []float64, stride int, x Vector) {
+	e0, e1, e2, e3 := e[0], e[1], e[2], e[3]
+	for _, f := range x {
+		v, col := f.Value, g[f.Index*stride:][:4]
+		col[0] += float64(e0 * v)
+		col[1] += float64(e1 * v)
+		col[2] += float64(e2 * v)
+		col[3] += float64(e3 * v)
 	}
-	g[0] = g0 + float64(l2*w[0])
-	g[1] = g1 + float64(l2*w[1])
-	g[2] = g2 + float64(l2*w[2])
-	g[3] = g3 + float64(l2*w[3])
 }
 
 func trainLBFGS(m *Model, r *rows, examples int, opts TrainOptions) FitStats {

@@ -262,11 +262,12 @@ func fitFingerprint(m *Model, fit FitStats) uint64 {
 // TestFitBitsPinned pins Train to the bit at class counts that take every
 // path of the objective's register blocks: two (the scalar remainder
 // alone), five (a block of four, one left over), seven (four, three left
-// over), eight (one block of eight) and twelve (eight, then four). The
-// fingerprints were recorded from the single-pass objective that
-// scattered each row's gradient in place and the unfused two-loop
-// recursion; the kernels that replaced them perform the same arithmetic
-// in the same order.
+// over), eight (one block of eight), twelve (eight, then four) and
+// sixteen (two blocks of eight). The fingerprints were recorded from
+// kernels that performed the same arithmetic in the same order without
+// register blocks or fused passes: the first five from the row-major
+// objective and the unfused two-loop recursion, sixteen from an objective
+// that summed each feature's gradient in a pass of its own.
 func TestFitBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("fingerprints recorded on amd64; architectures that fuse multiply-add round differently")
@@ -280,6 +281,7 @@ func TestFitBitsPinned(t *testing.T) {
 		{7, 0xd267bbe30edd0c82},
 		{8, 0xe077a0a9c076f966},
 		{12, 0xa98b235766de0f1e},
+		{16, 0xad6334f05a57fc12},
 	} {
 		ds := templatedDataset(rand.New(rand.NewSource(int64(c.K))), 900, 120, c.K, 80, 9)
 		m, fit, err := Train(ds, TrainOptions{MaxIter: 60})

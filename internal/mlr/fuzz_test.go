@@ -24,9 +24,10 @@ func (b *fuzzBytes) fixed(scale float64) float64 {
 	return float64(u) / 32768 * scale
 }
 
-// FuzzLossGrad holds the two-pass objective to the row-major one it
-// replaced, frozen as rowMajorLossGrad, on any collapsed training set:
-// the loss and every gradient component are equal bit for bit. The input
+// FuzzLossGrad holds the objective, which scores and scatters each row in
+// register blocks, to the unblocked row-major one frozen as
+// rowMajorLossGrad, on any collapsed training set: the loss and every
+// gradient component are equal bit for bit. The input
 // decodes, byte by byte, to K in [2, 12], a feature count, and rows of
 // strictly increasing indices with values in [-8, 8) or exactly 1, each
 // with a label and repeated 1–16 times, then θ in [-4, 4) and l2 in

@@ -2,14 +2,14 @@ package mlr
 
 import "math"
 
-// rowMajorLossGrad is rows.lossGrad as it was before the objective was
-// split into a row pass and a feature pass: one loop over the rows that
-// scores each, takes its softmax and scatters its gradient straight into
-// the feature-major columns of grad, then adds the L2 term. It is frozen
-// here as the reference FuzzLossGrad holds the two-pass kernel to, bit for
-// bit. Its summed products carry the same explicit float64 rounding as
-// the kernel's, so the two agree on an architecture that fuses
-// multiply-add too. Do not change it.
+// rowMajorLossGrad is rows.lossGrad without its register blocks: one
+// loop over the rows that scores each class by class, takes its softmax
+// and scatters its gradient straight into the feature-major columns of
+// grad, then adds the L2 term. It is frozen here as the reference
+// FuzzLossGrad holds the blocked kernel to, bit for bit. Its summed
+// products carry the same explicit float64 rounding as the kernel's, so
+// the two agree on an architecture that fuses multiply-add too. Do not
+// change it.
 func rowMajorLossGrad(r *rows, theta, grad []float64, l2 float64) float64 {
 	K := r.classes
 	W, B := theta[:r.features*K], theta[r.features*K:]

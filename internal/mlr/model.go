@@ -97,9 +97,7 @@ func (t *TransposedModel) ClassCount() int { return t.classes }
 //
 //ceres:allocfree
 func (t *TransposedModel) ScoresInto(x Vector, out []float64) {
-	for k := range out {
-		out[k] = 0
-	}
+	clear(out)
 	C := t.classes
 	for _, f := range x {
 		if f.Index >= t.feats {
@@ -108,7 +106,7 @@ func (t *TransposedModel) ScoresInto(x Vector, out []float64) {
 		col := t.wt[f.Index*C : f.Index*C+C]
 		v := f.Value
 		for k, w := range col {
-			out[k] += v * w
+			out[k] += float64(v * w)
 		}
 	}
 	for k := range out {

@@ -30,7 +30,7 @@ func trainSGD(m *Model, ds *Dataset, opts TrainOptions) {
 				if k == ds.Y[i] {
 					coeff -= 1
 				}
-				m.B[k] -= lr * coeff
+				m.B[k] -= float64(lr * coeff)
 				if coeff == 0 {
 					continue
 				}
@@ -38,7 +38,7 @@ func trainSGD(m *Model, ds *Dataset, opts TrainOptions) {
 				for _, f := range x {
 					// Gradient of the per-example loss plus the 1/n share
 					// of the L2 term touching this feature.
-					row[f.Index] -= lr * (coeff*f.Value + opts.L2*row[f.Index]/n)
+					row[f.Index] -= float64(lr * (float64(coeff*f.Value) + opts.L2*row[f.Index]/n))
 				}
 			}
 		}

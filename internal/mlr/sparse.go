@@ -160,7 +160,7 @@ func (v Vector) Dot(w []float64) float64 {
 	var s float64
 	for _, f := range v {
 		if f.Index < len(w) {
-			s += f.Value * w[f.Index]
+			s += float64(f.Value * w[f.Index])
 		}
 	}
 	return s
@@ -216,12 +216,6 @@ func (d *Dict) IDBytes(name []byte) int {
 		return -1
 	}
 	return d.ID(string(name))
-}
-
-// Lookup returns the index for name without ever growing the dictionary.
-func (d *Dict) Lookup(name string) (int, bool) {
-	id, ok := d.byName[name]
-	return id, ok
 }
 
 // Name returns the feature name for an index.

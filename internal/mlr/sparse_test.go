@@ -89,12 +89,6 @@ func TestDict(t *testing.T) {
 	if d.ID("beta") != b {
 		t.Errorf("frozen dict should still resolve known names")
 	}
-	if id, ok := d.Lookup("alpha"); !ok || id != a {
-		t.Errorf("Lookup(alpha) = %d,%v", id, ok)
-	}
-	if _, ok := d.Lookup("gamma"); ok {
-		t.Errorf("Lookup(gamma) should miss")
-	}
 }
 
 func TestDatasetNumFeatures(t *testing.T) {
