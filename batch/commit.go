@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ceres"
+	"ceres/internal/par"
 )
 
 // The commit stage takes everything that is not extraction off the
@@ -79,22 +80,22 @@ type committer struct {
 	// capacity, so a worker holding a token never blocks sending.
 	slots chan struct{}
 	queue chan pendingShard
-	done  chan struct{}
+	stage *par.Group
 	// batches counts the batches made durable (the goroutine's own, read
 	// after drain).
 	batches int
 }
 
-func (r *Runner) startCommitter(ck *checkpoint, run *runState, workers int) *committer {
+// startCommitter starts the commit stage. It runs until drain, whatever
+// becomes of ctx: a cancelled run still commits what was handed over.
+func (r *Runner) startCommitter(ctx context.Context, ck *checkpoint, run *runState, workers int) *committer {
 	bound := commitQueueFactor * workers
 	c := &committer{
 		r: r, ck: ck, run: run,
 		slots: make(chan struct{}, bound),
 		queue: make(chan pendingShard, bound),
-		done:  make(chan struct{}),
 	}
-	//ceresvet:ignore goroutines the commit stage runs beside the workers for the whole run; drain joins it
-	go c.loop()
+	c.stage = par.Go(ctx, 1, func(context.Context, int) { c.loop() })
 	return c
 }
 
@@ -130,11 +131,10 @@ func (c *committer) handOver(ctx context.Context, p pendingShard, triples []cere
 // to finish; call it after the last worker has stopped.
 func (c *committer) drain() {
 	close(c.queue)
-	<-c.done
+	c.stage.Wait()
 }
 
 func (c *committer) loop() {
-	defer close(c.done)
 	var (
 		batch []pendingShard
 		bytes int64

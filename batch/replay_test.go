@@ -25,7 +25,7 @@ func waitGoroutines(t *testing.T, base int) {
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, %d before the replay:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 		runtime.Gosched()
 	}

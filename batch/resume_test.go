@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -191,10 +192,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				goroutines := runtime.NumGoroutine()
 				_, err = runHarvest(t, f, res, job, kill)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("kill %d: run returned %v, want context.Canceled", kill, err)
 				}
+				// The killed run's workers and commit stage are gone.
+				waitGoroutines(t, goroutines)
 				ck, err := os.ReadFile(res.checkpoint)
 				if err != nil {
 					t.Fatalf("kill %d: no checkpoint left: %v", kill, err)

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ceres"
 	"ceres/internal/obs"
+	"ceres/internal/par"
 )
 
 // ErrSinkNotReplayable reports a Job with Fuse set over a sink that
@@ -354,7 +354,7 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	cm := r.startCommitter(ck, run, workers)
+	cm := r.startCommitter(runCtx, ck, run, workers)
 	r.dispatch(runCtx, job, ck, cm, sites, workers)
 	// Whatever ended the workers, the commit stage finishes what they
 	// handed over (or aborts it, after an error) before Run goes on.
@@ -486,25 +486,19 @@ type task struct {
 func (r *Runner) dispatch(ctx context.Context, job Job, ck *checkpoint, cm *committer, sites []*siteState, workers int) {
 	tasks := make(chan task)
 	done := make(chan *siteState) // resolutions that finished
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		//ceresvet:ignore goroutines tasks arrive as sites resolve, not as an index range par.For could split; dispatch joins the workers before it returns
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				if !t.resolve {
-					r.runShard(ctx, cm, t.st, t.shard)
-					continue
-				}
-				r.resolveSite(ctx, job, ck, cm.run, t.st)
-				select {
-				case done <- t.st:
-				case <-ctx.Done():
-				}
+	running := par.Go(ctx, workers, func(ctx context.Context, _ int) {
+		for t := range tasks {
+			if !t.resolve {
+				r.runShard(ctx, cm, t.st, t.shard)
+				continue
 			}
-		}()
-	}
+			r.resolveSite(ctx, job, ck, cm.run, t.st)
+			select {
+			case done <- t.st:
+			case <-ctx.Done():
+			}
+		}
+	})
 	// Two cursors make a pick O(1) amortised: toResolve is the first site
 	// not yet started, toExtract the first that may still have a shard to
 	// hand out. A resolution that finishes behind toExtract pulls it back.
@@ -552,7 +546,7 @@ feed:
 		}
 	}
 	close(tasks)
-	wg.Wait()
+	running.Wait()
 }
 
 // resolveSite is a worker's part of one site: settle which model serves it

@@ -6,13 +6,11 @@ import (
 )
 
 // GoroutinesAnalyzer holds the library's goroutine start sites to one
-// package: a fan-out goes through internal/par (For for independent
-// items, Ordered for an in-order read-ahead), which bounds it, stops it
-// on cancellation and joins it before returning. Flagged: a `go`
-// statement in a non-main package, outside any package named par and
-// outside _test.go files. A long-lived stage that outlives one call (the
-// batch runner's dispatcher workers and commit stage) says why with a
-// //ceresvet:ignore goroutines directive.
+// package: goroutines start through internal/par — For for independent
+// items, Ordered for an in-order read-ahead, Go for a group its caller
+// feeds and joins with Wait — whose Go holds the only go statement.
+// Flagged: a `go` statement in a non-main package, outside any package
+// named par and outside _test.go files.
 var GoroutinesAnalyzer = &Analyzer{
 	Name: "goroutines",
 	Doc:  "go statement in library code outside internal/par",
@@ -30,7 +28,7 @@ func runGoroutines(pass *Pass) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				pass.Reportf(g.Pos(), "go statement in library code: fan out through internal/par (For, or Ordered for an in-order read-ahead), which bounds, cancels and joins its goroutines")
+				pass.Reportf(g.Pos(), "go statement in library code: start goroutines through internal/par (For, Ordered, or Go and its Wait), which joins them")
 			}
 			return true
 		})

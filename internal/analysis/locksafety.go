@@ -206,7 +206,8 @@ func checkLockVarDecl(pass *Pass, gd *ast.GenDecl) {
 func checkLockArgs(pass *Pass, call *ast.CallExpr) {
 	info := pass.Pkg.Info
 	for _, arg := range call.Args {
-		if !valueRead(arg) {
+		// A type argument (new(sync.Mutex)) names a type; it copies nothing.
+		if !valueRead(arg) || info.Types[arg].IsType() {
 			continue
 		}
 		t := typeOf(info, arg)

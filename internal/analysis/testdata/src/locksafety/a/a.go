@@ -77,6 +77,14 @@ func callCopy(g *Guarded) {
 	use(*g) // want "call passes a value containing sync.Mutex"
 }
 
+// newLock passes types, not values: new allocates, nothing is copied,
+// while a value beside it is still flagged.
+func newLock(g *Guarded) {
+	mu, p := new(sync.Mutex), new(Guarded)
+	_, _ = mu, p
+	_ = append([]Guarded(nil), *g) // want "call passes a value containing sync.Mutex"
+}
+
 func use(Guarded) {} // want "parameter copies a value containing sync.Mutex"
 
 func usePtr(*Guarded) {}

@@ -70,7 +70,7 @@ func AgglomerativeWeighted(n, k int, sizes []int, dist func(i, j int) float64) [
 			if !active[c] || c == bi || c == bj {
 				continue
 			}
-			v := (si*d[bi][c] + sj*d[bj][c]) / (si + sj)
+			v := (float64(si*d[bi][c]) + float64(sj*d[bj][c])) / (si + sj)
 			d[bi][c] = v
 			d[c][bi] = v
 		}

@@ -175,7 +175,7 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 			}
 		}
 	}
-	min := int(opts.FrequentStringMinFrac*float64(len(pages)) + 0.5)
+	min := int(float64(opts.FrequentStringMinFrac*float64(len(pages))) + 0.5)
 	if min < 2 {
 		min = 2
 	}

@@ -163,7 +163,7 @@ func (c *Accumulator) Add(ob Observation) {
 	}
 	r := &c.recs[c.find(s, c.predicate(ob.Predicate), o, rawS, rawO)]
 	site := c.site(ob.Source)
-	ev := c.prior[site] * clamp01(ob.Confidence)
+	ev := float64(c.prior[site] * clamp01(ob.Confidence))
 	r.oneMinus *= 1 - ev
 	c.addSource(r, site)
 }
@@ -362,8 +362,9 @@ func (c *Accumulator) Facts() []Fact {
 				}
 				return cmp.Compare(rank[c.recs[a].rawO], rank[c.recs[b].rawO])
 			})
-			// Competing evidence discounts the winner.
-			out = append(out, entry{g[0], clamp01(belief[g[0]] * (1 - belief[g[1]]/2))})
+			// Competing evidence discounts the winner. x/2 compiles to a
+			// product; float64 keeps it out of a fused multiply-add.
+			out = append(out, entry{g[0], clamp01(belief[g[0]] * (1 - float64(belief[g[1]]/2)))})
 			continue
 		}
 		for _, k := range g {

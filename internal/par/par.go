@@ -1,18 +1,40 @@
-// Package par holds the library's two fan-outs. For runs independent
-// items on a fixed set of workers, in any order; Ordered loads items on
-// a fixed set of loaders while the caller consumes them strictly in
-// index order, with a memory bound of two loaded items per loader. Both
-// stop early when their context is cancelled, and neither returns before
-// every goroutine it started has exited — so a caller that returns has
-// nothing left running on its behalf. They are the only places in the
-// library, apart from the batch runner's two long-lived stages, that
-// start goroutines (ceresvet's goroutines analyzer holds that line).
+// Package par holds the library's goroutines: Go starts a group and Wait
+// joins it — the library's only go statement (ceresvet's goroutines
+// analyzer holds that line). On it sit the two fan-outs. For runs
+// independent items on a fixed set of workers, in any order; Ordered
+// loads items on a fixed set of loaders while the caller consumes them
+// strictly in index order, with a memory bound of two loaded items per
+// loader. Both stop early when their context is cancelled, and neither
+// returns before every goroutine it started has exited.
 package par
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
+
+// Group is a set of goroutines started by Go.
+type Group struct{ wg sync.WaitGroup }
+
+// Wait returns once every goroutine of the group has returned.
+func (g *Group) Wait() { g.wg.Wait() }
+
+// Go runs fn(ctx, w) for w in [0, n), each on a goroutine of its own,
+// and returns at once; Wait joins them. It starts them whatever state ctx
+// is in: stopping is up to fn, so a stage that must finish its work after
+// a cancellation can.
+func Go(ctx context.Context, n int, fn func(ctx context.Context, w int)) *Group {
+	g := new(Group)
+	g.wg.Add(n)
+	for w := 0; w < n; w++ {
+		go func() {
+			defer g.wg.Done()
+			fn(ctx, w)
+		}()
+	}
+	return g
+}
 
 // For runs fn(w, i) for i in [0, n) on up to workers goroutines, w being
 // the executing worker's index in [0, workers) — so callers can hand
@@ -33,28 +55,12 @@ func For(ctx context.Context, n, workers int, fn func(w, i int)) error {
 		}
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if ctx.Err() != nil {
-					return
-				}
-				fn(w, i)
-			}
-		}()
-	}
-	wg.Wait()
+	var next atomic.Int64 // items handed out
+	Go(ctx, min(workers, n), func(ctx context.Context, w int) {
+		for i := int(next.Add(1) - 1); i < n && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+			fn(w, i)
+		}
+	}).Wait()
 	return ctx.Err()
 }
 
@@ -87,39 +93,35 @@ func Ordered[B any](ctx context.Context, n, loaders int, load func(w, i int, b *
 	loaders = min(max(loaders, 1), n)
 	type lane struct{ loaded, free chan *B }
 	lanes := make([]lane, loaders)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Deferred LIFO: stop closes first, releasing the loaders the Wait
-	// then joins.
-	defer wg.Wait()
-	defer close(stop)
 	for w := range lanes {
-		l := lane{
+		lanes[w] = lane{
 			loaded: make(chan *B),
 			free:   make(chan *B, 2), // both batches fit, so giving one back never blocks
 		}
-		l.free <- new(B)
-		l.free <- new(B)
-		lanes[w] = l
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < n; i += loaders {
-				var b *B
-				select {
-				case b = <-l.free:
-				case <-stop:
-					return
-				}
-				load(w, i, b)
-				select {
-				case l.loaded <- b:
-				case <-stop:
-					return
-				}
-			}
-		}()
+		lanes[w].free <- new(B)
+		lanes[w].free <- new(B)
 	}
+	stop := make(chan struct{})
+	// Deferred LIFO: stop closes first, releasing the loaders the Wait
+	// then joins.
+	defer Go(ctx, loaders, func(_ context.Context, w int) {
+		l := lanes[w]
+		for i := w; i < n; i += loaders {
+			var b *B
+			select {
+			case b = <-l.free:
+			case <-stop:
+				return
+			}
+			load(w, i, b)
+			select {
+			case l.loaded <- b:
+			case <-stop:
+				return
+			}
+		}
+	}).Wait()
+	defer close(stop)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -235,5 +236,63 @@ func TestOrderedSingleItemInline(t *testing.T) {
 		})
 	if err != nil || during > base {
 		t.Errorf("single item: %d goroutines while loading, %d before, error %v", during, base, err)
+	}
+}
+
+// TestGo holds Go to its contract: each w in [0, n) runs exactly once,
+// Wait returns only after every fn has returned — the fns are released
+// only once all have started, so a Wait that returned early would see
+// none returned — and the goroutines are gone afterwards; also under a
+// ctx cancelled before Go is called, which still starts every fn. At
+// GOMAXPROCS 1 and 4.
+func TestGo(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := runtime.NumGoroutine()
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			for _, ctx := range []context.Context{context.Background(), cancelled} {
+				const n = 8
+				var runs [n]atomic.Int32
+				var returned atomic.Int32
+				var started sync.WaitGroup
+				started.Add(n)
+				release := make(chan struct{})
+				g := Go(ctx, n, func(got context.Context, w int) {
+					if got != ctx {
+						t.Errorf("fn %d got another context", w)
+					}
+					runs[w].Add(1)
+					started.Done()
+					<-release
+					returned.Add(1)
+				})
+				go func() {
+					started.Wait()
+					close(release)
+				}()
+				g.Wait()
+				if got := returned.Load(); got != n {
+					t.Errorf("Wait returned after %d of %d fns", got, n)
+				}
+				for w := range runs {
+					if got := runs[w].Load(); got != 1 {
+						t.Errorf("w=%d ran %d times", w, got)
+					}
+				}
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// BenchmarkFor measures For's fan-out path: 16 items on 4 workers.
+func BenchmarkFor(b *testing.B) {
+	ctx := context.Background()
+	var sink [16]int
+	b.ReportAllocs()
+	for b.Loop() {
+		For(ctx, len(sink), 4, func(_, i int) { sink[i]++ })
 	}
 }
