@@ -100,8 +100,10 @@ crash-sweep:
 # Root package: ServeExtract, ServiceExtract and StreamServe are the serve
 # engine — the stream pass over a trained site model (DESIGN.md §5) —
 # Featurize its featurizer, StageTopicIdentification and StageAnnotate
-# the indexed annotation path beside its legacy baseline (§6), StageTrain
-# and EndToEndSite (with mlr's Fit) the training side: one site's
+# the indexed annotation path beside its legacy baseline (§6), StageParse,
+# StageTrain and EndToEndSite (with mlr's Fit) the training side: one
+# page's parse and field enumeration (its B/op is what a prepared page
+# holds, so a regression in training memory shows), one site's
 # example-building plus fit, the whole train-then-extract pipeline, and
 # one L-BFGS fit over collapsed rows at the shape measured on the crawl
 # (§3); RegistryBoot is the binary model codec's cold boot (§10).
@@ -130,7 +132,7 @@ crash-sweep:
 # read, Service, response encode — in request MB/s, B/op and allocs/op
 # (§7).
 bench:
-	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
 	$(GO) test -run='^$$' -bench='ScoreFields' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr

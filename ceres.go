@@ -458,24 +458,45 @@ func toTriple(e core.Extraction) Triple {
 }
 
 // tripleize thresholds and sorts extractions into the public triple order.
+// It sorts the kept extractions' indices, comparing through pointers, so
+// the sort moves 4-byte indices instead of pointerful 88-byte structs, and
+// builds each Triple once, in its final place.
 func tripleize(exts []core.Extraction, threshold float64) []Triple {
-	n := 0
-	for _, e := range exts {
-		if e.Confidence >= threshold {
-			n++
+	kept := make([]int32, 0, len(exts))
+	for i := range exts {
+		if exts[i].Confidence >= threshold {
+			kept = append(kept, int32(i))
 		}
 	}
-	if n == 0 {
+	if len(kept) == 0 {
 		return nil
 	}
-	out := make([]Triple, 0, n)
-	for _, e := range exts {
-		if e.Confidence < threshold {
-			continue
+	slices.SortFunc(kept, func(i, j int32) int {
+		a, b := &exts[i], &exts[j]
+		switch {
+		case a.Confidence > b.Confidence:
+			return -1
+		case a.Confidence < b.Confidence:
+			return 1
 		}
-		out = append(out, toTriple(e))
+		if c := strings.Compare(a.PageID, b.PageID); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Value, b.Value); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Path, b.Path)
+	})
+	out := make([]Triple, len(kept))
+	for k, i := range kept {
+		out[k] = toTriple(exts[i])
 	}
-	SortTriples(out)
 	return out
 }
 
@@ -487,25 +508,46 @@ func tripleize(exts []core.Extraction, threshold float64) []Triple {
 // deterministically. Use it to restore the canonical order after merging
 // triples from several extractions (e.g. the shards of a batch harvest).
 func SortTriples(ts []Triple) {
-	slices.SortFunc(ts, func(a, b Triple) int {
-		switch {
-		case a.Confidence > b.Confidence:
-			return -1
-		case a.Confidence < b.Confidence:
-			return 1
+	// Sort a permutation, comparing through pointers, then move each
+	// triple once along the permutation's cycles.
+	perm := make([]int32, len(ts))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int { return compareTriples(&ts[i], &ts[j]) })
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
 		}
-		if c := strings.Compare(a.Page, b.Page); c != 0 {
-			return c
+		held, j := ts[i], int32(i)
+		for perm[j] != int32(i) {
+			next := perm[j]
+			ts[j], perm[j] = ts[next], -1
+			j = next
 		}
-		if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Object, b.Object); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Path, b.Path)
-	})
+		ts[j], perm[j] = held, -1
+	}
+}
+
+// compareTriples is SortTriples' order.
+func compareTriples(a, b *Triple) int {
+	switch {
+	case a.Confidence > b.Confidence:
+		return -1
+	case a.Confidence < b.Confidence:
+		return 1
+	}
+	if c := strings.Compare(a.Page, b.Page); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Predicate, b.Predicate); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Object, b.Object); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Path, b.Path)
 }

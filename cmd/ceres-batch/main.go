@@ -33,6 +33,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"syscall"
@@ -92,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, reads, err := harvest(ctx, o)
+	report, use, err := harvest(ctx, o)
 	if err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted: checkpoint saved, re-run to resume")
@@ -103,7 +104,7 @@ func main() {
 	if err := stopProfile(); err != nil {
 		log.Fatal(err)
 	}
-	printReport(report, reads, o.fuse)
+	printReport(report, use, o.fuse)
 
 	// Skipped long-tail sites are an expected harvest outcome; extraction
 	// errors are not — surface them in the exit code so pipelines notice
@@ -140,12 +141,38 @@ func startCPUProfile(path string) (stop func() error, err error) {
 // shared with live daemons.
 var ownTemps = []string{".checkpoint.json-", ".fused.jsonl-", ".stats.json-", ".kb.tsv-"}
 
+// usage is what a run read from the page store and what it allocated.
+type usage struct {
+	reads  pagestore.ReadStats
+	memory memoryUse
+}
+
+// memoryUse counts the bytes the process allocated on the heap and the
+// garbage-collection cycles it ran, over an interval.
+type memoryUse struct {
+	AllocBytes uint64 `json:"allocBytes"`
+	GCCycles   uint64 `json:"gcCycles"`
+}
+
+// readMemory reads the process's running totals from runtime/metrics.
+func readMemory() memoryUse {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(s)
+	return memoryUse{AllocBytes: s[0].Value.Uint64(), GCCycles: s[1].Value.Uint64()}
+}
+
+// since is what was allocated and collected after start.
+func (m memoryUse) since(start memoryUse) memoryUse {
+	return memoryUse{AllocBytes: m.AllocBytes - start.AllocBytes, GCCycles: m.GCCycles - start.GCCycles}
+}
+
 // harvest is one invocation's work on the harvest directory: open the
 // page store (generating the crawl with -gen), run the batch job, and
-// write fused.jsonl and stats.json. It returns the run's report and what
-// the page store's reads did.
-func harvest(ctx context.Context, o options) (*batch.Report, pagestore.ReadStats, error) {
-	var none pagestore.ReadStats
+// write fused.jsonl and stats.json. It returns the run's report, what the
+// page store's reads did and what the run allocated up to stats.json.
+func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
+	var none usage
+	start := readMemory()
 	store, err := pagestore.Open(filepath.Join(o.dir, "pages"))
 	if err != nil {
 		return nil, none, err
@@ -233,11 +260,11 @@ func harvest(ctx context.Context, o options) (*batch.Report, pagestore.ReadStats
 			return nil, none, err
 		}
 	}
-	reads := store.ReadStats()
-	if err := writeStats(filepath.Join(o.dir, "stats.json"), report, reads); err != nil {
+	use := usage{reads: store.ReadStats(), memory: readMemory().since(start)}
+	if err := writeStats(filepath.Join(o.dir, "stats.json"), report, use); err != nil {
 		return nil, none, err
 	}
-	return report, reads, nil
+	return report, use, nil
 }
 
 // generateCrawl materializes the websim long-tail crawl into an empty
@@ -320,10 +347,10 @@ func writeFused(path string, facts []ceres.FusedFact) error {
 }
 
 // writeStats writes the machine-readable run report — the Table-8
-// numbers plus the per-stage wall-time breakdown and the page store's read
-// counters — next to the harvest output, atomically so a reader never sees
-// a half-written report.
-func writeStats(path string, rep *batch.Report, reads pagestore.ReadStats) error {
+// numbers plus the per-stage wall-time breakdown, the page store's read
+// counters and the run's allocation counters — next to the harvest
+// output, atomically so a reader never sees a half-written report.
+func writeStats(path string, rep *batch.Report, use usage) error {
 	type stage struct {
 		Stage string `json:"stage"`
 		Ns    int64  `json:"ns"`
@@ -348,7 +375,8 @@ func writeStats(path string, rep *batch.Report, reads pagestore.ReadStats) error
 		"commitBatches":  rep.CommitBatches,
 		"manifestWrites": rep.ManifestWrites,
 		"contexts":       rep.Contexts,
-		"store":          reads,
+		"store":          use.reads,
+		"memory":         use.memory,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -364,9 +392,9 @@ const overlappedStage = "commit"
 // printReport writes the per-site harvest summary — the CLI's analogue of
 // the paper's Table 8 — followed by the run's per-stage wall-time
 // breakdown (worker-summed, so stages can exceed elapsed) and what the
-// context cache, the page store, the fits, the trainings, the commit stage
-// and the training verdicts did.
-func printReport(rep *batch.Report, reads pagestore.ReadStats, fused bool) {
+// context cache, the page store, the heap, the fits, the trainings, the
+// commit stage and the training verdicts did.
+func printReport(rep *batch.Report, use usage, fused bool) {
 	fmt.Printf("%-32s %7s %7s %7s %8s %8s %3s  %s\n",
 		"site", "pages", "shards", "done", "resumed", "triples", "v", "status")
 	for _, sr := range rep.Sites {
@@ -399,7 +427,8 @@ func printReport(rep *batch.Report, reads pagestore.ReadStats, fused bool) {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
 	fmt.Println(contextSummary(rep))
-	fmt.Println(storeSummary(reads))
+	fmt.Println(storeSummary(use.reads))
+	fmt.Println(memorySummary(use.memory))
 	fmt.Println(fitSummary(rep))
 	if rep.Training.Sites > 0 {
 		fmt.Println(trainingSummary(rep))
@@ -433,6 +462,14 @@ func storeSummary(st pagestore.ReadStats) string {
 		ratio = float64(st.Inflated) / float64(st.Delivered)
 	}
 	return fmt.Sprintf("store: %.1f MB inflated, %.1f MB delivered, %.2fx", float64(st.Inflated)/1e6, float64(st.Delivered)/1e6, ratio)
+}
+
+// memorySummary is a line of the report: the bytes the run allocated and
+// the garbage-collection cycles it ran, up to writing stats.json. What a
+// run allocates and throws away is what the collector works through, and
+// how often it runs.
+func memorySummary(m memoryUse) string {
+	return fmt.Sprintf("memory: %.1f MB allocated, %d GC cycles", float64(m.AllocBytes)/1e6, m.GCCycles)
 }
 
 // skipSummary is the report's last line: how many sites were skipped as

@@ -112,7 +112,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 	// wall-time breakdown.
 	statsPath := filepath.Join(dir, "stats.json")
 	reads := store.ReadStats()
-	if err := writeStats(statsPath, rep, reads); err != nil {
+	if err := writeStats(statsPath, rep, usage{reads: reads}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(statsPath)
@@ -210,6 +210,38 @@ func TestGenerateAndHarvest(t *testing.T) {
 		if byStage[stage] <= 0 {
 			t.Errorf("stats.json stage %q recorded no time: %v", stage, byStage)
 		}
+	}
+}
+
+// TestColdRunReportsMemory runs the command's harvest cold over two sites
+// of a generated crawl and requires the bytes allocated and the GC cycles
+// run, in stats.json and on the printed line, both to be non-zero.
+func TestColdRunReportsMemory(t *testing.T) {
+	o := options{dir: t.TempDir(), gen: true, seed: 1, scale: 0.02, maxSitePages: 24,
+		sites: "blaxploitation.com,laborfilms.com", shardPages: 4, workers: 2, trainPages: 200, threshold: 0.5, fuse: true}
+	rep, use, err := harvest(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Training.Sites == 0 {
+		t.Fatal("the run trained no site")
+	}
+	b, err := os.ReadFile(filepath.Join(o.dir, "stats.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Memory memoryUse `json:"memory"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("stats.json malformed: %v", err)
+	}
+	m := doc.Memory
+	if m != use.memory || m.AllocBytes == 0 || m.GCCycles == 0 {
+		t.Fatalf("stats.json memory %+v, run %+v: want both counters non-zero and equal", m, use.memory)
+	}
+	if got, want := memorySummary(m), fmt.Sprintf("memory: %.1f MB allocated, %d GC cycles", float64(m.AllocBytes)/1e6, m.GCCycles); got != want {
+		t.Errorf("memorySummary = %q, want %q", got, want)
 	}
 }
 

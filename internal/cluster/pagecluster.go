@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sort"
-	"strings"
 
 	"ceres/internal/dom"
 )
@@ -18,37 +17,36 @@ type PageSignature map[string]bool
 // with '/', suffixed by its class attribute when present.
 func Signature(doc *dom.Node) PageSignature {
 	sig := make(PageSignature)
+	var key []byte
 	doc.Walk(func(n *dom.Node) bool {
-		if key, ok := signatureKey(n); ok {
-			sig[key] = true
+		var ok bool
+		if key, ok = appendSignatureKey(key[:0], n); ok && !sig[string(key)] {
+			sig[string(key)] = true
 		}
 		return true
 	})
 	return sig
 }
 
-// signatureKey returns the signature entry one node contributes, shared
-// by the map-based Signature and the serve-side SortedSignatureOf.
-func signatureKey(n *dom.Node) (string, bool) {
+// appendSignatureKey appends the signature entry one node contributes,
+// shared by the map-based Signature and the serve-side SortedSignatureOf.
+// Both copy it into a string of its own, so no kept key points into the
+// page's HTML.
+func appendSignatureKey(key []byte, n *dom.Node) ([]byte, bool) {
 	if n.Type != dom.ElementNode {
-		return "", false
+		return key, false
 	}
-	path := n.Tag
 	if p := n.Parent; p != nil && p.Type == dom.ElementNode {
-		path = p.Tag + "/" + path
 		if gp := p.Parent; gp != nil && gp.Type == dom.ElementNode {
-			path = gp.Tag + "/" + path
+			key = append(append(key, gp.Tag...), '/')
 		}
-	} else {
-		// A root element's key is its bare tag, which the parser cut out
-		// of the page's HTML: copy it, or a signature kept as a cluster
-		// exemplar keeps its whole page reachable.
-		path = strings.Clone(path)
+		key = append(append(key, p.Tag...), '/')
 	}
+	key = append(key, n.Tag...)
 	if c, ok := n.Attr("class"); ok && c != "" {
-		path += "." + c
+		key = append(append(key, '.'), c...)
 	}
-	return path, true
+	return key, true
 }
 
 // Jaccard returns the Jaccard similarity of two signatures.

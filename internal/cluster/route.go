@@ -48,9 +48,11 @@ func (s PageSignature) Sorted() SortedSignature {
 // with the same key set Signature produces.
 func SortedSignatureOf(doc *dom.Node) SortedSignature {
 	keys := make([]string, 0, 64)
+	var key []byte
 	doc.Walk(func(n *dom.Node) bool {
-		if key, ok := signatureKey(n); ok {
-			keys = append(keys, key)
+		var ok bool
+		if key, ok = appendSignatureKey(key[:0], n); ok {
+			keys = append(keys, string(key))
 		}
 		return true
 	})

@@ -31,7 +31,6 @@ import (
 // Like ServeScratch, one scratch belongs to exactly one worker goroutine
 // and must never be shared.
 type annotScratch struct {
-	norm  []byte      // NormalizeInto buffer
 	tok   []byte      // AppendTokenSetKey buffer
 	arena []kb.ItemID // per-page candidate arena
 	offs  []int32     // field offsets into arena
@@ -76,11 +75,10 @@ func buildPageIndexIndexed(p *Page, ix *kb.Index, s *annotScratch) *ipageIndex {
 	}
 	s.arena = s.arena[:0]
 	s.offs = append(s.offs[:0], 0)
+	runes := 0
 	for fi, f := range p.Fields {
-		s.norm = strmatch.NormalizeInto(s.norm[:0], f.Text)
-		key := kb.FieldKey{}
-		if len(s.norm) > 0 {
-			key.Norm = string(s.norm)
+		key := kb.FieldKey{Norm: f.Norm}
+		if len(key.Norm) > 0 {
 			s.tok = strmatch.AppendTokenSetKey(s.tok[:0], key.Norm)
 			if string(s.tok) == key.Norm {
 				key.TokenKey = key.Norm
@@ -89,13 +87,26 @@ func buildPageIndexIndexed(p *Page, ix *kb.Index, s *annotScratch) *ipageIndex {
 			}
 			key.RuneLen = utf8.RuneCountInString(key.Norm)
 			if key.RuneLen >= 8 {
-				key.Runes = []rune(key.Norm)
+				runes += key.RuneLen
 			}
 		}
 		pi.fields[fi] = key
 		pi.lowInfo[fi] = strmatch.IsLowInfoNormalized(key.Norm)
 		s.arena = ix.AppendCandidates(s.arena, key)
 		s.offs = append(s.offs, int32(len(s.arena)))
+	}
+	// The rune forms the edit distance reads, carved from one array.
+	if runes > 0 {
+		buf := make([]rune, 0, runes)
+		for fi := range pi.fields {
+			if key := &pi.fields[fi]; key.RuneLen >= 8 {
+				at := len(buf)
+				for _, r := range key.Norm {
+					buf = append(buf, r)
+				}
+				key.Runes = buf[at:len(buf):len(buf)]
+			}
+		}
 	}
 	arena := make([]kb.ItemID, len(s.arena))
 	copy(arena, s.arena)

@@ -163,8 +163,9 @@ func (fz *Featurizer) Freeze() { fz.dict.Freeze() }
 // it appears on, and keeps those above the threshold.
 func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 	pageCount := map[string]int{}
+	seen := map[string]bool{}
 	for _, p := range pages {
-		seen := map[string]bool{}
+		clear(seen)
 		for _, f := range p.Fields {
 			if len(f.Text) > opts.MaxFrequentStringLen || f.Text == "" {
 				continue
@@ -200,13 +201,18 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 // without a string of its own; only a name the dictionary interns is
 // allocated.
 func (fz *Featurizer) Features(f *Field) mlr.Vector {
+	return fz.appendFeatures(nil, f)
+}
+
+// appendFeatures appends the vector Features computes to dst.
+func (fz *Featurizer) appendFeatures(dst []mlr.Feature, f *Field) []mlr.Feature {
 	var nameBuf [128]byte
 	var featBuf [64]mlr.Feature
 	fn := featureNames{dict: fz.dict, name: nameBuf[:0], feats: featBuf[:0]}
 	// Level 0 is the element containing the text node.
 	elem := f.Node.Parent
 	if elem == nil {
-		return nil
+		return dst
 	}
 	if !fz.opts.DisableStructural {
 		node := elem
@@ -254,8 +260,51 @@ func (fz *Featurizer) Features(f *Field) mlr.Vector {
 			node = node.Parent
 		}
 	}
-	// One allocation of the vector's own size; NewVector sorts it in place.
-	return mlr.NewVector(append([]mlr.Feature(nil), fn.feats...))
+	return append(dst, mlr.NewVector(fn.feats)...)
+}
+
+// exampleArena carves the example vectors of one BuildExamples call out
+// of shared chunks instead of allocating each on its own, and stores each
+// distinct vector once: a templated site's examples mostly repeat an
+// earlier one, and a repeat is handed the earlier vector. A chunk holds
+// exampleChunk features (64 KiB); a vector that does not fit in what is
+// left of one gets an allocation of its own, and the next vector starts a
+// new chunk. A call so leaves less than one chunk unused.
+type exampleArena struct {
+	chunk []mlr.Feature
+	seen  map[string]mlr.Vector // the vectors stored so far, by content
+	key   []byte
+}
+
+const exampleChunk = 4096
+
+// features is Featurizer.Features with the vector carved from the arena.
+func (a *exampleArena) features(fz *Featurizer, f *Field) mlr.Vector {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]mlr.Feature, 0, exampleChunk)
+	}
+	free := a.chunk[len(a.chunk):]
+	v := mlr.Vector(fz.appendFeatures(free, f))
+	fits := len(v) <= cap(free)
+	if !fits {
+		a.chunk = nil
+	}
+	if len(v) == 0 {
+		return nil
+	}
+	a.key = v.AppendKey(a.key[:0])
+	if stored, ok := a.seen[string(a.key)]; ok {
+		return stored
+	}
+	if fits {
+		a.chunk = a.chunk[:len(a.chunk)+len(v)]
+	}
+	v = v[:len(v):len(v)]
+	if a.seen == nil {
+		a.seen = make(map[string]mlr.Vector)
+	}
+	a.seen[string(a.key)] = v
+	return v
 }
 
 // featureNames collects one field's features: name holds the name being

@@ -10,7 +10,6 @@ package core
 import (
 	"ceres/internal/dom"
 	"ceres/internal/strmatch"
-	"ceres/internal/xpath"
 )
 
 // Field is one candidate text field of a page: the unit of annotation and
@@ -20,9 +19,8 @@ type Field struct {
 	Node *dom.Node
 	// Text is the collapsed text content.
 	Text string
-	// Path is the absolute XPath of the text node.
-	Path xpath.Path
-	// PathString caches Path.String().
+	// PathString is the absolute XPath of the text node
+	// (dom.Node.XPath).
 	PathString string
 	// Norm caches the normalized text KB matching compares.
 	Norm string
@@ -50,8 +48,7 @@ func PreparePage(id, html string) *Page {
 		f := &fields[i]
 		f.Node = node
 		f.Text = node.Text()
-		f.Path = xpath.FromNode(node)
-		f.PathString = f.Path.String()
+		f.PathString = node.XPath()
 		f.Norm = strmatch.Normalize(f.Text)
 		p.Fields[i] = f
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"ceres/internal/cluster"
@@ -426,7 +427,9 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 	sc := getServeScratch()
 	defer serveScratchPool.Put(sc)
 	stats := &ServeStats{ClusterPages: make([]int, len(sm.Clusters))}
-	var out []Extraction
+	// Each page's extractions are kept as they come and concatenated
+	// once, at the exact size, instead of growing one slice page by page.
+	var pages [][]Extraction
 	err := scan(func(id string, html []byte) error {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -436,7 +439,9 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 		stats.addRoute(route)
 		stats.observePage(sm.routeMiss(route), len(exts))
 		stats.Extractions += len(exts)
-		out = append(out, exts...)
+		if len(exts) > 0 {
+			pages = append(pages, exts)
+		}
 		return nil
 	})
 	if err != nil {
@@ -446,5 +451,5 @@ func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, sca
 		return nil, nil, ErrNoPages
 	}
 	stats.addContexts(sc)
-	return out, stats, nil
+	return slices.Concat(pages...), stats, nil
 }

@@ -6,8 +6,8 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"ceres/internal/dom"
 	"ceres/internal/mlr"
-	"ceres/internal/xpath"
 )
 
 // TrainOptions configures example generation and model fitting (§4.1–4.2).
@@ -148,26 +148,28 @@ func BuildExamples(pages []*Page, res *AnnotationResult, fz *Featurizer, opts Tr
 	}
 	sort.Ints(pageIdxs)
 
+	var vecs exampleArena
 	for _, pi := range pageIdxs {
 		p := pages[pi]
 		anns := perPage[pi]
-		positive := map[int]bool{}
-		for _, a := range anns {
-			positive[a.FieldIdx] = true
-		}
-		excluded := map[int]bool{}
+		// skip marks the positives and, unless disabled, their likely
+		// list siblings: neither is sampled as a negative.
+		skip := make([]bool, len(p.Fields))
 		if !opts.DisableListExclusion {
-			excluded = listSiblingExclusions(p, anns)
+			listSiblingExclusions(skip, p, anns)
+		}
+		for _, a := range anns {
+			skip[a.FieldIdx] = true
 		}
 		// Positives.
 		for _, a := range anns {
-			ds.Add(fz.Features(p.Fields[a.FieldIdx]), classes.Index(a.Predicate))
+			ds.Add(vecs.features(fz, p.Fields[a.FieldIdx]), classes.Index(a.Predicate))
 		}
 		// Negatives: r per positive, sampled among unlabeled,
 		// non-excluded fields.
 		var candidates []int
 		for fi := range p.Fields {
-			if !positive[fi] && !excluded[fi] {
+			if !skip[fi] {
 				candidates = append(candidates, fi)
 			}
 		}
@@ -177,39 +179,102 @@ func BuildExamples(pages []*Page, res *AnnotationResult, fz *Featurizer, opts Tr
 		}
 		rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 		for _, fi := range candidates[:want] {
-			ds.Add(fz.Features(p.Fields[fi]), OtherClass)
+			ds.Add(vecs.features(fz, p.Fields[fi]), OtherClass)
 		}
 	}
 	return ds, classes
 }
 
-// listSiblingExclusions finds unlabeled fields that likely belong to the
-// same value list as a positive (§4.1: "we exclude other nodes that differ
-// from these positives only at these indices, since they are likely to be
-// part of the same list").
-func listSiblingExclusions(p *Page, anns []Annotation) map[int]bool {
-	byPred := map[string][]xpath.Path{}
+// listSiblingExclusions marks in excluded the fields that likely belong
+// to the same value list as a positive (§4.1: "we exclude other nodes
+// that differ from these positives only at these indices, since they are
+// likely to be part of the same list"). A predicate's positives must
+// share one XPath shape — the same step names at every depth; the steps
+// whose indices differ among them become wildcards, and every field whose
+// XPath fits the pattern is excluded. Paths are compared on the node
+// chains, step by step, without building one per field.
+func listSiblingExclusions(excluded []bool, p *Page, anns []Annotation) {
+	byPred := map[string][]*dom.Node{}
 	for _, a := range anns {
-		byPred[a.Predicate] = append(byPred[a.Predicate], p.Fields[a.FieldIdx].Path)
+		byPred[a.Predicate] = append(byPred[a.Predicate], p.Fields[a.FieldIdx].Node)
 	}
-	excluded := map[int]bool{}
+	var pat pathPattern
 	for _, pred := range sortedKeys(byPred) {
-		paths := byPred[pred]
-		if len(paths) < 2 {
+		nodes := byPred[pred]
+		if len(nodes) < 2 {
 			continue
 		}
-		// Group same-shape paths, wildcard the differing indices.
-		pattern, ok := xpath.Generalize(paths)
-		if !ok || len(pattern.Wildcards()) == 0 {
+		var ok bool
+		if pat, ok = generalizePaths(pat[:0], nodes); !ok {
 			continue
 		}
 		for fi, f := range p.Fields {
-			if pattern.Matches(f.Path) {
+			if pat.matches(f.Node) {
 				excluded[fi] = true
 			}
 		}
 	}
-	return excluded
+}
+
+// pathPattern is an absolute XPath with index wildcards, leaf step first:
+// each step is the node whose kind (text, comment or element tag) the
+// step names, and the 1-based sibling index it requires, or wildcard.
+type pathPattern []pathStep
+
+type pathStep struct {
+	kind  *dom.Node
+	index int
+}
+
+const wildcard = -1
+
+// generalizePaths builds into pat the most specific pattern the XPaths of
+// nodes fit: every path must have the first's shape (ok is false
+// otherwise), and a step becomes a wildcard where their indices differ. A
+// pattern without a wildcard is not ok either — it excludes nothing a
+// positive does not already cover.
+func generalizePaths(pat pathPattern, nodes []*dom.Node) (_ pathPattern, ok bool) {
+	for m := nodes[0]; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
+		pat = append(pat, pathStep{kind: m, index: m.SiblingIndex()})
+	}
+	wild := false
+	for _, n := range nodes[1:] {
+		i := 0
+		for m := n; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
+			if i == len(pat) || !sameStepName(pat[i].kind, m) {
+				return pat, false
+			}
+			if pat[i].index != wildcard && pat[i].index != m.SiblingIndex() {
+				pat[i].index, wild = wildcard, true
+			}
+			i++
+		}
+		if i != len(pat) {
+			return pat, false
+		}
+	}
+	return pat, wild
+}
+
+// matches reports whether n's XPath is an instance of the pattern.
+func (pat pathPattern) matches(n *dom.Node) bool {
+	i := 0
+	for m := n; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
+		if i == len(pat) || !sameStepName(pat[i].kind, m) {
+			return false
+		}
+		if pat[i].index != wildcard && pat[i].index != m.SiblingIndex() {
+			return false
+		}
+		i++
+	}
+	return i == len(pat)
+}
+
+// sameStepName reports whether a and b print the same XPath step name:
+// text(), comment() or the element tag.
+func sameStepName(a, b *dom.Node) bool {
+	return a.Type == b.Type && (a.Type != dom.ElementNode || a.Tag == b.Tag)
 }
 
 // newClusterFit does everything of TrainModel that reads the dataset and

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ceres/internal/kb"
 	"ceres/internal/websim"
+	"ceres/internal/xpath"
 )
 
 func emptyKB() *kb.KB {
@@ -115,11 +117,9 @@ func TestListExclusionKeepsListSiblingsOutOfNegatives(t *testing.T) {
 			if len(anns) == 0 {
 				continue
 			}
-			var excluded map[int]bool
-			if opts.DisableListExclusion {
-				excluded = map[int]bool{}
-			} else {
-				excluded = listSiblingExclusions(pages[pi], anns)
+			excluded := make([]bool, len(pages[pi].Fields))
+			if !opts.DisableListExclusion {
+				listSiblingExclusions(excluded, pages[pi], anns)
 			}
 			for fi, f := range pages[pi].Fields {
 				if positive[[2]int{pi, fi}] || excluded[fi] {
@@ -166,5 +166,60 @@ func TestTrainModelClassifiers(t *testing.T) {
 	p = nb.Proba(pages[0].Fields[3])
 	if len(p) != classes.Len() {
 		t.Errorf("NB proba length %d", len(p))
+	}
+}
+
+// TestListExclusionMatchesXPathPatterns holds the node-chain list
+// exclusion to the xpath package's patterns over the printed XPaths:
+// xpath.Generalize over each predicate's positives, then Matches against
+// every field. Besides the annotator's positives, every page gets a
+// predicate per pair of fields three apart, so shapes that differ and
+// patterns without a wildcard are covered too.
+func TestListExclusionMatchesXPathPatterns(t *testing.T) {
+	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
+	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{AnnotateAllMentions: true})
+	perPage := map[int][]Annotation{}
+	for _, a := range res.Annotations {
+		perPage[a.PageIdx] = append(perPage[a.PageIdx], a)
+	}
+	for pi, p := range pages {
+		for fi := 0; fi+3 < len(p.Fields); fi += 2 {
+			pred := fmt.Sprintf("pair%d", fi)
+			perPage[pi] = append(perPage[pi], Annotation{PageIdx: pi, FieldIdx: fi, Predicate: pred}, Annotation{PageIdx: pi, FieldIdx: fi + 3, Predicate: pred})
+		}
+	}
+	excludedSome := false
+	for pi, anns := range perPage {
+		p := pages[pi]
+		want := make([]bool, len(p.Fields))
+		byPred := map[string][]xpath.Path{}
+		for _, a := range anns {
+			byPred[a.Predicate] = append(byPred[a.Predicate], xpath.MustParse(p.Fields[a.FieldIdx].PathString))
+		}
+		for _, paths := range byPred {
+			if len(paths) < 2 {
+				continue
+			}
+			pattern, ok := xpath.Generalize(paths)
+			if !ok || len(pattern.Wildcards()) == 0 {
+				continue
+			}
+			for fi, f := range p.Fields {
+				if pattern.Matches(xpath.MustParse(f.PathString)) {
+					want[fi] = true
+				}
+			}
+		}
+		got := make([]bool, len(p.Fields))
+		listSiblingExclusions(got, p, anns)
+		for fi := range want {
+			if got[fi] != want[fi] {
+				t.Errorf("page %d field %d (%s): excluded %v, xpath patterns say %v", pi, fi, p.Fields[fi].PathString, got[fi], want[fi])
+			}
+			excludedSome = excludedSome || want[fi]
+		}
+	}
+	if !excludedSome {
+		t.Fatal("no field excluded: the test exercises nothing")
 	}
 }

@@ -32,35 +32,34 @@ type Attr struct {
 // Node is a node of the DOM tree. Tag is set (lowercase) for ElementNode;
 // Data holds text for TextNode and CommentNode.
 type Node struct {
-	Type     NodeType
-	Tag      string
-	Data     string
-	Attrs    []Attr
-	Parent   *Node
-	Children []*Node
+	Type NodeType
 
 	// Structural context precomputed by Finalize so the featurization hot
 	// path never re-walks the tree. Parse finalizes every document it
 	// returns; AppendChild invalidates the affected caches, and the
 	// accessors fall back to dynamic recomputation when a cache is absent.
-	elemKids     []*Node // element children, in order (structCached)
-	elemIndex    int32   // index among parent's element children
-	siblingIndex int32   // 1-based XPath ordinal among same-kind siblings
-	structCached bool    // elemKids + children's indices are valid
+	structCached bool  // elemKids() + children's indices are valid
+	textCached   bool  // cachedText is valid
+	ownCached    bool  // cachedOwnText is valid
+	elemIndex    int32 // index among parent's element children
+	siblingIndex int32 // 1-based XPath ordinal among same-kind siblings
+
+	Tag    string
+	Data   string
+	Attrs  []Attr
+	Parent *Node
+	// Children lists the child nodes in order. On a finalized node the
+	// element children follow them in the same array, in the slice's
+	// capacity: see elemKids.
+	Children []*Node
 
 	// Text context cached lazily on first read (not by Finalize: most
 	// elements' joined subtree text is never asked for, and computing it
 	// eagerly duplicates the page's text at every tree level). Lazy
 	// caching writes on read, so a node — in practice, a parsed page —
 	// must be confined to one goroutine at a time.
-	textCached    bool   // cachedText is valid
-	ownCached     bool   // cachedOwnText is valid
 	cachedText    string // collapsed subtree text
 	cachedOwnText string // collapsed direct-child text
-
-	// arena backs Release: set only on the DocumentNode Parse returns, so
-	// the page's owner can recycle the tree's node slabs when done.
-	arena *nodeArena
 }
 
 // Attr returns the value of the named attribute and whether it is present.
@@ -87,11 +86,13 @@ func (n *Node) AttrOr(key, def string) string {
 // every ancestor.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
-	n.Children = append(n.Children, c)
 	if n.structCached {
+		// Clip the capacity so the append moves the children and leaves
+		// the element children a caller may still hold as they are.
 		n.structCached = false
-		n.elemKids = nil
+		n.Children = n.Children[:len(n.Children):len(n.Children)]
 	}
+	n.Children = append(n.Children, c)
 	if n.ownCached {
 		n.ownCached = false
 		n.cachedOwnText = ""
@@ -102,6 +103,13 @@ func (n *Node) AppendChild(c *Node) {
 	}
 }
 
+// elemKids returns n's element children, in order, on a finalized node:
+// they are stored right after its children, between the length and the
+// capacity of Children, so that no node carries a second slice header.
+func (n *Node) elemKids() []*Node {
+	return n.Children[len(n.Children):cap(n.Children)]
+}
+
 // Finalize precomputes the per-node structural context the extraction hot
 // path reads: each node's element-children slice, its index among its
 // parent's element children, and its 1-based same-kind sibling ordinal
@@ -110,42 +118,39 @@ func (n *Node) AppendChild(c *Node) {
 // precomputed — Text and OwnText fill them lazily on first read, since
 // eager joins would duplicate the page's text at every tree level.
 func (n *Node) Finalize() {
-	// Parsed trees route elemKids through the arena's pointer slabs;
-	// manually built trees (nil arena) use the heap.
-	n.finalize(make(map[string]int32, 8), n.arena)
+	n.finalize(make(map[string]int32, 8))
 }
 
-func (n *Node) finalize(ordinals map[string]int32, a *nodeArena) {
+func (n *Node) finalize(ordinals map[string]int32) {
+	elems := 0
 	for _, c := range n.Children {
-		c.finalize(ordinals, a)
+		c.finalize(ordinals)
+		if c.Type == ElementNode {
+			c.elemIndex = int32(elems)
+			elems++
+		}
 	}
-	n.refreshStruct(ordinals, a)
+	if len(n.Children) > 0 {
+		// Lay the element children out after the children (see elemKids).
+		kids := make([]*Node, len(n.Children), len(n.Children)+elems)
+		copy(kids, n.Children)
+		for _, c := range n.Children {
+			if c.Type == ElementNode {
+				kids = append(kids, c)
+			}
+		}
+		n.Children = kids[:len(n.Children)]
+	}
+	n.numberChildren(ordinals)
 }
 
-// refreshStruct rebuilds n's child-structure caches: the element-children
-// slice plus each child's element index and same-kind sibling ordinal.
-func (n *Node) refreshStruct(ordinals map[string]int32, a *nodeArena) {
-	n.elemKids = nil
+// numberChildren gives each of n's children its 1-based ordinal among
+// same-kind siblings and marks n's child-structure caches valid; the
+// element children and element indices must already be in place.
+func (n *Node) numberChildren(ordinals map[string]int32) {
 	if len(n.Children) > 0 {
 		clear(ordinals)
-		elems := 0
 		for _, c := range n.Children {
-			if c.Type == ElementNode {
-				elems++
-			}
-		}
-		if elems > 0 {
-			if a != nil {
-				n.elemKids = a.ptrs(elems)
-			} else {
-				n.elemKids = make([]*Node, 0, elems)
-			}
-		}
-		for _, c := range n.Children {
-			if c.Type == ElementNode {
-				c.elemIndex = int32(len(n.elemKids))
-				n.elemKids = append(n.elemKids, c)
-			}
 			k := c.kindKey()
 			ordinals[k]++
 			c.siblingIndex = ordinals[k]
@@ -215,7 +220,7 @@ func (n *Node) ElementSiblings() []*Node {
 		return []*Node{n}
 	}
 	if p.structCached {
-		return p.elemKids
+		return p.elemKids()
 	}
 	out := make([]*Node, 0, len(p.Children))
 	for _, c := range p.Children {

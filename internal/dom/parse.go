@@ -43,182 +43,53 @@ var autoClose = map[string]map[string]bool{
 	"option": {"option": true},
 }
 
-// slabSize is the node count per arena slab: large enough that a typical
-// page costs a handful of slab acquisitions, small enough that the last,
-// partially used slab wastes little.
-const slabSize = 128
-
-// slabPool recycles node slabs across parses. Slabs are zeroed before
-// they re-enter the pool, so a pooled slab never pins a released tree's
-// strings and a fresh acquisition needs no clearing.
-var slabPool sync.Pool // of *[]Node, len == cap == slabSize
-
-// ptrSlabSize is the pointer count per child-slice slab. Child slices
-// grow geometrically, so a slab serves many small slices and the rare
-// slice that outgrows it falls back to the heap.
-const ptrSlabSize = 256
-
-// ptrSlabPool recycles the pointer slabs behind child slices, zeroed on
-// release like slabPool.
-var ptrSlabPool sync.Pool // of *[]*Node, len == cap == ptrSlabSize
-
-// attrSlabSize is the attribute count per slab (Attr is two strings, so a
-// slab is 2 KiB). Tags average a handful of attributes.
-const attrSlabSize = 64
-
-// attrSlabPool recycles attribute slabs, zeroed on release like slabPool.
-var attrSlabPool sync.Pool // of *[]Attr, len == cap == attrSlabSize
-
-// nodeArena hands out nodes from chunked slabs, so parsing a page costs a
-// few slab acquisitions instead of one allocation per node. Child-pointer
-// slices (Children, elemKids) draw from separate pointer slabs the same
-// way. The tree pins every slab it draws from until Node.Release returns
-// them to the pool; an unreleased tree simply keeps its slabs for the GC,
-// so release is an optimization, never an obligation.
-type nodeArena struct {
-	slab      []Node
-	slabs     []*[]Node // every node slab acquired, for release
-	ptrSlab   []*Node   // current pointer slab
-	ptrUsed   int
-	ptrSlabs  []*[]*Node // every pointer slab acquired, for release
-	attrSlab  []Attr     // current attribute slab
-	attrUsed  int
-	attrSlabs []*[]Attr // every attribute slab acquired, for release
+// protoNode is one node as Parse builds it, before the page's node count
+// is known: its kind, strings and attribute span, the index of its parent
+// and how many children and element children it collects.
+type protoNode struct {
+	typ            NodeType
+	parent         int32
+	kids, elems    int32
+	attrLo, attrHi int32 // into parseScratch.attrs
+	tag, data      string
 }
 
-func (a *nodeArena) node(t NodeType) *Node {
-	if len(a.slab) == 0 {
-		sp, _ := slabPool.Get().(*[]Node)
-		if sp == nil {
-			s := make([]Node, slabSize)
-			sp = &s
-		}
-		a.slab = *sp
-		a.slabs = append(a.slabs, sp)
-	}
-	n := &a.slab[0]
-	a.slab = a.slab[1:]
-	n.Type = t
-	return n
+// parseScratch is what one Parse builds the page in and then drops: the
+// proto nodes, their attributes, the open-element stack and the lexer's
+// copy of the page. Pooled, so a parse allocates only what the returned
+// tree keeps.
+type parseScratch struct {
+	nodes []protoNode
+	attrs []Attr
+	stack []int32 // indices into nodes; stack[0] is the document
+	page  []byte  // the lexer's copy of src
+	buf   []byte  // a split text run's pieces; text's decode buffer
+	// open counts the open elements per tag name once a page has had an
+	// end tag that does not close the top element; nil until then.
+	open     map[string]int32
+	ordinals map[string]int32 // build's per-kind sibling counters
 }
 
-// ptrs returns a zero-length pointer slice with capacity n carved from
-// the arena's pointer slabs; oversized requests fall back to the heap.
-// Abandoned predecessors of grown slices stay in their slab until release
-// — geometric growth bounds the waste at one extra copy of the tree's
-// pointers.
-func (a *nodeArena) ptrs(n int) []*Node {
-	if n > ptrSlabSize {
-		return make([]*Node, 0, n)
-	}
-	if a.ptrSlab == nil || ptrSlabSize-a.ptrUsed < n {
-		sp, _ := ptrSlabPool.Get().(*[]*Node)
-		if sp == nil {
-			s := make([]*Node, ptrSlabSize)
-			sp = &s
-		}
-		a.ptrSlab = *sp
-		a.ptrUsed = 0
-		a.ptrSlabs = append(a.ptrSlabs, sp)
-	}
-	s := a.ptrSlab[a.ptrUsed : a.ptrUsed : a.ptrUsed+n]
-	a.ptrUsed += n
-	return s
-}
-
-// attrs returns zeroed storage for an element's n attributes, carved from
-// the arena's attribute slabs (nil for none). Oversized attribute lists
-// fall back to the heap.
-func (a *nodeArena) attrs(n int) []Attr {
-	if n == 0 {
-		return nil
-	}
-	if n > attrSlabSize {
-		return make([]Attr, n)
-	}
-	if a.attrSlab == nil || attrSlabSize-a.attrUsed < n {
-		sp, _ := attrSlabPool.Get().(*[]Attr)
-		if sp == nil {
-			s := make([]Attr, attrSlabSize)
-			sp = &s
-		}
-		a.attrSlab = *sp
-		a.attrUsed = 0
-		a.attrSlabs = append(a.attrSlabs, sp)
-	}
-	s := a.attrSlab[a.attrUsed : a.attrUsed+n : a.attrUsed+n]
-	a.attrUsed += n
-	return s
-}
-
-// appendChild is Parse's internal AppendChild. The tree is not yet
-// finalized, so no caches can be stale — none of AppendChild's
-// invalidation (including its ancestor walk) applies — and child slices
-// grow through the arena's pointer slabs instead of the heap.
-func (a *nodeArena) appendChild(n, c *Node) {
-	c.Parent = n
-	if len(n.Children) == cap(n.Children) {
-		grown := a.ptrs(max(4, 2*cap(n.Children)))
-		n.Children = append(grown, n.Children...)
-	}
-	n.Children = append(n.Children, c)
-}
-
-// release zeroes the arena's slabs and returns them to the pool. The
-// caller must guarantee no node from this arena is reachable afterwards.
-func (a *nodeArena) release() {
-	for _, sp := range a.slabs {
-		clear(*sp)
-		slabPool.Put(sp)
-	}
-	a.slabs = nil
-	a.slab = nil
-	for _, sp := range a.ptrSlabs {
-		clear(*sp)
-		ptrSlabPool.Put(sp)
-	}
-	a.ptrSlabs = nil
-	a.ptrSlab = nil
-	a.ptrUsed = 0
-	for _, sp := range a.attrSlabs {
-		clear(*sp)
-		attrSlabPool.Put(sp)
-	}
-	a.attrSlabs = nil
-	a.attrSlab = nil
-	a.attrUsed = 0
-}
-
-// Release recycles the node slabs backing the document's tree for future
-// Parse calls. Only the DocumentNode returned by Parse carries the arena;
-// calling Release on any other node is a no-op. After Release, every node
-// of the tree — including n itself — is invalid: the single owner of a
-// parsed page calls Release exactly when it discards the page. Strings
-// previously read off the tree (Text, Data, attribute values) remain
-// valid; they are independent of the node storage.
-func (n *Node) Release() {
-	if a := n.arena; a != nil {
-		n.arena = nil
-		a.release()
-	}
-}
+var parseScratchPool = sync.Pool{New: func() any {
+	// A stack this deep holds a template page without growing.
+	return &parseScratch{stack: make([]int32, 0, 32), ordinals: make(map[string]int32, 8)}
+}}
 
 // treeBuilder is Parse's state. The lexer runs over a private copy of the
 // page and reports offsets; every string a node keeps is sliced out of src
 // by them, so node strings stay substrings of the page.
 type treeBuilder struct {
-	src   string
-	lx    lexer
-	arena *nodeArena
-	stack []*Node
+	*parseScratch
+	src string
+	lx  lexer
 	// The open text run: adjacent text tokens under one parent (a lone
 	// '<', a doctype or a stray end tag splits a run into several) are one
 	// node, as in browsers, which keeps Parse∘Render∘Parse an identity on
-	// text nodes. run is that node, nil when no run is open; a split run
-	// collects its pieces in buf and sets Data once, when it ends.
-	run   *Node
+	// text nodes. run is that node's index, -1 when no run is open; a
+	// split run collects its pieces in buf and sets data once, when it
+	// ends.
+	run   int32
 	split bool
-	buf   []byte // also text's decode buffer
 }
 
 // text returns src[lo:hi] with character references resolved: the page's
@@ -232,17 +103,28 @@ func (b *treeBuilder) text(lo, hi int) string {
 	return string(b.buf)
 }
 
+// node appends a proto node of type t under parent and returns its index.
+func (b *treeBuilder) node(t NodeType, parent int32) int32 {
+	i := int32(len(b.nodes))
+	b.nodes = append(b.nodes, protoNode{typ: t, parent: parent})
+	p := &b.nodes[parent]
+	p.kids++
+	if t == ElementNode {
+		p.elems++
+	}
+	return i
+}
+
 // addText appends the text token src[lo:hi] to the open run, opening one
 // if need be. A run of one piece keeps that piece, decoded.
 func (b *treeBuilder) addText(lo, hi int) {
-	if b.run == nil {
-		b.run = b.arena.node(TextNode)
-		b.run.Data = b.text(lo, hi)
-		b.arena.appendChild(b.top(), b.run)
+	if b.run < 0 {
+		b.run = b.node(TextNode, b.top())
+		b.nodes[b.run].data = b.text(lo, hi)
 		return
 	}
 	if !b.split {
-		b.buf = append(b.buf[:0], b.run.Data...)
+		b.buf = append(b.buf[:0], b.nodes[b.run].data...)
 		b.split = true
 	}
 	b.buf = appendDecodeEntities(b.buf, b.lx.src[lo:hi])
@@ -252,42 +134,97 @@ func (b *treeBuilder) addText(lo, hi int) {
 // or the stack to pop.
 func (b *treeBuilder) endRun() {
 	if b.split {
-		b.run.Data = string(b.buf)
+		b.nodes[b.run].data = string(b.buf)
 		b.split = false
 	}
-	b.run = nil
+	b.run = -1
 }
 
-func (b *treeBuilder) top() *Node { return b.stack[len(b.stack)-1] }
+// top is the innermost open element (the document when none is open).
+func (b *treeBuilder) top() int32 { return b.stack[len(b.stack)-1] }
 
-func (b *treeBuilder) pop() { b.stack = b.stack[:len(b.stack)-1] }
+// topTag is the tag of the innermost open element ("" for the document).
+func (b *treeBuilder) topTag() string { return b.nodes[b.top()].tag }
+
+func (b *treeBuilder) push(i int32) {
+	b.stack = append(b.stack, i)
+	if b.open != nil {
+		b.open[b.nodes[i].tag]++
+	}
+}
+
+// popTo closes every open element above stack depth d.
+func (b *treeBuilder) popTo(d int) {
+	if b.open != nil {
+		for _, i := range b.stack[d:] {
+			b.open[b.nodes[i].tag]--
+		}
+	}
+	b.stack = b.stack[:d]
+}
+
+// endTag closes the innermost open element named name and everything
+// opened inside it; with none open, the end tag is stray and ignored,
+// which leaves an open text run open. Closing the top element is one
+// compare. Any other end tag is resolved through the per-name open
+// counts, built from the stack the first time a page needs them and kept
+// from then on, so a stray end tag costs a lookup, not a scan of the
+// stack: <a>×40k then </b>×40k would otherwise be quadratic.
+func (b *treeBuilder) endTag(name string) {
+	d := len(b.stack) - 1
+	if d >= 1 && b.topTag() == name {
+		b.endRun()
+		b.popTo(d)
+		return
+	}
+	if b.open == nil {
+		b.open = make(map[string]int32)
+		for _, i := range b.stack[1:] {
+			b.open[b.nodes[i].tag]++
+		}
+	}
+	if b.open[name] == 0 {
+		return
+	}
+	for ; d >= 1; d-- {
+		if b.nodes[b.stack[d]].tag == name {
+			b.endRun()
+			b.popTo(d)
+			return
+		}
+	}
+}
+
+// Release is a no-op: a parsed tree's storage is sized to its page and
+// belongs to the garbage collector, and there is nothing to recycle. It
+// is kept for existing callers (the benchmark probe releases every page it
+// parses).
+func (n *Node) Release() {}
 
 // Parse builds a DOM tree from HTML source. It never fails: malformed
 // markup degrades to a best-effort tree, mirroring browser behaviour, which
 // is what a web-extraction system must tolerate. The returned node is a
 // DocumentNode.
 func Parse(src string) *Node {
-	// A stack this deep holds a template page without growing.
-	b := treeBuilder{src: src, arena: new(nodeArena), stack: make([]*Node, 1, 32)}
-	doc := b.arena.node(DocumentNode)
-	doc.arena = b.arena
-	b.stack[0] = doc
-	b.lx.reset([]byte(src))
+	s := parseScratchPool.Get().(*parseScratch)
+	b := treeBuilder{parseScratch: s, src: src, run: -1}
+	b.nodes = append(b.nodes[:0], protoNode{typ: DocumentNode})
+	b.stack = append(b.stack[:0], 0)
+	b.page = append(b.page[:0], src...)
+	b.lx.reset(b.page)
 	for {
 		switch kind, lo, hi := b.lx.next(); kind {
 		case lexEOF:
 			b.endRun()
-			// Precompute the structural context featurization reads per
-			// node, so it never re-walks the tree (see Node.Finalize).
-			doc.Finalize()
+			doc := b.build()
+			s.reset()
+			parseScratchPool.Put(s)
 			return doc
 		case lexText:
 			b.addText(lo, hi)
 		case lexComment:
 			b.endRun()
-			cn := b.arena.node(CommentNode)
-			cn.Data = src[lo:hi]
-			b.arena.appendChild(b.top(), cn)
+			b.nodes[b.node(CommentNode, b.top())].data = src[lo:hi]
 		case lexDoctype:
 			// Dropped: the tree starts at <html>, and an open text run
 			// stays open.
@@ -295,18 +232,70 @@ func Parse(src string) *Node {
 			b.endRun()
 			b.startTag(strings.ToLower(src[lo:hi]))
 		case lexEndTag:
-			// Pop to the matching open element if one exists; otherwise
-			// ignore the stray end tag, which leaves an open text run open.
-			name := strings.ToLower(strings.TrimSpace(src[lo:hi]))
-			for i := len(b.stack) - 1; i >= 1; i-- {
-				if b.stack[i].Tag == name {
-					b.endRun()
-					b.stack = b.stack[:i]
-					break
-				}
-			}
+			b.endTag(strings.ToLower(strings.TrimSpace(src[lo:hi])))
 		}
 	}
+}
+
+// reset empties the scratch for the pool, dropping every string it holds
+// so a pooled scratch pins no page.
+func (s *parseScratch) reset() {
+	clear(s.nodes)
+	s.nodes = s.nodes[:0]
+	clear(s.attrs)
+	s.attrs = s.attrs[:0]
+	s.open = nil
+	clear(s.ordinals)
+}
+
+// build turns the proto nodes into the tree Parse returns, in storage
+// sized to the page: one array of exactly its nodes, one of exactly its
+// child pointers (each node's children followed by its element
+// children), one of exactly its attributes. Proto nodes are in document
+// order, so a parent precedes its children and a node's children arrive
+// in order.
+func (b *treeBuilder) build() *Node {
+	protos := b.nodes
+	nodes := make([]Node, len(protos))
+	elems := 0
+	for i := range protos {
+		elems += int(protos[i].elems)
+	}
+	ptrs := make([]*Node, len(protos)-1+elems)
+	var attrs []Attr
+	if len(b.attrs) > 0 {
+		attrs = append([]Attr(nil), b.attrs...)
+	}
+	for i := range protos {
+		pr, n := &protos[i], &nodes[i]
+		n.Type, n.Tag, n.Data = pr.typ, pr.tag, pr.data
+		if pr.attrHi > pr.attrLo {
+			n.Attrs = attrs[pr.attrLo:pr.attrHi:pr.attrHi]
+		}
+		if k := int(pr.kids + pr.elems); k > 0 {
+			// The children, then the element children (see elemKids).
+			n.Children = ptrs[:0:k]
+			ptrs = ptrs[k:]
+		}
+		if i == 0 {
+			continue
+		}
+		p := &nodes[pr.parent]
+		n.Parent = p
+		p.Children = append(p.Children, n)
+		if n.Type == ElementNode {
+			// The parent's element count counts down the ones still to
+			// come, so the capacity past its children says which this is.
+			pp := &protos[pr.parent]
+			n.elemIndex = int32(cap(p.Children)) - pp.kids - pp.elems
+			pp.elems--
+			p.Children[:cap(p.Children)][pp.kids+n.elemIndex] = n
+		}
+	}
+	for i := range nodes {
+		nodes[i].numberChildren(b.ordinals)
+	}
+	return &nodes[0]
 }
 
 // startTag appends the element of the start tag the lexer just returned,
@@ -316,20 +305,23 @@ func (b *treeBuilder) startTag(tag string) {
 	selfClosing := b.lx.selfClosing
 	if !selfClosing {
 		if closers, ok := autoClose[tag]; ok {
-			for len(b.stack) > 1 && closers[b.top().Tag] {
-				b.pop()
+			d := len(b.stack)
+			for d > 1 && closers[b.nodes[b.stack[d-1]].tag] {
+				d--
 			}
+			b.popTo(d)
 		}
-		if blockTags[tag] && len(b.stack) > 1 && b.top().Tag == "p" {
-			b.pop()
+		if blockTags[tag] && len(b.stack) > 1 && b.topTag() == "p" {
+			b.popTo(len(b.stack) - 1)
 		}
 	}
-	el := b.arena.node(ElementNode)
-	el.Tag, el.Attrs = tag, b.arena.attrs(len(b.lx.attrs))
-	for i, a := range b.lx.attrs {
-		el.Attrs[i] = Attr{Key: strings.ToLower(b.src[a.keyLo:a.keyHi]), Val: b.text(a.valLo, a.valHi)}
+	el := b.node(ElementNode, b.top())
+	lo := int32(len(b.attrs))
+	for _, a := range b.lx.attrs {
+		b.attrs = append(b.attrs, Attr{Key: strings.ToLower(b.src[a.keyLo:a.keyHi]), Val: b.text(a.valLo, a.valHi)})
 	}
-	b.arena.appendChild(b.top(), el)
+	pr := &b.nodes[el]
+	pr.tag, pr.attrLo, pr.attrHi = tag, lo, int32(len(b.attrs))
 	switch {
 	case selfClosing || voidTags[tag]:
 		// Appended only: no children, no raw-text scan.
@@ -338,15 +330,14 @@ func (b *treeBuilder) startTag(tag string) {
 		if lo == hi {
 			return
 		}
-		tn := b.arena.node(TextNode)
+		tn := b.node(TextNode, el)
 		if tag == "title" || tag == "textarea" {
-			tn.Data = b.text(lo, hi)
+			b.nodes[tn].data = b.text(lo, hi)
 		} else {
-			tn.Data = b.src[lo:hi]
+			b.nodes[tn].data = b.src[lo:hi]
 		}
-		b.arena.appendChild(el, tn)
 	default:
-		b.stack = append(b.stack, el)
+		b.push(el)
 	}
 }
 

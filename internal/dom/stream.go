@@ -500,7 +500,7 @@ func (p *StreamPage) startTag(src, name []byte) {
 
 // signatureKey appends the element's cluster-routing key: the last three
 // ancestor-or-self tags joined by '/', plus ".class" when a non-empty
-// class attribute is present — cluster.signatureKey over records.
+// class attribute is present — cluster.appendSignatureKey over records.
 //
 //ceres:allocfree
 func (p *StreamPage) signatureKey(rec int32) {

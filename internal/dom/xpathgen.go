@@ -17,13 +17,13 @@ func (n *Node) XPath() string {
 	var stack [32]*Node
 	chain := stack[:0]
 	size := 0
+	var tmp [12]byte
 	for m := n; m != nil && m.Type != DocumentNode; m = m.Parent {
 		chain = append(chain, m)
-		size += len(stepName(m)) + 2 + 4 // '/name[NN]', indices rarely wider
+		size += len(stepName(m)) + 3 + len(strconv.AppendInt(tmp[:0], int64(m.SiblingIndex()), 10)) // '/name[N]'
 	}
 	var b strings.Builder
 	b.Grow(size)
-	var tmp [12]byte
 	for i := len(chain) - 1; i >= 0; i-- {
 		m := chain[i]
 		b.WriteByte('/')

@@ -40,16 +40,17 @@ type rows struct {
 // are told apart by a byte key over label, indices and value bits; the
 // map only finds a row's index — output order comes from the slices, so
 // it is the same on every run.
+//
+// The rows' vectors are copied into one array of exactly their size, so
+// the collapsed set holds none of the dataset's storage: whatever the
+// examples were carved from is garbage once collapse returns.
 func collapse(ds *Dataset) *rows {
 	r := &rows{classes: ds.NumClasses, features: ds.NumFeatures()}
 	index := make(map[string]int)
 	var key []byte
+	size := 0
 	for i, x := range ds.X {
-		key = binary.AppendUvarint(key[:0], uint64(ds.Y[i]))
-		for _, f := range x {
-			key = binary.AppendUvarint(key, uint64(f.Index))
-			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(f.Value))
-		}
+		key = x.AppendKey(binary.AppendUvarint(key[:0], uint64(ds.Y[i])))
 		if at, ok := index[string(key)]; ok {
 			r.count[at]++
 			continue
@@ -58,6 +59,13 @@ func collapse(ds *Dataset) *rows {
 		r.x = append(r.x, x)
 		r.y = append(r.y, ds.Y[i])
 		r.count = append(r.count, 1)
+		size += len(x)
+	}
+	flat := make([]Feature, 0, size)
+	for i, x := range r.x {
+		at := len(flat)
+		flat = append(flat, x...)
+		r.x[i] = flat[at:len(flat):len(flat)]
 	}
 	r.e = make([]float64, r.classes)
 	return r

@@ -9,6 +9,8 @@ package mlr
 
 import (
 	"cmp"
+	"encoding/binary"
+	"math"
 	"slices"
 )
 
@@ -33,6 +35,16 @@ func NewVector(feats []Feature) Vector {
 	}
 	slices.SortFunc(feats, func(a, b Feature) int { return cmp.Compare(a.Index, b.Index) })
 	return Vector(coalesceSorted(feats))
+}
+
+// AppendKey appends to dst a byte key of v: two vectors have the same key
+// exactly when they hold the same indices with the same value bits.
+func (v Vector) AppendKey(dst []byte) []byte {
+	for _, f := range v {
+		dst = binary.AppendUvarint(dst, uint64(f.Index))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.Value))
+	}
+	return dst
 }
 
 // coalesceSorted merges duplicate indices (summing their values) and drops

@@ -16,31 +16,41 @@ func LevenshteinRunes(ra, rb []rune) int {
 	if len(rb) > len(ra) {
 		ra, rb = rb, ra
 	}
-	prev := make([]int, len(rb)+1)
-	curr := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
+	// One row, updated in place: row[j] holds the previous row's value
+	// until it is overwritten, and diag carries the one to its left. It
+	// lives on the stack unless the shorter side is long.
+	var stack [128]int
+	var row []int
+	if len(rb) < len(stack) {
+		row = stack[:len(rb)+1]
+	} else {
+		row = make([]int, len(rb)+1)
+	}
+	for j := range row {
+		row[j] = j
 	}
 	for i := 1; i <= len(ra); i++ {
-		curr[0] = i
+		diag := row[0] // the previous row's row[j-1]
+		row[0] = i
 		ai := ra[i-1]
 		for j := 1; j <= len(rb); j++ {
+			up := row[j]
 			cost := 1
 			if ai == rb[j-1] {
 				cost = 0
 			}
-			m := prev[j-1] + cost        // substitution / match
-			if d := prev[j] + 1; d < m { // deletion
+			m := diag + cost        // substitution / match
+			if d := up + 1; d < m { // deletion
 				m = d
 			}
-			if in := curr[j-1] + 1; in < m { // insertion
+			if in := row[j-1] + 1; in < m { // insertion
 				m = in
 			}
-			curr[j] = m
+			row[j] = m
+			diag = up
 		}
-		prev, curr = curr, prev
 	}
-	return prev[len(rb)]
+	return row[len(rb)]
 }
 
 // LevenshteinBounded returns the edit distance between a and b if it is at

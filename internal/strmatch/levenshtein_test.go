@@ -1,6 +1,7 @@
 package strmatch
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +107,48 @@ func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLevenshteinMatchesFullMatrix holds the one-row kernel to the
+// textbook (m+1)×(n+1) table over random strings from a four-letter
+// alphabet (so that many runes match), on both sides of the length where
+// the row leaves the stack.
+func TestLevenshteinMatchesFullMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() []rune {
+		n := rng.Intn(300)
+		if rng.Intn(2) == 0 {
+			n = rng.Intn(12)
+		}
+		r := make([]rune, n)
+		for i := range r {
+			r[i] = rune("abcé"[rng.Intn(4)])
+		}
+		return r
+	}
+	for trial := 0; trial < 500; trial++ {
+		a, b := word(), word()
+		d := make([][]int, len(a)+1)
+		for i := range d {
+			d[i] = make([]int, len(b)+1)
+			d[i][0] = i
+		}
+		for j := range d[0] {
+			d[0][j] = j
+		}
+		for i := 1; i <= len(a); i++ {
+			for j := 1; j <= len(b); j++ {
+				cost := 1
+				if a[i-1] == b[j-1] {
+					cost = 0
+				}
+				d[i][j] = min(d[i-1][j-1]+cost, d[i-1][j]+1, d[i][j-1]+1)
+			}
+		}
+		if got, want := LevenshteinRunes(a, b), d[len(a)][len(b)]; got != want {
+			t.Fatalf("LevenshteinRunes(%q, %q) = %d, want %d", string(a), string(b), got, want)
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package xpath manipulates the absolute XPaths that identify DOM nodes in
 // CERES: parsing and printing, the Levenshtein distances used by the global
 // relation-mention clustering (paper §3.2.2), and index-wildcard patterns —
-// the representation both of Vertex-style extraction rules (§5.2) and of
-// the list-sibling exclusion used during negative sampling (§4.1, and
-// Figure 2's observation that paths for one predicate differ only at a few
-// node indices).
+// the representation of Vertex-style extraction rules (§5.2), and the
+// reference for the list-sibling exclusion used during negative sampling
+// (§4.1, and Figure 2's observation that paths for one predicate differ
+// only at a few node indices), which core matches on node chains.
 package xpath
 
 import (

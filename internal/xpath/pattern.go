@@ -8,7 +8,8 @@ const Wildcard = -1
 // Pattern is an absolute XPath in which some step indices are wildcards.
 // Patterns generalize sets of concrete paths: a Vertex extraction rule is a
 // pattern, and the list-sibling exclusion of §4.1 ("nodes that differ from
-// these positives only at these indices") is pattern membership.
+// these positives only at these indices") is pattern membership: core's
+// node-chain form of it is tested against Generalize and Matches.
 type Pattern []Step
 
 // PatternOf converts a concrete path into an exact pattern.
@@ -109,9 +110,4 @@ func stepName(n *dom.Node) string {
 	default:
 		return ""
 	}
-}
-
-// FromNode returns the parsed Path of a DOM node.
-func FromNode(n *dom.Node) Path {
-	return MustParse(n.XPath())
 }

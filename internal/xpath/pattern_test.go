@@ -97,7 +97,7 @@ func TestApplyAgreesWithGeneratedPaths(t *testing.T) {
 		if n.Type == dom.DocumentNode || n.Type == dom.CommentNode {
 			return true
 		}
-		pat := PatternOf(FromNode(n))
+		pat := PatternOf(MustParse(n.XPath()))
 		got := pat.Apply(doc)
 		if len(got) != 1 || got[0] != n {
 			t.Errorf("exact pattern %v matched %d nodes", pat, len(got))

@@ -3,7 +3,11 @@ package ceres
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -221,6 +225,56 @@ func TestServiceMaxInflight(t *testing.T) {
 		t.Errorf("queued request on cancelled ctx = %v, want context.Canceled", err)
 	}
 	close(release)
+}
+
+// TestTripleOrderMatchesValueSort holds tripleize (an index sort over
+// extractions) and SortTriples (an index sort, then a move along the
+// permutation's cycles) to the plain value sort they replaced, on random
+// extractions drawn from small alphabets so that most comparisons tie on
+// several fields.
+func TestTripleOrderMatchesValueSort(t *testing.T) {
+	valueSort := func(ts []Triple) {
+		slices.SortFunc(ts, func(a, b Triple) int {
+			switch {
+			case a.Confidence > b.Confidence:
+				return -1
+			case a.Confidence < b.Confidence:
+				return 1
+			}
+			for _, c := range []int{strings.Compare(a.Page, b.Page), strings.Compare(a.Predicate, b.Predicate),
+				strings.Compare(a.Object, b.Object), strings.Compare(a.Subject, b.Subject)} {
+				if c != 0 {
+					return c
+				}
+			}
+			return strings.Compare(a.Path, b.Path)
+		})
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(prefix string) string { return fmt.Sprint(prefix, rng.Intn(3)) }
+	for trial := 0; trial < 200; trial++ {
+		exts := make([]core.Extraction, rng.Intn(60))
+		for i := range exts {
+			exts[i] = core.Extraction{PageID: pick("p"), Subject: pick("s"), Predicate: pick("r"), Value: pick("v"),
+				Confidence: float64(rng.Intn(4)) / 4, Path: pick("/x"), SubjectPath: pick("/y")}
+		}
+		threshold := float64(rng.Intn(3)) / 4
+		var want []Triple
+		for _, e := range exts {
+			if e.Confidence >= threshold {
+				want = append(want, toTriple(e))
+			}
+		}
+		shuffled := slices.Clone(want)
+		valueSort(want)
+		if got := tripleize(exts, threshold); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: tripleize = %v, want %v", trial, got, want)
+		}
+		SortTriples(shuffled)
+		if !slices.Equal(shuffled, want) {
+			t.Fatalf("trial %d: SortTriples = %v, want %v", trial, shuffled, want)
+		}
+	}
 }
 
 // TestTripleizeSubjectTieBreak is the regression test for the total triple

@@ -124,9 +124,9 @@ func TestTrainCancelledWhileQueued(t *testing.T) {
 // TestFitHoldsNoPages measures what each half of Train keeps alive: live
 // heap after a forced collection, over its value before Train, once
 // prepare has parsed and clustered the pages (the parsed pages: DOM
-// arenas, fields, XPaths, normalized text) and when the first optimizer is
-// about to evaluate its objective. By then the parsed pages must be
-// garbage.
+// nodes, fields, XPaths, normalized text) and when the first optimizer is
+// about to evaluate its objective. The parsed pages must fit in
+// maxParsedBytes, and by the first fit they must be garbage.
 func TestFitHoldsNoPages(t *testing.T) {
 	c, err := DemoCorpus("movies", 7, 200)
 	if err != nil {
@@ -165,6 +165,12 @@ func TestFitHoldsNoPages(t *testing.T) {
 	t.Logf("%d pages: %.1f MB live once parsed, %.1f MB at the first fit", len(pages), float64(parsed)/(1<<20), float64(fit)/(1<<20))
 	if parsed < 2<<20 {
 		t.Fatalf("only %d bytes live once parsed: the probe is not measuring the page set", parsed)
+	}
+	// Parsed pages held 13.2 MB while a node took 176 bytes in fixed
+	// 128-node slabs and every field kept a parsed XPath; ≈ 6 MB since.
+	const maxParsedBytes = 9 << 20
+	if parsed > maxParsedBytes {
+		t.Errorf("%.1f MB live once parsed, bound %.1f MB: the parsed pages grew", float64(parsed)/(1<<20), float64(maxParsedBytes)/(1<<20))
 	}
 	if fit > parsed/4 {
 		t.Errorf("%d bytes live at the first fit, %d once parsed: the fit still holds the pages", fit, parsed)
