@@ -132,9 +132,9 @@ crash-sweep:
 # read, Service, response encode — in request MB/s, B/op and allocs/op
 # (§7).
 bench:
-	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|Featurize|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
-	$(GO) test -run='^$$' -bench='ScoreFields' -benchtime=100x -benchmem ./internal/core
+	$(GO) test -run='^$$' -bench='ScoreFields|Featurize' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr
 	$(GO) test -run='^$$' -bench='BatchHarvest|ReplayFuse' -benchtime=1x -benchmem ./batch
 	$(GO) test -run='^$$' -bench='AppendTriple|DecodeTriple|String' -benchtime=100x -benchmem ./internal/jsonl

@@ -87,8 +87,9 @@ func (f *pipelineFixture) annotate(b *testing.B) *core.AnnotationResult {
 	return ann
 }
 
-// BenchmarkStageParse measures HTML parsing + text-field enumeration; its
-// B/op is about what a prepared page holds.
+// BenchmarkStageParse measures page preparation — one stream pass and
+// the copy of its text fields; its B/op is about what a prepared page
+// holds.
 func BenchmarkStageParse(b *testing.B) {
 	f := getFixture(b)
 	b.ReportAllocs()
@@ -207,27 +208,6 @@ func BenchmarkStageExtract(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.ExtractPage(f.pages[i%len(f.pages)], model, core.ExtractOptions{})
-	}
-}
-
-// BenchmarkFeaturize measures the training-time featurizer (string
-// concatenation + dictionary hashing, fresh sorted slice per field) over
-// every field of a page.
-func BenchmarkFeaturize(b *testing.B) {
-	f := getFixture(b)
-	ann := f.annotate(b)
-	fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
-	core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
-	fz.Freeze()
-	page := f.pages[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, fld := range page.Fields {
-			if v := fz.Features(fld); len(v) == 0 {
-				b.Fatal("no features")
-			}
-		}
 	}
 }
 

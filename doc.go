@@ -65,7 +65,7 @@
 // probabilities instead of re-deriving features (ServeStats counts
 // fields and misses). A model that cannot compile fails every Extract
 // call with the same error. The output is bit-identical to the
-// paper-literal extractor over the parsed tree (same triples,
+// paper-literal extractor over the same records (same triples,
 // confidences, order and XPaths, enforced by differential tests).
 // Service.ExtractScan is the raw-bytes entry point batch harvests use to
 // feed pagestore records straight into that pass without a per-page

@@ -1,53 +1,15 @@
 package cluster
 
-import (
-	"sort"
-
-	"ceres/internal/dom"
-)
+import "sort"
 
 // PageSignature is the template fingerprint of a page: the set of
-// tail-truncated tag paths (with class attributes) of its elements. Pages
-// generated from the same template share most of their signature; pages
-// from different templates (movie vs person vs chart pages) do not.
+// tail-truncated tag paths (with class attributes) of its elements, as
+// dom.StreamPage.AppendSignature lists them — each element's last three
+// ancestor-or-self tags joined with '/', suffixed by ".class" when it has
+// a class. Pages generated from the same template share most of their
+// signature; pages from different templates (movie vs person vs chart
+// pages) do not.
 type PageSignature map[string]bool
-
-// Signature computes the fingerprint of a parsed page. Each element
-// contributes the string of its last three ancestor-or-self tags joined
-// with '/', suffixed by its class attribute when present.
-func Signature(doc *dom.Node) PageSignature {
-	sig := make(PageSignature)
-	var key []byte
-	doc.Walk(func(n *dom.Node) bool {
-		var ok bool
-		if key, ok = appendSignatureKey(key[:0], n); ok && !sig[string(key)] {
-			sig[string(key)] = true
-		}
-		return true
-	})
-	return sig
-}
-
-// appendSignatureKey appends the signature entry one node contributes,
-// shared by the map-based Signature and the serve-side SortedSignatureOf.
-// Both copy it into a string of its own, so no kept key points into the
-// page's HTML.
-func appendSignatureKey(key []byte, n *dom.Node) ([]byte, bool) {
-	if n.Type != dom.ElementNode {
-		return key, false
-	}
-	if p := n.Parent; p != nil && p.Type == dom.ElementNode {
-		if gp := p.Parent; gp != nil && gp.Type == dom.ElementNode {
-			key = append(append(key, gp.Tag...), '/')
-		}
-		key = append(append(key, p.Tag...), '/')
-	}
-	key = append(key, n.Tag...)
-	if c, ok := n.Attr("class"); ok && c != "" {
-		key = append(append(key, '.'), c...)
-	}
-	return key, true
-}
 
 // Jaccard returns the Jaccard similarity of two signatures.
 func Jaccard(a, b PageSignature) float64 {

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"slices"
-	"sort"
-
-	"ceres/internal/dom"
-)
+import "sort"
 
 // Routing sends a never-before-seen page to the template cluster it most
 // resembles, so a trained per-cluster extractor can serve pages that were
@@ -42,22 +37,6 @@ type SortedSignature []string
 // Sorted converts the map form to the sorted form.
 func (s PageSignature) Sorted() SortedSignature {
 	return SortedSignature(s.Keys())
-}
-
-// SortedSignatureOf fingerprints a parsed page directly into sorted form,
-// with the same key set Signature produces.
-func SortedSignatureOf(doc *dom.Node) SortedSignature {
-	keys := make([]string, 0, 64)
-	var key []byte
-	doc.Walk(func(n *dom.Node) bool {
-		var ok bool
-		if key, ok = appendSignatureKey(key[:0], n); ok {
-			keys = append(keys, string(key))
-		}
-		return true
-	})
-	sort.Strings(keys)
-	return slices.Compact(keys)
 }
 
 // JaccardSorted returns the Jaccard similarity of two sorted signatures.

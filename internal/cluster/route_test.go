@@ -3,10 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
-
-	"ceres/internal/dom"
 )
 
 // randSig builds a random map signature.
@@ -66,20 +63,5 @@ func TestRouteSortedMatchesRoute(t *testing.T) {
 	}
 	if i, _ := RouteSorted(SortedSignature{"a"}, nil); i != -1 {
 		t.Errorf("routing with no exemplars must return -1")
-	}
-}
-
-// TestSortedSignatureOfMatchesSignature checks the direct-to-sorted page
-// fingerprint equals the map fingerprint's sorted keys.
-func TestSortedSignatureOfMatchesSignature(t *testing.T) {
-	doc := dom.Parse(`<html><body>
-		<div class="a"><p>x</p><p>y</p></div>
-		<div class="a"><p>z</p></div>
-		<table><tr><td>1</td><td>2</td></tr></table>
-	</body></html>`)
-	want := SortedSignature(Signature(doc).Keys())
-	got := SortedSignatureOf(doc)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SortedSignatureOf = %v, want %v", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"unicode/utf8"
 
+	"ceres/internal/dom"
 	"ceres/internal/kb"
 	"ceres/internal/obs/trace"
 	"ceres/internal/par"
@@ -396,7 +397,9 @@ func Annotate(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, 
 	// order equals object-key string order, so the emission order matches
 	// the legacy sortedKeys iteration exactly.
 	perPage := make([][]Annotation, len(pages))
-	if err := par.For(ctx, len(pages), workers, func(_, pi int) {
+	// Local evidence reads only the element chains: no text, no attribute.
+	streamers := newStreamers(workers, dom.StreamOptions{})
+	if err := par.For(ctx, len(pages), workers, func(w, pi int) {
 		groups := pageGroups[pi]
 		if len(groups) == 0 {
 			return
@@ -429,7 +432,7 @@ func Annotate(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, 
 				}
 				forceCluster := pagesWithTopic > 0 &&
 					float64(objPageCount[pred][g.obj]) > ropts.DuplicatedPageFrac*float64(pagesWithTopic)
-				fi, ok := chooseMention(p, g.fields, predFields, clusterSize[pred], forceCluster)
+				fi, ok := chooseMention(p, &streamers[w], g.fields, predFields, clusterSize[pred], forceCluster)
 				if ok {
 					anns = append(anns, Annotation{PageIdx: pi, FieldIdx: fi, Predicate: pred})
 				}

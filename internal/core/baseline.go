@@ -52,23 +52,28 @@ func (o BaselineOptions) withDefaults() BaselineOptions {
 }
 
 // pairFeaturizer concatenates the features of two nodes in disjoint
-// namespaces.
+// namespaces. It streams the page the two fields are on, so a caller
+// featurizing one page's pairs in a row streams it once.
 type pairFeaturizer struct {
 	fz   *Featurizer
 	dict *mlr.Dict
+	s    pageStreamer
 }
 
 func newPairFeaturizer(pages []*Page, opts FeatureOptions) *pairFeaturizer {
-	return &pairFeaturizer{fz: NewFeaturizer(pages, opts), dict: mlr.NewDict()}
+	fz := NewFeaturizer(pages, opts)
+	return &pairFeaturizer{fz: fz, dict: mlr.NewDict(), s: pageStreamer{opts: featureStreamOptions(fz.opts)}}
 }
 
-func (pf *pairFeaturizer) features(a, b *Field) mlr.Vector {
+// features featurizes the pair of p's fields a and b.
+func (pf *pairFeaturizer) features(p *Page, a, b int) mlr.Vector {
+	sp := pf.s.stream(p)
 	var feats []mlr.Feature
 	for _, side := range []struct {
 		tag string
-		f   *Field
+		fi  int
 	}{{"A", a}, {"B", b}} {
-		for _, feat := range pf.fz.Features(side.f) {
+		for _, feat := range pf.fz.Features(sp, side.fi) {
 			name := side.tag + "|" + pf.fz.dict.Name(feat.Index)
 			if id := pf.dict.ID(name); id >= 0 {
 				feats = append(feats, mlr.Feature{Index: id, Value: feat.Value})
@@ -147,7 +152,7 @@ func TrainBaseline(pages []*Page, K *kb.KB, opts BaselineOptions) (*BaselineMode
 	ds := &mlr.Dataset{NumClasses: classes.Len()}
 	for _, pa := range positives {
 		p := pages[pa.pageIdx]
-		ds.Add(pf.features(p.Fields[pa.a], p.Fields[pa.b]), classes.Index(pa.pred))
+		ds.Add(pf.features(p, pa.a, pa.b), classes.Index(pa.pred))
 	}
 	// Negatives: random entity-field pairs with no KB relation.
 	want := opts.NegativeRatio * len(positives)
@@ -166,7 +171,7 @@ func TrainBaseline(pages []*Page, K *kb.KB, opts BaselineOptions) (*BaselineMode
 		if _, ok := relationBetween(K, K.LookupEntities(p.Fields[a].Text), K.LookupEntities(p.Fields[b].Text), p.Fields[b].Text); ok {
 			continue
 		}
-		ds.Add(pf.features(p.Fields[a], p.Fields[b]), OtherClass)
+		ds.Add(pf.features(p, a, b), OtherClass)
 		added++
 	}
 	pf.fz.Freeze()
@@ -221,7 +226,7 @@ func ExtractBaseline(p *Page, K *kb.KB, m *BaselineModel) []Extraction {
 				continue
 			}
 			pairs++
-			proba := m.lr.Proba(m.pf.features(p.Fields[a], p.Fields[b]))
+			proba := m.lr.Proba(m.pf.features(p, a, b))
 			cls, prob := argmax(proba)
 			if cls == OtherClass || prob < m.opts.ExtractThreshold {
 				continue

@@ -10,19 +10,20 @@ import (
 )
 
 // This file compiles a trained model into its serving form (DESIGN.md §5).
-// Training builds features by concatenating string names and hashing them
-// through the feature dictionary; that is fine once per site, but serving
-// applies the model to every text field of every page, so the string
-// building and map probes would dominate extraction cost. Compile() runs
-// once per model and inverts the dictionary twice over: into a vocabulary
-// that numbers every tag, attribute value and lexicon string the model
-// knows, and into per-(level, offset) tables indexed by those numbers. The
-// stream pass (streamserve.go) resolves an element's strings to vocabulary
-// IDs once per page; everything after that — the context key and, for a
-// context never seen before, the features — is integer work with no string
-// assembly and no allocation. Its output is identical to
-// Featurizer.Features + Model.Proba — the differential tests hold it to
-// the paper-literal ExtractPage over the whole DemoCorpus.
+// Training and serving read the same stream records; they differ in how a
+// feature is found. Training builds each feature's name and looks it up
+// in the dictionary, interning what is new; that is fine once per site,
+// but serving applies the model to every text field of every page, so the
+// name building and map probes would dominate extraction cost. Compile()
+// runs once per model and inverts the dictionary twice over: into a
+// vocabulary that numbers every tag, attribute value and lexicon string
+// the model knows, and into per-(level, offset) tables indexed by those
+// numbers. The serve engine (streamserve.go) resolves an element's
+// strings to vocabulary IDs once per page; everything after that — the
+// context key and, for a context never seen before, the features — is
+// integer work with no string assembly and no allocation. Its output is
+// identical to Featurizer.Features + Model.Proba — the differential tests
+// hold it to the paper-literal ExtractPage over the whole DemoCorpus.
 
 // CompiledFeaturizer is the frozen, serve-only form of a Featurizer. It
 // is immutable after Compile and safe for concurrent use; the per-call

@@ -54,11 +54,12 @@ func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 		sp := streamFor(sc, cm, src[pi].HTML)
 		sc.beginPage(sp, cm)
 		if sp.Fields() != len(p.Fields) {
-			t.Fatalf("page %s: stream %d fields, dom %d", p.ID, sp.Fields(), len(p.Fields))
+			t.Fatalf("page %s: stream %d fields, prepared %d", p.ID, sp.Fields(), len(p.Fields))
 		}
+		tsp := streamPage(p)
 		for fi, f := range p.Fields {
 			fields++
-			want := fz.Features(f)
+			want := fz.Features(tsp, fi)
 			vb.Reset()
 			cm.fz.appendStreamFeatures(&vb, sp, sc, sp.FieldParent(fi))
 			got := vb.Build()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ceres/internal/cluster"
 	"ceres/internal/dom"
 	"ceres/internal/mlr"
 	"ceres/internal/websim"
@@ -323,12 +324,13 @@ func TestContextKeyCoversEveryFeature(t *testing.T) {
 		p := PreparePage("p", html)
 		sp := streamFor(sc, cm, html)
 		if sp.Fields() != len(p.Fields) {
-			t.Fatalf("page %d: stream %d fields, dom %d", page, sp.Fields(), len(p.Fields))
+			t.Fatalf("page %d: stream %d fields, prepared %d", page, sp.Fields(), len(p.Fields))
 		}
 		proba := sc.beginPage(sp, cm)
 		cm.scoreStreamFields(sp, proba, sc)
+		tsp := streamPage(p)
 		for fi, f := range p.Fields {
-			if want := m.Proba(f); !slices.Equal(proba[fi*K:(fi+1)*K], want) {
+			if want := m.Proba(tsp, fi); !slices.Equal(proba[fi*K:(fi+1)*K], want) {
 				t.Fatalf("page %d field %d (%q): engine %v, reference %v\n%s", page, fi, f.Text, proba[fi*K:(fi+1)*K], want, html)
 			}
 		}
@@ -337,6 +339,17 @@ func TestContextKeyCoversEveryFeature(t *testing.T) {
 	if c := sc.counts; c.fields != fields || c.misses*100 < c.fields || c.misses*2 > c.fields {
 		t.Fatalf("%d fields compared; the scratch counted %+v — want hits and misses both", fields, c)
 	}
+}
+
+// routeOf is the cluster the engine routes p to: the one whose exemplar
+// is most like p's stream signature.
+func routeOf(sm *SiteModel, p *Page) int {
+	if len(sm.Clusters) == 1 {
+		return 0
+	}
+	s := pageStreamer{opts: dom.StreamOptions{Attrs: []string{"class"}, Signature: true}}
+	i, _ := cluster.RouteSorted(s.signature(p).Sorted(), sm.exemplars())
+	return i
 }
 
 // TestContextCacheStopsAtItsBound serves a site whose pages never repeat
@@ -366,7 +379,7 @@ func TestContextCacheStopsAtItsBound(t *testing.T) {
 	extracted := 0
 	for i, p := range noisy {
 		page := PreparePage(p.ID, p.HTML)
-		want := ExtractPage(page, sm.Clusters[sm.Route(page)].Model, sm.Extract)
+		want := ExtractPage(page, sm.Clusters[routeOf(sm, page)].Model, sm.Extract)
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("page %s: engine %d extractions, reference %d", p.ID, len(got[i]), len(want))
 		}

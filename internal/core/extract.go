@@ -1,11 +1,8 @@
 package core
 
-import "ceres/internal/cluster"
-
-// ExtractPage and SiteModel.Route below are §4.3 as written — the trained
-// model applied, through the training featurizer, to every text field of
-// a parsed page, and a page routed by the signature of its tree.
-// Nothing outside tests calls either: they are the reference every
+// ExtractPage below is §4.3 as written — the trained model applied,
+// through the training featurizer, to every text field of a prepared
+// page. Nothing outside tests calls it: it is the reference every
 // differential test compares the production engine (streamserve.go) with.
 // Serving, and the paper's tables in internal/bench, go through that
 // engine.
@@ -72,8 +69,10 @@ func ExtractPage(p *Page, m *Model, opts ExtractOptions) []Extraction {
 	}
 	all := make([]scored, len(p.Fields))
 	bestName, bestNameP := -1, 0.0
-	for fi, f := range p.Fields {
-		pr := m.Proba(f)
+	s := pageStreamer{opts: featureStreamOptions(m.Featurizer.opts)}
+	sp := s.stream(p)
+	for fi := range p.Fields {
+		pr := m.Proba(sp, fi)
 		all[fi] = scored{fieldIdx: fi, proba: pr}
 		if pr[nameClass] > bestNameP {
 			bestName, bestNameP = fi, pr[nameClass]
@@ -105,18 +104,6 @@ func ExtractPage(p *Page, m *Model, opts ExtractOptions) []Extraction {
 		})
 	}
 	return out
-}
-
-// Route returns the index of the cluster whose exemplar signature is most
-// similar to the page, or -1 for a model with no clusters. The page's
-// signature is matched against the pre-sorted exemplar slices with a
-// linear merge instead of per-page map intersections.
-func (sm *SiteModel) Route(p *Page) int {
-	if len(sm.Clusters) == 1 {
-		return 0
-	}
-	i, _ := cluster.RouteSorted(cluster.SortedSignatureOf(p.Doc), sm.exemplars())
-	return i
 }
 
 func argmax(p []float64) (int, float64) {

@@ -193,71 +193,70 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 	return out
 }
 
-// Features computes the sparse vector of a field: structural 4-tuples
-// (attribute name, attribute value, ancestor distance, sibling offset)
-// over the node, its ancestors and the ancestors' siblings, plus
-// frequent-string text features keyed by the relative tree position of the
-// string. Each name is built in one reused byte buffer and looked up
-// without a string of its own; only a name the dictionary interns is
-// allocated.
-func (fz *Featurizer) Features(f *Field) mlr.Vector {
-	return fz.appendFeatures(nil, f)
+// Features computes the sparse vector of field fi of a page streamed
+// under featureStreamOptions(opts): structural 4-tuples (attribute name,
+// attribute value, ancestor distance, sibling offset) over the field's
+// element, its ancestors and the ancestors' siblings, plus frequent-string
+// text features keyed by the relative tree position of the string. Each
+// name is built in one reused byte buffer and looked up without a string
+// of its own; only a name the dictionary interns is allocated.
+func (fz *Featurizer) Features(sp *dom.StreamPage, fi int) mlr.Vector {
+	return fz.appendFeatures(nil, sp, fi)
 }
 
-// appendFeatures appends the vector Features computes to dst.
-func (fz *Featurizer) appendFeatures(dst []mlr.Feature, f *Field) []mlr.Feature {
+// appendFeatures appends the vector Features computes to dst. Names are
+// emitted in one fixed order — per level, the element, then its siblings
+// nearest first, the preceding one before the following; then the text
+// walk — which is the order an unfrozen dictionary numbers them in.
+func (fz *Featurizer) appendFeatures(dst []mlr.Feature, sp *dom.StreamPage, fi int) []mlr.Feature {
 	var nameBuf [128]byte
 	var featBuf [64]mlr.Feature
 	fn := featureNames{dict: fz.dict, name: nameBuf[:0], feats: featBuf[:0]}
-	// Level 0 is the element containing the text node.
-	elem := f.Node.Parent
-	if elem == nil {
-		return dst
-	}
+	// Level 0 is the element containing the text; record 0, the document,
+	// ends both walks.
+	elem := sp.FieldParent(fi)
 	if !fz.opts.DisableStructural {
 		node := elem
-		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= fz.opts.MaxAncestors; lvl++ {
-			fn = fn.structural(node, lvl, 0)
+		for lvl := 0; node != 0 && lvl <= fz.opts.MaxAncestors; lvl++ {
+			fn = fn.structural(sp, node, lvl, 0)
 			// Siblings of this ancestor within the window, at every level
 			// (§4.2: the node itself, its ancestors, and their siblings).
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
+			sibs := sp.ElemSiblings(node)
+			pos := int(sp.ElemIndex(node))
 			for off := 1; off <= fz.opts.SiblingWindow; off++ {
 				if pos-off >= 0 {
-					fn = fn.structural(sibs[pos-off], lvl, -off)
+					fn = fn.structural(sp, sibs[pos-off], lvl, -off)
 				}
 				if pos+off < len(sibs) {
-					fn = fn.structural(sibs[pos+off], lvl, off)
+					fn = fn.structural(sp, sibs[pos+off], lvl, off)
 				}
 			}
-			node = node.Parent
+			node = sp.Parent(node)
 		}
 	}
 	if !fz.opts.DisableText {
 		// Frequent strings in nearby nodes: for each ancestor level, scan
 		// the ancestor's preceding element siblings (and their subtree
-		// text) — where key/value templates put their labels.
+		// text) — where key/value templates put their labels. Text the
+		// stream could not keep is longer than any lexicon string.
+		maxText := fz.opts.MaxFrequentStringLen
 		node := elem
-		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= fz.opts.TextAncestors; lvl++ {
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
-			for off := 1; off <= fz.opts.SiblingWindow; off++ {
-				if pos-off < 0 {
-					break
-				}
-				text := sibs[pos-off].Text()
-				if fz.frequent[text] {
+		for lvl := 0; node != 0 && lvl <= fz.opts.TextAncestors; lvl++ {
+			sibs := sp.ElemSiblings(node)
+			pos := int(sp.ElemIndex(node))
+			for off := 1; off <= fz.opts.SiblingWindow && pos-off >= 0; off++ {
+				if text, ok := sp.SubText(sibs[pos-off], maxText); ok && fz.frequent[string(text)] {
 					fn = fn.text(lvl, -off, text)
 				}
 			}
 			// Direct text of the ancestor itself (e.g. heading text mixed
 			// with the value container).
 			if lvl > 0 {
-				if own := node.OwnText(); own != "" && fz.frequent[own] {
+				if own, ok := sp.OwnText(node); ok && len(own) != 0 && fz.frequent[string(own)] {
 					fn = fn.text(lvl, 0, own)
 				}
 			}
-			node = node.Parent
+			node = sp.Parent(node)
 		}
 	}
 	return append(dst, mlr.NewVector(fn.feats)...)
@@ -279,12 +278,12 @@ type exampleArena struct {
 const exampleChunk = 4096
 
 // features is Featurizer.Features with the vector carved from the arena.
-func (a *exampleArena) features(fz *Featurizer, f *Field) mlr.Vector {
+func (a *exampleArena) features(fz *Featurizer, sp *dom.StreamPage, fi int) mlr.Vector {
 	if len(a.chunk) == cap(a.chunk) {
 		a.chunk = make([]mlr.Feature, 0, exampleChunk)
 	}
 	free := a.chunk[len(a.chunk):]
-	v := mlr.Vector(fz.appendFeatures(free, f))
+	v := mlr.Vector(fz.appendFeatures(free, sp, fi))
 	fits := len(v) <= cap(free)
 	if !fits {
 		a.chunk = nil
@@ -335,16 +334,16 @@ func (fn featureNames) prefix(kind byte, lvl, off int) featureNames {
 	return fn
 }
 
-// structural emits the 4-tuple features of one context node:
+// structural emits the 4-tuple features of element record e:
 // s|lvl|off|tag|<tag>, then s|lvl|off|<attr>|<value> per structural
-// attribute the node carries.
-func (fn featureNames) structural(n *dom.Node, lvl, off int) featureNames {
+// attribute the element carries non-empty.
+func (fn featureNames) structural(sp *dom.StreamPage, e int32, lvl, off int) featureNames {
 	fn = fn.prefix('s', lvl, off)
 	at := len(fn.name)
-	fn.name = append(append(fn.name, "tag|"...), n.Tag...)
+	fn.name = append(append(fn.name, "tag|"...), sp.Tag(e)...)
 	fn = fn.add()
-	for _, attr := range structuralAttrs {
-		if v, ok := n.Attr(attr); ok && v != "" {
+	for i, attr := range structuralAttrs {
+		if v, ok := sp.AttrValue(e, i); ok && len(v) != 0 {
 			fn.name = append(append(append(fn.name[:at], attr...), '|'), v...)
 			fn = fn.add()
 		}
@@ -353,7 +352,7 @@ func (fn featureNames) structural(n *dom.Node, lvl, off int) featureNames {
 }
 
 // text emits the frequent-string feature t|lvl|off|<text>.
-func (fn featureNames) text(lvl, off int, text string) featureNames {
+func (fn featureNames) text(lvl, off int, text []byte) featureNames {
 	fn = fn.prefix('t', lvl, off)
 	fn.name = append(fn.name, text...)
 	return fn.add()

@@ -1,11 +1,20 @@
 package core
 
 import (
+	"context"
 	"testing"
 
+	"ceres/internal/dom"
 	"ceres/internal/mlr"
 	"ceres/internal/websim"
 )
+
+// streamPage streams p the way BuildExamples does under the default
+// feature options.
+func streamPage(p *Page) *dom.StreamPage {
+	s := pageStreamer{opts: featureStreamOptions(FeatureOptions{}.withDefaults())}
+	return s.stream(p)
+}
 
 func TestFeaturizerBasics(t *testing.T) {
 	pages, _, _, _ := buildMovieSite(t, 15, defaultStyle())
@@ -23,11 +32,11 @@ func TestFeaturizerBasics(t *testing.T) {
 		t.Errorf("unique title %q should not be frequent", title)
 	}
 	// Features are non-empty and deterministic.
-	f := pages[0].Fields[5]
-	v1 := fz.Features(f)
-	v2 := fz.Features(f)
+	sp := streamPage(pages[0])
+	v1 := fz.Features(sp, 5)
+	v2 := fz.Features(sp, 5)
 	if len(v1) == 0 {
-		t.Fatalf("no features for field %q", f.Text)
+		t.Fatalf("no features for field %q", pages[0].Fields[5].Text)
 	}
 	if len(v1) != len(v2) {
 		t.Fatalf("featurizer nondeterministic")
@@ -50,11 +59,11 @@ func TestFeaturesDistinguishFieldRoles(t *testing.T) {
 		switch a.Predicate {
 		case websim.PredDirectedBy:
 			if dirVec == nil {
-				dirVec = vecSet(fz.Features(pages[a.PageIdx].Fields[a.FieldIdx]))
+				dirVec = vecSet(fz.Features(streamPage(pages[a.PageIdx]), a.FieldIdx))
 			}
 		case websim.PredGenre:
 			if genreVec == nil {
-				genreVec = vecSet(fz.Features(pages[a.PageIdx].Fields[a.FieldIdx]))
+				genreVec = vecSet(fz.Features(streamPage(pages[a.PageIdx]), a.FieldIdx))
 			}
 		}
 	}
@@ -85,10 +94,10 @@ func TestFeatureAblationFlags(t *testing.T) {
 	full := NewFeaturizer(pages, FeatureOptions{})
 	noStruct := NewFeaturizer(pages, FeatureOptions{DisableStructural: true})
 	noText := NewFeaturizer(pages, FeatureOptions{DisableText: true})
-	f := pages[0].Fields[8]
-	nFull := len(full.Features(f))
-	nNoStruct := len(noStruct.Features(f))
-	nNoText := len(noText.Features(f))
+	sp := streamPage(pages[0])
+	nFull := len(full.Features(sp, 8))
+	nNoStruct := len(noStruct.Features(sp, 8))
+	nNoText := len(noText.Features(sp, 8))
 	if nNoStruct >= nFull || nNoText >= nFull {
 		t.Errorf("ablations should drop features: full=%d noStruct=%d noText=%d", nFull, nNoStruct, nNoText)
 	}
@@ -98,18 +107,44 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 	pages, _, _, _ := buildMovieSite(t, 6, defaultStyle())
 	fz := NewFeaturizer(pages[:3], FeatureOptions{})
 	for _, p := range pages[:3] {
-		for _, f := range p.Fields {
-			fz.Features(f)
+		sp := streamPage(p)
+		for fi := range p.Fields {
+			fz.Features(sp, fi)
 		}
 	}
 	before := fz.Dict().Len()
 	fz.Freeze()
 	for _, p := range pages[3:] {
-		for _, f := range p.Fields {
-			fz.Features(f)
+		sp := streamPage(p)
+		for fi := range p.Fields {
+			fz.Features(sp, fi)
 		}
 	}
 	if fz.Dict().Len() != before {
 		t.Errorf("frozen dictionary grew: %d -> %d", before, fz.Dict().Len())
+	}
+}
+
+// BenchmarkFeaturize measures the training featurizer — names built in a
+// buffer and looked up in the dictionary, a fresh sorted slice per field
+// — over every field of one streamed page.
+func BenchmarkFeaturize(b *testing.B) {
+	pages, K, _, _ := buildMovieSite(b, 60, defaultStyle())
+	ann, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fz := NewFeaturizer(pages, FeatureOptions{})
+	BuildExamples(pages, ann, fz, TrainOptions{Seed: 1})
+	fz.Freeze()
+	sp := streamPage(pages[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for fi := range pages[0].Fields {
+			if v := fz.Features(sp, fi); len(v) == 0 {
+				b.Fatal("no features")
+			}
+		}
 	}
 }

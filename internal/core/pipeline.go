@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ceres/internal/cluster"
+	"ceres/internal/dom"
 	"ceres/internal/kb"
 	"ceres/internal/mlr"
 	"ceres/internal/obs/trace"
@@ -95,10 +96,10 @@ func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) 
 // Prepared is a site between the two halves of training. Everything that
 // reads pages is done: Site has every cluster's exemplar and statistics,
 // and Fits has, per trainable cluster, what its optimizer still has to
-// run over. Nothing reachable from a Prepared references a *Page, a
-// *dom.Node or an mlr.Dataset: the parsed pages, by far the largest thing
-// training builds, are garbage once PrepareSite returns, and Fit runs in
-// the memory of the distinct training rows.
+// run over. Nothing reachable from a Prepared references a *Page or an
+// mlr.Dataset: the prepared pages, by far the largest thing training
+// builds, are garbage once PrepareSite returns, and Fit runs in the
+// memory of the distinct training rows.
 type Prepared struct {
 	Site *SiteModel
 	// Fits lists the trainable clusters in cluster order.
@@ -139,6 +140,8 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 	}
 
 	csp := tsp.StartChild("cluster")
+	// Signatures key elements by tag and class; they read no text.
+	streamers := newStreamers(cfg.Workers, dom.StreamOptions{Attrs: []string{"class"}, Signature: true})
 	var sigs []cluster.PageSignature
 	var groups [][]int
 	if cfg.DisablePageClustering {
@@ -148,11 +151,11 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 		}
 		groups = [][]int{all}
 		// Only the single group's exemplar signature is needed.
-		sigs = []cluster.PageSignature{cluster.Signature(pages[0].Doc)}
+		sigs = []cluster.PageSignature{streamers[0].signature(pages[0])}
 	} else {
 		sigs = make([]cluster.PageSignature, len(pages))
-		if err := par.For(ctx, len(pages), cfg.Workers, func(_, i int) {
-			sigs[i] = cluster.Signature(pages[i].Doc)
+		if err := par.For(ctx, len(pages), cfg.Workers, func(w, i int) {
+			sigs[i] = streamers[w].signature(pages[i])
 		}); err != nil {
 			csp.EndErr(err)
 			return nil, err
@@ -220,13 +223,14 @@ func (p *Prepared) Fit(ctx context.Context) error {
 	return nil
 }
 
-// ParsePages parses page sources on up to workers goroutines (0 or 1: on
-// the caller's), preserving order. A cancelled ctx stops it with
+// ParsePages prepares page sources on up to workers goroutines (0 or 1:
+// on the caller's), preserving order. A cancelled ctx stops it with
 // ctx.Err().
 func ParsePages(ctx context.Context, sources []PageSource, workers int) ([]*Page, error) {
 	pages := make([]*Page, len(sources))
-	err := par.For(ctx, len(sources), workers, func(_, i int) {
-		pages[i] = PreparePage(sources[i].ID, sources[i].HTML)
+	streamers := newStreamers(workers, dom.StreamOptions{})
+	err := par.For(ctx, len(sources), workers, func(w, i int) {
+		pages[i] = streamers[w].prepare(sources[i].ID, sources[i].HTML)
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"ceres/internal/eval"
 	"ceres/internal/kb"
@@ -191,5 +193,31 @@ func TestPipelineNoAnnotatablePages(t *testing.T) {
 	}
 	if _, exts := trainExtract(t, sources, K); len(exts) != 0 {
 		t.Errorf("disjoint KB should yield no extractions, got %d", len(exts))
+	}
+}
+
+// TestTrainSiteOnDeepPage trains on a movie site plus one page that nests
+// <div> elements 100,000 deep around a single field — internal/dom's
+// hostile "div nesting" page. Training reads pages through the stream
+// pass, whose open-element stack is a slice, so the deep page costs time
+// linear in its depth and no goroutine stack: TrainSite returns a trained
+// model within the hostile pages' bound.
+func TestTrainSiteOnDeepPage(t *testing.T) {
+	const bound = 2 * time.Second // internal/dom's hostileBound
+	_, K, _, gold := buildMovieSite(t, 20, defaultStyle())
+	sources := []PageSource{{ID: "deep", HTML: strings.Repeat("<div>", 100_000) + "x"}}
+	for _, g := range gold {
+		sources = append(sources, PageSource{ID: g.ID, HTML: g.HTML})
+	}
+	start := time.Now()
+	sm, err := TrainSite(context.Background(), sources, K, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > bound {
+		t.Errorf("TrainSite took %v with a deep page, bound %v", d, bound)
+	}
+	if sm.TrainedClusters() == 0 {
+		t.Error("no cluster trained beside the deep page")
 	}
 }

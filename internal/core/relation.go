@@ -174,6 +174,7 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 	}
 
 	res := &AnnotationResult{Topics: topics, AnnotatedPages: make([]bool, len(pages))}
+	var s pageStreamer
 	for pi, p := range pages {
 		pg := groups[pi]
 		if pg == nil {
@@ -196,7 +197,7 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 				}
 				forceCluster := pagesWithTopic > 0 &&
 					float64(objPageCount[pred][objKey]) > ropts.DuplicatedPageFrac*float64(pagesWithTopic)
-				fi, ok := chooseMention(p, predFields[i], predFields, clusterSize[pred], forceCluster)
+				fi, ok := chooseMention(p, &s, predFields[i], predFields, clusterSize[pred], forceCluster)
 				if ok {
 					anns = append(anns, Annotation{PageIdx: pi, FieldIdx: fi, Predicate: pred})
 				}
@@ -217,14 +218,18 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 // fields are the object's candidate mentions, predFields the mention lists
 // of every object of the predicate on the page. At most one mention is
 // annotated (§3.2: "we annotate no more than one mention of each object
-// for a predicate").
-func chooseMention(p *Page, fields []int, predFields [][]int, clusterSize map[string]int, forceCluster bool) (int, bool) {
-	best := bestLocalMentions(p, fields, predFields)
+// for a predicate"). Local evidence reads the page's structure, which s
+// streams only when there is more than one mention to weigh.
+func chooseMention(p *Page, s *pageStreamer, fields []int, predFields [][]int, clusterSize map[string]int, forceCluster bool) (int, bool) {
 	if forceCluster {
 		// Local evidence is untrustworthy for near-constant values; only
 		// the dominant global cluster may win.
 		return pickByCluster(p, fields, clusterSize)
 	}
+	if len(fields) == 1 {
+		return fields[0], true
+	}
+	best := bestLocalMentions(s.stream(p), fields, predFields)
 	if len(best) == 1 {
 		return best[0], true
 	}
@@ -234,15 +239,12 @@ func chooseMention(p *Page, fields []int, predFields [][]int, clusterSize map[st
 
 // bestLocalMentions returns the mention(s) whose exclusive-ancestor
 // subtree contains the most sibling objects of the same predicate.
-func bestLocalMentions(p *Page, fields []int, predFields [][]int) []int {
-	if len(fields) == 1 {
-		return fields
-	}
+func bestLocalMentions(sp *dom.StreamPage, fields []int, predFields [][]int) []int {
 	bestCount := -1
 	var best []int
 	for _, fi := range fields {
-		anc := exclusiveAncestor(p, fi, fields)
-		count := objectsUnder(p, anc, predFields)
+		anc := exclusiveAncestor(sp, fi, fields)
+		count := objectsUnder(sp, fi, anc, predFields)
 		if count > bestCount {
 			bestCount = count
 			best = []int{fi}
@@ -253,24 +255,22 @@ func bestLocalMentions(p *Page, fields []int, predFields [][]int) []int {
 	return best
 }
 
+// ownNode stands for a mention's own text node where an element record is
+// expected: the exclusive ancestor of a mention whose element holds
+// another mention of the object.
+const ownNode = -1
+
 // exclusiveAncestor returns the highest ancestor of the mention that
-// contains no other mention of the same object (Algorithm 2 line 5).
-func exclusiveAncestor(p *Page, fi int, mentions []int) *dom.Node {
-	node := p.Fields[fi].Node
-	anc := node
-	for cand := node.Parent; cand != nil; cand = cand.Parent {
-		exclusive := true
+// contains no other mention of the same object (Algorithm 2 line 5): an
+// element record (0, the document, when the mention is the object's only
+// one under it) or ownNode.
+func exclusiveAncestor(sp *dom.StreamPage, fi int, mentions []int) int32 {
+	anc := int32(ownNode)
+	for cand := sp.FieldParent(fi); cand >= 0; cand = sp.Parent(cand) {
 		for _, mi := range mentions {
-			if mi == fi {
-				continue
+			if mi != fi && holds(sp, cand, mi) {
+				return anc
 			}
-			if cand.Contains(p.Fields[mi].Node) {
-				exclusive = false
-				break
-			}
-		}
-		if !exclusive {
-			break
 		}
 		anc = cand
 	}
@@ -278,19 +278,31 @@ func exclusiveAncestor(p *Page, fi int, mentions []int) *dom.Node {
 }
 
 // objectsUnder counts the distinct objects of the predicate with at least
-// one mention inside the subtree (Algorithm 2 line 7: "count of all
-// objects for predicate under ancestorNode").
-func objectsUnder(p *Page, root *dom.Node, predFields [][]int) int {
+// one mention inside the subtree of anc, fi's exclusive ancestor
+// (Algorithm 2 line 7: "count of all objects for predicate under
+// ancestorNode").
+func objectsUnder(sp *dom.StreamPage, fi int, anc int32, predFields [][]int) int {
 	count := 0
 	for _, fields := range predFields {
-		for _, fi := range fields {
-			if root.Contains(p.Fields[fi].Node) {
+		for _, fj := range fields {
+			if fj == fi || anc != ownNode && holds(sp, anc, fj) {
 				count++
 				break
 			}
 		}
 	}
 	return count
+}
+
+// holds reports whether element record e contains field fi: whether e is
+// the field's element or one of its ancestors.
+func holds(sp *dom.StreamPage, e int32, fi int) bool {
+	for r := sp.FieldParent(fi); r >= 0; r = sp.Parent(r) {
+		if r == e {
+			return true
+		}
+	}
+	return false
 }
 
 // pickByCluster selects, among candidate fields, the unique one whose path

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"ceres/internal/dom"
 	"ceres/internal/websim"
 )
 
@@ -172,5 +174,93 @@ func TestAnnotationsRespectTopicField(t *testing.T) {
 		if n != 1 {
 			t.Errorf("page %d has %d name annotations", pi, n)
 		}
+	}
+}
+
+// treeBestLocalMentions is BestLocalMention (Algorithm 2 lines 1–14) over
+// the text nodes of a dom.Parse tree, as relation annotation computed it
+// before it read the stream records: the exclusive ancestor is the
+// highest node above a mention containing no other mention of the object,
+// and each object with a mention under it counts.
+func treeBestLocalMentions(text []*dom.Node, fields []int, predFields [][]int) []int {
+	contains := func(n, m *dom.Node) bool {
+		for ; m != nil; m = m.Parent {
+			if m == n {
+				return true
+			}
+		}
+		return false
+	}
+	bestCount := -1
+	var best []int
+	for _, fi := range fields {
+		anc := text[fi]
+	up:
+		for cand := anc.Parent; cand != nil; cand = cand.Parent {
+			for _, mi := range fields {
+				if mi != fi && contains(cand, text[mi]) {
+					break up
+				}
+			}
+			anc = cand
+		}
+		count := 0
+		for _, objFields := range predFields {
+			for _, fj := range objFields {
+				if contains(anc, text[fj]) {
+					count++
+					break
+				}
+			}
+		}
+		if count > bestCount {
+			bestCount, best = count, []int{fi}
+		} else if count == bestCount {
+			best = append(best, fi)
+		}
+	}
+	return best
+}
+
+// TestLocalEvidenceMatchesTree holds relation annotation's local evidence
+// on the stream records to the same computation over a parsed tree. On
+// every page of a movie site, as generated and under each malformedEdits
+// entry, and on a page whose element holds two mentions of one object
+// (the mention's own text node is then its exclusive ancestor), fields
+// with equal normalized text stand for the mentions of one object, and
+// every object of the page for the predicate's objects.
+func TestLocalEvidenceMatchesTree(t *testing.T) {
+	pages, _, _, _ := buildMovieSite(t, 12, defaultStyle())
+	pages = append(pages, PreparePage("own-node", `<div><p>Ann<br>Ann<br>Bob</p><p>Ann</p><ul><li>Bob</li><li>Cy</li></ul></div>`))
+	for _, p := range pages[:6] {
+		for _, e := range malformedEdits {
+			pages = append(pages, PreparePage(p.ID+"/"+e.name, e.fn(p.HTML)))
+		}
+	}
+	compared := 0
+	for _, p := range pages {
+		text := dom.TextFields(dom.Parse(p.HTML))
+		byNorm := map[string][]int{}
+		for fi, f := range p.Fields {
+			byNorm[f.Norm] = append(byNorm[f.Norm], fi)
+		}
+		var predFields [][]int
+		for _, norm := range sortedKeys(byNorm) {
+			predFields = append(predFields, byNorm[norm])
+		}
+		sp := streamPage(p)
+		for _, fields := range predFields {
+			if len(fields) < 2 {
+				continue
+			}
+			got, want := bestLocalMentions(sp, fields, predFields), treeBestLocalMentions(text, fields, predFields)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("page %s, mentions %v: best %v, over the tree %v", p.ID, fields, got, want)
+			}
+			compared++
+		}
+	}
+	if compared < 100 {
+		t.Fatalf("only %d mention groups compared", compared)
 	}
 }

@@ -13,12 +13,10 @@ import (
 // This file is the production extraction engine (DESIGN.md §5): pages are
 // extracted from raw bytes in a single tokenizer pass, with routing
 // signature, featurization context and text fields all captured by
-// dom.StreamScratch — no DOM tree is ever built. Output is bit-identical
-// to the paper-literal ExtractPage (same extractions, confidences, order
-// and XPath strings); the root-package differential tests assert it over
-// every DemoCorpus kind. Training and annotation keep the materialized
-// tree: they need random access, node identity and render support that a
-// single forward pass cannot give.
+// dom.StreamScratch — the page representation training reads too. Output
+// is bit-identical to the paper-literal ExtractPage (same extractions,
+// confidences, order and XPath strings); the root-package differential
+// tests assert it over every DemoCorpus kind.
 
 // probeStr probes a compiled lookup table with a byte key. The
 // []byte→string conversion is allocation-free under the map-probe special
@@ -322,7 +320,7 @@ func (sc *ServeScratch) beginPage(sp *dom.StreamPage, cm *CompiledModel) []float
 }
 
 // ExtractStreamPage applies the compiled model to a streamed page, with
-// the output of the paper-literal ExtractPage over the parsed page.
+// the output of the paper-literal ExtractPage over the prepared page.
 // Subject, value and path strings materialize only for emitted
 // extractions; a page that yields nothing allocates nothing.
 func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, opts ExtractOptions, sc *ServeScratch) []Extraction {

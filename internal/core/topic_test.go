@@ -9,7 +9,7 @@ import (
 )
 
 // buildMovieSite renders a small movie site plus its seed KB.
-func buildMovieSite(t *testing.T, nPages int, style websim.MovieSiteStyle) ([]*Page, *kb.KB, *websim.World, []*websim.Page) {
+func buildMovieSite(t testing.TB, nPages int, style websim.MovieSiteStyle) ([]*Page, *kb.KB, *websim.World, []*websim.Page) {
 	t.Helper()
 	w := websim.NewWorld(websim.WorldConfig{Films: 150, People: 200, Series: 4, Episodes: 6, Seed: 21})
 	K := websim.BuildKB(w, websim.FullCoverage(), 3)

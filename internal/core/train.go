@@ -119,9 +119,10 @@ type Model struct {
 	NB *mlr.NaiveBayes
 }
 
-// Proba returns the class distribution for a field.
-func (m *Model) Proba(f *Field) []float64 {
-	x := m.Featurizer.Features(f)
+// Proba returns the class distribution of field fi of a page streamed
+// under featureStreamOptions(m.Featurizer.opts).
+func (m *Model) Proba(sp *dom.StreamPage, fi int) []float64 {
+	x := m.Featurizer.Features(sp, fi)
 	if m.NB != nil {
 		return m.NB.Proba(x)
 	}
@@ -149,21 +150,23 @@ func BuildExamples(pages []*Page, res *AnnotationResult, fz *Featurizer, opts Tr
 	sort.Ints(pageIdxs)
 
 	var vecs exampleArena
+	s := pageStreamer{opts: featureStreamOptions(fz.opts)}
 	for _, pi := range pageIdxs {
 		p := pages[pi]
+		sp := s.stream(p)
 		anns := perPage[pi]
 		// skip marks the positives and, unless disabled, their likely
 		// list siblings: neither is sampled as a negative.
 		skip := make([]bool, len(p.Fields))
 		if !opts.DisableListExclusion {
-			listSiblingExclusions(skip, p, anns)
+			listSiblingExclusions(skip, sp, anns)
 		}
 		for _, a := range anns {
 			skip[a.FieldIdx] = true
 		}
 		// Positives.
 		for _, a := range anns {
-			ds.Add(vecs.features(fz, p.Fields[a.FieldIdx]), classes.Index(a.Predicate))
+			ds.Add(vecs.features(fz, sp, a.FieldIdx), classes.Index(a.Predicate))
 		}
 		// Negatives: r per positive, sampled among unlabeled,
 		// non-excluded fields.
@@ -179,102 +182,100 @@ func BuildExamples(pages []*Page, res *AnnotationResult, fz *Featurizer, opts Tr
 		}
 		rng.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 		for _, fi := range candidates[:want] {
-			ds.Add(vecs.features(fz, p.Fields[fi]), OtherClass)
+			ds.Add(vecs.features(fz, sp, fi), OtherClass)
 		}
 	}
 	return ds, classes
 }
 
-// listSiblingExclusions marks in excluded the fields that likely belong
-// to the same value list as a positive (§4.1: "we exclude other nodes
-// that differ from these positives only at these indices, since they are
-// likely to be part of the same list"). A predicate's positives must
-// share one XPath shape — the same step names at every depth; the steps
-// whose indices differ among them become wildcards, and every field whose
-// XPath fits the pattern is excluded. Paths are compared on the node
-// chains, step by step, without building one per field.
-func listSiblingExclusions(excluded []bool, p *Page, anns []Annotation) {
-	byPred := map[string][]*dom.Node{}
+// listSiblingExclusions marks in excluded the fields of sp that likely
+// belong to the same value list as a positive (§4.1: "we exclude other
+// nodes that differ from these positives only at these indices, since
+// they are likely to be part of the same list"). A predicate's positives
+// must share one XPath shape — the same step names at every depth; the
+// steps whose indices differ among them become wildcards, and every field
+// whose XPath fits the pattern is excluded. Paths are compared on the
+// records, step by step, without printing one.
+func listSiblingExclusions(excluded []bool, sp *dom.StreamPage, anns []Annotation) {
+	byPred := map[string][]int{}
 	for _, a := range anns {
-		byPred[a.Predicate] = append(byPred[a.Predicate], p.Fields[a.FieldIdx].Node)
+		byPred[a.Predicate] = append(byPred[a.Predicate], a.FieldIdx)
 	}
 	var pat pathPattern
 	for _, pred := range sortedKeys(byPred) {
-		nodes := byPred[pred]
-		if len(nodes) < 2 {
+		fields := byPred[pred]
+		if len(fields) < 2 {
 			continue
 		}
 		var ok bool
-		if pat, ok = generalizePaths(pat[:0], nodes); !ok {
+		if pat, ok = generalizePaths(pat[:0], sp, fields); !ok {
 			continue
 		}
-		for fi, f := range p.Fields {
-			if pat.matches(f.Node) {
+		for fi := range excluded {
+			if ok, _ := pat.fit(sp, fi, false); ok {
 				excluded[fi] = true
 			}
 		}
 	}
 }
 
-// pathPattern is an absolute XPath with index wildcards, leaf step first:
-// each step is the node whose kind (text, comment or element tag) the
-// step names, and the 1-based sibling index it requires, or wildcard.
+// pathPattern is a field's absolute XPath with index wildcards, leaf step
+// first: each step is the name it prints — text() or an element's tag, by
+// its name ID — and the 1-based index it requires, or wildcard.
 type pathPattern []pathStep
 
 type pathStep struct {
-	kind  *dom.Node
-	index int
+	name, index int32
 }
 
-const wildcard = -1
+const (
+	wildcard = -1
+	textStep = -1 // the name of a text() step; tags have IDs from 0
+)
 
 // generalizePaths builds into pat the most specific pattern the XPaths of
-// nodes fit: every path must have the first's shape (ok is false
+// fields fit: every path must have the first's shape (ok is false
 // otherwise), and a step becomes a wildcard where their indices differ. A
 // pattern without a wildcard is not ok either — it excludes nothing a
 // positive does not already cover.
-func generalizePaths(pat pathPattern, nodes []*dom.Node) (_ pathPattern, ok bool) {
-	for m := nodes[0]; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
-		pat = append(pat, pathStep{kind: m, index: m.SiblingIndex()})
+func generalizePaths(pat pathPattern, sp *dom.StreamPage, fields []int) (_ pathPattern, ok bool) {
+	pat = append(pat, pathStep{name: textStep, index: sp.FieldOrdinal(fields[0])})
+	for e := sp.FieldParent(fields[0]); e != 0; e = sp.Parent(e) {
+		pat = append(pat, pathStep{name: sp.NameID(e), index: sp.Ordinal(e)})
 	}
 	wild := false
-	for _, n := range nodes[1:] {
-		i := 0
-		for m := n; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
-			if i == len(pat) || !sameStepName(pat[i].kind, m) {
-				return pat, false
-			}
-			if pat[i].index != wildcard && pat[i].index != m.SiblingIndex() {
-				pat[i].index, wild = wildcard, true
-			}
-			i++
-		}
-		if i != len(pat) {
+	for _, fi := range fields[1:] {
+		ok, widened := pat.fit(sp, fi, true)
+		if !ok {
 			return pat, false
 		}
+		wild = wild || widened
 	}
 	return pat, wild
 }
 
-// matches reports whether n's XPath is an instance of the pattern.
-func (pat pathPattern) matches(n *dom.Node) bool {
-	i := 0
-	for m := n; m != nil && m.Type != dom.DocumentNode; m = m.Parent {
-		if i == len(pat) || !sameStepName(pat[i].kind, m) {
-			return false
+// fit reports whether field fi's XPath has the pattern's step names and,
+// unless widen is set, its indices. With widen, a step whose index differs
+// becomes a wildcard instead, and widened reports whether one did.
+func (pat pathPattern) fit(sp *dom.StreamPage, fi int, widen bool) (ok, widened bool) {
+	name, index := int32(textStep), sp.FieldOrdinal(fi)
+	e := sp.FieldParent(fi)
+	for i := 0; ; i++ {
+		if i == len(pat) || pat[i].name != name {
+			return false, widened
 		}
-		if pat[i].index != wildcard && pat[i].index != m.SiblingIndex() {
-			return false
+		if pat[i].index != wildcard && pat[i].index != index {
+			if !widen {
+				return false, widened
+			}
+			pat[i].index, widened = wildcard, true
 		}
-		i++
+		if e == 0 {
+			return i+1 == len(pat), widened
+		}
+		name, index = sp.NameID(e), sp.Ordinal(e)
+		e = sp.Parent(e)
 	}
-	return i == len(pat)
-}
-
-// sameStepName reports whether a and b print the same XPath step name:
-// text(), comment() or the element tag.
-func sameStepName(a, b *dom.Node) bool {
-	return a.Type == b.Type && (a.Type != dom.ElementNode || a.Tag == b.Tag)
 }
 
 // newClusterFit does everything of TrainModel that reads the dataset and
@@ -320,7 +321,7 @@ func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOpt
 
 // trainingProbe is the package's test seam: when set, it is told where a
 // training is — "parsed" once PrepareSite has clustered the pages, with
-// every parsed page still reachable, and "fit" before each optimizer's
+// every prepared page still reachable, and "fit" before each optimizer's
 // first objective evaluation. Production code never installs one.
 var trainingProbe atomic.Pointer[func(phase string)]
 

@@ -119,7 +119,7 @@ func TestListExclusionKeepsListSiblingsOutOfNegatives(t *testing.T) {
 			}
 			excluded := make([]bool, len(pages[pi].Fields))
 			if !opts.DisableListExclusion {
-				listSiblingExclusions(excluded, pages[pi], anns)
+				listSiblingExclusions(excluded, streamPage(pages[pi]), anns)
 			}
 			for fi, f := range pages[pi].Fields {
 				if positive[[2]int{pi, fi}] || excluded[fi] {
@@ -159,25 +159,33 @@ func TestTrainModelClassifiers(t *testing.T) {
 		t.Errorf("nb classifier not trained")
 	}
 	// Both classify a field to a full distribution.
-	p := lr.Proba(pages[0].Fields[3])
+	sp := streamPage(pages[0])
+	p := lr.Proba(sp, 3)
 	if len(p) != classes.Len() {
 		t.Errorf("LR proba length %d", len(p))
 	}
-	p = nb.Proba(pages[0].Fields[3])
+	p = nb.Proba(sp, 3)
 	if len(p) != classes.Len() {
 		t.Errorf("NB proba length %d", len(p))
 	}
 }
 
-// TestListExclusionMatchesXPathPatterns holds the node-chain list
+// TestListExclusionMatchesXPathPatterns holds the record-based list
 // exclusion to the xpath package's patterns over the printed XPaths:
 // xpath.Generalize over each predicate's positives, then Matches against
 // every field. Besides the annotator's positives, every page gets a
 // predicate per pair of fields three apart, so shapes that differ and
-// patterns without a wildcard are covered too.
+// patterns without a wildcard are covered too; so do five pages under
+// each malformedEdits entry, whose fields include some outside every
+// element.
 func TestListExclusionMatchesXPathPatterns(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 20, defaultStyle())
 	res := annotate(t, pages, K, TopicOptions{}, RelationOptions{AnnotateAllMentions: true})
+	for _, p := range pages[:5] {
+		for _, e := range malformedEdits {
+			pages = append(pages, PreparePage(p.ID+"/"+e.name, e.fn(p.HTML)))
+		}
+	}
 	perPage := map[int][]Annotation{}
 	for _, a := range res.Annotations {
 		perPage[a.PageIdx] = append(perPage[a.PageIdx], a)
@@ -211,7 +219,7 @@ func TestListExclusionMatchesXPathPatterns(t *testing.T) {
 			}
 		}
 		got := make([]bool, len(p.Fields))
-		listSiblingExclusions(got, p, anns)
+		listSiblingExclusions(got, streamPage(p), anns)
 		for fi := range want {
 			if got[fi] != want[fi] {
 				t.Errorf("page %d field %d (%s): excluded %v, xpath patterns say %v", pi, fi, p.Fields[fi].PathString, got[fi], want[fi])

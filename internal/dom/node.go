@@ -1,10 +1,11 @@
 // Package dom implements the HTML document model CERES operates over: one
 // from-scratch HTML lexer (the repository is stdlib-only, so
-// golang.org/x/net/html is unavailable) under two consumers — the tree
-// builder training parses pages with and the stream pass serving reads
-// them with — absolute-XPath generation for every node, and the text-field
-// enumeration that defines the unit of annotation and extraction (paper
-// §2.1: "a node in the tree can be uniquely defined by an absolute XPath").
+// golang.org/x/net/html is unavailable) under two consumers — the stream
+// pass training and serving read pages with, and the tree builder the
+// VERTEX++ baseline and the tests parse pages with — absolute-XPath
+// generation for every node, and the text-field enumeration that defines
+// the unit of annotation and extraction (paper §2.1: "a node in the tree
+// can be uniquely defined by an absolute XPath").
 package dom
 
 import "strings"
@@ -34,26 +35,22 @@ type Attr struct {
 type Node struct {
 	Type NodeType
 
-	// Structural context precomputed by Finalize so the featurization hot
-	// path never re-walks the tree. Parse finalizes every document it
-	// returns; AppendChild invalidates the affected caches, and the
+	// XPath ordinals Parse precomputes, so printing a path never re-counts
+	// siblings. AppendChild invalidates the affected caches, and the
 	// accessors fall back to dynamic recomputation when a cache is absent.
-	structCached bool  // elemKids() + children's indices are valid
+	structCached bool  // children's siblingIndex values are valid
 	textCached   bool  // cachedText is valid
 	ownCached    bool  // cachedOwnText is valid
-	elemIndex    int32 // index among parent's element children
 	siblingIndex int32 // 1-based XPath ordinal among same-kind siblings
 
 	Tag    string
 	Data   string
 	Attrs  []Attr
 	Parent *Node
-	// Children lists the child nodes in order. On a finalized node the
-	// element children follow them in the same array, in the slice's
-	// capacity: see elemKids.
+	// Children lists the child nodes in order.
 	Children []*Node
 
-	// Text context cached lazily on first read (not by Finalize: most
+	// Text context cached lazily on first read (not by Parse: most
 	// elements' joined subtree text is never asked for, and computing it
 	// eagerly duplicates the page's text at every tree level). Lazy
 	// caching writes on read, so a node — in practice, a parsed page —
@@ -81,17 +78,12 @@ func (n *Node) AttrOr(key, def string) string {
 }
 
 // AppendChild adds c as the last child of n and sets its parent pointer.
-// Appending to a finalized tree invalidates the caches the new child makes
-// stale: n's child-structure context and the subtree-text caches of n and
+// Appending to a parsed tree invalidates the caches the new child makes
+// stale: n's children's ordinals and the subtree-text caches of n and
 // every ancestor.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
-	if n.structCached {
-		// Clip the capacity so the append moves the children and leaves
-		// the element children a caller may still hold as they are.
-		n.structCached = false
-		n.Children = n.Children[:len(n.Children):len(n.Children)]
-	}
+	n.structCached = false
 	n.Children = append(n.Children, c)
 	if n.ownCached {
 		n.ownCached = false
@@ -103,50 +95,8 @@ func (n *Node) AppendChild(c *Node) {
 	}
 }
 
-// elemKids returns n's element children, in order, on a finalized node:
-// they are stored right after its children, between the length and the
-// capacity of Children, so that no node carries a second slice header.
-func (n *Node) elemKids() []*Node {
-	return n.Children[len(n.Children):cap(n.Children)]
-}
-
-// Finalize precomputes the per-node structural context the extraction hot
-// path reads: each node's element-children slice, its index among its
-// parent's element children, and its 1-based same-kind sibling ordinal
-// (the XPath index). Parse finalizes every document it returns; manually
-// built trees may call Finalize themselves. Text caches are not
-// precomputed — Text and OwnText fill them lazily on first read, since
-// eager joins would duplicate the page's text at every tree level.
-func (n *Node) Finalize() {
-	n.finalize(make(map[string]int32, 8))
-}
-
-func (n *Node) finalize(ordinals map[string]int32) {
-	elems := 0
-	for _, c := range n.Children {
-		c.finalize(ordinals)
-		if c.Type == ElementNode {
-			c.elemIndex = int32(elems)
-			elems++
-		}
-	}
-	if len(n.Children) > 0 {
-		// Lay the element children out after the children (see elemKids).
-		kids := make([]*Node, len(n.Children), len(n.Children)+elems)
-		copy(kids, n.Children)
-		for _, c := range n.Children {
-			if c.Type == ElementNode {
-				kids = append(kids, c)
-			}
-		}
-		n.Children = kids[:len(n.Children)]
-	}
-	n.numberChildren(ordinals)
-}
-
 // numberChildren gives each of n's children its 1-based ordinal among
-// same-kind siblings and marks n's child-structure caches valid; the
-// element children and element indices must already be in place.
+// same-kind siblings and marks them valid.
 func (n *Node) numberChildren(ordinals map[string]int32) {
 	if len(n.Children) > 0 {
 		clear(ordinals)
@@ -212,15 +162,11 @@ func joinChildText(children []*Node, ownOnly bool) string {
 
 // ElementSiblings returns the element children of n's parent (including n
 // itself), in document order — the sibling context §4.2's structural
-// features read. A parentless node is its own sole sibling. On finalized
-// trees this returns the cached slice without walking or allocating.
+// features read. A parentless node is its own sole sibling.
 func (n *Node) ElementSiblings() []*Node {
 	p := n.Parent
 	if p == nil {
 		return []*Node{n}
-	}
-	if p.structCached {
-		return p.elemKids()
 	}
 	out := make([]*Node, 0, len(p.Children))
 	for _, c := range p.Children {
@@ -237,9 +183,6 @@ func (n *Node) ElementIndex() int {
 	p := n.Parent
 	if p == nil {
 		return 0
-	}
-	if p.structCached && n.Type == ElementNode {
-		return int(n.elemIndex)
 	}
 	idx := 0
 	for _, c := range p.Children {
@@ -303,18 +246,9 @@ func (n *Node) OwnText() string {
 	return n.cachedOwnText
 }
 
-// Root returns the topmost ancestor of n (the DocumentNode for parsed
-// pages).
-func (n *Node) Root() *Node {
-	for n.Parent != nil {
-		n = n.Parent
-	}
-	return n
-}
-
 // SiblingIndex returns the 1-based position of n among its parent's
 // children that share n's type and tag (the XPath index), and 1 if n has no
-// parent. On finalized trees this is a cached read.
+// parent. On a parsed tree this is a cached read.
 func (n *Node) SiblingIndex() int {
 	if n.Parent == nil {
 		return 1
@@ -342,16 +276,6 @@ func sameKind(a, b *Node) bool {
 		return a.Tag == b.Tag
 	}
 	return true
-}
-
-// Contains reports whether m lies in the subtree rooted at n (inclusive).
-func (n *Node) Contains(m *Node) bool {
-	for ; m != nil; m = m.Parent {
-		if m == n {
-			return true
-		}
-	}
-	return false
 }
 
 // CollapseSpace trims s and collapses internal whitespace runs to single

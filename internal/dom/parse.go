@@ -45,11 +45,11 @@ var autoClose = map[string]map[string]bool{
 
 // protoNode is one node as Parse builds it, before the page's node count
 // is known: its kind, strings and attribute span, the index of its parent
-// and how many children and element children it collects.
+// and how many children it collects.
 type protoNode struct {
 	typ            NodeType
 	parent         int32
-	kids, elems    int32
+	kids           int32
 	attrLo, attrHi int32 // into parseScratch.attrs
 	tag, data      string
 }
@@ -107,11 +107,7 @@ func (b *treeBuilder) text(lo, hi int) string {
 func (b *treeBuilder) node(t NodeType, parent int32) int32 {
 	i := int32(len(b.nodes))
 	b.nodes = append(b.nodes, protoNode{typ: t, parent: parent})
-	p := &b.nodes[parent]
-	p.kids++
-	if t == ElementNode {
-		p.elems++
-	}
+	b.nodes[parent].kids++
 	return i
 }
 
@@ -250,18 +246,13 @@ func (s *parseScratch) reset() {
 
 // build turns the proto nodes into the tree Parse returns, in storage
 // sized to the page: one array of exactly its nodes, one of exactly its
-// child pointers (each node's children followed by its element
-// children), one of exactly its attributes. Proto nodes are in document
-// order, so a parent precedes its children and a node's children arrive
-// in order.
+// child pointers, one of exactly its attributes. Proto nodes are in
+// document order, so a parent precedes its children and a node's children
+// arrive in order.
 func (b *treeBuilder) build() *Node {
 	protos := b.nodes
 	nodes := make([]Node, len(protos))
-	elems := 0
-	for i := range protos {
-		elems += int(protos[i].elems)
-	}
-	ptrs := make([]*Node, len(protos)-1+elems)
+	ptrs := make([]*Node, len(protos)-1)
 	var attrs []Attr
 	if len(b.attrs) > 0 {
 		attrs = append([]Attr(nil), b.attrs...)
@@ -272,24 +263,14 @@ func (b *treeBuilder) build() *Node {
 		if pr.attrHi > pr.attrLo {
 			n.Attrs = attrs[pr.attrLo:pr.attrHi:pr.attrHi]
 		}
-		if k := int(pr.kids + pr.elems); k > 0 {
-			// The children, then the element children (see elemKids).
+		if k := int(pr.kids); k > 0 {
 			n.Children = ptrs[:0:k]
 			ptrs = ptrs[k:]
 		}
-		if i == 0 {
-			continue
-		}
-		p := &nodes[pr.parent]
-		n.Parent = p
-		p.Children = append(p.Children, n)
-		if n.Type == ElementNode {
-			// The parent's element count counts down the ones still to
-			// come, so the capacity past its children says which this is.
-			pp := &protos[pr.parent]
-			n.elemIndex = int32(cap(p.Children)) - pp.kids - pp.elems
-			pp.elems--
-			p.Children[:cap(p.Children)][pp.kids+n.elemIndex] = n
+		if i > 0 {
+			p := &nodes[pr.parent]
+			n.Parent = p
+			p.Children = append(p.Children, n)
 		}
 	}
 	for i := range nodes {

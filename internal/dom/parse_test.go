@@ -241,12 +241,6 @@ func TestNodeNavigation(t *testing.T) {
 	if spans[1].Ancestor(1) != div {
 		t.Errorf("Ancestor(1) should be the div")
 	}
-	if !div.Contains(spans[0]) || spans[0].Contains(div) {
-		t.Errorf("Contains misbehaving")
-	}
-	if spans[0].Root() != doc {
-		t.Errorf("Root should be the document")
-	}
 	if spans[0].Depth() != 4 { // html/body/div/span
 		t.Errorf("Depth = %d, want 4", spans[0].Depth())
 	}

@@ -9,16 +9,16 @@ import (
 	"sync"
 )
 
-// This file implements the stream pass of the serve path (DESIGN.md §5).
-// Stream lexes a page once, maintaining only the open-element stack,
-// and records per element exactly the structural context serve-time
-// featurization consumes — interned tag symbol, parent link, element index,
+// This file implements the stream pass, the one page representation
+// training and serving read (DESIGN.md §5). Stream lexes a page once,
+// maintaining only the open-element stack, and records per element
+// exactly the structural context featurization consumes — interned tag symbol, parent link, element index,
 // same-tag XPath ordinal, the configured attribute values, and bounded
 // own/subtree text — plus every non-empty text field, without allocating a
 // single dom.Node. The records are flat int32 structs in reusable arenas,
 // so a steady-state serve worker streams pages with no per-page
 // allocation. Output is bit-identical to Parse + TextFields + the
-// finalized-tree accessors; the differential tests in stream_test.go and
+// tree accessors; the differential tests in stream_test.go and
 // the root package enforce that.
 
 // streamMaxAttrs bounds how many attribute keys a stream can capture per
@@ -500,7 +500,7 @@ func (p *StreamPage) startTag(src, name []byte) {
 
 // signatureKey appends the element's cluster-routing key: the last three
 // ancestor-or-self tags joined by '/', plus ".class" when a non-empty
-// class attribute is present — cluster.appendSignatureKey over records.
+// class attribute is present.
 //
 //ceres:allocfree
 func (p *StreamPage) signatureKey(rec int32) {
@@ -681,6 +681,24 @@ func (p *StreamPage) AttrValue(e int32, i int) ([]byte, bool) {
 	return p.attrArena[el.attrOff[i] : el.attrOff[i]+el.attrLen[i]], true
 }
 
+// NameID returns e's tag-name ID in the scratch: two records streamed on
+// one scratch have the same ID exactly when they have the same tag.
+//
+//ceres:allocfree
+func (p *StreamPage) NameID(e int32) int32 { return p.elems[e].nameID }
+
+// Ordinal returns e's 1-based same-tag XPath ordinal, the index of its
+// step in AppendFieldXPath.
+//
+//ceres:allocfree
+func (p *StreamPage) Ordinal(e int32) int32 { return p.elems[e].ordinal }
+
+// FieldOrdinal returns field i's 1-based text() XPath ordinal, the index
+// of the last step of its AppendFieldXPath.
+//
+//ceres:allocfree
+func (p *StreamPage) FieldOrdinal(i int) int32 { return p.fields[i].ordinal }
+
 // ElemSiblings returns the element children of e's parent, in document
 // order, as record indices — Node.ElementSiblings over records.
 //
@@ -741,9 +759,11 @@ func (p *StreamPage) AppendFieldXPath(dst []byte, i int) []byte {
 	return append(dst, ']')
 }
 
-// AppendSignature appends the page's routing signature — sorted,
-// duplicate-free key views into the page arena, the exact key set
-// cluster.SortedSignatureOf produces.
+// AppendSignature appends the page's routing and clustering signature
+// (StreamOptions.Signature must be set, and Attrs must hold "class"):
+// sorted, duplicate-free views into the page arena of every element's
+// key, its last three ancestor-or-self tags joined by '/' plus ".class"
+// when it has a non-empty class attribute.
 func (p *StreamPage) AppendSignature(dst [][]byte) [][]byte {
 	base := len(dst)
 	for i, off := range p.sigOff {

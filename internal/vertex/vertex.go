@@ -16,7 +16,8 @@ import (
 
 // TrainingPage carries the manual annotations of one sample page: for
 // each predicate (including "name" for the topic field), the XPaths of
-// the text nodes holding its values.
+// the text nodes holding its values. Wrapper induction resolves XPaths on
+// a tree, so Learn and Extract parse the page's HTML themselves.
 type TrainingPage struct {
 	Page   *core.Page
 	Labels map[string][]string
@@ -61,7 +62,9 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 	goldNodes := map[string]map[string]bool{}
 	listLvls := map[string]map[int]bool{}
 	valueTexts := map[string]bool{}
-	for _, tp := range pages {
+	docs := make([]*dom.Node, len(pages))
+	for i, tp := range pages {
+		docs[i] = dom.Parse(tp.Page.HTML)
 		for pred, nodePaths := range tp.Labels {
 			for _, ps := range nodePaths {
 				p, err := xpath.Parse(ps)
@@ -75,7 +78,7 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 					listLvls[pred] = map[int]bool{}
 				}
 				goldNodes[pred][ps] = true
-				if n := dom.ResolveXPath(tp.Page.Doc, ps); n != nil {
+				if n := dom.ResolveXPath(docs[i], ps); n != nil {
 					valueTexts[dom.CollapseSpace(textOf(n))] = true
 					if a := anchorOf(n, opts.AnchorLevels); a != "" {
 						anchors[pred][a]++
@@ -121,7 +124,7 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 						rule.Pattern[stepIdx].Index = xpath.Wildcard
 					}
 				}
-			} else if overMatches(pages, pattern, goldNodes[pred]) {
+			} else if overMatches(docs, pattern, goldNodes[pred]) {
 				if anchor != "" {
 					rule.Anchor = anchor
 				}
@@ -134,9 +137,9 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 
 // overMatches reports whether the pattern hits any training-page node that
 // was not annotated for the predicate.
-func overMatches(pages []TrainingPage, pattern xpath.Pattern, gold map[string]bool) bool {
-	for _, tp := range pages {
-		for _, n := range pattern.Apply(tp.Page.Doc) {
+func overMatches(docs []*dom.Node, pattern xpath.Pattern, gold map[string]bool) bool {
+	for _, doc := range docs {
+		for _, n := range pattern.Apply(doc) {
 			if !gold[n.XPath()] {
 				return true
 			}
@@ -227,13 +230,14 @@ func listLevels(n *dom.Node, maxLevels int) []int {
 // subject; every other matched node yields an extraction with confidence
 // 1 (wrappers are deterministic).
 func (e *Extractor) Extract(p *core.Page) []core.Extraction {
+	doc := dom.Parse(p.HTML)
 	subject := ""
 	subjectPath := ""
 	for _, r := range e.Rules {
 		if r.Predicate != core.NameClass {
 			continue
 		}
-		for _, n := range r.Pattern.Apply(p.Doc) {
+		for _, n := range r.Pattern.Apply(doc) {
 			if t := dom.CollapseSpace(textOf(n)); t != "" {
 				subject, subjectPath = t, n.XPath()
 				break
@@ -252,7 +256,7 @@ func (e *Extractor) Extract(p *core.Page) []core.Extraction {
 		if r.Predicate == core.NameClass {
 			continue
 		}
-		for _, n := range r.Pattern.Apply(p.Doc) {
+		for _, n := range r.Pattern.Apply(doc) {
 			if r.Anchor != "" && anchorOf(n, 3) != r.Anchor {
 				continue
 			}

@@ -3,8 +3,8 @@ package ceres
 // Differential tests for the serve engine (DESIGN.md §5): serving
 // through SiteModel — one stream pass over the page bytes, compiled
 // integer feature tables, the allocation-free Scorer — must be
-// output-identical to the paper-literal engine (PreparePage + Route +
-// core.ExtractPage), triple for triple, confidence bit for bit, XPath for
+// output-identical to the paper-literal engine (PreparePage + routing by
+// map-signature Jaccard + core.ExtractPage), triple for triple, confidence bit for bit, XPath for
 // XPath, across every DemoCorpus site, both classifiers, untrained-cluster
 // routing and malformed markup, and under concurrent use of one model.
 // Serialization must be unaffected by compilation.
@@ -17,23 +17,47 @@ import (
 	"sync"
 	"testing"
 
+	"ceres/internal/cluster"
 	"ceres/internal/core"
+	"ceres/internal/dom"
 )
 
 // referenceExtract is §4.3 as written, from exported core pieces: full
-// page preparation, routing on the parsed tree, string-hashed features,
-// allocating scorer. Every differential below compares the engine with it.
+// page preparation, routing by map-signature Jaccard, string-hashed
+// features, allocating scorer. Every differential below compares the
+// engine with it.
 func referenceExtract(sm *core.SiteModel, sources []core.PageSource) []core.Extraction {
 	var out []core.Extraction
 	for _, src := range sources {
 		p := core.PreparePage(src.ID, src.HTML)
-		ci := sm.Route(p)
+		ci := referenceRoute(sm, src.HTML)
 		if ci < 0 || !sm.Clusters[ci].Trained {
 			continue
 		}
 		out = append(out, core.ExtractPage(p, sm.Clusters[ci].Model, sm.Extract)...)
 	}
 	return out
+}
+
+// referenceRoute is the cluster whose exemplar is most like the page's
+// signature by cluster.Jaccard over maps, the earliest on a tie (-1 with
+// no cluster): routing as training's clustering compares pages.
+func referenceRoute(sm *core.SiteModel, html string) int {
+	if len(sm.Clusters) == 1 {
+		return 0
+	}
+	sp := dom.NewStreamScratch().Stream([]byte(html), dom.StreamOptions{Attrs: []string{"class"}, Signature: true})
+	sig := cluster.PageSignature{}
+	for _, k := range sp.AppendSignature(nil) {
+		sig[string(k)] = true
+	}
+	best, bestSim := -1, -1.0
+	for i, c := range sm.Clusters {
+		if sim := cluster.Jaccard(sig, c.Exemplar); sim > bestSim {
+			best, bestSim = i, sim
+		}
+	}
+	return best
 }
 
 func corpusSources(t *testing.T, kind string, seed int64, pages int) ([]core.PageSource, *Corpus) {
@@ -143,7 +167,7 @@ func TestCompiledServeUntrainedClusterRouting(t *testing.T) {
 	// The serve set must actually exercise untrained-cluster routing.
 	untrainedHits := 0
 	for _, s := range serve {
-		ci := sm.Route(core.PreparePage(s.ID, s.HTML))
+		ci := referenceRoute(sm, s.HTML)
 		if ci >= 0 && !sm.Clusters[ci].Trained {
 			untrainedHits++
 		}
