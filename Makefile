@@ -65,8 +65,11 @@ examples:
 # (DESIGN.md §8). The twelfth is the fit's objective: on any collapsed
 # training set, K from 2 to 12, the one-pass lossGrad's loss and gradient,
 # scored and scattered in register blocks, are bit for bit those of the
-# unblocked row-major kernel frozen in its tests (DESIGN.md §3). A failing input is written under the package's
-# testdata/fuzz/ — commit it.
+# unblocked row-major kernel frozen in its tests (DESIGN.md §3). The
+# thirteenth is the seed KB, kb.tsv, operator input every harvest reads: no
+# bytes make kb.Read panic, and a KB it accepts writes bytes that read back
+# to the same bytes and Digest (DESIGN.md §8). A failing input is written
+# under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -81,6 +84,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUntrainable -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzAccumulator -fuzztime=$(FUZZTIME) ./internal/fusion
 	$(GO) test -run='^$$' -fuzz=FuzzLossGrad -fuzztime=$(FUZZTIME) ./internal/mlr
+	$(GO) test -run='^$$' -fuzz=FuzzReadKB -fuzztime=$(FUZZTIME) ./internal/kb
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/
@@ -100,7 +104,7 @@ crash-sweep:
 # Root package: ServeExtract, ServiceExtract and StreamServe are the serve
 # engine — the stream pass over a trained site model (DESIGN.md §5) —
 # Featurize its featurizer, StageTopicIdentification and StageAnnotate
-# the indexed annotation path beside its legacy baseline (§6), StageParse,
+# the annotation path (§6), at the pool's size and at one worker, StageParse,
 # StageTrain and EndToEndSite (with mlr's Fit) the training side: one
 # page's parse and field enumeration (its B/op is what a prepared page
 # holds, so a regression in training memory shows), one site's

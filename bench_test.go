@@ -59,6 +59,16 @@ type pipelineFixture struct {
 
 var fixture *pipelineFixture
 
+// parsePages parses sources on the caller's goroutine.
+func parsePages(tb testing.TB, src []core.PageSource) []*core.Page {
+	tb.Helper()
+	pages, err := core.ParsePages(context.Background(), src, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pages
+}
+
 func getFixture(b *testing.B) *pipelineFixture {
 	b.Helper()
 	if fixture != nil {
@@ -115,16 +125,6 @@ func BenchmarkStageTopicIdentification(b *testing.B) {
 	}
 }
 
-// BenchmarkStageTopicIdentificationLegacy is the pre-compilation string
-// path, kept as the baseline the indexed numbers are quoted against.
-func BenchmarkStageTopicIdentificationLegacy(b *testing.B) {
-	f := getFixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.IdentifyTopicsLegacy(f.pages, f.kb, core.TopicOptions{})
-	}
-}
-
 // BenchmarkStageAnnotate measures Algorithms 1+2 over the site down the
 // indexed path the pipeline runs.
 func BenchmarkStageAnnotate(b *testing.B) {
@@ -151,15 +151,6 @@ func BenchmarkStageAnnotateSingleWorker(b *testing.B) {
 			core.TopicOptions{}, core.RelationOptions{}, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStageAnnotateLegacy is the pre-compilation baseline.
-func BenchmarkStageAnnotateLegacy(b *testing.B) {
-	f := getFixture(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.AnnotateLegacy(f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{})
 	}
 }
 
@@ -190,24 +181,6 @@ func BenchmarkStageTrain(b *testing.B) {
 		if _, _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkStageExtract measures per-page classification throughput.
-func BenchmarkStageExtract(b *testing.B) {
-	f := getFixture(b)
-	ann := f.annotate(b)
-	fz := core.NewFeaturizer(f.pages, core.FeatureOptions{})
-	ds, classes := core.BuildExamples(f.pages, ann, fz, core.TrainOptions{Seed: 1})
-	fz.Freeze()
-	model, _, err := core.TrainModel(ds, classes, fz, core.TrainOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.ExtractPage(f.pages[i%len(f.pages)], model, core.ExtractOptions{})
 	}
 }
 

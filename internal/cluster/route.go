@@ -39,53 +39,10 @@ func (s PageSignature) Sorted() SortedSignature {
 	return SortedSignature(s.Keys())
 }
 
-// JaccardSorted returns the Jaccard similarity of two sorted signatures.
-// It equals Jaccard over the corresponding map signatures exactly.
-func JaccardSorted(a, b SortedSignature) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
-}
-
-// RouteSorted returns the index of the exemplar most similar to sig, and
-// the similarity. With no exemplars it returns (-1, 0). Ties go to the
-// earliest exemplar, which ClusterPages orders largest-cluster-first, so
-// ambiguous pages fall into the dominant template.
-func RouteSorted(sig SortedSignature, exemplars []SortedSignature) (int, float64) {
-	best, bestSim := -1, -1.0
-	for i, ex := range exemplars {
-		if sim := JaccardSorted(sig, ex); sim > bestSim {
-			best, bestSim = i, sim
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, bestSim
-}
-
-// JaccardSortedBytes is JaccardSorted where the page side is sorted,
-// duplicate-free byte views (the streaming serve path's signature form);
-// it equals JaccardSorted over the converted strings exactly, without
-// materializing them.
+// JaccardSortedBytes returns the Jaccard similarity of a page signature
+// held as sorted, duplicate-free byte views (the stream pass's form) and a
+// sorted exemplar, without materializing strings. It equals Jaccard over
+// the corresponding map signatures exactly.
 func JaccardSortedBytes(a [][]byte, b SortedSignature) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
@@ -110,8 +67,10 @@ func JaccardSortedBytes(a [][]byte, b SortedSignature) float64 {
 	return float64(inter) / float64(union)
 }
 
-// RouteSortedBytes is RouteSorted for a byte-view page signature, with
-// identical tie-breaking (earliest exemplar wins).
+// RouteSortedBytes returns the index of the exemplar most similar to sig,
+// and the similarity. With no exemplars it returns (-1, 0). Ties go to the
+// earliest exemplar, which ClusterPages orders largest-cluster-first, so
+// ambiguous pages fall into the dominant template.
 func RouteSortedBytes(sig [][]byte, exemplars []SortedSignature) (int, float64) {
 	best, bestSim := -1, -1.0
 	for i, ex := range exemplars {

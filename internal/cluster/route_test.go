@@ -15,29 +15,39 @@ func randSig(rng *rand.Rand, n int) PageSignature {
 	return s
 }
 
+// byteViews is a sorted signature in the stream pass's form.
+func byteViews(s SortedSignature) [][]byte {
+	out := make([][]byte, len(s))
+	for i, k := range s {
+		out[i] = []byte(k)
+	}
+	return out
+}
+
 // TestJaccardSortedMatchesJaccard fuzzes random signature pairs through
-// both similarity implementations.
+// JaccardSortedBytes, the similarity serving routes by, and its
+// definition over map signatures.
 func TestJaccardSortedMatchesJaccard(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {
 		a := randSig(rng, rng.Intn(30))
 		b := randSig(rng, rng.Intn(30))
 		want := Jaccard(a, b)
-		got := JaccardSorted(a.Sorted(), b.Sorted())
+		got := JaccardSortedBytes(byteViews(a.Sorted()), b.Sorted())
 		if got != want {
-			t.Fatalf("trial %d: JaccardSorted = %v, Jaccard = %v", trial, got, want)
+			t.Fatalf("trial %d: JaccardSortedBytes = %v, Jaccard = %v", trial, got, want)
 		}
 	}
-	if JaccardSorted(nil, nil) != 1 {
+	if JaccardSortedBytes(nil, nil) != 1 {
 		t.Errorf("two empty signatures must be identical")
 	}
-	if JaccardSorted(SortedSignature{"a"}, nil) != 0 {
+	if JaccardSortedBytes([][]byte{[]byte("a")}, nil) != 0 || JaccardSortedBytes(nil, SortedSignature{"a"}) != 0 {
 		t.Errorf("empty vs non-empty must be 0")
 	}
 }
 
-// TestRouteSortedMatchesRoute checks routing decisions against their
-// definition over map signatures: the earliest exemplar of greatest
+// TestRouteSortedMatchesRoute checks RouteSortedBytes' routing decisions
+// against their definition over map signatures: the earliest exemplar of greatest
 // Jaccard similarity, and that similarity.
 func TestRouteSortedMatchesRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -56,12 +66,12 @@ func TestRouteSortedMatchesRoute(t *testing.T) {
 				wi, ws = i, sim
 			}
 		}
-		gi, gs := RouteSorted(sig.Sorted(), sortedEx)
+		gi, gs := RouteSortedBytes(byteViews(sig.Sorted()), sortedEx)
 		if wi != gi || ws != gs {
-			t.Fatalf("trial %d: RouteSorted = (%d, %v), by Jaccard (%d, %v)", trial, gi, gs, wi, ws)
+			t.Fatalf("trial %d: RouteSortedBytes = (%d, %v), by Jaccard (%d, %v)", trial, gi, gs, wi, ws)
 		}
 	}
-	if i, _ := RouteSorted(SortedSignature{"a"}, nil); i != -1 {
+	if i, _ := RouteSortedBytes([][]byte{[]byte("a")}, nil); i != -1 {
 		t.Errorf("routing with no exemplars must return -1")
 	}
 }

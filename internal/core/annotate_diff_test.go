@@ -1,9 +1,10 @@
-package ceres
+package core_test
 
 // Differential tests for the compiled annotation path (DESIGN.md §6):
 // distant supervision through kb.Index — interned ItemIDs, precomputed
 // match keys, sorted-slice page sets, parallel per-page phases — must be
-// output-identical to the legacy string-keyed path: same topic entities,
+// output-identical to the string-keyed reference (AnnotateLegacy and
+// IdentifyTopicsLegacy, in this package's test files): same topic entities,
 // same Jaccard score bits, same annotations in the same order, same
 // annotated-page flags, across every DemoCorpus kind (including the
 // sparse-KB longtail and paper-coverage corpora), every relation-option
@@ -15,6 +16,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ceres"
 	"ceres/internal/core"
 )
 
@@ -22,17 +24,18 @@ var annotateDiffKinds = []string{
 	"movies", "movies-longtail", "imdb-films", "imdb-people", "crawl-czech",
 }
 
-// parsePages parses sources on the caller's goroutine.
-func parsePages(tb testing.TB, src []core.PageSource) []*core.Page {
-	tb.Helper()
+// corpusPages prepares the pages of a demo corpus.
+func corpusPages(t *testing.T, kind string, seed int64, n int) ([]*core.Page, *ceres.Corpus) {
+	t.Helper()
+	src, c := corpusSources(t, kind, seed, n)
 	pages, err := core.ParsePages(context.Background(), src, 0)
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
-	return pages
+	return pages, c
 }
 
-func diffAnnotate(t *testing.T, name string, pages []*core.Page, c *Corpus, ropts core.RelationOptions) int {
+func diffAnnotate(t *testing.T, name string, pages []*core.Page, c *ceres.Corpus, ropts core.RelationOptions) int {
 	t.Helper()
 	want := core.AnnotateLegacy(pages, c.KB, core.TopicOptions{}, ropts)
 	for _, workers := range []int{1, 8} {
@@ -72,8 +75,7 @@ func diffAnnotate(t *testing.T, name string, pages []*core.Page, c *Corpus, ropt
 func TestIndexedAnnotationMatchesLegacyAllCorpora(t *testing.T) {
 	total := 0
 	for _, kind := range annotateDiffKinds {
-		src, c := corpusSources(t, kind, 7, 40)
-		pages := parsePages(t, src)
+		pages, c := corpusPages(t, kind, 7, 40)
 		n := diffAnnotate(t, kind, pages, c, core.RelationOptions{})
 		t.Logf("%s: %d annotations identical on both paths", kind, n)
 		total += n
@@ -89,8 +91,7 @@ func TestIndexedAnnotationMatchesLegacyAllCorpora(t *testing.T) {
 // strict informativeness filter.
 func TestIndexedAnnotationMatchesLegacyAblations(t *testing.T) {
 	for _, kind := range []string{"movies", "movies-longtail", "imdb-films"} {
-		src, c := corpusSources(t, kind, 11, 30)
-		pages := parsePages(t, src)
+		pages, c := corpusPages(t, kind, 11, 30)
 		for _, tc := range []struct {
 			name  string
 			ropts core.RelationOptions
@@ -108,8 +109,7 @@ func TestIndexedAnnotationMatchesLegacyAblations(t *testing.T) {
 // uniqueness filter under a tight MaxTopicPages.
 func TestIndexedTopicsMatchLegacy(t *testing.T) {
 	for _, kind := range annotateDiffKinds {
-		src, c := corpusSources(t, kind, 3, 24)
-		pages := parsePages(t, src)
+		pages, c := corpusPages(t, kind, 3, 24)
 		for _, opts := range []core.TopicOptions{{}, {MaxTopicPages: 2}, {FrequentObjectFrac: 0.02, FrequentObjectMinCount: 1}} {
 			want := core.IdentifyTopicsLegacy(pages, c.KB, opts)
 			got, err := core.IdentifyTopics(context.Background(), pages, c.KB, opts, 4)

@@ -16,7 +16,8 @@ import (
 // This file implements the compiled annotation path (DESIGN.md §6), the
 // training-side mirror of the compiled serve path: distant supervision is
 // the dominant offline cost, because Algorithms 1 and 2 match every DOM
-// text field against the seed KB. The legacy path does that over string
+// text field against the seed KB. The string-keyed reference,
+// AnnotateLegacy in this package's test files, does that over string
 // keys ("e:"+id / "lit:"+norm), per-page map page-sets, and a
 // MatchesObject that re-normalizes the field and fuzzy-scans every alias
 // per call. Here every matchable KB item is interned into a dense
@@ -25,7 +26,7 @@ import (
 // page sets become sorted ItemID slices merged in linear time, and both
 // page-index construction and per-page annotation run on the par.For
 // worker pool with per-worker scratch. Output is bit-identical to the
-// legacy path — same topics, same scores, same annotations in the same
+// reference — same topics, same scores, same annotations in the same
 // order — which the differential tests assert over every DemoCorpus kind.
 
 // annotScratch is the per-worker scratch of the indexed annotation path.
@@ -296,8 +297,9 @@ type iobjGroup struct {
 // Algorithm 1 and the per-page phases of Algorithm 2 run on it; the
 // cross-page aggregation between them stays sequential in page order, so
 // output is deterministic, identical at any worker count and identical
-// to AnnotateLegacy (the differential tests assert it over every demo
-// corpus). A cancelled ctx stops it with ctx.Err().
+// to the string-keyed reference in this package's test files
+// (annotate_diff_test.go asserts it over every demo corpus). A cancelled
+// ctx stops it with ctx.Err().
 func Annotate(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions, workers int) (*AnnotationResult, error) {
 	ropts = ropts.withDefaults()
 	if workers <= 0 {

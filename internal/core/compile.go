@@ -22,8 +22,9 @@ import (
 // strings to vocabulary IDs once per page; everything after that — the
 // context key and, for a context never seen before, the features — is
 // integer work with no string assembly and no allocation. Its output is
-// identical to Featurizer.Features + Model.Proba — the differential tests
-// hold it to the paper-literal ExtractPage over the whole DemoCorpus.
+// identical to Featurizer.Features and the classifier's Proba — the
+// differential tests hold it to ExtractPage, the reference in this
+// package's test files, over the whole DemoCorpus.
 
 // CompiledFeaturizer is the frozen, serve-only form of a Featurizer. It
 // is immutable after Compile and safe for concurrent use; the per-call

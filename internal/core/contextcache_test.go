@@ -348,7 +348,7 @@ func routeOf(sm *SiteModel, p *Page) int {
 		return 0
 	}
 	s := pageStreamer{opts: dom.StreamOptions{Attrs: []string{"class"}, Signature: true}}
-	i, _ := cluster.RouteSorted(s.signature(p).Sorted(), sm.exemplars())
+	i, _ := cluster.RouteSortedBytes(s.stream(p).AppendSignature(nil), sm.exemplars())
 	return i
 }
 

@@ -116,7 +116,7 @@ func demoSites(t *testing.T, seed int64, pages int) map[string][]*Page {
 }
 
 // malformedEdits rewrite a page into the malformed constructs the stream
-// pass and Parse recover from alike. The first six are the root package's
+// pass and Parse recover from alike. The first six are serve_diff_test.go's
 // malformedMutators; the rest put internal/dom's edge cases into a page:
 // implied end tags, a block closing an open <p>, void and self-closing
 // tags, duplicate and oddly quoted attributes, entities, upper-case tags,

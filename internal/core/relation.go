@@ -5,7 +5,6 @@ import (
 
 	"ceres/internal/cluster"
 	"ceres/internal/dom"
-	"ceres/internal/kb"
 	"ceres/internal/strmatch"
 )
 
@@ -79,138 +78,6 @@ func (r *AnnotationResult) NumAnnotatedPages() int {
 		}
 	}
 	return n
-}
-
-// objGroup collects the candidate mentions of one object for one
-// predicate on one page.
-type objGroup struct {
-	fields []int
-}
-
-// AnnotateLegacy is the original string-keyed annotation stage: object
-// keys as "e:"/"lit:" strings, per-call normalization in MatchesObject,
-// sequential pages. It is the reference implementation the indexed path
-// is differentially tested against; the pipeline never calls it.
-func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
-	ropts = ropts.withDefaults()
-	topics := IdentifyTopicsLegacy(pages, K, topts)
-
-	// groups[pageIdx][pred][objKey] lists the fields mentioning that
-	// object of that predicate.
-	groups := map[int]map[string]map[string]*objGroup{}
-	// mentionPaths[pred][path] counts mentions at that path site-wide.
-	mentionPaths := map[string]map[string]int{}
-	// maxMentionsPerObj[pred] is Algorithm 2's cluster count k: the
-	// maximum number of mentions of a single object on one page.
-	maxMentionsPerObj := map[string]int{}
-	// objPageCount[pred][objKey] counts pages where the object is a
-	// candidate value of the predicate (the >half-of-pages rule).
-	objPageCount := map[string]map[string]int{}
-	pagesWithTopic := 0
-
-	for pi, p := range pages {
-		if topics[pi].EntityID == "" {
-			continue
-		}
-		triples := K.TriplesOf(topics[pi].EntityID)
-		if len(triples) == 0 {
-			continue
-		}
-		pagesWithTopic++
-		pg := map[string]map[string]*objGroup{}
-		for _, t := range triples {
-			// Unlike topic identification, relation annotation does not
-			// apply the low-information filter: short numerals (episode
-			// numbers, heights) are legitimate objects, and Algorithm 2's
-			// local/global evidence disambiguates their many mentions.
-			if !t.Object.IsEntity() && strmatch.Normalize(t.Object.Literal) == "" {
-				continue
-			}
-			key := t.Object.Key()
-			if pg[t.Predicate] != nil && pg[t.Predicate][key] != nil {
-				continue // duplicate triple
-			}
-			var fields []int
-			for fi, f := range p.Fields {
-				if fi == topics[pi].FieldIdx {
-					continue
-				}
-				if K.MatchesObject(f.Text, t.Object) {
-					fields = append(fields, fi)
-				}
-			}
-			if len(fields) == 0 {
-				continue
-			}
-			if pg[t.Predicate] == nil {
-				pg[t.Predicate] = map[string]*objGroup{}
-			}
-			pg[t.Predicate][key] = &objGroup{fields: fields}
-			if mentionPaths[t.Predicate] == nil {
-				mentionPaths[t.Predicate] = map[string]int{}
-				objPageCount[t.Predicate] = map[string]int{}
-			}
-			for _, fi := range fields {
-				mentionPaths[t.Predicate][p.Fields[fi].PathString]++
-			}
-			if len(fields) > maxMentionsPerObj[t.Predicate] {
-				maxMentionsPerObj[t.Predicate] = len(fields)
-			}
-			objPageCount[t.Predicate][key]++
-		}
-		if len(pg) > 0 {
-			groups[pi] = pg
-		}
-	}
-
-	// Global evidence: cluster each predicate's mention paths.
-	// clusterSize[pred][path] is the weighted size of the cluster the
-	// path fell into.
-	clusterSize := map[string]map[string]int{}
-	if !ropts.DisableClustering {
-		for pred, paths := range mentionPaths {
-			clusterSize[pred] = clusterPredPaths(paths, maxMentionsPerObj[pred], ropts.MaxClusterPaths)
-		}
-	}
-
-	res := &AnnotationResult{Topics: topics, AnnotatedPages: make([]bool, len(pages))}
-	var s pageStreamer
-	for pi, p := range pages {
-		pg := groups[pi]
-		if pg == nil {
-			continue
-		}
-		var anns []Annotation
-		for _, pred := range sortedKeys(pg) {
-			objKeys := sortedKeys(pg[pred])
-			predFields := make([][]int, len(objKeys))
-			for i, objKey := range objKeys {
-				predFields[i] = pg[pred][objKey].fields
-			}
-			for i, objKey := range objKeys {
-				g := pg[pred][objKey]
-				if ropts.AnnotateAllMentions {
-					for _, fi := range g.fields {
-						anns = append(anns, Annotation{PageIdx: pi, FieldIdx: fi, Predicate: pred})
-					}
-					continue
-				}
-				forceCluster := pagesWithTopic > 0 &&
-					float64(objPageCount[pred][objKey]) > ropts.DuplicatedPageFrac*float64(pagesWithTopic)
-				fi, ok := chooseMention(p, &s, predFields[i], predFields, clusterSize[pred], forceCluster)
-				if ok {
-					anns = append(anns, Annotation{PageIdx: pi, FieldIdx: fi, Predicate: pred})
-				}
-			}
-		}
-		if len(anns) < ropts.MinAnnotations {
-			continue // informativeness filter (§3.1.2 step 3)
-		}
-		res.AnnotatedPages[pi] = true
-		res.Annotations = append(res.Annotations, Annotation{PageIdx: pi, FieldIdx: topics[pi].FieldIdx, Predicate: NameClass})
-		res.Annotations = append(res.Annotations, anns...)
-	}
-	return res
 }
 
 // chooseMention implements BestLocalMention (Algorithm 2 lines 1–14) plus

@@ -348,18 +348,6 @@ func (sm *SiteModel) extractOne(src PageSource, sc *ServeScratch) (int, []Extrac
 	return sm.extractBytes(src.ID, sc.htmlBuf, sc)
 }
 
-// ExtractWith extracts one page through a scratch the caller owns, where
-// every other entry borrows one from the pool: what a differential test
-// needs to compare a scratch that has served the site before with one that
-// has not. The scratch's counters and stage times are left running.
-func (sm *SiteModel) ExtractWith(sc *ServeScratch, id string, html []byte) ([]Extraction, error) {
-	if err := sm.serveable(1); err != nil {
-		return nil, err
-	}
-	_, exts := sm.extractBytes(id, html, sc)
-	return exts, nil
-}
-
 // ---------------------------------------------------------------- state
 
 // SiteModelState is the serializable form of a SiteModel: plain data,

@@ -10,13 +10,13 @@ import (
 	"ceres/internal/mlr"
 )
 
-// This file is the production extraction engine (DESIGN.md §5): pages are
-// extracted from raw bytes in a single tokenizer pass, with routing
-// signature, featurization context and text fields all captured by
+// This file is the extraction engine (DESIGN.md §5): pages are extracted
+// from raw bytes in a single tokenizer pass, with routing signature,
+// featurization context and text fields all captured by
 // dom.StreamScratch — the page representation training reads too. Output
-// is bit-identical to the paper-literal ExtractPage (same extractions,
-// confidences, order and XPath strings); the root-package differential
-// tests assert it over every DemoCorpus kind.
+// is bit-identical to ExtractPage, §4.3 as written, which lives in this
+// package's test files (same extractions, confidences, order and XPath
+// strings); serve_diff_test.go asserts it over every DemoCorpus kind.
 
 // probeStr probes a compiled lookup table with a byte key. The
 // []byte→string conversion is allocation-free under the map-probe special
@@ -320,7 +320,8 @@ func (sc *ServeScratch) beginPage(sp *dom.StreamPage, cm *CompiledModel) []float
 }
 
 // ExtractStreamPage applies the compiled model to a streamed page, with
-// the output of the paper-literal ExtractPage over the prepared page.
+// the output §4.3 as written (the reference in this package's test files)
+// gives for the prepared page.
 // Subject, value and path strings materialize only for emitted
 // extractions; a page that yields nothing allocates nothing.
 func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, opts ExtractOptions, sc *ServeScratch) []Extraction {
@@ -351,8 +352,6 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 		return nil
 	}
 	subject := string(sp.FieldText(bestName))
-	sc.xpathBuf = sp.AppendFieldXPath(sc.xpathBuf[:0], bestName)
-	subjectPath := string(sc.xpathBuf)
 	out := make([]Extraction, 0, n)
 	for fi := 0; fi < nf; fi++ {
 		if fi == bestName {
@@ -364,13 +363,12 @@ func (cm *CompiledModel) ExtractStreamPage(sp *dom.StreamPage, pageID string, op
 		}
 		sc.xpathBuf = sp.AppendFieldXPath(sc.xpathBuf[:0], fi)
 		out = append(out, Extraction{
-			PageID:      pageID,
-			Subject:     subject,
-			Predicate:   cm.classes.Name(cls),
-			Value:       string(sp.FieldText(fi)),
-			Confidence:  prob,
-			Path:        string(sc.xpathBuf),
-			SubjectPath: subjectPath,
+			PageID:     pageID,
+			Subject:    subject,
+			Predicate:  cm.classes.Name(cls),
+			Value:      string(sp.FieldText(fi)),
+			Confidence: prob,
+			Path:       string(sc.xpathBuf),
 		})
 	}
 	return out

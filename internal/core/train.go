@@ -119,16 +119,6 @@ type Model struct {
 	NB *mlr.NaiveBayes
 }
 
-// Proba returns the class distribution of field fi of a page streamed
-// under featureStreamOptions(m.Featurizer.opts).
-func (m *Model) Proba(sp *dom.StreamPage, fi int) []float64 {
-	x := m.Featurizer.Features(sp, fi)
-	if m.NB != nil {
-		return m.NB.Proba(x)
-	}
-	return m.LR.Proba(x)
-}
-
 // BuildExamples converts annotations into a labelled dataset: positives
 // with their predicate class, plus r sampled negatives per positive,
 // excluding likely list siblings of positives (§4.1).

@@ -219,8 +219,8 @@ func TestStreamMatchesDOMEdgeCases(t *testing.T) {
 // arbitrary bytes: neither panics, and every record, field, XPath and
 // signature key of the stream pass equals Parse + the tree accessors. The
 // committed corpus (testdata/fuzz) adds one websim page under each of the
-// root package's six malformed-HTML mutators and the hostile pages below
-// at 1 KB.
+// six malformed-HTML mutators of internal/core's serve_diff_test.go and
+// the hostile pages below at 1 KB.
 func FuzzStreamMatchesDOM(f *testing.F) {
 	for _, tc := range edgeCases {
 		for _, maxText := range edgeMaxTexts {

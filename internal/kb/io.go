@@ -76,7 +76,11 @@ func Read(r io.Reader) (*KB, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
+		// Every carriage return at the end of a line goes, not only the
+		// one of a CRLF ending: kept, it would be the end of the record's
+		// last field, and Write's output of that field would read back
+		// without it.
+		line := strings.TrimRight(sc.Text(), "\r")
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}

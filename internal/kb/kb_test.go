@@ -200,6 +200,13 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// goldenKB is the Write form of sampleKB plus an entity and a literal that
+// need escapes.
+const goldenKB = "P\tdirectedBy\tfilm\tperson\tsingle\nP\thasCastMember\tfilm\tperson\tmulti\nP\thasGenre\tfilm\t\tmulti\nP\treleaseYear\tfilm\t\tsingle\nP\tactedIn\tperson\tfilm\tmulti\n" +
+	"E\tf1\tfilm\tDo the Right Thing\t\nE\tf2\tfilm\tCrooklyn\t\nE\tp1\tperson\tSpike Lee\tLee, Spike\nE\tp2\tperson\tDanny Aiello\t\nE\tp9\tperson\tTab\\tName\tback\\\\slash|new\\nline\n" +
+	"T\tf1\tdirectedBy\te:p1\nT\tf1\thasCastMember\te:p1\nT\tf1\thasCastMember\te:p2\nT\tf1\thasGenre\tl:Comedy\nT\tf1\thasGenre\tl:Drama\nT\tf1\treleaseYear\tl:1989\n" +
+	"T\tf2\tdirectedBy\te:p1\nT\tf2\thasGenre\tl:Comedy\nT\tp1\tactedIn\te:f1\nT\tf2\thasGenre\tl:a\\tb\n"
+
 // TestWriteGolden pins the serialization byte for byte — escapes, empty
 // fields, record order — to what it has always been: Digest, and through
 // it every stored training verdict, is a hash of these bytes.
@@ -211,16 +218,12 @@ func TestWriteGolden(t *testing.T) {
 	if err := k.AddTriple(Triple{Subject: "f2", Predicate: "hasGenre", Object: LiteralObject("a\tb")}); err != nil {
 		t.Fatal(err)
 	}
-	const want = "P\tdirectedBy\tfilm\tperson\tsingle\nP\thasCastMember\tfilm\tperson\tmulti\nP\thasGenre\tfilm\t\tmulti\nP\treleaseYear\tfilm\t\tsingle\nP\tactedIn\tperson\tfilm\tmulti\n" +
-		"E\tf1\tfilm\tDo the Right Thing\t\nE\tf2\tfilm\tCrooklyn\t\nE\tp1\tperson\tSpike Lee\tLee, Spike\nE\tp2\tperson\tDanny Aiello\t\nE\tp9\tperson\tTab\\tName\tback\\\\slash|new\\nline\n" +
-		"T\tf1\tdirectedBy\te:p1\nT\tf1\thasCastMember\te:p1\nT\tf1\thasCastMember\te:p2\nT\tf1\thasGenre\tl:Comedy\nT\tf1\thasGenre\tl:Drama\nT\tf1\treleaseYear\tl:1989\n" +
-		"T\tf2\tdirectedBy\te:p1\nT\tf2\thasGenre\tl:Comedy\nT\tp1\tactedIn\te:f1\nT\tf2\thasGenre\tl:a\\tb\n"
 	var sb strings.Builder
 	if err := k.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if sb.String() != want {
-		t.Fatalf("Write produced\n%q\nwant\n%q", sb.String(), want)
+	if sb.String() != goldenKB {
+		t.Fatalf("Write produced\n%q\nwant\n%q", sb.String(), goldenKB)
 	}
 }
 

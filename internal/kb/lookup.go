@@ -56,8 +56,10 @@ func (k *KB) HasLiteral(text string) bool {
 }
 
 // MatchItems returns the item keys (entity IDs as "e:<id>", literals as
-// "lit:<norm>") that the text may denote. This produces the members of
-// Algorithm 1's pageSet.
+// "lit:<norm>") that the text may denote: the members of Algorithm 1's
+// pageSet, as the string-keyed reference annotator in internal/core's
+// tests builds it. Index.AppendCandidates is its ItemID form, the one
+// annotation runs.
 func (k *KB) MatchItems(text string) []string {
 	var out []string
 	for _, id := range k.LookupEntities(text) {
@@ -72,7 +74,8 @@ func (k *KB) MatchItems(text string) []string {
 // MatchesObject reports whether the text field denotes the given triple
 // object: for literals a fuzzy string comparison, for entities a match
 // against the entity's name or any alias, either via the index or the
-// bounded-edit-distance comparator.
+// bounded-edit-distance comparator. It is the reference Index.Matches is
+// tested against; annotation runs Index.Matches.
 func (k *KB) MatchesObject(text string, o Object) bool {
 	if !o.IsEntity() {
 		return strmatch.FuzzyEqual(text, o.Literal)

@@ -232,14 +232,13 @@ func listLevels(n *dom.Node, maxLevels int) []int {
 func (e *Extractor) Extract(p *core.Page) []core.Extraction {
 	doc := dom.Parse(p.HTML)
 	subject := ""
-	subjectPath := ""
 	for _, r := range e.Rules {
 		if r.Predicate != core.NameClass {
 			continue
 		}
 		for _, n := range r.Pattern.Apply(doc) {
 			if t := dom.CollapseSpace(textOf(n)); t != "" {
-				subject, subjectPath = t, n.XPath()
+				subject = t
 				break
 			}
 		}
@@ -270,13 +269,12 @@ func (e *Extractor) Extract(p *core.Page) []core.Extraction {
 			}
 			seen[key] = true
 			out = append(out, core.Extraction{
-				PageID:      p.ID,
-				Subject:     subject,
-				Predicate:   r.Predicate,
-				Value:       value,
-				Confidence:  1,
-				Path:        n.XPath(),
-				SubjectPath: subjectPath,
+				PageID:     p.ID,
+				Subject:    subject,
+				Predicate:  r.Predicate,
+				Value:      value,
+				Confidence: 1,
+				Path:       n.XPath(),
 			})
 		}
 	}

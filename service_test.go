@@ -256,7 +256,7 @@ func TestTripleOrderMatchesValueSort(t *testing.T) {
 		exts := make([]core.Extraction, rng.Intn(60))
 		for i := range exts {
 			exts[i] = core.Extraction{PageID: pick("p"), Subject: pick("s"), Predicate: pick("r"), Value: pick("v"),
-				Confidence: float64(rng.Intn(4)) / 4, Path: pick("/x"), SubjectPath: pick("/y")}
+				Confidence: float64(rng.Intn(4)) / 4, Path: pick("/x")}
 		}
 		threshold := float64(rng.Intn(3)) / 4
 		var want []Triple
