@@ -68,7 +68,10 @@ examples:
 # unblocked row-major kernel frozen in its tests (DESIGN.md §3). The
 # thirteenth is the seed KB, kb.tsv, operator input every harvest reads: no
 # bytes make kb.Read panic, and a KB it accepts writes bytes that read back
-# to the same bytes and Digest (DESIGN.md §8). A failing input is written
+# to the same bytes and Digest (DESIGN.md §8). The fourteenth holds the
+# extract handler, which extracts pages while it is still decoding the
+# body, to the decode-first path kept in its tests: on every body the same
+# status and response body (DESIGN.md §7). A failing input is written
 # under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
@@ -85,6 +88,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAccumulator -fuzztime=$(FUZZTIME) ./internal/fusion
 	$(GO) test -run='^$$' -fuzz=FuzzLossGrad -fuzztime=$(FUZZTIME) ./internal/mlr
 	$(GO) test -run='^$$' -fuzz=FuzzReadKB -fuzztime=$(FUZZTIME) ./internal/kb
+	$(GO) test -run='^$$' -fuzz=FuzzExtractHandler -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/
@@ -133,8 +137,10 @@ crash-sweep:
 # serve-bulk-shaped body and one shard line; 0 allocs/op). pagestore:
 # PagestoreScan is the concurrent segment read plane (§10).
 # cmd/ceres-serve: HandleExtract is the daemon's wire layer — request
-# read, Service, response encode — in request MB/s, B/op and allocs/op
-# (§7).
+# read, Service, response encode — in request MB/s, pages/s, B/op and
+# allocs/op (§7); at 16x32KB its pages/s shows the extraction that runs
+# while the body is still being decoded, and 1x4KB must not allocate more
+# than a request that never overlaps.
 bench:
 	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom

@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -53,7 +52,7 @@ var (
 	ErrNoAnnotations = core.ErrNoAnnotations
 	// ErrInvalidPage reports a malformed page in the input set (e.g. an
 	// empty ID) — a caller fault, like ErrNoPages.
-	ErrInvalidPage = errors.New("ceres: invalid page")
+	ErrInvalidPage = core.ErrInvalidPage
 )
 
 // NewKB creates an empty knowledge base over the ontology.
@@ -81,6 +80,29 @@ type PageSource struct {
 // for callers (a daemon's request buffer, decoded store records) that
 // never had the page as a string. See Service.ExtractBytes.
 type PageBytes = core.PageBytes
+
+// A PageFeed delivers the pages of one Service.ExtractBytes call, which
+// calls Feed exactly once. Feed calls yield once per page, in order, on
+// the calling goroutine — a page may be extracted as soon as it is
+// yielded — and returns once the last page is out, or with the error that
+// ended the feed early. It may set opts until it returns: ExtractBytes
+// reads the request's threshold and workers only then. A yielded page's
+// HTML must stay unchanged until ExtractBytes returns.
+type PageFeed interface {
+	Feed(yield func(PageBytes), opts *RequestOptions) error
+}
+
+// PageSlice is the PageFeed of pages already in hand: it yields them and
+// leaves opts as they are.
+type PageSlice []PageBytes
+
+// Feed yields the pages.
+func (ps PageSlice) Feed(yield func(PageBytes), _ *RequestOptions) error {
+	for _, p := range ps {
+		yield(p)
+	}
+	return nil
+}
 
 // Triple is one extracted fact.
 type Triple struct {

@@ -85,9 +85,11 @@ func wireBody(tb testing.TB, pages []ceres.PageSource) []byte {
 
 // BenchmarkHandleExtract drives the daemon's root handler in process —
 // request read, Service, response encode; no sockets — so request MB/s,
-// B/op and allocs/op of the wire layer are tracked without booting the
-// repository benchmark. 1x4KB is the serve-small shape (per-request cost
-// dominates), 16x32KB the serve-bulk shape (per-byte cost dominates).
+// pages/s, B/op and allocs/op of the wire layer are tracked without
+// booting the repository benchmark. 1x4KB is the serve-small shape
+// (per-request cost dominates), 16x32KB the serve-bulk shape (per-byte
+// cost dominates, and pages are extracted while the body is still being
+// decoded).
 func BenchmarkHandleExtract(b *testing.B) {
 	for _, bc := range []struct {
 		name             string
@@ -112,6 +114,7 @@ func BenchmarkHandleExtract(b *testing.B) {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 				}
 			}
+			b.ReportMetric(float64(bc.pages*b.N)/b.Elapsed().Seconds(), "pages/s")
 		})
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime"
 	"strconv"
@@ -13,7 +14,8 @@ import (
 // This file is the extract endpoint's request reader (DESIGN.md §7): the
 // body is read once into a pooled buffer and walked in one pass, and
 // every page's HTML is unescaped in place, so a page handed to the
-// service is a sub-slice of the request buffer — no string, no copy.
+// service is a sub-slice of the request buffer — no string, no copy —
+// handed over as soon as its object closes.
 //
 // The string, number and skip-value scanners are internal/jsonl's — the
 // repo's one JSON grammar, shared with the harvest's triple decoder. The
@@ -57,7 +59,20 @@ type extractRequest struct {
 	threshold *float64 // nil: absent or null
 	workers   int
 	skip      jsonl.Skipper // for the values of keys the request does not define
+
+	// While Feed runs, yield is where each page goes as its object closes.
+	// A "pages" key repeated once pages have gone out sets repeated: the
+	// later array replaces the earlier one, so none of it goes out.
+	yield    func(ceres.PageBytes)
+	yielded  int
+	repeated bool
+	err      error // the decode error Feed met
 }
+
+// errPagesRepeated is what Feed returns for a well-formed body whose
+// "pages" key repeats after pages went out: those pages are not the
+// request's, which the handler then serves from req.pages.
+var errPagesRepeated = errors.New("a repeated \"pages\" key replaced pages already served")
 
 // requestPool recycles extractRequests, and with them the request
 // buffers. It is a fixed-size free list, not a sync.Pool: a sync.Pool
@@ -92,6 +107,7 @@ func (rp requestPool) put(q *extractRequest) {
 	}
 	clear(q.pages) // drop the aliases into buf and any spilled strings
 	q.pages, q.threshold, q.workers = q.pages[:0], nil, 0
+	q.yield, q.yielded, q.repeated, q.err = nil, 0, false, nil
 	select {
 	case rp <- q:
 	default:
@@ -123,6 +139,26 @@ func (q *extractRequest) readFrom(r io.Reader, contentLength int64) error {
 			return err
 		}
 	}
+}
+
+// Feed decodes the body as the service's page feed (ceres.PageFeed):
+// each page is yielded as its object closes, so extraction starts while
+// the rest of the body is still being decoded, and threshold and workers
+// are set in opts once the body ends — wherever they sit in it.
+func (q *extractRequest) Feed(yield func(ceres.PageBytes), opts *ceres.RequestOptions) error {
+	q.yield = yield
+	q.err = q.parse()
+	q.yield = nil
+	*opts = q.options()
+	if q.err == nil && q.repeated {
+		return errPagesRepeated
+	}
+	return q.err
+}
+
+// options are the request's threshold and workers.
+func (q *extractRequest) options() ceres.RequestOptions {
+	return ceres.RequestOptions{Threshold: q.threshold, Workers: q.workers}
 }
 
 // parse decodes q.buf into pages, threshold and workers, unescaping
@@ -208,6 +244,7 @@ func (q *extractRequest) object(p int, page *ceres.PageBytes) (int, error) {
 func (q *extractRequest) pageArray(p int) (int, error) {
 	b := q.buf
 	q.pages = q.pages[:0] // a repeated key replaces the earlier value
+	q.repeated = q.yielded > 0
 	if jsonl.IsNull(b, p) {
 		return p + 4, nil
 	}
@@ -230,6 +267,10 @@ func (q *extractRequest) pageArray(p int) (int, error) {
 			p += 4
 		default:
 			return 0, jsonl.SyntaxError(p, "page is not an object")
+		}
+		if q.yield != nil && !q.repeated {
+			q.yield(q.pages[len(q.pages)-1])
+			q.yielded++
 		}
 		p = jsonl.SkipSpace(b, p)
 		switch jsonl.ByteAt(b, p) {

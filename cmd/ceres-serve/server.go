@@ -289,12 +289,23 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	// triples own their strings, and after the response is written.
 	req := s.requests.get()
 	defer s.requests.put(req)
-	err := req.readFrom(http.MaxBytesReader(w, r.Body, maxExtractBytes), r.ContentLength)
-	info := infoOf(r.Context())
-	info.reqBytes = int64(len(req.buf))
-	if err == nil {
-		err = req.parse()
+	if !s.readExtract(w, r, req) {
+		return
 	}
+	// The request is its own page feed: each page is extracted as soon as
+	// it is decoded, and a malformed body still answers 400 (respondExtract).
+	resp, err := s.svc.ExtractBytes(r.Context(), site, req, ceres.RequestOptions{})
+	if errors.Is(err, errPagesRepeated) { // the pages that went out are not the request's
+		resp, err = s.svc.ExtractBytes(r.Context(), site, ceres.PageSlice(req.pages), req.options())
+	}
+	s.respondExtract(w, r, req, resp, err)
+}
+
+// readExtract reads an extract request's body into req, answering 413 or
+// 400 itself when that fails.
+func (s *server) readExtract(w http.ResponseWriter, r *http.Request, req *extractRequest) bool {
+	err := req.readFrom(http.MaxBytesReader(w, r.Body, maxExtractBytes), r.ContentLength)
+	infoOf(r.Context()).reqBytes = int64(len(req.buf))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -302,13 +313,20 @@ func (s *server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		s.fail(w, r, status, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
+}
+
+// respondExtract answers an extract request with the service's outcome,
+// unless the body turned out malformed: that is a 400 whatever the
+// service said.
+func (s *server) respondExtract(w http.ResponseWriter, r *http.Request, req *extractRequest, resp *ceres.ExtractResponse, err error) {
+	if req.err != nil {
+		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", req.err))
 		return
 	}
-	info.pages = len(req.pages)
-	resp, err := s.svc.ExtractBytes(r.Context(), site, req.pages, ceres.RequestOptions{
-		Threshold: req.threshold,
-		Workers:   req.workers,
-	})
+	infoOf(r.Context()).pages = len(req.pages)
 	if err != nil {
 		s.fail(w, r, statusOf(err), err)
 		return

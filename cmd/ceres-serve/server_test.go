@@ -229,6 +229,20 @@ func TestServeErrorPaths(t *testing.T) {
 	if code := doJSON(t, client, "POST", ts.URL+"/v1/sites/mem.example/extract", body, &errResp); code != http.StatusBadRequest {
 		t.Errorf("empty page ID = %d (%s), want 400", code, errResp.Error)
 	}
+	// Pages go to the service while the body is still being decoded, and
+	// the body's own faults still come first: an empty ID after good pages
+	// is named by its page, and a body that breaks off after good pages is
+	// a 400 for an unknown site too.
+	body, _ = json.Marshal(extractRequestJSON{Pages: []pageJSON{{ID: "a", HTML: unseen.HTML}, {ID: "b", HTML: unseen.HTML}, {HTML: unseen.HTML}}})
+	if code := doJSON(t, client, "POST", ts.URL+"/v1/sites/mem.example/extract", body, &errResp); code != http.StatusBadRequest || !strings.Contains(errResp.Error, "page 2 has an empty ID") {
+		t.Errorf("empty ID on page 2 = %d (%s), want 400 naming page 2", code, errResp.Error)
+	}
+	cut := body[:len(body)-20]
+	for _, site := range []string{"mem.example", "nope"} {
+		if code := doJSON(t, client, "POST", ts.URL+"/v1/sites/"+site+"/extract", cut, &errResp); code != http.StatusBadRequest || !strings.HasPrefix(errResp.Error, "decoding request") {
+			t.Errorf("%s, body cut after two pages = %d (%s), want 400 decoding request", site, code, errResp.Error)
+		}
+	}
 }
 
 // TestServeObservabilityEndpoints exercises the drift snapshot, the

@@ -283,6 +283,9 @@ type ServeScratch struct {
 	// stages is where this scratch's pages spent their time since it was
 	// checked out; summed into ServeStats beside counts.
 	stages StageTimes
+	// results are the pages this scratch served in the current parallel
+	// serve call (extractParallel).
+	results []pageResult
 }
 
 // contextCounts is what the context caches of one scratch did since the

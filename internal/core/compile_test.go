@@ -130,7 +130,10 @@ func TestUncompilableModelFailsEveryEntry(t *testing.T) {
 			return err
 		}},
 		{"ExtractBytesOpts", func() error {
-			_, _, err := sm.ExtractBytesOpts(ctx, []PageBytes{{ID: src[0].ID, HTML: []byte(src[0].HTML)}}, ServeOptions{})
+			_, _, err := sm.ExtractBytesOpts(ctx, func(push func(PageBytes)) (ServeOptions, error) {
+				push(PageBytes{ID: src[0].ID, HTML: []byte(src[0].HTML)})
+				return ServeOptions{}, nil
+			})
 			return err
 		}},
 		{"ExtractScan", func() error {

@@ -76,7 +76,7 @@ func ExtractPage(p *Page, m *Model, opts ExtractOptions) []Extraction {
 // needs to compare a scratch that has served the site before with one that
 // has not. The scratch's counters and stage times are left running.
 func (sm *SiteModel) ExtractWith(sc *ServeScratch, id string, html []byte) ([]Extraction, error) {
-	if err := sm.serveable(1); err != nil {
+	if err := sm.serveable(); err != nil {
 		return nil, err
 	}
 	_, exts := sm.extractBytes(id, html, sc)

@@ -21,6 +21,9 @@ var (
 	ErrNoPages = errors.New("ceres: no pages")
 	// ErrNotTrained reports a SiteModel with no trained cluster extractor.
 	ErrNotTrained = errors.New("ceres: site model has no trained extractor")
+	// ErrInvalidPage reports a malformed page, such as one with an empty
+	// ID.
+	ErrInvalidPage = errors.New("ceres: invalid page")
 	// ErrNoAnnotations reports that distant supervision produced too few
 	// annotations to train any cluster extractor.
 	ErrNoAnnotations = errors.New("ceres: no cluster produced enough annotations to train")

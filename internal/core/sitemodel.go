@@ -230,14 +230,15 @@ func (sm *SiteModel) ExtractSources(ctx context.Context, sources []PageSource) (
 }
 
 // ExtractSourcesOpts is ExtractSources with per-call overrides and serve
-// statistics: the string adapter over the parallel serve loop. Each page
-// is copied once into its worker's reusable buffer (extractOne) to reach
-// the byte-level streaming pass; callers that already hold bytes use
-// ExtractBytesOpts and skip the copy.
+// statistics: the string adapter over the parallel serve loop, the slice
+// being a feed that never blocks. Each page is copied once into its
+// worker's reusable buffer (extractOne) to reach the byte-level streaming
+// pass; callers that already hold bytes use ExtractBytesOpts and skip the
+// copy.
 func (sm *SiteModel) ExtractSourcesOpts(ctx context.Context, sources []PageSource, opts ServeOptions) ([]Extraction, *ServeStats, error) {
-	return sm.extractParallel(ctx, len(sources), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
-		return sm.extractOne(sources[i], sc)
-	})
+	return extractParallel(ctx, sm, par.FeedOf(sources),
+		func(*par.Feed[PageSource]) (ServeOptions, error) { return opts, nil },
+		(*SiteModel).extractOne)
 }
 
 // PageBytes is one page delivered as raw bytes, the byte-native
@@ -249,64 +250,146 @@ type PageBytes struct {
 	HTML []byte
 }
 
-// ExtractBytesOpts is the parallel bytes entry: pages fan out over the
-// call's workers and stream straight from the caller's bytes — no string,
-// no per-worker copy. Statistics, output order, the Workers clamp and the
-// error contract are ExtractSourcesOpts'.
-func (sm *SiteModel) ExtractBytesOpts(ctx context.Context, pages []PageBytes, opts ServeOptions) ([]Extraction, *ServeStats, error) {
-	return sm.extractParallel(ctx, len(pages), opts, func(i int, sc *ServeScratch) (int, []Extraction) {
-		return sm.extractBytes(pages[i].ID, pages[i].HTML, sc)
-	})
+// A PageFeed delivers a serve call's pages as they become ready: it pushes
+// them in order, on the calling goroutine, and returns the call's options
+// — which it may only know once its last page is pushed — or the error
+// that cut it short. A pushed page's HTML must stay unchanged until the
+// call returns.
+type PageFeed func(push func(PageBytes)) (ServeOptions, error)
+
+// ExtractBytesOpts is the parallel bytes entry: pages are extracted while
+// feed is still pushing them, each streamed straight from the caller's
+// bytes — no string, no per-worker copy. Statistics, output order, the
+// Workers clamp and the error contract are ExtractSourcesOpts', with
+// feed's error before any of them and then ErrInvalidPage for the first
+// page with an empty ID.
+func (sm *SiteModel) ExtractBytesOpts(ctx context.Context, feed PageFeed) ([]Extraction, *ServeStats, error) {
+	bf := bytesFeeds.Get().(*bytesFeed)
+	defer func() {
+		bf.Clear()
+		bytesFeeds.Put(bf)
+	}()
+	return extractParallel(ctx, sm, &bf.Feed, func(*par.Feed[PageBytes]) (ServeOptions, error) {
+		bf.empty = -1
+		opts, err := feed(bf.push)
+		if err == nil && bf.empty >= 0 {
+			err = fmt.Errorf("%w: page %d has an empty ID", ErrInvalidPage, bf.empty)
+		}
+		return opts, err
+	}, (*SiteModel).extractPage)
 }
 
-// extractParallel is the one parallel serve loop: n pages fan out over
-// the call's workers, each worker owning one pooled scratch, and page(i,
-// scratch) returns page i's route and extractions. Extractions are
-// pooled in input page order.
-func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptions, page func(i int, sc *ServeScratch) (int, []Extraction)) ([]Extraction, *ServeStats, error) {
-	if err := sm.serveable(n); err != nil {
+// bytesFeed is ExtractBytesOpts' feed, pooled with its page slice. push
+// is pushPage bound once for the feed's lifetime, so handing it to a
+// PageFeed allocates nothing.
+type bytesFeed struct {
+	par.Feed[PageBytes]
+	push  func(PageBytes)
+	empty int // the first page with an empty ID; -1: none yet
+}
+
+var bytesFeeds = sync.Pool{New: func() any {
+	bf := new(bytesFeed)
+	bf.push = bf.pushPage
+	return bf
+}}
+
+func (bf *bytesFeed) pushPage(p PageBytes) {
+	if p.ID == "" && bf.empty < 0 {
+		bf.empty = bf.Len()
+	}
+	bf.Push(p)
+}
+
+// extractPage is extractBytes for a PageBytes.
+func (sm *SiteModel) extractPage(p PageBytes, sc *ServeScratch) (int, []Extraction) {
+	return sm.extractBytes(p.ID, p.HTML, sc)
+}
+
+// pageResult is what serving page i came to: its route and extractions.
+// Each worker keeps its pages' results in its scratch, for the page count
+// is only known once the feed ends.
+type pageResult struct {
+	i, route int
+	exts     []Extraction
+}
+
+// extractParallel is the one parallel serve loop: the pages f holds and
+// feed pushes fan out over the call's workers as they arrive (par.Stream),
+// each worker owning one pooled scratch, and page(sm, p, scratch) returns
+// a page's route and extractions. Extractions are pooled in input page
+// order. The feed always runs to its end, and its error comes before any
+// the serve call would report.
+func extractParallel[T any](ctx context.Context, sm *SiteModel, f *par.Feed[T],
+	feed func(*par.Feed[T]) (ServeOptions, error), page func(*SiteModel, T, *ServeScratch) (int, []Extraction)) ([]Extraction, *ServeStats, error) {
+	if err := sm.serveable(); err != nil {
+		if _, ferr := feed(f); ferr != nil {
+			return nil, nil, ferr
+		}
 		return nil, nil, err
 	}
-	workers := workersFor(opts)
-	// Clamp before sizing the scratch pool: opts.Workers may come from an
-	// untrusted request, and more workers than pages is useless anyway.
-	if workers > n {
-		workers = n
-	}
-	scratch := make([]*ServeScratch, workers)
-	for i := range scratch {
-		scratch[i] = getServeScratch()
-	}
+	// The first worker — beside the feed, or the caller's goroutine —
+	// serves with first; the others, started once the feed has ended and
+	// the worker count is known, with rest[w-1].
+	first := getServeScratch()
+	var rest []*ServeScratch
 	defer func() {
-		for _, sc := range scratch {
-			serveScratchPool.Put(sc)
+		putServeScratch(first)
+		for _, sc := range rest {
+			putServeScratch(sc)
 		}
 	}()
-	perPage := make([][]Extraction, n)
-	routes := make([]int, n)
-	err := par.For(ctx, n, workers, func(w, i int) {
-		routes[i], perPage[i] = page(i, scratch[w])
+	var ferr error
+	n, err := par.Stream(ctx, f, func(f *par.Feed[T]) int {
+		var opts ServeOptions
+		opts, ferr = feed(f)
+		// Clamp before sizing the scratch pool: opts.Workers may come from
+		// an untrusted request, and more workers than pages is useless.
+		workers := min(workersFor(opts), f.Len())
+		rest = make([]*ServeScratch, max(workers-1, 0))
+		for w := range rest {
+			rest[w] = getServeScratch()
+		}
+		return workers
+	}, func(w, i int, p T) {
+		sc := first
+		if w > 0 {
+			sc = rest[w-1]
+		}
+		route, exts := page(sm, p, sc)
+		sc.results = append(sc.results, pageResult{i: i, route: route, exts: exts})
 	})
-	if err != nil {
+	switch {
+	case ferr != nil:
+		return nil, nil, ferr
+	case n == 0:
+		return nil, nil, ErrNoPages
+	case err != nil:
 		return nil, nil, err
 	}
 	stats := &ServeStats{Pages: n, ClusterPages: make([]int, len(sm.Clusters))}
-	for _, sc := range scratch {
-		stats.addContexts(sc)
-	}
+	byPage := make([]pageResult, n)
 	total := 0
-	for _, exts := range perPage {
-		total += len(exts)
+	collect := func(sc *ServeScratch) {
+		stats.addContexts(sc)
+		for _, r := range sc.results {
+			byPage[r.i] = r
+			total += len(r.exts)
+		}
+	}
+	collect(first)
+	for _, sc := range rest {
+		collect(sc)
 	}
 	var out []Extraction
 	if total > 0 {
 		out = make([]Extraction, 0, total)
 	}
-	for i, exts := range perPage {
-		stats.addRoute(routes[i])
-		stats.observePage(sm.routeMiss(routes[i]), len(exts))
-		stats.Extractions += len(exts)
-		out = append(out, exts...)
+	for _, r := range byPage {
+		stats.addRoute(r.route)
+		stats.observePage(sm.routeMiss(r.route), len(r.exts))
+		stats.Extractions += len(r.exts)
+		out = append(out, r.exts...)
 	}
 	return out, stats, nil
 }
@@ -318,8 +401,9 @@ func (sm *SiteModel) extractParallel(ctx context.Context, n int, opts ServeOptio
 // carries from call to call on purpose is its context caches.
 var serveScratchPool = sync.Pool{New: func() any { return NewServeScratch() }}
 
-// getServeScratch checks a scratch out of the pool with its counters and
-// stage times at zero, so what a call reads from them is the call's own.
+// getServeScratch checks a scratch out of the pool with its counters,
+// stage times and results empty, so what a call reads from them is the
+// call's own.
 func getServeScratch() *ServeScratch {
 	sc := serveScratchPool.Get().(*ServeScratch)
 	sc.counts = contextCounts{}
@@ -327,14 +411,20 @@ func getServeScratch() *ServeScratch {
 	return sc
 }
 
-// serveable validates a serve call: a model must exist, have at least
-// one trained cluster and compile, and there must be pages to serve.
-func (sm *SiteModel) serveable(pages int) error {
+// putServeScratch returns a scratch to the pool, dropping the
+// extractions its results still point at.
+func putServeScratch(sc *ServeScratch) {
+	clear(sc.results)
+	sc.results = sc.results[:0]
+	serveScratchPool.Put(sc)
+}
+
+// serveable validates a serve call's model: it must exist, have at least
+// one trained cluster and compile. Whether there are pages to serve is
+// known only once they have been read.
+func (sm *SiteModel) serveable() error {
 	if sm == nil || sm.TrainedClusters() == 0 {
 		return ErrNotTrained
-	}
-	if pages == 0 {
-		return ErrNoPages
 	}
 	return sm.compile()
 }

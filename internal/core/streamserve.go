@@ -417,11 +417,11 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch) (int
 func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
 	// The page count is not known before the scan; an empty one is
 	// ErrNoPages below.
-	if err := sm.serveable(1); err != nil {
+	if err := sm.serveable(); err != nil {
 		return nil, nil, err
 	}
 	sc := getServeScratch()
-	defer serveScratchPool.Put(sc)
+	defer putServeScratch(sc)
 	stats := &ServeStats{ClusterPages: make([]int, len(sm.Clusters))}
 	// Each page's extractions are kept as they come and concatenated
 	// once, at the exact size, instead of growing one slice page by page.

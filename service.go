@@ -242,26 +242,23 @@ func (s *Service) release() {
 	}
 }
 
-// resolve looks up a site's model and the request's effective threshold.
-func (s *Service) resolve(site string, opts RequestOptions) (RegisteredModel, float64, error) {
+// lookup finds a site's model.
+func (s *Service) lookup(site string) (RegisteredModel, error) {
 	e, ok := s.reg.Lookup(site)
 	if !ok {
-		return RegisteredModel{}, 0, fmt.Errorf("%w: %q", ErrUnknownSite, site)
+		return RegisteredModel{}, fmt.Errorf("%w: %q", ErrUnknownSite, site)
 	}
-	threshold := e.Model.Threshold()
-	if opts.Threshold != nil {
-		threshold = *opts.Threshold
-	}
-	return e, threshold, nil
+	return e, nil
 }
 
 // serve is the one request path behind every Extract* method: root span,
 // admission, model lookup, then run — the model call, under the extract
 // span — and the stats/metrics epilogue. run's extractions feed the
 // confidence histogram and are thresholded into the response under the
-// fuse span.
-func (s *Service) serve(ctx context.Context, span, site string, opts RequestOptions,
-	run func(*core.SiteModel, core.ServeOptions) ([]core.Extraction, *core.ServeStats, error)) (*ExtractResponse, error) {
+// fuse span, at opts' threshold as run leaves it: a feed may only learn
+// it once its last page is read.
+func (s *Service) serve(ctx context.Context, span, site string, opts *RequestOptions,
+	run func(*core.SiteModel) ([]core.Extraction, *core.ServeStats, error)) (*ExtractResponse, error) {
 	// The root span is ended exactly once, by the deferred End; error
 	// paths record their error with SetErr and let the defer close it.
 	sp := s.tracer.StartRoot(span)
@@ -277,7 +274,7 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 	defer s.release()
 	start := time.Now()
 	lsp := sp.StartChild("lookup")
-	e, threshold, err := s.resolve(site, opts)
+	e, err := s.lookup(site)
 	lsp.EndErr(err)
 	if err != nil {
 		sp.SetErr(err)
@@ -286,7 +283,7 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 	}
 	sp.SetInt("version", int64(e.Version))
 	esp := sp.StartChild("extract")
-	exts, stats, err := run(e.Model.sm, core.ServeOptions{Workers: opts.Workers})
+	exts, stats, err := run(e.Model.sm)
 	if err != nil {
 		esp.EndErr(err)
 		sp.SetErr(err)
@@ -295,6 +292,10 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 	}
 	stageSpans(esp, stats.Stages)
 	esp.End()
+	threshold := e.Model.Threshold()
+	if opts.Threshold != nil {
+		threshold = *opts.Threshold
+	}
 	s.observeConfidences(e.Site, exts)
 	fsp := sp.StartChild("fuse")
 	triples := tripleize(exts, threshold)
@@ -330,33 +331,45 @@ func (s *Service) serve(ctx context.Context, span, site string, opts RequestOpti
 // empty ID, ErrNotTrained when the registered model has no trained
 // extractor, and ctx.Err() when cancelled.
 func (s *Service) Extract(ctx context.Context, req ExtractRequest) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract", req.Site, req.Options,
-		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
+	return s.serve(ctx, "service.extract", req.Site, &req.Options,
+		func(sm *core.SiteModel) ([]core.Extraction, *core.ServeStats, error) {
 			src, err := toSources(req.Pages)
 			if err != nil {
 				return nil, nil, err
 			}
-			return sm.ExtractSourcesOpts(ctx, src, opts)
+			return sm.ExtractSourcesOpts(ctx, src, core.ServeOptions{Workers: req.Options.Workers})
 		})
 }
 
 // ExtractBytes is Extract for callers that hold their pages as bytes — a
 // daemon's request buffer, decoded records — with pages fanned out over
 // Options.Workers and streamed in place: no string conversion and no
-// copy of any page. The page slices are only read during the call and
-// never retained (triples own their strings), so they may alias a buffer
-// the caller recycles once ExtractBytes returns. Spans, metrics,
-// statistics, output order and the error contract are Extract's.
-func (s *Service) ExtractBytes(ctx context.Context, site string, pages []PageBytes, opts RequestOptions) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract", site, opts,
-		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
-			for i := range pages {
-				if pages[i].ID == "" {
-					return nil, nil, fmt.Errorf("%w: page %d has an empty ID", ErrInvalidPage, i)
-				}
-			}
-			return sm.ExtractBytesOpts(ctx, pages, opts)
+// copy of any page. Pages are extracted as the feed delivers them, so a
+// feed that decodes a request can hand over each page as it is decoded;
+// the request's threshold and workers are read from opts once the feed
+// has ended, which lets the feed set them from wherever they sit in the
+// request. The page slices are only read during the call and never
+// retained (triples own their strings), so they may alias a buffer the
+// caller recycles once ExtractBytes returns. Spans, metrics, statistics,
+// output order and the error contract are Extract's, with the feed's own
+// error first: ExtractBytes reads the feed to its end even when the
+// request fails before any page is extracted.
+func (s *Service) ExtractBytes(ctx context.Context, site string, pages PageFeed, opts RequestOptions) (*ExtractResponse, error) {
+	fed := false
+	resp, err := s.serve(ctx, "service.extract", site, &opts,
+		func(sm *core.SiteModel) ([]core.Extraction, *core.ServeStats, error) {
+			fed = true
+			return sm.ExtractBytesOpts(ctx, func(push func(PageBytes)) (core.ServeOptions, error) {
+				err := pages.Feed(push, &opts)
+				return core.ServeOptions{Workers: opts.Workers}, err
+			})
 		})
+	if err != nil && !fed {
+		if ferr := pages.Feed(func(PageBytes) {}, &opts); ferr != nil {
+			return nil, ferr
+		}
+	}
+	return resp, err
 }
 
 // observeConfidences feeds every extraction's pre-threshold confidence
@@ -385,8 +398,8 @@ func (s *Service) observeConfidences(site string, exts []core.Extraction) {
 // The error contract matches Extract: ErrUnknownSite, ErrNotTrained,
 // ErrNoPages (zero pages yielded), and ctx.Err() on cancellation.
 func (s *Service) ExtractScan(ctx context.Context, site string, opts RequestOptions, scan func(yield func(id string, html []byte) error) error) (*ExtractResponse, error) {
-	return s.serve(ctx, "service.extract_scan", site, opts,
-		func(sm *core.SiteModel, opts core.ServeOptions) ([]core.Extraction, *core.ServeStats, error) {
-			return sm.ExtractScanOpts(ctx, opts, scan)
+	return s.serve(ctx, "service.extract_scan", site, &opts,
+		func(sm *core.SiteModel) ([]core.Extraction, *core.ServeStats, error) {
+			return sm.ExtractScanOpts(ctx, core.ServeOptions{Workers: opts.Workers}, scan)
 		})
 }

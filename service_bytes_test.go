@@ -53,7 +53,7 @@ func TestServiceExtractBytesMatchesExtract(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := svc.ExtractBytes(ctx, kind, pages, opts)
+					got, err := svc.ExtractBytes(ctx, kind, PageSlice(pages), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,7 +83,7 @@ func TestServiceExtractBytesBufferLifetime(t *testing.T) {
 	f, svc, tr, _ := tracedFixture(t, TracerOptions{SampleEvery: 1})
 	ctx := context.Background()
 	buf, pages := packPages(f.serve)
-	resp, err := svc.ExtractBytes(ctx, "demo", pages, RequestOptions{})
+	resp, err := svc.ExtractBytes(ctx, "demo", PageSlice(pages), RequestOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,25 +117,88 @@ func TestServiceExtractBytesErrors(t *testing.T) {
 	f, svc := serviceFixture(t)
 	ctx := context.Background()
 	_, pages := packPages(f.serve)
-	if _, err := svc.ExtractBytes(ctx, "nope", pages, RequestOptions{}); !errors.Is(err, ErrUnknownSite) {
+	if _, err := svc.ExtractBytes(ctx, "nope", PageSlice(pages), RequestOptions{}); !errors.Is(err, ErrUnknownSite) {
 		t.Errorf("unknown site = %v, want ErrUnknownSite", err)
 	}
-	if _, err := svc.ExtractBytes(ctx, "demo", nil, RequestOptions{}); !errors.Is(err, ErrNoPages) {
+	if _, err := svc.ExtractBytes(ctx, "demo", PageSlice(nil), RequestOptions{}); !errors.Is(err, ErrNoPages) {
 		t.Errorf("no pages = %v, want ErrNoPages", err)
 	}
 	anonymous := append([]PageBytes{}, pages[:2]...)
 	anonymous[1].ID = ""
-	if _, err := svc.ExtractBytes(ctx, "demo", anonymous, RequestOptions{}); !errors.Is(err, ErrInvalidPage) {
+	if _, err := svc.ExtractBytes(ctx, "demo", PageSlice(anonymous), RequestOptions{}); !errors.Is(err, ErrInvalidPage) {
 		t.Errorf("empty page ID = %v, want ErrInvalidPage", err)
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := svc.ExtractBytes(cancelled, "demo", pages, RequestOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := svc.ExtractBytes(cancelled, "demo", PageSlice(pages), RequestOptions{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx = %v, want context.Canceled", err)
 	}
 	reg := NewRegistry()
 	reg.Publish("blank", 1, &SiteModel{})
-	if _, err := NewService(reg).ExtractBytes(ctx, "blank", pages, RequestOptions{}); !errors.Is(err, ErrNotTrained) {
+	if _, err := NewService(reg).ExtractBytes(ctx, "blank", PageSlice(pages), RequestOptions{}); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("untrained model = %v, want ErrNotTrained", err)
+	}
+}
+
+// cutFeed yields its pages, then sets opts and ends with err: a request
+// body that turns out malformed (err) or carries its options after its
+// pages (opts).
+type cutFeed struct {
+	pages []PageBytes
+	opts  RequestOptions
+	err   error
+}
+
+func (f cutFeed) Feed(yield func(PageBytes), opts *RequestOptions) error {
+	for _, p := range f.pages {
+		yield(p)
+	}
+	*opts = f.opts
+	return f.err
+}
+
+// TestServiceExtractBytesFeedFirst holds ExtractBytes to its feed: a
+// feed's own error wins over every error the request would otherwise
+// get — unknown site, untrained model, empty ID, no pages — although
+// pages went to extraction before it; and the threshold and workers a
+// feed sets once its pages are out are the ones the request is served
+// under.
+func TestServiceExtractBytesFeedFirst(t *testing.T) {
+	f, svc := serviceFixture(t)
+	reg := NewRegistry()
+	reg.Publish("blank", 1, &SiteModel{})
+	blank := NewService(reg)
+	ctx := context.Background()
+	_, pages := packPages(f.serve)
+	anonymous := append([]PageBytes{}, pages...)
+	anonymous[2].ID = ""
+	errCut := errors.New("body cut short")
+	for _, tc := range []struct {
+		name  string
+		svc   *Service
+		site  string
+		pages []PageBytes
+	}{
+		{"served site", svc, "demo", pages},
+		{"unknown site", svc, "nope", pages},
+		{"untrained model", blank, "blank", pages},
+		{"empty ID", svc, "demo", anonymous},
+		{"no pages", svc, "demo", nil},
+	} {
+		if _, err := tc.svc.ExtractBytes(ctx, tc.site, cutFeed{pages: tc.pages, err: errCut}, RequestOptions{}); err != errCut {
+			t.Errorf("%s, feed cut short: %v, want the feed's error", tc.name, err)
+		}
+	}
+	th := 0.0 // below the model's threshold, so it shows in the triples
+	want, err := svc.ExtractBytes(ctx, "demo", PageSlice(pages), RequestOptions{Threshold: &th, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := svc.ExtractBytes(ctx, "demo", cutFeed{pages: pages, opts: RequestOptions{Threshold: &th, Workers: 1}}, RequestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Threshold != th || len(got.Triples) == 0 || !reflect.DeepEqual(got.Triples, want.Triples) {
+		t.Errorf("options set as the feed ends: threshold %v, %d triples; want %v, %d", got.Threshold, len(got.Triples), th, len(want.Triples))
 	}
 }

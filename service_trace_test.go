@@ -113,7 +113,7 @@ func TestServiceStagesOnEveryResponse(t *testing.T) {
 			return svc.Extract(context.Background(), ExtractRequest{Site: "demo", Pages: f.serve})
 		}},
 		{"ExtractBytes", func(svc *Service) (*ExtractResponse, error) {
-			return svc.ExtractBytes(context.Background(), "demo", pages, RequestOptions{Workers: 4})
+			return svc.ExtractBytes(context.Background(), "demo", PageSlice(pages), RequestOptions{Workers: 4})
 		}},
 		{"ExtractScan", func(svc *Service) (*ExtractResponse, error) {
 			return svc.ExtractScan(context.Background(), "demo", RequestOptions{}, scan)
