@@ -71,7 +71,10 @@ examples:
 # to the same bytes and Digest (DESIGN.md §8). The fourteenth holds the
 # extract handler, which extracts pages while it is still decoding the
 # body, to the decode-first path kept in its tests: on every body the same
-# status and response body (DESIGN.md §7). A failing input is written
+# status and response body (DESIGN.md §7). The seventh and the fourteenth
+# serve pages on every try, so they minimise a new input for at most 1s:
+# at the default 60s one minimisation takes most of a short run's budget,
+# at 0 execs/s. A failing input is written
 # under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
@@ -81,14 +84,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAppendTriple -fuzztime=$(FUZZTIME) ./internal/jsonl
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesDOM -fuzztime=$(FUZZTIME) ./internal/dom
 	$(GO) test -run='^$$' -fuzz=FuzzExtractWarmCold -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) .
+	$(GO) test -run='^$$' -fuzz=FuzzReadSiteModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 	$(GO) test -run='^$$' -fuzz=FuzzPagestoreRead -fuzztime=$(FUZZTIME) ./pagestore
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) ./batch
 	$(GO) test -run='^$$' -fuzz=FuzzUntrainable -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzAccumulator -fuzztime=$(FUZZTIME) ./internal/fusion
 	$(GO) test -run='^$$' -fuzz=FuzzLossGrad -fuzztime=$(FUZZTIME) ./internal/mlr
 	$(GO) test -run='^$$' -fuzz=FuzzReadKB -fuzztime=$(FUZZTIME) ./internal/kb
-	$(GO) test -run='^$$' -fuzz=FuzzExtractHandler -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
+	$(GO) test -run='^$$' -fuzz=FuzzExtractHandler -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./cmd/ceres-serve
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

@@ -1,6 +1,7 @@
 package ceres
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -175,7 +176,15 @@ func WithMinAnnotations(n int) Option {
 // Pipeline is a configured CERES trainer bound to a seed KB. It is safe
 // for concurrent use: any number of Train calls may run at once.
 type Pipeline struct {
-	kb        *KB
+	// kb is the seed KB. A pipeline built by NewPipelineTSV holds kbText
+	// and kbDigest instead until its first Train, which parses the text
+	// under kbOnce, keeps the KB (or kbErr) and drops the text.
+	kb       *KB
+	kbText   []byte
+	kbDigest string
+	kbOnce   sync.Once
+	kbErr    error
+
 	cfg       core.Config
 	threshold float64
 	// gate admits one Train call at a time into its page-holding half
@@ -208,6 +217,25 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 		o(p)
 	}
 	return p
+}
+
+// NewPipelineTSV builds a pipeline over the seed KB whose serialization
+// (see KB.Write) is text, returning ReadKB's error for malformed text.
+// Training is what reads a seed KB — extraction never does — so the
+// pipeline keeps only the text and the KB's digest, for TrainingKey,
+// until a Train call needs the KB: the first one parses the text again
+// and the pipeline holds the KB from then on, as NewPipeline's does. A
+// caller that may train nothing, such as a harvest whose sites all have
+// models, never holds the parsed KB. The pipeline owns text; it must not
+// be modified.
+func NewPipelineTSV(text []byte, opts ...Option) (*Pipeline, error) {
+	k, err := ReadKB(bytes.NewReader(text))
+	if err != nil {
+		return nil, err
+	}
+	p := NewPipeline(nil, opts...)
+	p.kbText, p.kbDigest = text, k.Digest()
+	return p, nil
 }
 
 // TrainStats counts what a Pipeline's Train calls did since it was built.
@@ -312,7 +340,23 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 		tsp.SetInt("held_ns", int64(time.Since(acquired)))
 		<-p.gate
 	}()
-	return core.PrepareSite(ctx, src, p.kb, p.cfg)
+	k, err := p.seedKB()
+	if err != nil {
+		return nil, err
+	}
+	return core.PrepareSite(ctx, src, k, p.cfg)
+}
+
+// seedKB returns the pipeline's seed KB, parsing a NewPipelineTSV
+// pipeline's text on the first call.
+func (p *Pipeline) seedKB() (*KB, error) {
+	p.kbOnce.Do(func() {
+		if p.kbDigest != "" {
+			p.kb, p.kbErr = ReadKB(bytes.NewReader(p.kbText))
+			p.kbText = nil
+		}
+	})
+	return p.kb, p.kbErr
 }
 
 // TrainingKey identifies every input of Train other than the pages: the
@@ -323,8 +367,12 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 // (ModelStore.Untrainable) without ever outliving a KB that has grown or
 // an option that has changed.
 func (p *Pipeline) TrainingKey() string {
+	digest := p.kbDigest
+	if digest == "" {
+		digest = p.kb.Digest()
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", p.kb.Digest(), p.threshold, p.cfg)
+	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", digest, p.threshold, p.cfg)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

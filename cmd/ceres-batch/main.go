@@ -201,14 +201,15 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 		}
 	}
 
+	// The pipeline keeps kb.tsv's text, not a parsed KB, until a site
+	// trains: a pass whose sites all have models or stored verdicts never
+	// holds the KB.
 	var pipeline *ceres.Pipeline
-	if kbFile, err := os.Open(kbPath); err == nil {
-		kb, kerr := ceres.ReadKB(kbFile)
-		kbFile.Close()
-		if kerr != nil {
-			return nil, none, fmt.Errorf("reading seed KB %s: %v", kbPath, kerr)
+	if text, err := os.ReadFile(kbPath); err == nil {
+		pipeline, err = ceres.NewPipelineTSV(text, ceres.WithThreshold(o.threshold))
+		if err != nil {
+			return nil, none, fmt.Errorf("reading seed KB %s: %v", kbPath, err)
 		}
-		pipeline = ceres.NewPipeline(kb, ceres.WithThreshold(o.threshold))
 	} else if !os.IsNotExist(err) {
 		return nil, none, err
 	} else {

@@ -42,12 +42,12 @@ func TestGenerateAndHarvest(t *testing.T) {
 		t.Fatalf("generated %d sites, want 33", len(sites))
 	}
 
-	kbFile, err := os.Open(kbPath)
+	// The pipeline is built as harvest builds it, from kb.tsv's text.
+	kbText, err := os.ReadFile(kbPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb, err := ceres.ReadKB(kbFile)
-	kbFile.Close()
+	pipeline, err := ceres.NewPipelineTSV(kbText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 		Provider:       store,
 		Sink:           sink,
 		Store:          modelStore,
-		Pipeline:       ceres.NewPipeline(kb),
+		Pipeline:       pipeline,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 	})
 	if err != nil {
@@ -257,5 +257,79 @@ func TestShardIsOneSegment(t *testing.T) {
 	}
 	if o.shardPages != pagestore.DefaultSegmentPages || plan.ShardPages != pagestore.DefaultSegmentPages {
 		t.Fatalf("-shard-pages %d, batch default %d, segment %d: want all equal", o.shardPages, plan.ShardPages, pagestore.DefaultSegmentPages)
+	}
+}
+
+// TestHarvestBadKB: a malformed kb.tsv fails the invocation with the
+// parse error, before any pass has written a checkpoint, a shard or a
+// model.
+func TestHarvestBadKB(t *testing.T) {
+	dir := t.TempDir()
+	store, err := pagestore.Open(filepath.Join(dir, "pages"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbPath := filepath.Join(dir, "kb.tsv")
+	if err := generateCrawl(store, kbPath, 1, 0.004, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(kbPath, []byte("P\tdirector\tfilm\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := options{dir: dir, shardPages: 4, workers: 2, trainPages: 200, threshold: 0.5, fuse: true}
+	_, _, err = harvest(context.Background(), o)
+	want := "reading seed KB " + kbPath + ": kb: line 1: P record needs 5 fields"
+	if err == nil || err.Error() != want {
+		t.Fatalf("harvest with a malformed kb.tsv = %v, want %q", err, want)
+	}
+	for _, name := range []string{"checkpoint.json", "triples", "models", "fused.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("a failed harvest left %s (%v)", name, err)
+		}
+	}
+}
+
+// TestWarmHarvestTrainsNothing: after a cold pass, a -reset pass over the
+// same directory takes every model from the store and every untrainable
+// site from its stored verdict — the training key of a pipeline that
+// never parsed kb.tsv matches the one the cold pass stored verdicts
+// under — trains nothing and fuses the same bytes.
+func TestWarmHarvestTrainsNothing(t *testing.T) {
+	o := options{dir: t.TempDir(), gen: true, seed: 1, scale: 0.004, maxSitePages: 30,
+		sites: "kinobox.cz,themoviedb.org,boxofficemojo.com", shardPages: 16, workers: 2, trainPages: 200, threshold: 0.5, fuse: true}
+	cold, _, err := harvest(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Training.Sites == 0 {
+		t.Fatal("the cold pass trained no site")
+	}
+	if got, want := skipSummary(cold), "skipped: 2 sites (0 from stored verdicts)"; got != want {
+		t.Fatalf("cold pass: %q, want %q", got, want)
+	}
+	fusedPath := filepath.Join(o.dir, "fused.jsonl")
+	coldFused, err := os.ReadFile(fusedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	o.gen, o.reset = false, true
+	warm, _, err := harvest(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range warm.Sites {
+		if sr.Trained || sr.Skipped != sr.StoredVerdict {
+			t.Errorf("warm pass, site %s: trained=%v skipped=%v stored verdict=%v", sr.Site, sr.Trained, sr.Skipped, sr.StoredVerdict)
+		}
+	}
+	if got, want := skipSummary(warm), "skipped: 2 sites (2 from stored verdicts)"; got != want {
+		t.Errorf("warm pass: %q, want %q", got, want)
+	}
+	if warm.Training.Sites != 0 {
+		t.Errorf("the warm pass trained %d sites", warm.Training.Sites)
+	}
+	if warmFused, err := os.ReadFile(fusedPath); err != nil || !bytes.Equal(warmFused, coldFused) {
+		t.Errorf("the warm pass fused different bytes (%v)", err)
 	}
 }

@@ -201,9 +201,13 @@ func TestPipelineNoAnnotatablePages(t *testing.T) {
 // hostile "div nesting" page. Training reads pages through the stream
 // pass, whose open-element stack is a slice, so the deep page costs time
 // linear in its depth and no goroutine stack: TrainSite returns a trained
-// model within the hostile pages' bound.
+// model within the hostile pages' bound, scaled under the race detector,
+// which slows the whole of training several times over.
 func TestTrainSiteOnDeepPage(t *testing.T) {
-	const bound = 2 * time.Second // internal/dom's hostileBound
+	bound := 2 * time.Second // internal/dom's hostileBound
+	if raceEnabled {
+		bound *= 5
+	}
 	_, K, _, gold := buildMovieSite(t, 20, defaultStyle())
 	sources := []PageSource{{ID: "deep", HTML: strings.Repeat("<div>", 100_000) + "x"}}
 	for _, g := range gold {
