@@ -117,7 +117,10 @@ crash-sweep:
 # holds, so a regression in training memory shows), one site's
 # example-building plus fit, the whole train-then-extract pipeline, and
 # one L-BFGS fit over collapsed rows at the shape measured on the crawl
-# (§3); RegistryBoot is the binary model codec's cold boot (§10).
+# (§3); RegistryBoot is the binary model codec's cold boot (§10); ReadKB
+# is the parse of the crawl's seed KB, kb.tsv, with live-MB the heap the
+# parsed KB holds (a rise means insert-time tables are back), and
+# KBBuildIndex the annotation index built from a KB (§8).
 # internal/dom: ParseDetailPage and StreamDetailPage are the HTML lexer
 # under each of its two consumers, StreamChromePage the stream pass over
 # a page that is mostly stylesheet, script and one unbroken data island
@@ -145,7 +148,7 @@ crash-sweep:
 # while the body is still being decoded, and 1x4KB must not allocate more
 # than a request that never overlaps.
 bench:
-	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot' -benchtime=1x -benchmem .
+	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot|ReadKB|KBBuildIndex' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
 	$(GO) test -run='^$$' -bench='ScoreFields|Featurize' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -176,6 +177,61 @@ func TestRunnerMatchesDirectServe(t *testing.T) {
 	}
 	if len(rep.Facts) == 0 {
 		t.Fatal("fusion produced no facts")
+	}
+}
+
+// TestRunnerReleasesSeedKB: a cold run over a NewPipelineTSV pipeline
+// leaves it holding no parsed seed KB — the heap it retains is about the
+// KB's text, as before any training — and a Train after the run parses the
+// text again, after which the same measure sees the parsed KB.
+func TestRunnerReleasesSeedKB(t *testing.T) {
+	f := newCrawlFixture(t, t.TempDir(), []string{"blaxploitation.com", "laborfilms.com"})
+	var buf bytes.Buffer
+	if err := f.kb.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.Bytes()
+	f.kb, f.pipeline = nil, nil
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pools' victim caches
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := live() // text and the fixture included, and kept alive below
+	p, err := ceres.NewPipelineTSV(text, ceres.WithThreshold(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		r, err := NewRunner(Config{Provider: f.store, Sink: NewCollectSink(), Pipeline: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Run(context.Background(), Job{ShardPages: 7, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Training.Sites == 0 {
+			t.Fatal("the cold run trained no site")
+		}
+	}()
+	released := float64(live()-base) / float64(len(text))
+
+	if _, err := p.Train(context.Background(), f.pages["blaxploitation.com"]); err != nil {
+		t.Fatal(err)
+	}
+	parsed := float64(live()-base) / float64(len(text))
+	runtime.KeepAlive(text)
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(p)
+	t.Logf("%d bytes of KB text: after the run the pipeline retains %.2fx, after a Train %.2fx", len(text), released, parsed)
+	if released > 1.5 {
+		t.Errorf("after a cold run the pipeline retains %.2fx its KB text, bound 1.5x", released)
+	}
+	if parsed <= 1.5 {
+		t.Fatalf("a parsed KB retains only %.2fx its text: the measure cannot tell the two apart", parsed)
 	}
 }
 

@@ -477,7 +477,9 @@ type task struct {
 // only after its site resolved; the resolution has pinned the site's
 // model version in the checkpoint before that, so the manifest write that
 // records the site's first shard carries its pin; and a site with no
-// pending shard is never resolved. None of this can change the output:
+// pending shard is never resolved. Once every site has resolved and none
+// is resolving, the dispatcher tells the pipeline that no training is
+// coming (Pipeline.ReleaseKB). None of this can change the output:
 // shard files are named by (site, index) and fusion replays plan order.
 // (Tasks are handed over by a goroutine, not pulled by the workers from a
 // locked queue, on a measurement: workers that never park between shards
@@ -516,9 +518,17 @@ func (r *Runner) dispatch(ctx context.Context, job Job, ck *checkpoint, cm *comm
 		}
 		return task{}, false
 	}
+	released := false
 feed:
 	for {
 		t, ok := pick()
+		if !released && toResolve == len(sites) && resolving == 0 {
+			// Every site has resolved: nothing in this run trains again,
+			// so the pipeline's parsed seed KB would only sit in memory
+			// through the extraction tail and fusion.
+			r.cfg.Pipeline.ReleaseKB()
+			released = true
+		}
 		if !ok && resolving == 0 {
 			break
 		}

@@ -8,7 +8,9 @@ package ceres
 // numbers.
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -166,6 +168,39 @@ func BenchmarkKBBuildIndex(b *testing.B) {
 		b.StartTimer()
 		k.BuildIndex()
 	}
+}
+
+// BenchmarkReadKB parses the benchmark crawl's seed KB (seed 1: the
+// kb.tsv a ceres-batch pass reads, 1.3 MB) and reports, beside its time
+// and allocations, live-MB: the heap the parsed KB holds, read after
+// runtime.GC with the KB reachable and then not.
+func BenchmarkReadKB(b *testing.B) {
+	var buf bytes.Buffer
+	// A site filter naming no roster site generates the seed KB alone.
+	if err := websim.GenerateCrawl(websim.CrawlConfig{Seed: 1, Sites: []string{"no-such-site"}}).SeedKB.Write(&buf); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.Bytes()
+	live := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	var k *KB
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if k, err = ReadKB(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	held := live()
+	runtime.KeepAlive(k) // and no further
+	b.ReportMetric((held-live())/1e6, "live-MB")
 }
 
 // BenchmarkStageTrain measures feature extraction + L-BFGS training.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -54,6 +55,8 @@ var (
 	// ErrInvalidPage reports a malformed page in the input set (e.g. an
 	// empty ID) — a caller fault, like ErrNoPages.
 	ErrInvalidPage = core.ErrInvalidPage
+	// ErrNoSeedKB reports Train on a pipeline built over a nil KB.
+	ErrNoSeedKB = errors.New("ceres: pipeline has no seed KB")
 )
 
 // NewKB creates an empty knowledge base over the ontology.
@@ -176,14 +179,14 @@ func WithMinAnnotations(n int) Option {
 // Pipeline is a configured CERES trainer bound to a seed KB. It is safe
 // for concurrent use: any number of Train calls may run at once.
 type Pipeline struct {
-	// kb is the seed KB. A pipeline built by NewPipelineTSV holds kbText
-	// and kbDigest instead until its first Train, which parses the text
-	// under kbOnce, keeps the KB (or kbErr) and drops the text.
+	// kb is the seed KB. NewPipeline's is the caller's and never changes.
+	// A NewPipelineTSV pipeline holds, under kbMu, either kbText — the
+	// KB's serialization, until a Train needs the KB, and again after
+	// ReleaseKB — or kb, never both; its kbDigest is set for good.
+	kbMu     sync.Mutex
 	kb       *KB
 	kbText   []byte
 	kbDigest string
-	kbOnce   sync.Once
-	kbErr    error
 
 	cfg       core.Config
 	threshold float64
@@ -224,10 +227,11 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 // Training is what reads a seed KB — extraction never does — so the
 // pipeline keeps only the text and the KB's digest, for TrainingKey,
 // until a Train call needs the KB: the first one parses the text again
-// and the pipeline holds the KB from then on, as NewPipeline's does. A
+// and the pipeline holds the KB, and not the text, until ReleaseKB. A
 // caller that may train nothing, such as a harvest whose sites all have
-// models, never holds the parsed KB. The pipeline owns text; it must not
-// be modified.
+// models, never holds the parsed KB, and one that has trained what it
+// will (a harvest whose every site has resolved) lets it go with
+// ReleaseKB. The pipeline owns text; it must not be modified.
 func NewPipelineTSV(text []byte, opts ...Option) (*Pipeline, error) {
 	k, err := ReadKB(bytes.NewReader(text))
 	if err != nil {
@@ -275,9 +279,10 @@ func (p *Pipeline) TrainStats() TrainStats {
 // concurrently, so training many sites at once costs the memory of one
 // site's pages, not of all of them.
 //
-// Train returns ErrNoPages for an empty page set, ErrNoAnnotations when
-// the seed KB aligned with too few pages to train any cluster, and
-// ctx.Err() when cancelled.
+// Train returns ErrNoPages for an empty page set, ErrNoSeedKB when the
+// pipeline was built over a nil KB, ErrNoAnnotations when the seed KB
+// aligned with too few pages to train any cluster, and ctx.Err() when
+// cancelled.
 func (p *Pipeline) Train(ctx context.Context, pages []PageSource) (*SiteModel, error) {
 	p.mu.Lock()
 	p.training++
@@ -348,15 +353,43 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 }
 
 // seedKB returns the pipeline's seed KB, parsing a NewPipelineTSV
-// pipeline's text on the first call.
+// pipeline's text when it holds no parsed KB.
 func (p *Pipeline) seedKB() (*KB, error) {
-	p.kbOnce.Do(func() {
-		if p.kbDigest != "" {
-			p.kb, p.kbErr = ReadKB(bytes.NewReader(p.kbText))
-			p.kbText = nil
+	p.kbMu.Lock()
+	defer p.kbMu.Unlock()
+	if p.kb == nil && p.kbText != nil {
+		k, err := ReadKB(bytes.NewReader(p.kbText))
+		if err != nil {
+			return nil, err
 		}
-	})
-	return p.kb, p.kbErr
+		p.kb, p.kbText = k, nil
+	}
+	if p.kb == nil {
+		return nil, ErrNoSeedKB
+	}
+	return p.kb, nil
+}
+
+// ReleaseKB tells the pipeline that no Train call is coming. A
+// NewPipelineTSV pipeline then drops its parsed seed KB, and with it the
+// annotation index cached inside, and keeps the KB's serialization
+// (KB.Write) instead, as before its first Train; a later Train parses it
+// again and trains under the same TrainingKey to the same model bytes. A
+// Train already under way keeps the KB it has. For a NewPipeline
+// pipeline, whose KB belongs to the caller, and a nil one, ReleaseKB does
+// nothing.
+func (p *Pipeline) ReleaseKB() {
+	if p == nil || p.kbDigest == "" {
+		return
+	}
+	p.kbMu.Lock()
+	defer p.kbMu.Unlock()
+	if p.kb == nil {
+		return
+	}
+	var buf bytes.Buffer
+	p.kb.Write(&buf) // a bytes.Buffer never fails a write
+	p.kbText, p.kb = bytes.Clone(buf.Bytes()), nil
 }
 
 // TrainingKey identifies every input of Train other than the pages: the
@@ -368,8 +401,12 @@ func (p *Pipeline) seedKB() (*KB, error) {
 // an option that has changed.
 func (p *Pipeline) TrainingKey() string {
 	digest := p.kbDigest
-	if digest == "" {
+	switch {
+	case digest != "":
+	case p.kb != nil:
 		digest = p.kb.Digest()
+	default:
+		digest = "none" // no hex digest reads so
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "kb %s\nthreshold %v\nconfig %+v\n", digest, p.threshold, p.cfg)

@@ -50,8 +50,8 @@ type Index struct {
 	entityItem map[string]ItemID // entity ID -> ItemID
 	litItem    map[string]ItemID // normalized literal -> ItemID
 
-	// objCount mirrors KB.objectCount per item, feeding the
-	// frequent-object filter of §3.1.1.
+	// objCount counts the triples carrying each item as object, feeding
+	// the frequent-object filter of §3.1.1.
 	objCount []int32
 
 	// objects[e] lists the distinct object items of entity e's triples,
@@ -66,9 +66,9 @@ type Index struct {
 	relations []SubjectRelation
 	relStart  []int32
 
-	// exactEnt / tokenEnt are the ItemID forms of KB.nameIndex and
-	// KB.tokenIndex: normalized name (resp. token-set key) -> sorted
-	// entity items.
+	// exactEnt / tokenEnt map a normalized entity name or alias (resp.
+	// its token-set key, where that differs) to the sorted entity items
+	// carrying it: the ItemID form of KB.LookupEntities' maps.
 	exactEnt map[string][]ItemID
 	tokenEnt map[string][]ItemID
 
@@ -90,10 +90,10 @@ type matchKey struct {
 	runes   []rune
 }
 
-func makeMatchKey(norm string) matchKey {
+func makeMatchKey(norm, tokKey string) matchKey {
 	k := matchKey{
 		norm:    norm,
-		tokKey:  strmatch.TokenSetKeyNormalized(norm),
+		tokKey:  tokKey,
 		runeLen: int32(utf8.RuneCountInString(norm)),
 	}
 	if k.runeLen >= 8 {
@@ -128,48 +128,46 @@ func newIndex(k *KB) *Index {
 	for i, id := range ix.entityIDs {
 		ix.entityItem[id] = ItemID(i)
 	}
-	ix.litNorms = make([]string, 0, len(k.literalIndex))
-	for n := range k.literalIndex {
-		ix.litNorms = append(ix.litNorms, n)
+	// litNorm[i] is triple i's normalized literal ("" for an entity
+	// object), normalized once here for both passes over the triples.
+	litNorm := make([]string, len(k.triples))
+	ix.litItem = make(map[string]ItemID)
+	for i, t := range k.triples {
+		if t.Object.IsEntity() {
+			continue
+		}
+		n := strmatch.Normalize(t.Object.Literal)
+		litNorm[i] = n
+		if _, ok := ix.litItem[n]; !ok {
+			ix.litItem[n] = 0
+			ix.litNorms = append(ix.litNorms, n)
+		}
 	}
 	sort.Strings(ix.litNorms)
-	ix.litItem = make(map[string]ItemID, len(ix.litNorms))
 	for i, n := range ix.litNorms {
 		ix.litItem[n] = ItemID(ix.numEntities + i)
 	}
 
-	ix.buildTripleTables(k)
-	ix.buildLookupTables(k)
-	ix.buildMatchKeys(k)
+	ix.buildTripleTables(k, litNorm)
+	ix.buildNameTables(k)
 	return ix
 }
 
-// objectItem resolves a triple object to its ItemID. Literal norms are
-// always present (AddTriple rejects empty-norm literals and literalIndex
-// records the rest).
-func (ix *Index) objectItem(o Object) (ItemID, bool) {
-	if o.IsEntity() {
-		it, ok := ix.entityItem[o.EntityID]
-		return it, ok
-	}
-	it, ok := ix.litItem[strmatch.Normalize(o.Literal)]
-	return it, ok
-}
-
-func (ix *Index) buildTripleTables(k *KB) {
+func (ix *Index) buildTripleTables(k *KB, litNorm []string) {
 	ix.objCount = make([]int32, ix.numEntities+len(ix.litNorms))
 	perSubjObjs := make([][]ItemID, ix.numEntities)
 	perSubjRels := make([][]SubjectRelation, ix.numEntities)
-	for _, t := range k.triples {
-		obj, ok := ix.objectItem(t.Object)
-		if !ok {
-			continue
+	for i, t := range k.triples {
+		// AddTriple admits only known entities and non-empty literal
+		// norms, so every object has an item.
+		var obj ItemID
+		if t.Object.IsEntity() {
+			obj = ix.entityItem[t.Object.EntityID]
+		} else {
+			obj = ix.litItem[litNorm[i]]
 		}
 		ix.objCount[obj]++
-		subj, ok := ix.entityItem[t.Subject]
-		if !ok {
-			continue
-		}
+		subj := ix.entityItem[t.Subject]
 		perSubjObjs[subj] = append(perSubjObjs[subj], obj)
 		perSubjRels[subj] = append(perSubjRels[subj], SubjectRelation{Pred: t.Predicate, Obj: obj})
 	}
@@ -207,35 +205,31 @@ func (ix *Index) buildTripleTables(k *KB) {
 	}
 }
 
-func (ix *Index) buildLookupTables(k *KB) {
-	toItems := func(ids []string) []ItemID {
-		out := make([]ItemID, 0, len(ids))
-		for _, id := range ids {
-			if it, ok := ix.entityItem[id]; ok {
-				out = append(out, it)
-			}
+// buildNameTables builds the name lookups and the alias match keys in one
+// pass over the entities' names. Entities are visited in ItemID order, so
+// each exactEnt and tokenEnt list comes out sorted, and a name repeated
+// within one entity is kept once.
+func (ix *Index) buildNameTables(k *KB) {
+	ix.exactEnt = make(map[string][]ItemID, ix.numEntities) // about a name each
+	ix.tokenEnt = make(map[string][]ItemID)
+	add := func(m map[string][]ItemID, key string, it ItemID) {
+		if l := m[key]; len(l) == 0 || l[len(l)-1] != it {
+			m[key] = append(l, it)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
 	}
-	ix.exactEnt = make(map[string][]ItemID, len(k.nameIndex))
-	for n, ids := range k.nameIndex {
-		ix.exactEnt[n] = toItems(ids)
-	}
-	ix.tokenEnt = make(map[string][]ItemID, len(k.tokenIndex))
-	for tk, ids := range k.tokenIndex {
-		ix.tokenEnt[tk] = toItems(ids)
-	}
-}
-
-func (ix *Index) buildMatchKeys(k *KB) {
 	ix.aliasStart = make([]int32, ix.numEntities+1)
+	var names []string
 	for e, id := range ix.entityIDs {
-		ent := k.entities[id]
-		for _, name := range appendNames(nil, ent) {
+		names = appendNames(names[:0], k.entities[id])
+		for _, name := range names {
 			norm := strmatch.Normalize(name)
 			if norm == "" {
 				continue // never matches any non-empty field text
+			}
+			tk := strmatch.TokenSetKeyNormalized(norm)
+			add(ix.exactEnt, norm, ItemID(e))
+			if tk != norm {
+				add(ix.tokenEnt, tk, ItemID(e))
 			}
 			dup := false
 			for _, prev := range ix.aliasKeys[ix.aliasStart[e]:] {
@@ -245,14 +239,14 @@ func (ix *Index) buildMatchKeys(k *KB) {
 				}
 			}
 			if !dup {
-				ix.aliasKeys = append(ix.aliasKeys, makeMatchKey(norm))
+				ix.aliasKeys = append(ix.aliasKeys, makeMatchKey(norm, tk))
 			}
 		}
 		ix.aliasStart[e+1] = int32(len(ix.aliasKeys))
 	}
 	ix.litKeys = make([]matchKey, len(ix.litNorms))
 	for i, norm := range ix.litNorms {
-		ix.litKeys[i] = makeMatchKey(norm)
+		ix.litKeys[i] = makeMatchKey(norm, strmatch.TokenSetKeyNormalized(norm))
 	}
 }
 

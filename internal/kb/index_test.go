@@ -25,6 +25,16 @@ func newFieldKey(text string) FieldKey {
 	return key
 }
 
+// objectItem resolves a triple object to its item.
+func (ix *Index) objectItem(o Object) (ItemID, bool) {
+	if o.IsEntity() {
+		it, ok := ix.entityItem[o.EntityID]
+		return it, ok
+	}
+	it, ok := ix.litItem[strmatch.Normalize(o.Literal)]
+	return it, ok
+}
+
 // numItems is the number of interned items: entities plus distinct
 // literal norms.
 func numItems(ix *Index) int { return ix.numEntities + len(ix.litNorms) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ceres/internal/strmatch"
 )
@@ -59,24 +60,17 @@ type KB struct {
 	bySubject map[string][]int // entity ID -> triple indices
 	byPred    map[string][]int // predicate -> triple indices
 
-	// nameIndex maps normalized entity names and aliases to entity IDs;
-	// tokenIndex does the same for token-set keys, giving order-insensitive
-	// fuzzy matching ("Lee, Spike" vs "Spike Lee"), per Gulhane et al.'s
-	// matcher (§3.1.1).
-	nameIndex  map[string][]string
-	tokenIndex map[string][]string
-
-	// literalIndex maps normalized literal object strings to the number of
-	// triples carrying them.
-	literalIndex map[string]int
-
-	// objectCount tracks how many triples carry each object key, feeding
-	// the frequent-object filter of §3.1.1.
-	objectCount map[string]int
+	// lookups holds the string-keyed maps LookupEntities, HasLiteral and
+	// FrequentObjectKeys read (see lookup.go), built by the first such call
+	// after a mutation. Annotation reads the Index instead, which derives
+	// its own tables from entities and triples, so a KB that only trains
+	// never builds them.
+	lookups atomic.Pointer[lookupMaps]
 
 	// idx caches the frozen annotation index (see index.go) and digest the
-	// content digest (see Digest); any mutation invalidates both. idxMu
-	// makes concurrent BuildIndex and Digest calls safe.
+	// content digest (see Digest); any mutation invalidates both, and
+	// lookups. idxMu makes concurrent BuildIndex, Digest and lookup-map
+	// builds safe.
 	idxMu  sync.Mutex
 	idx    *Index
 	digest string
@@ -85,22 +79,17 @@ type KB struct {
 // New creates an empty KB over the given ontology.
 func New(o *Ontology) *KB {
 	return &KB{
-		ontology:     o,
-		entities:     make(map[string]*Entity),
-		bySubject:    make(map[string][]int),
-		byPred:       make(map[string][]int),
-		nameIndex:    make(map[string][]string),
-		tokenIndex:   make(map[string][]string),
-		literalIndex: make(map[string]int),
-		objectCount:  make(map[string]int),
+		ontology:  o,
+		entities:  make(map[string]*Entity),
+		bySubject: make(map[string][]int),
+		byPred:    make(map[string][]int),
 	}
 }
 
 // Ontology returns the KB's ontology.
 func (k *KB) Ontology() *Ontology { return k.ontology }
 
-// AddEntity inserts an entity and indexes its name and aliases. Adding an
-// existing ID returns an error.
+// AddEntity inserts an entity. Adding an existing ID returns an error.
 func (k *KB) AddEntity(e Entity) error {
 	if e.ID == "" {
 		return fmt.Errorf("kb: entity with empty ID")
@@ -110,10 +99,6 @@ func (k *KB) AddEntity(e Entity) error {
 	}
 	stored := e
 	k.entities[e.ID] = &stored
-	k.indexName(e.Name, e.ID)
-	for _, a := range e.Aliases {
-		k.indexName(a, e.ID)
-	}
 	k.invalidateIndex()
 	return nil
 }
@@ -122,19 +107,8 @@ func (k *KB) invalidateIndex() {
 	k.idxMu.Lock()
 	k.idx = nil
 	k.digest = ""
+	k.lookups.Store(nil)
 	k.idxMu.Unlock()
-}
-
-func (k *KB) indexName(name, id string) {
-	n := strmatch.Normalize(name)
-	if n == "" {
-		return
-	}
-	k.nameIndex[n] = appendUnique(k.nameIndex[n], id)
-	tk := strmatch.TokenSetKey(name)
-	if tk != n {
-		k.tokenIndex[tk] = appendUnique(k.tokenIndex[tk], id)
-	}
 }
 
 func appendUnique(ids []string, id string) []string {
@@ -159,17 +133,16 @@ func (k *KB) AddTriple(t Triple) error {
 		if _, ok := k.entities[t.Object.EntityID]; !ok {
 			return fmt.Errorf("kb: unknown object entity %q", t.Object.EntityID)
 		}
-	} else if strmatch.Normalize(t.Object.Literal) == "" {
-		return fmt.Errorf("kb: empty literal object for %s/%s", t.Subject, t.Predicate)
+	} else {
+		var buf [96]byte // only whether the norm is empty matters here
+		if len(strmatch.NormalizeInto(buf[:0], t.Object.Literal)) == 0 {
+			return fmt.Errorf("kb: empty literal object for %s/%s", t.Subject, t.Predicate)
+		}
 	}
 	idx := len(k.triples)
 	k.triples = append(k.triples, t)
 	k.bySubject[t.Subject] = append(k.bySubject[t.Subject], idx)
 	k.byPred[t.Predicate] = append(k.byPred[t.Predicate], idx)
-	if !t.Object.IsEntity() {
-		k.literalIndex[strmatch.Normalize(t.Object.Literal)]++
-	}
-	k.objectCount[t.Object.Key()]++
 	k.invalidateIndex()
 	return nil
 }
@@ -247,7 +220,7 @@ func (k *KB) FrequentObjectKeys(frac float64) map[string]bool {
 		return out
 	}
 	min := frac * float64(len(k.triples))
-	for key, c := range k.objectCount {
+	for key, c := range k.maps().objectCount {
 		if float64(c) >= min {
 			out[key] = true
 		}

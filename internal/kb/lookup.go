@@ -6,6 +6,60 @@ import (
 	"ceres/internal/strmatch"
 )
 
+// lookupMaps are the KB's string-keyed lookups. nameIndex maps normalized
+// entity names and aliases to entity IDs; tokenIndex does the same for
+// token-set keys, giving order-insensitive fuzzy matching ("Lee, Spike" vs
+// "Spike Lee"), per Gulhane et al.'s matcher (§3.1.1). literalIndex maps
+// normalized literal object strings to the number of triples carrying
+// them, objectCount each object key to the number of triples carrying it,
+// feeding the frequent-object filter of §3.1.1. ID lists are unique and
+// in sorted entity-ID order.
+type lookupMaps struct {
+	nameIndex    map[string][]string
+	tokenIndex   map[string][]string
+	literalIndex map[string]int
+	objectCount  map[string]int
+}
+
+// maps returns the KB's lookup maps, building them on the first call after
+// a mutation.
+func (k *KB) maps() *lookupMaps {
+	if m := k.lookups.Load(); m != nil {
+		return m
+	}
+	k.idxMu.Lock()
+	defer k.idxMu.Unlock()
+	if m := k.lookups.Load(); m != nil {
+		return m
+	}
+	m := &lookupMaps{
+		nameIndex:    make(map[string][]string),
+		tokenIndex:   make(map[string][]string),
+		literalIndex: make(map[string]int),
+		objectCount:  make(map[string]int),
+	}
+	for _, id := range k.EntityIDs() {
+		for _, name := range appendNames(nil, k.entities[id]) {
+			n := strmatch.Normalize(name)
+			if n == "" {
+				continue
+			}
+			m.nameIndex[n] = appendUnique(m.nameIndex[n], id)
+			if tk := strmatch.TokenSetKeyNormalized(n); tk != n {
+				m.tokenIndex[tk] = appendUnique(m.tokenIndex[tk], id)
+			}
+		}
+	}
+	for _, t := range k.triples {
+		if !t.Object.IsEntity() {
+			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
+		}
+		m.objectCount[t.Object.Key()]++
+	}
+	k.lookups.Store(m)
+	return m
+}
+
 // LookupEntities returns the IDs of entities whose name or alias matches
 // the text: first exact normalized matches, then token-order-insensitive
 // matches. Results are sorted and deduplicated. This is the page-text
@@ -16,25 +70,17 @@ func (k *KB) LookupEntities(text string) []string {
 	if n == "" {
 		return nil
 	}
-	names := k.nameIndex[n]
+	m := k.maps()
+	names := m.nameIndex[n]
 	// The token key lives in a stack buffer; the map probe's string
 	// conversion does not allocate.
 	var tkBuf [96]byte
-	toks := k.tokenIndex[string(strmatch.AppendTokenSetKey(tkBuf[:0], n))]
+	toks := m.tokenIndex[string(strmatch.AppendTokenSetKey(tkBuf[:0], n))]
 	if len(toks) == 0 {
-		// Exact-only hit: the common case. The name list is already unique
-		// (appendUnique on insert); a single ID needs no sort or copy, so
-		// return the stored slice capped to its length.
-		switch len(names) {
-		case 0:
-			return nil
-		case 1:
-			return names[:1:1]
-		}
-		out := make([]string, len(names))
-		copy(out, names)
-		sort.Strings(out)
-		return out
+		// Exact-only hit: the common case. The name list is unique and
+		// sorted (built in entity-ID order), so return the stored slice
+		// capped to its length.
+		return names[:len(names):len(names)]
 	}
 	var out []string
 	out = append(out, names...)
@@ -52,7 +98,7 @@ func (k *KB) HasLiteral(text string) bool {
 	if n == "" {
 		return false
 	}
-	return k.literalIndex[n] > 0
+	return k.maps().literalIndex[n] > 0
 }
 
 // MatchItems returns the item keys (entity IDs as "e:<id>", literals as

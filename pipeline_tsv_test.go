@@ -3,6 +3,7 @@ package ceres
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"runtime"
 	"strings"
@@ -18,6 +19,47 @@ func kbText(t *testing.T, k *KB) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// countParses counts ReadKB calls until the test ends.
+func countParses(t *testing.T) func() int {
+	var mu sync.Mutex
+	parses := 0
+	read := ReadKB
+	t.Cleanup(func() { ReadKB = read })
+	ReadKB = func(r io.Reader) (*KB, error) {
+		mu.Lock()
+		parses++
+		mu.Unlock()
+		return read(r)
+	}
+	return func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return parses
+	}
+}
+
+// modelBytes trains p on pages and returns the model's serialization.
+func modelBytes(t *testing.T, p *Pipeline, pages []PageSource) []byte {
+	t.Helper()
+	m, err := p.Train(context.Background(), pages)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteBinary(&buf); err != nil {
+		t.Error(err)
+	}
+	return buf.Bytes()
+}
+
+// holdsText reports whether p holds its KB's text and no parsed KB.
+func holdsText(p *Pipeline) bool {
+	p.kbMu.Lock()
+	defer p.kbMu.Unlock()
+	return p.kb == nil && p.kbText != nil
 }
 
 // TestPipelineTSVTrainingKey: a pipeline built from a KB's text has the
@@ -135,16 +177,7 @@ func TestPipelineTSVParsesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	parses := 0
-	defer func(read func(io.Reader) (*KB, error)) { ReadKB = read }(ReadKB)
-	read := ReadKB
-	ReadKB = func(r io.Reader) (*KB, error) {
-		mu.Lock()
-		parses++
-		mu.Unlock()
-		return read(r)
-	}
+	parses := countParses(t)
 	var wg sync.WaitGroup
 	for range 8 {
 		wg.Add(1)
@@ -156,8 +189,168 @@ func TestPipelineTSVParsesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if parses != 1 {
-		t.Errorf("eight concurrent Train calls parsed the KB %d times, want 1", parses)
+	if n := parses(); n != 1 {
+		t.Errorf("eight concurrent Train calls parsed the KB %d times, want 1", n)
+	}
+}
+
+// unorderedKBText is k's serialization with its entity records in reverse
+// order, a comment, blank lines and CRLF endings: a kb.tsv that reads as k
+// but is not the bytes KB.Write writes.
+func unorderedKBText(t *testing.T, k *KB) []byte {
+	lines := strings.Split(strings.TrimSuffix(string(kbText(t, k)), "\n"), "\n")
+	first, last := -1, -1
+	for i, l := range lines {
+		if strings.HasPrefix(l, "E\t") {
+			if first < 0 {
+				first = i
+			}
+			last = i
+		}
+	}
+	for i, j := first, last; i < j; i, j = i+1, j-1 {
+		lines[i], lines[j] = lines[j], lines[i]
+	}
+	text := "# a seed KB written by hand\r\n\n" + strings.Join(lines, "\r\n") + "\n\n"
+	if text == string(kbText(t, k)) {
+		t.Fatal("the unordered text is KB.Write's")
+	}
+	return []byte(text)
+}
+
+// TestPipelineTSVReleaseReparses: after ReleaseKB, a text pipeline holds
+// the KB's text and no parsed KB; the next Train parses it exactly once
+// and trains the model bytes the first Train trained, and those of a
+// pipeline over the parsed KB, under the same key — for a kb.tsv whose
+// records are not in KB.Write's order.
+func TestPipelineTSVReleaseReparses(t *testing.T) {
+	c, err := DemoCorpus("movies", 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := unorderedKBText(t, c.KB)
+	parsed, err := ReadKB(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := modelBytes(t, NewPipeline(parsed), c.Pages)
+	p, err := NewPipelineTSV(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := p.TrainingKey()
+	if got := modelBytes(t, p, c.Pages); !bytes.Equal(got, want) {
+		t.Fatal("the first Train trained different model bytes from a pipeline over the parsed KB")
+	}
+	p.ReleaseKB()
+	if !holdsText(p) {
+		t.Fatal("after ReleaseKB the text pipeline does not hold its text alone")
+	}
+	parses := countParses(t)
+	if got := modelBytes(t, p, c.Pages); !bytes.Equal(got, want) {
+		t.Error("a Train after ReleaseKB trained different model bytes")
+	}
+	if n := parses(); n != 1 {
+		t.Errorf("a Train after ReleaseKB parsed the KB %d times, want 1", n)
+	}
+	if p.TrainingKey() != key {
+		t.Error("ReleaseKB moved the training key")
+	}
+	p.ReleaseKB()
+	p.ReleaseKB()
+	if !holdsText(p) {
+		t.Error("a second ReleaseKB lost the text")
+	}
+}
+
+// TestPipelineTSVReleaseRacesTrain: ReleaseKB called over and over while
+// eight Train calls run leaves each trained model as it would be alone,
+// and the pipeline holding its text once all have returned.
+func TestPipelineTSVReleaseRacesTrain(t *testing.T) {
+	c, err := DemoCorpus("movies", 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := modelBytes(t, NewPipeline(c.KB), c.Pages)
+	p, err := NewPipelineTSV(kbText(t, c.KB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				p.ReleaseKB()
+				runtime.Gosched()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := modelBytes(t, p, c.Pages); !bytes.Equal(got, want) {
+				t.Error("a Train racing ReleaseKB trained different model bytes")
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-released
+	p.ReleaseKB()
+	if !holdsText(p) {
+		t.Error("after the last ReleaseKB the pipeline does not hold its text alone")
+	}
+}
+
+// TestNewPipelineKeepsKB: ReleaseKB leaves a NewPipeline pipeline's KB,
+// the caller's, where it is, and training after it parses nothing.
+func TestNewPipelineKeepsKB(t *testing.T) {
+	c, err := DemoCorpus("movies", 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(c.KB)
+	want := modelBytes(t, p, c.Pages)
+	parses := countParses(t)
+	p.ReleaseKB()
+	if p.kb != c.KB || p.kbText != nil {
+		t.Fatal("ReleaseKB dropped a NewPipeline pipeline's KB")
+	}
+	if got := modelBytes(t, p, c.Pages); !bytes.Equal(got, want) {
+		t.Error("a Train after ReleaseKB trained different model bytes")
+	}
+	if n := parses(); n != 0 {
+		t.Errorf("a NewPipeline pipeline parsed a KB %d times", n)
+	}
+	var nilPipeline *Pipeline
+	nilPipeline.ReleaseKB()
+}
+
+// TestNilKBPipeline: a pipeline over a nil KB has a training key, one
+// that differs from an empty KB's, and its Train returns ErrNoSeedKB
+// instead of panicking.
+func TestNilKBPipeline(t *testing.T) {
+	c, err := DemoCorpus("movies", 7, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline(nil)
+	if p.TrainingKey() == NewPipeline(NewKB(NewOntology())).TrainingKey() {
+		t.Error("no KB keys as an empty KB")
+	}
+	if _, err := p.Train(context.Background(), c.Pages); !errors.Is(err, ErrNoSeedKB) {
+		t.Errorf("Train over a nil KB = %v, want ErrNoSeedKB", err)
+	}
+	p.ReleaseKB()
+	if _, err := p.Train(context.Background(), c.Pages); !errors.Is(err, ErrNoSeedKB) {
+		t.Errorf("Train over a nil KB after ReleaseKB = %v, want ErrNoSeedKB", err)
 	}
 }
 
