@@ -71,10 +71,14 @@ examples:
 # to the same bytes and Digest (DESIGN.md §8). The fourteenth holds the
 # extract handler, which extracts pages while it is still decoding the
 # body, to the decode-first path kept in its tests: on every body the same
-# status and response body (DESIGN.md §7). The seventh and the fourteenth
-# serve pages on every try, so they minimise a new input for at most 1s:
-# at the default 60s one minimisation takes most of a short run's budget,
-# at 0 execs/s. A failing input is written
+# status and response body (DESIGN.md §7). The fifteenth holds VERTEX++,
+# which learns and extracts on the stream pass, to the tree-based wrapper
+# inducer frozen in its tests: on any page with its first k fields
+# labelled, the same rules and the same extractions (DESIGN.md §5). The
+# seventh, the fourteenth and the fifteenth stream or serve pages on every
+# try, so they minimise a new input for at most 1s: at the default 60s one
+# minimisation takes most of a short run's budget, at 0 execs/s. A failing
+# input is written
 # under the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
@@ -92,6 +96,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLossGrad -fuzztime=$(FUZZTIME) ./internal/mlr
 	$(GO) test -run='^$$' -fuzz=FuzzReadKB -fuzztime=$(FUZZTIME) ./internal/kb
 	$(GO) test -run='^$$' -fuzz=FuzzExtractHandler -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./cmd/ceres-serve
+	$(GO) test -run='^$$' -fuzz=FuzzVertexMatchesTree -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/vertex
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

@@ -153,10 +153,10 @@ func vertexFacts(train, evalSet []*websim.Page, k int) []eval.ScoredFact {
 		}
 		tps = append(tps, vertex.TrainingPage{
 			Page:   core.PreparePage(train[i].ID, train[i].HTML),
-			Labels: vertex.LabelsFromGold(facts, ""),
+			Labels: vertex.LabelsFromGold(facts),
 		})
 	}
-	ex := vertex.Learn(tps, vertex.Options{})
+	ex := vertex.Learn(tps)
 	var out []eval.ScoredFact
 	for _, wp := range evalSet {
 		exts := ex.Extract(core.PreparePage(wp.ID, wp.HTML))

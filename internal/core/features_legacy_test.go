@@ -33,8 +33,7 @@ func legacyFeatures(fz *Featurizer, text *dom.Node) mlr.Vector {
 		node := elem
 		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= fz.opts.MaxAncestors; lvl++ {
 			legacyStructuralFor(node, lvl, 0, add)
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
+			sibs, pos := treeSiblings(node)
 			for off := 1; off <= fz.opts.SiblingWindow; off++ {
 				if pos-off >= 0 {
 					legacyStructuralFor(sibs[pos-off], lvl, -off, add)
@@ -49,19 +48,18 @@ func legacyFeatures(fz *Featurizer, text *dom.Node) mlr.Vector {
 	if !fz.opts.DisableText {
 		node := elem
 		for lvl := 0; node != nil && node.Type == dom.ElementNode && lvl <= fz.opts.TextAncestors; lvl++ {
-			sibs := node.ElementSiblings()
-			pos := node.ElementIndex()
+			sibs, pos := treeSiblings(node)
 			for off := 1; off <= fz.opts.SiblingWindow; off++ {
 				if pos-off < 0 {
 					break
 				}
-				text := sibs[pos-off].Text()
+				text := treeText(sibs[pos-off])
 				if fz.frequent[text] {
 					add("t|" + strconv.Itoa(lvl) + "|-" + strconv.Itoa(off) + "|" + text)
 				}
 			}
 			if lvl > 0 {
-				if own := node.OwnText(); own != "" && fz.frequent[own] {
+				if own := treeOwnText(node); own != "" && fz.frequent[own] {
 					add("t|" + strconv.Itoa(lvl) + "|0|" + own)
 				}
 			}
@@ -181,7 +179,7 @@ func TestFeaturesMatchLegacy(t *testing.T) {
 		}
 		texts := make([][]*dom.Node, len(pages))
 		for i, p := range pages {
-			texts[i] = dom.TextFields(dom.Parse(p.HTML))
+			texts[i] = treeFields(dom.Parse(p.HTML))
 			if len(texts[i]) != len(p.Fields) {
 				t.Fatalf("%s page %s: %d fields, the tree %d", kind, p.ID, len(p.Fields), len(texts[i]))
 			}

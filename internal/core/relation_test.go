@@ -239,7 +239,7 @@ func TestLocalEvidenceMatchesTree(t *testing.T) {
 	}
 	compared := 0
 	for _, p := range pages {
-		text := dom.TextFields(dom.Parse(p.HTML))
+		text := treeFields(dom.Parse(p.HTML))
 		byNorm := map[string][]int{}
 		for fi, f := range p.Fields {
 			byNorm[f.Norm] = append(byNorm[f.Norm], fi)

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"ceres/internal/dom"
 	"ceres/internal/mlr"
+	"ceres/internal/xpath"
 )
 
 // TrainOptions configures example generation and model fitting (§4.1–4.2).
@@ -184,87 +186,34 @@ func BuildExamples(pages []*Page, res *AnnotationResult, fz *Featurizer, opts Tr
 // they are likely to be part of the same list"). A predicate's positives
 // must share one XPath shape — the same step names at every depth; the
 // steps whose indices differ among them become wildcards, and every field
-// whose XPath fits the pattern is excluded. Paths are compared on the
-// records, step by step, without printing one.
+// whose XPath fits the pattern is excluded. A pattern without a wildcard
+// excludes nothing a positive does not already cover.
 func listSiblingExclusions(excluded []bool, sp *dom.StreamPage, anns []Annotation) {
 	byPred := map[string][]int{}
 	for _, a := range anns {
 		byPred[a.Predicate] = append(byPred[a.Predicate], a.FieldIdx)
 	}
-	var pat pathPattern
+	var pat xpath.Pattern
+next:
 	for _, pred := range sortedKeys(byPred) {
 		fields := byPred[pred]
 		if len(fields) < 2 {
 			continue
 		}
-		var ok bool
-		if pat, ok = generalizePaths(pat[:0], sp, fields); !ok {
+		pat = xpath.AppendField(pat[:0], sp, fields[0])
+		for _, fi := range fields[1:] {
+			if !pat.Widen(sp, fi) {
+				continue next
+			}
+		}
+		if !slices.ContainsFunc(pat, func(st xpath.Step) bool { return st.Index == xpath.Wildcard }) {
 			continue
 		}
 		for fi := range excluded {
-			if ok, _ := pat.fit(sp, fi, false); ok {
+			if pat.Fits(sp, fi) {
 				excluded[fi] = true
 			}
 		}
-	}
-}
-
-// pathPattern is a field's absolute XPath with index wildcards, leaf step
-// first: each step is the name it prints — text() or an element's tag, by
-// its name ID — and the 1-based index it requires, or wildcard.
-type pathPattern []pathStep
-
-type pathStep struct {
-	name, index int32
-}
-
-const (
-	wildcard = -1
-	textStep = -1 // the name of a text() step; tags have IDs from 0
-)
-
-// generalizePaths builds into pat the most specific pattern the XPaths of
-// fields fit: every path must have the first's shape (ok is false
-// otherwise), and a step becomes a wildcard where their indices differ. A
-// pattern without a wildcard is not ok either — it excludes nothing a
-// positive does not already cover.
-func generalizePaths(pat pathPattern, sp *dom.StreamPage, fields []int) (_ pathPattern, ok bool) {
-	pat = append(pat, pathStep{name: textStep, index: sp.FieldOrdinal(fields[0])})
-	for e := sp.FieldParent(fields[0]); e != 0; e = sp.Parent(e) {
-		pat = append(pat, pathStep{name: sp.NameID(e), index: sp.Ordinal(e)})
-	}
-	wild := false
-	for _, fi := range fields[1:] {
-		ok, widened := pat.fit(sp, fi, true)
-		if !ok {
-			return pat, false
-		}
-		wild = wild || widened
-	}
-	return pat, wild
-}
-
-// fit reports whether field fi's XPath has the pattern's step names and,
-// unless widen is set, its indices. With widen, a step whose index differs
-// becomes a wildcard instead, and widened reports whether one did.
-func (pat pathPattern) fit(sp *dom.StreamPage, fi int, widen bool) (ok, widened bool) {
-	name, index := int32(textStep), sp.FieldOrdinal(fi)
-	e := sp.FieldParent(fi)
-	for i := 0; ; i++ {
-		if i == len(pat) || pat[i].name != name {
-			return false, widened
-		}
-		if pat[i].index != wildcard && pat[i].index != index {
-			if !widen {
-				return false, widened
-			}
-			pat[i].index, widened = wildcard, true
-		}
-		if e == 0 {
-			return i+1 == len(pat), widened
-		}
-		name, index = sp.NameID(e), sp.Ordinal(e)
-		e = sp.Parent(e)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ceres/internal/kb"
@@ -170,9 +171,10 @@ func TestTrainModelClassifiers(t *testing.T) {
 	}
 }
 
-// TestListExclusionMatchesXPathPatterns holds the record-based list
-// exclusion to the xpath package's patterns over the printed XPaths:
-// xpath.Generalize over each predicate's positives, then Matches against
+// TestListExclusionMatchesXPathPatterns holds the list exclusion, an
+// xpath.Pattern over the stream records, to patterns over the printed
+// XPaths as the xpath package computed them on paths (tree_test.go):
+// treeGeneralize over each predicate's positives, then treeMatches against
 // every field. Besides the annotator's positives, every page gets a
 // predicate per pair of fields three apart, so shapes that differ and
 // patterns without a wildcard are covered too; so do five pages under
@@ -202,18 +204,18 @@ func TestListExclusionMatchesXPathPatterns(t *testing.T) {
 		want := make([]bool, len(p.Fields))
 		byPred := map[string][]xpath.Path{}
 		for _, a := range anns {
-			byPred[a.Predicate] = append(byPred[a.Predicate], xpath.MustParse(p.Fields[a.FieldIdx].PathString))
+			byPred[a.Predicate] = append(byPred[a.Predicate], mustParse(p.Fields[a.FieldIdx].PathString))
 		}
 		for _, paths := range byPred {
 			if len(paths) < 2 {
 				continue
 			}
-			pattern, ok := xpath.Generalize(paths)
-			if !ok || len(pattern.Wildcards()) == 0 {
+			pattern, ok := treeGeneralize(paths)
+			if !ok || !slices.ContainsFunc(pattern, func(st xpath.Step) bool { return st.Index == xpath.Wildcard }) {
 				continue
 			}
 			for fi, f := range p.Fields {
-				if pattern.Matches(xpath.MustParse(f.PathString)) {
+				if treeMatches(pattern, mustParse(f.PathString)) {
 					want[fi] = true
 				}
 			}

@@ -1,11 +1,11 @@
 // Package dom implements the HTML document model CERES operates over: one
 // from-scratch HTML lexer (the repository is stdlib-only, so
 // golang.org/x/net/html is unavailable) under two consumers — the stream
-// pass training and serving read pages with, and the tree builder the
-// VERTEX++ baseline and the tests parse pages with — absolute-XPath
-// generation for every node, and the text-field enumeration that defines
-// the unit of annotation and extraction (paper §2.1: "a node in the tree
-// can be uniquely defined by an absolute XPath").
+// pass every reader of pages uses (training, serving, VERTEX++), and the
+// tree builder the page simulator renders from and the tests hold the
+// stream pass to — absolute-XPath generation, and the text fields that
+// are the unit of annotation and extraction (paper §2.1: "a node in the
+// tree can be uniquely defined by an absolute XPath").
 package dom
 
 import "strings"
@@ -36,11 +36,9 @@ type Node struct {
 	Type NodeType
 
 	// XPath ordinals Parse precomputes, so printing a path never re-counts
-	// siblings. AppendChild invalidates the affected caches, and the
-	// accessors fall back to dynamic recomputation when a cache is absent.
+	// siblings. AppendChild invalidates them, and SiblingIndex falls back
+	// to counting when they are absent.
 	structCached bool  // children's siblingIndex values are valid
-	textCached   bool  // cachedText is valid
-	ownCached    bool  // cachedOwnText is valid
 	siblingIndex int32 // 1-based XPath ordinal among same-kind siblings
 
 	Tag    string
@@ -49,14 +47,6 @@ type Node struct {
 	Parent *Node
 	// Children lists the child nodes in order.
 	Children []*Node
-
-	// Text context cached lazily on first read (not by Parse: most
-	// elements' joined subtree text is never asked for, and computing it
-	// eagerly duplicates the page's text at every tree level). Lazy
-	// caching writes on read, so a node — in practice, a parsed page —
-	// must be confined to one goroutine at a time.
-	cachedText    string // collapsed subtree text
-	cachedOwnText string // collapsed direct-child text
 }
 
 // Attr returns the value of the named attribute and whether it is present.
@@ -69,30 +59,12 @@ func (n *Node) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// AttrOr returns the value of the named attribute, or def if absent.
-func (n *Node) AttrOr(key, def string) string {
-	if v, ok := n.Attr(key); ok {
-		return v
-	}
-	return def
-}
-
 // AppendChild adds c as the last child of n and sets its parent pointer.
-// Appending to a parsed tree invalidates the caches the new child makes
-// stale: n's children's ordinals and the subtree-text caches of n and
-// every ancestor.
+// Appending to a parsed tree invalidates the ordinals of n's children.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
 	n.structCached = false
 	n.Children = append(n.Children, c)
-	if n.ownCached {
-		n.ownCached = false
-		n.cachedOwnText = ""
-	}
-	for p := n; p != nil; p = p.Parent {
-		p.textCached = false
-		p.cachedText = ""
-	}
 }
 
 // numberChildren gives each of n's children its 1-based ordinal among
@@ -121,129 +93,6 @@ func (n *Node) kindKey() string {
 		return n.Tag
 	}
 	return kindSentinels[n.Type]
-}
-
-// joinChildText joins the children's collapsed text with single spaces,
-// skipping empties. ownOnly restricts to direct text children (OwnText);
-// otherwise element children contribute their subtree text, computed (and
-// cached) on demand. The single-part case returns the child's string
-// without copying.
-func joinChildText(children []*Node, ownOnly bool) string {
-	first := ""
-	var sb strings.Builder
-	parts := 0
-	for _, c := range children {
-		if ownOnly && c.Type != TextNode {
-			continue
-		}
-		t := c.Text()
-		if t == "" {
-			continue
-		}
-		switch parts {
-		case 0:
-			first = t
-		case 1:
-			sb.Grow(len(first) + 1 + len(t))
-			sb.WriteString(first)
-			sb.WriteByte(' ')
-			sb.WriteString(t)
-		default:
-			sb.WriteByte(' ')
-			sb.WriteString(t)
-		}
-		parts++
-	}
-	if parts <= 1 {
-		return first
-	}
-	return sb.String()
-}
-
-// ElementSiblings returns the element children of n's parent (including n
-// itself), in document order — the sibling context §4.2's structural
-// features read. A parentless node is its own sole sibling.
-func (n *Node) ElementSiblings() []*Node {
-	p := n.Parent
-	if p == nil {
-		return []*Node{n}
-	}
-	out := make([]*Node, 0, len(p.Children))
-	for _, c := range p.Children {
-		if c.Type == ElementNode {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// ElementIndex returns n's position within ElementSiblings, or -1 when n
-// is not an element child of its parent. A parentless node is at index 0.
-func (n *Node) ElementIndex() int {
-	p := n.Parent
-	if p == nil {
-		return 0
-	}
-	idx := 0
-	for _, c := range p.Children {
-		if c == n {
-			if n.Type == ElementNode {
-				return idx
-			}
-			return -1
-		}
-		if c.Type == ElementNode {
-			idx++
-		}
-	}
-	return -1
-}
-
-// Walk visits n and every descendant in document (pre-) order. If fn
-// returns false the subtree below the current node is skipped.
-func (n *Node) Walk(fn func(*Node) bool) {
-	if !fn(n) {
-		return
-	}
-	for _, c := range n.Children {
-		c.Walk(fn)
-	}
-}
-
-// Text returns the concatenation of all text in the subtree, with each text
-// node's content whitespace-collapsed and the pieces joined by single
-// spaces. The result is computed on first read and cached; a repeat read
-// is a plain string load. Caching writes on read, so concurrent Text calls
-// on one tree require external synchronization (pages are confined to one
-// worker at a time).
-func (n *Node) Text() string {
-	if n.textCached {
-		return n.cachedText
-	}
-	switch n.Type {
-	case TextNode:
-		n.cachedText = CollapseSpace(n.Data)
-	case CommentNode:
-		n.cachedText = ""
-	default:
-		n.cachedText = joinChildText(n.Children, false)
-	}
-	n.textCached = true
-	return n.cachedText
-}
-
-// OwnText returns the whitespace-collapsed concatenation of the direct text
-// children of n (not descendants), computed on first read and cached. The
-// same single-owner rule as Text applies.
-func (n *Node) OwnText() string {
-	if n.ownCached {
-		return n.cachedOwnText
-	}
-	if n.Type != TextNode && n.Type != CommentNode {
-		n.cachedOwnText = joinChildText(n.Children, true)
-	}
-	n.ownCached = true
-	return n.cachedOwnText
 }
 
 // SiblingIndex returns the 1-based position of n among its parent's

@@ -321,21 +321,3 @@ func (b *treeBuilder) startTag(tag string) {
 		b.push(el)
 	}
 }
-
-// TextFields returns every text node in the document whose collapsed
-// content is non-empty, in document order, excluding script/style/textarea
-// content and comments. These are the units of annotation and extraction
-// (paper §2.1: entity names correspond to full texts in a DOM node).
-func TextFields(doc *Node) []*Node {
-	var out []*Node
-	doc.Walk(func(n *Node) bool {
-		if n.Type == ElementNode && (n.Tag == "script" || n.Tag == "style" || n.Tag == "textarea") {
-			return false
-		}
-		if n.Type == TextNode && n.Text() != "" {
-			out = append(out, n)
-		}
-		return true
-	})
-	return out
-}

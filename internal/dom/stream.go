@@ -17,9 +17,9 @@ import (
 // own/subtree text — plus every non-empty text field, without allocating a
 // single dom.Node. The records are flat int32 structs in reusable arenas,
 // so a steady-state serve worker streams pages with no per-page
-// allocation. Output is bit-identical to Parse + TextFields + the
-// tree accessors; the differential tests in stream_test.go and
-// the root package enforce that.
+// allocation. Output is bit-identical to what the tree readers of this
+// package's tests (tree_test.go) read off Parse's tree; stream_test.go and
+// FuzzStreamMatchesDOM enforce that.
 
 // streamMaxAttrs bounds how many attribute keys a stream can capture per
 // element (the serve path needs the five structuralAttrs).
@@ -54,6 +54,7 @@ type streamElem struct {
 	ownLen    int32
 	subOff    int32
 	subLen    int32
+	texts     int32 // text children, as Parse builds them
 	flags     uint8
 }
 
@@ -242,6 +243,7 @@ func (p *StreamPage) run(src []byte) {
 			for len(p.frames) > 1 {
 				p.closeFrame()
 			}
+			p.elems[0].texts = p.frames[0].textCount
 			p.index()
 			return
 		case lexText:
@@ -283,7 +285,7 @@ func (p *StreamPage) startPending() {
 }
 
 // finalizePending completes the open text run: collapse once (merged runs
-// collapse as a unit, matching Node.Text on merged Data), record a field
+// collapse as a unit, like the merged Data of a tree's text node), record a field
 // if non-empty, and propagate the piece into the open frames' bounded
 // text context.
 //
@@ -376,6 +378,7 @@ func (p *StreamPage) push(rec, nameID int32) {
 func (p *StreamPage) closeFrame() {
 	f := &p.frames[len(p.frames)-1]
 	e := &p.elems[f.rec]
+	e.texts = f.textCount
 	if n := len(f.own); n > 0 {
 		e.ownOff, e.ownLen = int32(len(p.textArena)), int32(n)
 		p.textArena = append(p.textArena, f.own...)
@@ -527,12 +530,13 @@ func (p *StreamPage) signatureKey(rec int32) {
 
 // rawText records a raw-text element's content. The element was recorded
 // but never pushed; its single text child contributes to ancestors' text
-// context, and — for <title> only — yields a field (TextFields excludes
-// script, style and textarea subtrees, not title).
+// context, and — for <title> only — yields a field (fields exclude script,
+// style and textarea content, not title's).
 func (p *StreamPage) rawText(raw []byte, rec int32, info *nameInfo) {
 	if len(raw) == 0 {
 		return
 	}
+	p.elems[rec].texts = 1
 	data := raw
 	if info.name == "title" || info.name == "textarea" {
 		p.rawBuf = appendDecodeEntities(p.rawBuf[:0], raw)
@@ -629,8 +633,9 @@ func growInt32(s []int32, n int) []int32 {
 
 // ------------------------------------------------------------- accessors
 
-// Fields returns the number of non-empty text fields, in document order —
-// the streaming counterpart of TextFields.
+// Fields returns the number of text fields: the text nodes, in document
+// order, whose collapsed text is non-empty, outside script, style and
+// textarea.
 func (p *StreamPage) Fields() int { return len(p.fields) }
 
 // FieldText returns field i's collapsed text, aliasing the page arena.
@@ -700,7 +705,7 @@ func (p *StreamPage) Ordinal(e int32) int32 { return p.elems[e].ordinal }
 func (p *StreamPage) FieldOrdinal(i int) int32 { return p.fields[i].ordinal }
 
 // ElemSiblings returns the element children of e's parent, in document
-// order, as record indices — Node.ElementSiblings over records.
+// order, as record indices.
 //
 //ceres:allocfree
 func (p *StreamPage) ElemSiblings(e int32) []int32 {
@@ -708,13 +713,22 @@ func (p *StreamPage) ElemSiblings(e int32) []int32 {
 	return p.childList[p.childStart[par]:p.childStart[par+1]]
 }
 
+// TextNodes returns how many text children Parse gives e (record 0: the
+// document): each text run, whitespace-only ones included, which have no
+// field, and a raw-text element's content. The text() steps of e's
+// children's XPaths count these.
+//
+//ceres:allocfree
+func (p *StreamPage) TextNodes(e int32) int32 { return p.elems[e].texts }
+
 // ElemIndex returns e's position within ElemSiblings.
 //
 //ceres:allocfree
 func (p *StreamPage) ElemIndex(e int32) int32 { return p.elems[e].elemIndex }
 
-// SubText returns e's full collapsed subtree text — Node.Text over
-// records — when it fits within max bytes.
+// SubText returns e's full collapsed subtree text — every text node under
+// e collapsed, the non-empty ones joined by single spaces — when it fits
+// within max bytes.
 //
 //ceres:allocfree
 func (p *StreamPage) SubText(e int32, max int) ([]byte, bool) {

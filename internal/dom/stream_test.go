@@ -17,7 +17,8 @@ var streamAttrs = []string{"class", "id", "itemprop", "itemtype", "property"}
 // diffStream asserts that one streaming pass over html produces records
 // bit-identical to Parse + the finalized-tree accessors: same elements in
 // document order (tags, symbols, parents, attribute values, element
-// indices, sibling lists, same-tag ordinals, bounded own/subtree text),
+// indices, sibling lists, same-tag ordinals, bounded own/subtree text,
+// text-child counts),
 // same text fields (text, parent, XPath), and the same routing signature.
 func diffStream(t *testing.T, html string, maxText int) {
 	t.Helper()
@@ -44,6 +45,15 @@ func diffStream(t *testing.T, html string, maxText int) {
 	rec := make(map[*dom.Node]int32, len(nodes))
 	for i, n := range nodes {
 		rec[n] = int32(i)
+		texts := int32(0)
+		for _, c := range n.Children {
+			if c.Type == dom.TextNode {
+				texts++
+			}
+		}
+		if got := p.TextNodes(int32(i)); got != texts {
+			t.Fatalf("elem %d (%s) text children: stream %d, dom %d", i, n.Tag, got, texts)
+		}
 	}
 	for i := 1; i < len(nodes); i++ {
 		n := nodes[i]
@@ -251,10 +261,10 @@ var hostilePages = []struct {
 		return strings.Repeat("<a>", n/7) + strings.Repeat("</b>", n/7)
 	}, 280 << 10, 35 << 10, true},
 	{"bare ampersands", func(n int) string { return strings.Repeat("&", n) }, 1 << 20, 1 << 20, true},
-	// Training reads pages through the stream pass, whose stack is a
-	// slice. The tree is not bounded: the recursive Node.Text overflows
-	// the goroutine stack at 4 M levels, and only vertex and tests reach
-	// it now.
+	// Training, serving and VERTEX++ read pages through the stream pass,
+	// whose stack is a slice. The tree is not bounded: the recursive
+	// Node.Text of the tests overflows the goroutine stack at 4 M levels,
+	// and only tests reach it.
 	{"div nesting", divNesting, 500 << 10, 10 << 10, false},
 }
 

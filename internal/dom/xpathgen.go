@@ -44,64 +44,3 @@ func stepName(n *Node) string {
 	}
 	return n.Tag
 }
-
-// ResolveXPath walks an absolute XPath (as produced by Node.XPath) from doc
-// and returns the node it addresses, or nil if no such node exists.
-func ResolveXPath(doc *Node, path string) *Node {
-	if path == "" || path[0] != '/' {
-		return nil
-	}
-	if path == "/" {
-		return doc
-	}
-	cur := doc
-	for _, raw := range strings.Split(path[1:], "/") {
-		name, idx, ok := splitStep(raw)
-		if !ok {
-			return nil
-		}
-		cur = childByStep(cur, name, idx)
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
-func splitStep(s string) (name string, idx int, ok bool) {
-	open := strings.IndexByte(s, '[')
-	if open < 0 || !strings.HasSuffix(s, "]") {
-		return "", 0, false
-	}
-	name = s[:open]
-	n, err := strconv.Atoi(s[open+1 : len(s)-1])
-	if err != nil || n < 1 {
-		return "", 0, false
-	}
-	return name, n, true
-}
-
-func childByStep(parent *Node, name string, idx int) *Node {
-	count := 0
-	for _, c := range parent.Children {
-		switch name {
-		case "text()":
-			if c.Type != TextNode {
-				continue
-			}
-		case "comment()":
-			if c.Type != CommentNode {
-				continue
-			}
-		default:
-			if c.Type != ElementNode || c.Tag != name {
-				continue
-			}
-		}
-		count++
-		if count == idx {
-			return c
-		}
-	}
-	return nil
-}

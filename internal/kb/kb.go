@@ -57,14 +57,12 @@ type KB struct {
 	entities map[string]*Entity
 	triples  []Triple
 
-	bySubject map[string][]int // entity ID -> triple indices
-	byPred    map[string][]int // predicate -> triple indices
-
-	// lookups holds the string-keyed maps LookupEntities, HasLiteral and
-	// FrequentObjectKeys read (see lookup.go), built by the first such call
-	// after a mutation. Annotation reads the Index instead, which derives
-	// its own tables from entities and triples, so a KB that only trains
-	// never builds them.
+	// lookups holds the string-keyed maps LookupEntities, HasLiteral,
+	// FrequentObjectKeys, TriplesOf, TriplesWithPredicate and ObjectKeys
+	// read (see lookup.go), built by the first such call after a mutation.
+	// Annotation reads the Index instead, which derives its own tables
+	// from entities and triples, so a KB that only trains never builds
+	// them.
 	lookups atomic.Pointer[lookupMaps]
 
 	// idx caches the frozen annotation index (see index.go) and digest the
@@ -79,10 +77,8 @@ type KB struct {
 // New creates an empty KB over the given ontology.
 func New(o *Ontology) *KB {
 	return &KB{
-		ontology:  o,
-		entities:  make(map[string]*Entity),
-		bySubject: make(map[string][]int),
-		byPred:    make(map[string][]int),
+		ontology: o,
+		entities: make(map[string]*Entity),
 	}
 }
 
@@ -139,10 +135,7 @@ func (k *KB) AddTriple(t Triple) error {
 			return fmt.Errorf("kb: empty literal object for %s/%s", t.Subject, t.Predicate)
 		}
 	}
-	idx := len(k.triples)
 	k.triples = append(k.triples, t)
-	k.bySubject[t.Subject] = append(k.bySubject[t.Subject], idx)
-	k.byPred[t.Predicate] = append(k.byPred[t.Predicate], idx)
 	k.invalidateIndex()
 	return nil
 }
@@ -164,7 +157,7 @@ func (k *KB) NumTriples() int { return len(k.triples) }
 
 // TriplesOf returns all triples whose subject is the given entity.
 func (k *KB) TriplesOf(subject string) []Triple {
-	idxs := k.bySubject[subject]
+	idxs := k.maps().bySubject[subject]
 	out := make([]Triple, len(idxs))
 	for i, idx := range idxs {
 		out[i] = k.triples[idx]
@@ -174,7 +167,7 @@ func (k *KB) TriplesOf(subject string) []Triple {
 
 // TriplesWithPredicate returns all triples with the given predicate.
 func (k *KB) TriplesWithPredicate(pred string) []Triple {
-	idxs := k.byPred[pred]
+	idxs := k.maps().byPred[pred]
 	out := make([]Triple, len(idxs))
 	for i, idx := range idxs {
 		out[i] = k.triples[idx]
@@ -202,7 +195,7 @@ func (k *KB) EntityIDs() []string {
 // ObjectKeys returns the set of object keys (entity or literal) appearing
 // in triples with the given subject — the entitySet of Algorithm 1 line 6.
 func (k *KB) ObjectKeys(subject string) map[string]bool {
-	idxs := k.bySubject[subject]
+	idxs := k.maps().bySubject[subject]
 	out := make(map[string]bool, len(idxs))
 	for _, idx := range idxs {
 		out[k.triples[idx].Object.Key()] = true

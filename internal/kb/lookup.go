@@ -13,12 +13,15 @@ import (
 // normalized literal object strings to the number of triples carrying
 // them, objectCount each object key to the number of triples carrying it,
 // feeding the frequent-object filter of §3.1.1. ID lists are unique and
-// in sorted entity-ID order.
+// in sorted entity-ID order. bySubject and byPred map an entity ID and a
+// predicate to the indices of their triples, in triple order.
 type lookupMaps struct {
 	nameIndex    map[string][]string
 	tokenIndex   map[string][]string
 	literalIndex map[string]int
 	objectCount  map[string]int
+	bySubject    map[string][]int
+	byPred       map[string][]int
 }
 
 // maps returns the KB's lookup maps, building them on the first call after
@@ -37,6 +40,8 @@ func (k *KB) maps() *lookupMaps {
 		tokenIndex:   make(map[string][]string),
 		literalIndex: make(map[string]int),
 		objectCount:  make(map[string]int),
+		bySubject:    make(map[string][]int),
+		byPred:       make(map[string][]int),
 	}
 	for _, id := range k.EntityIDs() {
 		for _, name := range appendNames(nil, k.entities[id]) {
@@ -50,11 +55,13 @@ func (k *KB) maps() *lookupMaps {
 			}
 		}
 	}
-	for _, t := range k.triples {
+	for i, t := range k.triples {
 		if !t.Object.IsEntity() {
 			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
 		}
 		m.objectCount[t.Object.Key()]++
+		m.bySubject[t.Subject] = append(m.bySubject[t.Subject], i)
+		m.byPred[t.Predicate] = append(m.byPred[t.Predicate], i)
 	}
 	k.lookups.Store(m)
 	return m

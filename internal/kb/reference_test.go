@@ -14,13 +14,15 @@ import (
 // frozen here as the reference for the lazily built maps (lookupMaps) and
 // for the Index that newIndex derives straight from entities and triples.
 
-// eagerMaps is the KB's four insert-time maps, built by replaying the
+// eagerMaps is the KB's six insert-time maps, built by replaying the
 // insert-time indexing over the KB's entities and triples.
 type eagerMaps struct {
 	nameIndex    map[string][]string
 	tokenIndex   map[string][]string
 	literalIndex map[string]int
 	objectCount  map[string]int
+	bySubject    map[string][]int
+	byPred       map[string][]int
 }
 
 func buildEagerMaps(k *KB) *eagerMaps {
@@ -29,6 +31,8 @@ func buildEagerMaps(k *KB) *eagerMaps {
 		tokenIndex:   make(map[string][]string),
 		literalIndex: make(map[string]int),
 		objectCount:  make(map[string]int),
+		bySubject:    make(map[string][]int),
+		byPred:       make(map[string][]int),
 	}
 	for _, id := range k.EntityIDs() {
 		e := k.entities[id]
@@ -37,13 +41,60 @@ func buildEagerMaps(k *KB) *eagerMaps {
 			m.indexName(a, e.ID)
 		}
 	}
-	for _, t := range k.triples {
+	for i, t := range k.triples {
 		if !t.Object.IsEntity() {
 			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
 		}
 		m.objectCount[t.Object.Key()]++
+		m.bySubject[t.Subject] = append(m.bySubject[t.Subject], i)
+		m.byPred[t.Predicate] = append(m.byPred[t.Predicate], i)
 	}
 	return m
+}
+
+func triplesAt(k *KB, idxs []int) []Triple {
+	out := make([]Triple, len(idxs))
+	for i, idx := range idxs {
+		out[i] = k.triples[idx]
+	}
+	return out
+}
+
+func (m *eagerMaps) objectKeys(k *KB, subject string) map[string]bool {
+	out := make(map[string]bool)
+	for _, idx := range m.bySubject[subject] {
+		out[k.triples[idx].Object.Key()] = true
+	}
+	return out
+}
+
+// checkTripleLookups holds TriplesOf, ObjectKeys and TriplesWithPredicate
+// to the eager maps on every entity ID and predicate of the KB, and on a
+// subject and a predicate that have no triple.
+func checkTripleLookups(t testing.TB, k *KB, ref *eagerMaps, when string) {
+	t.Helper()
+	for _, id := range append(k.EntityIDs(), "no-such-entity") {
+		if got, want := k.TriplesOf(id), triplesAt(k, ref.bySubject[id]); !sameContents(got, want) {
+			t.Fatalf("%s: TriplesOf(%q) = %v, reference %v", when, id, got, want)
+		}
+		if got, want := k.ObjectKeys(id), ref.objectKeys(k, id); !sameContents(got, want) {
+			t.Fatalf("%s: ObjectKeys(%q) = %v, reference %v", when, id, got, want)
+		}
+	}
+	for _, pred := range append(sortedKeys(ref.byPred), "no-such-predicate") {
+		if got, want := k.TriplesWithPredicate(pred), triplesAt(k, ref.byPred[pred]); !sameContents(got, want) {
+			t.Fatalf("%s: TriplesWithPredicate(%q) has %d triples, reference %d", when, pred, len(got), len(want))
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func (m *eagerMaps) indexName(name, id string) {
@@ -291,9 +342,9 @@ func lookupTexts(k *KB) []string {
 // CheckAgainstReference holds a KB that no lookup has read yet to the
 // frozen eager reference: BuildIndex builds none of the lookup maps and
 // an Index whose every table equals the one the eager maps built, and
-// LookupEntities, HasLiteral, MatchItems and FrequentObjectKeys answer as
-// the eager maps did both on the call that builds the maps and on every
-// call after it. It is exported for the package's external tests, which
+// LookupEntities, HasLiteral, MatchItems, FrequentObjectKeys, TriplesOf,
+// ObjectKeys and TriplesWithPredicate answer as the eager maps did both on
+// the call that builds the maps and on every call after it. It is exported for the package's external tests, which
 // bring the websim KBs.
 func CheckAgainstReference(t testing.TB, k *KB) {
 	t.Helper()
@@ -326,12 +377,18 @@ func CheckAgainstReference(t testing.TB, k *KB) {
 			}
 		}
 		if pass == 0 {
+			// The triple lookups get a first build of their own.
+			k.lookups.Store(nil)
+		}
+		checkTripleLookups(t, k, ref, when)
+		if pass == 0 {
 			m := k.lookups.Load()
 			if m == nil {
 				t.Fatal("the lookups left no maps built")
 			}
 			if !reflect.DeepEqual(m.nameIndex, ref.nameIndex) || !sameContents(m.tokenIndex, ref.tokenIndex) ||
-				!sameContents(m.literalIndex, ref.literalIndex) || !reflect.DeepEqual(m.objectCount, ref.objectCount) {
+				!sameContents(m.literalIndex, ref.literalIndex) || !reflect.DeepEqual(m.objectCount, ref.objectCount) ||
+				!reflect.DeepEqual(m.bySubject, ref.bySubject) || !reflect.DeepEqual(m.byPred, ref.byPred) {
 				t.Fatal("the lazily built maps differ from the eager reference's")
 			}
 		}

@@ -3,21 +3,47 @@
 // paper used two per site) it learns XPath extraction rules — index
 // wildcards where annotated nodes vary, plus anchor-text disambiguation,
 // the "richer feature set" that upgrades Vertex [17] to Vertex++.
+//
+// It learns and extracts on the stream pass, the page representation
+// training and serving read (dom.StreamPage): a label is the XPath of a
+// text field, a rule's pattern is an xpath.Pattern, and anchors are read
+// off the element records. A pattern's steps name tags, so a rule learned
+// on one scratch fits pages streamed on any other.
 package vertex
 
 import (
+	"bytes"
 	"sort"
 	"strings"
+	"sync"
 
 	"ceres/internal/core"
 	"ceres/internal/dom"
 	"ceres/internal/xpath"
 )
 
+const (
+	// anchorLevels bounds how far above a value's element anchorOf and
+	// listLevels look.
+	anchorLevels = 3
+	// maxAnchor is the longest label text that can be an anchor.
+	maxAnchor = 40
+)
+
+// streamOpts captures what the rules read beyond the fields: each
+// element's class (AttrValue index 0) and its subtree text up to the
+// longest anchor.
+var streamOpts = dom.StreamOptions{MaxText: maxAnchor, Attrs: []string{"class"}}
+
+// scratches lend Learn and Extract a stream scratch each, so an Extractor
+// is safe for concurrent use.
+var scratches = sync.Pool{New: func() any { return dom.NewStreamScratch() }}
+
 // TrainingPage carries the manual annotations of one sample page: for
 // each predicate (including "name" for the topic field), the XPaths of
-// the text nodes holding its values. Wrapper induction resolves XPaths on
-// a tree, so Learn and Extract parse the page's HTML themselves.
+// the text fields holding its values. A label that names no field of the
+// page — an element, a comment, a text node holding only whitespace, or a
+// path the page lacks — is ignored: no rule could extract it.
 type TrainingPage struct {
 	Page   *core.Page
 	Labels map[string][]string
@@ -28,7 +54,7 @@ type Rule struct {
 	Predicate string
 	Pattern   xpath.Pattern
 	// Anchor, when non-empty, requires the nearby label text of a matched
-	// node to equal it — disambiguating structurally identical rows
+	// field to equal it — disambiguating structurally identical rows
 	// ("Director" vs "Writer" table rows).
 	Anchor string
 }
@@ -38,72 +64,61 @@ type Extractor struct {
 	Rules []Rule
 }
 
-// Options tunes rule learning.
-type Options struct {
-	// AnchorLevels bounds how far up anchor text is searched (default 3).
-	AnchorLevels int
-}
-
-func (o Options) withDefaults() Options {
-	if o.AnchorLevels == 0 {
-		o.AnchorLevels = 3
-	}
-	return o
-}
-
 // Learn induces extraction rules from the annotated sample pages.
-func Learn(pages []TrainingPage, opts Options) *Extractor {
-	opts = opts.withDefaults()
-	// Collect paths per predicate across pages, plus anchor candidates,
-	// positional-list levels, and the set of annotated value texts (which
-	// must never be mistaken for anchors).
-	paths := map[string][]xpath.Path{}
-	anchors := map[string]map[string]int{} // pred -> anchor text -> count
-	goldNodes := map[string]map[string]bool{}
+func Learn(pages []TrainingPage) *Extractor {
+	sc := scratches.Get().(*dom.StreamScratch)
+	defer scratches.Put(sc)
+	// Collect per predicate the patterns of its labels, grouped by shape
+	// and widened across pages, plus anchor candidates, positional-list
+	// levels, and the set of annotated value texts (which must never be
+	// mistaken for anchors).
+	groups := map[string]map[string]xpath.Pattern{} // pred -> shape -> pattern
+	anchors := map[string]map[string]int{}          // pred -> anchor text -> count
+	goldPaths := map[string]map[string]bool{}
 	listLvls := map[string]map[int]bool{}
 	valueTexts := map[string]bool{}
-	docs := make([]*dom.Node, len(pages))
-	for i, tp := range pages {
-		docs[i] = dom.Parse(tp.Page.HTML)
-		for pred, nodePaths := range tp.Labels {
-			for _, ps := range nodePaths {
-				p, err := xpath.Parse(ps)
-				if err != nil {
+	var buf []byte
+	for _, tp := range pages {
+		sp := sc.Stream([]byte(tp.Page.HTML), streamOpts)
+		fieldOf := make(map[string]int, sp.Fields())
+		for fi := 0; fi < sp.Fields(); fi++ {
+			buf = sp.AppendFieldXPath(buf[:0], fi)
+			fieldOf[string(buf)] = fi
+		}
+		for pred, labels := range tp.Labels {
+			for _, ps := range labels {
+				fi, ok := fieldOf[ps]
+				if !ok {
 					continue
 				}
-				paths[pred] = append(paths[pred], p)
-				if goldNodes[pred] == nil {
-					goldNodes[pred] = map[string]bool{}
+				if goldPaths[pred] == nil {
+					groups[pred] = map[string]xpath.Pattern{}
+					goldPaths[pred] = map[string]bool{}
 					anchors[pred] = map[string]int{}
 					listLvls[pred] = map[int]bool{}
 				}
-				goldNodes[pred][ps] = true
-				if n := dom.ResolveXPath(docs[i], ps); n != nil {
-					valueTexts[dom.CollapseSpace(textOf(n))] = true
-					if a := anchorOf(n, opts.AnchorLevels); a != "" {
-						anchors[pred][a]++
-					}
-					for _, lvl := range listLevels(n, opts.AnchorLevels) {
-						listLvls[pred][lvl] = true
-					}
+				goldPaths[pred][ps] = true
+				pat := xpath.AppendField(nil, sp, fi)
+				key := shapeKey(pat)
+				if g, ok := groups[pred][key]; ok {
+					g.Widen(sp, fi) // same shape, so it fits
+				} else {
+					groups[pred][key] = pat
 				}
+				valueTexts[string(sp.FieldText(fi))] = true
+				elem := sp.FieldParent(fi)
+				if a := anchorOf(sp, elem); a != nil {
+					anchors[pred][string(a)]++
+				}
+				listLevels(sp, elem, listLvls[pred])
 			}
 		}
 	}
 	ex := &Extractor{}
-	for _, pred := range sortedPredicates(paths) {
-		// Group same-shape paths and generalize each group into a
-		// pattern.
-		groups := map[string][]xpath.Path{}
-		for _, p := range paths[pred] {
-			groups[shapeKey(p)] = append(groups[shapeKey(p)], p)
-		}
+	for _, pred := range sortedKeys(groups) {
 		anchor := dominantAnchor(anchors[pred], valueTexts)
-		for _, key := range sortedPredicates(groups) {
-			pattern, ok := xpath.Generalize(groups[key])
-			if !ok {
-				continue
-			}
+		for _, key := range sortedKeys(groups[pred]) {
+			pattern := groups[pred][key]
 			rule := Rule{Predicate: pred, Pattern: pattern}
 			// Anchor-based addressing (the "++" enrichment): when the
 			// value sits inside a positional list (dd/tr/li rows whose
@@ -113,21 +128,14 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 			if anchor != "" && pred != core.NameClass && len(listLvls[pred]) > 0 {
 				rule.Anchor = anchor
 				for lvl := range listLvls[pred] {
-					// Level 0 is the node's element = second-to-last
-					// pattern step for text-node paths, or the last for
-					// element paths.
-					stepIdx := len(pattern) - 1 - lvl
-					if pattern[len(pattern)-1].Tag == "text()" {
-						stepIdx--
-					}
-					if stepIdx >= 0 {
+					// Level 0 is the field's element, the step before the
+					// pattern's text() step.
+					if stepIdx := len(pattern) - 2 - lvl; stepIdx >= 0 {
 						rule.Pattern[stepIdx].Index = xpath.Wildcard
 					}
 				}
-			} else if overMatches(docs, pattern, goldNodes[pred]) {
-				if anchor != "" {
-					rule.Anchor = anchor
-				}
+			} else if anchor != "" && overMatches(sc, pages, pattern, goldPaths[pred]) {
+				rule.Anchor = anchor
 			}
 			ex.Rules = append(ex.Rules, rule)
 		}
@@ -135,13 +143,42 @@ func Learn(pages []TrainingPage, opts Options) *Extractor {
 	return ex
 }
 
-// overMatches reports whether the pattern hits any training-page node that
-// was not annotated for the predicate.
-func overMatches(docs []*dom.Node, pattern xpath.Pattern, gold map[string]bool) bool {
-	for _, doc := range docs {
-		for _, n := range pattern.Apply(doc) {
-			if !gold[n.XPath()] {
-				return true
+// overMatches reports whether the pattern fits a text node of a training
+// page whose XPath was not annotated for the predicate. The text nodes a
+// pattern fits are the text children of the elements that fit its steps
+// above text(), at the ordinals its last step allows: fields, and text
+// nodes that hold only whitespace and have no field.
+func overMatches(sc *dom.StreamScratch, pages []TrainingPage, pattern xpath.Pattern, gold map[string]bool) bool {
+	parent, last := pattern[:len(pattern)-1], pattern[len(pattern)-1]
+	var buf []byte
+	var path xpath.Pattern
+	for _, tp := range pages {
+		sp := sc.Stream([]byte(tp.Page.HTML), streamOpts)
+		fields := map[[2]int32]bool{} // element, ordinal
+		for fi := 0; fi < sp.Fields(); fi++ {
+			if pattern.Fits(sp, fi) {
+				fields[[2]int32{sp.FieldParent(fi), sp.FieldOrdinal(fi)}] = true
+				if buf = sp.AppendFieldXPath(buf[:0], fi); !gold[string(buf)] {
+					return true
+				}
+			}
+		}
+		for e := int32(0); e < int32(sp.Elems()); e++ {
+			if !parent.FitsElem(sp, e) {
+				continue
+			}
+			lo, hi := 1, int(sp.TextNodes(e))
+			if last.Index != xpath.Wildcard {
+				lo, hi = last.Index, min(hi, last.Index)
+			}
+			for k := lo; k <= hi; k++ {
+				if fields[[2]int32{e, int32(k)}] {
+					continue
+				}
+				path = append(xpath.AppendElem(path[:0], sp, e), xpath.Step{Tag: last.Tag, Index: k})
+				if !gold[xpath.Path(path).String()] {
+					return true
+				}
 			}
 		}
 	}
@@ -152,7 +189,7 @@ func overMatches(docs []*dom.Node, pattern xpath.Pattern, gold map[string]bool) 
 // value (a sibling value in a multi-valued list is not a label).
 func dominantAnchor(counts map[string]int, valueTexts map[string]bool) string {
 	best, bestN := "", 0
-	for _, a := range sortedPredicates(counts) {
+	for _, a := range sortedKeys(counts) {
 		if valueTexts[a] {
 			continue
 		}
@@ -163,83 +200,64 @@ func dominantAnchor(counts map[string]int, valueTexts map[string]bool) string {
 	return best
 }
 
-// anchorOf finds the label text near a value node: walking up the
-// ancestors, it scans preceding element siblings nearest-first, skipping
-// siblings of the same kind as the current container (other values of the
-// same list — e.g. other <dd> entries), and returns the first differing
-// sibling's text (the <dt>/<th>/label span).
-func anchorOf(n *dom.Node, maxLevels int) string {
-	elem := n
-	if elem.Type == dom.TextNode {
-		elem = elem.Parent
-	}
-	for lvl := 0; elem != nil && lvl <= maxLevels; lvl++ {
-		if elem.Parent == nil {
-			break
-		}
-		sibs := elem.Parent.Children
-		idx := -1
-		for i, s := range sibs {
-			if s == elem {
-				idx = i
-				break
-			}
-		}
-		for i := idx - 1; i >= 0; i-- {
+// anchorOf finds the label text near a value whose field sits in element
+// e: walking up the ancestors, it scans preceding element siblings
+// nearest-first, skipping siblings of the same kind as the current
+// container (other values of the same list — e.g. other <dd> entries),
+// and returns the first differing sibling's text (the <dt>/<th>/label
+// span). The text aliases the page; nil means no anchor.
+func anchorOf(sp *dom.StreamPage, e int32) []byte {
+	for lvl := 0; e != 0 && lvl <= anchorLevels; lvl++ {
+		sibs := sp.ElemSiblings(e)
+		class, _ := sp.AttrValue(e, 0)
+		for i := sp.ElemIndex(e) - 1; i >= 0; i-- {
 			s := sibs[i]
-			if s.Type != dom.ElementNode {
-				continue
-			}
-			if s.Tag == elem.Tag && s.AttrOr("class", "") == elem.AttrOr("class", "") {
+			if sc, _ := sp.AttrValue(s, 0); sp.NameID(s) == sp.NameID(e) && bytes.Equal(sc, class) {
 				continue // a sibling value, not a label
 			}
-			if t := s.Text(); t != "" && len(t) <= 40 {
+			if t, ok := sp.SubText(s, maxAnchor); ok && len(t) > 0 {
 				return t
 			}
 		}
-		elem = elem.Parent
+		e = sp.Parent(e)
 	}
-	return ""
+	return nil
 }
 
-// listLevels reports, for a gold value node, the ancestor distances (0 =
-// the node's element) at which the element has two or more same-tag
-// element siblings — the positional-list steps missing fields shift.
-func listLevels(n *dom.Node, maxLevels int) []int {
-	elem := n
-	if elem.Type == dom.TextNode {
-		elem = elem.Parent
-	}
-	var out []int
-	for lvl := 0; elem != nil && elem.Parent != nil && lvl <= maxLevels; lvl++ {
+// listLevels marks in lvls, for a value whose field sits in element e,
+// the ancestor distances (0 = e) at which the element has two or more
+// same-tag element siblings — the positional-list steps missing fields
+// shift.
+func listLevels(sp *dom.StreamPage, e int32, lvls map[int]bool) {
+	for lvl := 0; e != 0 && lvl <= anchorLevels; lvl++ {
 		same := 0
-		for _, s := range elem.Parent.Children {
-			if s.Type == dom.ElementNode && s.Tag == elem.Tag {
+		for _, s := range sp.ElemSiblings(e) {
+			if sp.NameID(s) == sp.NameID(e) {
 				same++
 			}
 		}
 		if same >= 2 {
-			out = append(out, lvl)
+			lvls[lvl] = true
 		}
-		elem = elem.Parent
+		e = sp.Parent(e)
 	}
-	return out
 }
 
 // Extract applies the rule set to a page. The "name" rule supplies the
-// subject; every other matched node yields an extraction with confidence
+// subject; every other matched field yields an extraction with confidence
 // 1 (wrappers are deterministic).
 func (e *Extractor) Extract(p *core.Page) []core.Extraction {
-	doc := dom.Parse(p.HTML)
+	sc := scratches.Get().(*dom.StreamScratch)
+	defer scratches.Put(sc)
+	sp := sc.Stream([]byte(p.HTML), streamOpts)
 	subject := ""
 	for _, r := range e.Rules {
 		if r.Predicate != core.NameClass {
 			continue
 		}
-		for _, n := range r.Pattern.Apply(doc) {
-			if t := dom.CollapseSpace(textOf(n)); t != "" {
-				subject = t
-				break
+		for fi := 0; fi < sp.Fields() && subject == ""; fi++ {
+			if r.Pattern.Fits(sp, fi) {
+				subject = string(sp.FieldText(fi))
 			}
 		}
 		if subject != "" {
@@ -255,15 +273,15 @@ func (e *Extractor) Extract(p *core.Page) []core.Extraction {
 		if r.Predicate == core.NameClass {
 			continue
 		}
-		for _, n := range r.Pattern.Apply(doc) {
-			if r.Anchor != "" && anchorOf(n, 3) != r.Anchor {
+		for fi := 0; fi < sp.Fields(); fi++ {
+			if !r.Pattern.Fits(sp, fi) {
 				continue
 			}
-			value := dom.CollapseSpace(textOf(n))
-			if value == "" {
+			if r.Anchor != "" && string(anchorOf(sp, sp.FieldParent(fi))) != r.Anchor {
 				continue
 			}
-			key := r.Predicate + "\x00" + n.XPath()
+			path := string(sp.AppendFieldXPath(nil, fi))
+			key := r.Predicate + "\x00" + path
 			if seen[key] {
 				continue
 			}
@@ -272,23 +290,18 @@ func (e *Extractor) Extract(p *core.Page) []core.Extraction {
 				PageID:     p.ID,
 				Subject:    subject,
 				Predicate:  r.Predicate,
-				Value:      value,
+				Value:      string(sp.FieldText(fi)),
 				Confidence: 1,
-				Path:       n.XPath(),
+				Path:       path,
 			})
 		}
 	}
 	return out
 }
 
-func textOf(n *dom.Node) string {
-	if n.Type == dom.TextNode {
-		return n.Data
-	}
-	return n.Text()
-}
-
-func shapeKey(p xpath.Path) string {
+// shapeKey is the pattern's step names joined by '/': patterns that share
+// it differ only in their indices.
+func shapeKey(p xpath.Pattern) string {
 	parts := make([]string, len(p))
 	for i, s := range p {
 		parts[i] = s.Tag
@@ -296,7 +309,7 @@ func shapeKey(p xpath.Path) string {
 	return strings.Join(parts, "/")
 }
 
-func sortedPredicates[V any](m map[string]V) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -309,13 +322,10 @@ func sortedPredicates[V any](m map[string]V) []string {
 // nodePath) into the Labels map Learn consumes — simulating the paper's
 // manual annotator, who clicks the true value nodes on a handful of
 // pages.
-func LabelsFromGold(facts []GoldFact, topicNamePath string) map[string][]string {
+func LabelsFromGold(facts []GoldFact) map[string][]string {
 	labels := map[string][]string{}
 	for _, f := range facts {
 		labels[f.Predicate] = append(labels[f.Predicate], f.NodePath)
-	}
-	if topicNamePath != "" {
-		labels[core.NameClass] = append(labels[core.NameClass], topicNamePath)
 	}
 	return labels
 }

@@ -114,20 +114,20 @@ func TestBuildKBPaperCoverageBias(t *testing.T) {
 }
 
 // verifyFactPaths is the generator's core guarantee: every recorded fact
-// path resolves, in the re-parsed page, to a text node whose collapsed
-// content equals the recorded value.
+// path is, in the re-lexed page, the XPath of a text field whose collapsed
+// text equals the recorded value.
 func verifyFactPaths(t *testing.T, p *Page) {
 	t.Helper()
-	doc := dom.Parse(p.HTML)
+	fields := map[string]string{}
+	dom.StreamFields([]byte(p.HTML), func(f *dom.StreamField) {
+		fields[string(f.AppendXPath(nil))] = string(f.Text())
+	})
 	for _, f := range p.Facts {
-		n := dom.ResolveXPath(doc, f.NodePath)
-		if n == nil {
-			t.Fatalf("page %s: fact path %q does not resolve", p.ID, f.NodePath)
+		got, ok := fields[f.NodePath]
+		if !ok {
+			t.Fatalf("page %s: fact path %q names no text field", p.ID, f.NodePath)
 		}
-		if n.Type != dom.TextNode {
-			t.Fatalf("page %s: fact path %q is not a text node", p.ID, f.NodePath)
-		}
-		if got := dom.CollapseSpace(n.Data); got != f.Value {
+		if got != f.Value {
 			t.Fatalf("page %s: fact path %q has text %q, want %q", p.ID, f.NodePath, got, f.Value)
 		}
 	}

@@ -1,10 +1,9 @@
-// Package xpath manipulates the absolute XPaths that identify DOM nodes in
-// CERES: parsing and printing, the Levenshtein distances used by the global
-// relation-mention clustering (paper §3.2.2), and index-wildcard patterns —
-// the representation of Vertex-style extraction rules (§5.2), and the
-// reference for the list-sibling exclusion used during negative sampling
-// (§4.1, and Figure 2's observation that paths for one predicate differ
-// only at a few node indices), which core matches on node chains.
+// Package xpath holds the absolute XPaths that identify nodes in CERES: a
+// path parsed from and printed to its string form, and Pattern, an XPath
+// with index wildcards fitted to the text fields of a stream pass — the
+// form of VERTEX++'s extraction rules (§5.2) and of the list-sibling
+// exclusion of negative sampling (§4.1, and Figure 2's observation that
+// paths for one predicate differ only at a few node indices).
 package xpath
 
 import (
@@ -23,8 +22,9 @@ type Step struct {
 // Path is a parsed absolute XPath.
 type Path []Step
 
-// Parse converts an absolute XPath string (as produced by dom.Node.XPath)
-// into a Path. Every step must carry an explicit index.
+// Parse converts an absolute XPath string (as dom.Node.XPath and
+// dom.StreamPage.AppendFieldXPath print it) into a Path. Every step must
+// carry an explicit index.
 func Parse(s string) (Path, error) {
 	if s == "" || s[0] != '/' {
 		return nil, fmt.Errorf("xpath: %q is not absolute", s)
@@ -48,16 +48,6 @@ func Parse(s string) (Path, error) {
 	return p, nil
 }
 
-// MustParse is Parse for known-good inputs; it panics on error. Use only
-// with paths generated by dom.Node.XPath.
-func MustParse(s string) Path {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // String renders the path back to its canonical absolute form.
 func (p Path) String() string {
 	if len(p) == 0 {
@@ -72,19 +62,4 @@ func (p Path) String() string {
 		b.WriteByte(']')
 	}
 	return b.String()
-}
-
-// SameShape reports whether two paths have identical tag sequences,
-// ignoring indices — the precondition for the paths to belong to the same
-// value list (Figure 2).
-func (p Path) SameShape(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i].Tag != q[i].Tag {
-			return false
-		}
-	}
-	return true
 }

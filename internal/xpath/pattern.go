@@ -1,113 +1,92 @@
 package xpath
 
-import "ceres/internal/dom"
+import (
+	"slices"
+
+	"ceres/internal/dom"
+)
 
 // Wildcard marks a pattern step whose index matches any position.
 const Wildcard = -1
 
-// Pattern is an absolute XPath in which some step indices are wildcards.
-// Patterns generalize sets of concrete paths: a Vertex extraction rule is a
-// pattern, and the list-sibling exclusion of §4.1 ("nodes that differ from
-// these positives only at these indices") is pattern membership: core's
-// node-chain form of it is tested against Generalize and Matches.
+// textStep is the name of a text node's step.
+const textStep = "text()"
+
+// Pattern is an absolute XPath in which some step indices are wildcards,
+// matched against the text fields of a stream pass. A VERTEX++ extraction
+// rule is a pattern (§5.2), and so is the list-sibling exclusion of §4.1
+// ("nodes that differ from these positives only at these indices"): a set
+// of fields generalizes into the most specific pattern they all fit, and
+// a field is excluded or extracted when it fits. Steps name tags, not a
+// scratch's name IDs, so a pattern built on one page fits the fields of
+// pages streamed on any scratch.
 type Pattern []Step
 
-// PatternOf converts a concrete path into an exact pattern.
-func PatternOf(p Path) Pattern {
-	out := make(Pattern, len(p))
-	copy(out, p)
-	return out
+// AppendField appends the exact pattern of field fi's XPath to dst.
+func AppendField(dst Pattern, sp *dom.StreamPage, fi int) Pattern {
+	dst = AppendElem(dst, sp, sp.FieldParent(fi))
+	return append(dst, Step{Tag: textStep, Index: int(sp.FieldOrdinal(fi))})
 }
 
-// Generalize builds the most specific pattern matching all the given paths:
-// tags must agree (otherwise ok=false); any step position where indices
-// disagree becomes a wildcard.
-func Generalize(paths []Path) (Pattern, bool) {
-	if len(paths) == 0 {
-		return nil, false
+// AppendElem appends the exact pattern of element record e's XPath to dst:
+// no step for the document, record 0. It grows dst by one more step than
+// it appends, for a text() step under e.
+func AppendElem(dst Pattern, sp *dom.StreamPage, e int32) Pattern {
+	depth := 0
+	for r := e; r != 0; r = sp.Parent(r) {
+		depth++
 	}
-	base := paths[0]
-	for _, p := range paths[1:] {
-		if !base.SameShape(p) {
-			return nil, false
-		}
+	dst = slices.Grow(dst, depth+1)
+	dst = dst[:len(dst)+depth]
+	for i := len(dst) - 1; e != 0; i-- {
+		dst[i] = Step{Tag: sp.Tag(e), Index: int(sp.Ordinal(e))}
+		e = sp.Parent(e)
 	}
-	pat := PatternOf(base)
-	for _, p := range paths[1:] {
-		for i := range pat {
-			if pat[i].Index != Wildcard && pat[i].Index != p[i].Index {
-				pat[i].Index = Wildcard
-			}
-		}
-	}
-	return pat, true
+	return dst
 }
 
-// Matches reports whether the concrete path p is an instance of the
-// pattern.
-func (pat Pattern) Matches(p Path) bool {
-	if len(pat) != len(p) {
-		return false
+// Fits reports whether field fi's XPath is an instance of the pattern.
+func (pat Pattern) Fits(sp *dom.StreamPage, fi int) bool {
+	return pat.fit(sp, textStep, sp.FieldOrdinal(fi), sp.FieldParent(fi), false)
+}
+
+// FitsElem reports whether element record e's XPath is an instance of the
+// pattern. The document, record 0, fits only the empty pattern.
+func (pat Pattern) FitsElem(sp *dom.StreamPage, e int32) bool {
+	if e == 0 {
+		return len(pat) == 0
 	}
-	for i := range pat {
-		if pat[i].Tag != p[i].Tag {
+	return pat.fit(sp, sp.Tag(e), sp.Ordinal(e), sp.Parent(e), false)
+}
+
+// Widen generalizes the pattern so that field fi fits it: each step whose
+// index differs from the field's becomes a wildcard. It reports false when
+// the field's XPath has another shape — other step names or another
+// length — and the pattern may then be widened part way.
+func (pat Pattern) Widen(sp *dom.StreamPage, fi int) bool {
+	return pat.fit(sp, textStep, sp.FieldOrdinal(fi), sp.FieldParent(fi), true)
+}
+
+// fit matches the pattern against an XPath read leaf first off the
+// records: the leaf step's name and index, then the chain of element
+// records from up to the document. With widen, a differing index becomes
+// a wildcard instead of failing.
+func (pat Pattern) fit(sp *dom.StreamPage, name string, index, up int32, widen bool) bool {
+	for i := len(pat) - 1; i >= 0; i-- {
+		st := &pat[i]
+		if st.Tag != name {
 			return false
 		}
-		if pat[i].Index != Wildcard && pat[i].Index != p[i].Index {
-			return false
-		}
-	}
-	return true
-}
-
-// Wildcards returns the step positions that are wildcards.
-func (pat Pattern) Wildcards() []int {
-	var out []int
-	for i, st := range pat {
-		if st.Index == Wildcard {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Apply walks the DOM tree and returns every node whose absolute path
-// matches the pattern, in document order. Text-node steps use tag "text()".
-func (pat Pattern) Apply(doc *dom.Node) []*dom.Node {
-	var out []*dom.Node
-	var rec func(n *dom.Node, depth int)
-	rec = func(n *dom.Node, depth int) {
-		if depth == len(pat) {
-			out = append(out, n)
-			return
-		}
-		st := pat[depth]
-		count := map[string]int{}
-		for _, c := range n.Children {
-			name := stepName(c)
-			if name == "" {
-				continue
+		if st.Index != Wildcard && st.Index != int(index) {
+			if !widen {
+				return false
 			}
-			count[name]++
-			if name != st.Tag {
-				continue
-			}
-			if st.Index == Wildcard || st.Index == count[name] {
-				rec(c, depth+1)
-			}
+			st.Index = Wildcard
 		}
+		if up == 0 {
+			return i == 0
+		}
+		name, index, up = sp.Tag(up), sp.Ordinal(up), sp.Parent(up)
 	}
-	rec(doc, 0)
-	return out
-}
-
-func stepName(n *dom.Node) string {
-	switch n.Type {
-	case dom.ElementNode:
-		return n.Tag
-	case dom.TextNode:
-		return "text()"
-	default:
-		return ""
-	}
+	return false
 }

@@ -7,57 +7,100 @@ import (
 	"ceres/internal/dom"
 )
 
-func TestGeneralize(t *testing.T) {
-	paths := []Path{
-		MustParse("/html[1]/body[1]/ul[1]/li[1]/a[1]"),
-		MustParse("/html[1]/body[1]/ul[1]/li[2]/a[1]"),
-		MustParse("/html[1]/body[1]/ul[1]/li[7]/a[1]"),
-	}
-	pat, ok := Generalize(paths)
-	if !ok {
-		t.Fatalf("Generalize failed")
-	}
-	if !slices.Equal(pat, wild("/html[1]/body[1]/ul[1]/li[1]/a[1]", 3)) {
-		t.Errorf("pattern = %v", pat)
-	}
-	for _, p := range paths {
-		if !pat.Matches(p) {
-			t.Errorf("pattern should match its input %v", p)
+// stream streams html on a fresh scratch.
+func stream(html string) *dom.StreamPage {
+	return dom.NewStreamScratch().Stream([]byte(html), dom.StreamOptions{})
+}
+
+// fieldNamed returns the index of the field with the given text.
+func fieldNamed(t *testing.T, sp *dom.StreamPage, text string) int {
+	t.Helper()
+	for fi := 0; fi < sp.Fields(); fi++ {
+		if string(sp.FieldText(fi)) == text {
+			return fi
 		}
 	}
-	if pat.Matches(MustParse("/html[1]/body[1]/ul[2]/li[1]/a[1]")) {
-		t.Errorf("pattern should not match a different ul")
+	t.Fatalf("no field %q", text)
+	return -1
+}
+
+// fitting lists the texts of the fields that fit pat, in document order.
+func fitting(sp *dom.StreamPage, pat Pattern) []string {
+	var out []string
+	for fi := 0; fi < sp.Fields(); fi++ {
+		if pat.Fits(sp, fi) {
+			out = append(out, string(sp.FieldText(fi)))
+		}
 	}
-	if pat.Matches(MustParse("/html[1]/body[1]/ul[1]/li[1]")) {
-		t.Errorf("pattern should not match a shorter path")
+	return out
+}
+
+const listPage = `<html><body>
+	<ul><li><a>one</a></li><li><a>two</a></li><li>x</li><li>y</li><li>z</li><li>w</li><li><a>seven</a></li></ul>
+	<ul><li><a>other list</a></li></ul>
+	<div><a>not in list</a></div>
+</body></html>`
+
+func TestGeneralize(t *testing.T) {
+	sp := stream(listPage)
+	pat := AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	for _, v := range []string{"two", "seven"} {
+		if !pat.Widen(sp, fieldNamed(t, sp, v)) {
+			t.Fatalf("Widen by %q failed", v)
+		}
 	}
-	if ws := pat.Wildcards(); len(ws) != 1 || ws[0] != 3 {
-		t.Errorf("Wildcards = %v", ws)
+	if !slices.Equal(pat, wild("/html[1]/body[1]/ul[1]/li[1]/a[1]/text()[1]", 3)) {
+		t.Errorf("pattern = %v", pat)
+	}
+	if got := fitting(sp, pat); !slices.Equal(got, []string{"one", "two", "seven"}) {
+		t.Errorf("fields fitting = %q", got)
+	}
+	// A pattern's steps name tags, so it fits a page streamed on another
+	// scratch, whose name IDs differ.
+	other := dom.NewStreamScratch()
+	other.Stream([]byte("<p><b><i>intern other tags first</i></b></p>"), dom.StreamOptions{})
+	if got := fitting(other.Stream([]byte(listPage), dom.StreamOptions{}), pat); !slices.Equal(got, []string{"one", "two", "seven"}) {
+		t.Errorf("fields fitting on another scratch = %q", got)
+	}
+	// The list's items, their ul and a shorter path fit as elements.
+	var elems []string
+	for e := int32(0); e < int32(sp.Elems()); e++ {
+		if pat[:len(pat)-2].FitsElem(sp, e) {
+			elems = append(elems, sp.Tag(e))
+		}
+		if pat[:3].FitsElem(sp, e) {
+			elems = append(elems, "ul#"+string(rune('0'+sp.Ordinal(e))))
+		}
+	}
+	if want := []string{"ul#1", "li", "li", "li", "li", "li", "li", "li"}; !slices.Equal(elems, want) {
+		t.Errorf("elements fitting = %q, want %q", elems, want)
+	}
+	if Pattern(nil).FitsElem(sp, 1) || !Pattern(nil).FitsElem(sp, 0) {
+		t.Errorf("only the document fits the empty pattern")
 	}
 }
 
 func TestGeneralizeShapeMismatch(t *testing.T) {
-	if _, ok := Generalize([]Path{
-		MustParse("/html[1]/body[1]/a[1]"),
-		MustParse("/html[1]/body[1]/b[1]"),
-	}); ok {
-		t.Errorf("shape mismatch must fail")
+	sp := stream(listPage)
+	pat := AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	if pat.Widen(sp, fieldNamed(t, sp, "x")) {
+		t.Errorf("a shorter path must not widen the pattern")
 	}
-	if _, ok := Generalize(nil); ok {
-		t.Errorf("empty input must fail")
+	pat = AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	if pat.Widen(sp, fieldNamed(t, sp, "not in list")) {
+		t.Errorf("other step names must not widen the pattern")
 	}
-	// Single path generalizes to itself.
-	p := MustParse("/html[1]/a[2]")
-	pat, ok := Generalize([]Path{p})
-	if !ok || !slices.Equal(pat, PatternOf(p)) {
-		t.Errorf("single-path generalization = %v, %v", pat, ok)
+	// A single field generalizes to its own exact path.
+	fi := fieldNamed(t, sp, "seven")
+	if got, want := Path(AppendField(nil, sp, fi)).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
+		t.Errorf("exact pattern %s, field XPath %s", got, want)
 	}
 }
 
 // wild is the pattern of a concrete path with the given steps' indices
 // made wildcards.
 func wild(path string, steps ...int) Pattern {
-	pat := PatternOf(MustParse(path))
+	pat := Pattern(MustParse(path))
 	for _, i := range steps {
 		pat[i].Index = Wildcard
 	}
@@ -65,43 +108,45 @@ func wild(path string, steps ...int) Pattern {
 }
 
 func TestPatternApply(t *testing.T) {
-	doc := dom.Parse(`<html><body>
+	sp := stream(`<html><body>
 		<ul><li><a>one</a></li><li><a>two</a></li><li><a>three</a></li></ul>
 		<div><a>not in list</a></div>
 	</body></html>`)
-	nodes := wild("/html[1]/body[1]/ul[1]/li[1]/a[1]", 3).Apply(doc)
-	if len(nodes) != 3 {
-		t.Fatalf("Apply found %d nodes, want 3", len(nodes))
-	}
-	want := []string{"one", "two", "three"}
-	for i, n := range nodes {
-		if n.Text() != want[i] {
-			t.Errorf("node %d text = %q, want %q", i, n.Text(), want[i])
-		}
+	if got := fitting(sp, wild("/html[1]/body[1]/ul[1]/li[1]/a[1]/text()[1]", 3)); !slices.Equal(got, []string{"one", "two", "three"}) {
+		t.Errorf("wildcard pattern fits %q", got)
 	}
 	// Exact pattern finds exactly one.
-	if got := wild("/html[1]/body[1]/ul[1]/li[2]/a[1]").Apply(doc); len(got) != 1 || got[0].Text() != "two" {
-		t.Errorf("exact apply = %v", got)
+	if got := fitting(sp, wild("/html[1]/body[1]/ul[1]/li[2]/a[1]/text()[1]")); !slices.Equal(got, []string{"two"}) {
+		t.Errorf("exact pattern fits %q", got)
 	}
-	// Text node steps.
-	if got := wild("/html[1]/body[1]/ul[1]/li[1]/a[1]/text()[1]", 3).Apply(doc); len(got) != 3 || got[0].Type != dom.TextNode {
-		t.Errorf("text apply found %d", len(got))
+	// An element path fits no field.
+	if got := fitting(sp, wild("/html[1]/body[1]/ul[1]/li[1]/a[1]", 3)); got != nil {
+		t.Errorf("element pattern fits %q", got)
 	}
 }
 
-// TestApplyAgreesWithGeneratedPaths: applying the exact pattern of any
-// node's path returns exactly that node.
+// TestApplyAgreesWithGeneratedPaths: the exact pattern of any field fits
+// exactly that field and prints as its XPath, and the exact pattern of any
+// element fits exactly that element.
 func TestApplyAgreesWithGeneratedPaths(t *testing.T) {
-	doc := dom.Parse(`<html><body><div><span>a</span><span>b</span><ul><li>x<li>y</ul></div></body></html>`)
-	doc.Walk(func(n *dom.Node) bool {
-		if n.Type == dom.DocumentNode || n.Type == dom.CommentNode {
-			return true
+	sp := stream(`top<html><body><div><span>a</span><span>b</span>c<!-- x -->d<ul><li>x<li>y</ul></div><title>t</title></body></html>`)
+	for fi := 0; fi < sp.Fields(); fi++ {
+		pat := AppendField(nil, sp, fi)
+		if got, want := Path(pat).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
+			t.Errorf("field %d: pattern %s, XPath %s", fi, got, want)
 		}
-		pat := PatternOf(MustParse(n.XPath()))
-		got := pat.Apply(doc)
-		if len(got) != 1 || got[0] != n {
-			t.Errorf("exact pattern %v matched %d nodes", pat, len(got))
+		for fj := 0; fj < sp.Fields(); fj++ {
+			if pat.Fits(sp, fj) != (fi == fj) {
+				t.Errorf("exact pattern %s: fits field %d is %v", Path(pat), fj, !(fi == fj))
+			}
 		}
-		return true
-	})
+	}
+	for e := int32(0); e < int32(sp.Elems()); e++ {
+		pat := AppendElem(nil, sp, e)
+		for o := int32(0); o < int32(sp.Elems()); o++ {
+			if pat.FitsElem(sp, o) != (e == o) {
+				t.Errorf("exact pattern %s: fits element %d is %v", Path(pat), o, e != o)
+			}
+		}
+	}
 }

@@ -12,14 +12,12 @@ import (
 )
 
 // treePackages may build and read dom.Parse's pointer tree: the parser
-// itself, the XPath patterns that resolve on it, the VERTEX++ wrapper
-// inducer, the page simulator that renders one, and the benchmark
-// harness's parse probe. Every other package reads pages through the
-// stream pass.
+// itself and the page simulator that builds and renders pages as trees.
+// benchmark stays only for probe.go's dom.Parse span, which times the
+// tree build as a layer of its own. Every other package, VERTEX++
+// included, reads pages through the stream pass.
 var treePackages = map[string]bool{
 	"internal/dom":    true,
-	"internal/xpath":  true,
-	"internal/vertex": true,
 	"internal/websim": true,
 	"benchmark":       true,
 }
