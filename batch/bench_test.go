@@ -32,7 +32,9 @@ var benchSites = []string{"blaxploitation.com", "kinobox.cz", "laborfilms.com"}
 // once (at least 2: the dispatcher never parks a worker behind a site
 // another one is training) and how many of those held their parsed pages
 // (1: the pipeline's prepare gate) — the two numbers a cold harvest's wall
-// clock and its peak memory come from.
+// clock and its peak memory come from. Every case reports the context
+// caches a pass evicted: each shard's scan keeps only its own site's, so
+// a worker that turns to the next site drops the last one's.
 func BenchmarkBatchHarvest(b *testing.B) {
 	f := newCrawlFixture(b, b.TempDir(), benchSites)
 	job := Job{ShardPages: 16, Workers: 4, Fuse: true}
@@ -105,6 +107,7 @@ func BenchmarkBatchHarvest(b *testing.B) {
 				return 0, nil
 			})()
 			pages, trained, peakTraining, peakHolding := 0, 0, 0, 0
+			var evictions int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,11 +116,13 @@ func BenchmarkBatchHarvest(b *testing.B) {
 				trained += rep.Training.Sites
 				peakTraining += rep.Training.PeakTraining
 				peakHolding += rep.Training.PeakHolding
+				evictions += rep.Contexts.Evictions
 			}
 			b.StopTimer()
 			if secs := b.Elapsed().Seconds(); secs > 0 {
 				b.ReportMetric(float64(pages)/secs, "pages/s")
 			}
+			b.ReportMetric(float64(evictions)/float64(b.N), "evictions/op")
 			if n := fsyncs.Load(); n > 0 {
 				b.ReportMetric(float64(manifests.Load())/float64(b.N), "manifest-writes/op")
 				b.ReportMetric(float64(n)/float64(b.N), "fsyncs/op")

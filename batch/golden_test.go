@@ -97,6 +97,40 @@ func TestFusedGolden(t *testing.T) {
 	}
 }
 
+// TestWarmHarvestDropsFinishedSites: a warm pass over the crawl fixture
+// keeps only the caches of the site a shard serves — the dispatcher hands
+// a worker its shards site by site, so each pooled scratch drops the
+// caches of the sites before — and the drops are counted as evictions
+// while the fused bytes stay the golden's. Without the drops the fixture's
+// caches fit the scratch's bound, and nothing is evicted.
+func TestWarmHarvestDropsFinishedSites(t *testing.T) {
+	base := t.TempDir()
+	f := newCrawlFixture(t, base, fixtureSites)
+	dirs := newHarvestDirs(t, base, "run")
+	if _, err := runHarvest(t, f, dirs, goldenJob, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{dirs.checkpoint, dirs.triples} {
+		if err := os.RemoveAll(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := runHarvest(t, f, dirs, goldenJob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Contexts; c.Fields == 0 || c.Evictions == 0 {
+		t.Fatalf("warm pass contexts %+v: want fields scored and finished sites' caches evicted", c)
+	}
+	want, err := os.ReadFile(fusedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fusedBytes(t, rep); !bytes.Equal(got, want) {
+		t.Fatalf("warm pass: fused output differs from %s:\n%s", fusedGolden, firstLineDiff(got, want))
+	}
+}
+
 // cancelReplaySink cancels the run's context from inside fusion's
 // replay, once a fixed number of triples has been replayed.
 type cancelReplaySink struct {

@@ -81,8 +81,8 @@ type Runner struct {
 // extracted shards (ceres.ServeStats has the definitions): of Fields
 // scored, Misses ran the feature walk and the classifier and the rest
 // copied a remembered row; Uncached of the misses could not be
-// remembered, and Evictions counts the models a worker forgot to make
-// room for another.
+// remembered, and Evictions counts the models a worker forgot: each
+// shard's scan keeps only its own site's.
 type ContextStats struct {
 	Fields    int64 `json:"fields"`
 	Misses    int64 `json:"misses"`

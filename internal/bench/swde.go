@@ -152,14 +152,14 @@ func vertexFacts(train, evalSet []*websim.Page, k int) []eval.ScoredFact {
 			facts = append(facts, vertex.GoldFact{Predicate: f.Predicate, Value: f.Value, NodePath: f.NodePath})
 		}
 		tps = append(tps, vertex.TrainingPage{
-			Page:   core.PreparePage(train[i].ID, train[i].HTML),
+			Page:   &core.Page{ID: train[i].ID, HTML: train[i].HTML},
 			Labels: vertex.LabelsFromGold(facts),
 		})
 	}
 	ex := vertex.Learn(tps)
 	var out []eval.ScoredFact
 	for _, wp := range evalSet {
-		exts := ex.Extract(core.PreparePage(wp.ID, wp.HTML))
+		exts := ex.Extract(&core.Page{ID: wp.ID, HTML: wp.HTML})
 		for _, e := range exts {
 			out = append(out, scoredOf(e))
 		}

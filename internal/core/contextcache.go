@@ -27,8 +27,8 @@ const (
 	// do not (so at worst it holds this plus what the model it turned to
 	// then adds). It is a bound on memory and not on the number of models:
 	// a daemon serving a dozen ordinary sites round-robin keeps every one
-	// of their caches, and a harvest does not carry the caches of the
-	// sites it has finished.
+	// of their caches. A harvest's scan keeps less (keepOnly): only the
+	// caches of the site it is serving.
 	scratchCacheBytes = 4 << 20
 )
 
@@ -233,4 +233,26 @@ func (sc *ServeScratch) cacheFor(cm *CompiledModel) *contextCache {
 	}
 	cur.used = sc.tick
 	return cur
+}
+
+// keepOnly drops every cache the scratch holds for a model other than
+// those given, counting each as an eviction. A scan serves one site's
+// shard from start to end, and a harvest hands a worker its shards site
+// by site, so another model's cache in the scratch a scan checks out is
+// a finished site's: keeping it up to the scratch-wide bound would only
+// hold memory.
+func (sc *ServeScratch) keepOnly(models []*CompiledModel) {
+	kept := sc.caches[:0]
+	for _, c := range sc.caches {
+		if slices.Contains(models, c.cm) {
+			kept = append(kept, c)
+		} else {
+			sc.counts.evictions++
+		}
+	}
+	clear(sc.caches[len(kept):])
+	sc.caches = kept
+	if sc.cache != nil && !slices.Contains(models, sc.cache.cm) {
+		sc.cache = nil
+	}
 }

@@ -175,6 +175,165 @@ func TestScratchEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// scanPages serves pages as one scan on sc — what ExtractScanOpts does on
+// the scratch it checks out — and returns the call's statistics.
+func scanPages(t *testing.T, sm *SiteModel, sc *ServeScratch, pages []PageSource) *ServeStats {
+	t.Helper()
+	sc.counts = contextCounts{}
+	_, stats, err := sm.extractScan(context.Background(), sc, func(yield func(id string, html []byte) error) error {
+		for _, p := range pages {
+			if err := yield(p.ID, []byte(p.HTML)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// trained lists sm's compiled clusters.
+func trained(sm *SiteModel) []*CompiledModel {
+	var out []*CompiledModel
+	for _, cm := range sm.compiled {
+		if cm != nil {
+			out = append(out, cm)
+		}
+	}
+	return out
+}
+
+// cachedFor reports whether sc holds a cache for every one of models
+// and for no other model.
+func cachedFor(sc *ServeScratch, models ...*CompiledModel) bool {
+	if len(sc.caches) != len(models) || (sc.cache != nil && !slices.Contains(models, sc.cache.cm)) {
+		return false
+	}
+	for _, c := range sc.caches {
+		if !slices.Contains(models, c.cm) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameClusters is another site to the serve engine: a model of sm's
+// clusters, compiled apart from sm.
+func sameClusters(t *testing.T, sm *SiteModel) *SiteModel {
+	t.Helper()
+	other := &SiteModel{Clusters: sm.Clusters, Extract: sm.Extract, TrainPages: sm.TrainPages}
+	if err := other.compile(); err != nil {
+		t.Fatal(err)
+	}
+	return other
+}
+
+// twoTemplateSite trains a site of two movie templates, table and div
+// infoboxes, and returns it with pages of both it was not trained on.
+func twoTemplateSite(t *testing.T) (*SiteModel, []PageSource) {
+	t.Helper()
+	w := websim.NewWorld(websim.WorldConfig{Films: 150, People: 200, Series: 4, Episodes: 6, Seed: 21})
+	var train, serve []PageSource
+	for i, layout := range []string{"table", "div"} {
+		site := websim.BuildMovieSite(w, w.Films[30*i:30*(i+1)], websim.MovieSiteStyle{Layout: layout, Prefix: layout, Language: "en"}, "two-templates", 7)
+		for j, p := range site.Pages {
+			if j < 20 {
+				train = append(train, PageSource{ID: p.ID, HTML: p.HTML})
+			} else {
+				serve = append(serve, PageSource{ID: p.ID, HTML: p.HTML})
+			}
+		}
+	}
+	sm, err := TrainSite(context.Background(), train, websim.BuildKB(w, websim.FullCoverage(), 3), Config{Train: TrainOptions{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sm.compile(); err != nil {
+		t.Fatal(err)
+	}
+	if len(sm.Clusters) != 2 || sm.TrainedClusters() != 2 {
+		t.Fatalf("%d clusters, %d trained; want 2 trained", len(sm.Clusters), sm.TrainedClusters())
+	}
+	return sm, serve
+}
+
+// TestScanKeepsOnlyItsSite: a scan drops the caches of every other model
+// from the scratch it serves on — a harvest hands a worker its shards
+// site by site, so those are finished sites' — and counts each as an
+// eviction. A site with two trained clusters keeps both caches across its
+// own scans, and a later scan of another site drops both.
+func TestScanKeepsOnlyItsSite(t *testing.T) {
+	a, pages := filmSite(t, 30, 12)
+	b := sameClusters(t, a)
+	sc := NewServeScratch()
+	if stats := scanPages(t, a, sc, pages); stats.Fields == 0 || stats.CacheEvictions != 0 || !cachedFor(sc, trained(a)...) {
+		t.Fatalf("after a scan of A: %d fields, %d evictions, %d caches; want fields, no eviction, and A's cache",
+			stats.Fields, stats.CacheEvictions, len(sc.caches))
+	}
+	if stats := scanPages(t, b, sc, pages); stats.CacheEvictions != 1 || !cachedFor(sc, trained(b)...) {
+		t.Fatalf("after a scan of B: %d evictions, %d caches; want 1, and B's alone", stats.CacheEvictions, len(sc.caches))
+	}
+
+	two, both := twoTemplateSite(t)
+	for pass := 0; pass < 2; pass++ {
+		stats := scanPages(t, two, sc, both)
+		if stats.RoutedClusters() != 2 {
+			t.Fatalf("pass %d routed pages to %d clusters, want both", pass, stats.RoutedClusters())
+		}
+		if want := 1 - pass; stats.CacheEvictions != want || !cachedFor(sc, two.compiled...) {
+			t.Fatalf("pass %d over two clusters: %d evictions, %d caches; want %d, and both clusters'",
+				pass, stats.CacheEvictions, len(sc.caches), want)
+		}
+		if pass == 1 && stats.ContextMisses != 0 {
+			t.Fatalf("second pass over the same pages: %d misses, want none", stats.ContextMisses)
+		}
+	}
+	if stats := scanPages(t, a, sc, pages); stats.CacheEvictions != 2 || !cachedFor(sc, trained(a)...) {
+		t.Fatalf("scan of A after the two-cluster site: %d evictions, %d caches; want 2, and A's alone", stats.CacheEvictions, len(sc.caches))
+	}
+}
+
+// TestBytesServeKeepsEveryModel: the daemon's entries keep the
+// least-recently-used policy across models — ExtractBytesOpts' workers
+// serve page by page (extractPage) on their scratch, and a scratch that
+// turns from A to B and back keeps both caches and finds A's warm.
+// Through the pool, neither call evicts.
+func TestBytesServeKeepsEveryModel(t *testing.T) {
+	a, pages := filmSite(t, 30, 12)
+	b := sameClusters(t, a)
+	sc := NewServeScratch()
+	serve := func(sm *SiteModel) contextCounts {
+		sc.counts = contextCounts{}
+		for _, p := range pages {
+			sm.extractPage(PageBytes{ID: p.ID, HTML: []byte(p.HTML)}, sc)
+		}
+		return sc.counts
+	}
+	if c := serve(a); c.fields == 0 {
+		t.Fatal("A's pages have no fields to score")
+	}
+	serve(b)
+	if c := serve(a); c.evictions != 0 || c.misses != 0 || !cachedFor(sc, append(trained(a), trained(b)...)...) {
+		t.Fatalf("A after B: %+v over %d caches; want no eviction, no miss, and both caches", c, len(sc.caches))
+	}
+	for _, sm := range []*SiteModel{a, b, a} {
+		_, stats, err := sm.ExtractBytesOpts(context.Background(), func(push func(PageBytes)) (ServeOptions, error) {
+			for _, p := range pages {
+				push(PageBytes{ID: p.ID, HTML: []byte(p.HTML)})
+			}
+			return ServeOptions{Workers: 1}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.CacheEvictions != 0 {
+			t.Fatalf("ExtractBytesOpts evicted %d caches, want none", stats.CacheEvictions)
+		}
+	}
+}
+
 // TestUnknownAttributeValuesShareContexts: id and class values the model
 // has never seen — one of each per element per page, as a CMS generates
 // them — must cost nothing: the same extractions, no more misses and no

@@ -159,7 +159,8 @@ type ServeStats struct {
 	// rising miss share is the empty-page drift signal one level down.
 	// ContextUncached counts the misses that were not remembered because
 	// the model's cache had reached its size bound, and CacheEvictions the
-	// caches dropped because a worker met more models than it keeps.
+	// caches dropped because a worker met more models than it keeps, or,
+	// on a scan, because they were another model's.
 	Fields          int
 	ContextMisses   int
 	ContextUncached int

@@ -413,15 +413,24 @@ func (sm *SiteModel) extractBytes(id string, html []byte, sc *ServeScratch) (int
 // only read during the yield. The scan loop is sequential — a yielded
 // slice is only valid during its yield — so Workers is ignored here;
 // callers holding all their pages at once get page parallelism from
-// ExtractBytesOpts.
+// ExtractBytesOpts. The scratch keeps only this model's context caches:
+// a scan is one site's pages, and the caches of the sites the scratch
+// served before are dropped and counted in CacheEvictions.
 func (sm *SiteModel) ExtractScanOpts(ctx context.Context, opts ServeOptions, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
-	// The page count is not known before the scan; an empty one is
-	// ErrNoPages below.
 	if err := sm.serveable(); err != nil {
 		return nil, nil, err
 	}
 	sc := getServeScratch()
 	defer putServeScratch(sc)
+	return sm.extractScan(ctx, sc, scan)
+}
+
+// extractScan is ExtractScanOpts on the scratch sc, whose counters the
+// returned statistics report.
+func (sm *SiteModel) extractScan(ctx context.Context, sc *ServeScratch, scan func(yield func(id string, html []byte) error) error) ([]Extraction, *ServeStats, error) {
+	sc.keepOnly(sm.compiled)
+	// The page count is not known before the scan; an empty one is
+	// ErrNoPages below.
 	stats := &ServeStats{ClusterPages: make([]int, len(sm.Clusters))}
 	// Each page's extractions are kept as they come and concatenated
 	// once, at the exact size, instead of growing one slice page by page.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -178,6 +179,36 @@ func TestTripleDecoderSharesStrings(t *testing.T) {
 	}
 	if a.Subject != b.Subject || a.Path != b.Path || a.Object == b.Object {
 		t.Fatalf("decoded %+v and %+v", a, b)
+	}
+}
+
+// TestTripleDecoderConfidenceMemo checks the Confidence memo: a literal
+// seen again decodes to the same bits, whether it was remembered, pushed
+// out by another literal of its slot, or too long to remember; and a
+// literal out of range is refused every time it is seen.
+func TestTripleDecoderConfidenceMemo(t *testing.T) {
+	var d TripleDecoder
+	decode := func(lit string) (float64, error) {
+		var got ceres.Triple
+		err := d.Decode([]byte(`{"Confidence":`+lit+`}`), &got)
+		return got.Confidence, err
+	}
+	lits := []string{"0.9876543210987654", "-0", "5e-1", "0.5", "0.0000012345678901234567", "1e400"}
+	for i := 0; len(lits) < 3*confSlots; i++ {
+		lits = append(lits, "0."+strconv.Itoa(i))
+	}
+	for round := 0; round < 2; round++ {
+		for _, lit := range lits {
+			want, wantErr := strconv.ParseFloat(lit, 64)
+			got, err := decode(lit)
+			if (err == nil) != (wantErr == nil) || (err == nil && math.Float64bits(got) != math.Float64bits(want)) {
+				t.Fatalf("round %d, %s: %v, %v; want %v, %v", round, lit, got, err, want, wantErr)
+			}
+			slot := &d.conf[hashBytes([]byte(lit))%confSlots]
+			if held := string(slot.lit[:slot.n]) == lit; held != (err == nil && len(lit) <= len(slot.lit)) {
+				t.Fatalf("round %d, %s: held in its slot %v, parsed %v", round, lit, held, err == nil)
+			}
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ type ServeStats struct {
 	// ContextUncached counts the misses that could not be remembered (the
 	// site has more distinct contexts than a worker keeps for one model)
 	// and CacheEvictions the models whose contexts a worker forgot to
-	// make room for another's.
+	// make room for another's, or, on a scan, because it serves one site.
 	Fields          int
 	ContextMisses   int
 	ContextUncached int
