@@ -75,11 +75,15 @@ examples:
 # which learns and extracts on the stream pass, to the tree-based wrapper
 # inducer frozen in its tests: on any page with its first k fields
 # labelled, the same rules and the same extractions (DESIGN.md §5). The
-# seventh, the fourteenth and the fifteenth stream or serve pages on every
-# try, so they minimise a new input for at most 1s: at the default 60s one
-# minimisation takes most of a short run's budget, at 0 execs/s. A failing
-# input is written
-# under the package's testdata/fuzz/ — commit it.
+# sixteenth trains a small movie site whose every page carries the fuzzed
+# bytes: no panic, training twice writes the same model bytes, a written
+# model reads back to the same bytes and extractions, and a site that
+# cannot train is ErrNoAnnotations, never a model with no trained cluster
+# (DESIGN.md §3, §10). The seventh, the fourteenth, the fifteenth and the
+# sixteenth stream, serve or train pages on every try, so they minimise a
+# new input for at most 1s: at the default 60s one minimisation takes most
+# of a short run's budget, at 0 execs/s. A failing input is written under
+# the package's testdata/fuzz/ — commit it.
 FUZZTIME ?= 5m
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzExtractRequest -fuzztime=$(FUZZTIME) ./cmd/ceres-serve
@@ -97,6 +101,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadKB -fuzztime=$(FUZZTIME) ./internal/kb
 	$(GO) test -run='^$$' -fuzz=FuzzExtractHandler -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./cmd/ceres-serve
 	$(GO) test -run='^$$' -fuzz=FuzzVertexMatchesTree -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/vertex
+	$(GO) test -run='^$$' -fuzz=FuzzTrainSite -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 
 # The durable path's proofs, under the race detector: the crash-point
 # sweep (every filesystem operation of a warm harvest and every models/

@@ -234,10 +234,10 @@ func appendFeaturizer(buf []byte, fs *core.FeaturizerState) []byte {
 	msg = appendBoolField(msg, tagFoDisableStructural, fo.DisableStructural)
 	msg = appendBoolField(msg, tagFoDisableText, fo.DisableText)
 	buf = closeLen(msg, at)
-	for _, name := range fs.Dict.Names {
+	for _, name := range fs.Names {
 		buf = appendStringField(buf, tagFzDictName, name)
 	}
-	buf = appendBoolField(buf, tagFzFrozen, fs.Dict.Frozen)
+	buf = appendBoolField(buf, tagFzFrozen, fs.Frozen)
 	for _, s := range fs.Frequent {
 		buf = appendStringField(buf, tagFzFrequent, s)
 	}
@@ -636,7 +636,7 @@ func parseModel(f *fields) *core.ModelState {
 
 // featurizerScratch is the pooled decode-side scratch for
 // parseFeaturizer. A featurizer message is dominated by thousands of
-// dict-name strings; converting each with string(b[lo:hi]) made registry
+// feature-name strings; converting each with string(b[lo:hi]) made registry
 // boot pay one allocation per feature name (~500k for a 1000-model
 // store). Instead the parse gathers every name and frequent-string
 // payload into one reusable byte arena, converts the arena to a string
@@ -645,7 +645,7 @@ func parseModel(f *fields) *core.ModelState {
 // arena coordinates.
 type featurizerScratch struct {
 	arena []byte
-	names []int32 // dict-name spans, (start, end) pairs
+	names []int32 // feature-name spans, (start, end) pairs
 	freq  []int32 // frequent-string spans, (start, end) pairs
 }
 
@@ -667,7 +667,7 @@ func parseFeaturizer(f *fields) (fs core.FeaturizerState) {
 			sc.arena = append(sc.arena, f.bytes()...)
 			sc.names = append(sc.names, int32(len(sc.arena)))
 		case tagFzFrozen:
-			fs.Dict.Frozen = f.bool()
+			fs.Frozen = f.bool()
 		case tagFzFrequent:
 			sc.freq = append(sc.freq, int32(len(sc.arena)))
 			sc.arena = append(sc.arena, f.bytes()...)
@@ -683,9 +683,9 @@ func parseFeaturizer(f *fields) (fs core.FeaturizerState) {
 	// so the shared backing pins nothing extra.
 	all := string(sc.arena)
 	if n := len(sc.names) / 2; n > 0 {
-		fs.Dict.Names = make([]string, n)
-		for i := range fs.Dict.Names {
-			fs.Dict.Names[i] = all[sc.names[2*i]:sc.names[2*i+1]]
+		fs.Names = make([]string, n)
+		for i := range fs.Names {
+			fs.Names[i] = all[sc.names[2*i]:sc.names[2*i+1]]
 		}
 	}
 	if n := len(sc.freq) / 2; n > 0 {

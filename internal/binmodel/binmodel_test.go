@@ -35,10 +35,8 @@ func fullState() *core.SiteModelState {
 							DisableStructural:     false,
 							DisableText:           true,
 						},
-						Dict: mlr.DictState{
-							Names:  []string{"tag=div", "depth=3", "text:genre"},
-							Frozen: true,
-						},
+						Names:    []string{"tag=div", "depth=3", "text:genre"},
+						Frozen:   true,
 						Frequent: []string{"Director", "Genre"},
 					},
 					LR: &mlr.Model{

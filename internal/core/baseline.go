@@ -52,32 +52,41 @@ func (o BaselineOptions) withDefaults() BaselineOptions {
 }
 
 // pairFeaturizer concatenates the features of two nodes in disjoint
-// namespaces. It streams the page the two fields are on, so a caller
-// featurizing one page's pairs in a row streams it once.
+// namespaces: pair feature IDs are numbered per (side, node feature) on
+// first sight, until frozen. It streams the page the two fields are on,
+// so a caller featurizing one page's pairs in a row streams it once.
 type pairFeaturizer struct {
-	fz   *Featurizer
-	dict *mlr.Dict
-	s    pageStreamer
+	fz *Featurizer
+	// ids[side][node feature] is the pair feature ID, -1 (or past the
+	// end) for none.
+	ids    [2][]int32
+	n      int
+	frozen bool
+	s      pageStreamer
 }
 
 func newPairFeaturizer(pages []*Page, opts FeatureOptions) *pairFeaturizer {
 	fz := NewFeaturizer(pages, opts)
-	return &pairFeaturizer{fz: fz, dict: mlr.NewDict(), s: pageStreamer{opts: featureStreamOptions(fz.opts)}}
+	return &pairFeaturizer{fz: fz, s: pageStreamer{opts: featureStreamOptions(fz.opts)}}
 }
 
 // features featurizes the pair of p's fields a and b.
 func (pf *pairFeaturizer) features(p *Page, a, b int) mlr.Vector {
 	sp := pf.s.stream(p)
 	var feats []mlr.Feature
-	for _, side := range []struct {
-		tag string
-		fi  int
-	}{{"A", a}, {"B", b}} {
-		for _, feat := range pf.fz.Features(sp, side.fi) {
-			name := side.tag + "|" + pf.fz.dict.Name(feat.Index)
-			if id := pf.dict.ID(name); id >= 0 {
-				feats = append(feats, mlr.Feature{Index: id, Value: feat.Value})
+	for side, fi := range [2]int{a, b} {
+		ids := &pf.ids[side]
+		for _, feat := range pf.fz.Features(sp, fi) {
+			id := featAt(*ids, int32(feat.Index))
+			if id < 0 {
+				if pf.frozen {
+					continue
+				}
+				id = int32(pf.n)
+				pf.n++
+				*ids = setFeat(*ids, int32(feat.Index), id)
 			}
+			feats = append(feats, mlr.Feature{Index: int(id), Value: feat.Value})
 		}
 	}
 	return mlr.NewVector(feats)
@@ -175,7 +184,7 @@ func TrainBaseline(pages []*Page, K *kb.KB, opts BaselineOptions) (*BaselineMode
 		added++
 	}
 	pf.fz.Freeze()
-	pf.dict.Freeze()
+	pf.frozen = true
 	lr, _, err := mlr.Train(ds, opts.Model)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ceres/internal/dom"
@@ -36,14 +37,15 @@ func streamFor(sc *ServeScratch, cm *CompiledModel, html string) *dom.StreamPage
 	return sc.stream.Stream([]byte(html), dom.StreamOptions{MaxText: cm.fz.maxText, Attrs: structuralAttrs[:]})
 }
 
-// TestCompiledFeaturesMatchLegacy asserts the stream featurizer emits
-// exactly the vector the string-hashing featurizer builds, for every
+// TestCompiledFeaturesMatchLegacy asserts the serve engine's walk, which
+// resolves a page's elements and texts once and reads the tables per
+// field, emits exactly the vector the training walk builds, for every
 // field of every page. Extraction equality alone cannot see a mismatched
 // feature whose weight is zero.
 func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 	m, pages, src := trainTestModel(t, "")
 	fz := m.Featurizer
-	cm, err := m.Compile()
+	cm, err := compileModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 func TestCompiledExtractPageMatchesLegacy(t *testing.T) {
 	for _, classifier := range []string{"", "nb"} {
 		m, pages, src := trainTestModel(t, classifier)
-		cm, err := m.Compile()
+		cm, err := compileModel(m)
 		if err != nil {
 			t.Fatalf("classifier %q: %v", classifier, err)
 		}
@@ -110,13 +112,13 @@ func TestCompiledExtractPageMatchesLegacy(t *testing.T) {
 }
 
 // TestUncompilableModelFailsEveryEntry: a trained cluster whose model
-// cannot compile makes every serve entry return the same error, on every
-// call — there is no slower engine to fall back to.
+// cannot compile — here, one with no classifier — makes every serve entry
+// return the same error, on every call: there is no slower engine to fall
+// back to.
 func TestUncompilableModelFailsEveryEntry(t *testing.T) {
-	m, pages, src := trainTestModel(t, "")
-	unfrozen := NewFeaturizer(pages, FeatureOptions{})
+	m, _, src := trainTestModel(t, "")
 	sm := &SiteModel{Clusters: []*ClusterModel{{
-		Model:   &Model{Classes: m.Classes, Featurizer: unfrozen, LR: m.LR},
+		Model:   &Model{Classes: m.Classes, Featurizer: m.Featurizer},
 		Trained: true,
 	}}}
 	ctx := context.Background()
@@ -160,45 +162,38 @@ func TestUncompilableModelFailsEveryEntry(t *testing.T) {
 	}
 }
 
-// TestCompileRequiresFrozenDict: a growing dictionary cannot be inverted.
-func TestCompileRequiresFrozenDict(t *testing.T) {
-	pages, _, _, _ := buildMovieSite(t, 5, defaultStyle())
-	fz := NewFeaturizer(pages, FeatureOptions{})
-	if _, err := fz.Compile(); err == nil {
-		t.Fatal("Compile on unfrozen featurizer must fail")
-	}
-	fz.Freeze()
-	if _, err := fz.Compile(); err != nil {
-		t.Fatalf("Compile on frozen featurizer: %v", err)
-	}
-}
-
-// TestCompileSkipsForeignDictNames: names outside the trainer's grammar
-// (which the legacy path can never look up either) are ignored, not
-// mis-indexed.
-func TestCompileSkipsForeignDictNames(t *testing.T) {
-	st := FeaturizerState{
-		Opts: FeatureOptions{}.withDefaults(),
-		Dict: mlr.DictState{Names: []string{
-			"garbage", "s|x|0|tag|div", "s|0|99|tag|div", "t|9|0|x",
-			"s|0|0|tag|div", "t|1|-1|Director", "s|0|0|unknownattr|v",
-		}, Frozen: true},
-	}
-	fz, err := RestoreFeaturizer(st)
+// TestRestoreFeaturizerRefusesUnplaceableNames: a name the grammar
+// places is restored to the slot it spells out, under its ID; a name
+// outside the grammar or the windows, or a second name for a slot already
+// taken, is refused, for the tables could not give its ID back. Level-0
+// own text, which no walk emits, still has a slot and round-trips.
+func TestRestoreFeaturizerRefusesUnplaceableNames(t *testing.T) {
+	opts := FeatureOptions{}.withDefaults()
+	valid := []string{"s|0|0|tag|div", "t|1|-1|Director", "s|2|-5|class|a|b", "t|0|0|x"}
+	fz, err := RestoreFeaturizer(FeaturizerState{Opts: opts, Names: valid, Frozen: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := fz.Compile()
-	if err != nil {
-		t.Fatal(err)
+	if got := featAt(fz.structural[0][opts.SiblingWindow].tag, fz.vocab.tag["div"]); got != 0 {
+		t.Errorf("structural feature mis-indexed: got id %d, want 0", got)
 	}
-	if got := featAt(cf.structural[0][fz.opts.SiblingWindow].tag, cf.vocab.tag["div"]); got != 4 {
-		t.Errorf("valid structural feature mis-indexed: got id %d, want 4", got)
+	if got := featAt(fz.text[1][1], fz.vocab.text["Director"]); got != 1 {
+		t.Errorf("text feature mis-indexed: got id %d, want 1", got)
 	}
-	if got := featAt(cf.text[1][1], cf.vocab.text["Director"]); got != 5 {
-		t.Errorf("valid text feature mis-indexed: got id %d, want 5", got)
+	if got := featAt(fz.structural[2][0].attr[0], fz.vocab.attr[0]["a|b"]); got != 2 {
+		t.Errorf("attribute value holding '|' mis-indexed: got id %d, want 2", got)
 	}
-	if len(cf.vocab.tag) != 1 || len(cf.vocab.text) != 1 {
-		t.Errorf("vocabulary holds %d tags and %d strings, want the 1 and 1 the grammar admits", len(cf.vocab.tag), len(cf.vocab.text))
+	if got := fz.State().Names; !reflect.DeepEqual(got, valid) {
+		t.Errorf("names render as %q, want %q", got, valid)
+	}
+	for _, bad := range []string{
+		"garbage", "x|0|0|tag|div", "s|x|0|tag|div", "s|0|x|tag|div", "s|-1|0|tag|div",
+		"s|6|0|tag|div", "s|0|6|tag|div", "s|0|-6|tag|div", "t|4|0|x", "t|1|1|x", "t|1|-6|x",
+		"s|0|0|unknownattr|v", "s|0|0|class", "s|0|0|", "t|1|0|", "s|0", "s|+0|0|tag|div",
+	} {
+		names := append(slices.Clone(valid), bad)
+		if _, err := RestoreFeaturizer(FeaturizerState{Opts: opts, Names: names, Frozen: true}); err == nil {
+			t.Errorf("RestoreFeaturizer accepted %q beside %q", bad, valid)
+		}
 	}
 }

@@ -135,7 +135,7 @@ type contextCache struct {
 	// carries a structural attribute the model knows; an element with a
 	// known tag alone is its tag ID, and kinds' IDs follow the tag IDs.
 	kinds tupleTable
-	// contexts interns context tuples (CompiledFeaturizer.contextOf). The
+	// contexts interns context tuples (Featurizer.contextOf). The
 	// payload of a level-0 context is the row of probs that holds its
 	// class probabilities, -1 until it has one; no other context gets one.
 	contexts tupleTable

@@ -18,8 +18,12 @@ import (
 	"ceres/internal/websim"
 )
 
-// filmSite trains a single-cluster model on the leading pages of a
-// generated film site and returns it with the site's remaining pages.
+// filmSite trains a model on the leading train pages of a film site
+// generated at train+serve pages and returns it with the remaining serve
+// pages. The site's templates cluster differently at different sizes:
+// filmSite(tb, 30, 1)'s model has two clusters, filmSite(tb, 30, 12)'s
+// one. A serve page that routes to no trained cluster would be served
+// without a field scored, so filmSite fails the test on one.
 func filmSite(tb testing.TB, train, serve int) (*SiteModel, []PageSource) {
 	tb.Helper()
 	w := websim.NewWorld(websim.WorldConfig{Seed: 7})
@@ -38,6 +42,12 @@ func filmSite(tb testing.TB, train, serve int) (*SiteModel, []PageSource) {
 	}
 	if err := sm.compile(); err != nil {
 		tb.Fatal(err)
+	}
+	sc := NewServeScratch()
+	for _, p := range src[train : train+serve] {
+		if route, _ := sm.extractBytes(p.ID, []byte(p.HTML), sc); sm.routeMiss(route) {
+			tb.Fatalf("serve page %s routes to cluster %d, which has no trained extractor", p.ID, route)
+		}
 	}
 	return sm, src[train : train+serve]
 }
@@ -112,7 +122,7 @@ func TestScratchKeepsNineModels(t *testing.T) {
 	m, _, src := trainTestModel(t, "")
 	var models [9]*CompiledModel
 	for i := range models {
-		cm, err := m.Compile()
+		cm, err := compileModel(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,13 +428,13 @@ func TestContextKeyCoversEveryFeature(t *testing.T) {
 	}
 	m, err := restoreModel(&ModelState{
 		Classes:    []string{"OTHER", NameClass, "directedBy", "hasCastMember"},
-		Featurizer: FeaturizerState{Opts: opts, Dict: mlr.DictState{Names: names, Frozen: true}, Frequent: texts},
+		Featurizer: FeaturizerState{Opts: opts, Names: names, Frozen: true, Frequent: texts},
 		LR:         lr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := m.Compile()
+	cm, err := compileModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}

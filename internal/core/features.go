@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,92 +72,179 @@ func (o FeatureOptions) withDefaults() FeatureOptions {
 	return o
 }
 
-// FeaturizerState is the serializable form of a Featurizer: its options,
-// the feature dictionary, and the frequent-string lexicon (sorted for
-// deterministic output).
-type FeaturizerState struct {
-	Opts     FeatureOptions
-	Dict     mlr.DictState
-	Frequent []string
-}
-
-// State snapshots the featurizer.
-func (fz *Featurizer) State() FeaturizerState {
-	st := FeaturizerState{Opts: fz.opts, Dict: fz.dict.State()}
-	st.Frequent = make([]string, 0, len(fz.frequent))
-	for s := range fz.frequent {
-		st.Frequent = append(st.Frequent, s)
-	}
-	sort.Strings(st.Frequent)
-	return st
-}
-
-// maxFeatureReach bounds the ancestor levels and the sibling window a
-// restored featurizer may ask for (the paper's, and the defaults, are 5
-// and 5). Compile allocates (levels+1)×(2·window+1) tables and a served
-// page one memo word per element and level, and a state comes off the
-// network (PUT /v1/sites/{site}/model): a negative value would panic
-// there and a huge one buy gigabytes for a few bytes of file.
-const maxFeatureReach = 64
-
-// RestoreFeaturizer rebuilds a featurizer from its state. The restored
-// dictionary keeps its frozen flag, so a trained featurizer stays frozen.
-func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
-	for _, v := range []int{st.Opts.MaxAncestors, st.Opts.SiblingWindow, st.Opts.TextAncestors} {
-		if v < 0 || v > maxFeatureReach {
-			return nil, fmt.Errorf("core: feature options %+v reach outside [0, %d]", st.Opts, maxFeatureReach)
-		}
-	}
-	dict, err := mlr.RestoreDict(st.Dict)
-	if err != nil {
-		return nil, err
-	}
-	// Serialized states always carry resolved options (NewFeaturizer
-	// resolves before storing), so restore takes them literally — this is
-	// what lets an explicit zero survive a round trip.
-	fz := &Featurizer{
-		opts:     st.Opts.Explicit(),
-		dict:     dict,
-		frequent: make(map[string]bool, len(st.Frequent)),
-	}
-	for _, s := range st.Frequent {
-		fz.frequent[s] = true
-	}
-	return fz, nil
-}
-
 // structuralAttrs are the HTML attributes Vertex-style features read
 // (§4.2: "tag, class, ID, itemprop, itemtype, and property").
 var structuralAttrs = [...]string{"class", "id", "itemprop", "itemtype", "property"}
 
-// Featurizer converts fields to sparse vectors over a shared dictionary.
+// kindWidth is the number of vocabulary IDs that describe one element to
+// the structural tables: its tag and the structuralAttrs, in that order.
+const kindWidth = 1 + len(structuralAttrs)
+
+// Featurizer is §4.2's node representation for one template cluster:
+// structural 4-tuples (attribute name, attribute value, ancestor distance,
+// sibling offset) and frequent-string text features keyed by relative
+// tree position, each numbered by an integer feature ID. It holds them as
+// a vocabulary and per-(level, offset) tables: training grows them while
+// the featurizer is unfrozen (Features), and serving reads them
+// (streamserve.go). Feature names exist only in the serialized state.
+// A frozen featurizer is immutable and safe for concurrent use.
 type Featurizer struct {
-	opts FeatureOptions
-	dict *mlr.Dict
-	// frequent is the site-level frequent-string lexicon for text
+	opts  FeatureOptions
+	vocab vocabulary
+	// structural[lvl][off+SiblingWindow] resolves the 4-tuple features of
+	// one context position.
+	structural [][]structTable
+	// text[lvl][off][lexicon ID] is the frequent-string feature of one
+	// position, -1 for none: off 0 is the ancestor's own text, off k>0 the
+	// k-th preceding element sibling.
+	text [][][]int32
+	// maxText is the longest lexicon string that is a feature. Sibling
+	// subtree text longer than this can never match, so the serving stream
+	// pass captures at most maxText bytes of it.
+	maxText int
+	// levels is the deepest ancestor level either walk visits.
+	levels int
+	// features is the number of feature IDs assigned, the next one an
+	// unfrozen featurizer gives.
+	features int
+	frozen   bool
+	// lexicon is the site-level frequent-string lexicon for text
 	// features ("a list of strings that appear frequently on the
-	// website", §4.2).
+	// website", §4.2), sorted; frequent holds it as a set while the
+	// featurizer is unfrozen, for the text walk to test candidates
+	// against. A frozen featurizer reads only the vocabulary.
+	lexicon  []string
 	frequent map[string]bool
 }
 
-// NewFeaturizer builds the featurizer for one template cluster,
-// assembling the frequent-string lexicon from the given pages.
-func NewFeaturizer(pages []*Page, opts FeatureOptions) *Featurizer {
-	opts = opts.withDefaults()
-	fz := &Featurizer{
-		opts: opts,
-		dict: mlr.NewDict(),
+// vocabulary is the union of what the tables can tell apart: every tag,
+// every value of each structural attribute and every lexicon string that
+// is a feature at any (level, offset) position, numbered from 1 in
+// feature ID order. ID 0 is "not in the model": such a value emits no
+// feature anywhere, so two elements that differ only in it featurize
+// alike — which is what keeps a page-unique id="tt0123" from making the
+// contexts around it unique.
+type vocabulary struct {
+	tag map[string]int32
+	// tagBySym mirrors tag, indexed by the process-wide dom.TagSym of the
+	// key, so the per-element tag lookup is an array index instead of a
+	// string hash; the map stays as the fallback for tags the stream could
+	// not symbolize (exhausted symbol space).
+	tagBySym []int32
+	attr     [len(structuralAttrs)]map[string]int32
+	text     map[string]int32
+}
+
+// structTable resolves the structural features of one (level, offset)
+// context position: vocabulary ID → feature ID, -1 (or past the end) for
+// none.
+type structTable struct {
+	tag  []int32
+	attr [len(structuralAttrs)][]int32
+}
+
+// newFeaturizer returns a featurizer with empty tables under resolved
+// options.
+func newFeaturizer(o FeatureOptions) *Featurizer {
+	fz := &Featurizer{opts: o}
+	fz.vocab.tag = make(map[string]int32)
+	fz.vocab.tagBySym = make([]int32, 1)
+	for i := range fz.vocab.attr {
+		fz.vocab.attr[i] = make(map[string]int32)
 	}
-	fz.frequent = frequentStrings(pages, opts)
+	fz.vocab.text = make(map[string]int32)
+	fz.structural = make([][]structTable, o.MaxAncestors+1)
+	for i := range fz.structural {
+		fz.structural[i] = make([]structTable, 2*o.SiblingWindow+1)
+	}
+	fz.text = make([][][]int32, o.TextAncestors+1)
+	for i := range fz.text {
+		fz.text[i] = make([][]int32, o.SiblingWindow+1)
+	}
+	if !o.DisableStructural {
+		fz.levels = o.MaxAncestors
+	}
+	if !o.DisableText && o.TextAncestors > fz.levels {
+		fz.levels = o.TextAncestors
+	}
 	return fz
 }
 
-// Dict exposes the feature dictionary (frozen by the trainer before
-// extraction).
-func (fz *Featurizer) Dict() *mlr.Dict { return fz.dict }
+// NewFeaturizer builds the featurizer for one template cluster,
+// assembling the frequent-string lexicon from the given pages. Its tables
+// are empty until Features fills them.
+func NewFeaturizer(pages []*Page, opts FeatureOptions) *Featurizer {
+	fz := newFeaturizer(opts.withDefaults())
+	fz.frequent = frequentStrings(pages, fz.opts)
+	fz.lexicon = sortedKeys(fz.frequent)
+	return fz
+}
 
-// Freeze stops dictionary growth; unseen features are then dropped.
-func (fz *Featurizer) Freeze() { fz.dict.Freeze() }
+// Freeze stops the tables' growth; features they do not hold are then
+// dropped.
+func (fz *Featurizer) Freeze() {
+	fz.frozen = true
+	fz.frequent = nil
+}
+
+// vocabID returns s's ID in one of the vocabulary's maps, assigning the
+// next one on first sight.
+func vocabID(m map[string]int32, s string) int32 {
+	id, ok := m[s]
+	if !ok {
+		id = int32(len(m)) + 1
+		m[s] = id
+	}
+	return id
+}
+
+// addTag numbers a tag new to the vocabulary, in the map and under its
+// dom.TagSym.
+func (v *vocabulary) addTag(tag string) int32 {
+	id := vocabID(v.tag, tag)
+	if s := dom.TagSym(tag); s > 0 {
+		for int(s) >= len(v.tagBySym) {
+			v.tagBySym = append(v.tagBySym, 0)
+		}
+		v.tagBySym[s] = id
+	}
+	return id
+}
+
+// tagID returns the vocabulary ID of element e's tag, 0 when the
+// vocabulary does not hold it.
+//
+//ceres:allocfree
+func (v *vocabulary) tagID(sp *dom.StreamPage, e int32) int32 {
+	if s := sp.TagSymOf(e); s > 0 {
+		if int(s) < len(v.tagBySym) {
+			return v.tagBySym[s]
+		}
+		return 0
+	}
+	return v.tag[sp.Tag(e)]
+}
+
+// setFeat records feat under vocabulary ID key, growing the table with
+// "no feature" entries as needed.
+func setFeat(tbl []int32, key, feat int32) []int32 {
+	for int(key) >= len(tbl) {
+		tbl = append(tbl, -1)
+	}
+	tbl[key] = feat
+	return tbl
+}
+
+// featAt returns the feature a position's table holds for vocabulary ID
+// key, -1 for none.
+//
+//ceres:allocfree
+func featAt(tbl []int32, key int32) int32 {
+	if int(key) < len(tbl) {
+		return tbl[key]
+	}
+	return -1
+}
 
 // frequentStrings counts, per distinct collapsed text, the number of pages
 // it appears on, and keeps those above the threshold.
@@ -194,41 +281,41 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 }
 
 // Features computes the sparse vector of field fi of a page streamed
-// under featureStreamOptions(opts): structural 4-tuples (attribute name,
-// attribute value, ancestor distance, sibling offset) over the field's
+// under featureStreamOptions(opts): structural 4-tuples over the field's
 // element, its ancestors and the ancestors' siblings, plus frequent-string
-// text features keyed by the relative tree position of the string. Each
-// name is built in one reused byte buffer and looked up without a string
-// of its own; only a name the dictionary interns is allocated.
+// text features keyed by the relative tree position of the string. An
+// unfrozen featurizer numbers each feature the first time it meets it; a
+// frozen one drops what its tables do not hold.
 func (fz *Featurizer) Features(sp *dom.StreamPage, fi int) mlr.Vector {
 	return fz.appendFeatures(nil, sp, fi)
 }
 
-// appendFeatures appends the vector Features computes to dst. Names are
-// emitted in one fixed order — per level, the element, then its siblings
+// appendFeatures appends the vector Features computes to dst. Features are
+// met in one fixed order — per level, the element, then its siblings
 // nearest first, the preceding one before the following; then the text
-// walk — which is the order an unfrozen dictionary numbers them in.
+// walk — which is the order an unfrozen featurizer numbers them in.
 func (fz *Featurizer) appendFeatures(dst []mlr.Feature, sp *dom.StreamPage, fi int) []mlr.Feature {
-	var nameBuf [128]byte
 	var featBuf [64]mlr.Feature
-	fn := featureNames{dict: fz.dict, name: nameBuf[:0], feats: featBuf[:0]}
+	feats := featBuf[:0]
+	w := fz.opts.SiblingWindow
 	// Level 0 is the element containing the text; record 0, the document,
 	// ends both walks.
 	elem := sp.FieldParent(fi)
 	if !fz.opts.DisableStructural {
 		node := elem
 		for lvl := 0; node != 0 && lvl <= fz.opts.MaxAncestors; lvl++ {
-			fn = fn.structural(sp, node, lvl, 0)
+			row := fz.structural[lvl]
+			feats = fz.element(feats, &row[w], sp, node)
 			// Siblings of this ancestor within the window, at every level
 			// (§4.2: the node itself, its ancestors, and their siblings).
 			sibs := sp.ElemSiblings(node)
 			pos := int(sp.ElemIndex(node))
-			for off := 1; off <= fz.opts.SiblingWindow; off++ {
+			for off := 1; off <= w; off++ {
 				if pos-off >= 0 {
-					fn = fn.structural(sp, sibs[pos-off], lvl, -off)
+					feats = fz.element(feats, &row[w-off], sp, sibs[pos-off])
 				}
 				if pos+off < len(sibs) {
-					fn = fn.structural(sp, sibs[pos+off], lvl, off)
+					feats = fz.element(feats, &row[w+off], sp, sibs[pos+off])
 				}
 			}
 			node = sp.Parent(node)
@@ -242,24 +329,80 @@ func (fz *Featurizer) appendFeatures(dst []mlr.Feature, sp *dom.StreamPage, fi i
 		maxText := fz.opts.MaxFrequentStringLen
 		node := elem
 		for lvl := 0; node != 0 && lvl <= fz.opts.TextAncestors; lvl++ {
+			row := fz.text[lvl]
 			sibs := sp.ElemSiblings(node)
 			pos := int(sp.ElemIndex(node))
-			for off := 1; off <= fz.opts.SiblingWindow && pos-off >= 0; off++ {
-				if text, ok := sp.SubText(sibs[pos-off], maxText); ok && fz.frequent[string(text)] {
-					fn = fn.text(lvl, -off, text)
+			for off := 1; off <= w && pos-off >= 0; off++ {
+				if text, ok := sp.SubText(sibs[pos-off], maxText); ok {
+					feats = fz.frequentText(feats, &row[off], text)
 				}
 			}
 			// Direct text of the ancestor itself (e.g. heading text mixed
 			// with the value container).
 			if lvl > 0 {
-				if own, ok := sp.OwnText(node); ok && len(own) != 0 && fz.frequent[string(own)] {
-					fn = fn.text(lvl, 0, own)
+				if own, ok := sp.OwnText(node); ok {
+					feats = fz.frequentText(feats, &row[0], own)
 				}
 			}
 			node = sp.Parent(node)
 		}
 	}
-	return append(dst, mlr.NewVector(fn.feats)...)
+	return append(dst, mlr.NewVector(feats)...)
+}
+
+// element appends the features element e has at the position whose table
+// is t: its tag, then each structural attribute it carries non-empty.
+func (fz *Featurizer) element(feats []mlr.Feature, t *structTable, sp *dom.StreamPage, e int32) []mlr.Feature {
+	id := fz.vocab.tagID(sp, e)
+	if id == 0 && !fz.frozen {
+		// The tag string is the stream scratch's; the vocabulary keeps a
+		// copy of its own.
+		id = fz.vocab.addTag(strings.Clone(sp.Tag(e)))
+	}
+	feats = fz.feature(feats, &t.tag, id)
+	for i := range structuralAttrs {
+		if v, ok := sp.AttrValue(e, i); ok && len(v) != 0 {
+			id, known := probeStr(fz.vocab.attr[i], v)
+			if !known && !fz.frozen {
+				id = vocabID(fz.vocab.attr[i], string(v))
+			}
+			feats = fz.feature(feats, &t.attr[i], id)
+		}
+	}
+	return feats
+}
+
+// frequentText appends the text feature text is at the position whose
+// table is *tbl, if it is a lexicon string.
+func (fz *Featurizer) frequentText(feats []mlr.Feature, tbl *[]int32, text []byte) []mlr.Feature {
+	id, known := probeStr(fz.vocab.text, text)
+	if !known {
+		if fz.frozen || !fz.frequent[string(text)] {
+			return feats
+		}
+		id = vocabID(fz.vocab.text, string(text))
+		fz.maxText = max(fz.maxText, len(text))
+	}
+	return fz.feature(feats, tbl, id)
+}
+
+// feature appends the feature *tbl holds for vocabulary ID id (0: a value
+// a frozen featurizer does not know); an unfrozen featurizer numbers one
+// the table does not hold yet.
+func (fz *Featurizer) feature(feats []mlr.Feature, tbl *[]int32, id int32) []mlr.Feature {
+	if id == 0 {
+		return feats
+	}
+	f := featAt(*tbl, id)
+	if f < 0 {
+		if fz.frozen {
+			return feats
+		}
+		f = int32(fz.features)
+		fz.features++
+		*tbl = setFeat(*tbl, id, f)
+	}
+	return append(feats, mlr.Feature{Index: int(f), Value: 1})
 }
 
 // exampleArena carves the example vectors of one BuildExamples call out
@@ -306,54 +449,167 @@ func (a *exampleArena) features(fz *Featurizer, sp *dom.StreamPage, fi int) mlr.
 	return v
 }
 
-// featureNames collects one field's features: name holds the name being
-// built, feats the IDs found so far. Features keeps both in stack arrays;
-// the methods take and return it by value, which keeps them there.
-type featureNames struct {
-	dict  *mlr.Dict
-	name  []byte
-	feats []mlr.Feature
+// FeaturizerState is the serializable form of a Featurizer: its options,
+// every feature's name in ID order, and the frequent-string lexicon
+// (sorted for deterministic output). A name is the feature spelled out:
+// "s|lvl|off|attr|value" for a structural 4-tuple, attr being "tag" or one
+// of the structural attributes, and "t|lvl|off|text" for a frequent
+// string (off ≤ 0). State renders them from the tables and
+// RestoreFeaturizer parses them back; nothing else reads or writes one.
+// Frozen is kept for the file format: RestoreFeaturizer freezes whatever
+// it reads.
+type FeaturizerState struct {
+	Opts     FeatureOptions
+	Names    []string
+	Frozen   bool
+	Frequent []string
 }
 
-// add looks the built name up, interning it unless the dictionary is
-// frozen.
-func (fn featureNames) add() featureNames {
-	if id := fn.dict.IDBytes(fn.name); id >= 0 {
-		fn.feats = append(fn.feats, mlr.Feature{Index: id, Value: 1})
-	}
-	return fn
-}
-
-// prefix starts a name: kind|lvl|off|.
-func (fn featureNames) prefix(kind byte, lvl, off int) featureNames {
-	fn.name = append(fn.name[:0], kind, '|')
-	fn.name = strconv.AppendInt(fn.name, int64(lvl), 10)
-	fn.name = append(fn.name, '|')
-	fn.name = strconv.AppendInt(fn.name, int64(off), 10)
-	fn.name = append(fn.name, '|')
-	return fn
-}
-
-// structural emits the 4-tuple features of element record e:
-// s|lvl|off|tag|<tag>, then s|lvl|off|<attr>|<value> per structural
-// attribute the element carries non-empty.
-func (fn featureNames) structural(sp *dom.StreamPage, e int32, lvl, off int) featureNames {
-	fn = fn.prefix('s', lvl, off)
-	at := len(fn.name)
-	fn.name = append(append(fn.name, "tag|"...), sp.Tag(e)...)
-	fn = fn.add()
-	for i, attr := range structuralAttrs {
-		if v, ok := sp.AttrValue(e, i); ok && len(v) != 0 {
-			fn.name = append(append(append(fn.name[:at], attr...), '|'), v...)
-			fn = fn.add()
+// State snapshots the featurizer, rendering each feature's name from the
+// table slot that holds it.
+func (fz *Featurizer) State() FeaturizerState {
+	names := make([]string, fz.features)
+	render := func(kind string, lvl, off int, attr string, values []string, tbl []int32) {
+		if len(tbl) == 0 {
+			return
+		}
+		prefix := kind + strconv.Itoa(lvl) + "|" + strconv.Itoa(off) + "|" + attr
+		for id, f := range tbl {
+			if f >= 0 {
+				names[f] = prefix + values[id]
+			}
 		}
 	}
-	return fn
+	tags, texts := valuesByID(fz.vocab.tag), valuesByID(fz.vocab.text)
+	var attrs [len(structuralAttrs)][]string
+	for a := range attrs {
+		attrs[a] = valuesByID(fz.vocab.attr[a])
+	}
+	w := fz.opts.SiblingWindow
+	for lvl, row := range fz.structural {
+		for i := range row {
+			t := &row[i]
+			render("s|", lvl, i-w, "tag|", tags, t.tag)
+			for a, attr := range structuralAttrs {
+				render("s|", lvl, i-w, attr+"|", attrs[a], t.attr[a])
+			}
+		}
+	}
+	for lvl, row := range fz.text {
+		for off, tbl := range row {
+			render("t|", lvl, -off, "", texts, tbl)
+		}
+	}
+	return FeaturizerState{Opts: fz.opts, Names: names, Frozen: fz.frozen, Frequent: slices.Clone(fz.lexicon)}
 }
 
-// text emits the frequent-string feature t|lvl|off|<text>.
-func (fn featureNames) text(lvl, off int, text []byte) featureNames {
-	fn = fn.prefix('t', lvl, off)
-	fn.name = append(fn.name, text...)
-	return fn.add()
+// valuesByID inverts one of the vocabulary's maps.
+func valuesByID(m map[string]int32) []string {
+	byID := make([]string, len(m)+1)
+	for v, id := range m {
+		byID[id] = v
+	}
+	return byID
+}
+
+// maxFeatureReach bounds the ancestor levels and the sibling window a
+// restored featurizer may ask for (the paper's, and the defaults, are 5
+// and 5). A featurizer allocates (levels+1)×(2·window+1) tables and a
+// served page one memo word per element and level, and a state comes off
+// the network (PUT /v1/sites/{site}/model): a negative value would panic
+// there and a huge one buy gigabytes for a few bytes of file.
+const maxFeatureReach = 64
+
+// RestoreFeaturizer rebuilds a featurizer from its state, placing each
+// name in the table slot it spells out. A name that fits no slot — off
+// the grammar, or at a level or offset outside the windows — and a second
+// name for a slot already taken are refused: either would leave a feature
+// ID that the tables cannot give back. The featurizer is frozen whatever
+// the state says: a state holds a trained featurizer, which training
+// freezes before it fits, and serving reads the tables from many
+// goroutines.
+func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
+	for _, v := range []int{st.Opts.MaxAncestors, st.Opts.SiblingWindow, st.Opts.TextAncestors} {
+		if v < 0 || v > maxFeatureReach {
+			return nil, fmt.Errorf("core: feature options %+v reach outside [0, %d]", st.Opts, maxFeatureReach)
+		}
+	}
+	// Serialized states always carry resolved options (NewFeaturizer
+	// resolves before storing), so restore takes them literally — this is
+	// what lets an explicit zero survive a round trip.
+	fz := newFeaturizer(st.Opts.Explicit())
+	for id, name := range st.Names {
+		if !fz.place(name, int32(id)) {
+			return nil, fmt.Errorf("core: feature %d: name %q fits no free slot", id, name)
+		}
+	}
+	fz.features = len(st.Names)
+	fz.lexicon = st.Frequent
+	fz.Freeze()
+	return fz, nil
+}
+
+// place parses one feature name into the vocabulary and the tables as
+// feature id, reporting whether the name had a free slot of its own.
+func (fz *Featurizer) place(name string, id int32) bool {
+	rest, structural := strings.CutPrefix(name, "s|")
+	if !structural {
+		var ok bool
+		if rest, ok = strings.CutPrefix(name, "t|"); !ok {
+			return false
+		}
+	}
+	lvl, rest, ok := cutInt(rest)
+	if !ok || lvl < 0 {
+		return false
+	}
+	off, rest, ok := cutInt(rest)
+	if !ok || rest == "" {
+		return false
+	}
+	w := fz.opts.SiblingWindow
+	if structural {
+		if lvl >= len(fz.structural) || off < -w || off > w {
+			return false
+		}
+		t := &fz.structural[lvl][off+w]
+		if v, ok := strings.CutPrefix(rest, "tag|"); ok {
+			return placeFeat(&t.tag, fz.vocab.addTag(v), id)
+		}
+		for i, attr := range structuralAttrs {
+			if v, ok := strings.CutPrefix(rest, attr+"|"); ok {
+				return placeFeat(&t.attr[i], vocabID(fz.vocab.attr[i], v), id)
+			}
+		}
+		return false
+	}
+	// Text feature: off is 0 (ancestor own text) or negative (preceding
+	// element sibling); the table stores the magnitude.
+	if lvl >= len(fz.text) || off > 0 || -off > w {
+		return false
+	}
+	fz.maxText = max(fz.maxText, len(rest))
+	return placeFeat(&fz.text[lvl][-off], vocabID(fz.vocab.text, rest), id)
+}
+
+// placeFeat records feat under vocabulary ID key unless the slot is taken.
+func placeFeat(tbl *[]int32, key, feat int32) bool {
+	if featAt(*tbl, key) >= 0 {
+		return false
+	}
+	*tbl = setFeat(*tbl, key, feat)
+	return true
+}
+
+// cutInt splits "123|rest" into (123, "rest").
+func cutInt(s string) (int, string, bool) {
+	i := strings.IndexByte(s, '|')
+	if i < 0 {
+		return 0, "", false
+	}
+	v, err := strconv.Atoi(s[:i])
+	if err != nil {
+		return 0, "", false
+	}
+	return v, s[i+1:], true
 }

@@ -12,13 +12,45 @@ import (
 	"ceres/internal/websim"
 )
 
+// legacyDict is the string-keyed feature dictionary training numbered
+// features in before the featurizer's tables did: a name's ID is its
+// first-seen order, and a frozen dictionary answers -1 for a new name.
+type legacyDict struct {
+	byName map[string]int
+	names  []string
+	frozen bool
+}
+
+func (d *legacyDict) ID(name string) int {
+	if id, ok := d.byName[name]; ok {
+		return id
+	}
+	if d.frozen {
+		return -1
+	}
+	if d.byName == nil {
+		d.byName = map[string]int{}
+	}
+	d.byName[name] = len(d.names)
+	d.names = append(d.names, name)
+	return len(d.names) - 1
+}
+
+// legacyFeaturizer is what legacyFeatures reads: a featurizer's options
+// and lexicon, and the dictionary it interns names in.
+type legacyFeaturizer struct {
+	opts     FeatureOptions
+	frequent map[string]bool
+	dict     *legacyDict
+}
+
 // legacyFeatures is Featurizer.Features as it was before feature names
 // were built in a reused byte buffer and before training read pages
 // through the stream pass: every name a string concatenation, interned
 // through Dict.ID, over the field's text node in a dom.Parse tree. It is
 // frozen here as the reference TestFeaturesMatchLegacy holds the
 // featurizer to. Do not change it.
-func legacyFeatures(fz *Featurizer, text *dom.Node) mlr.Vector {
+func legacyFeatures(fz *legacyFeaturizer, text *dom.Node) mlr.Vector {
 	var feats []mlr.Feature
 	add := func(name string) {
 		if id := fz.dict.ID(name); id >= 0 {
@@ -154,16 +186,104 @@ var malformedEdits = []struct {
 	}},
 }
 
+// compileNames is the featurizer the tables of a frozen dictionary make,
+// as Compile built it from the names before training built the tables
+// itself: the names in ID order, each parsed into the vocabulary and its
+// (level, offset) table; a name outside the grammar or the windows is
+// skipped. It is the reference TestFeaturesMatchLegacy holds a trained
+// featurizer to.
+func compileNames(o FeatureOptions, names, frequent []string) *Featurizer {
+	cf := &Featurizer{opts: o, features: len(names), frozen: true, lexicon: frequent}
+	cf.vocab.tag = make(map[string]int32)
+	for i := range cf.vocab.attr {
+		cf.vocab.attr[i] = make(map[string]int32)
+	}
+	cf.vocab.text = make(map[string]int32)
+	cf.structural = make([][]structTable, o.MaxAncestors+1)
+	for i := range cf.structural {
+		cf.structural[i] = make([]structTable, 2*o.SiblingWindow+1)
+	}
+	cf.text = make([][][]int32, o.TextAncestors+1)
+	for i := range cf.text {
+		cf.text[i] = make([][]int32, o.SiblingWindow+1)
+	}
+	if !o.DisableStructural {
+		cf.levels = o.MaxAncestors
+	}
+	if !o.DisableText && o.TextAncestors > cf.levels {
+		cf.levels = o.TextAncestors
+	}
+	for id, name := range names {
+		compileName(cf, name, int32(id))
+	}
+	maxSym := int32(0)
+	for k := range cf.vocab.tag {
+		maxSym = max(maxSym, dom.TagSym(k))
+	}
+	cf.vocab.tagBySym = make([]int32, maxSym+1)
+	for k, id := range cf.vocab.tag {
+		if s := dom.TagSym(k); s > 0 {
+			cf.vocab.tagBySym[s] = id
+		}
+	}
+	for k := range cf.vocab.text {
+		cf.maxText = max(cf.maxText, len(k))
+	}
+	return cf
+}
+
+func compileName(cf *Featurizer, name string, id int32) {
+	rest, structural := strings.CutPrefix(name, "s|")
+	if !structural {
+		var ok bool
+		rest, ok = strings.CutPrefix(name, "t|")
+		if !ok {
+			return
+		}
+	}
+	lvl, rest, ok := cutInt(rest)
+	if !ok || lvl < 0 {
+		return
+	}
+	off, rest, ok := cutInt(rest)
+	if !ok || rest == "" {
+		return
+	}
+	if structural {
+		if lvl >= len(cf.structural) || off < -cf.opts.SiblingWindow || off > cf.opts.SiblingWindow {
+			return
+		}
+		t := &cf.structural[lvl][off+cf.opts.SiblingWindow]
+		if v, ok := strings.CutPrefix(rest, "tag|"); ok {
+			t.tag = setFeat(t.tag, vocabID(cf.vocab.tag, v), id)
+			return
+		}
+		for i, attr := range structuralAttrs {
+			if v, ok := strings.CutPrefix(rest, attr+"|"); ok {
+				t.attr[i] = setFeat(t.attr[i], vocabID(cf.vocab.attr[i], v), id)
+				return
+			}
+		}
+		return
+	}
+	if lvl >= len(cf.text) || off > 0 || -off > cf.opts.SiblingWindow {
+		return
+	}
+	cf.text[lvl][-off] = setFeat(cf.text[lvl][-off], vocabID(cf.vocab.text, rest), id)
+}
+
 // TestFeaturesMatchLegacy holds Features to the string-concatenating
 // tree featurizer it replaced: on every demo site, its pages as generated
 // and a quarter of them under each malformedEdits entry, under each
 // feature-family option, two featurizers over the same pages — one
 // through Features on the stream pass, one through legacyFeatures on a
 // parsed tree — featurize every field of every page in the same order,
-// which covers every field training featurizes. Each vector and the
-// dictionary's names, in first-seen order, must be equal; and once both
-// dictionaries are frozen, so must every vector of a second pass, which
-// drops names the dictionary never saw.
+// which covers every field training featurizes. Each vector must be
+// equal, and the names State renders must be the legacy dictionary's, in
+// first-seen order. Once both are frozen, the trained featurizer must be
+// the one compileNames builds from the legacy names, and every vector of
+// a second pass, which drops names the dictionary never saw, must be
+// equal again, neither side growing.
 func TestFeaturesMatchLegacy(t *testing.T) {
 	for kind, generated := range demoSites(t, 3, 40) {
 		// Every fourth page is followed by its edits, so both halves of
@@ -185,7 +305,8 @@ func TestFeaturesMatchLegacy(t *testing.T) {
 			}
 		}
 		for _, opts := range []FeatureOptions{{}, {DisableStructural: true}, {DisableText: true}, {SiblingWindow: 12, MaxAncestors: 11}} {
-			got, want := NewFeaturizer(pages, opts), NewFeaturizer(pages, opts)
+			got := NewFeaturizer(pages, opts)
+			want := &legacyFeaturizer{opts: got.opts, frequent: frequentStrings(pages, got.opts), dict: &legacyDict{}}
 			s := pageStreamer{opts: featureStreamOptions(got.opts)}
 			half := len(pages) / 2
 			pass := func(n int) {
@@ -200,14 +321,18 @@ func TestFeaturesMatchLegacy(t *testing.T) {
 				}
 			}
 			pass(half)
-			if g, w := got.Dict().State().Names, want.Dict().State().Names; !reflect.DeepEqual(g, w) {
+			if g, w := got.State().Names, want.dict.names; !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s %+v: dictionary of %d names, legacy %d, or out of order", kind, opts, len(g), len(w))
 			}
 			got.Freeze()
-			want.Freeze()
+			want.dict.frozen = true
+			ref := compileNames(got.opts, want.dict.names, sortedKeys(want.frequent))
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s %+v: the trained featurizer is not the one its names compile to", kind, opts)
+			}
 			pass(len(pages))
-			if got.Dict().Len() != want.Dict().Len() {
-				t.Fatalf("%s %+v: frozen dictionary grew", kind, opts)
+			if got.features != len(want.dict.names) || !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s %+v: frozen featurizer grew", kind, opts)
 			}
 		}
 	}

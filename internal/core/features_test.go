@@ -112,7 +112,7 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 			fz.Features(sp, fi)
 		}
 	}
-	before := fz.Dict().Len()
+	before := fz.features
 	fz.Freeze()
 	for _, p := range pages[3:] {
 		sp := streamPage(p)
@@ -120,14 +120,16 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 			fz.Features(sp, fi)
 		}
 	}
-	if fz.Dict().Len() != before {
-		t.Errorf("frozen dictionary grew: %d -> %d", before, fz.Dict().Len())
+	if fz.features != before {
+		t.Errorf("frozen featurizer grew: %d -> %d", before, fz.features)
 	}
 }
 
-// BenchmarkFeaturize measures the training featurizer — names built in a
-// buffer and looked up in the dictionary, a fresh sorted slice per field
-// — over every field of one streamed page.
+// BenchmarkFeaturize measures the training featurizer's walk on a frozen
+// featurizer — per element, its tag and attribute values looked up in the
+// vocabulary and their (level, offset) tables, per lexicon candidate a
+// probe of the text vocabulary; a fresh sorted slice per field — over
+// every field of one streamed page.
 func BenchmarkFeaturize(b *testing.B) {
 	pages, K, _, _ := buildMovieSite(b, 60, defaultStyle())
 	ann, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, 0)

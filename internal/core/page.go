@@ -5,6 +5,11 @@
 // DOM-structural and nearby-text features, and extraction of new triples
 // with calibrated confidences. The baseline variants the paper compares
 // against (CERES-Topic, CERES-Baseline) are modes of the same pipeline.
+//
+// Features are integers from training on: one Featurizer's vocabulary and
+// (level, offset) tables, which training grows and serving reads. A
+// feature's name is spelled out only in the featurizer's serialized
+// state, rendered from the tables and parsed back into them.
 package core
 
 import (

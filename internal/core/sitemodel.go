@@ -91,7 +91,8 @@ func (sm *SiteModel) exemplars() []cluster.SortedSignature {
 	return sm.ex
 }
 
-// compile builds the serving form of every trained cluster, once. It
+// compile builds the serving form of every trained cluster, once: the
+// classifier's transposed scorer beside the featurizer, and maxText. It
 // runs on the site's first serve call rather than at training or load
 // time: a registry boots thousands of models and serves few of them. A
 // cluster that cannot compile makes the whole model unserveable — every
@@ -103,7 +104,7 @@ func (sm *SiteModel) compile() error {
 			if !c.Trained {
 				continue
 			}
-			cm, err := c.Model.Compile()
+			cm, err := compileModel(c.Model)
 			if err != nil {
 				sm.compileErr = fmt.Errorf("core: cluster %d: %w", i, err)
 				return
@@ -543,15 +544,10 @@ func restoreModel(st *ModelState) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Serving featurizes concurrently; an unfrozen dictionary would grow
-	// its map from multiple goroutines. Trained featurizers are always
-	// frozen, so freeze unconditionally rather than trust the state.
-	fz.Freeze()
 	m := &Model{Classes: classes, Featurizer: fz}
-	dictLen := fz.Dict().Len()
 	checkFeatures := func(numFeatures int) error {
-		if numFeatures > dictLen {
-			return fmt.Errorf("core: model scores %d features but dictionary has %d", numFeatures, dictLen)
+		if numFeatures > fz.features {
+			return fmt.Errorf("core: model scores %d features but the featurizer has %d", numFeatures, fz.features)
 		}
 		return nil
 	}

@@ -53,20 +53,13 @@ func (t *structTable) emit(vb *mlr.VectorBuilder, ids []int32) {
 // structural half of scoring makes.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) resolveKinds(sp *dom.StreamPage, sc *ServeScratch) {
-	v := &cf.vocab
+func (fz *Featurizer) resolveKinds(sp *dom.StreamPage, sc *ServeScratch) {
+	v := &fz.vocab
 	clear(sc.elemIDs[:kindWidth]) // record 0, the document, is nothing
 	sc.kind[0] = 0
 	for e, n := int32(1), int32(sp.Elems()); e < n; e++ {
 		ids := sc.elemIDs[int(e)*kindWidth : (int(e)+1)*kindWidth]
-		ids[0] = 0
-		if s := sp.TagSymOf(e); s > 0 {
-			if int(s) < len(v.tagBySym) {
-				ids[0] = v.tagBySym[s]
-			}
-		} else {
-			ids[0] = v.tag[sp.Tag(e)]
-		}
+		ids[0] = v.tagID(sp, e)
 		tagOnly := true
 		for i := range v.attr {
 			ids[1+i] = 0
@@ -92,14 +85,14 @@ func (cf *CompiledFeaturizer) resolveKinds(sp *dom.StreamPage, sc *ServeScratch)
 // lexicon string, resolving it on the page's first request.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) subTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
+func (fz *Featurizer) subTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
 	id := sc.subText[e]
 	if id < 0 {
 		id = 0
 		// The stream bounds captured text by the site-wide maxText; the
 		// bound check against this cluster's makes the probe exact.
-		if txt, ok := sp.SubText(e, cf.maxText); ok && len(txt) != 0 {
-			id, _ = probeStr(cf.vocab.text, txt)
+		if txt, ok := sp.SubText(e, fz.maxText); ok && len(txt) != 0 {
+			id, _ = probeStr(fz.vocab.text, txt)
 		}
 		sc.subText[e] = id
 	}
@@ -109,30 +102,30 @@ func (cf *CompiledFeaturizer) subTextID(sp *dom.StreamPage, sc *ServeScratch, e 
 // ownTextID is subTextID for e's direct text.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) ownTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
+func (fz *Featurizer) ownTextID(sp *dom.StreamPage, sc *ServeScratch, e int32) int32 {
 	id := sc.ownText[e]
 	if id < 0 {
 		id = 0
 		// !probeable means the own text is non-empty but longer than any
 		// lexicon key: a probe would miss.
 		if own, probeable := sp.OwnText(e); probeable && len(own) != 0 {
-			id, _ = probeStr(cf.vocab.text, own)
+			id, _ = probeStr(fz.vocab.text, own)
 		}
 		sc.ownText[e] = id
 	}
 	return id
 }
 
-func (cf *CompiledFeaturizer) structuralAt(lvl int32) bool {
-	return !cf.opts.DisableStructural && int(lvl) <= cf.opts.MaxAncestors
+func (fz *Featurizer) structuralAt(lvl int32) bool {
+	return !fz.opts.DisableStructural && int(lvl) <= fz.opts.MaxAncestors
 }
 
-func (cf *CompiledFeaturizer) textAt(lvl int32) bool {
-	return !cf.opts.DisableText && int(lvl) <= cf.opts.TextAncestors
+func (fz *Featurizer) textAt(lvl int32) bool {
+	return !fz.opts.DisableText && int(lvl) <= fz.opts.TextAncestors
 }
 
 // contextWidth is the most words a context tuple takes.
-func (cf *CompiledFeaturizer) contextWidth() int { return 3*cf.opts.SiblingWindow + 5 }
+func (fz *Featurizer) contextWidth() int { return 3*fz.opts.SiblingWindow + 5 }
 
 // contextOf returns the ID of node's context at ancestor level lvl:
 // everything the feature walk reads from that level upwards, interned. Two
@@ -156,16 +149,16 @@ func (cf *CompiledFeaturizer) contextWidth() int { return 3*cf.opts.SiblingWindo
 // it.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, node, lvl int32) int32 {
+func (fz *Featurizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, node, lvl int32) int32 {
 	memo := int(lvl)*sp.Elems() + int(node)
 	if id := sc.ctxMemo[memo]; id != 0 {
 		return id
 	}
 	// The parent first: it builds its own tuple in the same buffer.
 	parent := int32(0)
-	if node != 0 && int(lvl) < cf.levels {
+	if node != 0 && int(lvl) < fz.levels {
 		if p := sp.Parent(node); p != 0 {
-			if parent = cf.contextOf(sp, sc, p, lvl+1); parent < 0 {
+			if parent = fz.contextOf(sp, sc, p, lvl+1); parent < 0 {
 				sc.ctxMemo[memo] = -1
 				return -1
 			}
@@ -174,12 +167,12 @@ func (cf *CompiledFeaturizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, no
 	key := sc.ctxKey[:4]
 	key[0], key[1], key[2], key[3] = lvl, parent, 0, 0
 	if node != 0 {
-		w := cf.opts.SiblingWindow
+		w := fz.opts.SiblingWindow
 		sibs := sp.ElemSiblings(node)
 		pos := int(sp.ElemIndex(node))
 		lo := max(pos-w, 0)
 		key[3] = int32(pos - lo)
-		if cf.structuralAt(lvl) {
+		if fz.structuralAt(lvl) {
 			for _, e := range sibs[lo:min(pos+w+1, len(sibs))] {
 				k := sc.kind[e]
 				if k < 0 {
@@ -189,15 +182,15 @@ func (cf *CompiledFeaturizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, no
 				key = append(key, k)
 			}
 		}
-		if cf.textAt(lvl) {
-			tables := cf.text[lvl]
+		if fz.textAt(lvl) {
+			tables := fz.text[lvl]
 			if lvl > 0 && len(tables[0]) != 0 {
-				key[2] = cf.ownTextID(sp, sc, node)
+				key[2] = fz.ownTextID(sp, sc, node)
 			}
 			for off := 1; off <= pos-lo; off++ {
 				id := int32(0)
 				if len(tables[off]) != 0 {
-					id = cf.subTextID(sp, sc, sibs[pos-off])
+					id = fz.subTextID(sp, sc, sibs[pos-off])
 				}
 				key = append(key, id)
 			}
@@ -209,40 +202,41 @@ func (cf *CompiledFeaturizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, no
 }
 
 // appendStreamFeatures emits the feature IDs of a field whose containing
-// element is elem — Featurizer.Features over streaming records: the same
-// context walk (containing element, ancestors, sibling windows, bounded
-// sibling-text probes) resolving the same features through the integer
-// tables, in a different order, which the sorted vector does not keep.
+// element is elem — Featurizer.Features with the page's elements and
+// texts resolved once (beginPage) instead of per field: the same context
+// walk (containing element, ancestors, sibling windows, bounded
+// sibling-text probes) reading the same tables, in a different order,
+// which the sorted vector does not keep.
 // elem 0 — a field directly under the document — emits nothing, matching
 // the training walk's immediate stop on a non-element parent. Only a
 // context the cache has not seen pays for it.
 //
 //ceres:allocfree
-func (cf *CompiledFeaturizer) appendStreamFeatures(vb *mlr.VectorBuilder, sp *dom.StreamPage, sc *ServeScratch, elem int32) {
-	w := cf.opts.SiblingWindow
+func (fz *Featurizer) appendStreamFeatures(vb *mlr.VectorBuilder, sp *dom.StreamPage, sc *ServeScratch, elem int32) {
+	w := fz.opts.SiblingWindow
 	node := elem
-	for lvl := int32(0); node != 0 && int(lvl) <= cf.levels; lvl++ {
+	for lvl := int32(0); node != 0 && int(lvl) <= fz.levels; lvl++ {
 		sibs := sp.ElemSiblings(node)
 		pos := int(sp.ElemIndex(node))
-		if cf.structuralAt(lvl) {
-			tables := cf.structural[lvl]
+		if fz.structuralAt(lvl) {
+			tables := fz.structural[lvl]
 			for j, hi := max(pos-w, 0), min(pos+w, len(sibs)-1); j <= hi; j++ {
 				e := int(sibs[j])
 				tables[w+j-pos].emit(vb, sc.elemIDs[e*kindWidth:(e+1)*kindWidth])
 			}
 		}
-		if cf.textAt(lvl) {
-			tables := cf.text[lvl]
+		if fz.textAt(lvl) {
+			tables := fz.text[lvl]
 			for off := 1; off <= w && pos-off >= 0; off++ {
 				if len(tables[off]) == 0 {
 					continue // no string is a feature here; skip the text read
 				}
-				if f := featAt(tables[off], cf.subTextID(sp, sc, sibs[pos-off])); f >= 0 {
+				if f := featAt(tables[off], fz.subTextID(sp, sc, sibs[pos-off])); f >= 0 {
 					vb.AddID(int(f))
 				}
 			}
 			if lvl > 0 && len(tables[0]) != 0 {
-				if f := featAt(tables[0], cf.ownTextID(sp, sc, node)); f >= 0 {
+				if f := featAt(tables[0], fz.ownTextID(sp, sc, node)); f >= 0 {
 					vb.AddID(int(f))
 				}
 			}

@@ -2,42 +2,12 @@ package mlr
 
 import "fmt"
 
-// This file provides the state types that let trained classifiers and
-// feature dictionaries persist across processes. States carry only
+// This file provides the state types that let trained classifiers persist
+// across processes. States carry only
 // exported, plain-data fields, which the site-model codec
 // (internal/binmodel) writes and reads; Restore* rebuilds the live
 // object and validates shape invariants so a corrupted or truncated
 // state fails loudly instead of mis-scoring.
-
-// DictState is the serializable form of a Dict.
-type DictState struct {
-	// Names lists feature names in index order: Names[i] is the name of
-	// feature i.
-	Names  []string
-	Frozen bool
-}
-
-// State snapshots the dictionary.
-func (d *Dict) State() DictState {
-	names := make([]string, len(d.names))
-	copy(names, d.names)
-	return DictState{Names: names, Frozen: d.frozen}
-}
-
-// RestoreDict rebuilds a dictionary from its state.
-func RestoreDict(st DictState) (*Dict, error) {
-	d := NewDict()
-	for i, name := range st.Names {
-		if _, dup := d.byName[name]; dup {
-			return nil, fmt.Errorf("mlr: duplicate feature name %q in dict state", name)
-		}
-		if id := d.ID(name); id != i {
-			return nil, fmt.Errorf("mlr: dict state index mismatch at %d", i)
-		}
-	}
-	d.frozen = st.Frozen
-	return d, nil
-}
 
 // Validate checks a Model's internal shape consistency (Model's fields are
 // already exported, so it serializes directly; this guards deserialized

@@ -1,5 +1,5 @@
 // Package mlr provides the machine-learning substrate of CERES: sparse
-// feature vectors over a string-keyed feature dictionary, multinomial
+// feature vectors over integer feature IDs, multinomial
 // logistic regression trained with L-BFGS and L2 regularization (the paper
 // §4.2 uses scikit-learn's LogisticRegression with the LBFGS optimizer and
 // C=1), plus an SGD trainer and a multinomial naive-Bayes classifier used
@@ -187,65 +187,6 @@ func (v Vector) MaxIndex() int {
 	}
 	return v[len(v)-1].Index
 }
-
-// Dict maps feature names to dense indices. A frozen Dict returns -1 for
-// unseen names instead of growing, which is how extraction-time featurizing
-// avoids polluting the training feature space.
-type Dict struct {
-	byName map[string]int
-	names  []string
-	frozen bool
-}
-
-// NewDict creates an empty feature dictionary.
-func NewDict() *Dict {
-	return &Dict{byName: make(map[string]int)}
-}
-
-// ID returns the index for name, assigning the next free index if the
-// dictionary is not frozen. Frozen dictionaries return -1 for new names.
-func (d *Dict) ID(name string) int {
-	if id, ok := d.byName[name]; ok {
-		return id
-	}
-	if d.frozen {
-		return -1
-	}
-	id := len(d.names)
-	d.byName[name] = id
-	d.names = append(d.names, name)
-	return id
-}
-
-// IDBytes is ID for a name held in a byte slice. A name already in the
-// dictionary costs no allocation; only a name it interns is copied into
-// a string.
-func (d *Dict) IDBytes(name []byte) int {
-	if id, ok := d.byName[string(name)]; ok {
-		return id
-	}
-	if d.frozen {
-		return -1
-	}
-	return d.ID(string(name))
-}
-
-// Name returns the feature name for an index.
-func (d *Dict) Name(id int) string {
-	if id < 0 || id >= len(d.names) {
-		return ""
-	}
-	return d.names[id]
-}
-
-// Len returns the number of registered features.
-func (d *Dict) Len() int { return len(d.names) }
-
-// Freeze stops the dictionary from growing.
-func (d *Dict) Freeze() { d.frozen = true }
-
-// Frozen reports whether the dictionary has stopped growing.
-func (d *Dict) Frozen() bool { return d.frozen }
 
 // Dataset is a labelled training set. Labels are class indices in
 // [0, NumClasses).

@@ -66,31 +66,6 @@ func TestVectorDot(t *testing.T) {
 	}
 }
 
-func TestDict(t *testing.T) {
-	d := NewDict()
-	a := d.ID("alpha")
-	b := d.ID("beta")
-	if a == b {
-		t.Fatalf("distinct names share an ID")
-	}
-	if d.ID("alpha") != a {
-		t.Errorf("repeat ID changed")
-	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	if d.Name(a) != "alpha" || d.Name(99) != "" {
-		t.Errorf("Name lookup broken")
-	}
-	d.Freeze()
-	if d.ID("gamma") != -1 {
-		t.Errorf("frozen dict should refuse new names")
-	}
-	if d.ID("beta") != b {
-		t.Errorf("frozen dict should still resolve known names")
-	}
-}
-
 func TestDatasetNumFeatures(t *testing.T) {
 	ds := &Dataset{}
 	ds.Add(NewVector([]Feature{{4, 1}}), 0)

@@ -6,6 +6,15 @@ package strmatch
 // Levenshtein distance between XPath strings as the metric for its global
 // relation-mention clustering (§3.2.2, citing Levenshtein 1966).
 func LevenshteinRunes(ra, rb []rune) int {
+	// A shared prefix or suffix costs no edit: XPaths that share their
+	// leading steps — however deeply the page nests — compare only where
+	// they differ.
+	for len(ra) > 0 && len(rb) > 0 && ra[0] == rb[0] {
+		ra, rb = ra[1:], rb[1:]
+	}
+	for len(ra) > 0 && len(rb) > 0 && ra[len(ra)-1] == rb[len(rb)-1] {
+		ra, rb = ra[:len(ra)-1], rb[:len(rb)-1]
+	}
 	if len(ra) == 0 {
 		return len(rb)
 	}

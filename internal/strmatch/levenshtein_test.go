@@ -2,6 +2,7 @@ package strmatch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,7 +114,8 @@ func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 // TestLevenshteinMatchesFullMatrix holds the one-row kernel to the
 // textbook (m+1)×(n+1) table over random strings from a four-letter
 // alphabet (so that many runes match), on both sides of the length where
-// the row leaves the stack.
+// the row leaves the stack; every other pair shares a random prefix and
+// suffix, which the kernel strips before it fills the row.
 func TestLevenshteinMatchesFullMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	word := func() []rune {
@@ -129,6 +131,11 @@ func TestLevenshteinMatchesFullMatrix(t *testing.T) {
 	}
 	for trial := 0; trial < 500; trial++ {
 		a, b := word(), word()
+		if trial%2 == 1 {
+			pre, suf := word(), word()
+			a = slices.Concat(pre, a, suf)
+			b = slices.Concat(pre, b, suf)
+		}
 		d := make([][]int, len(a)+1)
 		for i := range d {
 			d[i] = make([]int, len(b)+1)

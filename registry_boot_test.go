@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,7 +68,9 @@ func TestOpenRegistryCancelled(t *testing.T) {
 // each one); each iteration then boots a fresh registry from it. scale
 // tracks the ROADMAP "10k models under a second" target; laying out and
 // booting 10k model files is too slow for the -short smoke runs, so it
-// only executes in full bench mode.
+// only executes in full bench mode. Beside time and bytes it reports
+// live-KB/model: the heap the last booted registry holds, read after
+// runtime.GC with the registry reachable and then not, per model.
 func BenchmarkRegistryBoot(b *testing.B) {
 	c, err := DemoCorpus("movies", 7, 60)
 	if err != nil {
@@ -114,17 +117,28 @@ func BenchmarkRegistryBoot(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			live := func() float64 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return float64(ms.HeapAlloc)
+			}
+			var reg *Registry
 			b.SetBytes(int64(bc.sites * len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				reg, err := OpenRegistry(context.Background(), store)
-				if err != nil {
+				reg = nil // the previous registry is not part of this boot
+				if reg, err = OpenRegistry(context.Background(), store); err != nil {
 					b.Fatal(err)
 				}
 				if reg.Len() != bc.sites {
 					b.Fatalf("booted %d sites, want %d", reg.Len(), bc.sites)
 				}
 			}
+			b.StopTimer()
+			held := live()
+			runtime.KeepAlive(reg) // and no further
+			b.ReportMetric((held-live())/1e3/float64(bc.sites), "live-KB/model")
 		})
 	}
 }

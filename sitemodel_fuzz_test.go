@@ -30,7 +30,7 @@ func stringsAndFloats(st *core.SiteModelState) int {
 			continue
 		}
 		strs(ms.Classes)
-		strs(ms.Featurizer.Dict.Names)
+		strs(ms.Featurizer.Names)
 		strs(ms.Featurizer.Frequent)
 		if ms.LR != nil {
 			n += 8 * (len(ms.LR.W) + len(ms.LR.B))

@@ -203,22 +203,32 @@ func TestReadSiteModelRejectsGarbage(t *testing.T) {
 	}
 
 	// A structurally valid file whose parts disagree must fail at load,
-	// not mis-score — or panic — at serve time: a dictionary cut below the
+	// not mis-score — or panic — at serve time: feature names cut below the
 	// classifier's feature count, a weight matrix one feature wider than
-	// the dictionary, and feature windows no walk could have trained with.
+	// the names, feature windows no walk could have trained with, and
+	// a feature name that fits no free slot of the featurizer's tables.
 	f := getTrainServeFixture(t)
+	rename := func(names ...string) func(*core.ModelState) {
+		return func(ms *core.ModelState) { copy(ms.Featurizer.Names, names) }
+	}
 	lies := map[string]func(*core.ModelState){
-		"truncated dictionary": func(ms *core.ModelState) {
-			ms.Featurizer.Dict.Names = ms.Featurizer.Dict.Names[:1]
+		"truncated names": func(ms *core.ModelState) {
+			ms.Featurizer.Names = ms.Featurizer.Names[:1]
 		},
-		"LR one feature past the dictionary": func(ms *core.ModelState) {
+		"LR one feature past the names": func(ms *core.ModelState) {
 			lr := *ms.LR // the state shares the live model's classifier
-			lr.NumFeatures = len(ms.Featurizer.Dict.Names) + 1
+			lr.NumFeatures = len(ms.Featurizer.Names) + 1
 			lr.W = make([]float64, lr.NumClasses*lr.NumFeatures)
 			ms.LR = &lr
 		},
-		"negative sibling window":   func(ms *core.ModelState) { ms.Featurizer.Opts.SiblingWindow = -1 },
-		"a billion ancestor levels": func(ms *core.ModelState) { ms.Featurizer.Opts.MaxAncestors = 1 << 30 },
+		"negative sibling window":     func(ms *core.ModelState) { ms.Featurizer.Opts.SiblingWindow = -1 },
+		"a billion ancestor levels":   func(ms *core.ModelState) { ms.Featurizer.Opts.MaxAncestors = 1 << 30 },
+		"level past the ancestors":    rename("s|6|0|tag|div"),
+		"offset past the window":      rename("s|0|-6|tag|div"),
+		"text at a following sibling": rename("t|1|1|Director"),
+		"unknown feature family":      rename("x|0|0|tag|div"),
+		"non-integer level":           rename("s|one|0|tag|div"),
+		"two names for one slot":      rename("s|+0|0|tag|a", "s|0|0|tag|a"),
 	}
 	for name, lie := range lies {
 		st := f.model.sm.State()
@@ -227,6 +237,24 @@ func TestReadSiteModelRejectsGarbage(t *testing.T) {
 		if _, err := ReadSiteModel(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
+	}
+
+	// Level-0 own text is a name no walk emits, but it has a slot: the
+	// file loads and writes back the bytes it was read from.
+	st := f.model.sm.State()
+	ms := st.Clusters[0].Model
+	ms.Featurizer.Names = append(ms.Featurizer.Names, "t|0|0|x")
+	data := binmodel.Append(nil, 0.5, st)
+	m, err := ReadSiteModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("a level-0 own-text feature: %v", err)
+	}
+	var again bytes.Buffer
+	if _, err := m.WriteBinary(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), data) {
+		t.Errorf("a level-0 own-text feature re-encodes to other bytes (%d vs %d)", again.Len(), len(data))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -183,11 +184,11 @@ func TestFitHoldsNoPages(t *testing.T) {
 	runtime.KeepAlive(m)
 }
 
-// TestModelPinsNoTrainingPage walks every string of a freshly trained
-// model — lexicon, feature names, class names, exemplar signature keys —
-// and requires that none of them points into a training page: a substring
-// kept as a map key would keep the whole page reachable for as long as
-// the model is registered.
+// TestModelPinsNoTrainingPage walks every string a freshly trained model
+// reaches — the featurizer's vocabulary and lexicon, class names,
+// exemplar signature keys — and requires that none of them points into a
+// training page: a substring kept as a map key would keep the whole page
+// reachable for as long as the model is registered.
 func TestModelPinsNoTrainingPage(t *testing.T) {
 	c, err := DemoCorpus("movies", 7, 60)
 	if err != nil {
@@ -211,31 +212,45 @@ func TestModelPinsNoTrainingPage(t *testing.T) {
 		return "", false
 	}
 	strs, pinned := 0, map[string]bool{}
-	check := func(kind, s string) {
-		strs++
-		if page, ok := inPage(s); ok {
-			pinned[page] = true
-			t.Errorf("%s %q points into training page %s", kind, s, page)
+	seen := map[uintptr]bool{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.String:
+			strs++
+			if page, ok := inPage(v.String()); ok {
+				pinned[page] = true
+				t.Errorf("%s %q points into training page %s", path, v.String(), page)
+			}
+		case reflect.Pointer:
+			if v.IsNil() || seen[v.Pointer()] {
+				return
+			}
+			seen[v.Pointer()] = true
+			walk(path, v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Slice, reflect.Array:
+			if v.Type().Elem().Kind() <= reflect.Complex128 {
+				return // numbers and flags
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(path+"[]", v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(path+" key", it.Key())
+				walk(path+"[]", it.Value())
+			}
 		}
 	}
-	st := m.sm.State()
-	for _, cs := range st.Clusters {
-		for _, key := range cs.Exemplar {
-			check("exemplar key", key)
-		}
-		if cs.Model == nil {
-			continue
-		}
-		for _, name := range cs.Model.Classes {
-			check("class", name)
-		}
-		for _, s := range cs.Model.Featurizer.Frequent {
-			check("lexicon string", s)
-		}
-		for _, name := range cs.Model.Featurizer.Dict.Names {
-			check("feature name", name)
-		}
-	}
+	walk("model", reflect.ValueOf(m.sm))
 	if strs < 100 {
 		t.Fatalf("walked only %d strings of the model", strs)
 	}
