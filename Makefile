@@ -130,7 +130,10 @@ crash-sweep:
 # (§3); RegistryBoot is the binary model codec's cold boot (§10); ReadKB
 # is the parse of the crawl's seed KB, kb.tsv, with live-MB the heap the
 # parsed KB holds (a rise means insert-time tables are back), and
-# KBBuildIndex the annotation index built from a KB (§8).
+# KBBuildIndex the annotation index built from that KB, with live-MB the
+# heap the index holds once the KB is gone — what a harvest holds while it
+# trains (a rise means the index pins the KB's strings again, or keeps a
+# slice or a string per key; §6, §8).
 # internal/dom: ParseDetailPage and StreamDetailPage are the HTML lexer
 # under each of its two consumers, StreamChromePage the stream pass over
 # a page that is mostly stylesheet, script and one unbroken data island

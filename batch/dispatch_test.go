@@ -186,7 +186,7 @@ func TestCancelWhileQueuedForGate(t *testing.T) {
 	f.pipeline = ceres.NewPipeline(f.kb, ceres.WithThreshold(0.5))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	restore := core.SetTrainingProbe(func(phase string) {
+	restore := core.SetTrainingProbe(func(phase string, _ []*core.Page) {
 		// The first site to parse its pages still holds the gate here.
 		// Wait until the other worker's Train call is in flight — it can
 		// only be queued — then cancel the run.

@@ -524,7 +524,7 @@ feed:
 		t, ok := pick()
 		if !released && toResolve == len(sites) && resolving == 0 {
 			// Every site has resolved: nothing in this run trains again,
-			// so the pipeline's parsed seed KB would only sit in memory
+			// so the pipeline's seed KB index would only sit in memory
 			// through the extraction tail and fusion.
 			r.cfg.Pipeline.ReleaseKB()
 			released = true

@@ -16,6 +16,7 @@ import (
 
 	"ceres/internal/bench"
 	"ceres/internal/core"
+	"ceres/internal/kb"
 	"ceres/internal/websim"
 )
 
@@ -92,7 +93,7 @@ func getFixture(b *testing.B) *pipelineFixture {
 // annotate runs the annotation stage over the fixture's pages.
 func (f *pipelineFixture) annotate(b *testing.B) *core.AnnotationResult {
 	b.Helper()
-	ann, err := core.Annotate(context.Background(), f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{}, 0)
+	ann, err := core.Annotate(context.Background(), f.pages, f.kb.BuildIndex(), core.TopicOptions{}, core.RelationOptions{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,11 +118,11 @@ func BenchmarkStageParse(b *testing.B) {
 // serve model.
 func BenchmarkStageTopicIdentification(b *testing.B) {
 	f := getFixture(b)
-	f.kb.BuildIndex() // one-time per-KB cost, excluded like model Compile()
+	ix := f.kb.BuildIndex() // one-time per-KB cost, excluded like model Compile()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.IdentifyTopics(context.Background(), f.pages, f.kb, core.TopicOptions{}, 0); err != nil {
+		if _, err := core.IdentifyTopics(context.Background(), f.pages, ix, core.TopicOptions{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,11 +132,11 @@ func BenchmarkStageTopicIdentification(b *testing.B) {
 // indexed path the pipeline runs.
 func BenchmarkStageAnnotate(b *testing.B) {
 	f := getFixture(b)
-	f.kb.BuildIndex() // one-time per-KB cost, excluded like model Compile()
+	ix := f.kb.BuildIndex() // one-time per-KB cost, excluded like model Compile()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Annotate(context.Background(), f.pages, f.kb, core.TopicOptions{}, core.RelationOptions{}, 0); err != nil {
+		if _, err := core.Annotate(context.Background(), f.pages, ix, core.TopicOptions{}, core.RelationOptions{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,48 +146,41 @@ func BenchmarkStageAnnotate(b *testing.B) {
 // the worker-pool win: the indexed path pinned to one goroutine.
 func BenchmarkStageAnnotateSingleWorker(b *testing.B) {
 	f := getFixture(b)
-	f.kb.BuildIndex()
+	ix := f.kb.BuildIndex()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Annotate(context.Background(), f.pages, f.kb,
+		if _, err := core.Annotate(context.Background(), f.pages, ix,
 			core.TopicOptions{}, core.RelationOptions{}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkKBBuildIndex measures the one-time cold index construction a
-// site pays before its first annotation (cached until the KB mutates).
-func BenchmarkKBBuildIndex(b *testing.B) {
-	w := websim.NewWorld(websim.WorldConfig{Seed: 42})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		k := websim.BuildKB(w, websim.FullCoverage(), 3)
-		b.StartTimer()
-		k.BuildIndex()
-	}
-}
-
-// BenchmarkReadKB parses the benchmark crawl's seed KB (seed 1: the
-// kb.tsv a ceres-batch pass reads, 1.3 MB) and reports, beside its time
-// and allocations, live-MB: the heap the parsed KB holds, read after
-// runtime.GC with the KB reachable and then not.
-func BenchmarkReadKB(b *testing.B) {
+// crawlKBText is the benchmark crawl's seed KB at seed 1 as a kb.tsv
+// holds it (1.3 MB): what a ceres-batch pass reads.
+func crawlKBText(b *testing.B) []byte {
 	var buf bytes.Buffer
 	// A site filter naming no roster site generates the seed KB alone.
 	if err := websim.GenerateCrawl(websim.CrawlConfig{Seed: 1, Sites: []string{"no-such-site"}}).SeedKB.Write(&buf); err != nil {
 		b.Fatal(err)
 	}
-	text := buf.Bytes()
-	live := func() float64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return float64(ms.HeapAlloc)
-	}
+	return buf.Bytes()
+}
+
+// liveBytes is the heap live after a collection.
+func liveBytes() float64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// BenchmarkReadKB parses the benchmark crawl's seed KB (crawlKBText) and
+// reports, beside its time and allocations, live-MB: the heap the parsed
+// KB holds, read after runtime.GC with the KB reachable and then not.
+func BenchmarkReadKB(b *testing.B) {
+	text := crawlKBText(b)
 	var k *KB
 	b.SetBytes(int64(len(text)))
 	b.ReportAllocs()
@@ -198,9 +192,34 @@ func BenchmarkReadKB(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	held := live()
+	held := liveBytes()
 	runtime.KeepAlive(k) // and no further
-	b.ReportMetric((held-live())/1e6, "live-MB")
+	b.ReportMetric((held-liveBytes())/1e6, "live-MB")
+}
+
+// BenchmarkKBBuildIndex builds the annotation index of the KB
+// BenchmarkReadKB parses — the one-time cost a harvest's first Train pays
+// after parsing kb.tsv — and reports, beside its time and allocations,
+// live-MB: the heap the index holds once the KB it was built from is
+// unreachable, as a NewPipelineTSV pipeline holds it while it trains.
+func BenchmarkKBBuildIndex(b *testing.B) {
+	text := crawlKBText(b)
+	var ix *kb.Index
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		k, err := ReadKB(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		ix = k.BuildIndex()
+	}
+	b.StopTimer()
+	held := liveBytes()
+	runtime.KeepAlive(ix) // and no further
+	b.ReportMetric((held-liveBytes())/1e6, "live-MB")
 }
 
 // BenchmarkStageTrain measures feature extraction + L-BFGS training.
@@ -225,7 +244,7 @@ func BenchmarkEndToEndSite(b *testing.B) {
 	f := getFixture(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sm, err := core.TrainSite(context.Background(), f.sources, f.kb, core.Config{})
+		sm, err := core.TrainSite(context.Background(), f.sources, f.kb.BuildIndex(), core.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -266,7 +285,7 @@ func BenchmarkServeExtract(b *testing.B) {
 // over one trained site model's 60 pages, below the public API.
 func BenchmarkStreamServe(b *testing.B) {
 	f := getFixture(b)
-	sm, err := core.TrainSite(context.Background(), f.sources, f.kb,
+	sm, err := core.TrainSite(context.Background(), f.sources, f.kb.BuildIndex(),
 		core.Config{Train: core.TrainOptions{Seed: 1}})
 	if err != nil {
 		b.Fatal(err)

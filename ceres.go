@@ -179,14 +179,16 @@ func WithMinAnnotations(n int) Option {
 // Pipeline is a configured CERES trainer bound to a seed KB. It is safe
 // for concurrent use: any number of Train calls may run at once.
 type Pipeline struct {
-	// kb is the seed KB. NewPipeline's is the caller's and never changes.
-	// A NewPipelineTSV pipeline holds, under kbMu, either kbText — the
-	// KB's serialization, until a Train needs the KB, and again after
-	// ReleaseKB — or kb, never both; its kbDigest is set for good.
-	kbMu     sync.Mutex
+	// kb is NewPipeline's seed KB, the caller's; it never changes. A
+	// NewPipelineTSV pipeline has no kb: it keeps kbText, the KB's
+	// serialization, and kbDigest for life, and holds ix, the annotation
+	// index built from the text, under kbMu from its first Train to
+	// ReleaseKB.
 	kb       *KB
 	kbText   []byte
 	kbDigest string
+	kbMu     sync.Mutex
+	ix       *kb.Index
 
 	cfg       core.Config
 	threshold float64
@@ -202,10 +204,12 @@ type Pipeline struct {
 }
 
 // prepareWidth is how many sites may hold parsed pages at once. A site's
-// DOMs, fields and XPaths are the peak of training memory (some 20 MB for
-// 200 pages) and preparing is already page-parallel inside, so a second
-// site in that phase adds memory and no speed; what is worth overlapping
-// is the fit, which is serial and holds next to nothing.
+// prepared pages — fields, normalized texts and XPaths — and what
+// annotation builds over them are the peak of training memory (some 16 MB
+// live in all for 200 pages, the seed KB's index included), and preparing
+// is already page-parallel inside, so a second site in that phase adds
+// memory and no speed; what is worth overlapping is the fit, which is
+// serial and holds next to nothing.
 const prepareWidth = 1
 
 // NewPipeline builds a pipeline over the seed KB.
@@ -224,14 +228,15 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 
 // NewPipelineTSV builds a pipeline over the seed KB whose serialization
 // (see KB.Write) is text, returning ReadKB's error for malformed text.
-// Training is what reads a seed KB — extraction never does — so the
-// pipeline keeps only the text and the KB's digest, for TrainingKey,
-// until a Train call needs the KB: the first one parses the text again
-// and the pipeline holds the KB, and not the text, until ReleaseKB. A
+// The pipeline keeps the text, and the KB's digest for TrainingKey, for
+// as long as it lives, and never holds a parsed KB past the call that
+// parses one. Training is what reads a seed KB — extraction never does —
+// and it reads it only through the KB's annotation index: the first Train
+// parses the text, builds the index, keeps the index and drops the KB. A
 // caller that may train nothing, such as a harvest whose sites all have
-// models, never holds the parsed KB, and one that has trained what it
-// will (a harvest whose every site has resolved) lets it go with
-// ReleaseKB. The pipeline owns text; it must not be modified.
+// models, never builds the index, and one that has trained what it will
+// (a harvest whose every site has resolved) drops it with ReleaseKB. The
+// pipeline owns text; it must not be modified.
 func NewPipelineTSV(text []byte, opts ...Option) (*Pipeline, error) {
 	k, err := ReadKB(bytes.NewReader(text))
 	if err != nil {
@@ -345,51 +350,50 @@ func (p *Pipeline) prepare(ctx context.Context, pages []PageSource) (*core.Prepa
 		tsp.SetInt("held_ns", int64(time.Since(acquired)))
 		<-p.gate
 	}()
-	k, err := p.seedKB()
+	ix, err := p.seedIndex()
 	if err != nil {
 		return nil, err
 	}
-	return core.PrepareSite(ctx, src, k, p.cfg)
+	return core.PrepareSite(ctx, src, ix, p.cfg)
 }
 
-// seedKB returns the pipeline's seed KB, parsing a NewPipelineTSV
-// pipeline's text when it holds no parsed KB.
-func (p *Pipeline) seedKB() (*KB, error) {
+// seedIndex returns the annotation index of the pipeline's seed KB: the
+// caller's KB's for a NewPipeline pipeline, and for a NewPipelineTSV one
+// the index it holds, built from its text — which is parsed, and the KB
+// dropped — when it holds none.
+func (p *Pipeline) seedIndex() (*kb.Index, error) {
+	if p.kb != nil {
+		return p.kb.BuildIndex(), nil
+	}
+	if p.kbDigest == "" {
+		return nil, ErrNoSeedKB
+	}
 	p.kbMu.Lock()
 	defer p.kbMu.Unlock()
-	if p.kb == nil && p.kbText != nil {
+	if p.ix == nil {
 		k, err := ReadKB(bytes.NewReader(p.kbText))
 		if err != nil {
 			return nil, err
 		}
-		p.kb, p.kbText = k, nil
+		p.ix = k.BuildIndex()
 	}
-	if p.kb == nil {
-		return nil, ErrNoSeedKB
-	}
-	return p.kb, nil
+	return p.ix, nil
 }
 
 // ReleaseKB tells the pipeline that no Train call is coming. A
-// NewPipelineTSV pipeline then drops its parsed seed KB, and with it the
-// annotation index cached inside, and keeps the KB's serialization
-// (KB.Write) instead, as before its first Train; a later Train parses it
-// again and trains under the same TrainingKey to the same model bytes. A
-// Train already under way keeps the KB it has. For a NewPipeline
-// pipeline, whose KB belongs to the caller, and a nil one, ReleaseKB does
-// nothing.
+// NewPipelineTSV pipeline then drops its seed KB's annotation index and
+// holds its text alone, as before its first Train; a later Train parses
+// the text again and trains under the same TrainingKey to the same model
+// bytes. A Train already under way keeps the index it has. For a
+// NewPipeline pipeline, whose KB belongs to the caller, and a nil one,
+// ReleaseKB does nothing.
 func (p *Pipeline) ReleaseKB() {
 	if p == nil || p.kbDigest == "" {
 		return
 	}
 	p.kbMu.Lock()
-	defer p.kbMu.Unlock()
-	if p.kb == nil {
-		return
-	}
-	var buf bytes.Buffer
-	p.kb.Write(&buf) // a bytes.Buffer never fails a write
-	p.kbText, p.kb = bytes.Clone(buf.Bytes()), nil
+	p.ix = nil
+	p.kbMu.Unlock()
 }
 
 // TrainingKey identifies every input of Train other than the pages: the

@@ -201,9 +201,9 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 		}
 	}
 
-	// The pipeline keeps kb.tsv's text, not a parsed KB, until a site
-	// trains: a pass whose sites all have models or stored verdicts never
-	// holds the KB.
+	// The pipeline keeps kb.tsv's text, and never a parsed KB; a site that
+	// trains builds the KB's index from it: a pass whose sites all have
+	// models or stored verdicts never builds the index.
 	var pipeline *ceres.Pipeline
 	if text, err := os.ReadFile(kbPath); err == nil {
 		pipeline, err = ceres.NewPipelineTSV(text, ceres.WithThreshold(o.threshold))

@@ -148,7 +148,7 @@ func sourcesOf(pages []*websim.Page) []core.PageSource {
 // facts plus, after each page's extractions, the page's name pseudo-fact
 // (its identified subject). A site with no trainable cluster yields none.
 func runTrainExtract(ctx context.Context, train, evalSet []*websim.Page, K *kb.KB, cfg core.Config) ([]eval.ScoredFact, error) {
-	sm, err := core.TrainSite(ctx, sourcesOf(train), K, cfg)
+	sm, err := core.TrainSite(ctx, sourcesOf(train), K.BuildIndex(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func runCrawl(ctx context.Context, cfg Config) *crawlRun {
 			topicIDByPage[p.ID] = p.TopicID
 		}
 		// Train on the site, then serve the site's own pages.
-		sm, err := core.TrainSite(ctx, sourcesOf(site.Pages), c.SeedKB, ceresConfig(cfg))
+		sm, err := core.TrainSite(ctx, sourcesOf(site.Pages), c.SeedKB.BuildIndex(), ceresConfig(cfg))
 		var exts []core.Extraction
 		if err == nil {
 			sr.annotatedPages = sm.AnnotatedPages()

@@ -48,7 +48,7 @@ func runIMDBDomain(ctx context.Context, domain string, site *websim.Site, K *kb.
 	if err != nil {
 		return out
 	}
-	topics, err := core.IdentifyTopics(ctx, trainPages, K, core.TopicOptions{}, 0)
+	topics, err := core.IdentifyTopics(ctx, trainPages, K.BuildIndex(), core.TopicOptions{}, 0)
 	if err != nil {
 		return out
 	}
@@ -78,7 +78,7 @@ func runIMDBDomain(ctx context.Context, domain string, site *websim.Site, K *kb.
 		if mode == "topic" {
 			c.Relation.AnnotateAllMentions = true
 		}
-		annRes, err := core.Annotate(ctx, trainPages, K, c.Topic, c.Relation, 0)
+		annRes, err := core.Annotate(ctx, trainPages, K.BuildIndex(), c.Topic, c.Relation, 0)
 		if err != nil {
 			return out
 		}

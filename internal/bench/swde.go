@@ -333,7 +333,7 @@ func Figure5(ctx context.Context, cfg Config) Report {
 	trainPages, err := core.ParsePages(ctx, sourcesOf(train), 0)
 	var ann *core.AnnotationResult
 	if err == nil {
-		ann, err = core.Annotate(ctx, trainPages, K, core.TopicOptions{}, core.RelationOptions{}, 0)
+		ann, err = core.Annotate(ctx, trainPages, K.BuildIndex(), core.TopicOptions{}, core.RelationOptions{}, 0)
 	}
 	if err != nil {
 		return Report{Name: name, Text: err.Error() + "\n"}

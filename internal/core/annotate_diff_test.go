@@ -39,7 +39,7 @@ func diffAnnotate(t *testing.T, name string, pages []*core.Page, c *ceres.Corpus
 	t.Helper()
 	want := core.AnnotateLegacy(pages, c.KB, core.TopicOptions{}, ropts)
 	for _, workers := range []int{1, 8} {
-		got, err := core.Annotate(context.Background(), pages, c.KB, core.TopicOptions{}, ropts, workers)
+		got, err := core.Annotate(context.Background(), pages, c.KB.BuildIndex(), core.TopicOptions{}, ropts, workers)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -112,7 +112,7 @@ func TestIndexedTopicsMatchLegacy(t *testing.T) {
 		pages, c := corpusPages(t, kind, 3, 24)
 		for _, opts := range []core.TopicOptions{{}, {MaxTopicPages: 2}, {FrequentObjectFrac: 0.02, FrequentObjectMinCount: 1}} {
 			want := core.IdentifyTopicsLegacy(pages, c.KB, opts)
-			got, err := core.IdentifyTopics(context.Background(), pages, c.KB, opts, 4)
+			got, err := core.IdentifyTopics(context.Background(), pages, c.KB.BuildIndex(), opts, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

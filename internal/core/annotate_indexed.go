@@ -19,7 +19,7 @@ import (
 // text field against the seed KB. The string-keyed reference,
 // AnnotateLegacy in this package's test files, does that over string
 // keys ("e:"+id / "lit:"+norm), per-page map page-sets, and a
-// MatchesObject that re-normalizes the field and fuzzy-scans every alias
+// matchesObject that re-normalizes the field and fuzzy-scans every alias
 // per call. Here every matchable KB item is interned into a dense
 // kb.ItemID once per KB (kb.Index), each field's normalized form / token
 // key / rune decomposition is computed once per page into a kb.FieldKey,
@@ -59,7 +59,7 @@ type ipageIndex struct {
 	// annotation still matches them.
 	lowInfo []bool
 	// items[i] lists, sorted, the items field i may denote (exact and
-	// token matches — the ItemID form of KB.MatchItems).
+	// token matches — the ItemID form of the reference's matchItems).
 	items [][]kb.ItemID
 	// pageSet is the sorted union of items over non-low-info fields.
 	pageSet []kb.ItemID
@@ -166,7 +166,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 		workers = defaultWorkers()
 	}
 	// Frequent-object filter: same threshold arithmetic as the legacy
-	// FrequentObjectKeys so the cutoff is bit-identical.
+	// reference's frequentObjectKeys so the cutoff is bit-identical.
 	hasTriples := ix.NumTriples() > 0
 	minCount := opts.frequentFrac(ix.NumTriples()) * float64(ix.NumTriples())
 	frequent := func(it kb.ItemID) bool {
@@ -300,12 +300,11 @@ type iobjGroup struct {
 // to the string-keyed reference in this package's test files
 // (annotate_diff_test.go asserts it over every demo corpus). A cancelled
 // ctx stops it with ctx.Err().
-func Annotate(ctx context.Context, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions, workers int) (*AnnotationResult, error) {
+func Annotate(ctx context.Context, pages []*Page, ix *kb.Index, topts TopicOptions, ropts RelationOptions, workers int) (*AnnotationResult, error) {
 	ropts = ropts.withDefaults()
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	ix := K.BuildIndex()
 	// Topic identification (§3.1) is annotation's dominant stage; give it
 	// its own child span under the caller's "annotate" span.
 	tsp := trace.FromContext(ctx).StartChild("topics")

@@ -46,7 +46,7 @@ func (c *countdownCtx) Err() error {
 func TestAnnotateCtxCancellationMidRun(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 16, defaultStyle())
 	for _, polls := range []int{0, 1, 5, 20} {
-		res, err := Annotate(newCountdownCtx(polls), pages, K, TopicOptions{}, RelationOptions{}, 1)
+		res, err := Annotate(newCountdownCtx(polls), pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("polls=%d: err = %v, want context.Canceled", polls, err)
 		}
@@ -55,7 +55,7 @@ func TestAnnotateCtxCancellationMidRun(t *testing.T) {
 		}
 	}
 	// Sanity: an unlimited budget completes.
-	if _, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, 1); err != nil {
+	if _, err := Annotate(context.Background(), pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,10 +67,10 @@ func TestAnnotateCtxCancelledUpfront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := Annotate(ctx, pages, K, TopicOptions{}, RelationOptions{}, workers); !errors.Is(err, context.Canceled) {
+		if _, err := Annotate(ctx, pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-		if _, err := IdentifyTopics(ctx, pages, K, TopicOptions{}, workers); !errors.Is(err, context.Canceled) {
+		if _, err := IdentifyTopics(ctx, pages, K.BuildIndex(), TopicOptions{}, workers); !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: IdentifyTopics err = %v, want context.Canceled", workers, err)
 		}
 	}
@@ -82,7 +82,7 @@ func TestAnnotateCtxCancelledUpfront(t *testing.T) {
 // scheduling must not leak into the result.
 func TestAnnotateCtxDeterministicAcrossWorkers(t *testing.T) {
 	pages, K, _, _ := buildMovieSite(t, 24, defaultStyle())
-	base, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, 1)
+	base, err := Annotate(context.Background(), pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAnnotateCtxDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8} {
 		for round := 0; round < 3; round++ {
-			got, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, workers)
+			got, err := Annotate(context.Background(), pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

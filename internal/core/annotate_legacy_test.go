@@ -7,6 +7,7 @@ package core
 
 import (
 	"ceres/internal/kb"
+	"ceres/internal/kb/kbtest"
 	"ceres/internal/strmatch"
 )
 
@@ -33,7 +34,7 @@ func buildPageIndex(p *Page, K *kb.KB) *pageIndex {
 		if strmatch.IsLowInfo(f.Text) {
 			continue
 		}
-		items := K.MatchItems(f.Text)
+		items := kbtest.MatchItems(K, f.Text)
 		for _, it := range items {
 			pi.pageSet[it] = true
 			pi.mentionsOf[it] = append(pi.mentionsOf[it], i)
@@ -68,7 +69,7 @@ func jaccardScore(pageSet map[string]bool, entitySet map[string]bool) float64 {
 // against; the pipeline never calls it.
 func IdentifyTopicsLegacy(pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
 	opts = opts.withDefaults()
-	frequent := K.FrequentObjectKeys(opts.frequentFrac(K.NumTriples()))
+	frequent := kbtest.FrequentObjectKeys(K, opts.frequentFrac(K.NumTriples()))
 
 	idx := make([]*pageIndex, len(pages))
 	for i, p := range pages {
@@ -81,7 +82,7 @@ func IdentifyTopicsLegacy(pages []*Page, K *kb.KB, opts TopicOptions) []TopicRes
 	entitySet := func(id string) map[string]bool {
 		s, ok := entitySets[id]
 		if !ok {
-			s = K.ObjectKeys(id)
+			s = kbtest.ObjectKeys(K, id)
 			entitySets[id] = s
 		}
 		return s
@@ -236,7 +237,7 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 				if fi == topics[pi].FieldIdx {
 					continue
 				}
-				if K.MatchesObject(f.Text, t.Object) {
+				if kbtest.MatchesObject(K, f.Text, t.Object) {
 					fields = append(fields, fi)
 				}
 			}

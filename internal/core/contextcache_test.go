@@ -35,7 +35,7 @@ func filmSite(tb testing.TB, train, serve int) (*SiteModel, []PageSource) {
 	if len(src) < train+serve {
 		tb.Fatalf("generated %d pages, want %d", len(src), train+serve)
 	}
-	sm, err := TrainSite(context.Background(), src[:train], websim.BuildKB(w, websim.PaperCoverage(), 9),
+	sm, err := TrainSite(context.Background(), src[:train], websim.BuildKB(w, websim.PaperCoverage(), 9).BuildIndex(),
 		Config{Train: TrainOptions{Seed: 1}})
 	if err != nil {
 		tb.Fatal(err)
@@ -256,7 +256,7 @@ func twoTemplateSite(t *testing.T) (*SiteModel, []PageSource) {
 			}
 		}
 	}
-	sm, err := TrainSite(context.Background(), train, websim.BuildKB(w, websim.FullCoverage(), 3), Config{Train: TrainOptions{Seed: 1}})
+	sm, err := TrainSite(context.Background(), train, websim.BuildKB(w, websim.FullCoverage(), 3).BuildIndex(), Config{Train: TrainOptions{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

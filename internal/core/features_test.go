@@ -132,7 +132,7 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 // every field of one streamed page.
 func BenchmarkFeaturize(b *testing.B) {
 	pages, K, _, _ := buildMovieSite(b, 60, defaultStyle())
-	ann, err := Annotate(context.Background(), pages, K, TopicOptions{}, RelationOptions{}, 0)
+	ann, err := Annotate(context.Background(), pages, K.BuildIndex(), TopicOptions{}, RelationOptions{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -85,8 +85,8 @@ func defaultWorkers() int {
 // deterministic; a site with none trainable returns a model with no
 // trained cluster and no error. It is PrepareSite and Prepared.Fit back to
 // back: ceres.Pipeline.Train without the one-site prepare gate.
-func TrainSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*SiteModel, error) {
-	prep, err := PrepareSite(ctx, sources, K, cfg)
+func TrainSite(ctx context.Context, sources []PageSource, ix *kb.Index, cfg Config) (*SiteModel, error) {
+	prep, err := PrepareSite(ctx, sources, ix, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ type ClusterFit struct {
 // PrepareSite is the page-holding half of training: parse, cluster, and
 // per cluster annotate, build the featurizer and the examples and collapse
 // them to the rows the classifier is fitted on.
-func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config) (*Prepared, error) {
+func PrepareSite(ctx context.Context, sources []PageSource, ix *kb.Index, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if len(sources) == 0 {
 		return nil, ErrNoPages
@@ -167,7 +167,7 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 	}
 	csp.SetInt("clusters", int64(len(groups)))
 	csp.End()
-	probeTraining("parsed")
+	probeTraining("parsed", pages)
 
 	prep := &Prepared{Site: &SiteModel{
 		Extract:    cfg.Extract,
@@ -177,7 +177,7 @@ func PrepareSite(ctx context.Context, sources []PageSource, K *kb.KB, cfg Config
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ann, fit, err := prepareCluster(ctx, pages, group, K, cfg)
+		ann, fit, err := prepareCluster(ctx, pages, group, ix, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -244,14 +244,14 @@ func ParsePages(ctx context.Context, sources []PageSource, workers int) ([]*Page
 // prepareCluster annotates one template cluster and, when enough of its
 // pages were annotated to train on, builds what its fit needs. A nil fit
 // with a nil error is an untrainable cluster.
-func prepareCluster(ctx context.Context, pages []*Page, group []int, K *kb.KB, cfg Config) (*AnnotationResult, *ClusterFit, error) {
+func prepareCluster(ctx context.Context, pages []*Page, group []int, ix *kb.Index, cfg Config) (*AnnotationResult, *ClusterFit, error) {
 	sub := make([]*Page, len(group))
 	for i, pi := range group {
 		sub[i] = pages[pi]
 	}
 	actx, asp := trace.StartSpan(ctx, "annotate")
 	asp.SetInt("pages", int64(len(sub)))
-	ann, err := Annotate(actx, sub, K, cfg.Topic, cfg.Relation, cfg.Workers)
+	ann, err := Annotate(actx, sub, ix, cfg.Topic, cfg.Relation, cfg.Workers)
 	asp.EndErr(err)
 	if err != nil {
 		return nil, nil, err

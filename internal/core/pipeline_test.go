@@ -16,7 +16,7 @@ import (
 // nothing.
 func trainExtract(t *testing.T, sources []PageSource, K *kb.KB) (*SiteModel, []Extraction) {
 	t.Helper()
-	sm, err := TrainSite(context.Background(), sources, K, Config{})
+	sm, err := TrainSite(context.Background(), sources, K.BuildIndex(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestTrainSiteOnDeepPage(t *testing.T) {
 		sources = append(sources, PageSource{ID: g.ID, HTML: g.HTML})
 	}
 	start := time.Now()
-	sm, err := TrainSite(context.Background(), sources, K, Config{})
+	sm, err := TrainSite(context.Background(), sources, K.BuildIndex(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

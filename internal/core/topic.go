@@ -69,7 +69,7 @@ type TopicResult struct {
 // scoring run on the worker pool with per-worker scratch. Output is
 // identical to the string-keyed reference in this package's test files;
 // annotate_diff_test.go asserts it over every demo corpus.
-func IdentifyTopics(ctx context.Context, pages []*Page, K *kb.KB, opts TopicOptions, workers int) ([]TopicResult, error) {
-	topics, _, err := identifyTopicsIndexed(ctx, pages, K.BuildIndex(), opts, workers)
+func IdentifyTopics(ctx context.Context, pages []*Page, ix *kb.Index, opts TopicOptions, workers int) ([]TopicResult, error) {
+	topics, _, err := identifyTopicsIndexed(ctx, pages, ix, opts, workers)
 	return topics, err
 }

@@ -28,7 +28,7 @@ func buildMovieSite(t testing.TB, nPages int, style websim.MovieSiteStyle) ([]*P
 // identifyTopics is IdentifyTopics at the pipeline's default worker count.
 func identifyTopics(t *testing.T, pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
 	t.Helper()
-	topics, err := IdentifyTopics(context.Background(), pages, K, opts, 0)
+	topics, err := IdentifyTopics(context.Background(), pages, K.BuildIndex(), opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func identifyTopics(t *testing.T, pages []*Page, K *kb.KB, opts TopicOptions) []
 // annotate is Annotate at the pipeline's default worker count.
 func annotate(t *testing.T, pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
 	t.Helper()
-	res, err := Annotate(context.Background(), pages, K, topts, ropts, 0)
+	res, err := Annotate(context.Background(), pages, K.BuildIndex(), topts, ropts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func newClusterFit(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts Train
 // the cluster's model.
 func (f *ClusterFit) fit() *Model {
 	if f.lr != nil {
-		probeTraining("fit")
+		probeTraining("fit", nil)
 		f.model.LR, f.Stats = f.lr.Run()
 		f.lr = nil
 	}
@@ -260,15 +260,15 @@ func TrainModel(ds *mlr.Dataset, classes *Classes, fz *Featurizer, opts TrainOpt
 
 // trainingProbe is the package's test seam: when set, it is told where a
 // training is — "parsed" once PrepareSite has clustered the pages, with
-// every prepared page still reachable, and "fit" before each optimizer's
-// first objective evaluation. Production code never installs one.
-var trainingProbe atomic.Pointer[func(phase string)]
+// the prepared pages, and "fit" before each optimizer's first objective
+// evaluation, with none. Production code never installs one.
+var trainingProbe atomic.Pointer[func(phase string, pages []*Page)]
 
 // SetTrainingProbe installs f (nil removes it) for every training of the
 // process and returns the function that puts the previous probe back. It
 // exists for tests that measure what each half of training keeps alive.
-func SetTrainingProbe(f func(phase string)) (restore func()) {
-	var p *func(string)
+func SetTrainingProbe(f func(phase string, pages []*Page)) (restore func()) {
+	var p *func(string, []*Page)
 	if f != nil {
 		p = &f
 	}
@@ -276,8 +276,8 @@ func SetTrainingProbe(f func(phase string)) (restore func()) {
 	return func() { trainingProbe.Store(prev) }
 }
 
-func probeTraining(phase string) {
+func probeTraining(phase string, pages []*Page) {
 	if f := trainingProbe.Load(); f != nil {
-		(*f)(phase)
+		(*f)(phase, pages)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"ceres/internal/kb"
 	"ceres/internal/websim"
 	"ceres/internal/xpath"
+	"ceres/internal/xpath/xpathtest"
 )
 
 func emptyKB() *kb.KB {
@@ -204,7 +205,7 @@ func TestListExclusionMatchesXPathPatterns(t *testing.T) {
 		want := make([]bool, len(p.Fields))
 		byPred := map[string][]xpath.Path{}
 		for _, a := range anns {
-			byPred[a.Predicate] = append(byPred[a.Predicate], mustParse(p.Fields[a.FieldIdx].PathString))
+			byPred[a.Predicate] = append(byPred[a.Predicate], xpathtest.MustParse(p.Fields[a.FieldIdx].PathString))
 		}
 		for _, paths := range byPred {
 			if len(paths) < 2 {
@@ -215,7 +216,7 @@ func TestListExclusionMatchesXPathPatterns(t *testing.T) {
 				continue
 			}
 			for fi, f := range p.Fields {
-				if treeMatches(pattern, mustParse(f.PathString)) {
+				if treeMatches(pattern, xpathtest.MustParse(f.PathString)) {
 					want[fi] = true
 				}
 			}

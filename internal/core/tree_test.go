@@ -106,15 +106,6 @@ func treeGeneralize(paths []xpath.Path) (pat xpath.Pattern, ok bool) {
 	return pat, true
 }
 
-// mustParse is xpath.Parse for a path printed from a page.
-func mustParse(s string) xpath.Path {
-	p, err := xpath.Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // treeMatches reports whether the path is an instance of the pattern.
 func treeMatches(pat xpath.Pattern, p xpath.Path) bool {
 	if len(pat) != len(p) {

@@ -1,7 +1,10 @@
 package kb
 
 import (
+	"hash/maphash"
+	"slices"
 	"sort"
+	"strings"
 	"unicode/utf8"
 
 	"ceres/internal/strmatch"
@@ -40,15 +43,25 @@ type FieldKey struct {
 // assembly. An Index is immutable and safe for concurrent use; it reflects
 // the KB at build time and must be rebuilt after mutation (KB.BuildIndex
 // caches and invalidates automatically).
+//
+// An Index is self-contained: every string it holds lives in its one
+// arena, or (the predicate names) is a copy of its own, so it shares no
+// byte with the KB it was built from or that KB's text, and holding it
+// holds nothing of either.
 type Index struct {
 	numEntities int
 	numTriples  int
 
-	entityIDs []string // ItemID -> entity ID, for IDs < numEntities
-	litNorms  []string // ItemID-numEntities -> normalized literal
+	// arena holds every string of the index once: the entity IDs in
+	// ItemID order, then the name keys in sorted order, then the token
+	// keys of literals that are no name key. Entity e's ID is
+	// arena[entOff[e]:entOff[e+1]].
+	arena  string
+	entOff []uint32
 
-	entityItem map[string]ItemID // entity ID -> ItemID
-	litItem    map[string]ItemID // normalized literal -> ItemID
+	// preds names the predicates of relations; a relation's pred indexes
+	// it.
+	preds []string
 
 	// objCount counts the triples carrying each item as object, feeding
 	// the frequent-object filter of §3.1.1.
@@ -63,14 +76,20 @@ type Index struct {
 	// relations[relStart[e]:relStart[e+1]] lists entity e's deduplicated
 	// (predicate, object) pairs in insertion order — what Algorithm 2
 	// iterates per topic page.
-	relations []SubjectRelation
+	relations []relation
 	relStart  []int32
 
-	// exactEnt / tokenEnt map a normalized entity name or alias (resp.
-	// its token-set key, where that differs) to the sorted entity items
-	// carrying it: the ItemID form of KB.LookupEntities' maps.
-	exactEnt map[string][]ItemID
-	tokenEnt map[string][]ItemID
+	// keys are the distinct normalized names, name token keys and literal
+	// norms, each with the sorted entity items carrying it as a name
+	// (exact) or, where that differs from the name, as its token key
+	// (token), and the literal item of that norm: the ItemID form of
+	// KB.LookupEntities' and HasLiteral's maps. The postings of both
+	// lists are flat in postings; slots is an open-addressed table of
+	// key index + 1 (0 free) under seed.
+	keys     []nameKey
+	postings []ItemID
+	slots    []uint32
+	seed     maphash.Seed
 
 	// Alias table for fuzzy matching: entity e's precomputed alias keys
 	// live at [aliasStart[e]:aliasStart[e+1]]. Literal items reuse the
@@ -80,26 +99,30 @@ type Index struct {
 	litKeys    []matchKey
 }
 
-// matchKey is one precomputed comparison target: a normalized alias or
-// literal with its token key, rune length, and (when long enough to ever
-// reach the edit-distance path) rune decomposition.
-type matchKey struct {
-	norm    string
-	tokKey  string
-	runeLen int32
-	runes   []rune
+// span is a string of an Index's arena: arena[off:off+n].
+type span struct{ off, n uint32 }
+
+// relation is a SubjectRelation with its predicate as an index into
+// Index.preds.
+type relation struct {
+	pred int32
+	obj  ItemID
 }
 
-func makeMatchKey(norm, tokKey string) matchKey {
-	k := matchKey{
-		norm:    norm,
-		tokKey:  tokKey,
-		runeLen: int32(utf8.RuneCountInString(norm)),
-	}
-	if k.runeLen >= 8 {
-		k.runes = []rune(norm)
-	}
-	return k
+// nameKey is one entry of the name table: its key, its exact and token
+// postings (postings[post:post+nExact], then the nToken after them) and
+// its literal item (-1 if none).
+type nameKey struct {
+	key                  span
+	post, nExact, nToken int32
+	lit                  ItemID
+}
+
+// matchKey is one precomputed comparison target: a normalized alias or
+// literal with its token key and rune length.
+type matchKey struct {
+	norm, tok span
+	runeLen   int32
 }
 
 // BuildIndex returns the frozen annotation index for the KB's current
@@ -117,80 +140,118 @@ func (k *KB) BuildIndex() *Index {
 	return k.idx
 }
 
+// indexBuilder holds what building an Index needs and the Index does not.
+type indexBuilder struct {
+	arena  []byte
+	intern map[string]span
+}
+
+// str interns s into the arena.
+func (b *indexBuilder) str(s string) span {
+	if sp, ok := b.intern[s]; ok {
+		return sp
+	}
+	sp := span{off: uint32(len(b.arena)), n: uint32(len(s))}
+	b.arena = append(b.arena, s...)
+	b.intern[s] = sp
+	return sp
+}
+
+func (b *indexBuilder) matchKey(norm, tok string) matchKey {
+	return matchKey{norm: b.str(norm), tok: b.str(tok), runeLen: int32(utf8.RuneCountInString(norm))}
+}
+
+// nameEntry is a name key under construction.
+type nameEntry struct {
+	exact, token []ItemID
+	lit          ItemID
+}
+
 func newIndex(k *KB) *Index {
-	ix := &Index{numTriples: len(k.triples)}
+	ix := &Index{numTriples: len(k.triples), seed: maphash.MakeSeed()}
+	b := &indexBuilder{intern: make(map[string]span)}
 
 	// Items: entities in sorted-ID order, then literals in sorted-norm
 	// order, so ItemID order coincides with Object.Key() string order.
-	ix.entityIDs = k.EntityIDs()
-	ix.numEntities = len(ix.entityIDs)
-	ix.entityItem = make(map[string]ItemID, ix.numEntities)
-	for i, id := range ix.entityIDs {
-		ix.entityItem[id] = ItemID(i)
+	ids := k.EntityIDs()
+	ix.numEntities = len(ids)
+	ix.entOff = make([]uint32, len(ids)+1)
+	for e, id := range ids {
+		b.arena = append(b.arena, id...)
+		ix.entOff[e+1] = uint32(len(b.arena))
+	}
+	entityItem := make(map[string]ItemID, len(ids))
+	for e, id := range ids {
+		entityItem[id] = ItemID(e)
 	}
 	// litNorm[i] is triple i's normalized literal ("" for an entity
 	// object), normalized once here for both passes over the triples.
 	litNorm := make([]string, len(k.triples))
-	ix.litItem = make(map[string]ItemID)
+	litItem := make(map[string]ItemID)
+	var lits []string
 	for i, t := range k.triples {
 		if t.Object.IsEntity() {
 			continue
 		}
 		n := strmatch.Normalize(t.Object.Literal)
 		litNorm[i] = n
-		if _, ok := ix.litItem[n]; !ok {
-			ix.litItem[n] = 0
-			ix.litNorms = append(ix.litNorms, n)
+		if _, ok := litItem[n]; !ok {
+			litItem[n] = 0
+			lits = append(lits, n)
 		}
 	}
-	sort.Strings(ix.litNorms)
-	for i, n := range ix.litNorms {
-		ix.litItem[n] = ItemID(ix.numEntities + i)
+	sort.Strings(lits)
+	for i, n := range lits {
+		litItem[n] = ItemID(ix.numEntities + i)
 	}
 
-	ix.buildTripleTables(k, litNorm)
-	ix.buildNameTables(k)
+	ix.buildTripleTables(k, entityItem, litItem, litNorm)
+	ix.buildNameTables(k, b, ids, lits)
+	ix.arena = string(b.arena)
 	return ix
 }
 
-func (ix *Index) buildTripleTables(k *KB, litNorm []string) {
-	ix.objCount = make([]int32, ix.numEntities+len(ix.litNorms))
+func (ix *Index) buildTripleTables(k *KB, entityItem, litItem map[string]ItemID, litNorm []string) {
+	names := k.ontology.Names()
+	predID := make(map[string]int32, len(names))
+	ix.preds = make([]string, len(names))
+	for i, name := range names {
+		predID[name] = int32(i)
+		ix.preds[i] = strings.Clone(name)
+	}
+	ix.objCount = make([]int32, ix.numEntities+len(litItem))
 	perSubjObjs := make([][]ItemID, ix.numEntities)
-	perSubjRels := make([][]SubjectRelation, ix.numEntities)
+	perSubjRels := make([][]relation, ix.numEntities)
 	for i, t := range k.triples {
-		// AddTriple admits only known entities and non-empty literal
-		// norms, so every object has an item.
+		// AddTriple admits only known entities, predicates of the
+		// ontology and non-empty literal norms, so every object has an
+		// item and every predicate an index.
 		var obj ItemID
 		if t.Object.IsEntity() {
-			obj = ix.entityItem[t.Object.EntityID]
+			obj = entityItem[t.Object.EntityID]
 		} else {
-			obj = ix.litItem[litNorm[i]]
+			obj = litItem[litNorm[i]]
 		}
 		ix.objCount[obj]++
-		subj := ix.entityItem[t.Subject]
+		subj := entityItem[t.Subject]
 		perSubjObjs[subj] = append(perSubjObjs[subj], obj)
-		perSubjRels[subj] = append(perSubjRels[subj], SubjectRelation{Pred: t.Predicate, Obj: obj})
+		perSubjRels[subj] = append(perSubjRels[subj], relation{pred: predID[t.Predicate], obj: obj})
 	}
 
 	ix.objStart = make([]int32, ix.numEntities+1)
 	ix.relStart = make([]int32, ix.numEntities+1)
 	for e := 0; e < ix.numEntities; e++ {
 		objs := perSubjObjs[e]
-		sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-		for i, o := range objs {
-			if i > 0 && o == objs[i-1] {
-				continue
-			}
-			ix.objects = append(ix.objects, o)
-		}
+		slices.Sort(objs)
+		ix.objects = append(ix.objects, slices.Compact(objs)...)
 		ix.objStart[e+1] = int32(len(ix.objects))
 
 		// Dedup (pred, obj) pairs keeping first occurrence, mirroring the
 		// duplicate-triple skip of Algorithm 2's per-page grouping.
 		rels := perSubjRels[e]
-		var seen map[SubjectRelation]bool
+		var seen map[relation]bool
 		if len(rels) > 1 {
-			seen = make(map[SubjectRelation]bool, len(rels))
+			seen = make(map[relation]bool, len(rels))
 		}
 		for _, r := range rels {
 			if seen[r] {
@@ -203,56 +264,120 @@ func (ix *Index) buildTripleTables(k *KB, litNorm []string) {
 		}
 		ix.relStart[e+1] = int32(len(ix.relations))
 	}
+	ix.objects = slices.Clip(ix.objects)
+	ix.relations = slices.Clip(ix.relations)
 }
 
-// buildNameTables builds the name lookups and the alias match keys in one
-// pass over the entities' names. Entities are visited in ItemID order, so
-// each exactEnt and tokenEnt list comes out sorted, and a name repeated
-// within one entity is kept once.
-func (ix *Index) buildNameTables(k *KB) {
-	ix.exactEnt = make(map[string][]ItemID, ix.numEntities) // about a name each
-	ix.tokenEnt = make(map[string][]ItemID)
-	add := func(m map[string][]ItemID, key string, it ItemID) {
-		if l := m[key]; len(l) == 0 || l[len(l)-1] != it {
-			m[key] = append(l, it)
+// buildNameTables builds the name table and the alias and literal match
+// keys. Entities are visited in ItemID order, so each exact and token
+// list comes out sorted, and a name repeated within one entity is kept
+// once.
+func (ix *Index) buildNameTables(k *KB, b *indexBuilder, ids, lits []string) {
+	entries := make(map[string]*nameEntry)
+	entry := func(key string) *nameEntry {
+		en := entries[key]
+		if en == nil {
+			en = &nameEntry{lit: -1}
+			entries[key] = en
 		}
+		return en
 	}
+	add := func(l []ItemID, it ItemID) []ItemID {
+		if len(l) == 0 || l[len(l)-1] != it {
+			l = append(l, it)
+		}
+		return l
+	}
+	for i, n := range lits {
+		entry(n).lit = ItemID(ix.numEntities + i)
+	}
+	type alias struct{ norm, tok string }
+	var aliases []alias
 	ix.aliasStart = make([]int32, ix.numEntities+1)
 	var names []string
-	for e, id := range ix.entityIDs {
+	for e, id := range ids {
 		names = appendNames(names[:0], k.entities[id])
+		start := len(aliases)
 		for _, name := range names {
 			norm := strmatch.Normalize(name)
 			if norm == "" {
 				continue // never matches any non-empty field text
 			}
 			tk := strmatch.TokenSetKeyNormalized(norm)
-			add(ix.exactEnt, norm, ItemID(e))
+			en := entry(norm)
+			en.exact = add(en.exact, ItemID(e))
 			if tk != norm {
-				add(ix.tokenEnt, tk, ItemID(e))
+				en := entry(tk)
+				en.token = add(en.token, ItemID(e))
 			}
-			dup := false
-			for _, prev := range ix.aliasKeys[ix.aliasStart[e]:] {
-				if prev.norm == norm {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				ix.aliasKeys = append(ix.aliasKeys, makeMatchKey(norm, tk))
+			if !slices.ContainsFunc(aliases[start:], func(a alias) bool { return a.norm == norm }) {
+				aliases = append(aliases, alias{norm, tk})
 			}
 		}
-		ix.aliasStart[e+1] = int32(len(ix.aliasKeys))
+		ix.aliasStart[e+1] = int32(len(aliases))
 	}
-	ix.litKeys = make([]matchKey, len(ix.litNorms))
-	for i, norm := range ix.litNorms {
-		ix.litKeys[i] = makeMatchKey(norm, strmatch.TokenSetKeyNormalized(norm))
+
+	keys := make([]string, 0, len(entries))
+	for key := range entries {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	ix.keys = make([]nameKey, len(keys))
+	for i, key := range keys {
+		en := entries[key]
+		ix.keys[i] = nameKey{key: b.str(key), post: int32(len(ix.postings)),
+			nExact: int32(len(en.exact)), nToken: int32(len(en.token)), lit: en.lit}
+		ix.postings = append(ix.postings, en.exact...)
+		ix.postings = append(ix.postings, en.token...)
+	}
+	ix.postings = slices.Clip(ix.postings)
+	size := 8
+	for size < 2*len(ix.keys) {
+		size *= 2
+	}
+	ix.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for i, key := range keys {
+		h := maphash.String(ix.seed, key) & mask
+		for ix.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		ix.slots[h] = uint32(i + 1)
+	}
+
+	ix.aliasKeys = make([]matchKey, len(aliases))
+	for i, a := range aliases {
+		ix.aliasKeys[i] = b.matchKey(a.norm, a.tok)
+	}
+	ix.litKeys = make([]matchKey, len(lits))
+	for i, norm := range lits {
+		ix.litKeys[i] = b.matchKey(norm, strmatch.TokenSetKeyNormalized(norm))
 	}
 }
 
 func appendNames(dst []string, e *Entity) []string {
 	dst = append(dst, e.Name)
 	return append(dst, e.Aliases...)
+}
+
+// str returns the arena string sp.
+func (ix *Index) str(sp span) string { return ix.arena[sp.off : sp.off+sp.n] }
+
+// lookup returns the name key s, or nil.
+func (ix *Index) lookup(s string) *nameKey {
+	if len(ix.slots) == 0 {
+		return nil
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for h := maphash.String(ix.seed, s) & mask; ; h = (h + 1) & mask {
+		i := ix.slots[h]
+		if i == 0 {
+			return nil
+		}
+		if nk := &ix.keys[i-1]; ix.str(nk.key) == s {
+			return nk
+		}
+	}
 }
 
 // NumTriples returns the triple count at build time.
@@ -262,26 +387,24 @@ func (ix *Index) NumTriples() int { return ix.numTriples }
 // entities in ItemID order).
 func (ix *Index) IsEntity(it ItemID) bool { return int(it) < ix.numEntities }
 
-// EntityID returns the entity ID of an entity item ("" for literals).
+// EntityID returns the entity ID of an entity item ("" for literals). The
+// string is the index's; holding it holds the index's arena.
 func (ix *Index) EntityID(it ItemID) string {
 	if !ix.IsEntity(it) {
 		return ""
 	}
-	return ix.entityIDs[it]
+	return ix.entityID(int(it))
 }
 
-// Key returns the Object.Key()-compatible string identity of an item.
-func (ix *Index) Key(it ItemID) string {
-	if ix.IsEntity(it) {
-		return "e:" + ix.entityIDs[it]
-	}
-	return "lit:" + ix.litNorms[int(it)-ix.numEntities]
-}
+func (ix *Index) entityID(e int) string { return ix.arena[ix.entOff[e]:ix.entOff[e+1]] }
 
 // EntityItem resolves an entity ID to its item.
 func (ix *Index) EntityItem(id string) (ItemID, bool) {
-	it, ok := ix.entityItem[id]
-	return it, ok
+	e := sort.Search(ix.numEntities, func(e int) bool { return ix.entityID(e) >= id })
+	if e < ix.numEntities && ix.entityID(e) == id {
+		return ItemID(e), true
+	}
+	return 0, false
 }
 
 // ObjectCount returns how many triples carry the item as object.
@@ -298,25 +421,42 @@ func (ix *Index) ObjectItems(subject ItemID) []ItemID {
 }
 
 // Relations returns the deduplicated (predicate, object) pairs of the
-// entity's triples in insertion order. The slice is shared; callers must
-// not modify it.
+// entity's triples in insertion order, in a slice of the caller's.
 func (ix *Index) Relations(subject ItemID) []SubjectRelation {
 	if !ix.IsEntity(subject) {
 		return nil
 	}
-	return ix.relations[ix.relStart[subject]:ix.relStart[subject+1]]
+	rels := ix.relations[ix.relStart[subject]:ix.relStart[subject+1]]
+	if len(rels) == 0 {
+		return nil
+	}
+	out := make([]SubjectRelation, len(rels))
+	for i, r := range rels {
+		out[i] = SubjectRelation{Pred: ix.preds[r.pred], Obj: r.obj}
+	}
+	return out
 }
 
 // AppendCandidates appends, in sorted order, the items the field may
-// denote — the ItemID form of KB.MatchItems: entities whose normalized
-// name matches exactly or whose token-set key matches, plus the literal
-// with the same normalized form, if any. An empty norm matches nothing.
+// denote: entities whose normalized name matches exactly or whose
+// token-set key matches, plus the literal with the same normalized form,
+// if any. An empty norm matches nothing.
 func (ix *Index) AppendCandidates(dst []ItemID, key FieldKey) []ItemID {
 	if key.Norm == "" {
 		return dst
 	}
-	exact := ix.exactEnt[key.Norm]
-	token := ix.tokenEnt[key.TokenKey]
+	nk := ix.lookup(key.Norm)
+	tk := nk
+	if key.TokenKey != key.Norm {
+		tk = ix.lookup(key.TokenKey)
+	}
+	var exact, token []ItemID
+	if nk != nil {
+		exact = ix.postings[nk.post : nk.post+nk.nExact]
+	}
+	if tk != nil {
+		token = ix.postings[tk.post+tk.nExact : tk.post+tk.nExact+tk.nToken]
+	}
 	// Merge two sorted unique lists, deduplicating across them. Entities
 	// precede the literal item in ItemID order, so the result stays sorted.
 	i, j := 0, 0
@@ -336,46 +476,54 @@ func (ix *Index) AppendCandidates(dst []ItemID, key FieldKey) []ItemID {
 	}
 	dst = append(dst, exact[i:]...)
 	dst = append(dst, token[j:]...)
-	if it, ok := ix.litItem[key.Norm]; ok {
-		dst = append(dst, it)
+	if nk != nil && nk.lit >= 0 {
+		dst = append(dst, nk.lit)
 	}
 	return dst
 }
 
 // Matches reports whether the field text denotes the item, with exactly
-// KB.MatchesObject's semantics: for entities, FuzzyEqual against the name
-// or any alias; for literals, FuzzyEqual against the literal. All string
-// normalization happened at build time (aliases) or page-index time (the
-// field), so a call is a few integer guards, string compares, and — only
-// for long, near-equal-length pairs — one bounded edit distance.
+// strmatch.FuzzyEqual's semantics: for entities against the name or any
+// alias, for literals against the literal. All string normalization
+// happened at build time (aliases) or page-index time (the field), so a
+// call is a few integer guards, string compares, and — only for long,
+// near-equal-length pairs — one bounded edit distance.
 func (ix *Index) Matches(key FieldKey, it ItemID) bool {
 	if key.Norm == "" {
 		return false
 	}
 	if !ix.IsEntity(it) {
-		return fuzzyKeyMatch(key, &ix.litKeys[int(it)-ix.numEntities])
+		return ix.fuzzyKeyMatch(key, &ix.litKeys[int(it)-ix.numEntities])
 	}
 	start, end := ix.aliasStart[it], ix.aliasStart[it+1]
 	for a := start; a < end; a++ {
-		if fuzzyKeyMatch(key, &ix.aliasKeys[a]) {
+		if ix.fuzzyKeyMatch(key, &ix.aliasKeys[a]) {
 			return true
 		}
 	}
 	return false
 }
 
-// fuzzyKeyMatch is strmatch.FuzzyEqual over precomputed keys.
-func fuzzyKeyMatch(f FieldKey, m *matchKey) bool {
-	if f.Norm == m.norm {
+// fuzzyKeyMatch is strmatch.FuzzyEqual over precomputed keys. The key's
+// runes are decoded only for the edit distance, onto the stack unless the
+// key is long.
+func (ix *Index) fuzzyKeyMatch(f FieldKey, m *matchKey) bool {
+	norm := ix.str(m.norm)
+	if f.Norm == norm {
 		return true
 	}
-	if f.TokenKey == m.tokKey {
+	if f.TokenKey == ix.str(m.tok) {
 		return true
 	}
 	budget := strmatch.EditBudget(f.RuneLen, int(m.runeLen))
-	if budget == 0 {
+	if budget == 0 || f.RuneLen-int(m.runeLen) > budget || int(m.runeLen)-f.RuneLen > budget {
 		return false
 	}
-	_, ok := strmatch.LevenshteinBoundedRunes(f.Runes, m.runes, budget)
+	var buf [64]rune
+	runes := buf[:0]
+	for _, r := range norm {
+		runes = append(runes, r)
+	}
+	_, ok := strmatch.LevenshteinBoundedRunes(f.Runes, runes, budget)
 	return ok
 }

@@ -28,16 +28,25 @@ func newFieldKey(text string) FieldKey {
 // objectItem resolves a triple object to its item.
 func (ix *Index) objectItem(o Object) (ItemID, bool) {
 	if o.IsEntity() {
-		it, ok := ix.entityItem[o.EntityID]
-		return it, ok
+		return ix.EntityItem(o.EntityID)
 	}
-	it, ok := ix.litItem[strmatch.Normalize(o.Literal)]
-	return it, ok
+	if nk := ix.lookup(strmatch.Normalize(o.Literal)); nk != nil && nk.lit >= 0 {
+		return nk.lit, true
+	}
+	return 0, false
 }
 
 // numItems is the number of interned items: entities plus distinct
 // literal norms.
-func numItems(ix *Index) int { return ix.numEntities + len(ix.litNorms) }
+func numItems(ix *Index) int { return ix.numEntities + len(ix.litKeys) }
+
+// Key returns the Object.Key()-compatible string identity of an item.
+func (ix *Index) Key(it ItemID) string {
+	if ix.IsEntity(it) {
+		return "e:" + ix.EntityID(it)
+	}
+	return "lit:" + ix.str(ix.litKeys[int(it)-ix.numEntities].norm)
+}
 
 // TestIndexItemOrder: ItemID order must coincide with Object.Key() string
 // order — entities sorted by ID first, then literals sorted by norm — so
@@ -51,115 +60,8 @@ func TestIndexItemOrder(t *testing.T) {
 	if !sort.StringsAreSorted(keys) {
 		t.Fatalf("ItemID order does not follow key order: %v", keys)
 	}
-	if numItems(ix) != 4+4 { // 4 entities + literals comedy/drama/1989 + f1-as-lit? no: comedy, drama, 1989
-		// 4 entities, 3 distinct literal norms.
-		if numItems(ix) != 7 {
-			t.Fatalf("items = %d, want 7", numItems(ix))
-		}
-	}
-}
-
-// TestIndexCandidatesMatchLegacyMatchItems: AppendCandidates must produce
-// exactly KB.MatchItems, item for item, in key order.
-func TestIndexCandidatesMatchLegacyMatchItems(t *testing.T) {
-	k := sampleKB(t)
-	ix := k.BuildIndex()
-	texts := []string{
-		"Spike Lee", "Lee, Spike", "lee spike", "SPIKE  LEE!", "Comedy",
-		"comedy", "Do the Right Thing", "Crooklyn", "1989", "Drama",
-		"Danny Aiello", "Nobody Here", "", "   ", "Aiello Danny",
-	}
-	for _, text := range texts {
-		want := k.MatchItems(text)
-		var got []string
-		for _, it := range ix.AppendCandidates(nil, newFieldKey(text)) {
-			got = append(got, ix.Key(it))
-		}
-		// MatchItems emits entities sorted then the literal; candidate
-		// order is ItemID order, which sorts identically.
-		sort.Strings(want)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("candidates(%q) = %v, want %v", text, got, want)
-		}
-	}
-}
-
-// TestIndexMatchesAgreesWithMatchesObject sweeps every (text, object) pair
-// of a KB with aliases, fuzzy-distance names, and shared literals.
-func TestIndexMatchesAgreesWithMatchesObject(t *testing.T) {
-	k := New(movieOntology())
-	ents := []Entity{
-		{ID: "f1", Type: "film", Name: "The Shawshank Redemption"},
-		{ID: "f2", Type: "film", Name: "Do the Right Thing"},
-		{ID: "p1", Type: "person", Name: "Spike Lee", Aliases: []string{"Lee, Spike", "S. Lee"}},
-		{ID: "p2", Type: "person", Name: "Frank Welker"},
-		{ID: "p3", Type: "person", Name: ""},
-	}
-	for _, e := range ents {
-		if err := k.AddEntity(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, tr := range []Triple{
-		{Subject: "f1", Predicate: "directedBy", Object: EntityObject("p1")},
-		{Subject: "f1", Predicate: "hasGenre", Object: LiteralObject("Prison Drama")},
-		{Subject: "f2", Predicate: "hasCastMember", Object: EntityObject("p2")},
-		{Subject: "f2", Predicate: "releaseYear", Object: LiteralObject("1989")},
-	} {
-		if err := k.AddTriple(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ix := k.BuildIndex()
-	texts := []string{
-		"Spike Lee", "Lee Spike", "spike  lee", "S Lee", "Frank Welker",
-		"Frank Welkes", "The Shawshank Redemptian", "the shawshank redemption",
-		"Do the Wrong Thing", "prison drama", "Prison Dramas", "1989", "",
-		"xyz", "Drama Prison", "welker frank",
-	}
-	objects := []Object{
-		EntityObject("f1"), EntityObject("f2"), EntityObject("p1"),
-		EntityObject("p2"), EntityObject("p3"),
-		LiteralObject("Prison Drama"), LiteralObject("1989"),
-	}
-	for _, text := range texts {
-		key := newFieldKey(text)
-		for _, o := range objects {
-			it, ok := ix.objectItem(o)
-			if !ok {
-				t.Fatalf("objectItem(%v) missing", o)
-			}
-			want := k.MatchesObject(text, o)
-			if got := ix.Matches(key, it); got != want {
-				t.Errorf("Matches(%q, %s) = %v, MatchesObject = %v", text, ix.Key(it), got, want)
-			}
-		}
-	}
-}
-
-// TestIndexObjectItemsMatchObjectKeys: the sorted object slice must carry
-// the same identities as the legacy map form.
-func TestIndexObjectItemsMatchObjectKeys(t *testing.T) {
-	k := sampleKB(t)
-	ix := k.BuildIndex()
-	for _, id := range k.EntityIDs() {
-		it, ok := ix.EntityItem(id)
-		if !ok {
-			t.Fatalf("EntityItem(%q) missing", id)
-		}
-		want := k.ObjectKeys(id)
-		items := ix.ObjectItems(it)
-		if len(items) != len(want) {
-			t.Fatalf("ObjectItems(%s): %d items, want %d", id, len(items), len(want))
-		}
-		for i, o := range items {
-			if !want[ix.Key(o)] {
-				t.Errorf("ObjectItems(%s) has unexpected %s", id, ix.Key(o))
-			}
-			if i > 0 && items[i-1] >= o {
-				t.Errorf("ObjectItems(%s) not sorted/unique", id)
-			}
-		}
+	if numItems(ix) != 4+3 { // 4 entities, 3 distinct literal norms
+		t.Fatalf("items = %d, want 7", numItems(ix))
 	}
 }
 

@@ -58,11 +58,10 @@ type KB struct {
 	triples  []Triple
 
 	// lookups holds the string-keyed maps LookupEntities, HasLiteral,
-	// FrequentObjectKeys, TriplesOf, TriplesWithPredicate and ObjectKeys
-	// read (see lookup.go), built by the first such call after a mutation.
-	// Annotation reads the Index instead, which derives its own tables
-	// from entities and triples, so a KB that only trains never builds
-	// them.
+	// TriplesOf and TriplesWithPredicate read (see lookup.go), built by
+	// the first such call after a mutation. Annotation reads the Index
+	// instead, which derives its own tables from entities and triples, so
+	// a KB that only trains never builds them.
 	lookups atomic.Pointer[lookupMaps]
 
 	// idx caches the frozen annotation index (see index.go) and digest the
@@ -189,34 +188,5 @@ func (k *KB) EntityIDs() []string {
 		out = append(out, id)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// ObjectKeys returns the set of object keys (entity or literal) appearing
-// in triples with the given subject — the entitySet of Algorithm 1 line 6.
-func (k *KB) ObjectKeys(subject string) map[string]bool {
-	idxs := k.maps().bySubject[subject]
-	out := make(map[string]bool, len(idxs))
-	for _, idx := range idxs {
-		out[k.triples[idx].Object.Key()] = true
-	}
-	return out
-}
-
-// FrequentObjectKeys returns the object keys that appear in at least frac
-// of all triples (§3.1.1: "we compile a list of strings appearing in a
-// large percentage (e.g., 0.01%) of triples and do not consider them as
-// potential topics").
-func (k *KB) FrequentObjectKeys(frac float64) map[string]bool {
-	out := make(map[string]bool)
-	if len(k.triples) == 0 {
-		return out
-	}
-	min := frac * float64(len(k.triples))
-	for key, c := range k.maps().objectCount {
-		if float64(c) >= min {
-			out[key] = true
-		}
-	}
 	return out
 }

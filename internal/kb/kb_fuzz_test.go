@@ -7,8 +7,10 @@ import (
 
 // FuzzReadKB: kb.tsv is operator input that every batch run reads. No
 // bytes make Read panic, and a KB it accepts writes bytes that read back
-// into a KB writing the same bytes, with the same Digest; its Index and
-// lookups equal the frozen eager reference's (CheckAgainstReference).
+// into a KB writing the same bytes, with the same Digest; its Index
+// answers as the frozen reference Index does and holds no byte of src or
+// of the KB, and its lookups answer as the eager maps did
+// (CheckAgainstReference).
 // Seeds: the Write golden here, and truncated and mis-escaped records
 // under testdata/fuzz.
 func FuzzReadKB(f *testing.F) {
@@ -36,6 +38,6 @@ func FuzzReadKB(f *testing.F) {
 		if back.Digest() != k.Digest() {
 			t.Fatalf("read back, the KB digests to %s, not %s", back.Digest(), k.Digest())
 		}
-		CheckAgainstReference(t, k)
+		CheckAgainstReference(t, k, src)
 	})
 }

@@ -106,61 +106,6 @@ func TestLookupEntities(t *testing.T) {
 	}
 }
 
-func TestLiteralAndItems(t *testing.T) {
-	k := sampleKB(t)
-	if !k.HasLiteral("Comedy") || !k.HasLiteral("comedy!") {
-		t.Errorf("HasLiteral(Comedy) should hold")
-	}
-	if k.HasLiteral("Horror") {
-		t.Errorf("Horror is not a literal")
-	}
-	items := k.MatchItems("Spike Lee")
-	if len(items) != 1 || items[0] != "e:p1" {
-		t.Errorf("MatchItems = %v", items)
-	}
-	items = k.MatchItems("Comedy")
-	if len(items) != 1 || items[0] != "lit:comedy" {
-		t.Errorf("MatchItems(Comedy) = %v", items)
-	}
-}
-
-func TestObjectKeysAndFrequency(t *testing.T) {
-	k := sampleKB(t)
-	keys := k.ObjectKeys("f1")
-	for _, want := range []string{"e:p1", "e:p2", "lit:comedy", "lit:drama", "lit:1989"} {
-		if !keys[want] {
-			t.Errorf("ObjectKeys(f1) missing %q: %v", want, keys)
-		}
-	}
-	// p1 is object of 3 triples out of 9.
-	freq := k.FrequentObjectKeys(0.3)
-	if !freq["e:p1"] {
-		t.Errorf("e:p1 should be frequent at 0.3: %v", freq)
-	}
-	if freq["lit:drama"] {
-		t.Errorf("lit:drama should not be frequent at 0.3")
-	}
-}
-
-func TestMatchesObject(t *testing.T) {
-	k := sampleKB(t)
-	if !k.MatchesObject("Lee, Spike", EntityObject("p1")) {
-		t.Errorf("alias should match")
-	}
-	if !k.MatchesObject("Spike  Lee ", EntityObject("p1")) {
-		t.Errorf("normalized name should match")
-	}
-	if k.MatchesObject("Danny Aiello", EntityObject("p1")) {
-		t.Errorf("wrong person should not match")
-	}
-	if !k.MatchesObject("comedy", LiteralObject("Comedy")) {
-		t.Errorf("literal should match case-insensitively")
-	}
-	if k.MatchesObject("1989", EntityObject("ghost")) {
-		t.Errorf("missing entity should not match")
-	}
-}
-
 func TestObjectText(t *testing.T) {
 	k := sampleKB(t)
 	if got := k.ObjectText(EntityObject("p1")); got != "Spike Lee" {

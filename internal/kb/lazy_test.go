@@ -3,10 +3,12 @@ package kb_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"ceres/internal/kb"
+	"ceres/internal/kb/kbtest"
 	"ceres/internal/websim"
 )
 
@@ -33,12 +35,13 @@ func TestLazyMapsMatchEagerReference(t *testing.T) {
 			if err := k.Write(&text); err != nil {
 				t.Fatal(err)
 			}
-			kb.CheckAgainstReference(t, k)
-			read, err := kb.Read(&text)
+			kb.CheckAgainstReference(t, k, "")
+			src := text.String()
+			read, err := kb.Read(strings.NewReader(src))
 			if err != nil {
 				t.Fatal(err)
 			}
-			kb.CheckAgainstReference(t, read)
+			kb.CheckAgainstReference(t, read, src)
 		})
 	}
 }
@@ -62,7 +65,7 @@ func TestLazyMapsConcurrentFirstUse(t *testing.T) {
 				k.BuildIndex()
 			}
 			for _, text := range texts {
-				if got, exp := k.MatchItems(text), want.MatchItems(text); !reflect.DeepEqual(got, exp) {
+				if got, exp := kbtest.MatchItems(k, text), kbtest.MatchItems(want, text); !reflect.DeepEqual(got, exp) {
 					t.Errorf("MatchItems(%q) = %v, want %v", text, got, exp)
 				}
 			}

@@ -11,15 +11,13 @@ import (
 // token-set keys, giving order-insensitive fuzzy matching ("Lee, Spike" vs
 // "Spike Lee"), per Gulhane et al.'s matcher (§3.1.1). literalIndex maps
 // normalized literal object strings to the number of triples carrying
-// them, objectCount each object key to the number of triples carrying it,
-// feeding the frequent-object filter of §3.1.1. ID lists are unique and
-// in sorted entity-ID order. bySubject and byPred map an entity ID and a
-// predicate to the indices of their triples, in triple order.
+// them. ID lists are unique and in sorted entity-ID order. bySubject and
+// byPred map an entity ID and a predicate to the indices of their
+// triples, in triple order.
 type lookupMaps struct {
 	nameIndex    map[string][]string
 	tokenIndex   map[string][]string
 	literalIndex map[string]int
-	objectCount  map[string]int
 	bySubject    map[string][]int
 	byPred       map[string][]int
 }
@@ -39,7 +37,6 @@ func (k *KB) maps() *lookupMaps {
 		nameIndex:    make(map[string][]string),
 		tokenIndex:   make(map[string][]string),
 		literalIndex: make(map[string]int),
-		objectCount:  make(map[string]int),
 		bySubject:    make(map[string][]int),
 		byPred:       make(map[string][]int),
 	}
@@ -59,7 +56,6 @@ func (k *KB) maps() *lookupMaps {
 		if !t.Object.IsEntity() {
 			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
 		}
-		m.objectCount[t.Object.Key()]++
 		m.bySubject[t.Subject] = append(m.bySubject[t.Subject], i)
 		m.byPred[t.Predicate] = append(m.byPred[t.Predicate], i)
 	}
@@ -106,51 +102,6 @@ func (k *KB) HasLiteral(text string) bool {
 		return false
 	}
 	return k.maps().literalIndex[n] > 0
-}
-
-// MatchItems returns the item keys (entity IDs as "e:<id>", literals as
-// "lit:<norm>") that the text may denote: the members of Algorithm 1's
-// pageSet, as the string-keyed reference annotator in internal/core's
-// tests builds it. Index.AppendCandidates is its ItemID form, the one
-// annotation runs.
-func (k *KB) MatchItems(text string) []string {
-	var out []string
-	for _, id := range k.LookupEntities(text) {
-		out = append(out, "e:"+id)
-	}
-	if k.HasLiteral(text) {
-		out = append(out, "lit:"+strmatch.Normalize(text))
-	}
-	return out
-}
-
-// MatchesObject reports whether the text field denotes the given triple
-// object: for literals a fuzzy string comparison, for entities a match
-// against the entity's name or any alias, either via the index or the
-// bounded-edit-distance comparator. It is the reference Index.Matches is
-// tested against; annotation runs Index.Matches.
-func (k *KB) MatchesObject(text string, o Object) bool {
-	if !o.IsEntity() {
-		return strmatch.FuzzyEqual(text, o.Literal)
-	}
-	for _, id := range k.LookupEntities(text) {
-		if id == o.EntityID {
-			return true
-		}
-	}
-	e, ok := k.Entity(o.EntityID)
-	if !ok {
-		return false
-	}
-	if strmatch.FuzzyEqual(text, e.Name) {
-		return true
-	}
-	for _, a := range e.Aliases {
-		if strmatch.FuzzyEqual(text, a) {
-			return true
-		}
-	}
-	return false
 }
 
 // ObjectText returns a display string for an object: the entity name for

@@ -2,25 +2,30 @@ package kb
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
+	"ceres/internal/heaptest"
 	"ceres/internal/strmatch"
 )
 
-// The KB's string-keyed maps as AddEntity and AddTriple used to build them
-// on every insert, and the Index as it used to be built from those maps,
-// frozen here as the reference for the lazily built maps (lookupMaps) and
-// for the Index that newIndex derives straight from entities and triples.
+// Two references are frozen here. The KB's string-keyed maps as
+// AddEntity and AddTriple used to build them on every insert are the
+// reference for the lazily built maps (lookupMaps). And the Index as it
+// was before its strings moved into one arena and its name maps into one
+// open-addressed table (refIndex) is the reference the compact Index must
+// answer as, method for method. The string-keyed lookups annotation ran before
+// the Index are a third, in kbtest.
 
-// eagerMaps is the KB's six insert-time maps, built by replaying the
+// eagerMaps is the KB's insert-time maps, built by replaying the
 // insert-time indexing over the KB's entities and triples.
 type eagerMaps struct {
 	nameIndex    map[string][]string
 	tokenIndex   map[string][]string
 	literalIndex map[string]int
-	objectCount  map[string]int
 	bySubject    map[string][]int
 	byPred       map[string][]int
 }
@@ -30,7 +35,6 @@ func buildEagerMaps(k *KB) *eagerMaps {
 		nameIndex:    make(map[string][]string),
 		tokenIndex:   make(map[string][]string),
 		literalIndex: make(map[string]int),
-		objectCount:  make(map[string]int),
 		bySubject:    make(map[string][]int),
 		byPred:       make(map[string][]int),
 	}
@@ -45,7 +49,6 @@ func buildEagerMaps(k *KB) *eagerMaps {
 		if !t.Object.IsEntity() {
 			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
 		}
-		m.objectCount[t.Object.Key()]++
 		m.bySubject[t.Subject] = append(m.bySubject[t.Subject], i)
 		m.byPred[t.Predicate] = append(m.byPred[t.Predicate], i)
 	}
@@ -60,15 +63,7 @@ func triplesAt(k *KB, idxs []int) []Triple {
 	return out
 }
 
-func (m *eagerMaps) objectKeys(k *KB, subject string) map[string]bool {
-	out := make(map[string]bool)
-	for _, idx := range m.bySubject[subject] {
-		out[k.triples[idx].Object.Key()] = true
-	}
-	return out
-}
-
-// checkTripleLookups holds TriplesOf, ObjectKeys and TriplesWithPredicate
+// checkTripleLookups holds TriplesOf and TriplesWithPredicate
 // to the eager maps on every entity ID and predicate of the KB, and on a
 // subject and a predicate that have no triple.
 func checkTripleLookups(t testing.TB, k *KB, ref *eagerMaps, when string) {
@@ -76,9 +71,6 @@ func checkTripleLookups(t testing.TB, k *KB, ref *eagerMaps, when string) {
 	for _, id := range append(k.EntityIDs(), "no-such-entity") {
 		if got, want := k.TriplesOf(id), triplesAt(k, ref.bySubject[id]); !sameContents(got, want) {
 			t.Fatalf("%s: TriplesOf(%q) = %v, reference %v", when, id, got, want)
-		}
-		if got, want := k.ObjectKeys(id), ref.objectKeys(k, id); !sameContents(got, want) {
-			t.Fatalf("%s: ObjectKeys(%q) = %v, reference %v", when, id, got, want)
 		}
 	}
 	for _, pred := range append(sortedKeys(ref.byPred), "no-such-predicate") {
@@ -128,64 +120,81 @@ func (m *eagerMaps) hasLiteral(text string) bool {
 	return n != "" && m.literalIndex[n] > 0
 }
 
-func (m *eagerMaps) matchItems(text string) []string {
-	var out []string
-	for _, id := range m.lookupEntities(text) {
-		out = append(out, "e:"+id)
-	}
-	if m.hasLiteral(text) {
-		out = append(out, "lit:"+strmatch.Normalize(text))
-	}
-	return out
+// refIndex is the Index as it was built before it became self-contained:
+// string slices and string-keyed maps, one slice per name, and rune
+// decompositions precomputed per key.
+type refIndex struct {
+	numEntities int
+	numTriples  int
+	entityIDs   []string
+	litNorms    []string
+	entityItem  map[string]ItemID
+	litItem     map[string]ItemID
+	objCount    []int32
+	objects     []ItemID
+	objStart    []int32
+	relations   []SubjectRelation
+	relStart    []int32
+	exactEnt    map[string][]ItemID
+	tokenEnt    map[string][]ItemID
+	aliasStart  []int32
+	aliasKeys   []refMatchKey
+	litKeys     []refMatchKey
 }
 
-func (m *eagerMaps) frequentObjectKeys(numTriples int, frac float64) map[string]bool {
-	out := make(map[string]bool)
-	if numTriples == 0 {
-		return out
-	}
-	min := frac * float64(numTriples)
-	for key, c := range m.objectCount {
-		if float64(c) >= min {
-			out[key] = true
-		}
-	}
-	return out
+type refMatchKey struct {
+	norm    string
+	tokKey  string
+	runeLen int32
+	runes   []rune
 }
 
-// eagerIndex is the Index built from the eager maps.
-func eagerIndex(k *KB, m *eagerMaps) *Index {
-	ix := &Index{numTriples: len(k.triples)}
+func makeRefMatchKey(norm, tokKey string) refMatchKey {
+	k := refMatchKey{norm: norm, tokKey: tokKey, runeLen: int32(utf8.RuneCountInString(norm))}
+	if k.runeLen >= 8 {
+		k.runes = []rune(norm)
+	}
+	return k
+}
+
+func newRefIndex(k *KB) *refIndex {
+	ix := &refIndex{numTriples: len(k.triples)}
 	ix.entityIDs = k.EntityIDs()
 	ix.numEntities = len(ix.entityIDs)
 	ix.entityItem = make(map[string]ItemID, ix.numEntities)
 	for i, id := range ix.entityIDs {
 		ix.entityItem[id] = ItemID(i)
 	}
-	ix.litNorms = make([]string, 0, len(m.literalIndex))
-	for n := range m.literalIndex {
-		ix.litNorms = append(ix.litNorms, n)
+	litNorm := make([]string, len(k.triples))
+	ix.litItem = make(map[string]ItemID)
+	for i, t := range k.triples {
+		if t.Object.IsEntity() {
+			continue
+		}
+		n := strmatch.Normalize(t.Object.Literal)
+		litNorm[i] = n
+		if _, ok := ix.litItem[n]; !ok {
+			ix.litItem[n] = 0
+			ix.litNorms = append(ix.litNorms, n)
+		}
 	}
 	sort.Strings(ix.litNorms)
-	ix.litItem = make(map[string]ItemID, len(ix.litNorms))
 	for i, n := range ix.litNorms {
 		ix.litItem[n] = ItemID(ix.numEntities + i)
 	}
 
-	// Triple tables.
 	ix.objCount = make([]int32, ix.numEntities+len(ix.litNorms))
 	perSubjObjs := make([][]ItemID, ix.numEntities)
 	perSubjRels := make([][]SubjectRelation, ix.numEntities)
-	for _, t := range k.triples {
-		obj, ok := ix.objectItem(t.Object)
-		if !ok {
-			continue
+	for i, t := range k.triples {
+		var obj ItemID
+		if t.Object.IsEntity() {
+			obj = ix.entityItem[t.Object.EntityID]
+		} else {
+			obj = ix.litItem[litNorm[i]]
 		}
 		ix.objCount[obj]++
-		subj, ok := ix.entityItem[t.Subject]
-		if !ok {
-			continue
-		}
+		subj := ix.entityItem[t.Subject]
 		perSubjObjs[subj] = append(perSubjObjs[subj], obj)
 		perSubjRels[subj] = append(perSubjRels[subj], SubjectRelation{Pred: t.Predicate, Obj: obj})
 	}
@@ -201,51 +210,34 @@ func eagerIndex(k *KB, m *eagerMaps) *Index {
 			ix.objects = append(ix.objects, o)
 		}
 		ix.objStart[e+1] = int32(len(ix.objects))
-		rels := perSubjRels[e]
-		var seen map[SubjectRelation]bool
-		if len(rels) > 1 {
-			seen = make(map[SubjectRelation]bool, len(rels))
-		}
-		for _, r := range rels {
-			if seen[r] {
-				continue
-			}
-			if seen != nil {
+		seen := map[SubjectRelation]bool{}
+		for _, r := range perSubjRels[e] {
+			if !seen[r] {
 				seen[r] = true
+				ix.relations = append(ix.relations, r)
 			}
-			ix.relations = append(ix.relations, r)
 		}
 		ix.relStart[e+1] = int32(len(ix.relations))
 	}
 
-	// Lookup tables.
-	toItems := func(ids []string) []ItemID {
-		out := make([]ItemID, 0, len(ids))
-		for _, id := range ids {
-			if it, ok := ix.entityItem[id]; ok {
-				out = append(out, it)
-			}
+	ix.exactEnt = make(map[string][]ItemID)
+	ix.tokenEnt = make(map[string][]ItemID)
+	add := func(m map[string][]ItemID, key string, it ItemID) {
+		if l := m[key]; len(l) == 0 || l[len(l)-1] != it {
+			m[key] = append(l, it)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
 	}
-	ix.exactEnt = make(map[string][]ItemID, len(m.nameIndex))
-	for n, ids := range m.nameIndex {
-		ix.exactEnt[n] = toItems(ids)
-	}
-	ix.tokenEnt = make(map[string][]ItemID, len(m.tokenIndex))
-	for tk, ids := range m.tokenIndex {
-		ix.tokenEnt[tk] = toItems(ids)
-	}
-
-	// Match keys.
 	ix.aliasStart = make([]int32, ix.numEntities+1)
 	for e, id := range ix.entityIDs {
-		ent := k.entities[id]
-		for _, name := range appendNames(nil, ent) {
+		for _, name := range appendNames(nil, k.entities[id]) {
 			norm := strmatch.Normalize(name)
 			if norm == "" {
 				continue
+			}
+			tk := strmatch.TokenSetKeyNormalized(norm)
+			add(ix.exactEnt, norm, ItemID(e))
+			if tk != norm {
+				add(ix.tokenEnt, tk, ItemID(e))
 			}
 			dup := false
 			for _, prev := range ix.aliasKeys[ix.aliasStart[e]:] {
@@ -255,16 +247,83 @@ func eagerIndex(k *KB, m *eagerMaps) *Index {
 				}
 			}
 			if !dup {
-				ix.aliasKeys = append(ix.aliasKeys, makeMatchKey(norm, strmatch.TokenSetKeyNormalized(norm)))
+				ix.aliasKeys = append(ix.aliasKeys, makeRefMatchKey(norm, tk))
 			}
 		}
 		ix.aliasStart[e+1] = int32(len(ix.aliasKeys))
 	}
-	ix.litKeys = make([]matchKey, len(ix.litNorms))
+	ix.litKeys = make([]refMatchKey, len(ix.litNorms))
 	for i, norm := range ix.litNorms {
-		ix.litKeys[i] = makeMatchKey(norm, strmatch.TokenSetKeyNormalized(norm))
+		ix.litKeys[i] = makeRefMatchKey(norm, strmatch.TokenSetKeyNormalized(norm))
 	}
 	return ix
+}
+
+func (ix *refIndex) numItems() int { return ix.numEntities + len(ix.litNorms) }
+
+func (ix *refIndex) isEntity(it ItemID) bool { return int(it) < ix.numEntities }
+
+func (ix *refIndex) entityID(it ItemID) string {
+	if !ix.isEntity(it) {
+		return ""
+	}
+	return ix.entityIDs[it]
+}
+
+func (ix *refIndex) objectItems(subject ItemID) []ItemID {
+	if !ix.isEntity(subject) {
+		return nil
+	}
+	return ix.objects[ix.objStart[subject]:ix.objStart[subject+1]]
+}
+
+func (ix *refIndex) relationsOf(subject ItemID) []SubjectRelation {
+	if !ix.isEntity(subject) {
+		return nil
+	}
+	return ix.relations[ix.relStart[subject]:ix.relStart[subject+1]]
+}
+
+func (ix *refIndex) appendCandidates(dst []ItemID, key FieldKey) []ItemID {
+	if key.Norm == "" {
+		return dst
+	}
+	var items []ItemID
+	items = append(items, ix.exactEnt[key.Norm]...)
+	items = append(items, ix.tokenEnt[key.TokenKey]...)
+	slices.Sort(items)
+	dst = append(dst, slices.Compact(items)...)
+	if it, ok := ix.litItem[key.Norm]; ok {
+		dst = append(dst, it)
+	}
+	return dst
+}
+
+func (ix *refIndex) matches(key FieldKey, it ItemID) bool {
+	if key.Norm == "" {
+		return false
+	}
+	if !ix.isEntity(it) {
+		return refKeyMatch(key, &ix.litKeys[int(it)-ix.numEntities])
+	}
+	for a := ix.aliasStart[it]; a < ix.aliasStart[it+1]; a++ {
+		if refKeyMatch(key, &ix.aliasKeys[a]) {
+			return true
+		}
+	}
+	return false
+}
+
+func refKeyMatch(f FieldKey, m *refMatchKey) bool {
+	if f.Norm == m.norm || f.TokenKey == m.tokKey {
+		return true
+	}
+	budget := strmatch.EditBudget(f.RuneLen, int(m.runeLen))
+	if budget == 0 {
+		return false
+	}
+	_, ok := strmatch.LevenshteinBoundedRunes(f.Runes, m.runes, budget)
+	return ok
 }
 
 // sameContents is reflect.DeepEqual for slices and maps, except that a nil
@@ -276,119 +335,175 @@ func sameContents(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// diffIndex names the first table in which got differs from want, or
-// returns "" when every table is equal.
-func diffIndex(got, want *Index) string {
-	tables := []struct {
-		name      string
-		got, want any
-	}{
-		{"numEntities", []int{got.numEntities}, []int{want.numEntities}},
-		{"numTriples", []int{got.numTriples}, []int{want.numTriples}},
-		{"entityIDs", got.entityIDs, want.entityIDs},
-		{"litNorms", got.litNorms, want.litNorms},
-		{"entityItem", got.entityItem, want.entityItem},
-		{"litItem", got.litItem, want.litItem},
-		{"objCount", got.objCount, want.objCount},
-		{"objects", got.objects, want.objects},
-		{"objStart", got.objStart, want.objStart},
-		{"relations", got.relations, want.relations},
-		{"relStart", got.relStart, want.relStart},
-		{"exactEnt", got.exactEnt, want.exactEnt},
-		{"tokenEnt", got.tokenEnt, want.tokenEnt},
-		{"aliasStart", got.aliasStart, want.aliasStart},
-		{"aliasKeys", got.aliasKeys, want.aliasKeys},
-		{"litKeys", got.litKeys, want.litKeys},
-	}
-	if n := reflect.TypeOf(Index{}).NumField(); n != len(tables) {
-		return "Index has a field diffIndex does not compare"
-	}
-	for _, tb := range tables {
-		if !sameContents(tb.got, tb.want) {
-			return tb.name
-		}
-	}
-	return ""
+// lookupText is a text CheckAgainstReference asks the lookups, with the
+// item whose name or literal it was made from (-1 for none).
+type lookupText struct {
+	text   string
+	origin ItemID
 }
 
 // lookupTexts is what CheckAgainstReference asks the lookups: every name,
 // alias and literal of the KB as written, reordered, upper-cased and with
 // a letter dropped, plus texts that match nothing.
-func lookupTexts(k *KB) []string {
-	texts := []string{"", "   ", "!!", "Nobody Here At All"}
-	add := func(s string) {
+func lookupTexts(k *KB, ref *refIndex) []lookupText {
+	var texts []lookupText
+	seen := map[string]bool{}
+	add := func(s string, origin ItemID) {
 		fields := strings.Fields(s)
-		for i, j := 0, len(fields)-1; i < j; i, j = i+1, j-1 {
-			fields[i], fields[j] = fields[j], fields[i]
-		}
-		texts = append(texts, s, strings.Join(fields, ", "), strings.ToUpper(s))
-		if len(s) > 1 {
-			texts = append(texts, s[1:])
+		slices.Reverse(fields)
+		for _, v := range []string{s, strings.Join(fields, ", "), strings.ToUpper(s), s[min(1, len(s)):]} {
+			if !seen[v] {
+				seen[v] = true
+				texts = append(texts, lookupText{v, origin})
+			}
 		}
 	}
-	for _, id := range k.EntityIDs() {
+	for _, s := range []string{"", "   ", "!!", "Nobody Here At All"} {
+		add(s, -1)
+	}
+	for e, id := range ref.entityIDs {
 		for _, name := range appendNames(nil, k.entities[id]) {
-			add(name)
+			add(name, ItemID(e))
 		}
 	}
 	for _, t := range k.triples {
 		if !t.Object.IsEntity() {
-			add(t.Object.Literal)
+			add(t.Object.Literal, ref.litItem[strmatch.Normalize(t.Object.Literal)])
 		}
 	}
 	return texts
 }
 
-// CheckAgainstReference holds a KB that no lookup has read yet to the
-// frozen eager reference: BuildIndex builds none of the lookup maps and
-// an Index whose every table equals the one the eager maps built, and
-// LookupEntities, HasLiteral, MatchItems, FrequentObjectKeys, TriplesOf,
-// ObjectKeys and TriplesWithPredicate answer as the eager maps did both on
-// the call that builds the maps and on every call after it. It is exported for the package's external tests, which
-// bring the websim KBs.
-func CheckAgainstReference(t testing.TB, k *KB) {
+// checkIndex holds the Index to the reference one through every method
+// annotation calls: on every item, IsEntity, EntityID, EntityItem,
+// ObjectCount, ObjectItems and Relations; on every lookup text,
+// AppendCandidates and Matches, for the text's own item, its candidates
+// and a stride of all items that, over all texts, reaches every item.
+func checkIndex(t testing.TB, k *KB, ix *Index, ref *refIndex) {
+	t.Helper()
+	n := ref.numItems()
+	if got := ix.numEntities + len(ix.litKeys); got != n || ix.NumTriples() != ref.numTriples {
+		t.Fatalf("Index has %d items and %d triples, reference %d and %d", got, ix.NumTriples(), n, ref.numTriples)
+	}
+	for i := range n {
+		it := ItemID(i)
+		if ix.IsEntity(it) != ref.isEntity(it) || ix.EntityID(it) != ref.entityID(it) {
+			t.Fatalf("item %d: IsEntity %v EntityID %q, reference %v %q", it, ix.IsEntity(it), ix.EntityID(it), ref.isEntity(it), ref.entityID(it))
+		}
+		if ix.ObjectCount(it) != int(ref.objCount[it]) {
+			t.Fatalf("ObjectCount(%d) = %d, reference %d", it, ix.ObjectCount(it), ref.objCount[it])
+		}
+		if got, want := ix.ObjectItems(it), ref.objectItems(it); !sameContents(got, want) {
+			t.Fatalf("ObjectItems(%d) = %v, reference %v", it, got, want)
+		}
+		if got, want := ix.Relations(it), ref.relationsOf(it); !sameContents(got, want) {
+			t.Fatalf("Relations(%d) = %v, reference %v", it, got, want)
+		}
+		if ix.IsEntity(it) {
+			if got, ok := ix.EntityItem(ix.EntityID(it)); !ok || got != it {
+				t.Fatalf("EntityItem(%q) = %d, %v; want %d", ix.EntityID(it), got, ok, it)
+			}
+		}
+	}
+	for _, id := range []string{"", "no-such-entity", "\xff"} {
+		if _, ok := ref.entityItem[id]; !ok {
+			if got, ok := ix.EntityItem(id); ok {
+				t.Fatalf("EntityItem(%q) = %d, reference none", id, got)
+			}
+		}
+	}
+	texts := lookupTexts(k, ref)
+	stride := max(1, n*len(texts)/200_000)
+	var got, want []ItemID
+	for ti, lt := range texts {
+		key := newFieldKey(lt.text)
+		got, want = ix.AppendCandidates(got[:0], key), ref.appendCandidates(want[:0], key)
+		if !sameContents(got, want) {
+			t.Fatalf("AppendCandidates(%q) = %v, reference %v", lt.text, got, want)
+		}
+		match := func(it ItemID) {
+			if g, w := ix.Matches(key, it), ref.matches(key, it); g != w {
+				t.Fatalf("Matches(%q, %s) = %v, reference %v", lt.text, ix.Key(it), g, w)
+			}
+		}
+		if lt.origin >= 0 {
+			match(lt.origin)
+		}
+		for _, it := range want {
+			match(it)
+		}
+		for i := ti % stride; i < n; i += stride {
+			match(ItemID(i))
+		}
+	}
+}
+
+// checkPins requires that no string of the Index shares a byte with text
+// or with any string of the KB.
+func checkPins(t testing.TB, k *KB, ix *Index, text string) {
+	t.Helper()
+	kbStrs := append([]string{text}, heaptest.Strings(k.ontology)...)
+	kbStrs = append(kbStrs, heaptest.Strings(k.entities)...)
+	kbStrs = append(kbStrs, heaptest.Strings(k.triples)...)
+	strs := heaptest.Strings(ix)
+	if ix.arena != "" && !slices.Contains(strs, ix.arena) {
+		t.Fatal("the walk did not reach the Index's arena")
+	}
+	for _, s := range strs {
+		if i := heaptest.PointsInto(s, kbStrs); i >= 0 {
+			t.Fatalf("the Index's string %.40q shares bytes with the KB's %.40q", s, kbStrs[i])
+		}
+	}
+}
+
+// CheckAgainstReference holds a KB that no lookup has read yet, and text,
+// the bytes it was read from (or ""), to the frozen references:
+// BuildIndex builds none of the lookup maps and an Index that answers
+// every method as the reference Index does (checkIndex) and shares no
+// byte with the KB or text, and LookupEntities, HasLiteral, TriplesOf and
+// TriplesWithPredicate answer as the eager maps
+// did both on the call that builds the maps and on every call after it.
+// It is exported for the package's external tests, which bring the
+// websim KBs.
+func CheckAgainstReference(t testing.TB, k *KB, text string) {
 	t.Helper()
 	if k.lookups.Load() != nil {
 		t.Fatal("the KB's lookup maps were built before the check")
 	}
-	ref := buildEagerMaps(k)
-	if d := diffIndex(k.BuildIndex(), eagerIndex(k, ref)); d != "" {
-		t.Fatalf("Index table %s differs from the eager reference's", d)
-	}
+	ix := k.BuildIndex()
 	if k.lookups.Load() != nil {
 		t.Fatal("BuildIndex built the lookup maps")
 	}
-	texts := lookupTexts(k)
+	checkPins(t, k, ix, text)
+	ref := newRefIndex(k)
+	checkIndex(t, k, ix, ref)
+	k.lookups.Store(nil)
+
+	eager := buildEagerMaps(k)
+	texts := lookupTexts(k, ref)
 	for pass, when := range []string{"building the maps", "after the maps were built"} {
-		for _, text := range texts {
-			if got, want := k.LookupEntities(text), ref.lookupEntities(text); !sameContents(got, want) {
+		for _, lt := range texts {
+			text := lt.text
+			if got, want := k.LookupEntities(text), eager.lookupEntities(text); !sameContents(got, want) {
 				t.Fatalf("%s: LookupEntities(%q) = %v, reference %v", when, text, got, want)
 			}
-			if got, want := k.HasLiteral(text), ref.hasLiteral(text); got != want {
+			if got, want := k.HasLiteral(text), eager.hasLiteral(text); got != want {
 				t.Fatalf("%s: HasLiteral(%q) = %v, reference %v", when, text, got, want)
-			}
-			if got, want := k.MatchItems(text), ref.matchItems(text); !sameContents(got, want) {
-				t.Fatalf("%s: MatchItems(%q) = %v, reference %v", when, text, got, want)
-			}
-		}
-		for _, frac := range []float64{0, 0.0001, 0.01, 0.5} {
-			if got, want := k.FrequentObjectKeys(frac), ref.frequentObjectKeys(len(k.triples), frac); !sameContents(got, want) {
-				t.Fatalf("%s: FrequentObjectKeys(%v) has %d keys, reference %d", when, frac, len(got), len(want))
 			}
 		}
 		if pass == 0 {
 			// The triple lookups get a first build of their own.
 			k.lookups.Store(nil)
 		}
-		checkTripleLookups(t, k, ref, when)
+		checkTripleLookups(t, k, eager, when)
 		if pass == 0 {
 			m := k.lookups.Load()
 			if m == nil {
 				t.Fatal("the lookups left no maps built")
 			}
-			if !reflect.DeepEqual(m.nameIndex, ref.nameIndex) || !sameContents(m.tokenIndex, ref.tokenIndex) ||
-				!sameContents(m.literalIndex, ref.literalIndex) || !reflect.DeepEqual(m.objectCount, ref.objectCount) ||
-				!reflect.DeepEqual(m.bySubject, ref.bySubject) || !reflect.DeepEqual(m.byPred, ref.byPred) {
+			if !reflect.DeepEqual(m.nameIndex, eager.nameIndex) || !sameContents(m.tokenIndex, eager.tokenIndex) ||
+				!sameContents(m.literalIndex, eager.literalIndex) ||
+				!reflect.DeepEqual(m.bySubject, eager.bySubject) || !reflect.DeepEqual(m.byPred, eager.byPred) {
 				t.Fatal("the lazily built maps differ from the eager reference's")
 			}
 		}

@@ -1,11 +1,22 @@
 package strmatch
 
+import "slices"
+
 // LevenshteinRunes returns the edit distance (unit-cost insertions,
 // deletions and substitutions) between two rune slices, pre-split so that
 // one side compared against many others is decoded once. The paper uses
 // Levenshtein distance between XPath strings as the metric for its global
 // relation-mention clustering (§3.2.2, citing Levenshtein 1966).
 func LevenshteinRunes(ra, rb []rune) int {
+	return distance(ra, rb, len(ra)+len(rb))
+}
+
+// distance returns the edit distance between ra and rb if it is at most
+// max, and otherwise some value above max: it stops at the first row whose
+// least entry passes max, since no later row's least entry is smaller. No
+// distance exceeds the longer length, so a max at or above it is never
+// looked for.
+func distance(ra, rb []rune, max int) int {
 	// A shared prefix or suffix costs no edit: XPaths that share their
 	// leading steps — however deeply the page nests — compare only where
 	// they differ.
@@ -58,6 +69,11 @@ func LevenshteinRunes(ra, rb []rune) int {
 			row[j] = m
 			diag = up
 		}
+		if max < len(ra) {
+			if least := slices.Min(row); least > max {
+				return least
+			}
+		}
 	}
 	return row[len(rb)]
 }
@@ -79,7 +95,7 @@ func LevenshteinBoundedRunes(ra, rb []rune, max int) (int, bool) {
 	if diff > max {
 		return max + 1, false
 	}
-	d := LevenshteinRunes(ra, rb)
+	d := distance(ra, rb, max)
 	if d > max {
 		return max + 1, false
 	}

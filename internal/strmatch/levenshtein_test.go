@@ -115,7 +115,10 @@ func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 // textbook (m+1)×(n+1) table over random strings from a four-letter
 // alphabet (so that many runes match), on both sides of the length where
 // the row leaves the stack; every other pair shares a random prefix and
-// suffix, which the kernel strips before it fills the row.
+// suffix, which the kernel strips before it fills the row. The bounded
+// form, which stops at the first row whose least entry passes its budget,
+// is held to the same table at budgets 0–3 and just below and at the
+// distance.
 func TestLevenshteinMatchesFullMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	word := func() []rune {
@@ -153,8 +156,15 @@ func TestLevenshteinMatchesFullMatrix(t *testing.T) {
 				d[i][j] = min(d[i-1][j-1]+cost, d[i-1][j]+1, d[i][j-1]+1)
 			}
 		}
-		if got, want := LevenshteinRunes(a, b), d[len(a)][len(b)]; got != want {
+		want := d[len(a)][len(b)]
+		if got := LevenshteinRunes(a, b); got != want {
 			t.Fatalf("LevenshteinRunes(%q, %q) = %d, want %d", string(a), string(b), got, want)
+		}
+		for _, max := range []int{0, 1, 2, 3, want - 1, want} {
+			got, ok := LevenshteinBoundedRunes(a, b, max)
+			if ok != (want <= max) || ok && got != want || !ok && got != max+1 {
+				t.Fatalf("LevenshteinBoundedRunes(%q, %q, %d) = %d, %v; distance %d", string(a), string(b), max, got, ok, want)
+			}
 		}
 	}
 }

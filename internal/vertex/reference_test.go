@@ -2,12 +2,12 @@ package vertex
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 
 	"ceres/internal/core"
 	"ceres/internal/dom"
 	"ceres/internal/xpath"
+	"ceres/internal/xpath/xpathtest"
 )
 
 // VERTEX++ as it ran before it read the stream pass: rules learned and
@@ -29,7 +29,7 @@ func treeLearn(pages []TrainingPage) *Extractor {
 		docs[i] = dom.Parse(tp.Page.HTML)
 		for pred, nodePaths := range tp.Labels {
 			for _, ps := range nodePaths {
-				p, err := xpath.Parse(ps)
+				p, err := xpathtest.Parse(ps)
 				if err != nil {
 					continue
 				}
@@ -334,23 +334,13 @@ func treeAttrOr(n *dom.Node, key string) string {
 // treeResolveXPath walks an absolute XPath from doc and returns the node
 // it addresses, or nil.
 func treeResolveXPath(doc *dom.Node, path string) *dom.Node {
-	if path == "" || path[0] != '/' {
+	p, err := xpathtest.Parse(path)
+	if err != nil {
 		return nil
 	}
-	if path == "/" {
-		return doc
-	}
 	cur := doc
-	for _, raw := range strings.Split(path[1:], "/") {
-		open := strings.IndexByte(raw, '[')
-		if open < 0 || !strings.HasSuffix(raw, "]") {
-			return nil
-		}
-		name := raw[:open]
-		idx, err := strconv.Atoi(raw[open+1 : len(raw)-1])
-		if err != nil || idx < 1 {
-			return nil
-		}
+	for _, step := range p {
+		name, idx := step.Tag, step.Index
 		var next *dom.Node
 		count := 0
 		for _, c := range cur.Children {

@@ -1,10 +1,13 @@
-package xpath
+package xpath_test
 
 import (
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"ceres/internal/xpath"
+	"ceres/internal/xpath/xpathtest"
 )
 
 func TestParseAndString(t *testing.T) {
@@ -15,7 +18,7 @@ func TestParseAndString(t *testing.T) {
 		"/html[1]/body[1]/div[2]/text()[1]",
 	}
 	for _, s := range cases {
-		p, err := Parse(s)
+		p, err := xpathtest.Parse(s)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", s, err)
 		}
@@ -30,19 +33,19 @@ func TestParseErrors(t *testing.T) {
 		"", "html[1]", "/html", "/html[]", "/html[0]", "/html[x]", "/html[1]/", "/[1]",
 	}
 	for _, s := range bad {
-		if _, err := Parse(s); err == nil {
+		if _, err := xpathtest.Parse(s); err == nil {
 			t.Errorf("Parse(%q) should fail", s)
 		}
 	}
 }
 
 // genPath builds a random valid path for property tests.
-func genPath(r *rand.Rand) Path {
+func genPath(r *rand.Rand) xpath.Path {
 	tags := []string{"html", "body", "div", "span", "a", "li", "ul", "td", "text()"}
 	n := r.Intn(8)
-	p := make(Path, n)
+	p := make(xpath.Path, n)
 	for i := range p {
-		p[i] = Step{Tag: tags[r.Intn(len(tags))], Index: 1 + r.Intn(9)}
+		p[i] = xpath.Step{Tag: tags[r.Intn(len(tags))], Index: 1 + r.Intn(9)}
 	}
 	return p
 }
@@ -51,7 +54,7 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		p := genPath(r)
-		q, err := Parse(p.String())
+		q, err := xpathtest.Parse(p.String())
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", p.String(), err)
 		}
@@ -64,9 +67,9 @@ func TestParsePrintRoundTripProperty(t *testing.T) {
 // TestSameShapeAndDiff: paths that differ only in indices share a shape;
 // a differing tag does not.
 func TestSameShapeAndDiff(t *testing.T) {
-	a := MustParse("/html[1]/body[1]/div[2]/a[3]")
-	b := MustParse("/html[1]/body[1]/div[2]/a[7]")
-	c := MustParse("/html[1]/body[1]/span[2]/a[3]")
+	a := xpathtest.MustParse("/html[1]/body[1]/div[2]/a[3]")
+	b := xpathtest.MustParse("/html[1]/body[1]/div[2]/a[7]")
+	c := xpathtest.MustParse("/html[1]/body[1]/span[2]/a[3]")
 	if !a.SameShape(b) || a.SameShape(c) {
 		t.Fatalf("SameShape misbehaving")
 	}
@@ -79,38 +82,14 @@ func TestQuickPathStringNeverPanics(t *testing.T) {
 			n = len(idxs)
 		}
 		names := []string{"div", "a", "span", "li"}
-		p := make(Path, n)
+		p := make(xpath.Path, n)
 		for i := 0; i < n; i++ {
-			p[i] = Step{Tag: names[int(tags[i])%len(names)], Index: 1 + int(idxs[i])%5}
+			p[i] = xpath.Step{Tag: names[int(tags[i])%len(names)], Index: 1 + int(idxs[i])%5}
 		}
-		q, err := Parse(p.String())
+		q, err := xpathtest.Parse(p.String())
 		return err == nil && slices.Equal(q, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-// MustParse is Parse for known-good inputs; it panics on error.
-func MustParse(s string) Path {
-	p, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// SameShape reports whether two paths have identical tag sequences,
-// ignoring indices — the precondition for the paths to belong to the same
-// value list (Figure 2).
-func (p Path) SameShape(q Path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i].Tag != q[i].Tag {
-			return false
-		}
-	}
-	return true
 }

@@ -1,10 +1,12 @@
-package xpath
+package xpath_test
 
 import (
 	"slices"
 	"testing"
 
 	"ceres/internal/dom"
+	"ceres/internal/xpath"
+	"ceres/internal/xpath/xpathtest"
 )
 
 // stream streams html on a fresh scratch.
@@ -25,7 +27,7 @@ func fieldNamed(t *testing.T, sp *dom.StreamPage, text string) int {
 }
 
 // fitting lists the texts of the fields that fit pat, in document order.
-func fitting(sp *dom.StreamPage, pat Pattern) []string {
+func fitting(sp *dom.StreamPage, pat xpath.Pattern) []string {
 	var out []string
 	for fi := 0; fi < sp.Fields(); fi++ {
 		if pat.Fits(sp, fi) {
@@ -43,7 +45,7 @@ const listPage = `<html><body>
 
 func TestGeneralize(t *testing.T) {
 	sp := stream(listPage)
-	pat := AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	pat := xpath.AppendField(nil, sp, fieldNamed(t, sp, "one"))
 	for _, v := range []string{"two", "seven"} {
 		if !pat.Widen(sp, fieldNamed(t, sp, v)) {
 			t.Fatalf("Widen by %q failed", v)
@@ -75,34 +77,34 @@ func TestGeneralize(t *testing.T) {
 	if want := []string{"ul#1", "li", "li", "li", "li", "li", "li", "li"}; !slices.Equal(elems, want) {
 		t.Errorf("elements fitting = %q, want %q", elems, want)
 	}
-	if Pattern(nil).FitsElem(sp, 1) || !Pattern(nil).FitsElem(sp, 0) {
+	if xpath.Pattern(nil).FitsElem(sp, 1) || !xpath.Pattern(nil).FitsElem(sp, 0) {
 		t.Errorf("only the document fits the empty pattern")
 	}
 }
 
 func TestGeneralizeShapeMismatch(t *testing.T) {
 	sp := stream(listPage)
-	pat := AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	pat := xpath.AppendField(nil, sp, fieldNamed(t, sp, "one"))
 	if pat.Widen(sp, fieldNamed(t, sp, "x")) {
 		t.Errorf("a shorter path must not widen the pattern")
 	}
-	pat = AppendField(nil, sp, fieldNamed(t, sp, "one"))
+	pat = xpath.AppendField(nil, sp, fieldNamed(t, sp, "one"))
 	if pat.Widen(sp, fieldNamed(t, sp, "not in list")) {
 		t.Errorf("other step names must not widen the pattern")
 	}
 	// A single field generalizes to its own exact path.
 	fi := fieldNamed(t, sp, "seven")
-	if got, want := Path(AppendField(nil, sp, fi)).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
+	if got, want := xpath.Path(xpath.AppendField(nil, sp, fi)).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
 		t.Errorf("exact pattern %s, field XPath %s", got, want)
 	}
 }
 
 // wild is the pattern of a concrete path with the given steps' indices
 // made wildcards.
-func wild(path string, steps ...int) Pattern {
-	pat := Pattern(MustParse(path))
+func wild(path string, steps ...int) xpath.Pattern {
+	pat := xpath.Pattern(xpathtest.MustParse(path))
 	for _, i := range steps {
-		pat[i].Index = Wildcard
+		pat[i].Index = xpath.Wildcard
 	}
 	return pat
 }
@@ -131,21 +133,21 @@ func TestPatternApply(t *testing.T) {
 func TestApplyAgreesWithGeneratedPaths(t *testing.T) {
 	sp := stream(`top<html><body><div><span>a</span><span>b</span>c<!-- x -->d<ul><li>x<li>y</ul></div><title>t</title></body></html>`)
 	for fi := 0; fi < sp.Fields(); fi++ {
-		pat := AppendField(nil, sp, fi)
-		if got, want := Path(pat).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
+		pat := xpath.AppendField(nil, sp, fi)
+		if got, want := xpath.Path(pat).String(), string(sp.AppendFieldXPath(nil, fi)); got != want {
 			t.Errorf("field %d: pattern %s, XPath %s", fi, got, want)
 		}
 		for fj := 0; fj < sp.Fields(); fj++ {
 			if pat.Fits(sp, fj) != (fi == fj) {
-				t.Errorf("exact pattern %s: fits field %d is %v", Path(pat), fj, !(fi == fj))
+				t.Errorf("exact pattern %s: fits field %d is %v", xpath.Path(pat), fj, !(fi == fj))
 			}
 		}
 	}
 	for e := int32(0); e < int32(sp.Elems()); e++ {
-		pat := AppendElem(nil, sp, e)
+		pat := xpath.AppendElem(nil, sp, e)
 		for o := int32(0); o < int32(sp.Elems()); o++ {
 			if pat.FitsElem(sp, o) != (e == o) {
-				t.Errorf("exact pattern %s: fits element %d is %v", Path(pat), o, e != o)
+				t.Errorf("exact pattern %s: fits element %d is %v", xpath.Path(pat), o, e != o)
 			}
 		}
 	}

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"ceres/internal/heaptest"
 )
 
 // kbText is k's serialization, the bytes a kb.tsv holds.
@@ -55,11 +59,20 @@ func modelBytes(t *testing.T, p *Pipeline, pages []PageSource) []byte {
 	return buf.Bytes()
 }
 
-// holdsText reports whether p holds its KB's text and no parsed KB.
+// holdsText reports whether p holds its KB's text and no index.
 func holdsText(p *Pipeline) bool {
 	p.kbMu.Lock()
 	defer p.kbMu.Unlock()
-	return p.kb == nil && p.kbText != nil
+	return p.ix == nil && p.kbText != nil
+}
+
+// liveHeap returns the bytes of heap live after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC() // the second empties the sync.Pools' victim caches
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // TestPipelineTSVTrainingKey: a pipeline built from a KB's text has the
@@ -98,23 +111,17 @@ func TestPipelineTSVTrainingKey(t *testing.T) {
 // a KB's text holds the text and no parsed KB — little more heap than the
 // text itself, where a parsed KB holds several times it. The first Train
 // parses the text, trains the model a pipeline over the parsed KB trains,
-// and leaves the pipeline holding the KB and not the text.
+// and leaves the pipeline holding the KB's index beside the text.
 func TestPipelineTSVHoldsText(t *testing.T) {
 	k, sites := crawlSites(t, 40)
 	text := kbText(t, k)
 	k = nil
-	live := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	// retained is the heap a pipeline build adds to what was live before,
 	// in multiples of the text's size.
 	retained := func(build func() *Pipeline) (*Pipeline, float64) {
-		base := live()
+		base := liveHeap()
 		p := build()
-		return p, float64(live()-base) / float64(len(text))
+		return p, float64(liveHeap()-base) / float64(len(text))
 	}
 	p, ratio := retained(func() *Pipeline {
 		p, err := NewPipelineTSV(text)
@@ -132,7 +139,7 @@ func TestPipelineTSVHoldsText(t *testing.T) {
 		return NewPipeline(parsed)
 	})
 	t.Logf("%d bytes of KB text: the text pipeline retains %.2fx, a parsed KB %.2fx", len(text), ratio, parsedRatio)
-	if p.kb != nil || p.kbText == nil {
+	if p.kb != nil || !holdsText(p) {
 		t.Fatal("the text pipeline parsed its KB before any Train")
 	}
 	if ratio > 1.5 {
@@ -147,8 +154,8 @@ func TestPipelineTSVHoldsText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.kb == nil || p.kbText != nil {
-		t.Error("after Train the text pipeline does not hold the KB alone")
+	if p.kb != nil || p.ix == nil || p.kbText == nil {
+		t.Error("after Train the text pipeline does not hold its text and the KB's index")
 	}
 	want, err := parsedPipeline.Train(context.Background(), site)
 	if err != nil {
@@ -164,6 +171,94 @@ func TestPipelineTSVHoldsText(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), wantBytes.Bytes()) {
 		t.Error("the text pipeline trained different model bytes from a pipeline over the parsed KB")
 	}
+}
+
+// TestPipelineTSVIndexLifecycle: after its first Train, a pipeline built
+// from a KB's text holds the text and the KB's annotation index and no
+// parsed KB — at most 2.5 times the text's bytes of heap, the text
+// included, where holding the parsed KB beside its index took 5.6 times —
+// and ReleaseKB drops the index, writing nothing back, to leave at most
+// 1.5 times. The index holds no byte of the text or of the KB a Train
+// parsed it from.
+func TestPipelineTSVIndexLifecycle(t *testing.T) {
+	k, sites := crawlSites(t, 40)
+	text := kbText(t, k)
+	k = nil
+	site := sites["themoviedb.org"]
+	base := liveHeap()
+	p, err := NewPipelineTSV(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Train(context.Background(), site); err != nil {
+		t.Fatal(err)
+	}
+	trained := float64(liveHeap()-base)/float64(len(text)) + 1 // the text too
+	heaptest.Walk("pipeline", reflect.ValueOf(p), func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Pointer && !v.IsNil() && v.Type() == reflect.TypeFor[*KB]() {
+			t.Errorf("after Train the pipeline holds a parsed KB at %s", path)
+		}
+	})
+	if p.ix == nil {
+		t.Fatal("after Train the pipeline holds no index")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p.ReleaseKB()
+	runtime.ReadMemStats(&after)
+	released := float64(liveHeap()-base)/float64(len(text)) + 1
+	t.Logf("%d bytes of KB text: the pipeline retains %.2fx once trained, %.2fx once released", len(text), trained, released)
+	if trained > 2.5 {
+		t.Errorf("once trained the pipeline retains %.2fx its KB text, bound 2.5x", trained)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+		t.Errorf("ReleaseKB allocated %d bytes: it writes the KB back", n)
+	}
+	if released > 1.5 {
+		t.Errorf("once released the pipeline retains %.2fx its KB text, bound 1.5x", released)
+	}
+	if !holdsText(p) {
+		t.Error("after ReleaseKB the pipeline does not hold its text alone")
+	}
+
+	// The KBs ReadKB parses, kept for their strings' addresses.
+	var parsed []*KB
+	read := ReadKB
+	t.Cleanup(func() { ReadKB = read })
+	ReadKB = func(r io.Reader) (*KB, error) {
+		k, err := read(r)
+		parsed = append(parsed, k)
+		return k, err
+	}
+	if _, err := p.Train(context.Background(), site); err != nil {
+		t.Fatal(err)
+	}
+	if len(parsed) != 1 {
+		t.Fatalf("a Train after ReleaseKB parsed %d KBs, want 1", len(parsed))
+	}
+	within := []string{unsafe.String(unsafe.SliceData(text), len(text))}
+	o := parsed[0].Ontology()
+	for _, name := range o.Names() {
+		pred, _ := o.Predicate(name)
+		within = append(within, name, pred.Name, pred.Domain, pred.Range)
+	}
+	for _, id := range parsed[0].EntityIDs() {
+		e, _ := parsed[0].Entity(id)
+		within = append(append(within, e.ID, e.Type, e.Name), e.Aliases...)
+	}
+	for _, tr := range parsed[0].Triples() {
+		within = append(within, tr.Subject, tr.Predicate, tr.Object.EntityID, tr.Object.Literal)
+	}
+	strs := heaptest.Strings(p.ix)
+	if len(strs) == 0 {
+		t.Fatal("the walk found no string in the index")
+	}
+	for _, s := range strs {
+		if i := heaptest.PointsInto(s, within); i >= 0 {
+			t.Errorf("the index's string %.40q shares bytes with the KB's %.40q", s, within[i])
+		}
+	}
+	runtime.KeepAlive(parsed)
 }
 
 // TestPipelineTSVParsesOnce: eight Train calls at once on a fresh text

@@ -9,9 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"ceres/internal/core"
+	"ceres/internal/heaptest"
 	"ceres/internal/websim"
 )
 
@@ -155,7 +155,7 @@ func TestFitHoldsNoPages(t *testing.T) {
 	}
 	at := map[string]int64{}
 	base := live()
-	defer core.SetTrainingProbe(func(phase string) {
+	defer core.SetTrainingProbe(func(phase string, _ []*core.Page) {
 		if _, seen := at[phase]; !seen {
 			at[phase] = live() - base
 		}
@@ -187,70 +187,54 @@ func TestFitHoldsNoPages(t *testing.T) {
 // TestModelPinsNoTrainingPage walks every string a freshly trained model
 // reaches — the featurizer's vocabulary and lexicon, class names,
 // exemplar signature keys — and requires that none of them points into a
-// training page: a substring kept as a map key would keep the whole page
-// reachable for as long as the model is registered.
+// training page, neither its HTML nor any string of the page as training
+// prepared it (its fields' texts, norms and XPaths): a substring kept as a
+// map key would keep the whole page, or its field text, reachable for as
+// long as the model is registered.
 func TestModelPinsNoTrainingPage(t *testing.T) {
 	c, err := DemoCorpus("movies", 7, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The prepared pages stay reachable until the walk is done, so no
+	// model string can take memory one of them left.
+	var prepared []*core.Page
+	restore := core.SetTrainingProbe(func(phase string, pages []*core.Page) {
+		if phase == "parsed" {
+			prepared = append(prepared, pages...)
+		}
+	})
 	m, err := NewPipeline(c.KB).Train(context.Background(), c.Pages)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	inPage := func(s string) (string, bool) {
-		if len(s) == 0 {
-			return "", false
+	if len(prepared) != len(c.Pages) {
+		t.Fatalf("the probe saw %d prepared pages, want %d", len(prepared), len(c.Pages))
+	}
+	var pageOf []string // the page each of within belongs to
+	var within []string
+	for i, pg := range prepared {
+		for _, s := range heaptest.Strings(pg) {
+			within = append(within, s)
+			pageOf = append(pageOf, c.Pages[i].ID)
 		}
-		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
-		for _, pg := range c.Pages {
-			lo := uintptr(unsafe.Pointer(unsafe.StringData(pg.HTML)))
-			if at >= lo && at < lo+uintptr(len(pg.HTML)) {
-				return pg.ID, true
-			}
-		}
-		return "", false
+		within = append(within, c.Pages[i].HTML)
+		pageOf = append(pageOf, c.Pages[i].ID)
 	}
 	strs, pinned := 0, map[string]bool{}
-	seen := map[uintptr]bool{}
-	var walk func(path string, v reflect.Value)
-	walk = func(path string, v reflect.Value) {
-		switch v.Kind() {
-		case reflect.String:
-			strs++
-			if page, ok := inPage(v.String()); ok {
-				pinned[page] = true
-				t.Errorf("%s %q points into training page %s", path, v.String(), page)
-			}
-		case reflect.Pointer:
-			if v.IsNil() || seen[v.Pointer()] {
-				return
-			}
-			seen[v.Pointer()] = true
-			walk(path, v.Elem())
-		case reflect.Interface:
-			if !v.IsNil() {
-				walk(path, v.Elem())
-			}
-		case reflect.Struct:
-			for i := 0; i < v.NumField(); i++ {
-				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
-			}
-		case reflect.Slice, reflect.Array:
-			if v.Type().Elem().Kind() <= reflect.Complex128 {
-				return // numbers and flags
-			}
-			for i := 0; i < v.Len(); i++ {
-				walk(path+"[]", v.Index(i))
-			}
-		case reflect.Map:
-			for it := v.MapRange(); it.Next(); {
-				walk(path+" key", it.Key())
-				walk(path+"[]", it.Value())
-			}
+	heaptest.Walk("model", reflect.ValueOf(m.sm), func(path string, v reflect.Value) {
+		if v.Kind() != reflect.String {
+			return
 		}
-	}
-	walk("model", reflect.ValueOf(m.sm))
+		strs++
+		if i := heaptest.PointsInto(v.String(), within); i >= 0 {
+			page := pageOf[i]
+			pinned[page] = true
+			t.Errorf("%s %q points into training page %s", path, v.String(), page)
+		}
+	})
+	runtime.KeepAlive(prepared)
 	if strs < 100 {
 		t.Fatalf("walked only %d strings of the model", strs)
 	}
