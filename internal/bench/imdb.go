@@ -157,18 +157,37 @@ func scoreAnnotations(pages []*core.Page, gold []*websim.Page, res *core.Annotat
 	}
 	// Recall: for each page, each gold (pred, value) that the seed KB also
 	// knows (it is annotatable) must have received a correct annotation.
+	// topicObjects[topic][pred] holds the normalized texts (entity names,
+	// literals) of the topics' objects, from one pass over the triples.
+	topicObjects := map[string]map[string]map[string]bool{}
+	for _, g := range gold {
+		if g.TopicID != "" {
+			topicObjects[g.TopicID] = map[string]map[string]bool{}
+		}
+	}
+	for _, t := range K.Triples() {
+		objs := topicObjects[t.Subject]
+		if objs == nil {
+			continue
+		}
+		text := t.Object.Literal
+		if t.Object.IsEntity() {
+			text = t.Object.EntityID
+			if e, ok := K.Entity(text); ok {
+				text = e.Name
+			}
+		}
+		if objs[t.Predicate] == nil {
+			objs[t.Predicate] = map[string]bool{}
+		}
+		objs[t.Predicate][normOf(text)] = true
+	}
 	var allTP, allFP, allFN int
 	for pi, g := range gold {
 		if g.TopicID == "" {
 			continue
 		}
-		kbObjects := map[string]map[string]bool{} // pred -> normalized object texts
-		for _, t := range K.TriplesOf(g.TopicID) {
-			if kbObjects[t.Predicate] == nil {
-				kbObjects[t.Predicate] = map[string]bool{}
-			}
-			kbObjects[t.Predicate][normOf(K.ObjectText(t.Object))] = true
-		}
+		kbObjects := topicObjects[g.TopicID]
 		for _, f := range g.GoldValues() {
 			if f.Predicate == core.NameClass {
 				continue

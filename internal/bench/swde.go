@@ -121,9 +121,13 @@ func Table3(ctx context.Context, cfg Config) Report {
 // supervise (Table 3 footnote: MPAA-Rating was excluded for the distantly
 // supervised systems because the KB lacked seed data).
 func ceresEvalPredicates(vertical string, K *kb.KB) []string {
+	seeded := map[string]bool{}
+	for _, t := range K.Triples() {
+		seeded[t.Predicate] = true
+	}
 	var out []string
 	for _, p := range websim.VerticalPredicates[vertical] {
-		if p == core.NameClass || K.Ontology().Has(p) && len(K.TriplesWithPredicate(p)) > 0 {
+		if p == core.NameClass || seeded[p] {
 			out = append(out, p)
 		}
 	}
@@ -178,14 +182,15 @@ func baselineF1(ctx context.Context, train, evalSet []*websim.Page, K *kb.KB, ev
 	if err != nil {
 		return 0
 	}
-	m, err := core.TrainBaseline(pages, K, core.BaselineOptions{Seed: cfg.Seed})
+	ix := K.BuildIndex()
+	m, err := TrainBaseline(pages, ix, BaselineOptions{Seed: cfg.Seed})
 	if err != nil || m == nil {
 		return 0
 	}
 	var facts []eval.Fact
 	for _, wp := range evalSet {
 		p := core.PreparePage(wp.ID, wp.HTML)
-		for _, e := range core.ExtractBaseline(p, K, m) {
+		for _, e := range ExtractBaseline(p, ix, m) {
 			facts = append(facts, eval.Fact{Page: e.PageID, Predicate: e.Predicate, Value: e.Value})
 		}
 	}

@@ -90,8 +90,10 @@ const (
 	// model message (core.ModelState)
 	tagModelClass      = 1 // bytes, repeated
 	tagModelFeaturizer = 2 // bytes: featurizer message
-	tagModelLR         = 3 // bytes: lr message, optional
-	tagModelNB         = 4 // bytes: nb message, optional
+	tagModelLR         = 3 // bytes: lr message
+	// 4 is reserved: files written while the naive-Bayes ablation could be
+	// saved carry its classifier there; it is skipped, so such a file has
+	// no classifier and fails to load.
 
 	// featurizer message (core.FeaturizerState)
 	tagFzOpts     = 1 // bytes: featureOpts message
@@ -113,14 +115,6 @@ const (
 	tagLRNumFeatures = 2 // varint (zigzag)
 	tagLRW           = 3 // bytes: packed fixed64
 	tagLRB           = 4 // bytes: packed fixed64
-
-	// nb message (mlr.NaiveBayesState)
-	tagNBNumClasses    = 1 // varint (zigzag)
-	tagNBNumFeatures   = 2 // varint (zigzag)
-	tagNBLogPrior      = 3 // bytes: packed fixed64
-	tagNBLogProb       = 4 // bytes: packed fixed64
-	tagNBLogAbsent     = 5 // bytes: packed fixed64
-	tagNBLogProbAbsent = 6 // bytes: packed fixed64
 )
 
 // ------------------------------------------------------------- encoding
@@ -208,16 +202,6 @@ func appendModel(buf []byte, ms *core.ModelState) []byte {
 		msg = appendIntField(msg, tagLRNumFeatures, m.NumFeatures)
 		msg = appendFloatsField(msg, tagLRW, m.W)
 		msg = appendFloatsField(msg, tagLRB, m.B)
-		buf = closeLen(msg, at)
-	}
-	if nb := ms.NB; nb != nil {
-		msg, at := openLen(appendKey(buf, tagModelNB, wireBytes))
-		msg = appendIntField(msg, tagNBNumClasses, nb.NumClasses)
-		msg = appendIntField(msg, tagNBNumFeatures, nb.NumFeatures)
-		msg = appendFloatsField(msg, tagNBLogPrior, nb.LogPrior)
-		msg = appendFloatsField(msg, tagNBLogProb, nb.LogProb)
-		msg = appendFloatsField(msg, tagNBLogAbsent, nb.LogAbsent)
-		msg = appendFloatsField(msg, tagNBLogProbAbsent, nb.LogProbAbsent)
 		buf = closeLen(msg, at)
 	}
 	return buf
@@ -626,8 +610,6 @@ func parseModel(f *fields) *core.ModelState {
 			ms.Featurizer = parseFeaturizer(f)
 		case tagModelLR:
 			ms.LR = parseLR(f)
-		case tagModelNB:
-			ms.NB = parseNB(f)
 		}
 	}
 	f.leave(outer)
@@ -738,27 +720,4 @@ func parseLR(f *fields) *mlr.Model {
 	}
 	f.leave(outer)
 	return m
-}
-
-func parseNB(f *fields) *mlr.NaiveBayesState {
-	nb := &mlr.NaiveBayesState{}
-	outer := f.enter()
-	for f.next() {
-		switch f.tag {
-		case tagNBNumClasses:
-			nb.NumClasses = f.int()
-		case tagNBNumFeatures:
-			nb.NumFeatures = f.int()
-		case tagNBLogPrior:
-			nb.LogPrior = f.floats()
-		case tagNBLogProb:
-			nb.LogProb = f.floats()
-		case tagNBLogAbsent:
-			nb.LogAbsent = f.floats()
-		case tagNBLogProbAbsent:
-			nb.LogProbAbsent = f.floats()
-		}
-	}
-	f.leave(outer)
-	return nb
 }

@@ -45,14 +45,6 @@ func fullState() *core.SiteModelState {
 						W:           []float64{0.5, -1.25, 0, 3.75, math.Inf(1), -0.001},
 						B:           []float64{0.1, 0, -0.2},
 					},
-					NB: &mlr.NaiveBayesState{
-						NumClasses:    3,
-						NumFeatures:   2,
-						LogPrior:      []float64{-1, -2, -3},
-						LogProb:       []float64{-0.5, -0.25, -4, -8, -16, -32},
-						LogAbsent:     []float64{-1.5, -2.5},
-						LogProbAbsent: []float64{-0.125},
-					},
 				},
 			},
 			{

@@ -66,6 +66,9 @@ type ipageIndex struct {
 	// scores[i] is the Jaccard score of pageSet[i] when it is a
 	// non-frequent entity (filled during Algorithm 1 step 1).
 	scores []float64
+	// topic is the page's topic entity, noItem if none (filled during
+	// Algorithm 1 step 4).
+	topic kb.ItemID
 }
 
 func buildPageIndexIndexed(p *Page, ix *kb.Index, s *annotScratch) *ipageIndex {
@@ -245,6 +248,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 	if err := par.For(ctx, len(pages), workers, func(w, pi int) {
 		out[pi] = TopicResult{FieldIdx: -1}
 		p, idx, s := pages[pi], pidx[pi], scratches[w]
+		idx.topic = noItem
 		if s.paths == nil {
 			s.paths = make(map[string]int, len(p.Fields))
 		}
@@ -272,6 +276,7 @@ func identifyTopicsIndexed(ctx context.Context, pages []*Page, ix *kb.Index, opt
 			}
 			if best >= 0 {
 				out[pi] = TopicResult{EntityID: ix.EntityID(best), FieldIdx: fi, Score: bestScore}
+				idx.topic = best
 			}
 			break // only the highest-ranked extant path is consulted
 		}
@@ -321,19 +326,15 @@ func Annotate(ctx context.Context, pages []*Page, ix *kb.Index, topts TopicOptio
 	pageGroups := make([][]iobjGroup, len(pages))
 	hasTopic := make([]bool, len(pages))
 	if err := par.For(ctx, len(pages), workers, func(_, pi int) {
-		if topics[pi].EntityID == "" {
+		p, idx := pages[pi], pidx[pi]
+		if idx.topic == noItem {
 			return
 		}
-		topic, ok := ix.EntityItem(topics[pi].EntityID)
-		if !ok {
-			return
-		}
-		rels := ix.Relations(topic)
+		rels := ix.Relations(idx.topic)
 		if len(rels) == 0 {
 			return
 		}
 		hasTopic[pi] = true
-		p, idx := pages[pi], pidx[pi]
 		var groups []iobjGroup
 		for _, r := range rels {
 			var fields []int
@@ -348,7 +349,7 @@ func Annotate(ctx context.Context, pages []*Page, ix *kb.Index, topts TopicOptio
 				}
 			}
 			if len(fields) > 0 {
-				groups = append(groups, iobjGroup{pred: r.Pred, obj: r.Obj, fields: fields})
+				groups = append(groups, iobjGroup{pred: ix.Predicate(r.Pred), obj: r.Obj, fields: fields})
 			}
 		}
 		pageGroups[pi] = groups

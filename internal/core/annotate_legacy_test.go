@@ -23,7 +23,7 @@ type pageIndex struct {
 	mentionsOf map[string][]int
 }
 
-func buildPageIndex(p *Page, K *kb.KB) *pageIndex {
+func buildPageIndex(p *Page, L *kbtest.Lookups) *pageIndex {
 	pi := &pageIndex{
 		page:       p,
 		items:      make([][]string, len(p.Fields)),
@@ -34,7 +34,7 @@ func buildPageIndex(p *Page, K *kb.KB) *pageIndex {
 		if strmatch.IsLowInfo(f.Text) {
 			continue
 		}
-		items := kbtest.MatchItems(K, f.Text)
+		items := L.MatchItems(f.Text)
 		for _, it := range items {
 			pi.pageSet[it] = true
 			pi.mentionsOf[it] = append(pi.mentionsOf[it], i)
@@ -68,12 +68,16 @@ func jaccardScore(pageSet map[string]bool, entitySet map[string]bool) float64 {
 // reference implementation the indexed path is differentially tested
 // against; the pipeline never calls it.
 func IdentifyTopicsLegacy(pages []*Page, K *kb.KB, opts TopicOptions) []TopicResult {
+	return identifyTopicsLegacy(pages, kbtest.New(K), K.NumTriples(), opts)
+}
+
+func identifyTopicsLegacy(pages []*Page, L *kbtest.Lookups, numTriples int, opts TopicOptions) []TopicResult {
 	opts = opts.withDefaults()
-	frequent := kbtest.FrequentObjectKeys(K, opts.frequentFrac(K.NumTriples()))
+	frequent := L.FrequentObjectKeys(opts.frequentFrac(numTriples))
 
 	idx := make([]*pageIndex, len(pages))
 	for i, p := range pages {
-		idx[i] = buildPageIndex(p, K)
+		idx[i] = buildPageIndex(p, L)
 	}
 
 	// Per-page candidate scores, computed lazily per entity.
@@ -82,7 +86,7 @@ func IdentifyTopicsLegacy(pages []*Page, K *kb.KB, opts TopicOptions) []TopicRes
 	entitySet := func(id string) map[string]bool {
 		s, ok := entitySets[id]
 		if !ok {
-			s = kbtest.ObjectKeys(K, id)
+			s = L.ObjectKeys(id)
 			entitySets[id] = s
 		}
 		return s
@@ -195,7 +199,8 @@ type objGroup struct {
 // is differentially tested against; the pipeline never calls it.
 func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationOptions) *AnnotationResult {
 	ropts = ropts.withDefaults()
-	topics := IdentifyTopicsLegacy(pages, K, topts)
+	L := kbtest.New(K)
+	topics := identifyTopicsLegacy(pages, L, K.NumTriples(), topts)
 
 	// groups[pageIdx][pred][objKey] lists the fields mentioning that
 	// object of that predicate.
@@ -214,7 +219,7 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 		if topics[pi].EntityID == "" {
 			continue
 		}
-		triples := K.TriplesOf(topics[pi].EntityID)
+		triples := L.TriplesOf(topics[pi].EntityID)
 		if len(triples) == 0 {
 			continue
 		}
@@ -237,7 +242,7 @@ func AnnotateLegacy(pages []*Page, K *kb.KB, topts TopicOptions, ropts RelationO
 				if fi == topics[pi].FieldIdx {
 					continue
 				}
-				if kbtest.MatchesObject(K, f.Text, t.Object) {
+				if L.MatchesObject(f.Text, t.Object) {
 					fields = append(fields, fi)
 				}
 			}

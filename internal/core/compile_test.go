@@ -61,7 +61,7 @@ func TestCompiledFeaturesMatchLegacy(t *testing.T) {
 		tsp := streamPage(p)
 		for fi, f := range p.Fields {
 			fields++
-			want := fz.Features(tsp, fi)
+			want := fz.fieldFeatures(tsp, fi)
 			vb.Reset()
 			cm.fz.appendStreamFeatures(&vb, sp, sc, sp.FieldParent(fi))
 			got := vb.Build()

@@ -11,11 +11,13 @@ import "ceres/internal/dom"
 // Proba returns the class distribution of field fi of a page streamed
 // under featureStreamOptions(m.Featurizer.opts).
 func (m *Model) Proba(sp *dom.StreamPage, fi int) []float64 {
-	x := m.Featurizer.Features(sp, fi)
-	if m.NB != nil {
-		return m.NB.Proba(x)
+	x := m.Featurizer.fieldFeatures(sp, fi)
+	if m.NB == nil {
+		return m.LR.Proba(x)
 	}
-	return m.LR.Proba(x)
+	p := make([]float64, m.NB.ClassCount())
+	m.NB.ProbaInto(x, p)
+	return p
 }
 
 // ExtractPage applies the model to every field of a page (§4.3: "we apply

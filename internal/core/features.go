@@ -85,7 +85,7 @@ const kindWidth = 1 + len(structuralAttrs)
 // sibling offset) and frequent-string text features keyed by relative
 // tree position, each numbered by an integer feature ID. It holds them as
 // a vocabulary and per-(level, offset) tables: training grows them while
-// the featurizer is unfrozen (Features), and serving reads them
+// the featurizer is unfrozen (appendFeatures), and serving reads them
 // (streamserve.go). Feature names exist only in the serialized state.
 // A frozen featurizer is immutable and safe for concurrent use.
 type Featurizer struct {
@@ -172,7 +172,7 @@ func newFeaturizer(o FeatureOptions) *Featurizer {
 
 // NewFeaturizer builds the featurizer for one template cluster,
 // assembling the frequent-string lexicon from the given pages. Its tables
-// are empty until Features fills them.
+// are empty until the training walk (appendFeatures) fills them.
 func NewFeaturizer(pages []*Page, opts FeatureOptions) *Featurizer {
 	fz := newFeaturizer(opts.withDefaults())
 	fz.frequent = frequentStrings(pages, fz.opts)
@@ -280,20 +280,34 @@ func frequentStrings(pages []*Page, opts FeatureOptions) map[string]bool {
 	return out
 }
 
-// Features computes the sparse vector of field fi of a page streamed
-// under featureStreamOptions(opts): structural 4-tuples over the field's
-// element, its ancestors and the ancestors' siblings, plus frequent-string
-// text features keyed by the relative tree position of the string. An
-// unfrozen featurizer numbers each feature the first time it meets it; a
-// frozen one drops what its tables do not hold.
-func (fz *Featurizer) Features(sp *dom.StreamPage, fi int) mlr.Vector {
-	return fz.appendFeatures(nil, sp, fi)
+// Features streams p once and returns the sparse vectors of its fields
+// fis. An unfrozen featurizer numbers the features it has not met in the
+// order of fis; featurizing a field again adds none. internal/bench's
+// CERES-Baseline featurizes its node pairs with it.
+func (fz *Featurizer) Features(p *Page, fis []int) []mlr.Vector {
+	s := streamerPool.Get().(*pageStreamer)
+	defer streamerPool.Put(s)
+	s.opts = featureStreamOptions(fz.opts)
+	sp := s.stream(p)
+	out := make([]mlr.Vector, len(fis))
+	for i, fi := range fis {
+		out[i] = fz.appendFeatures(nil, sp, fi)
+	}
+	// A pooled streamer streams under PreparePage's options and must not
+	// pin the page.
+	s.opts, s.last = dom.StreamOptions{}, nil
+	return out
 }
 
-// appendFeatures appends the vector Features computes to dst. Features are
-// met in one fixed order — per level, the element, then its siblings
-// nearest first, the preceding one before the following; then the text
-// walk — which is the order an unfrozen featurizer numbers them in.
+// appendFeatures appends the sparse vector of field fi of a page streamed
+// under featureStreamOptions(opts) to dst: structural 4-tuples over the
+// field's element, its ancestors and the ancestors' siblings, plus
+// frequent-string text features keyed by the relative tree position of
+// the string. Features are met in one fixed order — per level, the
+// element, then its siblings nearest first, the preceding one before the
+// following; then the text walk. An unfrozen featurizer numbers each
+// feature the first time it meets it; a frozen one drops what its tables
+// do not hold.
 func (fz *Featurizer) appendFeatures(dst []mlr.Feature, sp *dom.StreamPage, fi int) []mlr.Feature {
 	var featBuf [64]mlr.Feature
 	feats := featBuf[:0]
@@ -420,7 +434,7 @@ type exampleArena struct {
 
 const exampleChunk = 4096
 
-// features is Featurizer.Features with the vector carved from the arena.
+// features is appendFeatures with the vector carved from the arena.
 func (a *exampleArena) features(fz *Featurizer, sp *dom.StreamPage, fi int) mlr.Vector {
 	if len(a.chunk) == cap(a.chunk) {
 		a.chunk = make([]mlr.Feature, 0, exampleChunk)

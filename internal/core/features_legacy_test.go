@@ -313,7 +313,7 @@ func TestFeaturesMatchLegacy(t *testing.T) {
 				for pi, p := range pages[:n] {
 					sp := s.stream(p)
 					for fi := range p.Fields {
-						g, w := got.Features(sp, fi), legacyFeatures(want, texts[pi][fi])
+						g, w := got.fieldFeatures(sp, fi), legacyFeatures(want, texts[pi][fi])
 						if !reflect.DeepEqual(g, w) {
 							t.Fatalf("%s %+v: page %s field %d: %v, legacy %v", kind, opts, p.ID, fi, g, w)
 						}

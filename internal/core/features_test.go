@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"ceres/internal/dom"
@@ -14,6 +15,12 @@ import (
 func streamPage(p *Page) *dom.StreamPage {
 	s := pageStreamer{opts: featureStreamOptions(FeatureOptions{}.withDefaults())}
 	return s.stream(p)
+}
+
+// fieldFeatures is the vector of field fi of a page streamed under
+// featureStreamOptions(fz.opts).
+func (fz *Featurizer) fieldFeatures(sp *dom.StreamPage, fi int) mlr.Vector {
+	return fz.appendFeatures(nil, sp, fi)
 }
 
 func TestFeaturizerBasics(t *testing.T) {
@@ -32,9 +39,8 @@ func TestFeaturizerBasics(t *testing.T) {
 		t.Errorf("unique title %q should not be frequent", title)
 	}
 	// Features are non-empty and deterministic.
-	sp := streamPage(pages[0])
-	v1 := fz.Features(sp, 5)
-	v2 := fz.Features(sp, 5)
+	vs := fz.Features(pages[0], []int{5, 5})
+	v1, v2 := vs[0], vs[1]
 	if len(v1) == 0 {
 		t.Fatalf("no features for field %q", pages[0].Fields[5].Text)
 	}
@@ -59,11 +65,11 @@ func TestFeaturesDistinguishFieldRoles(t *testing.T) {
 		switch a.Predicate {
 		case websim.PredDirectedBy:
 			if dirVec == nil {
-				dirVec = vecSet(fz.Features(streamPage(pages[a.PageIdx]), a.FieldIdx))
+				dirVec = vecSet(fz.fieldFeatures(streamPage(pages[a.PageIdx]), a.FieldIdx))
 			}
 		case websim.PredGenre:
 			if genreVec == nil {
-				genreVec = vecSet(fz.Features(streamPage(pages[a.PageIdx]), a.FieldIdx))
+				genreVec = vecSet(fz.fieldFeatures(streamPage(pages[a.PageIdx]), a.FieldIdx))
 			}
 		}
 	}
@@ -89,15 +95,31 @@ func vecSet(v mlr.Vector) map[int]bool {
 	return out
 }
 
+// TestFeaturesNumbersInFieldOrder: Features over a list of fields, one of
+// them repeated, numbers features as featurizing the fields one at a time
+// in that order does, and returns what that walk returns.
+func TestFeaturesNumbersInFieldOrder(t *testing.T) {
+	pages, _, _, _ := buildMovieSite(t, 6, defaultStyle())
+	fis := []int{8, 3, 8, 5, 0}
+	got := NewFeaturizer(pages, FeatureOptions{}).Features(pages[1], fis)
+	want := NewFeaturizer(pages, FeatureOptions{})
+	sp := streamPage(pages[1])
+	for i, fi := range fis {
+		if w := want.fieldFeatures(sp, fi); !slices.Equal(got[i], w) {
+			t.Fatalf("field %d: Features gives %v, one at a time %v", fi, got[i], w)
+		}
+	}
+}
+
 func TestFeatureAblationFlags(t *testing.T) {
 	pages, _, _, _ := buildMovieSite(t, 10, defaultStyle())
 	full := NewFeaturizer(pages, FeatureOptions{})
 	noStruct := NewFeaturizer(pages, FeatureOptions{DisableStructural: true})
 	noText := NewFeaturizer(pages, FeatureOptions{DisableText: true})
 	sp := streamPage(pages[0])
-	nFull := len(full.Features(sp, 8))
-	nNoStruct := len(noStruct.Features(sp, 8))
-	nNoText := len(noText.Features(sp, 8))
+	nFull := len(full.fieldFeatures(sp, 8))
+	nNoStruct := len(noStruct.fieldFeatures(sp, 8))
+	nNoText := len(noText.fieldFeatures(sp, 8))
 	if nNoStruct >= nFull || nNoText >= nFull {
 		t.Errorf("ablations should drop features: full=%d noStruct=%d noText=%d", nFull, nNoStruct, nNoText)
 	}
@@ -109,7 +131,7 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 	for _, p := range pages[:3] {
 		sp := streamPage(p)
 		for fi := range p.Fields {
-			fz.Features(sp, fi)
+			fz.fieldFeatures(sp, fi)
 		}
 	}
 	before := fz.features
@@ -117,7 +139,7 @@ func TestFrozenDictDropsUnseen(t *testing.T) {
 	for _, p := range pages[3:] {
 		sp := streamPage(p)
 		for fi := range p.Fields {
-			fz.Features(sp, fi)
+			fz.fieldFeatures(sp, fi)
 		}
 	}
 	if fz.features != before {
@@ -144,7 +166,7 @@ func BenchmarkFeaturize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for fi := range pages[0].Fields {
-			if v := fz.Features(sp, fi); len(v) == 0 {
+			if v := fz.fieldFeatures(sp, fi); len(v) == 0 {
 				b.Fatal("no features")
 			}
 		}

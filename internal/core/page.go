@@ -3,8 +3,8 @@
 // (Algorithm 1) and relation annotation (Algorithm 2) — followed by
 // training a multinomial logistic-regression node classifier over
 // DOM-structural and nearby-text features, and extraction of new triples
-// with calibrated confidences. The baseline variants the paper compares
-// against (CERES-Topic, CERES-Baseline) are modes of the same pipeline.
+// with calibrated confidences. The CERES-Topic baseline is one of its
+// annotation modes.
 //
 // Features are integers from training on: one Featurizer's vocabulary and
 // (level, offset) tables, which training grows and serving reads. A

@@ -466,9 +466,7 @@ type ClusterModelState struct {
 type ModelState struct {
 	Classes    []string
 	Featurizer FeaturizerState
-	// Exactly one of LR / NB is set, matching the classifier choice.
-	LR *mlr.Model
-	NB *mlr.NaiveBayesState
+	LR         *mlr.Model
 }
 
 // State snapshots the site model for serialization.
@@ -490,10 +488,6 @@ func (sm *SiteModel) State() *SiteModelState {
 				Classes:    c.Model.Classes.Names(),
 				Featurizer: c.Model.Featurizer.State(),
 				LR:         c.Model.LR,
-			}
-			if c.Model.NB != nil {
-				nb := c.Model.NB.State()
-				ms.NB = &nb
 			}
 			cs.Model = ms
 		}
@@ -545,38 +539,18 @@ func restoreModel(st *ModelState) (*Model, error) {
 		return nil, err
 	}
 	m := &Model{Classes: classes, Featurizer: fz}
-	checkFeatures := func(numFeatures int) error {
-		if numFeatures > fz.features {
-			return fmt.Errorf("core: model scores %d features but the featurizer has %d", numFeatures, fz.features)
-		}
-		return nil
-	}
-	switch {
-	case st.LR != nil && st.NB == nil:
-		if err := st.LR.Validate(); err != nil {
-			return nil, err
-		}
-		if st.LR.NumClasses != classes.Len() {
-			return nil, fmt.Errorf("core: model has %d classes, class space has %d", st.LR.NumClasses, classes.Len())
-		}
-		if err := checkFeatures(st.LR.NumFeatures); err != nil {
-			return nil, err
-		}
-		m.LR = st.LR
-	case st.NB != nil && st.LR == nil:
-		nb, err := mlr.RestoreNaiveBayes(*st.NB)
-		if err != nil {
-			return nil, err
-		}
-		if nb.NumClasses != classes.Len() {
-			return nil, fmt.Errorf("core: model has %d classes, class space has %d", nb.NumClasses, classes.Len())
-		}
-		if err := checkFeatures(nb.NumFeatures); err != nil {
-			return nil, err
-		}
-		m.NB = nb
-	default:
+	if st.LR == nil {
 		return nil, fmt.Errorf("core: model state needs exactly one classifier")
 	}
+	if err := st.LR.Validate(); err != nil {
+		return nil, err
+	}
+	if st.LR.NumClasses != classes.Len() {
+		return nil, fmt.Errorf("core: model has %d classes, class space has %d", st.LR.NumClasses, classes.Len())
+	}
+	if st.LR.NumFeatures > fz.features {
+		return nil, fmt.Errorf("core: model scores %d features but the featurizer has %d", st.LR.NumFeatures, fz.features)
+	}
+	m.LR = st.LR
 	return m, nil
 }

@@ -202,7 +202,7 @@ func (fz *Featurizer) contextOf(sp *dom.StreamPage, sc *ServeScratch, node, lvl 
 }
 
 // appendStreamFeatures emits the feature IDs of a field whose containing
-// element is elem — Featurizer.Features with the page's elements and
+// element is elem — appendFeatures with the page's elements and
 // texts resolved once (beginPage) instead of per field: the same context
 // walk (containing element, ancestors, sibling windows, bounded
 // sibling-text probes) reading the same tables, in a different order,

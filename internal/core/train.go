@@ -116,7 +116,7 @@ type Model struct {
 	Classes    *Classes
 	Featurizer *Featurizer
 	// LR is the paper's classifier; NB replaces it when the ablation
-	// selects naive Bayes.
+	// selects naive Bayes, in memory only: the model file holds LR.
 	LR *mlr.Model
 	NB *mlr.NaiveBayes
 }

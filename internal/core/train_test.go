@@ -5,15 +5,10 @@ import (
 	"slices"
 	"testing"
 
-	"ceres/internal/kb"
 	"ceres/internal/websim"
 	"ceres/internal/xpath"
 	"ceres/internal/xpath/xpathtest"
 )
-
-func emptyKB() *kb.KB {
-	return kb.New(websim.MovieOntology())
-}
 
 func TestNewClasses(t *testing.T) {
 	anns := []Annotation{

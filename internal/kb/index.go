@@ -17,10 +17,10 @@ import (
 // comparing their Object.Key() strings ("e:..." sorts before "lit:...").
 type ItemID int32
 
-// SubjectRelation is one deduplicated (predicate, object) pair of a
-// subject's triples, in triple insertion order.
-type SubjectRelation struct {
-	Pred string
+// Relation is one deduplicated (predicate, object) pair of a subject's
+// triples. Pred is the predicate's index; Index.Predicate names it.
+type Relation struct {
+	Pred int32
 	Obj  ItemID
 }
 
@@ -59,7 +59,7 @@ type Index struct {
 	arena  string
 	entOff []uint32
 
-	// preds names the predicates of relations; a relation's pred indexes
+	// preds names the predicates of relations; a relation's Pred indexes
 	// it.
 	preds []string
 
@@ -76,14 +76,14 @@ type Index struct {
 	// relations[relStart[e]:relStart[e+1]] lists entity e's deduplicated
 	// (predicate, object) pairs in insertion order — what Algorithm 2
 	// iterates per topic page.
-	relations []relation
+	relations []Relation
 	relStart  []int32
 
 	// keys are the distinct normalized names, name token keys and literal
 	// norms, each with the sorted entity items carrying it as a name
 	// (exact) or, where that differs from the name, as its token key
 	// (token), and the literal item of that norm: the ItemID form of
-	// KB.LookupEntities' and HasLiteral's maps. The postings of both
+	// kbtest's name, token and literal maps. The postings of both
 	// lists are flat in postings; slots is an open-addressed table of
 	// key index + 1 (0 free) under seed.
 	keys     []nameKey
@@ -101,13 +101,6 @@ type Index struct {
 
 // span is a string of an Index's arena: arena[off:off+n].
 type span struct{ off, n uint32 }
-
-// relation is a SubjectRelation with its predicate as an index into
-// Index.preds.
-type relation struct {
-	pred int32
-	obj  ItemID
-}
 
 // nameKey is one entry of the name table: its key, its exact and token
 // postings (postings[post:post+nExact], then the nToken after them) and
@@ -221,7 +214,7 @@ func (ix *Index) buildTripleTables(k *KB, entityItem, litItem map[string]ItemID,
 	}
 	ix.objCount = make([]int32, ix.numEntities+len(litItem))
 	perSubjObjs := make([][]ItemID, ix.numEntities)
-	perSubjRels := make([][]relation, ix.numEntities)
+	perSubjRels := make([][]Relation, ix.numEntities)
 	for i, t := range k.triples {
 		// AddTriple admits only known entities, predicates of the
 		// ontology and non-empty literal norms, so every object has an
@@ -235,7 +228,7 @@ func (ix *Index) buildTripleTables(k *KB, entityItem, litItem map[string]ItemID,
 		ix.objCount[obj]++
 		subj := entityItem[t.Subject]
 		perSubjObjs[subj] = append(perSubjObjs[subj], obj)
-		perSubjRels[subj] = append(perSubjRels[subj], relation{pred: predID[t.Predicate], obj: obj})
+		perSubjRels[subj] = append(perSubjRels[subj], Relation{Pred: predID[t.Predicate], Obj: obj})
 	}
 
 	ix.objStart = make([]int32, ix.numEntities+1)
@@ -249,9 +242,9 @@ func (ix *Index) buildTripleTables(k *KB, entityItem, litItem map[string]ItemID,
 		// Dedup (pred, obj) pairs keeping first occurrence, mirroring the
 		// duplicate-triple skip of Algorithm 2's per-page grouping.
 		rels := perSubjRels[e]
-		var seen map[relation]bool
+		var seen map[Relation]bool
 		if len(rels) > 1 {
-			seen = make(map[relation]bool, len(rels))
+			seen = make(map[Relation]bool, len(rels))
 		}
 		for _, r := range rels {
 			if seen[r] {
@@ -398,15 +391,6 @@ func (ix *Index) EntityID(it ItemID) string {
 
 func (ix *Index) entityID(e int) string { return ix.arena[ix.entOff[e]:ix.entOff[e+1]] }
 
-// EntityItem resolves an entity ID to its item.
-func (ix *Index) EntityItem(id string) (ItemID, bool) {
-	e := sort.Search(ix.numEntities, func(e int) bool { return ix.entityID(e) >= id })
-	if e < ix.numEntities && ix.entityID(e) == id {
-		return ItemID(e), true
-	}
-	return 0, false
-}
-
 // ObjectCount returns how many triples carry the item as object.
 func (ix *Index) ObjectCount(it ItemID) int { return int(ix.objCount[it]) }
 
@@ -421,21 +405,17 @@ func (ix *Index) ObjectItems(subject ItemID) []ItemID {
 }
 
 // Relations returns the deduplicated (predicate, object) pairs of the
-// entity's triples in insertion order, in a slice of the caller's.
-func (ix *Index) Relations(subject ItemID) []SubjectRelation {
+// entity's triples in insertion order. The slice is shared; callers must
+// not modify it.
+func (ix *Index) Relations(subject ItemID) []Relation {
 	if !ix.IsEntity(subject) {
 		return nil
 	}
-	rels := ix.relations[ix.relStart[subject]:ix.relStart[subject+1]]
-	if len(rels) == 0 {
-		return nil
-	}
-	out := make([]SubjectRelation, len(rels))
-	for i, r := range rels {
-		out[i] = SubjectRelation{Pred: ix.preds[r.pred], Obj: r.obj}
-	}
-	return out
+	return ix.relations[ix.relStart[subject]:ix.relStart[subject+1]]
 }
+
+// Predicate returns the name of the predicate a Relation's Pred indexes.
+func (ix *Index) Predicate(pred int32) string { return ix.preds[pred] }
 
 // AppendCandidates appends, in sorted order, the items the field may
 // denote: entities whose normalized name matches exactly or whose
@@ -483,7 +463,7 @@ func (ix *Index) AppendCandidates(dst []ItemID, key FieldKey) []ItemID {
 }
 
 // Matches reports whether the field text denotes the item, with exactly
-// strmatch.FuzzyEqual's semantics: for entities against the name or any
+// kbtest.FuzzyEqual's semantics: for entities against the name or any
 // alias, for literals against the literal. All string normalization
 // happened at build time (aliases) or page-index time (the field), so a
 // call is a few integer guards, string compares, and — only for long,
@@ -504,7 +484,7 @@ func (ix *Index) Matches(key FieldKey, it ItemID) bool {
 	return false
 }
 
-// fuzzyKeyMatch is strmatch.FuzzyEqual over precomputed keys. The key's
+// fuzzyKeyMatch is kbtest.FuzzyEqual over precomputed keys. The key's
 // runes are decoded only for the edit distance, onto the stack unless the
 // key is long.
 func (ix *Index) fuzzyKeyMatch(f FieldKey, m *matchKey) bool {

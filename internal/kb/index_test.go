@@ -2,7 +2,6 @@ package kb
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 	"unicode/utf8"
@@ -23,6 +22,15 @@ func newFieldKey(text string) FieldKey {
 		key.Runes = []rune(norm)
 	}
 	return key
+}
+
+// EntityItem resolves an entity ID to its item.
+func (ix *Index) EntityItem(id string) (ItemID, bool) {
+	e := sort.Search(ix.numEntities, func(e int) bool { return ix.entityID(e) >= id })
+	if e < ix.numEntities && ix.entityID(e) == id {
+		return ItemID(e), true
+	}
+	return 0, false
 }
 
 // objectItem resolves a triple object to its item.
@@ -84,9 +92,9 @@ func TestIndexRelationsDedup(t *testing.T) {
 	rels := ix.Relations(f1)
 	seen := map[string]bool{}
 	for _, r := range rels {
-		key := r.Pred + "\x00" + ix.Key(r.Obj)
+		key := ix.Predicate(r.Pred) + "\x00" + ix.Key(r.Obj)
 		if seen[key] {
-			t.Fatalf("duplicate relation %s %s", r.Pred, ix.Key(r.Obj))
+			t.Fatalf("duplicate relation %s %s", ix.Predicate(r.Pred), ix.Key(r.Obj))
 		}
 		seen[key] = true
 	}
@@ -135,62 +143,6 @@ func TestIndexEmptyKB(t *testing.T) {
 	}
 	if got := ix.AppendCandidates(nil, newFieldKey("anything")); len(got) != 0 {
 		t.Fatalf("candidates on empty KB: %v", got)
-	}
-}
-
-// TestLookupEntitiesAllocs: the exact-match-only short circuit must not
-// sort, dedup, or copy. Two allocations cover the normalized string and
-// (for multi-token text) its token key.
-func TestLookupEntitiesAllocs(t *testing.T) {
-	k := sampleKB(t)
-	for _, tc := range []struct {
-		text string
-		max  float64
-	}{
-		{"Do the Right Thing", 1}, // single exact hit, multi-token
-		{"Crooklyn", 1},           // single exact hit, single token
-		{"Nobody", 1},             // miss, single token
-	} {
-		allocs := testing.AllocsPerRun(200, func() {
-			k.LookupEntities(tc.text)
-		})
-		if allocs > tc.max {
-			t.Errorf("LookupEntities(%q) allocates %.1f/run, want <= %.0f", tc.text, allocs, tc.max)
-		}
-	}
-}
-
-// TestLookupEntitiesMultiHit: the sort/dedup path still runs when several
-// entities share a name or token key.
-func TestLookupEntitiesMultiHit(t *testing.T) {
-	k := New(movieOntology())
-	for _, e := range []Entity{
-		{ID: "z1", Type: "person", Name: "John Smith"},
-		{ID: "a1", Type: "person", Name: "John Smith"},
-		{ID: "m1", Type: "person", Name: "Smith, John"},
-	} {
-		if err := k.AddEntity(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// "john smith" hits z1/a1 exactly and m1 through the token index.
-	got := k.LookupEntities("John Smith")
-	want := []string{"a1", "m1", "z1"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("LookupEntities = %v, want %v", got, want)
-	}
-	// Exact-only multi-hit (no token-index entry) must come back sorted.
-	k2 := New(movieOntology())
-	for _, e := range []Entity{
-		{ID: "z1", Type: "person", Name: "John Smith"},
-		{ID: "a1", Type: "person", Name: "John Smith"},
-	} {
-		if err := k2.AddEntity(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := k2.LookupEntities("John Smith"); !reflect.DeepEqual(got, []string{"a1", "z1"}) {
-		t.Fatalf("exact-only multi-hit = %v, want [a1 z1]", got)
 	}
 }
 

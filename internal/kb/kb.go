@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ceres/internal/strmatch"
 )
@@ -49,25 +48,17 @@ type Triple struct {
 	Object    Object
 }
 
-// KB is an in-memory seed knowledge base with the indexes CERES queries
-// during annotation. The zero value is not usable; call New.
+// KB is an in-memory seed knowledge base. Annotation reads it through its
+// Index. The zero value is not usable; call New.
 type KB struct {
 	ontology *Ontology
 
 	entities map[string]*Entity
 	triples  []Triple
 
-	// lookups holds the string-keyed maps LookupEntities, HasLiteral,
-	// TriplesOf and TriplesWithPredicate read (see lookup.go), built by
-	// the first such call after a mutation. Annotation reads the Index
-	// instead, which derives its own tables from entities and triples, so
-	// a KB that only trains never builds them.
-	lookups atomic.Pointer[lookupMaps]
-
 	// idx caches the frozen annotation index (see index.go) and digest the
-	// content digest (see Digest); any mutation invalidates both, and
-	// lookups. idxMu makes concurrent BuildIndex, Digest and lookup-map
-	// builds safe.
+	// content digest (see Digest); any mutation invalidates both. idxMu
+	// makes concurrent BuildIndex and Digest calls safe.
 	idxMu  sync.Mutex
 	idx    *Index
 	digest string
@@ -102,17 +93,7 @@ func (k *KB) invalidateIndex() {
 	k.idxMu.Lock()
 	k.idx = nil
 	k.digest = ""
-	k.lookups.Store(nil)
 	k.idxMu.Unlock()
-}
-
-func appendUnique(ids []string, id string) []string {
-	for _, x := range ids {
-		if x == id {
-			return ids
-		}
-	}
-	return append(ids, id)
 }
 
 // AddTriple inserts a fact. The predicate must be in the ontology and the
@@ -153,26 +134,6 @@ func (k *KB) NumEntities() int { return len(k.entities) }
 
 // NumTriples returns the number of triples.
 func (k *KB) NumTriples() int { return len(k.triples) }
-
-// TriplesOf returns all triples whose subject is the given entity.
-func (k *KB) TriplesOf(subject string) []Triple {
-	idxs := k.maps().bySubject[subject]
-	out := make([]Triple, len(idxs))
-	for i, idx := range idxs {
-		out[i] = k.triples[idx]
-	}
-	return out
-}
-
-// TriplesWithPredicate returns all triples with the given predicate.
-func (k *KB) TriplesWithPredicate(pred string) []Triple {
-	idxs := k.maps().byPred[pred]
-	out := make([]Triple, len(idxs))
-	for i, idx := range idxs {
-		out[i] = k.triples[idx]
-	}
-	return out
-}
 
 // Triples returns a copy of all triples.
 func (k *KB) Triples() []Triple {

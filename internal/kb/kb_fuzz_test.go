@@ -7,10 +7,9 @@ import (
 
 // FuzzReadKB: kb.tsv is operator input that every batch run reads. No
 // bytes make Read panic, and a KB it accepts writes bytes that read back
-// into a KB writing the same bytes, with the same Digest; its Index
+// into a KB writing the same bytes, with the same Digest; and its Index
 // answers as the frozen reference Index does and holds no byte of src or
-// of the KB, and its lookups answer as the eager maps did
-// (CheckAgainstReference).
+// of the KB (CheckAgainstReference).
 // Seeds: the Write golden here, and truncated and mis-escaped records
 // under testdata/fuzz.
 func FuzzReadKB(f *testing.F) {

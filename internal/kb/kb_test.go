@@ -55,12 +55,16 @@ func TestAddAndQuery(t *testing.T) {
 	if k.NumEntities() != 4 || k.NumTriples() != 9 {
 		t.Fatalf("counts: %d entities, %d triples", k.NumEntities(), k.NumTriples())
 	}
-	got := k.TriplesOf("f1")
-	if len(got) != 6 {
-		t.Errorf("TriplesOf(f1) = %d, want 6", len(got))
+	bySubject, byPred := map[string]int{}, map[string]int{}
+	for _, tr := range k.Triples() {
+		bySubject[tr.Subject]++
+		byPred[tr.Predicate]++
 	}
-	if len(k.TriplesWithPredicate("hasGenre")) != 3 {
-		t.Errorf("hasGenre triples: %d", len(k.TriplesWithPredicate("hasGenre")))
+	if bySubject["f1"] != 6 {
+		t.Errorf("triples of f1: %d, want 6", bySubject["f1"])
+	}
+	if byPred["hasGenre"] != 3 {
+		t.Errorf("hasGenre triples: %d", byPred["hasGenre"])
 	}
 	e, ok := k.Entity("p1")
 	if !ok || e.Name != "Spike Lee" {
@@ -90,35 +94,6 @@ func TestAddErrors(t *testing.T) {
 	}
 }
 
-func TestLookupEntities(t *testing.T) {
-	k := sampleKB(t)
-	for _, text := range []string{"Spike Lee", "spike lee", "Lee, Spike", "SPIKE   LEE"} {
-		ids := k.LookupEntities(text)
-		if len(ids) != 1 || ids[0] != "p1" {
-			t.Errorf("LookupEntities(%q) = %v", text, ids)
-		}
-	}
-	if ids := k.LookupEntities("Nobody Here"); ids != nil {
-		t.Errorf("unknown name: %v", ids)
-	}
-	if ids := k.LookupEntities(""); ids != nil {
-		t.Errorf("empty text: %v", ids)
-	}
-}
-
-func TestObjectText(t *testing.T) {
-	k := sampleKB(t)
-	if got := k.ObjectText(EntityObject("p1")); got != "Spike Lee" {
-		t.Errorf("ObjectText entity = %q", got)
-	}
-	if got := k.ObjectText(LiteralObject("1989")); got != "1989" {
-		t.Errorf("ObjectText literal = %q", got)
-	}
-	if got := k.ObjectText(EntityObject("ghost")); got != "ghost" {
-		t.Errorf("ObjectText missing entity = %q", got)
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	k := sampleKB(t)
 	var sb strings.Builder
@@ -133,8 +108,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("roundtrip counts differ: %d/%d vs %d/%d",
 			k2.NumEntities(), k2.NumTriples(), k.NumEntities(), k.NumTriples())
 	}
-	if ids := k2.LookupEntities("Lee, Spike"); len(ids) != 1 || ids[0] != "p1" {
-		t.Errorf("alias index lost in roundtrip: %v", ids)
+	ix := k2.BuildIndex()
+	if items := ix.AppendCandidates(nil, newFieldKey("Lee, Spike")); len(items) != 1 || ix.EntityID(items[0]) != "p1" {
+		t.Errorf("alias lost in roundtrip: %v", items)
 	}
 	var sb2 strings.Builder
 	if err := k2.Write(&sb2); err != nil {
@@ -248,7 +224,7 @@ func TestEscapedFields(t *testing.T) {
 	if e.Name != "has\ttab and\nnewline" {
 		t.Errorf("escaped name lost: %q", e.Name)
 	}
-	tr := k2.TriplesOf("e1")
+	tr := k2.Triples()
 	if len(tr) != 1 || tr[0].Object.Literal != "v\\with\tboth\n" {
 		t.Errorf("escaped literal lost: %+v", tr)
 	}

@@ -12,113 +12,11 @@ import (
 	"ceres/internal/strmatch"
 )
 
-// Two references are frozen here. The KB's string-keyed maps as
-// AddEntity and AddTriple used to build them on every insert are the
-// reference for the lazily built maps (lookupMaps). And the Index as it
-// was before its strings moved into one arena and its name maps into one
-// open-addressed table (refIndex) is the reference the compact Index must
-// answer as, method for method. The string-keyed lookups annotation ran before
-// the Index are a third, in kbtest.
-
-// eagerMaps is the KB's insert-time maps, built by replaying the
-// insert-time indexing over the KB's entities and triples.
-type eagerMaps struct {
-	nameIndex    map[string][]string
-	tokenIndex   map[string][]string
-	literalIndex map[string]int
-	bySubject    map[string][]int
-	byPred       map[string][]int
-}
-
-func buildEagerMaps(k *KB) *eagerMaps {
-	m := &eagerMaps{
-		nameIndex:    make(map[string][]string),
-		tokenIndex:   make(map[string][]string),
-		literalIndex: make(map[string]int),
-		bySubject:    make(map[string][]int),
-		byPred:       make(map[string][]int),
-	}
-	for _, id := range k.EntityIDs() {
-		e := k.entities[id]
-		m.indexName(e.Name, e.ID)
-		for _, a := range e.Aliases {
-			m.indexName(a, e.ID)
-		}
-	}
-	for i, t := range k.triples {
-		if !t.Object.IsEntity() {
-			m.literalIndex[strmatch.Normalize(t.Object.Literal)]++
-		}
-		m.bySubject[t.Subject] = append(m.bySubject[t.Subject], i)
-		m.byPred[t.Predicate] = append(m.byPred[t.Predicate], i)
-	}
-	return m
-}
-
-func triplesAt(k *KB, idxs []int) []Triple {
-	out := make([]Triple, len(idxs))
-	for i, idx := range idxs {
-		out[i] = k.triples[idx]
-	}
-	return out
-}
-
-// checkTripleLookups holds TriplesOf and TriplesWithPredicate
-// to the eager maps on every entity ID and predicate of the KB, and on a
-// subject and a predicate that have no triple.
-func checkTripleLookups(t testing.TB, k *KB, ref *eagerMaps, when string) {
-	t.Helper()
-	for _, id := range append(k.EntityIDs(), "no-such-entity") {
-		if got, want := k.TriplesOf(id), triplesAt(k, ref.bySubject[id]); !sameContents(got, want) {
-			t.Fatalf("%s: TriplesOf(%q) = %v, reference %v", when, id, got, want)
-		}
-	}
-	for _, pred := range append(sortedKeys(ref.byPred), "no-such-predicate") {
-		if got, want := k.TriplesWithPredicate(pred), triplesAt(k, ref.byPred[pred]); !sameContents(got, want) {
-			t.Fatalf("%s: TriplesWithPredicate(%q) has %d triples, reference %d", when, pred, len(got), len(want))
-		}
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (m *eagerMaps) indexName(name, id string) {
-	n := strmatch.Normalize(name)
-	if n == "" {
-		return
-	}
-	m.nameIndex[n] = appendUnique(m.nameIndex[n], id)
-	tk := strmatch.TokenSetKey(name)
-	if tk != n {
-		m.tokenIndex[tk] = appendUnique(m.tokenIndex[tk], id)
-	}
-}
-
-func (m *eagerMaps) lookupEntities(text string) []string {
-	n := strmatch.Normalize(text)
-	if n == "" {
-		return nil
-	}
-	var out []string
-	out = append(out, m.nameIndex[n]...)
-	for _, id := range m.tokenIndex[strmatch.TokenSetKeyNormalized(n)] {
-		out = appendUnique(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (m *eagerMaps) hasLiteral(text string) bool {
-	n := strmatch.Normalize(text)
-	return n != "" && m.literalIndex[n] > 0
-}
+// The Index as it was before its strings moved into one arena and its
+// name maps into one open-addressed table (refIndex) is frozen here: the
+// reference the compact Index must answer as, method for method. The
+// string-keyed lookups annotation ran before the Index are another, in
+// kbtest.
 
 // refIndex is the Index as it was built before it became self-contained:
 // string slices and string-keyed maps, one slice per name, and rune
@@ -133,13 +31,19 @@ type refIndex struct {
 	objCount    []int32
 	objects     []ItemID
 	objStart    []int32
-	relations   []SubjectRelation
+	relations   []refRelation
 	relStart    []int32
 	exactEnt    map[string][]ItemID
 	tokenEnt    map[string][]ItemID
 	aliasStart  []int32
 	aliasKeys   []refMatchKey
 	litKeys     []refMatchKey
+}
+
+// refRelation is a relation with its predicate named.
+type refRelation struct {
+	pred string
+	obj  ItemID
 }
 
 type refMatchKey struct {
@@ -185,7 +89,7 @@ func newRefIndex(k *KB) *refIndex {
 
 	ix.objCount = make([]int32, ix.numEntities+len(ix.litNorms))
 	perSubjObjs := make([][]ItemID, ix.numEntities)
-	perSubjRels := make([][]SubjectRelation, ix.numEntities)
+	perSubjRels := make([][]refRelation, ix.numEntities)
 	for i, t := range k.triples {
 		var obj ItemID
 		if t.Object.IsEntity() {
@@ -196,7 +100,7 @@ func newRefIndex(k *KB) *refIndex {
 		ix.objCount[obj]++
 		subj := ix.entityItem[t.Subject]
 		perSubjObjs[subj] = append(perSubjObjs[subj], obj)
-		perSubjRels[subj] = append(perSubjRels[subj], SubjectRelation{Pred: t.Predicate, Obj: obj})
+		perSubjRels[subj] = append(perSubjRels[subj], refRelation{pred: t.Predicate, obj: obj})
 	}
 	ix.objStart = make([]int32, ix.numEntities+1)
 	ix.relStart = make([]int32, ix.numEntities+1)
@@ -210,7 +114,7 @@ func newRefIndex(k *KB) *refIndex {
 			ix.objects = append(ix.objects, o)
 		}
 		ix.objStart[e+1] = int32(len(ix.objects))
-		seen := map[SubjectRelation]bool{}
+		seen := map[refRelation]bool{}
 		for _, r := range perSubjRels[e] {
 			if !seen[r] {
 				seen[r] = true
@@ -277,7 +181,7 @@ func (ix *refIndex) objectItems(subject ItemID) []ItemID {
 	return ix.objects[ix.objStart[subject]:ix.objStart[subject+1]]
 }
 
-func (ix *refIndex) relationsOf(subject ItemID) []SubjectRelation {
+func (ix *refIndex) relationsOf(subject ItemID) []refRelation {
 	if !ix.isEntity(subject) {
 		return nil
 	}
@@ -335,14 +239,14 @@ func sameContents(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// lookupText is a text CheckAgainstReference asks the lookups, with the
+// lookupText is a text CheckAgainstReference asks the Index, with the
 // item whose name or literal it was made from (-1 for none).
 type lookupText struct {
 	text   string
 	origin ItemID
 }
 
-// lookupTexts is what CheckAgainstReference asks the lookups: every name,
+// lookupTexts is what CheckAgainstReference asks the Index: every name,
 // alias and literal of the KB as written, reordered, upper-cased and with
 // a letter dropped, plus texts that match nothing.
 func lookupTexts(k *KB, ref *refIndex) []lookupText {
@@ -396,8 +300,12 @@ func checkIndex(t testing.TB, k *KB, ix *Index, ref *refIndex) {
 		if got, want := ix.ObjectItems(it), ref.objectItems(it); !sameContents(got, want) {
 			t.Fatalf("ObjectItems(%d) = %v, reference %v", it, got, want)
 		}
-		if got, want := ix.Relations(it), ref.relationsOf(it); !sameContents(got, want) {
-			t.Fatalf("Relations(%d) = %v, reference %v", it, got, want)
+		var rels []refRelation
+		for _, r := range ix.Relations(it) {
+			rels = append(rels, refRelation{ix.Predicate(r.Pred), r.Obj})
+		}
+		if want := ref.relationsOf(it); !sameContents(rels, want) {
+			t.Fatalf("Relations(%d) = %v, reference %v", it, rels, want)
 		}
 		if ix.IsEntity(it) {
 			if got, ok := ix.EntityItem(ix.EntityID(it)); !ok || got != it {
@@ -456,56 +364,14 @@ func checkPins(t testing.TB, k *KB, ix *Index, text string) {
 	}
 }
 
-// CheckAgainstReference holds a KB that no lookup has read yet, and text,
-// the bytes it was read from (or ""), to the frozen references:
-// BuildIndex builds none of the lookup maps and an Index that answers
-// every method as the reference Index does (checkIndex) and shares no
-// byte with the KB or text, and LookupEntities, HasLiteral, TriplesOf and
-// TriplesWithPredicate answer as the eager maps
-// did both on the call that builds the maps and on every call after it.
-// It is exported for the package's external tests, which bring the
-// websim KBs.
+// CheckAgainstReference holds a KB, and text, the bytes it was read from
+// (or ""), to the frozen reference: BuildIndex builds an Index that
+// answers every method as the reference Index does (checkIndex) and
+// shares no byte with the KB or text. It is exported for the package's
+// external tests, which bring the websim KBs.
 func CheckAgainstReference(t testing.TB, k *KB, text string) {
 	t.Helper()
-	if k.lookups.Load() != nil {
-		t.Fatal("the KB's lookup maps were built before the check")
-	}
 	ix := k.BuildIndex()
-	if k.lookups.Load() != nil {
-		t.Fatal("BuildIndex built the lookup maps")
-	}
 	checkPins(t, k, ix, text)
-	ref := newRefIndex(k)
-	checkIndex(t, k, ix, ref)
-	k.lookups.Store(nil)
-
-	eager := buildEagerMaps(k)
-	texts := lookupTexts(k, ref)
-	for pass, when := range []string{"building the maps", "after the maps were built"} {
-		for _, lt := range texts {
-			text := lt.text
-			if got, want := k.LookupEntities(text), eager.lookupEntities(text); !sameContents(got, want) {
-				t.Fatalf("%s: LookupEntities(%q) = %v, reference %v", when, text, got, want)
-			}
-			if got, want := k.HasLiteral(text), eager.hasLiteral(text); got != want {
-				t.Fatalf("%s: HasLiteral(%q) = %v, reference %v", when, text, got, want)
-			}
-		}
-		if pass == 0 {
-			// The triple lookups get a first build of their own.
-			k.lookups.Store(nil)
-		}
-		checkTripleLookups(t, k, eager, when)
-		if pass == 0 {
-			m := k.lookups.Load()
-			if m == nil {
-				t.Fatal("the lookups left no maps built")
-			}
-			if !reflect.DeepEqual(m.nameIndex, eager.nameIndex) || !sameContents(m.tokenIndex, eager.tokenIndex) ||
-				!sameContents(m.literalIndex, eager.literalIndex) ||
-				!reflect.DeepEqual(m.bySubject, eager.bySubject) || !reflect.DeepEqual(m.byPred, eager.byPred) {
-				t.Fatal("the lazily built maps differ from the eager reference's")
-			}
-		}
-	}
+	checkIndex(t, k, ix, newRefIndex(k))
 }

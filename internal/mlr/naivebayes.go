@@ -6,7 +6,8 @@ import "math"
 // features, with Laplace smoothing. It participates in the
 // classifier-choice ablation (§4.2: "We experimented with several
 // classifiers, but ultimately found the best results by modeling ... as a
-// multinomial logistic regression problem").
+// multinomial logistic regression problem"), in memory only: it has no
+// serialized form.
 type NaiveBayes struct {
 	NumClasses  int
 	NumFeatures int
@@ -74,11 +75,4 @@ func (nb *NaiveBayes) ProbaInto(x Vector, s []float64) {
 		}
 	}
 	softmaxInPlace(s)
-}
-
-// Proba returns the posterior distribution over classes for x.
-func (nb *NaiveBayes) Proba(x Vector) []float64 {
-	s := make([]float64, nb.NumClasses)
-	nb.ProbaInto(x, s)
-	return s
 }

@@ -1,35 +1,10 @@
 package strmatch
 
-import "unicode/utf8"
-
-// FuzzyEqual reports whether two strings should be considered mentions of
-// the same name. It is the page-text-to-KB matcher of §3.1.1: exact match
-// on normalized forms, token-order-insensitive match ("Lee, Spike" vs
-// "Spike Lee"), or a small bounded edit distance that scales with length so
-// short strings must match exactly.
-func FuzzyEqual(a, b string) bool {
-	na, nb := Normalize(a), Normalize(b)
-	if na == "" || nb == "" {
-		return na == nb && na != ""
-	}
-	if na == nb {
-		return true
-	}
-	if TokenSetKeyNormalized(na) == TokenSetKeyNormalized(nb) {
-		return true
-	}
-	max := EditBudget(utf8.RuneCountInString(na), utf8.RuneCountInString(nb))
-	if max == 0 {
-		return false
-	}
-	_, ok := LevenshteinBounded(na, nb, max)
-	return ok
-}
-
-// EditBudget returns the edit-distance tolerance for two normalized strings
-// of the given rune lengths. Strings shorter than 8 runes must match
-// exactly; longer strings tolerate roughly one edit per 8 runes, capped
-// at 3. The kb.Index matcher calls this with precomputed lengths.
+// EditBudget returns the edit-distance tolerance of §3.1.1's fuzzy
+// matcher for two normalized strings of the given rune lengths. Strings
+// shorter than 8 runes must match exactly; longer strings tolerate
+// roughly one edit per 8 runes, capped at 3. The kb.Index matcher calls
+// this with precomputed lengths.
 func EditBudget(la, lb int) int {
 	n := la
 	if lb < n {

@@ -1,48 +1,6 @@
 package strmatch
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestFuzzyEqual(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want bool
-	}{
-		{"Spike Lee", "spike lee", true},
-		{"Lee, Spike", "Spike Lee", true},
-		{"Do the Right Thing", "Do the Right Thing", true},
-		{"Do the Right Thing", "Do the Right Thing!", true},
-		{"Do the Right Thing", "Do the Wrong Thing", false},
-		{"Pilot", "Pilot", true},
-		{"Pilot", "Pylot", false}, // short strings must match exactly
-		{"The Shawshank Redemption", "The Shawshank Redemptian", true},
-		{"", "", false},
-		{"", "a", false},
-		{"abc", "xyz", false},
-		{"Björk", "Bjork", true},
-		// "frank welker" is 12 runes, so the edit budget is 1 and a single
-		// substitution is within tolerance.
-		{"Frank Welker", "Frank Welkes", true},
-		// Edit-budget boundaries: <8 runes tolerates 0 edits, 8-15 runes 1,
-		// 16-23 runes 2, >=24 runes 3 (the cap). The budget is taken from
-		// the shorter side.
-		{"abcdefg", "abcdefx", false},                                             // 7 runes: budget 0
-		{"abcdefgh", "abcdefgx", true},                                            // 8 runes: budget 1
-		{"abcdefgh", "abcdefxy", false},                                           // 2 edits exceed budget 1
-		{"abcdefghijklmnop", "abcdefghijklmnxy", true},                            // 16 runes: budget 2
-		{"abcdefghijklmno", "abcdefghijklmxy", false},                             // 15 runes: budget 1 < 2 edits
-		{"abcdefghijklmnopqrstuvwx", "abcdefghijklmnopqrstuxyz", true},            // 24 runes: budget 3
-		{"abcdefghijklmnopqrstuvwxyz12345", "abcdefghijklmnopqrstuvwwxyz", false}, // 4 edits exceed the cap
-		{"abcdefg", "abcdefgh", false},                                            // shorter side 7 runes: budget 0
-	}
-	for _, c := range cases {
-		if got := FuzzyEqual(c.a, c.b); got != c.want {
-			t.Errorf("FuzzyEqual(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
+import "testing"
 
 func TestEditBudget(t *testing.T) {
 	cases := []struct {
@@ -57,25 +15,6 @@ func TestEditBudget(t *testing.T) {
 		if got := EditBudget(c.la, c.lb); got != c.want {
 			t.Errorf("EditBudget(%d,%d) = %d, want %d", c.la, c.lb, got, c.want)
 		}
-	}
-}
-
-func TestFuzzyEqualReflexive(t *testing.T) {
-	f := func(a string) bool {
-		if Normalize(a) == "" {
-			return !FuzzyEqual(a, a)
-		}
-		return FuzzyEqual(a, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFuzzyEqualSymmetric(t *testing.T) {
-	f := func(a, b string) bool { return FuzzyEqual(a, b) == FuzzyEqual(b, a) }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

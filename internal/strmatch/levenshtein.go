@@ -78,15 +78,10 @@ func distance(ra, rb []rune, max int) int {
 	return row[len(rb)]
 }
 
-// LevenshteinBounded returns the edit distance between a and b if it is at
-// most max, and (max+1, false) otherwise. Early exit makes bulk fuzzy
-// matching against a large KB affordable.
-func LevenshteinBounded(a, b string, max int) (int, bool) {
-	return LevenshteinBoundedRunes([]rune(a), []rune(b), max)
-}
-
-// LevenshteinBoundedRunes is LevenshteinBounded over pre-split rune slices,
-// for matchers that compare one precomputed text against many candidates.
+// LevenshteinBoundedRunes returns the edit distance between ra and rb if
+// it is at most max, and (max+1, false) otherwise. Early exit makes bulk
+// fuzzy matching against a large KB affordable; the rune slices let a
+// matcher compare one precomputed text against many candidates.
 func LevenshteinBoundedRunes(ra, rb []rune, max int) (int, bool) {
 	diff := len(ra) - len(rb)
 	if diff < 0 {

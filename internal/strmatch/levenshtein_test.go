@@ -12,6 +12,11 @@ func levenshtein(a, b string) int {
 	return LevenshteinRunes([]rune(a), []rune(b))
 }
 
+// levenshteinBounded is LevenshteinBoundedRunes over strings.
+func levenshteinBounded(a, b string, max int) (int, bool) {
+	return LevenshteinBoundedRunes([]rune(a), []rune(b), max)
+}
+
 func TestLevenshteinBasic(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -84,14 +89,14 @@ func TestLevenshteinUnitAppend(t *testing.T) {
 }
 
 func TestLevenshteinBounded(t *testing.T) {
-	if d, ok := LevenshteinBounded("kitten", "sitting", 3); !ok || d != 3 {
+	if d, ok := levenshteinBounded("kitten", "sitting", 3); !ok || d != 3 {
 		t.Errorf("got %d,%v want 3,true", d, ok)
 	}
-	if d, ok := LevenshteinBounded("kitten", "sitting", 2); ok || d != 3 {
+	if d, ok := levenshteinBounded("kitten", "sitting", 2); ok || d != 3 {
 		t.Errorf("got %d,%v want 3,false", d, ok)
 	}
 	// Length pre-check path.
-	if _, ok := LevenshteinBounded("ab", "abcdefgh", 2); ok {
+	if _, ok := levenshteinBounded("ab", "abcdefgh", 2); ok {
 		t.Errorf("length gap exceeds max: want false")
 	}
 }
@@ -100,7 +105,7 @@ func TestLevenshteinBoundedAgreesWithExact(t *testing.T) {
 	f := func(a, b string, max uint8) bool {
 		m := int(max % 8)
 		d := levenshtein(a, b)
-		bd, ok := LevenshteinBounded(a, b, m)
+		bd, ok := levenshteinBounded(a, b, m)
 		if d <= m {
 			return ok && bd == d
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ceres/internal/dom"
+	"ceres/internal/kb/kbtest"
 )
 
 func smallWorld() *World {
@@ -72,8 +73,9 @@ func TestBuildKBFullCoverage(t *testing.T) {
 		t.Fatalf("empty KB")
 	}
 	// Spot check: every director credit is present.
+	l := kbtest.New(k)
 	for _, f := range w.Films[:10] {
-		triples := k.TriplesOf(f.ID)
+		triples := l.TriplesOf(f.ID)
 		var foundDir bool
 		for _, tr := range triples {
 			if tr.Predicate == PredDirectedBy && tr.Object.EntityID == f.Directors[0] {
@@ -93,8 +95,9 @@ func TestBuildKBPaperCoverageBias(t *testing.T) {
 	w := NewWorld(WorldConfig{Films: 400, People: 500, Seed: 9})
 	full := BuildKB(w, FullCoverage(), 3)
 	biased := BuildKB(w, PaperCoverage(), 3)
-	fullCast := len(full.TriplesWithPredicate(PredCastMember))
-	biasedCast := len(biased.TriplesWithPredicate(PredCastMember))
+	biasedL := kbtest.New(biased)
+	fullCast := len(kbtest.New(full).TriplesWithPredicate(PredCastMember))
+	biasedCast := len(biasedL.TriplesWithPredicate(PredCastMember))
 	ratio := float64(biasedCast) / float64(fullCast)
 	if ratio < 0.08 || ratio > 0.30 {
 		t.Errorf("cast coverage ratio %.3f; want near the paper's 14%%", ratio)
@@ -102,7 +105,7 @@ func TestBuildKBPaperCoverageBias(t *testing.T) {
 	// Top billing survives: the first cast member of each film is kept.
 	for _, f := range w.Films[:20] {
 		found := false
-		for _, tr := range biased.TriplesOf(f.ID) {
+		for _, tr := range biasedL.TriplesOf(f.ID) {
 			if tr.Predicate == PredCastMember && tr.Object.EntityID == f.Cast[0] {
 				found = true
 			}

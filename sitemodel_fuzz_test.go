@@ -35,9 +35,6 @@ func stringsAndFloats(st *core.SiteModelState) int {
 		if ms.LR != nil {
 			n += 8 * (len(ms.LR.W) + len(ms.LR.B))
 		}
-		if nb := ms.NB; nb != nil {
-			n += 8 * (len(nb.LogPrior) + len(nb.LogProb) + len(nb.LogAbsent) + len(nb.LogProbAbsent))
-		}
 	}
 	return n
 }

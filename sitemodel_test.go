@@ -202,6 +202,16 @@ func TestReadSiteModelRejectsGarbage(t *testing.T) {
 		}
 	}
 
+	// A model file written when the naive-Bayes ablation could be saved
+	// carries its classifier under a tag readers skip: it has none.
+	nb, err := os.ReadFile("internal/binmodel/testdata/trained-nb.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSiteModel(bytes.NewReader(nb)); err == nil || !strings.Contains(err.Error(), "exactly one classifier") {
+		t.Errorf("a naive-Bayes model file: ReadSiteModel = %v, want the one-classifier error", err)
+	}
+
 	// A structurally valid file whose parts disagree must fail at load,
 	// not mis-score — or panic — at serve time: feature names cut below the
 	// classifier's feature count, a weight matrix one feature wider than
