@@ -67,8 +67,10 @@ examples:
 # scored and scattered in register blocks, are bit for bit those of the
 # unblocked row-major kernel frozen in its tests (DESIGN.md §3). The
 # thirteenth is the seed KB, kb.tsv, operator input every harvest reads: no
-# bytes make kb.Read panic, and a KB it accepts writes bytes that read back
-# to the same bytes and Digest (DESIGN.md §8). The fourteenth holds the
+# bytes make kb.Read panic, a KB it accepts writes bytes that read back to
+# the same bytes and Digest, and kb.DigestTSV, which a harvest runs in its
+# place, gives Read's verdict and error on every input and, on one Read
+# accepts, the Digest of the KB Read builds (DESIGN.md §8). The fourteenth holds the
 # extract handler, which extracts pages while it is still decoding the
 # body, to the decode-first path kept in its tests: on every body the same
 # status and response body (DESIGN.md §7). The fifteenth holds VERTEX++,
@@ -129,7 +131,10 @@ crash-sweep:
 # one L-BFGS fit over collapsed rows at the shape measured on the crawl
 # (§3); RegistryBoot is the binary model codec's cold boot (§10); ReadKB
 # is the parse of the crawl's seed KB, kb.tsv, with live-MB the heap the
-# parsed KB holds (a rise means insert-time tables are back), and
+# parsed KB holds (a rise means insert-time tables are back), KBDigest
+# the digest every harvest takes of the same text in place of a parse
+# (tens of allocations: a rise into the thousands means it builds a KB or
+# copies its lines again), and
 # KBBuildIndex the annotation index built from that KB, with live-MB the
 # heap the index holds once the KB is gone — what a harvest holds while it
 # trains (a rise means the index pins the KB's strings again, or keeps a
@@ -161,7 +166,7 @@ crash-sweep:
 # while the body is still being decoded, and 1x4KB must not allocate more
 # than a request that never overlaps.
 bench:
-	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot|ReadKB|KBBuildIndex' -benchtime=1x -benchmem .
+	$(GO) test -short -run='^$$' -bench='ServeExtract|ServiceExtract|StreamServe|StageTopicIdentification|StageAnnotate|StageParse|StageTrain|EndToEndSite|RegistryBoot|ReadKB|KBDigest|KBBuildIndex' -benchtime=1x -benchmem .
 	$(GO) test -run='^$$' -bench='DetailPage|ChromePage' -benchtime=100x -benchmem ./internal/dom
 	$(GO) test -run='^$$' -bench='ScoreFields|Featurize' -benchtime=100x -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench='Fit' -benchtime=1x -benchmem ./internal/mlr

@@ -392,13 +392,25 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 		}
 		fuser := ceres.NewFuser(job.Fusion)
 		rsp := fsp.StartChild("replay")
-		triples := 0
+		// A replay hands over a site's triples in a row: the tally counts
+		// the run and adds it up when the site changes.
+		triples, runSite, run := 0, "", 0
+		tally := func() {
+			if run > 0 {
+				fuseTally[runSite] += run
+				triples += run
+			}
+		}
 		err := replayer.Replay(ctx, done, func(site string, t ceres.Triple) error {
 			fuser.ObserveTriple(site, t)
-			fuseTally[site]++
-			triples++
+			if site != runSite {
+				tally()
+				runSite, run = site, 0
+			}
+			run++
 			return nil
 		})
+		tally()
 		rsp.SetInt("shards", int64(len(done)))
 		rsp.SetInt("triples", int64(triples))
 		if m, ok := replayer.(interface{ replayedBytes() int64 }); ok {

@@ -197,6 +197,21 @@ func BenchmarkReadKB(b *testing.B) {
 	b.ReportMetric((held-liveBytes())/1e6, "live-MB")
 }
 
+// BenchmarkKBDigest digests the seed KB BenchmarkReadKB parses, as
+// NewPipelineTSV does on every harvest: kb.DigestTSV, one pass over the
+// records that builds no KB.
+func BenchmarkKBDigest(b *testing.B) {
+	text := crawlKBText(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := kb.DigestTSV(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKBBuildIndex builds the annotation index of the KB
 // BenchmarkReadKB parses — the one-time cost a harvest's first Train pays
 // after parsing kb.tsv — and reports, beside its time and allocations,

@@ -229,8 +229,9 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 // NewPipelineTSV builds a pipeline over the seed KB whose serialization
 // (see KB.Write) is text, returning ReadKB's error for malformed text.
 // The pipeline keeps the text, and the KB's digest for TrainingKey, for
-// as long as it lives, and never holds a parsed KB past the call that
-// parses one. Training is what reads a seed KB — extraction never does —
+// as long as it lives; it digests the text in one pass that builds no KB
+// (kb.DigestTSV), and never holds a parsed KB past the call that parses
+// one. Training is what reads a seed KB — extraction never does —
 // and it reads it only through the KB's annotation index: the first Train
 // parses the text, builds the index, keeps the index and drops the KB. A
 // caller that may train nothing, such as a harvest whose sites all have
@@ -238,12 +239,12 @@ func NewPipeline(k *KB, opts ...Option) *Pipeline {
 // (a harvest whose every site has resolved) drops it with ReleaseKB. The
 // pipeline owns text; it must not be modified.
 func NewPipelineTSV(text []byte, opts ...Option) (*Pipeline, error) {
-	k, err := ReadKB(bytes.NewReader(text))
+	digest, err := kb.DigestTSV(text)
 	if err != nil {
 		return nil, err
 	}
 	p := NewPipeline(nil, opts...)
-	p.kbText, p.kbDigest = text, k.Digest()
+	p.kbText, p.kbDigest = text, digest
 	return p, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ceres"
 	"ceres/internal/fsatomic"
@@ -188,8 +189,9 @@ func (f *sweepFixture) outputs(t *testing.T, dir string) []byte {
 // of a cold pass, every operation inside models/: the publishes and the
 // verdict. Sites train side by side and publish in whatever order their
 // fits finish, so a crash point is a count — the n-th models/ operation of
-// that run, whichever site's it is — never a replayed sequence. -short
-// takes every fifth crash point.
+// that run, whichever site's it is — never a replayed sequence. And, of a
+// -reset pass, every removal of the previous pass's output it moved aside
+// (sweepReset). -short takes every fifth crash point.
 func TestCrashSweep(t *testing.T) {
 	f := newSweepFixture(t)
 	stride := 1
@@ -266,6 +268,118 @@ func TestCrashSweep(t *testing.T) {
 			t.Logf("%d crash points, %d swept, %d reached", points, (points+stride-1)/stride, crashed)
 		})
 	}
+	t.Run("reset", func(t *testing.T) { sweepReset(t, f, stride) })
+}
+
+// sweepReset is TestCrashSweep's -reset pass: it kills a -reset pass
+// over a finished harvest directory between moving the last pass's shard
+// files aside and the end of their deletion beside the run — at every
+// stride-th removal inside the trash directory — and requires the next
+// -reset invocation to finish the harvest byte-identically and leave no
+// trash behind.
+func sweepReset(t *testing.T, f *sweepFixture, stride int) {
+	inTrash := func(op fsatomic.Op) bool {
+		return op.Kind == fsatomic.OpRemove && strings.Contains(op.Path, string(filepath.Separator)+trashPrefix)
+	}
+	// finished is a harvest directory one uninterrupted pass has filled.
+	finished := func() string {
+		dir := f.newDir(t, f.models)
+		if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	reset := func(dir string) options {
+		o := f.in(dir)
+		o.reset = true
+		return o
+	}
+	rec := fsatomictest.Start(0, inTrash)
+	_, _, err := harvest(context.Background(), reset(finished()))
+	rec.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for _, op := range rec.Ops() {
+		if inTrash(op) {
+			points++
+		}
+	}
+	// Every shard file, triples/ and the trash directory itself.
+	if want := len(f.triples) + 2; points != want {
+		t.Fatalf("the -reset pass removed %d things from the trash, want %d", points, want)
+	}
+	for n := 1; n <= points; n += stride {
+		dir := finished()
+		rec := fsatomictest.Start(n, inTrash)
+		harvest(context.Background(), reset(dir)) // dies midway through the deletion
+		rec.Stop()
+		if !rec.Crashed() {
+			t.Fatalf("crash point %d was not reached", n)
+		}
+		if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) == 0 {
+			t.Fatalf("crash point %d (%v): the killed pass left no trash to sweep", n, lastOp(rec))
+		}
+		if _, _, err := harvest(context.Background(), reset(dir)); err != nil {
+			t.Fatalf("crash point %d (%v): the next run failed: %v", n, lastOp(rec), err)
+		}
+		if fused := f.outputs(t, dir); !bytes.Equal(fused, f.fused) {
+			t.Errorf("crash point %d (%v): fused.jsonl differs from an uninterrupted run's", n, lastOp(rec))
+		}
+		if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) != 0 {
+			t.Errorf("crash point %d (%v): trash left behind: %v", n, lastOp(rec), trash)
+		}
+		got := readDir(t, filepath.Join(dir, "triples"))
+		if len(got) != len(f.triples) {
+			t.Errorf("crash point %d (%v): %d shard files, want %d", n, lastOp(rec), len(got), len(f.triples))
+		}
+		for name, want := range f.triples {
+			if !bytes.Equal(got[name], want) {
+				t.Errorf("crash point %d (%v): shard file %s differs", n, lastOp(rec), name)
+			}
+		}
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// TestResetDropsStaleShards: a -reset pass over a directory an earlier
+// pass filled, with a site dropped from the plan, leaves in triples/
+// exactly the shard files of the sites it harvested — none of the dropped
+// site's — byte-identical to a full pass's, and no trash directory.
+func TestResetDropsStaleShards(t *testing.T) {
+	f := newSweepFixture(t)
+	dir := f.newDir(t, f.models)
+	if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
+		t.Fatal(err)
+	}
+	o := f.in(dir)
+	o.reset, o.sites = true, "blaxploitation.com,boxofficemojo.com"
+	if _, _, err := harvest(context.Background(), o); err != nil {
+		t.Fatal(err)
+	}
+	got := readDir(t, filepath.Join(dir, "triples"))
+	want := 0
+	for name, b := range f.triples {
+		if !strings.HasPrefix(name, "blaxploitation.com.") {
+			if _, ok := got[name]; ok {
+				t.Errorf("the dropped site's shard file %s survived -reset", name)
+			}
+			continue
+		}
+		want++
+		if !bytes.Equal(got[name], b) {
+			t.Errorf("shard file %s differs from a full pass's", name)
+		}
+	}
+	if want == 0 || len(got) != want {
+		t.Errorf("%d shard files after -reset, want the kept site's %d", len(got), want)
+	}
+	if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) != 0 {
+		t.Errorf("-reset left trash behind: %v", trash)
+	}
 }
 
 // lastOp describes the operation a recorder crashed at.
@@ -303,6 +417,59 @@ func TestHarvestSweepsOwnTemps(t *testing.T) {
 	for _, name := range foreign {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s is not this command's to remove: %v", name, err)
+		}
+	}
+}
+
+// TestStatsAccountsOutsideRun: stats.json's "outside" object — an
+// invocation's time outside Runner.Run, phase by phase — with the run's
+// elapsed time and its fuse stage adds up to the invocation's wall time
+// within a few milliseconds, once the write of stats.json itself, which
+// the document cannot hold, is added from what harvest returns.
+func TestStatsAccountsOutsideRun(t *testing.T) {
+	f := newSweepFixture(t)
+	dir := f.newDir(t, f.models)
+	if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
+		t.Fatal(err)
+	}
+	o := f.in(dir)
+	o.reset = true
+	start := time.Now()
+	_, use, err := harvest(context.Background(), o)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		ElapsedNs time.Duration `json:"elapsedNs"`
+		Stages    []struct {
+			Stage string
+			Ns    time.Duration
+		}
+		Outside outsideTimes `json:"outside"`
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, "stats.json")); err != nil || json.Unmarshal(b, &doc) != nil {
+		t.Fatalf("stats.json unreadable (%v)", err)
+	}
+	out := doc.Outside
+	if out.KBDigest <= 0 || out.Registry <= 0 || out.FusedWrite <= 0 || out.Reset <= 0 {
+		t.Errorf("stats.json outside %+v: a phase reads no time", out)
+	}
+	sum := doc.ElapsedNs + out.Open + out.Reset + out.KBDigest + out.Registry + out.FusedWrite + out.StatsWrite
+	for _, st := range doc.Stages {
+		if st.Stage == "fuse" {
+			sum += st.Ns
+		}
+	}
+	sum += use.outside.StatsWrite - out.StatsWrite
+	gap := wall - sum
+	t.Logf("wall %v, accounted %v", wall, sum)
+	if gap < 0 || gap > 5*time.Millisecond {
+		t.Errorf("the invocation took %v; stats.json accounts for %v of it", wall, sum)
+	}
+	for _, phase := range []string{"open", "reset", "kb digest", "registry", "fused write", "stats write"} {
+		if !strings.Contains(outsideSummary(use.outside), phase+" ") {
+			t.Errorf("the printed line %q has no %s", outsideSummary(use.outside), phase)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,6 +34,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
@@ -43,6 +45,7 @@ import (
 	"ceres/batch"
 	"ceres/internal/fsatomic"
 	"ceres/internal/jsonl"
+	"ceres/internal/par"
 	"ceres/internal/websim"
 	"ceres/pagestore"
 )
@@ -141,10 +144,97 @@ func startCPUProfile(path string) (stop func() error, err error) {
 // shared with live daemons.
 var ownTemps = []string{".checkpoint.json-", ".fused.jsonl-", ".stats.json-", ".kb.tsv-"}
 
-// usage is what a run read from the page store and what it allocated.
+// usage is what a run read from the page store, what it allocated and
+// where its time outside Runner.Run went.
 type usage struct {
-	reads  pagestore.ReadStats
-	memory memoryUse
+	reads   pagestore.ReadStats
+	memory  memoryUse
+	outside outsideTimes
+}
+
+// outsideTimes is an invocation's wall time outside Runner.Run, phase by
+// phase; with Run's it adds up to the invocation's. Open is the page
+// store's opening, the temp-file sweep and -gen; Reset what -reset holds
+// the pass up for (moving the last pass's output aside, and waiting, at
+// the end of Run, for its deletion beside the run); KBDigest reading and
+// digesting kb.tsv; Registry opening the model store and the registry,
+// the sink and the runner; FusedWrite publishing fused.jsonl; StatsWrite
+// writing stats.json. The document holds only what came before its bytes
+// were fixed: its own encoding and write show in the printed report
+// alone.
+type outsideTimes struct {
+	Open       time.Duration `json:"openNs"`
+	Reset      time.Duration `json:"resetNs"`
+	KBDigest   time.Duration `json:"kbDigestNs"`
+	Registry   time.Duration `json:"registryNs"`
+	FusedWrite time.Duration `json:"fusedWriteNs"`
+	StatsWrite time.Duration `json:"statsWriteNs"`
+}
+
+// lap returns the time since *mark and moves *mark to now.
+func lap(mark *time.Time) time.Duration {
+	now := time.Now()
+	d := now.Sub(*mark)
+	*mark = now
+	return d
+}
+
+// trashPrefix starts the name of a directory -reset moved the previous
+// pass's shard output into, under the harvest directory; what is in it
+// is deleted beside the run (emptyTrash).
+const trashPrefix = ".trash-"
+
+// moveAside renames dir, if it exists, into a new trash directory next to
+// it: the name is free at once, and the files go later, off the pass's
+// path.
+func moveAside(dir string) error {
+	if _, err := os.Lstat(dir); os.IsNotExist(err) {
+		return nil
+	}
+	trash, err := os.MkdirTemp(filepath.Dir(dir), trashPrefix)
+	if err != nil {
+		return err
+	}
+	return fsatomic.Rename(dir, filepath.Join(trash, filepath.Base(dir)))
+}
+
+// emptyTrash deletes, on a goroutine of its own, every trash directory in
+// dir: this invocation's and any a killed one left. Each removal goes
+// through fsatomic, so a crash test can stop the deletion midway; one that
+// fails, or a cancelled ctx, leaves the rest for the next invocation.
+func emptyTrash(ctx context.Context, dir string) *par.Group {
+	return par.Go(ctx, 1, func(ctx context.Context, _ int) {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			return
+		}
+		for _, e := range ents {
+			if e.IsDir() && strings.HasPrefix(e.Name(), trashPrefix) {
+				if err := removeTree(ctx, filepath.Join(dir, e.Name())); err != nil {
+					fmt.Fprintf(os.Stderr, "leaving %s to the next run: %v\n", e.Name(), err)
+					return
+				}
+			}
+		}
+	})
+}
+
+// removeTree removes path and, when it is a directory, everything under
+// it, one fsatomic.Remove at a time.
+func removeTree(ctx context.Context, path string) error {
+	ents, err := os.ReadDir(path)
+	if err != nil && !errors.Is(err, syscall.ENOTDIR) {
+		return err
+	}
+	for _, e := range ents {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := removeTree(ctx, filepath.Join(path, e.Name())); err != nil {
+			return err
+		}
+	}
+	return fsatomic.Remove(path)
 }
 
 // memoryUse counts the bytes the process allocated on the heap and the
@@ -169,10 +259,12 @@ func (m memoryUse) since(start memoryUse) memoryUse {
 // harvest is one invocation's work on the harvest directory: open the
 // page store (generating the crawl with -gen), run the batch job, and
 // write fused.jsonl and stats.json. It returns the run's report, what the
-// page store's reads did and what the run allocated up to stats.json.
+// page store's reads did, what the run allocated up to stats.json and
+// where its time outside the run went.
 func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 	var none usage
-	start := readMemory()
+	var out outsideTimes
+	start, mark := readMemory(), time.Now()
 	store, err := pagestore.Open(filepath.Join(o.dir, "pages"))
 	if err != nil {
 		return nil, none, err
@@ -191,19 +283,26 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 	if len(sites) == 0 {
 		return nil, none, fmt.Errorf("page store %s holds no sites (run with -gen, or ingest a crawl first)", store.Root())
 	}
+	out.Open = lap(&mark)
 
+	// -reset takes the previous pass's checkpoint away and moves its shard
+	// files aside; they are deleted beside the run, with whatever trash a
+	// killed invocation left, and the run waits for that only at its end.
 	if o.reset {
 		if err := os.Remove(filepath.Join(o.dir, "checkpoint.json")); err != nil && !os.IsNotExist(err) {
 			return nil, none, err
 		}
-		if err := os.RemoveAll(filepath.Join(o.dir, "triples")); err != nil {
+		if err := moveAside(filepath.Join(o.dir, "triples")); err != nil {
 			return nil, none, err
 		}
 	}
+	trash := emptyTrash(ctx, o.dir)
+	defer trash.Wait()
+	out.Reset = lap(&mark)
 
-	// The pipeline keeps kb.tsv's text, and never a parsed KB; a site that
-	// trains builds the KB's index from it: a pass whose sites all have
-	// models or stored verdicts never builds the index.
+	// The pipeline keeps kb.tsv's text and its digest, and never a parsed
+	// KB; a site that trains builds the KB's index from the text: a pass
+	// whose sites all have models or stored verdicts never parses it.
 	var pipeline *ceres.Pipeline
 	if text, err := os.ReadFile(kbPath); err == nil {
 		pipeline, err = ceres.NewPipelineTSV(text, ceres.WithThreshold(o.threshold))
@@ -215,6 +314,7 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 	} else {
 		fmt.Fprintf(os.Stderr, "no seed KB at %s: serving stored models only, new sites are skipped\n", kbPath)
 	}
+	out.KBDigest = lap(&mark)
 
 	modelStore, err := ceres.NewDirStore(filepath.Join(o.dir, "models"))
 	if err != nil {
@@ -251,20 +351,28 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 			job.Sites = append(job.Sites, s)
 		}
 	}
+	out.Registry = lap(&mark)
 
 	report, err := runner.Run(ctx, job)
 	if err != nil {
 		return nil, none, err
 	}
+	lap(&mark)
+	trash.Wait()
+	out.Reset += lap(&mark)
 	if o.fuse {
-		if err := writeFused(filepath.Join(o.dir, "fused.jsonl"), report.Facts); err != nil {
+		if err := writeFused(ctx, filepath.Join(o.dir, "fused.jsonl"), report.Facts); err != nil {
 			return nil, none, err
 		}
 	}
+	out.FusedWrite = lap(&mark)
 	use := usage{reads: store.ReadStats(), memory: readMemory().since(start)}
+	out.StatsWrite = lap(&mark)
+	use.outside = out
 	if err := writeStats(filepath.Join(o.dir, "stats.json"), report, use); err != nil {
 		return nil, none, err
 	}
+	use.outside.StatsWrite += lap(&mark)
 	return report, use, nil
 }
 
@@ -328,22 +436,41 @@ func publish(path string, write func(io.Writer) error) error {
 	})
 }
 
+// fusedChunk is how many facts one encoding task of writeFused takes:
+// some 50 KB of fused.jsonl on the benchmark crawl, near the 64 KB buffer
+// a single encoder wrote through. Four chunks are encoded or held at a
+// time at two cores; chunks eight times this size raised the warm pass's
+// peak resident set by 3 MB for no speed.
+const fusedChunk = 256
+
+// encodedChunk is one chunk of fused.jsonl, encoded.
+type encodedChunk struct {
+	lines []byte
+	err   error
+}
+
 // writeFused writes the fused facts as JSON lines — encoding/json's
 // encoding of ceres.FusedFact, byte for byte, through the harvest's own
-// encoder — atomically.
-func writeFused(path string, facts []ceres.FusedFact) error {
-	return publish(path, func(w io.Writer) error {
-		var line []byte
-		for i := range facts {
-			var err error
-			if line, err = jsonl.AppendFact(line[:0], &facts[i]); err != nil {
+// encoder — atomically. The facts are encoded a chunk at a time on every
+// core (par.Ordered) and the chunks written in order, so the bytes are
+// those of one encoder writing every fact in turn.
+func writeFused(ctx context.Context, path string, facts []ceres.FusedFact) error {
+	return fsatomic.WriteStream(path, func(w io.Writer) error {
+		chunks := (len(facts) + fusedChunk - 1) / fusedChunk
+		return par.Ordered(ctx, chunks, runtime.GOMAXPROCS(0),
+			func(_, i int, c *encodedChunk) {
+				c.lines, c.err = c.lines[:0], nil
+				for j := i * fusedChunk; j < min(len(facts), (i+1)*fusedChunk) && c.err == nil; j++ {
+					c.lines, c.err = jsonl.AppendFact(c.lines, &facts[j])
+				}
+			},
+			func(_ int, c *encodedChunk) error {
+				if c.err != nil {
+					return c.err
+				}
+				_, err := w.Write(c.lines)
 				return err
-			}
-			if _, err = w.Write(line); err != nil {
-				return err
-			}
-		}
-		return nil
+			})
 	})
 }
 
@@ -378,6 +505,7 @@ func writeStats(path string, rep *batch.Report, use usage) error {
 		"contexts":       rep.Contexts,
 		"store":          use.reads,
 		"memory":         use.memory,
+		"outside":        use.outside,
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -427,6 +555,7 @@ func printReport(rep *batch.Report, use usage, fused bool) {
 	if fused {
 		fmt.Printf("fused: %d facts -> fused.jsonl\n", len(rep.Facts))
 	}
+	fmt.Println(outsideSummary(use.outside))
 	fmt.Println(contextSummary(rep))
 	fmt.Println(storeSummary(use.reads))
 	fmt.Println(memorySummary(use.memory))
@@ -436,6 +565,14 @@ func printReport(rep *batch.Report, use usage, fused bool) {
 	}
 	fmt.Printf("commits: %d batches, %d manifest writes\n", rep.CommitBatches, rep.ManifestWrites)
 	fmt.Println(skipSummary(rep))
+}
+
+// outsideSummary is a line of the report: the invocation's time outside
+// the run (stats.json "outside"), phase by phase.
+func outsideSummary(t outsideTimes) string {
+	r := func(d time.Duration) time.Duration { return d.Round(1e5) }
+	return fmt.Sprintf("outside run: open %s, reset %s, kb digest %s, registry %s, fused write %s, stats write %s",
+		r(t.Open), r(t.Reset), r(t.KBDigest), r(t.Registry), r(t.FusedWrite), r(t.StatsWrite))
 }
 
 // contextSummary is a line of the report: how many text fields the run

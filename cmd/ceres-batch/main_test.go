@@ -83,25 +83,35 @@ func TestGenerateAndHarvest(t *testing.T) {
 	if rep.Triples == 0 || len(rep.Facts) == 0 {
 		t.Fatalf("harvest extracted nothing: %+v", rep)
 	}
-	fusedPath := filepath.Join(dir, "fused.jsonl")
-	if err := writeFused(fusedPath, rep.Facts); err != nil {
-		t.Fatal(err)
-	}
 	// fused.jsonl is, byte for byte, what a json.Encoder loop over the
-	// facts writes — the format it has always had.
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	for _, fact := range rep.Facts {
-		if err := enc.Encode(fact); err != nil {
+	// facts writes — the format it has always had — for the run's facts,
+	// and for as many again as fill several of the chunks it is encoded in
+	// on every core.
+	many := rep.Facts
+	for len(many) < 3*fusedChunk+fusedChunk/2 {
+		many = append(many, rep.Facts...)
+	}
+	fusedPath := filepath.Join(dir, "fused.jsonl")
+	for _, facts := range [][]ceres.FusedFact{rep.Facts, many} {
+		if err := writeFused(context.Background(), fusedPath, facts); err != nil {
 			t.Fatal(err)
 		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		for _, fact := range facts {
+			if err := enc.Encode(fact); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(fusedPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("fused.jsonl of %d facts (%d bytes, %v) differs from encoding/json's encoding of the facts (%d bytes)", len(facts), len(got), err, want.Len())
+		}
 	}
-	if got, err := os.ReadFile(fusedPath); err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("fused.jsonl (%d bytes, %v) differs from encoding/json's encoding of the facts (%d bytes)", len(got), err, want.Len())
-	}
-	// A fact with no JSON form fails the write and leaves nothing behind.
+	// A fact with no JSON form — in any chunk — fails the write and leaves
+	// nothing behind.
 	badPath := filepath.Join(dir, "bad.jsonl")
-	if err := writeFused(badPath, []ceres.FusedFact{{Subject: "s", Belief: math.NaN()}}); err == nil {
+	bad := append(append([]ceres.FusedFact{}, many[:2*fusedChunk+5]...), ceres.FusedFact{Subject: "s", Belief: math.NaN()})
+	if err := writeFused(context.Background(), badPath, bad); err == nil {
 		t.Fatal("a NaN belief was written")
 	}
 	if ents, _ := filepath.Glob(filepath.Join(dir, "*bad.jsonl*")); len(ents) != 0 {

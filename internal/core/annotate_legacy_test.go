@@ -31,7 +31,7 @@ func buildPageIndex(p *Page, L *kbtest.Lookups) *pageIndex {
 		mentionsOf: map[string][]int{},
 	}
 	for i, f := range p.Fields {
-		if strmatch.IsLowInfo(f.Text) {
+		if strmatch.IsLowInfoNormalized(strmatch.Normalize(f.Text)) {
 			continue
 		}
 		items := L.MatchItems(f.Text)

@@ -161,7 +161,17 @@ func (t *File) Abort() error {
 	return Remove(t.f.Name())
 }
 
-// Remove deletes a published file or a temp name.
+// Rename moves oldpath to newpath, in the same file system: a file, or a
+// directory set aside whole. Like Commit's rename, it survives a power
+// loss only after SyncDir on the directories involved.
+func Rename(oldpath, newpath string) error {
+	if _, err := announce(Op{Kind: OpRename, Path: oldpath, To: newpath}); err != nil {
+		return err
+	}
+	return os.Rename(oldpath, newpath)
+}
+
+// Remove deletes a published file, a temp name or an empty directory.
 func Remove(name string) error {
 	if _, err := announce(Op{Kind: OpRemove, Path: name}); err != nil {
 		return err

@@ -116,13 +116,17 @@ type Accumulator struct {
 	// Predicates and sources, numbered from 0 in first-seen order; prior
 	// is each source's reliability. lastSite is the source of the previous
 	// observation: a replay hands over a shard's triples, all of one site,
-	// in a row.
+	// in a row. lastPred is the previous observation's predicate, and
+	// lastSubj its subject's raw ID: a page's triples share the subject
+	// and come in runs of one predicate.
 	predIDs  map[string]uint32
 	predStr  []string
 	siteIDs  map[string]uint32
 	siteStr  []string
 	prior    []float64
 	lastSite uint32
+	lastPred uint32
+	lastSubj uint32
 
 	// recs holds the facts in first-observation order. slots indexes them
 	// by key, open-addressed (record index + 1; 0 is free) and at most half
@@ -156,8 +160,13 @@ func (c *Accumulator) Add(ob Observation) {
 	if ob.Predicate == "" {
 		return
 	}
-	rawS, s := c.intern(ob.Subject)
-	rawO, o := c.intern(ob.Object)
+	rawS := c.lastSubj
+	if ob.Subject != c.rawStr[rawS] {
+		rawS = c.intern(ob.Subject)
+		c.lastSubj = rawS
+	}
+	rawO := c.intern(ob.Object)
+	s, o := c.rawNorm[rawS], c.rawNorm[rawO]
 	if s == 0 || o == 0 {
 		return
 	}
@@ -168,19 +177,20 @@ func (c *Accumulator) Add(ob Observation) {
 	c.addSource(r, site)
 }
 
-// intern returns the raw ID of a subject or object string and the ID of
-// its normalized form.
-func (c *Accumulator) intern(s string) (raw, norm uint32) {
+// intern returns the raw ID of a subject or object string, numbering it
+// and its normalized form (rawNorm) when it is new.
+func (c *Accumulator) intern(s string) (raw uint32) {
 	if s == "" {
-		return 0, 0
+		return 0
 	}
 	if raw, ok := c.rawIDs[s]; ok {
-		return raw, c.rawNorm[raw]
+		return raw
 	}
 	raw = uint32(len(c.rawStr))
 	c.rawIDs[s] = raw
 	c.rawStr = append(c.rawStr, s)
 	c.normBuf = strmatch.NormalizeInto(c.normBuf[:0], s)
+	var norm uint32
 	if len(c.normBuf) > 0 {
 		var ok bool
 		if norm, ok = c.normIDs[string(c.normBuf)]; !ok {
@@ -189,16 +199,20 @@ func (c *Accumulator) intern(s string) (raw, norm uint32) {
 		}
 	}
 	c.rawNorm = append(c.rawNorm, norm)
-	return raw, norm
+	return raw
 }
 
 func (c *Accumulator) predicate(p string) uint32 {
+	if len(c.predStr) > 0 && p == c.predStr[c.lastPred] {
+		return c.lastPred
+	}
 	id, ok := c.predIDs[p]
 	if !ok {
 		id = uint32(len(c.predStr))
 		c.predIDs[p] = id
 		c.predStr = append(c.predStr, p)
 	}
+	c.lastPred = id
 	return id
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"strconv"
+	"unicode/utf8"
 
 	"ceres"
 )
@@ -48,10 +49,18 @@ type confSlot struct {
 // shared between triples — a value seen recently is the same string
 // again, not a new allocation. The zero TripleDecoder is ready to use; it
 // is not safe for concurrent use.
+//
+// A line laid out exactly as AppendTriple writes it — every line of a
+// shard file — takes a fast path that checks the layout's fixed bytes
+// in place of parsing keys, and falls back to the general path at the
+// first byte that differs.
 type TripleDecoder struct {
 	skip   Skipper
 	intern [internSlots]string
 	conf   [confSlots]confSlot
+	// last is each string field's value on the line before: a shard's
+	// lines repeat a page's Subject and Page line after line.
+	last [len(tripleFields) + 1]string
 }
 
 // confidence parses a Confidence literal, which ScanNumber has found to be
@@ -79,6 +88,17 @@ func (d *TripleDecoder) str(b []byte) string {
 		*slot = string(b)
 	}
 	return *slot
+}
+
+// value returns field's value b as a string: the previous line's when it
+// is the same, without hashing b, and otherwise str's.
+func (d *TripleDecoder) value(field int, b []byte) string {
+	if s := d.last[field]; s == string(b) {
+		return s
+	}
+	s := d.str(b)
+	d.last[field] = s
+	return s
 }
 
 // hashBytes spreads b over the string table. It is a fixed function, not
@@ -142,6 +162,9 @@ func tripleField(key []byte) int {
 // reference to it. White space around the value is allowed, an empty
 // line is not.
 func (d *TripleDecoder) Decode(line []byte, t *ceres.Triple) error {
+	if d.exact(line, t) {
+		return nil
+	}
 	*t = ceres.Triple{}
 	b := line
 	p := SkipSpace(b, 0)
@@ -160,6 +183,83 @@ func (d *TripleDecoder) Decode(line []byte, t *ceres.Triple) error {
 		return SyntaxError(p, "unexpected bytes after the triple")
 	}
 	return nil
+}
+
+// exactKeys are the bytes before each value of a line AppendTriple
+// writes, in the order of tripleFields.
+var exactKeys = [len(tripleFields)]string{`{"Subject":`, `,"Predicate":`, `,"Object":`, `,"Confidence":`, `,"Page":`, `,"Path":`}
+
+// exact decodes b into t if b is laid out exactly as AppendTriple writes
+// a line, its newline removed — every key, in tripleFields' order, no
+// white space, no null, and no string holding an escape or a byte that is
+// not UTF-8, which are what the general path rewrites in place — and
+// reports whether it was. It never writes b, so on false the general path
+// reads the line as it was.
+func (d *TripleDecoder) exact(b []byte, t *ceres.Triple) bool {
+	p := 0
+	for i, key := range exactKeys {
+		if !bytes.HasPrefix(b[p:], []byte(key)) {
+			return false
+		}
+		p += len(key)
+		field := i + 1
+		if field == fieldConfidence {
+			end, ok := ScanNumber(b, p)
+			if !ok {
+				return false
+			}
+			c, err := d.confidence(b[p:end])
+			if err != nil {
+				return false
+			}
+			t.Confidence, p = c, end
+			continue
+		}
+		val, next, ok := verbatimString(b, p)
+		if !ok {
+			return false
+		}
+		s := d.value(field, val)
+		switch field {
+		case fieldSubject:
+			t.Subject = s
+		case fieldPredicate:
+			t.Predicate = s
+		case fieldObject:
+			t.Object = s
+		case fieldPage:
+			t.Page = s
+		case fieldPath:
+			t.Path = s
+		}
+		p = next
+	}
+	return p == len(b)-1 && b[p] == '}'
+}
+
+// verbatimString finds the string whose opening quote is b[p] when its
+// bytes are its value — no escape, no control byte, nothing that is not
+// UTF-8 — and returns the value, the position after the closing quote and
+// true; otherwise false. It does not write b.
+func verbatimString(b []byte, p int) (val []byte, next int, ok bool) {
+	if ByteAt(b, p) != '"' {
+		return nil, 0, false
+	}
+	for r := plainRun(b, p+1); r < len(b); r = plainRun(b, r) {
+		c := b[r]
+		if c == '"' {
+			return b[p+1 : r], r + 1, true
+		}
+		if c < utf8.RuneSelf {
+			return nil, 0, false
+		}
+		rn, n := utf8.DecodeRune(b[r:])
+		if rn == utf8.RuneError && n == 1 {
+			return nil, 0, false
+		}
+		r += n
+	}
+	return nil, 0, false
 }
 
 // object decodes the members of the object opened just before b[p] and
@@ -204,7 +304,7 @@ func (d *TripleDecoder) object(b []byte, p int, t *ceres.Triple) (int, error) {
 			if val, p, err = String(b, p); err != nil {
 				return 0, err
 			}
-			s := d.str(val)
+			s := d.value(field, val)
 			switch field {
 			case fieldSubject:
 				t.Subject = s

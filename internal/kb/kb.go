@@ -77,11 +77,8 @@ func (k *KB) Ontology() *Ontology { return k.ontology }
 
 // AddEntity inserts an entity. Adding an existing ID returns an error.
 func (k *KB) AddEntity(e Entity) error {
-	if e.ID == "" {
-		return fmt.Errorf("kb: entity with empty ID")
-	}
-	if _, dup := k.entities[e.ID]; dup {
-		return fmt.Errorf("kb: duplicate entity %q", e.ID)
+	if err := checkEntity(e.ID, k.hasEntity); err != nil {
+		return err
 	}
 	stored := e
 	k.entities[e.ID] = &stored
@@ -99,25 +96,61 @@ func (k *KB) invalidateIndex() {
 // AddTriple inserts a fact. The predicate must be in the ontology and the
 // subject (and entity object, if any) must already exist.
 func (k *KB) AddTriple(t Triple) error {
-	if err := k.ontology.Validate(t.Predicate); err != nil {
+	if err := checkTriple(k.ontology.Has, k.hasEntity, t); err != nil {
 		return err
-	}
-	if _, ok := k.entities[t.Subject]; !ok {
-		return fmt.Errorf("kb: unknown subject %q", t.Subject)
-	}
-	if t.Object.IsEntity() {
-		if _, ok := k.entities[t.Object.EntityID]; !ok {
-			return fmt.Errorf("kb: unknown object entity %q", t.Object.EntityID)
-		}
-	} else {
-		var buf [96]byte // only whether the norm is empty matters here
-		if len(strmatch.NormalizeInto(buf[:0], t.Object.Literal)) == 0 {
-			return fmt.Errorf("kb: empty literal object for %s/%s", t.Subject, t.Predicate)
-		}
 	}
 	k.triples = append(k.triples, t)
 	k.invalidateIndex()
 	return nil
+}
+
+func (k *KB) hasEntity(id string) bool {
+	_, ok := k.entities[id]
+	return ok
+}
+
+// checkEntity is AddEntity's verdict on an entity ID, given which IDs the
+// KB holds already.
+func checkEntity(id string, has func(string) bool) error {
+	if id == "" {
+		return fmt.Errorf("kb: entity with empty ID")
+	}
+	if has(id) {
+		return fmt.Errorf("kb: duplicate entity %q", id)
+	}
+	return nil
+}
+
+// checkTriple is AddTriple's verdict on t, given which predicates the
+// ontology defines and which entity IDs the KB holds.
+func checkTriple(hasPred, has func(string) bool, t Triple) error {
+	if !hasPred(t.Predicate) {
+		return unknownPredicate(t.Predicate)
+	}
+	if !has(t.Subject) {
+		return fmt.Errorf("kb: unknown subject %q", t.Subject)
+	}
+	if t.Object.IsEntity() {
+		if !has(t.Object.EntityID) {
+			return fmt.Errorf("kb: unknown object entity %q", t.Object.EntityID)
+		}
+	} else if !hasNorm(t.Object.Literal) {
+		return fmt.Errorf("kb: empty literal object for %s/%s", t.Subject, t.Predicate)
+	}
+	return nil
+}
+
+// hasNorm reports whether s normalizes to a non-empty string. An ASCII
+// letter or digit survives normalization, so most literals answer at
+// their first byte.
+func hasNorm(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i] | 0x20; 'a' <= c && c <= 'z' || '0' <= s[i] && s[i] <= '9' {
+			return true
+		}
+	}
+	var buf [96]byte
+	return len(strmatch.NormalizeInto(buf[:0], s)) > 0
 }
 
 // Entity returns the entity with the given ID.

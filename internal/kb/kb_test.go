@@ -128,6 +128,55 @@ const goldenKB = "P\tdirectedBy\tfilm\tperson\tsingle\nP\thasCastMember\tfilm\tp
 	"T\tf1\tdirectedBy\te:p1\nT\tf1\thasCastMember\te:p1\nT\tf1\thasCastMember\te:p2\nT\tf1\thasGenre\tl:Comedy\nT\tf1\thasGenre\tl:Drama\nT\tf1\treleaseYear\tl:1989\n" +
 	"T\tf2\tdirectedBy\te:p1\nT\tf2\thasGenre\tl:Comedy\nT\tp1\tactedIn\te:f1\nT\tf2\thasGenre\tl:a\\tb\n"
 
+// unorderedKB reads as goldenKB does but is not the bytes Write writes:
+// a comment, blank lines and CRLF endings, the entities in reverse order,
+// a predicate defined as multi-valued and redefined single-valued after
+// the triples that use it, and a backslash Write would escape left bare.
+const unorderedKB = "# a seed KB written by hand\r\n\nP\tdirectedBy\tfilm\tperson\tmulti\r\nP\thasCastMember\tfilm\tperson\tmulti\r\nP\thasGenre\tfilm\t\tmulti\r\nP\treleaseYear\tfilm\t\tsingle\r\nP\tactedIn\tperson\tfilm\tmulti\r\n" +
+	"E\tp9\tperson\tTab\\tName\tback\\slash|new\\nline\r\nE\tp2\tperson\tDanny Aiello\t\r\nE\tp1\tperson\tSpike Lee\tLee, Spike\r\n\r\nE\tf2\tfilm\tCrooklyn\t\r\nE\tf1\tfilm\tDo the Right Thing\t\r\n" +
+	"T\tf1\tdirectedBy\te:p1\r\nT\tf1\thasCastMember\te:p1\r\nT\tf1\thasCastMember\te:p2\r\nT\tf1\thasGenre\tl:Comedy\r\nT\tf1\thasGenre\tl:Drama\r\nT\tf1\treleaseYear\tl:1989\r\n" +
+	"# the cast\nT\tf2\tdirectedBy\te:p1\r\nT\tf2\thasGenre\tl:Comedy\r\nT\tp1\tactedIn\te:f1\r\nT\tf2\thasGenre\tl:a\\tb\r\nP\tdirectedBy\tfilm\tperson\tsingle\r\n"
+
+// TestDigestTSV: DigestTSV gives the Digest of the KB Read builds, for
+// Write's bytes and for a text in another order and layout, and refuses
+// what Read refuses with Read's error.
+func TestDigestTSV(t *testing.T) {
+	for _, src := range []string{goldenKB, unorderedKB, "", "# nothing\n", "P\t\tt\t\tmulti\nE\te1\tt\tn\t\nT\te1\t\tl:v\n"} {
+		k, err := Read(strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DigestTSV([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != k.Digest() {
+			t.Errorf("DigestTSV(%.40q) = %s, the read KB's Digest %s", src, got, k.Digest())
+		}
+	}
+	golden, _ := DigestTSV([]byte(goldenKB))
+	unordered, _ := DigestTSV([]byte(unorderedKB))
+	if golden != unordered {
+		t.Error("goldenKB and unorderedKB, one KB, digest apart")
+	}
+	for _, src := range []string{
+		"X\tweird",
+		"E\tonly\ttwo",
+		"T\tf1\tdirectedBy\tbogus",
+		"E\te1\tt\tname\t\nT\te1\tnotInOntology\tl:v",
+		"P\tp\tt\t\tmulti\nE\te1\tt\tn\t\nT\te1\tp\tl:--",
+		"P\tp\tt\tt\tmulti\nE\te1\tt\tn\t\nT\te1\tp\te:e2",
+		"E\te1\tt\tn\t\nE\te1\tt\tm\t",
+		"\n\n" + strings.Repeat("#", maxLine),
+	} {
+		_, rerr := Read(strings.NewReader(src))
+		_, derr := DigestTSV([]byte(src))
+		if rerr == nil || derr == nil || rerr.Error() != derr.Error() {
+			t.Errorf("on %.40q Read says %v, DigestTSV %v", src, rerr, derr)
+		}
+	}
+}
+
 // TestWriteGolden pins the serialization byte for byte — escapes, empty
 // fields, record order — to what it has always been: Digest, and through
 // it every stored training verdict, is a hash of these bytes.

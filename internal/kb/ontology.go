@@ -73,7 +73,11 @@ func (o *Ontology) Len() int { return len(o.order) }
 // error for unknown predicates.
 func (o *Ontology) Validate(pred string) error {
 	if !o.Has(pred) {
-		return fmt.Errorf("kb: predicate %q not in ontology", pred)
+		return unknownPredicate(pred)
 	}
 	return nil
+}
+
+func unknownPredicate(name string) error {
+	return fmt.Errorf("kb: predicate %q not in ontology", name)
 }

@@ -32,3 +32,8 @@ func TestIsLowInfo(t *testing.T) {
 		}
 	}
 }
+
+// IsLowInfo is IsLowInfoNormalized of s's normalized form.
+func IsLowInfo(s string) bool {
+	return IsLowInfoNormalized(Normalize(s))
+}

@@ -27,17 +27,12 @@ var countryNames = map[string]bool{
 	"thailand": true, "philippines": true, "pakistan": true, "iran": true,
 }
 
-// IsLowInfo reports whether s carries too little information to serve as a
-// topic candidate or annotation object: empty after normalization, a bare
-// number of up to four digits (which covers single digits and years), a
-// plausible year range like "1990 2000", a single character, or a country
-// name.
-func IsLowInfo(s string) bool {
-	return IsLowInfoNormalized(Normalize(s))
-}
-
-// IsLowInfoNormalized is IsLowInfo for an already-normalized string,
-// allocation-free for callers that precompute the normalized form.
+// IsLowInfoNormalized reports whether the already-normalized string n
+// carries too little information to serve as a topic candidate or
+// annotation object: empty, a bare number of up to four digits (which
+// covers single digits and years), a plausible year range like
+// "1990 2000", a single character, or a country name. It does not
+// allocate.
 func IsLowInfoNormalized(n string) bool {
 	if n == "" {
 		return true

@@ -128,17 +128,11 @@ func NormalizeInto(dst []byte, s string) []byte {
 	return dst
 }
 
-// TokenSetKey returns a canonical key for token-order-insensitive matching:
-// the sorted, deduplicated tokens of the normalized string joined by spaces.
-// "Lee, Spike" and "Spike Lee" share a TokenSetKey.
-func TokenSetKey(s string) string {
-	return TokenSetKeyNormalized(Normalize(s))
-}
-
-// TokenSetKeyNormalized is TokenSetKey for an already-normalized string,
-// skipping the re-normalization pass. When the normalized form is a single
-// token, or its tokens are already sorted and unique, the input string is
-// returned as-is with no allocation.
+// TokenSetKeyNormalized returns a canonical key for token-order-insensitive
+// matching of an already-normalized string: its sorted, deduplicated tokens
+// joined by spaces. The normalized forms of "Lee, Spike" and "Spike Lee"
+// share a key. When the string is a single token, or its tokens are already
+// sorted and unique, it is returned as-is with no allocation.
 func TokenSetKeyNormalized(n string) string {
 	if strings.IndexByte(n, ' ') < 0 {
 		return n // zero or one token: already canonical

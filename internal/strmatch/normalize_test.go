@@ -137,3 +137,8 @@ func TestAppendTokenSetKey(t *testing.T) {
 		t.Errorf("AppendTokenSetKey should append: got %q", got)
 	}
 }
+
+// TokenSetKey is TokenSetKeyNormalized of s's normalized form.
+func TokenSetKey(s string) string {
+	return TokenSetKeyNormalized(Normalize(s))
+}

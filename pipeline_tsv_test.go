@@ -77,15 +77,21 @@ func liveHeap() int64 {
 
 // TestPipelineTSVTrainingKey: a pipeline built from a KB's text has the
 // training key of one built over the parsed KB, under every option that
-// moves the key, for the demo KB and for the crawl's seed KB.
+// moves the key, for the demo KB, for the same KB in an order and layout
+// KB.Write never writes and for the crawl's seed KB; building it parses
+// nothing, and text ReadKB refuses it refuses with ReadKB's error.
 func TestPipelineTSVTrainingKey(t *testing.T) {
 	c, err := DemoCorpus("movies", 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	crawlKB, _ := crawlSites(t, 1)
-	for name, k := range map[string]*KB{"demo": c.KB, "crawl": crawlKB} {
-		text := kbText(t, k)
+	parses := countParses(t)
+	for name, text := range map[string][]byte{
+		"demo":           kbText(t, c.KB),
+		"demo unordered": unorderedKBText(t, c.KB),
+		"crawl":          kbText(t, crawlKB),
+	} {
 		for opt, opts := range map[string][]Option{
 			"none":               nil,
 			"WithMinAnnotations": {WithMinAnnotations(5)},
@@ -96,14 +102,23 @@ func TestPipelineTSVTrainingKey(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			before := parses()
 			p, err := NewPipelineTSV(text, opts...)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := parses() - before; n != 0 {
+				t.Errorf("%s KB: NewPipelineTSV parsed the KB %d times", name, n)
 			}
 			if got, want := p.TrainingKey(), NewPipeline(parsed, opts...).TrainingKey(); got != want {
 				t.Errorf("%s KB, %s: NewPipelineTSV key %s, NewPipeline key %s", name, opt, got, want)
 			}
 		}
+	}
+	bad := []byte("P\tp\tt\t\tmulti\nE\te1\tt\tn\t\nT\te1\tp\te:e2\n")
+	_, rerr := ReadKB(bytes.NewReader(bad))
+	if _, err := NewPipelineTSV(bad); err == nil || rerr == nil || err.Error() != rerr.Error() {
+		t.Errorf("on a malformed KB NewPipelineTSV says %v, ReadKB %v", err, rerr)
 	}
 }
 
