@@ -106,9 +106,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTrainSite -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s .
 
 # The durable path's proofs, under the race detector: the crash-point
-# sweep (every filesystem operation of a warm harvest and every models/
-# operation of a cold one is a power cut the next invocation must recover
-# from byte-identically — `go test -short` takes every fifth), the
+# sweep (every filesystem operation of a warm harvest, every models/
+# operation of a cold one and every removal a -reset makes in its trash is
+# a power cut the next invocation must recover from byte-identically —
+# `go test -short` takes every fifth), the
 # operation-order check and the commit stage's kill, error and bound
 # tests (DESIGN.md §8).
 crash-sweep:
