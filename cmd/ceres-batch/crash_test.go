@@ -348,11 +348,22 @@ func sweepReset(t *testing.T, f *sweepFixture, stride int) {
 // TestResetDropsStaleShards: a -reset pass over a directory an earlier
 // pass filled, with a site dropped from the plan, leaves in triples/
 // exactly the shard files of the sites it harvested — none of the dropped
-// site's — byte-identical to a full pass's, and no trash directory.
+// site's — byte-identical to a full pass's, and no trash directory; and
+// deleting the old triples/ follows no symbolic link out of it.
 func TestResetDropsStaleShards(t *testing.T) {
 	f := newSweepFixture(t)
 	dir := f.newDir(t, f.models)
 	if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(t.TempDir(), "kept")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(outside, "file"), []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(outside, filepath.Join(dir, "triples", "link")); err != nil {
 		t.Fatal(err)
 	}
 	o := f.in(dir)
@@ -379,6 +390,9 @@ func TestResetDropsStaleShards(t *testing.T) {
 	}
 	if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) != 0 {
 		t.Errorf("-reset left trash behind: %v", trash)
+	}
+	if _, err := os.Stat(filepath.Join(outside, "file")); err != nil {
+		t.Errorf("deleting the old triples/ reached through a symbolic link: %v", err)
 	}
 }
 

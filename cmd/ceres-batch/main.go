@@ -26,7 +26,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -219,22 +218,28 @@ func emptyTrash(ctx context.Context, dir string) *par.Group {
 	})
 }
 
-// removeTree removes path and, when it is a directory, everything under
-// it, one fsatomic.Remove at a time.
-func removeTree(ctx context.Context, path string) error {
-	ents, err := os.ReadDir(path)
-	if err != nil && !errors.Is(err, syscall.ENOTDIR) {
+// removeTree removes the directory dir and everything under it, one
+// fsatomic.Remove at a time, following no symbolic link.
+func removeTree(ctx context.Context, dir string) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		return err
 	}
 	for _, e := range ents {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := removeTree(ctx, filepath.Join(path, e.Name())); err != nil {
+		path := filepath.Join(dir, e.Name())
+		if e.IsDir() {
+			err = removeTree(ctx, path)
+		} else {
+			err = fsatomic.Remove(path)
+		}
+		if err != nil {
 			return err
 		}
 	}
-	return fsatomic.Remove(path)
+	return fsatomic.Remove(dir)
 }
 
 // memoryUse counts the bytes the process allocated on the heap and the

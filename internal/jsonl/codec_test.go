@@ -42,6 +42,10 @@ func nested(open, close string, depth int) string {
 	return strings.Repeat(open, depth) + strings.Repeat(close, depth)
 }
 
+// canonLine is a line as AppendTriple writes it, its newline removed: the
+// decoder's fast path takes it.
+const canonLine = `{"Subject":"Carnival of Parade","Predicate":"film.hasCastMember.person","Object":"Chiara Takahashi","Confidence":0.9967071677138643,"Page":"film00760","Path":"/html[1]/body[1]/div[1]/ul[1]/li[2]/a[1]/text()[1]"}`
+
 // lineCases are the lines the decoder is pinned on, with whether they
 // are accepted; they also seed FuzzTripleLine.
 var lineCases = []struct {
@@ -58,6 +62,18 @@ var lineCases = []struct {
 	{"lone surrogates", `{"Object":"\ud83d|\ude00|\ud83dA|\ud83d\u0041|\ud83d\ud83d\ude00|\ude00\ud83d"}`, true},
 	{"high surrogate at end", `{"Object":"\ud83d"}`, true},
 	{"high surrogate before bad escape", `{"Object":"\ud83d\uZZZZ"}`, false},
+	{"canonical, no newline", canonLine, true},
+	{"canonical, a byte after", canonLine + "x", false},
+	{"canonical, a second object after", canonLine + canonLine, false},
+	{"canonical, cut short", canonLine[:len(canonLine)-1], false},
+	{"canonical layout, escapes", `{"Subject":"a\"b","Predicate":"p","Object":"o\u00e9\/","Confidence":0.5,"Page":"g","Path":"/x"}`, true},
+	{"canonical layout, not UTF-8", "{\"Subject\":\"s\",\"Predicate\":\"p\",\"Object\":\"a\xffb\",\"Confidence\":0.5,\"Page\":\"g\",\"Path\":\"/x\xe2\x82\"}", true},
+	{"canonical layout, multibyte", "{\"Subject\":\"Příliš\",\"Predicate\":\"p\",\"Object\":\"😀 \xef\xbf\xbd\",\"Confidence\":0.5,\"Page\":\"g\",\"Path\":\"/x\"}", true},
+	{"canonical layout, a raw control byte", "{\"Subject\":\"s\",\"Predicate\":\"p\",\"Object\":\"a\tb\",\"Confidence\":0.5,\"Page\":\"g\",\"Path\":\"/x\"}", false},
+	{"canonical layout, null Page", `{"Subject":"s","Predicate":"p","Object":"o","Confidence":0.5,"Page":null,"Path":"/x"}`, true},
+	{"canonical layout, Confidence out of range", `{"Subject":"s","Predicate":"p","Object":"o","Confidence":1e999,"Page":"g","Path":"/x"}`, false},
+	{"canonical layout, Confidence a string", `{"Subject":"s","Predicate":"p","Object":"o","Confidence":"0.5","Page":"g","Path":"/x"}`, false},
+	{"canonical layout, a space before the end", `{"Subject":"s","Predicate":"p","Object":"o","Confidence":0.5,"Page":"g","Path":"/x" }`, true},
 	{"invalid utf8", "{\"Subject\":\"\xff\",\"Object\":\"a\xffb\xc3(\xe2\x82\xf0\x9f\x98\xed\xa0\x80\xc0\xaf\"}", true},
 	{"invalid utf8 outgrows the line", "{\"Object\":\"\xff\xfe\xfd\xfc\xfb\xfa\",\"Page\":\"ok\"}", true},
 	{"truncated rune before the quote", "{\"Object\":\"x\xe2\x82\"}", true},
