@@ -362,7 +362,7 @@ func harvest(ctx context.Context, o options) (*batch.Report, usage, error) {
 	if err != nil {
 		return nil, none, err
 	}
-	lap(&mark)
+	lap(&mark) // Run's own time is the report's
 	trash.Wait()
 	out.Reset += lap(&mark)
 	if o.fuse {

@@ -219,22 +219,26 @@ func (d *TripleDecoder) exact(b []byte, t *ceres.Triple) bool {
 		if !ok {
 			return false
 		}
-		s := d.value(field, val)
-		switch field {
-		case fieldSubject:
-			t.Subject = s
-		case fieldPredicate:
-			t.Predicate = s
-		case fieldObject:
-			t.Object = s
-		case fieldPage:
-			t.Page = s
-		case fieldPath:
-			t.Path = s
-		}
+		setString(t, field, d.value(field, val))
 		p = next
 	}
 	return p == len(b)-1 && b[p] == '}'
+}
+
+// setString sets t's string field field to s.
+func setString(t *ceres.Triple, field int, s string) {
+	switch field {
+	case fieldSubject:
+		t.Subject = s
+	case fieldPredicate:
+		t.Predicate = s
+	case fieldObject:
+		t.Object = s
+	case fieldPage:
+		t.Page = s
+	case fieldPath:
+		t.Path = s
+	}
 }
 
 // verbatimString finds the string whose opening quote is b[p] when its
@@ -304,19 +308,7 @@ func (d *TripleDecoder) object(b []byte, p int, t *ceres.Triple) (int, error) {
 			if val, p, err = String(b, p); err != nil {
 				return 0, err
 			}
-			s := d.value(field, val)
-			switch field {
-			case fieldSubject:
-				t.Subject = s
-			case fieldPredicate:
-				t.Predicate = s
-			case fieldObject:
-				t.Object = s
-			case fieldPage:
-				t.Page = s
-			case fieldPath:
-				t.Path = s
-			}
+			setString(t, field, d.value(field, val))
 		}
 		if err != nil {
 			return 0, err

@@ -266,11 +266,11 @@ const maxLine = 4 << 20
 // scanRecords is the one reader of kb.tsv's syntax, under Read and
 // DigestTSV alike. It calls fn on every record of text in file order with
 // where the record's line starts in text, the line, every carriage return
-// ending it removed, and its
-// fields split at tabs, type first, still escaped as on disk. It skips
-// blank and comment lines and refuses a line of unknown record type, of
-// the wrong number of fields for its type, or — a T record — whose object
-// is neither e: nor l:. Its errors and fn's name the line.
+// ending it removed, and its fields split at tabs, type first, still
+// escaped as on disk. It skips blank and comment lines and refuses a line
+// of unknown record type, of the wrong number of fields for its type, or
+// — a T record — whose object is neither e: nor l:. Its errors and fn's
+// name the line.
 func scanRecords(text string, fn func(at int, line string, f []string) error) error {
 	var fields [5]string
 	for lineNo, at, next := 1, 0, 0; at < len(text); lineNo, at = lineNo+1, next {

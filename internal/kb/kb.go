@@ -125,7 +125,7 @@ func checkEntity(id string, has func(string) bool) error {
 // ontology defines and which entity IDs the KB holds.
 func checkTriple(hasPred, has func(string) bool, t Triple) error {
 	if !hasPred(t.Predicate) {
-		return unknownPredicate(t.Predicate)
+		return fmt.Errorf("kb: predicate %q not in ontology", t.Predicate)
 	}
 	if !has(t.Subject) {
 		return fmt.Errorf("kb: unknown subject %q", t.Subject)

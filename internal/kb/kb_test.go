@@ -309,9 +309,6 @@ func TestOntologyHelpers(t *testing.T) {
 	if names[0] != "directedBy" {
 		t.Errorf("insertion order lost: %v", names)
 	}
-	if err := o.Validate("ghost"); err == nil {
-		t.Errorf("Validate(ghost) should fail")
-	}
 	p, ok := o.Predicate("hasCastMember")
 	if !ok || !p.MultiValued {
 		t.Errorf("hasCastMember should be multi-valued")

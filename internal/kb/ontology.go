@@ -6,8 +6,6 @@
 // uniqueness filter.
 package kb
 
-import "fmt"
-
 // Predicate describes one relation of the ontology.
 type Predicate struct {
 	// Name is the relation identifier, e.g. "film.wasDirectedBy.person".
@@ -68,16 +66,3 @@ func (o *Ontology) Names() []string {
 
 // Len returns the number of predicates.
 func (o *Ontology) Len() int { return len(o.order) }
-
-// Validate checks a triple's predicate against the ontology, returning an
-// error for unknown predicates.
-func (o *Ontology) Validate(pred string) error {
-	if !o.Has(pred) {
-		return unknownPredicate(pred)
-	}
-	return nil
-}
-
-func unknownPredicate(name string) error {
-	return fmt.Errorf("kb: predicate %q not in ontology", name)
-}
