@@ -80,7 +80,18 @@ func announce(op Op) (keep int, err error) {
 type File struct {
 	f      *os.File
 	closed bool
+	// unsent counts the bytes written since the kernel was last asked to
+	// start writing the file out (writebackBytes).
+	unsent int
 }
+
+// writebackBytes is how much a File lets gather in the page cache before
+// it asks the kernel to start writing it to disk, without waiting: Seal's
+// fsync of a large file then waits for what is left. On the benchmark
+// crawl's 8.4 MB fused.jsonl, publishing took 10 ms where it took 13.5;
+// at the default shard size a shard file (≈ 200 KB), a model and a
+// manifest stay below it.
+const writebackBytes = 1 << 20
 
 // CreateTemp creates the temp file, named by os.CreateTemp's rules. By
 // the repository's convention pattern starts with a dot, so that a temp
@@ -105,7 +116,12 @@ func (t *File) Write(p []byte) (int, error) {
 		n, _ := t.f.Write(p[:min(max(keep, 0), len(p))])
 		return n, err
 	}
-	return t.f.Write(p)
+	n, err := t.f.Write(p)
+	if t.unsent += n; t.unsent >= writebackBytes {
+		startWriteback(t.f)
+		t.unsent = 0
+	}
+	return n, err
 }
 
 // Seal makes the written bytes durable under the temp name: fsync,
