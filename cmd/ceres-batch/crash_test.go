@@ -126,8 +126,9 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 
 // outputs checks everything a finished harvest directory must be to the
 // next process — checkpoint and stats readable, every stored model
-// loadable, every verdict readable, no temp file of a killed writer in
-// the directory or in triples/ — and returns fused.jsonl.
+// loadable, every verdict readable, no temp file of a killed writer and
+// no -reset trash in the directory or in triples/ — and returns
+// fused.jsonl.
 func (f *sweepFixture) outputs(t *testing.T, dir string) []byte {
 	t.Helper()
 	for _, name := range []string{"checkpoint.json", "stats.json"} {
@@ -241,24 +242,7 @@ func TestCrashSweep(t *testing.T) {
 				if rec.Crashed() {
 					crashed++
 				}
-				if _, _, err := harvest(context.Background(), f.in(dir)); err != nil {
-					t.Fatalf("crash point %d (%v): the next run failed: %v", n, lastOp(rec), err)
-				}
-				if fused := f.outputs(t, dir); !bytes.Equal(fused, f.fused) {
-					t.Errorf("crash point %d (%v): fused.jsonl differs from an uninterrupted run's", n, lastOp(rec))
-				}
-				got := readDir(t, filepath.Join(dir, "triples"))
-				if len(got) != len(f.triples) {
-					t.Errorf("crash point %d (%v): %d shard files, want %d", n, lastOp(rec), len(got), len(f.triples))
-				}
-				for name, want := range f.triples {
-					if !bytes.Equal(got[name], want) {
-						t.Errorf("crash point %d (%v): shard file %s differs", n, lastOp(rec), name)
-					}
-				}
-				if t.Failed() {
-					t.FailNow()
-				}
+				f.recovers(t, f.in(dir), n, rec)
 			}
 			// The commit stage batches by arrival, so a pass can take a few
 			// operations fewer than the counted one; most points must bite.
@@ -321,27 +305,7 @@ func sweepReset(t *testing.T, f *sweepFixture, stride int) {
 		if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) == 0 {
 			t.Fatalf("crash point %d (%v): the killed pass left no trash to sweep", n, lastOp(rec))
 		}
-		if _, _, err := harvest(context.Background(), reset(dir)); err != nil {
-			t.Fatalf("crash point %d (%v): the next run failed: %v", n, lastOp(rec), err)
-		}
-		if fused := f.outputs(t, dir); !bytes.Equal(fused, f.fused) {
-			t.Errorf("crash point %d (%v): fused.jsonl differs from an uninterrupted run's", n, lastOp(rec))
-		}
-		if trash, _ := filepath.Glob(filepath.Join(dir, trashPrefix+"*")); len(trash) != 0 {
-			t.Errorf("crash point %d (%v): trash left behind: %v", n, lastOp(rec), trash)
-		}
-		got := readDir(t, filepath.Join(dir, "triples"))
-		if len(got) != len(f.triples) {
-			t.Errorf("crash point %d (%v): %d shard files, want %d", n, lastOp(rec), len(got), len(f.triples))
-		}
-		for name, want := range f.triples {
-			if !bytes.Equal(got[name], want) {
-				t.Errorf("crash point %d (%v): shard file %s differs", n, lastOp(rec), name)
-			}
-		}
-		if t.Failed() {
-			t.FailNow()
-		}
+		f.recovers(t, reset(dir), n, rec)
 	}
 }
 
@@ -393,6 +357,32 @@ func TestResetDropsStaleShards(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(outside, "file")); err != nil {
 		t.Errorf("deleting the old triples/ reached through a symbolic link: %v", err)
+	}
+}
+
+// recovers runs the invocation that follows crash point n in o.dir and
+// requires it to finish as if nothing had happened: fused.jsonl and
+// triples/ byte-identical to an uninterrupted run's, and the directory
+// as outputs requires it.
+func (f *sweepFixture) recovers(t *testing.T, o options, n int, rec *fsatomictest.Recorder) {
+	t.Helper()
+	if _, _, err := harvest(context.Background(), o); err != nil {
+		t.Fatalf("crash point %d (%v): the next run failed: %v", n, lastOp(rec), err)
+	}
+	if fused := f.outputs(t, o.dir); !bytes.Equal(fused, f.fused) {
+		t.Errorf("crash point %d (%v): fused.jsonl differs from an uninterrupted run's", n, lastOp(rec))
+	}
+	got := readDir(t, filepath.Join(o.dir, "triples"))
+	if len(got) != len(f.triples) {
+		t.Errorf("crash point %d (%v): %d shard files, want %d", n, lastOp(rec), len(got), len(f.triples))
+	}
+	for name, want := range f.triples {
+		if !bytes.Equal(got[name], want) {
+			t.Errorf("crash point %d (%v): shard file %s differs", n, lastOp(rec), name)
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
 	}
 }
 
