@@ -1,7 +1,9 @@
 package fsatomic
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -33,6 +35,32 @@ func TestWriteFileAtomicReplace(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("temp files left behind: %v", ents)
+	}
+}
+
+// TestWriteStreamLarge publishes a stream of several writeback steps, in
+// writes that straddle them, and reads back every byte.
+func TestWriteStreamLarge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.jsonl")
+	want := make([]byte, 3*writebackBytes+12345)
+	for i := range want {
+		want[i] = byte('a' + i%26)
+	}
+	err := WriteStream(path, func(w io.Writer) error {
+		for rest := want; len(rest) > 0; {
+			n := min(len(rest), 333333)
+			if _, err := w.Write(rest[:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes (%v), wrote %d", len(got), err, len(want))
 	}
 }
 
