@@ -3,10 +3,14 @@ package batch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -94,6 +98,73 @@ func TestFusedGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fmaChildOut names, in the environment of a child of the test binary,
+// the file TestFactsIndependentOfFMA's child writes its fused output to.
+const fmaChildOut = "CERES_TEST_FMA_CHILD_OUT"
+
+// TestFactsIndependentOfFMA: the facts a harvest fuses do not depend on
+// whether the CPU's fused multiply-add is used. The program's own
+// arithmetic never fuses on amd64 (TestNoFusedMultiplyAdd keeps every
+// summed product rounded on the architectures that would), but math.Exp
+// and math.Log pick an FMA code path at run time there. The crawl
+// fixture's cold harvest runs in-process and again in a child of the test
+// binary under GODEBUG=cpu.fma=off; the child's facts must be the same
+// (subject, predicate, object) set, every belief within 1e-4. Converged
+// fits are what make this hold: a fit cut short at its step cap lands
+// wherever the rounding of its path leads it.
+func TestFactsIndependentOfFMA(t *testing.T) {
+	if out := os.Getenv(fmaChildOut); out != "" {
+		base := t.TempDir()
+		rep, err := runHarvest(t, newCrawlFixture(t, base, fixtureSites), newHarvestDirs(t, base, "run"), goldenJob, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, fusedBytes(t, rep), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skip("GODEBUG=cpu.fma=off switches math's FMA code paths only on amd64")
+	}
+	base := t.TempDir()
+	rep, err := runHarvest(t, newCrawlFixture(t, base, fixtureSites), newHarvestDirs(t, base, "run"), goldenJob, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "fused.jsonl")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestFactsIndependentOfFMA$", "-test.count=1")
+	cmd.Env = append(os.Environ(), fmaChildOut+"="+out, "GODEBUG=cpu.fma=off")
+	if b, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("child harvest without FMA: %v\n%s", err, b)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type spo struct{ s, p, o string }
+	beliefs := map[spo]float64{}
+	for _, line := range bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n")) {
+		var f ceres.FusedFact
+		if err := json.Unmarshal(line, &f); err != nil {
+			t.Fatalf("child's fused line %q: %v", line, err)
+		}
+		beliefs[spo{f.Subject, f.Predicate, f.Object}] = f.Belief
+	}
+	if len(beliefs) != len(rep.Facts) || len(beliefs) == 0 {
+		t.Errorf("%d facts with FMA, %d without", len(rep.Facts), len(beliefs))
+	}
+	for _, f := range rep.Facts {
+		without, ok := beliefs[spo{f.Subject, f.Predicate, f.Object}]
+		switch {
+		case !ok:
+			t.Errorf("fact (%s, %s, %s) only with FMA", f.Subject, f.Predicate, f.Object)
+		case math.Abs(f.Belief-without) > 1e-4:
+			t.Errorf("fact (%s, %s, %s): belief %v with FMA, %v without", f.Subject, f.Predicate, f.Object, f.Belief, without)
+		}
 	}
 }
 

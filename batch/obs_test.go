@@ -167,8 +167,12 @@ func TestRunnerTraceAndStages(t *testing.T) {
 					continue
 				}
 				n := func(key string) int { return int(numAttr(c, key)) }
+				gradInf, err := strconv.ParseFloat(strAttr(c, "grad_inf"), 64)
+				if err != nil {
+					t.Errorf("fit span's grad_inf: %v", err)
+				}
 				fitSpans = append(fitSpans, ceres.FitStats{Examples: n("examples"), Rows: n("rows"),
-					Iters: n("iters"), Evals: n("evals"), Converged: n("converged") == 1})
+					Iters: n("iters"), Evals: n("evals"), HessVecs: n("hess_vecs"), GradNorm: gradInf, Converged: n("converged") == 1})
 				if c.Duration() <= 0 || c.Duration() > tsp.Duration() {
 					t.Errorf("fit span of %v inside a %v training", c.Duration(), tsp.Duration())
 				}
@@ -196,7 +200,7 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		t.Errorf("report fits %+v, fit spans %+v", fits, fitSpans)
 	}
 	for _, f := range fits {
-		if f.Rows == 0 || f.Rows >= f.Examples || f.Iters == 0 || f.Evals <= f.Iters {
+		if f.Rows == 0 || f.Rows >= f.Examples || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
 			t.Errorf("implausible fit %+v", f)
 		}
 	}

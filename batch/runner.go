@@ -254,7 +254,7 @@ type SiteReport struct {
 	Trained bool
 	// Fits reports the classifier fits behind a model this run trained,
 	// one per trained template cluster; a fit with Converged false
-	// stopped at its iteration cap.
+	// stopped at its step cap.
 	Fits []ceres.FitStats
 	// Skipped marks a site recorded as unharvestable (Err holds the
 	// reason, e.g. no seed-KB alignment). StoredVerdict reports that this

@@ -448,8 +448,9 @@ func (m *SiteModel) Threshold() float64 { return math.Float64frombits(m.threshol
 func (m *SiteModel) SetThreshold(t float64) { m.threshold.Store(math.Float64bits(t)) }
 
 // FitStats reports how one cluster classifier's fit went: examples,
-// distinct rows the objective ran over, optimizer iterations, objective
-// evaluations, and whether it converged or stopped at its iteration cap.
+// distinct rows the objective ran over, Newton steps, objective
+// evaluations, Hessian–vector products, the gradient's final infinity
+// norm, and whether it converged or stopped at its step cap.
 type FitStats = mlr.FitStats
 
 // Fits reports the classifier fits of the Train call that built the

@@ -641,12 +641,13 @@ func trainingSummary(rep *batch.Report) string {
 }
 
 // fitSummary is a line of the report: how many classifiers this run
-// fitted, how many of those stopped at the iteration cap short of their
-// tolerance, and how far the training examples collapsed into distinct
-// rows. An unconverged fit is usable but sensitive to float summation
-// order; the per-site detail is in stats.json.
+// fitted, how many of those stopped at the step cap short of their
+// tolerance, how far the training examples collapsed into distinct rows,
+// and the largest gradient infinity norm a fit ended on. The per-site
+// detail is in stats.json.
 func fitSummary(rep *batch.Report) string {
 	var fits, unconverged, examples, rows int
+	var gradInf float64
 	for _, sr := range rep.Sites {
 		for _, f := range sr.Fits {
 			fits++
@@ -655,7 +656,8 @@ func fitSummary(rep *batch.Report) string {
 			}
 			examples += f.Examples
 			rows += f.Rows
+			gradInf = max(gradInf, f.GradNorm)
 		}
 	}
-	return fmt.Sprintf("fits: %d trained, %d unconverged, %d examples in %d rows", fits, unconverged, examples, rows)
+	return fmt.Sprintf("fits: %d trained, %d unconverged, %d examples in %d rows, max ‖g‖∞ %.2g", fits, unconverged, examples, rows, gradInf)
 }

@@ -191,6 +191,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 	// Every site trained this run reports its fits, and the printed
 	// summary totals them.
 	var fits, examples, rows int
+	var gradInf float64
 	for _, s := range doc.Sites {
 		if s.Trained != (len(s.Fits) > 0) {
 			t.Errorf("stats.json site trained=%v with %d fits", s.Trained, len(s.Fits))
@@ -199,7 +200,8 @@ func TestGenerateAndHarvest(t *testing.T) {
 			fits++
 			examples += f.Examples
 			rows += f.Rows
-			if f.Rows == 0 || f.Rows > f.Examples || f.Iters == 0 || f.Evals <= f.Iters {
+			gradInf = max(gradInf, f.GradNorm)
+			if f.Rows == 0 || f.Rows > f.Examples || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
 				t.Errorf("implausible fit stats %+v", f)
 			}
 		}
@@ -208,7 +210,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 		t.Errorf("%d fits over %d examples in %d rows: templated sites should collapse", fits, examples, rows)
 	}
 	prefix := fmt.Sprintf("fits: %d trained, ", fits)
-	suffix := fmt.Sprintf(" unconverged, %d examples in %d rows", examples, rows)
+	suffix := fmt.Sprintf(" unconverged, %d examples in %d rows, max ‖g‖∞ %.2g", examples, rows, gradInf)
 	if got := fitSummary(rep); !strings.HasPrefix(got, prefix) || !strings.HasSuffix(got, suffix) {
 		t.Errorf("fitSummary = %q, want %q…%q", got, prefix, suffix)
 	}

@@ -542,6 +542,10 @@ const maxFeatureReach = 64
 // the state says: a state holds a trained featurizer, which training
 // freezes before it fits, and serving reads the tables from many
 // goroutines.
+//
+// The names are parsed in one pass, which numbers the vocabulary; every
+// table is then carved, exactly as long as the largest key it holds, from
+// one array, and a second pass fills in the feature IDs.
 func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
 	for _, v := range []int{st.Opts.MaxAncestors, st.Opts.SiblingWindow, st.Opts.TextAncestors} {
 		if v < 0 || v > maxFeatureReach {
@@ -552,10 +556,45 @@ func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
 	// resolves before storing), so restore takes them literally — this is
 	// what lets an explicit zero survive a round trip.
 	fz := newFeaturizer(st.Opts.Explicit())
+	slots := make([]slot, len(st.Names))
+	bad := len(st.Names) // the first name that fits no slot
 	for id, name := range st.Names {
-		if !fz.place(name, int32(id)) {
-			return nil, fmt.Errorf("core: feature %d: name %q fits no free slot", id, name)
+		sl, ok := fz.slotOf(name)
+		if !ok {
+			bad = id
+			break
 		}
+		slots[id] = sl
+	}
+	slots = slots[:bad]
+	sizes := make([]int32, fz.textIndex(len(fz.text), 0))
+	var total int
+	for _, sl := range slots {
+		if n := sl.key + 1; n > sizes[sl.table] {
+			total += int(n - sizes[sl.table])
+			sizes[sl.table] = n
+		}
+	}
+	all := make([]int32, total)
+	for i := range all {
+		all[i] = -1
+	}
+	for t, n := range sizes {
+		if n > 0 {
+			*fz.table(t) = all[:n:n]
+			all = all[n:]
+		}
+	}
+	for id, sl := range slots {
+		tbl := *fz.table(int(sl.table))
+		if tbl[sl.key] >= 0 {
+			bad = id
+			break
+		}
+		tbl[sl.key] = int32(id)
+	}
+	if bad < len(st.Names) {
+		return nil, fmt.Errorf("core: feature %d: name %q fits no free slot", bad, st.Names[bad])
 	}
 	fz.features = len(st.Names)
 	fz.lexicon = st.Frequent
@@ -563,56 +602,79 @@ func RestoreFeaturizer(st FeaturizerState) (*Featurizer, error) {
 	return fz, nil
 }
 
-// place parses one feature name into the vocabulary and the tables as
-// feature id, reporting whether the name had a free slot of its own.
-func (fz *Featurizer) place(name string, id int32) bool {
+// slot is where a feature name puts its ID: a table, as structIndex and
+// textIndex number them, and the vocabulary key within it.
+type slot struct{ table, key int32 }
+
+// structIndex and textIndex number the featurizer's tables: structural
+// position (lvl, off) holds kindWidth of them, the tag's and then the
+// structuralAttrs'; the text positions (lvl, off) follow, one table each.
+func (fz *Featurizer) structIndex(lvl, off int) int {
+	w := fz.opts.SiblingWindow
+	return (lvl*(2*w+1) + off + w) * kindWidth
+}
+
+func (fz *Featurizer) textIndex(lvl, off int) int {
+	w := fz.opts.SiblingWindow
+	return len(fz.structural)*(2*w+1)*kindWidth + lvl*(w+1) + off
+}
+
+// table returns table t of that numbering.
+func (fz *Featurizer) table(t int) *[]int32 {
+	w := fz.opts.SiblingWindow
+	if text := fz.textIndex(0, 0); t >= text {
+		t -= text
+		return &fz.text[t/(w+1)][t%(w+1)]
+	}
+	kind, pos := t%kindWidth, t/kindWidth
+	st := &fz.structural[pos/(2*w+1)][pos%(2*w+1)]
+	if kind == 0 {
+		return &st.tag
+	}
+	return &st.attr[kind-1]
+}
+
+// slotOf parses one feature name into the vocabulary and reports the slot
+// it names, false when it names none.
+func (fz *Featurizer) slotOf(name string) (slot, bool) {
 	rest, structural := strings.CutPrefix(name, "s|")
 	if !structural {
 		var ok bool
 		if rest, ok = strings.CutPrefix(name, "t|"); !ok {
-			return false
+			return slot{}, false
 		}
 	}
 	lvl, rest, ok := cutInt(rest)
 	if !ok || lvl < 0 {
-		return false
+		return slot{}, false
 	}
 	off, rest, ok := cutInt(rest)
 	if !ok || rest == "" {
-		return false
+		return slot{}, false
 	}
 	w := fz.opts.SiblingWindow
 	if structural {
 		if lvl >= len(fz.structural) || off < -w || off > w {
-			return false
+			return slot{}, false
 		}
-		t := &fz.structural[lvl][off+w]
+		t := int32(fz.structIndex(lvl, off))
 		if v, ok := strings.CutPrefix(rest, "tag|"); ok {
-			return placeFeat(&t.tag, fz.vocab.addTag(v), id)
+			return slot{t, fz.vocab.addTag(v)}, true
 		}
 		for i, attr := range structuralAttrs {
 			if v, ok := strings.CutPrefix(rest, attr+"|"); ok {
-				return placeFeat(&t.attr[i], vocabID(fz.vocab.attr[i], v), id)
+				return slot{t + 1 + int32(i), vocabID(fz.vocab.attr[i], v)}, true
 			}
 		}
-		return false
+		return slot{}, false
 	}
 	// Text feature: off is 0 (ancestor own text) or negative (preceding
 	// element sibling); the table stores the magnitude.
 	if lvl >= len(fz.text) || off > 0 || -off > w {
-		return false
+		return slot{}, false
 	}
 	fz.maxText = max(fz.maxText, len(rest))
-	return placeFeat(&fz.text[lvl][-off], vocabID(fz.vocab.text, rest), id)
-}
-
-// placeFeat records feat under vocabulary ID key unless the slot is taken.
-func placeFeat(tbl *[]int32, key, feat int32) bool {
-	if featAt(*tbl, key) >= 0 {
-		return false
-	}
-	*tbl = setFeat(*tbl, key, feat)
-	return true
+	return slot{int32(fz.textIndex(lvl, -off)), vocabID(fz.vocab.text, rest)}, true
 }
 
 // cutInt splits "123|rest" into (123, "rest").

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strconv"
 	"time"
 
 	"ceres/internal/cluster"
@@ -202,7 +203,8 @@ func PrepareSite(ctx context.Context, sources []PageSource, ix *kb.Index, cfg Co
 // a cancelled ctx makes it fail — everything a fit can reject was checked
 // when it was prepared. Each fit is traced as a "fit" child of ctx's span
 // whose duration is the cluster's example building plus its optimizer run,
-// wherever in the training the two happened.
+// wherever in the training the two happened; its attributes are the fit's
+// FitStats, the final ‖g‖∞ (grad_inf) written exactly as a decimal.
 func (p *Prepared) Fit(ctx context.Context) error {
 	tsp := trace.FromContext(ctx)
 	for _, f := range p.Fits {
@@ -217,6 +219,8 @@ func (p *Prepared) Fit(ctx context.Context) error {
 		fsp.SetInt("rows", int64(f.Stats.Rows))
 		fsp.SetInt("iters", int64(f.Stats.Iters))
 		fsp.SetInt("evals", int64(f.Stats.Evals))
+		fsp.SetInt("hess_vecs", int64(f.Stats.HessVecs))
+		fsp.SetStr("grad_inf", strconv.FormatFloat(f.Stats.GradNorm, 'g', -1, 64))
 		if f.Stats.Converged {
 			fsp.SetInt("converged", 1)
 		} else {

@@ -24,7 +24,8 @@ type TrainOptions struct {
 	// (ablation 4 of DESIGN.md).
 	DisableListExclusion bool
 	// Model forwards to the classifier trainer; zero values take the
-	// paper-faithful defaults (LBFGS, L2 with C=1).
+	// paper-faithful defaults (L2 with C=1, solved to the optimum by
+	// trust-region Newton).
 	Model mlr.TrainOptions
 	// Classifier selects "lr" (default) or "nb" for the classifier
 	// ablation.

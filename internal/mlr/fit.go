@@ -9,12 +9,16 @@ import (
 // MaxIter short of its tolerance is counted instead of passing silently.
 type FitStats struct {
 	// Examples is the dataset size; Rows is how many distinct
-	// (vector, label) rows the L-BFGS objective was evaluated over.
+	// (vector, label) rows the objective was evaluated over.
 	Examples, Rows int
-	// Iters counts optimizer iterations (SGD: epochs); Evals counts
-	// objective evaluations, line-search trials included.
-	Iters, Evals int
-	// Converged is false when L-BFGS ran out of iterations.
+	// Iters counts Newton steps, accepted or not (SGD: epochs); Evals
+	// counts objective evaluations, one up front and one per step;
+	// HessVecs counts Hessian–vector products, one per conjugate-gradient
+	// step.
+	Iters, Evals, HessVecs int
+	// GradNorm is the gradient's infinity norm where the fit stopped.
+	GradNorm float64
+	// Converged is false when the fit ran out of Newton steps.
 	Converged bool
 }
 
@@ -31,8 +35,8 @@ type rows struct {
 	// (feature j, class k at j*classes+k — one non-zero touches one
 	// contiguous column, as in TransposedModel), intercepts after them.
 	classes, features int
-	// e is lossGrad's scratch: one row's scores, then its gradient
-	// coefficients.
+	// e is lossGrad's and hessVec's scratch: one row's scores, then its
+	// gradient or Hessian coefficients.
 	e []float64
 }
 
@@ -73,20 +77,20 @@ func collapse(ds *Dataset) *rows {
 
 // lossGrad computes the regularized negative log-likelihood under
 // parameters theta and writes its gradient into grad, in one pass over
-// the rows.
+// the rows; each row's softmax goes to p, K values a row, for hessVec.
 //
 // Each row is scored once, its classes in register blocks of eight, then
 // four, then one; per class the sum starts at B[k] and adds the row's
 // features in order. The row is weighed in with its count c:
 // loss += c·(lse − s_y), and the gradient coefficient of class k is
 // c·(p_k − 1[k = y]); exp(s_k − max) is taken once per class and serves
-// both lse and p_k. The coefficients go to gB and are scattered into the
-// row's feature columns of gW, in the same blocks. The L2 term follows,
-// over W in index order. Every gradient component so receives its
-// additions in row order from +0.
+// both lse and p_k = exp(s_k − max)/sum. The coefficients go to gB and
+// are scattered into the row's feature columns of gW, in the same blocks.
+// The L2 term follows, over W in index order. Every gradient component so
+// receives its additions in row order from +0.
 //
 //ceres:allocfree
-func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
+func (r *rows) lossGrad(theta, grad, p []float64, l2 float64) float64 {
 	K := r.classes
 	W, B := theta[:r.features*K], theta[r.features*K:][:K]
 	clear(grad)
@@ -95,22 +99,7 @@ func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 
 	var loss float64
 	for i, x := range r.x {
-		k := 0
-		// theta[k:] and grad[k:], not W[k:] and gW[k:]: W is empty when no
-		// row has a feature.
-		for ; k+8 <= K; k += 8 {
-			scoreBlock8(e[k:k+8], B[k:k+8], theta[k:], K, x)
-		}
-		for ; k+4 <= K; k += 4 {
-			scoreBlock4(e[k:k+4], B[k:k+4], theta[k:], K, x)
-		}
-		for ; k < K; k++ {
-			s := B[k]
-			for _, f := range x {
-				s += float64(f.Value * W[f.Index*K+k])
-			}
-			e[k] = s
-		}
+		scoreRow(e, B, theta, x)
 		y, c := r.y[i], r.count[i]
 		sy := e[y]
 		max := e[0]
@@ -127,26 +116,16 @@ func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 		loss += float64(c * (max + math.Log(sum) - sy))
 		// e becomes the row's gradient coefficients.
 		scale := c / sum
+		pi := p[i*K:][:K]
 		for k := range e {
+			pi[k] = e[k] / sum
 			e[k] *= scale
 		}
 		e[y] -= c
 		for k, g := range e {
 			gB[k] += g
 		}
-		k = 0
-		for ; k+8 <= K; k += 8 {
-			scatterBlock8(grad[k:], e[k:k+8], K, x)
-		}
-		for ; k+4 <= K; k += 4 {
-			scatterBlock4(grad[k:], e[k:k+4], K, x)
-		}
-		for ; k < K; k++ {
-			g := e[k]
-			for _, f := range x {
-				gW[f.Index*K+k] += float64(g * f.Value)
-			}
-		}
+		scatterRow(grad, e, x)
 	}
 	// L2 on weights only, matching scikit-learn's unpenalized intercept.
 	for j, w := range W {
@@ -154,6 +133,52 @@ func (r *rows) lossGrad(theta, grad []float64, l2 float64) float64 {
 		gW[j] += float64(l2 * w)
 	}
 	return loss
+}
+
+// scoreRow writes into e the scores of row x, one per class: class k's
+// intercept b[k] plus the row's features in order, each against w's
+// weight for (feature, k) at feature·K + k, K = len(e). The classes go in
+// register blocks of eight, then four, then one.
+//
+//ceres:allocfree
+func scoreRow(e, b, w []float64, x Vector) {
+	K, k := len(e), 0
+	// w[k:], not a slice of w's weights: those are empty when no row has
+	// a feature.
+	for ; k+8 <= K; k += 8 {
+		scoreBlock8(e[k:k+8], b[k:k+8], w[k:], K, x)
+	}
+	for ; k+4 <= K; k += 4 {
+		scoreBlock4(e[k:k+4], b[k:k+4], w[k:], K, x)
+	}
+	for ; k < K; k++ {
+		s := b[k]
+		for _, f := range x {
+			s += float64(f.Value * w[f.Index*K+k])
+		}
+		e[k] = s
+	}
+}
+
+// scatterRow adds each of row x's coefficients e, one per class, times
+// each of the row's feature values to that feature's column of g, in
+// scoreRow's blocks.
+//
+//ceres:allocfree
+func scatterRow(g, e []float64, x Vector) {
+	K, k := len(e), 0
+	for ; k+8 <= K; k += 8 {
+		scatterBlock8(g[k:], e[k:k+8], K, x)
+	}
+	for ; k+4 <= K; k += 4 {
+		scatterBlock4(g[k:], e[k:k+4], K, x)
+	}
+	for ; k < K; k++ {
+		c := e[k]
+		for _, f := range x {
+			g[f.Index*K+k] += float64(c * f.Value)
+		}
+	}
 }
 
 // scoreBlock8 writes into e the scores of eight consecutive classes: b's
@@ -226,17 +251,59 @@ func scatterBlock4(g, e []float64, stride int, x Vector) {
 	}
 }
 
-func trainLBFGS(m *Model, r *rows, examples int, opts TrainOptions) FitStats {
-	K, D := m.NumClasses, m.NumFeatures
-	f := func(x, grad []float64) float64 {
-		return r.lossGrad(x, grad, opts.L2)
+// hessVec writes into hv the Hessian of lossGrad's objective, at the
+// point whose row softmaxes p holds, times v, and returns vᵀ·hv, in one
+// pass over the rows on lossGrad's kernels. Per row, scoreRow takes
+// u = X·v with v's intercept components as the intercepts,
+// r = c·p⊙(u − pᵀu), and scatterRow adds r to the row's columns of hv, as
+// it goes to the intercepts; the L2 term follows, over the weights in
+// index order.
+//
+//ceres:allocfree
+func (r *rows) hessVec(v, hv, p []float64, l2 float64) float64 {
+	K := r.classes
+	V, vB := v[:r.features*K], v[r.features*K:][:K]
+	clear(hv)
+	hW, hB := hv[:r.features*K], hv[r.features*K:][:K]
+	u := r.e
+	for i, x := range r.x {
+		scoreRow(u, vB, v, x)
+		pi, c := p[i*K:][:K], r.count[i]
+		var pu float64
+		for k, uk := range u {
+			pu += float64(pi[k] * uk)
+		}
+		for k, uk := range u {
+			g := float64(float64(c*pi[k]) * (uk - pu))
+			u[k] = g
+			hB[k] += g
+		}
+		scatterRow(hv, u, x)
 	}
-	res := Minimize(f, make([]float64, D*K+K), LBFGSOptions{MaxIter: opts.MaxIter, Tol: opts.Tol, Memory: 10})
+	var vhv float64
+	for j, w := range V {
+		h := hW[j] + float64(l2*w)
+		hW[j] = h
+		vhv += float64(w * h)
+	}
+	for k, w := range vB {
+		vhv += float64(w * hB[k])
+	}
+	return vhv
+}
+
+// trainTron fits m by trust-region Newton over the collapsed rows and
+// copies the solution into m's class-major layout.
+func trainTron(m *Model, r *rows, examples int, opts TrainOptions) FitStats {
+	K, D := m.NumClasses, m.NumFeatures
+	t := newTron(r, opts.L2)
+	t.run(opts.MaxIter, opts.Tol)
 	for j := 0; j < D; j++ {
 		for k := 0; k < K; k++ {
-			m.W[k*D+j] = res.X[j*K+k]
+			m.W[k*D+j] = t.w[j*K+k]
 		}
 	}
-	copy(m.B, res.X[D*K:])
-	return FitStats{Examples: examples, Rows: len(r.x), Iters: res.Iterations, Evals: res.Evals, Converged: res.Converged}
+	copy(m.B, t.w[D*K:])
+	t.stats.Examples, t.stats.Rows = examples, len(r.x)
+	return t.stats
 }

@@ -58,6 +58,9 @@ func featureMajor(v []float64, K, D int, inverse bool) []float64 {
 	return out
 }
 
+// softmaxBuf is a buffer for lossGrad's per-row softmax output.
+func softmaxBuf(r *rows) []float64 { return make([]float64, len(r.x)*r.classes) }
+
 func randomTheta(rng *rand.Rand, n int) []float64 {
 	theta := make([]float64, n)
 	for i := range theta {
@@ -86,7 +89,7 @@ func TestWeightedObjectiveMatchesNaive(t *testing.T) {
 				t.Fatalf("K=%d dup=%d: %d rows from %d examples, nothing collapsed", K, dup, len(r.x), ds.Len())
 			}
 			grad := make([]float64, n)
-			gotLoss := r.lossGrad(featureMajor(theta, K, D2, false), grad, 0.7)
+			gotLoss := r.lossGrad(featureMajor(theta, K, D2, false), grad, softmaxBuf(r), 0.7)
 			got := featureMajor(grad, K, D2, true)
 
 			if math.Abs(gotLoss-wantLoss) > 1e-12*(1+math.Abs(wantLoss)) {
@@ -116,17 +119,17 @@ func TestGradientMatchesNumeric(t *testing.T) {
 	}
 	n := r.features*r.classes + r.classes
 	theta := randomTheta(rng, n)
-	grad := make([]float64, n)
-	r.lossGrad(theta, grad, 0.7)
+	grad, p := make([]float64, n), softmaxBuf(r)
+	r.lossGrad(theta, grad, p, 0.7)
 
 	const h = 1e-6
 	scratch := make([]float64, n)
 	for i := 0; i < n; i++ {
 		orig := theta[i]
 		theta[i] = orig + h
-		lp := r.lossGrad(theta, scratch, 0.7)
+		lp := r.lossGrad(theta, scratch, p, 0.7)
 		theta[i] = orig - h
-		lm := r.lossGrad(theta, scratch, 0.7)
+		lm := r.lossGrad(theta, scratch, p, 0.7)
 		theta[i] = orig
 		numeric := (lp - lm) / (2 * h)
 		if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
@@ -166,31 +169,50 @@ func TestCollapse(t *testing.T) {
 }
 
 // TestConvergedFitAgrees fits the same small problem to convergence from
-// the duplicated example list and from its collapsed rows. The two land on
-// the same weights, so whatever difference an unconverged fit shows
-// between them is the optimizer's path, not the objective.
+// the duplicated example list, each example a row of its own, and from
+// its collapsed rows. At Tol 1e-10 both fits end on the numerical stop and
+// land on the same weights, so whatever difference an unconverged fit
+// shows between them is the optimizer's path, not the objective. The fit
+// is also held to the frozen L-BFGS reference over the per-example
+// objective: it is a stationary point of that objective, and no higher on
+// it than where L-BFGS stops.
 func TestConvergedFitAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const K = 3
 	ds := templatedDataset(rng, 300, 25, K, 12, 4)
 	D := ds.NumFeatures()
-	naive := func(x, grad []float64) float64 { return naiveLossGrad(ds, D, x, grad, 1) }
-	want := Minimize(naive, make([]float64, K*D+K), LBFGSOptions{MaxIter: 5000, Tol: 1e-10})
-
 	m, fit, err := Train(ds, TrainOptions{MaxIter: 5000, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want.Converged || !fit.Converged {
-		t.Fatalf("converged: duplicated %v, collapsed %v", want.Converged, fit.Converged)
+	ex := &rows{x: ds.X, y: ds.Y, count: make([]float64, ds.Len()), classes: K, features: D, e: make([]float64, K)}
+	for i := range ex.count {
+		ex.count[i] = 1
 	}
-	if fit.Examples != 300 || fit.Rows != 25 || fit.Iters == 0 || fit.Evals <= fit.Iters {
+	dup := newTron(ex, 1)
+	dup.run(5000, 1e-10)
+	if !dup.stats.Converged || !fit.Converged {
+		t.Fatalf("converged: duplicated %v, collapsed %v", dup.stats.Converged, fit.Converged)
+	}
+	if fit.Examples != 300 || fit.Rows != 25 || fit.Iters == 0 || fit.Evals <= fit.Iters || fit.HessVecs < fit.Iters {
 		t.Errorf("fit stats %+v", fit)
 	}
-	for i, w := range append(append([]float64(nil), m.W...), m.B...) {
-		if math.Abs(w-want.X[i]) > 1e-6 {
-			t.Errorf("theta[%d] = %v from rows, %v from examples", i, w, want.X[i])
+	if fit.GradNorm < 1e-10 {
+		t.Errorf("fit stats %+v: ‖g‖∞ under Tol, so the fit did not end on the numerical stop", fit)
+	}
+	theta := append(append([]float64(nil), m.W...), m.B...)
+	for i, w := range featureMajor(dup.w, K, D, true) {
+		if math.Abs(theta[i]-w) > 1e-6 {
+			t.Errorf("theta[%d] = %v from rows, %v from examples", i, theta[i], w)
 		}
+	}
+
+	naive := func(x, grad []float64) float64 { return naiveLossGrad(ds, D, x, grad, 1) }
+	ref := Minimize(naive, make([]float64, K*D+K), LBFGSOptions{MaxIter: 5000, Tol: 1e-10})
+	grad := make([]float64, len(theta))
+	loss := naive(theta, grad)
+	if g := infNorm(grad); g >= 1e-5 || loss > ref.Loss {
+		t.Errorf("per-example objective at the fit: loss %v, ‖g‖∞ %v; L-BFGS stops at loss %v", loss, g, ref.Loss)
 	}
 }
 
@@ -221,10 +243,12 @@ func TestFitAllocsFlatInIterations(t *testing.T) {
 	}
 }
 
-// BenchmarkFit is one L-BFGS fit at the shape measured on the benchmark
-// crawl's largest sites: 6,000 examples that are 400 distinct rows of 27
-// non-zeros over 320 features, 8 classes. allocs/iter is what each
-// iteration after the first adds to allocs/op.
+// BenchmarkFit is one trust-region Newton fit, to convergence, at the
+// shape measured on the benchmark crawl's largest sites: 6,000 examples
+// that are 400 distinct rows of 27 non-zeros over 320 features, 8
+// classes. newton/op and hessvecs/op count its Newton steps and its
+// Hessian–vector products, one per conjugate-gradient step; allocs/iter
+// is what each Newton step after the first adds to allocs/op.
 func BenchmarkFit(b *testing.B) {
 	ds := templatedDataset(rand.New(rand.NewSource(1)), 6000, 400, 8, 320, 27)
 	one, _ := fitAllocs(b, ds, 1)
@@ -238,13 +262,17 @@ func BenchmarkFit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	if !fit.Converged {
+		b.Fatalf("fit did not converge: %+v", fit)
+	}
 	b.ReportMetric(float64(fit.Rows), "rows/op")
-	b.ReportMetric(float64(fit.Evals), "evals/op")
+	b.ReportMetric(float64(fit.Iters), "newton/op")
+	b.ReportMetric(float64(fit.HessVecs), "hessvecs/op")
 	b.ReportMetric((all-one)/float64(iters-1), "allocs/iter")
 }
 
-// fitFingerprint hashes every bit of a trained model and the iteration
-// and evaluation counts of its fit.
+// fitFingerprint hashes every bit of a trained model and the step,
+// evaluation and Hessian–vector counts of its fit.
 func fitFingerprint(m *Model, fit FitStats) uint64 {
 	h := fnv.New64a()
 	put := func(u uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, u)) }
@@ -256,18 +284,19 @@ func fitFingerprint(m *Model, fit FitStats) uint64 {
 	}
 	put(uint64(fit.Iters))
 	put(uint64(fit.Evals))
+	put(uint64(fit.HessVecs))
 	return h.Sum64()
 }
 
 // TestFitBitsPinned pins Train to the bit at class counts that take every
-// path of the objective's register blocks: two (the scalar remainder
-// alone), five (a block of four, one left over), seven (four, three left
-// over), eight (one block of eight), twelve (eight, then four) and
-// sixteen (two blocks of eight). The fingerprints were recorded from
-// kernels that performed the same arithmetic in the same order without
-// register blocks or fused passes: the first five from the row-major
-// objective and the unfused two-loop recursion, sixteen from an objective
-// that summed each feature's gradient in a pass of its own.
+// path of the register blocks of the objective and of the Hessian–vector
+// product: two (the scalar remainder alone), five (a block of four, one
+// left over), seven (four, three left over), eight (one block of eight),
+// twelve (eight, then four) and sixteen (two blocks of eight). The
+// fingerprints were recorded when the trust-region Newton solver replaced
+// L-BFGS, and the same solver over unblocked row-major kernels (the
+// objective and the product each class by class, as rowMajorLossGrad and
+// rowMajorHessVec compute them) gave the same bits.
 func TestFitBitsPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("fingerprints recorded on amd64; architectures that fuse multiply-add round differently")
@@ -276,12 +305,12 @@ func TestFitBitsPinned(t *testing.T) {
 		K    int
 		want uint64
 	}{
-		{2, 0x96c94eb6eada9f23},
-		{5, 0x68ce9713a6cf47ed},
-		{7, 0xd267bbe30edd0c82},
-		{8, 0xe077a0a9c076f966},
-		{12, 0xa98b235766de0f1e},
-		{16, 0xad6334f05a57fc12},
+		{2, 0xfeb6a896e523668d},
+		{5, 0xdce6185881a6f022},
+		{7, 0xf3347d6390e16a90},
+		{8, 0x3bbb9a3fae4f3d8},
+		{12, 0xea6f79fc2be0d168},
+		{16, 0xcddd522520a2bcaa},
 	} {
 		ds := templatedDataset(rand.New(rand.NewSource(int64(c.K))), 900, 120, c.K, 80, 9)
 		m, fit, err := Train(ds, TrainOptions{MaxIter: 60})
@@ -289,7 +318,7 @@ func TestFitBitsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := fitFingerprint(m, fit); got != c.want {
-			t.Errorf("K=%d: fingerprint %#x, want %#x (%d iterations, %d evaluations)", c.K, got, c.want, fit.Iters, fit.Evals)
+			t.Errorf("K=%d: fingerprint %#x, want %#x (%d steps, %d evaluations, %d H·v)", c.K, got, c.want, fit.Iters, fit.Evals, fit.HessVecs)
 		}
 	}
 }

@@ -63,3 +63,42 @@ func rowMajorLossGrad(r *rows, theta, grad []float64, l2 float64) float64 {
 	}
 	return loss
 }
+
+// rowMajorHessVec is rows.hessVec without its register blocks: per row,
+// u = X·v class by class, r = c·p⊙(u − pᵀu), and r scattered straight into
+// the feature-major columns of hv, then the L2 term. It is the reference
+// FuzzHessVec holds the blocked kernel to.
+func rowMajorHessVec(r *rows, v, hv, p []float64, l2 float64) {
+	K := r.classes
+	V, vB := v[:r.features*K], v[r.features*K:]
+	clear(hv)
+	hW, hB := hv[:r.features*K], hv[r.features*K:]
+	u := make([]float64, K)
+	for i, x := range r.x {
+		copy(u, vB)
+		for _, f := range x {
+			col := V[f.Index*K:][:K]
+			for k := range u {
+				u[k] += float64(f.Value * col[k])
+			}
+		}
+		pi, c := p[i*K:][:K], r.count[i]
+		var pu float64
+		for k := range u {
+			pu += float64(pi[k] * u[k])
+		}
+		for k := range u {
+			u[k] = float64(float64(c*pi[k]) * (u[k] - pu))
+			hB[k] += u[k]
+		}
+		for _, f := range x {
+			col := hW[f.Index*K:][:K]
+			for k, g := range u {
+				col[k] += float64(g * f.Value)
+			}
+		}
+	}
+	for j, w := range V {
+		hW[j] += float64(l2 * w)
+	}
+}

@@ -160,12 +160,13 @@ type TrainOptions struct {
 	// intercepts); scikit-learn's C maps to λ = 1/C, and the paper's C=1
 	// is the default λ = 1.
 	L2 float64
-	// MaxIter bounds optimizer iterations (default 200).
+	// MaxIter bounds the trust-region Newton steps (default 200).
 	MaxIter int
 	// Tol is the convergence tolerance on the gradient infinity norm
 	// (default 1e-5).
 	Tol float64
-	// Optimizer selects "lbfgs" (default) or "sgd".
+	// Optimizer selects "tron" (default), the trust-region Newton method
+	// of LIBLINEAR, or "sgd", for the optimizer ablation.
 	Optimizer string
 	// LearningRate and Epochs apply to the SGD optimizer only.
 	LearningRate float64
@@ -185,7 +186,7 @@ func (o TrainOptions) withDefaults() TrainOptions {
 		o.Tol = 1e-5
 	}
 	if o.Optimizer == "" {
-		o.Optimizer = "lbfgs"
+		o.Optimizer = "tron"
 	}
 	if o.LearningRate == 0 {
 		o.LearningRate = 0.1
@@ -197,14 +198,14 @@ func (o TrainOptions) withDefaults() TrainOptions {
 }
 
 // Fit is a training set between the two halves of Train: validated, and —
-// for L-BFGS — already collapsed to its distinct rows, so it no longer
+// for the Newton solver — already collapsed to its distinct rows, so it no longer
 // references the Dataset it came from (the rows share the vectors of the
 // first example of each kind; every duplicate is garbage once the caller
 // drops the dataset). What is left for Run is the optimizer.
 type Fit struct {
 	opts                        TrainOptions
 	classes, features, examples int
-	rows                        *rows    // "lbfgs"
+	rows                        *rows    // "tron"
 	ds                          *Dataset // "sgd" walks the examples themselves
 }
 
@@ -225,7 +226,7 @@ func Prepare(ds *Dataset, opts TrainOptions) (*Fit, error) {
 	}
 	f := &Fit{opts: opts, classes: ds.NumClasses, features: ds.NumFeatures(), examples: ds.Len()}
 	switch opts.Optimizer {
-	case "lbfgs":
+	case "tron":
 		f.rows = collapse(ds)
 	case "sgd":
 		f.ds = ds
@@ -244,7 +245,7 @@ func (f *Fit) Run() (*Model, FitStats) {
 	m.W = make([]float64, m.NumClasses*m.NumFeatures)
 	m.B = make([]float64, m.NumClasses)
 	if f.rows != nil {
-		return m, trainLBFGS(m, f.rows, f.examples, f.opts)
+		return m, trainTron(m, f.rows, f.examples, f.opts)
 	}
 	trainSGD(m, f.ds, f.opts)
 	return m, FitStats{Examples: f.examples, Rows: f.examples, Iters: f.opts.Epochs, Converged: true}

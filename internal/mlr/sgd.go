@@ -4,7 +4,8 @@ import "math/rand"
 
 // trainSGD fits the model with mini-batch-free stochastic gradient descent
 // and inverse-scaling learning-rate decay. It exists for the optimizer
-// ablation; L-BFGS is the paper-faithful default.
+// ablation; the default solves the paper's objective to its optimum by
+// trust-region Newton.
 func trainSGD(m *Model, ds *Dataset, opts TrainOptions) {
 	K, D := m.NumClasses, m.NumFeatures
 	rng := rand.New(rand.NewSource(opts.Seed + 1))

@@ -1,10 +1,11 @@
 // Package mlr provides the machine-learning substrate of CERES: sparse
-// feature vectors over integer feature IDs, multinomial
-// logistic regression trained with L-BFGS and L2 regularization (the paper
-// §4.2 uses scikit-learn's LogisticRegression with the LBFGS optimizer and
-// C=1), plus an SGD trainer and a multinomial naive-Bayes classifier used
-// by the classifier-choice ablation ("We experimented with several
-// classifiers").
+// feature vectors over integer feature IDs, multinomial logistic
+// regression with L2 regularization solved to its optimum by LIBLINEAR's
+// trust-region Newton method (the paper §4.2 uses scikit-learn's
+// LogisticRegression with C=1, the same objective, which scikit-learn
+// minimises with L-BFGS), plus an SGD trainer and a multinomial
+// naive-Bayes classifier used by the optimizer and classifier-choice
+// ablations ("We experimented with several classifiers").
 package mlr
 
 import (
