@@ -52,7 +52,10 @@ func fusedBytes(t *testing.T, rep *Report) []byte {
 // discarded (what ceres-batch -reset does). Both passes must give the
 // golden's lines byte for byte, at one core and at four — so neither the
 // replay's loader count nor the fuser's internals may show in the output.
-// go test -run TestFusedGolden ./batch -update rewrites the golden.
+// Every fit of the cold pass must reach its tolerance, ‖g‖∞ under 1e-5:
+// a fit cut off at its step cap would pin bytes that depend on the
+// rounding of its path. go test -run TestFusedGolden ./batch -update
+// rewrites the golden.
 func TestFusedGolden(t *testing.T) {
 	job := goldenJob
 	for _, procs := range []int{1, 4} {
@@ -78,6 +81,11 @@ func TestFusedGolden(t *testing.T) {
 				for _, sr := range rep.Sites {
 					if sr.Trained {
 						trained++
+					}
+					for _, fit := range sr.Fits {
+						if !fit.Converged || !(fit.GradNorm < 1e-5) {
+							t.Errorf("%s pass: a fit of %s stopped at ‖g‖∞ %v, converged %v", pass, sr.Site, fit.GradNorm, fit.Converged)
+						}
 					}
 				}
 				if (pass == "cold") != (trained > 0) || len(rep.Facts) == 0 {

@@ -171,7 +171,7 @@ func TestRunnerTraceAndStages(t *testing.T) {
 				if err != nil {
 					t.Errorf("fit span's grad_inf: %v", err)
 				}
-				fitSpans = append(fitSpans, ceres.FitStats{Examples: n("examples"), Rows: n("rows"),
+				fitSpans = append(fitSpans, ceres.FitStats{Examples: n("examples"), Rows: n("rows"), Columns: n("columns"),
 					Iters: n("iters"), Evals: n("evals"), HessVecs: n("hess_vecs"), GradNorm: gradInf, Converged: n("converged") == 1})
 				if c.Duration() <= 0 || c.Duration() > tsp.Duration() {
 					t.Errorf("fit span of %v inside a %v training", c.Duration(), tsp.Duration())
@@ -191,7 +191,8 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		t.Errorf("report counts training as %+v", got)
 	}
 	// The fit counters are the same on the fit spans and in the report,
-	// and a fit's rows are the distinct ones among its examples.
+	// a fit's rows are the distinct ones among its examples, and its
+	// columns the distinct ones among its features.
 	var fits []ceres.FitStats
 	for _, sr := range rep.Sites {
 		fits = append(fits, sr.Fits...)
@@ -200,7 +201,7 @@ func TestRunnerTraceAndStages(t *testing.T) {
 		t.Errorf("report fits %+v, fit spans %+v", fits, fitSpans)
 	}
 	for _, f := range fits {
-		if f.Rows == 0 || f.Rows >= f.Examples || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
+		if f.Rows == 0 || f.Rows >= f.Examples || f.Columns == 0 || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
 			t.Errorf("implausible fit %+v", f)
 		}
 	}

@@ -643,10 +643,11 @@ func trainingSummary(rep *batch.Report) string {
 // fitSummary is a line of the report: how many classifiers this run
 // fitted, how many of those stopped at the step cap short of their
 // tolerance, how far the training examples collapsed into distinct rows,
-// and the largest gradient infinity norm a fit ended on. The per-site
-// detail is in stats.json.
+// how many distinct feature columns the fits ran over, and the largest
+// gradient infinity norm a fit ended on. The per-site detail is in
+// stats.json.
 func fitSummary(rep *batch.Report) string {
-	var fits, unconverged, examples, rows int
+	var fits, unconverged, examples, rows, columns int
 	var gradInf float64
 	for _, sr := range rep.Sites {
 		for _, f := range sr.Fits {
@@ -656,8 +657,9 @@ func fitSummary(rep *batch.Report) string {
 			}
 			examples += f.Examples
 			rows += f.Rows
+			columns += f.Columns
 			gradInf = max(gradInf, f.GradNorm)
 		}
 	}
-	return fmt.Sprintf("fits: %d trained, %d unconverged, %d examples in %d rows, max ‖g‖∞ %.2g", fits, unconverged, examples, rows, gradInf)
+	return fmt.Sprintf("fits: %d trained, %d unconverged, %d examples in %d rows, %d columns, max ‖g‖∞ %.2g", fits, unconverged, examples, rows, columns, gradInf)
 }

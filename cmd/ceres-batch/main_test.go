@@ -190,7 +190,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 	}
 	// Every site trained this run reports its fits, and the printed
 	// summary totals them.
-	var fits, examples, rows int
+	var fits, examples, rows, columns int
 	var gradInf float64
 	for _, s := range doc.Sites {
 		if s.Trained != (len(s.Fits) > 0) {
@@ -200,8 +200,9 @@ func TestGenerateAndHarvest(t *testing.T) {
 			fits++
 			examples += f.Examples
 			rows += f.Rows
+			columns += f.Columns
 			gradInf = max(gradInf, f.GradNorm)
-			if f.Rows == 0 || f.Rows > f.Examples || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
+			if f.Rows == 0 || f.Rows > f.Examples || f.Columns == 0 || f.Iters == 0 || f.Evals <= f.Iters || f.HessVecs < f.Iters {
 				t.Errorf("implausible fit stats %+v", f)
 			}
 		}
@@ -210,7 +211,7 @@ func TestGenerateAndHarvest(t *testing.T) {
 		t.Errorf("%d fits over %d examples in %d rows: templated sites should collapse", fits, examples, rows)
 	}
 	prefix := fmt.Sprintf("fits: %d trained, ", fits)
-	suffix := fmt.Sprintf(" unconverged, %d examples in %d rows, max ‖g‖∞ %.2g", examples, rows, gradInf)
+	suffix := fmt.Sprintf(" unconverged, %d examples in %d rows, %d columns, max ‖g‖∞ %.2g", examples, rows, columns, gradInf)
 	if got := fitSummary(rep); !strings.HasPrefix(got, prefix) || !strings.HasSuffix(got, suffix) {
 		t.Errorf("fitSummary = %q, want %q…%q", got, prefix, suffix)
 	}

@@ -217,6 +217,7 @@ func (p *Prepared) Fit(ctx context.Context) error {
 		fsp := tsp.AddTimed("fit", f.build+time.Since(start))
 		fsp.SetInt("examples", int64(f.Stats.Examples))
 		fsp.SetInt("rows", int64(f.Stats.Rows))
+		fsp.SetInt("columns", int64(f.Stats.Columns))
 		fsp.SetInt("iters", int64(f.Stats.Iters))
 		fsp.SetInt("evals", int64(f.Stats.Evals))
 		fsp.SetInt("hess_vecs", int64(f.Stats.HessVecs))

@@ -3,56 +3,79 @@ package mlr
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 )
 
 // FitStats reports how one Train call went, so a fit that stopped at
 // MaxIter short of its tolerance is counted instead of passing silently.
 type FitStats struct {
 	// Examples is the dataset size; Rows is how many distinct
-	// (vector, label) rows the objective was evaluated over.
-	Examples, Rows int
+	// (vector, label) rows the objective was evaluated over, and Columns
+	// how many distinct feature columns: features that fire on the same
+	// rows with the same values are one parameter of the solver.
+	Examples, Rows, Columns int
 	// Iters counts Newton steps, accepted or not (SGD: epochs); Evals
 	// counts objective evaluations, one up front and one per step;
 	// HessVecs counts Hessian–vector products, one per conjugate-gradient
 	// step.
 	Iters, Evals, HessVecs int
-	// GradNorm is the gradient's infinity norm where the fit stopped.
+	// GradNorm is the gradient's infinity norm where the fit stopped, over
+	// the dataset's features.
 	GradNorm float64
 	// Converged is false when the fit ran out of Newton steps.
 	Converged bool
 }
 
-// rows is a training set collapsed to its distinct (vector, label) rows.
-// Semi-structured sites are templated, so most examples repeat an earlier
-// row exactly; the negative log-likelihood is a sum over examples, equal
-// terms of a sum can be grouped, and so the objective over rows weighted
-// by their multiplicities is the objective over the examples.
+// rows is a training set collapsed to its distinct (vector, label) rows
+// over its distinct feature columns. Semi-structured sites are templated,
+// so most examples repeat an earlier row exactly; the negative
+// log-likelihood is a sum over examples, equal terms of a sum can be
+// grouped, and so the objective over rows weighted by their multiplicities
+// is the objective over the examples.
+//
+// On templates features also co-occur: a tag and its class at one
+// position fire on the same rows with the same values. The m features of
+// such a column are one parameter z of the solver, each feature's weight
+// z/√m, and the column holds their value times √m. From θ = 0 the Newton
+// solver's iterates keep the weights of identical columns equal, and on
+// that subspace w ↦ z = √m·w is an isometry under which the objective is
+// the same uniform-L2 logistic regression, so every step and the optimum
+// are the same in exact arithmetic. Without identical columns every m is
+// 1 and no bit moves.
 type rows struct {
-	x     []Vector
+	x     []Vector // over columns, not features
 	y     []int
 	count []float64 // multiplicity of each row; sums to the dataset size
-	// classes and features fix theta's layout: weights feature-major
-	// (feature j, class k at j*classes+k — one non-zero touches one
+	// classes and features fix theta's layout: weights column-major
+	// (column j, class k at j*classes+k — one non-zero touches one
 	// contiguous column, as in TransposedModel), intercepts after them.
+	// features counts columns.
 	classes, features int
+	// column maps each of the dataset's features to its column, and
+	// scale holds each column's √m.
+	column []int
+	scale  []float64
 	// e is lossGrad's and hessVec's scratch: one row's scores, then its
 	// gradient or Hessian coefficients.
 	e []float64
 }
 
-// collapse groups ds into distinct rows in first-occurrence order. Rows
-// are told apart by a byte key over label, indices and value bits; the
-// map only finds a row's index — output order comes from the slices, so
-// it is the same on every run.
+// collapse groups ds into distinct rows in first-occurrence order, then
+// its features into distinct columns numbered by their first feature.
+// Rows are told apart by a byte key over label, indices and value bits,
+// columns by one over the rows they fire on and their value bits; the
+// maps only find an index — output order comes from the slices, so it is
+// the same on every run. A feature found in no row is one column with
+// every other such feature, whose weight stays 0.
 //
-// The rows' vectors are copied into one array of exactly their size, so
-// the collapsed set holds none of the dataset's storage: whatever the
-// examples were carved from is garbage once collapse returns.
+// The rows are rewritten over columns into one array of exactly their
+// size, so the collapsed set holds none of the dataset's storage:
+// whatever the examples were carved from is garbage once collapse
+// returns.
 func collapse(ds *Dataset) *rows {
-	r := &rows{classes: ds.NumClasses, features: ds.NumFeatures()}
+	r := &rows{classes: ds.NumClasses}
 	index := make(map[string]int)
 	var key []byte
-	size := 0
 	for i, x := range ds.X {
 		key = x.AppendKey(binary.AppendUvarint(key[:0], uint64(ds.Y[i])))
 		if at, ok := index[string(key)]; ok {
@@ -63,16 +86,82 @@ func collapse(ds *Dataset) *rows {
 		r.x = append(r.x, x)
 		r.y = append(r.y, ds.Y[i])
 		r.count = append(r.count, 1)
-		size += len(x)
 	}
+
+	// Each feature's column key, (row, value bits) per non-zero in row
+	// order, 12 bytes each, at off[j] in one buffer.
+	D := ds.NumFeatures()
+	off := make([]int, D+1)
+	for _, x := range r.x {
+		for _, f := range x {
+			off[f.Index+1] += 12
+		}
+	}
+	for j := range D {
+		off[j+1] += off[j]
+	}
+	buf := make([]byte, off[D])
+	at := slices.Clone(off[:D])
+	for i, x := range r.x {
+		for _, f := range x {
+			b := buf[at[f.Index]:][:12]
+			binary.LittleEndian.PutUint32(b, uint32(i))
+			binary.LittleEndian.PutUint64(b[4:], math.Float64bits(f.Value))
+			at[f.Index] += 12
+		}
+	}
+	keys := string(buf)
+	columns := make(map[string]int)
+	r.column = make([]int, D)
+	var first []int // each column's first feature
+	for j := range D {
+		c, ok := columns[keys[off[j]:off[j+1]]]
+		if !ok {
+			c = len(first)
+			columns[keys[off[j]:off[j+1]]] = c
+			first = append(first, j)
+			r.scale = append(r.scale, 0)
+		}
+		r.column[j] = c
+		r.scale[c]++
+	}
+	size := 0
+	for c, j := range first {
+		size += (off[j+1] - off[j]) / 12
+		r.scale[c] = math.Sqrt(r.scale[c])
+	}
+	r.features = len(first)
+
+	// A column's features are all in the rows it fires on; its first one
+	// stands for it, and the columns of a row stay in increasing order.
 	flat := make([]Feature, 0, size)
 	for i, x := range r.x {
 		at := len(flat)
-		flat = append(flat, x...)
+		for _, f := range x {
+			if c := r.column[f.Index]; first[c] == f.Index {
+				flat = append(flat, Feature{Index: c, Value: f.Value * r.scale[c]})
+			}
+		}
 		r.x[i] = flat[at:len(flat):len(flat)]
 	}
 	r.e = make([]float64, r.classes)
 	return r
+}
+
+// gradNorm is the infinity norm of gradient g over the dataset's
+// features: each feature of a column of m has the column's component
+// over √m.
+//
+//ceres:allocfree
+func (r *rows) gradNorm(g []float64) float64 {
+	K := r.classes
+	n := infNorm(g[r.features*K:][:K])
+	for c, s := range r.scale {
+		for _, v := range g[c*K:][:K] {
+			n = maxAbs(n, v/s)
+		}
+	}
+	return n
 }
 
 // lossGrad computes the regularized negative log-likelihood under
@@ -293,17 +382,20 @@ func (r *rows) hessVec(v, hv, p []float64, l2 float64) float64 {
 }
 
 // trainTron fits m by trust-region Newton over the collapsed rows and
-// copies the solution into m's class-major layout.
+// copies the solution into m's class-major layout, each feature's weight
+// its column's over √m.
 func trainTron(m *Model, r *rows, examples int, opts TrainOptions) FitStats {
 	K, D := m.NumClasses, m.NumFeatures
 	t := newTron(r, opts.L2)
 	t.run(opts.MaxIter, opts.Tol)
 	for j := 0; j < D; j++ {
+		c := r.column[j]
+		z, s := t.w[c*K:][:K], r.scale[c]
 		for k := 0; k < K; k++ {
-			m.W[k*D+j] = t.w[j*K+k]
+			m.W[k*D+j] = z[k] / s
 		}
 	}
-	copy(m.B, t.w[D*K:])
-	t.stats.Examples, t.stats.Rows = examples, len(r.x)
+	copy(m.B, t.w[r.features*K:])
+	t.stats.Examples, t.stats.Rows, t.stats.Columns = examples, len(r.x), r.features
 	return t.stats
 }

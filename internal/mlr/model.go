@@ -198,10 +198,11 @@ func (o TrainOptions) withDefaults() TrainOptions {
 }
 
 // Fit is a training set between the two halves of Train: validated, and —
-// for the Newton solver — already collapsed to its distinct rows, so it no longer
-// references the Dataset it came from (the rows share the vectors of the
-// first example of each kind; every duplicate is garbage once the caller
-// drops the dataset). What is left for Run is the optimizer.
+// for the Newton solver — already collapsed to its distinct rows over its
+// distinct columns, so it no longer references the Dataset it came from
+// (the rows are copied into one array of their own; the examples are
+// garbage once the caller drops the dataset). What is left for Run is the
+// optimizer.
 type Fit struct {
 	opts                        TrainOptions
 	classes, features, examples int
@@ -248,7 +249,7 @@ func (f *Fit) Run() (*Model, FitStats) {
 		return m, trainTron(m, f.rows, f.examples, f.opts)
 	}
 	trainSGD(m, f.ds, f.opts)
-	return m, FitStats{Examples: f.examples, Rows: f.examples, Iters: f.opts.Epochs, Converged: true}
+	return m, FitStats{Examples: f.examples, Rows: f.examples, Columns: f.features, Iters: f.opts.Epochs, Converged: true}
 }
 
 // Train fits a multinomial logistic-regression model on ds and reports

@@ -46,14 +46,15 @@ func newTron(r *rows, l2 float64) *tron {
 	return t
 }
 
-// run minimises the objective from θ = 0. It stops when ‖g‖∞ < tol, or
+// run minimises the objective from θ = 0. It stops when ‖g‖∞ over the
+// dataset's features (rows.gradNorm) is under tol, or
 // when the actual and the predicted reduction of a step both fall under
 // tronPlateau·|f| (numerical convergence: both count as converged), or
 // after maxIter Newton steps, accepted or not.
 func (t *tron) run(maxIter int, tol float64) {
 	f := t.r.lossGrad(t.w, t.g, t.p, t.l2)
 	t.stats.Evals = 1
-	gInf := infNorm(t.g)
+	gInf := t.r.gradNorm(t.g)
 	delta := math.Sqrt(sumSquares(t.g))
 	for {
 		if gInf < tol {
@@ -108,7 +109,7 @@ func (t *tron) run(maxIter int, tol float64) {
 			t.g, t.gNew = t.gNew, t.g
 			t.p, t.pNew = t.pNew, t.p
 			f = fNew
-			gInf = infNorm(t.g)
+			gInf = t.r.gradNorm(t.g)
 		}
 		if math.Abs(actred) <= tronPlateau*math.Abs(f) && math.Abs(prered) <= tronPlateau*math.Abs(f) {
 			t.stats.Converged = true
